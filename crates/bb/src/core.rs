@@ -19,16 +19,16 @@ use ddemos_crypto::elgamal::{self, Ciphertext};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::mverify::{MsgVerifier, DEFAULT_CACHE_CAPACITY};
 use ddemos_crypto::schnorr::{Signature, VerifyingKey};
-use ddemos_crypto::shamir::{self, Share};
+use ddemos_crypto::shamir::{Interpolator, InterpolatorCache};
 use ddemos_crypto::votecode::{self, VoteCode};
 use ddemos_crypto::vss::{DealerVss, SignedShare};
 use ddemos_crypto::zkp;
 use ddemos_protocol::codec;
 use ddemos_protocol::initdata::{
-    msk_share_context, opening_bundle_message, voteset_message, BbInit,
+    msk_share_context, opening_bundle_message, voteset_message, BbBallot, BbInit, BbRow,
 };
 use ddemos_protocol::messages::{BbWriteMsg, BbWriteOutcome};
-use ddemos_protocol::posts::{ElectionResult, TrusteePost, VoteSet};
+use ddemos_protocol::posts::{ElectionResult, PartZkPost, TallySharePost, TrusteePost, VoteSet};
 use ddemos_protocol::wire::{Reader, WireError, Writer};
 use ddemos_protocol::{PartId, SerialNo};
 use std::collections::BTreeMap;
@@ -561,9 +561,11 @@ impl BbCore {
             return (Ok(()), None);
         }
         self.trustee_posts.insert(post.trustee_index, post.clone());
-        if self.trustee_posts.len() >= self.init.params.trustee_threshold
-            && self.snapshot.result.is_none()
-        {
+        // Every post from the threshold on gets a pass, also once the
+        // result is out: the pass only works on what is still unpublished,
+        // so after honest posts it is a scan, and after a Byzantine one it
+        // is what lets a later honest post complete the evidence.
+        if self.trustee_posts.len() >= self.init.params.trustee_threshold {
             self.try_publish_result();
         }
         let record = BbRecord::TrusteePost { post, sig: *sig };
@@ -671,342 +673,432 @@ impl BbCore {
 
     /// With ≥ h_t trustee posts verified, reconstruct openings, verify ZK
     /// proofs, open the homomorphic tally, and publish the result (§III-H).
+    ///
+    /// Runs on every accepted post from the `h_t`-th on, and each stage
+    /// publishes only what the snapshot still lacks, so a part or a tally
+    /// that one trustee subset could not produce is retried when the next
+    /// post widens the choice.
     fn try_publish_result(&mut self) {
-        let ht = self.init.params.trustee_threshold;
-        // The caller gates on both being present; losing either here
+        // The caller gates on the challenge being present; losing it here
         // means corrupt state — skip publication rather than abort the
         // replica (readers outvote it).
-        let Some(vote_set) = self.snapshot.vote_set.clone() else {
-            return;
-        };
         let Some(challenge) = self.snapshot.challenge else {
             return;
         };
         let posts: Vec<Arc<TrusteePost>> = self.trustee_posts.values().cloned().collect();
-        let m = self.init.params.num_options;
-
-        // --- unused/unvoted part openings -------------------------------
-        // Group opening posts by (serial, part).
-        let mut openings_by_key: BTreeMap<(SerialNo, PartId), Vec<(u32, &RowOpenings)>> =
-            BTreeMap::new();
-        for post in &posts {
-            for o in &post.openings {
-                openings_by_key
-                    .entry((o.serial, o.part))
-                    .or_default()
-                    .push((post.trustee_index, &o.rows));
-            }
+        // Lagrange weights per trustee subset this pass meets: one in the
+        // honest case, at most C(N_t, h_t).
+        let mut interpolators = InterpolatorCache::default();
+        self.publish_openings(&posts, &mut interpolators);
+        self.publish_zk(&posts, &challenge, &mut interpolators);
+        if self.snapshot.result.is_none() {
+            self.publish_tally(&posts, &mut interpolators);
         }
-        let mut new_openings: Vec<((SerialNo, u8), RowOpenings)> = Vec::new();
-        let mut opening_items: Vec<(Ciphertext, Scalar, Scalar)> = Vec::new();
-        // Half-open item range per `new_openings` entry, for the per-part
-        // fallback below.
-        let mut opening_spans: Vec<(usize, usize)> = Vec::new();
-        for ((serial, part), shares) in &openings_by_key {
-            if shares.len() < ht {
-                continue;
-            }
-            let Some(ballot) = self.init.ballots.get(serial) else {
+    }
+
+    /// Unused/unvoted part openings: reconstructed from the first `h_t`
+    /// posts that carry the part (the shares are EA-signed, so any subset
+    /// interpolates the same values) and verified in bounded batches. A
+    /// part publishes iff all of its openings verify.
+    fn publish_openings(
+        &mut self,
+        posts: &[Arc<TrusteePost>],
+        interpolators: &mut InterpolatorCache,
+    ) {
+        let ht = self.init.params.trustee_threshold;
+        let pk = self.init.elgamal_pk;
+        let verify = |items: &[(Ciphertext, Scalar, Scalar)]| {
+            let _t = ddemos_obs::scoped_ns("bb.publish_ns", "openings");
+            elgamal::batch_verify_openings(&pk, items)
+        };
+        let by_key = group_shares(&self.snapshot.openings, posts, |post| {
+            post.openings.iter().map(|o| (o.serial, o.part, &o.rows))
+        });
+        let mut batch = PartBatch::new(VERIFY_BATCH);
+        for (key, shares) in &by_key {
+            let Some(shares) = shares.get(..ht) else {
                 continue;
             };
-            let rows = &ballot.parts[part.index()];
-            let start = opening_items.len();
-            let mut opened_rows: RowOpenings = Vec::with_capacity(rows.len());
-            let mut all_ok = true;
-            for (row_idx, row) in rows.iter().enumerate() {
-                let mut opened_cts = Vec::with_capacity(row.commitment.len());
-                for (ct_idx, ct) in row.commitment.iter().enumerate() {
-                    let bit_shares: Vec<Share> = shares
-                        .iter()
-                        .take(ht)
-                        .map(|(t, rows)| Share {
-                            index: t + 1,
-                            value: rows[row_idx][ct_idx].0,
-                        })
-                        .collect();
-                    let rand_shares: Vec<Share> = shares
-                        .iter()
-                        .take(ht)
-                        .map(|(t, rows)| Share {
-                            index: t + 1,
-                            value: rows[row_idx][ct_idx].1,
-                        })
-                        .collect();
-                    let (Ok(bit), Ok(rand)) = (
-                        shamir::reconstruct(&bit_shares, ht),
-                        shamir::reconstruct(&rand_shares, ht),
-                    ) else {
-                        all_ok = false;
-                        break;
-                    };
-                    opening_items.push((*ct, bit, rand));
-                    opened_cts.push((bit, rand));
-                }
-                if !all_ok {
-                    break;
-                }
-                opened_rows.push(opened_cts);
-            }
-            if all_ok {
-                opening_spans.push((start, opening_items.len()));
-                new_openings.push(((*serial, part.index() as u8), opened_rows));
-            } else {
-                opening_items.truncate(start);
-            }
-        }
-        // Every candidate opening across every part in one MSM. On failure,
-        // fall back per part: a part publishes iff all of its openings
-        // verify — the same outcome the per-ciphertext loop produced.
-        if !elgamal::batch_verify_openings(&self.init.elgamal_pk, &opening_items) {
-            let mut keep = Vec::new();
-            for (entry, (start, end)) in new_openings.into_iter().zip(&opening_spans) {
-                let span = opening_items.get(*start..*end).unwrap_or(&[]);
-                if elgamal::batch_verify_openings(&self.init.elgamal_pk, span) {
-                    keep.push(entry);
-                }
-            }
-            new_openings = keep;
-        }
-        for (key, rows) in new_openings {
-            self.snapshot.openings.insert(key, rows);
-        }
-
-        // --- used-part ZK verification -----------------------------------
-        let mut zk_by_key: BTreeMap<
-            (SerialNo, PartId),
-            Vec<(u32, &ddemos_protocol::posts::PartZkPost)>,
-        > = BTreeMap::new();
-        for post in &posts {
-            for z in &post.zk {
-                zk_by_key
-                    .entry((z.serial, z.part))
-                    .or_default()
-                    .push((post.trustee_index, z));
-            }
-        }
-        let mut new_zk: Vec<((SerialNo, u8), RowZkResponses)> = Vec::new();
-        let mut zk_instances: Vec<zkp::CpInstance> = Vec::new();
-        let mut zk_spans: Vec<(usize, usize)> = Vec::new();
-        for ((serial, part), posts_for_part) in &zk_by_key {
-            if posts_for_part.len() < ht {
-                continue;
-            }
-            let Some(ballot) = self.init.ballots.get(serial) else {
+            let Some(rows) = part_rows(&self.init.ballots, key) else {
                 continue;
             };
-            let rows = &ballot.parts[part.index()];
-            let start = zk_instances.len();
-            let mut ok = true;
-            let mut verified_rows: Vec<(Vec<zkp::OrResponse>, Scalar)> = Vec::new();
-            'rows: for (row_idx, row) in rows.iter().enumerate() {
-                let mut row_responses = Vec::with_capacity(row.commitment.len());
-                for (ct_idx, ct) in row.commitment.iter().enumerate() {
-                    let mut comps = [Scalar::ZERO; 4];
-                    for (slot, comp) in comps.iter_mut().enumerate() {
-                        let shares: Vec<Share> = posts_for_part
-                            .iter()
-                            .take(ht)
-                            .map(|(t, z)| Share {
-                                index: t + 1,
-                                value: z.rows[row_idx][ct_idx][slot],
-                            })
-                            .collect();
-                        match shamir::reconstruct(&shares, ht) {
-                            Ok(v) => *comp = v,
-                            Err(_) => {
-                                ok = false;
-                                break 'rows;
-                            }
-                        }
-                    }
-                    let resp = zkp::OrResponse {
-                        c0: comps[0],
-                        z0: comps[1],
-                        c1: comps[2],
-                        z1: comps[3],
-                    };
-                    // `or_instances` performs the c0+c1 = c split check the
-                    // scalar `or_verify` started with; the group equations
-                    // join the batch below.
-                    let Some(pair) =
-                        zkp::or_instances(ct, &row.or_first[ct_idx], &resp, &challenge)
-                    else {
-                        ok = false;
-                        break 'rows;
-                    };
-                    zk_instances.extend(pair);
-                    row_responses.push(resp);
-                }
-                let sum_shares: Vec<Share> = posts_for_part
-                    .iter()
-                    .take(ht)
-                    .map(|(t, z)| Share {
-                        index: t + 1,
-                        value: z.sum_responses[row_idx],
-                    })
-                    .collect();
-                let Ok(z) = shamir::reconstruct(&sum_shares, ht) else {
-                    ok = false;
-                    break;
+            let Ok(interp) = interpolators.over(shares.iter().map(|(index, _)| *index).collect())
+            else {
+                continue;
+            };
+            let shares: Vec<&RowOpenings> = shares.iter().map(|(_, rows)| *rows).collect();
+            batch.add_part(|items| {
+                Some((*key, reconstruct_openings(interp, &shares, rows, items)?))
+            });
+            if batch.is_full() {
+                self.snapshot.openings.extend(batch.settle(verify).0);
+            }
+        }
+        self.snapshot.openings.extend(batch.settle(verify).0);
+    }
+
+    /// Used-part ZK final moves: the OR-proof branches and sum proofs of a
+    /// part are reconstructed from the first `h_t` posts that carry it and
+    /// verified in bounded batches; a part publishes iff all of its proofs
+    /// verify. The response shares are the trustees' own (nothing signs
+    /// them but the post), so a part the first subset cannot prove is
+    /// searched over the other `h_t`-subsets: one Byzantine trustee among
+    /// the lowest indices must not withhold evidence that `h_t` honest
+    /// posts on the board can supply.
+    fn publish_zk(
+        &mut self,
+        posts: &[Arc<TrusteePost>],
+        challenge: &Scalar,
+        interpolators: &mut InterpolatorCache,
+    ) {
+        let ht = self.init.params.trustee_threshold;
+        let pk = self.init.elgamal_pk;
+        let verify = |instances: &[zkp::CpInstance]| {
+            let _t = ddemos_obs::scoped_ns("bb.publish_ns", "zk");
+            zkp::cp_verify_batch(&pk, instances)
+        };
+        let by_key = group_shares(&self.snapshot.zk_responses, posts, |post| {
+            post.zk.iter().map(|z| (z.serial, z.part, z))
+        });
+        let mut batch = PartBatch::new(VERIFY_BATCH);
+        let mut unproven: Vec<(SerialNo, u8)> = Vec::new();
+        for (key, shares) in &by_key {
+            let Some(first) = shares.get(..ht) else {
+                continue;
+            };
+            let Some(rows) = part_rows(&self.init.ballots, key) else {
+                continue;
+            };
+            let Ok(interp) = interpolators.over(first.iter().map(|(index, _)| *index).collect())
+            else {
+                continue;
+            };
+            let first: Vec<&PartZkPost> = first.iter().map(|(_, z)| *z).collect();
+            let reconstructed = batch.add_part(|instances| {
+                let responses = reconstruct_zk(interp, &first, rows, challenge, instances)?;
+                Some((*key, responses))
+            });
+            if !reconstructed {
+                unproven.push(*key);
+            }
+            if batch.is_full() {
+                let (proven, rejected) = batch.settle(verify);
+                self.snapshot.zk_responses.extend(proven);
+                unproven.extend(rejected.into_iter().map(|(key, _)| key));
+            }
+        }
+        let (proven, rejected) = batch.settle(verify);
+        self.snapshot.zk_responses.extend(proven);
+        unproven.extend(rejected.into_iter().map(|(key, _)| key));
+
+        // Subset search, part by part. The subset that proved the previous
+        // part goes first: a Byzantine trustee is the same one throughout,
+        // so the search costs its C(N_t, h_t) tries once, not per part.
+        let mut proving: Option<Vec<u32>> = None;
+        for key in unproven {
+            let (Some(shares), Some(rows)) =
+                (by_key.get(&key), part_rows(&self.init.ballots, &key))
+            else {
+                continue;
+            };
+            // The first subset is the one that just failed.
+            let mut subsets: Vec<(Vec<u32>, Vec<&PartZkPost>)> = subsets_of(shares, ht)
+                .into_iter()
+                .skip(1)
+                .map(|subset| subset.into_iter().map(|(index, z)| (*index, *z)).unzip())
+                .collect();
+            subsets.sort_by_key(|(indices, _)| proving.as_ref() != Some(indices));
+            for (indices, subset) in subsets {
+                let Ok(interp) = interpolators.over(indices.clone()) else {
+                    continue;
                 };
-                zk_instances.push(zkp::sum_instance(
-                    &row.commitment,
-                    &row.sum_first,
-                    &challenge,
-                    &z,
-                ));
-                verified_rows.push((row_responses, z));
-            }
-            if ok {
-                zk_spans.push((start, zk_instances.len()));
-                new_zk.push(((*serial, part.index() as u8), verified_rows));
-            } else {
-                zk_instances.truncate(start);
-            }
-        }
-        // All OR-proof branches and sum proofs of every used part in one
-        // MSM; per-part fallback attributes failures, so a part publishes
-        // iff all of its proofs verify — as the per-proof loop did.
-        if !zkp::cp_verify_batch(&self.init.elgamal_pk, &zk_instances) {
-            let mut keep = Vec::new();
-            for (entry, (start, end)) in new_zk.into_iter().zip(&zk_spans) {
-                let span = zk_instances.get(*start..*end).unwrap_or(&[]);
-                if zkp::cp_verify_batch(&self.init.elgamal_pk, span) {
-                    keep.push(entry);
+                let mut instances = Vec::new();
+                let Some(responses) =
+                    reconstruct_zk(interp, &subset, rows, challenge, &mut instances)
+                else {
+                    continue;
+                };
+                if verify(&instances) {
+                    self.snapshot.zk_responses.insert(key, responses);
+                    proving = Some(indices);
+                    break;
                 }
             }
-            new_zk = keep;
         }
-        for (key, rows) in new_zk {
-            self.snapshot.zk_responses.insert(key, rows);
-        }
+    }
 
-        // --- homomorphic tally --------------------------------------------
+    /// The homomorphic tally: sums the cast rows' commitments and opens
+    /// each option total from the trustees' tally shares. Bad shares are
+    /// identified by reconstruct-then-verify over subsets (the commitments
+    /// are perfectly binding, so a verified opening is *the* opening); the
+    /// honest case opens every option from the first subset with one MSM.
+    fn publish_tally(&mut self, posts: &[Arc<TrusteePost>], interpolators: &mut InterpolatorCache) {
+        let _t = ddemos_obs::scoped_ns("bb.publish_ns", "tally");
+        let ht = self.init.params.trustee_threshold;
+        let pk = self.init.elgamal_pk;
+        let m = self.init.params.num_options;
         // E_tally: the cast row's commitment vector of every voted ballot.
         let mut sums = vec![Ciphertext::IDENTITY; m];
         let mut counted = 0u64;
-        for (serial, code) in &vote_set.entries {
-            let Some((part, row_idx)) = self.locate_cast_row(*serial, code) else {
-                continue;
+        {
+            let Some(vote_set) = &self.snapshot.vote_set else {
+                return;
             };
-            let Some(ballot) = self.init.ballots.get(serial) else {
-                continue;
-            };
-            let row = &ballot.parts[part.index()][row_idx];
-            for (j, ct) in row.commitment.iter().enumerate() {
-                sums[j] = sums[j].add(ct);
-            }
-            counted += 1;
-        }
-        // Reconstruct the opening of each option total from trustee tally
-        // shares; identify bad shares by reconstruct-then-verify over
-        // subsets (the commitments are perfectly binding, so a verified
-        // opening is *the* opening).
-        let tally_posts: Vec<(u32, &ddemos_protocol::posts::TallySharePost)> =
-            posts.iter().map(|p| (p.trustee_index, &p.tally)).collect();
-        let mut tally = Vec::with_capacity(m);
-        let mut opening = Vec::with_capacity(m);
-        // Fast path: the honest case reconstructs every option total from
-        // the first trustee subset — verify all `m` candidate openings in
-        // one MSM, and only fall back to the per-subset search (which
-        // isolates a bad share) if that batch fails. The subset search
-        // tries the same first subset first, so a passing batch selects
-        // exactly the openings the search would have.
-        let first_subset: Option<Vec<(Scalar, Scalar)>> = (|| {
-            if tally_posts.len() < ht {
-                return None;
-            }
-            let mut cand = Vec::with_capacity(m);
-            let mut items = Vec::with_capacity(m);
-            for (j, sum_ct) in sums.iter().enumerate() {
-                let m_shares: Vec<Share> = tally_posts
-                    .iter()
-                    .take(ht)
-                    .map(|(t, p)| Share {
-                        index: t + 1,
-                        value: p.per_option[j].0,
-                    })
-                    .collect();
-                let r_shares: Vec<Share> = tally_posts
-                    .iter()
-                    .take(ht)
-                    .map(|(t, p)| Share {
-                        index: t + 1,
-                        value: p.per_option[j].1,
-                    })
-                    .collect();
-                let (Ok(msg), Ok(rand)) = (
-                    shamir::reconstruct(&m_shares, ht),
-                    shamir::reconstruct(&r_shares, ht),
-                ) else {
-                    return None;
+            for (serial, code) in &vote_set.entries {
+                let Some((part, row_idx)) = self.locate_cast_row(*serial, code) else {
+                    continue;
                 };
-                items.push((*sum_ct, msg, rand));
-                cand.push((msg, rand));
-            }
-            if elgamal::batch_verify_openings(&self.init.elgamal_pk, &items) {
-                Some(cand)
-            } else {
-                None
-            }
-        })();
-        if let Some(cand) = first_subset {
-            for (msg, rand) in cand {
-                match msg.to_u64() {
-                    Some(v) => {
-                        tally.push(v);
-                        opening.push((msg, rand));
-                    }
-                    None => return, // need more trustee posts
+                let Some(ballot) = self.init.ballots.get(serial) else {
+                    continue;
+                };
+                let row = &ballot.parts[part.index()][row_idx];
+                for (sum, ct) in sums.iter_mut().zip(&row.commitment) {
+                    *sum = sum.add(ct);
                 }
+                counted += 1;
             }
-            self.snapshot.tally_opening = Some(opening);
-            self.snapshot.result = Some(ElectionResult {
-                tally,
-                ballots_counted: counted,
-            });
-            return;
         }
-        for (j, sum_ct) in sums.iter().enumerate() {
-            let mut found = None;
-            for subset in subsets_of(&tally_posts, ht) {
-                let m_shares: Vec<Share> = subset
-                    .iter()
-                    .map(|(t, p)| Share {
-                        index: t + 1,
-                        value: p.per_option[j].0,
-                    })
-                    .collect();
-                let r_shares: Vec<Share> = subset
-                    .iter()
-                    .map(|(t, p)| Share {
-                        index: t + 1,
-                        value: p.per_option[j].1,
-                    })
-                    .collect();
+        let shares: Vec<(u32, &TallySharePost)> = posts
+            .iter()
+            .map(|p| (p.trustee_index + 1, &p.tally))
+            .collect();
+        // Subsets in lexicographic order; an option keeps the first
+        // opening that verifies and later subsets only see what is left.
+        let mut opening: Vec<Option<(Scalar, Scalar)>> = vec![None; m];
+        for subset in subsets_of(&shares, ht) {
+            if opening.iter().all(Option::is_some) {
+                break;
+            }
+            let Ok(interp) = interpolators.over(subset.iter().map(|(index, _)| *index).collect())
+            else {
+                continue;
+            };
+            let mut slots = Vec::with_capacity(m);
+            let mut items = Vec::with_capacity(m);
+            for ((j, sum_ct), slot) in sums.iter().enumerate().zip(opening.iter_mut()) {
+                if slot.is_some() {
+                    continue;
+                }
                 let (Ok(msg), Ok(rand)) = (
-                    shamir::reconstruct(&m_shares, ht),
-                    shamir::reconstruct(&r_shares, ht),
+                    interp.at_zero(subset.iter().map(|(_, p)| p.per_option[j].0)),
+                    interp.at_zero(subset.iter().map(|(_, p)| p.per_option[j].1)),
                 ) else {
                     continue;
                 };
-                if elgamal::verify_opening(&self.init.elgamal_pk, sum_ct, &msg, &rand) {
-                    found = msg.to_u64();
-                    opening.push((msg, rand));
-                    break;
+                slots.push(slot);
+                items.push((*sum_ct, msg, rand));
+            }
+            // One MSM over every candidate; per-option attribution only
+            // when it fails.
+            let all_verify = elgamal::batch_verify_openings(&pk, &items);
+            for (slot, (sum_ct, msg, rand)) in slots.into_iter().zip(items) {
+                if all_verify || elgamal::verify_opening(&pk, &sum_ct, &msg, &rand) {
+                    *slot = Some((msg, rand));
                 }
             }
-            match found {
-                Some(v) => tally.push(v),
-                None => return, // need more trustee posts
-            }
         }
+        // An unopened option means: need more trustee posts.
+        let Some(opening) = opening.into_iter().collect::<Option<Vec<_>>>() else {
+            return;
+        };
+        let Some(tally) = opening
+            .iter()
+            .map(|(msg, _)| msg.to_u64())
+            .collect::<Option<Vec<u64>>>()
+        else {
+            return;
+        };
         self.snapshot.tally_opening = Some(opening);
         self.snapshot.result = Some(ElectionResult {
             tally,
             ballots_counted: counted,
         });
     }
+}
+
+/// Every part's shares, as `(evaluation index, share)` in trustee order,
+/// for the parts `published` does not hold yet. `posts` must be in trustee
+/// order; a post that names one part twice then shows up as a repeated
+/// last index and only its first entry stands, so a share list is a valid
+/// index set whatever a Byzantine trustee repeats.
+fn group_shares<'a, V, T: 'a, I>(
+    published: &BTreeMap<(SerialNo, u8), V>,
+    posts: &'a [Arc<TrusteePost>],
+    parts_of: impl Fn(&'a TrusteePost) -> I,
+) -> BTreeMap<(SerialNo, u8), Vec<(u32, &'a T)>>
+where
+    I: Iterator<Item = (SerialNo, PartId, &'a T)>,
+{
+    let mut by_key: BTreeMap<(SerialNo, u8), Vec<(u32, &'a T)>> = BTreeMap::new();
+    for post in posts {
+        let index = post.trustee_index + 1;
+        for (serial, part, share) in parts_of(post) {
+            let key = (serial, part.index() as u8);
+            if published.contains_key(&key) {
+                continue;
+            }
+            let shares = by_key.entry(key).or_default();
+            if shares.last().map(|(last, _)| *last) != Some(index) {
+                shares.push((index, share));
+            }
+        }
+    }
+    by_key
+}
+
+/// The published rows of one ballot part.
+fn part_rows<'a>(
+    ballots: &'a BTreeMap<SerialNo, BbBallot>,
+    (serial, part): &(SerialNo, u8),
+) -> Option<&'a [BbRow]> {
+    let ballot = ballots.get(serial)?;
+    ballot.parts.get(usize::from(*part)).map(Vec::as_slice)
+}
+
+/// Openings or ZK instances per verification batch. One electorate-sized
+/// MSM holds `O(n·m²)` points, scalars and transcript bytes per replica at
+/// once (and the replicas of one process verify concurrently); bounding
+/// the batch bounds that transient. The price is Pippenger's slowly
+/// falling per-term cost: an 8k-term MSM (2048 instances) pays ~15 µs a
+/// term where a 64k-term one pays ~12 (DESIGN.md §12.1).
+const VERIFY_BATCH: usize = 2048;
+
+/// Verification items of whole ballot parts, checked one batch at a time:
+/// [`PartBatch::add_part`] appends a part's items; once
+/// [`PartBatch::is_full`], the caller settles the batch. Batches end at
+/// part boundaries, so a failing batch can be attributed part by part.
+struct PartBatch<P, I> {
+    limit: usize,
+    items: Vec<I>,
+    /// Each pending part with the end of its items in `items`.
+    parts: Vec<(P, usize)>,
+}
+
+impl<P, I> PartBatch<P, I> {
+    fn new(limit: usize) -> Self {
+        PartBatch {
+            limit,
+            items: Vec::new(),
+            parts: Vec::new(),
+        }
+    }
+
+    /// Adds the part `build` returns, with the items it appended; a part
+    /// that cannot be built (`None`, reported as `false`) leaves nothing
+    /// behind.
+    fn add_part(&mut self, build: impl FnOnce(&mut Vec<I>) -> Option<P>) -> bool {
+        let start = self.items.len();
+        let part = build(&mut self.items);
+        let built = part.is_some();
+        match part {
+            Some(part) => self.parts.push((part, self.items.len())),
+            None => self.items.truncate(start),
+        }
+        built
+    }
+
+    fn is_full(&self) -> bool {
+        self.items.len() >= self.limit
+    }
+
+    /// Verifies the pending parts — all in one call, and on failure each
+    /// on its own — and empties the batch. Returns `(verified, rejected)`.
+    fn settle(&mut self, verify: impl Fn(&[I]) -> bool) -> (Vec<P>, Vec<P>) {
+        let parts = std::mem::take(&mut self.parts);
+        let (mut verified, mut rejected) = (Vec::with_capacity(parts.len()), Vec::new());
+        if parts.is_empty() {
+            return (verified, rejected);
+        }
+        if verify(&self.items) {
+            verified.extend(parts.into_iter().map(|(part, _)| part));
+        } else {
+            let mut start = 0;
+            for (part, end) in parts {
+                if verify(self.items.get(start..end).unwrap_or(&[])) {
+                    verified.push(part);
+                } else {
+                    rejected.push(part);
+                }
+                start = end;
+            }
+        }
+        self.items.clear();
+        (verified, rejected)
+    }
+}
+
+/// Interpolates every opening of one ballot part from `shares` (one
+/// `rows x ciphertexts` grid per index of `interp`, in its order),
+/// appending the `(ciphertext, bit, randomness)` claims to `items`. On
+/// `None` the caller discards what was appended.
+fn reconstruct_openings(
+    interp: &Interpolator,
+    shares: &[&RowOpenings],
+    rows: &[BbRow],
+    items: &mut Vec<(Ciphertext, Scalar, Scalar)>,
+) -> Option<RowOpenings> {
+    let _t = ddemos_obs::scoped_ns("bb.publish_ns", "interpolate");
+    let mut opened_rows = Vec::with_capacity(rows.len());
+    for (row_idx, row) in rows.iter().enumerate() {
+        let mut opened_cts = Vec::with_capacity(row.commitment.len());
+        for (ct_idx, ct) in row.commitment.iter().enumerate() {
+            let bit = interp.at_zero(shares.iter().map(|rows| rows[row_idx][ct_idx].0));
+            let rand = interp.at_zero(shares.iter().map(|rows| rows[row_idx][ct_idx].1));
+            let (bit, rand) = (bit.ok()?, rand.ok()?);
+            items.push((*ct, bit, rand));
+            opened_cts.push((bit, rand));
+        }
+        opened_rows.push(opened_cts);
+    }
+    Some(opened_rows)
+}
+
+/// Interpolates the ZK final moves of one used ballot part from `shares`
+/// (one post per index of `interp`, in its order), appending the part's
+/// Chaum–Pedersen instances to `instances`. `None` (the caller discards
+/// what was appended) when a reconstructed OR response fails the
+/// `c0 + c1 = c` split, which no batch can check later.
+fn reconstruct_zk(
+    interp: &Interpolator,
+    shares: &[&PartZkPost],
+    rows: &[BbRow],
+    challenge: &Scalar,
+    instances: &mut Vec<zkp::CpInstance>,
+) -> Option<RowZkResponses> {
+    let _t = ddemos_obs::scoped_ns("bb.publish_ns", "interpolate");
+    let mut responses = Vec::with_capacity(rows.len());
+    for (row_idx, row) in rows.iter().enumerate() {
+        if row.or_first.len() != row.commitment.len() {
+            return None;
+        }
+        let mut row_responses = Vec::with_capacity(row.commitment.len());
+        for (ct_idx, (ct, or_first)) in row.commitment.iter().zip(&row.or_first).enumerate() {
+            let comp = |slot: usize| {
+                interp
+                    .at_zero(shares.iter().map(|z| z.rows[row_idx][ct_idx][slot]))
+                    .ok()
+            };
+            let resp = zkp::OrResponse {
+                c0: comp(0)?,
+                z0: comp(1)?,
+                c1: comp(2)?,
+                z1: comp(3)?,
+            };
+            instances.extend(zkp::or_instances(ct, or_first, &resp, challenge)?);
+            row_responses.push(resp);
+        }
+        let z = interp
+            .at_zero(shares.iter().map(|z| z.sum_responses[row_idx]))
+            .ok()?;
+        instances.push(zkp::sum_instance(
+            &row.commitment,
+            &row.sum_first,
+            challenge,
+            &z,
+        ));
+        responses.push((row_responses, z));
+    }
+    Some(responses)
 }
 
 /// All `k`-subsets of `items` (small inputs only: `C(Nt, ht)`).
@@ -1053,5 +1145,44 @@ mod tests {
         assert_eq!(subs3.len(), 4);
         assert_eq!(subsets_of(&items, 5).len(), 0);
         assert_eq!(subsets_of(&items, 4).len(), 1);
+    }
+
+    #[test]
+    fn bad_part_in_one_batch_blocks_no_other_part() {
+        // Nine two-item parts through four-item batches; part 4 (in the
+        // third batch) carries a bad item. The verifier passes a slice
+        // iff it holds no bad item, as a sound batch check does.
+        let verify = |items: &[u32]| items.iter().all(|item| *item != 41);
+        let mut batch: PartBatch<usize, u32> = PartBatch::new(4);
+        let (mut verified, mut rejected, mut batches) = (Vec::new(), Vec::new(), 0);
+        for part in 0..9usize {
+            assert!(batch.add_part(|items| {
+                items.extend([part as u32 * 10, part as u32 * 10 + 1]);
+                Some(part)
+            }));
+            if batch.is_full() {
+                let (ok, bad) = batch.settle(verify);
+                verified.extend(ok);
+                rejected.extend(bad);
+                batches += 1;
+                assert!(batch.items.is_empty(), "a settled batch holds nothing");
+            }
+        }
+        let (ok, bad) = batch.settle(verify);
+        verified.extend(ok);
+        rejected.extend(bad);
+        assert_eq!(
+            batches, 4,
+            "batches close at part boundaries, every 4 items"
+        );
+        assert_eq!(verified, vec![0, 1, 2, 3, 5, 6, 7, 8]);
+        assert_eq!(rejected, vec![4]);
+        // A part that cannot be built leaves no items behind.
+        assert!(!batch.add_part(|items| {
+            items.push(41);
+            None
+        }));
+        // Nothing pending verifies vacuously.
+        assert_eq!(batch.settle(verify), (vec![], vec![]));
     }
 }

@@ -7,7 +7,7 @@ use ddemos_crypto::schnorr::SigningKey;
 use ddemos_crypto::votecode::VoteCode;
 use ddemos_ea::{ElectionAuthority, SetupProfile};
 use ddemos_protocol::initdata::voteset_message;
-use ddemos_protocol::posts::VoteSet;
+use ddemos_protocol::posts::{TrusteePost, VoteSet};
 use ddemos_protocol::{ElectionParams, SerialNo};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -223,6 +223,121 @@ fn journaled_node_recovers_byte_identical_state_after_amnesia() {
     volatile.recover_amnesia();
     assert!(volatile.read().vote_set.is_none());
     assert!(!volatile.is_durable());
+}
+
+/// A replica that has accepted the vote set (ballot 0 cast on part A,
+/// ballot 1 on part B) and the master key: ready for trustee posts.
+fn board_awaiting_trustees(out: &ddemos_ea::SetupOutput) -> BbNode {
+    let bb = BbNode::new(out.bb_init.clone());
+    let mut set = VoteSet::default();
+    set.entries
+        .insert(SerialNo(0), out.ballots[0].parts[0].lines[1].vote_code);
+    set.entries
+        .insert(SerialNo(1), out.ballots[1].parts[1].lines[0].vote_code);
+    for vc in 0..2 {
+        bb.submit_vote_set(vc as u32, &set, &signed_set(out, vc, &set))
+            .unwrap();
+    }
+    for init in out.vc_inits.iter().take(out.params.vc_quorum()) {
+        bb.submit_msk_share(&init.msk_share).unwrap();
+    }
+    bb
+}
+
+/// Every trustee's post over `bb`'s current state, in trustee order.
+fn trustee_posts(
+    out: &ddemos_ea::SetupOutput,
+    bb: &BbNode,
+) -> Vec<(Arc<TrusteePost>, ddemos_crypto::schnorr::Signature)> {
+    let snapshot = bb.read();
+    out.trustee_inits
+        .iter()
+        .map(|init| {
+            let (post, sig) = ddemos_trustee::Trustee::new(init.clone())
+                .produce_post(&snapshot)
+                .unwrap();
+            (Arc::new(post), sig)
+        })
+        .collect()
+}
+
+#[test]
+fn any_honest_trustee_subset_publishes_the_same_board() {
+    let (out, _) = setup();
+    let ascending = board_awaiting_trustees(&out);
+    let descending = board_awaiting_trustees(&out);
+    let posts = trustee_posts(&out, &ascending);
+    for (post, sig) in &posts {
+        ascending.submit_trustee_post(post.clone(), sig).unwrap();
+    }
+    for (post, sig) in posts.iter().rev() {
+        descending.submit_trustee_post(post.clone(), sig).unwrap();
+    }
+    // 0,1,2 reconstructed on one replica, 4,3,2 on the other: the same
+    // polynomial either way, so the same values, not just the same keys.
+    let (a, d) = (ascending.read(), descending.read());
+    assert_eq!(a.result.as_ref().unwrap().tally, vec![1, 1]);
+    assert_eq!(a.digest(), d.digest());
+    assert_eq!(a.result, d.result);
+    assert_eq!(a.openings, d.openings);
+    assert_eq!(a.zk_responses, d.zk_responses);
+    assert_eq!(a.tally_opening, d.tally_opening);
+    assert_eq!(a.openings.len(), 2, "one unused part per voted ballot");
+    assert_eq!(a.zk_responses.len(), 2, "one used part per voted ballot");
+}
+
+#[test]
+fn byzantine_low_index_trustee_cannot_withhold_zk_evidence() {
+    let (out, _) = setup();
+    let honest = board_awaiting_trustees(&out);
+    let bb = board_awaiting_trustees(&out);
+    let mut posts = trustee_posts(&out, &bb);
+    for (post, sig) in &posts {
+        honest.submit_trustee_post(post.clone(), sig).unwrap();
+    }
+    let honest = honest.read();
+
+    // Trustee 0 posts one wrong ZK response share for ballot 0, validly
+    // signed: the tally and every opening still reconstruct from 0,1,2.
+    let mut forged = (*posts[0].0).clone();
+    forged.zk[0].rows[0][0][1] += ddemos_crypto::field::Scalar::ONE;
+    // It also names a part twice in each list, which must not spoil the
+    // index set of the subsets it is in.
+    forged.zk.push(forged.zk[1].clone());
+    forged.openings.push(forged.openings[0].clone());
+    let sig = out.trustee_inits[0]
+        .signing_key
+        .sign(&ddemos_bb::trustee_post_digest(&forged));
+    let (bad_serial, bad_part) = (forged.zk[0].serial, forged.zk[0].part.index() as u8);
+    posts[0] = (Arc::new(forged), sig);
+
+    for (post, sig) in posts.iter().take(3) {
+        bb.submit_trustee_post(post.clone(), sig).unwrap();
+    }
+    let snap = bb.read();
+    assert_eq!(snap.result, honest.result, "the result does not wait");
+    assert_eq!(snap.openings, honest.openings);
+    assert!(
+        !snap.zk_responses.contains_key(&(bad_serial, bad_part)),
+        "no subset of {{0,1,2}} proves the forged part"
+    );
+    assert_eq!(
+        snap.zk_responses.len(),
+        honest.zk_responses.len() - 1,
+        "the forged part does not block the other part of its batch"
+    );
+
+    // The fourth post brings an honest subset {1,2,3}: the missing part
+    // is filled in although the result is already out.
+    bb.submit_trustee_post(posts[3].0.clone(), &posts[3].1)
+        .unwrap();
+    let snap = bb.read();
+    assert_eq!(snap.zk_responses, honest.zk_responses);
+    bb.submit_trustee_post(posts[4].0.clone(), &posts[4].1)
+        .unwrap();
+    let snap = bb.read();
+    assert_eq!(snap.zk_responses, honest.zk_responses);
+    assert_eq!(snap.digest(), honest.digest());
 }
 
 #[test]

@@ -15,6 +15,38 @@ use ddemos_crypto::{aes, vss};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// In-run ratio gate: `slow` must cost at least `min_ratio` times `fast`,
+/// both timed here, back to back, on this machine — so the bound can be
+/// tight where an absolute baseline from another machine cannot. Runs
+/// under `--test` too (CI's smoke mode); best of five rounds a side.
+fn ratio_gate<A, B>(
+    what: &str,
+    mut slow: impl FnMut() -> A,
+    mut fast: impl FnMut() -> B,
+    min_ratio: f64,
+) {
+    fn per_iter_ns<O>(iters: u32, routine: &mut impl FnMut() -> O) -> f64 {
+        (0..5)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(routine());
+                }
+                t0.elapsed().as_nanos() as f64 / f64::from(iters)
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+    let (slow_ns, fast_ns) = (per_iter_ns(200, &mut slow), per_iter_ns(20_000, &mut fast));
+    let ratio = slow_ns / fast_ns.max(f64::MIN_POSITIVE);
+    println!(
+        "ratio gate: {what}: {slow_ns:.0} ns / {fast_ns:.0} ns = {ratio:.1}x (floor {min_ratio}x)"
+    );
+    assert!(
+        ratio >= min_ratio,
+        "ratio gate failed: {what} = {ratio:.1}x, below the {min_ratio}x floor"
+    );
+}
+
 fn bench_curve(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let k = Scalar::random(&mut rng);
@@ -160,6 +192,28 @@ fn bench_sharing(c: &mut Criterion) {
     c.bench_function("shamir/reconstruct 3-of-4", |b| {
         b.iter(|| shamir::reconstruct(std::hint::black_box(&shares[..3]), 3).unwrap())
     });
+    // The same reconstruction with the Lagrange weights of the index set
+    // computed once (what a BB replica and a VC node hold): three
+    // multiply-adds against the per-call path's weight derivation.
+    let shares5 = shamir::split(secret, 3, 5, &mut rng).unwrap();
+    let quorum = [shares5[0], shares5[2], shares5[4]];
+    let interp = shamir::Interpolator::new(&[1, 3, 5]).unwrap();
+    let precomputed = || {
+        interp
+            .at_zero(std::hint::black_box(&quorum).iter().map(|s| s.value))
+            .unwrap()
+    };
+    let per_call = || shamir::reconstruct(std::hint::black_box(&quorum), 3).unwrap();
+    assert_eq!(precomputed(), per_call());
+    c.bench_function("kernel/shamir interpolate 3-of-5 (precomputed)", |b| {
+        b.iter(precomputed)
+    });
+    ratio_gate(
+        "shamir per-call reconstruct / precomputed interpolate",
+        per_call,
+        precomputed,
+        10.0,
+    );
     let dealer = SigningKey::generate(&mut rng);
     c.bench_function("dealer-vss/deal+sign 3-of-4", |b| {
         b.iter_batched(

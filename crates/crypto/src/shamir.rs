@@ -8,6 +8,7 @@
 //! property the homomorphic tally opening relies on (§III-B).
 
 use crate::field::Scalar;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Errors from share generation or reconstruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,48 +109,134 @@ pub fn split<R: rand::RngCore + ?Sized>(
     Ok(Polynomial::random(secret, k, rng)?.shares(n))
 }
 
-/// Lagrange coefficient `λᵢ(0)` for interpolation at zero over `indices`.
-pub fn lagrange_at_zero(i: u32, indices: &[u32]) -> Scalar {
-    let xi = Scalar::from_u64(u64::from(i));
-    let mut num = Scalar::ONE;
-    let mut den = Scalar::ONE;
-    for &j in indices {
-        if j == i {
-            continue;
+/// Lagrange interpolation at zero over one fixed set of share indices.
+///
+/// The weights `λᵢ(0) = Πⱼ≠ᵢ xⱼ / (xⱼ − xᵢ)` depend only on the index set,
+/// not on the shared values, so a caller that reconstructs many secrets
+/// from the same parties (a BB replica opening every commitment of an
+/// election from one trustee subset, a VC node answering every cast from
+/// one collector quorum) pays the field inversions once and each
+/// reconstruction is `k` multiply-adds.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Interpolator {
+    indices: Vec<u32>,
+    weights: Vec<Scalar>,
+}
+
+impl Interpolator {
+    /// Validates `indices` (non-empty, nonzero, pairwise distinct) and
+    /// computes their Lagrange-at-zero weights with one shared inversion.
+    ///
+    /// # Errors
+    /// [`ShareError::NotEnoughShares`] for an empty set,
+    /// [`ShareError::DuplicateIndex`] for a zero or repeated index.
+    pub fn new(indices: &[u32]) -> Result<Interpolator, ShareError> {
+        if indices.is_empty() {
+            return Err(ShareError::NotEnoughShares);
         }
-        let xj = Scalar::from_u64(u64::from(j));
-        num *= xj;
-        den *= xj - xi;
+        for (a, &ia) in indices.iter().enumerate() {
+            if ia == 0 || indices.iter().skip(a + 1).any(|&ib| ib == ia) {
+                return Err(ShareError::DuplicateIndex);
+            }
+        }
+        let xs: Vec<Scalar> = indices
+            .iter()
+            .map(|&i| Scalar::from_u64(u64::from(i)))
+            .collect();
+        let mut weights = Vec::with_capacity(xs.len());
+        let mut dens = Vec::with_capacity(xs.len());
+        for (a, xi) in xs.iter().enumerate() {
+            let mut num = Scalar::ONE;
+            let mut den = Scalar::ONE;
+            for (_, xj) in xs.iter().enumerate().filter(|(b, _)| *b != a) {
+                num *= *xj;
+                den *= *xj - *xi;
+            }
+            weights.push(num);
+            dens.push(den);
+        }
+        // Distinct indices below the modulus: every denominator is a
+        // product of nonzero differences, so all of them invert.
+        Scalar::batch_invert(&mut dens);
+        for (w, d) in weights.iter_mut().zip(dens) {
+            *w *= d;
+        }
+        Ok(Interpolator {
+            indices: indices.to_vec(),
+            weights,
+        })
     }
-    num * den.invert().expect("distinct nonzero indices")
+
+    /// The index set, in the order the weights apply.
+    pub fn indices(&self) -> &[u32] {
+        &self.indices
+    }
+
+    /// The secret `f(0)` from `values`, where the `i`-th value is the
+    /// share `f(indices()[i])`.
+    ///
+    /// # Errors
+    /// [`ShareError::NotEnoughShares`] unless exactly one value per index
+    /// is given.
+    pub fn at_zero<I>(&self, values: I) -> Result<Scalar, ShareError>
+    where
+        I: IntoIterator<Item = Scalar>,
+    {
+        let mut weights = self.weights.iter();
+        let mut secret = Scalar::ZERO;
+        for value in values {
+            let weight = weights.next().ok_or(ShareError::NotEnoughShares)?;
+            secret += value * *weight;
+        }
+        if weights.next().is_some() {
+            return Err(ShareError::NotEnoughShares);
+        }
+        Ok(secret)
+    }
+}
+
+/// [`Interpolator`]s by index set, each computed on first use. A holder
+/// meets at most `C(n, k)` sets — the `k`-subsets of the `n` parties whose
+/// shares it accepts — and one of them nearly always.
+#[derive(Clone, Debug, Default)]
+pub struct InterpolatorCache(BTreeMap<Vec<u32>, Interpolator>);
+
+impl InterpolatorCache {
+    /// The interpolator over `indices`, in that order.
+    ///
+    /// # Errors
+    /// As [`Interpolator::new`].
+    pub fn over(&mut self, indices: Vec<u32>) -> Result<&Interpolator, ShareError> {
+        match self.0.entry(indices) {
+            Entry::Occupied(cached) => Ok(cached.into_mut()),
+            Entry::Vacant(slot) => {
+                let interp = Interpolator::new(slot.key())?;
+                Ok(slot.insert(interp))
+            }
+        }
+    }
 }
 
 /// Reconstructs the secret from exactly-threshold-or-more shares.
 ///
 /// Uses the first `k` shares if more are given; all indices must be distinct
-/// and nonzero.
+/// and nonzero. Callers that reconstruct repeatedly from the same parties
+/// should hold an [`Interpolator`] instead.
 ///
 /// # Errors
 /// [`ShareError::NotEnoughShares`] / [`ShareError::DuplicateIndex`].
 pub fn reconstruct(shares: &[Share], k: usize) -> Result<Scalar, ShareError> {
-    if shares.len() < k || k == 0 {
+    let chosen = first_k(shares, k)?;
+    let indices: Vec<u32> = chosen.iter().map(|s| s.index).collect();
+    Interpolator::new(&indices)?.at_zero(chosen.iter().map(|s| s.value))
+}
+
+/// The first `k` of `shares` (the ones a `reconstruct(shares, k)` uses).
+pub(crate) fn first_k<T>(shares: &[T], k: usize) -> Result<&[T], ShareError> {
+    if k == 0 {
         return Err(ShareError::NotEnoughShares);
     }
-    let chosen = &shares[..k];
-    let indices: Vec<u32> = chosen.iter().map(|s| s.index).collect();
-    for (a, &ia) in indices.iter().enumerate() {
-        if ia == 0 {
-            return Err(ShareError::DuplicateIndex);
-        }
-        if indices[a + 1..].contains(&ia) {
-            return Err(ShareError::DuplicateIndex);
-        }
-    }
-    let mut secret = Scalar::ZERO;
-    for s in chosen {
-        secret += s.value * lagrange_at_zero(s.index, &indices);
-    }
-    Ok(secret)
+    shares.get(..k).ok_or(ShareError::NotEnoughShares)
 }
 
 #[cfg(test)]
@@ -157,7 +244,60 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The per-call routine [`Interpolator`] replaced, kept as the oracle:
+    /// one Fermat inversion per share, no shared state.
+    fn lagrange_at_zero(i: u32, indices: &[u32]) -> Scalar {
+        let xi = Scalar::from_u64(u64::from(i));
+        let mut num = Scalar::ONE;
+        let mut den = Scalar::ONE;
+        for &j in indices {
+            if j == i {
+                continue;
+            }
+            let xj = Scalar::from_u64(u64::from(j));
+            num *= xj;
+            den *= xj - xi;
+        }
+        num * den.invert().expect("distinct nonzero indices")
+    }
+
+    fn reference_reconstruct(shares: &[Share]) -> Scalar {
+        let indices: Vec<u32> = shares.iter().map(|s| s.index).collect();
+        shares.iter().fold(Scalar::ZERO, |acc, s| {
+            acc + s.value * lagrange_at_zero(s.index, &indices)
+        })
+    }
+
+    #[test]
+    fn interpolator_rejects_bad_index_sets() {
+        assert_eq!(
+            Interpolator::new(&[]).unwrap_err(),
+            ShareError::NotEnoughShares
+        );
+        assert_eq!(
+            Interpolator::new(&[1, 0, 2]).unwrap_err(),
+            ShareError::DuplicateIndex
+        );
+        assert_eq!(
+            Interpolator::new(&[3, 1, 3]).unwrap_err(),
+            ShareError::DuplicateIndex
+        );
+        let interp = Interpolator::new(&[2, 5, 3]).unwrap();
+        assert_eq!(interp.indices(), &[2, 5, 3]);
+        // Exactly one value per index, no fewer and no more.
+        let v = Scalar::from_u64(7);
+        assert_eq!(
+            interp.at_zero([v, v]).unwrap_err(),
+            ShareError::NotEnoughShares
+        );
+        assert_eq!(
+            interp.at_zero([v, v, v, v]).unwrap_err(),
+            ShareError::NotEnoughShares
+        );
+        assert!(interp.at_zero([v, v, v]).is_ok());
+    }
 
     #[test]
     fn split_and_reconstruct() {
@@ -263,6 +403,37 @@ mod tests {
                     (0..k).map(|i| shares[(start + i) % n]).collect();
                 prop_assert_eq!(reconstruct(&quorum, k).unwrap(), secret);
             }
+        }
+
+        #[test]
+        fn prop_interpolator_matches_reference(
+            seed in any::<u64>(),
+            k in 1usize..6,
+            extra in 0usize..5,
+            stride in 1u32..40,
+        ) {
+            // Non-contiguous evaluation points: a shuffled k-subset of
+            // {stride, 2·stride + 1, 3·stride + 2, …}.
+            let n = k + extra;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let poly = Polynomial::random(Scalar::random(&mut rng), k, &mut rng).unwrap();
+            let mut points: Vec<u32> = (0..n as u32).map(|i| (i + 1) * stride + i).collect();
+            for i in (1..points.len()).rev() {
+                points.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            let shares: Vec<Share> = points[..k]
+                .iter()
+                .map(|&index| Share { index, value: poly.eval(Scalar::from_u64(u64::from(index))) })
+                .collect();
+            let interp = Interpolator::new(&points[..k]).unwrap();
+            let got = interp.at_zero(shares.iter().map(|s| s.value)).unwrap();
+            prop_assert_eq!(got, reference_reconstruct(&shares));
+            prop_assert_eq!(got, poly.eval(Scalar::ZERO));
+            prop_assert_eq!(reconstruct(&shares, k).unwrap(), got);
+            // The same weights serve every secret shared over these points.
+            let other = Polynomial::random(Scalar::random(&mut rng), k, &mut rng).unwrap();
+            let values = points[..k].iter().map(|&i| other.eval(Scalar::from_u64(u64::from(i))));
+            prop_assert_eq!(interp.at_zero(values).unwrap(), other.eval(Scalar::ZERO));
         }
     }
 }

@@ -18,7 +18,7 @@
 use crate::field::Scalar;
 use crate::pedersen::Commitment;
 use crate::schnorr::{Signature, SigningKey, VerifyingKey};
-use crate::shamir::{self, Polynomial, Share, ShareError};
+use crate::shamir::{self, Interpolator, Polynomial, Share, ShareError};
 
 /// A Pedersen-VSS share: evaluation of the value and blinding polynomials.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,23 +177,12 @@ impl PedersenVss {
     /// # Errors
     /// Propagates [`ShareError`] from interpolation.
     pub fn reconstruct(shares: &[VssShare], k: usize) -> Result<(Scalar, Scalar), ShareError> {
-        let values: Vec<Share> = shares
-            .iter()
-            .map(|s| Share {
-                index: s.index,
-                value: s.value,
-            })
-            .collect();
-        let blindings: Vec<Share> = shares
-            .iter()
-            .map(|s| Share {
-                index: s.index,
-                value: s.blinding,
-            })
-            .collect();
+        let chosen = shamir::first_k(shares, k)?;
+        let indices: Vec<u32> = chosen.iter().map(|s| s.index).collect();
+        let interp = Interpolator::new(&indices)?;
         Ok((
-            shamir::reconstruct(&values, k)?,
-            shamir::reconstruct(&blindings, k)?,
+            interp.at_zero(chosen.iter().map(|s| s.value))?,
+            interp.at_zero(chosen.iter().map(|s| s.blinding))?,
         ))
     }
 }

@@ -21,11 +21,13 @@
 use crate::behavior::{AdversaryView, TriggeredAdversary, VcBehavior};
 use crate::durable::{BallotSlot, DurableView, Status, VcRecord};
 use crate::store::BallotStore;
+use ddemos_crypto::field::Scalar;
 use ddemos_crypto::mverify::{MsgVerifier, DEFAULT_CACHE_CAPACITY};
 use ddemos_crypto::schnorr::{Signature, VerifyingKey};
 use ddemos_crypto::sha256::sha256;
+use ddemos_crypto::shamir::InterpolatorCache;
 use ddemos_crypto::votecode::VoteCode;
-use ddemos_crypto::vss::{DealerVss, SignedShare};
+use ddemos_crypto::vss::SignedShare;
 use ddemos_protocol::codec;
 use ddemos_protocol::initdata::{endorsement_message, receipt_share_context, VcInit};
 use ddemos_protocol::messages::{
@@ -259,6 +261,27 @@ impl Durable for VcDurable<'_> {
     }
 }
 
+/// The receipt secret from the first `quorum` of `shares`, through the
+/// cached weights of their index set. The set is keyed sorted — shares
+/// arrive in any order and the sum does not care — so the result is the
+/// scalar `DealerVss::reconstruct` gives, bit for bit.
+fn reconstruct_receipt(
+    weights: &mut InterpolatorCache,
+    shares: &[SignedShare],
+    quorum: usize,
+) -> Option<Scalar> {
+    let mut chosen: Vec<(u32, Scalar)> = shares
+        .get(..quorum)?
+        .iter()
+        .map(|s| (s.share.index, s.share.value))
+        .collect();
+    chosen.sort_unstable_by_key(|(index, _)| *index);
+    let interp = weights
+        .over(chosen.iter().map(|(index, _)| *index).collect())
+        .ok()?;
+    interp.at_zero(chosen.iter().map(|(_, value)| *value)).ok()
+}
+
 /// The sans-I/O Vote Collector state machine. See the module docs.
 pub struct VcCore<S> {
     init: VcInit,
@@ -289,6 +312,11 @@ pub struct VcCore<S> {
     finalized: bool,
     /// Digests of already-verified UCERTs.
     verified_ucerts: BTreeSet<[u8; 32]>,
+    /// Lagrange weights per receipt-share index set (at most
+    /// `C(N_v, N_v − f_v)`): the cast that completes a share quorum pays
+    /// multiply-adds, not field inversions. A memo of constants: there is
+    /// nothing in it for an amnesia crash to forget.
+    receipt_weights: InterpolatorCache,
     /// Batch-first signature verification front end: prepared tables for
     /// the static peer keys plus the bounded verified-envelope memo.
     /// Volatile (rebuilt empty on recovery) — it only memoizes results,
@@ -355,6 +383,7 @@ impl<S: BallotStore> VcCore<S> {
             announce_at_ms: 0,
             finalized: false,
             verified_ucerts: BTreeSet::new(),
+            receipt_weights: InterpolatorCache::default(),
             mverify,
             announce_from: BTreeSet::new(),
             buffered_announces: Vec::new(),
@@ -604,7 +633,9 @@ impl<S: BallotStore> VcCore<S> {
             let Some(slot) = self.slots.get_mut(&serial) else {
                 continue;
             };
-            if let Ok(secret) = DealerVss::reconstruct(&slot.shares, quorum) {
+            if let Some(secret) =
+                reconstruct_receipt(&mut self.receipt_weights, &slot.shares, quorum)
+            {
                 let receipt = secret.to_u64().unwrap_or(u64::MAX);
                 slot.receipt = Some(receipt);
                 slot.status = Status::Voted;
@@ -1204,7 +1235,9 @@ impl<S: BallotStore> VcCore<S> {
             return;
         };
         if slot.status != Status::Voted && slot.shares.len() >= quorum {
-            if let Ok(secret) = DealerVss::reconstruct(&slot.shares, quorum) {
+            if let Some(secret) =
+                reconstruct_receipt(&mut self.receipt_weights, &slot.shares, quorum)
+            {
                 let receipt = secret.to_u64().unwrap_or(u64::MAX);
                 slot.receipt = Some(receipt);
                 slot.status = Status::Voted;

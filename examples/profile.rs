@@ -26,11 +26,16 @@
 //! * `--gate PCT` — overhead gate: best-of-3 wall time with metrics off
 //!   vs on must differ by less than PCT percent (with a small absolute
 //!   floor for timer noise). Exits non-zero past the gate; CI runs this
-//!   at 5%.
+//!   at 5%. The gate then profiles one more election and fails if any
+//!   `bb.publish_ns` stage timer (interpolate / openings / zk / tally)
+//!   recorded nothing.
 
 use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
 use ddemos_harness::{Durability, ElectionBuilder, ElectionParams, ElectionReport, Network};
 use std::time::{Duration, Instant};
+
+/// The `bb.publish_ns` labels `BbCore::try_publish_result` times.
+const PUBLISH_STAGES: [&str; 4] = ["interpolate", "openings", "zk", "tally"];
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -234,6 +239,23 @@ fn main() {
         if overhead > pct && delta > Duration::from_millis(20) {
             eprintln!("overhead gate FAILED: {overhead:.2}% > {pct}%");
             std::process::exit(1);
+        }
+        // Dead-signal check: the stage split of result publication (the
+        // largest row of every election) must not read zero when the
+        // profiling hook is on.
+        let (report, _) = run(seed, ballots, true, true);
+        for stage in PUBLISH_STAGES {
+            let key = ddemos_obs::metric_key("bb.publish_ns", "", stage);
+            let (count, total_ns) = report
+                .metrics
+                .hists
+                .get(&key)
+                .map_or((0, 0), |h| (h.count(), h.total_ns()));
+            println!("publish stage {stage}: {count} samples, {total_ns} ns");
+            if count == 0 || total_ns == 0 {
+                eprintln!("dead signal: {key} recorded nothing in a profiled election");
+                std::process::exit(1);
+            }
         }
         return;
     }

@@ -379,15 +379,18 @@ impl Election {
                 s.vote_set.is_some() && s.challenge.is_some()
             })
             .ok_or(ElectionError::BbTimeout("vote set and challenge"))?;
-        for trustee in &self.trustees {
-            let (post, sig) = trustee
-                .produce_post(&snapshot)
-                .map_err(ElectionError::Trustee)?;
-            let post = Arc::new(post);
-            for bb in &self.bb_apis {
-                let _ = bb.submit_trustee_post(post.clone(), &sig);
-            }
-        }
+        let posts = self
+            .trustees
+            .iter()
+            .map(|trustee| {
+                let (post, sig) = trustee.produce_post(&snapshot)?;
+                Ok((Arc::new(post), sig))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(ElectionError::Trustee)?;
+        self.write_to_replicas(&posts, |bb, (post, sig)| {
+            let _ = bb.submit_trustee_post(post.clone(), sig);
+        });
         let result = self
             .reader
             .read_until(RESULT_TIMEOUT, |s| s.result.is_some())
@@ -681,12 +684,36 @@ impl Election {
     /// node writes to all replicas, §III-G).
     pub fn push_to_bb(&self, finalized: &[FinalizedVoteSet]) {
         self.service_bb_amnesia();
-        for f in finalized {
-            for bb in &self.bb_apis {
-                let _ = bb.submit_vote_set(f.node_index, &f.vote_set, &f.signature);
-                let _ = bb.submit_msk_share(&f.msk_share);
+        self.write_to_replicas(finalized, |bb, f| {
+            let _ = bb.submit_vote_set(f.node_index, &f.vote_set, &f.signature);
+            let _ = bb.submit_msk_share(&f.msk_share);
+        });
+    }
+
+    /// Submits `items`, in order, to every BB replica. The replicas are
+    /// isolated (§III-G) and verify every write themselves, so in real
+    /// time each gets its own thread — what a deployment with one machine
+    /// per replica does anyway — and the slowest replica, not their sum,
+    /// sets the wait. Under a virtual clock the writes stay on the driver
+    /// thread, item by item: a BB write sleeps on its journal's modelled
+    /// latency, and only a registered actor may block the virtual clock —
+    /// unregistered writers deadlock it, registered ones reorder the
+    /// actor set every seed's replay fingerprint is a function of.
+    fn write_to_replicas<T: Sync>(&self, items: &[T], write: impl Fn(&dyn BbApi, &T) + Sync) {
+        if self.clock.virtual_clock().is_some() {
+            for item in items {
+                for bb in &self.bb_apis {
+                    write(bb.as_ref(), item);
+                }
             }
+            return;
         }
+        std::thread::scope(|scope| {
+            for bb in &self.bb_apis {
+                let write = &write;
+                scope.spawn(move || items.iter().for_each(|item| write(bb.as_ref(), item)));
+            }
+        });
     }
 
     fn is_full_setup(&self) -> bool {

@@ -141,3 +141,77 @@ fn message_loss_is_survived_by_retransmission_free_quorums() {
     assert!(ok >= 2, "most votes should land despite loss (got {ok})");
     election.shutdown();
 }
+
+#[test]
+fn byzantine_trustee_zero_cannot_block_the_audit() {
+    // Trustee 0 — always inside the first `h_t` posts a replica looks at —
+    // posts one wrong ZK response share, validly signed. With the four
+    // honest posts also on the board, every replica must still publish
+    // the result *and* the ZK responses of every used part.
+    let params = ElectionParams::new("byz-trustee", 4, 2, 4, 3, 5, 3, 0, 600_000).unwrap();
+    let election = ElectionBuilder::new(params)
+        .seed(0xB13)
+        .build()
+        .expect("election builds");
+    let voting = election.voting().patience(Duration::from_secs(10));
+    for (ballot, option) in [(0, 1), (1, 0), (2, 1)] {
+        voting.cast(ballot, option).expect("receipt");
+    }
+    election.close().expect("polls close");
+
+    let snapshot = election.snapshot().expect("majority snapshot");
+    for init in &election.setup.trustee_inits {
+        let trustee = ddemos_trustee::Trustee::new(init.clone());
+        let (mut post, mut sig) = trustee.produce_post(&snapshot).expect("post");
+        if init.index == 0 {
+            post.zk[1].rows[0][1][0] += ddemos_crypto::field::Scalar::ONE;
+            sig = init
+                .signing_key
+                .sign(&ddemos_bb::trustee_post_digest(&post));
+        }
+        let post = std::sync::Arc::new(post);
+        for bb in election.bb_nodes() {
+            bb.submit_trustee_post(post.clone(), &sig)
+                .expect("validly signed post is accepted");
+        }
+    }
+
+    // The facade's own trustees post again (first post per trustee wins,
+    // so trustee 0 stays Byzantine) and the result is majority-read.
+    let result = election.tally().expect("result published");
+    assert_eq!(result.tally, vec![1, 2]);
+    for bb in election.bb_nodes() {
+        let snap = bb.read();
+        assert_eq!(snap.result.as_ref(), Some(&result));
+        assert_eq!(snap.zk_responses.len(), 3, "one used part per vote");
+    }
+    let audit = election.audit().expect("audit runs");
+    assert!(audit.ok(), "audit failed: {:?}", audit.failures);
+    election.shutdown();
+}
+
+#[test]
+fn concurrent_trustee_fan_out_leaves_the_replicas_identical() {
+    // In real time `tally()` feeds each replica from its own thread; the
+    // replicas must end up exactly where one serial feeder leaves them.
+    let params = ElectionParams::new("fan-out", 5, 3, 4, 3, 5, 3, 0, 600_000).unwrap();
+    let election = ElectionBuilder::new(params)
+        .seed(0xB14)
+        .build()
+        .expect("election builds");
+    let voting = election.voting().patience(Duration::from_secs(10));
+    for (ballot, option) in [(0, 2), (1, 0), (2, 2), (3, 1)] {
+        voting.cast(ballot, option).expect("receipt");
+    }
+    let report = election.finish().expect("pipeline completes");
+    assert!(report.verified(), "audit failed");
+    assert_eq!(report.result.expect("tally").tally, vec![1, 1, 2]);
+    let boards: Vec<_> = election.bb_nodes().iter().map(|bb| bb.read()).collect();
+    for board in &boards[1..] {
+        assert_eq!(board.digest(), boards[0].digest());
+        assert_eq!(board.openings, boards[0].openings);
+        assert_eq!(board.zk_responses, boards[0].zk_responses);
+        assert_eq!(board.tally_opening, boards[0].tally_opening);
+    }
+    election.shutdown();
+}
