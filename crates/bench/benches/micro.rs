@@ -15,17 +15,23 @@ use ddemos_crypto::{aes, vss};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// In-run ratio gate: `slow` must cost at least `min_ratio` times `fast`,
-/// both timed here, back to back, on this machine — so the bound can be
-/// tight where an absolute baseline from another machine cannot. Runs
-/// under `--test` too (CI's smoke mode); best of five rounds a side.
+/// In-run ratio gate: `numer` must cost at least `min_ratio` times
+/// `denom`, both timed here, back to back, on this machine — so the bound
+/// can be tight where an absolute baseline from another machine cannot.
+/// ("A at most 3× B" is B over A with a floor of 1/3.) Runs under
+/// `--test` too (CI's smoke mode); best of five rounds a side, each
+/// round about five milliseconds of calls.
 fn ratio_gate<A, B>(
     what: &str,
-    mut slow: impl FnMut() -> A,
-    mut fast: impl FnMut() -> B,
+    mut numer: impl FnMut() -> A,
+    mut denom: impl FnMut() -> B,
     min_ratio: f64,
 ) {
-    fn per_iter_ns<O>(iters: u32, routine: &mut impl FnMut() -> O) -> f64 {
+    fn per_iter_ns<O>(routine: &mut impl FnMut() -> O) -> f64 {
+        let t0 = std::time::Instant::now();
+        std::hint::black_box(routine());
+        let once_ns = t0.elapsed().as_nanos().max(1);
+        let iters = (5_000_000 / once_ns).clamp(10, 20_000) as u32;
         (0..5)
             .map(|_| {
                 let t0 = std::time::Instant::now();
@@ -36,14 +42,14 @@ fn ratio_gate<A, B>(
             })
             .fold(f64::INFINITY, f64::min)
     }
-    let (slow_ns, fast_ns) = (per_iter_ns(200, &mut slow), per_iter_ns(20_000, &mut fast));
-    let ratio = slow_ns / fast_ns.max(f64::MIN_POSITIVE);
+    let (numer_ns, denom_ns) = (per_iter_ns(&mut numer), per_iter_ns(&mut denom));
+    let ratio = numer_ns / denom_ns.max(f64::MIN_POSITIVE);
     println!(
-        "ratio gate: {what}: {slow_ns:.0} ns / {fast_ns:.0} ns = {ratio:.1}x (floor {min_ratio}x)"
+        "ratio gate: {what}: {numer_ns:.0} ns / {denom_ns:.0} ns = {ratio:.2}x (floor {min_ratio:.2}x)"
     );
     assert!(
         ratio >= min_ratio,
-        "ratio gate failed: {what} = {ratio:.1}x, below the {min_ratio}x floor"
+        "ratio gate failed: {what} = {ratio:.2}x, below the {min_ratio:.2}x floor"
     );
 }
 
@@ -176,6 +182,31 @@ fn bench_schnorr(c: &mut Criterion) {
                 .all(|(vk, m, s)| vk.verify(m, s))
         })
     });
+    // The cast path's burst at one collector: four VOTE_Ps, each with
+    // the same three UCERT signatures and its own EA-signed share — 16
+    // items, 7 distinct. A memo of capacity 0 remembers nothing, so every
+    // iteration pays for the whole burst.
+    let collectors = &signers[..3];
+    let ea = &signers[3];
+    let mut mv = ddemos_crypto::mverify::MsgVerifier::new(0);
+    for sk in &signers[..4] {
+        mv.prepare(&sk.verifying_key());
+    }
+    let item = |sk: &SigningKey, m: &[u8]| (sk.verifying_key(), m.to_vec(), sk.sign(m));
+    let burst: Vec<_> = (0..4u8)
+        .flat_map(|share| {
+            collectors
+                .iter()
+                .map(|sk| item(sk, b"ucert"))
+                .chain([item(ea, &[share; 40])])
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert_eq!(mv.check_batch(&burst), vec![true; 16]);
+    c.bench_function(
+        "kernel/mverify burst 4×VOTE_P (3 UCERT sigs shared)",
+        |b| b.iter(|| mv.check_batch(std::hint::black_box(&burst))),
+    );
 }
 
 fn bench_sharing(c: &mut Criterion) {
@@ -329,6 +360,14 @@ fn bench_msg_codec(c: &mut Criterion) {
     c.bench_function("kernel/msg_codec decode announce64", |b| {
         b.iter(|| decode_envelope_frame(std::hint::black_box(&frame)).unwrap())
     });
+    // Both directions copy 192 stored signature encodings; encoding once
+    // ran a field inversion for each (52× the decode).
+    ratio_gate(
+        "msg_codec decode announce64 / encode announce64",
+        || decode_envelope_frame(std::hint::black_box(&frame)).unwrap(),
+        || encode_envelope_frame(std::hint::black_box(&env)),
+        1.0 / 3.0,
+    );
 }
 
 fn criterion_config() -> Criterion {

@@ -107,22 +107,6 @@ impl Point {
             .collect()
     }
 
-    /// Serializes a slice of points (see [`Point::to_bytes`]) with one
-    /// shared inversion for the affine normalization.
-    pub fn to_bytes_many(points: &[Point]) -> Vec<[u8; 33]> {
-        Point::batch_to_affine(points)
-            .into_iter()
-            .map(|affine| {
-                let mut out = [0u8; 33];
-                if let Some((x, y)) = affine {
-                    out[0] = 0x02 | (y.to_bytes()[31] & 1);
-                    out[1..].copy_from_slice(&x.to_bytes());
-                }
-                out
-            })
-            .collect()
-    }
-
     /// Point doubling (`a = 0` formulas).
     pub fn double(&self) -> Point {
         if self.is_identity() || self.y.is_zero() {
@@ -347,30 +331,26 @@ impl Point {
     pub fn batch_to_bytes(points: &[Point]) -> Vec<[u8; 33]> {
         Point::batch_to_affine(points)
             .into_iter()
-            .map(|affine| {
-                let mut out = [0u8; 33];
-                if let Some((x, y)) = affine {
-                    out[0] = 0x02 | (y.to_bytes()[31] & 1);
-                    out[1..].copy_from_slice(&x.to_bytes());
-                }
-                out
-            })
+            .map(Point::compress)
             .collect()
     }
 
     /// Serializes to 33 bytes: `0x00 ‖ 0…` for the identity, else SEC1
     /// compressed (`0x02/0x03 ‖ x`).
     pub fn to_bytes(&self) -> [u8; 33] {
+        Point::compress(self.to_affine())
+    }
+
+    /// The 33-byte encoding of affine coordinates as [`Point::to_affine`]
+    /// returns them (`None` is the identity) — for callers that want the
+    /// coordinates *and* the encoding from one inversion.
+    pub fn compress(affine: Option<(Fp, Fp)>) -> [u8; 33] {
         let mut out = [0u8; 33];
-        match self.to_affine() {
-            None => out,
-            Some((x, y)) => {
-                let parity = y.to_bytes()[31] & 1;
-                out[0] = 0x02 | parity;
-                out[1..].copy_from_slice(&x.to_bytes());
-                out
-            }
+        if let Some((x, y)) = affine {
+            out[0] = 0x02 | (y.to_bytes()[31] & 1);
+            out[1..].copy_from_slice(&x.to_bytes());
         }
+        out
     }
 
     /// Parses the 33-byte encoding produced by [`Point::to_bytes`].
@@ -733,7 +713,7 @@ mod tests {
         for (p, affine) in points.iter().zip(&batch) {
             assert_eq!(p.to_affine(), *affine);
         }
-        let many = Point::to_bytes_many(&points);
+        let many = Point::batch_to_bytes(&points);
         for (p, bytes) in points.iter().zip(&many) {
             assert_eq!(p.to_bytes(), *bytes);
         }

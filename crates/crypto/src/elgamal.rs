@@ -103,7 +103,7 @@ impl Ciphertext {
 
     /// Serializes as 66 bytes (one shared inversion for both points).
     pub fn to_bytes(&self) -> [u8; 66] {
-        let encoded = Point::to_bytes_many(&[self.a, self.b]);
+        let encoded = Point::batch_to_bytes(&[self.a, self.b]);
         let mut out = [0u8; 66];
         out[..33].copy_from_slice(&encoded[0]);
         out[33..].copy_from_slice(&encoded[1]);
@@ -182,7 +182,7 @@ pub fn batch_verify_openings(pk: &PublicKey, items: &[(Ciphertext, Scalar, Scala
     for (ct, _, _) in items {
         transcript_points.extend([ct.a, ct.b]);
     }
-    let encoded = Point::to_bytes_many(&transcript_points);
+    let encoded = Point::batch_to_bytes(&transcript_points);
     let mut transcript = Sha256::new();
     transcript.update(b"ddemos/batch-openings/v1");
     transcript.update(&encoded[0]);
@@ -253,7 +253,7 @@ pub fn discrete_log(target: &Point, max: u64) -> Option<u64> {
         cur += g;
     }
     let mut table: HashMap<[u8; 33], u64> = HashMap::with_capacity(m as usize);
-    for (j, bytes) in Point::to_bytes_many(&baby).into_iter().enumerate() {
+    for (j, bytes) in Point::batch_to_bytes(&baby).into_iter().enumerate() {
         table.insert(bytes, j as u64);
     }
     // Giant steps: target - i·(m·G)

@@ -19,7 +19,7 @@
 //!   tests), carrying the `crypto.verify_ns` profiling hook.
 
 use crate::curve::{FixedBase, Point};
-use crate::field::Scalar;
+use crate::field::{Fp, Scalar};
 use crate::hmac::hmac_sha256_parts;
 use crate::sha256::{sha256, sha256_parts};
 use std::collections::BTreeMap;
@@ -75,30 +75,30 @@ impl std::fmt::Debug for SigningKey {
     }
 }
 
-/// The commitment `R`, either decompressed or still in wire form.
+/// A Schnorr signature `(R, s)` with `s·G = R + e·PK`, `e = H(R‖PK‖m)`.
 ///
-/// Decoding a signature no longer pays the square root: the wire bytes
-/// are kept verbatim (after a structural prefix check) and the point is
-/// recovered only when a verification actually needs it — which the
+/// `R` is held normalised from the moment the signature exists: its 33
+/// encoded bytes, which is what every challenge hash, memo digest,
+/// comparison and wire encoding wants, so none of them pays a field
+/// inversion. A signature made in this process also keeps the affine `y`
+/// it had in hand when it encoded `R`, which spares batch verification
+/// the square root; one parsed from the wire has only the bytes, and the
+/// point is recovered when a verification needs it — which the
 /// batch/cache layers usually avoid entirely.
 #[derive(Clone, Copy, Debug)]
-enum RRepr {
-    Point(Point),
-    Compressed([u8; 33]),
-}
-
-/// A Schnorr signature `(R, s)` with `s·G = R + e·PK`, `e = H(R‖PK‖m)`.
-#[derive(Clone, Copy, Debug)]
 pub struct Signature {
-    /// Commitment `R = k·G`, lazily decompressed.
-    r: RRepr,
+    /// Commitment `R = k·G`, compressed.
+    r: [u8; 33],
+    /// The affine `y` of `R`, when signing computed it.
+    r_y: Option<Fp>,
     /// Response `s = k + e·sk`.
     s: Scalar,
 }
 
 impl PartialEq for Signature {
     fn eq(&self, other: &Signature) -> bool {
-        self.r_bytes() == other.r_bytes() && self.s == other.s
+        // `r_y` is determined by `r`; a parsed copy equals the original.
+        self.r == other.r && self.s == other.s
     }
 }
 
@@ -108,7 +108,7 @@ impl Signature {
     /// Serializes as 65 bytes (`R ‖ s`).
     pub fn to_bytes(&self) -> [u8; 65] {
         let mut out = [0u8; 65];
-        out[..33].copy_from_slice(&self.r_bytes());
+        out[..33].copy_from_slice(&self.r);
         out[33..].copy_from_slice(&self.s.to_bytes());
         out
     }
@@ -120,36 +120,40 @@ impl Signature {
     /// is decided at first verification, where a bad point simply fails
     /// like any other forgery.
     pub fn from_bytes(bytes: &[u8; 65]) -> Option<Signature> {
-        let mut rb = [0u8; 33];
-        rb.copy_from_slice(&bytes[..33]);
-        match rb[0] {
+        let mut r = [0u8; 33];
+        r.copy_from_slice(&bytes[..33]);
+        match r[0] {
             0x02 | 0x03 => {}
-            0x00 if rb[1..].iter().all(|&b| b == 0) => {} // identity encoding
+            0x00 if r[1..].iter().all(|&b| b == 0) => {} // identity encoding
             _ => return None,
         }
         let mut sb = [0u8; 32];
         sb.copy_from_slice(&bytes[33..]);
         Some(Signature {
-            r: RRepr::Compressed(rb),
+            r,
+            r_y: None,
             s: Scalar::from_bytes(&sb)?,
         })
     }
 
-    /// The 33-byte compressed encoding of `R` (free in both reprs).
+    /// The 33-byte compressed encoding of `R` (a copy of the stored
+    /// bytes).
     pub fn r_bytes(&self) -> [u8; 33] {
-        match self.r {
-            RRepr::Point(p) => p.to_bytes(),
-            RRepr::Compressed(b) => b,
-        }
+        self.r
     }
 
-    /// The commitment point, decompressing on first use; `None` when the
-    /// wire bytes do not name a curve point (such a signature can never
-    /// verify).
+    /// The commitment point; `None` when the bytes do not name a curve
+    /// point (such a signature can never verify). Costs a square root
+    /// for a signature parsed from the wire, a curve-equation check for
+    /// one made in this process.
     pub fn r_point(&self) -> Option<Point> {
-        match self.r {
-            RRepr::Point(p) => Some(p),
-            RRepr::Compressed(b) => Point::from_bytes(&b),
+        match self.r_y {
+            Some(y) => {
+                let mut xb = [0u8; 32];
+                xb.copy_from_slice(&self.r[1..]);
+                Point::from_affine(Fp::from_bytes(&xb)?, y)
+            }
+            None => Point::from_bytes(&self.r),
         }
     }
 
@@ -196,10 +200,13 @@ impl SigningKey {
             &[b"ddemos/schnorr/nonce", message],
         ));
         let k = if k.is_zero() { Scalar::ONE } else { k };
-        let r = Point::mul_generator(&k);
-        let e = challenge(&r.to_bytes(), &self.vk, message);
+        // The one inversion of signing: normalise `R`, keep both forms.
+        let affine = Point::mul_generator(&k).to_affine();
+        let r = Point::compress(affine);
+        let e = challenge(&r, &self.vk, message);
         Signature {
-            r: RRepr::Point(r),
+            r,
+            r_y: affine.map(|(_, y)| y),
             s: k + e * self.sk,
         }
     }
@@ -220,10 +227,10 @@ impl VerifyingKey {
         if self.point.is_identity() {
             return false;
         }
-        let e = challenge(&sig.r_bytes(), self, message);
+        let e = challenge(&sig.r, self, message);
         // s·G − e·PK == R, via one Shamir double-scalar multiplication;
-        // comparing compressed bytes sidesteps decompressing a lazy R.
-        Point::double_mul(&sig.s, &Point::generator(), &-e, &self.point).to_bytes() == sig.r_bytes()
+        // comparing compressed bytes sidesteps decompressing a wire R.
+        Point::double_mul(&sig.s, &Point::generator(), &-e, &self.point).to_bytes() == sig.r
     }
 
     /// Serializes as 33 bytes (a copy of the cached canonical encoding).
@@ -239,16 +246,10 @@ impl VerifyingKey {
 }
 
 fn challenge(r_bytes: &[u8; 33], vk: &VerifyingKey, message: &[u8]) -> Scalar {
-    challenge_parts(r_bytes, &vk.enc, message)
-}
-
-/// [`challenge`] over pre-encoded bytes, so batch callers that already
-/// normalized their points pay no extra per-item inversion.
-fn challenge_parts(r_bytes: &[u8; 33], vk_bytes: &[u8; 33], message: &[u8]) -> Scalar {
     Scalar::from_bytes_reduce(&sha256_parts(&[
         b"ddemos/schnorr/v1",
         r_bytes,
-        vk_bytes,
+        &vk.enc,
         message,
     ]))
 }
@@ -283,12 +284,21 @@ impl PreparedVerifier {
     /// Verifies one signature using the table (hook-free; the callers
     /// are the batched message paths).
     pub fn check(&self, message: &[u8], sig: &Signature) -> bool {
+        self.expected_r(message, sig)
+            .is_some_and(|r| r.to_bytes() == sig.r)
+    }
+
+    /// `s·G − e·PK`, the commitment `sig` must carry to verify, left
+    /// projective so a caller checking several signatures can encode them
+    /// all with one shared inversion ([`Point::batch_to_bytes`]) and
+    /// compare against [`Signature::r_bytes`]. `None` for an identity
+    /// key, which nothing verifies against.
+    pub fn expected_r(&self, message: &[u8], sig: &Signature) -> Option<Point> {
         if self.vk.point.is_identity() {
-            return false;
+            return None;
         }
-        let e = challenge(&sig.r_bytes(), &self.vk, message);
-        let lhs = Point::mul_generator(&sig.s).add(&self.table.mul(&e).negate());
-        lhs.to_bytes() == sig.r_bytes()
+        let e = challenge(&sig.r, &self.vk, message);
+        Some(Point::mul_generator(&sig.s).add(&self.table.mul(&e).negate()))
     }
 }
 
@@ -300,9 +310,8 @@ impl PreparedVerifier {
 pub type BatchEntry<'a> = (VerifyingKey, &'a [u8], Signature);
 
 /// An entry whose structural pre-checks passed, with its decompressed
-/// commitment, challenge, and compressed encodings precomputed once
-/// (the encodings via one shared batch normalization — a projective
-/// `to_bytes` costs a field inversion, which would dominate the MSM).
+/// commitment and challenge computed once (the encodings the transcript
+/// hashes need are stored on the key and the signature).
 struct PreparedEntry<'a> {
     index: usize,
     vk: VerifyingKey,
@@ -310,8 +319,6 @@ struct PreparedEntry<'a> {
     sig: Signature,
     r: Point,
     e: Scalar,
-    vk_bytes: [u8; 33],
-    r_bytes: [u8; 33],
 }
 
 /// Verifies `n` signatures as one multi-scalar multiplication.
@@ -339,33 +346,19 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), Vec<usize>> {
     let _t = ddemos_obs::scoped_ns("crypto.verify_batch_ns", "schnorr");
     let mut invalid = Vec::new();
     let mut good = Vec::with_capacity(entries.len());
-    let mut to_encode = Vec::with_capacity(entries.len() * 2);
     for (index, (vk, msg, sig)) in entries.iter().enumerate() {
         // Structural failures are attributable without any group math.
         match sig.r_point() {
-            Some(r) if !vk.point.is_identity() => {
-                to_encode.push(r);
-                good.push(PreparedEntry {
-                    index,
-                    vk: *vk,
-                    msg,
-                    sig: *sig,
-                    r,
-                    e: Scalar::ZERO, // filled below, after encoding
-                    vk_bytes: [0u8; 33],
-                    r_bytes: [0u8; 33],
-                });
-            }
+            Some(r) if !vk.point.is_identity() => good.push(PreparedEntry {
+                index,
+                vk: *vk,
+                msg,
+                sig: *sig,
+                r,
+                e: challenge(&sig.r, vk, msg),
+            }),
             _ => invalid.push(index),
         }
-    }
-    // One shared normalization covers every commitment encoding the
-    // transcript hashes need (key encodings are cached on the key).
-    let encoded = Point::batch_to_bytes(&to_encode);
-    for (entry, r_bytes) in good.iter_mut().zip(encoded) {
-        entry.r_bytes = r_bytes;
-        entry.vk_bytes = entry.vk.to_bytes();
-        entry.e = challenge_parts(&entry.r_bytes, &entry.vk_bytes, entry.msg);
     }
     if !batch_holds(&good) {
         bisect(&good, &mut invalid);
@@ -391,7 +384,7 @@ fn batch_holds(entries: &[PreparedEntry<'_>]) -> bool {
     // Seed = H(domain ‖ per-entry transcript digests).
     let digests: Vec<[u8; 32]> = entries
         .iter()
-        .map(|e| sha256_parts(&[&e.vk_bytes, &e.r_bytes, &e.sig.s.to_bytes(), &sha256(e.msg)]))
+        .map(|e| sha256_parts(&[&e.vk.enc, &e.sig.r, &e.sig.s.to_bytes(), &sha256(e.msg)]))
         .collect();
     let mut parts: Vec<&[u8]> = Vec::with_capacity(digests.len() + 1);
     parts.push(b"ddemos/batch-schnorr/v1");
@@ -408,7 +401,7 @@ fn batch_holds(entries: &[PreparedEntry<'_>]) -> bool {
         let rho = crate::elgamal::batch_weight(&seed, i, 0);
         g_coeff += rho * entry.sig.s;
         let slot = per_key
-            .entry(entry.vk_bytes)
+            .entry(entry.vk.enc)
             .or_insert((entry.vk.point, Scalar::ZERO));
         slot.1 += rho * entry.e;
         scalars.push(-rho);
@@ -513,6 +506,22 @@ mod tests {
         assert_eq!(back.r_point(), sig.r_point());
         let vk = VerifyingKey::from_bytes(&key.verifying_key().to_bytes()).unwrap();
         assert_eq!(vk, key.verifying_key());
+    }
+
+    /// `R` is stored encoded: the struct must not outgrow the 136 bytes
+    /// it had with a projective `R` (ballot rows and UCERTs hold
+    /// thousands), and a signature made here decompresses to the point a
+    /// parsed copy does — without the square root.
+    #[test]
+    fn signature_is_compact_and_keeps_its_point() {
+        assert!(std::mem::size_of::<Signature>() <= 136);
+        let mut rng = StdRng::seed_from_u64(15);
+        let sig = SigningKey::generate(&mut rng).sign(b"compact");
+        assert!(sig.r_y.is_some());
+        let parsed = Signature::from_bytes(&sig.to_bytes()).unwrap();
+        assert!(parsed.r_y.is_none());
+        assert_eq!(sig.r_point().unwrap().to_bytes(), sig.r_bytes());
+        assert_eq!(sig.r_point(), parsed.r_point());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct CpFirstMove {
 impl CpFirstMove {
     /// Serializes as 66 bytes (one shared inversion for both points).
     pub fn to_bytes(&self) -> [u8; 66] {
-        let encoded = Point::to_bytes_many(&[self.t1, self.t2]);
+        let encoded = Point::batch_to_bytes(&[self.t1, self.t2]);
         let mut out = [0u8; 66];
         out[..33].copy_from_slice(&encoded[0]);
         out[33..].copy_from_slice(&encoded[1]);
@@ -104,7 +104,7 @@ pub fn cp_verify_batch(pk: &PublicKey, instances: &[CpInstance]) -> bool {
     for inst in instances {
         transcript_points.extend([inst.a, inst.b, inst.first.t1, inst.first.t2]);
     }
-    let encoded = Point::to_bytes_many(&transcript_points);
+    let encoded = Point::batch_to_bytes(&transcript_points);
     let mut transcript = Sha256::new();
     transcript.update(b"ddemos/batch-cp/v1");
     transcript.update(&encoded[0]);

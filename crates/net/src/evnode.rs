@@ -15,7 +15,8 @@
 //! Routing is identity-based: every handshake (`EvEvent::Up`) binds a
 //! connection to its authenticated [`NodeId`], and sends look the
 //! target up in that route table first, falling back to a dial against
-//! the static peer table. A peer without a listener (the coordinator,
+//! the static peer table. An envelope addressed to the node itself never
+//! touches a socket: it goes straight to the node's own inbox. A peer without a listener (the coordinator,
 //! voters) is reachable exactly while its own inbound connection is up
 //! — which is the shape the protocol needs: finalized vote sets travel
 //! back over the coordinator's authenticated control connection, and
@@ -152,6 +153,13 @@ impl EventEndpoint for EvNodeEndpoint {
             msg,
         };
         let mut inner = self.inner.lock();
+        if to == self.id {
+            // A node is its own peer in every multicast (a collector
+            // counts its own receipt share and consensus votes): loop the
+            // envelope back into the inbox, as the other transports do.
+            inner.inbox.push_back(env);
+            return;
+        }
         let Some(conn) = inner.route(self.id, to) else {
             // No live route and no listener to dial: best-effort drop,
             // like a lossy network.

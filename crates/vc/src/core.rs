@@ -322,6 +322,10 @@ pub struct VcCore<S> {
     /// Volatile (rebuilt empty on recovery) — it only memoizes results,
     /// so replaying the same inputs reproduces the same outcomes.
     mverify: MsgVerifier,
+    /// Signatures a step left unverified because its structural filters
+    /// dropped the message first (with [`MsgVerifier::take_counts`], the
+    /// `vc.sig_checks` metric).
+    sigs_skipped: u64,
     announce_from: BTreeSet<u32>,
     /// ANNOUNCE messages that arrived while this node was still in the
     /// voting phase. Polls close at each node's *own* clock (or when its
@@ -385,6 +389,7 @@ impl<S: BallotStore> VcCore<S> {
             verified_ucerts: BTreeSet::new(),
             receipt_weights: InterpolatorCache::default(),
             mverify,
+            sigs_skipped: 0,
             announce_from: BTreeSet::new(),
             buffered_announces: Vec::new(),
             consensus: None,
@@ -504,17 +509,29 @@ impl<S: BallotStore> VcCore<S> {
     }
 
     /// Warms the verified-signature memo for a burst of queued inputs:
-    /// extracts every signature the subsequent `step`s would otherwise
+    /// extracts the signatures the subsequent `step`s would otherwise
     /// verify one at a time (ENDORSEMENT signatures, VOTE_P UCERT
-    /// signatures, VOTE_P receipt shares) and verifies them in one MSM.
+    /// signatures, VOTE_P receipt shares) and verifies them in one batch.
+    ///
+    /// It queues only what the state machine can still use, by the
+    /// filters the handlers apply themselves: no endorsement the
+    /// responder slot would drop, no UCERT whose `(serial, code)` is
+    /// already verified, no VOTE_P that cannot change its slot, and per
+    /// serial no more endorsements or receipt shares than the quorum
+    /// still lacks.
     ///
     /// Purely an optimization — it emits no outputs and mutates nothing
     /// but the memo, and a signature only enters the memo by verifying,
-    /// so `step` outcomes are byte-identical with or without this call
-    /// (invalid signatures just fail again, attributed, inside the step).
+    /// so `step` outcomes are byte-identical with or without this call:
+    /// whatever was not queued here (or failed) is verified, attributed,
+    /// inside the step that needs it.
     pub fn preverify(&mut self, inputs: &[VcInput]) {
         let eid = self.init.params.election_id;
+        let quorum = self.quorum();
         let mut items: Vec<(VerifyingKey, Vec<u8>, Signature)> = Vec::new();
+        // Endorsements and share indices this burst has queued so far.
+        let mut endorsers: BTreeMap<SerialNo, Vec<u32>> = BTreeMap::new();
+        let mut share_indices: BTreeMap<SerialNo, Vec<u32>> = BTreeMap::new();
         for input in inputs {
             let VcInput::Deliver(env) = input else {
                 continue;
@@ -528,7 +545,17 @@ impl<S: BallotStore> VcCore<S> {
                     vote_code,
                     signature,
                 } => {
-                    if let Some(vk) = self.init.vc_keys.get(env.from.index as usize) {
+                    let sender = env.from.index;
+                    let Some(slot) = self.collecting_slot(*serial, *vote_code, sender) else {
+                        continue;
+                    };
+                    let queued = endorsers.entry(*serial).or_default();
+                    if queued.contains(&sender) || slot.endorsements.len() + queued.len() >= quorum
+                    {
+                        continue;
+                    }
+                    if let Some(vk) = self.init.vc_keys.get(sender as usize) {
+                        queued.push(sender);
                         items.push((
                             *vk,
                             endorsement_message(&eid, *serial, &sha256(&vote_code.0)),
@@ -542,14 +569,29 @@ impl<S: BallotStore> VcCore<S> {
                     share,
                     ucert,
                 } => {
-                    let msg = endorsement_message(&eid, ucert.serial, &sha256(&ucert.vote_code.0));
-                    for (idx, sig) in &ucert.sigs {
-                        if let Some(vk) = self.init.vc_keys.get(*idx as usize) {
-                            items.push((*vk, msg.clone(), *sig));
+                    let index = share.share.index;
+                    if ucert.serial != *serial
+                        || ucert.vote_code != *vote_code
+                        || self.vote_p_is_redundant(*serial, *vote_code, index)
+                    {
+                        continue;
+                    }
+                    if !self.verified_ucerts.contains(&ucert.key_digest()) {
+                        let msg = endorsement_message(&eid, *serial, &sha256(&vote_code.0));
+                        for (idx, sig) in &ucert.sigs {
+                            if let Some(vk) = self.init.vc_keys.get(*idx as usize) {
+                                items.push((*vk, msg.clone(), *sig));
+                            }
                         }
+                    }
+                    let held = self.slots.get(serial).map_or(0, |slot| slot.shares.len());
+                    let queued = share_indices.entry(*serial).or_default();
+                    if queued.contains(&index) || held + queued.len() >= quorum {
+                        continue;
                     }
                     if let Some(ballot) = self.store.get(*serial) {
                         if let Some((part, row)) = ballot.find_code(vote_code) {
+                            queued.push(index);
                             let ctx = receipt_share_context(&eid, *serial, part, row);
                             items.push(MsgVerifier::share_item(&self.init.ea_key, &ctx, share));
                         }
@@ -561,6 +603,50 @@ impl<S: BallotStore> VcCore<S> {
         if !items.is_empty() {
             self.mverify.check_batch(&items);
         }
+    }
+
+    /// Signature work since the last call, by outcome: `fresh` (verified
+    /// with group math), `cached` (answered by the memo), `deduped`
+    /// (shared the verdict of an equal item in one batch), `skipped` (a
+    /// step dropped the message on structure before verifying). Drivers
+    /// export it as the `vc.sig_checks` counter.
+    pub fn take_sig_checks(&mut self) -> [(&'static str, u64); 4] {
+        let counts = self.mverify.take_counts();
+        [
+            ("fresh", counts.fresh),
+            ("cached", counts.cached),
+            ("deduped", counts.deduped),
+            ("skipped", std::mem::take(&mut self.sigs_skipped)),
+        ]
+    }
+
+    /// The slot an ENDORSEMENT of `code` from VC node `sender` would add
+    /// to: one this node is responder for with exactly that code, still
+    /// collecting, and not yet holding that sender's signature.
+    fn collecting_slot(
+        &self,
+        serial: SerialNo,
+        code: VoteCode,
+        sender: u32,
+    ) -> Option<&BallotSlot> {
+        self.slots.get(&serial).filter(|slot| {
+            slot.used.map(|(used, ..)| used) == Some(code)
+                && slot.status == Status::NotVoted
+                && !slot.endorsements.iter().any(|(i, _)| *i == sender)
+        })
+    }
+
+    /// Whether a VOTE_P for `(serial, code)` carrying share `index` finds
+    /// nothing left to change: the slot already runs on that code with
+    /// its UCERT stored, and either holds that share index or has its
+    /// receipt. Nothing in such a message is worth a signature check.
+    fn vote_p_is_redundant(&self, serial: SerialNo, code: VoteCode, index: u32) -> bool {
+        self.slots.get(&serial).is_some_and(|slot| {
+            slot.used.map(|(used, ..)| used) == Some(code)
+                && slot.ucert.is_some()
+                && (slot.status == Status::Voted
+                    || slot.shares.iter().any(|s| s.share.index == index))
+        })
     }
 
     fn check_phase_end(&mut self) {
@@ -982,20 +1068,10 @@ impl<S: BallotStore> VcCore<S> {
         let Some(vk) = self.init.vc_keys.get(sender as usize).copied() else {
             return;
         };
-        {
-            let Some(slot) = self.slots.get(&serial) else {
-                return;
-            };
-            // Only relevant while we are responder for exactly this code.
-            let Some((used_code, ..)) = slot.used else {
-                return;
-            };
-            if used_code != code || slot.status != Status::NotVoted {
-                return;
-            }
-            if slot.endorsements.iter().any(|(i, _)| *i == sender) {
-                return;
-            }
+        // Only relevant while we are responder for exactly this code.
+        if self.collecting_slot(serial, code, sender).is_none() {
+            self.sigs_skipped += 1;
+            return;
         }
         if !self.mverify.check(
             &vk,
@@ -1098,6 +1174,7 @@ impl<S: BallotStore> VcCore<S> {
     fn verify_ucert(&mut self, ucert: &UCert) -> bool {
         let digest = ucert.key_digest();
         if self.verified_ucerts.contains(&digest) {
+            self.sigs_skipped += ucert.sigs.len() as u64;
             return true;
         }
         // Batched mirror of `UCert::verify`: verify every signature from
@@ -1146,7 +1223,16 @@ impl<S: BallotStore> VcCore<S> {
         if from.kind != NodeKind::Vc || !self.in_voting_hours() {
             return;
         }
-        if ucert.serial != serial || ucert.vote_code != code || !self.verify_ucert(&ucert) {
+        if ucert.serial != serial || ucert.vote_code != code {
+            return;
+        }
+        // The common late VOTE_P — the quorum's last echo, a re-delivery —
+        // is dropped before any signature work.
+        if self.vote_p_is_redundant(serial, code, share.share.index) {
+            self.sigs_skipped += ucert.sigs.len() as u64 + 1;
+            return;
+        }
+        if !self.verify_ucert(&ucert) {
             return;
         }
         let Some(ballot) = self.store.get(serial) else {

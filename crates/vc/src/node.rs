@@ -56,8 +56,8 @@ pub struct VcNodeConfig {
     /// `behavior` (see [`crate::behavior::TriggeredAdversary`]).
     pub adversary: Option<crate::behavior::TriggeredAdversary>,
     /// Metrics recorder (disabled by default). The driver feeds it
-    /// per-message step latency, outputs-per-step, and the inbound queue
-    /// depth at dequeue; its phase label follows the node's own event
+    /// per-message step latency, outputs-per-step, signature checks by
+    /// outcome, and the inbound queue depth at dequeue; its phase label follows the node's own event
     /// order (`vote` → `consensus` on `ClosePolls` → `push` on
     /// finalization), which keeps attribution deterministic.
     pub recorder: Recorder,
@@ -274,10 +274,10 @@ impl<S: BallotStore> VcDriver<S> {
         // Its own outcome-bearing steps (everything up to and including
         // the finalizing delivery) stay under the stable names.
         let stable = matches!(input, VcInput::Deliver(_)) && !self.core.is_done();
-        let (outputs_name, step_name) = if stable {
-            ("vc.step_outputs", "vc.step_ns")
+        let (outputs_name, step_name, sigs_name) = if stable {
+            ("vc.step_outputs", "vc.step_ns", "vc.sig_checks")
         } else {
-            ("~vc.step_outputs", "~vc.step_ns")
+            ("~vc.step_outputs", "~vc.step_ns", "~vc.sig_checks")
         };
         let start = self.recorder.now_ns();
         let now_ms = self.clock.now_ms();
@@ -290,6 +290,13 @@ impl<S: BallotStore> VcDriver<S> {
             None => self.core.step(input, now_ms),
         };
         self.recorder.add(outputs_name, label, outs.len() as u64);
+        // Signature work of this step (and of the burst's `preverify`, on
+        // the burst's first step), by outcome.
+        for (outcome, n) in self.core.take_sig_checks() {
+            if n > 0 {
+                self.recorder.add(sigs_name, outcome, n);
+            }
+        }
         self.execute(outs);
         self.recorder.observe_since(step_name, label, start);
     }

@@ -28,7 +28,10 @@
 //!   floor for timer noise). Exits non-zero past the gate; CI runs this
 //!   at 5%. The gate then profiles one more election and fails if any
 //!   `bb.publish_ns` stage timer (interpolate / openings / zk / tally)
-//!   recorded nothing.
+//!   recorded nothing, or if the collectors spent more than
+//!   [`MAX_FRESH_SIG_CHECKS_PER_CAST`] group-math signature
+//!   verifications a cast (`vc.sig_checks`, label `fresh`) — a count,
+//!   which repeats exactly for a seed, where a time would be noise.
 
 use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
 use ddemos_harness::{Durability, ElectionBuilder, ElectionParams, ElectionReport, Network};
@@ -36,6 +39,15 @@ use std::time::{Duration, Instant};
 
 /// The `bb.publish_ns` labels `BbCore::try_publish_result` times.
 const PUBLISH_STAGES: [&str; 4] = ["interpolate", "openings", "zk", "tally"];
+
+/// Group-math signature verifications the four collectors of the profile
+/// election may spend on one cast: at the responder the two peer
+/// endorsements that complete the UCERT, at each other collector the
+/// UCERT's three signatures, at every collector the three receipt shares
+/// of a quorum — 23, plus one of slack for a cast whose third endorsement
+/// arrives before its UCERT forms. The cast path verified 37–45 before
+/// bursts were deduplicated and need-bounded.
+const MAX_FRESH_SIG_CHECKS_PER_CAST: u64 = 24;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -256,6 +268,18 @@ fn main() {
                 eprintln!("dead signal: {key} recorded nothing in a profiled election");
                 std::process::exit(1);
             }
+        }
+        // Work gate: each distinct signature of the cast path is verified
+        // once, and only while the ballot's state machine can use it.
+        let fresh = report.metrics.counter("vc.sig_checks", None, Some("fresh"));
+        let limit = MAX_FRESH_SIG_CHECKS_PER_CAST * ballots as u64;
+        println!(
+            "sig checks: {fresh} fresh over {ballots} casts = {:.2} a cast (limit {MAX_FRESH_SIG_CHECKS_PER_CAST})",
+            fresh as f64 / ballots as f64
+        );
+        if fresh == 0 || fresh > limit {
+            eprintln!("sig-check gate FAILED: {fresh} fresh verifications, limit {limit}");
+            std::process::exit(1);
         }
         return;
     }

@@ -5,7 +5,7 @@
 //! the same-seed in-process election as the reference: identical tally,
 //! receipts, and audit verdict.
 
-use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster};
+use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
 use ddemos_harness::{ElectionBuilder, ElectionParams, ElectionReport, Network};
 use std::time::Duration;
 
@@ -18,11 +18,12 @@ fn params() -> ElectionParams {
     ElectionParams::new("tcp-e2e", 12, 3, 4, 4, 3, 2, 0, 600_000).unwrap()
 }
 
-fn run_tcp_election() -> ElectionReport {
+/// Runs the election over `cluster` with the first `vcs_up` collectors
+/// started (the rest stay down for the whole election).
+fn run_tcp_election(cluster: TcpCluster, vcs_up: u32) -> ElectionReport {
     let params = params();
-    let cluster = TcpCluster::localhost_free(params.num_vc, params.num_bb).unwrap();
     let mut replicas = Vec::new();
-    for i in 0..params.num_vc as u32 {
+    for i in 0..vcs_up {
         let (params, cluster) = (params.clone(), cluster.clone());
         replicas.push(std::thread::spawn(move || {
             run_vc_replica(&params, SEED, i, &cluster).expect("vc replica")
@@ -40,7 +41,10 @@ fn run_tcp_election() -> ElectionReport {
         .close_timeout(Duration::from_secs(60))
         .build()
         .expect("tcp coordinator builds");
-    let voting = election.voting();
+    // A voter who picks a collector that is down moves on after a
+    // second; every live one answers in milliseconds. A cast succeeds
+    // only with the receipt printed on the ballot.
+    let voting = election.voting().patience(Duration::from_secs(1));
     for &(ballot, option) in CASTS {
         voting
             .cast(ballot, option)
@@ -75,7 +79,8 @@ fn run_sim_election() -> ElectionReport {
 /// same audit verdict.
 #[test]
 fn tcp_cluster_matches_in_process_run() {
-    let tcp = run_tcp_election();
+    let cluster = TcpCluster::localhost_free(params().num_vc, params().num_bb).unwrap();
+    let tcp = run_tcp_election(cluster, params().num_vc as u32);
     let sim = run_sim_election();
     assert_eq!(
         tcp.tally(),
@@ -95,4 +100,22 @@ fn tcp_cluster_matches_in_process_run() {
     // Real sockets carried the whole election: every protocol class
     // shows traffic on the coordinator's transport alone.
     assert!(tcp.net.sent > 0, "no traffic recorded");
+}
+
+/// Liveness inside the fault bound on the real front door: with one of
+/// four collectors down (f_v = 1 < N_v/3) the event-loop deployment
+/// still hands every voter the printed receipt, tallies and audits.
+/// Three live collectors are exactly the quorum, so each must count its
+/// own receipt share and its own consensus votes — the envelopes a node
+/// addresses to itself.
+#[cfg(target_os = "linux")]
+#[test]
+fn event_loop_cluster_survives_one_collector_down() {
+    let cluster = TcpCluster::localhost_free(params().num_vc, params().num_bb)
+        .unwrap()
+        .with_options(TcpOptions::event_loop());
+    let report = run_tcp_election(cluster, params().num_vc as u32 - 1);
+    assert_eq!(report.tally(), Some(&[1, 3, 2][..]), "unexpected tally");
+    assert_eq!(report.receipts.len(), CASTS.len());
+    assert!(report.verified(), "audit failed");
 }
