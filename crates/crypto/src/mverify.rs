@@ -13,8 +13,10 @@
 //!   group math twice. The cache is bounded; eviction is FIFO over
 //!   insertion order — a pure function of the verification sequence, so
 //!   virtual-time replays evict identically.
-//! * **Prepared tables** — fixed-base comb tables for the small, static
-//!   peer key set (VC/BB/trustee/EA keys), built once at startup.
+//! * **Prepared tables** — fixed-base comb tables for the keys whose use
+//!   repays the ~0.35 ms build (a collector's peers and the EA, checked
+//!   several times a cast; a board's writers are not — see `BbCore`),
+//!   built once at startup.
 //! * **Batching** — [`MsgVerifier::check_batch`] verifies each distinct
 //!   uncached `(key, R, s, H(msg))` of a queue once — a burst of `VOTE_P`s
 //!   carries the same UCERT signatures in every message — and all copies
@@ -43,13 +45,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
 /// Largest distinct fresh batch routed through the per-peer comb tables
-/// instead of the one-MSM path. The tables cost a flat ~60 µs a
-/// signature (two fixed-base multiplications, one inversion shared by
-/// the whole call); the MSM amortizes from ~150 µs a signature at 4 to
-/// ~43 µs at 64 and crosses the tables at 24 for signatures made in
-/// this process — for signatures off the wire, which owe the MSM a
-/// square root each, not before 64.
-const PREPARED_BATCH_MAX: usize = 24;
+/// instead of the one-MSM path. The tables cost a flat ~45 µs a
+/// signature (two fixed-base multiplications of mixed additions, one
+/// inversion shared by the whole call); the MSM amortizes from ~150 µs a
+/// signature at 4 to ~42 µs at 64 and crosses the tables at 40 for
+/// signatures made in this process — for signatures off the wire, which
+/// owe the MSM a square root each, not before 96.
+const PREPARED_BATCH_MAX: usize = 40;
 
 /// A bounded verified-signature memo with deterministic FIFO eviction.
 #[derive(Debug, Default)]
@@ -411,7 +413,7 @@ mod tests {
         #[test]
         fn prop_check_batch_equals_scalar_checks(
             seed in any::<u64>(),
-            n in 1usize..40,
+            n in 1usize..64,
             prepare in any::<bool>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);

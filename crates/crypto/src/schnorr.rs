@@ -191,24 +191,50 @@ impl SigningKey {
         self.vk
     }
 
-    /// Signs a message (deterministic RFC-6979-style nonce).
+    /// Signs a message (deterministic RFC-6979-style nonce): the
+    /// one-message form of [`SigningKey::sign_many`].
     pub fn sign(&self, message: &[u8]) -> Signature {
-        // k = HMAC(sk, msg) reduced — deterministic, never reused across
+        self.sign_many(&[message])[0]
+    }
+
+    /// Signs every message of a slice, byte for byte as [`SigningKey::sign`]
+    /// signs each: all commitments `kᵢ·G` first, normalised together —
+    /// the one inversion of signing, shared by the whole slice
+    /// ([`Point::batch_to_affine`]) — then the challenges and responses.
+    pub fn sign_many<M: AsRef<[u8]>>(&self, messages: &[M]) -> Vec<Signature> {
+        // kᵢ = HMAC(sk, msgᵢ) reduced — deterministic, never reused across
         // distinct messages, bias negligible.
-        let k = Scalar::from_bytes_reduce(&hmac_sha256_parts(
-            &self.sk.to_bytes(),
-            &[b"ddemos/schnorr/nonce", message],
-        ));
-        let k = if k.is_zero() { Scalar::ONE } else { k };
-        // The one inversion of signing: normalise `R`, keep both forms.
-        let affine = Point::mul_generator(&k).to_affine();
-        let r = Point::compress(affine);
-        let e = challenge(&r, &self.vk, message);
-        Signature {
-            r,
-            r_y: affine.map(|(_, y)| y),
-            s: k + e * self.sk,
-        }
+        let sk_bytes = self.sk.to_bytes();
+        let nonces: Vec<Scalar> = messages
+            .iter()
+            .map(|message| {
+                let k = Scalar::from_bytes_reduce(&hmac_sha256_parts(
+                    &sk_bytes,
+                    &[b"ddemos/schnorr/nonce", message.as_ref()],
+                ));
+                if k.is_zero() {
+                    Scalar::ONE
+                } else {
+                    k
+                }
+            })
+            .collect();
+        let commitments: Vec<Point> = nonces.iter().map(Point::mul_generator).collect();
+        // Keep both forms of each normalised `R`.
+        Point::batch_to_affine(&commitments)
+            .into_iter()
+            .zip(messages)
+            .zip(nonces)
+            .map(|((affine, message), k)| {
+                let r = Point::compress(affine);
+                let e = challenge(&r, &self.vk, message.as_ref());
+                Signature {
+                    r,
+                    r_y: affine.map(|(_, y)| y),
+                    s: k + e * self.sk,
+                }
+            })
+            .collect()
     }
 }
 
@@ -467,6 +493,23 @@ mod tests {
         let key = SigningKey::generate(&mut rng);
         assert_eq!(key.sign(b"m"), key.sign(b"m"));
         assert_ne!(key.sign(b"m"), key.sign(b"n"));
+    }
+
+    #[test]
+    fn sign_many_matches_per_message_sign() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let key = SigningKey::generate(&mut rng);
+        let messages: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; usize::from(i) * 7]).collect();
+        let many = key.sign_many(&messages);
+        assert_eq!(many.len(), messages.len());
+        for (message, sig) in messages.iter().zip(&many) {
+            let one = key.sign(message);
+            assert_eq!(sig.to_bytes(), one.to_bytes());
+            // The in-process extras agree too, not only the wire bytes.
+            assert_eq!(sig.r_y, one.r_y);
+            assert!(key.verifying_key().verify(message, sig));
+        }
+        assert!(key.sign_many::<&[u8]>(&[]).is_empty());
     }
 
     /// Bit-flips the serialized signature (response low byte, then the

@@ -220,9 +220,11 @@ pub struct SignedShare {
 pub struct DealerVss;
 
 impl DealerVss {
-    /// The signed byte string for one share (crate-visible so the
-    /// batch/cache verification layer can rebuild it).
-    pub(crate) fn share_message(context: &[u8], share: &Share) -> Vec<u8> {
+    /// The signed byte string for one share — public so a dealer with
+    /// many dealings to sign can put them all through one
+    /// [`SigningKey::sign_many`], and the batch/cache verification layer
+    /// can rebuild it.
+    pub fn share_message(context: &[u8], share: &Share) -> Vec<u8> {
         let mut msg = Vec::with_capacity(context.len() + 4 + 32 + 16);
         msg.extend_from_slice(b"ddemos/dealer-vss/v1");
         msg.extend_from_slice(&(context.len() as u32).to_be_bytes());
@@ -230,6 +232,19 @@ impl DealerVss {
         msg.extend_from_slice(&share.index.to_be_bytes());
         msg.extend_from_slice(&share.value.to_bytes());
         msg
+    }
+
+    /// Signs `shares` of one dealing (one shared inversion for the lot).
+    pub fn sign(dealer: &SigningKey, context: &[u8], shares: &[Share]) -> Vec<SignedShare> {
+        let messages: Vec<Vec<u8>> = shares
+            .iter()
+            .map(|share| Self::share_message(context, share))
+            .collect();
+        shares
+            .iter()
+            .zip(dealer.sign_many(&messages))
+            .map(|(&share, signature)| SignedShare { share, signature })
+            .collect()
     }
 
     /// Deals `secret` into `n` signed shares with threshold `k`.
@@ -247,14 +262,11 @@ impl DealerVss {
         n: usize,
         rng: &mut R,
     ) -> Result<Vec<SignedShare>, ShareError> {
-        let shares = shamir::split(secret, k, n, rng)?;
-        Ok(shares
-            .into_iter()
-            .map(|share| SignedShare {
-                share,
-                signature: dealer.sign(&Self::share_message(context, &share)),
-            })
-            .collect())
+        Ok(Self::sign(
+            dealer,
+            context,
+            &shamir::split(secret, k, n, rng)?,
+        ))
     }
 
     /// Verifies a signed share against the dealer's key and context.

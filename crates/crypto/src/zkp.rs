@@ -205,38 +205,23 @@ pub fn respond_affine(coeffs: &[Scalar; 8], c: &Scalar) -> OrResponse {
     }
 }
 
-/// Produces the OR-proof first move and pending secrets for a ciphertext
-/// `ct = Enc(pk, bit; r)`.
+/// Produces the OR-proof first move and pending secrets for the
+/// ciphertext `Enc(pk, bit; r)`.
+///
+/// The false branch is the textbook simulation — commitments
+/// `(z̃·G − c̃·a, z̃·pk − c̃·b′)` for a random challenge/response pair
+/// `(c̃, z̃)` — but computed from the witness: the prover knows `r` with
+/// `a = r·G` and `b′ = r·pk ± G`, so the same two points are
+/// `(z̃ − c̃r)·G` and `(z̃ − c̃r)·pk ∓ c̃·G`, three fixed-base
+/// multiplications on the generator and [`PreparedKey`] tables instead of
+/// two on the tables and two variable-base ladders. `w, c̃, z̃` are drawn
+/// from `rng` in that order and the coefficients are the textbook ones, so
+/// the output is the textbook prover's for the same stream.
 ///
 /// # Panics
-/// Panics if `bit` is not 0 or 1 (in debug builds the statement would be
-/// false and the proof unsound).
+/// Panics if `bit` is not 0 or 1.
 pub fn or_prove<R: rand::RngCore + ?Sized>(
-    pk: &PublicKey,
-    ct: &Ciphertext,
-    bit: u8,
-    r: &Scalar,
-    rng: &mut R,
-) -> (OrFirstMove, OrProverSecrets) {
-    or_prove_inner(|k| pk.0.mul(k), ct, bit, r, rng)
-}
-
-/// [`or_prove`] through a [`PreparedKey`] window table — same outputs for
-/// the same RNG stream, ~4× cheaper `pk`-base multiplications. This is the
-/// EA's path: one prepared election key serves every ballot.
-pub fn or_prove_with<R: rand::RngCore + ?Sized>(
     pk: &PreparedKey,
-    ct: &Ciphertext,
-    bit: u8,
-    r: &Scalar,
-    rng: &mut R,
-) -> (OrFirstMove, OrProverSecrets) {
-    or_prove_inner(|k| pk.mul(k), ct, bit, r, rng)
-}
-
-fn or_prove_inner<R: rand::RngCore + ?Sized>(
-    mul_pk: impl Fn(&Scalar) -> Point,
-    ct: &Ciphertext,
     bit: u8,
     r: &Scalar,
     rng: &mut R,
@@ -246,64 +231,31 @@ fn or_prove_inner<R: rand::RngCore + ?Sized>(
     let c_sim = Scalar::random(rng);
     let z_sim = Scalar::random(rng);
 
-    // Statement points for each branch: (a, b'_j) with b'_0 = b,
-    // b'_1 = b - G.
-    let b0 = ct.b;
-    let b1 = ct.b - Point::generator();
-
     // Real branch first move: (w·G, w·pk).
     let real = CpFirstMove {
         t1: Point::mul_generator(&w),
-        t2: mul_pk(&w),
+        t2: pk.mul(&w),
     };
-    // Simulated branch first move: (z̃·G − c̃·a, z̃·pk − c̃·b'_sim).
-    let (b_sim, b_real) = if bit == 0 { (b1, b0) } else { (b0, b1) };
-    let _ = b_real;
+    // Simulated branch: its statement is (a, b − G) when the bit is 0,
+    // (a, b) when it is 1, i.e. b′ = r·pk − G resp. r·pk + G.
+    let u = c_sim * *r;
+    let shift = Point::mul_generator(&c_sim);
     let sim = CpFirstMove {
-        t1: Point::mul_generator(&z_sim) - ct.a.mul(&c_sim),
-        t2: mul_pk(&z_sim) - b_sim.mul(&c_sim),
-    };
-
-    let first = if bit == 0 {
-        OrFirstMove {
-            branch0: real,
-            branch1: sim,
-        }
-    } else {
-        OrFirstMove {
-            branch0: sim,
-            branch1: real,
-        }
+        t1: Point::mul_generator(&(z_sim - u)),
+        t2: pk.mul(&(z_sim - u)) + if bit == 0 { shift } else { -shift },
     };
 
     // Affine coefficients. Real branch b: c_b = c − c̃, z_b = w + c_b·r
     //   = r·c + (w − c̃·r). Simulated branch: constants (c̃, z̃).
-    let u = c_sim * *r;
     let real_coeffs = [Scalar::ONE, -c_sim, *r, w - u];
     let sim_coeffs = [Scalar::ZERO, c_sim, Scalar::ZERO, z_sim];
-    let coeffs = if bit == 0 {
-        [
-            real_coeffs[0],
-            real_coeffs[1],
-            real_coeffs[2],
-            real_coeffs[3],
-            sim_coeffs[0],
-            sim_coeffs[1],
-            sim_coeffs[2],
-            sim_coeffs[3],
-        ]
+    let (branch0, branch1, c0, c1) = if bit == 0 {
+        (real, sim, real_coeffs, sim_coeffs)
     } else {
-        [
-            sim_coeffs[0],
-            sim_coeffs[1],
-            sim_coeffs[2],
-            sim_coeffs[3],
-            real_coeffs[0],
-            real_coeffs[1],
-            real_coeffs[2],
-            real_coeffs[3],
-        ]
+        (sim, real, sim_coeffs, real_coeffs)
     };
+    let coeffs = [c0[0], c0[1], c0[2], c0[3], c1[0], c1[1], c1[2], c1[3]];
+    let first = OrFirstMove { branch0, branch1 };
     (first, OrProverSecrets { coeffs })
 }
 
@@ -384,25 +336,6 @@ impl SumProverSecrets {
 /// Produces the sum-proof first move for a row of ciphertexts whose
 /// aggregate randomness is `r_sum` (the row must encrypt total 1).
 pub fn sum_prove<R: rand::RngCore + ?Sized>(
-    pk: &PublicKey,
-    r_sum: &Scalar,
-    rng: &mut R,
-) -> (CpFirstMove, SumProverSecrets) {
-    let w = Scalar::random(rng);
-    (
-        CpFirstMove {
-            t1: Point::mul_generator(&w),
-            t2: pk.0.mul(&w),
-        },
-        SumProverSecrets {
-            coeffs: [*r_sum, w],
-        },
-    )
-}
-
-/// [`sum_prove`] through a [`PreparedKey`] window table (same outputs for
-/// the same RNG stream).
-pub fn sum_prove_with<R: rand::RngCore + ?Sized>(
     pk: &PreparedKey,
     r_sum: &Scalar,
     rng: &mut R,
@@ -475,19 +408,58 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup(seed: u64) -> (StdRng, PublicKey) {
+    fn setup(seed: u64) -> (StdRng, PublicKey, PreparedKey) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (_, pk) = keygen(&mut rng);
-        (rng, pk)
+        (rng, pk, PreparedKey::new(&pk))
+    }
+
+    /// The textbook prover — the false branch simulated from the public
+    /// statement alone, `(z̃·G − c̃·a, z̃·pk − c̃·b′)`, on variable-base
+    /// ladders — as the oracle [`or_prove`] must reproduce.
+    fn or_prove_textbook(
+        pk: &PublicKey,
+        ct: &Ciphertext,
+        bit: u8,
+        r: &Scalar,
+        rng: &mut StdRng,
+    ) -> (OrFirstMove, [Scalar; 8]) {
+        let w = Scalar::random(rng);
+        let c_sim = Scalar::random(rng);
+        let z_sim = Scalar::random(rng);
+        let real = CpFirstMove {
+            t1: Point::generator().mul(&w),
+            t2: pk.0.mul(&w),
+        };
+        let b_sim = if bit == 0 {
+            ct.b - Point::generator()
+        } else {
+            ct.b
+        };
+        let sim = CpFirstMove {
+            t1: Point::generator().mul(&z_sim) - ct.a.mul(&c_sim),
+            t2: pk.0.mul(&z_sim) - b_sim.mul(&c_sim),
+        };
+        let real_coeffs = [Scalar::ONE, -c_sim, *r, w - c_sim * *r];
+        let sim_coeffs = [Scalar::ZERO, c_sim, Scalar::ZERO, z_sim];
+        let (branch0, branch1, c0, c1) = if bit == 0 {
+            (real, sim, real_coeffs, sim_coeffs)
+        } else {
+            (sim, real, sim_coeffs, real_coeffs)
+        };
+        (
+            OrFirstMove { branch0, branch1 },
+            [c0[0], c0[1], c0[2], c0[3], c1[0], c1[1], c1[2], c1[3]],
+        )
     }
 
     #[test]
     fn or_proof_accepts_valid_bits() {
-        let (mut rng, pk) = setup(1);
+        let (mut rng, pk, prepared) = setup(1);
         for bit in [0u8, 1] {
             let r = Scalar::random(&mut rng);
             let ct = encrypt_with(&pk, &Scalar::from_u64(u64::from(bit)), &r);
-            let (first, secrets) = or_prove(&pk, &ct, bit, &r, &mut rng);
+            let (first, secrets) = or_prove(&prepared, bit, &r, &mut rng);
             let c = challenge_from_coins(b"test", &[true, false, true]);
             let resp = secrets.respond(&c);
             assert!(or_verify(&pk, &ct, &first, &resp, &c), "bit {bit}");
@@ -496,10 +468,10 @@ mod tests {
 
     #[test]
     fn or_proof_rejects_wrong_challenge() {
-        let (mut rng, pk) = setup(2);
+        let (mut rng, pk, prepared) = setup(2);
         let r = Scalar::random(&mut rng);
         let ct = encrypt_with(&pk, &Scalar::ZERO, &r);
-        let (first, secrets) = or_prove(&pk, &ct, 0, &r, &mut rng);
+        let (first, secrets) = or_prove(&prepared, 0, &r, &mut rng);
         let c = challenge_from_coins(b"test", &[true]);
         let resp = secrets.respond(&c);
         let other = challenge_from_coins(b"test", &[false]);
@@ -510,11 +482,11 @@ mod tests {
     fn or_proof_sound_against_invalid_plaintext() {
         // A ciphertext of 2 cannot be proven 0/1: a cheating prover who
         // fixed its simulated challenges before seeing c fails whp.
-        let (mut rng, pk) = setup(3);
+        let (mut rng, pk, prepared) = setup(3);
         let r = Scalar::random(&mut rng);
         let ct = encrypt_with(&pk, &Scalar::from_u64(2), &r);
         // Cheat as if bit = 0 (statement false) — prover lies about bit.
-        let (first, secrets) = or_prove(&pk, &ct, 0, &r, &mut rng);
+        let (first, secrets) = or_prove(&prepared, 0, &r, &mut rng);
         let c = challenge_from_coins(b"test", &[true, true]);
         let resp = secrets.respond(&c);
         assert!(!or_verify(&pk, &ct, &first, &resp, &c));
@@ -523,10 +495,9 @@ mod tests {
     #[test]
     fn or_proof_response_is_affine_in_challenge() {
         // The distributed-trustee path depends on this exactness.
-        let (mut rng, pk) = setup(4);
+        let (mut rng, _pk, prepared) = setup(4);
         let r = Scalar::random(&mut rng);
-        let ct = encrypt_with(&pk, &Scalar::ONE, &r);
-        let (_first, secrets) = or_prove(&pk, &ct, 1, &r, &mut rng);
+        let (_first, secrets) = or_prove(&prepared, 1, &r, &mut rng);
         let coeffs = secrets.coefficients();
         let c = Scalar::from_u64(987654321);
         let direct = secrets.respond(&c);
@@ -539,7 +510,7 @@ mod tests {
 
     #[test]
     fn sum_proof_roundtrip() {
-        let (mut rng, pk) = setup(5);
+        let (mut rng, pk, prepared) = setup(5);
         // Row encrypting the unit vector e_2 of length 4.
         let mut row = Vec::new();
         let mut r_sum = Scalar::ZERO;
@@ -548,7 +519,7 @@ mod tests {
             r_sum += r;
             row.push(encrypt_with(&pk, &Scalar::from_u64(u64::from(j == 2)), &r));
         }
-        let (first, secrets) = sum_prove(&pk, &r_sum, &mut rng);
+        let (first, secrets) = sum_prove(&prepared, &r_sum, &mut rng);
         let c = challenge_from_coins(b"ctx", &[false, true]);
         let z = secrets.respond(&c);
         assert!(sum_verify(&pk, &row, &first, &c, &z));
@@ -559,29 +530,28 @@ mod tests {
         assert!(!sum_verify(&pk, &bad_row, &first, &c, &z));
     }
 
+    /// The witness-based prover on the prepared tables is the plain
+    /// textbook prover: same first moves, same coefficients, for the same
+    /// RNG stream, whichever branch is real.
     #[test]
     fn prepared_prove_matches_plain() {
-        let (mut rng_a, pk) = setup(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let (_, _pk2) = crate::elgamal::keygen(&mut rng_b); // align streams
-        let prepared = PreparedKey::new(&pk);
-        let r = Scalar::random(&mut rng_a);
-        let r2 = Scalar::random(&mut rng_b);
-        assert_eq!(r, r2);
-        let ct = encrypt_with(&pk, &Scalar::ONE, &r);
-        let (first_a, secrets_a) = or_prove(&pk, &ct, 1, &r, &mut rng_a);
-        let (first_b, secrets_b) = or_prove_with(&prepared, &ct, 1, &r, &mut rng_b);
-        assert_eq!(first_a, first_b);
-        assert_eq!(secrets_a.coefficients(), secrets_b.coefficients());
-        let (sf_a, ss_a) = sum_prove(&pk, &r, &mut rng_a);
-        let (sf_b, ss_b) = sum_prove_with(&prepared, &r, &mut rng_b);
-        assert_eq!(sf_a, sf_b);
-        assert_eq!(ss_a.coefficients(), ss_b.coefficients());
+        let (mut rng_a, pk, prepared) = setup(11);
+        for bit in [0u8, 1] {
+            let r = Scalar::random(&mut rng_a);
+            let ct = encrypt_with(&pk, &Scalar::from_u64(u64::from(bit)), &r);
+            let mut rng_b = rng_a.clone();
+            let (first_a, coeffs_a) = or_prove_textbook(&pk, &ct, bit, &r, &mut rng_a);
+            let (first_b, secrets_b) = or_prove(&prepared, bit, &r, &mut rng_b);
+            assert_eq!(first_a, first_b, "bit {bit}");
+            assert_eq!(coeffs_a, secrets_b.coefficients(), "bit {bit}");
+            // Both consumed the same stream.
+            assert_eq!(Scalar::random(&mut rng_a), Scalar::random(&mut rng_b));
+        }
     }
 
     #[test]
     fn batch_cp_accepts_valid_and_rejects_tampered() {
-        let (mut rng, pk) = setup(12);
+        let (mut rng, pk, prepared) = setup(12);
         let c = challenge_from_coins(b"batch", &[true, false, true]);
         let mut instances = Vec::new();
         let mut row = Vec::new();
@@ -592,7 +562,7 @@ mod tests {
             r_sum += r;
             let ct = encrypt_with(&pk, &Scalar::from_u64(u64::from(bit)), &r);
             row.push(ct);
-            let (first, secrets) = or_prove(&pk, &ct, bit, &r, &mut rng);
+            let (first, secrets) = or_prove(&prepared, bit, &r, &mut rng);
             let resp = secrets.respond(&c);
             instances.extend(or_instances(&ct, &first, &resp, &c).expect("c0+c1 == c"));
             // Challenge-split mismatch is caught before batching.
@@ -604,7 +574,7 @@ mod tests {
         // single-entry row here.
         let r1 = Scalar::random(&mut rng);
         let one_row = [encrypt_with(&pk, &Scalar::ONE, &r1)];
-        let (sfirst, ssecrets) = sum_prove(&pk, &r1, &mut rng);
+        let (sfirst, ssecrets) = sum_prove(&prepared, &r1, &mut rng);
         let sz = ssecrets.respond(&c);
         assert!(sum_verify(&pk, &one_row, &sfirst, &c, &sz));
         instances.push(sum_instance(&one_row, &sfirst, &c, &sz));
@@ -653,9 +623,15 @@ mod tests {
                                   coins in proptest::collection::vec(any::<bool>(), 1..64)) {
             let mut rng = StdRng::seed_from_u64(seed);
             let (_, pk) = keygen(&mut rng);
+            let prepared = PreparedKey::new(&pk);
             let r = Scalar::random(&mut rng);
             let ct = encrypt_with(&pk, &Scalar::from_u64(u64::from(bit)), &r);
-            let (first, secrets) = or_prove(&pk, &ct, bit, &r, &mut rng);
+            let mut oracle_rng = rng.clone();
+            let (first, secrets) = or_prove(&prepared, bit, &r, &mut rng);
+            let (oracle_first, oracle_coeffs) =
+                or_prove_textbook(&pk, &ct, bit, &r, &mut oracle_rng);
+            prop_assert_eq!(first, oracle_first);
+            prop_assert_eq!(secrets.coefficients(), oracle_coeffs);
             let c = challenge_from_coins(b"prop", &coins);
             let resp = secrets.respond(&c);
             prop_assert!(or_verify(&pk, &ct, &first, &resp, &c));

@@ -1,10 +1,17 @@
 //! Election setup: deterministic generation of all initialization data.
+//!
+//! One per-ballot deriver ([`ElectionAuthority::derive`]) serves every
+//! consumer: the whole-election profiles, the slice a TCP replica derives
+//! for its own role, the harness's partial cast range and the virtual
+//! ballot store. A [`SetupProfile`] only selects which of the ballot's
+//! independent PRF streams are walked and which of the results are kept
+//! and signed, so a value is the same in every profile that contains it.
 
 use ddemos_crypto::elgamal::{self, PreparedKey, PublicKey};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::hmac::{Prf, PrfRng};
 use ddemos_crypto::schnorr::{SigningKey, VerifyingKey};
-use ddemos_crypto::shamir;
+use ddemos_crypto::shamir::{self, Polynomial, Share};
 use ddemos_crypto::votecode::{self, MskCommitment, VoteCode, VoteCodeHash};
 use ddemos_crypto::vss::{DealerVss, SignedShare};
 use ddemos_crypto::zkp;
@@ -19,9 +26,11 @@ use ddemos_protocol::params::ElectionParams;
 use ddemos_protocol::{PartId, SerialNo};
 use rand::{Rng, RngCore};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// How much initialization data to materialize.
+/// How much initialization data to materialize: the whole election's, or
+/// the slice one replica role holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SetupProfile {
     /// Only what the vote-collection phase needs (ballots + VC init).
@@ -31,6 +40,31 @@ pub enum SetupProfile {
     VcOnly,
     /// Everything, including BB cryptographic payloads and trustee shares.
     Full,
+    /// What VC node `index` is handed, and nothing else: its own
+    /// [`VcInit`] (its rows, its receipt and `msk` shares — the only ones
+    /// signed) in `vc_inits[0]`, and the consensus beacon. No printed
+    /// ballot, BB payload or trustee material is derived.
+    VcNode(u32),
+    /// What a BB node is handed: [`BbInit`] with every ballot's payload.
+    /// The per-ballot `crypto` stream is walked exactly as under `Full`
+    /// (the commitments and first moves depend on its position), but the
+    /// trustees' shares are not evaluated or kept and their opening
+    /// bundles are not signed.
+    BbNode,
+}
+
+/// What a profile needs of each ballot.
+#[derive(Clone, Debug)]
+struct Slice {
+    /// The printed ballot, for the voter.
+    printed: bool,
+    /// The collectors whose rows and signed receipt shares to deal.
+    vc_nodes: Range<usize>,
+    /// The BB rows: commitments, first moves, encrypted vote codes.
+    board: bool,
+    /// The trustees' share rows and signed opening bundles (needs
+    /// `board`: they are shares of its openings and proof coefficients).
+    trustees: bool,
 }
 
 /// Everything the EA hands out before being destroyed.
@@ -66,12 +100,26 @@ pub struct ElectionAuthority {
     beacon: u64,
 }
 
-/// Per-ballot derived data, before it is split across components.
+/// The printed ballot with its row shuffles.
 struct DerivedBallot {
     ballot: Ballot,
     /// Shuffles per part: `perm[part][shuffled_row] = option_index`.
     perms: [Vec<usize>; 2],
 }
+
+/// One ballot's slice of the initialization data.
+struct BallotBundle {
+    serial: SerialNo,
+    ballot: Option<Ballot>,
+    /// One entry per collector of the slice, in node order.
+    vc: Vec<VcBallot>,
+    bb: Option<BbBallot>,
+    /// One entry per trustee (empty unless the slice has trustees).
+    trustee: Vec<[TrusteePartShares; 2]>,
+}
+
+/// The BB rows of one ballot and each trustee's still unsigned share rows.
+type CommittedRows = ([Vec<BbRow>; 2], Vec<[Vec<TrusteeRowShares>; 2]>);
 
 impl ElectionAuthority {
     /// Creates the EA for an election, deriving all keys from `seed`.
@@ -127,6 +175,24 @@ impl ElectionAuthority {
         self.derive_ballot(serial).ballot
     }
 
+    /// Derives the rows of one ballot (shuffled, with hashed codes and
+    /// EA-signed receipt shares) for the collectors `nodes`, in node
+    /// order. One dealing serves them all, and only their shares are
+    /// signed: `0..num_vc` for every collector, `i..i + 1` for the row a
+    /// virtual store looks up on node `i`.
+    ///
+    /// # Panics
+    /// Panics if `nodes` reaches past the election's `num_vc` collectors.
+    pub fn vc_ballots(&self, serial: SerialNo, nodes: Range<usize>) -> Vec<VcBallot> {
+        let slice = Slice {
+            printed: false,
+            vc_nodes: nodes,
+            board: false,
+            trustees: false,
+        };
+        self.derive(serial, &slice).vc
+    }
+
     fn derive_ballot(&self, serial: SerialNo) -> DerivedBallot {
         let mut rng = PrfRng::new(&self.master.derive_indexed(b"ballot", serial.0), b"lines");
         let m = self.params.num_options;
@@ -160,102 +226,142 @@ impl ElectionAuthority {
         }
     }
 
-    /// Derives the per-VC-node rows for one ballot for **all** nodes at
-    /// once (one dealing shared across nodes — `Nv`× cheaper than calling
-    /// [`ElectionAuthority::vc_ballot`] per node).
-    pub fn vc_ballots_all_nodes(&self, serial: SerialNo) -> Vec<VcBallot> {
+    /// The per-ballot deriver: everything `slice` needs of ballot
+    /// `serial`, and nothing it does not.
+    ///
+    /// Every EA signature of the ballot — a receipt share per row and
+    /// collector, an opening bundle per part and trustee — is made by one
+    /// [`SigningKey::sign_many`] at the end: the stages collect their
+    /// messages in a fixed order and are dealt the signatures back in it.
+    fn derive(&self, serial: SerialNo, slice: &Slice) -> BallotBundle {
         let derived = self.derive_ballot(serial);
-        let mut salt_rng =
-            PrfRng::new(&self.master.derive_indexed(b"vc-salts", serial.0), b"salts");
-        let nv = self.params.num_vc;
-        let k = self.params.vc_quorum();
-        let mut out: Vec<VcBallot> = (0..nv)
+        let eid = &self.params.election_id;
+        let mut messages: Vec<Vec<u8>> = Vec::new();
+
+        // Collector rows: hashed codes, and the receipt of every row
+        // shared (Nv−fv, Nv) — the slice keeps its own nodes' shares.
+        let mut vc_rows: [Vec<(VoteCodeHash, Vec<Share>)>; 2] = [Vec::new(), Vec::new()];
+        if !slice.vc_nodes.is_empty() {
+            let _t = ddemos_obs::scoped_ns("ea.setup_ns", "vc_rows");
+            let mut salt_rng =
+                PrfRng::new(&self.master.derive_indexed(b"vc-salts", serial.0), b"salts");
+            for part in PartId::BOTH {
+                let perm = &derived.perms[part.index()];
+                for (row, &opt) in perm.iter().enumerate() {
+                    let line = &derived.ballot.parts[part.index()].lines[opt];
+                    let salt = salt_rng.next_u64();
+                    let code_hash = VoteCodeHash::commit(&line.vote_code, salt);
+                    let mut share_rng = PrfRng::new(
+                        &self
+                            .master
+                            .derive_indexed(b"receipt-share", serial.0)
+                            .derive_indexed(b"part", part.index() as u64),
+                        &row.to_be_bytes(),
+                    );
+                    let shares = shamir::split(
+                        Scalar::from_u64(line.receipt),
+                        self.params.vc_quorum(),
+                        self.params.num_vc,
+                        &mut share_rng,
+                    )
+                    .expect("valid receipt VSS parameters");
+                    let shares = shares[slice.vc_nodes.clone()].to_vec();
+                    let ctx = receipt_share_context(eid, serial, part, row);
+                    messages.extend(shares.iter().map(|s| DealerVss::share_message(&ctx, s)));
+                    vc_rows[part.index()].push((code_hash, shares));
+                }
+            }
+        }
+
+        let (bb, trustee_rows) = if slice.board {
+            let (bb_parts, trustee_rows) = self.commit_rows(&derived, slice.trustees);
+            (Some(BbBallot { parts: bb_parts }), trustee_rows)
+        } else {
+            (None, Vec::new())
+        };
+
+        let _t = ddemos_obs::scoped_ns("ea.setup_ns", "sign");
+        // Each trustee's opening bundle per part.
+        for (t, parts) in trustee_rows.iter().enumerate() {
+            for (part, rows) in PartId::BOTH.into_iter().zip(parts) {
+                let openings: Vec<Vec<(Scalar, Scalar)>> = rows
+                    .iter()
+                    .map(|row| row.cts.iter().map(|ct| (ct.bit, ct.rand)).collect())
+                    .collect();
+                messages.push(opening_bundle_message(
+                    eid, serial, part, t as u32, &openings,
+                ));
+            }
+        }
+        let mut signatures = self.ea_key.sign_many(&messages).into_iter();
+        let mut next_signature = || signatures.next().expect("one signature per message");
+
+        let mut vc: Vec<VcBallot> = slice
+            .vc_nodes
+            .clone()
             .map(|_| VcBallot {
                 parts: [Vec::new(), Vec::new()],
             })
             .collect();
-        for part in PartId::BOTH {
-            let perm = &derived.perms[part.index()];
-            for (row, &opt) in perm.iter().enumerate() {
-                let line = &derived.ballot.parts[part.index()].lines[opt];
-                let salt = salt_rng.next_u64();
-                let code_hash = VoteCodeHash::commit(&line.vote_code, salt);
-                let mut share_rng = PrfRng::new(
-                    &self
-                        .master
-                        .derive_indexed(b"receipt-share", serial.0)
-                        .derive_indexed(b"part", part.index() as u64),
-                    &row.to_be_bytes(),
-                );
-                let ctx = receipt_share_context(&self.params.election_id, serial, part, row);
-                let shares = DealerVss::deal(
-                    &self.ea_key,
-                    &ctx,
-                    Scalar::from_u64(line.receipt),
-                    k,
-                    nv,
-                    &mut share_rng,
-                )
-                .expect("valid receipt VSS parameters");
-                for (node, ballot) in out.iter_mut().enumerate() {
-                    ballot.parts[part.index()].push(VcRow {
+        for (part, rows) in vc_rows.into_iter().enumerate() {
+            for (code_hash, shares) in rows {
+                for (ballot, share) in vc.iter_mut().zip(shares) {
+                    ballot.parts[part].push(VcRow {
                         code_hash,
-                        receipt_share: shares[node],
+                        receipt_share: SignedShare {
+                            share,
+                            signature: next_signature(),
+                        },
                     });
                 }
             }
         }
-        out
-    }
-
-    /// Derives the per-VC-node rows for one ballot (shuffled, with hashed
-    /// codes and EA-signed receipt shares). `node` is the VC index.
-    pub fn vc_ballot(&self, serial: SerialNo, node: u32) -> VcBallot {
-        let derived = self.derive_ballot(serial);
-        let mut salt_rng =
-            PrfRng::new(&self.master.derive_indexed(b"vc-salts", serial.0), b"salts");
-        let nv = self.params.num_vc;
-        let k = self.params.vc_quorum();
-        let mut parts: [Vec<VcRow>; 2] = [Vec::new(), Vec::new()];
-        for part in PartId::BOTH {
-            let perm = &derived.perms[part.index()];
-            for (row, &opt) in perm.iter().enumerate() {
-                let line = &derived.ballot.parts[part.index()].lines[opt];
-                let salt = salt_rng.next_u64();
-                let code_hash = VoteCodeHash::commit(&line.vote_code, salt);
-                // Receipt shared (Nv−fv, Nv), each share EA-signed.
-                let mut share_rng = PrfRng::new(
-                    &self
-                        .master
-                        .derive_indexed(b"receipt-share", serial.0)
-                        .derive_indexed(b"part", part.index() as u64),
-                    &row.to_be_bytes(),
-                );
-                let ctx = receipt_share_context(&self.params.election_id, serial, part, row);
-                let shares = DealerVss::deal(
-                    &self.ea_key,
-                    &ctx,
-                    Scalar::from_u64(line.receipt),
-                    k,
-                    nv,
-                    &mut share_rng,
-                )
-                .expect("valid receipt VSS parameters");
-                parts[part.index()].push(VcRow {
-                    code_hash,
-                    receipt_share: shares[node as usize],
-                });
-            }
+        let trustee = trustee_rows
+            .into_iter()
+            .map(|parts| {
+                parts.map(|rows| TrusteePartShares {
+                    rows,
+                    opening_sig: next_signature(),
+                })
+            })
+            .collect();
+        BallotBundle {
+            serial,
+            ballot: slice.printed.then_some(derived.ballot),
+            vc,
+            bb,
+            trustee,
         }
-        VcBallot { parts }
     }
 
-    /// Derives the BB rows and trustee shares for one ballot.
-    fn crypto_ballot(&self, serial: SerialNo) -> (BbBallot, Vec<[TrusteePartShares; 2]>) {
-        let derived = self.derive_ballot(serial);
+    /// One `(h_t, N_t)` sharing drawn from `rng`: the trustees' values in
+    /// index order, or — when nobody is handed them — nothing, with the
+    /// polynomial still drawn so the stream stays in step.
+    fn trustee_shares(&self, secret: Scalar, keep: bool, rng: &mut PrfRng) -> Vec<Scalar> {
+        let poly = Polynomial::random(secret, self.params.trustee_threshold, rng)
+            .expect("trustee sharing parameters");
+        if !keep {
+            return Vec::new();
+        }
+        poly.shares(self.params.num_trustees)
+            .into_iter()
+            .map(|share| share.value)
+            .collect()
+    }
+
+    /// The BB rows of one ballot — per shuffled row the commitment to the
+    /// unit vector `e_opt`, its OR and sum first moves, the encrypted vote
+    /// code — and, when `trustees` is set, every trustee's shares of the
+    /// openings and of the proofs' affine response coefficients.
+    fn commit_rows(&self, derived: &DerivedBallot, trustees: bool) -> CommittedRows {
         let m = self.params.num_options;
-        let nt = self.params.num_trustees;
-        let ht = self.params.trustee_threshold;
+        let nt = if trustees {
+            self.params.num_trustees
+        } else {
+            0
+        };
+        let pk = &self.prepared_pk;
+        let serial = derived.ballot.serial;
         let mut rng = PrfRng::new(&self.master.derive_indexed(b"crypto", serial.0), b"zk");
         let mut bb_parts: [Vec<BbRow>; 2] = [Vec::new(), Vec::new()];
         // trustee_rows[t][part] accumulates rows for trustee t.
@@ -265,8 +371,6 @@ impl ElectionAuthority {
             let perm = &derived.perms[part.index()];
             for &opt in perm.iter() {
                 let line = &derived.ballot.parts[part.index()].lines[opt];
-                // Commitment row: m lifted-ElGamal ciphertexts encrypting
-                // the unit vector e_opt.
                 let mut cts = Vec::with_capacity(m);
                 let mut or_first = Vec::with_capacity(m);
                 let mut r_sum = Scalar::ZERO;
@@ -275,49 +379,44 @@ impl ElectionAuthority {
                     (0..nt).map(|_| Vec::with_capacity(m)).collect();
                 for j in 0..m {
                     let bit = u8::from(j == opt);
+                    let bit_scalar = Scalar::from_u64(u64::from(bit));
+                    let commit = ddemos_obs::scoped_ns("ea.setup_ns", "commit_prove");
                     let r = Scalar::random(&mut rng);
                     r_sum += r;
-                    let ct = self
-                        .prepared_pk
-                        .encrypt_with(&Scalar::from_u64(u64::from(bit)), &r);
-                    let (first, secrets) =
-                        zkp::or_prove_with(&self.prepared_pk, &ct, bit, &r, &mut rng);
+                    cts.push(pk.encrypt_with(&bit_scalar, &r));
+                    let (first, secrets) = zkp::or_prove(pk, bit, &r, &mut rng);
+                    or_first.push(first);
+                    drop(commit);
                     // Share the opening (bit, r) and the 8 affine ZK
-                    // coefficients (h_t, N_t).
-                    let bit_shares =
-                        shamir::split(Scalar::from_u64(u64::from(bit)), ht, nt, &mut rng)
-                            .expect("trustee sharing parameters");
-                    let rand_shares = shamir::split(r, ht, nt, &mut rng).expect("params");
-                    let coeffs = secrets.coefficients();
-                    let mut coeff_shares: Vec<Vec<shamir::Share>> = Vec::with_capacity(8);
-                    for c in coeffs.iter() {
-                        coeff_shares.push(shamir::split(*c, ht, nt, &mut rng).expect("params"));
-                    }
+                    // coefficients (h_t, N_t), in that order.
+                    let _t = ddemos_obs::scoped_ns("ea.setup_ns", "share");
+                    let shared: Vec<Vec<Scalar>> = [bit_scalar, r]
+                        .into_iter()
+                        .chain(secrets.coefficients())
+                        .map(|secret| self.trustee_shares(secret, trustees, &mut rng))
+                        .collect();
                     for (t, acc) in trustee_cts.iter_mut().enumerate() {
-                        let mut or_coeffs = [Scalar::ZERO; 8];
-                        for (ci, shares) in coeff_shares.iter().enumerate() {
-                            or_coeffs[ci] = shares[t].value;
-                        }
                         acc.push(TrusteeCtShares {
-                            bit: bit_shares[t].value,
-                            rand: rand_shares[t].value,
-                            or_coeffs,
+                            bit: shared[0][t],
+                            rand: shared[1][t],
+                            or_coeffs: std::array::from_fn(|c| shared[2 + c][t]),
                         });
                     }
-                    cts.push(ct);
-                    or_first.push(first);
                 }
-                let (sum_first, sum_secrets) =
-                    zkp::sum_prove_with(&self.prepared_pk, &r_sum, &mut rng);
-                let sum_coeffs = sum_secrets.coefficients();
-                let gamma_shares = shamir::split(sum_coeffs[0], ht, nt, &mut rng).expect("params");
-                let delta_shares = shamir::split(sum_coeffs[1], ht, nt, &mut rng).expect("params");
+                let commit = ddemos_obs::scoped_ns("ea.setup_ns", "commit_prove");
+                let (sum_first, sum_secrets) = zkp::sum_prove(pk, &r_sum, &mut rng);
+                drop(commit);
+                let share = ddemos_obs::scoped_ns("ea.setup_ns", "share");
+                let [gamma, delta] = sum_secrets
+                    .coefficients()
+                    .map(|secret| self.trustee_shares(secret, trustees, &mut rng));
                 for (t, acc) in trustee_cts.into_iter().enumerate() {
                     trustee_rows[t][part.index()].push(TrusteeRowShares {
                         cts: acc,
-                        sum_coeffs: [gamma_shares[t].value, delta_shares[t].value],
+                        sum_coeffs: [gamma[t], delta[t]],
                     });
                 }
+                drop(share);
                 // Encrypted vote code for the BB.
                 let mut iv = [0u8; 16];
                 rng.fill_bytes(&mut iv);
@@ -330,71 +429,65 @@ impl ElectionAuthority {
                 });
             }
         }
-        // Sign each trustee's opening bundle per part.
-        let trustee_parts: Vec<[TrusteePartShares; 2]> = trustee_rows
-            .into_iter()
-            .enumerate()
-            .map(|(t, parts)| {
-                let mut out: Vec<TrusteePartShares> = Vec::with_capacity(2);
-                for (pi, rows) in parts.into_iter().enumerate() {
-                    let part = PartId::from_index(pi);
-                    let openings: Vec<Vec<(Scalar, Scalar)>> = rows
-                        .iter()
-                        .map(|row| row.cts.iter().map(|ct| (ct.bit, ct.rand)).collect())
-                        .collect();
-                    let msg = opening_bundle_message(
-                        &self.params.election_id,
-                        serial,
-                        part,
-                        t as u32,
-                        &openings,
-                    );
-                    out.push(TrusteePartShares {
-                        rows,
-                        opening_sig: self.ea_key.sign(&msg),
-                    });
-                }
-                [out.remove(0), out.remove(0)]
-            })
-            .collect();
-        (BbBallot { parts: bb_parts }, trustee_parts)
+        (bb_parts, trustee_rows)
     }
 
-    fn msk_shares(&self) -> Vec<SignedShare> {
+    /// The `msk` shares of the collectors `nodes`, EA-signed.
+    fn msk_shares(&self, nodes: Range<usize>) -> Vec<SignedShare> {
         // msk embeds in a scalar (128 bits < group order).
         let msk_scalar = Scalar::from_u128(u128::from_be_bytes(self.msk));
         let mut rng = PrfRng::new(&self.master, b"msk-shares");
-        DealerVss::deal(
-            &self.ea_key,
-            &msk_share_context(&self.params.election_id),
+        let shares = shamir::split(
             msk_scalar,
             self.params.vc_quorum(),
             self.params.num_vc,
             &mut rng,
         )
-        .expect("msk sharing parameters")
+        .expect("msk sharing parameters");
+        DealerVss::sign(
+            &self.ea_key,
+            &msk_share_context(&self.params.election_id),
+            &shares[nodes],
+        )
     }
 
-    /// Produces initialization data with **empty ballot maps** — keys and
-    /// `msk` shares only. Benchmarks wire nodes to virtual or
-    /// externally-built [stores](ddemos_protocol::initdata::VcInit) and
-    /// would otherwise duplicate every ballot in the init structures.
-    pub fn setup_keys_only(&self) -> SetupOutput {
+    /// Keys, `msk` shares and empty ballot maps: the initialization data
+    /// of the collectors `nodes`, of the BB, and (`trustees`) of every
+    /// trustee, before any ballot is dealt into them.
+    fn keys_only(&self, nodes: Range<usize>, trustees: bool) -> SetupOutput {
         let vc_vks: Vec<VerifyingKey> = self.vc_keys.iter().map(|k| k.verifying_key()).collect();
         let trustee_vks: Vec<VerifyingKey> = self
             .trustee_keys
             .iter()
             .map(|k| k.verifying_key())
             .collect();
-        let msk_shares = self.msk_shares();
-        let vc_inits: Vec<VcInit> = (0..self.params.num_vc)
-            .map(|i| VcInit {
+        let vc_inits: Vec<VcInit> = nodes
+            .clone()
+            .zip(self.msk_shares(nodes))
+            .map(|(i, msk_share)| VcInit {
                 params: self.params.clone(),
                 node_index: i as u32,
                 signing_key: self.vc_keys[i],
                 vc_keys: vc_vks.clone(),
                 ea_key: self.ea_key.verifying_key(),
-                msk_share: msk_shares[i],
+                msk_share,
+                ballots: BTreeMap::new(),
+            })
+            .collect();
+        let trustee_keys = if trustees {
+            self.trustee_keys.as_slice()
+        } else {
+            &[]
+        };
+        let trustee_inits: Vec<TrusteeInit> = trustee_keys
+            .iter()
+            .enumerate()
+            .map(|(t, key)| TrusteeInit {
+                params: self.params.clone(),
+                index: t as u32,
+                signing_key: *key,
+                ea_key: self.ea_key.verifying_key(),
+                elgamal_pk: self.elgamal_pk,
                 ballots: BTreeMap::new(),
             })
             .collect();
@@ -411,9 +504,17 @@ impl ElectionAuthority {
                 trustee_keys: trustee_vks,
                 ballots: Arc::new(BTreeMap::new()),
             },
-            trustee_inits: Vec::new(),
+            trustee_inits,
             consensus_beacon: self.beacon,
         }
+    }
+
+    /// Produces initialization data with **empty ballot maps** — keys and
+    /// `msk` shares only. Benchmarks wire nodes to virtual or
+    /// externally-built [stores](ddemos_protocol::initdata::VcInit) and
+    /// would otherwise duplicate every ballot in the init structures.
+    pub fn setup_keys_only(&self) -> SetupOutput {
+        self.keys_only(0..self.params.num_vc, false)
     }
 
     /// Runs setup, materializing all initialization data, on the default
@@ -427,113 +528,48 @@ impl ElectionAuthority {
     /// Ballot-level derivation is deterministic per serial and the pool
     /// preserves input order, so the output is byte-identical across
     /// thread counts.
+    ///
+    /// # Panics
+    /// Panics if `profile` names a collector the election does not have.
     pub fn setup_with(&self, profile: SetupProfile, pool: &Pool) -> SetupOutput {
-        let n = self.params.num_ballots;
         let nv = self.params.num_vc;
-        let nt = self.params.num_trustees;
-        let serials: Vec<SerialNo> = (0..n).map(SerialNo).collect();
+        // The two whole-election profiles also hand out the printed
+        // ballots and every trustee's keys; a replica's slice has neither.
+        let whole = matches!(profile, SetupProfile::VcOnly | SetupProfile::Full);
+        let slice = Slice {
+            printed: whole,
+            vc_nodes: match profile {
+                SetupProfile::VcOnly | SetupProfile::Full => 0..nv,
+                SetupProfile::VcNode(index) => {
+                    assert!((index as usize) < nv, "no VC node {index} in this election");
+                    index as usize..index as usize + 1
+                }
+                SetupProfile::BbNode => 0..0,
+            },
+            board: matches!(profile, SetupProfile::Full | SetupProfile::BbNode),
+            trustees: profile == SetupProfile::Full,
+        };
+        let serials: Vec<SerialNo> = (0..self.params.num_ballots).map(SerialNo).collect();
+        let bundles: Vec<BallotBundle> = pool.map(&serials, |&serial| self.derive(serial, &slice));
 
-        struct BallotBundle {
-            serial: SerialNo,
-            ballot: Ballot,
-            vc: Vec<VcBallot>,
-            bb: Option<BbBallot>,
-            trustee: Option<Vec<[TrusteePartShares; 2]>>,
-        }
-        let bundles: Vec<BallotBundle> = pool.map(&serials, |&serial| {
-            let ballot = self.derive_ballot(serial).ballot;
-            let vc: Vec<VcBallot> = if nv > 0 {
-                self.vc_ballots_all_nodes(serial)
-            } else {
-                Vec::new()
-            };
-            let (bb, trustee) = if profile == SetupProfile::Full {
-                let (bb, tr) = self.crypto_ballot(serial);
-                (Some(bb), Some(tr))
-            } else {
-                (None, None)
-            };
-            BallotBundle {
-                serial,
-                ballot,
-                vc,
-                bb,
-                trustee,
-            }
-        });
-
-        let vc_vks: Vec<VerifyingKey> = self.vc_keys.iter().map(|k| k.verifying_key()).collect();
-        let trustee_vks: Vec<VerifyingKey> = self
-            .trustee_keys
-            .iter()
-            .map(|k| k.verifying_key())
-            .collect();
-        let msk_shares = self.msk_shares();
-
-        let mut ballots = Vec::with_capacity(bundles.len());
-        let mut vc_ballot_maps: Vec<BTreeMap<SerialNo, VcBallot>> =
-            (0..nv).map(|_| BTreeMap::new()).collect();
+        let mut out = self.keys_only(slice.vc_nodes.clone(), whole);
         let mut bb_ballots: BTreeMap<SerialNo, BbBallot> = BTreeMap::new();
-        let mut trustee_maps: Vec<BTreeMap<SerialNo, TrusteeBallotShares>> =
-            (0..nt).map(|_| BTreeMap::new()).collect();
         for bundle in bundles {
-            ballots.push(bundle.ballot);
-            for (i, vcb) in bundle.vc.into_iter().enumerate() {
-                vc_ballot_maps[i].insert(bundle.serial, vcb);
+            out.ballots.extend(bundle.ballot);
+            for (init, vcb) in out.vc_inits.iter_mut().zip(bundle.vc) {
+                init.ballots.insert(bundle.serial, vcb);
             }
             if let Some(bb) = bundle.bb {
                 bb_ballots.insert(bundle.serial, bb);
             }
-            if let Some(trustee) = bundle.trustee {
-                for (t, parts) in trustee.into_iter().enumerate() {
-                    trustee_maps[t].insert(bundle.serial, TrusteeBallotShares { parts });
-                }
+            for (init, parts) in out.trustee_inits.iter_mut().zip(bundle.trustee) {
+                init.ballots
+                    .insert(bundle.serial, TrusteeBallotShares { parts });
             }
         }
-        ballots.sort_by_key(|b| b.serial);
-
-        let vc_inits: Vec<VcInit> = vc_ballot_maps
-            .into_iter()
-            .enumerate()
-            .map(|(i, map)| VcInit {
-                params: self.params.clone(),
-                node_index: i as u32,
-                signing_key: self.vc_keys[i],
-                vc_keys: vc_vks.clone(),
-                ea_key: self.ea_key.verifying_key(),
-                msk_share: msk_shares[i],
-                ballots: map,
-            })
-            .collect();
-        let bb_init = BbInit {
-            params: self.params.clone(),
-            msk_commitment: MskCommitment::commit(&self.msk, self.msk_salt),
-            elgamal_pk: self.elgamal_pk,
-            ea_key: self.ea_key.verifying_key(),
-            vc_keys: vc_vks,
-            trustee_keys: trustee_vks,
-            ballots: Arc::new(bb_ballots),
-        };
-        let trustee_inits: Vec<TrusteeInit> = trustee_maps
-            .into_iter()
-            .enumerate()
-            .map(|(t, map)| TrusteeInit {
-                params: self.params.clone(),
-                index: t as u32,
-                signing_key: self.trustee_keys[t],
-                ea_key: self.ea_key.verifying_key(),
-                elgamal_pk: self.elgamal_pk,
-                ballots: map,
-            })
-            .collect();
-        SetupOutput {
-            params: self.params.clone(),
-            ballots,
-            vc_inits,
-            bb_init,
-            trustee_inits,
-            consensus_beacon: self.beacon,
-        }
+        out.ballots.sort_by_key(|b| b.serial);
+        out.bb_init.ballots = Arc::new(bb_ballots);
+        out
     }
 }
 

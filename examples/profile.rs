@@ -27,7 +27,8 @@
 //!   vs on must differ by less than PCT percent (with a small absolute
 //!   floor for timer noise). Exits non-zero past the gate; CI runs this
 //!   at 5%. The gate then profiles one more election and fails if any
-//!   `bb.publish_ns` stage timer (interpolate / openings / zk / tally)
+//!   `bb.publish_ns` stage timer (interpolate / openings / zk / tally) or
+//!   `ea.setup_ns` stage timer (vc_rows / commit_prove / share / sign)
 //!   recorded nothing, or if the collectors spent more than
 //!   [`MAX_FRESH_SIG_CHECKS_PER_CAST`] group-math signature
 //!   verifications a cast (`vc.sig_checks`, label `fresh`) — a count,
@@ -39,6 +40,30 @@ use std::time::{Duration, Instant};
 
 /// The `bb.publish_ns` labels `BbCore::try_publish_result` times.
 const PUBLISH_STAGES: [&str; 4] = ["interpolate", "openings", "zk", "tally"];
+
+/// The `ea.setup_ns` labels the EA's per-ballot deriver times.
+const SETUP_STAGES: [&str; 4] = ["vc_rows", "commit_prove", "share", "sign"];
+
+/// Prints the stage split of one scoped-timer family and reports whether
+/// every stage recorded something (a stage that reads zero in a profiled
+/// election is a dead signal).
+fn stage_ledger(report: &ElectionReport, name: &str, stages: &[&str]) -> bool {
+    let mut live = true;
+    for stage in stages {
+        let key = ddemos_obs::metric_key(name, "", stage);
+        let (count, total_ns) = report
+            .metrics
+            .hists
+            .get(&key)
+            .map_or((0, 0), |h| (h.count(), h.total_ns()));
+        println!("{name} {stage}: {count} samples, {total_ns} ns");
+        if count == 0 || total_ns == 0 {
+            eprintln!("dead signal: {key} recorded nothing in a profiled election");
+            live = false;
+        }
+    }
+    live
+}
 
 /// Group-math signature verifications the four collectors of the profile
 /// election may spend on one cast: at the responder the two peer
@@ -252,22 +277,14 @@ fn main() {
             eprintln!("overhead gate FAILED: {overhead:.2}% > {pct}%");
             std::process::exit(1);
         }
-        // Dead-signal check: the stage split of result publication (the
-        // largest row of every election) must not read zero when the
-        // profiling hook is on.
+        // Dead-signal check: the stage splits of result publication (the
+        // largest row of every election) and of EA set-up (the first) must
+        // not read zero when the profiling hook is on.
         let (report, _) = run(seed, ballots, true, true);
-        for stage in PUBLISH_STAGES {
-            let key = ddemos_obs::metric_key("bb.publish_ns", "", stage);
-            let (count, total_ns) = report
-                .metrics
-                .hists
-                .get(&key)
-                .map_or((0, 0), |h| (h.count(), h.total_ns()));
-            println!("publish stage {stage}: {count} samples, {total_ns} ns");
-            if count == 0 || total_ns == 0 {
-                eprintln!("dead signal: {key} recorded nothing in a profiled election");
-                std::process::exit(1);
-            }
+        let publish_live = stage_ledger(&report, "bb.publish_ns", &PUBLISH_STAGES);
+        let setup_live = stage_ledger(&report, "ea.setup_ns", &SETUP_STAGES);
+        if !(publish_live && setup_live) {
+            std::process::exit(1);
         }
         // Work gate: each distinct signature of the cast path is verified
         // once, and only while the ballot's state machine can use it.
@@ -296,6 +313,10 @@ fn main() {
         report.timings.publish_result
     );
     print!("{}", report.metrics.profile_table("vc.step_ns", top));
+    if wall {
+        println!();
+        stage_ledger(&report, "ea.setup_ns", &SETUP_STAGES);
+    }
 
     if let Some(path) = json {
         let ev = run_evloop(seed);

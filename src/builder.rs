@@ -445,13 +445,6 @@ impl ElectionBuilder {
         self
     }
 
-    /// Sets the setup profile explicitly (see [`ElectionBuilder::vc_only`]).
-    #[must_use]
-    pub fn setup_profile(mut self, profile: SetupProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Makes one VC node Byzantine.
     #[must_use]
     pub fn adversary(mut self, node: NodeId, behavior: VcBehavior) -> Self {
@@ -600,6 +593,16 @@ impl ElectionBuilder {
             Some(n) => Pool::new(n),
             None => Pool::from_env(),
         };
+        // A profiling run times the crypto layers through the
+        // process-global hook; installed before set-up so the EA's
+        // per-ballot stages (`ea.setup_ns`) land in the same ledger.
+        let global_recorder = if self.profiling {
+            let hook = Recorder::wall();
+            ddemos_obs::install_global(hook.clone());
+            Some(hook)
+        } else {
+            None
+        };
         // lint:allow(wall-clock, wall-clock setup timing reported to the operator; never reaches a core)
         let setup_started = std::time::Instant::now();
         let ea = ElectionAuthority::new(self.params.clone(), self.seed);
@@ -692,8 +695,8 @@ impl ElectionBuilder {
         // snapshots in this same fixed order. Default metrics charge
         // time on the election clock — deterministic virtual nanoseconds
         // under virtual_time(). Profiling overrides the source with real
-        // monotonic time and additionally installs the process-global
-        // crypto hook.
+        // monotonic time (its process-global crypto hook is already
+        // installed, above).
         let metrics_domain = if self.virtual_time {
             TimeDomain::Virtual
         } else {
@@ -710,13 +713,6 @@ impl ElectionBuilder {
         };
         let vc_recorders: Vec<Recorder> = (0..num_vc).map(|_| new_recorder()).collect();
         let bb_recorders: Vec<Recorder> = (0..self.params.num_bb).map(|_| new_recorder()).collect();
-        let global_recorder = if self.profiling {
-            let hook = Recorder::wall();
-            ddemos_obs::install_global(hook.clone());
-            Some(hook)
-        } else {
-            None
-        };
 
         let storage_err = |e: StorageError| BuildError::Storage(e.to_string());
         let journal_config = self.journal_config;
@@ -1042,12 +1038,7 @@ fn derive_cast_range(
     let serials: Vec<u64> = (0..k).collect();
     pool.map(&serials, |&s| {
         let serial = SerialNo(s);
-        let rows = if num_vc > 0 {
-            ea.vc_ballots_all_nodes(serial)
-        } else {
-            Vec::new()
-        };
-        (ea.voter_ballot(serial), rows)
+        (ea.voter_ballot(serial), ea.vc_ballots(serial, 0..num_vc))
     })
 }
 
@@ -1058,5 +1049,6 @@ fn virtual_store(
     node: u32,
     n: u64,
 ) -> FnStore<impl Fn(SerialNo) -> Option<ddemos_protocol::initdata::VcBallot> + Send + Sync> {
-    FnStore::new(n, move |serial| Some(ea.vc_ballot(serial, node)))
+    let node = node as usize;
+    FnStore::new(n, move |serial| ea.vc_ballots(serial, node..node + 1).pop())
 }

@@ -25,8 +25,9 @@
 //! ordering. All connections sharing a ballot cast the *same* vote
 //! code (option 0), keeping every re-cast on the idempotent path.
 
-use crate::tcp::{derive_setup, process_nonce_seed, TcpCluster};
+use crate::tcp::{process_nonce_seed, TcpCluster};
 use ddemos_crypto::votecode::VoteCode;
+use ddemos_ea::ElectionAuthority;
 use ddemos_net::evloop::{ConnId, EvConfig, EvEvent, EvLoop, EvStats};
 use ddemos_net::sys::raise_nofile_limit;
 use ddemos_protocol::messages::{Envelope, Msg, VoteOutcome};
@@ -252,8 +253,9 @@ struct ConnState {
 
 /// Runs one load shard to completion: ramp, warm-up, measure.
 ///
-/// The shard derives the ballot material itself — EA setup is a pure
-/// function of `(params, seed)`, so voters, replicas, and the load
+/// The shard derives the printed ballots it casts itself
+/// ([`ElectionAuthority::voter_ballot`], microseconds each) — EA setup is
+/// a pure function of `(params, seed)`, so voters, replicas, and the load
 /// generator all agree on serials, vote codes, and receipts without any
 /// side channel.
 ///
@@ -266,7 +268,7 @@ pub fn run_load_shard(
     cfg: &ShardConfig,
 ) -> io::Result<ShardReport> {
     let _ = raise_nofile_limit();
-    let setup = derive_setup(params, seed);
+    let ea = ElectionAuthority::new(params.clone(), seed);
     let num_vc = params.num_vc;
     let per_vc = (params.num_ballots as usize / num_vc).max(1);
 
@@ -289,7 +291,7 @@ pub fn run_load_shard(
         // Stay inside this VC's partition; connections beyond the
         // partition size share ballots (and therefore vote codes).
         let ballot_index = (global / num_vc % per_vc) * num_vc + vc_index as usize;
-        let ballot = &setup.ballots[ballot_index % setup.ballots.len()];
+        let ballot = ea.voter_ballot(SerialNo(ballot_index as u64 % params.num_ballots));
         let line = ballot
             .part(PartId::A)
             .line_for_option(0)

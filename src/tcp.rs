@@ -1,12 +1,10 @@
 //! Multi-process elections over TCP sockets.
 //!
 //! The paper's prototype runs every VC and BB replica as its own
-//! networked process (§V). This module is that deployment shape for the
+//! networked process (§V). This module is that process topology for the
 //! reproduction: a [`TcpCluster`] names the listen address of every
 //! replica plus the election coordinator, [`run_vc_replica`] /
-//! [`run_bb_replica`] are the blocking replica mains (each derives its
-//! own initialization data from the shared `(params, seed)` — EA setup is
-//! deterministic, standing in for the paper's out-of-band dealing), and
+//! [`run_bb_replica`] are the blocking replica mains, and
 //! `ElectionBuilder::network(Network::Tcp(cluster))` builds an
 //! [`crate::Election`] whose phase handles drive the remote cluster:
 //! voters cast over sockets, `close()` collects `Msg::Finalized`
@@ -18,12 +16,41 @@
 //! the same-seed TCP and in-process runs produce identical tallies,
 //! receipts, and audit verdicts (`examples/tcp_cluster.rs` asserts
 //! exactly that across OS processes).
+//!
+//! # Initialization data: what the seed stands in for
+//!
+//! In the paper the EA deals each component its initialization data over
+//! an out-of-band channel and is destroyed (§III-D). Here every process
+//! is started with the shared `(params, seed)` and derives *its own
+//! slice* of the deterministic set-up ([`SetupProfile`]): a VC replica
+//! its node's `VcInit` and the consensus beacon
+//! ([`SetupProfile::VcNode`]), a BB replica `BbInit`
+//! ([`SetupProfile::BbNode`]), the coordinator — which also plays the
+//! voters, the trustees and the auditor — the whole set-up, a load shard
+//! the printed ballots it casts. A slice equals that slice of the whole
+//! set-up byte for byte (`crates/ea/tests/golden.rs`).
+//!
+//! What this models: what each role **holds and computes** while it runs.
+//! A collector process never derives or holds a printed ballot (vote code
+//! ↔ option), a trustee's opening shares or the BB payload; a BB replica
+//! holds no collector's receipt shares, no printed ballot and no trustee
+//! share; no replica makes a signature over an object it is not handed.
+//! Memory and start-up time are a replica's own.
+//!
+//! What it does not model: the **secrecy** of the dealing. The seed is
+//! the EA's master secret, and a process that has it *could* derive any
+//! other role's data — the stand-in replaces the untappable channels of
+//! §III-D, it does not implement them. A deployment hands each process
+//! its slice (the `VcInit`/`BbInit` structures are exactly that hand-out)
+//! and never the seed; nothing downstream of `derive_setup` reads it
+//! except the channel-authentication stand-in
+//! ([`seeded_secret`], likewise a placeholder for distributed keys).
 
 use crate::election::ElectionError;
 use ddemos_bb::{codec as bb_codec, BbApi, BbNode, BbSnapshot, WriteError};
 use ddemos_crypto::schnorr::Signature;
 use ddemos_crypto::vss::SignedShare;
-use ddemos_ea::{ElectionAuthority, SetupProfile};
+use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_net::auth::{seeded_secret, AuthConfig};
 use ddemos_net::evloop::EvConfig;
 use ddemos_net::tcp::{TcpConfig, TcpTransport};
@@ -247,13 +274,14 @@ pub(crate) fn process_nonce_seed(me: NodeId) -> [u8; 32] {
     )
 }
 
-/// Derives the full deterministic setup every process shares. EA setup is
-/// a pure function of `(params, seed)` and independent of the worker
-/// count, so each process dealing its *own* initialization data is
-/// equivalent to the paper's out-of-band distribution.
-pub(crate) fn derive_setup(params: &ElectionParams, seed: u64) -> ddemos_ea::SetupOutput {
-    let pool = Pool::from_env();
-    ElectionAuthority::new(params.clone(), seed).setup_with(SetupProfile::Full, &pool)
+/// Derives one process's slice of the deterministic setup. EA setup is a
+/// pure function of `(params, seed)` and independent of the worker count,
+/// and a role's slice equals that slice of the whole set-up
+/// (`crates/ea/tests/golden.rs`), so each process deriving its *own*
+/// initialization data is equivalent to the paper's out-of-band
+/// distribution of it.
+fn derive_setup(params: &ElectionParams, seed: u64, profile: SetupProfile) -> SetupOutput {
+    ElectionAuthority::new(params.clone(), seed).setup_with(profile, &Pool::from_env())
 }
 
 /// Runs one VC replica to completion: derives its initialization data,
@@ -269,8 +297,14 @@ pub fn run_vc_replica(
     index: u32,
     cluster: &TcpCluster,
 ) -> std::io::Result<()> {
-    let mut setup = derive_setup(params, seed);
-    let mut init = setup.vc_inits.swap_remove(index as usize);
+    // The slice holds this node's `VcInit`, the beacon and public keys:
+    // no printed ballot, BB payload or trustee share is derived, let
+    // alone kept until shutdown.
+    let mut setup = derive_setup(params, seed, SetupProfile::VcNode(index));
+    let mut init = setup
+        .vc_inits
+        .pop()
+        .expect("the VcNode slice holds one VcInit");
     let rows = std::mem::take(&mut init.ballots);
     let store = MemoryStore::new(rows, params.num_ballots);
     let me = NodeId::vc(index);
@@ -336,8 +370,7 @@ pub fn run_bb_replica(
     index: u32,
     cluster: &TcpCluster,
 ) -> std::io::Result<()> {
-    let setup = derive_setup(params, seed);
-    let node = BbNode::new(setup.bb_init);
+    let node = BbNode::new(derive_setup(params, seed, SetupProfile::BbNode).bb_init);
     let me = NodeId::bb(index);
     match cluster.options.driver {
         TcpDriver::Threaded => {
