@@ -954,9 +954,9 @@ fn part_rows<'a>(
 /// Openings or ZK instances per verification batch. One electorate-sized
 /// MSM holds `O(n·m²)` points, scalars and transcript bytes per replica at
 /// once (and the replicas of one process verify concurrently); bounding
-/// the batch bounds that transient. The price is Pippenger's slowly
-/// falling per-term cost: an 8k-term MSM (2048 instances) pays ~15 µs a
-/// term where a 64k-term one pays ~12 (DESIGN.md §12.1).
+/// the batch bounds that transient. The price is the MSM's slowly falling
+/// per-term cost: an 8k-term MSM (2048 instances) pays ~5.7 µs a term
+/// where a 64k-term one pays ~5.0 (DESIGN.md §12.1).
 const VERIFY_BATCH: usize = 2048;
 
 /// Verification items of whole ballot parts, checked one batch at a time:
@@ -1180,5 +1180,46 @@ mod tests {
         }));
         // Nothing pending verifies vacuously.
         assert_eq!(batch.settle(verify), (vec![], vec![]));
+    }
+
+    /// The real verifier at a real size (650 openings in one batch, a
+    /// 1.3k-term MSM): one corrupted opening rejects exactly its part.
+    #[test]
+    fn one_bad_opening_rejects_exactly_its_part() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let (_, pk) = elgamal::keygen(&mut rng);
+        let prepared = elgamal::PreparedKey::new(&pk);
+        let verify =
+            |items: &[(Ciphertext, Scalar, Scalar)]| elgamal::batch_verify_openings(&pk, items);
+        const PARTS: usize = 130;
+        let openings: Vec<(Ciphertext, Scalar, Scalar)> = (0..5 * PARTS as u64)
+            .map(|i| {
+                let (bit, rand) = (Scalar::from_u64(i % 2), Scalar::random(&mut rng));
+                (prepared.encrypt_with(&bit, &rand), bit, rand)
+            })
+            .collect();
+        type Corruption = fn(&mut (Ciphertext, Scalar, Scalar));
+        let corruptions: [Corruption; 2] = [
+            |opening| opening.2 += Scalar::ONE,
+            |opening| opening.0.b += opening.0.a,
+        ];
+        for (bad_part, bad_item) in [(0, 0), (PARTS - 1, 4), (57, 2)] {
+            for corrupt in corruptions {
+                let mut openings = openings.clone();
+                corrupt(&mut openings[5 * bad_part + bad_item]);
+                let mut batch = PartBatch::new(VERIFY_BATCH);
+                for (part, chunk) in openings.chunks(5).enumerate() {
+                    batch.add_part(|items| {
+                        items.extend_from_slice(chunk);
+                        Some(part)
+                    });
+                }
+                assert!(!batch.is_full(), "one batch");
+                let (verified, rejected) = batch.settle(verify);
+                assert_eq!(rejected, vec![bad_part]);
+                assert_eq!(verified.len(), PARTS - 1);
+            }
+        }
     }
 }

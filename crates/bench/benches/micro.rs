@@ -20,8 +20,9 @@ use rand::SeedableRng;
 /// can be tight where an absolute baseline from another machine cannot.
 /// ("A at most 3× B" is B over A with a floor of 1/3.) Runs under
 /// `--test` too (CI's smoke mode); best of nine rounds a side, each
-/// round about five milliseconds of calls, the two sides taking turns so
-/// that a busy spell on a shared host slows both or neither.
+/// round about five milliseconds of calls (one call, for a routine that
+/// takes longer), the two sides taking turns so that a busy spell on a
+/// shared host slows both or neither.
 fn ratio_gate<A, B>(
     what: &str,
     mut numer: impl FnMut() -> A,
@@ -32,7 +33,7 @@ fn ratio_gate<A, B>(
         let t0 = std::time::Instant::now();
         std::hint::black_box(routine());
         let once_ns = t0.elapsed().as_nanos().max(1);
-        (5_000_000 / once_ns).clamp(10, 20_000) as u32
+        (5_000_000 / once_ns).clamp(1, 20_000) as u32
     }
     fn round_ns<O>(routine: &mut impl FnMut() -> O, iters: u32) -> f64 {
         let t0 = std::time::Instant::now();
@@ -77,22 +78,53 @@ fn bench_curve(c: &mut Criterion) {
 /// `BENCH_micro.json` numbers the perf trajectory tracks.
 fn bench_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(9);
-    // MSM: 64 terms, Pippenger vs the naive scalar-mul-and-add loop.
-    let scalars: Vec<Scalar> = (0..64).map(|_| Scalar::random(&mut rng)).collect();
-    let points: Vec<Point> = (0..64)
+    // MSM, Pippenger vs the naive scalar-mul-and-add loop: 64 terms (a
+    // collector's large burst), 512, and 8192 (a `VERIFY_BATCH` of ZK
+    // instances). The larger sums take their points as the batch
+    // verifiers hand them over — normalised for the transcript, as off the
+    // wire.
+    let scalars: Vec<Scalar> = (0..8192).map(|_| Scalar::random(&mut rng)).collect();
+    let points: Vec<Point> = (0..8192)
         .map(|_| Point::mul_generator(&Scalar::random(&mut rng)))
         .collect();
+    let normalised: Vec<Point> = Point::batch_to_bytes(&points)
+        .iter()
+        .map(|bytes| Point::from_bytes(bytes).expect("own encoding"))
+        .collect();
+    let naive = |n: usize| {
+        std::hint::black_box(&scalars[..n])
+            .iter()
+            .zip(&points[..n])
+            .fold(Point::IDENTITY, |acc, (k, p)| acc.add(&p.mul(k)))
+    };
     c.bench_function("kernel/msm 64 (pippenger)", |b| {
-        b.iter(|| Point::msm(std::hint::black_box(&scalars), &points))
+        b.iter(|| Point::msm(std::hint::black_box(&scalars[..64]), &points[..64]))
     });
-    c.bench_function("kernel/msm 64 (naive loop)", |b| {
-        b.iter(|| {
-            std::hint::black_box(&scalars)
-                .iter()
-                .zip(&points)
-                .fold(Point::IDENTITY, |acc, (k, p)| acc.add(&p.mul(k)))
-        })
-    });
+    c.bench_function("kernel/msm 64 (naive loop)", |b| b.iter(|| naive(64)));
+    for n in [512, 8192] {
+        c.bench_function(&format!("kernel/msm {n} (pippenger)"), |b| {
+            b.iter(|| Point::msm(std::hint::black_box(&scalars[..n]), &normalised[..n]))
+        });
+        c.bench_function(&format!("kernel/msm {n} (naive loop)"), |b| {
+            b.iter(|| naive(n))
+        });
+    }
+    // 2.76× is what the textbook kernel (unsigned digits, Jacobian
+    // buckets: 2.44 ms against 6.72) made of 64 terms.
+    ratio_gate(
+        "naive loop 64 / msm 64",
+        || naive(64),
+        || Point::msm(std::hint::black_box(&scalars[..64]), &points[..64]),
+        2.76,
+    );
+    // 8× a term at 8192: the whole sum for the price of 1024 naive terms
+    // (the naive loop is linear, and all 8192 take half a second a call).
+    ratio_gate(
+        "naive loop 1024 / msm 8192",
+        || naive(1024),
+        || Point::msm(std::hint::black_box(&scalars), &normalised),
+        1.0,
+    );
     // Affine normalization: 256 points, shared inversion vs per-point
     // Fermat.
     let pts256: Vec<Point> = (0..256)

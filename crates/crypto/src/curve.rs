@@ -91,17 +91,40 @@ impl Point {
     /// shared inversion ([`Fp::batch_invert`]) instead of one Fermat
     /// exponentiation per point. `None` entries are identities.
     pub fn batch_to_affine(points: &[Point]) -> Vec<Option<(Fp, Fp)>> {
-        let mut zs: Vec<Fp> = points.iter().map(|p| p.z).collect();
-        Fp::batch_invert(&mut zs);
+        Point::batch_normalize(points)
+            .iter()
+            .map(Affine::coords)
+            .collect()
+    }
+
+    /// [`Point::batch_to_affine`] in the form the multi-scalar kernel
+    /// takes ([`Point::msm_affine`]). Points that are already normalised
+    /// (`z = 1`: decoded from bytes, or an earlier normalisation's
+    /// output) are copied and stay out of the shared inversion; a slice
+    /// of nothing else pays no inversion at all.
+    pub(crate) fn batch_normalize(points: &[Point]) -> Vec<Affine> {
+        // Zero marks "nothing to invert", which `batch_invert` skips.
+        let mut zs: Vec<Fp> = points
+            .iter()
+            .map(|p| if p.z == Fp::ONE { Fp::ZERO } else { p.z })
+            .collect();
+        if zs.iter().any(|z| !z.is_zero()) {
+            Fp::batch_invert(&mut zs);
+        }
         points
             .iter()
             .zip(zs)
             .map(|(p, zinv)| {
                 if p.is_identity() {
-                    None
+                    Affine::IDENTITY
+                } else if zinv.is_zero() {
+                    Affine { x: p.x, y: p.y }
                 } else {
                     let zinv2 = zinv.square();
-                    Some((p.x * zinv2, p.y * zinv2 * zinv))
+                    Affine {
+                        x: p.x * zinv2,
+                        y: p.y * zinv2 * zinv,
+                    }
                 }
             })
             .collect()
@@ -286,14 +309,20 @@ impl Point {
         acc
     }
 
-    /// Sum of `aᵢ·Pᵢ` over parallel slices — Straus/Pippenger multi-scalar
-    /// multiplication with a size-adaptive window.
+    /// Sum of `aᵢ·Pᵢ` over parallel slices — Pippenger multi-scalar
+    /// multiplication. Proof batch verification, signature batch
+    /// verification and tally aggregation are built on this kernel.
     ///
-    /// Small inputs fall back to independent ladders; larger ones share one
-    /// doubling chain and accumulate points into `2ʷ−1` buckets per window,
-    /// which beats the naive mul-and-add loop by roughly `w`/2× at 64
-    /// terms and more beyond. Proof batch verification and tally
-    /// aggregation are built on this kernel.
+    /// The points are normalised once (one shared inversion, none for
+    /// points that already are) and the scalars recoded into signed
+    /// `w`-bit digits, so a window has `2^(w−1)` buckets. A window's
+    /// points are sorted by bucket and every bucket reduced pairwise by
+    /// affine additions that share one field inversion a round — 6
+    /// multiplications an addition against Jacobian 16 — and as many
+    /// windows as fit a fixed buffer are sorted together, so that small
+    /// sums pay for few inversions too. `w`, and whether a term or two
+    /// are better off on independent ladders, is [`msm_plan`]'s choice
+    /// from the number of terms alone.
     ///
     /// # Panics
     /// Panics if the slices have different lengths.
@@ -301,55 +330,23 @@ impl Point {
         assert_eq!(scalars.len(), points.len(), "msm: mismatched lengths");
         // Profiling hook: one atomic load when off (the default).
         let _t = ddemos_obs::scoped_ns("crypto.msm_ns", "msm");
-        // Drop terms that contribute nothing (also keeps buckets dense).
-        let pairs: Vec<(&Scalar, &Point)> = scalars
-            .iter()
-            .zip(points)
-            .filter(|(k, p)| !k.is_zero() && !p.is_identity())
-            .collect();
-        let n = pairs.len();
-        if n == 0 {
-            return Point::IDENTITY;
+        if msm_plan(points.len()) == MsmPlan::Ladders {
+            // Not worth an inversion: the ladders take the points as they are.
+            return ladders(scalars, points);
         }
-        if n <= 3 {
-            return pairs
-                .into_iter()
-                .fold(Point::IDENTITY, |acc, (k, p)| acc.add(&p.mul(k)));
-        }
-        // Pick the window width minimizing the dominant cost:
-        // windows × (n bucket inserts + 2·(2ʷ−1) bucket-chain adds).
-        let w = (2..=12usize)
-            .min_by_key(|&w| 256usize.div_ceil(w) * (n + (1usize << (w + 1))))
-            .expect("nonempty window range");
-        let digits: Vec<[u8; 32]> = pairs.iter().map(|(k, _)| k.to_bytes()).collect();
-        let windows = 256usize.div_ceil(w);
-        let mut acc = Point::IDENTITY;
-        let mut buckets = vec![Point::IDENTITY; (1 << w) - 1];
-        for win in (0..windows).rev() {
-            if !acc.is_identity() {
-                for _ in 0..w {
-                    acc = acc.double();
-                }
-            }
-            for b in buckets.iter_mut() {
-                *b = Point::IDENTITY;
-            }
-            for (bytes, (_, p)) in digits.iter().zip(&pairs) {
-                let d = window_digit(bytes, win * w, w);
-                if d != 0 {
-                    buckets[d - 1] = buckets[d - 1].add(p);
-                }
-            }
-            // Suffix-sum the buckets: Σ d·bucket[d] with 2·(2ʷ−1) adds.
-            let mut running = Point::IDENTITY;
-            let mut window_sum = Point::IDENTITY;
-            for b in buckets.iter().rev() {
-                running = running.add(b);
-                window_sum = window_sum.add(&running);
-            }
-            acc = acc.add(&window_sum);
-        }
-        acc
+        pippenger(scalars, &Point::batch_normalize(points))
+    }
+
+    /// [`Point::msm`] for a caller that holds the points normalised
+    /// already ([`Point::batch_normalize`]) — the batch verifiers, which
+    /// need the affine coordinates for their transcripts anyway.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub(crate) fn msm_affine(scalars: &[Scalar], points: &[Affine]) -> Point {
+        assert_eq!(scalars.len(), points.len(), "msm: mismatched lengths");
+        let _t = ddemos_obs::scoped_ns("crypto.msm_ns", "msm");
+        pippenger(scalars, points)
     }
 
     /// Sum of `aᵢ·Pᵢ` (now routed through [`Point::msm`]).
@@ -453,25 +450,11 @@ fn window_table(p: &Point) -> [Point; 16] {
     table
 }
 
-/// Extracts the `w`-bit window starting at bit `lo` (LSB order) of a
-/// big-endian 32-byte scalar encoding.
-fn window_digit(bytes: &[u8; 32], lo: usize, w: usize) -> usize {
-    let mut d = 0usize;
-    for bit in 0..w {
-        let i = lo + bit;
-        if i >= 256 {
-            break;
-        }
-        d |= usize::from((bytes[31 - i / 8] >> (i % 8)) & 1) << bit;
-    }
-    d
-}
-
-/// A curve point in affine coordinates, as [`FixedBase`] stores its
-/// entries (64 bytes against 96 in Jacobian form). `(0, 0)` is not on
-/// the curve and stands for the identity.
-#[derive(Clone, Copy, Debug)]
-struct Affine {
+/// A curve point in affine coordinates: what [`FixedBase`] stores (64
+/// bytes against 96 in Jacobian form) and what the multi-scalar kernel
+/// adds. `(0, 0)` is not on the curve and stands for the identity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Affine {
     x: Fp,
     y: Fp,
 }
@@ -486,7 +469,12 @@ impl Affine {
         self.x.is_zero() && self.y.is_zero()
     }
 
-    fn to_point(self) -> Point {
+    /// The coordinates as [`Point::to_affine`] returns them.
+    fn coords(&self) -> Option<(Fp, Fp)> {
+        (!self.is_identity()).then_some((self.x, self.y))
+    }
+
+    pub(crate) fn to_point(self) -> Point {
         if self.is_identity() {
             return Point::IDENTITY;
         }
@@ -496,6 +484,314 @@ impl Affine {
             z: Fp::ONE,
         }
     }
+
+    fn negate(&self) -> Affine {
+        Affine {
+            x: self.x,
+            y: -self.y,
+        }
+    }
+
+    /// The 33-byte encoding [`Point::to_bytes`] produces, at no
+    /// inversion.
+    pub(crate) fn to_bytes(self) -> [u8; 33] {
+        Point::compress(self.coords())
+    }
+
+    /// The denominator of the slope of the line through `self` and `q`
+    /// (the tangent when they coincide); zero when their sum needs no
+    /// slope — an identity operand, or `q = −self`. No curve point has
+    /// `y = 0` (the group order is odd), so a tangent's `2y` is nonzero.
+    fn slope_denominator(&self, q: &Affine) -> Fp {
+        if self.is_identity() || q.is_identity() {
+            Fp::ZERO
+        } else if self.x != q.x {
+            q.x - self.x
+        } else if self.y == q.y {
+            self.y.double()
+        } else {
+            Fp::ZERO
+        }
+    }
+
+    /// `self + q`, given the inverse of [`Affine::slope_denominator`]
+    /// (zero where that is zero): 2M + 1S, plus the three
+    /// multiplications a shared inversion costs an element.
+    fn add_with_inverse(&self, q: &Affine, inverse: Fp) -> Affine {
+        if inverse.is_zero() {
+            return if self.is_identity() {
+                *q
+            } else if q.is_identity() {
+                *self
+            } else {
+                Affine::IDENTITY
+            };
+        }
+        let slope = if self.x == q.x {
+            let xx = self.x.square();
+            (xx.double() + xx) * inverse
+        } else {
+            (q.y - self.y) * inverse
+        };
+        let x = slope.square() - self.x - q.x;
+        Affine {
+            x,
+            y: slope * (self.x - x) - self.y,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The multi-scalar kernel
+// ---------------------------------------------------------------------
+
+/// How [`Point::msm`] evaluates a sum of `n` terms ([`msm_plan`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MsmPlan {
+    /// Independent [`Point::mul`] ladders.
+    Ladders,
+    /// Pippenger over signed `w`-bit digits: the points of `group`
+    /// windows at a time sorted by bucket and the buckets reduced by
+    /// batch-affine addition, one inversion a round for the whole group.
+    Buckets { w: usize, group: usize },
+}
+
+/// Most points a group of windows sorts at once when one window has
+/// fewer, so that several windows share each round's inversion — every
+/// window of a sum under sixty terms, two of a 2k-term one. 256 KiB of
+/// sort buffer: within a few percent of the speed of four times as much
+/// (DESIGN.md §4.2), and every thread that ever verifies a burst keeps
+/// its largest buffer in its allocator arena, which at 1 MiB showed as
+/// +11 MiB of `peak_rss_mb` on the seven-replica TCP workload.
+const GROUP_POINTS: usize = 1 << 12;
+
+/// Field multiplications (a squaring counts as one) of the operations
+/// [`msm_plan`] weighs: the formulas of [`Point::double`], [`Point::add`],
+/// [`Point::add_affine`], [`Affine::add_with_inverse`] with its share of
+/// a batch inversion, and [`Fp::invert`]'s square-and-multiply.
+const COST_DOUBLE: usize = 7;
+const COST_ADD: usize = 16;
+const COST_MIXED: usize = 11;
+const COST_AFFINE: usize = 6;
+const COST_INVERT: usize = 505;
+
+/// A reduction round pays for its inversion only while it halves enough
+/// buckets: each pair costs an affine addition here instead of a mixed
+/// one in the running-sum chain. Below this many pairs the chain takes
+/// the buckets as they stand.
+const ROUND_MIN_PAIRS: usize = COST_INVERT / (COST_MIXED - COST_AFFINE);
+
+/// Windows of the signed `w`-bit recoding of a 256-bit scalar: the top
+/// one must reach a zero bit, so that its digit is not negative.
+fn signed_windows(w: usize) -> usize {
+    257usize.div_ceil(w)
+}
+
+/// Picks the cheapest way to sum `n` terms, counting field
+/// multiplications. A window costs its terms a batch-affine addition
+/// each, its `2^(w−1)` buckets a step of the running-sum chain each (a
+/// mixed and a full addition; the first of either meets the identity and
+/// is free), and its group an inversion a round. Nothing here is fitted:
+/// the choice lands within 5 % of the fastest window at every size
+/// measured (DESIGN.md §4.2).
+fn msm_plan(n: usize) -> MsmPlan {
+    // 4-bit fixed window: its table, 252 doublings, ~60 additions.
+    const LADDER: usize = 14 * COST_ADD + 252 * COST_DOUBLE + 60 * COST_ADD;
+    let mut best = (n * LADDER, MsmPlan::Ladders);
+    for w in 2..=14usize {
+        let windows = signed_windows(w);
+        let buckets = 1usize << (w - 1);
+        let filled = buckets.min(n);
+        let group = (GROUP_POINTS / n.max(1)).clamp(1, windows);
+        // Halvings that empty the fullest bucket: mean load plus spread.
+        let load = n.div_ceil(buckets);
+        let rounds = (load + load / 2 + 2).ilog2() as usize + 1;
+        let window = (n - filled) * COST_AFFINE
+            + filled.saturating_sub(1) * COST_MIXED
+            + (buckets - 1) * COST_ADD;
+        let cost =
+            windows * window + windows.div_ceil(group) * rounds * COST_INVERT + 256 * COST_DOUBLE;
+        if cost < best.0 {
+            best = (cost, MsmPlan::Buckets { w, group });
+        }
+    }
+    best.1
+}
+
+/// `Σ kᵢ·Pᵢ` by one ladder a term.
+fn ladders(scalars: &[Scalar], points: &[Point]) -> Point {
+    scalars
+        .iter()
+        .zip(points)
+        .fold(Point::IDENTITY, |acc, (k, p)| acc.add(&p.mul(k)))
+}
+
+/// The signed digit of window `win` of `k` (little-endian limbs) in the
+/// `w`-bit Booth recoding: `k = Σ dⱼ·2^(jw)` with `|dⱼ| ≤ 2^(w−1)`,
+/// each digit read from its own `w` bits and the one below them, so no
+/// carry runs between windows.
+fn booth_digit(k: &[u64; 4], win: usize, w: usize) -> i16 {
+    // The w + 1 bits from `lo − 1` up (bit −1 and bits ≥ 256 read zero).
+    let lo = win * w;
+    let mask = (1u64 << (w + 1)) - 1;
+    let bits = if lo == 0 {
+        k[0] << 1
+    } else {
+        let (limb, shift) = ((lo - 1) / 64, (lo - 1) % 64);
+        let low = k.get(limb).map_or(0, |l| l >> shift);
+        let high = if shift + w + 1 > 64 {
+            k.get(limb + 1).map_or(0, |l| l << (64 - shift))
+        } else {
+            0
+        };
+        low | high
+    } & mask;
+    // The top bit weighs −2^w against the rest: a set top bit makes the
+    // digit the negated complement.
+    if bits >> w == 0 {
+        ((bits + 1) >> 1) as i16
+    } else {
+        -(((mask - bits + 1) >> 1) as i16)
+    }
+}
+
+/// Canonical limbs of the scalars for the recoding; a term that
+/// contributes nothing (an identity point) reads as zero and never meets
+/// a bucket.
+fn scalar_limbs(scalars: &[Scalar], points: &[Affine]) -> Vec<[u64; 4]> {
+    scalars
+        .iter()
+        .zip(points)
+        .map(|(k, p)| {
+            if p.is_identity() {
+                [0; 4]
+            } else {
+                k.to_u256().limbs()
+            }
+        })
+        .collect()
+}
+
+/// The multi-scalar multiplication proper, over normalised points.
+fn pippenger(scalars: &[Scalar], points: &[Affine]) -> Point {
+    let ks = scalar_limbs(scalars, points);
+    let live = ks.iter().filter(|k| **k != [0; 4]).count();
+    match msm_plan(live) {
+        MsmPlan::Ladders => {
+            let points: Vec<Point> = points.iter().map(|p| p.to_point()).collect();
+            ladders(scalars, &points)
+        }
+        MsmPlan::Buckets { w, group } => bucket_sum(&ks, points, live, w, group),
+    }
+}
+
+/// `Σ kᵢ·Pᵢ` for scalars given as limbs, `live` of them nonzero, by
+/// Pippenger's method over signed `w`-bit digits.
+///
+/// For `group` windows at a time: recode, counting-sort the signed points
+/// by `(window, bucket)`, then halve every bucket round by round — its
+/// points added in pairs, all the pairs of a round sharing one inversion —
+/// until (all but) every bucket holds a single affine point, which the
+/// running-sum chain takes by mixed addition. Every buffer is sized once
+/// and reused by every group.
+fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: usize) -> Point {
+    let n = ks.len();
+    let buckets = 1usize << (w - 1);
+    let mut digits = vec![0i16; group * n];
+    // Slot `g·buckets + d − 1` is bucket `d` of the group's `g`-th window;
+    // its points are `sorted[starts[slot]..][..lens[slot]]`.
+    let mut starts = vec![0u32; group * buckets];
+    let mut lens = vec![0u32; group * buckets];
+    let mut sorted = vec![Affine::IDENTITY; group * live];
+    let mut denominators: Vec<Fp> = Vec::new();
+    let mut prefix: Vec<Fp> = Vec::new();
+    let mut acc = Point::IDENTITY;
+    let mut hi = signed_windows(w);
+    while hi > 0 {
+        let lo = hi.saturating_sub(group);
+        let slot_of = |win: usize, d: i16| (win - lo) * buckets + usize::from(d.unsigned_abs()) - 1;
+        // Recode and count.
+        lens.fill(0);
+        for win in lo..hi {
+            let row = &mut digits[(win - lo) * n..][..n];
+            for (digit, k) in row.iter_mut().zip(ks) {
+                *digit = booth_digit(k, win, w);
+                if *digit != 0 {
+                    lens[slot_of(win, *digit)] += 1;
+                }
+            }
+        }
+        let mut total = 0u32;
+        for (start, len) in starts.iter_mut().zip(&lens) {
+            *start = total;
+            total += len;
+        }
+        // Scatter: `lens` counts up again as each slot fills.
+        lens.fill(0);
+        for win in lo..hi {
+            let row = &digits[(win - lo) * n..][..n];
+            for (&digit, p) in row.iter().zip(points) {
+                if digit != 0 {
+                    let slot = slot_of(win, digit);
+                    sorted[(starts[slot] + lens[slot]) as usize] =
+                        if digit < 0 { p.negate() } else { *p };
+                    lens[slot] += 1;
+                }
+            }
+        }
+        // Reduce: a slot of `len` points becomes one of `⌈len/2⌉`.
+        loop {
+            denominators.clear();
+            for (&start, &len) in starts.iter().zip(&lens) {
+                let slot = &sorted[start as usize..][..len as usize];
+                denominators.extend(
+                    slot.chunks_exact(2)
+                        .map(|pair| pair[0].slope_denominator(&pair[1])),
+                );
+            }
+            if denominators.len() < ROUND_MIN_PAIRS {
+                break;
+            }
+            Fp::batch_invert_with(&mut denominators, &mut prefix);
+            let mut inverses = denominators.iter();
+            for (&start, len) in starts.iter().zip(lens.iter_mut()) {
+                let slot = &mut sorted[start as usize..][..*len as usize];
+                let pairs = slot.len() / 2;
+                for j in 0..pairs {
+                    let inverse = *inverses.next().expect("one denominator per pair");
+                    slot[j] = slot[2 * j].add_with_inverse(&slot[2 * j + 1], inverse);
+                }
+                if slot.len() % 2 == 1 {
+                    slot[pairs] = slot[slot.len() - 1];
+                }
+                *len = len.div_ceil(2);
+            }
+        }
+        // Chain, most significant window first: `acc·2^w + Σ d·bucket[d]`,
+        // with `running` collecting the buckets from the highest filled
+        // one down and `sum` collecting `running`, so that bucket `d` is
+        // counted `d` times.
+        for win in (lo..hi).rev() {
+            if !acc.is_identity() {
+                for _ in 0..w {
+                    acc = acc.double();
+                }
+            }
+            let slots = (win - lo) * buckets..(win - lo + 1) * buckets;
+            let top = lens[slots.clone()].iter().rposition(|&len| len != 0);
+            let mut running = Point::IDENTITY;
+            let mut sum = Point::IDENTITY;
+            for slot in slots.take(top.map_or(0, |top| top + 1)).rev() {
+                for p in &sorted[starts[slot] as usize..][..lens[slot] as usize] {
+                    running = running.add_affine(p);
+                }
+                sum = sum.add(&running);
+            }
+            acc = acc.add(&sum);
+        }
+        hi = lo;
+    }
+    acc
 }
 
 /// A reusable precomputed comb table for repeated scalar multiplications
@@ -532,13 +828,11 @@ impl FixedBase {
             // b <<= 4 bits
             b = b.double().double().double().double();
         }
-        let mut table: Vec<[Affine; 15]> = Point::batch_to_affine(&bases)
+        let mut table: Vec<[Affine; 15]> = Point::batch_normalize(&bases)
             .into_iter()
-            .map(|affine| {
+            .map(|base| {
                 let mut row = [Affine::IDENTITY; 15];
-                if let Some((x, y)) = affine {
-                    row[0] = Affine { x, y };
-                }
+                row[0] = base;
                 row
             })
             .collect();
@@ -555,32 +849,19 @@ impl FixedBase {
             let mut dens = Vec::with_capacity(64 * level);
             for row in &table {
                 let top = row[level - 1];
-                for k in multiples.clone() {
-                    dens.push(if k == 2 * level {
-                        top.y.double()
-                    } else {
-                        row[k - level - 1].x - top.x
-                    });
-                }
+                dens.extend(
+                    multiples
+                        .clone()
+                        .map(|k| top.slope_denominator(&row[k - level - 1])),
+                );
             }
             Fp::batch_invert(&mut dens);
             let mut inverses = dens.into_iter();
             for row in table.iter_mut() {
                 let top = row[level - 1];
                 for k in multiples.clone() {
-                    let other = row[k - level - 1];
                     let inverse = inverses.next().expect("one denominator per entry");
-                    let slope = if k == 2 * level {
-                        let xx = top.x.square();
-                        (xx.double() + xx) * inverse
-                    } else {
-                        (other.y - top.y) * inverse
-                    };
-                    let x = slope.square() - top.x - other.x;
-                    row[k - 1] = Affine {
-                        x,
-                        y: slope * (top.x - x) - top.y,
-                    };
+                    row[k - 1] = top.add_with_inverse(&row[k - level - 1], inverse);
                 }
             }
         }
@@ -689,7 +970,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn generator_on_curve() {
@@ -825,6 +1106,188 @@ mod tests {
             Point::msm(&vec![Scalar::ZERO; 9], &vec![g; 9]),
             Point::IDENTITY
         );
+    }
+
+    /// Points with known discrete logs, so that `Σ kᵢ·Pᵢ` has a closed
+    /// form — `(Σ kᵢ·rᵢ)·G` — at sizes where the naive loop would take
+    /// seconds.
+    fn known_log_terms(n: usize, seed: u64) -> (Vec<Scalar>, Vec<Point>, Point) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scalars: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
+        let logs: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
+        let points = logs.iter().map(Point::mul_generator).collect();
+        let sum = scalars.iter().zip(&logs).map(|(k, r)| *k * *r).sum();
+        (scalars, points, Point::mul_generator(&sum))
+    }
+
+    /// The same point with `z ≠ 1`.
+    fn rescaled(p: &Point, z: u64) -> Point {
+        let z = Fp::from_u64(z);
+        Point {
+            x: p.x * z.square(),
+            y: p.y * z.square() * z,
+            z: p.z * z,
+        }
+    }
+
+    #[test]
+    fn msm_matches_closed_form_at_every_plan_boundary() {
+        // Where the ladders hand over to the buckets, where a group
+        // shrinks to one window (one sort buffer of `GROUP_POINTS`), and
+        // the production sizes.
+        let first_bucketed = (1..64)
+            .find(|&n| msm_plan(n) != MsmPlan::Ladders)
+            .expect("ladders lose to the buckets within a few terms");
+        assert!(first_bucketed > 1, "one term is one ladder");
+        assert_eq!(msm_plan(first_bucketed - 1), MsmPlan::Ladders);
+        let half = GROUP_POINTS / 2;
+        assert!(matches!(msm_plan(half), MsmPlan::Buckets { group: 2, .. }));
+        assert!(matches!(
+            msm_plan(half + 1),
+            MsmPlan::Buckets { group: 1, .. }
+        ));
+        for n in [
+            first_bucketed - 1,
+            first_bucketed,
+            first_bucketed + 1,
+            600,
+            half,
+            half + 1,
+            8192,
+        ] {
+            let (scalars, points, expected) = known_log_terms(n, 27 + n as u64);
+            assert_eq!(Point::msm(&scalars, &points), expected, "n = {n}");
+            // The batch verifiers' entry: the same points, normalised.
+            let affine = Point::batch_normalize(&points);
+            assert_eq!(Point::msm_affine(&scalars, &affine), expected, "n = {n}");
+        }
+    }
+
+    /// Terms built to meet every exceptional case of the bucket
+    /// reduction: a point repeated under one scalar (equal digits in one
+    /// bucket: a doubling), a point and its negative under one scalar (a
+    /// cancellation, leaving an identity in the bucket), identities, and
+    /// scalars whose recoding is all edges.
+    fn adversarial_terms(seed: u64, n: usize) -> (Vec<Scalar>, Vec<Point>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<Point> = (0..3)
+            .map(|_| Point::mul_generator(&Scalar::random(&mut rng)))
+            .collect();
+        let shared = Scalar::random(&mut rng);
+        let mut half = [0u8; 32];
+        rng.fill_bytes(&mut half[16..]);
+        let mut top = [0u8; 32];
+        top[0] = 0x80;
+        let edge = [
+            Scalar::ZERO,
+            Scalar::ONE,
+            -Scalar::ONE,
+            shared,
+            -shared,
+            Scalar::from_bytes_reduce(&half),
+            Scalar::from_bytes_reduce(&top),
+        ];
+        let mut scalars = Vec::with_capacity(n);
+        let mut points = Vec::with_capacity(n);
+        for _ in 0..n {
+            let pick = rng.next_u32();
+            scalars.push(match pick % 10 {
+                i @ 0..=6 => edge[i as usize],
+                7 => shared,
+                _ => Scalar::random(&mut rng),
+            });
+            let p = pool[(pick >> 8) as usize % pool.len()];
+            let p = match (pick >> 16) % 8 {
+                0 => Point::IDENTITY,
+                1 | 2 => p.negate(),
+                _ => p,
+            };
+            // Half of them off `z = 1`, half normalised as off the wire.
+            points.push(if (pick >> 24) % 2 == 0 {
+                rescaled(&p, u64::from(pick >> 25) + 2)
+            } else {
+                Point::from_bytes(&p.to_bytes()).expect("own encoding")
+            });
+        }
+        (scalars, points)
+    }
+
+    #[test]
+    fn bucket_sum_is_exact_for_every_window_and_group_shape() {
+        let (scalars, points) = adversarial_terms(31, 48);
+        let expected = naive_msm(&scalars, &points);
+        assert_eq!(Point::msm(&scalars, &points), expected);
+        let affine = Point::batch_normalize(&points);
+        let ks = scalar_limbs(&scalars, &affine);
+        let live = ks.iter().filter(|k| **k != [0; 4]).count();
+        // Narrowest and widest digits; one window a group, a last group
+        // cut short (52 windows in sevens), every window in one group.
+        for (w, group) in [(2, 1), (2, 129), (3, 5), (5, 7), (8, 33), (13, 3), (14, 19)] {
+            assert_eq!(
+                bucket_sum(&ks, &affine, live, w, group),
+                expected,
+                "w = {w}, group = {group}"
+            );
+        }
+    }
+
+    #[test]
+    fn booth_digits_recompose_the_scalar() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let mut scalars: Vec<Scalar> = (0..8).map(|_| Scalar::random(&mut rng)).collect();
+        scalars.extend([Scalar::ZERO, Scalar::ONE, -Scalar::ONE]);
+        for w in 2..=14usize {
+            for k in &scalars {
+                let limbs = k.to_u256().limbs();
+                let radix = Scalar::from_u64(1 << w);
+                let mut sum = Scalar::ZERO;
+                for win in (0..signed_windows(w)).rev() {
+                    let d = booth_digit(&limbs, win, w);
+                    assert!(d.unsigned_abs() <= 1 << (w - 1), "w = {w}, digit {d}");
+                    let magnitude = Scalar::from_u64(u64::from(d.unsigned_abs()));
+                    sum = sum * radix + if d < 0 { -magnitude } else { magnitude };
+                }
+                assert_eq!(sum, *k, "w = {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_normalize_copies_what_is_already_affine() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let p = Point::mul_generator(&Scalar::random(&mut rng));
+        let off_the_wire = Point::from_bytes(&p.to_bytes()).expect("own encoding");
+        let mixed = [off_the_wire, Point::IDENTITY, p, rescaled(&p, 9)];
+        for (point, affine) in mixed.iter().zip(Point::batch_normalize(&mixed)) {
+            assert_eq!(affine.coords(), point.to_affine());
+            assert_eq!(affine.to_bytes(), point.to_bytes());
+            assert_eq!(affine.to_point(), *point);
+        }
+        // Nothing to invert: coordinates are copied bit for bit.
+        let copied = Point::batch_normalize(&[off_the_wire, Point::IDENTITY]);
+        assert_eq!((copied[0].x, copied[0].y), (off_the_wire.x, off_the_wire.y));
+        assert!(copied[1].is_identity());
+    }
+
+    #[test]
+    fn affine_addition_exceptional_cases() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let p = Point::mul_generator(&Scalar::random(&mut rng));
+        let q = Point::mul_generator(&Scalar::random(&mut rng));
+        let sum = |a: &Point, b: &Point| {
+            let (a, b) = (affine(a), affine(b));
+            let denominator = a.slope_denominator(&b);
+            let inverse = denominator.invert().unwrap_or(Fp::ZERO);
+            a.add_with_inverse(&b, inverse).to_point()
+        };
+        let id = Point::IDENTITY;
+        assert_eq!(sum(&p, &q), p.add(&q));
+        assert_eq!(sum(&p, &p), p.double());
+        assert_eq!(sum(&p, &p.negate()), id);
+        assert_eq!(sum(&id, &q), q);
+        assert_eq!(sum(&p, &id), p);
+        assert_eq!(sum(&id, &id), id);
+        assert!(sum(&p, &q).is_on_curve());
     }
 
     #[test]
@@ -965,6 +1428,15 @@ mod tests {
                 .iter()
                 .map(|_| Point::mul_generator(&Scalar::random(&mut rng)))
                 .collect();
+            prop_assert_eq!(
+                Point::msm(&scalars, &points),
+                naive_msm(&scalars, &points)
+            );
+        }
+
+        #[test]
+        fn prop_msm_matches_naive_on_adversarial_terms(seed in any::<u64>(), n in 0usize..40) {
+            let (scalars, points) = adversarial_terms(seed, n);
             prop_assert_eq!(
                 Point::msm(&scalars, &points),
                 naive_msm(&scalars, &points)

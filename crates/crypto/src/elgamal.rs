@@ -174,46 +174,46 @@ pub fn batch_verify_openings(pk: &PublicKey, items: &[(Ciphertext, Scalar, Scala
         let (ct, m, r) = &items[0];
         return verify_opening(pk, ct, m, r);
     }
-    // Serialize every transcript point with one shared inversion — per-
-    // item `ct.to_bytes()` would cost an inversion each and swamp the MSM
-    // this function exists to save.
-    let mut transcript_points = Vec::with_capacity(2 * items.len() + 1);
-    transcript_points.push(pk.0);
-    for (ct, _, _) in items {
-        transcript_points.extend([ct.a, ct.b]);
-    }
-    let encoded = Point::batch_to_bytes(&transcript_points);
+    // Normalise every point once, with one shared inversion: the
+    // transcript hashes the encodings and the MSM adds the same affine
+    // coordinates. (Per-item `ct.to_bytes()` would cost an inversion each
+    // and swamp the MSM this function exists to save.)
+    let points = {
+        let mut points = Vec::with_capacity(2 * items.len() + 2);
+        points.push(pk.0);
+        for (ct, _, _) in items {
+            points.extend([ct.a, ct.b]);
+        }
+        points.push(Point::generator());
+        Point::batch_normalize(&points)
+    };
     let mut transcript = Sha256::new();
     transcript.update(b"ddemos/batch-openings/v1");
-    transcript.update(&encoded[0]);
-    for ((_, m, r), points) in items.iter().zip(encoded[1..].chunks(2)) {
-        for p in points {
-            transcript.update(p);
+    transcript.update(&points[0].to_bytes());
+    for ((_, m, r), ct) in items.iter().zip(points[1..].chunks_exact(2)) {
+        for p in ct {
+            transcript.update(&p.to_bytes());
         }
         transcript.update(&m.to_bytes());
         transcript.update(&r.to_bytes());
     }
     let seed = transcript.finalize();
-    // Σᵢ ρᵢ·(aᵢ − rᵢ·G) + σᵢ·(bᵢ − mᵢ·G − rᵢ·pk) == 0, grouped by base.
-    let mut scalars = Vec::with_capacity(2 * items.len() + 2);
-    let mut points = Vec::with_capacity(2 * items.len() + 2);
+    // Σᵢ ρᵢ·(aᵢ − rᵢ·G) + σᵢ·(bᵢ − mᵢ·G − rᵢ·pk) == 0, grouped by base;
+    // one scalar per point, in the order above: pk, (a, b) per item, G.
+    let mut scalars = Vec::with_capacity(points.len());
+    scalars.push(Scalar::ZERO);
     let mut g_coeff = Scalar::ZERO;
     let mut pk_coeff = Scalar::ZERO;
-    for (i, (ct, m, r)) in items.iter().enumerate() {
+    for (i, (_, m, r)) in items.iter().enumerate() {
         let rho = batch_weight(&seed, i, 0);
         let sigma = batch_weight(&seed, i, 1);
-        scalars.push(rho);
-        points.push(ct.a);
-        scalars.push(sigma);
-        points.push(ct.b);
+        scalars.extend([rho, sigma]);
         g_coeff -= rho * *r + sigma * *m;
         pk_coeff -= sigma * *r;
     }
+    scalars[0] = pk_coeff;
     scalars.push(g_coeff);
-    points.push(Point::generator());
-    scalars.push(pk_coeff);
-    points.push(pk.0);
-    Point::msm(&scalars, &points).is_identity()
+    Point::msm_affine(&scalars, &points).is_identity()
 }
 
 /// Derives one verification weight from the batch transcript digest.
@@ -278,7 +278,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn roundtrip_small() {
@@ -381,6 +381,38 @@ mod tests {
         let mut bad = items;
         bad[7].2 += Scalar::ONE;
         assert!(!batch_verify_openings(&pk, &bad));
+    }
+
+    /// At the size where the MSM sorts thousands of points a window: one
+    /// corrupted scalar or point anywhere still sinks the batch.
+    #[test]
+    fn batch_openings_reject_any_single_corruption_at_scale() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (_, pk) = keygen(&mut rng);
+        let prepared = PreparedKey::new(&pk);
+        let items: Vec<(Ciphertext, Scalar, Scalar)> = (0..600u64)
+            .map(|i| {
+                let (m, r) = (Scalar::from_u64(i % 2), Scalar::random(&mut rng));
+                (prepared.encrypt_with(&m, &r), m, r)
+            })
+            .collect();
+        assert!(batch_verify_openings(&pk, &items));
+        let g = Point::generator();
+        type Corruption = fn(&mut (Ciphertext, Scalar, Scalar), Point);
+        let corruptions: [(&str, Corruption); 4] = [
+            ("m", |item, _| item.1 += Scalar::ONE),
+            ("r", |item, _| item.2 += Scalar::ONE),
+            ("a", |item, g| item.0.a += g),
+            ("b", |item, g| item.0.b += g),
+        ];
+        let random = 1 + rng.gen_range(0..items.len() - 2);
+        for at in [0, items.len() - 1, random] {
+            for (what, corrupt) in &corruptions {
+                let mut bad = items.clone();
+                corrupt(&mut bad[at], g);
+                assert!(!batch_verify_openings(&pk, &bad), "{what} of item {at}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   insertion order — a pure function of the verification sequence, so
 //!   virtual-time replays evict identically.
 //! * **Prepared tables** — fixed-base comb tables for the keys whose use
-//!   repays the ~0.35 ms build (a collector's peers and the EA, checked
+//!   repays the ~0.23 ms build (a collector's peers and the EA, checked
 //!   several times a cast; a board's writers are not — see `BbCore`),
 //!   built once at startup.
 //! * **Batching** — [`MsgVerifier::check_batch`] verifies each distinct
@@ -45,13 +45,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
 /// Largest distinct fresh batch routed through the per-peer comb tables
-/// instead of the one-MSM path. The tables cost a flat ~45 µs a
+/// instead of the one-MSM path. The tables cost a flat ~35 µs a
 /// signature (two fixed-base multiplications of mixed additions, one
-/// inversion shared by the whole call); the MSM amortizes from ~150 µs a
-/// signature at 4 to ~42 µs at 64 and crosses the tables at 40 for
-/// signatures made in this process — for signatures off the wire, which
-/// owe the MSM a square root each, not before 96.
-const PREPARED_BATCH_MAX: usize = 40;
+/// inversion shared by the whole call); the MSM amortizes from ~72 µs a
+/// signature at 4 to ~21 µs at 64 and crosses the tables at 18 for
+/// signatures made in this process, at 34 for signatures off the wire,
+/// which owe it a square root each. 24 sits between the two: either
+/// kind is within ~5 µs a signature of its better path on both sides of
+/// it (DESIGN.md §12.1 has the table).
+const PREPARED_BATCH_MAX: usize = 24;
 
 /// A bounded verified-signature memo with deterministic FIFO eviction.
 #[derive(Debug, Default)]

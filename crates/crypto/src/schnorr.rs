@@ -55,9 +55,13 @@ impl std::hash::Hash for VerifyingKey {
 
 impl VerifyingKey {
     pub(crate) fn from_point(point: Point) -> VerifyingKey {
+        // Held normalised: the encoding needs the affine coordinates
+        // anyway, and a batch verification then adds the key without
+        // inverting for it again.
+        let affine = Point::batch_normalize(&[point])[0];
         VerifyingKey {
-            point,
-            enc: point.to_bytes(),
+            point: affine.to_point(),
+            enc: affine.to_bytes(),
         }
     }
 }
@@ -467,7 +471,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sign_verify() {
@@ -641,6 +645,44 @@ mod tests {
         let err = verify_batch(&entries).unwrap_err();
         assert!(err.contains(&0) && err.contains(&3), "got {err:?}");
         assert!(!err.contains(&1) && !err.contains(&2), "got {err:?}");
+    }
+
+    /// At the size where the MSM sorts thousands of points a window: one
+    /// corrupted response, commitment, key or message anywhere is named,
+    /// and nothing else is.
+    #[test]
+    fn batch_names_any_single_corruption_at_scale() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let keys: Vec<SigningKey> = (0..4).map(|_| SigningKey::generate(&mut rng)).collect();
+        let msgs: Vec<Vec<u8>> = (0..600u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        let entries: Vec<BatchEntry<'_>> = msgs
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let key = &keys[i % keys.len()];
+                (key.verifying_key(), m.as_slice(), key.sign(m))
+            })
+            .collect();
+        assert_eq!(verify_batch(&entries), Ok(()));
+        let other = keys[0].sign(b"another commitment");
+        let other_key = SigningKey::generate(&mut rng).verifying_key();
+        type Corruption<'a> = &'a dyn Fn(&mut BatchEntry<'_>);
+        let corruptions: [(&str, Corruption<'_>); 4] = [
+            ("s", &|entry| entry.2.s += Scalar::ONE),
+            ("R", &|entry| {
+                (entry.2.r, entry.2.r_y) = (other.r, other.r_y)
+            }),
+            ("key", &|entry| entry.0 = other_key),
+            ("message", &|entry| entry.1 = b"another message"),
+        ];
+        let random = 1 + rng.gen_range(0..entries.len() - 2);
+        for at in [0, entries.len() - 1, random] {
+            for (what, corrupt) in &corruptions {
+                let mut bad = entries.clone();
+                corrupt(&mut bad[at]);
+                assert_eq!(verify_batch(&bad), Err(vec![at]), "{what} of entry {at}");
+            }
+        }
     }
 
     proptest! {

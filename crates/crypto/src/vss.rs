@@ -15,6 +15,7 @@
 //!   by the Election Authority. A receipt share disclosed by a VC node is
 //!   accepted only if the EA signature checks out.
 
+use crate::curve::Point;
 use crate::field::Scalar;
 use crate::pedersen::Commitment;
 use crate::schnorr::{Signature, SigningKey, VerifyingKey};
@@ -60,8 +61,8 @@ impl VssCommitments {
             powers.push(xj);
             xj *= x;
         }
-        let points: Vec<crate::curve::Point> = self.0.iter().map(|c| c.0).collect();
-        let expected = Commitment(crate::curve::Point::msm(&powers, &points));
+        let points: Vec<Point> = self.0.iter().map(|c| c.0).collect();
+        let expected = Commitment(Point::msm(&powers, &points));
         Commitment::commit(&share.value, &share.blinding) == expected
     }
 
@@ -77,9 +78,15 @@ impl VssCommitments {
         if shares.iter().any(|s| s.index == 0) {
             return false;
         }
+        // G, H and the commitments, normalised together: the transcript
+        // hashes the commitments' encodings and the MSM adds the same
+        // affine coordinates.
+        let mut points = vec![Point::generator(), crate::pedersen::generator_h()];
+        points.extend(self.0.iter().map(|c| c.0));
+        let points = Point::batch_normalize(&points);
         let mut transcript = crate::sha256::Sha256::new();
         transcript.update(b"ddemos/batch-vss/v1");
-        for c in &self.0 {
+        for c in &points[2..] {
             transcript.update(&c.to_bytes());
         }
         for s in shares {
@@ -104,13 +111,8 @@ impl VssCommitments {
             }
         }
         let mut scalars = vec![g_coeff, h_coeff];
-        let mut points = vec![
-            crate::curve::Point::generator(),
-            crate::pedersen::generator_h(),
-        ];
         scalars.extend(c_coeffs);
-        points.extend(self.0.iter().map(|c| c.0));
-        crate::curve::Point::msm(&scalars, &points).is_identity()
+        Point::msm_affine(&scalars, &points).is_identity()
     }
 
     /// Homomorphic addition of two dealings (same threshold).

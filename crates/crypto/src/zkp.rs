@@ -96,28 +96,34 @@ pub fn cp_verify_batch(pk: &PublicKey, instances: &[CpInstance]) -> bool {
         let i = &instances[0];
         return cp_verify(pk, &i.a, &i.b, &i.first, &i.c, &i.z);
     }
-    // Serialize every transcript point with one shared inversion — per-
-    // point `to_bytes` would cost a Fermat inversion each and swamp the
-    // MSM this function exists to save.
-    let mut transcript_points = Vec::with_capacity(4 * instances.len() + 1);
-    transcript_points.push(pk.0);
-    for inst in instances {
-        transcript_points.extend([inst.a, inst.b, inst.first.t1, inst.first.t2]);
-    }
-    let encoded = Point::batch_to_bytes(&transcript_points);
+    // Normalise every point once, with one shared inversion: the
+    // transcript hashes the encodings and the MSM adds the same affine
+    // coordinates. (Per-point `to_bytes` would cost a Fermat inversion
+    // each and swamp the MSM this function exists to save.)
+    let points = {
+        let mut points = Vec::with_capacity(4 * instances.len() + 2);
+        points.push(pk.0);
+        for inst in instances {
+            points.extend([inst.a, inst.b, inst.first.t1, inst.first.t2]);
+        }
+        points.push(Point::generator());
+        Point::batch_normalize(&points)
+    };
     let mut transcript = Sha256::new();
     transcript.update(b"ddemos/batch-cp/v1");
-    transcript.update(&encoded[0]);
-    for (inst, points) in instances.iter().zip(encoded[1..].chunks(4)) {
-        for p in points {
-            transcript.update(p);
+    transcript.update(&points[0].to_bytes());
+    for (inst, statement) in instances.iter().zip(points[1..].chunks_exact(4)) {
+        for p in statement {
+            transcript.update(&p.to_bytes());
         }
         transcript.update(&inst.c.to_bytes());
         transcript.update(&inst.z.to_bytes());
     }
     let seed = transcript.finalize();
-    let mut scalars = Vec::with_capacity(4 * instances.len() + 2);
-    let mut points = Vec::with_capacity(4 * instances.len() + 2);
+    // One scalar per point, in the order above: pk, then (a, b, t1, t2)
+    // per instance, then G.
+    let mut scalars = Vec::with_capacity(points.len());
+    scalars.push(Scalar::ZERO);
     let mut g_coeff = Scalar::ZERO;
     let mut pk_coeff = Scalar::ZERO;
     for (i, inst) in instances.iter().enumerate() {
@@ -125,20 +131,11 @@ pub fn cp_verify_batch(pk: &PublicKey, instances: &[CpInstance]) -> bool {
         let sigma = elgamal::batch_weight(&seed, i, 1);
         g_coeff += rho * inst.z;
         pk_coeff += sigma * inst.z;
-        scalars.push(-(rho * inst.c));
-        points.push(inst.a);
-        scalars.push(-rho);
-        points.push(inst.first.t1);
-        scalars.push(-(sigma * inst.c));
-        points.push(inst.b);
-        scalars.push(-sigma);
-        points.push(inst.first.t2);
+        scalars.extend([-(rho * inst.c), -(sigma * inst.c), -rho, -sigma]);
     }
+    scalars[0] = pk_coeff;
     scalars.push(g_coeff);
-    points.push(Point::generator());
-    scalars.push(pk_coeff);
-    points.push(pk.0);
-    Point::msm(&scalars, &points).is_identity()
+    Point::msm_affine(&scalars, &points).is_identity()
 }
 
 /// First move of the 0/1 OR proof for one lifted ElGamal ciphertext.
@@ -406,7 +403,7 @@ mod tests {
     use crate::elgamal::{encrypt_with, keygen};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup(seed: u64) -> (StdRng, PublicKey, PreparedKey) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -597,6 +594,41 @@ mod tests {
         let mut bad = instances;
         bad[6].first.t1 += Point::generator();
         assert!(!cp_verify_batch(&pk, &bad));
+    }
+
+    /// At the size where the MSM sorts thousands of points a window: one
+    /// corrupted scalar or point anywhere still sinks the batch.
+    #[test]
+    fn batch_cp_rejects_any_single_corruption_at_scale() {
+        let (mut rng, pk, prepared) = setup(13);
+        let c = challenge_from_coins(b"scale", &[true, true, false]);
+        let mut instances = Vec::new();
+        for j in 0..300u64 {
+            let bit = (j % 2) as u8;
+            let r = Scalar::random(&mut rng);
+            let ct = prepared.encrypt_with(&Scalar::from_u64(u64::from(bit)), &r);
+            let (first, secrets) = or_prove(&prepared, bit, &r, &mut rng);
+            let resp = secrets.respond(&c);
+            instances.extend(or_instances(&ct, &first, &resp, &c).expect("c0+c1 == c"));
+        }
+        assert_eq!(instances.len(), 600);
+        assert!(cp_verify_batch(&pk, &instances));
+        let g = Point::generator();
+        type Corruption = fn(&mut CpInstance, Point);
+        let corruptions: [(&str, Corruption); 4] = [
+            ("z", |inst, _| inst.z += Scalar::ONE),
+            ("c", |inst, _| inst.c += Scalar::ONE),
+            ("a", |inst, g| inst.a += g),
+            ("t2", |inst, g| inst.first.t2 += g),
+        ];
+        let random = 1 + rng.gen_range(0..instances.len() - 2);
+        for at in [0, instances.len() - 1, random] {
+            for (what, corrupt) in &corruptions {
+                let mut bad = instances.clone();
+                corrupt(&mut bad[at], g);
+                assert!(!cp_verify_batch(&pk, &bad), "{what} of instance {at}");
+            }
+        }
     }
 
     #[test]

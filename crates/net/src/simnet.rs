@@ -868,6 +868,31 @@ mod tests {
         net.shutdown();
     }
 
+    /// What a node driver on a blocking endpoint reads as its queue
+    /// depth at a wake: the envelope `wait` stashed plus the inbox behind
+    /// it — never zero after `Ready`.
+    #[test]
+    fn adapter_reports_depth_at_wake() {
+        use crate::transport::{EventAdapter, EventEndpoint, Wait};
+        let net = SimNet::new(NetworkProfile::instant(), 1);
+        let a = net.register(NodeId::vc(0));
+        let b = EventAdapter::new(net.register(NodeId::vc(1)));
+        assert_eq!(b.read_pending(), 0);
+        for n in 0..3 {
+            a.send(NodeId::vc(1), vote_msg(n));
+        }
+        assert_eq!(b.wait(Duration::from_secs(1)), Wait::Ready);
+        // All three once the router has delivered them.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while b.read_pending() < 3 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(b.read_pending(), 3);
+        assert!(b.try_recv().is_some());
+        assert_eq!(b.read_pending(), 2);
+        net.shutdown();
+    }
+
     #[test]
     fn delayed_delivery_respects_latency() {
         let net = SimNet::new(NetworkProfile::wan(), 2);

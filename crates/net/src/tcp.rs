@@ -605,6 +605,10 @@ impl TransportEndpoint for TcpEndpoint {
         self.rx.try_recv().ok()
     }
 
+    fn read_pending(&self) -> usize {
+        self.rx.len()
+    }
+
     fn now_ns(&self) -> u64 {
         self.inner.epoch.elapsed().as_nanos() as u64
     }

@@ -72,6 +72,13 @@ pub trait TransportEndpoint: Send {
     /// Non-blocking receive.
     fn try_recv(&self) -> Option<Envelope>;
 
+    /// Envelopes buffered in the inbound direction, as
+    /// [`EventEndpoint::read_pending`] reports them through
+    /// [`EventAdapter`]. Implementations without visibility return `0`.
+    fn read_pending(&self) -> usize {
+        0
+    }
+
     /// Nanoseconds of transport time since the transport started.
     fn now_ns(&self) -> u64;
 
@@ -106,6 +113,10 @@ impl<T: TransportEndpoint + ?Sized> TransportEndpoint for Box<T> {
 
     fn try_recv(&self) -> Option<Envelope> {
         (**self).try_recv()
+    }
+
+    fn read_pending(&self) -> usize {
+        (**self).read_pending()
     }
 
     fn now_ns(&self) -> u64 {
@@ -285,6 +296,11 @@ impl<T: TransportEndpoint> EventEndpoint for EventAdapter<T> {
         }
     }
 
+    fn read_pending(&self) -> usize {
+        let stashed = self.slot.lock().expect("slot poisoned").is_some();
+        usize::from(stashed) + self.inner.read_pending()
+    }
+
     fn now_ns(&self) -> u64 {
         self.inner.now_ns()
     }
@@ -363,6 +379,10 @@ impl<E: EventEndpoint> TransportEndpoint for BlockingAdapter<E> {
         self.inner.try_recv()
     }
 
+    fn read_pending(&self) -> usize {
+        self.inner.read_pending()
+    }
+
     fn now_ns(&self) -> u64 {
         self.inner.now_ns()
     }
@@ -414,6 +434,10 @@ impl TransportEndpoint for Endpoint {
 
     fn try_recv(&self) -> Option<Envelope> {
         Endpoint::try_recv(self)
+    }
+
+    fn read_pending(&self) -> usize {
+        Endpoint::read_pending(self)
     }
 
     fn now_ns(&self) -> u64 {

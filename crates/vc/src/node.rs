@@ -187,19 +187,23 @@ impl<S: BallotStore> VcDriver<S> {
             // batch-verify ahead of the steps.
             let inputs = match self.endpoint.wait(self.timeout) {
                 Wait::Ready => {
+                    // Envelopes waiting when the node wakes: what this
+                    // burst will drain, so a saturated collector reads
+                    // deep and an idle one reads 1. Sampled before the
+                    // drain — after each dequeue of a drain-to-empty loop
+                    // it is zero by construction. Unstable (`~`): it
+                    // races with concurrent senders, so it never joins
+                    // the determinism fingerprint.
+                    self.recorder.observe(
+                        "~vc.queue_depth",
+                        "",
+                        self.endpoint.read_pending() as u64,
+                    );
                     let mut inputs = Vec::new();
                     while inputs.len() < MAX_BURST {
                         let Some(env) = self.endpoint.try_recv() else {
                             break;
                         };
-                        // Queue depth left behind at dequeue. Unstable
-                        // (`~`): it races with concurrent senders, so it
-                        // never joins the determinism fingerprint.
-                        self.recorder.observe(
-                            "~vc.queue_depth",
-                            "",
-                            self.endpoint.read_pending() as u64,
-                        );
                         // Control envelopes are a driver concern:
                         // authenticate (only client/EA identities may
                         // steer a replica) and translate into typed

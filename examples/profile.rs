@@ -29,7 +29,8 @@
 //!   at 5%. The gate then profiles one more election and fails if any
 //!   `bb.publish_ns` stage timer (interpolate / openings / zk / tally) or
 //!   `ea.setup_ns` stage timer (vc_rows / commit_prove / share / sign)
-//!   recorded nothing, or if the collectors spent more than
+//!   recorded nothing, if `~vc.queue_depth` read zero across the vote
+//!   phase, or if the collectors spent more than
 //!   [`MAX_FRESH_SIG_CHECKS_PER_CAST`] group-math signature
 //!   verifications a cast (`vc.sig_checks`, label `fresh`) — a count,
 //!   which repeats exactly for a seed, where a time would be noise.
@@ -283,7 +284,20 @@ fn main() {
         let (report, _) = run(seed, ballots, true, true);
         let publish_live = stage_ledger(&report, "bb.publish_ns", &PUBLISH_STAGES);
         let setup_live = stage_ledger(&report, "ea.setup_ns", &SETUP_STAGES);
-        if !(publish_live && setup_live) {
+        // So must the collectors' one saturation signal: a wake finds at
+        // least the envelope that caused it.
+        let depth_key = ddemos_obs::metric_key("~vc.queue_depth", "vote", "");
+        let (wakes, waiting) = report
+            .metrics
+            .hists
+            .get(&depth_key)
+            .map_or((0, 0), |h| (h.count(), h.total_ns()));
+        println!("vc.queue_depth vote: {wakes} wakes, {waiting} envelopes waiting");
+        let depth_live = waiting > 0;
+        if !depth_live {
+            eprintln!("dead signal: {depth_key} read zero across the vote phase");
+        }
+        if !(publish_live && setup_live && depth_live) {
             std::process::exit(1);
         }
         // Work gate: each distinct signature of the cast path is verified

@@ -71,9 +71,8 @@ pub struct ElectionReport {
     /// elections produce a seed-replayable snapshot that joins
     /// [`ElectionReport::canonical_text`]; wall-clock and profiling runs
     /// are tagged [`ddemos_obs::TimeDomain::Wall`] and contribute only a
-    /// marker line. The authenticated-connection counters that used to
-    /// live in a dedicated `conns` field are folded in under
-    /// `net.conn.*` (see [`ElectionReport::conns`]).
+    /// marker line. An election over the event-loop TCP driver folds its
+    /// authenticated-connection counters in under `net.conn.*`.
     pub metrics: MetricsSnapshot,
     /// Statistics of the last bulk workload, if one ran.
     pub workload: Option<WorkloadStats>,
@@ -94,30 +93,6 @@ impl ElectionReport {
     /// Whether the audit ran and found no failures.
     pub fn verified(&self) -> bool {
         self.audit.as_ref().is_some_and(AuditReport::ok)
-    }
-
-    /// Authenticated-connection counters, reconstructed from the
-    /// `net.conn.*` entries of [`ElectionReport::metrics`] — `Some` only
-    /// when the election ran over the event-loop TCP driver.
-    #[deprecated(note = "read the `net.conn.*` counters of `metrics` instead")]
-    pub fn conns(&self) -> Option<ddemos_net::ConnSnapshot> {
-        let counter = |name: &str| self.metrics.counter(name, None, None);
-        // The fold writes every key, zero or not, so presence of the
-        // first one distinguishes "no TCP transport" from "no dials".
-        if !self
-            .metrics
-            .counters
-            .contains_key(&ddemos_obs::metric_key("net.conn.dials", "", ""))
-        {
-            return None;
-        }
-        Some(ddemos_net::ConnSnapshot {
-            dials: counter("net.conn.dials"),
-            authenticated: counter("net.conn.authenticated"),
-            auth_failed: counter("net.conn.auth_failed"),
-            rejected: counter("net.conn.rejected"),
-            retries: counter("net.conn.retries"),
-        })
     }
 
     /// A canonical, line-oriented dump of every seed-determined artifact:

@@ -101,13 +101,12 @@ fn evloop_cluster_matches_in_process_run() {
         "every dial should authenticate (dials={dials} authenticated={authenticated})"
     );
     assert_eq!(ev.metrics.counter("net.conn.auth_failed", None, None), 0);
-    // The deprecated accessor reconstructs the old typed snapshot from
-    // those counters — `Some` only for the evloop deployment.
-    #[allow(deprecated)]
-    {
-        let conns = ev.conns().expect("evloop run reports connection counters");
-        assert_eq!(conns.dials, dials);
-        assert!(sim.conns().is_none(), "sim run has no connection counters");
-    }
+    // Only the evloop deployment has connections to count.
+    let dials_key = ddemos_obs::metric_key("net.conn.dials", "", "");
+    assert!(ev.metrics.counters.contains_key(&dials_key));
+    assert!(
+        !sim.metrics.counters.contains_key(&dials_key),
+        "sim run has no connection counters"
+    );
     assert!(ev.net.sent > 0, "no traffic recorded");
 }
