@@ -520,8 +520,10 @@ pub fn check_codec(
 
 /// Within each function body: once a `Journal` output has been pushed
 /// (`self.jlog(…)` or a literal `…::Journal(…)`), no visible output
-/// (`self.send/multicast/reply(…)` or `…::Send/Reply/Deliver`) may follow
-/// until a commit (`self.persist(…)` or `…::Commit`).
+/// (`self.send/multicast/multicast_others/reply(…)` or
+/// `…::Send/Reply/Deliver`) may follow until a commit (`self.persist(…)`
+/// or `…::Commit`). The barrier-free outputs of the VC durability table
+/// carry an inline `lint:allow` naming their row.
 pub fn check_commit_order(sf: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
     let toks = &sf.toks;
@@ -569,7 +571,7 @@ fn scan_commit_order(
             "Journal" if after_path => pending = Some(sf.toks[i].line),
             "persist" if method_call => pending = None,
             "Commit" if after_path => pending = None,
-            "send" | "multicast" | "reply" if method_call => {
+            "send" | "multicast" | "multicast_others" | "reply" if method_call => {
                 emit_commit_violation(sf, i, &fn_name, &mut pending, out, id);
             }
             "Send" | "Reply" | "Deliver" if after_path => {

@@ -41,12 +41,10 @@ pub struct JournalConfig {
     /// Snapshot cadence: compact after this many records since the last
     /// snapshot. `None` disables automatic compaction.
     pub compact_every: Option<u64>,
-    /// Adaptive commit barriers: lets a driver *defer* a commit barrier
-    /// when nothing externally visible follows it in the same output
-    /// batch — the deferred frames stay in the group-commit window and
-    /// become durable on the next visible-guarded commit (or when the
-    /// window fills). "Durable before visible" is preserved exactly;
-    /// only invisible-batch fsyncs are elided. Off by default.
+    /// No effect. It used to let the VC driver skip a commit barrier no
+    /// send followed; the core no longer emits such barriers (DESIGN.md
+    /// §12.6). Kept because the frozen `ddbench/` sets and reads it; the
+    /// next `benchmark` PR removes it.
     pub adaptive_commit: bool,
 }
 
@@ -143,8 +141,8 @@ impl<D: Disk> Journal<D> {
     }
 
     /// Forces the group commit — called before any externally visible
-    /// action that depends on the appended records (issuing a receipt,
-    /// multicasting a share).
+    /// action that depends on the appended records (sending a signed
+    /// endorsement, multicasting a share).
     ///
     /// # Errors
     /// [`StorageError::Io`] on disk failure.
@@ -157,8 +155,8 @@ impl<D: Disk> Journal<D> {
         self.since_snapshot
     }
 
-    /// Whether the driver may defer commit barriers that no externally
-    /// visible output depends on (see [`JournalConfig::adaptive_commit`]).
+    /// The configured [`JournalConfig::adaptive_commit`] (no effect; read
+    /// only by the frozen `ddbench/`).
     pub fn adaptive_commit(&self) -> bool {
         self.config.adaptive_commit
     }

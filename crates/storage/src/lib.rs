@@ -4,8 +4,8 @@
 //!
 //! The paper's prototype keeps Vote Collector and Bulletin Board state in
 //! PostgreSQL precisely so a node that crashes can rejoin with its
-//! obligations intact (never issue two different receipts for one ballot,
-//! never un-accept a verified write). This crate is that persistence
+//! obligations intact (never sign a second code for a ballot, never
+//! un-accept a verified write). This crate is that persistence
 //! layer for the reproduction:
 //!
 //! * [`Disk`] — the backend abstraction, with [`FileDisk`] (real

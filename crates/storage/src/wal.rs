@@ -17,8 +17,8 @@
 //! **Group commit**: [`Wal::append`] buffers durability; the log is only
 //! fsynced when `group_commit` appended frames accumulate or on an
 //! explicit [`Wal::commit`] (state machines call it before any externally
-//! visible action that depends on the logged state, e.g. releasing a
-//! receipt).
+//! visible action that depends on the logged state, e.g. sending a
+//! signed endorsement).
 
 use crate::disk::{Disk, StorageError};
 use ddemos_obs::Recorder;
@@ -30,40 +30,8 @@ pub const FRAME_HEADER: usize = 12;
 /// Sanity bound on one frame's payload.
 const MAX_FRAME: u32 = 1 << 26; // 64 MiB
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected)
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
+/// CRC-32 (IEEE) of a frame payload: the transport codec's kernel.
+pub use ddemos_protocol::wire::crc32;
 
 // ---------------------------------------------------------------------------
 // Frame codec

@@ -13,10 +13,16 @@
 //! over `TcpTransport`, or a test harness replaying a recorded trace.
 //!
 //! Output ordering carries the durability contract: a
-//! [`VcOutput::Commit`] always precedes the [`VcOutput::Send`]s whose
-//! contents depend on the journaled state, so a driver that executes
-//! outputs in order preserves the "durable before externally visible"
-//! invariant the recovery tests assert.
+//! [`VcOutput::Commit`] precedes, in the same step, the
+//! [`VcOutput::Send`]s that must not leave before the journaled state is
+//! on disk. A barrier is an fsync some voter waits for, so the core emits
+//! one only where the paper's safety argument needs a record to survive a
+//! power cycle — before an ENDORSEMENT, a VOTE_P, the ANNOUNCE and the
+//! finalized set leave (the durability table on `VcRecord` in
+//! `durable.rs`; every `persist()` cites its row). The rest rides to the
+//! next barrier, and nothing is addressed to oneself: a collector takes
+//! its own endorsement and stores its own EA-dealt share where it
+//! produces them; ENDORSE and VOTE_P go to the *other* collectors.
 
 use crate::behavior::{AdversaryView, TriggeredAdversary, VcBehavior};
 use crate::durable::{BallotSlot, DurableView, Status, VcRecord};
@@ -337,7 +343,6 @@ pub struct VcCore<S> {
     consensus: Option<BatchConsensus>,
     buffered_consensus: Vec<(u32, ConsensusMsg)>,
     decision: Option<Vec<bool>>,
-    vc_peers: Vec<NodeId>,
     /// Polls closed (by `Tend` on the node clock or a ClosePolls input).
     closed: bool,
     /// Set while a [`VcOutput::Recover`] is outstanding: suppresses the
@@ -366,7 +371,6 @@ impl<S: BallotStore> VcCore<S> {
         beacon: u64,
         durable: bool,
     ) -> VcCore<S> {
-        let vc_peers: Vec<NodeId> = (0..init.params.num_vc as u32).map(NodeId::vc).collect();
         let mut mverify = MsgVerifier::new(DEFAULT_CACHE_CAPACITY);
         for vk in &init.vc_keys {
             mverify.prepare(vk);
@@ -395,7 +399,6 @@ impl<S: BallotStore> VcCore<S> {
             consensus: None,
             buffered_consensus: Vec::new(),
             decision: None,
-            vc_peers,
             closed: false,
             awaiting_recovery: false,
             now_ms: 0,
@@ -485,7 +488,17 @@ impl<S: BallotStore> VcCore<S> {
         if self.finalized {
             self.phase = Phase::Done;
         }
-        self.finish_recovered_receipts();
+        // A replayed `Pending` slot with a quorum of shares reconstructs
+        // now, as the live node would have before its next message.
+        let pending: Vec<SerialNo> = self
+            .slots
+            .iter()
+            .filter(|(_, slot)| slot.status == Status::Pending)
+            .map(|(serial, _)| *serial)
+            .collect();
+        for serial in pending {
+            self.try_reconstruct(serial);
+        }
         self.check_phase_end();
         std::mem::take(&mut self.outputs)
     }
@@ -584,7 +597,11 @@ impl<S: BallotStore> VcCore<S> {
                             }
                         }
                     }
-                    let held = self.slots.get(serial).map_or(0, |slot| slot.shares.len());
+                    // Shares held, own included: the first VOTE_P to land
+                    // makes the node disclose (and store) it.
+                    let held = self.slots.get(serial).map_or(1, |slot| {
+                        slot.shares.len() + usize::from(!slot.my_share_sent)
+                    });
                     let queued = share_indices.entry(*serial).or_default();
                     if queued.contains(&index) || held + queued.len() >= quorum {
                         continue;
@@ -664,12 +681,19 @@ impl<S: BallotStore> VcCore<S> {
         self.out(VcOutput::Send { to, msg });
     }
 
+    /// Sends `msg` to every collector, this node's own inbox included.
     fn multicast(&mut self, msg: Msg) {
-        for &to in &self.vc_peers.clone() {
-            self.out(VcOutput::Send {
-                to,
-                msg: msg.clone(),
-            });
+        for index in 0..self.init.params.num_vc as u32 {
+            self.send(NodeId::vc(index), msg.clone());
+        }
+    }
+
+    /// Sends `msg` to every *other* collector: ENDORSE and VOTE_P carry
+    /// nothing their sender does not already hold.
+    fn multicast_others(&mut self, msg: Msg) {
+        let me = self.init.node_index;
+        for index in (0..self.init.params.num_vc as u32).filter(|i| *i != me) {
+            self.send(NodeId::vc(index), msg.clone());
         }
     }
 
@@ -685,8 +709,8 @@ impl<S: BallotStore> VcCore<S> {
 
     /// Emits one journal-append output (no-op for volatile cores — the
     /// closure defers record construction, so they pay nothing on the
-    /// voting hot path). Durability is deferred to the group commit
-    /// ([`VcCore::persist`]).
+    /// voting hot path). An appended record is durable at the next
+    /// barrier ([`VcCore::persist`]), whichever step emits it.
     fn jlog(&mut self, record: impl FnOnce() -> VcRecord) {
         if self.durable {
             let bytes = record().encode();
@@ -694,41 +718,46 @@ impl<S: BallotStore> VcCore<S> {
         }
     }
 
-    /// Emits the commit barrier: everything journaled so far must be
-    /// durable before the outputs that follow become externally visible.
+    /// Emits a commit barrier: everything journaled so far must be
+    /// durable before the outputs that follow leave the node.
     fn persist(&mut self) {
         if self.durable {
             self.out(VcOutput::Commit);
         }
     }
 
-    /// Completes receipts a crash interrupted: a replayed slot that is
-    /// `Pending` with a quorum of shares reconstructs immediately (the
-    /// live node would have done so before its next message).
-    fn finish_recovered_receipts(&mut self) {
+    /// Reconstructs the receipt once the slot holds a quorum of shares
+    /// and answers the voters waiting on it. No barrier (durability
+    /// table, `Voted`): any quorum gives the same receipt again.
+    fn try_reconstruct(&mut self, serial: SerialNo) {
         let quorum = self.quorum();
-        let serials: Vec<SerialNo> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.status == Status::Pending && s.shares.len() >= quorum)
-            .map(|(serial, _)| *serial)
-            .collect();
-        for serial in serials {
-            // The slot was listed just above; a vanished entry would be a
-            // corrupt replay — skip it rather than abort the replica.
-            let Some(slot) = self.slots.get_mut(&serial) else {
-                continue;
-            };
-            if let Some(secret) =
-                reconstruct_receipt(&mut self.receipt_weights, &slot.shares, quorum)
-            {
-                let receipt = secret.to_u64().unwrap_or(u64::MAX);
-                slot.receipt = Some(receipt);
-                slot.status = Status::Voted;
-                self.jlog(|| VcRecord::Voted { serial, receipt });
-            }
+        let Some(slot) = self.slots.get_mut(&serial) else {
+            return;
+        };
+        if slot.status != Status::Pending || slot.shares.len() < quorum {
+            return;
         }
-        self.persist();
+        let Some(secret) = reconstruct_receipt(&mut self.receipt_weights, &slot.shares, quorum)
+        else {
+            return;
+        };
+        let receipt = secret.to_u64().unwrap_or(u64::MAX);
+        slot.receipt = Some(receipt);
+        slot.status = Status::Voted;
+        let code = slot.used.map(|(code, ..)| code);
+        let waiting = std::mem::take(&mut slot.waiting);
+        self.jlog(|| VcRecord::Voted { serial, receipt });
+        for (client, request_id, wanted) in waiting {
+            // Only waiters of the *winning* code get the receipt; a
+            // racing different-code request lost the uniqueness race.
+            let outcome = if Some(wanted) == code {
+                VoteOutcome::Receipt(receipt)
+            } else {
+                VoteOutcome::Rejected(RejectReason::AlreadyVotedDifferentCode)
+            };
+            // lint:allow(commit-order, durability table: `Voted` — any quorum gives this receipt again)
+            self.reply(client, request_id, serial, outcome);
+        }
     }
 
     /// Power-cycles the node (the `CrashAmnesia` fault): every byte of
@@ -751,8 +780,6 @@ impl<S: BallotStore> VcCore<S> {
         if self.durable {
             self.awaiting_recovery = true;
             self.out(VcOutput::Recover);
-        } else {
-            self.finish_recovered_receipts();
         }
         // If the clock already passed `Tend` the end-of-voting check
         // (post-recovery for durable cores, end of this step otherwise)
@@ -961,42 +988,53 @@ impl<S: BallotStore> VcCore<S> {
                 slot.used = Some((code, part, row));
                 slot.waiting.push((from, request_id, code));
                 slot.endorsements.clear();
-                // Our own endorsement (also blocks endorsing other codes).
-                let endorse_self = slot.my_endorsed.is_none();
-                if endorse_self {
-                    slot.my_endorsed = Some(code);
-                }
                 self.jlog(|| VcRecord::Used {
                     serial,
                     code,
                     part,
                     row: row as u32,
                 });
-                if endorse_self {
-                    let sig = self.init.signing_key.sign(&endorsement_message(
-                        &self.init.params.election_id,
-                        serial,
-                        &sha256(&code.0),
-                    ));
-                    // The slot entry above outlives the jlog call only via
-                    // a fresh lookup; a concurrently corrupted map would
-                    // drop the endorsement rather than abort the replica.
-                    if let Some(slot) = self.slots.get_mut(&serial) {
-                        slot.endorsements.push((self.init.node_index, sig));
-                    }
-                    self.endorsements_seen += 1;
-                    self.jlog(|| VcRecord::Endorsed { serial, code });
+                // Our own endorsement (also blocks endorsing other codes).
+                if let Some(sig) = self.endorse(serial, code) {
+                    let me = self.init.node_index;
+                    let slot = self.slots.entry(serial).or_default();
+                    slot.endorsements.push((me, sig));
                 }
-                // The endorsed/used state must be durable before peers can
-                // observe it through our ENDORSE multicast.
-                self.persist();
-                self.multicast(Msg::Endorse {
+                // No barrier: both records ride to the VOTE_P barrier.
+                // lint:allow(commit-order, durability table: `Used` and the responder's own `Endorsed`)
+                self.multicast_others(Msg::Endorse {
                     serial,
                     vote_code: code,
                 });
                 self.check_ucert_complete(serial);
             }
         }
+    }
+
+    /// Signs this node's endorsement of `code` and journals `Endorsed`,
+    /// unless it endorsed another code; the caller owns the barrier.
+    fn endorse(&mut self, serial: SerialNo, code: VoteCode) -> Option<Signature> {
+        // Equivocation (endorsing a second code for a ballot we already
+        // endorsed): statically Byzantine endorsers always do it; a
+        // triggered adversary does it when its predicate over observed
+        // state fires. The adversary is only consulted when a conflict
+        // actually exists, so its fire count equals violations committed.
+        let prev_endorsed = self.slots.get(&serial).and_then(|s| s.my_endorsed);
+        if prev_endorsed.is_some_and(|prev| prev != code)
+            && self.behavior != VcBehavior::EquivocalEndorser
+            && !self.adversary_fires(VcBehavior::EquivocalEndorser, Some(serial))
+        {
+            return None;
+        }
+        let slot = self.slots.entry(serial).or_default();
+        slot.my_endorsed.get_or_insert(code);
+        self.jlog(|| VcRecord::Endorsed { serial, code });
+        self.endorsements_seen += 1;
+        Some(self.init.signing_key.sign(&endorsement_message(
+            &self.init.params.election_id,
+            serial,
+            &sha256(&code.0),
+        )))
     }
 
     fn on_endorse(&mut self, from: NodeId, serial: SerialNo, code: VoteCode) {
@@ -1016,45 +1054,18 @@ impl<S: BallotStore> VcCore<S> {
         if ballot.find_code(&code).is_none() {
             return;
         }
-        // Equivocation (endorsing a second code for a ballot we already
-        // endorsed): statically Byzantine endorsers always do it; a
-        // triggered adversary does it when its predicate over observed
-        // state fires. The adversary is only consulted when a conflict
-        // actually exists, so its fire count equals violations committed.
-        let prev_endorsed = self.slots.get(&serial).and_then(|s| s.my_endorsed);
-        let equivocal = match prev_endorsed {
-            Some(prev) if prev != code => {
-                self.behavior == VcBehavior::EquivocalEndorser
-                    || self.adversary_fires(VcBehavior::EquivocalEndorser, Some(serial))
-            }
-            _ => false,
-        };
-        let slot = self.slots.entry(serial).or_default();
-        let may_endorse = match slot.my_endorsed {
-            None => true,
-            Some(prev) => prev == code || equivocal,
-        };
-        if !may_endorse {
+        let Some(signature) = self.endorse(serial, code) else {
             return;
-        }
-        slot.my_endorsed.get_or_insert(code);
-        self.jlog(|| VcRecord::Endorsed { serial, code });
-        let sig = self.init.signing_key.sign(&endorsement_message(
-            &self.init.params.election_id,
-            serial,
-            &sha256(&code.0),
-        ));
-        self.endorsements_seen += 1;
-        // The endorsement must be durable before it leaves the node: a
-        // restarted node must never sign a *different* code for this
-        // ballot (the receipt-uniqueness obligation).
+        };
+        // Barrier (durability table, a peer's `Endorsed`): a restarted
+        // node must never sign a *different* code for this ballot.
         self.persist();
         self.send(
             from,
             Msg::Endorsement {
                 serial,
                 vote_code: code,
-                signature: sig,
+                signature,
             },
         );
     }
@@ -1127,9 +1138,11 @@ impl<S: BallotStore> VcCore<S> {
         });
         self.jlog(|| VcRecord::Pending { serial });
         self.disclose_share(serial, code, part, row, ucert);
+        self.try_reconstruct(serial);
     }
 
-    /// Sends our VOTE_P (receipt share) for a ballot, marking it pending.
+    /// Stores our own receipt share — EA-dealt, nothing to verify — and
+    /// discloses it (VOTE_P) to the other collectors.
     fn disclose_share(
         &mut self,
         serial: SerialNo,
@@ -1146,27 +1159,32 @@ impl<S: BallotStore> VcCore<S> {
         let Some(ballot) = self.store.get(serial) else {
             return;
         };
-        let mut share = ballot.parts[part.index()][row].receipt_share;
+        let dealt = ballot.parts[part.index()][row].receipt_share;
+        let mut disclosed = dealt;
         if self.behavior == VcBehavior::CorruptShares
             || self.adversary_fires(VcBehavior::CorruptShares, Some(serial))
         {
-            share.share.value += ddemos_crypto::field::Scalar::ONE;
+            disclosed.share.value += ddemos_crypto::field::Scalar::ONE;
         }
-        {
-            let slot = self.slots.entry(serial).or_default();
-            if slot.my_share_sent {
-                return;
-            }
-            slot.my_share_sent = true;
+        let slot = self.slots.entry(serial).or_default();
+        if slot.my_share_sent {
+            return;
+        }
+        slot.my_share_sent = true;
+        if slot.add_share(dealt) {
+            self.jlog(|| VcRecord::ShareStored {
+                serial,
+                share: dealt,
+            });
         }
         self.jlog(|| VcRecord::ShareSent { serial });
-        // The UCERT and share-sent marker must be durable before the
-        // share is disclosed to peers.
+        // Barrier (durability table, `Certified` … `ShareSent`, the
+        // responder's `Endorsed` riding in): a discloser keeps its UCERT.
         self.persist();
-        self.multicast(Msg::VoteP {
+        self.multicast_others(Msg::VoteP {
             serial,
             vote_code: code,
-            share,
+            share: disclosed,
             ucert,
         });
     }
@@ -1246,10 +1264,9 @@ impl<S: BallotStore> VcCore<S> {
         if !self.mverify.check_share(&self.init.ea_key, &ctx, &share) {
             return;
         }
-        let quorum = self.quorum();
         let mut became_pending = false;
         let mut certified_now = false;
-        let mut store_share = false;
+        let store_share;
         {
             let slot = self.slots.entry(serial).or_default();
             match slot.status {
@@ -1280,14 +1297,7 @@ impl<S: BallotStore> VcCore<S> {
                     }
                 }
             }
-            if !slot
-                .shares
-                .iter()
-                .any(|s| s.share.index == share.share.index)
-            {
-                slot.shares.push(share);
-                store_share = true;
-            }
+            store_share = slot.add_share(share);
         }
         if became_pending {
             let ucert_rec = (*ucert).clone();
@@ -1315,36 +1325,7 @@ impl<S: BallotStore> VcCore<S> {
         if became_pending {
             self.disclose_share(serial, code, part, row, ucert);
         }
-        // Reconstruct once enough shares are in. The slot was touched
-        // above; if it vanished the map is corrupt — drop the message.
-        let Some(slot) = self.slots.get_mut(&serial) else {
-            return;
-        };
-        if slot.status != Status::Voted && slot.shares.len() >= quorum {
-            if let Some(secret) =
-                reconstruct_receipt(&mut self.receipt_weights, &slot.shares, quorum)
-            {
-                let receipt = secret.to_u64().unwrap_or(u64::MAX);
-                slot.receipt = Some(receipt);
-                slot.status = Status::Voted;
-                let waiting = std::mem::take(&mut slot.waiting);
-                self.jlog(|| VcRecord::Voted { serial, receipt });
-                // The receipt must be durable before any client sees it:
-                // re-issuing a *different* receipt after a crash is the
-                // exact safety violation durability exists to prevent.
-                self.persist();
-                for (client, request_id, wanted) in waiting {
-                    // Only waiters of the *winning* code get the receipt; a
-                    // racing different-code request lost the uniqueness race.
-                    let outcome = if wanted == code {
-                        VoteOutcome::Receipt(receipt)
-                    } else {
-                        VoteOutcome::Rejected(RejectReason::AlreadyVotedDifferentCode)
-                    };
-                    self.reply(client, request_id, serial, outcome);
-                }
-            }
-        }
+        self.try_reconstruct(serial);
     }
 
     // ----- vote-set consensus (§III-E end-of-election) ---------------------
@@ -1363,6 +1344,8 @@ impl<S: BallotStore> VcCore<S> {
                 AnnounceEntry { serial, vote }
             })
             .collect();
+        // Barrier (durability table, last row), once an election.
+        self.persist();
         self.multicast(Msg::Announce {
             entries: Arc::new(entries),
         });
@@ -1590,8 +1573,8 @@ impl<S: BallotStore> VcCore<S> {
         let signature = self.init.signing_key.sign(&msg);
         self.finalized = true;
         self.jlog(|| VcRecord::Finalized);
-        // Durable before delivery: a recovered node must not release a
-        // second finalized set.
+        // Barrier (durability table, `Finalized`): durable before delivery
+        // — a recovered node must not release a second finalized set.
         self.persist();
         self.out(VcOutput::Deliver(FinalizedVoteSet {
             node_index: self.init.node_index,

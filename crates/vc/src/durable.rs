@@ -1,18 +1,20 @@
 //! The durable projection of a VC node's ballot state.
 //!
 //! The paper's prototype keeps collector state in PostgreSQL so that a
-//! node that crashes can rejoin with its obligations intact — above all
-//! "never issue two different receipts for one ballot" (§III-E): the
-//! endorsed code, the uniqueness certificate, and the reconstructed
-//! receipt must all survive a restart. This module defines
+//! node that crashes can rejoin with its obligations intact (§III-D/E,
+//! §V). Its safety argument names what must survive a restart: the code
+//! a node endorsed ("at most one UCERT per serial") and the UCERT held by
+//! every collector that disclosed a receipt share ("a receipt implies the
+//! vote is tallied"). This module defines
 //!
 //! * [`BallotSlot`] — the per-ballot state machine (shared with
-//!   `node.rs`), split into a durable projection (status, used code,
+//!   `core.rs`), split into a durable projection (status, used code,
 //!   endorsement, UCERT, shares, receipt) and volatile scratch (waiting
 //!   clients, collected endorsement signatures) that recovery legitimately
 //!   loses;
 //! * [`VcRecord`] — the WAL record vocabulary, one record per state
-//!   transition, encoded with the canonical `wire.rs` codec;
+//!   transition, with the **durability table**: which output, if any,
+//!   must wait for each record to be on disk;
 //! * [`DurableView`] — a view over the node's slot map implementing
 //!   [`ddemos_storage::Durable`], so a `Journal` can snapshot, replay and
 //!   compact it.
@@ -84,6 +86,21 @@ pub(crate) struct BallotSlot {
     pub(crate) waiting: Vec<(NodeId, u64, VoteCode)>,
 }
 
+impl BallotSlot {
+    /// Stores a verified (or own, EA-dealt) receipt share unless its
+    /// index is already held. Returns whether the share was added.
+    pub(crate) fn add_share(&mut self, share: SignedShare) -> bool {
+        let new = !self
+            .shares
+            .iter()
+            .any(|s| s.share.index == share.share.index);
+        if new {
+            self.shares.push(share);
+        }
+        new
+    }
+}
+
 impl Default for BallotSlot {
     fn default() -> Self {
         BallotSlot {
@@ -101,18 +118,36 @@ impl Default for BallotSlot {
 }
 
 /// One WAL record: a single durable state transition of one ballot slot.
+///
+/// # The durability table
+///
+/// Every record is appended when its transition happens. A commit
+/// *barrier* — the journal synced before an output leaves the node — is
+/// paid only where something another party sees depends on the record
+/// surviving a power cycle; the others ride to the next barrier (the log
+/// is synced as a whole, in order). DESIGN.md §12.6 gives the arguments.
+///
+/// | Record | Appended in | Barrier before | What rests on it; what losing it costs |
+/// |---|---|---|---|
+/// | `Used` | `on_vote`, `on_vote_p`, `adopt_code` | — | Locates the slot's code. Nothing signed or disclosed depends on it alone; lost, the voter's retry starts the round again. |
+/// | `Endorsed`, a peer's | `on_endorse` | **ENDORSEMENT** | *At most one UCERT per serial*: a node that forgot the code it signed could sign a second one. |
+/// | `Endorsed`, the responder's own | `on_vote` | — (rides to the VOTE_P barrier) | ENDORSE carries no signature; the responder's first leaves the node inside the UCERT of its VOTE_P. Lost before that, it signed nothing anyone saw. |
+/// | `Certified`, `Pending`, own `ShareStored`, `ShareSent` | `disclose_share` and its callers | **VOTE_P** | *A receipt implies the vote is tallied*: a receipt takes `N_v − f_v` disclosed shares, so `N_v − 2f_v` honest disclosers must still hold the UCERT at ANNOUNCE/RECOVER time, power cycles included. |
+/// | `ShareStored`, a peer's | `on_vote_p` | — | Re-deliverable and verified again on arrival. Lost, the slot waits as `Pending` for shares or another collector answers. |
+/// | `Voted` | `try_reconstruct` | — | The receipt is the interpolation at zero of EA-dealt, EA-signed shares: every quorum gives the same scalar, so a node that forgot it cannot issue a *different* one. Lost, recovery reconstructs it from a durable quorum or the slot waits as `Pending`. |
+/// | `Used` + `Certified`, adopted after the polls closed | `adopt_code` | — (rides to the `Finalized` barrier) | Peers hold what was adopted from them. |
+/// | `Finalized` | `try_finalize` | **the finalized set's delivery** | A recovered node must not release a second vote set. |
+/// | whatever still rides | `begin_announce` | **ANNOUNCE** (once an election) | Nothing is unsynced when the node discloses its view of the vote set. |
 #[derive(Clone, Debug)]
 pub(crate) enum VcRecord {
-    /// A code became the slot's active one (responder start, VOTE_P
-    /// adoption, or announce-phase adoption).
+    /// A code became the slot's active one.
     Used {
         serial: SerialNo,
         code: VoteCode,
         part: PartId,
         row: u32,
     },
-    /// This node endorsed `code` for the ballot (must never endorse a
-    /// different one, even across restarts).
+    /// This node endorsed `code` for the ballot.
     Endorsed { serial: SerialNo, code: VoteCode },
     /// A verified UCERT was stored for the slot.
     Certified { serial: SerialNo, ucert: UCert },
@@ -125,11 +160,9 @@ pub(crate) enum VcRecord {
     },
     /// This node disclosed its own receipt share (at most once).
     ShareSent { serial: SerialNo },
-    /// The receipt was reconstructed — the paper's "one receipt per
-    /// ballot, forever" obligation.
+    /// The receipt was reconstructed.
     Voted { serial: SerialNo, receipt: u64 },
-    /// The node delivered its finalized vote set (must not deliver a
-    /// second one after recovery).
+    /// The node delivered its finalized vote set.
     Finalized,
 }
 
@@ -266,14 +299,7 @@ impl DurableView<'_> {
                 }
             }
             VcRecord::ShareStored { serial, share } => {
-                let slot = self.slots.entry(serial).or_default();
-                if !slot
-                    .shares
-                    .iter()
-                    .any(|s| s.share.index == share.share.index)
-                {
-                    slot.shares.push(share);
-                }
+                self.slots.entry(serial).or_default().add_share(share);
             }
             VcRecord::ShareSent { serial } => {
                 self.slots.entry(serial).or_default().my_share_sent = true;

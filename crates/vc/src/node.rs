@@ -6,17 +6,26 @@
 //! endpoint, the node clock, the durable journal, the stop/close-polls
 //! flags, and the finalized-vote-set delivery channel. One iteration:
 //!
-//! 1. translate the environment into a [`VcInput`] — a received envelope,
-//!    a poll-timer expiry (`Tick`), a latched close-polls flag, or an
-//!    authenticated `Msg::ClosePolls`/`Msg::Shutdown` control envelope;
-//! 2. `core.step(input, clock.now_ms())`;
-//! 3. execute the returned [`VcOutput`]s in order (sends, journal
-//!    appends, group commits, finalized-set delivery, amnesia recovery).
+//! 1. translate the environment into a burst of [`VcInput`]s — every
+//!    envelope the endpoint has buffered, a poll-timer expiry (`Tick`), a
+//!    latched close-polls flag, or an authenticated
+//!    `Msg::ClosePolls`/`Msg::Shutdown` control envelope;
+//! 2. `core.step(input, clock.now_ms())` for each input, in order;
+//! 3. execute the returned [`VcOutput`]s with **one commit barrier a
+//!    burst**: records are appended as they come, a send no barrier of its
+//!    own step precedes goes out at once, one that follows a barrier is
+//!    held; after the last step one `journal.commit()` stands for every
+//!    barrier of the burst and the held outputs leave in step order.
 //!
-//! Because the driver is this thin, the same core runs unchanged over
-//! the in-process `SimNet` (every existing virtual-time, fault and
-//! durability behavior) and over `TcpTransport` with one replica per OS
-//! process (`ddemos_harness::tcp`).
+//! Which outputs sit behind a barrier is the core's decision; the driver
+//! only lets the barriers of one burst share an fsync. Nothing held
+//! reaches the endpoint before the commit that covers its step, and a
+//! barrier-free send queues behind a held one to the same node, so each
+//! destination sees the core's order. Under a virtual clock a burst is
+//! one envelope and this is the sequential loop.
+//!
+//! The same core runs unchanged over the in-process `SimNet` and over
+//! real sockets with one replica per OS process (`ddemos_harness::tcp`).
 
 use crate::core::{StepTrace, VcCore, VcInput, VcOutput};
 use crate::store::BallotStore;
@@ -139,6 +148,10 @@ struct VcDriver<S> {
     force_end: Arc<AtomicBool>,
     close_forwarded: bool,
     timeout: Duration,
+    /// A step of the current burst emitted a barrier that has yet to run.
+    barrier: bool,
+    /// The burst's sends waiting for that barrier, in step order.
+    held: Vec<(NodeId, Msg)>,
 }
 
 /// Upper bound on envelopes drained per readiness wake: keeps the
@@ -168,6 +181,7 @@ impl<S: BallotStore> VcDriver<S> {
         self.recover();
         let outs = self.core.start();
         self.execute(outs);
+        self.release();
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 self.shutdown();
@@ -175,16 +189,12 @@ impl<S: BallotStore> VcDriver<S> {
             }
             if !self.close_forwarded && self.force_end.load(Ordering::SeqCst) {
                 self.close_forwarded = true;
-                self.step(VcInput::ClosePolls);
+                self.step(VcInput::ClosePolls, true);
             }
             // The driver runs on the poll-based event surface: wait for
             // readiness in the transport's time base, then drain without
-            // blocking. One readiness wake drains the whole buffered
-            // burst: under a virtual clock deliveries are clock-paced and
-            // the burst degenerates to one envelope (seeded runs are
-            // step-for-step the old `recv_timeout` loop), while a real
-            // transport under load hands the core a queue it can
-            // batch-verify ahead of the steps.
+            // blocking. One readiness wake drains the whole buffered burst
+            // (one envelope under a virtual clock, see the module docs).
             let inputs = match self.endpoint.wait(self.timeout) {
                 Wait::Ready => {
                     // Envelopes waiting when the node wakes: what this
@@ -236,41 +246,43 @@ impl<S: BallotStore> VcDriver<S> {
             if inputs.len() > 1 {
                 self.core.preverify(&inputs);
             }
-            for input in inputs {
+            let last = inputs.len() - 1;
+            for (i, input) in inputs.into_iter().enumerate() {
                 if matches!(input, VcInput::Shutdown) {
                     self.shutdown();
                     return;
                 }
-                self.step(input);
+                self.step(input, i == last);
             }
         }
     }
 
-    /// Final step: tells the core, then flushes any commit barriers the
-    /// adaptive-commit mode deferred (nothing visible depended on them,
-    /// but an orderly exit should not discard durable work).
+    /// Final step: tells the core, releases what the burst still holds,
+    /// and commits the records still riding (an orderly exit keeps them).
     fn shutdown(&mut self) {
-        self.step(VcInput::Shutdown);
-        if let Some(journal) = self.journal.as_mut() {
-            if let Err(e) = journal.commit() {
-                eprintln!("vc: final journal commit failed ({e})");
-            }
-        }
+        self.barrier = true;
+        self.step(VcInput::Shutdown, true);
     }
 
-    /// One core step: stamp the time, record the trace, execute outputs.
+    /// Counts a journal failure the driver absorbed, by kind: the replica
+    /// keeps serving from what it holds, and this is how anyone learns.
+    fn journal_fault(&self, kind: &'static str) {
+        self.recorder.add("vc.journal_faults", kind, 1);
+    }
+
+    /// One core step: stamp the time, record the trace, execute outputs;
+    /// the burst's last step also runs the burst's barrier.
     ///
-    /// The whole handle — core step plus output execution, journal sync
-    /// included — is charged to `vc.step_ns` under the input's message
-    /// kind, so the profile attributes durable-commit latency to the
-    /// message that forced it. Only `Deliver` inputs record under the
-    /// stable names: delivered envelopes are virtual-time events with a
-    /// seed-determined order, while `Tick`/`ClosePolls`/`Shutdown` are
-    /// injected by the driver loop (idle timeouts, the harness
-    /// `force_end` flag, the stop flag), whose count and interleaving
-    /// depend on wall-clock scheduling even under virtual time — those
-    /// go to `~`-prefixed unstable names, excluded from the fingerprint.
-    fn step(&mut self, input: VcInput) {
+    /// The whole handle — core step, output execution and journal sync —
+    /// is charged to `vc.step_ns` under the input's message kind (the sync
+    /// to the last step of its burst, which waited for it). Only `Deliver`
+    /// inputs record under the stable names: delivered envelopes are
+    /// virtual-time events with a seed-determined order, while
+    /// `Tick`/`ClosePolls`/`Shutdown` are injected by the driver loop,
+    /// whose count and interleaving depend on wall-clock scheduling even
+    /// under virtual time — those go to `~`-prefixed unstable names,
+    /// excluded from the fingerprint.
+    fn step(&mut self, input: VcInput, end_of_burst: bool) {
         let label = input_label(&input);
         // Deliveries to a finalized node are also unstable: a done node
         // is only answering stragglers, and how many late echoes it
@@ -302,6 +314,9 @@ impl<S: BallotStore> VcDriver<S> {
             }
         }
         self.execute(outs);
+        if end_of_burst {
+            self.release();
+        }
         self.recorder.observe_since(step_name, label, start);
     }
 
@@ -310,92 +325,78 @@ impl<S: BallotStore> VcDriver<S> {
         let Some(journal) = self.journal.as_mut() else {
             return;
         };
-        if let Err(e) = journal.recover(&mut self.core.durable()) {
+        if journal.recover(&mut self.core.durable()).is_err() {
             // The WAL truncated itself at the offending record, so the
             // applied prefix and the log agree; continue from the prefix.
-            eprintln!("vc: journal replay stopped early ({e}); recovered the clean prefix");
+            self.journal_fault("replay");
         }
         let now_ms = self.clock.now_ms();
         let outs = self.core.post_recovery(now_ms);
         self.execute(outs);
     }
 
-    /// Executes one batch of outputs, in order. Journal commits run
-    /// inline (durable-before-visible); the snapshot cadence runs once at
-    /// the end of the batch, when the core's state matches every appended
-    /// record.
+    /// Reads one step's outputs, in order: records are appended as they
+    /// come, a send goes out at once unless a barrier of this step precedes
+    /// it, in which case it waits for [`VcDriver::release`].
     fn execute(&mut self, outputs: Vec<VcOutput>) {
-        let mut committed = false;
-        // Adaptive commit: a barrier with no externally visible output
-        // (send/delivery) after it in this batch guards nothing yet — its
-        // frames may ride the group-commit window until the next visible-
-        // guarded commit (or until the window fills inside `append`).
-        // "Durable before visible" is untouched: every visible output is
-        // still preceded, in-batch, by a commit that runs inline.
-        let adaptive = self
-            .journal
-            .as_ref()
-            .is_some_and(|journal| journal.adaptive_commit());
-        let mut visible_after = vec![false; outputs.len()];
-        if adaptive {
-            let mut seen_visible = false;
-            for (slot, output) in visible_after.iter_mut().zip(&outputs).rev() {
-                *slot = seen_visible;
-                if matches!(output, VcOutput::Send { .. } | VcOutput::Deliver(_)) {
-                    seen_visible = true;
-                }
-            }
-        }
-        for (output, visible_later) in outputs.into_iter().zip(visible_after) {
+        let mut behind_barrier = false;
+        for output in outputs {
             match output {
-                VcOutput::Send { to, msg } => {
-                    // The node's own ANNOUNCE starts vote-set consensus.
-                    // Flipping the phase here — on a core output — keeps
-                    // the transition a pure function of this node's event
-                    // order, unlike the `ClosePolls` input, which may or
-                    // may not arrive before the node self-closes at Tend.
-                    if matches!(msg, Msg::Announce { .. }) {
-                        self.recorder.set_phase("consensus");
-                    }
-                    self.endpoint.send(to, msg)
-                }
                 VcOutput::SetTimer(d) => self.timeout = d,
                 VcOutput::Journal(bytes) => {
-                    if let Some(journal) = self.journal.as_mut() {
-                        if let Err(e) = journal.append(&bytes) {
-                            if e.is_disk_full() {
-                                // Device full: the record was NOT written
-                                // (the WAL frame counter did not advance).
-                                // Degrade to read-only and drop the rest of
-                                // this batch — the Sends after this append
-                                // depend on it being durable, and the
-                                // journal on disk stays intact for replay.
-                                eprintln!(
-                                    "vc: journal device full; entering read-only degraded mode"
-                                );
-                                self.core.set_degraded();
-                                break;
-                            }
-                            eprintln!("vc: journal append failed ({e}); continuing volatile");
+                    let Some(journal) = self.journal.as_mut() else {
+                        continue;
+                    };
+                    match journal.append(&bytes) {
+                        Ok(()) => {}
+                        Err(e) if e.is_disk_full() => {
+                            // Device full: the record was NOT written.
+                            // Degrade to read-only and drop the rest of
+                            // this step, which depends on the record (what
+                            // earlier steps are owed still goes out).
+                            self.journal_fault("disk_full");
+                            self.core.set_degraded();
+                            return;
                         }
+                        // Any other failure: continue volatile.
+                        Err(_) => self.journal_fault("append"),
                     }
                 }
                 VcOutput::Commit => {
-                    if adaptive && !visible_later {
-                        // Deferred: nothing visible in this batch depends
-                        // on these frames being synced yet.
-                        continue;
-                    }
+                    self.barrier = true;
+                    behind_barrier = true;
+                }
+                VcOutput::Recover => {
+                    // The earlier steps of the burst ran before the power
+                    // cut: their barrier and what it holds come first.
+                    self.release();
                     if let Some(journal) = self.journal.as_mut() {
-                        if let Err(e) = journal.commit() {
-                            eprintln!("vc: journal commit failed ({e})");
-                        } else {
-                            committed = true;
+                        if journal.crash(0).is_err() {
+                            self.journal_fault("crash");
                         }
+                    }
+                    self.recover();
+                }
+                VcOutput::Send { to, msg } => {
+                    // The node's own ANNOUNCE starts vote-set consensus, its
+                    // finalized set the push phase: a core output, so the
+                    // flip is a pure function of this node's event order
+                    // (`ClosePolls` may or may not beat the clock to Tend).
+                    if matches!(msg, Msg::Announce { .. }) {
+                        self.recorder.set_phase("consensus");
+                    }
+                    // Behind this step's barrier, or behind an earlier send
+                    // to the same node that is.
+                    if behind_barrier || self.held.iter().any(|(held_to, _)| *held_to == to) {
+                        self.held.push((to, msg));
+                    } else {
+                        self.endpoint.send(to, msg);
                     }
                 }
                 VcOutput::Deliver(finalized) => {
-                    // Finalization: this node enters the push phase.
+                    // Once an election: its barrier runs now, not with the
+                    // rest of the burst.
+                    self.release();
                     self.recorder.set_phase("push");
                     match &self.deliver {
                         DeliverTarget::Channel(tx) => {
@@ -408,20 +409,30 @@ impl<S: BallotStore> VcDriver<S> {
                         }
                     }
                 }
-                VcOutput::Recover => {
-                    if let Some(journal) = self.journal.as_mut() {
-                        if let Err(e) = journal.crash(0) {
-                            eprintln!("vc: journal crash simulation failed ({e})");
-                        }
-                    }
-                    self.recover();
+            }
+        }
+    }
+
+    /// Ends a burst: one `journal.commit()` for all its barriers, the held
+    /// sends in step order, then the snapshot cadence (the core's state
+    /// matches every appended record here).
+    fn release(&mut self) {
+        let mut committed = false;
+        if std::mem::take(&mut self.barrier) {
+            if let Some(journal) = self.journal.as_mut() {
+                match journal.commit() {
+                    Ok(()) => committed = true,
+                    Err(_) => self.journal_fault("commit"),
                 }
             }
         }
+        for (to, msg) in std::mem::take(&mut self.held) {
+            self.endpoint.send(to, msg);
+        }
         if committed {
             if let Some(journal) = self.journal.as_mut() {
-                if let Err(e) = journal.maybe_compact(&self.core.durable()) {
-                    eprintln!("vc: journal compaction failed ({e})");
+                if journal.maybe_compact(&self.core.durable()).is_err() {
+                    self.journal_fault("compaction");
                 }
             }
         }
@@ -553,6 +564,8 @@ impl<S: BallotStore + 'static> VcNode<S> {
                     force_end: force_end2,
                     close_forwarded: false,
                     timeout: poll,
+                    barrier: false,
+                    held: Vec::new(),
                 };
                 driver.run();
             })
@@ -563,5 +576,253 @@ impl<S: BallotStore + 'static> VcNode<S> {
             force_end,
             thread: Some(thread),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::behavior::VcBehavior;
+    use crate::store::MemoryStore;
+    use ddemos_crypto::field::Scalar;
+    use ddemos_crypto::schnorr::SigningKey;
+    use ddemos_crypto::shamir::Share;
+    use ddemos_crypto::votecode::{VoteCode, VoteCodeHash};
+    use ddemos_crypto::vss::DealerVss;
+    use ddemos_net::EventEndpoint;
+    use ddemos_protocol::clock::GlobalClock;
+    use ddemos_protocol::initdata::{VcBallot, VcRow};
+    use ddemos_protocol::messages::Envelope;
+    use ddemos_protocol::{ElectionParams, SerialNo};
+    use ddemos_storage::{DiskProfile, Journal, JournalConfig, SimDisk};
+    use parking_lot::Mutex;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::{BTreeMap, VecDeque};
+
+    const ME: u32 = 1;
+    const BALLOTS: u64 = 4;
+
+    /// One send as the endpoint saw it: how many times the disk had been
+    /// synced by then, and the envelope.
+    type Sent = (u64, NodeId, Msg);
+
+    /// An endpoint whose whole inbox is queued before the driver starts —
+    /// one readiness wake, one burst — and which closes once drained.
+    struct Scripted {
+        inbox: Mutex<VecDeque<Envelope>>,
+        sent: Arc<Mutex<Vec<Sent>>>,
+        disk: Arc<SimDisk>,
+        /// The disk fills up the moment something is sent to this node.
+        fills_disk: Option<NodeId>,
+    }
+
+    impl EventEndpoint for Scripted {
+        fn id(&self) -> NodeId {
+            NodeId::vc(ME)
+        }
+        fn send(&self, to: NodeId, msg: Msg) {
+            if self.fills_disk == Some(to) {
+                self.disk.set_full(true);
+            }
+            self.sent.lock().push((self.disk.syncs(), to, msg));
+        }
+        fn try_recv(&self) -> Option<Envelope> {
+            self.inbox.lock().pop_front()
+        }
+        fn wait(&self, _timeout: Duration) -> Wait {
+            if self.inbox.lock().is_empty() {
+                Wait::Closed
+            } else {
+                Wait::Ready
+            }
+        }
+        fn now_ns(&self) -> u64 {
+            0
+        }
+    }
+
+    fn code(serial: u64) -> VoteCode {
+        VoteCode([serial as u8 + 1; 20])
+    }
+
+    /// Collector `ME` of a four-collector election, dealt by hand: one
+    /// row a part, `code(serial)` on part A.
+    fn init() -> VcInit {
+        let mut rng = StdRng::seed_from_u64(23);
+        let params =
+            ElectionParams::new("vc-driver", BALLOTS, 2, 4, 1, 1, 1, 0, 3_600_000).expect("params");
+        let ea = SigningKey::generate(&mut rng);
+        let keys: Vec<SigningKey> = (0..4).map(|_| SigningKey::generate(&mut rng)).collect();
+        let share = DealerVss::sign(
+            &ea,
+            b"vc-driver",
+            &[Share {
+                index: ME + 1,
+                value: Scalar::ONE,
+            }],
+        )[0];
+        let row = |code: VoteCode| VcRow {
+            code_hash: VoteCodeHash::commit(&code, 7),
+            receipt_share: share,
+        };
+        let ballots: BTreeMap<SerialNo, VcBallot> = (0..BALLOTS)
+            .map(|serial| {
+                let parts = [vec![row(code(serial))], vec![row(VoteCode([0xEE; 20]))]];
+                (SerialNo(serial), VcBallot { parts })
+            })
+            .collect();
+        VcInit {
+            params,
+            node_index: ME,
+            signing_key: keys[ME as usize],
+            vc_keys: keys.iter().map(SigningKey::verifying_key).collect(),
+            ea_key: ea.verifying_key(),
+            msk_share: share,
+            ballots,
+        }
+    }
+
+    fn endorse(serial: u64) -> Envelope {
+        Envelope {
+            from: NodeId::vc(0),
+            to: NodeId::vc(ME),
+            msg: Msg::Endorse {
+                serial: SerialNo(serial),
+                vote_code: code(serial),
+            },
+        }
+    }
+
+    fn vote(client: u32, serial: u64) -> Envelope {
+        Envelope {
+            from: NodeId::client(client),
+            to: NodeId::vc(ME),
+            msg: Msg::Vote {
+                request_id: 1,
+                serial: SerialNo(serial),
+                vote_code: code(serial),
+            },
+        }
+    }
+
+    struct Run {
+        sent: Vec<Sent>,
+        syncs: u64,
+        recorder: Recorder,
+    }
+
+    /// Runs the driver over `burst` on a `SimDisk` journal until the
+    /// endpoint closes.
+    fn run(burst: Vec<Envelope>, fills_disk: Option<NodeId>) -> Run {
+        let disk = Arc::new(SimDisk::new(GlobalClock::new(), DiskProfile::instant()));
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let endpoint = Scripted {
+            inbox: Mutex::new(burst.into()),
+            sent: sent.clone(),
+            disk: disk.clone(),
+            fills_disk,
+        };
+        let mut init = init();
+        let store = MemoryStore::new(std::mem::take(&mut init.ballots), BALLOTS);
+        let poll = Duration::from_millis(1);
+        let recorder = Recorder::wall();
+        let (tx, _rx) = crossbeam_channel::unbounded();
+        let mut driver = VcDriver {
+            core: VcCore::new(init, store, VcBehavior::Honest, poll, 0, true),
+            endpoint: Box::new(endpoint),
+            clock: GlobalClock::new().node_clock(0),
+            journal: Some(Journal::new(disk.clone(), JournalConfig::default())),
+            deliver: DeliverTarget::Channel(tx),
+            trace: None,
+            recorder: recorder.clone(),
+            stop: Arc::new(AtomicBool::new(false)),
+            force_end: Arc::new(AtomicBool::new(false)),
+            close_forwarded: false,
+            timeout: poll,
+            barrier: false,
+            held: Vec::new(),
+        };
+        driver.run();
+        let sent = std::mem::take(&mut *sent.lock());
+        Run {
+            sent,
+            syncs: disk.syncs(),
+            recorder,
+        }
+    }
+
+    /// `(syncs seen, message kind)` of everything sent to `to`, in order.
+    fn sent_to(run: &Run, to: NodeId) -> Vec<(u64, &'static str)> {
+        run.sent
+            .iter()
+            .filter(|(_, dest, _)| *dest == to)
+            .map(|(syncs, _, msg)| (*syncs, msg.kind()))
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_shares_one_barrier() {
+        // Two endorsements (a barrier each), between them a vote this node
+        // becomes responder for (no barrier, multicast to the others) and
+        // a vote it refuses (no barrier, one reply).
+        let run = run(vec![endorse(0), vote(7, 2), vote(9, 99), endorse(1)], None);
+        assert_eq!(run.syncs, 1, "one barrier for the whole burst");
+        // Barrier-free outputs left before it...
+        assert_eq!(sent_to(&run, NodeId::vc(2)), [(0, "Endorse")]);
+        assert_eq!(sent_to(&run, NodeId::vc(3)), [(0, "Endorse")]);
+        assert_eq!(sent_to(&run, NodeId::client(9)), [(0, "VoteReply")]);
+        // ...except to the node a held output is addressed to: what goes to
+        // VC 0 goes behind the barrier, in the order the core produced it.
+        assert_eq!(
+            sent_to(&run, NodeId::vc(0)),
+            [(1, "Endorsement"), (1, "Endorse"), (1, "Endorsement")]
+        );
+        assert_eq!(run.sent.len(), 6);
+        let faults = run.recorder.snapshot();
+        assert_eq!(faults.counter("vc.journal_faults", None, None), 0);
+    }
+
+    #[test]
+    fn a_full_disk_mid_burst_drops_that_step_and_keeps_the_earlier_ones() {
+        // The disk fills as the refusal to client 9 goes out: the second
+        // ENDORSE cannot be journaled, so nothing of it leaves, and the
+        // degraded node signs nothing new for the third either.
+        let burst = vec![endorse(0), vote(9, 99), endorse(1), endorse(2)];
+        let run = run(burst, Some(NodeId::client(9)));
+        assert_eq!(sent_to(&run, NodeId::client(9)), [(0, "VoteReply")]);
+        assert_eq!(sent_to(&run, NodeId::vc(0)), [(1, "Endorsement")]);
+        assert_eq!(run.syncs, 1);
+        let faults = run.recorder.snapshot();
+        assert_eq!(
+            faults.counter("vc.journal_faults", None, Some("disk_full")),
+            1
+        );
+        assert_eq!(faults.counter("vc.journal_faults", None, None), 1);
+    }
+
+    #[test]
+    fn amnesia_mid_burst_comes_after_the_barrier_of_the_steps_before_it() {
+        let amnesia = Envelope {
+            from: NodeId::vc(ME),
+            to: NodeId::vc(ME),
+            msg: Msg::Amnesia,
+        };
+        // Part B's code of the same ballot: a second code for serial 0.
+        let mut other_code = endorse(0);
+        if let Msg::Endorse { vote_code, .. } = &mut other_code.msg {
+            *vote_code = VoteCode([0xEE; 20]);
+        }
+        let run = run(vec![endorse(0), amnesia, other_code, endorse(1)], None);
+        // The first endorsement was owed before the power cut: its barrier
+        // ran and it left. So the recovered node still knows what it
+        // signed, refuses the other code, and endorses the next ballot
+        // behind the burst's own barrier.
+        assert_eq!(
+            sent_to(&run, NodeId::vc(0)),
+            [(1, "Endorsement"), (2, "Endorsement")]
+        );
+        assert_eq!(run.sent.len(), 2);
+        assert_eq!(run.syncs, 2);
     }
 }

@@ -32,8 +32,10 @@
 //!   recorded nothing, if `~vc.queue_depth` read zero across the vote
 //!   phase, or if the collectors spent more than
 //!   [`MAX_FRESH_SIG_CHECKS_PER_CAST`] group-math signature
-//!   verifications a cast (`vc.sig_checks`, label `fresh`) — a count,
-//!   which repeats exactly for a seed, where a time would be noise.
+//!   verifications a cast (`vc.sig_checks`, label `fresh`) or more than
+//!   [`MAX_FSYNCS_PER_CAST`] journal syncs a cast (vote-phase
+//!   `storage.fsync_ns` samples) — counts, which repeat exactly for a
+//!   seed, where a time would be noise.
 
 use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
 use ddemos_harness::{Durability, ElectionBuilder, ElectionParams, ElectionReport, Network};
@@ -68,12 +70,19 @@ fn stage_ledger(report: &ElectionReport, name: &str, stages: &[&str]) -> bool {
 
 /// Group-math signature verifications the four collectors of the profile
 /// election may spend on one cast: at the responder the two peer
-/// endorsements that complete the UCERT, at each other collector the
-/// UCERT's three signatures, at every collector the three receipt shares
-/// of a quorum — 23, plus one of slack for a cast whose third endorsement
-/// arrives before its UCERT forms. The cast path verified 37–45 before
-/// bursts were deduplicated and need-bounded.
-const MAX_FRESH_SIG_CHECKS_PER_CAST: u64 = 24;
+/// endorsements that complete the UCERT (2), at each other collector the
+/// UCERT's three signatures (9), at every collector the two receipt
+/// shares that complete a quorum beside its own, which it was dealt and
+/// does not verify (4·2) — 19, plus one of slack for a cast whose third
+/// endorsement arrives before its UCERT forms.
+const MAX_FRESH_SIG_CHECKS_PER_CAST: u64 = 20;
+
+/// Commit barriers the four collectors may run for one cast: each of the
+/// three peers before its ENDORSEMENT leaves and before its VOTE_P
+/// leaves, the responder before its VOTE_P leaves — `2·(N_v − 1) + 1`.
+/// Everything else the cast journals rides to the next barrier
+/// (DESIGN.md §12.6).
+const MAX_FSYNCS_PER_CAST: u64 = 7;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -98,7 +107,6 @@ fn run(seed: u64, ballots: usize, metrics: bool, profiling: bool) -> (ElectionRe
         .seed(seed)
         .virtual_time()
         .durability(Durability::sim()) // SimDisk journals: WAL metrics, modelled fsync charges
-        .adaptive_commit(true) // defer fsyncs no visible output depends on
         .metrics(metrics)
         .profiling(profiling)
         .build()
@@ -310,6 +318,23 @@ fn main() {
         );
         if fresh == 0 || fresh > limit {
             eprintln!("sig-check gate FAILED: {fresh} fresh verifications, limit {limit}");
+            std::process::exit(1);
+        }
+        // And the journal is synced only where the durability table names
+        // a barrier.
+        let fsync_key = ddemos_obs::metric_key("storage.fsync_ns", "vote", "");
+        let fsyncs = report
+            .metrics
+            .hists
+            .get(&fsync_key)
+            .map_or(0, |h| h.count());
+        let limit = MAX_FSYNCS_PER_CAST * ballots as u64;
+        println!(
+            "fsyncs: {fsyncs} in the vote phase over {ballots} casts = {:.2} a cast (limit {MAX_FSYNCS_PER_CAST})",
+            fsyncs as f64 / ballots as f64
+        );
+        if fsyncs == 0 || fsyncs > limit {
+            eprintln!("fsync gate FAILED: {fsyncs} vote-phase barriers, limit {limit}");
             std::process::exit(1);
         }
         return;

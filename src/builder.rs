@@ -303,14 +303,10 @@ impl ElectionBuilder {
         self
     }
 
-    /// Adaptive group-commit windows: VC drivers defer the fsync of a
-    /// commit barrier when nothing externally visible (no send, no
-    /// delivery) follows it in the same step — the deferred frames ride
-    /// the group-commit window and become durable with the next
-    /// visible-guarded commit. "Durable before visible" holds exactly as
-    /// before; only fsyncs that guarded nothing are elided (in the vote
-    /// phase, mostly the non-responder receipt-reconstruction steps).
-    /// Off by default.
+    /// No effect. It used to let VC drivers skip a commit barrier no
+    /// send followed; collectors no longer emit such barriers (DESIGN.md
+    /// §12.6). Kept because the frozen `ddbench/` calls it; the next
+    /// `benchmark` PR removes it.
     #[must_use]
     pub fn adaptive_commit(mut self, enabled: bool) -> Self {
         self.journal_config.adaptive_commit = enabled;
