@@ -7,13 +7,14 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ddemos_crypto::curve::{FixedBase, Point};
 use ddemos_crypto::elgamal;
 use ddemos_crypto::field::{Fp, Scalar};
+use ddemos_crypto::hmac::{Prf, PrfRng};
 use ddemos_crypto::schnorr::{Signature, SigningKey};
 use ddemos_crypto::sha256::sha256;
 use ddemos_crypto::shamir;
 use ddemos_crypto::zkp;
 use ddemos_crypto::{aes, vss};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// In-run ratio gate: `numer` must cost at least `min_ratio` times
 /// `denom`, both timed here, back to back, on this machine — so the bound
@@ -58,12 +59,23 @@ fn ratio_gate<A, B>(
     );
 }
 
+/// Hands out the scalars of a slice in turn. A comb multiplication is
+/// ~50 reads out of a 52 KiB table, and one scalar read over and over
+/// keeps its own entries in L1 — which no caller does; over a few hundred
+/// distinct scalars the table sits in L2, as it does under set-up.
+fn cycle<'a>(scalars: &'a [Scalar]) -> impl FnMut() -> &'a Scalar {
+    let mut next = scalars.iter().cycle();
+    move || next.next().expect("a non-empty slice")
+}
+
 fn bench_curve(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let k = Scalar::random(&mut rng);
     let p = Point::mul_generator(&Scalar::random(&mut rng));
+    let ks: Vec<Scalar> = (0..512).map(|_| Scalar::random(&mut rng)).collect();
+    let mut next = cycle(&ks);
     c.bench_function("curve/mul_generator (comb)", |b| {
-        b.iter(|| Point::mul_generator(std::hint::black_box(&k)))
+        b.iter(|| Point::mul_generator(std::hint::black_box(next())))
     });
     c.bench_function("curve/mul_varpoint", |b| {
         b.iter(|| p.mul(std::hint::black_box(&k)))
@@ -158,23 +170,48 @@ fn bench_kernels(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
-    // Fixed-base table vs the generic ladder for a repeated base.
+    // Fixed-base table vs the generic ladder for a repeated base, over
+    // distinct scalars (see `cycle`).
     let base = Point::mul_generator(&Scalar::random(&mut rng));
     let table = FixedBase::new(&base);
-    let k = Scalar::random(&mut rng);
+    let ks = &scalars[..512];
+    let mut next = cycle(ks);
     c.bench_function("kernel/fixed_base mul", |b| {
-        b.iter(|| table.mul(std::hint::black_box(&k)))
+        b.iter(|| table.mul(std::hint::black_box(next())))
     });
+    // The batched comb: the same multiplications in lockstep, affine out.
+    for n in [64, 512] {
+        c.bench_function(&format!("kernel/fixed_base mul_many {n}"), |b| {
+            b.iter(|| table.mul_many(std::hint::black_box(&ks[..n])))
+        });
+    }
     c.bench_function("kernel/fixed_base build", |b| {
         b.iter(|| FixedBase::new(std::hint::black_box(&base)))
     });
     // Mixed additions on affine entries against the generic ladder
     // (3.6× while the entries were Jacobian).
+    let k = ks[0];
     ratio_gate(
         "variable-base mul / comb fixed_base mul",
         || base.mul(std::hint::black_box(&k)),
         || table.mul(std::hint::black_box(&k)),
         4.0,
+    );
+    // One at a time — 64 multiplications, Jacobian out — against the
+    // same 64 in lockstep: what a regression of set-up, or of
+    // `sign_many`, to a loop over `mul` would give back. Equal first.
+    let one_at_a_time = || -> Vec<Point> {
+        std::hint::black_box(&ks[..64])
+            .iter()
+            .map(|k| table.mul(k))
+            .collect()
+    };
+    assert_eq!(table.mul_many(&ks[..64]), one_at_a_time());
+    ratio_gate(
+        "fixed_base mul × 64 / mul_many 64",
+        one_at_a_time,
+        || table.mul_many(std::hint::black_box(&ks[..64])),
+        1.3,
     );
 }
 
@@ -182,6 +219,16 @@ fn bench_hash_aes(c: &mut Criterion) {
     let data = vec![7u8; 1024];
     c.bench_function("sha256/1KiB", |b| {
         b.iter(|| sha256(std::hint::black_box(&data)))
+    });
+    // One 32-byte block of a `PrfRng` stream — an HMAC under a held key:
+    // two compressions (four while each draw re-hashed the key pads).
+    let mut stream = PrfRng::new(&Prf::new([3u8; 32]), b"bench");
+    c.bench_function("hmac/prf draw", |b| {
+        b.iter(|| {
+            let mut block = [0u8; 32];
+            stream.fill_bytes(&mut block);
+            block
+        })
     });
     let key = [1u8; 16];
     c.bench_function("aes128-cbc/encrypt 64B", |b| {

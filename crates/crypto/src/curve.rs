@@ -187,7 +187,7 @@ impl Point {
     }
 
     /// Mixed addition `self + q` for an affine `q` (`Z₂ = 1`): 7M + 4S
-    /// against the 12M + 4S of [`Point::add`] — what every nibble of a
+    /// against the 12M + 4S of [`Point::add`] — what every digit of a
     /// [`FixedBase`] multiplication pays. Complete by dispatch like
     /// `add`.
     fn add_affine(&self, q: &Affine) -> Point {
@@ -260,15 +260,12 @@ impl Point {
         acc
     }
 
-    /// `k·G` for the standard generator, via a process-wide [`FixedBase`]
-    /// comb table (64 nibble positions × 15 affine multiples). Roughly 5×
-    /// faster than the generic ladder; signing and lifted-ElGamal
-    /// encryption are dominated by this operation.
+    /// `k·G` for the standard generator, via the process-wide comb table
+    /// [`FixedBase::generator`]. Roughly 5× faster than the generic
+    /// ladder; signing and lifted-ElGamal encryption are dominated by
+    /// this operation.
     pub fn mul_generator(k: &Scalar) -> Point {
-        static TABLE: std::sync::OnceLock<FixedBase> = std::sync::OnceLock::new();
-        TABLE
-            .get_or_init(|| FixedBase::new(&Point::generator()))
-            .mul(k)
+        FixedBase::generator().mul(k)
     }
 
     /// Simultaneous double-scalar multiplication `a·P + b·Q` (Shamir's
@@ -470,7 +467,7 @@ impl Affine {
     }
 
     /// The coordinates as [`Point::to_affine`] returns them.
-    fn coords(&self) -> Option<(Fp, Fp)> {
+    pub(crate) fn coords(&self) -> Option<(Fp, Fp)> {
         (!self.is_identity()).then_some((self.x, self.y))
     }
 
@@ -568,12 +565,15 @@ const GROUP_POINTS: usize = 1 << 12;
 /// Field multiplications (a squaring counts as one) of the operations
 /// [`msm_plan`] weighs: the formulas of [`Point::double`], [`Point::add`],
 /// [`Point::add_affine`], [`Affine::add_with_inverse`] with its share of
-/// a batch inversion, and [`Fp::invert`]'s square-and-multiply.
+/// a batch inversion, [`Fp::invert`]'s square-and-multiply, and one
+/// point's part of [`Point::batch_normalize`] (share of the inversion
+/// included).
 const COST_DOUBLE: usize = 7;
 const COST_ADD: usize = 16;
 const COST_MIXED: usize = 11;
 const COST_AFFINE: usize = 6;
 const COST_INVERT: usize = 505;
+const COST_NORMALIZE: usize = 7;
 
 /// A reduction round pays for its inversion only while it halves enough
 /// buckets: each pair costs an affine addition here instead of a mixed
@@ -583,7 +583,7 @@ const ROUND_MIN_PAIRS: usize = COST_INVERT / (COST_MIXED - COST_AFFINE);
 
 /// Windows of the signed `w`-bit recoding of a 256-bit scalar: the top
 /// one must reach a zero bit, so that its digit is not negative.
-fn signed_windows(w: usize) -> usize {
+const fn signed_windows(w: usize) -> usize {
     257usize.div_ceil(w)
 }
 
@@ -655,6 +655,57 @@ fn booth_digit(k: &[u64; 4], win: usize, w: usize) -> i16 {
     }
 }
 
+/// The pairwise batch-affine reduction under both kernels — the buckets
+/// of [`bucket_sum`] and the outputs of [`CombBatch`] — with the scratch
+/// of a round (its slope denominators and their prefix products), kept
+/// so that a caller reducing buffer after buffer allocates once.
+#[derive(Default)]
+struct SlotReducer {
+    denominators: Vec<Fp>,
+    prefix: Vec<Fp>,
+}
+
+impl SlotReducer {
+    /// Halves every slot round by round, slot `i` being
+    /// `points[starts[i]..][..lens[i]]`: its points are added in pairs by
+    /// the affine chord or tangent ([`Affine::add_with_inverse`]; identity
+    /// operands, `P + P` and `P + (−P)` are exact), all the pairs of a
+    /// round across every slot sharing one inversion, and a slot of `len`
+    /// points becomes one of `⌈len/2⌉`. Stops before the first round
+    /// that would hold fewer than `min_pairs` pairs (at least one) and
+    /// leaves what the slots hold then to the caller.
+    fn halve(&mut self, points: &mut [Affine], starts: &[u32], lens: &mut [u32], min_pairs: usize) {
+        loop {
+            let pairs: usize = lens.iter().map(|&len| len as usize / 2).sum();
+            if pairs < min_pairs.max(1) {
+                return;
+            }
+            self.denominators.clear();
+            for (&start, &len) in starts.iter().zip(lens.iter()) {
+                let slot = &points[start as usize..][..len as usize];
+                self.denominators.extend(
+                    slot.chunks_exact(2)
+                        .map(|pair| pair[0].slope_denominator(&pair[1])),
+                );
+            }
+            Fp::batch_invert_with(&mut self.denominators, &mut self.prefix);
+            let mut inverses = self.denominators.iter();
+            for (&start, len) in starts.iter().zip(lens.iter_mut()) {
+                let slot = &mut points[start as usize..][..*len as usize];
+                let pairs = slot.len() / 2;
+                for j in 0..pairs {
+                    let inverse = *inverses.next().expect("one denominator per pair");
+                    slot[j] = slot[2 * j].add_with_inverse(&slot[2 * j + 1], inverse);
+                }
+                if slot.len() % 2 == 1 {
+                    slot[pairs] = slot[slot.len() - 1];
+                }
+                *len = len.div_ceil(2);
+            }
+        }
+    }
+}
+
 /// Canonical limbs of the scalars for the recoding; a term that
 /// contributes nothing (an identity point) reads as zero and never meets
 /// a bucket.
@@ -689,11 +740,10 @@ fn pippenger(scalars: &[Scalar], points: &[Affine]) -> Point {
 /// Pippenger's method over signed `w`-bit digits.
 ///
 /// For `group` windows at a time: recode, counting-sort the signed points
-/// by `(window, bucket)`, then halve every bucket round by round — its
-/// points added in pairs, all the pairs of a round sharing one inversion —
-/// until (all but) every bucket holds a single affine point, which the
-/// running-sum chain takes by mixed addition. Every buffer is sized once
-/// and reused by every group.
+/// by `(window, bucket)`, then halve every bucket round by round
+/// ([`SlotReducer::halve`]) until (all but) every bucket holds a single
+/// affine point, which the running-sum chain takes by mixed addition.
+/// Every buffer is sized once and reused by every group.
 fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: usize) -> Point {
     let n = ks.len();
     let buckets = 1usize << (w - 1);
@@ -703,8 +753,7 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
     let mut starts = vec![0u32; group * buckets];
     let mut lens = vec![0u32; group * buckets];
     let mut sorted = vec![Affine::IDENTITY; group * live];
-    let mut denominators: Vec<Fp> = Vec::new();
-    let mut prefix: Vec<Fp> = Vec::new();
+    let mut reducer = SlotReducer::default();
     let mut acc = Point::IDENTITY;
     let mut hi = signed_windows(w);
     while hi > 0 {
@@ -739,34 +788,7 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
                 }
             }
         }
-        // Reduce: a slot of `len` points becomes one of `⌈len/2⌉`.
-        loop {
-            denominators.clear();
-            for (&start, &len) in starts.iter().zip(&lens) {
-                let slot = &sorted[start as usize..][..len as usize];
-                denominators.extend(
-                    slot.chunks_exact(2)
-                        .map(|pair| pair[0].slope_denominator(&pair[1])),
-                );
-            }
-            if denominators.len() < ROUND_MIN_PAIRS {
-                break;
-            }
-            Fp::batch_invert_with(&mut denominators, &mut prefix);
-            let mut inverses = denominators.iter();
-            for (&start, len) in starts.iter().zip(lens.iter_mut()) {
-                let slot = &mut sorted[start as usize..][..*len as usize];
-                let pairs = slot.len() / 2;
-                for j in 0..pairs {
-                    let inverse = *inverses.next().expect("one denominator per pair");
-                    slot[j] = slot[2 * j].add_with_inverse(&slot[2 * j + 1], inverse);
-                }
-                if slot.len() % 2 == 1 {
-                    slot[pairs] = slot[slot.len() - 1];
-                }
-                *len = len.div_ceil(2);
-            }
-        }
+        reducer.halve(&mut sorted, &starts, &mut lens, ROUND_MIN_PAIRS);
         // Chain, most significant window first: `acc·2^w + Σ d·bucket[d]`,
         // with `running` collecting the buckets from the highest filled
         // one down and `sum` collecting `running`, so that bucket `d` is
@@ -794,44 +816,68 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
     acc
 }
 
+// ---------------------------------------------------------------------
+// The fixed-base comb and its batched kernel
+// ---------------------------------------------------------------------
+
+/// Width of the comb's signed digits: the widest whose table —
+/// `signed_windows(w)` positions × `2^(w−1)` multiples — is no larger
+/// than the 64 × 15 entries the unsigned 4-bit comb held. A multiplication
+/// is one addition a nonzero digit, so the widest window that fits is the
+/// cheapest: 52 positions (~50 additions a scalar against 60) of 16
+/// entries, 832 in all, 52 KiB.
+const COMB_WINDOW: usize = 5;
+const COMB_POSITIONS: usize = signed_windows(COMB_WINDOW);
+const COMB_MULTIPLES: usize = 1 << (COMB_WINDOW - 1);
+
+/// Below this many pairs [`CombBatch`] leaves a reduction round to the
+/// mixed-addition chain. A pair the chain takes costs a mixed addition
+/// instead of an affine one, as in [`ROUND_MIN_PAIRS`], *and* leaves its
+/// output in Jacobian form to be normalised.
+const COMB_MIN_PAIRS: usize = COST_INVERT / (COST_MIXED + COST_NORMALIZE - COST_AFFINE);
+
 /// A reusable precomputed comb table for repeated scalar multiplications
-/// against one base point: 64 nibble positions × 15 multiples, held
-/// affine, so a multiplication is at most 64 mixed additions and no
-/// doubling — ~5× faster than the generic ladder after a one-time build
-/// that costs about twenty multiplications.
+/// against one base point: 52 positions of signed 5-bit digits × 16
+/// multiples, held affine, so a multiplication is one addition a nonzero
+/// digit (~50) and no doubling — ~5× faster than the generic ladder
+/// after a one-time build that costs about twenty multiplications.
+/// [`FixedBase::mul`] adds the entries one scalar at a time by mixed
+/// addition; [`CombBatch`] adds those of many scalars in lockstep by
+/// batch-affine addition, at about 60 % of that a scalar.
 ///
-/// [`Point::mul_generator`] is this structure instantiated once for `G`;
+/// [`FixedBase::generator`] is this structure instantiated once for `G`;
 /// callers with their own hot base — the election ElGamal key, the Pedersen
 /// `H`, a peer's verification key — build their own and reuse it.
 #[derive(Clone, Debug)]
 pub struct FixedBase {
-    /// `table[pos][nib − 1] = nib · 16^pos · base` (pos from the least
-    /// significant nibble).
-    table: Vec<[Affine; 15]>,
+    /// `table[pos][d − 1] = d · 32^pos · base` (pos from the least
+    /// significant digit).
+    table: Vec<[Affine; COMB_MULTIPLES]>,
 }
 
 impl FixedBase {
     /// Precomputes the comb table for `base`.
     ///
-    /// The 64 `16^pos · base` come from one Jacobian doubling chain and
+    /// The 52 `32^pos · base` come from one Jacobian doubling chain and
     /// are normalised together; their multiples are then filled level by
-    /// level (2; 3–4; 5–8; 9–15) as *affine* sums `level·B + j·B`, with
+    /// level (2; 3–4; 5–8; 9–16) as *affine* sums `level·B + j·B`, with
     /// the slope denominators of a level inverted together across all
     /// positions. Five shared inversions and ~6 multiplications an entry,
-    /// where building the rows in Jacobian form and normalising all 960
-    /// entries afterwards costs ~23 an entry.
+    /// where building the rows in Jacobian form and normalising every
+    /// entry afterwards costs ~23 an entry.
     pub fn new(base: &Point) -> FixedBase {
-        let mut bases = Vec::with_capacity(64);
+        let mut bases = Vec::with_capacity(COMB_POSITIONS);
         let mut b = *base;
-        for _ in 0..64 {
+        for _ in 0..COMB_POSITIONS {
             bases.push(b);
-            // b <<= 4 bits
-            b = b.double().double().double().double();
+            for _ in 0..COMB_WINDOW {
+                b = b.double();
+            }
         }
-        let mut table: Vec<[Affine; 15]> = Point::batch_normalize(&bases)
+        let mut table: Vec<[Affine; COMB_MULTIPLES]> = Point::batch_normalize(&bases)
             .into_iter()
             .map(|base| {
-                let mut row = [Affine::IDENTITY; 15];
+                let mut row = [Affine::IDENTITY; COMB_MULTIPLES];
                 row[0] = base;
                 row
             })
@@ -839,14 +885,14 @@ impl FixedBase {
         if base.is_identity() {
             return FixedBase { table };
         }
-        // The group has prime order, so no multiple below 16 of a
+        // The group has prime order, so no multiple up to 16 of a
         // non-identity point is the identity, two of them share an `x`
         // only if they are equal, and none has `y = 0`: every denominator
         // below inverts.
         for level in [1usize, 2, 4, 8] {
             // k·B = level·B + (k − level)·B; k = 2·level is the doubling.
-            let multiples = level + 1..=(2 * level).min(15);
-            let mut dens = Vec::with_capacity(64 * level);
+            let multiples = level + 1..=2 * level;
+            let mut dens = Vec::with_capacity(COMB_POSITIONS * level);
             for row in &table {
                 let top = row[level - 1];
                 dens.extend(
@@ -868,29 +914,140 @@ impl FixedBase {
         FixedBase { table }
     }
 
+    /// The process-wide table of the standard generator `G`.
+    pub fn generator() -> &'static FixedBase {
+        static TABLE: std::sync::OnceLock<FixedBase> = std::sync::OnceLock::new();
+        TABLE.get_or_init(|| FixedBase::new(&Point::generator()))
+    }
+
     /// The base point this table was built for.
     pub fn base(&self) -> Point {
         self.table[0][0].to_point()
     }
 
-    /// `k · base` with no doublings: one mixed addition per set nibble.
+    /// The table entries that sum to `k · base`, `k` given as canonical
+    /// limbs: one for each nonzero digit of its signed recoding
+    /// ([`booth_digit`]), negated where the digit is.
+    fn entries<'a>(&'a self, k: &'a [u64; 4]) -> impl Iterator<Item = Affine> + 'a {
+        self.table.iter().enumerate().filter_map(move |(pos, row)| {
+            let digit = booth_digit(k, pos, COMB_WINDOW);
+            let entry = row.get(usize::from(digit.unsigned_abs()).checked_sub(1)?)?;
+            Some(if digit < 0 { entry.negate() } else { *entry })
+        })
+    }
+
+    /// `k · base` with no doublings: one mixed addition per nonzero digit.
     pub fn mul(&self, k: &Scalar) -> Point {
-        let bytes = k.to_bytes();
-        let mut acc = Point::IDENTITY;
-        // bytes are big-endian: byte i holds nibble positions (63-2i, 62-2i).
-        for (i, byte) in bytes.iter().enumerate() {
-            let hi_pos = 63 - 2 * i;
-            let lo_pos = hi_pos - 1;
-            let hi = (byte >> 4) as usize;
-            let lo = (byte & 0x0f) as usize;
-            if hi != 0 {
-                acc = acc.add_affine(&self.table[hi_pos][hi - 1]);
-            }
-            if lo != 0 {
-                acc = acc.add_affine(&self.table[lo_pos][lo - 1]);
-            }
+        self.entries(&k.to_u256().limbs())
+            .fold(Point::IDENTITY, |acc, entry| acc.add_affine(&entry))
+    }
+
+    /// `kᵢ · base` for every scalar of a slice, normalised (`z = 1`, or
+    /// the identity): one [`CombBatch`] of one-term outputs.
+    pub fn mul_many(&self, scalars: &[Scalar]) -> Vec<Point> {
+        let points = self.mul_many_affine(scalars);
+        points.into_iter().map(Affine::to_point).collect()
+    }
+
+    /// [`FixedBase::mul_many`] in the form the signer wants.
+    pub(crate) fn mul_many_affine(&self, scalars: &[Scalar]) -> Vec<Affine> {
+        let mut batch = CombBatch::new();
+        for k in scalars {
+            batch.push(&[(self, *k)]);
         }
-        acc
+        batch.evaluate_affine()
+    }
+}
+
+/// A batch of short sums of fixed-base multiples — `r·pk + bit·G`,
+/// `(z̃ − u)·pk − c̃·G`, `k·G` — evaluated together: the comb entries of
+/// every term are gathered into one slot an output, and all slots are
+/// halved in lockstep by the batch-affine reducer the multi-scalar
+/// kernel's buckets use ([`SlotReducer`]): 6 field multiplications an
+/// addition against the 11 of [`FixedBase::mul`]'s mixed one, and the
+/// sums come out affine, so nothing is normalised afterwards. Outputs are
+/// taken as many at a time as fit [`GROUP_POINTS`] gathered entries (~78
+/// full-width terms), whatever the size of the batch.
+///
+/// A batch too small to pay for a round's inversion — one signature's
+/// `k·G` — falls through the reducer untouched and is summed by the same
+/// mixed additions as [`FixedBase::mul`].
+#[derive(Default)]
+pub struct CombBatch<'a> {
+    /// Every output's terms, scalars as canonical limbs.
+    terms: Vec<(&'a FixedBase, [u64; 4])>,
+    /// `ends[i]`: one past the last term of output `i`.
+    ends: Vec<usize>,
+}
+
+impl<'a> CombBatch<'a> {
+    /// An empty batch.
+    pub fn new() -> CombBatch<'a> {
+        CombBatch::default()
+    }
+
+    /// Appends the output `Σ scalar · base(table)` over `terms` (the
+    /// identity for none).
+    pub fn push(&mut self, terms: &[(&'a FixedBase, Scalar)]) {
+        let live = terms.iter().filter(|(_, k)| !k.is_zero());
+        self.terms
+            .extend(live.map(|(table, k)| (*table, k.to_u256().limbs())));
+        self.ends.push(self.terms.len());
+    }
+
+    /// Every output in push order, normalised (`z = 1`, or the
+    /// identity).
+    pub fn evaluate(&self) -> Vec<Point> {
+        let points = self.evaluate_affine();
+        points.into_iter().map(Affine::to_point).collect()
+    }
+
+    /// [`CombBatch::evaluate`], affine.
+    pub(crate) fn evaluate_affine(&self) -> Vec<Affine> {
+        let mut out = Vec::with_capacity(self.ends.len());
+        let capacity = (self.terms.len() * COMB_POSITIONS).min(GROUP_POINTS);
+        let mut gathered: Vec<Affine> = Vec::with_capacity(capacity);
+        // Slot `i` of a chunk — an output's entries — is
+        // `gathered[starts[i]..][..lens[i]]`.
+        let mut starts: Vec<u32> = Vec::new();
+        let mut lens: Vec<u32> = Vec::new();
+        let mut reducer = SlotReducer::default();
+        let mut sums: Vec<Point> = Vec::new();
+        let mut ends = self.ends.iter().peekable();
+        let mut term = 0;
+        while ends.peek().is_some() {
+            gathered.clear();
+            starts.clear();
+            lens.clear();
+            // Gather outputs while the next is sure to fit (the first
+            // always goes in: a sum of more terms than the buffer holds
+            // grows it).
+            while let Some(&&end) = ends.peek() {
+                let width = (end - term) * COMB_POSITIONS;
+                if !starts.is_empty() && gathered.len() + width > GROUP_POINTS {
+                    break;
+                }
+                let start = gathered.len();
+                for (table, k) in &self.terms[term..end] {
+                    gathered.extend(table.entries(k));
+                }
+                starts.push(start as u32);
+                lens.push((gathered.len() - start) as u32);
+                term = end;
+                ends.next();
+            }
+            reducer.halve(&mut gathered, &starts, &mut lens, COMB_MIN_PAIRS);
+            // What a slot still holds beyond one point, the chain adds;
+            // a single point is copied (`z = 1`) at no inversion.
+            sums.clear();
+            sums.extend(starts.iter().zip(&lens).map(|(&start, &len)| {
+                gathered[start as usize..][..len as usize]
+                    .iter()
+                    .fold(Point::IDENTITY, |acc, entry| acc.add_affine(entry))
+            }));
+            out.extend(Point::batch_normalize(&sums));
+        }
+        out
     }
 }
 
@@ -1236,6 +1393,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         let mut scalars: Vec<Scalar> = (0..8).map(|_| Scalar::random(&mut rng)).collect();
         scalars.extend([Scalar::ZERO, Scalar::ONE, -Scalar::ONE]);
+        scalars.extend(comb_digit_patterns());
         for w in 2..=14usize {
             for k in &scalars {
                 let limbs = k.to_u256().limbs();
@@ -1250,6 +1408,197 @@ mod tests {
                 assert_eq!(sum, *k, "w = {w}");
             }
         }
+    }
+
+    /// Scalars whose recoding at the comb's window is all edges: every
+    /// digit but the top one of the largest magnitude, signs alternating
+    /// (windows `10000`, `01111`, …), and every digit but the two ends
+    /// zero (a run of ones).
+    fn comb_digit_patterns() -> [Scalar; 2] {
+        let from_bits = |bit: &dyn Fn(usize) -> bool| {
+            let mut bytes = [0u8; 32];
+            for i in (0..250).filter(|&i| bit(i)) {
+                bytes[31 - i / 8] |= 1 << (i % 8);
+            }
+            Scalar::from_bytes_reduce(&bytes)
+        };
+        let w = COMB_WINDOW;
+        let extremes = from_bits(&|i| {
+            let (win, at) = (i / w, i % w);
+            if win % 2 == 0 {
+                at == w - 1
+            } else {
+                at != w - 1
+            }
+        });
+        [extremes, from_bits(&|_| true)]
+    }
+
+    #[test]
+    fn comb_digit_patterns_are_what_they_claim() {
+        let [extremes, ones] = comb_digit_patterns();
+        let digits = |k: &Scalar| -> Vec<i16> {
+            let limbs = k.to_u256().limbs();
+            (0..COMB_POSITIONS)
+                .map(|pos| booth_digit(&limbs, pos, COMB_WINDOW))
+                .collect()
+        };
+        let max = COMB_MULTIPLES as i16;
+        for (pos, d) in digits(&extremes)[..50].iter().enumerate() {
+            assert_eq!(*d, if pos % 2 == 0 { -max } else { max }, "digit {pos}");
+        }
+        let ones = digits(&ones);
+        assert_eq!((ones[0], ones[50]), (-1, 1));
+        assert!(ones[1..50].iter().all(|&d| d == 0));
+    }
+
+    #[test]
+    fn comb_window_is_the_widest_that_fits_the_old_table() {
+        let entries = |w: usize| signed_windows(w) << (w - 1);
+        assert!(entries(COMB_WINDOW) <= 64 * 15);
+        assert!(entries(COMB_WINDOW + 1) > 64 * 15);
+        assert_eq!(COMB_POSITIONS * COMB_MULTIPLES, entries(COMB_WINDOW));
+    }
+
+    #[test]
+    fn fixed_base_build_matches_repeated_addition() {
+        // The level-wise affine build against the definition: entry
+        // `d − 1` of row `pos` is `d · 32^pos · base`.
+        let base = Point::mul_generator(&Scalar::from_u64(0xD0D0));
+        let table = FixedBase::new(&base);
+        assert_eq!(table.table.len(), COMB_POSITIONS);
+        let mut row_base = base;
+        for row in &table.table {
+            let mut multiple = Point::IDENTITY;
+            for entry in row {
+                multiple += row_base;
+                assert_eq!(entry.to_point(), multiple);
+                assert!(entry.to_point().is_on_curve());
+            }
+            for _ in 0..COMB_WINDOW {
+                row_base = row_base.double();
+            }
+        }
+        // The identity base: a table of identities.
+        let identity = FixedBase::new(&Point::IDENTITY);
+        assert!(identity.table.iter().flatten().all(Affine::is_identity));
+    }
+
+    /// `outputs` sums over two tables, one or two terms each, with what
+    /// each must come to by [`FixedBase::mul`] and [`Point::add`].
+    type Sum<'a> = Vec<(&'a FixedBase, Scalar)>;
+    fn random_sums<'a>(
+        tables: [&'a FixedBase; 2],
+        outputs: usize,
+        seed: u64,
+    ) -> (Vec<Sum<'a>>, Vec<Point>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sums: Vec<Sum<'a>> = (0..outputs)
+            .map(|_| {
+                let pick = rng.next_u32();
+                let first = (tables[pick as usize % 2], Scalar::random(&mut rng));
+                match (pick >> 8) % 3 {
+                    0 => vec![first],
+                    1 => vec![first, (tables[0], Scalar::ONE)],
+                    _ => vec![first, (tables[1], Scalar::random(&mut rng))],
+                }
+            })
+            .collect();
+        let expected = sums.iter().map(|sum| one_at_a_time(sum)).collect();
+        (sums, expected)
+    }
+
+    fn one_at_a_time(sum: &[(&FixedBase, Scalar)]) -> Point {
+        sum.iter()
+            .fold(Point::IDENTITY, |acc, (table, k)| acc.add(&table.mul(k)))
+    }
+
+    fn evaluate(sums: &[Sum<'_>]) -> Vec<Point> {
+        let mut batch = CombBatch::new();
+        for sum in sums {
+            batch.push(sum);
+        }
+        let points = batch.evaluate();
+        assert_eq!(points.len(), sums.len());
+        // Normalised, whichever of the reducer and the chain finished them.
+        assert!(points.iter().all(|p| p.is_identity() || p.z == Fp::ONE));
+        points
+    }
+
+    #[test]
+    fn comb_batch_matches_one_at_a_time_at_every_size() {
+        // Through one signature's worth (no round), the sizes where the
+        // last rounds drop out, a full chunk (~78 terms) and past it.
+        let mut rng = StdRng::seed_from_u64(35);
+        let pk = FixedBase::new(&Point::mul_generator(&Scalar::random(&mut rng)));
+        let (sums, expected) = random_sums([FixedBase::generator(), &pk], 130, 36);
+        for n in 0..=130 {
+            assert_eq!(evaluate(&sums[..n]), expected[..n], "{n} outputs");
+        }
+        // One table, one term an output: the signer's entry.
+        let scalars: Vec<Scalar> = sums.iter().map(|sum| sum[0].1).collect();
+        for n in [0, 1, 2, 79, 130] {
+            let expected: Vec<Point> = scalars[..n].iter().map(|k| pk.mul(k)).collect();
+            assert_eq!(pk.mul_many(&scalars[..n]), expected, "{n} scalars");
+        }
+    }
+
+    #[test]
+    fn comb_batch_edge_scalars_bases_and_sums() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let base = Point::mul_generator(&Scalar::random(&mut rng));
+        let (table, g) = (FixedBase::new(&base), FixedBase::generator());
+        let identity = FixedBase::new(&Point::IDENTITY);
+        let k = Scalar::random(&mut rng);
+        let [extremes, ones] = comb_digit_patterns();
+        // Each sum with its value by the generic ladder.
+        let mut sums: Vec<Sum<'_>> = Vec::new();
+        let mut expected: Vec<Point> = Vec::new();
+        for e in [Scalar::ZERO, Scalar::ONE, -Scalar::ONE, extremes, ones, k] {
+            sums.push(vec![(&table, e)]);
+            expected.push(base.mul(&e));
+            sums.push(vec![(&identity, e), (g, e)]);
+            expected.push(Point::generator().mul(&e));
+            // Two terms that cancel: the identity out of a slot that is
+            // not empty.
+            sums.push(vec![(&table, e), (&table, -e)]);
+            expected.push(Point::IDENTITY);
+            sums.push(vec![(&table, e), (&table, e)]);
+            expected.push(base.mul(&(e + e)));
+        }
+        // A one-digit term listed over and over fills its slot with one
+        // point: every pair of every round is a tangent (64 copies: six
+        // rounds of nothing else; 13: odd ones carried along).
+        for copies in [13u64, 64] {
+            sums.push(vec![(&table, Scalar::ONE); copies as usize]);
+            expected.push(base.mul(&Scalar::from_u64(copies)));
+        }
+        sums.push(vec![]);
+        sums.push(vec![(&identity, k)]);
+        expected.extend([Point::IDENTITY; 2]);
+        // On their own the last rounds are left to the chain; padded past
+        // a chunk, every round runs.
+        assert_eq!(evaluate(&sums), expected);
+        let (padding, padding_expected) = random_sums([g, &table], 60, 38);
+        sums.extend(padding);
+        expected.extend(padding_expected);
+        assert_eq!(evaluate(&sums), expected);
+    }
+
+    #[test]
+    fn comb_batch_takes_a_sum_wider_than_its_buffer() {
+        let mut rng = StdRng::seed_from_u64(39);
+        let table = FixedBase::new(&Point::mul_generator(&Scalar::random(&mut rng)));
+        let terms = GROUP_POINTS / COMB_POSITIONS + 20;
+        let wide: Sum<'_> = (0..terms)
+            .map(|_| (&table, Scalar::random(&mut rng)))
+            .collect();
+        let total: Scalar = wide.iter().map(|(_, k)| *k).sum();
+        let sums = [vec![(&table, Scalar::ONE)], wide, vec![(&table, total)]];
+        let points = evaluate(&sums);
+        assert_eq!(points[0], table.base());
+        assert_eq!(points[1], table.mul(&total));
+        assert_eq!(points[2], points[1]);
     }
 
     #[test]

@@ -18,77 +18,92 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
 
 /// Computes `HMAC-SHA256(key, m₁‖m₂‖…)` without concatenating the parts.
 pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let digest = {
+    HmacKey::new(key).mac(parts)
+}
+
+/// An HMAC-SHA256 key with its two pad blocks already hashed: the
+/// SHA-256 midstates after `key ⊕ ipad` and after `key ⊕ opad`. A MAC of
+/// a short message under a held key is two compressions instead of four —
+/// which is what a PRF draw is.
+#[derive(Clone, Debug)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Hashes the pads of `key` (itself hashed first when longer than a
+    /// block, RFC 2104).
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            key_block[..32].copy_from_slice(&crate::sha256::sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| {
             let mut h = Sha256::new();
-            h.update(key);
-            h.finalize()
+            h.update(&key_block.map(|k| k ^ byte));
+            h.midstate()
         };
-        key_block[..32].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+        HmacKey {
+            inner: pad(0x36),
+            outer: pad(0x5c),
+        }
     }
-    let mut ipad = [0u8; BLOCK];
-    let mut opad = [0u8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] = key_block[i] ^ 0x36;
-        opad[i] = key_block[i] ^ 0x5c;
+
+    /// `HMAC-SHA256(key, m₁‖m₂‖…)`.
+    pub fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = Sha256::resume(self.inner, 1);
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = Sha256::resume(self.outer, 1);
+        outer.update(&inner.finalize());
+        outer.finalize()
     }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    for part in parts {
-        inner.update(part);
-    }
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
 }
 
 /// A deterministic pseudorandom function keyed by a 32-byte seed.
 ///
 /// Output blocks are `HMAC(seed, label ‖ index ‖ counter)`; distinct labels
 /// give independent streams, so one master seed can safely derive every
-/// election secret.
+/// election secret. The seed's pad blocks are hashed once, when the PRF is
+/// made ([`HmacKey`]).
 #[derive(Clone, Debug)]
 pub struct Prf {
     seed: [u8; 32],
+    key: HmacKey,
 }
 
 impl Prf {
     /// Creates a PRF from a 32-byte master seed.
     pub fn new(seed: [u8; 32]) -> Prf {
-        Prf { seed }
+        Prf {
+            seed,
+            key: HmacKey::new(&seed),
+        }
     }
 
     /// Derives a sub-PRF for a labelled domain.
     pub fn derive(&self, label: &[u8]) -> Prf {
-        Prf {
-            seed: hmac_sha256_parts(&self.seed, &[b"derive", label]),
-        }
+        Prf::new(self.key.mac(&[b"derive", label]))
     }
 
     /// Derives a sub-PRF for a labelled, indexed domain (e.g. per ballot).
     pub fn derive_indexed(&self, label: &[u8], index: u64) -> Prf {
-        Prf {
-            seed: hmac_sha256_parts(&self.seed, &[b"derive", label, &index.to_be_bytes()]),
-        }
+        Prf::new(self.key.mac(&[b"derive", label, &index.to_be_bytes()]))
     }
 
     /// Fills `out` with PRF output for (`label`, `index`).
     pub fn fill(&self, label: &[u8], index: u64, out: &mut [u8]) {
         for (counter, chunk) in out.chunks_mut(32).enumerate() {
-            let block = hmac_sha256_parts(
-                &self.seed,
-                &[
-                    b"stream",
-                    label,
-                    &index.to_be_bytes(),
-                    &(counter as u32).to_be_bytes(),
-                ],
-            );
+            let block = self.key.mac(&[
+                b"stream",
+                label,
+                &index.to_be_bytes(),
+                &(counter as u32).to_be_bytes(),
+            ]);
             chunk.copy_from_slice(&block[..chunk.len()]);
         }
     }
@@ -114,13 +129,17 @@ impl Prf {
 
 /// An infinite deterministic random byte stream implementing
 /// [`rand::RngCore`], for protocol components that need an RNG seeded from
-/// PRF material.
+/// PRF material. Counter mode: byte `p` of the stream is byte `p mod 32`
+/// of block `⌊p / 32⌋`, and a block is hashed when a byte of it is first
+/// read — so [`PrfRng::skip`] costs nothing.
 #[derive(Clone, Debug)]
 pub struct PrfRng {
     prf: Prf,
-    index: u64,
+    /// Offset of the next byte of the stream.
+    position: u64,
+    /// The block `buffer` holds, once one has been read.
+    buffered: Option<u64>,
     buffer: [u8; 32],
-    used: usize,
 }
 
 impl PrfRng {
@@ -128,16 +147,17 @@ impl PrfRng {
     pub fn new(prf: &Prf, label: &[u8]) -> PrfRng {
         PrfRng {
             prf: prf.derive(label),
-            index: 0,
+            position: 0,
+            buffered: None,
             buffer: [0; 32],
-            used: 32,
         }
     }
 
-    fn refill(&mut self) {
-        self.buffer = self.prf.bytes32(b"rng", self.index);
-        self.index += 1;
-        self.used = 0;
+    /// Advances the stream past `bytes` bytes nobody reads — exactly as
+    /// reading and discarding them would leave it, without hashing the
+    /// blocks they lie in.
+    pub fn skip(&mut self, bytes: usize) {
+        self.position += bytes as u64;
     }
 }
 
@@ -157,12 +177,14 @@ impl rand::RngCore for PrfRng {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut filled = 0;
         while filled < dest.len() {
-            if self.used == 32 {
-                self.refill();
+            let (block, used) = (self.position / 32, (self.position % 32) as usize);
+            if self.buffered != Some(block) {
+                self.buffer = self.prf.bytes32(b"rng", block);
+                self.buffered = Some(block);
             }
-            let take = (32 - self.used).min(dest.len() - filled);
-            dest[filled..filled + take].copy_from_slice(&self.buffer[self.used..self.used + take]);
-            self.used += take;
+            let take = (32 - used).min(dest.len() - filled);
+            dest[filled..filled + take].copy_from_slice(&self.buffer[used..used + take]);
+            self.position += take as u64;
             filled += take;
         }
     }
@@ -239,6 +261,43 @@ mod tests {
         let mut short = [0u8; 32];
         prf.fill(b"s", 3, &mut short);
         assert_eq!(&long[..32], &short[..]);
+    }
+
+    #[test]
+    fn a_held_key_macs_message_after_message() {
+        // RFC 4231 case 2, before and after another message under the
+        // same held key.
+        let key = HmacKey::new(b"Jefe");
+        let expected = "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843";
+        assert_eq!(hex(&key.mac(&[b"what do ya want for nothing?"])), expected);
+        assert_eq!(key.mac(&[&[7u8; 100]]), hmac_sha256(b"Jefe", &[7u8; 100]));
+        assert_eq!(
+            hex(&key.mac(&[b"what do ya want ", b"for nothing?"])),
+            expected
+        );
+    }
+
+    #[test]
+    fn skip_equals_reading_and_discarding() {
+        let prf = Prf::new([3u8; 32]);
+        // Every offset into a block (a 16-byte IV draw leaves the stream
+        // half a block off), every length up to three blocks.
+        for offset in 0..32usize {
+            for n in 0..=96usize {
+                let mut read = PrfRng::new(&prf, b"skip");
+                let mut skipped = read.clone();
+                read.fill_bytes(&mut vec![0u8; offset]);
+                skipped.fill_bytes(&mut vec![0u8; offset]);
+                read.fill_bytes(&mut vec![0u8; n]);
+                skipped.skip(n);
+                // The streams agree from here on, across a block edge.
+                let (mut a, mut b) = ([0u8; 80], [0u8; 80]);
+                read.fill_bytes(&mut a);
+                skipped.fill_bytes(&mut b);
+                assert_eq!(a, b, "offset {offset}, skip {n}");
+                assert_eq!(read.next_u64(), skipped.next_u64());
+            }
+        }
     }
 
     #[test]

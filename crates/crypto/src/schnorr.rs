@@ -20,7 +20,7 @@
 
 use crate::curve::{FixedBase, Point};
 use crate::field::{Fp, Scalar};
-use crate::hmac::hmac_sha256_parts;
+use crate::hmac::HmacKey;
 use crate::sha256::{sha256, sha256_parts};
 use std::collections::BTreeMap;
 
@@ -202,20 +202,20 @@ impl SigningKey {
     }
 
     /// Signs every message of a slice, byte for byte as [`SigningKey::sign`]
-    /// signs each: all commitments `kᵢ·G` first, normalised together —
-    /// the one inversion of signing, shared by the whole slice
-    /// ([`Point::batch_to_affine`]) — then the challenges and responses.
+    /// signs each: all commitments `kᵢ·G` first, multiplied together and
+    /// affine out of the batched comb ([`FixedBase::mul_many`] — for one
+    /// message, the comb's own mixed additions and the one inversion of
+    /// signing), then the challenges and responses.
     pub fn sign_many<M: AsRef<[u8]>>(&self, messages: &[M]) -> Vec<Signature> {
         // kᵢ = HMAC(sk, msgᵢ) reduced — deterministic, never reused across
         // distinct messages, bias negligible.
-        let sk_bytes = self.sk.to_bytes();
+        let nonce_key = HmacKey::new(&self.sk.to_bytes());
         let nonces: Vec<Scalar> = messages
             .iter()
             .map(|message| {
-                let k = Scalar::from_bytes_reduce(&hmac_sha256_parts(
-                    &sk_bytes,
-                    &[b"ddemos/schnorr/nonce", message.as_ref()],
-                ));
+                let k = Scalar::from_bytes_reduce(
+                    &nonce_key.mac(&[b"ddemos/schnorr/nonce", message.as_ref()]),
+                );
                 if k.is_zero() {
                     Scalar::ONE
                 } else {
@@ -223,18 +223,18 @@ impl SigningKey {
                 }
             })
             .collect();
-        let commitments: Vec<Point> = nonces.iter().map(Point::mul_generator).collect();
         // Keep both forms of each normalised `R`.
-        Point::batch_to_affine(&commitments)
+        FixedBase::generator()
+            .mul_many_affine(&nonces)
             .into_iter()
             .zip(messages)
             .zip(nonces)
-            .map(|((affine, message), k)| {
-                let r = Point::compress(affine);
+            .map(|((commitment, message), k)| {
+                let r = commitment.to_bytes();
                 let e = challenge(&r, &self.vk, message.as_ref());
                 Signature {
                     r,
-                    r_y: affine.map(|(_, y)| y),
+                    r_y: commitment.coords().map(|(_, y)| y),
                     s: k + e * self.sk,
                 }
             })

@@ -42,6 +42,28 @@ impl Sha256 {
         }
     }
 
+    /// The chaining value after the whole blocks absorbed so far — with
+    /// their count, all there is to a hasher at a block edge
+    /// ([`Sha256::resume`]).
+    ///
+    /// # Panics
+    /// Panics if the input so far does not end on a block edge.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        assert_eq!(self.buffered, 0, "a midstate is taken at a block edge");
+        self.state
+    }
+
+    /// A hasher that has absorbed `blocks` 64-byte blocks and reached
+    /// the chaining value `state` ([`Sha256::midstate`]).
+    pub(crate) fn resume(state: [u32; 8], blocks: u64) -> Sha256 {
+        Sha256 {
+            state,
+            buffer: [0; 64],
+            buffered: 0,
+            length_bits: blocks * 512,
+        }
+    }
+
     /// Absorbs input bytes.
     pub fn update(&mut self, mut data: &[u8]) {
         self.length_bits = self.length_bits.wrapping_add((data.len() as u64) * 8);
@@ -70,43 +92,22 @@ impl Sha256 {
 
     /// Finalizes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let length_bits = self.length_bits;
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding_byte();
-        while self.buffered != 56 {
-            self.push_zero();
+        // Padding: 0x80, zeros, 64-bit big-endian length — in this block
+        // if the length still fits behind the marker, else in one more.
+        let mut block = self.buffer;
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        let len_bytes = length_bits.to_be_bytes();
-        self.buffer[56..].copy_from_slice(&len_bytes);
-        let block = self.buffer;
+        block[56..].copy_from_slice(&self.length_bits.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    fn update_padding_byte(&mut self) {
-        self.buffer[self.buffered] = 0x80;
-        self.buffered += 1;
-        if self.buffered == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffered = 0;
-            self.buffer = [0; 64];
-        }
-    }
-
-    fn push_zero(&mut self) {
-        self.buffer[self.buffered] = 0;
-        self.buffered += 1;
-        if self.buffered == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffered = 0;
-            self.buffer = [0; 64];
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -203,6 +204,45 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    #[test]
+    fn padding_at_every_block_edge() {
+        // Lengths around where the 0x80 marker and the length stop
+        // fitting the last block (reference: Python's hashlib).
+        let cases = [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                65,
+                "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ];
+        for (len, expected) in cases {
+            assert_eq!(hex(&sha256(&vec![b'a'; len])), expected, "{len} bytes");
+        }
     }
 
     #[test]

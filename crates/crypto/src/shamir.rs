@@ -48,6 +48,14 @@ pub struct Polynomial {
 }
 
 impl Polynomial {
+    /// The bytes [`Polynomial::random`] reads from its RNG for threshold
+    /// `k`: 32 a drawn coefficient. A dealer whose shares nobody is
+    /// handed skips that many ([`crate::hmac::PrfRng::skip`]) and its
+    /// stream stays in step.
+    pub fn random_bytes(k: usize) -> usize {
+        32 * k.saturating_sub(1)
+    }
+
     /// Samples a polynomial of degree `k−1` whose constant term is `secret`.
     ///
     /// # Errors
@@ -268,6 +276,20 @@ mod tests {
         shares.iter().fold(Scalar::ZERO, |acc, s| {
             acc + s.value * lagrange_at_zero(s.index, &indices)
         })
+    }
+
+    #[test]
+    fn a_skipped_polynomial_leaves_the_stream_where_a_drawn_one_does() {
+        use crate::hmac::{Prf, PrfRng};
+        use rand::RngCore;
+        let prf = Prf::new([4u8; 32]);
+        for k in 1..=5 {
+            let mut drawn = PrfRng::new(&prf, b"poly");
+            let mut skipped = drawn.clone();
+            Polynomial::random(Scalar::ONE, k, &mut drawn).unwrap();
+            skipped.skip(Polynomial::random_bytes(k));
+            assert_eq!(drawn.next_u64(), skipped.next_u64(), "k = {k}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!    reconstruct the exact response without ever knowing which OR branch is
 //!    real.
 
-use crate::curve::Point;
+use crate::curve::{CombBatch, FixedBase, Point};
 use crate::elgamal::{self, Ciphertext, PreparedKey, PublicKey};
 use crate::field::Scalar;
 use crate::sha256::Sha256;
@@ -38,6 +38,19 @@ pub struct CpFirstMove {
 }
 
 impl CpFirstMove {
+    /// The next first move of an evaluated [`CombBatch`]
+    /// ([`sum_prove_into`]).
+    ///
+    /// # Panics
+    /// Panics if `points` runs out.
+    pub fn next_from(points: &mut impl Iterator<Item = Point>) -> CpFirstMove {
+        let mut next = || points.next().expect("two points a first move");
+        CpFirstMove {
+            t1: next(),
+            t2: next(),
+        }
+    }
+
     /// Serializes as 66 bytes (one shared inversion for both points).
     pub fn to_bytes(&self) -> [u8; 66] {
         let encoded = Point::batch_to_bytes(&[self.t1, self.t2]);
@@ -163,6 +176,20 @@ pub struct OrResponse {
     pub z1: Scalar,
 }
 
+impl OrFirstMove {
+    /// The next OR first move of an evaluated [`CombBatch`]
+    /// ([`or_prove_into`]).
+    ///
+    /// # Panics
+    /// Panics if `points` runs out.
+    pub fn next_from(points: &mut impl Iterator<Item = Point>) -> OrFirstMove {
+        OrFirstMove {
+            branch0: CpFirstMove::next_from(points),
+            branch1: CpFirstMove::next_from(points),
+        }
+    }
+}
+
 /// The affine representation of the prover's pending final move:
 /// `cⱼ(c) = αⱼ·c + βⱼ`, `zⱼ(c) = γⱼ·c + δⱼ` for branches `j ∈ {0, 1}`.
 ///
@@ -202,45 +229,43 @@ pub fn respond_affine(coeffs: &[Scalar; 8], c: &Scalar) -> OrResponse {
     }
 }
 
-/// Produces the OR-proof first move and pending secrets for the
-/// ciphertext `Enc(pk, bit; r)`.
+/// Draws the OR proof of the ciphertext `Enc(pk, bit; r)`: returns the
+/// pending secrets and appends the four points of the first move to
+/// `batch` as fixed-base sums, for [`OrFirstMove::next_from`] to read
+/// back from its evaluation.
 ///
 /// The false branch is the textbook simulation — commitments
 /// `(z̃·G − c̃·a, z̃·pk − c̃·b′)` for a random challenge/response pair
 /// `(c̃, z̃)` — but computed from the witness: the prover knows `r` with
 /// `a = r·G` and `b′ = r·pk ± G`, so the same two points are
-/// `(z̃ − c̃r)·G` and `(z̃ − c̃r)·pk ∓ c̃·G`, three fixed-base
-/// multiplications on the generator and [`PreparedKey`] tables instead of
-/// two on the tables and two variable-base ladders. `w, c̃, z̃` are drawn
-/// from `rng` in that order and the coefficients are the textbook ones, so
-/// the output is the textbook prover's for the same stream.
+/// `(z̃ − c̃r)·G` and `(z̃ − c̃r)·pk ∓ c̃·G`, sums on the generator and
+/// [`PreparedKey`] tables instead of two on the tables and two
+/// variable-base ladders. `w, c̃, z̃` are drawn from `rng` in that order
+/// and the coefficients are the textbook ones, so the output is the
+/// textbook prover's for the same stream.
 ///
 /// # Panics
 /// Panics if `bit` is not 0 or 1.
-pub fn or_prove<R: rand::RngCore + ?Sized>(
-    pk: &PreparedKey,
+pub fn or_prove_into<'a, R: rand::RngCore + ?Sized>(
+    pk: &'a PreparedKey,
     bit: u8,
     r: &Scalar,
     rng: &mut R,
-) -> (OrFirstMove, OrProverSecrets) {
+    batch: &mut CombBatch<'a>,
+) -> OrProverSecrets {
     assert!(bit <= 1, "plaintext must be a bit");
     let w = Scalar::random(rng);
     let c_sim = Scalar::random(rng);
     let z_sim = Scalar::random(rng);
+    let (g, pk) = (FixedBase::generator(), pk.table());
 
     // Real branch first move: (w·G, w·pk).
-    let real = CpFirstMove {
-        t1: Point::mul_generator(&w),
-        t2: pk.mul(&w),
-    };
+    let real: [&[_]; 2] = [&[(g, w)], &[(pk, w)]];
     // Simulated branch: its statement is (a, b − G) when the bit is 0,
     // (a, b) when it is 1, i.e. b′ = r·pk − G resp. r·pk + G.
     let u = c_sim * *r;
-    let shift = Point::mul_generator(&c_sim);
-    let sim = CpFirstMove {
-        t1: Point::mul_generator(&(z_sim - u)),
-        t2: pk.mul(&(z_sim - u)) + if bit == 0 { shift } else { -shift },
-    };
+    let shift = if bit == 0 { c_sim } else { -c_sim };
+    let sim: [&[_]; 2] = [&[(g, z_sim - u)], &[(pk, z_sim - u), (g, shift)]];
 
     // Affine coefficients. Real branch b: c_b = c − c̃, z_b = w + c_b·r
     //   = r·c + (w − c̃·r). Simulated branch: constants (c̃, z̃).
@@ -251,9 +276,28 @@ pub fn or_prove<R: rand::RngCore + ?Sized>(
     } else {
         (sim, real, sim_coeffs, real_coeffs)
     };
+    for sum in branch0.into_iter().chain(branch1) {
+        batch.push(sum);
+    }
     let coeffs = [c0[0], c0[1], c0[2], c0[3], c1[0], c1[1], c1[2], c1[3]];
-    let first = OrFirstMove { branch0, branch1 };
-    (first, OrProverSecrets { coeffs })
+    OrProverSecrets { coeffs }
+}
+
+/// The first move and pending secrets of one ciphertext's OR proof: a
+/// batch of one [`or_prove_into`].
+///
+/// # Panics
+/// Panics if `bit` is not 0 or 1.
+pub fn or_prove<R: rand::RngCore + ?Sized>(
+    pk: &PreparedKey,
+    bit: u8,
+    r: &Scalar,
+    rng: &mut R,
+) -> (OrFirstMove, OrProverSecrets) {
+    let mut batch = CombBatch::new();
+    let secrets = or_prove_into(pk, bit, r, rng, &mut batch);
+    let first = OrFirstMove::next_from(&mut batch.evaluate().into_iter());
+    (first, secrets)
 }
 
 /// Verifies a complete 0/1 OR proof for `ct` under challenge `c`.
@@ -330,23 +374,35 @@ impl SumProverSecrets {
     }
 }
 
-/// Produces the sum-proof first move for a row of ciphertexts whose
-/// aggregate randomness is `r_sum` (the row must encrypt total 1).
+/// Draws the sum proof of a row of ciphertexts whose aggregate
+/// randomness is `r_sum` (the row must encrypt total 1): returns the
+/// pending secrets and appends the first move `(w·G, w·pk)` to `batch`,
+/// for [`CpFirstMove::next_from`] to read back from its evaluation.
+pub fn sum_prove_into<'a, R: rand::RngCore + ?Sized>(
+    pk: &'a PreparedKey,
+    r_sum: &Scalar,
+    rng: &mut R,
+    batch: &mut CombBatch<'a>,
+) -> SumProverSecrets {
+    let w = Scalar::random(rng);
+    batch.push(&[(FixedBase::generator(), w)]);
+    batch.push(&[(pk.table(), w)]);
+    SumProverSecrets {
+        coeffs: [*r_sum, w],
+    }
+}
+
+/// The sum proof's first move and pending secrets: a batch of one
+/// [`sum_prove_into`].
 pub fn sum_prove<R: rand::RngCore + ?Sized>(
     pk: &PreparedKey,
     r_sum: &Scalar,
     rng: &mut R,
 ) -> (CpFirstMove, SumProverSecrets) {
-    let w = Scalar::random(rng);
-    (
-        CpFirstMove {
-            t1: Point::mul_generator(&w),
-            t2: pk.mul(&w),
-        },
-        SumProverSecrets {
-            coeffs: [*r_sum, w],
-        },
-    )
+    let mut batch = CombBatch::new();
+    let secrets = sum_prove_into(pk, r_sum, rng, &mut batch);
+    let first = CpFirstMove::next_from(&mut batch.evaluate().into_iter());
+    (first, secrets)
 }
 
 /// Verifies the sum proof: the element-wise sum of `row` minus `Enc(1; 0)`

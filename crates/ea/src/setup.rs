@@ -7,14 +7,15 @@
 //! independent PRF streams are walked and which of the results are kept
 //! and signed, so a value is the same in every profile that contains it.
 
-use ddemos_crypto::elgamal::{self, PreparedKey, PublicKey};
+use ddemos_crypto::curve::CombBatch;
+use ddemos_crypto::elgamal::{self, Ciphertext, PreparedKey, PublicKey};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::hmac::{Prf, PrfRng};
 use ddemos_crypto::schnorr::{SigningKey, VerifyingKey};
 use ddemos_crypto::shamir::{self, Polynomial, Share};
 use ddemos_crypto::votecode::{self, MskCommitment, VoteCode, VoteCodeHash};
 use ddemos_crypto::vss::{DealerVss, SignedShare};
-use ddemos_crypto::zkp;
+use ddemos_crypto::zkp::{self, CpFirstMove, OrFirstMove};
 use ddemos_protocol::ballot::{Ballot, BallotLine, BallotPart};
 use ddemos_protocol::exec::Pool;
 use ddemos_protocol::initdata::{
@@ -46,10 +47,10 @@ pub enum SetupProfile {
     /// ballot, BB payload or trustee material is derived.
     VcNode(u32),
     /// What a BB node is handed: [`BbInit`] with every ballot's payload.
-    /// The per-ballot `crypto` stream is walked exactly as under `Full`
-    /// (the commitments and first moves depend on its position), but the
-    /// trustees' shares are not evaluated or kept and their opening
-    /// bundles are not signed.
+    /// The per-ballot `crypto` stream is walked in the order `Full` walks
+    /// it (the commitments and first moves depend on its position), but
+    /// the trustees' sharing polynomials are stepped over unhashed
+    /// ([`PrfRng::skip`]) and their opening bundles are not signed.
     BbNode,
 }
 
@@ -92,7 +93,7 @@ pub struct ElectionAuthority {
     vc_keys: Vec<SigningKey>,
     trustee_keys: Vec<SigningKey>,
     elgamal_pk: PublicKey,
-    /// The election key with its precomputed window table — `crypto_ballot`
+    /// The election key with its precomputed comb table — `commit_rows`
     /// exponentiates against it for every ciphertext and proof.
     prepared_pk: PreparedKey,
     msk: [u8; 16],
@@ -335,15 +336,17 @@ impl ElectionAuthority {
     }
 
     /// One `(h_t, N_t)` sharing drawn from `rng`: the trustees' values in
-    /// index order, or — when nobody is handed them — nothing, with the
-    /// polynomial still drawn so the stream stays in step.
+    /// index order, or — when nobody is handed them — nothing, the stream
+    /// stepping over the polynomial's draws unhashed.
     fn trustee_shares(&self, secret: Scalar, keep: bool, rng: &mut PrfRng) -> Vec<Scalar> {
-        let poly = Polynomial::random(secret, self.params.trustee_threshold, rng)
-            .expect("trustee sharing parameters");
+        let threshold = self.params.trustee_threshold;
         if !keep {
+            rng.skip(Polynomial::random_bytes(threshold));
             return Vec::new();
         }
-        poly.shares(self.params.num_trustees)
+        Polynomial::random(secret, threshold, rng)
+            .expect("trustee sharing parameters")
+            .shares(self.params.num_trustees)
             .into_iter()
             .map(|share| share.value)
             .collect()
@@ -353,6 +356,14 @@ impl ElectionAuthority {
     /// unit vector `e_opt`, its OR and sum first moves, the encrypted vote
     /// code — and, when `trustees` is set, every trustee's shares of the
     /// openings and of the proofs' affine response coefficients.
+    ///
+    /// Three passes. The *walk* reads the ballot's `crypto` stream in its
+    /// one order and does everything that is scalars — openings, proof
+    /// coefficients, the trustees' sharings, the vote-code encryptions —
+    /// leaving every group element as a pending sum in one [`CombBatch`];
+    /// *multiply* evaluates the batch, the ballot's whole group
+    /// arithmetic (`2m(7m + 2)` fixed-base multiplications) in lockstep;
+    /// *assemble* deals the normalised points back into rows.
     fn commit_rows(&self, derived: &DerivedBallot, trustees: bool) -> CommittedRows {
         let m = self.params.num_options;
         let nt = if trustees {
@@ -363,16 +374,16 @@ impl ElectionAuthority {
         let pk = &self.prepared_pk;
         let serial = derived.ballot.serial;
         let mut rng = PrfRng::new(&self.master.derive_indexed(b"crypto", serial.0), b"zk");
-        let mut bb_parts: [Vec<BbRow>; 2] = [Vec::new(), Vec::new()];
+        let mut batch = CombBatch::new();
+        let mut enc_codes = Vec::with_capacity(2 * m);
         // trustee_rows[t][part] accumulates rows for trustee t.
         let mut trustee_rows: Vec<[Vec<TrusteeRowShares>; 2]> =
             (0..nt).map(|_| [Vec::new(), Vec::new()]).collect();
+        let walk = ddemos_obs::scoped_ns("ea.setup_ns", "walk");
         for part in PartId::BOTH {
             let perm = &derived.perms[part.index()];
             for &opt in perm.iter() {
                 let line = &derived.ballot.parts[part.index()].lines[opt];
-                let mut cts = Vec::with_capacity(m);
-                let mut or_first = Vec::with_capacity(m);
                 let mut r_sum = Scalar::ZERO;
                 // Per-trustee accumulators for this row.
                 let mut trustee_cts: Vec<Vec<TrusteeCtShares>> =
@@ -380,16 +391,12 @@ impl ElectionAuthority {
                 for j in 0..m {
                     let bit = u8::from(j == opt);
                     let bit_scalar = Scalar::from_u64(u64::from(bit));
-                    let commit = ddemos_obs::scoped_ns("ea.setup_ns", "commit_prove");
                     let r = Scalar::random(&mut rng);
                     r_sum += r;
-                    cts.push(pk.encrypt_with(&bit_scalar, &r));
-                    let (first, secrets) = zkp::or_prove(pk, bit, &r, &mut rng);
-                    or_first.push(first);
-                    drop(commit);
+                    pk.encrypt_into(&bit_scalar, &r, &mut batch);
+                    let secrets = zkp::or_prove_into(pk, bit, &r, &mut rng, &mut batch);
                     // Share the opening (bit, r) and the 8 affine ZK
                     // coefficients (h_t, N_t), in that order.
-                    let _t = ddemos_obs::scoped_ns("ea.setup_ns", "share");
                     let shared: Vec<Vec<Scalar>> = [bit_scalar, r]
                         .into_iter()
                         .chain(secrets.coefficients())
@@ -403,10 +410,7 @@ impl ElectionAuthority {
                         });
                     }
                 }
-                let commit = ddemos_obs::scoped_ns("ea.setup_ns", "commit_prove");
-                let (sum_first, sum_secrets) = zkp::sum_prove(pk, &r_sum, &mut rng);
-                drop(commit);
-                let share = ddemos_obs::scoped_ns("ea.setup_ns", "share");
+                let sum_secrets = zkp::sum_prove_into(pk, &r_sum, &mut rng, &mut batch);
                 let [gamma, delta] = sum_secrets
                     .coefficients()
                     .map(|secret| self.trustee_shares(secret, trustees, &mut rng));
@@ -416,19 +420,40 @@ impl ElectionAuthority {
                         sum_coeffs: [gamma[t], delta[t]],
                     });
                 }
-                drop(share);
                 // Encrypted vote code for the BB.
                 let mut iv = [0u8; 16];
                 rng.fill_bytes(&mut iv);
-                let enc_code = votecode::encrypt_vote_code(&self.msk, iv, &line.vote_code);
-                bb_parts[part.index()].push(BbRow {
-                    enc_code,
-                    commitment: cts,
-                    or_first,
-                    sum_first,
-                });
+                enc_codes.push(votecode::encrypt_vote_code(&self.msk, iv, &line.vote_code));
             }
         }
+        drop(walk);
+
+        let multiply = ddemos_obs::scoped_ns("ea.setup_ns", "multiply");
+        let mut points = batch.evaluate().into_iter();
+        drop(multiply);
+
+        // In the walk's order: per row, a ciphertext and its OR first move
+        // per option, then the sum first move.
+        let _t = ddemos_obs::scoped_ns("ea.setup_ns", "assemble");
+        let mut enc_codes = enc_codes.into_iter();
+        let bb_parts = PartId::BOTH.map(|_| {
+            (0..m)
+                .map(|_| {
+                    let (commitment, or_first) = (0..m)
+                        .map(|_| {
+                            let ct = Ciphertext::next_from(&mut points);
+                            (ct, OrFirstMove::next_from(&mut points))
+                        })
+                        .unzip();
+                    BbRow {
+                        enc_code: enc_codes.next().expect("one encrypted code per row"),
+                        commitment,
+                        or_first,
+                        sum_first: CpFirstMove::next_from(&mut points),
+                    }
+                })
+                .collect()
+        });
         (bb_parts, trustee_rows)
     }
 

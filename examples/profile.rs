@@ -28,7 +28,7 @@
 //!   floor for timer noise). Exits non-zero past the gate; CI runs this
 //!   at 5%. The gate then profiles one more election and fails if any
 //!   `bb.publish_ns` stage timer (interpolate / openings / zk / tally) or
-//!   `ea.setup_ns` stage timer (vc_rows / commit_prove / share / sign)
+//!   `ea.setup_ns` stage timer (vc_rows / walk / multiply / assemble / sign)
 //!   recorded nothing, if `~vc.queue_depth` read zero across the vote
 //!   phase, or if the collectors spent more than
 //!   [`MAX_FRESH_SIG_CHECKS_PER_CAST`] group-math signature
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 const PUBLISH_STAGES: [&str; 4] = ["interpolate", "openings", "zk", "tally"];
 
 /// The `ea.setup_ns` labels the EA's per-ballot deriver times.
-const SETUP_STAGES: [&str; 4] = ["vc_rows", "commit_prove", "share", "sign"];
+const SETUP_STAGES: [&str; 5] = ["vc_rows", "walk", "multiply", "assemble", "sign"];
 
 /// Prints the stage split of one scoped-timer family and reports whether
 /// every stage recorded something (a stage that reads zero in a profiled
