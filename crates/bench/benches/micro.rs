@@ -91,8 +91,8 @@ fn bench_curve(c: &mut Criterion) {
 fn bench_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(9);
     // MSM, Pippenger vs the naive scalar-mul-and-add loop: 64 terms (a
-    // collector's large burst), 512, and 8192 (a `VERIFY_BATCH` of ZK
-    // instances). The larger sums take their points as the batch
+    // collector's large burst), 512, and 8192 (a full `VERIFY_TERMS`
+    // publication batch). The larger sums take their points as the batch
     // verifiers hand them over — normalised for the transcript, as off the
     // wire.
     let scalars: Vec<Scalar> = (0..8192).map(|_| Scalar::random(&mut rng)).collect();
@@ -153,7 +153,8 @@ fn bench_kernels(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
-    // Batch inversion: 256 field elements, Montgomery trick vs Fermat.
+    // Batch inversion: 256 field elements, Montgomery trick vs one
+    // inversion each.
     let fps: Vec<Fp> = (0..256).map(|_| Fp::random(&mut rng)).collect();
     c.bench_function("kernel/batch_invert 256", |b| {
         b.iter_batched(
@@ -162,7 +163,7 @@ fn bench_kernels(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    c.bench_function("kernel/invert 256 (fermat)", |b| {
+    c.bench_function("kernel/invert 256 (per-element)", |b| {
         b.iter(|| {
             std::hint::black_box(&fps)
                 .iter()
@@ -211,6 +212,30 @@ fn bench_kernels(c: &mut Criterion) {
         "fixed_base mul × 64 / mul_many 64",
         one_at_a_time,
         || table.mul_many(std::hint::black_box(&ks[..64])),
+        1.3,
+    );
+}
+
+/// The base field's squaring and its addition-chain inversion.
+fn bench_field(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(10);
+    let fps: Vec<Fp> = (0..256).map(|_| Fp::random(&mut rng)).collect();
+    let mut next = fps.iter().cycle();
+    c.bench_function("fp/square", |b| {
+        b.iter(|| std::hint::black_box(next.next().expect("a cycle")).square())
+    });
+    let x = fps[0];
+    c.bench_function("fp/invert (chain)", |b| {
+        b.iter(|| std::hint::black_box(x).invert())
+    });
+    // The chain against square-and-multiply over p − 2 — what `invert`
+    // was, and what a regression to it would give back. Equal first.
+    let p_minus_2 = Fp::MODULUS.wrapping_sub(ddemos_crypto::u256::U256::from_u64(2));
+    assert_eq!(x.invert(), Some(x.pow(p_minus_2)));
+    ratio_gate(
+        "pow(p - 2) / Fp::invert",
+        || std::hint::black_box(x).pow(p_minus_2),
+        || std::hint::black_box(x).invert(),
         1.3,
     );
 }
@@ -371,6 +396,78 @@ fn bench_zkp(c: &mut Criterion) {
     c.bench_function("zkp/or_verify", |b| {
         b.iter(|| zkp::or_verify(&pk, &ct, &first, std::hint::black_box(&resp), &challenge))
     });
+    bench_rows(c, &prepared, &challenge, &mut rng);
+}
+
+/// A proven row of `m` ciphertexts as the board holds it: ciphertexts, OR
+/// first moves and responses, sum first move and response.
+type ProvenRow = (
+    Vec<elgamal::Ciphertext>,
+    Vec<zkp::OrFirstMove>,
+    Vec<zkp::OrResponse>,
+    zkp::CpFirstMove,
+    Scalar,
+);
+
+/// The row batch of result publication and the audit against the
+/// per-proof loop it replaced the need for: 186 rows of m = 5, the rows of
+/// one 2,048-instance batch of the per-instance verifier.
+fn bench_rows(
+    c: &mut Criterion,
+    prepared: &elgamal::PreparedKey,
+    challenge: &Scalar,
+    rng: &mut StdRng,
+) {
+    const M: usize = 5;
+    let pk = prepared.public_key();
+    let rows: Vec<ProvenRow> = (0..186)
+        .map(|i| {
+            let (mut cts, mut firsts, mut resps, mut r_sum) =
+                (vec![], vec![], vec![], Scalar::ZERO);
+            for j in 0..M {
+                let (bit, r) = (u8::from(j == i % M), Scalar::random(rng));
+                r_sum += r;
+                cts.push(prepared.encrypt_with(&Scalar::from_u64(u64::from(bit)), &r));
+                let (first, secrets) = zkp::or_prove(prepared, bit, &r, rng);
+                firsts.push(first);
+                resps.push(secrets.respond(challenge));
+            }
+            let (sum_first, secrets) = zkp::sum_prove(prepared, &r_sum, rng);
+            (cts, firsts, resps, sum_first, secrets.respond(challenge))
+        })
+        .collect();
+    let proofs: Vec<zkp::RowProof<'_>> = rows
+        .iter()
+        .map(|(cts, or_first, or_resp, sum_first, sum_z)| zkp::RowProof {
+            cts,
+            or_first,
+            or_resp,
+            sum_first,
+            sum_z: *sum_z,
+            c: *challenge,
+        })
+        .collect();
+    let per_proof = |proofs: &[zkp::RowProof<'_>]| {
+        proofs.iter().all(|p| {
+            let ors = p.cts.iter().zip(p.or_first).zip(p.or_resp);
+            ors.into_iter()
+                .all(|((ct, first), resp)| zkp::or_verify(pk, ct, first, resp, &p.c))
+                && zkp::sum_verify(pk, p.cts, p.sum_first, &p.c, &p.sum_z)
+        })
+    };
+    assert!(zkp::verify_rows(pk, &proofs) && per_proof(&proofs));
+    c.bench_function("kernel/verify_rows_batch m=5 186 rows", |b| {
+        b.iter(|| zkp::verify_rows(pk, std::hint::black_box(&proofs)))
+    });
+    // Over the first 48 rows, to keep the smoke run short: one MSM a batch
+    // against four Shamir pairs an OR proof and two a sum proof.
+    let gated = &proofs[..48];
+    ratio_gate(
+        "per-proof or_verify/sum_verify 48 rows / verify_rows 48 rows",
+        || per_proof(std::hint::black_box(gated)),
+        || zkp::verify_rows(pk, std::hint::black_box(gated)),
+        4.0,
+    );
 }
 
 /// The durability WAL's group-committed append path (`ddemos-storage`):
@@ -478,6 +575,6 @@ fn criterion_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = criterion_config();
-    targets = bench_curve, bench_kernels, bench_hash_aes, bench_schnorr, bench_sharing, bench_zkp, bench_wal, bench_msg_codec
+    targets = bench_curve, bench_kernels, bench_field, bench_hash_aes, bench_schnorr, bench_sharing, bench_zkp, bench_wal, bench_msg_codec
 }
 criterion_main!(benches);

@@ -17,9 +17,9 @@
 //! and verification of the homomorphic tally opening against the result.
 //!
 //! The curve-heavy checks (d) and (e) take the **batch verification
-//! path**: every opening and every Chaum–Pedersen equation is folded into
-//! one multi-scalar multiplication
-//! ([`elgamal::batch_verify_openings`] / [`zkp::cp_verify_batch`]); only
+//! path**: every opening, and every proof of every used row, is folded
+//! into one multi-scalar multiplication a pool worker
+//! ([`elgamal::batch_verify_openings`] / [`zkp::verify_rows`]); only
 //! when a batch fails does the auditor fall back to per-item verification
 //! — parallelized over the [`Pool`] — to name the culprits. The delegated
 //! per-voter sweep is likewise spread over the pool; sub-reports merge in
@@ -73,15 +73,12 @@ struct OpeningInstance {
     rand: Scalar,
 }
 
-/// A pending curve-side proof check collected by pass (e).
-struct ProofInstance {
+/// The proofs of one used row, collected by pass (e).
+struct RowCheck<'a> {
     serial: SerialNo,
     part: PartId,
     row: usize,
-    /// `"OR"` or `"sum"` — only used in failure messages.
-    kind: &'static str,
-    /// One CP equation pair per OR branch, one for a sum proof.
-    instances: Vec<zkp::CpInstance>,
+    proof: zkp::RowProof<'a>,
 }
 
 /// Verifies `items` with one random-combination sub-batch per pool worker
@@ -89,12 +86,12 @@ struct ProofInstance {
 /// path scales with the pool). Returns `None` when everything verified;
 /// otherwise the per-item outcomes from `item_fn`, computed in parallel,
 /// so the caller can name the culprits.
-fn batched_verify<T: Sync>(
+fn batched_verify<T: Sync, O: Send>(
     pool: &Pool,
     items: &[T],
     batch_fn: impl Fn(&[T]) -> bool + Sync,
-    item_fn: impl Fn(&T) -> bool + Sync,
-) -> Option<Vec<bool>> {
+    item_fn: impl Fn(&T) -> O + Sync,
+) -> Option<Vec<O>> {
     let sub_batches: Vec<&[T]> = items
         .chunks(items.len().div_ceil(pool.threads()).max(1))
         .collect();
@@ -354,22 +351,23 @@ impl<'a> Auditor<'a> {
         }
     }
 
-    /// Check (e): used-part ZK proofs complete and valid. Every OR branch
-    /// and sum proof becomes a Chaum–Pedersen instance; one
-    /// [`zkp::cp_verify_batch`] MSM verifies them all, with a parallel
-    /// per-proof fallback on failure.
+    /// Check (e): used-part ZK proofs complete and valid, one check per
+    /// OR proof and per sum proof. Every used row's proofs go to one
+    /// [`zkp::verify_rows`] MSM a pool worker; a sub-batch that fails
+    /// names its failing proofs by [`zkp::or_verify`] and
+    /// [`zkp::sum_verify`], row by row in parallel.
     fn verify_proofs(
         &self,
         report: &mut AuditReport,
         vote_set: &ddemos_protocol::posts::VoteSet,
         challenge: &Scalar,
     ) {
-        let mut proofs: Vec<ProofInstance> = Vec::new();
+        let mut rows: Vec<RowCheck<'_>> = Vec::new();
         for (serial, code) in &vote_set.entries {
             let Some((part, _)) = self.locate_cast_row(*serial, code).first().copied() else {
                 continue;
             };
-            let Some(rows) = self
+            let Some(responses) = self
                 .snapshot
                 .zk_responses
                 .get(&(*serial, part.index() as u8))
@@ -383,77 +381,75 @@ impl<'a> Auditor<'a> {
                 continue;
             };
             let bb_rows = &ballot.parts[part.index()];
-            report.check(rows.len() == bb_rows.len(), || {
+            report.check(responses.len() == bb_rows.len(), || {
                 format!("(e) ZK row count mismatch for {serial}")
             });
-            for (row_idx, ((responses, sum_z), row)) in rows.iter().zip(bb_rows).enumerate() {
+            for (row_idx, ((or_resp, sum_z), row)) in responses.iter().zip(bb_rows).enumerate() {
                 // A response or first-move list shorter than the commitment
-                // would let the zip below silently drop the tail's OR
-                // proofs (e.g. a malicious EA publishing short `or_first`).
-                report.check(responses.len() == row.commitment.len(), || {
+                // fails its row's batch; the per-proof fallback below then
+                // checks only the proofs that are there (e.g. a malicious
+                // EA publishing short `or_first`).
+                report.check(or_resp.len() == row.commitment.len(), || {
                     format!("(e) ZK response arity mismatch {serial} {part:?} row {row_idx}")
                 });
                 report.check(row.or_first.len() == row.commitment.len(), || {
                     format!("(e) proof first-move arity mismatch {serial} {part:?} row {row_idx}")
                 });
-                for ((resp, ct), first) in responses.iter().zip(&row.commitment).zip(&row.or_first)
-                {
-                    match zkp::or_instances(ct, first, resp, challenge) {
-                        Some(pair) => proofs.push(ProofInstance {
-                            serial: *serial,
-                            part,
-                            row: row_idx,
-                            kind: "OR",
-                            instances: pair.to_vec(),
-                        }),
-                        // Split challenges that do not recombine fail the
-                        // proof outright; nothing to batch.
-                        None => report.check(false, || {
-                            format!("(e) OR proof failed {serial} {part:?} row {row_idx}")
-                        }),
-                    }
-                }
-                proofs.push(ProofInstance {
+                rows.push(RowCheck {
                     serial: *serial,
                     part,
                     row: row_idx,
-                    kind: "sum",
-                    instances: vec![zkp::sum_instance(
-                        &row.commitment,
-                        &row.sum_first,
-                        challenge,
-                        sum_z,
-                    )],
+                    proof: zkp::RowProof {
+                        cts: &row.commitment,
+                        or_first: &row.or_first,
+                        or_resp,
+                        sum_first: &row.sum_first,
+                        sum_z: *sum_z,
+                        c: *challenge,
+                    },
                 });
             }
         }
+        let pk = &self.init.elgamal_pk;
         let outcomes = batched_verify(
             &self.pool,
-            &proofs,
+            &rows,
             |sub| {
-                let instances: Vec<zkp::CpInstance> = sub
-                    .iter()
-                    .flat_map(|p| p.instances.iter().copied())
-                    .collect();
-                zkp::cp_verify_batch(&self.init.elgamal_pk, &instances)
+                let proofs: Vec<zkp::RowProof<'_>> = sub.iter().map(|check| check.proof).collect();
+                zkp::verify_rows(pk, &proofs)
             },
-            |proof| {
-                proof.instances.iter().all(|i| {
-                    zkp::cp_verify(&self.init.elgamal_pk, &i.a, &i.b, &i.first, &i.c, &i.z)
-                })
+            |check| {
+                let p = &check.proof;
+                let ors = p.cts.iter().zip(p.or_first).zip(p.or_resp);
+                let or_ok: Vec<bool> = ors
+                    .map(|((ct, first), resp)| zkp::or_verify(pk, ct, first, resp, &p.c))
+                    .collect();
+                let sum_ok = zkp::sum_verify(pk, p.cts, p.sum_first, &p.c, &p.sum_z);
+                (or_ok, sum_ok)
             },
         );
         let Some(outcomes) = outcomes else {
-            report.checks_run += proofs.len();
+            // Every row verified, so every row is whole: one OR proof a
+            // ciphertext, and the sum proof.
+            report.checks_run += rows
+                .iter()
+                .map(|check| check.proof.cts.len() + 1)
+                .sum::<usize>();
             return;
         };
-        for (proof, ok) in proofs.iter().zip(outcomes) {
-            report.check(ok, || {
-                format!(
-                    "(e) {} proof failed {} {:?} row {}",
-                    proof.kind, proof.serial, proof.part, proof.row
-                )
-            });
+        for (check, (or_ok, sum_ok)) in rows.iter().zip(outcomes) {
+            let kinds = or_ok
+                .into_iter()
+                .map(|ok| ("OR", ok))
+                .chain([("sum", sum_ok)]);
+            for (kind, ok) in kinds {
+                report.check(ok, || {
+                    format!(
+                        "(e) {kind} proof failed {} {:?} row {}",
+                        check.serial, check.part, check.row
+                    )
+                });
+            }
         }
     }
 

@@ -75,7 +75,7 @@ impl Point {
 
     /// Returns affine coordinates, or `None` for the identity.
     ///
-    /// Costs one Fermat inversion; callers normalizing **several** points
+    /// Costs one field inversion; callers normalizing **several** points
     /// should use [`Point::batch_to_affine`], which amortizes that
     /// inversion across the whole slice via the Montgomery trick.
     pub fn to_affine(&self) -> Option<(Fp, Fp)> {
@@ -88,8 +88,8 @@ impl Point {
     }
 
     /// Normalizes a slice of points to affine coordinates with **one**
-    /// shared inversion ([`Fp::batch_invert`]) instead of one Fermat
-    /// exponentiation per point. `None` entries are identities.
+    /// shared inversion ([`Fp::batch_invert`]) instead of one inversion
+    /// per point. `None` entries are identities.
     pub fn batch_to_affine(points: &[Point]) -> Vec<Option<(Fp, Fp)>> {
         Point::batch_normalize(points)
             .iter()
@@ -565,14 +565,14 @@ const GROUP_POINTS: usize = 1 << 12;
 /// Field multiplications (a squaring counts as one) of the operations
 /// [`msm_plan`] weighs: the formulas of [`Point::double`], [`Point::add`],
 /// [`Point::add_affine`], [`Affine::add_with_inverse`] with its share of
-/// a batch inversion, [`Fp::invert`]'s square-and-multiply, and one
-/// point's part of [`Point::batch_normalize`] (share of the inversion
-/// included).
+/// a batch inversion, [`Fp::invert`]'s addition chain (255 S + 15 M),
+/// and one point's part of [`Point::batch_normalize`] (share of the
+/// inversion included).
 const COST_DOUBLE: usize = 7;
 const COST_ADD: usize = 16;
 const COST_MIXED: usize = 11;
 const COST_AFFINE: usize = 6;
-const COST_INVERT: usize = 505;
+const COST_INVERT: usize = 270;
 const COST_NORMALIZE: usize = 7;
 
 /// A reduction round pays for its inversion only while it halves enough

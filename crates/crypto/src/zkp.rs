@@ -21,6 +21,13 @@
 //!    coefficient shares is a valid share of the response, so `h_t` trustees
 //!    reconstruct the exact response without ever knowing which OR branch is
 //!    real.
+//!
+//! Verification comes in two forms. [`or_verify`] and [`sum_verify`] check
+//! one proof each, with Shamir double multiplications: the reference, and
+//! what names a failing proof. [`verify_rows`] checks the proofs of many
+//! ballot rows ([`RowProof`], borrowed from the board) with one
+//! multi-scalar multiplication in which every point a row's equations share
+//! enters once — the path of result publication and of the audit.
 
 use crate::curve::{CombBatch, FixedBase, Point};
 use crate::elgamal::{self, Ciphertext, PreparedKey, PublicKey};
@@ -74,81 +81,6 @@ pub fn cp_verify(
     // z·G − c·a == t1  ∧  z·pk − c·b == t2 (Shamir double-scalar form).
     Point::double_mul(z, &Point::generator(), &-*c, a) == first.t1
         && Point::double_mul(z, &pk.0, &-*c, b) == first.t2
-}
-
-/// One Chaum–Pedersen verification instance for [`cp_verify_batch`]:
-/// the claim that `(a, b, first)` verifies under `(c, z)`.
-#[derive(Clone, Copy, Debug)]
-pub struct CpInstance {
-    /// Statement point `a` (should equal `r·G`).
-    pub a: Point,
-    /// Statement point `b` (should equal `r·pk`).
-    pub b: Point,
-    /// The prover's first move.
-    pub first: CpFirstMove,
-    /// The challenge.
-    pub c: Scalar,
-    /// The response.
-    pub z: Scalar,
-}
-
-/// Verifies many Chaum–Pedersen instances at once — the batch verification
-/// path auditors take over a whole election's proofs.
-///
-/// Each instance contributes `z·G − c·a − t1 = 0` and
-/// `z·pk − c·b − t2 = 0`; all equations are combined with per-instance
-/// random weights (derived by hashing the batch, so the result is
-/// deterministic) and checked with **one** multi-scalar multiplication of
-/// `4n + 2` terms instead of `4n` full ladders. On failure, fall back to
-/// per-instance [`cp_verify`] to localize the culprit.
-pub fn cp_verify_batch(pk: &PublicKey, instances: &[CpInstance]) -> bool {
-    if instances.is_empty() {
-        return true;
-    }
-    if instances.len() == 1 {
-        let i = &instances[0];
-        return cp_verify(pk, &i.a, &i.b, &i.first, &i.c, &i.z);
-    }
-    // Normalise every point once, with one shared inversion: the
-    // transcript hashes the encodings and the MSM adds the same affine
-    // coordinates. (Per-point `to_bytes` would cost a Fermat inversion
-    // each and swamp the MSM this function exists to save.)
-    let points = {
-        let mut points = Vec::with_capacity(4 * instances.len() + 2);
-        points.push(pk.0);
-        for inst in instances {
-            points.extend([inst.a, inst.b, inst.first.t1, inst.first.t2]);
-        }
-        points.push(Point::generator());
-        Point::batch_normalize(&points)
-    };
-    let mut transcript = Sha256::new();
-    transcript.update(b"ddemos/batch-cp/v1");
-    transcript.update(&points[0].to_bytes());
-    for (inst, statement) in instances.iter().zip(points[1..].chunks_exact(4)) {
-        for p in statement {
-            transcript.update(&p.to_bytes());
-        }
-        transcript.update(&inst.c.to_bytes());
-        transcript.update(&inst.z.to_bytes());
-    }
-    let seed = transcript.finalize();
-    // One scalar per point, in the order above: pk, then (a, b, t1, t2)
-    // per instance, then G.
-    let mut scalars = Vec::with_capacity(points.len());
-    scalars.push(Scalar::ZERO);
-    let mut g_coeff = Scalar::ZERO;
-    let mut pk_coeff = Scalar::ZERO;
-    for (i, inst) in instances.iter().enumerate() {
-        let rho = elgamal::batch_weight(&seed, i, 0);
-        let sigma = elgamal::batch_weight(&seed, i, 1);
-        g_coeff += rho * inst.z;
-        pk_coeff += sigma * inst.z;
-        scalars.extend([-(rho * inst.c), -(sigma * inst.c), -rho, -sigma]);
-    }
-    scalars[0] = pk_coeff;
-    scalars.push(g_coeff);
-    Point::msm_affine(&scalars, &points).is_identity()
 }
 
 /// First move of the 0/1 OR proof for one lifted ElGamal ciphertext.
@@ -316,37 +248,6 @@ pub fn or_verify(
         && cp_verify(pk, &ct.a, &b1, &first.branch1, &resp.c1, &resp.z1)
 }
 
-/// Decomposes an OR proof into its two Chaum–Pedersen instances for
-/// [`cp_verify_batch`]. Returns `None` when the split challenges do not
-/// recombine to `c` (the proof is invalid outright; the scalar check
-/// cannot be deferred to the batch).
-pub fn or_instances(
-    ct: &Ciphertext,
-    first: &OrFirstMove,
-    resp: &OrResponse,
-    c: &Scalar,
-) -> Option<[CpInstance; 2]> {
-    if resp.c0 + resp.c1 != *c {
-        return None;
-    }
-    Some([
-        CpInstance {
-            a: ct.a,
-            b: ct.b,
-            first: first.branch0,
-            c: resp.c0,
-            z: resp.z0,
-        },
-        CpInstance {
-            a: ct.a,
-            b: ct.b - Point::generator(),
-            first: first.branch1,
-            c: resp.c1,
-            z: resp.z1,
-        },
-    ])
-}
-
 /// Pending secrets for the "sum of row encrypts exactly 1" proof.
 ///
 /// The response is `z(c) = γ·c + δ` with `γ = Σrⱼ` (the aggregate
@@ -419,17 +320,142 @@ pub fn sum_verify(
     cp_verify(pk, &total.a, &b_shifted, first, c, z)
 }
 
-/// The sum proof as a single Chaum–Pedersen instance for
-/// [`cp_verify_batch`].
-pub fn sum_instance(row: &[Ciphertext], first: &CpFirstMove, c: &Scalar, z: &Scalar) -> CpInstance {
-    let total: Ciphertext = row.iter().copied().sum();
-    CpInstance {
-        a: total.a,
-        b: total.b - Point::generator(),
-        first: *first,
-        c: *c,
-        z: *z,
+/// The proofs of one ballot row, as a verifier finds them published: the
+/// row's ciphertexts, each with its OR proof, and the sum proof that the
+/// row encrypts 1 in all, under the challenge `c`. The slices are borrowed
+/// from the board; [`verify_rows`] checks many rows in one MSM.
+#[derive(Clone, Copy, Debug)]
+pub struct RowProof<'a> {
+    /// The row's ciphertexts.
+    pub cts: &'a [Ciphertext],
+    /// One OR first move per ciphertext.
+    pub or_first: &'a [OrFirstMove],
+    /// One OR final move per ciphertext.
+    pub or_resp: &'a [OrResponse],
+    /// The sum proof's first move.
+    pub sum_first: &'a CpFirstMove,
+    /// The sum proof's response.
+    pub sum_z: Scalar,
+    /// The challenge.
+    pub c: Scalar,
+}
+
+/// Terms a row of `m` ciphertexts adds to a [`verify_rows`] MSM: every
+/// ciphertext's `a` and `b`, four first-move points an OR proof and the
+/// sum proof's two.
+pub fn row_terms(m: usize) -> usize {
+    6 * m + 2
+}
+
+/// Verifies every proof of `rows` at once — the batch path of result
+/// publication and of the audit. Equal, but for a negligible chance, to
+/// [`or_verify`] on every ciphertext and [`sum_verify`] on every row.
+///
+/// A row's six equations a ciphertext and two for its sum — per OR
+/// branch `zⱼ·G = t1ⱼ + cⱼ·a`, `zⱼ·pk = t2ⱼ + cⱼ·(b − j·G)`, and for the
+/// sum `z·G = s1 + c·Σa`, `z·pk = s2 + c·(Σb − G)` — are each weighted by
+/// their own 256-bit scalar, drawn from a transcript of every point and
+/// scalar of the batch, and the weighted sum is regrouped by base: a
+/// ciphertext's `a` and `b` carry both branches' and the sum proof's
+/// coefficients, and `b − G` and the row sum fold into the generator's.
+/// So every point enters the one MSM once ([`row_terms`], plus `pk` and
+/// `G`), and no point arithmetic runs before it. Split challenges that do
+/// not recombine to `c`, and rows whose first moves or responses do not
+/// match their ciphertexts one for one, fail before any curve work.
+pub fn verify_rows(pk: &PublicKey, rows: &[RowProof<'_>]) -> bool {
+    let well_formed = rows.iter().all(|row| {
+        row.or_first.len() == row.cts.len()
+            && row.or_resp.len() == row.cts.len()
+            && row.or_resp.iter().all(|resp| resp.c0 + resp.c1 == row.c)
+    });
+    if !well_formed {
+        return false;
     }
+    if rows.is_empty() {
+        return true;
+    }
+    // Normalise every point once, with one shared inversion (none for the
+    // `z = 1` points a board holds): the transcript hashes the encodings
+    // and the MSM adds the same affine coordinates. Order: pk, G, then
+    // per row its `(a, b)`s, its OR first moves and its sum first move.
+    let points = {
+        let terms = rows
+            .iter()
+            .map(|row| row_terms(row.cts.len()))
+            .sum::<usize>();
+        let mut points = Vec::with_capacity(2 + terms);
+        points.extend([pk.0, Point::generator()]);
+        for row in rows {
+            points.extend(row.cts.iter().flat_map(|ct| [ct.a, ct.b]));
+            points.extend(row.or_first.iter().flat_map(|first| {
+                let (b0, b1) = (first.branch0, first.branch1);
+                [b0.t1, b0.t2, b1.t1, b1.t2]
+            }));
+            points.extend([row.sum_first.t1, row.sum_first.t2]);
+        }
+        Point::batch_normalize(&points)
+    };
+    let seed = {
+        let mut transcript = Sha256::new();
+        transcript.update(b"ddemos/batch-rows/v1");
+        for p in &points[..2] {
+            transcript.update(&p.to_bytes());
+        }
+        let mut row_points = &points[2..];
+        for row in rows {
+            let (own, rest) = row_points.split_at(row_terms(row.cts.len()));
+            row_points = rest;
+            transcript.update(&(row.cts.len() as u64).to_be_bytes());
+            for p in own {
+                transcript.update(&p.to_bytes());
+            }
+            for resp in row.or_resp {
+                for k in [resp.c0, resp.c1, resp.z0, resp.z1] {
+                    transcript.update(&k.to_bytes());
+                }
+            }
+            transcript.update(&row.sum_z.to_bytes());
+            transcript.update(&row.c.to_bytes());
+        }
+        transcript.finalize()
+    };
+    // One scalar per point, in the order above. Proof `k` of the batch —
+    // each row's sum proof, then its OR proofs — weighs its equations
+    // with `batch_weight(seed, k, ·)`: slots 0/1 the G/pk equations of
+    // the sum proof or of branch 0, slots 2/3 those of branch 1.
+    let mut scalars = vec![Scalar::ZERO; points.len()];
+    let (mut g_coeff, mut pk_coeff) = (Scalar::ZERO, Scalar::ZERO);
+    let mut rest = &mut scalars[2..];
+    let mut proof = 0;
+    for row in rows {
+        let m = row.cts.len();
+        let (ct_coeffs, tail) = std::mem::take(&mut rest).split_at_mut(2 * m);
+        let (move_coeffs, tail) = tail.split_at_mut(4 * m);
+        let (sum_coeffs, tail) = tail.split_at_mut(2);
+        rest = tail;
+        let c = row.c;
+        let weight = |proof: usize, slot: u8| elgamal::batch_weight(&seed, proof, slot);
+        let (rho, sigma) = (weight(proof, 0), weight(proof, 1));
+        proof += 1;
+        g_coeff += rho * row.sum_z + sigma * c;
+        pk_coeff += sigma * row.sum_z;
+        sum_coeffs.copy_from_slice(&[-rho, -sigma]);
+        let per_ct = ct_coeffs
+            .chunks_exact_mut(2)
+            .zip(move_coeffs.chunks_exact_mut(4));
+        for (resp, (ct_coeff, move_coeff)) in row.or_resp.iter().zip(per_ct) {
+            let [rho0, sigma0, rho1, sigma1] = [0, 1, 2, 3].map(|slot| weight(proof, slot));
+            proof += 1;
+            g_coeff += rho0 * resp.z0 + rho1 * resp.z1 + sigma1 * resp.c1;
+            pk_coeff += sigma0 * resp.z0 + sigma1 * resp.z1;
+            ct_coeff[0] = -(rho * c + rho0 * resp.c0 + rho1 * resp.c1);
+            ct_coeff[1] = -(sigma * c + sigma0 * resp.c0 + sigma1 * resp.c1);
+            move_coeff.copy_from_slice(&[-rho0, -sigma0, -rho1, -sigma1]);
+        }
+    }
+    scalars[0] = pk_coeff;
+    scalars[1] = g_coeff;
+    Point::msm_affine(&scalars, &points).is_identity()
 }
 
 /// Derives the proof challenge from the voters' A/B coins (§III-B: "all the
@@ -602,87 +628,184 @@ mod tests {
         }
     }
 
+    /// A proven row with everything a [`RowProof`] borrows: ciphertexts
+    /// of `bits`, their OR proofs and the sum proof, answered at `c`.
+    #[derive(Clone)]
+    struct OwnedRow {
+        cts: Vec<Ciphertext>,
+        or_first: Vec<OrFirstMove>,
+        or_resp: Vec<OrResponse>,
+        sum_first: CpFirstMove,
+        sum_z: Scalar,
+        c: Scalar,
+    }
+
+    impl OwnedRow {
+        fn prove(prepared: &PreparedKey, bits: &[u8], c: Scalar, rng: &mut StdRng) -> OwnedRow {
+            let (mut cts, mut or_first, mut or_resp) = (Vec::new(), Vec::new(), Vec::new());
+            let mut r_sum = Scalar::ZERO;
+            for &bit in bits {
+                let r = Scalar::random(rng);
+                r_sum += r;
+                cts.push(prepared.encrypt_with(&Scalar::from_u64(u64::from(bit)), &r));
+                let (first, secrets) = or_prove(prepared, bit, &r, rng);
+                or_first.push(first);
+                or_resp.push(secrets.respond(&c));
+            }
+            let (sum_first, secrets) = sum_prove(prepared, &r_sum, rng);
+            OwnedRow {
+                cts,
+                or_first,
+                or_resp,
+                sum_first,
+                sum_z: secrets.respond(&c),
+                c,
+            }
+        }
+
+        /// A valid row: the unit vector with its one at `hot`.
+        fn unit(
+            prepared: &PreparedKey,
+            m: usize,
+            hot: usize,
+            c: Scalar,
+            rng: &mut StdRng,
+        ) -> OwnedRow {
+            let bits: Vec<u8> = (0..m).map(|j| u8::from(j == hot)).collect();
+            OwnedRow::prove(prepared, &bits, c, rng)
+        }
+
+        fn proof(&self) -> RowProof<'_> {
+            RowProof {
+                cts: &self.cts,
+                or_first: &self.or_first,
+                or_resp: &self.or_resp,
+                sum_first: &self.sum_first,
+                sum_z: self.sum_z,
+                c: self.c,
+            }
+        }
+
+        /// The per-proof reference: every OR proof and the sum proof.
+        fn verify_each(&self, pk: &PublicKey) -> bool {
+            let ors = self.cts.iter().zip(&self.or_first).zip(&self.or_resp);
+            ors.into_iter()
+                .all(|((ct, first), resp)| or_verify(pk, ct, first, resp, &self.c))
+                && sum_verify(pk, &self.cts, &self.sum_first, &self.c, &self.sum_z)
+        }
+    }
+
+    fn verify_owned(pk: &PublicKey, rows: &[OwnedRow]) -> bool {
+        let proofs: Vec<RowProof<'_>> = rows.iter().map(OwnedRow::proof).collect();
+        verify_rows(pk, &proofs)
+    }
+
+    /// One corruption of ciphertext `j` of a row (or of its sum proof):
+    /// each response, each statement point and each first-move point.
+    type Corruption = fn(&mut OwnedRow, usize);
+
+    fn corruptions() -> [(&'static str, Corruption); 15] {
+        use Point as P;
+        [
+            ("c0", |row, j| row.or_resp[j].c0 += Scalar::ONE),
+            ("c1", |row, j| row.or_resp[j].c1 += Scalar::ONE),
+            ("c0 + 1, c1 - 1", |row, j| {
+                row.or_resp[j].c0 += Scalar::ONE;
+                row.or_resp[j].c1 -= Scalar::ONE;
+            }),
+            ("z0", |row, j| row.or_resp[j].z0 += Scalar::ONE),
+            ("z1", |row, j| row.or_resp[j].z1 += Scalar::ONE),
+            ("sum z", |row, _| row.sum_z += Scalar::ONE),
+            ("a", |row, j| row.cts[j].a += P::generator()),
+            ("b", |row, j| row.cts[j].b += P::generator()),
+            ("b by a", |row, j| {
+                let a = row.cts[j].a;
+                row.cts[j].b += a;
+            }),
+            ("branch0 t1", |row, j| {
+                row.or_first[j].branch0.t1 += P::generator()
+            }),
+            ("branch0 t2", |row, j| {
+                row.or_first[j].branch0.t2 += P::generator()
+            }),
+            ("branch1 t1", |row, j| {
+                row.or_first[j].branch1.t1 += P::generator()
+            }),
+            ("branch1 t2", |row, j| {
+                row.or_first[j].branch1.t2 += P::generator()
+            }),
+            ("sum t1", |row, _| row.sum_first.t1 += P::generator()),
+            ("sum t2", |row, _| row.sum_first.t2 += P::generator()),
+        ]
+    }
+
     #[test]
-    fn batch_cp_accepts_valid_and_rejects_tampered() {
+    fn batch_rows_accepts_valid_and_rejects_tampered() {
         let (mut rng, pk, prepared) = setup(12);
         let c = challenge_from_coins(b"batch", &[true, false, true]);
-        let mut instances = Vec::new();
-        let mut row = Vec::new();
-        let mut r_sum = Scalar::ZERO;
-        for j in 0..5u8 {
-            let bit = j % 2;
-            let r = Scalar::random(&mut rng);
-            r_sum += r;
-            let ct = encrypt_with(&pk, &Scalar::from_u64(u64::from(bit)), &r);
-            row.push(ct);
-            let (first, secrets) = or_prove(&prepared, bit, &r, &mut rng);
-            let resp = secrets.respond(&c);
-            instances.extend(or_instances(&ct, &first, &resp, &c).expect("c0+c1 == c"));
-            // Challenge-split mismatch is caught before batching.
-            let mut bad = resp;
-            bad.c0 += Scalar::ONE;
-            assert!(or_instances(&ct, &first, &bad, &c).is_none());
+        let rows: Vec<OwnedRow> = [1, 2, 5, 2, 1, 5]
+            .into_iter()
+            .enumerate()
+            .map(|(i, m)| OwnedRow::unit(&prepared, m, i % m, c, &mut rng))
+            .collect();
+        for row in &rows {
+            assert!(row.verify_each(&pk));
+            assert!(
+                verify_owned(&pk, std::slice::from_ref(row)),
+                "m = {}",
+                row.cts.len()
+            );
         }
-        // The sum proof only holds for rows encrypting total 1; use a
-        // single-entry row here.
-        let r1 = Scalar::random(&mut rng);
-        let one_row = [encrypt_with(&pk, &Scalar::ONE, &r1)];
-        let (sfirst, ssecrets) = sum_prove(&prepared, &r1, &mut rng);
-        let sz = ssecrets.respond(&c);
-        assert!(sum_verify(&pk, &one_row, &sfirst, &c, &sz));
-        instances.push(sum_instance(&one_row, &sfirst, &c, &sz));
-        for inst in &instances {
-            assert!(cp_verify(
-                &pk,
-                &inst.a,
-                &inst.b,
-                &inst.first,
-                &inst.c,
-                &inst.z
-            ));
+        assert!(verify_owned(&pk, &rows));
+        assert!(verify_rows(&pk, &[]));
+        // A row encrypting two ones has valid OR proofs and a false sum.
+        let two = OwnedRow::prove(&prepared, &[1, 0, 1], c, &mut rng);
+        assert!(!two.verify_each(&pk));
+        assert!(!verify_owned(&pk, &[rows[0].clone(), two]));
+        for (what, corrupt) in corruptions() {
+            let mut bad = rows.clone();
+            corrupt(&mut bad[2], 4);
+            assert!(!verify_owned(&pk, &bad), "{what}");
         }
-        assert!(cp_verify_batch(&pk, &instances));
-        assert!(cp_verify_batch(&pk, &[]));
-        assert!(cp_verify_batch(&pk, &instances[..1]));
-        let mut bad = instances.clone();
-        bad[3].z += Scalar::ONE;
-        assert!(!cp_verify_batch(&pk, &bad));
-        let mut bad = instances;
-        bad[6].first.t1 += Point::generator();
-        assert!(!cp_verify_batch(&pk, &bad));
+        // Malformed rows are rejected, not indexed past.
+        let short = |cut: fn(&mut OwnedRow)| {
+            let mut bad = rows.clone();
+            cut(&mut bad[1]);
+            verify_owned(&pk, &bad)
+        };
+        assert!(!short(|row| {
+            row.or_first.pop();
+        }));
+        assert!(!short(|row| {
+            row.or_resp.pop();
+        }));
+        assert!(!short(|row| row.or_resp.clear()));
+        assert!(!short(|row| row.c += Scalar::ONE));
+        // An identity ciphertext weighs nothing in any equation: only the
+        // shape check rejects it arriving without its OR response.
+        assert!(!short(|row| {
+            row.cts.push(Ciphertext::IDENTITY);
+            row.or_first.push(row.or_first[0]);
+        }));
     }
 
     /// At the size where the MSM sorts thousands of points a window: one
-    /// corrupted scalar or point anywhere still sinks the batch.
+    /// corrupted scalar or point of any proof of any row still sinks the
+    /// batch — at the first row, the last and one between.
     #[test]
-    fn batch_cp_rejects_any_single_corruption_at_scale() {
+    fn batch_rows_rejects_any_single_corruption_at_scale() {
         let (mut rng, pk, prepared) = setup(13);
         let c = challenge_from_coins(b"scale", &[true, true, false]);
-        let mut instances = Vec::new();
-        for j in 0..300u64 {
-            let bit = (j % 2) as u8;
-            let r = Scalar::random(&mut rng);
-            let ct = prepared.encrypt_with(&Scalar::from_u64(u64::from(bit)), &r);
-            let (first, secrets) = or_prove(&prepared, bit, &r, &mut rng);
-            let resp = secrets.respond(&c);
-            instances.extend(or_instances(&ct, &first, &resp, &c).expect("c0+c1 == c"));
-        }
-        assert_eq!(instances.len(), 600);
-        assert!(cp_verify_batch(&pk, &instances));
-        let g = Point::generator();
-        type Corruption = fn(&mut CpInstance, Point);
-        let corruptions: [(&str, Corruption); 4] = [
-            ("z", |inst, _| inst.z += Scalar::ONE),
-            ("c", |inst, _| inst.c += Scalar::ONE),
-            ("a", |inst, g| inst.a += g),
-            ("t2", |inst, g| inst.first.t2 += g),
-        ];
-        let random = 1 + rng.gen_range(0..instances.len() - 2);
-        for at in [0, instances.len() - 1, random] {
-            for (what, corrupt) in &corruptions {
-                let mut bad = instances.clone();
-                corrupt(&mut bad[at], g);
-                assert!(!cp_verify_batch(&pk, &bad), "{what} of instance {at}");
+        let rows: Vec<OwnedRow> = (0..300)
+            .map(|i| OwnedRow::unit(&prepared, 2, i % 2, c, &mut rng))
+            .collect();
+        assert!(verify_owned(&pk, &rows));
+        let random = 1 + rng.gen_range(0..rows.len() - 2);
+        for at in [0, rows.len() - 1, random] {
+            for (what, corrupt) in corruptions() {
+                let mut bad = rows.clone();
+                corrupt(&mut bad[at], at % 2);
+                assert!(!verify_owned(&pk, &bad), "{what} of row {at}");
             }
         }
     }
@@ -705,6 +828,24 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// One row alone: the batch verdict is the per-proof verdict,
+        /// honest or with one random corruption, valid sum or not.
+        #[test]
+        fn prop_row_batch_matches_per_proof(seed in any::<u64>(),
+                                            bits in proptest::collection::vec(0u8..2, 1..6),
+                                            corrupt in any::<bool>(), kind in any::<usize>(), at in any::<usize>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (_, pk) = keygen(&mut rng);
+            let prepared = PreparedKey::new(&pk);
+            let c = Scalar::random(&mut rng);
+            let mut row = OwnedRow::prove(&prepared, &bits, c, &mut rng);
+            if corrupt {
+                let all = corruptions();
+                (all[kind % all.len()].1)(&mut row, at % bits.len());
+            }
+            prop_assert_eq!(verify_owned(&pk, std::slice::from_ref(&row)), row.verify_each(&pk));
+        }
 
         #[test]
         fn prop_or_proof_complete(seed in any::<u64>(), bit in 0u8..2,

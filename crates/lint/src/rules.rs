@@ -662,7 +662,7 @@ pub fn check_scalar_verify(sf: &SourceFile) -> Vec<Violation> {
         let Some(name) = sf.ident(i) else { continue };
         // `x.verify(…)` or `Type::verify(…)` — the exact `verify` ident in
         // call position. Batch entry points (`verify_batch`,
-        // `cp_verify_batch`, `batch_verify_openings`, `or_verify`, …) are
+        // `verify_rows`, `batch_verify_openings`, `or_verify`, …) are
         // different identifiers and pass.
         if name != "verify" || !sf.punct(i + 1, '(') {
             continue;

@@ -3,9 +3,10 @@
 //! voter-privacy structural properties — attacks mounted through the
 //! builder's `corrupt_setup` hook.
 
+use ddemos_crypto::field::Scalar;
 use ddemos_harness::adversary::{clash_attack, modification_attack};
 use ddemos_harness::{
-    ElectionAuthority, ElectionBuilder, ElectionParams, PartId, SerialNo, SetupProfile,
+    Auditor, ElectionAuthority, ElectionBuilder, ElectionParams, PartId, SerialNo, SetupProfile,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -154,5 +155,52 @@ fn receipt_cannot_be_guessed_without_quorum() {
         let guess: u64 = rand::Rng::gen(&mut rng);
         assert_ne!(guess, line.receipt, "astronomically unlikely");
     }
+    election.shutdown();
+}
+
+/// A published response that does not verify is named, proof by proof:
+/// with one OR response and one sum response tampered in the snapshot,
+/// check (e) names exactly those two proofs, and runs as many checks as on
+/// the honest board — one per OR proof and per sum proof.
+#[test]
+fn audit_names_exactly_the_tampered_proofs() {
+    let election = ElectionBuilder::new(params(4))
+        .seed(4)
+        .build()
+        .expect("election builds");
+    let voting = election.voting().patience(Duration::from_secs(10));
+    for (ballot, option, part) in [(0, 0, PartId::A), (1, 1, PartId::B), (2, 1, PartId::A)] {
+        voting
+            .cast_with_part(ballot, option, part)
+            .expect("vote succeeds");
+    }
+    election.close().expect("close completes");
+    election.tally().expect("tally publishes");
+    let snapshot = election.snapshot().expect("majority snapshot");
+    let init = &election.setup.bb_init;
+
+    let honest = Auditor::new(init, &snapshot).verify_public();
+    assert!(honest.ok(), "audit failures: {:?}", honest.failures);
+    assert_eq!(honest.checks_run, 91);
+
+    let mut tampered = snapshot.clone();
+    let mut used = tampered.zk_responses.iter_mut();
+    let (&(or_serial, or_part), or_rows) = used.next().expect("three used parts");
+    or_rows[1].0[0].z0 += Scalar::ONE;
+    let (&(sum_serial, sum_part), sum_rows) = used.next().expect("three used parts");
+    sum_rows[0].1 += Scalar::ONE;
+    let report = Auditor::new(init, &tampered).verify_public();
+    let part = |index: u8| PartId::BOTH[usize::from(index)];
+    assert_eq!(
+        report.failures,
+        vec![
+            format!("(e) OR proof failed {or_serial} {:?} row 1", part(or_part)),
+            format!(
+                "(e) sum proof failed {sum_serial} {:?} row 0",
+                part(sum_part)
+            ),
+        ]
+    );
+    assert_eq!(report.checks_run, honest.checks_run);
     election.shutdown();
 }
