@@ -1,12 +1,11 @@
 //! Authenticated channel protocol: the sans-I/O state machines the
 //! event loop speaks on every connection.
 //!
-//! Raw `TcpTransport` frames carry a sender-claimed [`Envelope::from`] —
-//! any socket can impersonate the coordinator and shut a replica down
-//! (the caveat recorded when TCP landed). This module closes that hole
-//! with a seeded handshake that binds each connection to a [`NodeId`]
-//! identity key; after the handshake, `from` is derived from the
-//! *channel*, never trusted from the frame.
+//! A raw envelope frame names its own sender in [`Envelope::from`], so
+//! on a bare socket anyone could impersonate the coordinator and shut a
+//! replica down. Every socket here runs a seeded handshake that binds
+//! the connection to a [`NodeId`] identity key; after the handshake,
+//! `from` is derived from the *channel*, never trusted from the frame.
 //!
 //! ## Wire protocol
 //!
@@ -35,9 +34,9 @@
 //! strictly sequential `seq` and a 16-byte truncated
 //! `HMAC(K_s, dir || seq || payload)` tag. Because `K_s` is fresh per
 //! handshake, a frame captured from an earlier connection epoch fails
-//! its tag on the next one — reconnects can never replay pre-handshake
-//! traffic (the `TcpTransport` retry bug this PR fixes), and in-session
-//! duplication or reordering trips the `seq` check.
+//! its tag on the next one — reconnects can never replay traffic from an
+//! earlier session, and in-session duplication or reordering trips the
+//! `seq` check.
 //!
 //! What this does and does not prove is documented in DESIGN.md §10:
 //! it is integrity + identity binding under a shared secret (the §V
@@ -1131,9 +1130,9 @@ mod tests {
         assert!(matches!(&se[..], [ChanEvent::Frame(_)]));
 
         // Session 2: fresh server nonce, fresh handshake — the
-        // reconnect path. Replaying the captured frame (what the old
-        // TcpTransport writer did with its in-flight frame) must fail
-        // the session tag, not deliver again.
+        // reconnect path. Replaying the captured frame (what a writer
+        // re-sending its in-flight frame after a reconnect would do)
+        // must fail the session tag, not deliver again.
         let mut server2 = ServerChannel::new(cfg(), [9u8; 16]);
         let mut client2 = ClientChannel::new(cfg(), NodeId::client(9), NodeId::vc(0), [10u8; 16]);
         let (mut se2, mut ce2) = (Vec::new(), Vec::new());

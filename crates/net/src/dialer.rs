@@ -3,24 +3,22 @@
 //! The [`crate::evloop::EvLoop`] front door serves thousands of
 //! connections per replica; its *clients* — the election coordinator,
 //! voters, BB read/write clients — are plain request/response callers
-//! that want the historic blocking [`TransportEndpoint`] surface. This
-//! module provides it: an [`AuthTransport`] hands out
-//! [`AuthEndpoint`]s that dial replicas on demand, run the seeded
-//! [`crate::auth`] handshake inline (blocking), and then split the
-//! channel into a locked write half and a per-connection reader thread
-//! feeding one shared inbox.
+//! over a blocking [`TransportEndpoint`]. This module provides it: an
+//! [`AuthTransport`] hands out [`AuthEndpoint`]s that dial replicas on
+//! demand, run the seeded [`crate::auth`] handshake inline (blocking),
+//! and then split the channel into a locked write half and a
+//! per-connection reader thread feeding one shared inbox.
 //!
-//! Unlike [`crate::tcp::TcpTransport`], every connection here is
-//! authenticated: inbound envelopes are stamped with the *channel*
-//! identity of the dialed replica (never the sender-claimed
-//! `Envelope::from`), and a replica that cannot complete the handshake
-//! never gets an envelope through. Reconnects run a fresh handshake
-//! with fresh nonces, so frames from a previous session epoch cannot be
-//! replayed onto the new one (the session keys differ).
+//! Every connection here is authenticated: inbound envelopes are
+//! stamped with the *channel* identity of the dialed replica (never the
+//! `Envelope::from` a frame claims), and a replica that cannot complete
+//! the handshake never gets an envelope through. Reconnects run a fresh
+//! handshake with fresh nonces, so frames from a previous session epoch
+//! cannot be replayed onto the new one (the session keys differ).
 
 use crate::auth::{AuthConfig, ClientChannel, RejectCode, SessionRecv, SessionSend};
 use crate::stats::NetStats;
-use crate::transport::{DynEndpoint, Transport, TransportEndpoint};
+use crate::transport::TransportEndpoint;
 use crossbeam_channel::{Receiver, RecvError, RecvTimeoutError, Sender};
 use ddemos_crypto::hmac::Prf;
 use ddemos_protocol::clock::ActorGuard;
@@ -82,8 +80,8 @@ impl ConnCounters {
     }
 }
 
-/// A [`Transport`] whose endpoints dial authenticated channels to a
-/// static peer table of evloop-fronted replicas.
+/// A client-side network whose endpoints dial authenticated channels to
+/// a static peer table of evloop-fronted replicas.
 pub struct AuthTransport {
     peers: Arc<HashMap<NodeId, SocketAddr>>,
     auth: AuthConfig,
@@ -131,12 +129,11 @@ impl AuthTransport {
             .try_into()
             .expect("16 bytes")
     }
-}
 
-impl Transport for AuthTransport {
-    fn register(&self, id: NodeId) -> DynEndpoint {
+    /// Registers a client identity, returning its endpoint.
+    pub fn register(&self, id: NodeId) -> AuthEndpoint {
         let (inbox_tx, inbox_rx) = crossbeam_channel::unbounded();
-        Box::new(AuthEndpoint {
+        AuthEndpoint {
             id,
             peers: self.peers.clone(),
             auth: self.auth.clone(),
@@ -155,10 +152,11 @@ impl Transport for AuthTransport {
             stats: self.stats.clone(),
             counters: self.counters.clone(),
             down: self.down.clone(),
-        })
+        }
     }
 
-    fn shutdown(&self) {
+    /// Stops every endpoint's reader threads and dials.
+    pub fn shutdown(&self) {
         self.down.store(true, Ordering::SeqCst);
     }
 }

@@ -1,29 +1,31 @@
-//! The replica-side bridge from the [`crate::evloop`] front door onto
-//! the [`EventEndpoint`] surface the node drivers run on.
+//! The replica-side endpoint over the [`crate::evloop`] front door.
 //!
 //! A VC or BB replica main wants exactly one thing from its network: a
-//! poll-based endpoint (`wait` / `try_recv` / `send`). This module
-//! provides it over an owned [`EvLoop`]: one epoll instance serving the
-//! replica's listener plus every authenticated connection — inbound
-//! voters and coordinator control channels, outbound replica-to-replica
-//! consensus dials — with **no thread per peer** and flat
-//! per-connection memory. The unchanged `VcDriver` / BB serve loop then
-//! runs on top, which is what keeps a same-seed election through this
-//! driver byte-identical to the in-process run: the cores never see a
-//! different input order than their own envelope stream.
+//! [`TransportEndpoint`]. This module provides it over an owned
+//! [`EvLoop`]: one epoll instance serving the replica's listener plus
+//! every authenticated connection — inbound voters and coordinator
+//! control channels, outbound replica-to-replica consensus dials — with
+//! **no thread per peer** and flat per-connection memory. The loop is
+//! pumped by whichever node thread calls `recv_timeout` / `try_recv`.
+//! The unchanged `VcDriver` / BB serve loop runs on top, which is what
+//! keeps a same-seed election through this endpoint byte-identical to
+//! the in-process run: the cores never see a different input order than
+//! their own envelope stream.
 //!
 //! Routing is identity-based: every handshake (`EvEvent::Up`) binds a
 //! connection to its authenticated [`NodeId`], and sends look the
 //! target up in that route table first, falling back to a dial against
 //! the static peer table. An envelope addressed to the node itself never
-//! touches a socket: it goes straight to the node's own inbox. A peer without a listener (the coordinator,
-//! voters) is reachable exactly while its own inbound connection is up
-//! — which is the shape the protocol needs: finalized vote sets travel
-//! back over the coordinator's authenticated control connection, and
-//! receipts over the voter's own channel.
+//! touches a socket: it goes straight to the node's own inbox. A peer
+//! without a listener (the coordinator, voters) is reachable exactly
+//! while its own inbound connection is up — which is the shape the
+//! protocol needs: finalized vote sets travel back over the
+//! coordinator's authenticated control connection, and receipts over the
+//! voter's own channel.
 
 use crate::evloop::{ConnId, EvConfig, EvEvent, EvLoop, EvStats};
-use crate::transport::{EventEndpoint, Wait};
+use crate::transport::TransportEndpoint;
+use crossbeam_channel::{RecvError, RecvTimeoutError};
 use ddemos_protocol::messages::{Envelope, Msg};
 use ddemos_protocol::NodeId;
 use parking_lot::Mutex;
@@ -32,11 +34,11 @@ use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// An [`EventEndpoint`] owning an [`EvLoop`]: the replica's single
-/// readiness loop, driven by whichever node thread calls
-/// [`EventEndpoint::wait`].
+/// A [`TransportEndpoint`] owning an [`EvLoop`]: the replica's single
+/// readiness loop.
 pub struct EvNodeEndpoint {
     id: NodeId,
+    local: SocketAddr,
     inner: Mutex<Inner>,
     start: Instant,
 }
@@ -47,11 +49,12 @@ struct Inner {
     peers: HashMap<NodeId, SocketAddr>,
     /// Authenticated identity → live connection.
     routes: HashMap<NodeId, ConnId>,
-    /// Envelopes surfaced by the loop, pending `try_recv`.
+    /// Envelopes surfaced by the loop, pending receipt.
     inbox: VecDeque<Envelope>,
     /// Scratch event buffer (reused across polls).
     events: Vec<EvEvent>,
-    /// The poller failed; the endpoint reports `Wait::Closed`.
+    /// The poller failed; receivers see `Disconnected` once the inbox
+    /// is drained.
     dead: bool,
 }
 
@@ -69,9 +72,10 @@ impl EvNodeEndpoint {
         cfg: EvConfig,
     ) -> io::Result<EvNodeEndpoint> {
         let mut lp = EvLoop::new(cfg)?;
-        lp.listen(listen)?;
+        let local = lp.listen(listen)?;
         Ok(EvNodeEndpoint {
             id,
+            local,
             inner: Mutex::new(Inner {
                 lp,
                 peers: peers.into_iter().collect(),
@@ -85,6 +89,11 @@ impl EvNodeEndpoint {
         })
     }
 
+    /// The address the listener is bound to.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local
+    }
+
     /// Loop counter snapshot (connections, handshakes, sheds, frames).
     pub fn ev_stats(&self) -> EvStats {
         self.inner.lock().lp.stats()
@@ -94,6 +103,12 @@ impl EvNodeEndpoint {
     /// encode/decode timing).
     pub fn set_recorder(&self, recorder: ddemos_obs::Recorder) {
         self.inner.lock().lp.set_recorder(recorder);
+    }
+
+    /// Stands in for a failed poller.
+    #[cfg(test)]
+    pub(crate) fn kill_poller(&self) {
+        self.inner.lock().dead = true;
     }
 }
 
@@ -141,7 +156,7 @@ impl Inner {
     }
 }
 
-impl EventEndpoint for EvNodeEndpoint {
+impl TransportEndpoint for EvNodeEndpoint {
     fn id(&self) -> NodeId {
         self.id
     }
@@ -156,7 +171,7 @@ impl EventEndpoint for EvNodeEndpoint {
         if to == self.id {
             // A node is its own peer in every multicast (a collector
             // counts its own receipt share and consensus votes): loop the
-            // envelope back into the inbox, as the other transports do.
+            // envelope back into the inbox, as SimNet does.
             inner.inbox.push_back(env);
             return;
         }
@@ -175,37 +190,45 @@ impl EventEndpoint for EvNodeEndpoint {
         }
     }
 
+    fn recv(&self) -> Result<Envelope, RecvError> {
+        loop {
+            match self.recv_timeout(Duration::from_secs(3600)) {
+                Ok(env) => return Ok(env),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
+            }
+        }
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
+        // lint:allow(wall-clock, real-transport time base; the sim path uses virtual clocks)
+        let deadline = Instant::now() + timeout;
+        let mut inner = self.inner.lock();
+        // Polls at least once, so a zero timeout still reads the wire.
+        let mut polled = false;
+        loop {
+            if let Some(env) = inner.inbox.pop_front() {
+                return Ok(env);
+            }
+            if inner.dead {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            // lint:allow(wall-clock, real-transport time base; the sim path uses virtual clocks)
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if polled && remaining.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            inner.pump(remaining);
+            polled = true;
+        }
+    }
+
     fn try_recv(&self) -> Option<Envelope> {
         let mut inner = self.inner.lock();
         if inner.inbox.is_empty() {
             inner.pump(Duration::ZERO);
         }
         inner.inbox.pop_front()
-    }
-
-    fn wait(&self, timeout: Duration) -> Wait {
-        let mut inner = self.inner.lock();
-        if !inner.inbox.is_empty() {
-            return Wait::Ready;
-        }
-        if inner.dead {
-            return Wait::Closed;
-        }
-        inner.pump(timeout);
-        if !inner.inbox.is_empty() {
-            Wait::Ready
-        } else if inner.dead {
-            Wait::Closed
-        } else {
-            Wait::Timeout
-        }
-    }
-
-    fn write_pending(&self) -> usize {
-        // The loop flushes opportunistically on every send and poll;
-        // per-connection backlogs are bounded by the write cap and not
-        // surfaced here.
-        0
     }
 
     fn read_pending(&self) -> usize {

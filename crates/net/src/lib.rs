@@ -1,7 +1,7 @@
 //! # ddemos-net
 //!
-//! The network layer: a [`Transport`] trait the sans-I/O node cores are
-//! driven over, with two implementations —
+//! The network layer: the [`TransportEndpoint`] trait the sans-I/O node
+//! cores are driven over, and two stacks behind it —
 //!
 //! * [`SimNet`] — the in-process simulated network standing in for the
 //!   paper's asynchronous communications stack and testbed (§V):
@@ -9,18 +9,15 @@
 //!   (LAN and netem-style WAN profiles), loss, duplication, crash and
 //!   partition injection, traffic counters, and an optional virtual-time
 //!   mode.
-//! * [`TcpTransport`] — real localhost/LAN sockets: length-prefixed
-//!   CRC-checksummed envelope frames, per-peer writer threads with
-//!   reconnect-on-drop, so each replica can run in its own OS process.
-//! * [`evloop::EvLoop`] — the readiness-driven front door: one epoll
-//!   instance multiplexing every connection of a node through the
-//!   [`auth`] authenticated-channel protocol, with connection
-//!   admission, backpressure and typed rejects. No thread per peer.
+//! * real sockets, one replica per OS process: each replica's
+//!   [`EvNodeEndpoint`] owns one [`evloop::EvLoop`] (a readiness loop
+//!   multiplexing every connection through the [`auth`]
+//!   authenticated-channel protocol, with connection admission,
+//!   backpressure and typed rejects — no thread per peer), and clients
+//!   dial in through an [`AuthTransport`].
 //!
-//! The endpoint surface is split in two: the blocking
-//! [`TransportEndpoint`] (historic API, used by clients and tests) and
-//! the non-blocking, poll-based [`EventEndpoint`] the node drivers run
-//! on; adapters convert in both directions.
+//! Envelope sources are authenticated on both: the router stamps them
+//! on `SimNet`, the channel identity on sockets.
 
 #![warn(missing_docs)]
 
@@ -32,7 +29,6 @@ pub mod latency;
 pub mod simnet;
 pub mod stats;
 pub mod sys;
-pub mod tcp;
 pub mod transport;
 
 pub use dialer::{AuthTransport, ConnSnapshot};
@@ -40,8 +36,4 @@ pub use evnode::EvNodeEndpoint;
 pub use latency::NetworkProfile;
 pub use simnet::{AmnesiaHook, Endpoint, Envelope, NetFault, SimNet};
 pub use stats::NetStats;
-pub use tcp::{TcpConfig, TcpEndpoint, TcpTransport};
-pub use transport::{
-    BlockingAdapter, DynEndpoint, DynEventEndpoint, EventAdapter, EventEndpoint, Transport,
-    TransportEndpoint, Wait,
-};
+pub use transport::{DynEndpoint, TransportEndpoint};

@@ -24,7 +24,6 @@
 
 use crate::latency::NetworkProfile;
 use crate::stats::NetStats;
-use crate::transport::Wait;
 use crossbeam_channel::{unbounded, Receiver, RecvError, RecvTimeoutError, Sender};
 use ddemos_protocol::clock::{
     ActorGuard, DriftRegistry, EventSource, VirtualClock, WaitOpts, WaitOutcome,
@@ -447,7 +446,6 @@ impl SimNet {
             id,
             rx,
             net: self.clone(),
-            pending: Mutex::new(None),
         }
     }
 
@@ -550,10 +548,13 @@ impl SimNet {
         &self.inner.stats
     }
 
-    /// Stops the network; pending messages are dropped. In virtual mode
-    /// this also closes the clock, releasing every blocked wait.
+    /// Stops the network; pending messages are dropped. Every inbox is
+    /// disconnected, so a receiver drains what it holds and then sees
+    /// `Disconnected`. In virtual mode this also closes the clock,
+    /// releasing every blocked wait.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.inboxes.write().clear();
         self.inner.queue_cv.notify_all();
         if let Some(clock) = self.inner.virtual_clock() {
             clock.close();
@@ -675,10 +676,6 @@ pub struct Endpoint {
     id: NodeId,
     rx: Receiver<Envelope>,
     net: SimNet,
-    // One-envelope buffer backing the event (poll-based) surface:
-    // `event_wait` parks via `recv_timeout` and stashes what it pulled
-    // here; `event_try_recv` drains it first, preserving order.
-    pending: Mutex<Option<Envelope>>,
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -797,36 +794,11 @@ impl Endpoint {
         self.rx.try_recv().ok()
     }
 
-    /// Event-surface readiness wait (backs
-    /// [`crate::transport::EventEndpoint`]): blocks until an envelope
-    /// is buffered, the timeout elapses (in the network's time base),
-    /// or the network shuts down. After [`Wait::Ready`] the next
-    /// [`Endpoint::event_try_recv`] returns `Some`.
-    pub fn event_wait(&self, timeout: Duration) -> Wait {
-        if self.pending.lock().is_some() {
-            return Wait::Ready;
-        }
-        match self.recv_timeout(timeout) {
-            Ok(env) => {
-                *self.pending.lock() = Some(env);
-                Wait::Ready
-            }
-            Err(RecvTimeoutError::Timeout) => Wait::Timeout,
-            Err(RecvTimeoutError::Disconnected) => Wait::Closed,
-        }
-    }
-
-    /// Event-surface non-blocking receive: drains the [`Endpoint::event_wait`]
-    /// buffer first, then the inbox.
-    pub fn event_try_recv(&self) -> Option<Envelope> {
-        self.pending.lock().take().or_else(|| self.try_recv())
-    }
-
-    /// Envelopes currently buffered inbound (event-wait stash + inbox).
-    /// Races with concurrent senders by nature; consumers treat it as an
-    /// unstable observability signal, never as protocol input.
+    /// Envelopes currently buffered in the inbox. Races with concurrent
+    /// senders by nature; consumers treat it as an unstable
+    /// observability signal, never as protocol input.
     pub fn read_pending(&self) -> usize {
-        usize::from(self.pending.lock().is_some()) + self.rx.len()
+        self.rx.len()
     }
 
     /// The network this endpoint belongs to.
@@ -865,31 +837,6 @@ mod tests {
         let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(env.from, NodeId::vc(0));
         assert_eq!(serial_of(&env.msg), 7);
-        net.shutdown();
-    }
-
-    /// What a node driver on a blocking endpoint reads as its queue
-    /// depth at a wake: the envelope `wait` stashed plus the inbox behind
-    /// it — never zero after `Ready`.
-    #[test]
-    fn adapter_reports_depth_at_wake() {
-        use crate::transport::{EventAdapter, EventEndpoint, Wait};
-        let net = SimNet::new(NetworkProfile::instant(), 1);
-        let a = net.register(NodeId::vc(0));
-        let b = EventAdapter::new(net.register(NodeId::vc(1)));
-        assert_eq!(b.read_pending(), 0);
-        for n in 0..3 {
-            a.send(NodeId::vc(1), vote_msg(n));
-        }
-        assert_eq!(b.wait(Duration::from_secs(1)), Wait::Ready);
-        // All three once the router has delivered them.
-        let deadline = Instant::now() + Duration::from_secs(1);
-        while b.read_pending() < 3 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(b.read_pending(), 3);
-        assert!(b.try_recv().is_some());
-        assert_eq!(b.read_pending(), 2);
         net.shutdown();
     }
 

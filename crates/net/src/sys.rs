@@ -9,8 +9,9 @@
 //! nonblocking mode, reads and writes) goes through `std::net`.
 //!
 //! Only Linux is supported: [`Poller::new`] returns
-//! `ErrorKind::Unsupported` elsewhere, and the evloop-based drivers
-//! surface that error instead of failing to compile.
+//! `ErrorKind::Unsupported` elsewhere, so the real-socket stack (replica
+//! mains, the load harness) surfaces that error at start-up instead of
+//! failing to compile; the in-process `SimNet` runs everywhere.
 
 /// Readiness bits reported for one registered file descriptor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

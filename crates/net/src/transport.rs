@@ -2,40 +2,27 @@
 //!
 //! Protocol logic (the `VcCore`/`BbCore` state machines in `ddemos-vc` /
 //! `ddemos-bb`) never touches a socket or a channel: node *drivers* pump
-//! envelopes between a core and a [`TransportEndpoint`]. This module
-//! defines that boundary:
+//! envelopes between a core and a [`TransportEndpoint`] — one node's
+//! attachment to a network: identity, `send`, blocking/timeout/
+//! non-blocking `recv`, the inbound queue depth, the transport's time
+//! base, and an optional virtual-time actor hook.
 //!
-//! * [`Transport`] — a message-oriented network a node can register with
-//!   (`register`/`shutdown`; sending and receiving happen on the endpoint
-//!   it hands back).
-//! * [`TransportEndpoint`] — one node's attachment: identity, `send`,
-//!   blocking/timeout/non-blocking `recv`, the transport's time base, and
-//!   an optional virtual-time actor hook.
+//! Three endpoints implement it: the in-process [`crate::SimNet`]'s
+//! [`Endpoint`] (latency/fault emulation, optional virtual time), the
+//! replica-side [`crate::EvNodeEndpoint`] over one epoll loop, and the
+//! client-side [`crate::dialer::AuthEndpoint`]; the last two speak the
+//! [`crate::auth`] authenticated channels. A driver waits with
+//! `recv_timeout` and drains the burst behind it with `try_recv`; that
+//! is the whole poll surface.
 //!
-//! Two implementations ship here: the in-process [`SimNet`]
-//! (latency/fault emulation, optional virtual time — every existing
-//! simulation behavior, unchanged) and [`crate::tcp::TcpTransport`]
-//! (length-prefixed frames over real localhost/LAN sockets, one process
-//! per replica). Drivers written against this trait run over either.
-//!
-//! The endpoint surface is split in two:
-//!
-//! * [`TransportEndpoint`] — the historic blocking API. Clients
-//!   (voters, the coordinator, tests) keep using it unchanged.
-//! * [`EventEndpoint`] — the non-blocking, poll-based API node drivers
-//!   run on: `wait` for readiness, `try_recv` to drain, and a
-//!   write-queue gauge for backpressure-aware callers. This is the
-//!   shape the readiness-driven [`crate::evloop`] front door exposes
-//!   natively; a readiness loop cannot afford a blocking `recv` parked
-//!   inside one connection while ten thousand others starve.
-//!
-//! Adapters convert in both directions — [`EventAdapter`] lifts any
-//! blocking endpoint into the event API (so `SimNet` and `TcpTransport`
-//! drive the migrated node drivers with zero behavior change), and
-//! [`BlockingAdapter`] wraps an event endpoint back into the blocking
-//! API so existing tests and client code run unchanged.
+//! Every endpoint a node driver runs on keeps one contract (checked by
+//! this module's tests): an envelope a node addresses to itself is
+//! delivered, envelopes from one sender arrive in send order,
+//! `recv_timeout` on an empty inbox times out, a closed transport
+//! reports `Disconnected`, and [`TransportEndpoint::read_pending`] counts
+//! what is buffered behind the envelope in hand.
 
-use crate::simnet::{Endpoint, SimNet};
+use crate::simnet::Endpoint;
 use crossbeam_channel::{RecvError, RecvTimeoutError};
 use ddemos_protocol::clock::ActorGuard;
 use ddemos_protocol::messages::{Envelope, Msg};
@@ -45,9 +32,9 @@ use std::time::Duration;
 /// One node's attachment to a transport: an identity plus an inbox.
 ///
 /// `recv_timeout` is interpreted in the transport's own time base —
-/// virtual time under a virtual-clock [`SimNet`], wall time otherwise —
-/// as is [`TransportEndpoint::now_ns`], so patience and latency
-/// measurements hold in both.
+/// virtual time under a virtual-clock [`crate::SimNet`], wall time
+/// otherwise — as is [`TransportEndpoint::now_ns`], so patience and
+/// latency measurements hold in both.
 pub trait TransportEndpoint: Send {
     /// This endpoint's node id.
     fn id(&self) -> NodeId;
@@ -72,9 +59,10 @@ pub trait TransportEndpoint: Send {
     /// Non-blocking receive.
     fn try_recv(&self) -> Option<Envelope>;
 
-    /// Envelopes buffered in the inbound direction, as
-    /// [`EventEndpoint::read_pending`] reports them through
-    /// [`EventAdapter`]. Implementations without visibility return `0`.
+    /// Envelopes buffered in the inbound direction, not counting one a
+    /// `recv` already handed out. Implementations without visibility
+    /// return `0`. The figure races with concurrent senders by nature —
+    /// metrics built on it must be marked unstable.
     fn read_pending(&self) -> usize {
         0
     }
@@ -91,7 +79,7 @@ pub trait TransportEndpoint: Send {
     }
 }
 
-/// A boxed endpoint (what [`Transport::register`] hands out).
+/// A boxed endpoint (what node drivers and harness clients hold).
 pub type DynEndpoint = Box<dyn TransportEndpoint>;
 
 impl<T: TransportEndpoint + ?Sized> TransportEndpoint for Box<T> {
@@ -128,293 +116,6 @@ impl<T: TransportEndpoint + ?Sized> TransportEndpoint for Box<T> {
     }
 }
 
-/// Outcome of [`EventEndpoint::wait`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Wait {
-    /// At least one envelope is buffered: the next
-    /// [`EventEndpoint::try_recv`] returns `Some`.
-    Ready,
-    /// The timeout elapsed (in the transport's time base) with nothing
-    /// to read.
-    Timeout,
-    /// The transport has shut down. Drain any remaining envelopes with
-    /// `try_recv`, then stop.
-    Closed,
-}
-
-/// The non-blocking, poll-based endpoint surface node drivers run on.
-///
-/// Where [`TransportEndpoint::recv`] parks the calling thread inside
-/// one inbox, an event endpoint separates *readiness* ([`wait`]) from
-/// *consumption* ([`try_recv`]): `wait` returns as soon as something is
-/// buffered (or the timeout fires, or the transport closes), and
-/// `try_recv` never blocks. [`write_pending`] exposes the outbound
-/// queue depth so callers can shed load instead of buffering without
-/// bound.
-///
-/// `wait`'s timeout and [`now_ns`] are interpreted in the transport's
-/// own time base — virtual time under a virtual-clock [`SimNet`], wall
-/// time otherwise — exactly like the blocking API, so drivers behave
-/// identically over either.
-///
-/// [`wait`]: EventEndpoint::wait
-/// [`try_recv`]: EventEndpoint::try_recv
-/// [`write_pending`]: EventEndpoint::write_pending
-/// [`now_ns`]: EventEndpoint::now_ns
-pub trait EventEndpoint: Send {
-    /// This endpoint's node id.
-    fn id(&self) -> NodeId;
-
-    /// Sends a message to `to`, stamping this endpoint's id as the
-    /// source. Best-effort and non-blocking, like
-    /// [`TransportEndpoint::send`].
-    fn send(&self, to: NodeId, msg: Msg);
-
-    /// Non-blocking receive.
-    fn try_recv(&self) -> Option<Envelope>;
-
-    /// Blocks until an envelope is ready, the timeout elapses, or the
-    /// transport shuts down. After [`Wait::Ready`], the next
-    /// [`EventEndpoint::try_recv`] is guaranteed to return `Some`.
-    fn wait(&self, timeout: Duration) -> Wait;
-
-    /// Bytes (or messages, for queue-based transports) waiting in the
-    /// outbound direction. `0` means every send so far has been handed
-    /// to the wire; implementations without visibility return `0`.
-    fn write_pending(&self) -> usize {
-        0
-    }
-
-    /// Envelopes buffered in the inbound direction, i.e. the queue depth
-    /// a driver is about to drain. Implementations without visibility
-    /// return `0`. The figure races with concurrent senders by nature —
-    /// metrics built on it must be marked unstable.
-    fn read_pending(&self) -> usize {
-        0
-    }
-
-    /// Nanoseconds of transport time since the transport started.
-    fn now_ns(&self) -> u64;
-
-    /// Registers the current thread as a virtual-time actor, when the
-    /// transport is driven by a virtual clock (`None` otherwise).
-    fn actor_guard(&self) -> Option<ActorGuard> {
-        None
-    }
-}
-
-/// A boxed event endpoint (what [`Transport::register_event`] hands
-/// out).
-pub type DynEventEndpoint = Box<dyn EventEndpoint>;
-
-impl<E: EventEndpoint + ?Sized> EventEndpoint for Box<E> {
-    fn id(&self) -> NodeId {
-        (**self).id()
-    }
-
-    fn send(&self, to: NodeId, msg: Msg) {
-        (**self).send(to, msg);
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        (**self).try_recv()
-    }
-
-    fn wait(&self, timeout: Duration) -> Wait {
-        (**self).wait(timeout)
-    }
-
-    fn write_pending(&self) -> usize {
-        (**self).write_pending()
-    }
-
-    fn read_pending(&self) -> usize {
-        (**self).read_pending()
-    }
-
-    fn now_ns(&self) -> u64 {
-        (**self).now_ns()
-    }
-
-    fn actor_guard(&self) -> Option<ActorGuard> {
-        (**self).actor_guard()
-    }
-}
-
-/// Lifts a blocking [`TransportEndpoint`] into the [`EventEndpoint`]
-/// API.
-///
-/// `wait` is `recv_timeout` into a one-envelope slot that the next
-/// `try_recv` drains first, preserving order. Because the inner
-/// endpoint's `recv_timeout` already runs in the transport's time base,
-/// the adapter is exact under virtual time: a driver migrated from
-/// `recv_timeout` loops to `wait`/`try_recv` loops sees the identical
-/// envelope/timeout sequence.
-pub struct EventAdapter<T: TransportEndpoint> {
-    inner: T,
-    slot: std::sync::Mutex<Option<Envelope>>,
-}
-
-impl<T: TransportEndpoint> EventAdapter<T> {
-    /// Wraps a blocking endpoint.
-    pub fn new(inner: T) -> Self {
-        EventAdapter {
-            inner,
-            slot: std::sync::Mutex::new(None),
-        }
-    }
-}
-
-impl<T: TransportEndpoint> EventEndpoint for EventAdapter<T> {
-    fn id(&self) -> NodeId {
-        self.inner.id()
-    }
-
-    fn send(&self, to: NodeId, msg: Msg) {
-        self.inner.send(to, msg);
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        let mut slot = self.slot.lock().expect("slot poisoned");
-        slot.take().or_else(|| self.inner.try_recv())
-    }
-
-    fn wait(&self, timeout: Duration) -> Wait {
-        {
-            let slot = self.slot.lock().expect("slot poisoned");
-            if slot.is_some() {
-                return Wait::Ready;
-            }
-        }
-        match self.inner.recv_timeout(timeout) {
-            Ok(env) => {
-                *self.slot.lock().expect("slot poisoned") = Some(env);
-                Wait::Ready
-            }
-            Err(RecvTimeoutError::Timeout) => Wait::Timeout,
-            Err(RecvTimeoutError::Disconnected) => Wait::Closed,
-        }
-    }
-
-    fn read_pending(&self) -> usize {
-        let stashed = self.slot.lock().expect("slot poisoned").is_some();
-        usize::from(stashed) + self.inner.read_pending()
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
-    }
-
-    fn actor_guard(&self) -> Option<ActorGuard> {
-        self.inner.actor_guard()
-    }
-}
-
-/// Wraps an [`EventEndpoint`] back into the blocking
-/// [`TransportEndpoint`] API, so client code written against the
-/// historic surface (voters, auditors, tests) runs unchanged over an
-/// event-native transport.
-///
-/// Deadlines are computed against the endpoint's [`now_ns`] — the
-/// transport's own time base — so timeouts stay correct under virtual
-/// time.
-///
-/// [`now_ns`]: EventEndpoint::now_ns
-pub struct BlockingAdapter<E: EventEndpoint> {
-    inner: E,
-}
-
-impl<E: EventEndpoint> BlockingAdapter<E> {
-    /// Wraps an event endpoint.
-    pub fn new(inner: E) -> Self {
-        BlockingAdapter { inner }
-    }
-}
-
-impl<E: EventEndpoint> TransportEndpoint for BlockingAdapter<E> {
-    fn id(&self) -> NodeId {
-        self.inner.id()
-    }
-
-    fn send(&self, to: NodeId, msg: Msg) {
-        self.inner.send(to, msg);
-    }
-
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        loop {
-            if let Some(env) = self.inner.try_recv() {
-                return Ok(env);
-            }
-            // Any generous slice works here: the loop re-checks on
-            // every wakeup, Ready or not.
-            if let Wait::Closed = self.inner.wait(Duration::from_secs(3600)) {
-                return self.inner.try_recv().ok_or(RecvError);
-            }
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
-        let deadline = self
-            .inner
-            .now_ns()
-            .saturating_add(timeout.as_nanos().min(u128::from(u64::MAX)) as u64);
-        loop {
-            if let Some(env) = self.inner.try_recv() {
-                return Ok(env);
-            }
-            let now = self.inner.now_ns();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            match self.inner.wait(Duration::from_nanos(deadline - now)) {
-                Wait::Ready | Wait::Timeout => {}
-                Wait::Closed => {
-                    return self.inner.try_recv().ok_or(RecvTimeoutError::Disconnected);
-                }
-            }
-        }
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        self.inner.try_recv()
-    }
-
-    fn read_pending(&self) -> usize {
-        self.inner.read_pending()
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
-    }
-
-    fn actor_guard(&self) -> Option<ActorGuard> {
-        self.inner.actor_guard()
-    }
-}
-
-/// A message-oriented network nodes register with.
-pub trait Transport: Send + Sync {
-    /// Registers a node, returning its endpoint.
-    ///
-    /// # Panics
-    /// Implementations may panic if the id is already registered.
-    fn register(&self, id: NodeId) -> DynEndpoint;
-
-    /// Registers a node on the event (poll-based) surface. The default
-    /// lifts the blocking endpoint through [`EventAdapter`];
-    /// event-native transports override it.
-    ///
-    /// # Panics
-    /// Implementations may panic if the id is already registered.
-    fn register_event(&self, id: NodeId) -> DynEventEndpoint {
-        Box::new(EventAdapter::new(self.register(id)))
-    }
-
-    /// Stops the transport; pending messages are dropped and blocked
-    /// receivers are released.
-    fn shutdown(&self);
-}
-
 impl TransportEndpoint for Endpoint {
     fn id(&self) -> NodeId {
         Endpoint::id(self)
@@ -449,46 +150,118 @@ impl TransportEndpoint for Endpoint {
     }
 }
 
-impl EventEndpoint for Endpoint {
-    fn id(&self) -> NodeId {
-        Endpoint::id(self)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::latency::NetworkProfile;
+    use crate::simnet::SimNet;
+    use ddemos_crypto::votecode::VoteCode;
+    use ddemos_protocol::SerialNo;
+    use std::time::Instant;
+
+    /// How long any one expected envelope may take to show up.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    fn vote(n: u64) -> Msg {
+        Msg::Vote {
+            request_id: n,
+            serial: SerialNo(n),
+            vote_code: VoteCode([0; 20]),
+        }
     }
 
-    fn send(&self, to: NodeId, msg: Msg) {
-        Endpoint::send(self, to, msg);
+    fn serial(env: &Envelope) -> u64 {
+        match env.msg {
+            Msg::Vote { serial, .. } => serial.0,
+            _ => panic!("unexpected message {}", env.msg.kind()),
+        }
     }
 
-    fn try_recv(&self) -> Option<Envelope> {
-        Endpoint::event_try_recv(self)
+    /// The endpoint contract, checked on `ep`. `peer` is another node's
+    /// endpoint that can reach `ep` (it sends from its own thread, so a
+    /// peer that must handshake with `ep` can while `ep` receives);
+    /// `close` ends `ep`'s transport.
+    fn check_contract(ep: &dyn TransportEndpoint, peer: DynEndpoint, close: impl FnOnce()) {
+        let me = ep.id();
+
+        // An empty inbox times out.
+        assert_eq!(
+            ep.recv_timeout(Duration::from_millis(20)).err(),
+            Some(RecvTimeoutError::Timeout)
+        );
+
+        // A node is its own peer in every multicast: what it addresses
+        // to itself comes back, stamped with its own id.
+        ep.send(me, vote(0));
+        let env = ep.recv_timeout(PATIENCE).expect("self-addressed envelope");
+        assert_eq!((env.from, env.to, serial(&env)), (me, me, 0));
+
+        // Per-sender FIFO.
+        let from = peer.id();
+        let sender = std::thread::spawn(move || {
+            for n in 1..=5 {
+                peer.send(me, vote(n));
+            }
+        });
+        for n in 1..=5 {
+            let env = ep.recv_timeout(PATIENCE).expect("peer envelope");
+            assert_eq!((env.from, serial(&env)), (from, n));
+        }
+        sender.join().expect("sender thread");
+
+        // `read_pending` counts what is buffered behind the envelope in
+        // hand (what a driver's burst is about to drain).
+        for n in 6..9 {
+            ep.send(me, vote(n));
+        }
+        assert_eq!(serial(&ep.recv_timeout(PATIENCE).expect("burst head")), 6);
+        let deadline = Instant::now() + PATIENCE;
+        while ep.read_pending() < 2 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(ep.read_pending(), 2);
+        assert_eq!(ep.try_recv().as_ref().map(serial), Some(7));
+        assert_eq!(ep.read_pending(), 1);
+        assert_eq!(ep.try_recv().as_ref().map(serial), Some(8));
+        assert_eq!(ep.read_pending(), 0);
+        assert!(ep.try_recv().is_none());
+
+        // A closed transport disconnects its receivers.
+        close();
+        assert_eq!(
+            ep.recv_timeout(PATIENCE).err(),
+            Some(RecvTimeoutError::Disconnected)
+        );
+        assert!(ep.recv().is_err());
     }
 
-    fn wait(&self, timeout: Duration) -> Wait {
-        Endpoint::event_wait(self, timeout)
+    #[test]
+    fn simnet_endpoint_meets_the_contract() {
+        let net = SimNet::new(NetworkProfile::instant(), 1);
+        let ep = net.register(NodeId::vc(0));
+        let peer = Box::new(net.register(NodeId::vc(1)));
+        check_contract(&ep, peer, || net.shutdown());
     }
 
-    fn read_pending(&self) -> usize {
-        Endpoint::read_pending(self)
-    }
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn evnode_endpoint_meets_the_contract() {
+        use crate::auth::{seeded_secret, AuthConfig};
+        use crate::dialer::AuthTransport;
+        use crate::evloop::EvConfig;
+        use crate::EvNodeEndpoint;
 
-    fn now_ns(&self) -> u64 {
-        Endpoint::now_ns(self)
-    }
-
-    fn actor_guard(&self) -> Option<ActorGuard> {
-        Endpoint::actor_guard(self)
-    }
-}
-
-impl Transport for SimNet {
-    fn register(&self, id: NodeId) -> DynEndpoint {
-        Box::new(SimNet::register(self, id))
-    }
-
-    fn register_event(&self, id: NodeId) -> DynEventEndpoint {
-        Box::new(SimNet::register(self, id))
-    }
-
-    fn shutdown(&self) {
-        SimNet::shutdown(self);
+        let auth = AuthConfig::new(seeded_secret(7));
+        let ep = EvNodeEndpoint::bind(
+            NodeId::vc(0),
+            "127.0.0.1:0".parse().expect("addr"),
+            Vec::new(),
+            EvConfig::new(auth.clone(), [1; 32]),
+        )
+        .expect("bind");
+        let clients = AuthTransport::new(vec![(ep.id(), ep.local_addr())], auth, [2; 32]);
+        let peer = Box::new(clients.register(NodeId::client(3)));
+        check_contract(&ep, peer, || ep.kill_poller());
+        clients.shutdown();
     }
 }

@@ -8,8 +8,8 @@
 //!   byte-identical state.
 //! * **Transport messages** — the full [`Msg`]/[`Envelope`] enum
 //!   ([`put_msg`]/[`get_msg`], [`put_envelope`]/[`get_envelope`]), which
-//!   is what `ddemos-net`'s `TcpTransport` puts on real sockets inside
-//!   length-prefixed, CRC-checksummed frames
+//!   `ddemos-net`'s authenticated channels carry on real sockets as the
+//!   payload of their DATA frames, CRC-checksummed
 //!   ([`encode_envelope_frame`]/[`decode_envelope_frame`]).
 //!
 //! Each codec is a `put_*`/`get_*` pair; compound structures compose the

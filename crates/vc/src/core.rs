@@ -10,7 +10,8 @@
 //! same `(input, now_ms)` sequence, a core produces byte-identical output
 //! sequences (see [`StepTrace`] and `tests/determinism.rs`), whatever
 //! drives it — the in-process thread loop over `SimNet`, the same loop
-//! over `TcpTransport`, or a test harness replaying a recorded trace.
+//! over a replica's authenticated event loop, or a test harness
+//! replaying a recorded trace.
 //!
 //! Output ordering carries the durability contract: a
 //! [`VcOutput::Commit`] precedes, in the same step, the

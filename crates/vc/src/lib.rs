@@ -12,7 +12,7 @@
 //!   vote-set consensus as a pure `step(input, now_ms) -> Vec<output>`
 //!   state machine, with no thread, socket, clock, or journal of its own.
 //! * [`node`] — the thin thread driver pumping a core against any
-//!   `ddemos_net::Transport` endpoint (one thread per node).
+//!   `ddemos_net::TransportEndpoint` (one thread per node).
 //! * [`store`] — ballot stores: in-memory, PRF-derived (virtual 250M-ballot
 //!   elections), and the index-depth latency model for the disk experiment
 //!   (hierarchy and calibration documented in `DESIGN.md` at the workspace

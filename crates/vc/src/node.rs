@@ -29,12 +29,12 @@
 
 use crate::core::{StepTrace, VcCore, VcInput, VcOutput};
 use crate::store::BallotStore;
-use crossbeam_channel::Sender;
-use ddemos_net::{DynEndpoint, DynEventEndpoint, EventAdapter, TransportEndpoint, Wait};
+use crossbeam_channel::{RecvTimeoutError, Sender};
+use ddemos_net::{DynEndpoint, TransportEndpoint};
 use ddemos_obs::Recorder;
 use ddemos_protocol::clock::NodeClock;
 use ddemos_protocol::initdata::VcInit;
-use ddemos_protocol::messages::Msg;
+use ddemos_protocol::messages::{Envelope, Msg};
 use ddemos_protocol::posts::FinalizedVoteSet;
 use ddemos_protocol::{NodeId, NodeKind};
 use ddemos_storage::DynJournal;
@@ -138,7 +138,7 @@ impl Drop for VcHandle {
 /// The driver state: a core plus everything I/O.
 struct VcDriver<S> {
     core: VcCore<S>,
-    endpoint: DynEventEndpoint,
+    endpoint: DynEndpoint,
     clock: NodeClock,
     journal: Option<DynJournal>,
     deliver: DeliverTarget,
@@ -157,6 +157,18 @@ struct VcDriver<S> {
 /// Upper bound on envelopes drained per readiness wake: keeps the
 /// stop/close-polls flags responsive under a flooding peer.
 const MAX_BURST: usize = 256;
+
+/// Translates one envelope into a core input. Control envelopes are a
+/// driver concern: authenticate (only client/EA identities may steer a
+/// replica) and translate into typed inputs.
+fn control_input(env: Envelope) -> VcInput {
+    let control = matches!(env.from.kind, NodeKind::Client | NodeKind::Ea);
+    match env.msg {
+        Msg::ClosePolls if control => VcInput::ClosePolls,
+        Msg::Shutdown if control => VcInput::Shutdown,
+        _ => VcInput::Deliver(env),
+    }
+}
 
 /// The metrics label of one driver input.
 fn input_label(input: &VcInput) -> &'static str {
@@ -191,52 +203,36 @@ impl<S: BallotStore> VcDriver<S> {
                 self.close_forwarded = true;
                 self.step(VcInput::ClosePolls, true);
             }
-            // The driver runs on the poll-based event surface: wait for
-            // readiness in the transport's time base, then drain without
-            // blocking. One readiness wake drains the whole buffered burst
-            // (one envelope under a virtual clock, see the module docs).
-            let inputs = match self.endpoint.wait(self.timeout) {
-                Wait::Ready => {
+            // Wait for the first envelope in the transport's time base,
+            // then drain what is buffered behind it without blocking: one
+            // wake, one burst (one envelope under a virtual clock, see
+            // the module docs).
+            let inputs = match self.endpoint.recv_timeout(self.timeout) {
+                Ok(first) => {
                     // Envelopes waiting when the node wakes: what this
-                    // burst will drain, so a saturated collector reads
-                    // deep and an idle one reads 1. Sampled before the
-                    // drain — after each dequeue of a drain-to-empty loop
-                    // it is zero by construction. Unstable (`~`): it
-                    // races with concurrent senders, so it never joins
-                    // the determinism fingerprint.
+                    // burst will drain — the one in hand plus those
+                    // behind it — so a saturated collector reads deep and
+                    // an idle one reads 1. Unstable (`~`): it races with
+                    // concurrent senders, so it never joins the
+                    // determinism fingerprint.
                     self.recorder.observe(
                         "~vc.queue_depth",
                         "",
-                        self.endpoint.read_pending() as u64,
+                        1 + self.endpoint.read_pending() as u64,
                     );
-                    let mut inputs = Vec::new();
-                    while inputs.len() < MAX_BURST {
+                    let mut inputs = vec![control_input(first)];
+                    while inputs.len() < MAX_BURST
+                        && !matches!(inputs.last(), Some(VcInput::Shutdown))
+                    {
                         let Some(env) = self.endpoint.try_recv() else {
                             break;
                         };
-                        // Control envelopes are a driver concern:
-                        // authenticate (only client/EA identities may
-                        // steer a replica) and translate into typed
-                        // inputs.
-                        let control = matches!(env.from.kind, NodeKind::Client | NodeKind::Ea);
-                        inputs.push(match env.msg {
-                            Msg::ClosePolls if control => VcInput::ClosePolls,
-                            Msg::Shutdown if control => VcInput::Shutdown,
-                            _ => VcInput::Deliver(env),
-                        });
-                        if matches!(inputs.last(), Some(VcInput::Shutdown)) {
-                            break;
-                        }
-                    }
-                    if inputs.is_empty() {
-                        // `Ready` guarantees a buffered envelope; a bare
-                        // drain is still safe to treat as a timer poll.
-                        inputs.push(VcInput::Tick);
+                        inputs.push(control_input(env));
                     }
                     inputs
                 }
-                Wait::Timeout => vec![VcInput::Tick],
-                Wait::Closed => {
+                Err(RecvTimeoutError::Timeout) => vec![VcInput::Tick],
+                Err(RecvTimeoutError::Disconnected) => {
                     self.shutdown();
                     return;
                 }
@@ -491,40 +487,14 @@ impl<S: BallotStore + 'static> VcNode<S> {
         )
     }
 
-    /// [`VcNode::spawn_event`] for callers holding a blocking endpoint:
-    /// lifts it through [`EventAdapter`] (an exact translation, virtual
-    /// time included) onto the event surface the driver runs on.
+    /// The fully general spawn: any endpoint, any delivery target
+    /// (multi-process replicas deliver as [`Msg::Finalized`] envelopes
+    /// to the coordinator).
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_with(
         init: VcInit,
         store: S,
         endpoint: DynEndpoint,
-        clock: NodeClock,
-        beacon: u64,
-        config: VcNodeConfig,
-        deliver: DeliverTarget,
-        journal: Option<DynJournal>,
-    ) -> VcHandle {
-        Self::spawn_event(
-            init,
-            store,
-            Box::new(EventAdapter::new(endpoint)),
-            clock,
-            beacon,
-            config,
-            deliver,
-            journal,
-        )
-    }
-
-    /// The fully general spawn: any event endpoint, any delivery
-    /// target (multi-process replicas deliver as [`Msg::Finalized`]
-    /// envelopes to the coordinator).
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_event(
-        init: VcInit,
-        store: S,
-        endpoint: DynEventEndpoint,
         clock: NodeClock,
         beacon: u64,
         config: VcNodeConfig,
@@ -589,10 +559,8 @@ mod tests {
     use ddemos_crypto::shamir::Share;
     use ddemos_crypto::votecode::{VoteCode, VoteCodeHash};
     use ddemos_crypto::vss::DealerVss;
-    use ddemos_net::EventEndpoint;
     use ddemos_protocol::clock::GlobalClock;
     use ddemos_protocol::initdata::{VcBallot, VcRow};
-    use ddemos_protocol::messages::Envelope;
     use ddemos_protocol::{ElectionParams, SerialNo};
     use ddemos_storage::{DiskProfile, Journal, JournalConfig, SimDisk};
     use parking_lot::Mutex;
@@ -617,7 +585,7 @@ mod tests {
         fills_disk: Option<NodeId>,
     }
 
-    impl EventEndpoint for Scripted {
+    impl TransportEndpoint for Scripted {
         fn id(&self) -> NodeId {
             NodeId::vc(ME)
         }
@@ -627,15 +595,14 @@ mod tests {
             }
             self.sent.lock().push((self.disk.syncs(), to, msg));
         }
+        fn recv(&self) -> Result<Envelope, crossbeam_channel::RecvError> {
+            self.try_recv().ok_or(crossbeam_channel::RecvError)
+        }
+        fn recv_timeout(&self, _timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
+            self.try_recv().ok_or(RecvTimeoutError::Disconnected)
+        }
         fn try_recv(&self) -> Option<Envelope> {
             self.inbox.lock().pop_front()
-        }
-        fn wait(&self, _timeout: Duration) -> Wait {
-            if self.inbox.lock().is_empty() {
-                Wait::Closed
-            } else {
-                Wait::Ready
-            }
         }
         fn now_ns(&self) -> u64 {
             0

@@ -19,7 +19,7 @@
 use ddemos_harness::load::{
     run_load_shard, shutdown_cluster, LatencyHistogram, ShardConfig, ShardReport,
 };
-use ddemos_harness::tcp::{run_vc_replica, TcpCluster, TcpDriver, TcpOptions};
+use ddemos_harness::tcp::{run_vc_replica, TcpCluster, TcpOptions};
 use ddemos_harness::ElectionParams;
 use std::io::Write as _;
 use std::net::SocketAddr;
@@ -55,8 +55,6 @@ fn cluster_to_args(cluster: &TcpCluster) -> Vec<String> {
         ports(&cluster.vc_addrs),
         "--bb-ports".into(),
         ports(&cluster.bb_addrs),
-        "--coordinator-port".into(),
-        cluster.coordinator.port().to_string(),
     ]
 }
 
@@ -69,14 +67,7 @@ fn cluster_from_args(args: &[String]) -> TcpCluster {
     TcpCluster {
         vc_addrs: addrs(&flag(args, "--vc-ports").expect("--vc-ports")),
         bb_addrs: addrs(&flag(args, "--bb-ports").expect("--bb-ports")),
-        coordinator: SocketAddr::from((
-            [127, 0, 0, 1],
-            flag(args, "--coordinator-port")
-                .expect("--coordinator-port")
-                .parse::<u16>()
-                .expect("port"),
-        )),
-        options: TcpOptions::event_loop(),
+        options: TcpOptions::default(),
     }
 }
 
@@ -147,10 +138,7 @@ fn main() {
     let total_conns: usize = parsed(&args, "--conns", 100_000);
     let shards = total_conns.div_ceil(SHARD_CAP);
     let params = params_for(total_conns);
-    let cluster = TcpCluster::localhost_free(params.num_vc, params.num_bb)
-        .expect("free ports")
-        .with_options(TcpOptions::event_loop());
-    assert!(matches!(cluster.options.driver, TcpDriver::EventLoop));
+    let cluster = TcpCluster::localhost_free(params.num_vc, params.num_bb).expect("free ports");
     let exe = std::env::current_exe().expect("current exe");
     let common: Vec<String> = {
         let mut v = cluster_to_args(&cluster);

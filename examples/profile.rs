@@ -37,7 +37,7 @@
 //!   `storage.fsync_ns` samples) — counts, which repeat exactly for a
 //!   seed, where a time would be noise.
 
-use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
+use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster};
 use ddemos_harness::{Durability, ElectionBuilder, ElectionParams, ElectionReport, Network};
 use std::time::{Duration, Instant};
 
@@ -133,7 +133,7 @@ fn best_of(n: usize, seed: u64, ballots: usize, metrics: bool) -> Duration {
         .expect("at least one run")
 }
 
-/// A small event-loop TCP election (the `tests/evloop_e2e.rs` shape):
+/// A small TCP election (the `tests/tcp_e2e.rs` shape):
 /// its report folds the authenticated-channel connection counters into
 /// the snapshot, which the in-process profile run has no way to record.
 fn run_evloop(seed: u64) -> Option<ElectionReport> {
@@ -141,9 +141,7 @@ fn run_evloop(seed: u64) -> Option<ElectionReport> {
         return None; // the epoll event loop is Linux-only
     }
     let params = ElectionParams::new("profile-ev", 12, 3, 4, 4, 3, 2, 0, 600_000).expect("params");
-    let cluster = TcpCluster::localhost_free(params.num_vc, params.num_bb)
-        .expect("free ports")
-        .with_options(TcpOptions::event_loop());
+    let cluster = TcpCluster::localhost_free(params.num_vc, params.num_bb).expect("free ports");
     let mut replicas = Vec::new();
     for i in 0..params.num_vc as u32 {
         let (params, cluster) = (params.clone(), cluster.clone());

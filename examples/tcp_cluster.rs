@@ -1,17 +1,19 @@
 //! A real multi-process election: every VC and BB replica in its own OS
-//! process, talking over localhost TCP sockets.
+//! process, talking over authenticated channels on localhost TCP sockets
+//! (each replica behind one epoll event loop; Linux only).
 //!
 //! The parent probes free ports, re-executes itself once per replica
 //! (`--role vc|bb --index i …`), then acts as the election coordinator:
-//! it casts votes over the sockets, closes the polls, tallies, audits —
-//! and finally re-runs the *same seed* in-process to prove the two
+//! it casts votes over the sockets, closes the polls, tallies, audits,
+//! checks that every dial it made completed the channel handshake — and
+//! finally re-runs the *same seed* in-process to prove the two
 //! deployments produce identical tallies, receipts, and audit verdicts.
 //!
 //! ```text
 //! cargo run --release --example tcp_cluster
 //! ```
 
-use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpDriver, TcpOptions};
+use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
 use ddemos_harness::{ElectionBuilder, ElectionParams, ElectionReport, Network};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -46,13 +48,6 @@ fn cluster_to_args(cluster: &TcpCluster) -> Vec<String> {
         ports(&cluster.vc_addrs),
         "--bb-ports".into(),
         ports(&cluster.bb_addrs),
-        "--coordinator-port".into(),
-        cluster.coordinator.port().to_string(),
-        "--driver".into(),
-        match cluster.options.driver {
-            TcpDriver::Threaded => "threaded".into(),
-            TcpDriver::EventLoop => "evloop".into(),
-        },
     ]
 }
 
@@ -69,19 +64,10 @@ fn cluster_from_args(args: &[String]) -> TcpCluster {
             .map(|p| SocketAddr::from(([127, 0, 0, 1], p.parse().expect("port"))))
             .collect()
     };
-    let options = match value("--driver").as_str() {
-        "threaded" => TcpOptions::default(),
-        "evloop" => TcpOptions::event_loop(),
-        other => panic!("unknown driver {other}"),
-    };
     TcpCluster {
         vc_addrs: addrs(&value("--vc-ports")),
         bb_addrs: addrs(&value("--bb-ports")),
-        coordinator: SocketAddr::from((
-            [127, 0, 0, 1],
-            value("--coordinator-port").parse::<u16>().expect("port"),
-        )),
-        options,
+        options: TcpOptions::default(),
     }
 }
 
@@ -154,16 +140,7 @@ fn main() {
     }
 
     let p = params();
-    // `--evloop` runs the whole cluster on the readiness-driven driver
-    // with authenticated channels instead of the threaded transport.
-    let options = if args.iter().any(|a| a == "--evloop") {
-        TcpOptions::event_loop()
-    } else {
-        TcpOptions::default()
-    };
-    let cluster = TcpCluster::localhost_free(p.num_vc, p.num_bb)
-        .expect("free ports")
-        .with_options(options);
+    let cluster = TcpCluster::localhost_free(p.num_vc, p.num_bb).expect("free ports");
     let exe = std::env::current_exe().expect("current exe");
     let mut children = Replicas(Vec::new());
     for (role, count) in [("vc", p.num_vc), ("bb", p.num_bb)] {
@@ -182,11 +159,10 @@ fn main() {
         }
     }
     println!(
-        "spawned {} replica processes ({} VC + {} BB), coordinator on {}",
+        "spawned {} replica processes ({} VC + {} BB)",
         children.0.len(),
         p.num_vc,
-        p.num_bb,
-        cluster.coordinator
+        p.num_bb
     );
 
     let election = ElectionBuilder::new(p)
@@ -213,6 +189,14 @@ fn main() {
         tcp_report.receipts.len(),
         tcp_report.verified()
     );
+    // Every envelope crossed an authenticated channel: each dial the
+    // coordinator made completed the handshake, and none failed it.
+    let conn = |name: &str| tcp_report.metrics.counter(name, None, None);
+    let (dials, authenticated) = (conn("net.conn.dials"), conn("net.conn.authenticated"));
+    println!("coordinator: {dials} dials, {authenticated} authenticated");
+    assert!(dials > 0, "the coordinator never dialed");
+    assert_eq!(authenticated, dials, "a dial did not authenticate");
+    assert_eq!(conn("net.conn.auth_failed"), 0, "a handshake failed");
 
     println!("re-running the same seed in-process for comparison...");
     let sim_report = run_in_process_reference();

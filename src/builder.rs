@@ -159,8 +159,6 @@ pub enum BuildError {
     /// [`Network::Tcp`] replicas run in their own processes, outside the
     /// builder's reach.
     TcpUnsupported(&'static str),
-    /// Binding or connecting the coordinator's TCP transport failed.
-    Net(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -175,7 +173,6 @@ impl std::fmt::Display for BuildError {
             BuildError::TcpUnsupported(what) => {
                 write!(f, "{what} is not available over Network::Tcp")
             }
-            BuildError::Net(e) => write!(f, "tcp transport failed: {e}"),
         }
     }
 }
@@ -914,8 +911,8 @@ impl ElectionBuilder {
     /// [`crate::tcp::run_vc_replica`] / [`crate::tcp::run_bb_replica`]
     /// with the same `(params, seed)`; the builder derives the identical
     /// setup (ballots for voters, BB init for the auditor, trustee
-    /// inits), binds the coordinator transport, and wires the phase
-    /// handles to remote clients.
+    /// inits), prepares the coordinator's dial-out transport, and wires
+    /// the phase handles to remote clients.
     fn build_tcp(self, cluster: TcpCluster) -> Result<Election, BuildError> {
         // Options that configure in-process nodes or the simulated
         // network cannot reach replicas living in other processes.
@@ -972,8 +969,7 @@ impl ElectionBuilder {
         let ea = ElectionAuthority::new(self.params.clone(), self.seed);
         let setup = ea.setup_with(SetupProfile::Full, &pool);
         let setup_elapsed = setup_started.elapsed();
-        let backend =
-            TcpBackend::connect(cluster, self.seed).map_err(|e| BuildError::Net(e.to_string()))?;
+        let backend = TcpBackend::connect(cluster, self.seed);
         let bb_apis = backend.bb_clients();
         let reserved_clients = backend.reserved_clients();
         let reader = MajorityReader::over(bb_apis.clone());

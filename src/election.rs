@@ -9,7 +9,7 @@ use ddemos::auditor::{AuditReport, Auditor};
 use ddemos::voter::{VoteError, VoteRecord, Voter};
 use ddemos_bb::{BbApi, BbNode, BbSnapshot, MajorityReader};
 use ddemos_ea::{ElectionAuthority, SetupOutput};
-use ddemos_net::{DynEndpoint, NetStats, SimNet, Transport};
+use ddemos_net::{DynEndpoint, NetStats, SimNet};
 use ddemos_obs::{MetricsSnapshot, Recorder, TimeDomain};
 use ddemos_protocol::ballot::AuditInfo;
 use ddemos_protocol::clock::{ActorGuard, GlobalClock};
@@ -47,17 +47,17 @@ impl NetBackend {
 
     fn register(&self, id: NodeId) -> DynEndpoint {
         match self {
-            NetBackend::Sim(net) => Transport::register(net, id),
-            NetBackend::Tcp(backend) => backend.transport.register(id),
+            NetBackend::Sim(net) => Box::new(net.register(id)),
+            NetBackend::Tcp(backend) => Box::new(backend.transport.register(id)),
         }
     }
 
-    /// Connection counters of an authenticated-channel transport
-    /// (`None` on the simulated network and the threaded TCP driver).
+    /// Connection counters of the authenticated-channel transport
+    /// (`None` on the simulated network).
     fn conn_counters(&self) -> Option<ddemos_net::ConnSnapshot> {
         match self {
             NetBackend::Sim(_) => None,
-            NetBackend::Tcp(backend) => backend.transport.conn_counters(),
+            NetBackend::Tcp(backend) => Some(backend.transport.conn_counters()),
         }
     }
 
@@ -483,8 +483,8 @@ impl Election {
         }
         if let Some(conns) = self.net.conn_counters() {
             // Written unconditionally, zeros included: the presence of
-            // the keys is what marks "this election ran over the
-            // event-loop TCP driver" (see `ElectionReport::conns`).
+            // the keys is what marks "this election ran over TCP" (see
+            // `ElectionReport::metrics`).
             metrics.add("net.conn.dials", "", "", conns.dials);
             metrics.add("net.conn.authenticated", "", "", conns.authenticated);
             metrics.add("net.conn.auth_failed", "", "", conns.auth_failed);

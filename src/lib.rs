@@ -95,9 +95,7 @@ pub use ddemos::auditor::{verify_vote_included, AuditReport, Auditor};
 pub use ddemos::liveness::LivenessParams;
 pub use ddemos::voter::{VoteError, VoteRecord, Voter};
 pub use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
-pub use ddemos_net::{
-    DynEndpoint, NetFault, NetworkProfile, TcpConfig, TcpTransport, Transport, TransportEndpoint,
-};
+pub use ddemos_net::{DynEndpoint, NetFault, NetworkProfile, TransportEndpoint};
 pub use ddemos_obs::{Histogram, MetricsSnapshot, Recorder, TimeDomain};
 pub use ddemos_protocol::{ElectionParams, NodeId, PartId, SerialNo};
 pub use ddemos_storage::{DiskProfile, FileDisk, SimDisk};

@@ -71,8 +71,8 @@ pub struct ElectionReport {
     /// elections produce a seed-replayable snapshot that joins
     /// [`ElectionReport::canonical_text`]; wall-clock and profiling runs
     /// are tagged [`ddemos_obs::TimeDomain::Wall`] and contribute only a
-    /// marker line. An election over the event-loop TCP driver folds its
-    /// authenticated-connection counters in under `net.conn.*`.
+    /// marker line. An election over TCP folds its authenticated-
+    /// connection counters in under `net.conn.*`.
     pub metrics: MetricsSnapshot,
     /// Statistics of the last bulk workload, if one ran.
     pub workload: Option<WorkloadStats>,

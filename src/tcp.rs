@@ -3,17 +3,23 @@
 //! The paper's prototype runs every VC and BB replica as its own
 //! networked process (§V). This module is that process topology for the
 //! reproduction: a [`TcpCluster`] names the listen address of every
-//! replica plus the election coordinator, [`run_vc_replica`] /
-//! [`run_bb_replica`] are the blocking replica mains, and
+//! replica, [`run_vc_replica`] / [`run_bb_replica`] are the blocking
+//! replica mains, and
 //! `ElectionBuilder::network(Network::Tcp(cluster))` builds an
 //! [`crate::Election`] whose phase handles drive the remote cluster:
 //! voters cast over sockets, `close()` collects `Msg::Finalized`
 //! envelopes and relays the vote sets to every BB replica, `tally()`
 //! and `audit()` run against a majority read of `Msg::BbReadResponse`s.
 //!
+//! Every replica serves one epoll event loop ([`EvNodeEndpoint`]) and
+//! every connection runs the seeded [`ddemos_net::auth`] handshake, so an
+//! envelope's source is the channel's authenticated identity, never what
+//! a frame claims. The coordinator has no listener: it dials out
+//! ([`AuthTransport`]) and replicas answer over its connections.
+//!
 //! The replicas run the *same* sans-I/O cores (`VcCore`, `BbCore`) as the
-//! in-process simulation — only the driver differs — which is what makes
-//! the same-seed TCP and in-process runs produce identical tallies,
+//! in-process simulation — only the endpoint differs — which is what
+//! makes the same-seed TCP and in-process runs produce identical tallies,
 //! receipts, and audit verdicts (`examples/tcp_cluster.rs` asserts
 //! exactly that across OS processes).
 //!
@@ -52,12 +58,9 @@ use ddemos_crypto::schnorr::Signature;
 use ddemos_crypto::vss::SignedShare;
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_net::auth::{seeded_secret, AuthConfig};
+use ddemos_net::dialer::AuthEndpoint;
 use ddemos_net::evloop::EvConfig;
-use ddemos_net::tcp::{TcpConfig, TcpTransport};
-use ddemos_net::{
-    AuthTransport, ConnSnapshot, DynEndpoint, EvNodeEndpoint, EventEndpoint, NetStats, Transport,
-    Wait,
-};
+use ddemos_net::{AuthTransport, DynEndpoint, EvNodeEndpoint, TransportEndpoint};
 use ddemos_protocol::clock::GlobalClock;
 use ddemos_protocol::exec::Pool;
 use ddemos_protocol::messages::{BbWriteMsg, Msg};
@@ -81,35 +84,17 @@ pub const COORDINATOR: NodeId = NodeId {
 /// Per-request timeout of remote BB reads and writes.
 const BB_REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Which socket driver the deployment runs on. Every process of one
-/// cluster must agree (the wire protocols differ).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TcpDriver {
-    /// The historic thread-per-peer blocking transport
-    /// ([`TcpTransport`]): raw CRC frames, sender-claimed `from`.
-    #[default]
-    Threaded,
-    /// The readiness-driven epoll front door
-    /// ([`ddemos_net::evloop::EvLoop`]): one event loop per replica,
-    /// authenticated channels, admission control and backpressure. No
-    /// thread per peer — this is the driver the load harness pushes to
-    /// six-figure connection counts.
-    EventLoop,
-}
-
 /// Listener, admission and channel-authentication configuration of a
 /// TCP deployment. Carried inside [`TcpCluster`] so every replica
 /// process (which receives the cluster on its command line or re-derives
 /// it from shared state) agrees with the coordinator.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpOptions {
-    /// The socket driver.
-    pub driver: TcpDriver,
-    /// Admission limit per replica (event-loop driver only): inbound
-    /// connections beyond this receive a typed `ServerFull` reject.
+    /// Admission limit per replica: inbound connections beyond this
+    /// receive a typed `ServerFull` reject.
     pub max_conns: usize,
-    /// Per-connection write-queue cap in bytes (event-loop driver
-    /// only); slow consumers over the cap are shed.
+    /// Per-connection write-queue cap in bytes; slow consumers over the
+    /// cap are shed.
     pub write_cap: usize,
     /// Maximum envelope frame accepted on an authenticated channel.
     pub max_frame: u32,
@@ -122,7 +107,6 @@ pub struct TcpOptions {
 impl Default for TcpOptions {
     fn default() -> Self {
         TcpOptions {
-            driver: TcpDriver::default(),
             max_conns: 16384,
             write_cap: 1 << 20,
             max_frame: 16 << 20,
@@ -132,36 +116,29 @@ impl Default for TcpOptions {
 }
 
 impl TcpOptions {
-    /// Options for the event-loop driver with default admission limits.
+    /// Same as [`TcpOptions::default`]. Only the frozen `ddbench/` still
+    /// calls it.
     pub fn event_loop() -> TcpOptions {
-        TcpOptions {
-            driver: TcpDriver::EventLoop,
-            ..TcpOptions::default()
-        }
+        TcpOptions::default()
     }
 }
 
-/// Addresses of every process in a TCP deployment.
+/// Listen addresses of every replica in a TCP deployment (the
+/// coordinator has no listener: it dials out).
 #[derive(Clone, Debug)]
 pub struct TcpCluster {
     /// VC replica listen addresses, indexed by node.
     pub vc_addrs: Vec<SocketAddr>,
     /// BB replica listen addresses, indexed by node.
     pub bb_addrs: Vec<SocketAddr>,
-    /// The coordinator's listen address (VC replicas connect here to
-    /// deliver finalized vote sets — threaded driver only; under the
-    /// event-loop driver the coordinator dials out and replicas answer
-    /// over its own authenticated connections).
-    pub coordinator: SocketAddr,
-    /// Driver, admission and authentication configuration shared by
-    /// every process.
+    /// Admission and authentication configuration shared by every
+    /// process.
     pub options: TcpOptions,
 }
 
 impl TcpCluster {
     /// A localhost cluster on consecutive ports starting at `base_port`:
-    /// VC `i` at `base_port + i`, BB `j` after the VCs, the coordinator
-    /// last.
+    /// VC `i` at `base_port + i`, BB `j` after the VCs.
     pub fn localhost(base_port: u16, num_vc: usize, num_bb: usize) -> TcpCluster {
         let addr = |offset: u16| SocketAddr::from(([127, 0, 0, 1], base_port + offset));
         TcpCluster {
@@ -169,7 +146,6 @@ impl TcpCluster {
             bb_addrs: (0..num_bb as u16)
                 .map(|j| addr(num_vc as u16 + j))
                 .collect(),
-            coordinator: addr((num_vc + num_bb) as u16),
             options: TcpOptions::default(),
         }
     }
@@ -182,24 +158,23 @@ impl TcpCluster {
     /// # Errors
     /// I/O errors probing for free ports.
     pub fn localhost_free(num_vc: usize, num_bb: usize) -> std::io::Result<TcpCluster> {
-        let mut probes = Vec::with_capacity(num_vc + num_bb + 1);
-        let mut addrs = Vec::with_capacity(num_vc + num_bb + 1);
-        for _ in 0..num_vc + num_bb + 1 {
+        let mut probes = Vec::with_capacity(num_vc + num_bb);
+        let mut addrs = Vec::with_capacity(num_vc + num_bb);
+        for _ in 0..num_vc + num_bb {
             let probe = std::net::TcpListener::bind(SocketAddr::from(([127, 0, 0, 1], 0)))?;
             addrs.push(probe.local_addr()?);
             probes.push(probe);
         }
         drop(probes);
-        let bb_start = num_vc;
+        let bb_addrs = addrs.split_off(num_vc);
         Ok(TcpCluster {
-            vc_addrs: addrs[..num_vc].to_vec(),
-            bb_addrs: addrs[bb_start..bb_start + num_bb].to_vec(),
-            coordinator: addrs[num_vc + num_bb],
+            vc_addrs: addrs,
+            bb_addrs,
             options: TcpOptions::default(),
         })
     }
 
-    /// Replaces the driver/admission/auth options (builder-style).
+    /// Replaces the admission/auth options (builder-style).
     #[must_use]
     pub fn with_options(mut self, options: TcpOptions) -> TcpCluster {
         self.options = options;
@@ -228,21 +203,9 @@ impl TcpCluster {
         }
     }
 
-    /// The static peer table of one replica: every *other* replica plus
-    /// the coordinator.
-    pub fn replica_peers(&self, me: NodeId) -> Vec<(NodeId, SocketAddr)> {
-        let mut peers = self.all_replicas();
-        peers.retain(|(id, _)| *id != me);
-        peers.push((COORDINATOR, self.coordinator));
-        peers
-    }
-
-    /// The coordinator's static peer table: every replica.
-    pub fn coordinator_peers(&self) -> Vec<(NodeId, SocketAddr)> {
-        self.all_replicas()
-    }
-
-    fn all_replicas(&self) -> Vec<(NodeId, SocketAddr)> {
+    /// Every replica's identity and listen address: the coordinator's
+    /// static peer table.
+    pub(crate) fn replicas(&self) -> Vec<(NodeId, SocketAddr)> {
         let mut peers = Vec::with_capacity(self.vc_addrs.len() + self.bb_addrs.len());
         for (i, addr) in self.vc_addrs.iter().enumerate() {
             peers.push((NodeId::vc(i as u32), *addr));
@@ -308,53 +271,29 @@ pub fn run_vc_replica(
     let rows = std::mem::take(&mut init.ballots);
     let store = MemoryStore::new(rows, params.num_ballots);
     let me = NodeId::vc(index);
-    let clock = GlobalClock::new();
-    match cluster.options.driver {
-        TcpDriver::Threaded => {
-            let transport = TcpTransport::bind(TcpConfig::new(
-                cluster.vc_addrs[index as usize],
-                cluster.replica_peers(me),
-            ))?;
-            let endpoint: DynEndpoint = Transport::register(&transport, me);
-            let handle = VcNode::spawn_with(
-                init,
-                store,
-                endpoint,
-                clock.node_clock_keyed(me.clock_key(), 0),
-                setup.consensus_beacon,
-                VcNodeConfig::default(),
-                DeliverTarget::Peers(vec![COORDINATOR]),
-                None,
-            );
-            handle.join();
-            transport.shutdown();
-        }
-        TcpDriver::EventLoop => {
-            // Dialable peers are the *other replicas* (they have
-            // listeners). The coordinator and the voters have none:
-            // they connect in, and their authenticated channels carry
-            // the finalized sets and receipts back out.
-            let mut peers = cluster.all_replicas();
-            peers.retain(|(id, _)| *id != me);
-            let endpoint = EvNodeEndpoint::bind(
-                me,
-                cluster.vc_addrs[index as usize],
-                peers,
-                cluster.ev_config(seed, me),
-            )?;
-            let handle = VcNode::spawn_event(
-                init,
-                store,
-                Box::new(endpoint),
-                clock.node_clock_keyed(me.clock_key(), 0),
-                setup.consensus_beacon,
-                VcNodeConfig::default(),
-                DeliverTarget::Peers(vec![COORDINATOR]),
-                None,
-            );
-            handle.join();
-        }
-    }
+    // Dialable peers are the *other replicas* (they have listeners).
+    // The coordinator and the voters have none: they connect in, and
+    // their authenticated channels carry the finalized sets and receipts
+    // back out.
+    let mut peers = cluster.replicas();
+    peers.retain(|(id, _)| *id != me);
+    let endpoint = EvNodeEndpoint::bind(
+        me,
+        cluster.vc_addrs[index as usize],
+        peers,
+        cluster.ev_config(seed, me),
+    )?;
+    let handle = VcNode::spawn_with(
+        init,
+        store,
+        Box::new(endpoint),
+        GlobalClock::new().node_clock_keyed(me.clock_key(), 0),
+        setup.consensus_beacon,
+        VcNodeConfig::default(),
+        DeliverTarget::Peers(vec![COORDINATOR]),
+        None,
+    );
+    handle.join();
     Ok(())
 }
 
@@ -372,67 +311,46 @@ pub fn run_bb_replica(
 ) -> std::io::Result<()> {
     let node = BbNode::new(derive_setup(params, seed, SetupProfile::BbNode).bb_init);
     let me = NodeId::bb(index);
-    match cluster.options.driver {
-        TcpDriver::Threaded => {
-            let transport = TcpTransport::bind(TcpConfig::new(
-                cluster.bb_addrs[index as usize],
-                cluster.replica_peers(me),
-            ))?;
-            serve_bb(&node, &Transport::register_event(&transport, me));
-            transport.shutdown();
-        }
-        TcpDriver::EventLoop => {
-            // A BB replica never dials anyone: every client (the
-            // coordinator's RemoteBb clients, auditors) connects in.
-            let endpoint = EvNodeEndpoint::bind(
-                me,
-                cluster.bb_addrs[index as usize],
-                Vec::new(),
-                cluster.ev_config(seed, me),
-            )?;
-            serve_bb(&node, &endpoint);
-        }
-    }
+    // A BB replica never dials anyone: every client (the coordinator's
+    // RemoteBb clients, auditors) connects in.
+    let endpoint = EvNodeEndpoint::bind(
+        me,
+        cluster.bb_addrs[index as usize],
+        Vec::new(),
+        cluster.ev_config(seed, me),
+    )?;
+    serve_bb(&node, &endpoint);
     Ok(())
 }
 
-/// The BB replica serve loop, on the poll-based event surface: wait for
-/// readiness, then drain the inbox without blocking mid-batch. Runs
-/// identically over the threaded transport's adapter and over an owned
-/// event loop.
-fn serve_bb(node: &BbNode, endpoint: &dyn EventEndpoint) {
-    'serve: loop {
-        match endpoint.wait(Duration::from_secs(3600)) {
-            Wait::Closed => break 'serve,
-            Wait::Timeout => continue 'serve,
-            Wait::Ready => {}
-        }
-        while let Some(env) = endpoint.try_recv() {
-            let control = matches!(env.from.kind, NodeKind::Client | NodeKind::Ea);
-            match env.msg {
-                Msg::BbWrite { request_id, write } => {
-                    let outcome = node.handle_write(write);
-                    endpoint.send(
-                        env.from,
-                        Msg::BbWriteReply {
-                            request_id,
-                            outcome,
-                        },
-                    );
-                }
-                Msg::BbReadRequest { request_id } => {
-                    let snapshot = Arc::new(bb_codec::encode_snapshot(&node.read()));
-                    endpoint.send(
-                        env.from,
-                        Msg::BbReadResponse {
-                            request_id,
-                            snapshot,
-                        },
-                    );
-                }
-                Msg::Shutdown if control => break 'serve,
-                _ => {}
+/// The BB replica serve loop: one request, one reply, until the
+/// coordinator says stop or the endpoint closes.
+fn serve_bb(node: &BbNode, endpoint: &dyn TransportEndpoint) {
+    while let Ok(env) = endpoint.recv() {
+        let control = matches!(env.from.kind, NodeKind::Client | NodeKind::Ea);
+        match env.msg {
+            Msg::BbWrite { request_id, write } => {
+                let outcome = node.handle_write(write);
+                endpoint.send(
+                    env.from,
+                    Msg::BbWriteReply {
+                        request_id,
+                        outcome,
+                    },
+                );
             }
+            Msg::BbReadRequest { request_id } => {
+                let snapshot = Arc::new(bb_codec::encode_snapshot(&node.read()));
+                endpoint.send(
+                    env.from,
+                    Msg::BbReadResponse {
+                        request_id,
+                        snapshot,
+                    },
+                );
+            }
+            Msg::Shutdown if control => return,
+            _ => {}
         }
     }
 }
@@ -526,82 +444,35 @@ impl BbApi for RemoteBb {
     }
 }
 
-/// The coordinator's transport, per [`TcpDriver`].
-pub(crate) enum CoordTransport {
-    /// Thread-per-peer raw transport (binds the coordinator listener).
-    Threaded(TcpTransport),
-    /// Authenticated dial-out channels to evloop-fronted replicas (no
-    /// listener; replicas answer over the coordinator's connections).
-    Ev(AuthTransport),
-}
-
-impl CoordTransport {
-    pub(crate) fn register(&self, id: NodeId) -> DynEndpoint {
-        match self {
-            CoordTransport::Threaded(t) => Transport::register(t, id),
-            CoordTransport::Ev(t) => Transport::register(t, id),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> &NetStats {
-        match self {
-            CoordTransport::Threaded(t) => t.stats(),
-            CoordTransport::Ev(t) => t.stats(),
-        }
-    }
-
-    /// Connection counters (event-loop driver only: the threaded
-    /// transport has no handshake to count).
-    pub(crate) fn conn_counters(&self) -> Option<ConnSnapshot> {
-        match self {
-            CoordTransport::Threaded(_) => None,
-            CoordTransport::Ev(t) => Some(t.conn_counters()),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            CoordTransport::Threaded(t) => t.shutdown(),
-            CoordTransport::Ev(t) => Transport::shutdown(t),
-        }
-    }
-}
-
 /// The coordinator's connection to a remote cluster (held by
 /// [`crate::Election`] in TCP mode).
 pub(crate) struct TcpBackend {
-    pub(crate) transport: CoordTransport,
+    pub(crate) transport: AuthTransport,
     pub(crate) cluster: TcpCluster,
     /// The `C0` control endpoint: receives [`Msg::Finalized`], sends
     /// `ClosePolls`/`Shutdown`.
-    pub(crate) control: Mutex<DynEndpoint>,
+    control: Mutex<AuthEndpoint>,
     /// Guards [`TcpBackend::shutdown`] (an explicit `Election::shutdown`
     /// is followed by the `Drop` path).
     down: std::sync::atomic::AtomicBool,
 }
 
 impl TcpBackend {
-    /// Binds (threaded) or prepares (event-loop) the coordinator
-    /// transport and registers the control endpoint.
-    pub(crate) fn connect(cluster: TcpCluster, seed: u64) -> std::io::Result<TcpBackend> {
-        let transport = match cluster.options.driver {
-            TcpDriver::Threaded => CoordTransport::Threaded(TcpTransport::bind(TcpConfig::new(
-                cluster.coordinator,
-                cluster.coordinator_peers(),
-            ))?),
-            TcpDriver::EventLoop => CoordTransport::Ev(AuthTransport::new(
-                cluster.coordinator_peers(),
-                cluster.auth_config(seed),
-                process_nonce_seed(COORDINATOR),
-            )),
-        };
+    /// Prepares the coordinator's dial-out transport and registers the
+    /// control endpoint. Nothing is dialed until the first send.
+    pub(crate) fn connect(cluster: TcpCluster, seed: u64) -> TcpBackend {
+        let transport = AuthTransport::new(
+            cluster.replicas(),
+            cluster.auth_config(seed),
+            process_nonce_seed(COORDINATOR),
+        );
         let control = Mutex::new(transport.register(COORDINATOR));
-        Ok(TcpBackend {
+        TcpBackend {
             transport,
             cluster,
             control,
             down: std::sync::atomic::AtomicBool::new(false),
-        })
+        }
     }
 
     /// One [`RemoteBb`] client per BB replica, each on its own endpoint
@@ -609,7 +480,7 @@ impl TcpBackend {
     pub(crate) fn bb_clients(&self) -> Vec<Arc<dyn BbApi>> {
         (0..self.cluster.bb_addrs.len() as u32)
             .map(|j| {
-                let endpoint = self.transport.register(NodeId::client(1 + j));
+                let endpoint = Box::new(self.transport.register(NodeId::client(1 + j)));
                 Arc::new(RemoteBb::new(endpoint, NodeId::bb(j))) as Arc<dyn BbApi>
             })
             .collect()
@@ -642,12 +513,8 @@ impl TcpBackend {
                 return Err(ElectionError::VoteSetTimeout);
             };
             if let Msg::Finalized(finalized) = env.msg {
-                // Under the threaded driver the envelope source is only
-                // sender-claimed and this check merely gates obvious
-                // noise (the vote set's own signature is what the BB
-                // verifies). Under the event-loop driver `from` is
-                // channel-derived, so this is a real authentication
-                // gate.
+                // `from` is the channel's authenticated identity, so
+                // this is a real authentication gate.
                 if env.from.kind == NodeKind::Vc {
                     return Ok(finalized);
                 }
@@ -669,10 +536,97 @@ impl TcpBackend {
                 control.send(NodeId::bb(j), Msg::Shutdown);
             }
         }
-        // Give the outbound writer threads a moment to flush the shutdown
-        // frames before the sockets close.
-        // lint:allow(wall-clock, shutdown-path flush grace for writer threads; not protocol time)
+        // Give the replicas a moment to read the shutdown frames before
+        // the reader threads stop and the sockets close.
+        // lint:allow(wall-clock, shutdown-path flush grace for reader threads; not protocol time)
         std::thread::sleep(Duration::from_millis(100));
         self.transport.shutdown();
+    }
+}
+
+#[cfg(test)]
+#[cfg(target_os = "linux")]
+mod tests {
+    use super::*;
+    use ddemos_crypto::votecode::VoteCode;
+    use ddemos_protocol::SerialNo;
+    use std::sync::atomic::AtomicBool;
+
+    const SEED: u64 = 7;
+
+    fn vote_msg(n: u64) -> Msg {
+        Msg::Vote {
+            request_id: n,
+            serial: SerialNo(n),
+            vote_code: VoteCode([0; 20]),
+        }
+    }
+
+    fn serial_of(msg: &Msg) -> u64 {
+        match msg {
+            Msg::Vote { serial, .. } => serial.0,
+            _ => panic!("unexpected message"),
+        }
+    }
+
+    /// A VC replica endpoint on a free loopback port, configured as every
+    /// replica of a default-options cluster is; `peers` is its dial table.
+    fn vc_endpoint(index: u32, peers: Vec<(NodeId, SocketAddr)>) -> EvNodeEndpoint {
+        let me = NodeId::vc(index);
+        let cluster = TcpCluster::localhost(0, 0, 0);
+        EvNodeEndpoint::bind(
+            me,
+            SocketAddr::from(([127, 0, 0, 1], 0)),
+            peers,
+            cluster.ev_config(SEED, me),
+        )
+        .unwrap()
+    }
+
+    /// Replica to replica, as consensus traffic flows: the sender dials
+    /// the sink on demand over an authenticated channel, and 100 frames
+    /// arrive in send order. Each endpoint's loop is pumped only by its
+    /// own receiver, so the sender keeps polling until the sink is done.
+    #[test]
+    fn loopback_pair_preserves_send_order() {
+        let sink = vc_endpoint(0, Vec::new());
+        let sender = vc_endpoint(1, vec![(NodeId::vc(0), sink.local_addr())]);
+        let done = AtomicBool::new(false);
+        let received = std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..100 {
+                    sender.send(NodeId::vc(0), vote_msg(i));
+                }
+                while !done.load(Ordering::SeqCst) {
+                    let _ = sender.recv_timeout(Duration::from_millis(10));
+                }
+            });
+            let mut received = Vec::new();
+            while received.len() < 100 {
+                match sink.recv_timeout(Duration::from_secs(5)) {
+                    Ok(env) => received.push((env.from, serial_of(&env.msg))),
+                    Err(_) => break,
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+            received
+        });
+        let expected: Vec<_> = (0..100).map(|i| (NodeId::vc(1), i)).collect();
+        assert_eq!(received, expected, "frames lost or reordered");
+        assert_eq!(sender.ev_stats().dials, 1);
+        assert_eq!(sink.ev_stats().authenticated, 1);
+    }
+
+    /// An envelope a replica addresses to itself is delivered from its
+    /// own inbox and never touches a socket.
+    #[test]
+    fn same_transport_delivery_is_local() {
+        let ep = vc_endpoint(0, Vec::new());
+        ep.send(NodeId::vc(0), vote_msg(9));
+        let env = ep.recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!((env.from, env.to), (NodeId::vc(0), NodeId::vc(0)));
+        assert_eq!(serial_of(&env.msg), 9);
+        let stats = ep.ev_stats();
+        assert_eq!((stats.dials, stats.accepted, stats.frames_out), (0, 0, 0));
     }
 }

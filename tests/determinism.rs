@@ -136,8 +136,8 @@ fn batched_verification_and_adaptive_commit_replay_byte_identically() {
     // sequence: with both enabled and SimDisk journals on, the same seed
     // must still produce byte-identical artifacts — tally, receipts, and
     // the canonical metrics snapshot — across repeat runs AND worker
-    // thread counts. (The evloop TCP driver takes real multi-envelope
-    // bursts through the same batch path; `tests/evloop_e2e.rs` pins its
+    // thread counts. (Replicas on real sockets take multi-envelope
+    // bursts through the same batch path; `tests/tcp_e2e.rs` pins their
     // artifacts to the in-process run's.)
     let votes = [0usize, 1, 0, 0];
     let run = |threads: usize| {

@@ -12,7 +12,7 @@
 #![cfg(all(target_os = "linux", not(debug_assertions)))]
 
 use ddemos_harness::load::{run_load_shard, shutdown_cluster, ShardConfig};
-use ddemos_harness::tcp::{run_vc_replica, TcpCluster, TcpOptions};
+use ddemos_harness::tcp::{run_vc_replica, TcpCluster};
 use ddemos_harness::ElectionParams;
 use std::time::Duration;
 
@@ -22,9 +22,7 @@ const CONNS: usize = 1000;
 #[test]
 fn thousand_connection_closed_loop() {
     let params = ElectionParams::new("load-smoke", 256, 3, 4, 4, 3, 2, 0, 3_600_000).unwrap();
-    let cluster = TcpCluster::localhost_free(params.num_vc, params.num_bb)
-        .unwrap()
-        .with_options(TcpOptions::event_loop());
+    let cluster = TcpCluster::localhost_free(params.num_vc, params.num_bb).unwrap();
     // Only the VC replicas run: the load harness drives the voting
     // phase and never closes the polls, so the BB tier is idle.
     let mut replicas = Vec::new();

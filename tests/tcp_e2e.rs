@@ -1,11 +1,18 @@
 //! Loopback TCP end-to-end: a full 4-VC / 4-BB / 3-trustee election over
 //! real sockets, with every replica running its production main
 //! (`run_vc_replica` / `run_bb_replica`) on its own thread — the same
-//! mains `examples/tcp_cluster.rs` runs in separate OS processes — and
-//! the same-seed in-process election as the reference: identical tally,
+//! mains `examples/tcp_cluster.rs` runs in separate OS processes — each
+//! behind its epoll event loop speaking authenticated channels, and the
+//! coordinator dialing out over the authenticated client transport. The
+//! same-seed in-process election is the reference: identical tally,
 //! receipts, and audit verdict.
+//!
+//! Linux only: the event loop sits on `epoll`, and off Linux the replica
+//! mains return `Unsupported` instead of serving.
 
-use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
+#![cfg(target_os = "linux")]
+
+use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster};
 use ddemos_harness::{ElectionBuilder, ElectionParams, ElectionReport, Network};
 use std::time::Duration;
 
@@ -18,10 +25,12 @@ fn params() -> ElectionParams {
     ElectionParams::new("tcp-e2e", 12, 3, 4, 4, 3, 2, 0, 600_000).unwrap()
 }
 
-/// Runs the election over `cluster` with the first `vcs_up` collectors
-/// started (the rest stay down for the whole election).
-fn run_tcp_election(cluster: TcpCluster, vcs_up: u32) -> ElectionReport {
+/// Runs the election on a default-options localhost cluster with the
+/// first `vcs_up` collectors started (the rest stay down for the whole
+/// election).
+fn run_tcp_election(vcs_up: u32) -> ElectionReport {
     let params = params();
+    let cluster = TcpCluster::localhost_free(params.num_vc, params.num_bb).unwrap();
     let mut replicas = Vec::new();
     for i in 0..vcs_up {
         let (params, cluster) = (params.clone(), cluster.clone());
@@ -76,11 +85,11 @@ fn run_sim_election() -> ElectionReport {
 
 /// The acceptance criterion: the TCP deployment is behaviorally identical
 /// to the in-process run of the same seed — same tally, same receipts,
-/// same audit verdict.
+/// same audit verdict — and every envelope crossed an authenticated
+/// channel.
 #[test]
 fn tcp_cluster_matches_in_process_run() {
-    let cluster = TcpCluster::localhost_free(params().num_vc, params().num_bb).unwrap();
-    let tcp = run_tcp_election(cluster, params().num_vc as u32);
+    let tcp = run_tcp_election(params().num_vc as u32);
     let sim = run_sim_election();
     assert_eq!(
         tcp.tally(),
@@ -97,24 +106,35 @@ fn tcp_cluster_matches_in_process_run() {
     let tcp_audit = tcp.audit.as_ref().expect("tcp audit ran");
     let sim_audit = sim.audit.as_ref().expect("sim audit ran");
     assert_eq!(tcp_audit.failures, sim_audit.failures);
-    // Real sockets carried the whole election: every protocol class
-    // shows traffic on the coordinator's transport alone.
+    // The handshake counters surface in the report's metrics snapshot:
+    // every dial authenticated, none failed.
+    let dials = tcp.metrics.counter("net.conn.dials", None, None);
+    let authenticated = tcp.metrics.counter("net.conn.authenticated", None, None);
+    assert!(dials > 0, "no dials recorded");
+    assert_eq!(
+        authenticated, dials,
+        "every dial should authenticate (dials={dials} authenticated={authenticated})"
+    );
+    assert_eq!(tcp.metrics.counter("net.conn.auth_failed", None, None), 0);
+    // Only the TCP deployment has connections to count.
+    let dials_key = ddemos_obs::metric_key("net.conn.dials", "", "");
+    assert!(
+        !sim.metrics.counters.contains_key(&dials_key),
+        "sim run has no connection counters"
+    );
+    // Real sockets carried the whole election: the coordinator's
+    // transport alone shows traffic.
     assert!(tcp.net.sent > 0, "no traffic recorded");
 }
 
-/// Liveness inside the fault bound on the real front door: with one of
-/// four collectors down (f_v = 1 < N_v/3) the event-loop deployment
-/// still hands every voter the printed receipt, tallies and audits.
-/// Three live collectors are exactly the quorum, so each must count its
-/// own receipt share and its own consensus votes — the envelopes a node
-/// addresses to itself.
-#[cfg(target_os = "linux")]
+/// Liveness inside the fault bound: with one of four collectors down
+/// (f_v = 1 < N_v/3) the deployment still hands every voter the printed
+/// receipt, tallies and audits. Three live collectors are exactly the
+/// quorum, so each must count its own receipt share and its own
+/// consensus votes — the envelopes a node addresses to itself.
 #[test]
 fn event_loop_cluster_survives_one_collector_down() {
-    let cluster = TcpCluster::localhost_free(params().num_vc, params().num_bb)
-        .unwrap()
-        .with_options(TcpOptions::event_loop());
-    let report = run_tcp_election(cluster, params().num_vc as u32 - 1);
+    let report = run_tcp_election(params().num_vc as u32 - 1);
     assert_eq!(report.tally(), Some(&[1, 3, 2][..]), "unexpected tally");
     assert_eq!(report.receipts.len(), CASTS.len());
     assert!(report.verified(), "audit failed");
