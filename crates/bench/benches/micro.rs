@@ -137,6 +137,22 @@ fn bench_kernels(c: &mut Criterion) {
         || Point::msm(std::hint::black_box(&scalars), &normalised),
         1.0,
     );
+    // The same sum under 128-bit scalars, the batch verifiers' weights:
+    // every Booth digit above bit ~129 is zero and never meets a bucket,
+    // so a short term costs half the inserts of a full one. The gate
+    // fails if a kernel change stops skipping the zero top windows.
+    let short: Vec<Scalar> = (0..8192)
+        .map(|_| Scalar::from_u128(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())))
+        .collect();
+    c.bench_function("kernel/msm 8192 (128-bit scalars)", |b| {
+        b.iter(|| Point::msm(std::hint::black_box(&short), &normalised))
+    });
+    ratio_gate(
+        "msm 8192 / msm 8192 (128-bit scalars)",
+        || Point::msm(std::hint::black_box(&scalars), &normalised),
+        || Point::msm(std::hint::black_box(&short), &normalised),
+        1.4,
+    );
     // Affine normalization: 256 points, shared inversion vs per-point
     // Fermat.
     let pts256: Vec<Point> = (0..256)
@@ -397,6 +413,18 @@ fn bench_zkp(c: &mut Criterion) {
         b.iter(|| zkp::or_verify(&pk, &ct, &first, std::hint::black_box(&resp), &challenge))
     });
     bench_rows(c, &prepared, &challenge, &mut rng);
+    // An openings batch of result publication: 2048 claims, 4098 MSM
+    // terms, every `a` and `b` under its bare 128-bit weight.
+    let claims: Vec<(elgamal::Ciphertext, Scalar, Scalar)> = (0..2048u64)
+        .map(|i| {
+            let (m, r) = (Scalar::from_u64(i % 2), Scalar::random(&mut rng));
+            (prepared.encrypt_with(&m, &r), m, r)
+        })
+        .collect();
+    assert!(elgamal::batch_verify_openings(&pk, &claims));
+    c.bench_function("kernel/batch_verify_openings 2048 claims", |b| {
+        b.iter(|| elgamal::batch_verify_openings(&pk, std::hint::black_box(&claims)))
+    });
 }
 
 /// A proven row of `m` ciphertexts as the board holds it: ciphertexts, OR

@@ -14,7 +14,7 @@
 
 use crate::curve::{CombBatch, FixedBase, Point};
 use crate::field::Scalar;
-use crate::sha256::Sha256;
+use crate::sha256::{Sha256, WeightStream};
 use std::collections::HashMap;
 
 /// An ElGamal public key (`pk = sk·G`).
@@ -183,10 +183,13 @@ pub fn verify_opening(pk: &PublicKey, ct: &Ciphertext, m: &Scalar, r: &Scalar) -
 /// into one multi-scalar multiplication ([`Point::msm`]).
 ///
 /// For each item `(ct, m, r)` the per-item equations
-/// `a − r·G = 0` and `b − m·G − r·pk = 0` are combined with weights
-/// `ρᵢ, σᵢ` derived by hashing the whole batch (Fiat–Shamir style, so the
-/// check is deterministic); a forged opening escapes only by predicting its
-/// weight, which is negligible. Returns `true` for an empty batch.
+/// `a − r·G = 0` and `b − m·G − r·pk = 0` are combined with 128-bit
+/// weights `ρᵢ, σᵢ` (a `WeightStream`) drawn from a transcript of the
+/// whole batch, so the check is deterministic. By Bellare–Garay–Rabin's
+/// small-exponent test a batch holding a false opening passes with
+/// probability at most 2⁻¹²⁸; grinding the transcript for a lucky draw
+/// costs ~2¹²⁸ hashes, the curve's own generic bound. `a` and `b` enter
+/// the MSM with the bare short weights. Returns `true` for an empty batch.
 ///
 /// On failure the batch gives no culprit — fall back to per-item
 /// [`verify_opening`] to localize.
@@ -228,9 +231,7 @@ pub fn batch_verify_openings(pk: &PublicKey, items: &[(Ciphertext, Scalar, Scala
     scalars.push(Scalar::ZERO);
     let mut g_coeff = Scalar::ZERO;
     let mut pk_coeff = Scalar::ZERO;
-    for (i, (_, m, r)) in items.iter().enumerate() {
-        let rho = batch_weight(&seed, i, 0);
-        let sigma = batch_weight(&seed, i, 1);
+    for ((_, m, r), [rho, sigma]) in items.iter().zip(WeightStream::new(&seed)) {
         scalars.extend([rho, sigma]);
         g_coeff -= rho * *r + sigma * *m;
         pk_coeff -= sigma * *r;
@@ -238,16 +239,6 @@ pub fn batch_verify_openings(pk: &PublicKey, items: &[(Ciphertext, Scalar, Scala
     scalars[0] = pk_coeff;
     scalars.push(g_coeff);
     Point::msm_affine(&scalars, &points).is_identity()
-}
-
-/// Derives one verification weight from the batch transcript digest.
-pub(crate) fn batch_weight(seed: &[u8; 32], index: usize, slot: u8) -> Scalar {
-    let mut h = Sha256::new();
-    h.update(b"ddemos/batch-weight/v1");
-    h.update(seed);
-    h.update(&(index as u64).to_be_bytes());
-    h.update(&[slot]);
-    Scalar::from_bytes_reduce(&h.finalize())
 }
 
 /// Decrypts a lifted ciphertext, recovering `m·G`.
@@ -405,6 +396,25 @@ mod tests {
         let mut bad = items;
         bad[7].2 += Scalar::ONE;
         assert!(!batch_verify_openings(&pk, &bad));
+    }
+
+    /// `r + δ` on one opening and `r − δ` on another cancel in an
+    /// equal-weight sum; the batch rejects them.
+    #[test]
+    fn batch_openings_reject_a_cancelling_pair() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let (_, pk) = keygen(&mut rng);
+        let mut items = Vec::new();
+        for m in 0..6u64 {
+            let (ct, r) = encrypt_u64(&pk, m % 2, &mut rng);
+            items.push((ct, Scalar::from_u64(m % 2), r));
+        }
+        assert!(batch_verify_openings(&pk, &items));
+        let delta = Scalar::random(&mut rng);
+        items[1].2 += delta;
+        items[4].2 -= delta;
+        assert!(!verify_opening(&pk, &items[1].0, &items[1].1, &items[1].2));
+        assert!(!batch_verify_openings(&pk, &items));
     }
 
     /// At the size where the MSM sorts thousands of points a window: one

@@ -33,7 +33,9 @@
 //! from an empty cache and replays the same verification sequence.
 
 use crate::curve::Point;
-use crate::schnorr::{verify_batch, BatchEntry, PreparedVerifier, Signature, VerifyingKey};
+use crate::schnorr::{
+    verify_batch_digested, BatchEntry, PreparedVerifier, Signature, VerifyingKey,
+};
 use crate::sha256::{sha256, sha256_parts};
 use crate::vss::{DealerVss, SignedShare};
 use std::collections::btree_map::Entry;
@@ -45,15 +47,16 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
 /// Largest distinct fresh batch routed through the per-peer comb tables
-/// instead of the one-MSM path. The tables cost a flat ~35 µs a
+/// instead of the one-MSM path. The tables cost a flat ~30 µs a
 /// signature (two fixed-base multiplications of mixed additions, one
-/// inversion shared by the whole call); the MSM amortizes from ~72 µs a
-/// signature at 4 to ~21 µs at 64 and crosses the tables at 18 for
-/// signatures made in this process, at 34 for signatures off the wire,
-/// which owe it a square root each. 24 sits between the two: either
-/// kind is within ~5 µs a signature of its better path on both sides of
-/// it (DESIGN.md §12.1 has the table).
-const PREPARED_BATCH_MAX: usize = 24;
+/// inversion shared by the whole call); the MSM, whose commitment terms
+/// carry 128-bit weights, amortizes from ~59 µs a signature at 4 to
+/// ~14 µs at 64 and crosses the tables at 14 for signatures made in this
+/// process, at 18 for signatures off the wire, which owe it a square root
+/// each. 16 sits between the two: either kind is within ~3 µs a
+/// signature of its better path on both sides of it (DESIGN.md §12.1 has
+/// the table).
+const PREPARED_BATCH_MAX: usize = 16;
 
 /// A bounded verified-signature memo with deterministic FIFO eviction.
 #[derive(Debug, Default)]
@@ -156,14 +159,15 @@ impl MsgVerifier {
         self.cache.seen.len()
     }
 
-    /// Content hash of one (key, message, signature) triple.
-    fn digest(vk: &VerifyingKey, message: &[u8], sig: &Signature) -> [u8; 32] {
+    /// Content hash of one (key, message, signature) triple, given the
+    /// message's SHA-256.
+    fn digest(vk: &VerifyingKey, msg_digest: &[u8; 32], sig: &Signature) -> [u8; 32] {
         sha256_parts(&[
             b"ddemos/verified-cache/v1",
             &vk.to_bytes(),
             &sig.r_bytes(),
             &sig.s().to_bytes(),
-            &sha256(message),
+            msg_digest,
         ])
     }
 
@@ -171,7 +175,7 @@ impl MsgVerifier {
     /// the generic path for unknown keys). Successful results are
     /// memoized.
     pub fn check(&mut self, vk: &VerifyingKey, message: &[u8], sig: &Signature) -> bool {
-        let digest = Self::digest(vk, message, sig);
+        let digest = Self::digest(vk, &sha256(message), sig);
         if self.cache.contains(&digest) {
             self.counts.cached += 1;
             return true;
@@ -220,14 +224,17 @@ impl MsgVerifier {
     /// input, in order; valid entries are memoized.
     pub fn check_batch(&mut self, items: &[(VerifyingKey, Vec<u8>, Signature)]) -> Vec<bool> {
         let mut verdicts = vec![true; items.len()];
-        // Item index and digest of the first occurrence of every distinct
-        // uncached triple, and the later copies with the position (in
-        // `fresh`) of the occurrence whose verdict they share.
-        let mut fresh: Vec<(usize, [u8; 32])> = Vec::new();
+        // Item index, digest and message digest of the first occurrence of
+        // every distinct uncached triple (the MSM path's transcript takes
+        // the message digest, so a message is hashed only here and for its
+        // challenge), and the later copies with the position (in `fresh`)
+        // of the occurrence whose verdict they share.
+        let mut fresh: Vec<(usize, [u8; 32], [u8; 32])> = Vec::new();
         let mut copies: Vec<(usize, usize)> = Vec::new();
         let mut first_at: BTreeMap<[u8; 32], usize> = BTreeMap::new();
         for (i, (vk, msg, sig)) in items.iter().enumerate() {
-            let digest = Self::digest(vk, msg, sig);
+            let msg_digest = sha256(msg);
+            let digest = Self::digest(vk, &msg_digest, sig);
             if self.cache.contains(&digest) {
                 self.counts.cached += 1;
                 continue;
@@ -235,7 +242,7 @@ impl MsgVerifier {
             match first_at.entry(digest) {
                 Entry::Vacant(slot) => {
                     slot.insert(fresh.len());
-                    fresh.push((i, digest));
+                    fresh.push((i, digest, msg_digest));
                 }
                 Entry::Occupied(slot) => copies.push((i, *slot.get())),
             }
@@ -246,7 +253,7 @@ impl MsgVerifier {
         let tables: Option<Vec<&PreparedVerifier>> = if fresh.len() <= PREPARED_BATCH_MAX {
             fresh
                 .iter()
-                .map(|&(i, _)| self.prepared.get(&items[i].0.to_bytes()))
+                .map(|&(i, ..)| self.prepared.get(&items[i].0.to_bytes()))
                 .collect()
         } else {
             None
@@ -260,7 +267,7 @@ impl MsgVerifier {
             let expected: Vec<Option<Point>> = tables
                 .iter()
                 .zip(&fresh)
-                .map(|(table, &(i, _))| table.expected_r(&items[i].1, &items[i].2))
+                .map(|(table, &(i, ..))| table.expected_r(&items[i].1, &items[i].2))
                 .collect();
             // An identity key has no expected `R` and verifies nothing;
             // the identity standing in for it only keeps positions aligned.
@@ -278,15 +285,16 @@ impl MsgVerifier {
         } else {
             let entries: Vec<BatchEntry<'_>> = fresh
                 .iter()
-                .map(|&(i, _)| (items[i].0, items[i].1.as_slice(), items[i].2))
+                .map(|&(i, ..)| (items[i].0, items[i].1.as_slice(), items[i].2))
                 .collect();
-            if let Err(invalid) = verify_batch(&entries) {
+            let msg_digests: Vec<[u8; 32]> = fresh.iter().map(|&(.., d)| d).collect();
+            if let Err(invalid) = verify_batch_digested(&entries, &msg_digests) {
                 for pos in invalid {
                     fresh_ok[pos] = false;
                 }
             }
         }
-        for (&(i, digest), &ok) in fresh.iter().zip(&fresh_ok) {
+        for (&(i, digest, _), &ok) in fresh.iter().zip(&fresh_ok) {
             verdicts[i] = ok;
             if ok {
                 self.cache.insert(digest);

@@ -21,7 +21,7 @@
 use crate::curve::{FixedBase, Point};
 use crate::field::{Fp, Scalar};
 use crate::hmac::HmacKey;
-use crate::sha256::{sha256, sha256_parts};
+use crate::sha256::{sha256, sha256_parts, WeightStream};
 use std::collections::BTreeMap;
 
 /// A Schnorr verification (public) key, carrying its compressed
@@ -340,12 +340,12 @@ impl PreparedVerifier {
 pub type BatchEntry<'a> = (VerifyingKey, &'a [u8], Signature);
 
 /// An entry whose structural pre-checks passed, with its decompressed
-/// commitment and challenge computed once (the encodings the transcript
-/// hashes need are stored on the key and the signature).
-struct PreparedEntry<'a> {
+/// commitment, challenge and message digest computed once (the encodings
+/// the transcript hashes need are stored on the key and the signature).
+struct PreparedEntry {
     index: usize,
     vk: VerifyingKey,
-    msg: &'a [u8],
+    msg_digest: [u8; 32],
     sig: Signature,
     r: Point,
     e: Scalar,
@@ -353,19 +353,20 @@ struct PreparedEntry<'a> {
 
 /// Verifies `n` signatures as one multi-scalar multiplication.
 ///
-/// Sound by the standard random-linear-combination argument: for weights
-/// `ρᵢ` the batch accepts iff `Σ ρᵢ·(sᵢ·G − Rᵢ − eᵢ·PKᵢ) = 0`, which for
-/// any invalid entry holds only with negligible probability over the
-/// choice of weights. The weights are Fiat–Shamir: hashed from the batch
-/// transcript itself (keys, commitments, responses, message digests), so
-/// a forger cannot pick a signature after seeing its weight — and the
-/// whole computation is a pure function of the inputs, keeping
-/// virtual-time replays byte-identical.
+/// The batch accepts iff `Σ ρᵢ·(Rᵢ + eᵢ·PKᵢ − sᵢ·G) = 0` for 128-bit
+/// weights `ρᵢ` hashed from the batch transcript (keys, commitments,
+/// responses, message digests). By Bellare–Garay–Rabin's small-exponent
+/// test a batch holding an invalid entry passes with probability at most
+/// 2⁻¹²⁸; since the weights are Fiat–Shamir, a forger who grinds
+/// signatures for a lucky draw pays ~2¹²⁸ hashes, the curve's own generic
+/// bound — and the whole computation is a pure function of the inputs,
+/// keeping virtual-time replays byte-identical.
 ///
-/// Terms are grouped before the MSM: one generator term (`Σ ρᵢsᵢ`), one
-/// term per *distinct* public key (`−Σ ρᵢeᵢ`), one term per commitment
-/// (`−ρᵢ`) — a batch of `n` endorsements from `k` peers costs an MSM of
-/// `n + k + 1` points instead of `n` double-muls.
+/// Terms are grouped before the MSM: one generator term (`−Σ ρᵢsᵢ`), one
+/// term per *distinct* public key (`Σ ρᵢeᵢ`), one term per commitment,
+/// the bare short weight `ρᵢ` — a batch of `n` endorsements from `k`
+/// peers costs an MSM of `n + k + 1` points instead of `n` double-muls,
+/// `n` of them half-width.
 ///
 /// # Errors
 /// On batch failure, bisects (re-deriving weights per sub-batch) down to
@@ -373,16 +374,28 @@ struct PreparedEntry<'a> {
 /// entry, so a single forged signature is still attributed to its
 /// sender.
 pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), Vec<usize>> {
+    let digests: Vec<[u8; 32]> = entries.iter().map(|(_, msg, _)| sha256(msg)).collect();
+    verify_batch_digested(entries, &digests)
+}
+
+/// [`verify_batch`] for a caller that holds each message's SHA-256
+/// already (`digests[i]` of `entries[i]`'s message), so that a message is
+/// hashed only for its digest and its challenge.
+pub(crate) fn verify_batch_digested(
+    entries: &[BatchEntry<'_>],
+    digests: &[[u8; 32]],
+) -> Result<(), Vec<usize>> {
+    debug_assert_eq!(entries.len(), digests.len(), "one digest an entry");
     let _t = ddemos_obs::scoped_ns("crypto.verify_batch_ns", "schnorr");
     let mut invalid = Vec::new();
     let mut good = Vec::with_capacity(entries.len());
-    for (index, (vk, msg, sig)) in entries.iter().enumerate() {
+    for (index, ((vk, msg, sig), msg_digest)) in entries.iter().zip(digests).enumerate() {
         // Structural failures are attributable without any group math.
         match sig.r_point() {
             Some(r) if !vk.point.is_identity() => good.push(PreparedEntry {
                 index,
                 vk: *vk,
-                msg,
+                msg_digest: *msg_digest,
                 sig: *sig,
                 r,
                 e: challenge(&sig.r, vk, msg),
@@ -402,7 +415,9 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), Vec<usize>> {
 }
 
 /// Whether the random-linear-combination check accepts this sub-batch.
-fn batch_holds(entries: &[PreparedEntry<'_>]) -> bool {
+/// The per-entry digests of the transcript take each message's digest,
+/// so a bisection does not hash a message again.
+fn batch_holds(entries: &[PreparedEntry]) -> bool {
     match entries.len() {
         0 => return true,
         1 => {
@@ -414,33 +429,32 @@ fn batch_holds(entries: &[PreparedEntry<'_>]) -> bool {
     // Seed = H(domain ‖ per-entry transcript digests).
     let digests: Vec<[u8; 32]> = entries
         .iter()
-        .map(|e| sha256_parts(&[&e.vk.enc, &e.sig.r, &e.sig.s.to_bytes(), &sha256(e.msg)]))
+        .map(|e| sha256_parts(&[&e.vk.enc, &e.sig.r, &e.sig.s.to_bytes(), &e.msg_digest]))
         .collect();
     let mut parts: Vec<&[u8]> = Vec::with_capacity(digests.len() + 1);
     parts.push(b"ddemos/batch-schnorr/v1");
     parts.extend(digests.iter().map(|d| d.as_slice()));
-    let seed = sha256_parts(&parts);
+    let weights = WeightStream::new(&sha256_parts(&parts)).flatten();
 
     let mut g_coeff = Scalar::ZERO;
-    // Group the `−ρᵢeᵢ` coefficients per distinct key (BTree keyed by
+    // Group the `ρᵢeᵢ` coefficients per distinct key (BTree keyed by
     // encoding: deterministic order for the MSM input).
     let mut per_key: BTreeMap<[u8; 33], (Point, Scalar)> = BTreeMap::new();
     let mut scalars = Vec::with_capacity(entries.len());
     let mut points = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let rho = crate::elgamal::batch_weight(&seed, i, 0);
-        g_coeff += rho * entry.sig.s;
+    for (entry, rho) in entries.iter().zip(weights) {
+        g_coeff -= rho * entry.sig.s;
         let slot = per_key
             .entry(entry.vk.enc)
             .or_insert((entry.vk.point, Scalar::ZERO));
         slot.1 += rho * entry.e;
-        scalars.push(-rho);
+        scalars.push(rho);
         points.push(entry.r);
     }
     scalars.push(g_coeff);
     points.push(Point::generator());
     for (pk, coeff) in per_key.values() {
-        scalars.push(-*coeff);
+        scalars.push(*coeff);
         points.push(*pk);
     }
     Point::msm(&scalars, &points).is_identity()
@@ -449,7 +463,7 @@ fn batch_holds(entries: &[PreparedEntry<'_>]) -> bool {
 /// Attributes failures: splits a rejected batch in half, re-checks each
 /// half (fresh Fiat–Shamir weights per sub-batch), and recurses into
 /// rejected halves down to single entries.
-fn bisect(entries: &[PreparedEntry<'_>], invalid: &mut Vec<usize>) {
+fn bisect(entries: &[PreparedEntry], invalid: &mut Vec<usize>) {
     if entries.len() <= 1 {
         if let [entry] = entries {
             if !batch_holds(entries) {
@@ -626,6 +640,29 @@ mod tests {
         entries[2].2 = keys[2 % keys.len()].sign(b"not msg 2");
         entries[7].2 = keys[7 % keys.len()].sign(b"not msg 7");
         assert_eq!(verify_batch(&entries), Err(vec![2, 7]));
+    }
+
+    /// `s + δ` on one signature and `s − δ` on another cancel in an
+    /// equal-weight sum, in the whole batch and in the half that holds
+    /// both; the batch rejects them and names exactly those two.
+    #[test]
+    fn batch_rejects_a_cancelling_pair() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let keys: Vec<SigningKey> = (0..2).map(|_| SigningKey::generate(&mut rng)).collect();
+        let msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 20]).collect();
+        let mut entries: Vec<BatchEntry<'_>> = msgs
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let key = &keys[i % keys.len()];
+                (key.verifying_key(), m.as_slice(), key.sign(m))
+            })
+            .collect();
+        assert_eq!(verify_batch(&entries), Ok(()));
+        let delta = Scalar::random(&mut rng);
+        entries[1].2.s += delta;
+        entries[2].2.s -= delta;
+        assert_eq!(verify_batch(&entries), Err(vec![1, 2]));
     }
 
     #[test]

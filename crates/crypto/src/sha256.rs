@@ -1,5 +1,8 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch and validated against the
-//! NIST test vectors.
+//! NIST test vectors — and, on top of its midstates, the stream of
+//! 128-bit weights the batch verifiers draw (`WeightStream`).
+
+use crate::field::Scalar;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -155,6 +158,59 @@ impl Sha256 {
     }
 }
 
+/// Domain tag of [`WeightStream`], padded so that tag ‖ seed is one block.
+const WEIGHT_TAG: [u8; 32] = *b"ddemos/batch-weight/v2\0\0\0\0\0\0\0\0\0\0";
+
+/// The weights of a batch verifier's random linear combination: 128-bit
+/// scalars drawn from the digest of the batch transcript, two to a
+/// SHA-256 compression.
+///
+/// The block `tag ‖ seed` is absorbed once; pair `i` is the digest of that
+/// block and the 8-byte index `i`, which with its padding is one more
+/// compression, read as two big-endian 128-bit halves. A weight below
+/// 2¹²⁸ halves the bucket work of its MSM term ([`crate::curve::Point::msm`]
+/// skips zero digits), and 128 bits is all the soundness a batch over
+/// secp256k1 can use (DESIGN.md §4.2).
+#[derive(Clone, Debug)]
+pub(crate) struct WeightStream {
+    midstate: [u32; 8],
+    index: u64,
+}
+
+impl WeightStream {
+    /// The stream of the transcript digest `seed`.
+    pub(crate) fn new(seed: &[u8; 32]) -> WeightStream {
+        let mut h = Sha256::new();
+        h.update(&WEIGHT_TAG);
+        h.update(seed);
+        WeightStream {
+            midstate: h.midstate(),
+            index: 0,
+        }
+    }
+
+    /// The next two weights.
+    pub(crate) fn next_pair(&mut self) -> [Scalar; 2] {
+        let mut h = Sha256::resume(self.midstate, 1);
+        h.update(&self.index.to_be_bytes());
+        self.index += 1;
+        let digest = h.finalize();
+        [0, 16].map(|at| {
+            let half: [u8; 16] = std::array::from_fn(|j| digest[at + j]);
+            Scalar::from_u128(u128::from_be_bytes(half))
+        })
+    }
+}
+
+/// Endless: pair after pair; `.flatten()` hands the weights out one by one.
+impl Iterator for WeightStream {
+    type Item = [Scalar; 2];
+
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(self.next_pair())
+    }
+}
+
 /// One-shot SHA-256 digest of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
@@ -266,6 +322,44 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split {split}");
+        }
+    }
+
+    /// Pair `i` is the plain digest of `tag ‖ seed ‖ i`, halved; every
+    /// weight is below 2¹²⁸ and the two of a pair differ.
+    #[test]
+    fn weight_stream_is_the_halved_digest_of_each_index() {
+        let seed = sha256(b"transcript");
+        let pairs: Vec<[Scalar; 2]> = WeightStream::new(&seed).take(64).collect();
+        for (i, [lo, hi]) in pairs.iter().enumerate() {
+            let digest = sha256_parts(&[&WEIGHT_TAG, &seed, &(i as u64).to_be_bytes()]);
+            let mut expected = [[0u8; 32]; 2];
+            expected[0][16..].copy_from_slice(&digest[..16]);
+            expected[1][16..].copy_from_slice(&digest[16..]);
+            assert_eq!([lo.to_bytes(), hi.to_bytes()], expected, "pair {i}");
+            for w in [lo, hi] {
+                assert_eq!(w.to_u256().limbs()[2..], [0, 0], "pair {i}");
+            }
+            assert_ne!(lo, hi, "pair {i}");
+        }
+        // The iterator hands out what `next_pair` does, in order.
+        let mut stream = WeightStream::new(&seed);
+        assert_eq!(stream.next_pair(), pairs[0]);
+        assert_eq!(stream.next(), Some(pairs[1]));
+    }
+
+    /// One bit of the seed changes every weight.
+    #[test]
+    fn weight_stream_follows_every_seed_bit() {
+        let seed = sha256(b"transcript");
+        let base: Vec<_> = WeightStream::new(&seed).take(8).flatten().collect();
+        for bit in 0..256 {
+            let mut flipped = seed;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let other = WeightStream::new(&flipped).take(8).flatten();
+            for (k, (a, b)) in base.iter().zip(other).enumerate() {
+                assert_ne!(*a, b, "seed bit {bit}, weight {k}");
+            }
         }
     }
 

@@ -19,6 +19,7 @@ use crate::curve::Point;
 use crate::field::Scalar;
 use crate::pedersen::Commitment;
 use crate::schnorr::{Signature, SigningKey, VerifyingKey};
+use crate::sha256::{Sha256, WeightStream};
 use crate::shamir::{self, Interpolator, Polynomial, Share, ShareError};
 
 /// A Pedersen-VSS share: evaluation of the value and blinding polynomials.
@@ -67,9 +68,12 @@ impl VssCommitments {
     }
 
     /// Verifies many shares of this dealing at once: the per-share
-    /// equations are combined with random weights (hashed from the batch,
-    /// hence deterministic) into one multi-scalar multiplication of
-    /// `k + 2` terms, instead of `k + 2` scalar ladders per share. On
+    /// equations are combined with 128-bit weights hashed from the batch,
+    /// hence deterministic, into one multi-scalar multiplication of
+    /// `k + 2` terms, instead of `k + 2` scalar ladders per share. By
+    /// Bellare–Garay–Rabin's small-exponent test a batch holding a false
+    /// share passes with probability at most 2⁻¹²⁸; grinding the
+    /// transcript costs ~2¹²⁸ hashes, the curve's own generic bound. On
     /// failure, fall back to per-share [`VssCommitments::verify`].
     pub fn verify_batch(&self, shares: &[VssShare]) -> bool {
         if shares.len() < 2 {
@@ -84,7 +88,7 @@ impl VssCommitments {
         let mut points = vec![Point::generator(), crate::pedersen::generator_h()];
         points.extend(self.0.iter().map(|c| c.0));
         let points = Point::batch_normalize(&points);
-        let mut transcript = crate::sha256::Sha256::new();
+        let mut transcript = Sha256::new();
         transcript.update(b"ddemos/batch-vss/v1");
         for c in &points[2..] {
             transcript.update(&c.to_bytes());
@@ -94,13 +98,12 @@ impl VssCommitments {
             transcript.update(&s.value.to_bytes());
             transcript.update(&s.blinding.to_bytes());
         }
-        let seed = transcript.finalize();
+        let weights = WeightStream::new(&transcript.finalize()).flatten();
         // Σᵢ ρᵢ·(vᵢ·G + bᵢ·H − Σ_j C_j·xᵢʲ) == 0, grouped by base.
         let mut g_coeff = Scalar::ZERO;
         let mut h_coeff = Scalar::ZERO;
         let mut c_coeffs = vec![Scalar::ZERO; self.0.len()];
-        for (i, s) in shares.iter().enumerate() {
-            let rho = crate::elgamal::batch_weight(&seed, i, 0);
+        for (s, rho) in shares.iter().zip(weights) {
             g_coeff += rho * s.value;
             h_coeff += rho * s.blinding;
             let x = Scalar::from_u64(u64::from(s.index));
@@ -321,6 +324,20 @@ mod tests {
         let mut bad = shares;
         bad[4].index = 0;
         assert!(!comms.verify_batch(&bad));
+    }
+
+    /// `value + δ` on one share and `value − δ` on another cancel in an
+    /// equal-weight sum; the batch rejects them.
+    #[test]
+    fn pedersen_vss_batch_rejects_a_cancelling_pair() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let (mut shares, comms) = PedersenVss::deal(Scalar::from_u64(5), 3, 6, &mut rng).unwrap();
+        assert!(comms.verify_batch(&shares));
+        let delta = Scalar::random(&mut rng);
+        shares[0].value += delta;
+        shares[3].value -= delta;
+        assert!(!comms.verify(&shares[0]));
+        assert!(!comms.verify_batch(&shares));
     }
 
     #[test]

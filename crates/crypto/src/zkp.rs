@@ -29,10 +29,10 @@
 //! multi-scalar multiplication in which every point a row's equations share
 //! enters once — the path of result publication and of the audit.
 
-use crate::curve::{CombBatch, FixedBase, Point};
-use crate::elgamal::{self, Ciphertext, PreparedKey, PublicKey};
+use crate::curve::{Affine, CombBatch, FixedBase, Point};
+use crate::elgamal::{Ciphertext, PreparedKey, PublicKey};
 use crate::field::Scalar;
-use crate::sha256::Sha256;
+use crate::sha256::{Sha256, WeightStream};
 
 /// First move (commitments) of a Chaum–Pedersen DH-tuple proof for the
 /// statement `∃r: a = r·G ∧ b = r·pk`.
@@ -352,16 +352,24 @@ pub fn row_terms(m: usize) -> usize {
 /// [`or_verify`] on every ciphertext and [`sum_verify`] on every row.
 ///
 /// A row's six equations a ciphertext and two for its sum — per OR
-/// branch `zⱼ·G = t1ⱼ + cⱼ·a`, `zⱼ·pk = t2ⱼ + cⱼ·(b − j·G)`, and for the
-/// sum `z·G = s1 + c·Σa`, `z·pk = s2 + c·(Σb − G)` — are each weighted by
-/// their own 256-bit scalar, drawn from a transcript of every point and
-/// scalar of the batch, and the weighted sum is regrouped by base: a
-/// ciphertext's `a` and `b` carry both branches' and the sum proof's
-/// coefficients, and `b − G` and the row sum fold into the generator's.
-/// So every point enters the one MSM once ([`row_terms`], plus `pk` and
-/// `G`), and no point arithmetic runs before it. Split challenges that do
-/// not recombine to `c`, and rows whose first moves or responses do not
-/// match their ciphertexts one for one, fail before any curve work.
+/// branch `t1ⱼ + cⱼ·a − zⱼ·G = 0`, `t2ⱼ + cⱼ·(b − j·G) − zⱼ·pk = 0`, and
+/// for the sum `s1 + c·Σa − z·G = 0`, `s2 + c·(Σb − G) − z·pk = 0` — are
+/// each weighted by their own 128-bit scalar, drawn from a transcript of
+/// every point and scalar of the batch, and the weighted sum is regrouped
+/// by base: a ciphertext's `a` and `b` carry both branches' and the sum
+/// proof's coefficients, and `b − G` and the row sum fold into the
+/// generator's. So every point enters the one MSM once ([`row_terms`],
+/// plus `pk` and `G`), and no point arithmetic runs before it. Each
+/// equation is signed so that its first-move point enters with the bare
+/// short weight — two thirds of the terms, at half the bucket work of a
+/// full-width scalar. Split challenges that do not recombine to `c`, and
+/// rows whose first moves or responses do not match their ciphertexts one
+/// for one, fail before any curve work.
+///
+/// Soundness is Bellare–Garay–Rabin's small-exponent test: a batch holding
+/// a false equation passes with probability at most 2⁻¹²⁸ over the
+/// weights, and since the weights are hashed from the transcript, grinding
+/// for a lucky draw costs ~2¹²⁸ hashes — the curve's own generic bound.
 pub fn verify_rows(pk: &PublicKey, rows: &[RowProof<'_>]) -> bool {
     let well_formed = rows.iter().all(|row| {
         row.or_first.len() == row.cts.len()
@@ -374,59 +382,15 @@ pub fn verify_rows(pk: &PublicKey, rows: &[RowProof<'_>]) -> bool {
     if rows.is_empty() {
         return true;
     }
-    // Normalise every point once, with one shared inversion (none for the
-    // `z = 1` points a board holds): the transcript hashes the encodings
-    // and the MSM adds the same affine coordinates. Order: pk, G, then
-    // per row its `(a, b)`s, its OR first moves and its sum first move.
-    let points = {
-        let terms = rows
-            .iter()
-            .map(|row| row_terms(row.cts.len()))
-            .sum::<usize>();
-        let mut points = Vec::with_capacity(2 + terms);
-        points.extend([pk.0, Point::generator()]);
-        for row in rows {
-            points.extend(row.cts.iter().flat_map(|ct| [ct.a, ct.b]));
-            points.extend(row.or_first.iter().flat_map(|first| {
-                let (b0, b1) = (first.branch0, first.branch1);
-                [b0.t1, b0.t2, b1.t1, b1.t2]
-            }));
-            points.extend([row.sum_first.t1, row.sum_first.t2]);
-        }
-        Point::batch_normalize(&points)
-    };
-    let seed = {
-        let mut transcript = Sha256::new();
-        transcript.update(b"ddemos/batch-rows/v1");
-        for p in &points[..2] {
-            transcript.update(&p.to_bytes());
-        }
-        let mut row_points = &points[2..];
-        for row in rows {
-            let (own, rest) = row_points.split_at(row_terms(row.cts.len()));
-            row_points = rest;
-            transcript.update(&(row.cts.len() as u64).to_be_bytes());
-            for p in own {
-                transcript.update(&p.to_bytes());
-            }
-            for resp in row.or_resp {
-                for k in [resp.c0, resp.c1, resp.z0, resp.z1] {
-                    transcript.update(&k.to_bytes());
-                }
-            }
-            transcript.update(&row.sum_z.to_bytes());
-            transcript.update(&row.c.to_bytes());
-        }
-        transcript.finalize()
-    };
-    // One scalar per point, in the order above. Proof `k` of the batch —
-    // each row's sum proof, then its OR proofs — weighs its equations
-    // with `batch_weight(seed, k, ·)`: slots 0/1 the G/pk equations of
-    // the sum proof or of branch 0, slots 2/3 those of branch 1.
+    let points = row_points(pk, rows);
+    let mut weights = row_weights(&points, rows);
+    // One scalar per point, in the order of `row_points`. Each row's sum
+    // proof, then each of its OR proofs, draws its weights in turn: a pair
+    // for the G/pk equations of the sum proof, two for those of branches 0
+    // and 1.
     let mut scalars = vec![Scalar::ZERO; points.len()];
     let (mut g_coeff, mut pk_coeff) = (Scalar::ZERO, Scalar::ZERO);
     let mut rest = &mut scalars[2..];
-    let mut proof = 0;
     for row in rows {
         let m = row.cts.len();
         let (ct_coeffs, tail) = std::mem::take(&mut rest).split_at_mut(2 * m);
@@ -434,28 +398,75 @@ pub fn verify_rows(pk: &PublicKey, rows: &[RowProof<'_>]) -> bool {
         let (sum_coeffs, tail) = tail.split_at_mut(2);
         rest = tail;
         let c = row.c;
-        let weight = |proof: usize, slot: u8| elgamal::batch_weight(&seed, proof, slot);
-        let (rho, sigma) = (weight(proof, 0), weight(proof, 1));
-        proof += 1;
-        g_coeff += rho * row.sum_z + sigma * c;
-        pk_coeff += sigma * row.sum_z;
-        sum_coeffs.copy_from_slice(&[-rho, -sigma]);
+        let [rho, sigma] = weights.next_pair();
+        g_coeff -= rho * row.sum_z + sigma * c;
+        pk_coeff -= sigma * row.sum_z;
+        sum_coeffs.copy_from_slice(&[rho, sigma]);
         let per_ct = ct_coeffs
             .chunks_exact_mut(2)
             .zip(move_coeffs.chunks_exact_mut(4));
         for (resp, (ct_coeff, move_coeff)) in row.or_resp.iter().zip(per_ct) {
-            let [rho0, sigma0, rho1, sigma1] = [0, 1, 2, 3].map(|slot| weight(proof, slot));
-            proof += 1;
-            g_coeff += rho0 * resp.z0 + rho1 * resp.z1 + sigma1 * resp.c1;
-            pk_coeff += sigma0 * resp.z0 + sigma1 * resp.z1;
-            ct_coeff[0] = -(rho * c + rho0 * resp.c0 + rho1 * resp.c1);
-            ct_coeff[1] = -(sigma * c + sigma0 * resp.c0 + sigma1 * resp.c1);
-            move_coeff.copy_from_slice(&[-rho0, -sigma0, -rho1, -sigma1]);
+            let ([rho0, sigma0], [rho1, sigma1]) = (weights.next_pair(), weights.next_pair());
+            g_coeff -= rho0 * resp.z0 + rho1 * resp.z1 + sigma1 * resp.c1;
+            pk_coeff -= sigma0 * resp.z0 + sigma1 * resp.z1;
+            ct_coeff[0] = rho * c + rho0 * resp.c0 + rho1 * resp.c1;
+            ct_coeff[1] = sigma * c + sigma0 * resp.c0 + sigma1 * resp.c1;
+            move_coeff.copy_from_slice(&[rho0, sigma0, rho1, sigma1]);
         }
     }
     scalars[0] = pk_coeff;
     scalars[1] = g_coeff;
     Point::msm_affine(&scalars, &points).is_identity()
+}
+
+/// Every point of a [`verify_rows`] batch, normalised once with one shared
+/// inversion (none for the `z = 1` points a board holds): the transcript
+/// hashes the encodings and the MSM adds the same affine coordinates.
+/// Order: pk, G, then per row its `(a, b)`s, its OR first moves and its
+/// sum first move.
+fn row_points(pk: &PublicKey, rows: &[RowProof<'_>]) -> Vec<Affine> {
+    let terms = rows
+        .iter()
+        .map(|row| row_terms(row.cts.len()))
+        .sum::<usize>();
+    let mut points = Vec::with_capacity(2 + terms);
+    points.extend([pk.0, Point::generator()]);
+    for row in rows {
+        points.extend(row.cts.iter().flat_map(|ct| [ct.a, ct.b]));
+        points.extend(row.or_first.iter().flat_map(|first| {
+            let (b0, b1) = (first.branch0, first.branch1);
+            [b0.t1, b0.t2, b1.t1, b1.t2]
+        }));
+        points.extend([row.sum_first.t1, row.sum_first.t2]);
+    }
+    Point::batch_normalize(&points)
+}
+
+/// The weights of a [`verify_rows`] batch: the stream of a transcript of
+/// its points ([`row_points`]), every row's length and every scalar.
+fn row_weights(points: &[Affine], rows: &[RowProof<'_>]) -> WeightStream {
+    let mut transcript = Sha256::new();
+    transcript.update(b"ddemos/batch-rows/v1");
+    for p in &points[..2] {
+        transcript.update(&p.to_bytes());
+    }
+    let mut row_points = &points[2..];
+    for row in rows {
+        let (own, rest) = row_points.split_at(row_terms(row.cts.len()));
+        row_points = rest;
+        transcript.update(&(row.cts.len() as u64).to_be_bytes());
+        for p in own {
+            transcript.update(&p.to_bytes());
+        }
+        for resp in row.or_resp {
+            for k in [resp.c0, resp.c1, resp.z0, resp.z1] {
+                transcript.update(&k.to_bytes());
+            }
+        }
+        transcript.update(&row.sum_z.to_bytes());
+        transcript.update(&row.c.to_bytes());
+    }
+    WeightStream::new(&transcript.finalize())
 }
 
 /// Derives the proof challenge from the voters' A/B coins (§III-B: "all the
@@ -806,6 +817,63 @@ mod tests {
                 let mut bad = rows.clone();
                 corrupt(&mut bad[at], at % 2);
                 assert!(!verify_owned(&pk, &bad), "{what} of row {at}");
+            }
+        }
+    }
+
+    /// Two compensating corruptions that an equal-weight sum accepts —
+    /// `z0 + δ` on one ciphertext of a row, `z0 − δ` on another, adding
+    /// and taking away the same `δ·(G + pk)` — are rejected: each
+    /// equation has a weight of its own.
+    #[test]
+    fn batch_rows_rejects_a_cancelling_pair() {
+        let (mut rng, pk, prepared) = setup(14);
+        let c = challenge_from_coins(b"pair", &[false, true]);
+        let rows: Vec<OwnedRow> = (0..4)
+            .map(|i| OwnedRow::unit(&prepared, 3, i % 3, c, &mut rng))
+            .collect();
+        assert!(verify_owned(&pk, &rows));
+        let delta = Scalar::random(&mut rng);
+        let mut bad = rows;
+        bad[1].or_resp[0].z0 += delta;
+        bad[1].or_resp[2].z0 -= delta;
+        assert!(!verify_owned(&pk, &bad));
+    }
+
+    /// The weights follow the whole transcript: any single point, scalar
+    /// or row length changed moves every weight of the stream.
+    #[test]
+    fn row_weights_follow_every_point_scalar_and_length() {
+        let (mut rng, pk, prepared) = setup(15);
+        let c = challenge_from_coins(b"weights", &[true]);
+        let rows: Vec<OwnedRow> = (0..3)
+            .map(|i| OwnedRow::unit(&prepared, 3, i, c, &mut rng))
+            .collect();
+        let stream = |rows: &[OwnedRow]| -> Vec<Scalar> {
+            let proofs: Vec<RowProof<'_>> = rows.iter().map(OwnedRow::proof).collect();
+            let points = row_points(&pk, &proofs);
+            row_weights(&points, &proofs).take(8).flatten().collect()
+        };
+        let base = stream(&rows);
+        let mut mutants: Vec<(&str, Vec<OwnedRow>)> = corruptions()
+            .into_iter()
+            .map(|(what, corrupt)| {
+                let mut bad = rows.clone();
+                corrupt(&mut bad[1], 2);
+                (what, bad)
+            })
+            .collect();
+        let mut challenge = rows.clone();
+        challenge[2].c += Scalar::ONE;
+        mutants.push(("challenge", challenge));
+        let mut shorter = rows.clone();
+        shorter[0].cts.pop();
+        shorter[0].or_first.pop();
+        shorter[0].or_resp.pop();
+        mutants.push(("row length", shorter));
+        for (what, bad) in mutants {
+            for (k, (a, b)) in base.iter().zip(stream(&bad)).enumerate() {
+                assert_ne!(*a, b, "{what}: weight {k}");
             }
         }
     }

@@ -68,6 +68,27 @@ fn stage_ledger(report: &ElectionReport, name: &str, stages: &[&str]) -> bool {
     live
 }
 
+/// Prints the spread of the `bb.step_ns` trustee-post samples. Each of
+/// the profile election's three replicas publishes the result on its
+/// `h_t`-th post (3 of the 15 samples, the heaviest); its other four
+/// posts verify the post's signatures (the trustee's over the post, the
+/// EA's over each opening-share bundle) and, past `h_t`, scan for parts
+/// still unpublished — the 12 samples to p80.
+fn trustee_post_split(report: &ElectionReport) {
+    let key = ddemos_obs::metric_key("bb.step_ns", "", "TrusteePost");
+    if let Some(h) = report.metrics.hists.get(&key) {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        println!(
+            "bb.step TrusteePost: {} posts; signatures only: min {:.2} ms, p50 {:.2} ms, p80 {:.2} ms; publishing: max {:.2} ms",
+            h.count(),
+            ms(h.min_ns()),
+            ms(h.quantile_ns(0.5)),
+            ms(h.quantile_ns(0.8)),
+            ms(h.max_ns()),
+        );
+    }
+}
+
 /// Group-math signature verifications the four collectors of the profile
 /// election may spend on one cast: at the responder the two peer
 /// endorsements that complete the UCERT (2), at each other collector the
@@ -353,6 +374,7 @@ fn main() {
     if wall {
         println!();
         stage_ledger(&report, "ea.setup_ns", &SETUP_STAGES);
+        trustee_post_split(&report);
     }
 
     if let Some(path) = json {
