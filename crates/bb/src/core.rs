@@ -15,7 +15,8 @@
 //! re-applies the accepted-write history through the same verified write
 //! path, so a rebuilt node is byte-identical to one that never crashed.
 
-use ddemos_crypto::elgamal::{self, Ciphertext};
+use ddemos_crypto::batch::LinearBatch;
+use ddemos_crypto::elgamal::{self, Ciphertext, PublicKey};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::mverify::{MsgVerifier, DEFAULT_CACHE_CAPACITY};
 use ddemos_crypto::schnorr::{Signature, VerifyingKey};
@@ -685,44 +686,50 @@ impl BbCore {
         // Lagrange weights per trustee subset this pass meets: one in the
         // honest case, at most C(N_t, h_t).
         let mut interpolators = InterpolatorCache::default();
-        self.publish_openings(&posts, &mut interpolators);
-        self.publish_zk(&posts, &challenge, &mut interpolators);
+        self.publish_parts(&posts, &challenge, &mut interpolators);
         if self.snapshot.result.is_none() {
             self.publish_tally(&posts, &mut interpolators);
         }
     }
 
-    /// Unused/unvoted part openings: reconstructed from the first `h_t`
-    /// posts that carry the part (the shares are EA-signed, so any subset
-    /// interpolates the same values) and verified in bounded batches. A
-    /// part publishes iff all of its openings verify.
-    fn publish_openings(
+    /// Unused/unvoted part openings and used-part ZK final moves: each part
+    /// is reconstructed from the first `h_t` posts that carry it, and the
+    /// parts of both kinds are verified together, [`check_parts`] a
+    /// [`PartBatch`]. A part publishes iff all of its openings or proofs
+    /// verify. Opening shares are EA-signed, so any subset interpolates the
+    /// same values. ZK response shares are the trustees' own (nothing signs
+    /// them but the post), so a ZK part the first subset cannot prove is
+    /// searched over the other `h_t`-subsets: one Byzantine trustee among
+    /// the lowest indices must not withhold evidence that `h_t` honest
+    /// posts on the board can supply.
+    fn publish_parts(
         &mut self,
         posts: &[Arc<TrusteePost>],
+        challenge: &Scalar,
         interpolators: &mut InterpolatorCache,
     ) {
         let ht = self.init.params.trustee_threshold;
-        let pk = self.init.elgamal_pk;
         let ballots = &self.init.ballots;
-        let verify = |parts: &[((SerialNo, u8), RowOpenings)]| {
-            let _t = ddemos_obs::scoped_ns("bb.publish_ns", "openings");
-            let mut claims = Vec::new();
-            for (key, opened) in parts {
-                let Some(rows) = part_rows(ballots, key) else {
-                    return false;
-                };
-                for (row, opened_row) in rows.iter().zip(opened) {
-                    let row_claims = row.commitment.iter().zip(opened_row);
-                    claims.extend(row_claims.map(|(ct, (bit, rand))| (*ct, *bit, *rand)));
-                }
-            }
-            elgamal::batch_verify_openings(&pk, &claims)
-        };
-        let by_key = group_shares(&self.snapshot.openings, posts, |post| {
+        let check = |parts: &[Part<'_>]| check_parts(&self.init.elgamal_pk, challenge, parts);
+        let openings = group_shares(&self.snapshot.openings, posts, |post| {
             post.openings.iter().map(|o| (o.serial, o.part, &o.rows))
         });
+        let zk = group_shares(&self.snapshot.zk_responses, posts, |post| {
+            post.zk.iter().map(|z| (z.serial, z.part, z))
+        });
+        // Publishes what a settled batch verified; returns the rejected ZK
+        // parts.
+        let mut settle = |batch: &mut PartBatch<_>| {
+            let (verified, rejected) = batch.settle(check);
+            for part in verified {
+                publish(&mut self.snapshot, part);
+            }
+            let rejected = rejected.into_iter();
+            rejected.filter_map(|(key, _, e)| matches!(e, Evidence::Zk(_)).then_some(key))
+        };
         let mut batch = PartBatch::new(VERIFY_TERMS);
-        for (key, shares) in &by_key {
+        let mut unproven: Vec<(SerialNo, u8)> = Vec::new();
+        for (key, shares) in &openings {
             let Some(shares) = shares.get(..ht) else {
                 continue;
             };
@@ -738,57 +745,12 @@ impl BbCore {
                 continue;
             };
             let claims: usize = rows.iter().map(|row| row.commitment.len()).sum();
-            batch.push((*key, opened), 2 * claims);
+            batch.push((*key, rows, Evidence::Openings(opened)), 2 * claims);
             if batch.is_full() {
-                self.snapshot.openings.extend(batch.settle(verify).0);
+                unproven.extend(settle(&mut batch));
             }
         }
-        self.snapshot.openings.extend(batch.settle(verify).0);
-    }
-
-    /// Used-part ZK final moves: the OR-proof branches and sum proofs of a
-    /// part are reconstructed from the first `h_t` posts that carry it and
-    /// verified row by row in bounded batches ([`zkp::verify_rows`]); a
-    /// part publishes iff all of its proofs verify. The response shares are
-    /// the trustees' own (nothing signs them but the post), so a part the
-    /// first subset cannot prove is searched over the other `h_t`-subsets:
-    /// one Byzantine trustee among the lowest indices must not withhold
-    /// evidence that `h_t` honest posts on the board can supply.
-    fn publish_zk(
-        &mut self,
-        posts: &[Arc<TrusteePost>],
-        challenge: &Scalar,
-        interpolators: &mut InterpolatorCache,
-    ) {
-        let ht = self.init.params.trustee_threshold;
-        let pk = self.init.elgamal_pk;
-        let ballots = &self.init.ballots;
-        let verify = |parts: &[((SerialNo, u8), RowZkResponses)]| {
-            let _t = ddemos_obs::scoped_ns("bb.publish_ns", "zk");
-            let mut proofs = Vec::new();
-            for (key, responses) in parts {
-                let Some(rows) = part_rows(ballots, key) else {
-                    return false;
-                };
-                proofs.extend(rows.iter().zip(responses).map(|(row, (or_resp, sum_z))| {
-                    zkp::RowProof {
-                        cts: &row.commitment,
-                        or_first: &row.or_first,
-                        or_resp,
-                        sum_first: &row.sum_first,
-                        sum_z: *sum_z,
-                        c: *challenge,
-                    }
-                }));
-            }
-            zkp::verify_rows(&pk, &proofs)
-        };
-        let by_key = group_shares(&self.snapshot.zk_responses, posts, |post| {
-            post.zk.iter().map(|z| (z.serial, z.part, z))
-        });
-        let mut batch = PartBatch::new(VERIFY_TERMS);
-        let mut unproven: Vec<(SerialNo, u8)> = Vec::new();
-        for (key, shares) in &by_key {
+        for (key, shares) in &zk {
             let Some(first) = shares.get(..ht) else {
                 continue;
             };
@@ -803,26 +765,22 @@ impl BbCore {
             match reconstruct_zk(interp, &first, rows, challenge) {
                 Some(responses) => {
                     let terms = rows.iter().map(|row| zkp::row_terms(row.commitment.len()));
-                    batch.push((*key, responses), terms.sum());
+                    batch.push((*key, rows, Evidence::Zk(responses)), terms.sum());
                 }
                 None => unproven.push(*key),
             }
             if batch.is_full() {
-                let (proven, rejected) = batch.settle(verify);
-                self.snapshot.zk_responses.extend(proven);
-                unproven.extend(rejected.into_iter().map(|(key, _)| key));
+                unproven.extend(settle(&mut batch));
             }
         }
-        let (proven, rejected) = batch.settle(verify);
-        self.snapshot.zk_responses.extend(proven);
-        unproven.extend(rejected.into_iter().map(|(key, _)| key));
+        unproven.extend(settle(&mut batch));
 
         // Subset search, part by part. The subset that proved the previous
         // part goes first: a Byzantine trustee is the same one throughout,
         // so the search costs its C(N_t, h_t) tries once, not per part.
         let mut proving: Option<Vec<u32>> = None;
         for key in unproven {
-            let (Some(shares), Some(rows)) = (by_key.get(&key), part_rows(ballots, &key)) else {
+            let (Some(shares), Some(rows)) = (zk.get(&key), part_rows(ballots, &key)) else {
                 continue;
             };
             // The first subset is the one that just failed.
@@ -839,9 +797,9 @@ impl BbCore {
                 let Some(responses) = reconstruct_zk(interp, &subset, rows, challenge) else {
                     continue;
                 };
-                let part = (key, responses);
-                if verify(std::slice::from_ref(&part)) {
-                    self.snapshot.zk_responses.insert(key, part.1);
+                let part = (key, rows, Evidence::Zk(responses));
+                if check(std::slice::from_ref(&part)).is_ok() {
+                    publish(&mut self.snapshot, part);
                     proving = Some(indices);
                     break;
                 }
@@ -982,13 +940,68 @@ fn part_rows<'a>(
 /// and transcript bytes per replica at once (and the replicas of one
 /// process verify concurrently); bounding the batch bounds that transient.
 /// The price is the MSM's slowly falling per-term cost: an 8k-term MSM
-/// pays ~5.7 µs a term where a 64k-term one pays ~5.0 (DESIGN.md §12.1).
+/// pays ~5.7 µs a term where a 64k-term one pays ~5.0 (DESIGN.md §4.2).
 const VERIFY_TERMS: usize = 8192;
+
+/// What the trustees' posts prove of one ballot part, reconstructed and
+/// awaiting verification.
+enum Evidence {
+    /// The openings of an unused or unvoted part.
+    Openings(RowOpenings),
+    /// The ZK final moves of a used part.
+    Zk(RowZkResponses),
+}
+
+/// A ballot part, its published rows and its evidence.
+type Part<'a> = ((SerialNo, u8), &'a [BbRow], Evidence);
+
+/// Publishes verified evidence in its part of the snapshot.
+fn publish(snapshot: &mut BbSnapshot, (key, _, evidence): Part<'_>) {
+    match evidence {
+        Evidence::Openings(opened) => drop(snapshot.openings.insert(key, opened)),
+        Evidence::Zk(responses) => drop(snapshot.zk_responses.insert(key, responses)),
+    }
+}
+
+/// Checks the evidence of `parts` in one [`LinearBatch`], each part under
+/// its position as label — an opened part's claims
+/// ([`elgamal::push_opening`]), a proven part's rows
+/// ([`zkp::RowProof::push`]) — and returns the positions that fail.
+fn check_parts(pk: &PublicKey, c: &Scalar, parts: &[Part<'_>]) -> Result<(), Vec<usize>> {
+    let _t = ddemos_obs::scoped_ns("bb.publish_ns", "verify");
+    let mut batch = LinearBatch::new(VERIFY_TERMS);
+    let pk = batch.shared(&pk.0);
+    for (label, (_, rows, evidence)) in parts.iter().enumerate() {
+        match evidence {
+            Evidence::Openings(opened) => {
+                for (row, opened_row) in rows.iter().zip(opened) {
+                    for (ct, (bit, rand)) in row.commitment.iter().zip(opened_row) {
+                        elgamal::push_opening(&mut batch, pk, &(*ct, *bit, *rand), label);
+                    }
+                }
+            }
+            Evidence::Zk(responses) => {
+                for (row, (or_resp, sum_z)) in rows.iter().zip(responses) {
+                    let proof = zkp::RowProof {
+                        cts: &row.commitment,
+                        or_first: &row.or_first,
+                        or_resp,
+                        sum_first: &row.sum_first,
+                        sum_z: *sum_z,
+                        c: *c,
+                    };
+                    proof.push(&mut batch, pk, |_| label);
+                }
+            }
+        }
+    }
+    batch.check()
+}
 
 /// Whole ballot parts awaiting one batch verification:
 /// [`PartBatch::push`] adds a part with its MSM terms; once
 /// [`PartBatch::is_full`], the caller settles the batch. Batches end at
-/// part boundaries, so a failing batch can be attributed part by part.
+/// part boundaries, so the labels of a failing batch name whole parts.
 struct PartBatch<P> {
     limit: usize,
     terms: usize,
@@ -1013,17 +1026,19 @@ impl<P> PartBatch<P> {
         self.terms >= self.limit
     }
 
-    /// Verifies the pending parts — all in one call, and on failure each
-    /// on its own — and empties the batch. Returns `(verified, rejected)`.
-    fn settle(&mut self, verify: impl Fn(&[P]) -> bool) -> (Vec<P>, Vec<P>) {
+    /// Verifies the pending parts in one `check`, which returns the
+    /// positions of the failing ones, and empties the batch. Returns
+    /// `(verified, rejected)`.
+    fn settle(&mut self, check: impl Fn(&[P]) -> Result<(), Vec<usize>>) -> (Vec<P>, Vec<P>) {
         let parts = std::mem::take(&mut self.parts);
         self.terms = 0;
-        if parts.is_empty() || verify(&parts) {
-            return (parts, Vec::new());
-        }
-        parts
+        let failing = check(&parts).err().unwrap_or_default();
+        let (rejected, verified): (Vec<_>, Vec<_>) = parts
             .into_iter()
-            .partition(|part| verify(std::slice::from_ref(part)))
+            .enumerate()
+            .partition(|(at, _)| failing.contains(at));
+        let unlabel = |parts: Vec<(usize, P)>| parts.into_iter().map(|(_, part)| part).collect();
+        (unlabel(verified), unlabel(rejected))
     }
 }
 
@@ -1141,10 +1156,20 @@ mod tests {
     fn bad_part_in_one_batch_blocks_no_other_part() {
         // Nine parts of two items (two terms) each through four-term
         // batches; part 4 (in the third batch) carries a bad item. The
-        // verifier passes a slice iff it holds no bad item, as a sound
-        // batch check does.
-        let verify =
-            |parts: &[(usize, [u32; 2])]| parts.iter().all(|(_, items)| !items.contains(&41));
+        // verifier names the positions of the parts that hold a bad item,
+        // as the engine's labels do.
+        let verify = |parts: &[(usize, [u32; 2])]| {
+            let bad = parts
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, items))| items.contains(&41));
+            let bad: Vec<usize> = bad.map(|(at, _)| at).collect();
+            if bad.is_empty() {
+                Ok(())
+            } else {
+                Err(bad)
+            }
+        };
         let mut batch = PartBatch::new(4);
         let (mut verified, mut rejected, mut batches) = (Vec::new(), Vec::new(), 0);
         for part in 0..9usize {
@@ -1182,11 +1207,14 @@ mod tests {
         let prepared = elgamal::PreparedKey::new(&pk);
         type Part = (usize, Vec<(Ciphertext, Scalar, Scalar)>);
         let verify = |parts: &[Part]| {
-            let claims: Vec<_> = parts
-                .iter()
-                .flat_map(|(_, claims)| claims.clone())
-                .collect();
-            elgamal::batch_verify_openings(&pk, &claims)
+            let mut batch = LinearBatch::new(0);
+            let pk = batch.shared(&pk.0);
+            for (label, (_, claims)) in parts.iter().enumerate() {
+                for claim in claims {
+                    elgamal::push_opening(&mut batch, pk, claim, label);
+                }
+            }
+            batch.check()
         };
         const PARTS: usize = 130;
         let openings: Vec<(Ciphertext, Scalar, Scalar)> = (0..5 * PARTS as u64)

@@ -17,15 +17,15 @@
 //! and verification of the homomorphic tally opening against the result.
 //!
 //! The curve-heavy checks (d) and (e) take the **batch verification
-//! path**: every opening, and every proof of every used row, is folded
-//! into one multi-scalar multiplication a pool worker
-//! ([`elgamal::batch_verify_openings`] / [`zkp::verify_rows`]); only
-//! when a batch fails does the auditor fall back to per-item verification
-//! — parallelized over the [`Pool`] — to name the culprits. The delegated
+//! path**: each pool worker enters its share of the openings and of the
+//! proofs of the used rows into one [`LinearBatch`] — one multi-scalar
+//! multiplication — with every opening and every proof under a label of
+//! its own, so a failing batch names its culprits itself. The delegated
 //! per-voter sweep is likewise spread over the pool; sub-reports merge in
 //! voter order, so the report is deterministic for any thread count.
 
 use ddemos_bb::BbSnapshot;
+use ddemos_crypto::batch::LinearBatch;
 use ddemos_crypto::elgamal::{self, Ciphertext};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::zkp;
@@ -33,6 +33,7 @@ use ddemos_protocol::ballot::AuditInfo;
 use ddemos_protocol::exec::Pool;
 use ddemos_protocol::initdata::BbInit;
 use ddemos_protocol::{PartId, SerialNo};
+use std::collections::BTreeSet;
 
 /// Outcome of an audit.
 #[derive(Clone, Debug, Default)]
@@ -62,47 +63,38 @@ impl AuditReport {
     }
 }
 
-/// A pending curve-side opening check collected by pass (d):
-/// the claim that `(bit, rand)` opens `ct`, plus where it came from.
+/// A pending curve-side opening check collected by pass (d): the claim,
+/// plus where it came from.
 struct OpeningInstance {
     serial: SerialNo,
     part: PartId,
     row: usize,
-    ct: Ciphertext,
-    bit: Scalar,
-    rand: Scalar,
+    claim: elgamal::Opening,
 }
 
-/// The proofs of one used row, collected by pass (e).
+/// The proofs of one used row, collected by pass (e), with the first of
+/// the labels they take after the openings' ([`RowCheck::label`]).
 struct RowCheck<'a> {
     serial: SerialNo,
     part: PartId,
     row: usize,
     proof: zkp::RowProof<'a>,
+    first: usize,
 }
 
-/// Verifies `items` with one random-combination sub-batch per pool worker
-/// (the whole set is valid iff every sub-batch check passes, so the happy
-/// path scales with the pool). Returns `None` when everything verified;
-/// otherwise the per-item outcomes from `item_fn`, computed in parallel,
-/// so the caller can name the culprits.
-fn batched_verify<T: Sync, O: Send>(
-    pool: &Pool,
-    items: &[T],
-    batch_fn: impl Fn(&[T]) -> bool + Sync,
-    item_fn: impl Fn(&T) -> O + Sync,
-) -> Option<Vec<O>> {
-    let sub_batches: Vec<&[T]> = items
-        .chunks(items.len().div_ceil(pool.threads()).max(1))
-        .collect();
-    if pool
-        .map(&sub_batches, |sub| batch_fn(sub))
-        .into_iter()
-        .all(|ok| ok)
-    {
-        return None;
+impl RowCheck<'_> {
+    /// The OR proofs the row holds: one a ciphertext that has its first
+    /// move and its response.
+    fn ors(&self) -> usize {
+        let p = &self.proof;
+        p.cts.len().min(p.or_first.len()).min(p.or_resp.len())
     }
-    Some(pool.map(items, item_fn))
+
+    /// The label, counted from the first after the openings, of OR proof
+    /// `j` (`Some(j)`) or of the sum proof (`None`).
+    fn label(&self, proof: Option<usize>) -> usize {
+        self.first + proof.unwrap_or(self.ors())
+    }
 }
 
 /// The public auditor.
@@ -124,7 +116,7 @@ impl<'a> Auditor<'a> {
         }
     }
 
-    /// Sets the worker count for the fallback and delegated sweeps.
+    /// Sets the worker count for the batch and delegated sweeps.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Auditor<'a> {
         self.pool = Pool::new(threads);
@@ -218,8 +210,10 @@ impl<'a> Auditor<'a> {
             "challenge does not match the voters' coins".into()
         });
 
-        self.verify_openings(&mut report, vote_set, &serials);
-        self.verify_proofs(&mut report, vote_set, &challenge);
+        let openings = self.collect_openings(&mut report, vote_set, &serials);
+        let mut proofs_report = AuditReport::default();
+        let rows = self.collect_proofs(&mut proofs_report, vote_set, &challenge);
+        self.verify_claims(&mut report, proofs_report, &openings, &rows);
 
         // Tally: recompute the homomorphic total and verify its opening.
         let m = self.init.params.num_options;
@@ -258,18 +252,16 @@ impl<'a> Auditor<'a> {
         report
     }
 
-    /// Check (d): openings valid and unit-vector shaped; coverage is the
-    /// unused part of voted ballots and both parts of unvoted ballots.
-    /// Structural and scalar-side checks run inline while the curve-side
-    /// opening equations are collected, then one batched MSM replaces the
-    /// per-opening verification (with a parallel per-item fallback that
-    /// names the culprits when the batch fails).
-    fn verify_openings(
+    /// Check (d), structure: openings present and unit-vector shaped;
+    /// coverage is the unused part of voted ballots and both parts of
+    /// unvoted ballots. Returns the opening claims for
+    /// [`Auditor::verify_claims`].
+    fn collect_openings(
         &self,
         report: &mut AuditReport,
         vote_set: &ddemos_protocol::posts::VoteSet,
         serials: &[SerialNo],
-    ) {
+    ) -> Vec<OpeningInstance> {
         let mut instances: Vec<OpeningInstance> = Vec::new();
         for serial in serials {
             let ballot = &self.init.ballots[serial];
@@ -309,9 +301,7 @@ impl<'a> Auditor<'a> {
                             serial: *serial,
                             part,
                             row: row_idx,
-                            ct: *ct,
-                            bit: *bit,
-                            rand: *rand,
+                            claim: (*ct, *bit, *rand),
                         });
                         match bit.to_u64() {
                             Some(0) => {}
@@ -327,42 +317,20 @@ impl<'a> Auditor<'a> {
                 }
             }
         }
-        let outcomes = batched_verify(
-            &self.pool,
-            &instances,
-            |sub| {
-                let items: Vec<(Ciphertext, Scalar, Scalar)> =
-                    sub.iter().map(|i| (i.ct, i.bit, i.rand)).collect();
-                elgamal::batch_verify_openings(&self.init.elgamal_pk, &items)
-            },
-            |inst| elgamal::verify_opening(&self.init.elgamal_pk, &inst.ct, &inst.bit, &inst.rand),
-        );
-        let Some(outcomes) = outcomes else {
-            report.checks_run += instances.len();
-            return;
-        };
-        for (inst, ok) in instances.iter().zip(outcomes) {
-            report.check(ok, || {
-                format!(
-                    "(d) invalid opening {} {:?} row {}",
-                    inst.serial, inst.part, inst.row
-                )
-            });
-        }
+        instances
     }
 
-    /// Check (e): used-part ZK proofs complete and valid, one check per
-    /// OR proof and per sum proof. Every used row's proofs go to one
-    /// [`zkp::verify_rows`] MSM a pool worker; a sub-batch that fails
-    /// names its failing proofs by [`zkp::or_verify`] and
-    /// [`zkp::sum_verify`], row by row in parallel.
-    fn verify_proofs(
+    /// Check (e), structure: every used row's proofs present, one a
+    /// ciphertext and the sum proof. Returns the rows for
+    /// [`Auditor::verify_claims`].
+    fn collect_proofs(
         &self,
         report: &mut AuditReport,
         vote_set: &ddemos_protocol::posts::VoteSet,
         challenge: &Scalar,
-    ) {
+    ) -> Vec<RowCheck<'_>> {
         let mut rows: Vec<RowCheck<'_>> = Vec::new();
+        let mut first = 0;
         for (serial, code) in &vote_set.entries {
             let Some((part, _)) = self.locate_cast_row(*serial, code).first().copied() else {
                 continue;
@@ -386,16 +354,16 @@ impl<'a> Auditor<'a> {
             });
             for (row_idx, ((or_resp, sum_z), row)) in responses.iter().zip(bb_rows).enumerate() {
                 // A response or first-move list shorter than the commitment
-                // fails its row's batch; the per-proof fallback below then
-                // checks only the proofs that are there (e.g. a malicious
-                // EA publishing short `or_first`).
+                // leaves its ciphertexts without OR proofs; the batch checks
+                // only the proofs that are there (e.g. a malicious EA
+                // publishing short `or_first`).
                 report.check(or_resp.len() == row.commitment.len(), || {
                     format!("(e) ZK response arity mismatch {serial} {part:?} row {row_idx}")
                 });
                 report.check(row.or_first.len() == row.commitment.len(), || {
                     format!("(e) proof first-move arity mismatch {serial} {part:?} row {row_idx}")
                 });
-                rows.push(RowCheck {
+                let check = RowCheck {
                     serial: *serial,
                     part,
                     row: row_idx,
@@ -407,47 +375,66 @@ impl<'a> Auditor<'a> {
                         sum_z: *sum_z,
                         c: *challenge,
                     },
-                });
+                    first,
+                };
+                first = check.label(None) + 1;
+                rows.push(check);
             }
         }
-        let pk = &self.init.elgamal_pk;
-        let outcomes = batched_verify(
-            &self.pool,
-            &rows,
-            |sub| {
-                let proofs: Vec<zkp::RowProof<'_>> = sub.iter().map(|check| check.proof).collect();
-                zkp::verify_rows(pk, &proofs)
-            },
-            |check| {
-                let p = &check.proof;
-                let ors = p.cts.iter().zip(p.or_first).zip(p.or_resp);
-                let or_ok: Vec<bool> = ors
-                    .map(|((ct, first), resp)| zkp::or_verify(pk, ct, first, resp, &p.c))
-                    .collect();
-                let sum_ok = zkp::sum_verify(pk, p.cts, p.sum_first, &p.c, &p.sum_z);
-                (or_ok, sum_ok)
-            },
-        );
-        let Some(outcomes) = outcomes else {
-            // Every row verified, so every row is whole: one OR proof a
-            // ciphertext, and the sum proof.
-            report.checks_run += rows
-                .iter()
-                .map(|check| check.proof.cts.len() + 1)
-                .sum::<usize>();
-            return;
-        };
-        for (check, (or_ok, sum_ok)) in rows.iter().zip(outcomes) {
-            let kinds = or_ok
-                .into_iter()
-                .map(|ok| ("OR", ok))
-                .chain([("sum", sum_ok)]);
-            for (kind, ok) in kinds {
-                report.check(ok, || {
-                    format!(
-                        "(e) {kind} proof failed {} {:?} row {}",
-                        check.serial, check.part, check.row
-                    )
+        rows
+    }
+
+    /// The curve side of checks (d) and (e): every opening claim and every
+    /// proof in one [`LinearBatch`] a pool worker, each worker holding its
+    /// share of both, every claim under its own label — opening `i` under
+    /// `i`, the proofs after them ([`RowCheck::label`]) — so the failing
+    /// labels name the culprits: one check an opening, an OR proof and a
+    /// sum proof. The (d) results are reported before `proofs_report`,
+    /// the (e) structure checks, and the (e) results after.
+    fn verify_claims(
+        &self,
+        report: &mut AuditReport,
+        proofs_report: AuditReport,
+        openings: &[OpeningInstance],
+        rows: &[RowCheck<'_>],
+    ) {
+        let workers: Vec<usize> = (0..self.pool.threads()).collect();
+        let per_opening = openings.len().div_ceil(workers.len()).max(1);
+        let per_row = rows.len().div_ceil(workers.len()).max(1);
+        let offset = openings.len();
+        let row_terms = rows.iter().map(|r| zkp::row_terms(r.proof.cts.len()));
+        let terms = (2 * offset + row_terms.sum::<usize>()) / workers.len() + 2;
+        let failing: BTreeSet<usize> = self
+            .pool
+            .map(&workers, |&w| {
+                let mut batch = LinearBatch::new(terms);
+                let pk = batch.shared(&self.init.elgamal_pk.0);
+                let share = openings.iter().enumerate().skip(w * per_opening);
+                for (label, o) in share.take(per_opening) {
+                    elgamal::push_opening(&mut batch, pk, &o.claim, label);
+                }
+                for r in rows.iter().skip(w * per_row).take(per_row) {
+                    r.proof
+                        .push(&mut batch, pk, |proof| offset + r.label(proof));
+                }
+                batch.check().err().unwrap_or_default()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        for (label, o) in openings.iter().enumerate() {
+            let (serial, part, row) = (o.serial, o.part, o.row);
+            report.check(!failing.contains(&label), || {
+                format!("(d) invalid opening {serial} {part:?} row {row}")
+            });
+        }
+        report.merge(proofs_report);
+        for check in rows {
+            let (serial, part, row) = (check.serial, check.part, check.row);
+            let proofs = (0..check.ors()).map(|j| ("OR", Some(j)));
+            for (kind, proof) in proofs.chain([("sum", None)]) {
+                report.check(!failing.contains(&(offset + check.label(proof))), || {
+                    format!("(e) {kind} proof failed {serial} {part:?} row {row}")
                 });
             }
         }

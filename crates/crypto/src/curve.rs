@@ -1,12 +1,10 @@
 //! secp256k1 group arithmetic (short Weierstrass `y² = x³ + 7`).
 //!
 //! Points are held in Jacobian coordinates internally; the public API exposes
-//! an opaque [`Point`] with group operations, scalar multiplication, 33-byte
-//! compressed serialization, and deterministic hash-to-point (used to derive
-//! independent Pedersen generators).
+//! an opaque [`Point`] with group operations, scalar multiplication and
+//! 33-byte compressed serialization.
 
 use crate::field::{Fp, Scalar};
-use crate::sha256::Sha256;
 use crate::u256::U256;
 
 /// Curve coefficient `b` in `y² = x³ + b`.
@@ -346,13 +344,6 @@ impl Point {
         pippenger(scalars, points)
     }
 
-    /// Sum of `aᵢ·Pᵢ` (now routed through [`Point::msm`]).
-    pub fn multi_mul(pairs: &[(Scalar, Point)]) -> Point {
-        let scalars: Vec<Scalar> = pairs.iter().map(|(k, _)| *k).collect();
-        let points: Vec<Point> = pairs.iter().map(|(_, p)| *p).collect();
-        Point::msm(&scalars, &points)
-    }
-
     /// Batch [`Point::to_bytes`]: one Montgomery-trick inversion shared
     /// across the whole slice instead of one per point — this is what
     /// makes hashing many projective points (batch-verification
@@ -407,28 +398,6 @@ impl Point {
             }
             _ => None,
         }
-    }
-
-    /// Deterministically maps a domain-separated byte string to a curve
-    /// point with unknown discrete log (try-and-increment).
-    pub fn hash_to_point(domain: &[u8]) -> Point {
-        for counter in 0u32.. {
-            let mut h = Sha256::new();
-            h.update(b"ddemos/hash-to-point/v1");
-            h.update(domain);
-            h.update(&counter.to_be_bytes());
-            let digest = h.finalize();
-            let x = Fp::from_bytes_reduce(&digest);
-            let rhs = x.square() * x + curve_b();
-            if let Some(y) = rhs.sqrt() {
-                // Normalize parity for determinism.
-                let y = if y.to_bytes()[31] & 1 == 0 { y } else { -y };
-                let p = Point { x, y, z: Fp::ONE };
-                debug_assert!(p.is_on_curve());
-                return p;
-            }
-        }
-        unreachable!("hash_to_point always terminates")
     }
 }
 
@@ -846,8 +815,8 @@ const COMB_MIN_PAIRS: usize = COST_INVERT / (COST_MIXED + COST_NORMALIZE - COST_
 /// batch-affine addition, at about 60 % of that a scalar.
 ///
 /// [`FixedBase::generator`] is this structure instantiated once for `G`;
-/// callers with their own hot base — the election ElGamal key, the Pedersen
-/// `H`, a peer's verification key — build their own and reuse it.
+/// callers with their own hot base — the election ElGamal key, a peer's
+/// verification key — build their own and reuse it.
 #[derive(Clone, Debug)]
 pub struct FixedBase {
     /// `table[pos][d − 1] = d · 32^pos · base` (pos from the least
@@ -1726,17 +1695,6 @@ mod tests {
                 assert_eq!(table.mul(k), base.mul(k), "k = {k}");
             }
         }
-    }
-
-    #[test]
-    fn hash_to_point_deterministic_and_distinct() {
-        let a = Point::hash_to_point(b"pedersen-h");
-        let b = Point::hash_to_point(b"pedersen-h");
-        let c = Point::hash_to_point(b"other");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(a.is_on_curve());
-        assert!(!a.is_identity());
     }
 
     fn arb_scalar() -> impl Strategy<Value = Scalar> {

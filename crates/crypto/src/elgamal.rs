@@ -12,9 +12,9 @@
 //! discrete log for small messages) is provided for completeness and is used
 //! to cross-check homomorphic tallies in tests.
 
+use crate::batch::LinearBatch;
 use crate::curve::{CombBatch, FixedBase, Point};
 use crate::field::Scalar;
-use crate::sha256::{Sha256, WeightStream};
 use std::collections::HashMap;
 
 /// An ElGamal public key (`pk = sk·G`).
@@ -179,66 +179,29 @@ pub fn verify_opening(pk: &PublicKey, ct: &Ciphertext, m: &Scalar, r: &Scalar) -
     ct.a == Point::mul_generator(r) && ct.b == Point::mul_generator(m) + pk.0.mul(r)
 }
 
-/// Verifies many openings at once with a random linear combination folded
-/// into one multi-scalar multiplication ([`Point::msm`]).
-///
-/// For each item `(ct, m, r)` the per-item equations
-/// `a − r·G = 0` and `b − m·G − r·pk = 0` are combined with 128-bit
-/// weights `ρᵢ, σᵢ` (a `WeightStream`) drawn from a transcript of the
-/// whole batch, so the check is deterministic. By Bellare–Garay–Rabin's
-/// small-exponent test a batch holding a false opening passes with
-/// probability at most 2⁻¹²⁸; grinding the transcript for a lucky draw
-/// costs ~2¹²⁸ hashes, the curve's own generic bound. `a` and `b` enter
-/// the MSM with the bare short weights. Returns `true` for an empty batch.
-///
-/// On failure the batch gives no culprit — fall back to per-item
-/// [`verify_opening`] to localize.
-pub fn batch_verify_openings(pk: &PublicKey, items: &[(Ciphertext, Scalar, Scalar)]) -> bool {
-    if items.is_empty() {
-        return true;
+/// The claim that `(m, r)` opens a ciphertext.
+pub type Opening = (Ciphertext, Scalar, Scalar);
+
+/// Enters an [`Opening`] into `batch` under `label`: `a − r·G = 0` and
+/// `b − m·G − r·pk = 0`, with `pk` the key's shared base
+/// ([`LinearBatch::shared`]).
+pub fn push_opening(batch: &mut LinearBatch, pk: usize, (ct, m, r): &Opening, label: usize) {
+    let (g, m, r) = (LinearBatch::G, batch.scalar(*m), batch.scalar(*r));
+    batch.push(label, ct.a, [(g, -r)]);
+    batch.push(label, ct.b, [(g, -m), (pk, -r)]);
+}
+
+/// Verifies many openings at once: equal, but for a chance of at most
+/// 2⁻¹²⁸, to [`verify_opening`] on every item. Each claim is
+/// [`push_opening`]ed into one [`LinearBatch`], an MSM over `2n + 2`
+/// points. Returns `true` for an empty batch; a failure names no culprit.
+pub fn batch_verify_openings(pk: &PublicKey, items: &[Opening]) -> bool {
+    let mut batch = LinearBatch::new(2 * items.len() + 2);
+    let pk = batch.shared(&pk.0);
+    for item in items {
+        push_opening(&mut batch, pk, item, 0);
     }
-    if items.len() == 1 {
-        let (ct, m, r) = &items[0];
-        return verify_opening(pk, ct, m, r);
-    }
-    // Normalise every point once, with one shared inversion: the
-    // transcript hashes the encodings and the MSM adds the same affine
-    // coordinates. (Per-item `ct.to_bytes()` would cost an inversion each
-    // and swamp the MSM this function exists to save.)
-    let points = {
-        let mut points = Vec::with_capacity(2 * items.len() + 2);
-        points.push(pk.0);
-        for (ct, _, _) in items {
-            points.extend([ct.a, ct.b]);
-        }
-        points.push(Point::generator());
-        Point::batch_normalize(&points)
-    };
-    let mut transcript = Sha256::new();
-    transcript.update(b"ddemos/batch-openings/v1");
-    transcript.update(&points[0].to_bytes());
-    for ((_, m, r), ct) in items.iter().zip(points[1..].chunks_exact(2)) {
-        for p in ct {
-            transcript.update(&p.to_bytes());
-        }
-        transcript.update(&m.to_bytes());
-        transcript.update(&r.to_bytes());
-    }
-    let seed = transcript.finalize();
-    // Σᵢ ρᵢ·(aᵢ − rᵢ·G) + σᵢ·(bᵢ − mᵢ·G − rᵢ·pk) == 0, grouped by base;
-    // one scalar per point, in the order above: pk, (a, b) per item, G.
-    let mut scalars = Vec::with_capacity(points.len());
-    scalars.push(Scalar::ZERO);
-    let mut g_coeff = Scalar::ZERO;
-    let mut pk_coeff = Scalar::ZERO;
-    for ((_, m, r), [rho, sigma]) in items.iter().zip(WeightStream::new(&seed)) {
-        scalars.extend([rho, sigma]);
-        g_coeff -= rho * *r + sigma * *m;
-        pk_coeff -= sigma * *r;
-    }
-    scalars[0] = pk_coeff;
-    scalars.push(g_coeff);
-    Point::msm_affine(&scalars, &points).is_identity()
+    batch.check().is_ok()
 }
 
 /// Decrypts a lifted ciphertext, recovering `m·G`.

@@ -10,9 +10,11 @@
 //! * [`aes`] / [`votecode`] — AES-128-CBC$ and the paper's vote-code and
 //!   master-key commitments (§III-D).
 //! * [`elgamal`] — lifted ElGamal option-encoding commitments (§III-B).
-//! * [`pedersen`] / [`shamir`] / [`vss`] — commitments and the two
-//!   verifiable-secret-sharing flavours (Pedersen VSS for trustees,
-//!   dealer-signed Shamir for receipts and `msk`).
+//! * [`batch`] — the one batch-verification engine ([`batch::LinearBatch`])
+//!   under signature bursts, result publication and the audit.
+//! * [`shamir`] / [`vss`] — Shamir sharing (the trustees' shares of
+//!   openings, proof coefficients and the tally) and its dealer-signed
+//!   form for receipts and `msk`.
 //! * [`schnorr`] — signatures for node identities, ENDORSEMENTs/UCERTs and
 //!   BB writes.
 //! * [`zkp`] — Chaum–Pedersen Sigma-OR ballot-correctness proofs with the
@@ -35,12 +37,12 @@
 #![warn(missing_docs)]
 
 pub mod aes;
+pub mod batch;
 pub mod curve;
 pub mod elgamal;
 pub mod field;
 pub mod hmac;
 pub mod mverify;
-pub mod pedersen;
 pub mod schnorr;
 pub mod sha256;
 pub mod shamir;

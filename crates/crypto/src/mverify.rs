@@ -22,8 +22,9 @@
 //!   carries the same UCERT signatures in every message — and all copies
 //!   share the verdict. A small remainder goes through the comb tables
 //!   with one shared inversion for the whole call, a large one collapses
-//!   into one MSM via [`crate::schnorr::verify_batch`], with bisection
-//!   attributing any invalid entry to its index.
+//!   into one MSM via [`crate::schnorr::verify_batch`], whose engine
+//!   ([`crate::batch::LinearBatch`]) attributes any invalid entry to its
+//!   index.
 //!
 //! Correctness note: the cache can only turn a *re*-verification into a
 //! lookup — a signature enters it exclusively by verifying — and the
@@ -33,9 +34,7 @@
 //! from an empty cache and replays the same verification sequence.
 
 use crate::curve::Point;
-use crate::schnorr::{
-    verify_batch_digested, BatchEntry, PreparedVerifier, Signature, VerifyingKey,
-};
+use crate::schnorr::{verify_batch, BatchEntry, PreparedVerifier, Signature, VerifyingKey};
 use crate::sha256::{sha256, sha256_parts};
 use crate::vss::{DealerVss, SignedShare};
 use std::collections::btree_map::Entry;
@@ -219,22 +218,19 @@ impl MsgVerifier {
 
     /// Verifies a queue of signatures in one batch: cached entries are
     /// free, equal entries are verified once, and the distinct remainder
-    /// goes through the comb tables (small) or a single MSM with bisection
-    /// attributing each invalid entry (large). Returns one verdict per
+    /// goes through the comb tables (small) or a single MSM that
+    /// attributes each invalid entry (large). Returns one verdict per
     /// input, in order; valid entries are memoized.
     pub fn check_batch(&mut self, items: &[(VerifyingKey, Vec<u8>, Signature)]) -> Vec<bool> {
         let mut verdicts = vec![true; items.len()];
-        // Item index, digest and message digest of the first occurrence of
-        // every distinct uncached triple (the MSM path's transcript takes
-        // the message digest, so a message is hashed only here and for its
-        // challenge), and the later copies with the position (in `fresh`)
-        // of the occurrence whose verdict they share.
-        let mut fresh: Vec<(usize, [u8; 32], [u8; 32])> = Vec::new();
+        // Item index and digest of the first occurrence of every distinct
+        // uncached triple, and the later copies with the position (in
+        // `fresh`) of the occurrence whose verdict they share.
+        let mut fresh: Vec<(usize, [u8; 32])> = Vec::new();
         let mut copies: Vec<(usize, usize)> = Vec::new();
         let mut first_at: BTreeMap<[u8; 32], usize> = BTreeMap::new();
         for (i, (vk, msg, sig)) in items.iter().enumerate() {
-            let msg_digest = sha256(msg);
-            let digest = Self::digest(vk, &msg_digest, sig);
+            let digest = Self::digest(vk, &sha256(msg), sig);
             if self.cache.contains(&digest) {
                 self.counts.cached += 1;
                 continue;
@@ -242,7 +238,7 @@ impl MsgVerifier {
             match first_at.entry(digest) {
                 Entry::Vacant(slot) => {
                     slot.insert(fresh.len());
-                    fresh.push((i, digest, msg_digest));
+                    fresh.push((i, digest));
                 }
                 Entry::Occupied(slot) => copies.push((i, *slot.get())),
             }
@@ -263,7 +259,7 @@ impl MsgVerifier {
             // Below the MSM's break-even size, the per-peer comb tables
             // win on constant factor. Every `s·G − e·PK` first, then one
             // inversion encodes them all for the comparison with `R`;
-            // outcomes are per-item, so attribution needs no bisection.
+            // outcomes are per-item, so attribution needs no second check.
             let expected: Vec<Option<Point>> = tables
                 .iter()
                 .zip(&fresh)
@@ -287,14 +283,13 @@ impl MsgVerifier {
                 .iter()
                 .map(|&(i, ..)| (items[i].0, items[i].1.as_slice(), items[i].2))
                 .collect();
-            let msg_digests: Vec<[u8; 32]> = fresh.iter().map(|&(.., d)| d).collect();
-            if let Err(invalid) = verify_batch_digested(&entries, &msg_digests) {
+            if let Err(invalid) = verify_batch(&entries) {
                 for pos in invalid {
                     fresh_ok[pos] = false;
                 }
             }
         }
-        for (&(i, digest, _), &ok) in fresh.iter().zip(&fresh_ok) {
+        for (&(i, digest), &ok) in fresh.iter().zip(&fresh_ok) {
             verdicts[i] = ok;
             if ok {
                 self.cache.insert(digest);

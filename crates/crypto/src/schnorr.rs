@@ -8,21 +8,19 @@
 //! Verification comes in three shapes, fastest first:
 //!
 //! * [`verify_batch`] — random-linear-combination batch verification:
-//!   `n` signatures collapse into one multi-scalar multiplication, with
-//!   per-entry Fiat–Shamir weights derived by hashing the batch
-//!   transcript (no RNG, so virtual-time replays stay byte-identical).
-//!   On failure it bisects to attribute the invalid entries.
+//!   `n` signatures collapse into one multi-scalar multiplication of the
+//!   [`LinearBatch`] engine, which names the invalid entries on failure.
 //! * [`PreparedVerifier`] — a per-peer fixed-base comb table for the
 //!   public key, built once at startup: the `e·PK` term becomes table
 //!   lookups instead of a generic double-and-add ladder.
 //! * [`VerifyingKey::verify`] — the plain one-shot path (setup, audit,
 //!   tests), carrying the `crypto.verify_ns` profiling hook.
 
+use crate::batch::LinearBatch;
 use crate::curve::{FixedBase, Point};
 use crate::field::{Fp, Scalar};
 use crate::hmac::HmacKey;
-use crate::sha256::{sha256, sha256_parts, WeightStream};
-use std::collections::BTreeMap;
+use crate::sha256::sha256_parts;
 
 /// A Schnorr verification (public) key, carrying its compressed
 /// encoding.
@@ -339,145 +337,36 @@ impl PreparedVerifier {
 /// One batch entry: `(key, message, signature)`.
 pub type BatchEntry<'a> = (VerifyingKey, &'a [u8], Signature);
 
-/// An entry whose structural pre-checks passed, with its decompressed
-/// commitment, challenge and message digest computed once (the encodings
-/// the transcript hashes need are stored on the key and the signature).
-struct PreparedEntry {
-    index: usize,
-    vk: VerifyingKey,
-    msg_digest: [u8; 32],
-    sig: Signature,
-    r: Point,
-    e: Scalar,
+/// Enters `(vk, message, sig)` into `batch` under `label` as
+/// `R + e·PK − s·G = 0`: `e = H(R‖PK‖m)` binds the message, and `PK` is a
+/// shared base, so `n` signatures from `k` signers are an MSM over
+/// `n + k + 1` points. An `R` that names no point, or an identity key, is
+/// rejected without group math.
+pub fn push_signature(batch: &mut LinearBatch, (vk, message, sig): &BatchEntry<'_>, label: usize) {
+    match sig.r_point() {
+        Some(r) if !vk.point.is_identity() => {
+            let pk = batch.shared(&vk.point);
+            let e = batch.scalar(challenge(&sig.r, vk, message));
+            let s = batch.scalar(sig.s);
+            batch.push(label, r, [(pk, e), (LinearBatch::G, -s)]);
+        }
+        _ => batch.reject(label),
+    }
 }
 
-/// Verifies `n` signatures as one multi-scalar multiplication.
-///
-/// The batch accepts iff `Σ ρᵢ·(Rᵢ + eᵢ·PKᵢ − sᵢ·G) = 0` for 128-bit
-/// weights `ρᵢ` hashed from the batch transcript (keys, commitments,
-/// responses, message digests). By Bellare–Garay–Rabin's small-exponent
-/// test a batch holding an invalid entry passes with probability at most
-/// 2⁻¹²⁸; since the weights are Fiat–Shamir, a forger who grinds
-/// signatures for a lucky draw pays ~2¹²⁸ hashes, the curve's own generic
-/// bound — and the whole computation is a pure function of the inputs,
-/// keeping virtual-time replays byte-identical.
-///
-/// Terms are grouped before the MSM: one generator term (`−Σ ρᵢsᵢ`), one
-/// term per *distinct* public key (`Σ ρᵢeᵢ`), one term per commitment,
-/// the bare short weight `ρᵢ` — a batch of `n` endorsements from `k`
-/// peers costs an MSM of `n + k + 1` points instead of `n` double-muls,
-/// `n` of them half-width.
+/// Verifies `n` signatures as one multi-scalar multiplication, each
+/// entry [`push_signature`]d under its index.
 ///
 /// # Errors
-/// On batch failure, bisects (re-deriving weights per sub-batch) down to
-/// individual checks and returns the sorted indices of every invalid
-/// entry, so a single forged signature is still attributed to its
-/// sender.
+/// The sorted indices of every invalid entry, so a single forged
+/// signature is still attributed to its sender.
 pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), Vec<usize>> {
-    let digests: Vec<[u8; 32]> = entries.iter().map(|(_, msg, _)| sha256(msg)).collect();
-    verify_batch_digested(entries, &digests)
-}
-
-/// [`verify_batch`] for a caller that holds each message's SHA-256
-/// already (`digests[i]` of `entries[i]`'s message), so that a message is
-/// hashed only for its digest and its challenge.
-pub(crate) fn verify_batch_digested(
-    entries: &[BatchEntry<'_>],
-    digests: &[[u8; 32]],
-) -> Result<(), Vec<usize>> {
-    debug_assert_eq!(entries.len(), digests.len(), "one digest an entry");
     let _t = ddemos_obs::scoped_ns("crypto.verify_batch_ns", "schnorr");
-    let mut invalid = Vec::new();
-    let mut good = Vec::with_capacity(entries.len());
-    for (index, ((vk, msg, sig), msg_digest)) in entries.iter().zip(digests).enumerate() {
-        // Structural failures are attributable without any group math.
-        match sig.r_point() {
-            Some(r) if !vk.point.is_identity() => good.push(PreparedEntry {
-                index,
-                vk: *vk,
-                msg_digest: *msg_digest,
-                sig: *sig,
-                r,
-                e: challenge(&sig.r, vk, msg),
-            }),
-            _ => invalid.push(index),
-        }
+    let mut batch = LinearBatch::new(entries.len() + 1);
+    for (label, entry) in entries.iter().enumerate() {
+        push_signature(&mut batch, entry, label);
     }
-    if !batch_holds(&good) {
-        bisect(&good, &mut invalid);
-    }
-    if invalid.is_empty() {
-        Ok(())
-    } else {
-        invalid.sort_unstable();
-        Err(invalid)
-    }
-}
-
-/// Whether the random-linear-combination check accepts this sub-batch.
-/// The per-entry digests of the transcript take each message's digest,
-/// so a bisection does not hash a message again.
-fn batch_holds(entries: &[PreparedEntry]) -> bool {
-    match entries.len() {
-        0 => return true,
-        1 => {
-            let e = &entries[0];
-            return Point::double_mul(&e.sig.s, &Point::generator(), &-e.e, &e.vk.point) == e.r;
-        }
-        _ => {}
-    }
-    // Seed = H(domain ‖ per-entry transcript digests).
-    let digests: Vec<[u8; 32]> = entries
-        .iter()
-        .map(|e| sha256_parts(&[&e.vk.enc, &e.sig.r, &e.sig.s.to_bytes(), &e.msg_digest]))
-        .collect();
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(digests.len() + 1);
-    parts.push(b"ddemos/batch-schnorr/v1");
-    parts.extend(digests.iter().map(|d| d.as_slice()));
-    let weights = WeightStream::new(&sha256_parts(&parts)).flatten();
-
-    let mut g_coeff = Scalar::ZERO;
-    // Group the `ρᵢeᵢ` coefficients per distinct key (BTree keyed by
-    // encoding: deterministic order for the MSM input).
-    let mut per_key: BTreeMap<[u8; 33], (Point, Scalar)> = BTreeMap::new();
-    let mut scalars = Vec::with_capacity(entries.len());
-    let mut points = Vec::with_capacity(entries.len());
-    for (entry, rho) in entries.iter().zip(weights) {
-        g_coeff -= rho * entry.sig.s;
-        let slot = per_key
-            .entry(entry.vk.enc)
-            .or_insert((entry.vk.point, Scalar::ZERO));
-        slot.1 += rho * entry.e;
-        scalars.push(rho);
-        points.push(entry.r);
-    }
-    scalars.push(g_coeff);
-    points.push(Point::generator());
-    for (pk, coeff) in per_key.values() {
-        scalars.push(*coeff);
-        points.push(*pk);
-    }
-    Point::msm(&scalars, &points).is_identity()
-}
-
-/// Attributes failures: splits a rejected batch in half, re-checks each
-/// half (fresh Fiat–Shamir weights per sub-batch), and recurses into
-/// rejected halves down to single entries.
-fn bisect(entries: &[PreparedEntry], invalid: &mut Vec<usize>) {
-    if entries.len() <= 1 {
-        if let [entry] = entries {
-            if !batch_holds(entries) {
-                invalid.push(entry.index);
-            }
-        }
-        return;
-    }
-    let (lo, hi) = entries.split_at(entries.len() / 2);
-    for half in [lo, hi] {
-        if !batch_holds(half) {
-            bisect(half, invalid);
-        }
-    }
+    batch.check()
 }
 
 #[cfg(test)]

@@ -188,18 +188,6 @@ impl WeightStream {
             index: 0,
         }
     }
-
-    /// The next two weights.
-    pub(crate) fn next_pair(&mut self) -> [Scalar; 2] {
-        let mut h = Sha256::resume(self.midstate, 1);
-        h.update(&self.index.to_be_bytes());
-        self.index += 1;
-        let digest = h.finalize();
-        [0, 16].map(|at| {
-            let half: [u8; 16] = std::array::from_fn(|j| digest[at + j]);
-            Scalar::from_u128(u128::from_be_bytes(half))
-        })
-    }
 }
 
 /// Endless: pair after pair; `.flatten()` hands the weights out one by one.
@@ -207,7 +195,14 @@ impl Iterator for WeightStream {
     type Item = [Scalar; 2];
 
     fn next(&mut self) -> Option<Self::Item> {
-        Some(self.next_pair())
+        let mut h = Sha256::resume(self.midstate, 1);
+        h.update(&self.index.to_be_bytes());
+        self.index += 1;
+        let digest = h.finalize();
+        Some([0, 16].map(|at| {
+            let half: [u8; 16] = std::array::from_fn(|j| digest[at + j]);
+            Scalar::from_u128(u128::from_be_bytes(half))
+        }))
     }
 }
 
@@ -342,10 +337,6 @@ mod tests {
             }
             assert_ne!(lo, hi, "pair {i}");
         }
-        // The iterator hands out what `next_pair` does, in order.
-        let mut stream = WeightStream::new(&seed);
-        assert_eq!(stream.next_pair(), pairs[0]);
-        assert_eq!(stream.next(), Some(pairs[1]));
     }
 
     /// One bit of the seed changes every weight.

@@ -23,16 +23,17 @@
 //!    real.
 //!
 //! Verification comes in two forms. [`or_verify`] and [`sum_verify`] check
-//! one proof each, with Shamir double multiplications: the reference, and
-//! what names a failing proof. [`verify_rows`] checks the proofs of many
-//! ballot rows ([`RowProof`], borrowed from the board) with one
-//! multi-scalar multiplication in which every point a row's equations share
-//! enters once — the path of result publication and of the audit.
+//! one proof each, with Shamir double multiplications: the reference the
+//! batch is tested against. [`RowProof::push`] enters the proofs of a
+//! ballot row, borrowed from the board, into a [`LinearBatch`], in which
+//! every point a row's equations share enters once — the path of result
+//! publication and of the audit; [`verify_rows`] checks many rows so.
 
-use crate::curve::{Affine, CombBatch, FixedBase, Point};
+use crate::batch::LinearBatch;
+use crate::curve::{CombBatch, FixedBase, Point};
 use crate::elgamal::{Ciphertext, PreparedKey, PublicKey};
 use crate::field::Scalar;
-use crate::sha256::{Sha256, WeightStream};
+use crate::sha256::Sha256;
 
 /// First move (commitments) of a Chaum–Pedersen DH-tuple proof for the
 /// statement `∃r: a = r·G ∧ b = r·pk`.
@@ -340,36 +341,52 @@ pub struct RowProof<'a> {
     pub c: Scalar,
 }
 
-/// Terms a row of `m` ciphertexts adds to a [`verify_rows`] MSM: every
-/// ciphertext's `a` and `b`, four first-move points an OR proof and the
-/// sum proof's two.
+/// Terms a row of `m` ciphertexts adds to a batch MSM
+/// ([`RowProof::push`]): every ciphertext's `a` and `b`, four first-move
+/// points an OR proof and the sum proof's two.
 pub fn row_terms(m: usize) -> usize {
     6 * m + 2
 }
 
-/// Verifies every proof of `rows` at once — the batch path of result
-/// publication and of the audit. Equal, but for a negligible chance, to
-/// [`or_verify`] on every ciphertext and [`sum_verify`] on every row.
-///
-/// A row's six equations a ciphertext and two for its sum — per OR
-/// branch `t1ⱼ + cⱼ·a − zⱼ·G = 0`, `t2ⱼ + cⱼ·(b − j·G) − zⱼ·pk = 0`, and
-/// for the sum `s1 + c·Σa − z·G = 0`, `s2 + c·(Σb − G) − z·pk = 0` — are
-/// each weighted by their own 128-bit scalar, drawn from a transcript of
-/// every point and scalar of the batch, and the weighted sum is regrouped
-/// by base: a ciphertext's `a` and `b` carry both branches' and the sum
-/// proof's coefficients, and `b − G` and the row sum fold into the
-/// generator's. So every point enters the one MSM once ([`row_terms`],
-/// plus `pk` and `G`), and no point arithmetic runs before it. Each
-/// equation is signed so that its first-move point enters with the bare
-/// short weight — two thirds of the terms, at half the bucket work of a
-/// full-width scalar. Split challenges that do not recombine to `c`, and
-/// rows whose first moves or responses do not match their ciphertexts one
-/// for one, fail before any curve work.
-///
-/// Soundness is Bellare–Garay–Rabin's small-exponent test: a batch holding
-/// a false equation passes with probability at most 2⁻¹²⁸ over the
-/// weights, and since the weights are hashed from the transcript, grinding
-/// for a lucky draw costs ~2¹²⁸ hashes — the curve's own generic bound.
+impl RowProof<'_> {
+    /// Enters the row's proofs into `batch`: per OR branch `j`
+    /// `t1ⱼ + cⱼ·a − zⱼ·G = 0` and `t2ⱼ + cⱼ·(b − j·G) − zⱼ·pk = 0`, and
+    /// for the sum `s1 + c·Σa − z·G = 0`, `s2 + c·(Σb − G) − z·pk = 0`;
+    /// `a` and `b` enter once and `pk` is a shared base, so a row adds
+    /// [`row_terms`] points. The OR proof of ciphertext `j` goes under
+    /// `label(Some(j))` (rejected if `c0 + c1 ≠ c`; ciphertexts past
+    /// `or_first` or `or_resp` have none), the sum proof under `label(None)`.
+    pub fn push(&self, batch: &mut LinearBatch, pk: usize, label: impl Fn(Option<usize>) -> usize) {
+        let g = LinearBatch::G;
+        let a = batch.bases(self.cts.iter().map(|ct| ct.a));
+        let b = batch.bases(self.cts.iter().map(|ct| ct.b));
+        let c = batch.scalar(self.c);
+        let ors = self.or_first.iter().zip(self.or_resp).take(self.cts.len());
+        for (j, (first, resp)) in ors.enumerate() {
+            let label = label(Some(j));
+            if resp.c0 + resp.c1 != self.c {
+                batch.reject(label);
+                continue;
+            }
+            let [c0, c1, z0, z1] = [resp.c0, resp.c1, resp.z0, resp.z1].map(|k| batch.scalar(k));
+            let (aj, bj, b0, b1) = (a.start + j, b.start + j, first.branch0, first.branch1);
+            batch.push(label, b0.t1, [(aj, c0), (g, -z0)]);
+            batch.push(label, b0.t2, [(bj, c0), (pk, -z0)]);
+            batch.push(label, b1.t1, [(aj, c1), (g, -z1)]);
+            batch.push(label, b1.t2, [(bj, c1), (g, -c1), (pk, -z1)]);
+        }
+        let (label, z) = (label(None), batch.scalar(self.sum_z));
+        let sum_a = a.map(|aj| (aj, c)).chain([(g, -z)]);
+        batch.push(label, self.sum_first.t1, sum_a);
+        let sum_b = b.map(|bj| (bj, c)).chain([(g, -c), (pk, -z)]);
+        batch.push(label, self.sum_first.t2, sum_b);
+    }
+}
+
+/// Verifies every proof of `rows` in one [`LinearBatch`]: equal, but for a
+/// chance of at most 2⁻¹²⁸, to [`or_verify`] and [`sum_verify`] on each.
+/// Mismatched lengths and split challenges that do not recombine to `c`
+/// fail before any curve work. A failure names no culprit.
 pub fn verify_rows(pk: &PublicKey, rows: &[RowProof<'_>]) -> bool {
     let well_formed = rows.iter().all(|row| {
         row.or_first.len() == row.cts.len()
@@ -379,94 +396,13 @@ pub fn verify_rows(pk: &PublicKey, rows: &[RowProof<'_>]) -> bool {
     if !well_formed {
         return false;
     }
-    if rows.is_empty() {
-        return true;
-    }
-    let points = row_points(pk, rows);
-    let mut weights = row_weights(&points, rows);
-    // One scalar per point, in the order of `row_points`. Each row's sum
-    // proof, then each of its OR proofs, draws its weights in turn: a pair
-    // for the G/pk equations of the sum proof, two for those of branches 0
-    // and 1.
-    let mut scalars = vec![Scalar::ZERO; points.len()];
-    let (mut g_coeff, mut pk_coeff) = (Scalar::ZERO, Scalar::ZERO);
-    let mut rest = &mut scalars[2..];
+    let terms = rows.iter().map(|row| row_terms(row.cts.len()));
+    let mut batch = LinearBatch::new(2 + terms.sum::<usize>());
+    let pk = batch.shared(&pk.0);
     for row in rows {
-        let m = row.cts.len();
-        let (ct_coeffs, tail) = std::mem::take(&mut rest).split_at_mut(2 * m);
-        let (move_coeffs, tail) = tail.split_at_mut(4 * m);
-        let (sum_coeffs, tail) = tail.split_at_mut(2);
-        rest = tail;
-        let c = row.c;
-        let [rho, sigma] = weights.next_pair();
-        g_coeff -= rho * row.sum_z + sigma * c;
-        pk_coeff -= sigma * row.sum_z;
-        sum_coeffs.copy_from_slice(&[rho, sigma]);
-        let per_ct = ct_coeffs
-            .chunks_exact_mut(2)
-            .zip(move_coeffs.chunks_exact_mut(4));
-        for (resp, (ct_coeff, move_coeff)) in row.or_resp.iter().zip(per_ct) {
-            let ([rho0, sigma0], [rho1, sigma1]) = (weights.next_pair(), weights.next_pair());
-            g_coeff -= rho0 * resp.z0 + rho1 * resp.z1 + sigma1 * resp.c1;
-            pk_coeff -= sigma0 * resp.z0 + sigma1 * resp.z1;
-            ct_coeff[0] = rho * c + rho0 * resp.c0 + rho1 * resp.c1;
-            ct_coeff[1] = sigma * c + sigma0 * resp.c0 + sigma1 * resp.c1;
-            move_coeff.copy_from_slice(&[rho0, sigma0, rho1, sigma1]);
-        }
+        row.push(&mut batch, pk, |_| 0);
     }
-    scalars[0] = pk_coeff;
-    scalars[1] = g_coeff;
-    Point::msm_affine(&scalars, &points).is_identity()
-}
-
-/// Every point of a [`verify_rows`] batch, normalised once with one shared
-/// inversion (none for the `z = 1` points a board holds): the transcript
-/// hashes the encodings and the MSM adds the same affine coordinates.
-/// Order: pk, G, then per row its `(a, b)`s, its OR first moves and its
-/// sum first move.
-fn row_points(pk: &PublicKey, rows: &[RowProof<'_>]) -> Vec<Affine> {
-    let terms = rows
-        .iter()
-        .map(|row| row_terms(row.cts.len()))
-        .sum::<usize>();
-    let mut points = Vec::with_capacity(2 + terms);
-    points.extend([pk.0, Point::generator()]);
-    for row in rows {
-        points.extend(row.cts.iter().flat_map(|ct| [ct.a, ct.b]));
-        points.extend(row.or_first.iter().flat_map(|first| {
-            let (b0, b1) = (first.branch0, first.branch1);
-            [b0.t1, b0.t2, b1.t1, b1.t2]
-        }));
-        points.extend([row.sum_first.t1, row.sum_first.t2]);
-    }
-    Point::batch_normalize(&points)
-}
-
-/// The weights of a [`verify_rows`] batch: the stream of a transcript of
-/// its points ([`row_points`]), every row's length and every scalar.
-fn row_weights(points: &[Affine], rows: &[RowProof<'_>]) -> WeightStream {
-    let mut transcript = Sha256::new();
-    transcript.update(b"ddemos/batch-rows/v1");
-    for p in &points[..2] {
-        transcript.update(&p.to_bytes());
-    }
-    let mut row_points = &points[2..];
-    for row in rows {
-        let (own, rest) = row_points.split_at(row_terms(row.cts.len()));
-        row_points = rest;
-        transcript.update(&(row.cts.len() as u64).to_be_bytes());
-        for p in own {
-            transcript.update(&p.to_bytes());
-        }
-        for resp in row.or_resp {
-            for k in [resp.c0, resp.c1, resp.z0, resp.z1] {
-                transcript.update(&k.to_bytes());
-            }
-        }
-        transcript.update(&row.sum_z.to_bytes());
-        transcript.update(&row.c.to_bytes());
-    }
-    WeightStream::new(&transcript.finalize())
+    batch.check().is_ok()
 }
 
 /// Derives the proof challenge from the voters' A/B coins (§III-B: "all the
@@ -850,9 +786,15 @@ mod tests {
             .map(|i| OwnedRow::unit(&prepared, 3, i, c, &mut rng))
             .collect();
         let stream = |rows: &[OwnedRow]| -> Vec<Scalar> {
-            let proofs: Vec<RowProof<'_>> = rows.iter().map(OwnedRow::proof).collect();
-            let points = row_points(&pk, &proofs);
-            row_weights(&points, &proofs).take(8).flatten().collect()
+            let mut batch = LinearBatch::new(0);
+            let pk = batch.shared(&pk.0);
+            for row in rows {
+                row.proof().push(&mut batch, pk, |_| 0);
+            }
+            crate::batch::tests::weights(&batch)
+                .take(8)
+                .flatten()
+                .collect()
         };
         let base = stream(&rows);
         let mut mutants: Vec<(&str, Vec<OwnedRow>)> = corruptions()
@@ -892,6 +834,28 @@ mod tests {
             challenge_from_coins(b"e", &[true]),
             challenge_from_coins(b"e", &[true, false])
         );
+    }
+
+    /// Every coin is bound: flipping any one coin of an `n`-coin vector
+    /// changes the challenge, at every position for every `n` up to 70
+    /// (across byte edges), and so does appending a `false` coin, which
+    /// leaves the packed bytes as they are for `n` not a multiple of 8.
+    #[test]
+    fn challenge_binds_every_coin_and_the_count() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for n in 1..=70 {
+            let coins: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+            let base = challenge_from_coins(b"bind", &coins);
+            for i in 0..n {
+                let mut flipped = coins.clone();
+                flipped[i] = !flipped[i];
+                let moved = challenge_from_coins(b"bind", &flipped);
+                assert_ne!(moved, base, "n = {n}, coin {i}");
+            }
+            let mut longer = coins;
+            longer.push(false);
+            assert_ne!(challenge_from_coins(b"bind", &longer), base, "n = {n}");
+        }
     }
 
     proptest! {

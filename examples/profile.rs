@@ -27,7 +27,7 @@
 //!   vs on must differ by less than PCT percent (with a small absolute
 //!   floor for timer noise). Exits non-zero past the gate; CI runs this
 //!   at 5%. The gate then profiles one more election and fails if any
-//!   `bb.publish_ns` stage timer (interpolate / openings / zk / tally) or
+//!   `bb.publish_ns` stage timer (interpolate / verify / tally) or
 //!   `ea.setup_ns` stage timer (vc_rows / walk / multiply / assemble / sign)
 //!   recorded nothing, if `~vc.queue_depth` read zero across the vote
 //!   phase, or if the collectors spent more than
@@ -41,8 +41,10 @@ use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster};
 use ddemos_harness::{Durability, ElectionBuilder, ElectionParams, ElectionReport, Network};
 use std::time::{Duration, Instant};
 
-/// The `bb.publish_ns` labels `BbCore::try_publish_result` times.
-const PUBLISH_STAGES: [&str; 4] = ["interpolate", "openings", "zk", "tally"];
+/// The `bb.publish_ns` labels `BbCore::try_publish_result` times:
+/// reconstruction, the one batch check of the openings and proofs
+/// together, and the tally.
+const PUBLISH_STAGES: [&str; 3] = ["interpolate", "verify", "tally"];
 
 /// The `ea.setup_ns` labels the EA's per-ballot deriver times.
 const SETUP_STAGES: [&str; 5] = ["vc_rows", "walk", "multiply", "assemble", "sign"];
