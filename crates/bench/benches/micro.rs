@@ -9,7 +9,7 @@ use ddemos_crypto::elgamal;
 use ddemos_crypto::field::{Fp, Scalar};
 use ddemos_crypto::hmac::{Prf, PrfRng};
 use ddemos_crypto::schnorr::{Signature, SigningKey};
-use ddemos_crypto::sha256::sha256;
+use ddemos_crypto::sha256::{self, sha256};
 use ddemos_crypto::shamir;
 use ddemos_crypto::zkp;
 use ddemos_crypto::{aes, vss};
@@ -57,6 +57,18 @@ fn ratio_gate<A, B>(
         ratio >= min_ratio,
         "ratio gate failed: {what} = {ratio:.2}x, below the {min_ratio:.2}x floor"
     );
+}
+
+/// Whether this CPU has the features the SHA-256 extension kernel needs.
+fn sha_extensions() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Hands out the scalars of a slice in turn. A comb multiplication is
@@ -258,9 +270,51 @@ fn bench_field(c: &mut Criterion) {
 
 fn bench_hash_aes(c: &mut Criterion) {
     let data = vec![7u8; 1024];
+    // The compression picks its path on the first call of the process;
+    // make that call here, not inside `--test`'s single timed run.
+    sha256(&data);
     c.bench_function("sha256/1KiB", |b| {
         b.iter(|| sha256(std::hint::black_box(&data)))
     });
+    // One compression on the path this CPU dispatches to, against the
+    // portable one it falls back to. With the SHA extensions the
+    // dispatched path must be the extension kernel, and ≥ 3× (a
+    // regression to the portable code, or a detection that stops finding
+    // the features, fails CI); without them there is nothing to gate.
+    let block = [0x5au8; 64];
+    let mut state = [0x6a09_e667u32; 8];
+    c.bench_function("sha256/compress (dispatched)", |b| {
+        b.iter(|| {
+            sha256::compress(
+                &mut state,
+                std::slice::from_ref(std::hint::black_box(&block)),
+            );
+            state[0]
+        })
+    });
+    let (mut a, mut b) = ([1u32; 8], [1u32; 8]);
+    sha256::compress(&mut a, std::slice::from_ref(&block));
+    sha256::compress_portable(&mut b, std::slice::from_ref(&block));
+    assert_eq!(a, b);
+    if sha_extensions() {
+        ratio_gate(
+            "sha256 compress portable / dispatched",
+            || {
+                sha256::compress_portable(
+                    &mut a,
+                    std::slice::from_ref(std::hint::black_box(&block)),
+                );
+                a[0]
+            },
+            || {
+                sha256::compress(&mut b, std::slice::from_ref(std::hint::black_box(&block)));
+                b[0]
+            },
+            3.0,
+        );
+    } else {
+        println!("ratio gate: sha256 compress portable / dispatched: skipped (no SHA extensions)");
+    }
     // One 32-byte block of a `PrfRng` stream — an HMAC under a held key:
     // two compressions (four while each draw re-hashed the key pads).
     let mut stream = PrfRng::new(&Prf::new([3u8; 32]), b"bench");
@@ -339,6 +393,26 @@ fn bench_schnorr(c: &mut Criterion) {
         "kernel/mverify burst 4×VOTE_P (3 UCERT sigs shared)",
         |b| b.iter(|| mv.check_batch(std::hint::black_box(&burst))),
     );
+    // Bursts of distinct fresh signatures from the four prepared keys,
+    // off the wire: the lockstep table path (every size up to
+    // `PREPARED_BATCH_MAX`) at one, four and sixteen.
+    for n in [1usize, 4, 16] {
+        let fresh: Vec<_> = (0..n)
+            .map(|i| {
+                let sk = &signers[i % 4];
+                let (vk, m, sig) = item(sk, format!("fresh/{i}").as_bytes());
+                (
+                    vk,
+                    m,
+                    Signature::from_bytes(&sig.to_bytes()).expect("own encoding"),
+                )
+            })
+            .collect();
+        assert_eq!(mv.check_batch(&fresh), vec![true; n]);
+        c.bench_function(&format!("kernel/mverify burst {n} fresh"), |b| {
+            b.iter(|| mv.check_batch(std::hint::black_box(&fresh)))
+        });
+    }
 }
 
 fn bench_sharing(c: &mut Criterion) {

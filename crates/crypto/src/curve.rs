@@ -3,6 +3,16 @@
 //! Points are held in Jacobian coordinates internally; the public API exposes
 //! an opaque [`Point`] with group operations, scalar multiplication and
 //! 33-byte compressed serialization.
+//!
+//! Two kernels carry the batch work: [`Point::msm`] (Pippenger over
+//! batch-affine buckets) and the fixed-base comb — [`FixedBase`] tables of
+//! affine multiples, read one scalar at a time by [`FixedBase::mul`] or
+//! many in lockstep by [`CombBatch`]. A table's digit width is fixed by its
+//! role: signed 8-bit digits (264 KiB) for the generator and the election
+//! key, read on every cast, set-up and publication; 7-bit (148 KiB) for a
+//! peer's signature key, one a peer per replica; 5-bit (52 KiB) for any
+//! other base. Both kernels halve their slots with one reducer
+//! (`SlotReducer`), all the pairs of a round sharing one inversion.
 
 use crate::field::{Fp, Scalar};
 use crate::u256::U256;
@@ -640,13 +650,19 @@ impl SlotReducer {
     /// the affine chord or tangent ([`Affine::add_with_inverse`]; identity
     /// operands, `P + P` and `P + (−P)` are exact), all the pairs of a
     /// round across every slot sharing one inversion, and a slot of `len`
-    /// points becomes one of `⌈len/2⌉`. Stops before the first round
-    /// that would hold fewer than `min_pairs` pairs (at least one) and
-    /// leaves what the slots hold then to the caller.
-    fn halve(&mut self, points: &mut [Affine], starts: &[u32], lens: &mut [u32], min_pairs: usize) {
+    /// points becomes one of `⌈len/2⌉`. Stops when no slot holds a pair,
+    /// or before the first round that `round_pays` (given the slots'
+    /// lengths) declines, and leaves what the slots hold then to the
+    /// caller.
+    fn halve(
+        &mut self,
+        points: &mut [Affine],
+        starts: &[u32],
+        lens: &mut [u32],
+        round_pays: impl Fn(&[u32]) -> bool,
+    ) {
         loop {
-            let pairs: usize = lens.iter().map(|&len| len as usize / 2).sum();
-            if pairs < min_pairs.max(1) {
+            if lens.iter().all(|&len| len < 2) || !round_pays(lens) {
                 return;
             }
             self.denominators.clear();
@@ -757,7 +773,9 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
                 }
             }
         }
-        reducer.halve(&mut sorted, &starts, &mut lens, ROUND_MIN_PAIRS);
+        reducer.halve(&mut sorted, &starts, &mut lens, |lens| {
+            lens.iter().map(|&len| len as usize / 2).sum::<usize>() >= ROUND_MIN_PAIRS
+        });
         // Chain, most significant window first: `acc·2^w + Σ d·bucket[d]`,
         // with `running` collecting the buckets from the highest filled
         // one down and `sum` collecting `running`, so that bucket `d` is
@@ -789,120 +807,180 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
 // The fixed-base comb and its batched kernel
 // ---------------------------------------------------------------------
 
-/// Width of the comb's signed digits: the widest whose table —
-/// `signed_windows(w)` positions × `2^(w−1)` multiples — is no larger
-/// than the 64 × 15 entries the unsigned 4-bit comb held. A multiplication
-/// is one addition a nonzero digit, so the widest window that fits is the
-/// cheapest: 52 positions (~50 additions a scalar against 60) of 16
-/// entries, 832 in all, 52 KiB.
+/// Digit width of a table [`FixedBase::new`] builds — one a caller makes
+/// for a base of its own and uses a few thousand times at most: 52
+/// positions × 16 multiples, 52 KiB.
 const COMB_WINDOW: usize = 5;
-const COMB_POSITIONS: usize = signed_windows(COMB_WINDOW);
-const COMB_MULTIPLES: usize = 1 << (COMB_WINDOW - 1);
 
-/// Below this many pairs [`CombBatch`] leaves a reduction round to the
-/// mixed-addition chain. A pair the chain takes costs a mixed addition
-/// instead of an affine one, as in [`ROUND_MIN_PAIRS`], *and* leaves its
-/// output in Jacobian form to be normalised.
-const COMB_MIN_PAIRS: usize = COST_INVERT / (COST_MIXED + COST_NORMALIZE - COST_AFFINE);
+/// Digit width of the tables read on every cast, set-up and
+/// publication: the process-wide generator table and the election key's
+/// ([`crate::elgamal::PreparedKey`]). 33 positions × 128 multiples,
+/// 264 KiB: ~33 additions a scalar where 5-bit digits take ~50.
+pub(crate) const WIDE_COMB_WINDOW: usize = 8;
+
+/// Digit width of a per-peer signature table
+/// ([`crate::schnorr::PreparedVerifier`]): 37 positions × 64 multiples,
+/// 148 KiB, ~37 additions a scalar. A replica holds one for each of its
+/// peers, so it is one step narrower than the shared tables.
+pub(crate) const PEER_COMB_WINDOW: usize = 7;
+
+/// Field multiplications to finish the slots `lens` of a [`CombBatch`]
+/// without another reduction round: what each holds beyond one point is
+/// added by mixed addition, and every output so left Jacobian is
+/// normalised, all of them with one shared inversion.
+fn chain_cost(lens: &[u32]) -> usize {
+    let chained = lens.iter().filter(|&&len| len > 1);
+    let additions: usize = chained.clone().map(|&len| len as usize - 1).sum();
+    match chained.count() {
+        0 => 0,
+        outputs => additions * COST_MIXED + COST_INVERT + outputs * COST_NORMALIZE,
+    }
+}
+
+/// Whether [`CombBatch`]'s slots `lens` are finished cheaper with another
+/// reduction round than without: a round costs its inversion and an
+/// affine addition a pair, and may be what lets a later one bring every
+/// slot to a single affine point, which then needs no normalisation; so
+/// every count of further rounds is weighed against stopping here. A
+/// batch of one signature check (two terms, ~70 entries) stops at once
+/// and is added as [`FixedBase::mul`] adds; one of two runs one round.
+fn comb_round_pays(lens: &[u32]) -> bool {
+    let stop = chain_cost(lens);
+    let mut lens = lens.to_vec();
+    let mut rounds = 0;
+    loop {
+        let pairs: usize = lens.iter().map(|&len| len as usize / 2).sum();
+        if pairs == 0 {
+            return false;
+        }
+        rounds += COST_INVERT + pairs * COST_AFFINE;
+        for len in &mut lens {
+            *len = len.div_ceil(2);
+        }
+        if rounds + chain_cost(&lens) < stop {
+            return true;
+        }
+    }
+}
 
 /// A reusable precomputed comb table for repeated scalar multiplications
-/// against one base point: 52 positions of signed 5-bit digits × 16
-/// multiples, held affine, so a multiplication is one addition a nonzero
-/// digit (~50) and no doubling — ~5× faster than the generic ladder
-/// after a one-time build that costs about twenty multiplications.
-/// [`FixedBase::mul`] adds the entries one scalar at a time by mixed
-/// addition; [`CombBatch`] adds those of many scalars in lockstep by
-/// batch-affine addition, at about 60 % of that a scalar.
+/// against one base point: `⌈257/w⌉` positions of signed `w`-bit digits ×
+/// `2^(w−1)` multiples, held affine, so a multiplication is one addition
+/// a nonzero digit and no doubling. The width is the table's role's:
+/// `WIDE_COMB_WINDOW` for `G` and the election key,
+/// `PEER_COMB_WINDOW` for a peer's signature key, `COMB_WINDOW` for
+/// any other base. [`FixedBase::mul`] adds the entries one scalar at a
+/// time by mixed addition; [`CombBatch`] adds those of many scalars in
+/// lockstep by batch-affine addition, at about 60 % of that a scalar.
 ///
 /// [`FixedBase::generator`] is this structure instantiated once for `G`;
 /// callers with their own hot base — the election ElGamal key, a peer's
 /// verification key — build their own and reuse it.
 #[derive(Clone, Debug)]
 pub struct FixedBase {
-    /// `table[pos][d − 1] = d · 32^pos · base` (pos from the least
-    /// significant digit).
-    table: Vec<[Affine; COMB_MULTIPLES]>,
+    /// Digit width `w`.
+    window: usize,
+    /// `table[pos · 2^(w−1) + d − 1] = d · 2^(w·pos) · base` (pos from
+    /// the least significant digit).
+    table: Vec<Affine>,
 }
 
 impl FixedBase {
-    /// Precomputes the comb table for `base`.
-    ///
-    /// The 52 `32^pos · base` come from one Jacobian doubling chain and
-    /// are normalised together; their multiples are then filled level by
-    /// level (2; 3–4; 5–8; 9–16) as *affine* sums `level·B + j·B`, with
-    /// the slope denominators of a level inverted together across all
-    /// positions. Five shared inversions and ~6 multiplications an entry,
-    /// where building the rows in Jacobian form and normalising every
-    /// entry afterwards costs ~23 an entry.
+    /// Precomputes the comb table for `base` at `COMB_WINDOW`.
     pub fn new(base: &Point) -> FixedBase {
-        let mut bases = Vec::with_capacity(COMB_POSITIONS);
+        FixedBase::with_window(base, COMB_WINDOW)
+    }
+
+    /// Precomputes the comb table for `base` at digit width `window`.
+    ///
+    /// The `⌈257/w⌉` position bases `2^(w·pos) · base` come from one
+    /// Jacobian doubling chain and are normalised together; their
+    /// multiples are then filled level by level (2; 3–4; 5–8; …) as
+    /// *affine* sums `level·B + j·B`, with the slope denominators of a
+    /// level inverted together across all positions. `w` shared
+    /// inversions and ~6 multiplications an entry, where building the
+    /// rows in Jacobian form and normalising every entry afterwards costs
+    /// ~23 an entry.
+    pub(crate) fn with_window(base: &Point, window: usize) -> FixedBase {
+        let (positions, multiples) = (signed_windows(window), 1usize << (window - 1));
+        let mut bases = Vec::with_capacity(positions);
         let mut b = *base;
-        for _ in 0..COMB_POSITIONS {
+        for _ in 0..positions {
             bases.push(b);
-            for _ in 0..COMB_WINDOW {
+            for _ in 0..window {
                 b = b.double();
             }
         }
-        let mut table: Vec<[Affine; COMB_MULTIPLES]> = Point::batch_normalize(&bases)
-            .into_iter()
-            .map(|base| {
-                let mut row = [Affine::IDENTITY; COMB_MULTIPLES];
-                row[0] = base;
-                row
-            })
-            .collect();
-        if base.is_identity() {
-            return FixedBase { table };
+        let mut table = vec![Affine::IDENTITY; positions * multiples];
+        for (row, base) in table
+            .chunks_exact_mut(multiples)
+            .zip(Point::batch_normalize(&bases))
+        {
+            row[0] = base;
         }
-        // The group has prime order, so no multiple up to 16 of a
+        if base.is_identity() {
+            return FixedBase { window, table };
+        }
+        // The group has prime order, so no multiple up to 2^(w−1) of a
         // non-identity point is the identity, two of them share an `x`
         // only if they are equal, and none has `y = 0`: every denominator
         // below inverts.
-        for level in [1usize, 2, 4, 8] {
+        let mut level = 1;
+        while level < multiples {
             // k·B = level·B + (k − level)·B; k = 2·level is the doubling.
-            let multiples = level + 1..=2 * level;
-            let mut dens = Vec::with_capacity(COMB_POSITIONS * level);
-            for row in &table {
+            let ks = level + 1..=2 * level;
+            let mut dens = Vec::with_capacity(positions * level);
+            for row in table.chunks_exact(multiples) {
                 let top = row[level - 1];
                 dens.extend(
-                    multiples
-                        .clone()
+                    ks.clone()
                         .map(|k| top.slope_denominator(&row[k - level - 1])),
                 );
             }
             Fp::batch_invert(&mut dens);
             let mut inverses = dens.into_iter();
-            for row in table.iter_mut() {
+            for row in table.chunks_exact_mut(multiples) {
                 let top = row[level - 1];
-                for k in multiples.clone() {
+                for k in ks.clone() {
                     let inverse = inverses.next().expect("one denominator per entry");
                     row[k - 1] = top.add_with_inverse(&row[k - level - 1], inverse);
                 }
             }
+            level *= 2;
         }
-        FixedBase { table }
+        FixedBase { window, table }
     }
 
-    /// The process-wide table of the standard generator `G`.
+    /// The process-wide table of the standard generator `G`, at
+    /// `WIDE_COMB_WINDOW`.
     pub fn generator() -> &'static FixedBase {
         static TABLE: std::sync::OnceLock<FixedBase> = std::sync::OnceLock::new();
-        TABLE.get_or_init(|| FixedBase::new(&Point::generator()))
+        TABLE.get_or_init(|| FixedBase::with_window(&Point::generator(), WIDE_COMB_WINDOW))
     }
 
     /// The base point this table was built for.
     pub fn base(&self) -> Point {
-        self.table[0][0].to_point()
+        self.table[0].to_point()
+    }
+
+    /// Positions of the table: the most entries a scalar reads.
+    fn positions(&self) -> usize {
+        signed_windows(self.window)
     }
 
     /// The table entries that sum to `k · base`, `k` given as canonical
     /// limbs: one for each nonzero digit of its signed recoding
     /// ([`booth_digit`]), negated where the digit is.
     fn entries<'a>(&'a self, k: &'a [u64; 4]) -> impl Iterator<Item = Affine> + 'a {
-        self.table.iter().enumerate().filter_map(move |(pos, row)| {
-            let digit = booth_digit(k, pos, COMB_WINDOW);
-            let entry = row.get(usize::from(digit.unsigned_abs()).checked_sub(1)?)?;
-            Some(if digit < 0 { entry.negate() } else { *entry })
-        })
+        let multiples = 1 << (self.window - 1);
+        self.table
+            .chunks_exact(multiples)
+            .enumerate()
+            .filter_map(move |(pos, row)| {
+                let digit = booth_digit(k, pos, self.window);
+                let entry = row.get(usize::from(digit.unsigned_abs()).checked_sub(1)?)?;
+                Some(if digit < 0 { entry.negate() } else { *entry })
+            })
     }
 
     /// `k · base` with no doublings: one mixed addition per nonzero digit.
@@ -929,17 +1007,19 @@ impl FixedBase {
 }
 
 /// A batch of short sums of fixed-base multiples — `r·pk + bit·G`,
-/// `(z̃ − u)·pk − c̃·G`, `k·G` — evaluated together: the comb entries of
-/// every term are gathered into one slot an output, and all slots are
-/// halved in lockstep by the batch-affine reducer the multi-scalar
-/// kernel's buckets use ([`SlotReducer`]): 6 field multiplications an
-/// addition against the 11 of [`FixedBase::mul`]'s mixed one, and the
-/// sums come out affine, so nothing is normalised afterwards. Outputs are
-/// taken as many at a time as fit [`GROUP_POINTS`] gathered entries (~78
-/// full-width terms), whatever the size of the batch.
+/// `(z̃ − u)·pk − c̃·G`, `k·G`, a signature's `s·G − e·PK` — evaluated
+/// together: the comb entries of every term are gathered into one slot
+/// an output, and all slots are halved in lockstep by the batch-affine
+/// reducer the multi-scalar kernel's buckets use ([`SlotReducer`]): 6
+/// field multiplications an addition against the 11 of
+/// [`FixedBase::mul`]'s mixed one, and the sums come out affine, so
+/// nothing is normalised afterwards. Outputs are taken as many at a time
+/// as fit [`GROUP_POINTS`] gathered entries (each term reads at most its
+/// own table's positions), whatever the size of the batch.
 ///
-/// A batch too small to pay for a round's inversion — one signature's
-/// `k·G` — falls through the reducer untouched and is summed by the same
+/// A round runs only while it pays (`comb_round_pays`): a batch too
+/// small for a round's inversion — one signature's `k·G`, one signature
+/// check — falls through the reducer untouched and is summed by the same
 /// mixed additions as [`FixedBase::mul`].
 #[derive(Default)]
 pub struct CombBatch<'a> {
@@ -974,7 +1054,10 @@ impl<'a> CombBatch<'a> {
     /// [`CombBatch::evaluate`], affine.
     pub(crate) fn evaluate_affine(&self) -> Vec<Affine> {
         let mut out = Vec::with_capacity(self.ends.len());
-        let capacity = (self.terms.len() * COMB_POSITIONS).min(GROUP_POINTS);
+        let entries = |terms: &[(&FixedBase, [u64; 4])]| -> usize {
+            terms.iter().map(|(table, _)| table.positions()).sum()
+        };
+        let capacity = entries(&self.terms).min(GROUP_POINTS);
         let mut gathered: Vec<Affine> = Vec::with_capacity(capacity);
         // Slot `i` of a chunk — an output's entries — is
         // `gathered[starts[i]..][..lens[i]]`.
@@ -992,7 +1075,7 @@ impl<'a> CombBatch<'a> {
             // always goes in: a sum of more terms than the buffer holds
             // grows it).
             while let Some(&&end) = ends.peek() {
-                let width = (end - term) * COMB_POSITIONS;
+                let width = entries(&self.terms[term..end]);
                 if !starts.is_empty() && gathered.len() + width > GROUP_POINTS {
                     break;
                 }
@@ -1005,7 +1088,7 @@ impl<'a> CombBatch<'a> {
                 term = end;
                 ends.next();
             }
-            reducer.halve(&mut gathered, &starts, &mut lens, COMB_MIN_PAIRS);
+            reducer.halve(&mut gathered, &starts, &mut lens, comb_round_pays);
             // What a slot still holds beyond one point, the chain adds;
             // a single point is copied (`z = 1`) at no inversion.
             sums.clear();
@@ -1362,7 +1445,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         let mut scalars: Vec<Scalar> = (0..8).map(|_| Scalar::random(&mut rng)).collect();
         scalars.extend([Scalar::ZERO, Scalar::ONE, -Scalar::ONE]);
-        scalars.extend(comb_digit_patterns());
+        for w in COMB_WIDTHS {
+            scalars.extend(comb_digit_patterns(w));
+        }
         for w in 2..=14usize {
             for k in &scalars {
                 let limbs = k.to_u256().limbs();
@@ -1379,19 +1464,22 @@ mod tests {
         }
     }
 
-    /// Scalars whose recoding at the comb's window is all edges: every
-    /// digit but the top one of the largest magnitude, signs alternating
-    /// (windows `10000`, `01111`, …), and every digit but the two ends
-    /// zero (a run of ones).
-    fn comb_digit_patterns() -> [Scalar; 2] {
+    /// The digit widths of the tables in use (`COMB_WINDOW`,
+    /// `PEER_COMB_WINDOW`, `WIDE_COMB_WINDOW`).
+    const COMB_WIDTHS: [usize; 3] = [COMB_WINDOW, PEER_COMB_WINDOW, WIDE_COMB_WINDOW];
+
+    /// Scalars whose recoding at window `w` is all edges, over the whole
+    /// windows below bit 250: every digit of the largest magnitude, signs
+    /// alternating (windows `10…0`, `01…1`, …), and every digit but the
+    /// two ends zero (a run of ones).
+    fn comb_digit_patterns(w: usize) -> [Scalar; 2] {
         let from_bits = |bit: &dyn Fn(usize) -> bool| {
             let mut bytes = [0u8; 32];
-            for i in (0..250).filter(|&i| bit(i)) {
+            for i in (0..250 / w * w).filter(|&i| bit(i)) {
                 bytes[31 - i / 8] |= 1 << (i % 8);
             }
             Scalar::from_bytes_reduce(&bytes)
         };
-        let w = COMB_WINDOW;
         let extremes = from_bits(&|i| {
             let (win, at) = (i / w, i % w);
             if win % 2 == 0 {
@@ -1405,52 +1493,136 @@ mod tests {
 
     #[test]
     fn comb_digit_patterns_are_what_they_claim() {
-        let [extremes, ones] = comb_digit_patterns();
-        let digits = |k: &Scalar| -> Vec<i16> {
-            let limbs = k.to_u256().limbs();
-            (0..COMB_POSITIONS)
-                .map(|pos| booth_digit(&limbs, pos, COMB_WINDOW))
-                .collect()
-        };
-        let max = COMB_MULTIPLES as i16;
-        for (pos, d) in digits(&extremes)[..50].iter().enumerate() {
-            assert_eq!(*d, if pos % 2 == 0 { -max } else { max }, "digit {pos}");
+        for w in COMB_WIDTHS {
+            let [extremes, ones] = comb_digit_patterns(w);
+            let digits = |k: &Scalar| -> Vec<i16> {
+                let limbs = k.to_u256().limbs();
+                (0..signed_windows(w))
+                    .map(|pos| booth_digit(&limbs, pos, w))
+                    .collect()
+            };
+            let (max, full) = (1i16 << (w - 1), 250 / w);
+            for (pos, d) in digits(&extremes)[..full].iter().enumerate() {
+                assert_eq!(
+                    *d,
+                    if pos % 2 == 0 { -max } else { max },
+                    "w = {w}, digit {pos}"
+                );
+            }
+            let ones = digits(&ones);
+            assert_eq!((ones[0], ones[full]), (-1, 1), "w = {w}");
+            assert!(ones[1..full].iter().all(|&d| d == 0), "w = {w}");
         }
-        let ones = digits(&ones);
-        assert_eq!((ones[0], ones[50]), (-1, 1));
-        assert!(ones[1..50].iter().all(|&d| d == 0));
     }
 
+    /// Each role's table has its own width and size: the generator's and
+    /// the election key's 8-bit digits (33 × 128 entries, 264 KiB), a
+    /// peer key's 7-bit ones (37 × 64, 148 KiB), 5-bit for any other base
+    /// (52 × 16, 52 KiB).
     #[test]
-    fn comb_window_is_the_widest_that_fits_the_old_table() {
-        let entries = |w: usize| signed_windows(w) << (w - 1);
-        assert!(entries(COMB_WINDOW) <= 64 * 15);
-        assert!(entries(COMB_WINDOW + 1) > 64 * 15);
-        assert_eq!(COMB_POSITIONS * COMB_MULTIPLES, entries(COMB_WINDOW));
+    fn comb_widths_are_fixed_per_role() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let key = crate::schnorr::SigningKey::generate(&mut rng).verifying_key();
+        let (_, pk) = crate::elgamal::keygen(&mut rng);
+        let election = crate::elgamal::PreparedKey::new(&pk);
+        let peer = crate::schnorr::PreparedVerifier::new(&key);
+        let base = Point::mul_generator(&Scalar::random(&mut rng));
+        let other = FixedBase::new(&base);
+        let roles = [
+            ("generator", FixedBase::generator(), 8, 33, 264),
+            ("election key", election.table(), 8, 33, 264),
+            ("peer key", peer.table(), 7, 37, 148),
+            ("any other base", &other, 5, 52, 52),
+        ];
+        for (role, table, window, positions, kib) in roles {
+            assert_eq!(table.window, window, "{role}");
+            assert_eq!(table.positions(), positions, "{role}");
+            assert_eq!(table.table.len(), positions << (window - 1), "{role}");
+            assert_eq!(std::mem::size_of_val(&table.table[..]), kib << 10, "{role}");
+        }
     }
 
     #[test]
     fn fixed_base_build_matches_repeated_addition() {
-        // The level-wise affine build against the definition: entry
-        // `d − 1` of row `pos` is `d · 32^pos · base`.
+        // The level-wise affine build against the definition, at every
+        // width in use: entry `d − 1` of row `pos` is `d · 2^(w·pos) ·
+        // base`.
         let base = Point::mul_generator(&Scalar::from_u64(0xD0D0));
-        let table = FixedBase::new(&base);
-        assert_eq!(table.table.len(), COMB_POSITIONS);
-        let mut row_base = base;
-        for row in &table.table {
-            let mut multiple = Point::IDENTITY;
-            for entry in row {
-                multiple += row_base;
-                assert_eq!(entry.to_point(), multiple);
-                assert!(entry.to_point().is_on_curve());
+        for w in COMB_WIDTHS {
+            let table = FixedBase::with_window(&base, w);
+            assert_eq!(table.table.len(), signed_windows(w) << (w - 1));
+            let mut row_base = base;
+            for row in table.table.chunks_exact(1 << (w - 1)) {
+                let mut multiple = Point::IDENTITY;
+                for entry in row {
+                    multiple += row_base;
+                    assert_eq!(entry.to_point(), multiple, "w = {w}");
+                }
+                for _ in 0..w {
+                    row_base = row_base.double();
+                }
             }
-            for _ in 0..COMB_WINDOW {
-                row_base = row_base.double();
-            }
+            assert!(table.table.iter().all(|e| e.to_point().is_on_curve()));
+            // The identity base: a table of identities.
+            let identity = FixedBase::with_window(&Point::IDENTITY, w);
+            assert!(identity.table.iter().all(Affine::is_identity));
         }
-        // The identity base: a table of identities.
-        let identity = FixedBase::new(&Point::IDENTITY);
-        assert!(identity.table.iter().flatten().all(Affine::is_identity));
+    }
+
+    /// At every width in use, one table at a time and mixed in one batch:
+    /// `mul` and [`CombBatch`] are `Point::mul` for 0, 1, n − 1, every
+    /// power of two, the edge recodings, and scalars whose top whole
+    /// window is negative (its digit borrows from the position above).
+    #[test]
+    fn fixed_base_widths_match_the_ladder() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let base = Point::mul_generator(&Scalar::random(&mut rng));
+        let tables = COMB_WIDTHS.map(|w| FixedBase::with_window(&base, w));
+        let mut scalars = vec![Scalar::ZERO, Scalar::ONE, -Scalar::ONE];
+        let mut power = Scalar::ONE;
+        for _ in 0..256 {
+            scalars.push(power);
+            power = power + power;
+        }
+        for w in COMB_WIDTHS {
+            scalars.extend(comb_digit_patterns(w));
+            // The top bit of the last whole window set, and random bits
+            // below it.
+            let top = w * (signed_windows(w) - 1) - 1;
+            let mut bytes = [0u8; 32];
+            rng.fill_bytes(&mut bytes);
+            bytes[..31 - top / 8].fill(0);
+            bytes[31 - top / 8] &= (1u8 << (top % 8)) - 1;
+            bytes[31 - top / 8] |= 1 << (top % 8);
+            let k = Scalar::from_bytes_reduce(&bytes);
+            let limbs = k.to_u256().limbs();
+            assert!(booth_digit(&limbs, signed_windows(w) - 2, w) < 0, "w = {w}");
+            scalars.push(k);
+        }
+        let g = FixedBase::generator();
+        let mut batch = CombBatch::new();
+        let mut expected = Vec::new();
+        for k in &scalars {
+            let want = base.mul(k);
+            for table in &tables {
+                assert_eq!(table.mul(k), want, "w = {}, k = {k}", table.window);
+                batch.push(&[(table, *k)]);
+                expected.push(want);
+            }
+            // 5 + 7 − 8 bits of the same base, and a peer-width check's
+            // shape against the generator's table.
+            batch.push(&[(&tables[0], *k), (&tables[1], *k), (&tables[2], -*k)]);
+            expected.push(want);
+            batch.push(&[(g, *k), (&tables[1], -*k)]);
+            expected.push(Point::generator().mul(k).add(&want.negate()));
+        }
+        assert_eq!(batch.evaluate(), expected);
+        // One output at a time: no reduction round, the chain alone.
+        for (k, want) in scalars.iter().zip(expected.chunks_exact(5)).take(8) {
+            let mut one = CombBatch::new();
+            one.push(&[(g, *k), (&tables[1], -*k)]);
+            assert_eq!(one.evaluate(), [want[4]], "k = {k}");
+        }
     }
 
     /// `outputs` sums over two tables, one or two terms each, with what
@@ -1519,7 +1691,7 @@ mod tests {
         let (table, g) = (FixedBase::new(&base), FixedBase::generator());
         let identity = FixedBase::new(&Point::IDENTITY);
         let k = Scalar::random(&mut rng);
-        let [extremes, ones] = comb_digit_patterns();
+        let [extremes, ones] = comb_digit_patterns(COMB_WINDOW);
         // Each sum with its value by the generic ladder.
         let mut sums: Vec<Sum<'_>> = Vec::new();
         let mut expected: Vec<Point> = Vec::new();
@@ -1558,7 +1730,7 @@ mod tests {
     fn comb_batch_takes_a_sum_wider_than_its_buffer() {
         let mut rng = StdRng::seed_from_u64(39);
         let table = FixedBase::new(&Point::mul_generator(&Scalar::random(&mut rng)));
-        let terms = GROUP_POINTS / COMB_POSITIONS + 20;
+        let terms = GROUP_POINTS / table.positions() + 20;
         let wide: Sum<'_> = (0..terms)
             .map(|_| (&table, Scalar::random(&mut rng)))
             .collect();

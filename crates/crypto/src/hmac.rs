@@ -25,7 +25,7 @@ pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
 /// SHA-256 midstates after `key ⊕ ipad` and after `key ⊕ opad`. A MAC of
 /// a short message under a held key is two compressions instead of four —
 /// which is what a PRF draw is.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct HmacKey {
     inner: [u32; 8],
     outer: [u32; 8],

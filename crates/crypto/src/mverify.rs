@@ -13,16 +13,19 @@
 //!   group math twice. The cache is bounded; eviction is FIFO over
 //!   insertion order — a pure function of the verification sequence, so
 //!   virtual-time replays evict identically.
-//! * **Prepared tables** — fixed-base comb tables for the keys whose use
-//!   repays the ~0.23 ms build (a collector's peers and the EA, checked
-//!   several times a cast; a board's writers are not — see `BbCore`),
-//!   built once at startup.
+//! * **Prepared tables** — 7-bit fixed-base comb tables (148 KiB) for the
+//!   keys whose use repays the ~0.4 ms build (a collector's peers and the
+//!   EA, checked several times a cast; a board's writers are not — see
+//!   `BbCore`), built once at startup.
 //! * **Batching** — [`MsgVerifier::check_batch`] verifies each distinct
 //!   uncached `(key, R, s, H(msg))` of a queue once — a burst of `VOTE_P`s
 //!   carries the same UCERT signatures in every message — and all copies
-//!   share the verdict. A small remainder goes through the comb tables
-//!   with one shared inversion for the whole call, a large one collapses
-//!   into one MSM via [`crate::schnorr::verify_batch`], whose engine
+//!   share the verdict. A remainder of up to `PREPARED_BATCH_MAX` goes
+//!   through the comb tables, every `s·G − e·PK` of the call summed in
+//!   lockstep ([`crate::schnorr::verify_prepared`]) and compared with its
+//!   `R` as it comes out affine, and so does [`MsgVerifier::check`]'s one;
+//!   a larger one collapses into one MSM via
+//!   [`crate::schnorr::verify_batch`], whose engine
 //!   ([`crate::batch::LinearBatch`]) attributes any invalid entry to its
 //!   index.
 //!
@@ -33,8 +36,9 @@
 //! freshly evicted. Determinism survives because a replayed core starts
 //! from an empty cache and replays the same verification sequence.
 
-use crate::curve::Point;
-use crate::schnorr::{verify_batch, BatchEntry, PreparedVerifier, Signature, VerifyingKey};
+use crate::schnorr::{
+    verify_batch, verify_prepared, BatchEntry, PreparedVerifier, Signature, VerifyingKey,
+};
 use crate::sha256::{sha256, sha256_parts};
 use crate::vss::{DealerVss, SignedShare};
 use std::collections::btree_map::Entry;
@@ -46,16 +50,16 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
 /// Largest distinct fresh batch routed through the per-peer comb tables
-/// instead of the one-MSM path. The tables cost a flat ~30 µs a
-/// signature (two fixed-base multiplications of mixed additions, one
-/// inversion shared by the whole call); the MSM, whose commitment terms
-/// carry 128-bit weights, amortizes from ~59 µs a signature at 4 to
-/// ~14 µs at 64 and crosses the tables at 14 for signatures made in this
-/// process, at 18 for signatures off the wire, which owe it a square root
-/// each. 16 sits between the two: either kind is within ~3 µs a
-/// signature of its better path on both sides of it (DESIGN.md §12.1 has
-/// the table).
-const PREPARED_BATCH_MAX: usize = 16;
+/// instead of the one-MSM path. The tables cost a flat ~14 µs a signature
+/// from eight up (every `s·G − e·PK` of the call summed in lockstep out of
+/// the 8-bit generator and 7-bit peer tables); the MSM, whose commitment
+/// terms carry 128-bit weights, amortizes from ~62 µs a signature at 4 to
+/// ~10 µs at 128 and crosses the tables at ~56 for signatures made in
+/// this process, at ~128 for signatures off the wire, which owe it a
+/// square root each. 64 sits between the two: either kind is within
+/// ~4 µs a signature of its better path on both sides of it (DESIGN.md
+/// §12.1 has the table).
+const PREPARED_BATCH_MAX: usize = 64;
 
 /// A bounded verified-signature memo with deterministic FIFO eviction.
 #[derive(Debug, Default)]
@@ -181,7 +185,7 @@ impl MsgVerifier {
         }
         self.counts.fresh += 1;
         let ok = match self.prepared.get(&vk.to_bytes()) {
-            Some(prepared) => prepared.check(message, sig),
+            Some(prepared) => verify_prepared(&[(prepared, message, sig)])[0],
             None => vk.verify_inner(message, sig),
         };
         if ok {
@@ -254,41 +258,33 @@ impl MsgVerifier {
         } else {
             None
         };
-        let mut fresh_ok = vec![true; fresh.len()];
-        if let Some(tables) = tables {
+        let fresh_ok = match tables {
             // Below the MSM's break-even size, the per-peer comb tables
-            // win on constant factor. Every `s·G − e·PK` first, then one
-            // inversion encodes them all for the comparison with `R`;
-            // outcomes are per-item, so attribution needs no second check.
-            let expected: Vec<Option<Point>> = tables
-                .iter()
-                .zip(&fresh)
-                .map(|(table, &(i, ..))| table.expected_r(&items[i].1, &items[i].2))
-                .collect();
-            // An identity key has no expected `R` and verifies nothing;
-            // the identity standing in for it only keeps positions aligned.
-            let points: Vec<Point> = expected
-                .iter()
-                .map(|r| r.unwrap_or(Point::IDENTITY))
-                .collect();
-            for (pos, (r, encoded)) in expected
-                .iter()
-                .zip(Point::batch_to_bytes(&points))
-                .enumerate()
-            {
-                fresh_ok[pos] = r.is_some() && encoded == items[fresh[pos].0].2.r_bytes();
+            // win on constant factor: every `s·G − e·PK` in lockstep, each
+            // compared with its `R`; outcomes are per-item, so attribution
+            // needs no second check.
+            Some(tables) => {
+                let entries: Vec<_> = tables
+                    .into_iter()
+                    .zip(&fresh)
+                    .map(|(table, &(i, ..))| (table, items[i].1.as_slice(), &items[i].2))
+                    .collect();
+                verify_prepared(&entries)
             }
-        } else {
-            let entries: Vec<BatchEntry<'_>> = fresh
-                .iter()
-                .map(|&(i, ..)| (items[i].0, items[i].1.as_slice(), items[i].2))
-                .collect();
-            if let Err(invalid) = verify_batch(&entries) {
-                for pos in invalid {
-                    fresh_ok[pos] = false;
+            None => {
+                let entries: Vec<BatchEntry<'_>> = fresh
+                    .iter()
+                    .map(|&(i, ..)| (items[i].0, items[i].1.as_slice(), items[i].2))
+                    .collect();
+                let mut ok = vec![true; fresh.len()];
+                if let Err(invalid) = verify_batch(&entries) {
+                    for pos in invalid {
+                        ok[pos] = false;
+                    }
                 }
+                ok
             }
-        }
+        };
         for (&(i, digest), &ok) in fresh.iter().zip(&fresh_ok) {
             verdicts[i] = ok;
             if ok {
@@ -305,6 +301,8 @@ impl MsgVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::Point;
+    use crate::field::Scalar;
     use crate::schnorr::SigningKey;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -455,6 +453,59 @@ mod tests {
             prop_assert_eq!(counts.fresh + counts.cached + counts.deduped, n as u64);
             // Valid items are now memo hits; invalid ones fail again.
             prop_assert_eq!(&mv.check_batch(&items), &expected);
+        }
+
+        /// A collector's burst on the lockstep table path: four peer keys
+        /// and the EA key prepared, one key not, copies and corruptions
+        /// (`s ± δ`, a flipped `R` byte, a wrong message, the identity
+        /// key). Verdicts are the per-entry scalar check's, and exactly
+        /// the valid entries enter the memo.
+        #[test]
+        fn prop_lockstep_verdicts_equal_per_entry_verify(
+            seed in any::<u64>(),
+            n in 1usize..=24,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ks: Vec<SigningKey> = (0..6).map(|_| SigningKey::generate(&mut rng)).collect();
+            let identity = VerifyingKey::from_bytes(&[0u8; 33]).expect("identity encoding");
+            let mut mv = MsgVerifier::new(256);
+            // Peers 0..4 and the EA (4) prepared; key 5 is not.
+            for k in &ks[..5] {
+                mv.prepare(&k.verifying_key());
+            }
+            let mut items: Vec<(VerifyingKey, Vec<u8>, Signature)> = Vec::new();
+            for i in 0..n {
+                // The unprepared key rarely, so most bursts stay on the
+                // tables.
+                let k = &ks[if rng.gen_range(0..8u32) == 0 { 5 } else { rng.gen_range(0..5) }];
+                let msg = vec![i as u8; 8 + i % 7];
+                let honest = (k.verifying_key(), msg.clone(), k.sign(&msg));
+                let delta = Scalar::from_u64(rng.gen_range(1..1000u64));
+                items.push(match rng.gen_range(0..9u32) {
+                    0 | 1 if !items.is_empty() => items[rng.gen_range(0..items.len())].clone(),
+                    2 => {
+                        let s = honest.2.s();
+                        let s = if rng.gen::<bool>() { s + delta } else { s - delta };
+                        let mut bytes = honest.2.to_bytes();
+                        bytes[33..].copy_from_slice(&s.to_bytes());
+                        (honest.0, msg, Signature::from_bytes(&bytes).expect("canonical s"))
+                    }
+                    3 => {
+                        let mut bytes = honest.2.to_bytes();
+                        bytes[1 + rng.gen_range(0..32usize)] ^= 1 << rng.gen_range(0..8u32);
+                        (honest.0, msg, Signature::from_bytes(&bytes).expect("prefix untouched"))
+                    }
+                    4 => (honest.0, msg, k.sign(b"a wrong message")),
+                    5 => (identity, msg, honest.2),
+                    _ => honest,
+                });
+            }
+            let expected: Vec<bool> = items.iter().map(|(vk, m, sig)| vk.verify(m, sig)).collect();
+            prop_assert_eq!(&mv.check_batch(&items), &expected);
+            for ((vk, m, sig), &valid) in items.iter().zip(&expected) {
+                let digest = MsgVerifier::digest(vk, &sha256(m), sig);
+                prop_assert_eq!(mv.cache.contains(&digest), valid);
+            }
         }
     }
 }

@@ -11,13 +11,14 @@
 //!   `n` signatures collapse into one multi-scalar multiplication of the
 //!   [`LinearBatch`] engine, which names the invalid entries on failure.
 //! * [`PreparedVerifier`] — a per-peer fixed-base comb table for the
-//!   public key, built once at startup: the `e·PK` term becomes table
-//!   lookups instead of a generic double-and-add ladder.
+//!   public key, built once at startup: with the generator's table, every
+//!   `s·G − e·PK` of a burst is summed in lockstep out of table lookups
+//!   ([`verify_prepared`]) instead of a generic double-and-add ladder.
 //! * [`VerifyingKey::verify`] — the plain one-shot path (setup, audit,
 //!   tests), carrying the `crypto.verify_ns` profiling hook.
 
 use crate::batch::LinearBatch;
-use crate::curve::{FixedBase, Point};
+use crate::curve::{CombBatch, FixedBase, Point, PEER_COMB_WINDOW};
 use crate::field::{Fp, Scalar};
 use crate::hmac::HmacKey;
 use crate::sha256::sha256_parts;
@@ -64,11 +65,13 @@ impl VerifyingKey {
     }
 }
 
-/// A Schnorr signing (private) key.
+/// A Schnorr signing (private) key, with the HMAC key its nonces are
+/// drawn under, pads hashed once.
 #[derive(Clone, Copy)]
 pub struct SigningKey {
     sk: Scalar,
     vk: VerifyingKey,
+    nonce_key: HmacKey,
 }
 
 impl std::fmt::Debug for SigningKey {
@@ -185,6 +188,7 @@ impl SigningKey {
         SigningKey {
             sk,
             vk: VerifyingKey::from_point(Point::mul_generator(&sk)),
+            nonce_key: HmacKey::new(&sk.to_bytes()),
         }
     }
 
@@ -207,12 +211,13 @@ impl SigningKey {
     pub fn sign_many<M: AsRef<[u8]>>(&self, messages: &[M]) -> Vec<Signature> {
         // kᵢ = HMAC(sk, msgᵢ) reduced — deterministic, never reused across
         // distinct messages, bias negligible.
-        let nonce_key = HmacKey::new(&self.sk.to_bytes());
         let nonces: Vec<Scalar> = messages
             .iter()
             .map(|message| {
                 let k = Scalar::from_bytes_reduce(
-                    &nonce_key.mac(&[b"ddemos/schnorr/nonce", message.as_ref()]),
+                    &self
+                        .nonce_key
+                        .mac(&[b"ddemos/schnorr/nonce", message.as_ref()]),
                 );
                 if k.is_zero() {
                     Scalar::ONE
@@ -287,20 +292,22 @@ fn challenge(r_bytes: &[u8; 33], vk: &VerifyingKey, message: &[u8]) -> Scalar {
 // ---------------------------------------------------------------------
 
 /// A verification key with a precomputed fixed-base comb table, built
-/// once per peer at startup: `e·PK` becomes table lookups, and together
-/// with the generator comb the whole check is add-only.
+/// once per peer at startup at `PEER_COMB_WINDOW` (signed 7-bit
+/// digits, 148 KiB): `e·PK` becomes table lookups, and together with the
+/// generator comb the whole check is add-only. [`verify_prepared`] checks
+/// any number of signatures against such tables in lockstep.
 pub struct PreparedVerifier {
     vk: VerifyingKey,
     table: FixedBase,
 }
 
 impl PreparedVerifier {
-    /// Builds the comb table (~1k group operations, amortized over every
-    /// later verification against this peer).
+    /// Builds the comb table (~2.4k affine additions, amortized over
+    /// every later verification against this peer).
     pub fn new(vk: &VerifyingKey) -> PreparedVerifier {
         PreparedVerifier {
             vk: *vk,
-            table: FixedBase::new(&vk.point),
+            table: FixedBase::with_window(&vk.point, PEER_COMB_WINDOW),
         }
     }
 
@@ -309,25 +316,29 @@ impl PreparedVerifier {
         &self.vk
     }
 
-    /// Verifies one signature using the table (hook-free; the callers
-    /// are the batched message paths).
-    pub fn check(&self, message: &[u8], sig: &Signature) -> bool {
-        self.expected_r(message, sig)
-            .is_some_and(|r| r.to_bytes() == sig.r)
+    /// The key's comb table.
+    pub fn table(&self) -> &FixedBase {
+        &self.table
     }
+}
 
-    /// `s·G − e·PK`, the commitment `sig` must carry to verify, left
-    /// projective so a caller checking several signatures can encode them
-    /// all with one shared inversion ([`Point::batch_to_bytes`]) and
-    /// compare against [`Signature::r_bytes`]. `None` for an identity
-    /// key, which nothing verifies against.
-    pub fn expected_r(&self, message: &[u8], sig: &Signature) -> Option<Point> {
-        if self.vk.point.is_identity() {
-            return None;
-        }
-        let e = challenge(&sig.r, &self.vk, message);
-        Some(Point::mul_generator(&sig.s).add(&self.table.mul(&e).negate()))
+/// Verifies signatures against their signers' prepared tables, one
+/// verdict an entry, in order (hook-free; the callers are the batched
+/// message paths). Every `s·G − e·PK` goes into one [`CombBatch`], whose
+/// outputs come out affine, so each is encoded and compared with its `R`
+/// bytes at no inversion of its own. An identity key verifies nothing.
+pub fn verify_prepared(entries: &[(&PreparedVerifier, &[u8], &Signature)]) -> Vec<bool> {
+    let mut batch = CombBatch::new();
+    for (prepared, message, sig) in entries {
+        let e = challenge(&sig.r, &prepared.vk, message);
+        batch.push(&[(FixedBase::generator(), sig.s), (&prepared.table, -e)]);
     }
+    batch
+        .evaluate_affine()
+        .into_iter()
+        .zip(entries)
+        .map(|(r, (prepared, _, sig))| !prepared.vk.point.is_identity() && r.to_bytes() == sig.r)
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -488,10 +499,18 @@ mod tests {
         let key = SigningKey::generate(&mut rng);
         let prepared = PreparedVerifier::new(&key.verifying_key());
         let sig = key.sign(b"table");
-        assert!(prepared.check(b"table", &sig));
-        assert!(!prepared.check(b"tablf", &sig));
         let other = SigningKey::generate(&mut rng).sign(b"table");
-        assert!(!prepared.check(b"table", &other));
+        let entries: [(&PreparedVerifier, &[u8], &Signature); 3] = [
+            (&prepared, b"table", &sig),
+            (&prepared, b"tablf", &sig),
+            (&prepared, b"table", &other),
+        ];
+        assert_eq!(verify_prepared(&entries), [true, false, false]);
+        for entry in entries {
+            let plain = key.verifying_key().verify(entry.1, entry.2);
+            assert_eq!(verify_prepared(&[entry]), [plain]);
+        }
+        assert!(verify_prepared(&[]).is_empty());
     }
 
     #[test]

@@ -1,6 +1,15 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch and validated against the
 //! NIST test vectors — and, on top of its midstates, the stream of
 //! 128-bit weights the batch verifiers draw (`WeightStream`).
+//!
+//! The compression has two paths, picked once per process: on an x86-64
+//! CPU with the SHA extensions (`sha`, with `ssse3` and `sse4.1`), a
+//! `std::arch` kernel that runs two rounds an instruction and keeps the
+//! state in registers across a run of whole blocks; everywhere else, the
+//! portable integer compression, which is also the oracle the kernel is
+//! tested against. The kernel is the crate's one `unsafe fn` (DESIGN.md
+//! §8). Both give the same chaining value, so every digest, MAC, PRF
+//! stream and weight is the same on either.
 
 use crate::field::Scalar;
 
@@ -81,12 +90,13 @@ impl Sha256 {
                 self.buffered = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // The whole blocks in one call, the state held in registers
+        // across them.
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
+        data = rest;
         if !data.is_empty() {
             self.buffer[..data.len()].copy_from_slice(data);
             self.buffered = data.len();
@@ -114,6 +124,38 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        compress(&mut self.state, std::slice::from_ref(block));
+    }
+}
+
+/// A compression of a run of whole blocks into a chaining value.
+type Compress = fn(&mut [u32; 8], &[[u8; 64]]);
+
+/// Compresses a run of whole blocks into the chaining value `state` by
+/// the path this process picked on its first call: the SHA extensions
+/// when the CPU has them, else [`compress_portable`]. Both give the same
+/// chaining value. (Public for the micro benchmark; hashing goes through
+/// [`Sha256`].)
+pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(test)]
+    if tests::PORTABLE.get() {
+        return compress_portable(state, blocks);
+    }
+    static PATH: std::sync::OnceLock<Compress> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ext::detected() {
+            return sha_ext::compress;
+        }
+        compress_portable
+    })(state, blocks)
+}
+
+/// FIPS 180-4's compression, one block at a time in plain integer
+/// arithmetic: the path of every CPU without the SHA extensions, and the
+/// oracle the extension path is tested against.
+pub fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -126,7 +168,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -147,14 +189,86 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// The compression on x86-64's SHA extensions (`sha256rnds2`, two rounds
+/// an instruction, and `sha256msg1`/`msg2` for the message schedule).
+#[cfg(target_arch = "x86_64")]
+mod sha_ext {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`compress_blocks`] is built
+    /// with (SSE2 is part of x86-64 itself).
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// [`super::compress_portable`] on the SHA extensions; only ever
+    /// chosen once [`detected`] has said yes.
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        debug_assert!(detected());
+        // SAFETY: `super::compress` hands out this function only after
+        // `detected()` found `sha`, `ssse3` and `sse4.1` on this CPU, and
+        // `sse2` is in every x86-64 baseline, so every instruction
+        // `compress_blocks` is compiled with exists here. It reads and
+        // writes memory only through the references it is given.
+        unsafe { compress_blocks(state, blocks) }
+    }
+
+    /// The rounds keep the state as the two halves `sha256rnds2` wants,
+    /// `ABEF` and `CDGH`, from the first block to the last; the schedule
+    /// keeps the last sixteen message words as four vectors of four.
+    ///
+    /// # Safety
+    /// The CPU running it must have `sha`, `sse2`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Byte order within each 32-bit word: the block is big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32::<0xb1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1b>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xf0>(efgh, cdab);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w: [__m128i; 4] = std::array::from_fn(|i| {
+                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * i).cast()), bswap)
+            });
+            for quad in 0..16 {
+                let slot = quad % 4;
+                if quad >= 4 {
+                    // W[t..t+4] from W[t−16..t]: σ0 terms, the W[t−7]
+                    // terms, then σ1 terms.
+                    let sigma0 = _mm_sha256msg1_epu32(w[slot], w[(slot + 1) % 4]);
+                    let w7 = _mm_alignr_epi8::<4>(w[(slot + 3) % 4], w[(slot + 2) % 4]);
+                    w[slot] = _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w[(slot + 3) % 4]);
+                }
+                let wk = _mm_add_epi32(w[slot], _mm_loadu_si128(K.as_ptr().add(4 * quad).cast()));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let feba = _mm_shuffle_epi32::<0x1b>(abef);
+        let dchg = _mm_shuffle_epi32::<0xb1>(cdgh);
+        _mm_storeu_si128(
+            state.as_mut_ptr().cast(),
+            _mm_blend_epi16::<0xf0>(feba, dchg),
+        );
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8::<8>(dchg, feba),
+        );
     }
 }
 
@@ -227,8 +341,74 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    thread_local! {
+        /// Set while a test forces this thread onto [`compress_portable`].
+        pub(super) static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
     fn hex(digest: &[u8; 32]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The dispatched compression is the portable one, block by block and
+    /// over runs of blocks, from random chaining values; on a CPU with the
+    /// SHA extensions it is their path that is compared.
+    #[test]
+    fn dispatched_compression_equals_portable() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        #[cfg(target_arch = "x86_64")]
+        println!("SHA extensions detected: {}", sha_ext::detected());
+        let mut rng = StdRng::seed_from_u64(32);
+        for run in 0..512 {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+            let blocks: Vec<[u8; 64]> = (0..1 + run % 5)
+                .map(|_| {
+                    let mut block = [0u8; 64];
+                    rng.fill_bytes(&mut block);
+                    block
+                })
+                .collect();
+            let (mut dispatched, mut portable) = (state, state);
+            compress(&mut dispatched, &blocks);
+            compress_portable(&mut portable, &blocks);
+            assert_eq!(dispatched, portable, "run {run}");
+            let at = rng.gen_range(0..blocks.len());
+            let (mut one, mut oracle) = (state, state);
+            compress(&mut one, &blocks[at..=at]);
+            compress_portable(&mut oracle, &blocks[at..=at]);
+            assert_eq!(one, oracle, "run {run}, block {at}");
+        }
+    }
+
+    /// A hasher resumed from the midstate after whole blocks finishes the
+    /// digest of the whole input.
+    #[test]
+    fn midstate_and_resume_continue_the_hash() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        for blocks in 0..=4usize {
+            let mut h = Sha256::new();
+            h.update(&data[..64 * blocks]);
+            let mut resumed = Sha256::resume(h.midstate(), blocks as u64);
+            resumed.update(&data[64 * blocks..]);
+            assert_eq!(resumed.finalize(), sha256(&data), "{blocks} blocks");
+        }
+    }
+
+    /// The vector, padding and midstate tests run on the path this CPU
+    /// dispatches to; here they run again on the portable one (the same
+    /// path twice on a CPU without the SHA extensions).
+    #[test]
+    fn vectors_on_the_portable_path() {
+        PORTABLE.set(true);
+        nist_empty();
+        nist_abc();
+        nist_448_bits();
+        padding_at_every_block_edge();
+        million_a();
+        incremental_matches_oneshot();
+        midstate_and_resume_continue_the_hash();
+        PORTABLE.set(false);
     }
 
     #[test]

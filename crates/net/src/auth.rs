@@ -48,7 +48,7 @@
 //! with no sockets, which is what makes partial-read, tampering and
 //! replay behavior deterministically unit-testable.
 
-use ddemos_crypto::hmac::{hmac_sha256, hmac_sha256_parts};
+use ddemos_crypto::hmac::{hmac_sha256, hmac_sha256_parts, HmacKey};
 use ddemos_protocol::codec::{decode_envelope_frame, encode_envelope_frame};
 use ddemos_protocol::messages::Envelope;
 use ddemos_protocol::{NodeId, NodeKind};
@@ -265,21 +265,26 @@ fn hello_mac(
     )
 }
 
-fn session_key(key: &[u8; 32], server_nonce: &[u8; 16], client_nonce: &[u8; 16]) -> [u8; 32] {
-    hmac_sha256_parts(key, &[b"ddemos.chan.sess", server_nonce, client_nonce])
+/// `K_s`, held with its HMAC pads hashed: every later MAC of the session
+/// — its id, the accept proof, each DATA tag — starts from them.
+fn session_key(key: &[u8; 32], server_nonce: &[u8; 16], client_nonce: &[u8; 16]) -> HmacKey {
+    HmacKey::new(&hmac_sha256_parts(
+        key,
+        &[b"ddemos.chan.sess", server_nonce, client_nonce],
+    ))
 }
 
-fn session_id(sess: &[u8; 32]) -> u64 {
-    let mac = hmac_sha256(sess, b"ddemos.chan.sid");
+fn session_id(sess: &HmacKey) -> u64 {
+    let mac = sess.mac(&[b"ddemos.chan.sid"]);
     u64::from_be_bytes(mac[..8].try_into().expect("8 bytes"))
 }
 
-fn accept_mac(sess: &[u8; 32], server_nonce: &[u8; 16], client_nonce: &[u8; 16]) -> [u8; 32] {
-    hmac_sha256_parts(sess, &[b"ddemos.chan.accept", server_nonce, client_nonce])
+fn accept_mac(sess: &HmacKey, server_nonce: &[u8; 16], client_nonce: &[u8; 16]) -> [u8; 32] {
+    sess.mac(&[b"ddemos.chan.accept", server_nonce, client_nonce])
 }
 
-fn data_tag(sess: &[u8; 32], dir: u8, seq: u64, payload: &[u8]) -> [u8; 16] {
-    let mac = hmac_sha256_parts(sess, &[&[dir], &seq.to_be_bytes(), payload]);
+fn data_tag(sess: &HmacKey, dir: u8, seq: u64, payload: &[u8]) -> [u8; 16] {
+    let mac = sess.mac(&[&[dir], &seq.to_be_bytes(), payload]);
     mac[..16].try_into().expect("16 bytes")
 }
 
@@ -289,10 +294,11 @@ const DIR_C2S: u8 = 0;
 const DIR_S2C: u8 = 1;
 
 /// The sending half of an established session: frames payloads under
-/// the session key with a strictly increasing sequence number.
+/// the session key, its HMAC pads hashed once for the session, with a
+/// strictly increasing sequence number.
 #[derive(Clone)]
 pub struct SessionSend {
-    key: [u8; 32],
+    key: HmacKey,
     dir: u8,
     seq: u64,
 }
@@ -314,7 +320,7 @@ impl SessionSend {
 
 /// The receiving half of an established session.
 pub struct SessionRecv {
-    key: [u8; 32],
+    key: HmacKey,
     dir: u8,
     seq: u64,
 }
@@ -670,7 +676,7 @@ impl ServerChannel {
 enum ClientState {
     AwaitServerHello,
     AwaitAccept {
-        sess: [u8; 32],
+        sess: HmacKey,
         server_nonce: [u8; 16],
     },
     Established,
