@@ -374,11 +374,6 @@ impl FrameBuf {
         self.buf.extend_from_slice(data);
     }
 
-    /// The number of buffered, not-yet-parsed bytes.
-    fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Returns the next complete `kind || body` message, or `None`.
     /// `Err` is an oversize length prefix.
     fn next_msg(
@@ -651,11 +646,6 @@ impl ServerChannel {
         self.out.pending()
     }
 
-    /// Inbound bytes buffered but not yet parsed.
-    pub fn in_pending(&self) -> usize {
-        self.inbuf.pending()
-    }
-
     /// The authenticated peer, once the handshake completed.
     pub fn peer(&self) -> Option<NodeId> {
         self.peer
@@ -701,7 +691,6 @@ pub struct ClientChannel {
     out: OutBuf,
     send: Option<SessionSend>,
     recv: Option<SessionRecv>,
-    session: u64,
     queued: Vec<Envelope>,
     from_overridden: u64,
 }
@@ -727,7 +716,6 @@ impl ClientChannel {
             out: OutBuf::new(),
             send: None,
             recv: None,
-            session: 0,
             queued: Vec::new(),
             from_overridden: 0,
         }
@@ -774,7 +762,6 @@ impl ClientChannel {
         if sid != session_id(&sess) || mac != accept_mac(&sess, &server_nonce, &self.client_nonce) {
             return self.fault(ChanFault::AuthFailed, events);
         }
-        self.session = sid;
         self.send = Some(SessionSend {
             key: sess,
             dir: DIR_C2S,
@@ -885,33 +872,19 @@ impl ClientChannel {
         }
     }
 
-    /// Splits an established channel into its session halves (used by
-    /// the blocking dialer, whose reader thread owns the receive half).
+    /// Splits an established channel into its session halves, for a
+    /// caller that frames and opens DATA bodies itself.
     ///
     /// # Panics
     /// If the handshake has not completed.
     pub fn into_session(self) -> (SessionSend, SessionRecv) {
-        let (send, recv, _) = self.into_parts();
-        (send, recv)
-    }
-
-    /// [`ClientChannel::into_session`] plus any inbound bytes buffered
-    /// past the handshake (frames the server sent immediately after its
-    /// accept); the caller's own parser must consume them first.
-    ///
-    /// # Panics
-    /// If the handshake has not completed.
-    pub fn into_parts(self) -> (SessionSend, SessionRecv, Vec<u8>) {
         assert!(
             matches!(self.state, ClientState::Established),
             "into_session before establishment"
         );
-        let mut inbuf = self.inbuf;
-        let leftover = inbuf.buf.split_off(inbuf.pos);
         (
             self.send.expect("established"),
             self.recv.expect("established"),
-            leftover,
         )
     }
 
@@ -930,11 +903,6 @@ impl ClientChannel {
         self.out.pending()
     }
 
-    /// Inbound bytes buffered but not yet parsed.
-    pub fn in_pending(&self) -> usize {
-        self.inbuf.pending()
-    }
-
     /// Whether the handshake completed.
     pub fn is_established(&self) -> bool {
         matches!(self.state, ClientState::Established)
@@ -943,11 +911,6 @@ impl ClientChannel {
     /// Whether the channel is closed (faulted/rejected).
     pub fn is_closed(&self) -> bool {
         matches!(self.state, ClientState::Closed)
-    }
-
-    /// The session (epoch) id, once established.
-    pub fn session(&self) -> u64 {
-        self.session
     }
 
     /// How many inbound frames claimed a `from` differing from the

@@ -10,10 +10,11 @@
 //! Three endpoints implement it: the in-process [`crate::SimNet`]'s
 //! [`Endpoint`] (latency/fault emulation, optional virtual time), the
 //! replica-side [`crate::EvNodeEndpoint`] over one epoll loop, and the
-//! client-side [`crate::dialer::AuthEndpoint`]; the last two speak the
-//! [`crate::auth`] authenticated channels. A driver waits with
-//! `recv_timeout` and drains the burst behind it with `try_recv`; that
-//! is the whole poll surface.
+//! client-side [`crate::dialer::AuthEndpoint`], which reads its own
+//! sockets on its caller's thread and closes them when dropped; the
+//! last two speak the [`crate::auth`] authenticated channels. A driver
+//! waits with `recv_timeout` and drains the burst behind it with
+//! `try_recv`; that is the whole poll surface.
 //!
 //! Every endpoint a node driver runs on keeps one contract (checked by
 //! this module's tests): an envelope a node addresses to itself is

@@ -165,6 +165,9 @@ fn main() {
         p.num_bb
     );
 
+    // The coordinator's own client connections: one control connection
+    // to each replica and one BB client connection to each BB replica.
+    let own = (p.num_vc + 2 * p.num_bb) as u64;
     let election = ElectionBuilder::new(p)
         .seed(SEED)
         .network(Network::Tcp(cluster))
@@ -197,6 +200,14 @@ fn main() {
     assert!(dials > 0, "the coordinator never dialed");
     assert_eq!(authenticated, dials, "a dial did not authenticate");
     assert_eq!(conn("net.conn.auth_failed"), 0, "a handshake failed");
+    // Each voter's connection ends with its cast: what is still open is
+    // the coordinator's own.
+    let open = dials - conn("net.conn.closed");
+    println!("coordinator: {open} client connections open at report time (at most {own})");
+    assert!(
+        open <= own,
+        "{open} client connections leaked past their casts"
+    );
 
     println!("re-running the same seed in-process for comparison...");
     let sim_report = run_in_process_reference();

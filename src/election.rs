@@ -490,6 +490,7 @@ impl Election {
             metrics.add("net.conn.auth_failed", "", "", conns.auth_failed);
             metrics.add("net.conn.rejected", "", "", conns.rejected);
             metrics.add("net.conn.retries", "", "", conns.retries);
+            metrics.add("net.conn.closed", "", "", conns.closed);
         }
         metrics
     }

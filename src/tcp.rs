@@ -83,6 +83,9 @@ pub const COORDINATOR: NodeId = NodeId {
 
 /// Per-request timeout of remote BB reads and writes.
 const BB_REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long the coordinator's shutdown waits for the replicas to close
+/// their ends of the control connections.
+const SHUTDOWN_PATIENCE: Duration = Duration::from_secs(1);
 
 /// Listener, admission and channel-authentication configuration of a
 /// TCP deployment. Carried inside [`TcpCluster`] so every replica
@@ -522,24 +525,21 @@ impl TcpBackend {
         }
     }
 
-    /// Tells every replica to exit, then stops the transport.
+    /// Tells every replica to exit, closes the control connections in
+    /// order — each replica reads its `Shutdown` before the FIN, and no
+    /// socket closes with unread bytes — then stops the transport.
     pub(crate) fn shutdown(&self) {
         if self.down.swap(true, Ordering::SeqCst) {
             return;
         }
-        {
-            let control = self.control.lock();
-            for i in 0..self.cluster.vc_addrs.len() as u32 {
-                control.send(NodeId::vc(i), Msg::Shutdown);
-            }
-            for j in 0..self.cluster.bb_addrs.len() as u32 {
-                control.send(NodeId::bb(j), Msg::Shutdown);
-            }
+        let control = self.control.lock();
+        for i in 0..self.cluster.vc_addrs.len() as u32 {
+            control.send(NodeId::vc(i), Msg::Shutdown);
         }
-        // Give the replicas a moment to read the shutdown frames before
-        // the reader threads stop and the sockets close.
-        // lint:allow(wall-clock, shutdown-path flush grace for reader threads; not protocol time)
-        std::thread::sleep(Duration::from_millis(100));
+        for j in 0..self.cluster.bb_addrs.len() as u32 {
+            control.send(NodeId::bb(j), Msg::Shutdown);
+        }
+        control.close(SHUTDOWN_PATIENCE);
         self.transport.shutdown();
     }
 }
@@ -628,5 +628,54 @@ mod tests {
         assert_eq!(serial_of(&env.msg), 9);
         let stats = ep.ev_stats();
         assert_eq!((stats.dials, stats.accepted, stats.frames_out), (0, 0, 0));
+    }
+
+    /// The coordinator's shutdown closes its control connections in
+    /// order: a replica reads the `Shutdown` sent just before, every
+    /// time, even with frames to the coordinator still unread on the
+    /// connection (closing over unread bytes sends a reset, which can
+    /// destroy the `Shutdown` before the replica reads it).
+    #[test]
+    fn replica_reads_the_shutdown_sent_just_before_the_close() {
+        for round in 0..10 {
+            let replica = vc_endpoint(0, Vec::new());
+            let cluster = TcpCluster {
+                vc_addrs: vec![replica.local_addr()],
+                bb_addrs: Vec::new(),
+                options: TcpOptions::default(),
+            };
+            let (sent_tx, sent) = std::sync::mpsc::channel();
+            let serve = std::thread::spawn(move || {
+                // lint:allow(wall-clock, test deadline over real sockets)
+                let deadline = Instant::now() + Duration::from_secs(10);
+                // lint:allow(wall-clock, test deadline over real sockets)
+                while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+                    let Ok(env) = replica.recv_timeout(left) else {
+                        break;
+                    };
+                    match env.msg {
+                        Msg::ClosePolls => {
+                            for n in 0..50 {
+                                replica.send(COORDINATOR, vote_msg(n));
+                            }
+                            let _ = sent_tx.send(());
+                        }
+                        Msg::Shutdown => return env.from == COORDINATOR,
+                        _ => {}
+                    }
+                }
+                false
+            });
+            let backend = TcpBackend::connect(cluster, SEED);
+            backend.close_polls();
+            // The replica has written frames the coordinator never reads
+            // before the shutdown starts.
+            sent.recv_timeout(Duration::from_secs(10)).unwrap();
+            backend.shutdown();
+            assert!(
+                serve.join().unwrap(),
+                "round {round}: the replica never read the Shutdown"
+            );
+        }
     }
 }
