@@ -395,20 +395,15 @@ impl BbCore {
     }
 
     /// Replays one journaled record through the same verified write path
-    /// (no journal outputs — the record is already on disk).
-    pub(crate) fn replay(&mut self, record: BbRecord) {
+    /// (no journal outputs — the record is already on disk). False when
+    /// the record no longer verifies: tampered storage. The record is
+    /// skipped — write-side verification must hold even against our own
+    /// disk. `Inconsistent` from the msk path replays the original
+    /// mismatched-commitment outcome (shares accepted, then cleared) and
+    /// is not storage damage.
+    pub(crate) fn replay(&mut self, record: BbRecord) -> bool {
         let (outcome, _) = self.apply(record.into_input());
-        if let Err(e) = outcome {
-            // `Inconsistent` from the msk path replays the original
-            // mismatched-commitment outcome (shares accepted, then
-            // cleared) — not storage damage. Anything else means a
-            // journaled write no longer verifies: tampered storage; skip
-            // the record — write-side verification must hold even
-            // against our own disk.
-            if !matches!(e, WriteError::Inconsistent) {
-                eprintln!("bb: replayed write rejected ({e}); skipping record");
-            }
-        }
+        matches!(outcome, Ok(()) | Err(WriteError::Inconsistent))
     }
 
     /// Encodes the accepted-write history (the durable snapshot body).

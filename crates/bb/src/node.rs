@@ -141,15 +141,21 @@ impl BbNode {
         *self.core.write() = BbCore::new(self.init.clone());
         let mut guard = self.journal.lock();
         if let Some(journal) = guard.as_mut() {
-            if let Err(e) = journal.crash(0) {
-                eprintln!("bb: journal crash simulation failed ({e})");
+            if journal.crash(0).is_err() {
+                self.journal_fault("crash");
             }
-            if let Err(e) = journal.recover(&mut BbReplica(self)) {
+            if journal.recover(&mut BbReplica(self)).is_err() {
                 // The WAL truncated itself at the offending record; the
                 // replica continues from the applied clean prefix.
-                eprintln!("bb: journal replay stopped early ({e}); recovered the clean prefix");
+                self.journal_fault("replay");
             }
         }
+    }
+
+    /// Counts a journal failure the node absorbed, by kind: the replica
+    /// keeps serving, and this is how anyone learns.
+    fn journal_fault(&self, kind: &'static str) {
+        self.recorder.lock().add("bb.journal_faults", kind, 1);
     }
 
     /// Runs one write through the core and executes its outputs: journal
@@ -180,13 +186,13 @@ impl BbNode {
                                 // write instead of acknowledging it
                                 // non-durably, and stay read-only: the
                                 // journal on disk is intact for replay.
-                                eprintln!(
-                                    "bb: journal device full; entering read-only degraded mode"
-                                );
+                                self.journal_fault("disk_full");
                                 self.degraded.store(true, Ordering::Release);
                                 return Err(WriteError::ReadOnly);
                             }
-                            eprintln!("bb: journal write failed ({e}); continuing volatile");
+                            // Any other failure: the write stands, held
+                            // volatile.
+                            self.journal_fault("write");
                         }
                     }
                 }
@@ -267,14 +273,59 @@ impl Durable for BbReplica<'_> {
         let mut core = self.0.core.write();
         for _ in 0..n {
             let record = BbRecord::decode(r)?;
-            core.replay(record);
+            if !core.replay(record) {
+                self.0.journal_fault("replay_rejected");
+            }
         }
         Ok(())
     }
 
     fn apply_record(&mut self, record: &[u8]) -> Result<(), WireError> {
         let record = BbRecord::decode(&mut Reader::new(record))?;
-        self.0.core.write().replay(record);
+        if !self.0.core.write().replay(record) {
+            self.0.journal_fault("replay_rejected");
+        }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddemos_ea::{ElectionAuthority, SetupProfile};
+    use ddemos_protocol::clock::GlobalClock;
+    use ddemos_protocol::initdata::voteset_message;
+    use ddemos_protocol::ElectionParams;
+    use ddemos_storage::{DiskProfile, Journal, JournalConfig, SimDisk};
+
+    #[test]
+    fn a_full_journal_device_makes_the_replica_read_only() {
+        let params = ElectionParams::new("bb-node", 2, 2, 4, 3, 5, 3, 0, 1000).unwrap();
+        let out = ElectionAuthority::new(params, 31).setup(SetupProfile::Full);
+        let disk = Arc::new(SimDisk::new(GlobalClock::new(), DiskProfile::instant()));
+        let bb = BbNode::new(out.bb_init.clone());
+        let recorder = Recorder::wall();
+        bb.set_recorder(recorder.clone());
+        bb.attach_journal(Journal::new(disk.clone(), JournalConfig::default()))
+            .unwrap();
+        disk.set_full(true);
+
+        let set = VoteSet::default();
+        let msg = voteset_message(&out.params.election_id, &set.digest());
+        for vc in 0..2 {
+            let sig = out.vc_inits[vc].signing_key.sign(&msg);
+            assert_eq!(
+                bb.submit_vote_set(vc as u32, &set, &sig),
+                Err(WriteError::ReadOnly)
+            );
+            assert!(bb.is_degraded());
+        }
+        let faults = recorder.snapshot();
+        assert_eq!(
+            faults.counter("bb.journal_faults", None, Some("disk_full")),
+            1,
+            "a degraded replica refuses before touching the journal"
+        );
+        assert_eq!(faults.counter("bb.journal_faults", None, None), 1);
     }
 }

@@ -4,17 +4,12 @@
 //! Expected shape: near-constant throughput in cc for a fixed Nv
 //! (saturation), with curves ordered 4VC > 7VC > 10VC > 13VC > 16VC.
 
-use ddemos_bench::{run_point, votes_per_point, VC_SIZES};
-use ddemos_net::NetworkProfile;
-use ddemos_sim::{StoreKind, VcClusterExperiment};
+use ddemos_bench::{concurrency, run_point, votes_per_point, Point, VC_SIZES};
+use ddemos_harness::{NetworkProfile, StoreKind};
 
 fn main() {
     let votes = votes_per_point(160, 5_000);
-    let scale = if ddemos_bench::full_scale() { 1 } else { 10 };
-    let cc_levels: Vec<usize> = [400usize, 1200, 2000]
-        .iter()
-        .map(|c| (c / scale).max(1))
-        .collect();
+    let cc_levels = [400, 1200, 2000].map(concurrency);
     for (name, profile) in [
         ("fig4c[LAN]", NetworkProfile::lan()),
         ("fig4f[WAN]", NetworkProfile::wan()),
@@ -22,7 +17,7 @@ fn main() {
         println!("# {name} — throughput vs #concurrent clients, m=4");
         for nv in VC_SIZES {
             for &cc in &cc_levels {
-                let exp = VcClusterExperiment {
+                let point = Point {
                     num_vc: nv,
                     num_options: 4,
                     num_ballots: votes * 2,
@@ -32,7 +27,7 @@ fn main() {
                     store: StoreKind::Memory,
                     seed: 0x4A43 + nv as u64 + cc as u64,
                 };
-                run_point(name, &exp);
+                run_point(name, &point);
             }
             println!();
         }

@@ -6,9 +6,8 @@
 //! pipelined and concurrent, so throughput holds up despite the added
 //! inter-VC latency; per-vote latency gains a few round trips.
 
-use ddemos_bench::{concurrency_levels, run_point, votes_per_point, VC_SIZES};
-use ddemos_net::NetworkProfile;
-use ddemos_sim::{StoreKind, VcClusterExperiment};
+use ddemos_bench::{concurrency_levels, run_point, votes_per_point, Point, VC_SIZES};
+use ddemos_harness::{NetworkProfile, StoreKind};
 
 fn main() {
     let votes = votes_per_point(240, 10_000);
@@ -16,7 +15,7 @@ fn main() {
     println!("# paper: n=200k, cc∈{{500,1000,1500,2000}}; here votes/point={votes}");
     for cc in concurrency_levels() {
         for nv in VC_SIZES {
-            let exp = VcClusterExperiment {
+            let point = Point {
                 num_vc: nv,
                 num_options: 4,
                 num_ballots: votes * 2,
@@ -26,7 +25,7 @@ fn main() {
                 store: StoreKind::Memory,
                 seed: 0x4A44 + nv as u64,
             };
-            run_point("fig4de[WAN]", &exp);
+            run_point("fig4de[WAN]", &point);
         }
         println!();
     }

@@ -8,14 +8,12 @@
 //! (`StoreKind::Latency`, DESIGN.md §2); expected shape: slow throughput
 //! decline as n grows five-fold.
 
-use ddemos_bench::{run_point, votes_per_point};
-use ddemos_net::NetworkProfile;
-use ddemos_sim::{StoreKind, VcClusterExperiment};
-use ddemos_vc::StorageModel;
+use ddemos_bench::{concurrency, run_point, votes_per_point, Point};
+use ddemos_harness::{NetworkProfile, StorageModel, StoreKind};
 
 fn main() {
     let votes = votes_per_point(150, 200_000);
-    let cc = if ddemos_bench::full_scale() { 400 } else { 40 };
+    let cc = concurrency(400);
     println!("# Fig 5a — throughput vs electorate size n (disk model), m=2, 4 VC, cc={cc}");
     let model = StorageModel::default();
     for n_millions in [50u64, 100, 150, 200, 250] {
@@ -25,7 +23,7 @@ fn main() {
             n_millions,
             model.lookup_latency(n)
         );
-        let exp = VcClusterExperiment {
+        let point = Point {
             num_vc: 4,
             num_options: 2,
             num_ballots: n,
@@ -35,6 +33,6 @@ fn main() {
             store: StoreKind::Latency(model),
             seed: 0x5A + n_millions,
         };
-        run_point("fig5a", &exp);
+        run_point("fig5a", &point);
     }
 }

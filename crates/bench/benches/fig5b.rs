@@ -5,16 +5,15 @@
 //! Expected shape: approximately flat — the only extra per-vote work as m
 //! grows is hash checks during vote-code validation.
 
-use ddemos_bench::{run_point, votes_per_point};
-use ddemos_net::NetworkProfile;
-use ddemos_sim::{StoreKind, VcClusterExperiment};
+use ddemos_bench::{concurrency, run_point, votes_per_point, Point};
+use ddemos_harness::{NetworkProfile, StoreKind};
 
 fn main() {
     let votes = votes_per_point(200, 10_000);
-    let cc = if ddemos_bench::full_scale() { 400 } else { 40 };
+    let cc = concurrency(400);
     println!("# Fig 5b — throughput vs #options m, 4 VC, cc={cc}");
     for m in [2usize, 4, 6, 8, 10] {
-        let exp = VcClusterExperiment {
+        let point = Point {
             num_vc: 4,
             num_options: m,
             num_ballots: votes * 2,
@@ -24,7 +23,6 @@ fn main() {
             store: StoreKind::Memory,
             seed: 0x5B + m as u64,
         };
-        let result = run_point(&format!("fig5b m={m:2}"), &exp);
-        let _ = result;
+        run_point(&format!("fig5b m={m:2}"), &point);
     }
 }

@@ -575,10 +575,9 @@ fn bench_rows(
 /// The durability WAL's group-committed append path (`ddemos-storage`):
 /// 1024 64-byte records per routine call on an instant `SimDisk`, so the
 /// measured cost is the framing + CRC + group-commit machinery itself.
-/// Batch 1 syncs every frame; batch 64 amortizes the sync — the knob
-/// `ElectionBuilder::durability_tuning` exposes. Sustained throughput is
-/// `1024 / median` frames/s (the acceptance floor is 100k frames/s, i.e.
-/// a median under ~10.2 ms).
+/// Batch 1 syncs every frame; batch 64 amortizes the sync. Sustained
+/// throughput is `1024 / median` frames/s (the acceptance floor is 100k
+/// frames/s, i.e. a median under ~10.2 ms).
 fn bench_wal(c: &mut Criterion) {
     use ddemos_protocol::clock::GlobalClock;
     use ddemos_storage::{DiskProfile, SimDisk, Wal, WalConfig};

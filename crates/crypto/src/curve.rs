@@ -15,7 +15,6 @@
 //! (`SlotReducer`), all the pairs of a round sharing one inversion.
 
 use crate::field::{Fp, Scalar};
-use crate::u256::U256;
 
 /// Curve coefficient `b` in `y² = x³ + b`.
 fn curve_b() -> Fp {
@@ -1167,11 +1166,6 @@ impl std::hash::Hash for Point {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.to_bytes().hash(state);
     }
-}
-
-/// The group order as a 256-bit integer (`n` such that `n·G = 0`).
-pub fn group_order() -> U256 {
-    Scalar::MODULUS
 }
 
 #[cfg(test)]

@@ -152,11 +152,6 @@ impl MsgVerifier {
             .or_insert_with(|| PreparedVerifier::new(vk));
     }
 
-    /// Number of prepared peer tables (diagnostics/tests).
-    pub fn prepared_len(&self) -> usize {
-        self.prepared.len()
-    }
-
     /// Number of memoized verified signatures (diagnostics/tests).
     pub fn cached_len(&self) -> usize {
         self.cache.seen.len()

@@ -62,14 +62,6 @@ impl NetStats {
         self.delay_ns_total.load(Ordering::Relaxed)
     }
 
-    /// Mean scheduled one-way delay per delivered message (simulation
-    /// nanoseconds; 0 when nothing was delivered).
-    pub fn mean_delay_ns(&self) -> u64 {
-        self.delay_ns_total()
-            .checked_div(self.delivered())
-            .unwrap_or(0)
-    }
-
     /// VOTE / reply traffic.
     pub fn vote_msgs(&self) -> u64 {
         self.vote_msgs.load(Ordering::Relaxed)

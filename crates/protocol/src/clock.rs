@@ -327,11 +327,6 @@ impl VirtualClock {
         }
     }
 
-    /// Number of live actor registrations (blocked or runnable).
-    pub fn registered_actors(&self) -> usize {
-        self.lock_state().total_actors
-    }
-
     /// Reserves an actor slot on behalf of a thread about to be spawned:
     /// the future actor counts as runnable immediately, so the clock
     /// cannot free-run through the (wall-clock-dependent) spawn gap. The

@@ -333,6 +333,10 @@ pub struct VcCore<S> {
     /// dropped the message first (with [`MsgVerifier::take_counts`], the
     /// `vc.sig_checks` metric).
     sigs_skipped: u64,
+    /// Corrupt replayed slots met since the last
+    /// [`VcCore::take_corrupt_slots`], one entry per meeting, named by what
+    /// the step did instead.
+    corrupt_slots: Vec<&'static str>,
     announce_from: BTreeSet<u32>,
     /// ANNOUNCE messages that arrived while this node was still in the
     /// voting phase. Polls close at each node's *own* clock (or when its
@@ -395,6 +399,7 @@ impl<S: BallotStore> VcCore<S> {
             receipt_weights: InterpolatorCache::default(),
             mverify,
             sigs_skipped: 0,
+            corrupt_slots: Vec::new(),
             announce_from: BTreeSet::new(),
             buffered_announces: Vec::new(),
             consensus: None,
@@ -638,6 +643,13 @@ impl<S: BallotStore> VcCore<S> {
         ]
     }
 
+    /// Corrupt replayed slots met since the last call, one entry each:
+    /// `refused_vote`, `dropped_ucert` or `dropped_vote_p`. Drivers export
+    /// them as the `vc.corrupt_slots` counter.
+    pub fn take_corrupt_slots(&mut self) -> Vec<&'static str> {
+        std::mem::take(&mut self.corrupt_slots)
+    }
+
     /// The slot an ENDORSEMENT of `code` from VC node `sender` would add
     /// to: one this node is responder for with exactly that code, still
     /// collecting, and not yet holding that sender's signature.
@@ -789,17 +801,8 @@ impl<S: BallotStore> VcCore<S> {
 
     /// A replayed slot that lost a field its status implies is real
     /// corruption; a live node must refuse the ballot rather than panic.
-    fn reject_corrupt_slot(
-        &mut self,
-        to: NodeId,
-        request_id: u64,
-        serial: SerialNo,
-        missing: &str,
-    ) {
-        eprintln!(
-            "vc-{}: corrupt slot {serial:?}: missing {missing}; refusing ballot",
-            self.init.node_index
-        );
+    fn reject_corrupt_slot(&mut self, to: NodeId, request_id: u64, serial: SerialNo) {
+        self.corrupt_slots.push("refused_vote");
         self.reply(
             to,
             request_id,
@@ -923,12 +926,12 @@ impl<S: BallotStore> VcCore<S> {
                 // corrupted in recovery refuses the ballot instead of
                 // panicking the node (the typed path a bad replay takes).
                 let Some((used_code, ..)) = slot.used else {
-                    self.reject_corrupt_slot(from, request_id, serial, "used code");
+                    self.reject_corrupt_slot(from, request_id, serial);
                     return;
                 };
                 if used_code == code {
                     let Some(receipt) = slot.receipt else {
-                        self.reject_corrupt_slot(from, request_id, serial, "receipt");
+                        self.reject_corrupt_slot(from, request_id, serial);
                         return;
                     };
                     self.reply(from, request_id, serial, VoteOutcome::Receipt(receipt));
@@ -945,7 +948,7 @@ impl<S: BallotStore> VcCore<S> {
                 // Same typed handling on the recovery-adjacent path: a
                 // `Pending` slot without a code is corrupt, not a panic.
                 let Some((used_code, ..)) = slot.used else {
-                    self.reject_corrupt_slot(from, request_id, serial, "pending code");
+                    self.reject_corrupt_slot(from, request_id, serial);
                     return;
                 };
                 if used_code == code {
@@ -1116,10 +1119,7 @@ impl<S: BallotStore> VcCore<S> {
         // A responder slot always carries its code; one that lost it is
         // corrupt — refuse to certify rather than abort the replica.
         let Some((code, part, row)) = slot.used else {
-            eprintln!(
-                "vc-{}: corrupt slot {serial:?}: responder without code; dropping UCERT",
-                self.init.node_index
-            );
+            self.corrupt_slots.push("dropped_ucert");
             return;
         };
         let ucert = Arc::new(UCert {
@@ -1281,10 +1281,7 @@ impl<S: BallotStore> VcCore<S> {
                     // An active slot must carry its code; a slot corrupted
                     // in recovery drops the message instead of panicking.
                     let Some((used_code, ..)) = slot.used else {
-                        eprintln!(
-                            "vc-{}: corrupt slot {serial:?}: active without code; dropping VOTE_P",
-                            self.init.node_index
-                        );
+                        self.corrupt_slots.push("dropped_vote_p");
                         return;
                     };
                     if used_code != code {

@@ -12,7 +12,8 @@
 //!   vote-set consensus as a pure `step(input, now_ms) -> Vec<output>`
 //!   state machine, with no thread, socket, clock, or journal of its own.
 //! * [`node`] — the thin thread driver pumping a core against any
-//!   `ddemos_net::TransportEndpoint` (one thread per node).
+//!   `ddemos_net::TransportEndpoint` (one thread per node, started by
+//!   [`node::spawn`]).
 //! * [`store`] — ballot stores: in-memory, PRF-derived (virtual 250M-ballot
 //!   elections), and the index-depth latency model for the disk experiment
 //!   (hierarchy and calibration documented in `DESIGN.md` at the workspace
@@ -37,5 +38,5 @@ pub mod store;
 pub use behavior::{AdversaryView, Trigger, TriggeredAdversary, VcBehavior};
 pub use core::{StepTrace, TraceStep, VcCore, VcDurable, VcInput, VcOutput};
 pub use ddemos_protocol::posts::FinalizedVoteSet;
-pub use node::{DeliverTarget, VcHandle, VcNode, VcNodeConfig};
-pub use store::{BallotStore, FnStore, LatencyStore, MemoryStore, StorageModel, WalStore};
+pub use node::{DeliverTarget, VcHandle, VcNodeConfig};
+pub use store::{BallotStore, FnStore, LatencyStore, MemoryStore, StorageModel};

@@ -30,7 +30,7 @@
 use crate::core::{StepTrace, VcCore, VcInput, VcOutput};
 use crate::store::BallotStore;
 use crossbeam_channel::{RecvTimeoutError, Sender};
-use ddemos_net::{DynEndpoint, TransportEndpoint};
+use ddemos_net::DynEndpoint;
 use ddemos_obs::Recorder;
 use ddemos_protocol::clock::NodeClock;
 use ddemos_protocol::initdata::VcInit;
@@ -38,7 +38,6 @@ use ddemos_protocol::messages::{Envelope, Msg};
 use ddemos_protocol::posts::FinalizedVoteSet;
 use ddemos_protocol::{NodeId, NodeKind};
 use ddemos_storage::DynJournal;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -309,6 +308,9 @@ impl<S: BallotStore> VcDriver<S> {
                 self.recorder.add(sigs_name, outcome, n);
             }
         }
+        for what in self.core.take_corrupt_slots() {
+            self.recorder.add("vc.corrupt_slots", what, 1);
+        }
         self.execute(outs);
         if end_of_burst {
             self.release();
@@ -435,117 +437,71 @@ impl<S: BallotStore> VcDriver<S> {
     }
 }
 
-/// The vote collector node: spawn functions producing a [`VcHandle`]
-/// around a [`VcCore`]-driving thread.
-pub struct VcNode<S> {
-    _store: PhantomData<S>,
-}
-
-impl<S: BallotStore + 'static> VcNode<S> {
-    /// Spawns a node thread; the finalized vote set is delivered on
-    /// `result_tx` when vote-set consensus completes.
-    pub fn spawn(
-        init: VcInit,
-        store: S,
-        endpoint: impl TransportEndpoint + 'static,
-        clock: NodeClock,
-        beacon: u64,
-        config: VcNodeConfig,
-        result_tx: Sender<FinalizedVoteSet>,
-    ) -> VcHandle {
-        Self::spawn_durable(
-            init, store, endpoint, clock, beacon, config, result_tx, None,
-        )
-    }
-
-    /// [`VcNode::spawn`] with a durable journal: ballot-slot transitions
-    /// are WAL-logged (group-committed, with a forced commit before every
-    /// externally visible action that depends on them), and a
-    /// [`Msg::Amnesia`] power-cycle signal makes the node drop volatile
-    /// state and rebuild from snapshot + WAL replay. The journal should
-    /// be freshly recovered (or empty); the node replays it on start.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_durable(
-        init: VcInit,
-        store: S,
-        endpoint: impl TransportEndpoint + 'static,
-        clock: NodeClock,
-        beacon: u64,
-        config: VcNodeConfig,
-        result_tx: Sender<FinalizedVoteSet>,
-        journal: Option<DynJournal>,
-    ) -> VcHandle {
-        Self::spawn_with(
-            init,
-            store,
-            Box::new(endpoint),
-            clock,
-            beacon,
-            config,
-            DeliverTarget::Channel(result_tx),
-            journal,
-        )
-    }
-
-    /// The fully general spawn: any endpoint, any delivery target
-    /// (multi-process replicas deliver as [`Msg::Finalized`] envelopes
-    /// to the coordinator).
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with(
-        init: VcInit,
-        store: S,
-        endpoint: DynEndpoint,
-        clock: NodeClock,
-        beacon: u64,
-        config: VcNodeConfig,
-        deliver: DeliverTarget,
-        journal: Option<DynJournal>,
-    ) -> VcHandle {
-        let id = endpoint.id();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let force_end = Arc::new(AtomicBool::new(false));
-        let force_end2 = force_end.clone();
-        let node_index = init.node_index;
-        let poll = config.poll;
-        let thread = std::thread::Builder::new()
-            .name(format!("vc-{node_index}"))
-            .spawn(move || {
-                let mut core = VcCore::new(
-                    init,
-                    store,
-                    config.behavior,
-                    poll,
-                    beacon,
-                    journal.is_some(),
-                );
-                if let Some(adv) = config.adversary {
-                    core.set_adversary(adv);
-                }
-                let mut driver = VcDriver {
-                    core,
-                    endpoint,
-                    clock,
-                    journal,
-                    deliver,
-                    trace: config.trace,
-                    recorder: config.recorder,
-                    stop: stop2,
-                    force_end: force_end2,
-                    close_forwarded: false,
-                    timeout: poll,
-                    barrier: false,
-                    held: Vec::new(),
-                };
-                driver.run();
-            })
-            .expect("spawn vc node");
-        VcHandle {
-            id,
-            stop,
-            force_end,
-            thread: Some(thread),
-        }
+/// Spawns a vote collector: a thread driving a [`VcCore`] over `store`
+/// and `endpoint`. The finalized vote set goes to `deliver` — the
+/// harness's channel in process, or [`Msg::Finalized`] envelopes to the
+/// coordinator in a multi-process deployment.
+///
+/// With a `journal`, ballot-slot transitions are logged (committed
+/// before every externally visible action that depends on them) and a
+/// [`Msg::Amnesia`] power-cycle signal makes the node drop volatile
+/// state and rebuild from snapshot + WAL replay. The journal should be
+/// freshly recovered (or empty); the node replays it on start.
+#[allow(clippy::too_many_arguments)]
+pub fn spawn<S: BallotStore + 'static>(
+    init: VcInit,
+    store: S,
+    endpoint: DynEndpoint,
+    clock: NodeClock,
+    beacon: u64,
+    config: VcNodeConfig,
+    deliver: DeliverTarget,
+    journal: Option<DynJournal>,
+) -> VcHandle {
+    let id = endpoint.id();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop2 = stop.clone();
+    let force_end = Arc::new(AtomicBool::new(false));
+    let force_end2 = force_end.clone();
+    let node_index = init.node_index;
+    let poll = config.poll;
+    let thread = std::thread::Builder::new()
+        .name(format!("vc-{node_index}"))
+        .spawn(move || {
+            let mut core = VcCore::new(
+                init,
+                store,
+                config.behavior,
+                poll,
+                beacon,
+                journal.is_some(),
+            );
+            if let Some(adv) = config.adversary {
+                core.set_adversary(adv);
+            }
+            let mut driver = VcDriver {
+                core,
+                endpoint,
+                clock,
+                journal,
+                deliver,
+                trace: config.trace,
+                recorder: config.recorder,
+                stop: stop2,
+                force_end: force_end2,
+                close_forwarded: false,
+                timeout: poll,
+                barrier: false,
+                held: Vec::new(),
+            };
+            driver.run();
+        })
+        .expect("spawn vc node");
+    VcHandle {
+        id,
+        stop,
+        force_end,
+        thread: Some(thread),
     }
 }
 
@@ -553,14 +509,17 @@ impl<S: BallotStore + 'static> VcNode<S> {
 mod tests {
     use super::*;
     use crate::behavior::VcBehavior;
+    use crate::durable::VcRecord;
     use crate::store::MemoryStore;
     use ddemos_crypto::field::Scalar;
     use ddemos_crypto::schnorr::SigningKey;
     use ddemos_crypto::shamir::Share;
     use ddemos_crypto::votecode::{VoteCode, VoteCodeHash};
     use ddemos_crypto::vss::DealerVss;
+    use ddemos_net::TransportEndpoint;
     use ddemos_protocol::clock::GlobalClock;
     use ddemos_protocol::initdata::{VcBallot, VcRow};
+    use ddemos_protocol::messages::VoteOutcome;
     use ddemos_protocol::{ElectionParams, SerialNo};
     use ddemos_storage::{DiskProfile, Journal, JournalConfig, SimDisk};
     use parking_lot::Mutex;
@@ -679,10 +638,16 @@ mod tests {
         recorder: Recorder,
     }
 
-    /// Runs the driver over `burst` on a `SimDisk` journal until the
-    /// endpoint closes.
-    fn run(burst: Vec<Envelope>, fills_disk: Option<NodeId>) -> Run {
+    /// Runs the driver over `burst` on a `SimDisk` journal that already
+    /// holds `journaled` until the endpoint closes.
+    fn run_after(journaled: &[VcRecord], burst: Vec<Envelope>, fills_disk: Option<NodeId>) -> Run {
         let disk = Arc::new(SimDisk::new(GlobalClock::new(), DiskProfile::instant()));
+        let mut prior = Journal::new(disk.clone(), JournalConfig::default());
+        for record in journaled {
+            prior.append(&record.encode()).expect("append");
+        }
+        prior.commit().expect("commit");
+        let syncs_before = disk.syncs();
         let sent = Arc::new(Mutex::new(Vec::new()));
         let endpoint = Scripted {
             inbox: Mutex::new(burst.into()),
@@ -714,9 +679,14 @@ mod tests {
         let sent = std::mem::take(&mut *sent.lock());
         Run {
             sent,
-            syncs: disk.syncs(),
+            syncs: disk.syncs() - syncs_before,
             recorder,
         }
+    }
+
+    /// [`run_after`] on an empty journal.
+    fn run(burst: Vec<Envelope>, fills_disk: Option<NodeId>) -> Run {
+        run_after(&[], burst, fills_disk)
     }
 
     /// `(syncs seen, message kind)` of everything sent to `to`, in order.
@@ -791,5 +761,34 @@ mod tests {
         );
         assert_eq!(run.sent.len(), 2);
         assert_eq!(run.syncs, 2);
+    }
+
+    #[test]
+    fn a_corrupt_replayed_slot_refuses_the_ballot_and_is_counted() {
+        // A `Pending` record with no `Used` before it: the replayed slot
+        // is active but has no code.
+        let run = run_after(
+            &[VcRecord::Pending {
+                serial: SerialNo(0),
+            }],
+            vec![vote(7, 0)],
+            None,
+        );
+        let replies: Vec<&Msg> = run.sent.iter().map(|(_, _, msg)| msg).collect();
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [Msg::VoteReply {
+                    outcome: VoteOutcome::Rejected(_),
+                    ..
+                }]
+            ),
+            "{replies:?}"
+        );
+        let faults = run.recorder.snapshot();
+        assert_eq!(
+            faults.counter("vc.corrupt_slots", None, Some("refused_vote")),
+            1
+        );
     }
 }

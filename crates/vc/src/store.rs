@@ -11,11 +11,8 @@
 //! `StoreKind` builder option rather than constructing these directly.
 
 use ddemos_protocol::clock::GlobalClock;
-use ddemos_protocol::codec;
-use ddemos_protocol::initdata::{VcBallot, VcRow};
-use ddemos_protocol::wire::{Reader, WireError, Writer};
+use ddemos_protocol::initdata::VcBallot;
 use ddemos_protocol::SerialNo;
-use ddemos_storage::{decode_frame, Disk as _, DynDisk, StorageError, Wal, WalConfig};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -25,6 +22,17 @@ pub trait BallotStore: Send + Sync {
     fn get(&self, serial: SerialNo) -> Option<VcBallot>;
     /// The number of registered ballots (serials are `0..num_ballots`).
     fn num_ballots(&self) -> u64;
+}
+
+/// A boxed store is a store: the harness picks the store kind at run
+/// time and hands every collector one `Box<dyn BallotStore>`.
+impl<S: BallotStore + ?Sized> BallotStore for Box<S> {
+    fn get(&self, serial: SerialNo) -> Option<VcBallot> {
+        (**self).get(serial)
+    }
+    fn num_ballots(&self) -> u64 {
+        (**self).num_ballots()
+    }
 }
 
 /// A fully materialized in-memory store.
@@ -76,130 +84,6 @@ where
             return None;
         }
         (self.derive)(serial)
-    }
-    fn num_ballots(&self) -> u64 {
-        self.n
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WAL-backed store
-// ---------------------------------------------------------------------------
-
-/// Encodes one ballot's VC rows (the WAL frame payload, after the serial).
-fn put_vc_ballot(w: &mut Writer, ballot: &VcBallot) {
-    for part in &ballot.parts {
-        w.put_u32(part.len() as u32);
-        for row in part {
-            codec::put_vote_code_hash(w, &row.code_hash);
-            codec::put_signed_share(w, &row.receipt_share);
-        }
-    }
-}
-
-fn get_vc_ballot(r: &mut Reader<'_>) -> Result<VcBallot, WireError> {
-    let mut parts: [Vec<VcRow>; 2] = [Vec::new(), Vec::new()];
-    for part in &mut parts {
-        let n = r.get_u32()?;
-        if n > 1 << 20 {
-            return Err(WireError::BadLength);
-        }
-        for _ in 0..n {
-            part.push(VcRow {
-                code_hash: codec::get_vote_code_hash(r)?,
-                receipt_share: codec::get_signed_share(r)?,
-            });
-        }
-    }
-    Ok(VcBallot { parts })
-}
-
-/// A WAL-backed ballot store: the VC init rows live in checksummed log
-/// frames on a [`Disk`](ddemos_storage::Disk) instead of a `HashMap`, so
-/// a multi-million-ballot electorate spills to disk (and, on a `SimDisk`,
-/// every lookup charges the disk's modelled read latency on the
-/// simulation clock). An in-memory index maps each serial to its frame.
-pub struct WalStore {
-    disk: DynDisk,
-    index: BTreeMap<SerialNo, (u64, u32)>,
-    n: u64,
-}
-
-impl WalStore {
-    /// Builds the store by writing `rows` to `disk` in serial order
-    /// (one checksummed frame per ballot), syncing once at the end.
-    ///
-    /// # Errors
-    /// [`StorageError`] on disk failure.
-    pub fn build(
-        rows: &BTreeMap<SerialNo, VcBallot>,
-        n: u64,
-        disk: DynDisk,
-    ) -> Result<WalStore, StorageError> {
-        let mut wal = Wal::new(disk.clone(), WalConfig { group_commit: 256 });
-        let mut index = BTreeMap::new();
-        // BTreeMap iterates in serial order already — frames land on disk
-        // canonically without a sort pass.
-        for (&serial, ballot) in rows.iter() {
-            let mut w = Writer::new();
-            w.put_u64(serial.0);
-            put_vc_ballot(&mut w, ballot);
-            let payload = w.into_bytes();
-            let frame_at = wal.append(&payload)?;
-            index.insert(
-                serial,
-                (
-                    frame_at + ddemos_storage::wal::FRAME_HEADER as u64,
-                    payload.len() as u32,
-                ),
-            );
-        }
-        wal.commit()?;
-        Ok(WalStore { disk, index, n })
-    }
-
-    /// Reopens a store previously [`WalStore::build`]t on `disk`,
-    /// rebuilding the index by scanning the frames (what a restarted node
-    /// does instead of re-deriving its database).
-    ///
-    /// # Errors
-    /// [`StorageError`] on disk failure or a corrupt frame prefix.
-    pub fn open(disk: DynDisk, n: u64) -> Result<WalStore, StorageError> {
-        let len = disk.len();
-        let mut buf = vec![0u8; len as usize];
-        disk.read_at(0, &mut buf)?;
-        let mut index = BTreeMap::new();
-        let mut offset = 0usize;
-        while let Some((payload, next)) = decode_frame(&buf, offset) {
-            let mut r = Reader::new(&buf[payload.clone()]);
-            let serial = r
-                .get_u64()
-                .map_err(|_| StorageError::Corrupt("ballot frame serial"))?;
-            index.insert(
-                SerialNo(serial),
-                (payload.start as u64, (payload.end - payload.start) as u32),
-            );
-            offset = next;
-        }
-        Ok(WalStore { disk, index, n })
-    }
-
-    /// Number of ballots materialized on disk.
-    pub fn frames(&self) -> usize {
-        self.index.len()
-    }
-}
-
-impl BallotStore for WalStore {
-    fn get(&self, serial: SerialNo) -> Option<VcBallot> {
-        let (offset, len) = *self.index.get(&serial)?;
-        let mut buf = vec![0u8; len as usize];
-        self.disk.read_at(offset, &mut buf).ok()?;
-        let mut r = Reader::new(&buf);
-        if r.get_u64().ok()? != serial.0 {
-            return None;
-        }
-        get_vc_ballot(&mut r).ok()
     }
     fn num_ballots(&self) -> u64 {
         self.n
@@ -336,60 +220,6 @@ mod tests {
         let t0 = std::time::Instant::now();
         let _ = store.get(SerialNo(0));
         assert!(t0.elapsed() >= Duration::from_micros(250));
-    }
-
-    #[test]
-    fn wal_store_roundtrips_and_reopens() {
-        use ddemos_crypto::schnorr::SigningKey;
-        use ddemos_crypto::shamir::Share;
-        use ddemos_crypto::votecode::{VoteCode, VoteCodeHash};
-        use ddemos_crypto::vss::SignedShare;
-        use ddemos_storage::{DiskProfile, SimDisk};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use std::sync::Arc;
-
-        let mut rng = StdRng::seed_from_u64(5);
-        let key = SigningKey::generate(&mut rng);
-        let row = |b: u8| VcRow {
-            code_hash: VoteCodeHash::commit(&VoteCode([b; 20]), u64::from(b)),
-            receipt_share: SignedShare {
-                share: Share {
-                    index: u32::from(b) + 1,
-                    value: ddemos_crypto::field::Scalar::from_u64(u64::from(b)),
-                },
-                signature: key.sign(&[b]),
-            },
-        };
-        let mut rows = BTreeMap::new();
-        for s in 0..4u64 {
-            rows.insert(
-                SerialNo(s),
-                VcBallot {
-                    parts: [
-                        vec![row(s as u8), row(s as u8 + 10)],
-                        vec![row(s as u8 + 20)],
-                    ],
-                },
-            );
-        }
-        let disk: ddemos_storage::DynDisk =
-            Arc::new(SimDisk::new(GlobalClock::new(), DiskProfile::instant()));
-        let store = WalStore::build(&rows, 10, disk.clone()).unwrap();
-        assert_eq!(store.num_ballots(), 10);
-        assert_eq!(store.frames(), 4);
-        assert_eq!(store.get(SerialNo(2)).unwrap(), rows[&SerialNo(2)]);
-        assert!(
-            store.get(SerialNo(7)).is_none(),
-            "registered but unmaterialized"
-        );
-
-        // Reopen from the same disk: the index is rebuilt by frame scan.
-        let reopened = WalStore::open(disk, 10).unwrap();
-        assert_eq!(reopened.frames(), 4);
-        for s in 0..4u64 {
-            assert_eq!(reopened.get(SerialNo(s)).unwrap(), rows[&SerialNo(s)]);
-        }
     }
 
     #[test]

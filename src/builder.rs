@@ -18,8 +18,8 @@ use ddemos_storage::{
 };
 use ddemos_trustee::Trustee;
 use ddemos_vc::{
-    FnStore, LatencyStore, MemoryStore, StepTrace, StorageModel, TriggeredAdversary, VcBehavior,
-    VcHandle, VcNode, VcNodeConfig, WalStore,
+    BallotStore, DeliverTarget, FnStore, LatencyStore, MemoryStore, StepTrace, StorageModel,
+    TriggeredAdversary, VcBehavior, VcHandle, VcNodeConfig,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -53,19 +53,6 @@ pub enum StoreKind {
     /// Printed voter ballots are materialized only for the cast range
     /// named via [`ElectionBuilder::materialize_first`] (none by default).
     Virtual,
-    /// [`StoreKind::Virtual`] behind the latency model.
-    VirtualLatency(StorageModel),
-    /// Materialized rows spilled to a per-node WAL file
-    /// ([`ddemos_vc::WalStore`]) on a [`SimDisk`] whose read latency is
-    /// charged on the election clock — the disk-format store a real
-    /// deployment would mmap instead of the `HashMap` cache.
-    Disk(DiskProfile),
-}
-
-impl StoreKind {
-    fn is_virtual(self) -> bool {
-        matches!(self, StoreKind::Virtual | StoreKind::VirtualLatency(_))
-    }
 }
 
 /// Which durability layer backs the stateful replicas (VC ballot slots,
@@ -283,20 +270,6 @@ impl ElectionBuilder {
     #[must_use]
     pub fn durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
-        self
-    }
-
-    /// Tunes the journals: `group_commit` frames per fsync (the batch a
-    /// group commit amortizes) and the snapshot cadence in records
-    /// (`None` disables compaction).
-    #[must_use]
-    pub fn durability_tuning(mut self, group_commit: usize, compact_every: Option<u64>) -> Self {
-        let adaptive_commit = self.journal_config.adaptive_commit;
-        self.journal_config = JournalConfig {
-            group_commit,
-            compact_every,
-            adaptive_commit,
-        };
         self
     }
 
@@ -578,7 +551,8 @@ impl ElectionBuilder {
         // EA setup. Partial materialization (an explicit cast range, or a
         // virtual store that derives rows on demand) builds on the
         // keys-only profile; everything else materializes eagerly.
-        let partial = self.materialize_first.is_some() || self.store.is_virtual();
+        let is_virtual = matches!(self.store, StoreKind::Virtual);
+        let partial = self.materialize_first.is_some() || is_virtual;
         if partial && self.profile == SetupProfile::Full {
             return Err(BuildError::PartialSetupRequiresVcOnly);
         }
@@ -614,7 +588,7 @@ impl ElectionBuilder {
                 .unwrap_or(0)
                 .min(self.params.num_ballots);
             let mut setup = ea.setup_keys_only();
-            let vc_rows = if self.store.is_virtual() { 0 } else { num_vc };
+            let vc_rows = if is_virtual { 0 } else { num_vc };
             let per_ballot = derive_cast_range(&ea, materialize, vc_rows, &pool);
             let mut ballots = Vec::with_capacity(per_ballot.len());
             for (ballot, node_rows) in per_ballot {
@@ -635,11 +609,7 @@ impl ElectionBuilder {
         }
         // The EA is destroyed after setup (§III-B) unless a virtual store
         // needs its derivation function as the stand-in database.
-        let ea = if self.store.is_virtual() {
-            Some(Arc::new(ea))
-        } else {
-            None
-        };
+        let ea = if is_virtual { Some(Arc::new(ea)) } else { None };
 
         let net_seed = self.seed ^ 0x4E45_5457_4F52_4B21;
         let net_profile = match &self.network {
@@ -756,73 +726,32 @@ impl ElectionBuilder {
             let node_clock = clock.node_clock_keyed(NodeId::vc(i).clock_key(), drifts[i as usize]);
             let beacon = setup.consensus_beacon;
             let tx = result_tx.clone();
-            // The rows move into the node's store; the retained init copies
-            // stay empty (each node is handed its data exactly once).
-            let rows = std::mem::take(&mut init.ballots);
             let mut journal = make_journal(format!("vc-{i}"))?;
             if let Some(j) = journal.as_mut() {
                 j.set_recorder(vc_recorders[i as usize].clone());
             }
-            let handle = match self.store {
-                StoreKind::Memory => VcNode::spawn_durable(
-                    init.clone(),
-                    MemoryStore::new(rows, n),
-                    endpoint,
-                    node_clock,
-                    beacon,
-                    config,
-                    tx,
-                    journal,
-                ),
-                StoreKind::Latency(model) => VcNode::spawn_durable(
-                    init.clone(),
-                    LatencyStore::with_clock(MemoryStore::new(rows, n), model, clock.clone()),
-                    endpoint,
-                    node_clock,
-                    beacon,
-                    config,
-                    tx,
-                    journal,
-                ),
-                StoreKind::Virtual => VcNode::spawn_durable(
-                    init.clone(),
-                    virtual_store(ea.clone().expect("ea retained"), i, n),
-                    endpoint,
-                    node_clock,
-                    beacon,
-                    config,
-                    tx,
-                    journal,
-                ),
-                StoreKind::VirtualLatency(model) => VcNode::spawn_durable(
-                    init.clone(),
-                    LatencyStore::with_clock(
-                        virtual_store(ea.clone().expect("ea retained"), i, n),
-                        model,
-                        clock.clone(),
-                    ),
-                    endpoint,
-                    node_clock,
-                    beacon,
-                    config,
-                    tx,
-                    journal,
-                ),
-                StoreKind::Disk(profile) => {
-                    let disk: DynDisk = Arc::new(SimDisk::new(clock.clone(), profile));
-                    let store = WalStore::build(&rows, n, disk).map_err(storage_err)?;
-                    VcNode::spawn_durable(
-                        init.clone(),
-                        store,
-                        endpoint,
-                        node_clock,
-                        beacon,
-                        config,
-                        tx,
-                        journal,
-                    )
+            // The rows move into the node's store; the retained init copies
+            // stay empty (each node is handed its data exactly once).
+            let rows = MemoryStore::new(std::mem::take(&mut init.ballots), n);
+            let store: Box<dyn BallotStore> = match self.store {
+                StoreKind::Memory => Box::new(rows),
+                StoreKind::Latency(model) => {
+                    Box::new(LatencyStore::with_clock(rows, model, clock.clone()))
+                }
+                StoreKind::Virtual => {
+                    Box::new(virtual_store(ea.clone().expect("ea retained"), i, n))
                 }
             };
+            let handle = ddemos_vc::node::spawn(
+                init.clone(),
+                store,
+                Box::new(endpoint),
+                node_clock,
+                beacon,
+                config,
+                DeliverTarget::Channel(tx),
+                journal,
+            );
             vc_handles.push(handle);
         }
 

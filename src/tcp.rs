@@ -66,7 +66,7 @@ use ddemos_protocol::exec::Pool;
 use ddemos_protocol::messages::{BbWriteMsg, Msg};
 use ddemos_protocol::posts::{FinalizedVoteSet, TrusteePost, VoteSet};
 use ddemos_protocol::{ElectionParams, NodeId, NodeKind};
-use ddemos_vc::{DeliverTarget, MemoryStore, VcNode, VcNodeConfig};
+use ddemos_vc::{DeliverTarget, MemoryStore, VcNodeConfig};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -286,7 +286,7 @@ pub fn run_vc_replica(
         peers,
         cluster.ev_config(seed, me),
     )?;
-    let handle = VcNode::spawn_with(
+    let handle = ddemos_vc::node::spawn(
         init,
         store,
         Box::new(endpoint),

@@ -145,6 +145,38 @@ fn virtual_store_derives_rows_on_demand() {
 }
 
 #[test]
+fn store_kind_does_not_change_receipts() {
+    // Every store kind reaches the collectors through the one spawn path:
+    // the same seed and casts give byte-identical receipts whichever
+    // store serves the rows.
+    let latency = StorageModel {
+        base: Duration::from_micros(200),
+        per_level: Duration::ZERO,
+        per_sqrt_million: Duration::ZERO,
+    };
+    let run = |store: StoreKind| {
+        let params =
+            ElectionParams::new("harness-stores", 1_000, 3, 4, 1, 1, 1, 0, 600_000).unwrap();
+        let election = ElectionBuilder::new(params)
+            .vc_only()
+            .store(store)
+            .materialize_first(4)
+            .seed(0x5708)
+            .build()
+            .expect("election builds");
+        let voting = election.voting();
+        let audits: Vec<_> = (0..4usize)
+            .map(|i| voting.cast(i, i % 3).expect("vote lands").audit)
+            .collect();
+        election.shutdown();
+        audits
+    };
+    let memory = run(StoreKind::Memory);
+    assert_eq!(run(StoreKind::Latency(latency)), memory);
+    assert_eq!(run(StoreKind::Virtual), memory);
+}
+
+#[test]
 fn finish_on_vc_only_election_skips_tally_and_audit() {
     // `SetupProfile::VcOnly` still deals trustee key material, so this
     // must key off the profile: finish() skips tally/audit instead of
