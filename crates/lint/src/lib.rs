@@ -25,6 +25,7 @@
 //! | `commit-order`    | `vc/src/core.rs`, `bb/src/core.rs`             |
 //! | `blocking-recv`   | `net/src/evloop.rs` (the readiness loop must never block on a channel) |
 //! | `scalar-verify`   | `crates/vc`, `crates/bb` (message paths verify through the batch/cache layer, never one signature at a time) |
+//! | `honest-core`     | `vc/src/core.rs` (no adversary type: Byzantine collectors wrap the honest core at its step boundary) |
 //!
 //! Suppression is always *recorded*: inline
 //! `// lint:allow(rule, reason)` for sites justified where they stand,
@@ -99,6 +100,9 @@ const EVLOOP_DIR: &str = "crates/net/src/evloop/";
 /// layer (`ddemos_crypto::mverify`), or the hot path silently falls back
 /// to one group ladder per signature.
 const VERIFY_SCOPE_CRATES: &[&str] = &["crates/vc", "crates/bb"];
+
+/// The honest VC state machine, which names no adversary type.
+const HONEST_CORE_FILE: &str = "crates/vc/src/core.rs";
 
 /// One allowlist entry: `rule | path | line-substring | reason`.
 /// Matching is by rule, exact workspace-relative path, and a substring of
@@ -234,6 +238,9 @@ pub fn check_file(sf: &SourceFile) -> Vec<Violation> {
     }
     if has_prefix(path, VERIFY_SCOPE_CRATES) {
         out.extend(rules::check_scalar_verify(sf));
+    }
+    if path == HONEST_CORE_FILE {
+        out.extend(rules::check_honest_core(sf));
     }
     out
 }

@@ -1,4 +1,4 @@
-//! The five rule classes.
+//! The rule classes.
 //!
 //! Each rule is a pure function over one or two lexed [`SourceFile`]s and
 //! returns violations; scoping (which crates a rule applies to) lives in
@@ -36,6 +36,7 @@ pub const RULE_CODEC: &str = "codec-exhaustive";
 pub const RULE_COMMIT_ORDER: &str = "commit-order";
 pub const RULE_BLOCKING_RECV: &str = "blocking-recv";
 pub const RULE_SCALAR_VERIFY: &str = "scalar-verify";
+pub const RULE_HONEST_CORE: &str = "honest-core";
 
 fn violation(sf: &SourceFile, line: u32, rule: &'static str, msg: String) -> Violation {
     Violation {
@@ -685,6 +686,50 @@ pub fn check_scalar_verify(sf: &SourceFile) -> Vec<Violation> {
                     .to_string(),
             ));
         }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------
+// Rule 8: the honest VC core carries no adversary.
+// ---------------------------------------------------------------------
+
+/// The adversary types and the module that defines them. The Byzantine
+/// layer wraps the honest machine at its step boundary; none of these
+/// may reach back into it.
+const ADVERSARY_NAMES: &[&str] = &[
+    "VcBehavior",
+    "Adversary",
+    "Trigger",
+    "AdversaryView",
+    "behavior",
+];
+
+/// Flags every mention of an adversary type (or of the `behavior` module
+/// that holds them) in the honest VC state machine. Scoped (by the
+/// workspace walker) to `vc/src/core.rs`: a Byzantine collector is the
+/// honest core wrapped by `behavior.rs`, so an adversary field, parameter
+/// or branch inside the core is a second adversary mechanism.
+pub fn check_honest_core(sf: &SourceFile) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (i, tok) in sf.toks.iter().enumerate() {
+        if sf.test_mask[i] {
+            continue;
+        }
+        let Some(name) = sf.ident(i) else { continue };
+        if !ADVERSARY_NAMES.contains(&name) || sf.allowed(RULE_HONEST_CORE, tok.line) {
+            continue;
+        }
+        out.push(violation(
+            sf,
+            tok.line,
+            RULE_HONEST_CORE,
+            format!(
+                "`{name}` in the honest VC core: adversaries act on the step boundary \
+                 (`VcCore` in `behavior.rs`) and read the core only through its read-only \
+                 accessors — move the deviation into the Byzantine layer"
+            ),
+        ));
     }
     out
 }

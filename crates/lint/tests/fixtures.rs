@@ -131,6 +131,23 @@ fn scalar_verify_fixtures() {
 }
 
 #[test]
+fn honest_core_fixtures() {
+    let fail = check_as("honest_core/fail.rs", "crates/vc/src/core.rs");
+    assert_eq!(rules_hit(&fail), vec![rules::RULE_HONEST_CORE]);
+    assert_eq!(
+        fail.len(),
+        8,
+        "the import, the field types, the variant and the module: {fail:?}"
+    );
+    let pass = check_as("honest_core/pass.rs", "crates/vc/src/core.rs");
+    assert!(pass.is_empty(), "unexpected: {pass:?}");
+    // The layer that wraps the core is where adversaries live.
+    assert!(check_as("honest_core/fail.rs", "crates/vc/src/behavior.rs")
+        .iter()
+        .all(|v| v.rule != rules::RULE_HONEST_CORE));
+}
+
+#[test]
 fn codec_fixtures() {
     let fns = ["put_msg", "get_msg", "sample_msg"];
     let messages = SourceFile::parse(
@@ -217,6 +234,11 @@ fn binary_fails_on_each_seeded_violation() {
             "scalar-verify",
             "crates/bb/src/seeded.rs",
             "scalar_verify/fail.rs",
+        ),
+        (
+            "honest-core",
+            "crates/vc/src/core.rs",
+            "honest_core/fail.rs",
         ),
     ];
     for (rule, rel, fix) in cases {

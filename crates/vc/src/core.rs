@@ -1,10 +1,13 @@
 //! The sans-I/O Vote Collector core.
 //!
-//! [`VcCore`] is the entire per-node protocol of Algorithm 1 plus the
-//! election-end Vote Set Consensus of §III-E as a pure state machine:
-//! `step(input, now_ms) -> Vec<VcOutput>`. It owns no thread, no socket,
-//! no channel, no clock, and no journal — drivers feed it
-//! [`VcInput`]s and execute the [`VcOutput`]s it returns, in order.
+//! [`HonestCore`] is the entire honest per-node protocol of Algorithm 1
+//! plus the election-end Vote Set Consensus of §III-E as a pure state
+//! machine: `step(input, now_ms) -> Vec<VcOutput>`. It owns no thread, no
+//! socket, no channel, no clock, and no journal — drivers feed it
+//! [`VcInput`]s and execute the [`VcOutput`]s it returns, in order. It
+//! carries no adversary either: a Byzantine collector is this machine
+//! wrapped at its step boundary ([`crate::VcCore`], `behavior.rs`), which
+//! reads it only through the read-only accessors below.
 //!
 //! Determinism contract: given the same construction arguments and the
 //! same `(input, now_ms)` sequence, a core produces byte-identical output
@@ -25,7 +28,6 @@
 //! its own endorsement and stores its own EA-dealt share where it
 //! produces them; ENDORSE and VOTE_P go to the *other* collectors.
 
-use crate::behavior::{AdversaryView, TriggeredAdversary, VcBehavior};
 use crate::durable::{BallotSlot, DurableView, Status, VcRecord};
 use crate::store::BallotStore;
 use ddemos_crypto::field::Scalar;
@@ -142,8 +144,8 @@ pub enum VcOutput {
     Deliver(FinalizedVoteSet),
     /// The node power-cycled ([`Msg::Amnesia`]): volatile state is
     /// already gone; the driver must crash-simulate its journal, replay
-    /// it into [`VcCore::durable`], then run
-    /// [`VcCore::post_recovery`] and execute what it returns.
+    /// it into [`HonestCore::durable`], then run
+    /// [`HonestCore::post_recovery`] and execute what it returns.
     Recover,
 }
 
@@ -251,7 +253,7 @@ enum Phase {
 }
 
 /// A [`Durable`] view over a core's journaled state, handed to drivers
-/// for journal recovery ([`VcCore::durable`]).
+/// for journal recovery ([`HonestCore::durable`]).
 pub struct VcDurable<'a>(DurableView<'a>);
 
 impl Durable for VcDurable<'_> {
@@ -289,20 +291,10 @@ fn reconstruct_receipt(
     interp.at_zero(chosen.iter().map(|(_, value)| *value)).ok()
 }
 
-/// The sans-I/O Vote Collector state machine. See the module docs.
-pub struct VcCore<S> {
+/// The honest sans-I/O Vote Collector state machine. See the module docs.
+pub struct HonestCore<S> {
     init: VcInit,
     store: S,
-    behavior: VcBehavior,
-    /// A state-triggered Byzantine profile layered over `behavior`
-    /// (consulted at the same decision points; see
-    /// [`TriggeredAdversary`]). `None` for honest and statically
-    /// Byzantine nodes.
-    adversary: Option<TriggeredAdversary>,
-    /// Verified endorsement signatures observed so far (own included) —
-    /// the "protocol state seen" that endorsement-count triggers
-    /// predicate over.
-    endorsements_seen: u64,
     poll: Duration,
     beacon: u64,
     /// Whether a journal is attached driver-side: gates the
@@ -312,7 +304,6 @@ pub struct VcCore<S> {
     durable: bool,
     slots: BTreeMap<SerialNo, BallotSlot>,
     phase: Phase,
-    votes_handled: u64,
     announce_at_ms: u64,
     /// Whether this node has delivered its finalized vote set (journaled,
     /// so an amnesia recovery cannot deliver a second one).
@@ -334,7 +325,7 @@ pub struct VcCore<S> {
     /// `vc.sig_checks` metric).
     sigs_skipped: u64,
     /// Corrupt replayed slots met since the last
-    /// [`VcCore::take_corrupt_slots`], one entry per meeting, named by what
+    /// [`HonestCore::take_corrupt_slots`], one entry per meeting, named by what
     /// the step did instead.
     corrupt_slots: Vec<&'static str>,
     announce_from: BTreeSet<u32>,
@@ -351,7 +342,7 @@ pub struct VcCore<S> {
     /// Polls closed (by `Tend` on the node clock or a ClosePolls input).
     closed: bool,
     /// Set while a [`VcOutput::Recover`] is outstanding: suppresses the
-    /// end-of-voting check until [`VcCore::post_recovery`] runs it over
+    /// end-of-voting check until [`HonestCore::post_recovery`] runs it over
     /// the recovered state.
     awaiting_recovery: bool,
     /// The time stamp of the step being processed.
@@ -365,34 +356,29 @@ pub struct VcCore<S> {
     outputs: Vec<VcOutput>,
 }
 
-impl<S: BallotStore> VcCore<S> {
+impl<S: BallotStore> HonestCore<S> {
     /// Creates a core. `durable` must reflect whether the driver attaches
     /// a journal (it gates the journal outputs).
     pub fn new(
         init: VcInit,
         store: S,
-        behavior: VcBehavior,
         poll: Duration,
         beacon: u64,
         durable: bool,
-    ) -> VcCore<S> {
+    ) -> HonestCore<S> {
         let mut mverify = MsgVerifier::new(DEFAULT_CACHE_CAPACITY);
         for vk in &init.vc_keys {
             mverify.prepare(vk);
         }
         mverify.prepare(&init.ea_key);
-        VcCore {
+        HonestCore {
             init,
             store,
-            behavior,
-            adversary: None,
-            endorsements_seen: 0,
             poll,
             beacon,
             durable,
             slots: BTreeMap::new(),
             phase: Phase::Voting,
-            votes_handled: 0,
             announce_at_ms: 0,
             finalized: false,
             verified_ucerts: BTreeSet::new(),
@@ -418,18 +404,6 @@ impl<S: BallotStore> VcCore<S> {
         NodeId::vc(self.init.node_index)
     }
 
-    /// Arms a state-triggered adversary on this core. The adversary acts
-    /// at the same decision points as the static [`VcBehavior`]s, gated
-    /// by its predicate over observed state.
-    pub fn set_adversary(&mut self, adversary: TriggeredAdversary) {
-        self.adversary = Some(adversary);
-    }
-
-    /// The armed adversary, if any (tests inspect its fire count).
-    pub fn adversary(&self) -> Option<&TriggeredAdversary> {
-        self.adversary.as_ref()
-    }
-
     /// Puts the core into read-only degraded mode (journal device full).
     /// New votes get a typed [`RejectReason::ReplicaDegraded`] refusal
     /// and no new endorsements are signed; already-recorded receipts are
@@ -444,17 +418,16 @@ impl<S: BallotStore> VcCore<S> {
         self.degraded
     }
 
-    /// Consults the triggered adversary for `action` at a decision point
-    /// concerning `serial`, latching a fire when it acts.
-    fn adversary_fires(&mut self, action: VcBehavior, serial: Option<SerialNo>) -> bool {
-        let view = AdversaryView {
-            endorsements_seen: self.endorsements_seen,
-            serial: serial.map(|s| s.0),
-        };
-        match &mut self.adversary {
-            Some(adv) => adv.fires(action, view),
-            None => false,
-        }
+    /// The code this node has endorsed for `serial`, if any (it signs at
+    /// most one per ballot).
+    pub fn endorsed(&self, serial: SerialNo) -> Option<VoteCode> {
+        self.slots.get(&serial).and_then(|slot| slot.my_endorsed)
+    }
+
+    /// Whether this node has entered vote-set consensus (sent its
+    /// initial BVAL vector).
+    pub fn in_consensus(&self) -> bool {
+        self.consensus.is_some()
     }
 
     /// Initial outputs: arms the poll timer. Drivers execute these before
@@ -487,7 +460,7 @@ impl<S: BallotStore> VcCore<S> {
     /// replayed state was finalized, finishes receipts the crash
     /// interrupted, and re-runs the end-of-voting check over the
     /// recovered state. Drivers call this after every
-    /// [`VcCore::durable`] replay and execute the returned outputs.
+    /// [`HonestCore::durable`] replay and execute the returned outputs.
     pub fn post_recovery(&mut self, now_ms: u64) -> Vec<VcOutput> {
         self.now_ms = now_ms;
         self.awaiting_recovery = false;
@@ -723,7 +696,7 @@ impl<S: BallotStore> VcCore<S> {
     /// Emits one journal-append output (no-op for volatile cores — the
     /// closure defers record construction, so they pay nothing on the
     /// voting hot path). An appended record is durable at the next
-    /// barrier ([`VcCore::persist`]), whichever step emits it.
+    /// barrier ([`HonestCore::persist`]), whichever step emits it.
     fn jlog(&mut self, record: impl FnOnce() -> VcRecord) {
         if self.durable {
             let bytes = record().encode();
@@ -820,18 +793,12 @@ impl<S: BallotStore> VcCore<S> {
             }
             return;
         }
-        if self.behavior.is_crashed_at(self.votes_handled) {
-            return;
-        }
         match env.msg {
             Msg::Vote {
                 request_id,
                 serial,
                 vote_code,
-            } => {
-                self.votes_handled += 1;
-                self.on_vote(env.from, request_id, serial, vote_code);
-            }
+            } => self.on_vote(env.from, request_id, serial, vote_code),
             Msg::Endorse { serial, vote_code } => self.on_endorse(env.from, serial, vote_code),
             Msg::Endorsement {
                 serial,
@@ -1018,27 +985,20 @@ impl<S: BallotStore> VcCore<S> {
     /// Signs this node's endorsement of `code` and journals `Endorsed`,
     /// unless it endorsed another code; the caller owns the barrier.
     fn endorse(&mut self, serial: SerialNo, code: VoteCode) -> Option<Signature> {
-        // Equivocation (endorsing a second code for a ballot we already
-        // endorsed): statically Byzantine endorsers always do it; a
-        // triggered adversary does it when its predicate over observed
-        // state fires. The adversary is only consulted when a conflict
-        // actually exists, so its fire count equals violations committed.
-        let prev_endorsed = self.slots.get(&serial).and_then(|s| s.my_endorsed);
-        if prev_endorsed.is_some_and(|prev| prev != code)
-            && self.behavior != VcBehavior::EquivocalEndorser
-            && !self.adversary_fires(VcBehavior::EquivocalEndorser, Some(serial))
-        {
+        if self.endorsed(serial).is_some_and(|prev| prev != code) {
             return None;
         }
         let slot = self.slots.entry(serial).or_default();
-        slot.my_endorsed.get_or_insert(code);
+        slot.my_endorsed = Some(code);
         self.jlog(|| VcRecord::Endorsed { serial, code });
-        self.endorsements_seen += 1;
-        Some(self.init.signing_key.sign(&endorsement_message(
-            &self.init.params.election_id,
-            serial,
-            &sha256(&code.0),
-        )))
+        Some(self.endorsement_signature(serial, code))
+    }
+
+    /// This node's signature endorsing `code` for `serial`; records
+    /// nothing.
+    pub(crate) fn endorsement_signature(&self, serial: SerialNo, code: VoteCode) -> Signature {
+        let message = endorsement_message(&self.init.params.election_id, serial, &sha256(&code.0));
+        self.init.signing_key.sign(&message)
     }
 
     fn on_endorse(&mut self, from: NodeId, serial: SerialNo, code: VoteCode) {
@@ -1099,7 +1059,6 @@ impl<S: BallotStore> VcCore<S> {
             return;
         };
         slot.endorsements.push((sender, sig));
-        self.endorsements_seen += 1;
         self.check_ucert_complete(serial);
     }
 
@@ -1152,21 +1111,10 @@ impl<S: BallotStore> VcCore<S> {
         row: usize,
         ucert: Arc<UCert>,
     ) {
-        if self.behavior == VcBehavior::WithholdShares
-            || self.adversary_fires(VcBehavior::WithholdShares, Some(serial))
-        {
-            return;
-        }
         let Some(ballot) = self.store.get(serial) else {
             return;
         };
         let dealt = ballot.parts[part.index()][row].receipt_share;
-        let mut disclosed = dealt;
-        if self.behavior == VcBehavior::CorruptShares
-            || self.adversary_fires(VcBehavior::CorruptShares, Some(serial))
-        {
-            disclosed.share.value += ddemos_crypto::field::Scalar::ONE;
-        }
         let slot = self.slots.entry(serial).or_default();
         if slot.my_share_sent {
             return;
@@ -1185,7 +1133,7 @@ impl<S: BallotStore> VcCore<S> {
         self.multicast_others(Msg::VoteP {
             serial,
             vote_code: code,
-            share: disclosed,
+            share: dealt,
             ucert,
         });
     }
@@ -1419,16 +1367,11 @@ impl<S: BallotStore> VcCore<S> {
 
     fn begin_consensus(&mut self) {
         self.phase = Phase::Consensus;
-        let invert = self.behavior == VcBehavior::ConsensusInverter
-            || self.adversary_fires(VcBehavior::ConsensusInverter, None);
         let initial: Vec<bool> = (0..self.store.num_ballots())
             .map(|s| {
-                let known = self
-                    .slots
+                self.slots
                     .get(&SerialNo(s))
-                    .map(|slot| slot.ucert.is_some())
-                    .unwrap_or(false);
-                known != invert
+                    .is_some_and(|slot| slot.ucert.is_some())
             })
             .collect();
         let (bc, msgs) = BatchConsensus::new(
@@ -1504,18 +1447,7 @@ impl<S: BallotStore> VcCore<S> {
     }
 
     fn on_recover_request(&mut self, from: NodeId, serial: SerialNo) {
-        // A triggered inverter that has struck also refuses RECOVER
-        // assistance (the static inverter's second half) — checked by
-        // fire history, not `fires()`, so refusals don't consume budget.
-        let triggered_inverter = self
-            .adversary
-            .as_ref()
-            .is_some_and(|a| a.action() == VcBehavior::ConsensusInverter && a.times_fired() > 0);
-        if from.kind != NodeKind::Vc
-            || self.phase == Phase::Voting
-            || self.behavior == VcBehavior::ConsensusInverter
-            || triggered_inverter
-        {
+        if from.kind != NodeKind::Vc || self.phase == Phase::Voting {
             return;
         }
         let Some(slot) = self.slots.get(&serial) else {

@@ -8,9 +8,10 @@
 //! vote set via batched binary consensus with ANNOUNCE dispersal and
 //! RECOVER back-fill.
 //!
-//! * [`core`] — the sans-I/O protocol engine ([`VcCore`]): Algorithm 1 +
-//!   vote-set consensus as a pure `step(input, now_ms) -> Vec<output>`
-//!   state machine, with no thread, socket, clock, or journal of its own.
+//! * [`core`] — the honest sans-I/O protocol engine ([`HonestCore`]):
+//!   Algorithm 1 + vote-set consensus as a pure
+//!   `step(input, now_ms) -> Vec<output>` state machine, with no thread,
+//!   socket, clock, journal or adversary of its own.
 //! * [`node`] — the thin thread driver pumping a core against any
 //!   `ddemos_net::TransportEndpoint` (one thread per node, started by
 //!   [`node::spawn`]).
@@ -18,7 +19,9 @@
 //!   elections), and the index-depth latency model for the disk experiment
 //!   (hierarchy and calibration documented in `DESIGN.md` at the workspace
 //!   root).
-//! * [`behavior`] — Byzantine behaviour profiles used by security tests.
+//! * [`behavior`] — [`VcCore`], the collector drivers run: the honest
+//!   core plus at most one Byzantine layer on its step boundary (one
+//!   [`Adversary`] type: a [`VcBehavior`] preset armed by a [`Trigger`]).
 //!
 //! Clusters are normally stood up through the `ddemos-harness` facade
 //! (`ElectionBuilder`), which spawns the node threads, wires the stores
@@ -35,8 +38,8 @@ mod durable;
 pub mod node;
 pub mod store;
 
-pub use behavior::{AdversaryView, Trigger, TriggeredAdversary, VcBehavior};
-pub use core::{StepTrace, TraceStep, VcCore, VcDurable, VcInput, VcOutput};
+pub use behavior::{Adversary, AdversaryView, Trigger, VcBehavior, VcCore};
+pub use core::{HonestCore, StepTrace, TraceStep, VcDurable, VcInput, VcOutput};
 pub use ddemos_protocol::posts::FinalizedVoteSet;
 pub use node::{DeliverTarget, VcHandle, VcNodeConfig};
 pub use store::{BallotStore, FnStore, LatencyStore, MemoryStore, StorageModel};

@@ -1,10 +1,12 @@
 //! The Vote Collector node *driver*: a thin thread loop that pumps a
 //! [`VcCore`] against a transport endpoint.
 //!
-//! All protocol logic lives in the sans-I/O [`crate::core`] module; this
-//! driver owns exactly the I/O the core refuses to: the transport
-//! endpoint, the node clock, the durable journal, the stop/close-polls
-//! flags, and the finalized-vote-set delivery channel. One iteration:
+//! All protocol logic lives in the sans-I/O [`crate::core`] module (a
+//! Byzantine collector's in the step-boundary layer of
+//! [`crate::behavior`]); this driver owns exactly the I/O the core
+//! refuses to: the transport endpoint, the node clock, the durable
+//! journal, the stop/close-polls flags, and the finalized-vote-set
+//! delivery channel. One iteration:
 //!
 //! 1. translate the environment into a burst of [`VcInput`]s — every
 //!    envelope the endpoint has buffered, a poll-timer expiry (`Tick`), a
@@ -27,7 +29,8 @@
 //! The same core runs unchanged over the in-process `SimNet` and over
 //! real sockets with one replica per OS process (`ddemos_harness::tcp`).
 
-use crate::core::{StepTrace, VcCore, VcInput, VcOutput};
+use crate::behavior::{Adversary, VcCore};
+use crate::core::{StepTrace, VcInput, VcOutput};
 use crate::store::BallotStore;
 use crossbeam_channel::{RecvTimeoutError, Sender};
 use ddemos_net::DynEndpoint;
@@ -54,15 +57,13 @@ pub enum DeliverTarget {
 /// Runtime configuration of a node.
 #[derive(Clone, Debug)]
 pub struct VcNodeConfig {
-    /// Behaviour profile (honest by default).
-    pub behavior: crate::behavior::VcBehavior,
+    /// The Byzantine layer on the node's step boundary (`None`, honest,
+    /// by default).
+    pub adversary: Option<Adversary>,
     /// Event-loop poll granularity (clock checks between messages).
     pub poll: Duration,
     /// Optional step-trace recorder (determinism tests).
     pub trace: Option<StepTrace>,
-    /// Optional state-triggered Byzantine profile, layered over
-    /// `behavior` (see [`crate::behavior::TriggeredAdversary`]).
-    pub adversary: Option<crate::behavior::TriggeredAdversary>,
     /// Metrics recorder (disabled by default). The driver feeds it
     /// per-message step latency, outputs-per-step, signature checks by
     /// outcome, and the inbound queue depth at dequeue; its phase label follows the node's own event
@@ -74,10 +75,9 @@ pub struct VcNodeConfig {
 impl Default for VcNodeConfig {
     fn default() -> Self {
         VcNodeConfig {
-            behavior: crate::behavior::VcBehavior::Honest,
+            adversary: None,
             poll: Duration::from_millis(1),
             trace: None,
-            adversary: None,
             recorder: Recorder::disabled(),
         }
     }
@@ -285,6 +285,13 @@ impl<S: BallotStore> VcDriver<S> {
         // Its own outcome-bearing steps (everything up to and including
         // the finalizing delivery) stay under the stable names.
         let stable = matches!(input, VcInput::Deliver(_)) && !self.core.is_done();
+        // An adversary's acts while the node's outcome is open are a pure
+        // function of its event order, whichever input kind carried them.
+        let acts_name = if self.core.is_done() {
+            "~vc.adversary_acts"
+        } else {
+            "vc.adversary_acts"
+        };
         let (outputs_name, step_name, sigs_name) = if stable {
             ("vc.step_outputs", "vc.step_ns", "vc.sig_checks")
         } else {
@@ -310,6 +317,9 @@ impl<S: BallotStore> VcDriver<S> {
         }
         for what in self.core.take_corrupt_slots() {
             self.recorder.add("vc.corrupt_slots", what, 1);
+        }
+        if let Some((preset, acts)) = self.core.take_adversary_acts() {
+            self.recorder.add(acts_name, &format!("{preset:?}"), acts);
         }
         self.execute(outs);
         if end_of_burst {
@@ -468,17 +478,14 @@ pub fn spawn<S: BallotStore + 'static>(
     let thread = std::thread::Builder::new()
         .name(format!("vc-{node_index}"))
         .spawn(move || {
-            let mut core = VcCore::new(
+            let core = VcCore::new(
                 init,
                 store,
-                config.behavior,
+                config.adversary,
                 poll,
                 beacon,
                 journal.is_some(),
             );
-            if let Some(adv) = config.adversary {
-                core.set_adversary(adv);
-            }
             let mut driver = VcDriver {
                 core,
                 endpoint,

@@ -8,7 +8,8 @@
 //! `fv = ⌊(7−1)/3⌋ = 2`) are Byzantine — one crashed from the start, one
 //! disclosing corrupted receipt shares. Voters still obtain valid receipts
 //! (possibly after blacklisting a dead node, per the `[d]`-patience rule of
-//! Definition 1), and the final tally is exact.
+//! Definition 1), the final tally is exact, the audit passes, and both
+//! adversaries acted (`vc.adversary_acts{preset}` above zero).
 
 use ddemos_harness::{ElectionBuilder, ElectionParams, LivenessParams, NodeId, VcBehavior};
 use std::time::Duration;
@@ -53,6 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.verified(),
         "the audit must pass despite Byzantine collectors"
     );
+    // Both adversaries acted: the crashed node dropped what reached it,
+    // the corrupting one rewrote the shares it disclosed.
+    for preset in ["Crashed", "CorruptShares"] {
+        let acts = report
+            .metrics
+            .counter("vc.adversary_acts", None, Some(preset));
+        println!("{preset} adversary acts: {acts}");
+        assert!(acts > 0, "the {preset} collector never acted");
+    }
     election.shutdown();
     Ok(())
 }

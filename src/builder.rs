@@ -18,8 +18,8 @@ use ddemos_storage::{
 };
 use ddemos_trustee::Trustee;
 use ddemos_vc::{
-    BallotStore, DeliverTarget, FnStore, LatencyStore, MemoryStore, StepTrace, StorageModel,
-    TriggeredAdversary, VcBehavior, VcHandle, VcNodeConfig,
+    Adversary, BallotStore, DeliverTarget, FnStore, LatencyStore, MemoryStore, StepTrace,
+    StorageModel, VcBehavior, VcHandle, VcNodeConfig,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -186,8 +186,7 @@ pub struct ElectionBuilder {
     store: StoreKind,
     traces: Vec<StepTrace>,
     behaviors: Vec<VcBehavior>,
-    adversaries: Vec<(NodeId, VcBehavior)>,
-    triggered: Vec<(NodeId, TriggeredAdversary)>,
+    adversaries: Vec<(NodeId, Option<Adversary>)>,
     bb_divergent: Vec<u32>,
     disk_pool: Option<Arc<crate::campaign::DiskPool>>,
     drifts_ms: Vec<i64>,
@@ -217,7 +216,6 @@ impl ElectionBuilder {
             traces: Vec::new(),
             behaviors: Vec::new(),
             adversaries: Vec::new(),
-            triggered: Vec::new(),
             bb_divergent: Vec::new(),
             disk_pool: None,
             drifts_ms: Vec::new(),
@@ -411,21 +409,13 @@ impl ElectionBuilder {
         self
     }
 
-    /// Makes one VC node Byzantine.
+    /// Makes one VC node Byzantine: a static [`VcBehavior`] preset or an
+    /// [`Adversary`] whose trigger over *observed* state decides when it
+    /// strikes (`VcBehavior::Honest` makes the node honest again). A node
+    /// has one adversary; the last one set wins.
     #[must_use]
-    pub fn adversary(mut self, node: NodeId, behavior: VcBehavior) -> Self {
-        self.adversaries.push((node, behavior));
-        self
-    }
-
-    /// Arms a state-triggered Byzantine profile on one VC node: the node
-    /// follows the protocol until the adversary's predicate over
-    /// *observed* state fires (see [`TriggeredAdversary`]). Composes
-    /// with — and is independent of — the static
-    /// [`ElectionBuilder::adversary`] behaviours.
-    #[must_use]
-    pub fn triggered_adversary(mut self, node: NodeId, adversary: TriggeredAdversary) -> Self {
-        self.triggered.push((node, adversary));
+    pub fn adversary(mut self, node: NodeId, adversary: impl Into<Option<Adversary>>) -> Self {
+        self.adversaries.push((node, adversary.into()));
         self
     }
 
@@ -507,26 +497,20 @@ impl ElectionBuilder {
         }
         let num_vc = self.params.num_vc;
 
-        // Merge positional and per-node behaviours / drifts. Over-length
+        // Merge positional and per-node adversaries / drifts. Over-length
         // positional vectors name a node that does not exist — reject them
         // like the per-node setters do rather than silently truncating.
-        let mut behaviors = self.behaviors;
-        if behaviors.len() > num_vc {
+        if self.behaviors.len() > num_vc {
             return Err(BuildError::BadNode(NodeId::vc(num_vc as u32)));
         }
-        behaviors.resize(num_vc, VcBehavior::Honest);
-        for (node, behavior) in &self.adversaries {
+        let mut adversaries: Vec<Option<Adversary>> =
+            self.behaviors.iter().map(|&b| b.into()).collect();
+        adversaries.resize(num_vc, None);
+        for (node, adversary) in &self.adversaries {
             if node.kind != NodeKind::Vc || node.index as usize >= num_vc {
                 return Err(BuildError::BadNode(*node));
             }
-            behaviors[node.index as usize] = *behavior;
-        }
-        let mut triggered: Vec<Option<TriggeredAdversary>> = vec![None; num_vc];
-        for (node, adversary) in &self.triggered {
-            if node.kind != NodeKind::Vc || node.index as usize >= num_vc {
-                return Err(BuildError::BadNode(*node));
-            }
-            triggered[node.index as usize] = Some(adversary.clone());
+            adversaries[node.index as usize] = *adversary;
         }
         for &bb in &self.bb_divergent {
             if bb as usize >= self.params.num_bb {
@@ -713,14 +697,13 @@ impl ElectionBuilder {
             let i = init.node_index;
             let endpoint = net.register(NodeId::vc(i));
             let config = VcNodeConfig {
-                behavior: behaviors[i as usize],
+                adversary: adversaries[i as usize],
                 poll: if self.virtual_time {
                     VIRTUAL_POLL
                 } else {
                     VcNodeConfig::default().poll
                 },
                 trace: self.traces.get(i as usize).cloned(),
-                adversary: triggered[i as usize].clone(),
                 recorder: vc_recorders[i as usize].clone(),
             };
             let node_clock = clock.node_clock_keyed(NodeId::vc(i).clock_key(), drifts[i as usize]);
@@ -862,7 +845,6 @@ impl ElectionBuilder {
                 "adversarial behaviors",
                 !self.behaviors.is_empty()
                     || !self.adversaries.is_empty()
-                    || !self.triggered.is_empty()
                     || !self.bb_divergent.is_empty(),
             ),
             ("campaign disk pools", self.disk_pool.is_some()),

@@ -12,7 +12,7 @@
 //! * **Voter churn** ([`ScenarioEvent::Churn`]) — a fresh connection
 //!   re-submits the most recently receipted ballot mid-run, which must
 //!   reproduce the identical receipt (feeding the uniqueness oracle).
-//! * **State-triggered adversaries** — [`TriggeredAdversary`] profiles
+//! * **State-triggered adversaries** — [`Adversary`] profiles
 //!   for VC nodes and diverge-after-finalized BB replicas, armed at
 //!   build time and fired by predicates over *observed* protocol state
 //!   rather than the clock.
@@ -34,7 +34,7 @@
 use crate::schedule::Schedule;
 use ddemos_net::NetFault;
 use ddemos_protocol::NodeId;
-use ddemos_vc::TriggeredAdversary;
+use ddemos_vc::Adversary;
 use std::time::Duration;
 
 /// A schedulable fault against a named node disk (the label the builder
@@ -127,7 +127,7 @@ pub struct ScenarioScript {
     /// `(at_ms, event)` pairs, sorted by time at build.
     pub events: Vec<(u64, ScenarioEvent)>,
     /// VC nodes armed with state-triggered Byzantine profiles.
-    pub adversaries: Vec<(NodeId, TriggeredAdversary)>,
+    pub adversaries: Vec<(NodeId, Adversary)>,
     /// BB replicas whose reads diverge after the first finalized set.
     pub bb_divergent: Vec<u32>,
     /// Scenario class label (failure artifacts, coverage class axis).
@@ -258,7 +258,7 @@ impl ScenarioBuilder {
 
     /// Arms a state-triggered Byzantine profile on a VC node.
     #[must_use]
-    pub fn trigger(mut self, node: NodeId, adversary: TriggeredAdversary) -> Self {
+    pub fn trigger(mut self, node: NodeId, adversary: Adversary) -> Self {
         self.script.adversaries.push((node, adversary));
         self
     }
@@ -433,10 +433,7 @@ mod tests {
         let script = ScenarioBuilder::new("cov")
             .at_phase(ScenarioPhase::MidVoting, |t| t.disk_full("vc-0"))
             .at_phase(ScenarioPhase::Close, |t| t.disk_full("vc-0"))
-            .trigger(
-                NodeId::vc(1),
-                TriggeredAdversary::equivocate_after_endorsements(1),
-            )
+            .trigger(NodeId::vc(1), Adversary::equivocate_after_endorsements(1))
             .build();
         let cov = script.coverage();
         assert!(cov.contains(&("disk-full".into(), "voting".into())));

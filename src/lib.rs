@@ -99,7 +99,5 @@ pub use ddemos_net::{DynEndpoint, NetFault, NetworkProfile, TransportEndpoint};
 pub use ddemos_obs::{Histogram, MetricsSnapshot, Recorder, TimeDomain};
 pub use ddemos_protocol::{ElectionParams, NodeId, PartId, SerialNo};
 pub use ddemos_storage::{DiskProfile, FileDisk, SimDisk};
-pub use ddemos_vc::{
-    AdversaryView, StepTrace, StorageModel, Trigger, TriggeredAdversary, VcBehavior,
-};
+pub use ddemos_vc::{Adversary, AdversaryView, StepTrace, StorageModel, Trigger, VcBehavior};
 pub use tcp::{run_bb_replica, run_vc_replica, TcpCluster, COORDINATOR};

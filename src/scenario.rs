@@ -3,7 +3,9 @@
 //! invariants.
 //!
 //! * **Safety** (always): the published tally counts every receipted vote,
-//!   counts nothing the driver did not attempt, and the audit verifies.
+//!   counts nothing the driver did not attempt, and the audit verifies;
+//!   every collector the plan leaves honest finalizes the same vote set,
+//!   and that set holds every receipted ballot.
 //! * **Liveness** (when the schedule stays within the fault model of
 //!   §III-C — see [`Schedule::liveness_friendly`]): every honest voter
 //!   obtains a valid receipt and the election publishes a result.
@@ -35,7 +37,7 @@ use ddemos::voter::VoteError;
 use ddemos_net::NetworkProfile;
 use ddemos_protocol::{ElectionParams, NodeId, PartId};
 use ddemos_storage::DiskProfile;
-use ddemos_vc::{TriggeredAdversary, VcBehavior};
+use ddemos_vc::{Adversary, VcBehavior};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -59,7 +61,7 @@ pub enum FaultMix {
     /// degradation) plus a slow-fsync brown-out, executed by the runner
     /// at virtual times.
     Disk,
-    /// State-triggered adversaries: a [`TriggeredAdversary`] collector
+    /// State-triggered adversaries: an [`Adversary`] collector
     /// and (half the time) a diverge-after-finalized BB replica.
     Adaptive,
 }
@@ -102,6 +104,9 @@ pub struct ScenarioOptions {
 
 /// Registered electorate per scenario election.
 const BALLOTS: u64 = 12;
+/// Options on every scenario ballot (the election parameters, the vote
+/// draw and the tally oracle share it).
+const OPTIONS: usize = 3;
 /// Votes the driver casts.
 const VOTES: usize = 6;
 /// Virtual milliseconds between casts (lets scheduled faults interleave
@@ -226,7 +231,7 @@ impl ScenarioPlan {
                 }
             }
         };
-        let votes = (0..VOTES).map(|i| (i, rng.gen_range(0..3usize))).collect();
+        let votes = (0..VOTES).map(|i| (i, rng.gen_range(0..OPTIONS))).collect();
         let liveness_expected = schedule.liveness_friendly && extras.liveness_friendly;
         let durability = schedule.has_amnesia() || extras.needs_durability();
         ScenarioPlan {
@@ -270,14 +275,14 @@ impl ScenarioPlan {
     /// replica lying stays within both budgets (`f_v = 1`, `f_b = 1`).
     fn adaptive_script(rng: &mut StdRng, fault_node: u32) -> ScenarioScript {
         let adversary = match rng.gen_range(0..3u32) {
-            0 => TriggeredAdversary::equivocate_after_endorsements(rng.gen_range(1..=3)),
+            0 => Adversary::equivocate_after_endorsements(rng.gen_range(1..=3)),
             1 => {
                 let lo = rng.gen_range(0..VOTES as u64 / 2);
-                TriggeredAdversary::withhold_shares_for_serials(lo, lo + rng.gen_range(1..=2u64))
+                Adversary::withhold_shares_for_serials(lo, lo + rng.gen_range(1..=2u64))
             }
             _ => {
                 let lo = rng.gen_range(0..VOTES as u64 / 2);
-                TriggeredAdversary::corrupt_shares_for_serials(lo, lo + rng.gen_range(1..=2u64))
+                Adversary::corrupt_shares_for_serials(lo, lo + rng.gen_range(1..=2u64))
             }
         };
         let mut builder =
@@ -501,7 +506,7 @@ pub fn run_plan(
     let params = ElectionParams::new(
         &format!("scenario-{seed}"),
         BALLOTS,
-        3,
+        OPTIONS,
         4,
         4,
         3,
@@ -530,7 +535,7 @@ pub fn run_plan(
             .disk_pool(pool.clone());
     }
     for (node, adversary) in &plan.extras.adversaries {
-        builder = builder.triggered_adversary(*node, adversary.clone());
+        builder = builder.adversary(*node, *adversary);
     }
     for &bb in &plan.extras.bb_divergent {
         builder = builder.bb_diverges_after_finalized(bb);
@@ -675,15 +680,15 @@ pub fn run_plan(
     // Safety: the tally counts every receipted vote and nothing beyond
     // what was attempted.
     if let Some(result) = &result {
-        let mut receipted_counts = [0u64; 3];
+        let mut receipted_counts = [0u64; OPTIONS];
         for &(_, option) in &receipted {
             receipted_counts[option] += 1;
         }
-        let mut attempted_counts = [0u64; 3];
+        let mut attempted_counts = [0u64; OPTIONS];
         for &(_, option) in &plan.votes {
             attempted_counts[option] += 1;
         }
-        for option in 0..3 {
+        for option in 0..OPTIONS {
             if result.tally[option] < receipted_counts[option] {
                 violations.push(format!(
                     "safety: option {option} tally {} < {} receipted votes",
@@ -709,6 +714,44 @@ pub fn run_plan(
                 "safety: audit rejected the election: {:?}",
                 report.audit.as_ref().map(|a| &a.failures)
             ));
+        }
+    }
+    // Safety: every collector the plan leaves honest finalizes the same
+    // vote set, and a receipt implies the vote is in it.
+    if let Ok(sets) = &closed {
+        let byzantine = |node: u32| {
+            plan.behaviors
+                .get(node as usize)
+                .is_some_and(|b| *b != VcBehavior::Honest)
+                || plan
+                    .extras
+                    .adversaries
+                    .iter()
+                    .any(|(n, _)| *n == NodeId::vc(node))
+        };
+        let honest: Vec<_> = sets.iter().filter(|f| !byzantine(f.node_index)).collect();
+        if let Some((first, rest)) = honest.split_first() {
+            let digest = first.vote_set.digest();
+            for other in rest {
+                if other.vote_set.digest() != digest {
+                    violations.push(format!(
+                        "safety: honest vote sets disagree: vc-{} and vc-{}",
+                        first.node_index, other.node_index
+                    ));
+                }
+            }
+        }
+        for set in &honest {
+            for &(ballot, _) in &receipted {
+                let serial = election.setup.ballots[ballot].serial;
+                if !set.vote_set.entries.contains_key(&serial) {
+                    violations.push(format!(
+                        "safety: ballot {ballot} was receipted but vc-{}'s finalized \
+                         vote set omits it",
+                        set.node_index
+                    ));
+                }
+            }
         }
     }
     // Liveness: within the fault model, every voter gets a receipt and

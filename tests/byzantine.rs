@@ -4,10 +4,25 @@
 //! the `ElectionBuilder` facade.
 
 use ddemos_harness::adversary::byzantine_prefix;
-use ddemos_harness::{ElectionBuilder, ElectionParams, NetworkProfile, PartId, VcBehavior};
+use ddemos_harness::{
+    ElectionBuilder, ElectionParams, MetricsSnapshot, NetworkProfile, NodeId, PartId, VcBehavior,
+};
+use ddemos_protocol::messages::Msg;
+use ddemos_protocol::SerialNo;
 use std::time::Duration;
 
-fn run_with_behaviors(behaviors: Vec<VcBehavior>, num_vc: usize, votes: &[usize]) -> Vec<u64> {
+/// The acts (dropped inputs; rewritten, dropped or forged outputs) the
+/// collectors running `preset` committed: a preset that does nothing
+/// fails its test here.
+fn acts(metrics: &MetricsSnapshot, preset: &str) -> u64 {
+    metrics.counter("vc.adversary_acts", None, Some(preset))
+}
+
+fn run_with_behaviors(
+    behaviors: Vec<VcBehavior>,
+    num_vc: usize,
+    votes: &[usize],
+) -> (Vec<u64>, MetricsSnapshot) {
     let params = ElectionParams::new(
         "byz-test",
         votes.len() as u64 + 1,
@@ -34,59 +49,65 @@ fn run_with_behaviors(behaviors: Vec<VcBehavior>, num_vc: usize, votes: &[usize]
     let report = election.finish().expect("pipeline completes");
     let tally = report.result.expect("tally published").tally;
     election.shutdown();
-    tally
+    (tally, report.metrics)
 }
 
 #[test]
 fn crashed_collector_does_not_block_votes_or_tally() {
-    let tally = run_with_behaviors(
+    let (tally, metrics) = run_with_behaviors(
         byzantine_prefix(4, VcBehavior::Crashed),
         4,
         &[0, 1, 0, 1, 0],
     );
     assert_eq!(tally, vec![3, 2]);
+    assert!(acts(&metrics, "Crashed") > 0);
 }
 
 #[test]
 fn corrupt_share_collector_is_harmless() {
     // Corrupted receipt shares fail the EA signature check at honest
     // receivers; receipts still reconstruct from the honest quorum.
-    let tally = run_with_behaviors(
+    let (tally, metrics) = run_with_behaviors(
         byzantine_prefix(4, VcBehavior::CorruptShares),
         4,
         &[1, 1, 0],
     );
     assert_eq!(tally, vec![1, 2]);
+    assert!(acts(&metrics, "CorruptShares") > 0);
 }
 
 #[test]
 fn withholding_collector_is_harmless() {
-    let tally = run_with_behaviors(
+    let (tally, metrics) = run_with_behaviors(
         byzantine_prefix(4, VcBehavior::WithholdShares),
         4,
         &[0, 0, 1],
     );
     assert_eq!(tally, vec![2, 1]);
+    assert!(acts(&metrics, "WithholdShares") > 0);
 }
 
 #[test]
 fn consensus_inverter_cannot_corrupt_the_vote_set() {
     // A Byzantine node entering vote-set consensus with inverted opinions
     // cannot flip any ballot whose status the honest quorum agrees on.
-    let tally = run_with_behaviors(
+    let (tally, metrics) = run_with_behaviors(
         byzantine_prefix(4, VcBehavior::ConsensusInverter),
         4,
         &[1, 0, 1, 1],
     );
     assert_eq!(tally, vec![1, 3]);
+    assert!(acts(&metrics, "ConsensusInverter") > 0);
 }
 
 #[test]
 fn seven_node_cluster_with_two_byzantine() {
     let mut behaviors = vec![VcBehavior::Crashed, VcBehavior::CorruptShares];
     behaviors.resize(7, VcBehavior::Honest);
-    let tally = run_with_behaviors(behaviors, 7, &[0, 1, 1]);
+    let (tally, metrics) = run_with_behaviors(behaviors, 7, &[0, 1, 1]);
     assert_eq!(tally, vec![1, 2]);
+    assert!(acts(&metrics, "Crashed") > 0);
+    assert!(acts(&metrics, "CorruptShares") > 0);
 }
 
 #[test]
@@ -115,10 +136,34 @@ fn equivocal_endorser_cannot_enable_double_voting() {
         "second code on the same ballot must not be recorded"
     );
 
+    // An accomplice posing as the stolen code's responder asks every
+    // collector to endorse it: only the equivocator signs.
+    let stolen = election.setup.ballots[0]
+        .part(PartId::B)
+        .line_for_option(1)
+        .expect("option 1")
+        .vote_code;
+    let accomplice = election.network().register(NodeId::vc(4));
+    for vc in 0..4 {
+        accomplice.send(
+            NodeId::vc(vc),
+            Msg::Endorse {
+                serial: SerialNo(0),
+                vote_code: stolen,
+            },
+        );
+    }
+    let signed = accomplice
+        .recv_timeout(Duration::from_secs(3))
+        .expect("the equivocator endorses the stolen code");
+    assert_eq!(signed.from, NodeId::vc(0));
+    assert!(matches!(signed.msg, Msg::Endorsement { vote_code, .. } if vote_code == stolen));
+
     let report = election.finish().expect("pipeline completes");
     let result = report.result.expect("tally published");
     assert_eq!(result.ballots_counted, 1);
     assert_eq!(result.tally, vec![1, 0]);
+    assert!(acts(&report.metrics, "EquivocalEndorser") > 0);
     election.shutdown();
 }
 

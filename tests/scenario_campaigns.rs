@@ -233,7 +233,7 @@ fn triggered_adversary_fires_within_the_budget() {
     let script = ScenarioBuilder::new("one-shot-equivocator")
         .trigger(
             NodeId::vc(2),
-            ddemos_harness::TriggeredAdversary::equivocate_after_endorsements(1),
+            ddemos_harness::Adversary::equivocate_after_endorsements(1),
         )
         .build();
     let mut plan = ScenarioPlan::from_seed_with(9, FaultMix::Adaptive);
