@@ -18,7 +18,7 @@
 use ddemos_crypto::batch::LinearBatch;
 use ddemos_crypto::elgamal::{self, Ciphertext, PublicKey};
 use ddemos_crypto::field::Scalar;
-use ddemos_crypto::mverify::{MsgVerifier, DEFAULT_CACHE_CAPACITY};
+use ddemos_crypto::mverify::MsgVerifier;
 use ddemos_crypto::schnorr::{Signature, VerifyingKey};
 use ddemos_crypto::shamir::{Interpolator, InterpolatorCache};
 use ddemos_crypto::votecode::{self, VoteCode};
@@ -329,14 +329,15 @@ pub fn trustee_post_digest(post: &TrusteePost) -> [u8; 32] {
 /// The sans-I/O Bulletin Board state machine. See the module docs.
 pub struct BbCore {
     init: BbInit,
-    /// Batch-first signature verification front end: the batch path and
-    /// the bounded verified-envelope memo. No per-writer comb tables — a
-    /// table (~0.35 ms to build) repays itself after five one-at-a-time
-    /// checks against its key, and a board sees fewer: one vote-set write
-    /// per VC key, `N_v − f_v` `msk` shares under the EA key, and a
-    /// trustee's one post (its signature and its EA-signed bundles) goes
-    /// through the MSM. Volatile — it only memoizes results, so journal
-    /// replay reproduces the same accept/reject outcomes.
+    /// Batch-first signature verification front end: the batch path
+    /// alone. No burst hand-off — a board has no `preverify`, so every
+    /// check is verified in the call that makes it. No per-writer comb
+    /// tables — a table (~0.35 ms to build) repays itself after five
+    /// one-at-a-time checks against its key, and a board sees fewer: one
+    /// vote-set write per VC key, `N_v − f_v` `msk` shares under the EA
+    /// key, and a trustee's one post (its signature and its EA-signed
+    /// bundles) goes through the MSM. Stateless but for its counts, so
+    /// journal replay reproduces the same accept/reject outcomes.
     mverify: MsgVerifier,
     vote_set_submissions: BTreeMap<[u8; 32], Vec<u32>>, // digest -> vc nodes
     vote_sets: BTreeMap<[u8; 32], VoteSet>,
@@ -359,7 +360,7 @@ impl BbCore {
     pub fn new(init: BbInit) -> BbCore {
         BbCore {
             init,
-            mverify: MsgVerifier::new(DEFAULT_CACHE_CAPACITY),
+            mverify: MsgVerifier::default(),
             vote_set_submissions: BTreeMap::new(),
             vote_sets: BTreeMap::new(),
             msk_shares: Vec::new(),

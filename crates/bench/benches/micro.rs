@@ -92,10 +92,6 @@ fn bench_curve(c: &mut Criterion) {
     c.bench_function("curve/mul_varpoint", |b| {
         b.iter(|| p.mul(std::hint::black_box(&k)))
     });
-    let a2 = Scalar::random(&mut rng);
-    c.bench_function("curve/double_mul (Shamir trick)", |b| {
-        b.iter(|| Point::double_mul(&k, &Point::generator(), &a2, &p))
-    });
 }
 
 /// The batched crypto kernels against their per-item baselines — the
@@ -370,11 +366,11 @@ fn bench_schnorr(c: &mut Criterion) {
     });
     // The cast path's burst at one collector: four VOTE_Ps, each with
     // the same three UCERT signatures and its own EA-signed share — 16
-    // items, 7 distinct. A memo of capacity 0 remembers nothing, so every
+    // items, 7 distinct. `check_batch` remembers nothing, so every
     // iteration pays for the whole burst.
     let collectors = &signers[..3];
     let ea = &signers[3];
-    let mut mv = ddemos_crypto::mverify::MsgVerifier::new(0);
+    let mut mv = ddemos_crypto::mverify::MsgVerifier::default();
     for sk in &signers[..4] {
         mv.prepare(&sk.verifying_key());
     }

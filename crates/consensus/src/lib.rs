@@ -1,20 +1,18 @@
 //! # ddemos-consensus
 //!
 //! The asynchronous agreement substrate of D-DEMOS's vote-set consensus
-//! (§III-E, §V): Bracha reliable broadcast ([`rbc`]) and the batched
-//! randomized binary Byzantine consensus built on it ([`binary`]), deciding
-//! one bit per registered ballot with all ballots sharing each round's
-//! message flow.
+//! (§III-E, §V): the batched randomized binary Byzantine consensus
+//! ([`binary`]), run directly over the authenticated point-to-point
+//! channels, deciding one bit per registered ballot with all ballots
+//! sharing each round's message flow.
 //!
-//! Both layers are sans-IO state machines — they consume authenticated
-//! messages and emit messages to broadcast — so they can be driven by the
-//! simulated network, by deterministic test schedulers, or by property
-//! tests exploring adversarial delivery orders.
+//! It is a sans-IO state machine — it consumes authenticated messages and
+//! emits messages to broadcast — so it can be driven by the simulated
+//! network, by deterministic test schedulers, or by property tests
+//! exploring adversarial delivery orders.
 
 #![warn(missing_docs)]
 
 pub mod binary;
-pub mod rbc;
 
 pub use binary::BatchConsensus;
-pub use rbc::{RbcDelivery, RbcState};

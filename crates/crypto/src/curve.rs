@@ -275,44 +275,6 @@ impl Point {
         FixedBase::generator().mul(k)
     }
 
-    /// Simultaneous double-scalar multiplication `a·P + b·Q` (Shamir's
-    /// trick): one shared doubling chain instead of two. Used on signature
-    /// and proof verification paths.
-    pub fn double_mul(a: &Scalar, p: &Point, b: &Scalar, q: &Point) -> Point {
-        // 2-bit windows over both scalars simultaneously.
-        let mut table = [[Point::IDENTITY; 4]; 4];
-        for i in 0..4 {
-            for j in 0..4 {
-                if i == 0 && j == 0 {
-                    continue;
-                }
-                table[i][j] = if i > 0 {
-                    table[i - 1][j].add(p)
-                } else {
-                    table[i][j - 1].add(q)
-                };
-            }
-        }
-        let ab = a.to_bytes();
-        let bb = b.to_bytes();
-        let mut acc = Point::IDENTITY;
-        let mut started = false;
-        for byte_idx in 0..32 {
-            for shift in [6u8, 4, 2, 0] {
-                if started {
-                    acc = acc.double().double();
-                }
-                let wa = ((ab[byte_idx] >> shift) & 3) as usize;
-                let wb = ((bb[byte_idx] >> shift) & 3) as usize;
-                if wa != 0 || wb != 0 {
-                    acc = acc.add(&table[wa][wb]);
-                    started = true;
-                }
-            }
-        }
-        acc
-    }
-
     /// Sum of `aᵢ·Pᵢ` over parallel slices — Pippenger multi-scalar
     /// multiplication. Proof batch verification, signature batch
     /// verification and tally aggregation are built on this kernel.
@@ -1248,24 +1210,6 @@ mod tests {
         }
         assert_eq!(Point::mul_generator(&Scalar::ZERO), Point::IDENTITY);
         assert_eq!(Point::mul_generator(&Scalar::ONE), Point::generator());
-    }
-
-    #[test]
-    fn double_mul_matches_separate() {
-        let mut rng = StdRng::seed_from_u64(12);
-        for _ in 0..10 {
-            let a = Scalar::random(&mut rng);
-            let b = Scalar::random(&mut rng);
-            let p = Point::mul_generator(&Scalar::random(&mut rng));
-            let q = Point::mul_generator(&Scalar::random(&mut rng));
-            assert_eq!(Point::double_mul(&a, &p, &b, &q), p.mul(&a) + q.mul(&b));
-        }
-        let g = Point::generator();
-        assert_eq!(
-            Point::double_mul(&Scalar::ZERO, &g, &Scalar::ZERO, &g),
-            Point::IDENTITY
-        );
-        assert_eq!(Point::double_mul(&Scalar::ONE, &g, &Scalar::ZERO, &g), g);
     }
 
     fn naive_msm(scalars: &[Scalar], points: &[Point]) -> Point {

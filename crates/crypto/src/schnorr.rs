@@ -83,7 +83,7 @@ impl std::fmt::Debug for SigningKey {
 /// A Schnorr signature `(R, s)` with `s·G = R + e·PK`, `e = H(R‖PK‖m)`.
 ///
 /// `R` is held normalised from the moment the signature exists: its 33
-/// encoded bytes, which is what every challenge hash, memo digest,
+/// encoded bytes, which is what every challenge hash, hand-off digest,
 /// comparison and wire encoding wants, so none of them pays a field
 /// inversion. A signature made in this process also keeps the affine `y`
 /// it had in hand when it encoded `R`, which spares batch verification
@@ -261,9 +261,10 @@ impl VerifyingKey {
             return false;
         }
         let e = challenge(&sig.r, self, message);
-        // s·G − e·PK == R, via one Shamir double-scalar multiplication;
-        // comparing compressed bytes sidesteps decompressing a wire R.
-        Point::double_mul(&sig.s, &Point::generator(), &-e, &self.point).to_bytes() == sig.r
+        // s·G − e·PK == R: the comb table for s·G, one windowed
+        // multiplication for e·PK; comparing compressed bytes sidesteps
+        // decompressing a wire R.
+        (Point::mul_generator(&sig.s) + self.point.mul(&-e)).to_bytes() == sig.r
     }
 
     /// Serializes as 33 bytes (a copy of the cached canonical encoding).

@@ -79,9 +79,10 @@ pub fn cp_verify(
     c: &Scalar,
     z: &Scalar,
 ) -> bool {
-    // z·G − c·a == t1  ∧  z·pk − c·b == t2 (Shamir double-scalar form).
-    Point::double_mul(z, &Point::generator(), &-*c, a) == first.t1
-        && Point::double_mul(z, &pk.0, &-*c, b) == first.t2
+    // z·G − c·a == t1 (the comb table for z·G)  ∧  z·pk − c·b == t2 (a
+    // two-term multi-scalar multiplication).
+    Point::mul_generator(z) + a.mul(&-*c) == first.t1
+        && Point::msm(&[*z, -*c], &[pk.0, *b]) == first.t2
 }
 
 /// First move of the 0/1 OR proof for one lifted ElGamal ciphertext.

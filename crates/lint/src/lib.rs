@@ -96,8 +96,8 @@ const EVLOOP_FILE: &str = "crates/net/src/evloop.rs";
 const EVLOOP_DIR: &str = "crates/net/src/evloop/";
 
 /// Replica message-path crates where one-at-a-time `verify` calls are
-/// denied: every signature check must route through the batch/cache
-/// layer (`ddemos_crypto::mverify`), or the hot path silently falls back
+/// denied: every signature check must route through the batch layer
+/// (`ddemos_crypto::mverify`), or the hot path silently falls back
 /// to one group ladder per signature.
 const VERIFY_SCOPE_CRATES: &[&str] = &["crates/vc", "crates/bb"];
 

@@ -650,10 +650,10 @@ pub fn check_blocking_recv(sf: &SourceFile) -> Vec<Violation> {
 
 /// Flags one-at-a-time signature verification — `.verify(…)` /
 /// `::verify(…)` calls — on the VC/BB message-path crates. Those paths
-/// must go through `ddemos_crypto::mverify::MsgVerifier` (cache + per-peer
-/// tables + one-MSM batches); a scalar `verify` there silently reverts a
-/// replica's hot path to one group ladder per signature. Setup and audit
-/// paths justify themselves with `// lint:allow(scalar-verify, reason)`.
+/// must go through `ddemos_crypto::mverify::MsgVerifier` (per-peer tables,
+/// one-MSM batches, the burst hand-off); a scalar `verify` there silently
+/// reverts a replica's hot path to one group ladder per signature. Setup and
+/// audit paths justify themselves with `// lint:allow(scalar-verify, reason)`.
 pub fn check_scalar_verify(sf: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
     for (i, tok) in sf.toks.iter().enumerate() {
@@ -681,8 +681,8 @@ pub fn check_scalar_verify(sf: &SourceFile) -> Vec<Violation> {
                 RULE_SCALAR_VERIFY,
                 "scalar signature verification on a replica message path; route it \
                  through `mverify::MsgVerifier` (check/check_share/check_batch) so it \
-                 hits the verified cache and the one-MSM batch, or justify a setup/audit \
-                 call with `// lint:allow(scalar-verify, reason)`"
+                 gets the per-peer tables, the one-MSM batch and the burst hand-off, or \
+                 justify a setup/audit call with `// lint:allow(scalar-verify, reason)`"
                     .to_string(),
             ));
         }

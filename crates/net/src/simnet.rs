@@ -449,11 +449,6 @@ impl SimNet {
         }
     }
 
-    /// Replaces the latency profile at runtime.
-    pub fn set_profile(&self, profile: NetworkProfile) {
-        *self.inner.profile.write() = profile;
-    }
-
     /// Marks a node as crashed: all traffic to and from it is discarded.
     ///
     /// This is the **message-loss-only** fault (crash *retaining*
@@ -710,13 +705,6 @@ impl Endpoint {
             to,
             msg,
         });
-    }
-
-    /// Sends the same message to many destinations.
-    pub fn send_many<'a>(&self, to: impl IntoIterator<Item = &'a NodeId>, msg: Msg) {
-        for dest in to {
-            self.send(*dest, msg.clone());
-        }
     }
 
     /// Blocking receive.

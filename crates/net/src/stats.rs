@@ -26,7 +26,7 @@ impl NetStats {
             Msg::Vote { .. } | Msg::VoteReply { .. } => &self.vote_msgs,
             Msg::Endorse { .. } | Msg::Endorsement { .. } => &self.endorse_msgs,
             Msg::VoteP { .. } => &self.share_msgs,
-            Msg::Consensus(_) | Msg::Rbc(_) => &self.consensus_msgs,
+            Msg::Consensus(_) => &self.consensus_msgs,
             _ => return,
         };
         class.fetch_add(1, Ordering::Relaxed);
@@ -77,7 +77,7 @@ impl NetStats {
         self.share_msgs.load(Ordering::Relaxed)
     }
 
-    /// Consensus (RBC) traffic.
+    /// Binary-consensus (BVAL/AUX) traffic.
     pub fn consensus_msgs(&self) -> u64 {
         self.consensus_msgs.load(Ordering::Relaxed)
     }

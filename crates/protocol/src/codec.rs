@@ -21,7 +21,7 @@
 use crate::ids::{NodeId, NodeKind, PartId, SerialNo};
 use crate::messages::{
     AnnounceEntry, BbWriteMsg, BbWriteOutcome, ConsensusMsg, ConsensusPayload, Envelope, Msg,
-    RbcMsg, RbcPhase, RejectReason, UCert, VoteOutcome,
+    RejectReason, UCert, VoteOutcome,
 };
 use crate::posts::{
     FinalizedVoteSet, PartOpeningPost, PartZkPost, TallySharePost, TrusteePost, VoteSet,
@@ -30,7 +30,7 @@ use crate::wire::{crc32, Reader, WireError, Writer};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::schnorr::Signature;
 use ddemos_crypto::shamir::Share;
-use ddemos_crypto::votecode::{VoteCode, VoteCodeHash};
+use ddemos_crypto::votecode::VoteCode;
 use ddemos_crypto::vss::SignedShare;
 use std::sync::Arc;
 
@@ -94,22 +94,6 @@ pub fn put_vote_code(w: &mut Writer, code: &VoteCode) {
 /// [`WireError::UnexpectedEnd`] if the input is exhausted.
 pub fn get_vote_code(r: &mut Reader<'_>) -> Result<VoteCode, WireError> {
     Ok(VoteCode(r.get_array::<20>()?))
-}
-
-/// Encodes a vote-code hash commitment.
-pub fn put_vote_code_hash(w: &mut Writer, h: &VoteCodeHash) {
-    w.put_array(&h.hash).put_u64(h.salt);
-}
-
-/// Decodes a vote-code hash commitment.
-///
-/// # Errors
-/// [`WireError::UnexpectedEnd`] if the input is exhausted.
-pub fn get_vote_code_hash(r: &mut Reader<'_>) -> Result<VoteCodeHash, WireError> {
-    Ok(VoteCodeHash {
-        hash: r.get_array::<32>()?,
-        salt: r.get_u64()?,
-    })
 }
 
 /// Encodes a Shamir share.
@@ -587,7 +571,9 @@ const MSG_RECOVER_REQUEST: u8 = 7;
 const MSG_RECOVER_RESPONSE: u8 = 8;
 const MSG_CONSENSUS: u8 = 9;
 const MSG_AMNESIA: u8 = 10;
-const MSG_RBC: u8 = 11;
+// Tag 11 carried the retired reliable-broadcast message. It stays
+// unassigned, so every other message keeps its bytes on the wire and in
+// the journal, and a frame carrying it is rejected.
 const MSG_CLOSE_POLLS: u8 = 12;
 const MSG_SHUTDOWN: u8 = 13;
 const MSG_FINALIZED: u8 = 14;
@@ -665,16 +651,6 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
         }
         Msg::Amnesia => {
             w.put_u8(MSG_AMNESIA);
-        }
-        Msg::Rbc(rbc) => {
-            w.put_u8(MSG_RBC);
-            put_node_id(w, rbc.origin);
-            put_consensus_payload(w, &rbc.payload);
-            w.put_u8(match rbc.phase {
-                RbcPhase::Send => 0,
-                RbcPhase::Echo => 1,
-                RbcPhase::Ready => 2,
-            });
         }
         Msg::ClosePolls => {
             w.put_u8(MSG_CLOSE_POLLS);
@@ -764,21 +740,6 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             payload: Arc::new(get_consensus_payload(r)?),
         }),
         MSG_AMNESIA => Msg::Amnesia,
-        MSG_RBC => {
-            let origin = get_node_id(r)?;
-            let payload = Arc::new(get_consensus_payload(r)?);
-            let phase = match r.get_u8()? {
-                0 => RbcPhase::Send,
-                1 => RbcPhase::Echo,
-                2 => RbcPhase::Ready,
-                _ => return Err(WireError::BadValue),
-            };
-            Msg::Rbc(RbcMsg {
-                origin,
-                payload,
-                phase,
-            })
-        }
         MSG_CLOSE_POLLS => Msg::ClosePolls,
         MSG_SHUTDOWN => Msg::Shutdown,
         MSG_FINALIZED => Msg::Finalized(get_finalized_vote_set(r)?),
@@ -975,7 +936,6 @@ mod tests {
 
     // ----- full Msg / Envelope codec ------------------------------------
 
-    use crate::messages::{RbcMsg, RbcPhase};
     use proptest::prelude::*;
 
     fn sample_ucert(rng: &mut StdRng) -> UCert {
@@ -1045,9 +1005,9 @@ mod tests {
         set
     }
 
-    /// The number of `Msg` variants [`sample_msg`] can produce (one per
-    /// wire tag — keep in sync with the enum).
-    const MSG_VARIANTS: u32 = 18;
+    /// The number of `Msg` variants [`sample_msg`] can produce (keep in
+    /// sync with the enum).
+    const MSG_VARIANTS: u32 = 17;
 
     /// One deterministic sample of each variant family, seeded.
     fn sample_msg(variant: u32, seed: u64) -> Msg {
@@ -1111,18 +1071,9 @@ mod tests {
                 payload: Arc::new(sample_payload(rng)),
             }),
             9 => Msg::Amnesia,
-            10 => Msg::Rbc(RbcMsg {
-                origin: NodeId::vc(rng.gen_range(0..7)),
-                payload: Arc::new(sample_payload(rng)),
-                phase: match rng.gen_range(0..3u32) {
-                    0 => RbcPhase::Send,
-                    1 => RbcPhase::Echo,
-                    _ => RbcPhase::Ready,
-                },
-            }),
-            11 => Msg::ClosePolls,
-            12 => Msg::Shutdown,
-            13 => Msg::Finalized(FinalizedVoteSet {
+            10 => Msg::ClosePolls,
+            11 => Msg::Shutdown,
+            12 => Msg::Finalized(FinalizedVoteSet {
                 node_index: rng.gen_range(0..7),
                 vote_set: sample_vote_set(rng),
                 signature: sig(rng),
@@ -1130,7 +1081,7 @@ mod tests {
                 announce_at_ms: rng.gen(),
                 finalized_at_ms: rng.gen(),
             }),
-            14 => Msg::BbWrite {
+            13 => Msg::BbWrite {
                 request_id: rng.gen(),
                 write: match rng.gen_range(0..3u32) {
                     0 => BbWriteMsg::VoteSet {
@@ -1147,7 +1098,7 @@ mod tests {
                     },
                 },
             },
-            15 => Msg::BbWriteReply {
+            14 => Msg::BbWriteReply {
                 request_id: rng.gen(),
                 outcome: match rng.gen_range(0..6u32) {
                     0 => BbWriteOutcome::Accepted,
@@ -1158,7 +1109,7 @@ mod tests {
                     _ => BbWriteOutcome::ReadOnly,
                 },
             },
-            16 => Msg::BbReadRequest {
+            15 => Msg::BbReadRequest {
                 request_id: rng.gen(),
             },
             _ => Msg::BbReadResponse {
@@ -1200,6 +1151,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A frame carrying the retired tag 11, with the body the
+    /// reliable-broadcast message had (origin, consensus payload, phase)
+    /// and a valid checksum, is refused as a bad value.
+    #[test]
+    fn retired_tag_11_is_rejected() {
+        let mut body = Writer::new();
+        put_node_id(&mut body, NodeId::vc(1));
+        put_node_id(&mut body, NodeId::vc(2));
+        body.put_u8(11);
+        put_node_id(&mut body, NodeId::vc(1));
+        put_consensus_payload(&mut body, &sample_payload(&mut rng()));
+        body.put_u8(0);
+        let body = body.into_bytes();
+        let mut frame = Writer::new();
+        frame.put_u32(crc32(&body)).put_array(&body);
+        assert_eq!(
+            decode_envelope_frame(&frame.into_bytes()).unwrap_err(),
+            WireError::BadValue
+        );
     }
 
     #[test]

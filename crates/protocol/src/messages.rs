@@ -1,6 +1,6 @@
 //! Messages of the vote-collection and vote-set-consensus protocols
-//! (§III-E, Algorithm 1), plus the Bracha reliable-broadcast envelope the
-//! batched binary consensus runs over.
+//! (§III-E, Algorithm 1), including the batched binary consensus's
+//! BVAL/AUX broadcasts.
 
 use crate::ids::{ElectionId, NodeId, SerialNo};
 use crate::initdata::endorsement_message;
@@ -129,37 +129,20 @@ pub struct AnnounceEntry {
     pub vote: Option<(VoteCode, Arc<UCert>)>,
 }
 
-/// Step number inside a Bracha binary-consensus round.
+/// Step number inside a binary-consensus round (BVAL or AUX).
 pub type ConsensusStep = u8;
 
 /// The value vector broadcast in one consensus step, covering every ballot
-/// slot in the batch. `None` (⊥) appears only in step-3 messages when the
-/// sender saw no super-majority.
+/// slot in the batch. `None` (⊥) marks a slot the message carries no
+/// value for.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ConsensusPayload {
     /// Consensus round (0-based).
     pub round: u32,
-    /// Step within the round (1, 2 or 3).
+    /// Step within the round (BVAL or AUX).
     pub step: ConsensusStep,
     /// Per-slot values.
     pub values: Vec<Option<bool>>,
-}
-
-impl ConsensusPayload {
-    /// Canonical digest (used for echo/ready counting in RBC).
-    pub fn digest(&self) -> [u8; 32] {
-        let mut w = Writer::tagged("ddemos/consensus-payload/v1");
-        w.put_u32(self.round).put_u8(self.step);
-        w.put_u32(self.values.len() as u32);
-        for v in &self.values {
-            w.put_u8(match v {
-                None => 2,
-                Some(false) => 0,
-                Some(true) => 1,
-            });
-        }
-        w.digest()
-    }
 }
 
 /// A consensus protocol message (the sender is authenticated by the
@@ -168,28 +151,6 @@ impl ConsensusPayload {
 pub struct ConsensusMsg {
     /// The broadcast payload (`step` is BVAL/AUX in the binary consensus).
     pub payload: Arc<ConsensusPayload>,
-}
-
-/// Reliable-broadcast phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RbcPhase {
-    /// Initial transmission from the origin.
-    Send,
-    /// Witness echo.
-    Echo,
-    /// Delivery vote.
-    Ready,
-}
-
-/// A Bracha reliable-broadcast message carrying one consensus payload.
-#[derive(Clone, Debug)]
-pub struct RbcMsg {
-    /// The node whose broadcast this is.
-    pub origin: NodeId,
-    /// The broadcast payload.
-    pub payload: Arc<ConsensusPayload>,
-    /// Which RBC phase this message belongs to.
-    pub phase: RbcPhase,
 }
 
 /// An authenticated write relayed to a Bulletin Board replica over the
@@ -316,9 +277,6 @@ pub enum Msg {
     /// *self-addressed* envelope — receivers must ignore it unless
     /// `from == to`, so no peer can remote-reboot a node.
     Amnesia,
-    /// A reliable-broadcast message (RBC driven directly over the
-    /// network, e.g. by the fault-injection tests).
-    Rbc(RbcMsg),
     /// Harness control signal: close the polls now (the node behaves as if
     /// its clock passed `Tend`). Drivers accept it only from Client/EA
     /// identities — a VC or BB peer cannot end another node's election.
@@ -375,7 +333,6 @@ impl Msg {
             Msg::RecoverResponse { .. } => "RecoverResponse",
             Msg::Consensus(_) => "Consensus",
             Msg::Amnesia => "Amnesia",
-            Msg::Rbc(_) => "Rbc",
             Msg::ClosePolls => "ClosePolls",
             Msg::Shutdown => "Shutdown",
             Msg::Finalized(_) => "Finalized",
@@ -455,27 +412,5 @@ mod tests {
         let mut uc2 = make_ucert(&eid, &keys, &[0, 1], SerialNo(1), code);
         uc2.sigs.push((99, keys[2].sign(b"garbage")));
         assert!(!uc2.verify(&eid, &params, &vks));
-    }
-
-    #[test]
-    fn consensus_payload_digest_distinguishes() {
-        let p1 = ConsensusPayload {
-            round: 0,
-            step: 1,
-            values: vec![Some(true), None],
-        };
-        let p2 = ConsensusPayload {
-            round: 0,
-            step: 1,
-            values: vec![Some(true), Some(false)],
-        };
-        let p3 = ConsensusPayload {
-            round: 1,
-            step: 1,
-            values: vec![Some(true), None],
-        };
-        assert_ne!(p1.digest(), p2.digest());
-        assert_ne!(p1.digest(), p3.digest());
-        assert_eq!(p1.digest(), p1.clone().digest());
     }
 }

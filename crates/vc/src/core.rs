@@ -31,7 +31,7 @@
 use crate::durable::{BallotSlot, DurableView, Status, VcRecord};
 use crate::store::BallotStore;
 use ddemos_crypto::field::Scalar;
-use ddemos_crypto::mverify::{MsgVerifier, DEFAULT_CACHE_CAPACITY};
+use ddemos_crypto::mverify::MsgVerifier;
 use ddemos_crypto::schnorr::{Signature, VerifyingKey};
 use ddemos_crypto::sha256::sha256;
 use ddemos_crypto::shamir::InterpolatorCache;
@@ -316,9 +316,10 @@ pub struct HonestCore<S> {
     /// nothing in it for an amnesia crash to forget.
     receipt_weights: InterpolatorCache,
     /// Batch-first signature verification front end: prepared tables for
-    /// the static peer keys plus the bounded verified-envelope memo.
-    /// Volatile (rebuilt empty on recovery) — it only memoizes results,
-    /// so replaying the same inputs reproduces the same outcomes.
+    /// the static peer keys plus the hand-off of the current burst's
+    /// [`HonestCore::preverify`] verdicts. Volatile (rebuilt empty on
+    /// recovery) — it only carries verdicts, so replaying the same inputs
+    /// reproduces the same outcomes.
     mverify: MsgVerifier,
     /// Signatures a step left unverified because its structural filters
     /// dropped the message first (with [`MsgVerifier::take_counts`], the
@@ -366,7 +367,7 @@ impl<S: BallotStore> HonestCore<S> {
         beacon: u64,
         durable: bool,
     ) -> HonestCore<S> {
-        let mut mverify = MsgVerifier::new(DEFAULT_CACHE_CAPACITY);
+        let mut mverify = MsgVerifier::default();
         for vk in &init.vc_keys {
             mverify.prepare(vk);
         }
@@ -500,10 +501,12 @@ impl<S: BallotStore> HonestCore<S> {
         std::mem::take(&mut self.outputs)
     }
 
-    /// Warms the verified-signature memo for a burst of queued inputs:
-    /// extracts the signatures the subsequent `step`s would otherwise
-    /// verify one at a time (ENDORSEMENT signatures, VOTE_P UCERT
-    /// signatures, VOTE_P receipt shares) and verifies them in one batch.
+    /// Batch-verifies a burst of queued inputs for the `step`s that
+    /// follow: extracts the signatures they would otherwise verify one at
+    /// a time (ENDORSEMENT signatures, VOTE_P UCERT signatures, VOTE_P
+    /// receipt shares), verifies them in one batch and hands the valid
+    /// ones to those steps ([`MsgVerifier::check_burst`]), replacing the
+    /// previous burst's.
     ///
     /// It queues only what the state machine can still use, by the
     /// filters the handlers apply themselves: no endorsement the
@@ -513,10 +516,10 @@ impl<S: BallotStore> HonestCore<S> {
     /// still lacks.
     ///
     /// Purely an optimization — it emits no outputs and mutates nothing
-    /// but the memo, and a signature only enters the memo by verifying,
-    /// so `step` outcomes are byte-identical with or without this call:
-    /// whatever was not queued here (or failed) is verified, attributed,
-    /// inside the step that needs it.
+    /// but the hand-off, and a signature only enters the hand-off by
+    /// verifying, so `step` outcomes are byte-identical with or without
+    /// this call: whatever was not queued here (or failed) is verified,
+    /// attributed, inside the step that needs it.
     pub fn preverify(&mut self, inputs: &[VcInput]) {
         let eid = self.init.params.election_id;
         let quorum = self.quorum();
@@ -596,16 +599,15 @@ impl<S: BallotStore> HonestCore<S> {
                 _ => {}
             }
         }
-        if !items.is_empty() {
-            self.mverify.check_batch(&items);
-        }
+        self.mverify.check_burst(&items);
     }
 
     /// Signature work since the last call, by outcome: `fresh` (verified
-    /// with group math), `cached` (answered by the memo), `deduped`
-    /// (shared the verdict of an equal item in one batch), `skipped` (a
-    /// step dropped the message on structure before verifying). Drivers
-    /// export it as the `vc.sig_checks` counter.
+    /// with group math), `cached` (handed off by the burst's
+    /// [`HonestCore::preverify`]), `deduped` (shared the verdict of an
+    /// equal item in one batch), `skipped` (a step dropped the message on
+    /// structure before verifying). Drivers export it as the
+    /// `vc.sig_checks` counter.
     pub fn take_sig_checks(&mut self) -> [(&'static str, u64); 4] {
         let counts = self.mverify.take_counts();
         [
@@ -823,7 +825,6 @@ impl<S: BallotStore> HonestCore<S> {
             // driver authenticates and translates them into typed
             // inputs); everything else addressed to a VC node is noise.
             Msg::VoteReply { .. }
-            | Msg::Rbc(_)
             | Msg::Amnesia
             | Msg::ClosePolls
             | Msg::Shutdown

@@ -236,8 +236,8 @@ impl<S: BallotStore> VcDriver<S> {
                     return;
                 }
             };
-            // Warm the verified-signature memo for the whole burst in one
-            // MSM before stepping (a no-op for bursts without signatures).
+            // Verify the whole burst's signatures in one batch before
+            // stepping, and hand the verdicts to its steps.
             if inputs.len() > 1 {
                 self.core.preverify(&inputs);
             }

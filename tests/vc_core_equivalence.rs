@@ -1,9 +1,9 @@
 //! `VcCore` with and without the burst machinery: the same delivery
 //! sequence driven (a) one input at a time, never calling `preverify`,
 //! and (b) in bursts with `preverify` must give byte-identical step
-//! outputs, journal records and voter replies — `preverify` only warms
-//! the verified-signature memo, and whatever its need bounds leave out is
-//! verified by the step that uses it.
+//! outputs, journal records and voter replies — `preverify` only hands
+//! its batch verdicts to the burst's steps, and whatever its need bounds
+//! leave out is verified by the step that uses it.
 //!
 //! The driver is the sans-I/O one: four cores, a FIFO inbox each, every
 //! core draining the inbox it finds when its turn comes. The scripts hold
