@@ -315,27 +315,6 @@ impl AuthEndpoint {
             }
         }
     }
-
-    /// Closes every connection in order: half-closes each, so the FIN
-    /// follows the last frame sent, then reads until every peer has
-    /// closed its side too or `patience` runs out, and discards what
-    /// arrived. Closing a socket over unread bytes sends a reset instead,
-    /// and a reset can destroy frames the peer has not read yet.
-    pub fn close(&self, patience: Duration) {
-        let deadline = Instant::now() + patience;
-        let mut conns = self.conns.borrow_mut();
-        for conn in &conns.live {
-            let _ = conn.stream.shutdown(Shutdown::Write);
-        }
-        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-            if conns.live.is_empty() {
-                break;
-            }
-            self.pump(&mut conns, left);
-        }
-        self.shared.counters.lock().closed += conns.live.len() as u64;
-        *conns = Conns::default();
-    }
 }
 
 impl Drop for AuthEndpoint {
@@ -389,6 +368,27 @@ impl TransportEndpoint for AuthEndpoint {
 
     fn read_pending(&self) -> usize {
         self.conns.borrow().inbox.len()
+    }
+
+    /// Closes every connection in order: half-closes each, so the FIN
+    /// follows the last frame sent, then reads until every peer has
+    /// closed its side too or `patience` runs out, and discards what
+    /// arrived. Closing a socket over unread bytes sends a reset instead,
+    /// and a reset can destroy frames the peer has not read yet.
+    fn close(&self, patience: Duration) {
+        let deadline = Instant::now() + patience;
+        let mut conns = self.conns.borrow_mut();
+        for conn in &conns.live {
+            let _ = conn.stream.shutdown(Shutdown::Write);
+        }
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            if conns.live.is_empty() {
+                break;
+            }
+            self.pump(&mut conns, left);
+        }
+        self.shared.counters.lock().closed += conns.live.len() as u64;
+        *conns = Conns::default();
     }
 
     fn now_ns(&self) -> u64 {

@@ -78,6 +78,12 @@ pub trait TransportEndpoint: Send {
     fn actor_guard(&self) -> Option<ActorGuard> {
         None
     }
+
+    /// Ends the endpoint's own connections in order, waiting up to
+    /// `patience` for each peer to close its end, so that nothing sent
+    /// just before is lost to a reset. An endpoint that holds no
+    /// connections has nothing to do.
+    fn close(&self, _patience: Duration) {}
 }
 
 /// A boxed endpoint (what node drivers and harness clients hold).
@@ -114,6 +120,10 @@ impl<T: TransportEndpoint + ?Sized> TransportEndpoint for Box<T> {
 
     fn actor_guard(&self) -> Option<ActorGuard> {
         (**self).actor_guard()
+    }
+
+    fn close(&self, patience: Duration) {
+        (**self).close(patience);
     }
 }
 

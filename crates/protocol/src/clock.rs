@@ -277,6 +277,12 @@ impl VirtualClock {
         self.core.cv.notify_all();
     }
 
+    /// The advancement cap set by [`VirtualClock::set_limit_ns`]
+    /// (`u64::MAX` when uncapped).
+    pub fn limit_ns(&self) -> u64 {
+        self.core.limit_ns.load(Ordering::Relaxed)
+    }
+
     /// Current virtual time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.core.now_ns.load(Ordering::Acquire)

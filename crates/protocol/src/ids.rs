@@ -101,6 +101,15 @@ impl NodeId {
     }
 }
 
+/// The election coordinator (`C0`): the operator identity that closes the
+/// polls and stops the replicas — replicas take `ClosePolls`/`Shutdown`
+/// from it alone — and the endpoint every collector sends its finalized
+/// vote set to.
+pub const COORDINATOR: NodeId = NodeId {
+    kind: NodeKind::Client,
+    index: 0,
+};
+
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind {

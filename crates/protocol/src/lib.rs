@@ -23,5 +23,5 @@ pub mod params;
 pub mod posts;
 pub mod wire;
 
-pub use ids::{ElectionId, NodeId, NodeKind, PartId, SerialNo};
+pub use ids::{ElectionId, NodeId, NodeKind, PartId, SerialNo, COORDINATOR};
 pub use params::ElectionParams;

@@ -68,8 +68,8 @@ pub enum VcInput {
     /// check, exactly like the old loop's `recv_timeout` expiry).
     Tick,
     /// Close the polls now (the node behaves as if its clock passed
-    /// `Tend`). Drivers translate both the in-process `close_polls()`
-    /// flag and an authenticated `Msg::ClosePolls` envelope into this.
+    /// `Tend`). The driver translates a `Msg::ClosePolls` envelope from the
+    /// coordinator into this, and drops one from anyone else.
     ClosePolls,
     /// The driver is stopping; the core emits nothing and expects no
     /// further steps.
@@ -331,9 +331,9 @@ pub struct HonestCore<S> {
     corrupt_slots: Vec<&'static str>,
     announce_from: BTreeSet<u32>,
     /// ANNOUNCE messages that arrived while this node was still in the
-    /// voting phase. Polls close at each node's *own* clock (or when its
-    /// driver delivers ClosePolls — a staggered network message on a real
-    /// transport), so an early peer's single ANNOUNCE multicast must not
+    /// voting phase. Polls close at each node's *own* clock (or when the
+    /// coordinator's ClosePolls reaches it — a network message, staggered
+    /// like any other), so an early peer's single ANNOUNCE multicast must not
     /// be lost: more than `fv` drops would leave the announce quorum
     /// unreachable and deadlock vote-set consensus.
     buffered_announces: Vec<(NodeId, Arc<Vec<AnnounceEntry>>)>,

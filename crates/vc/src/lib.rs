@@ -41,5 +41,5 @@ pub mod store;
 pub use behavior::{Adversary, AdversaryView, Trigger, VcBehavior, VcCore};
 pub use core::{HonestCore, StepTrace, TraceStep, VcDurable, VcInput, VcOutput};
 pub use ddemos_protocol::posts::FinalizedVoteSet;
-pub use node::{DeliverTarget, VcHandle, VcNodeConfig};
+pub use node::{VcHandle, VcNodeConfig};
 pub use store::{BallotStore, FnStore, LatencyStore, MemoryStore, StorageModel};

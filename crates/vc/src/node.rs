@@ -4,14 +4,14 @@
 //! All protocol logic lives in the sans-I/O [`crate::core`] module (a
 //! Byzantine collector's in the step-boundary layer of
 //! [`crate::behavior`]); this driver owns exactly the I/O the core
-//! refuses to: the transport endpoint, the node clock, the durable
-//! journal, the stop/close-polls flags, and the finalized-vote-set
-//! delivery channel. One iteration:
+//! refuses to: the transport endpoint, the node clock and the durable
+//! journal. One iteration:
 //!
 //! 1. translate the environment into a burst of [`VcInput`]s — every
-//!    envelope the endpoint has buffered, a poll-timer expiry (`Tick`), a
-//!    latched close-polls flag, or an authenticated
-//!    `Msg::ClosePolls`/`Msg::Shutdown` control envelope;
+//!    envelope the endpoint has buffered, or a poll-timer expiry (`Tick`).
+//!    `Msg::ClosePolls`/`Msg::Shutdown` become typed inputs when they come
+//!    from [`COORDINATOR`], and are dropped and counted
+//!    (`vc.control_rejected`) from anyone else;
 //! 2. `core.step(input, clock.now_ms())` for each input, in order;
 //! 3. execute the returned [`VcOutput`]s with **one commit barrier a
 //!    burst**: records are appended as they come, a send no barrier of its
@@ -26,33 +26,28 @@
 //! destination sees the core's order. Under a virtual clock a burst is
 //! one envelope and this is the sequential loop.
 //!
+//! The driver talks to the coordinator only in envelopes, on either
+//! transport: it sends its finalized vote set to [`COORDINATOR`] as
+//! `Msg::Finalized`, answers a repeated coordinator `ClosePolls` with the
+//! same set (a lost set is fetched again), and stops on the coordinator's
+//! `Shutdown` or when its transport disconnects.
+//!
 //! The same core runs unchanged over the in-process `SimNet` and over
 //! real sockets with one replica per OS process (`ddemos_harness::tcp`).
 
 use crate::behavior::{Adversary, VcCore};
 use crate::core::{StepTrace, VcInput, VcOutput};
 use crate::store::BallotStore;
-use crossbeam_channel::{RecvTimeoutError, Sender};
+use crossbeam_channel::RecvTimeoutError;
 use ddemos_net::DynEndpoint;
 use ddemos_obs::Recorder;
 use ddemos_protocol::clock::NodeClock;
 use ddemos_protocol::initdata::VcInit;
 use ddemos_protocol::messages::{Envelope, Msg};
 use ddemos_protocol::posts::FinalizedVoteSet;
-use ddemos_protocol::{NodeId, NodeKind};
+use ddemos_protocol::{NodeId, COORDINATOR};
 use ddemos_storage::DynJournal;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// Where the driver delivers the core's finalized vote set.
-pub enum DeliverTarget {
-    /// The in-process harness channel.
-    Channel(Sender<FinalizedVoteSet>),
-    /// Send a [`Msg::Finalized`] envelope to each listed peer (the
-    /// multi-process coordinator).
-    Peers(Vec<NodeId>),
-}
 
 /// Runtime configuration of a node.
 #[derive(Clone, Debug)]
@@ -83,51 +78,22 @@ impl Default for VcNodeConfig {
     }
 }
 
-/// Handle to a spawned VC node.
+/// Handle to a spawned VC node. The node runs until the coordinator's
+/// `Msg::Shutdown` reaches it or its transport disconnects; dropping the
+/// handle waits for that, as [`VcHandle::join`] does.
 pub struct VcHandle {
-    /// The node's id on the network.
-    pub id: NodeId,
-    stop: Arc<AtomicBool>,
-    force_end: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl VcHandle {
-    /// Requests the node to stop without joining (callers that must first
-    /// wake the node — e.g. by closing a virtual clock — set every flag,
-    /// release the wakes, then join).
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// Requests the node to stop and joins its thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Closes the polls immediately (the node behaves as if its clock
-    /// passed `Tend`). Benchmarks use this instead of predicting the
-    /// voting-window length.
-    pub fn close_polls(&self) {
-        self.force_end.store(true, Ordering::SeqCst);
-    }
-
-    /// Waits for the node to exit on its own — a standalone replica
-    /// parks here until its driver receives an authenticated
-    /// `Msg::Shutdown` (or its transport disconnects).
-    pub fn join(mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Waits for the node to exit.
+    pub fn join(self) {
+        drop(self);
     }
 }
 
 impl Drop for VcHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -140,12 +106,11 @@ struct VcDriver<S> {
     endpoint: DynEndpoint,
     clock: NodeClock,
     journal: Option<DynJournal>,
-    deliver: DeliverTarget,
     trace: Option<StepTrace>,
     recorder: Recorder,
-    stop: Arc<AtomicBool>,
-    force_end: Arc<AtomicBool>,
-    close_forwarded: bool,
+    /// The finalized vote set once the core has produced it, sent again
+    /// for every later coordinator `ClosePolls`.
+    finalized: Option<FinalizedVoteSet>,
     timeout: Duration,
     /// A step of the current burst emitted a barrier that has yet to run.
     barrier: bool,
@@ -153,21 +118,9 @@ struct VcDriver<S> {
     held: Vec<(NodeId, Msg)>,
 }
 
-/// Upper bound on envelopes drained per readiness wake: keeps the
-/// stop/close-polls flags responsive under a flooding peer.
+/// Upper bound on envelopes drained per readiness wake: bounds the
+/// batch one `preverify` holds under a flooding peer.
 const MAX_BURST: usize = 256;
-
-/// Translates one envelope into a core input. Control envelopes are a
-/// driver concern: authenticate (only client/EA identities may steer a
-/// replica) and translate into typed inputs.
-fn control_input(env: Envelope) -> VcInput {
-    let control = matches!(env.from.kind, NodeKind::Client | NodeKind::Ea);
-    match env.msg {
-        Msg::ClosePolls if control => VcInput::ClosePolls,
-        Msg::Shutdown if control => VcInput::Shutdown,
-        _ => VcInput::Deliver(env),
-    }
-}
 
 /// The metrics label of one driver input.
 fn input_label(input: &VcInput) -> &'static str {
@@ -194,14 +147,6 @@ impl<S: BallotStore> VcDriver<S> {
         self.execute(outs);
         self.release();
         loop {
-            if self.stop.load(Ordering::SeqCst) {
-                self.shutdown();
-                return;
-            }
-            if !self.close_forwarded && self.force_end.load(Ordering::SeqCst) {
-                self.close_forwarded = true;
-                self.step(VcInput::ClosePolls, true);
-            }
             // Wait for the first envelope in the transport's time base,
             // then drain what is buffered behind it without blocking: one
             // wake, one burst (one envelope under a virtual clock, see
@@ -219,14 +164,17 @@ impl<S: BallotStore> VcDriver<S> {
                         "",
                         1 + self.endpoint.read_pending() as u64,
                     );
-                    let mut inputs = vec![control_input(first)];
+                    let mut inputs: Vec<VcInput> = self.input(first).into_iter().collect();
                     while inputs.len() < MAX_BURST
                         && !matches!(inputs.last(), Some(VcInput::Shutdown))
                     {
                         let Some(env) = self.endpoint.try_recv() else {
                             break;
                         };
-                        inputs.push(control_input(env));
+                        inputs.extend(self.input(env));
+                    }
+                    if inputs.is_empty() {
+                        continue;
                     }
                     inputs
                 }
@@ -252,6 +200,22 @@ impl<S: BallotStore> VcDriver<S> {
         }
     }
 
+    /// Translates one envelope into a core input. Control envelopes are a
+    /// driver concern: only [`COORDINATOR`] may close or stop a replica,
+    /// and such an envelope from anyone else is dropped and counted.
+    fn input(&self, env: Envelope) -> Option<VcInput> {
+        let control = match env.msg {
+            Msg::ClosePolls => VcInput::ClosePolls,
+            Msg::Shutdown => VcInput::Shutdown,
+            _ => return Some(VcInput::Deliver(env)),
+        };
+        if env.from == COORDINATOR {
+            return Some(control);
+        }
+        self.recorder.add("vc.control_rejected", env.msg.kind(), 1);
+        None
+    }
+
     /// Final step: tells the core, releases what the burst still holds,
     /// and commits the records still riding (an orderly exit keeps them).
     fn shutdown(&mut self) {
@@ -272,16 +236,16 @@ impl<S: BallotStore> VcDriver<S> {
     /// is charged to `vc.step_ns` under the input's message kind (the sync
     /// to the last step of its burst, which waited for it). Only `Deliver`
     /// inputs record under the stable names: delivered envelopes are
-    /// virtual-time events with a seed-determined order, while
-    /// `Tick`/`ClosePolls`/`Shutdown` are injected by the driver loop,
-    /// whose count and interleaving depend on wall-clock scheduling even
-    /// under virtual time — those go to `~`-prefixed unstable names,
-    /// excluded from the fingerprint.
+    /// virtual-time events with a seed-determined order. `Tick`,
+    /// `ClosePolls` and `Shutdown` are no protocol traffic — their count
+    /// follows the poll timer and how long and how often the caller drives
+    /// the election — so they go to `~`-prefixed unstable names, excluded
+    /// from the fingerprint.
     fn step(&mut self, input: VcInput, end_of_burst: bool) {
         let label = input_label(&input);
         // Deliveries to a finalized node are also unstable: a done node
         // is only answering stragglers, and how many late echoes it
-        // drains before the stop flag lands depends on wall scheduling.
+        // drains before it is shut down depends on wall scheduling.
         // Its own outcome-bearing steps (everything up to and including
         // the finalizing delivery) stay under the stable names.
         let stable = matches!(input, VcInput::Deliver(_)) && !self.core.is_done();
@@ -298,6 +262,11 @@ impl<S: BallotStore> VcDriver<S> {
             ("~vc.step_outputs", "~vc.step_ns", "~vc.sig_checks")
         };
         let start = self.recorder.now_ns();
+        if let (VcInput::ClosePolls, Some(finalized)) = (&input, &self.finalized) {
+            // The coordinator asks again: its copy was lost on the way.
+            self.endpoint
+                .send(COORDINATOR, Msg::Finalized(finalized.clone()));
+        }
         let now_ms = self.clock.now_ms();
         let outs = match &self.trace {
             Some(trace) => {
@@ -378,6 +347,8 @@ impl<S: BallotStore> VcDriver<S> {
                     // The earlier steps of the burst ran before the power
                     // cut: their barrier and what it holds come first.
                     self.release();
+                    // The cached set is volatile: the power cut takes it.
+                    self.finalized = None;
                     if let Some(journal) = self.journal.as_mut() {
                         if journal.crash(0).is_err() {
                             self.journal_fault("crash");
@@ -406,16 +377,9 @@ impl<S: BallotStore> VcDriver<S> {
                     // rest of the burst.
                     self.release();
                     self.recorder.set_phase("push");
-                    match &self.deliver {
-                        DeliverTarget::Channel(tx) => {
-                            let _ = tx.send(finalized);
-                        }
-                        DeliverTarget::Peers(peers) => {
-                            for peer in peers {
-                                self.endpoint.send(*peer, Msg::Finalized(finalized.clone()));
-                            }
-                        }
-                    }
+                    self.endpoint
+                        .send(COORDINATOR, Msg::Finalized(finalized.clone()));
+                    self.finalized = Some(finalized);
                 }
             }
         }
@@ -448,16 +412,14 @@ impl<S: BallotStore> VcDriver<S> {
 }
 
 /// Spawns a vote collector: a thread driving a [`VcCore`] over `store`
-/// and `endpoint`. The finalized vote set goes to `deliver` — the
-/// harness's channel in process, or [`Msg::Finalized`] envelopes to the
-/// coordinator in a multi-process deployment.
+/// and `endpoint`. The finalized vote set goes to [`COORDINATOR`] as a
+/// [`Msg::Finalized`] envelope, on whichever transport `endpoint` is.
 ///
 /// With a `journal`, ballot-slot transitions are logged (committed
 /// before every externally visible action that depends on them) and a
 /// [`Msg::Amnesia`] power-cycle signal makes the node drop volatile
 /// state and rebuild from snapshot + WAL replay. The journal should be
 /// freshly recovered (or empty); the node replays it on start.
-#[allow(clippy::too_many_arguments)]
 pub fn spawn<S: BallotStore + 'static>(
     init: VcInit,
     store: S,
@@ -465,14 +427,8 @@ pub fn spawn<S: BallotStore + 'static>(
     clock: NodeClock,
     beacon: u64,
     config: VcNodeConfig,
-    deliver: DeliverTarget,
     journal: Option<DynJournal>,
 ) -> VcHandle {
-    let id = endpoint.id();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let force_end = Arc::new(AtomicBool::new(false));
-    let force_end2 = force_end.clone();
     let node_index = init.node_index;
     let poll = config.poll;
     let thread = std::thread::Builder::new()
@@ -491,12 +447,9 @@ pub fn spawn<S: BallotStore + 'static>(
                 endpoint,
                 clock,
                 journal,
-                deliver,
                 trace: config.trace,
                 recorder: config.recorder,
-                stop: stop2,
-                force_end: force_end2,
-                close_forwarded: false,
+                finalized: None,
                 timeout: poll,
                 barrier: false,
                 held: Vec::new(),
@@ -505,9 +458,6 @@ pub fn spawn<S: BallotStore + 'static>(
         })
         .expect("spawn vc node");
     VcHandle {
-        id,
-        stop,
-        force_end,
         thread: Some(thread),
     }
 }
@@ -527,12 +477,14 @@ mod tests {
     use ddemos_protocol::clock::GlobalClock;
     use ddemos_protocol::initdata::{VcBallot, VcRow};
     use ddemos_protocol::messages::VoteOutcome;
+    use ddemos_protocol::posts::VoteSet;
     use ddemos_protocol::{ElectionParams, SerialNo};
     use ddemos_storage::{DiskProfile, Journal, JournalConfig, SimDisk};
     use parking_lot::Mutex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::{BTreeMap, VecDeque};
+    use std::sync::Arc;
 
     const ME: u32 = 1;
     const BALLOTS: u64 = 4;
@@ -645,9 +597,28 @@ mod tests {
         recorder: Recorder,
     }
 
+    /// A control envelope from `from`.
+    fn control(from: NodeId, msg: Msg) -> Envelope {
+        Envelope {
+            from,
+            to: NodeId::vc(ME),
+            msg,
+        }
+    }
+
     /// Runs the driver over `burst` on a `SimDisk` journal that already
     /// holds `journaled` until the endpoint closes.
     fn run_after(journaled: &[VcRecord], burst: Vec<Envelope>, fills_disk: Option<NodeId>) -> Run {
+        run_driver(journaled, burst, fills_disk, |_| {})
+    }
+
+    /// [`run_after`], with `prepare` applied to the driver before it runs.
+    fn run_driver(
+        journaled: &[VcRecord],
+        burst: Vec<Envelope>,
+        fills_disk: Option<NodeId>,
+        prepare: impl FnOnce(&mut VcDriver<MemoryStore>),
+    ) -> Run {
         let disk = Arc::new(SimDisk::new(GlobalClock::new(), DiskProfile::instant()));
         let mut prior = Journal::new(disk.clone(), JournalConfig::default());
         for record in journaled {
@@ -666,22 +637,19 @@ mod tests {
         let store = MemoryStore::new(std::mem::take(&mut init.ballots), BALLOTS);
         let poll = Duration::from_millis(1);
         let recorder = Recorder::wall();
-        let (tx, _rx) = crossbeam_channel::unbounded();
         let mut driver = VcDriver {
             core: VcCore::new(init, store, VcBehavior::Honest, poll, 0, true),
             endpoint: Box::new(endpoint),
             clock: GlobalClock::new().node_clock(0),
             journal: Some(Journal::new(disk.clone(), JournalConfig::default())),
-            deliver: DeliverTarget::Channel(tx),
             trace: None,
             recorder: recorder.clone(),
-            stop: Arc::new(AtomicBool::new(false)),
-            force_end: Arc::new(AtomicBool::new(false)),
-            close_forwarded: false,
+            finalized: None,
             timeout: poll,
             barrier: false,
             held: Vec::new(),
         };
+        prepare(&mut driver);
         driver.run();
         let sent = std::mem::take(&mut *sent.lock());
         Run {
@@ -797,5 +765,72 @@ mod tests {
             faults.counter("vc.corrupt_slots", None, Some("refused_vote")),
             1
         );
+    }
+
+    #[test]
+    fn a_repeated_coordinator_close_polls_resends_the_identical_set() {
+        let init = init();
+        let finalized = FinalizedVoteSet {
+            node_index: ME,
+            vote_set: VoteSet {
+                entries: [(SerialNo(0), code(0))].into(),
+            },
+            signature: init.signing_key.sign(b"vote set"),
+            msk_share: init.msk_share,
+            announce_at_ms: 3,
+            finalized_at_ms: 5,
+        };
+        let set = finalized.clone();
+        let run = run_driver(
+            &[],
+            vec![control(COORDINATOR, Msg::ClosePolls)],
+            None,
+            // The core finalizes: the driver sends the set and keeps it.
+            |driver| driver.execute(vec![VcOutput::Deliver(set)]),
+        );
+        let sets: Vec<String> = run
+            .sent
+            .iter()
+            .filter_map(|(_, to, msg)| match msg {
+                Msg::Finalized(f) if *to == COORDINATOR => Some(format!("{f:?}")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sets, vec![format!("{finalized:?}"); 2]);
+    }
+
+    #[test]
+    fn close_polls_and_shutdown_from_a_client_change_nothing_and_are_counted() {
+        let voter = NodeId::client(7);
+        let burst = vec![
+            control(voter, Msg::ClosePolls),
+            control(voter, Msg::Shutdown),
+            vote(9, 99),
+        ];
+        let open = run(burst, None);
+        // Still serving after the voter's Shutdown, polls still open: the
+        // refusal went out and no ANNOUNCE did.
+        assert_eq!(sent_to(&open, NodeId::client(9)), [(0, "VoteReply")]);
+        assert_eq!(open.sent.len(), 1);
+        let metrics = open.recorder.snapshot();
+        for kind in ["ClosePolls", "Shutdown"] {
+            assert_eq!(
+                metrics.counter("vc.control_rejected", None, Some(kind)),
+                1,
+                "{kind}"
+            );
+        }
+        // The coordinator's ClosePolls does close them.
+        let closed = run(vec![control(COORDINATOR, Msg::ClosePolls)], None);
+        assert!(
+            closed
+                .sent
+                .iter()
+                .any(|(_, _, msg)| msg.kind() == "Announce"),
+            "{:?}",
+            closed.sent
+        );
+        let metrics = closed.recorder.snapshot();
+        assert_eq!(metrics.counter("vc.control_rejected", None, None), 0);
     }
 }

@@ -12,14 +12,14 @@ use ddemos_protocol::ballot::Ballot;
 use ddemos_protocol::clock::{GlobalClock, VirtualClock, NS_PER_MS};
 use ddemos_protocol::exec::Pool;
 use ddemos_protocol::params::ParamError;
-use ddemos_protocol::{NodeId, NodeKind, SerialNo};
+use ddemos_protocol::{NodeId, NodeKind, SerialNo, COORDINATOR};
 use ddemos_storage::{
     DiskProfile, DynDisk, DynJournal, FileDisk, Journal, JournalConfig, SimDisk, StorageError,
 };
 use ddemos_trustee::Trustee;
 use ddemos_vc::{
-    Adversary, BallotStore, DeliverTarget, FnStore, LatencyStore, MemoryStore, StepTrace,
-    StorageModel, VcBehavior, VcHandle, VcNodeConfig,
+    Adversary, BallotStore, FnStore, LatencyStore, MemoryStore, StepTrace, StorageModel,
+    VcBehavior, VcHandle, VcNodeConfig,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -690,7 +690,7 @@ impl ElectionBuilder {
                 }
             }
         };
-        let (result_tx, result_rx) = crossbeam_channel::unbounded();
+        let coordinator = net.register(COORDINATOR);
         let n = self.params.num_ballots;
         let mut vc_handles: Vec<VcHandle> = Vec::with_capacity(num_vc);
         for init in &mut setup.vc_inits {
@@ -708,7 +708,6 @@ impl ElectionBuilder {
             };
             let node_clock = clock.node_clock_keyed(NodeId::vc(i).clock_key(), drifts[i as usize]);
             let beacon = setup.consensus_beacon;
-            let tx = result_tx.clone();
             let mut journal = make_journal(format!("vc-{i}"))?;
             if let Some(j) = journal.as_mut() {
                 j.set_recorder(vc_recorders[i as usize].clone());
@@ -732,7 +731,6 @@ impl ElectionBuilder {
                 node_clock,
                 beacon,
                 config,
-                DeliverTarget::Channel(tx),
                 journal,
             );
             vc_handles.push(handle);
@@ -793,14 +791,15 @@ impl ElectionBuilder {
             bb_apis,
             reader,
             trustees,
-            vc_handles,
-            result_rx,
+            _vc_handles: vc_handles,
+            coordinator: Mutex::new(Box::new(coordinator)),
             seed: self.seed,
             store: self.store,
             profile: self.profile,
             threads: pool.threads(),
             close_timeout: self.close_timeout.unwrap_or(Duration::from_secs(120)),
-            next_client: AtomicU32::new(0),
+            // Client 0 is the coordinator.
+            next_client: AtomicU32::new(1),
             cast_seq: AtomicU64::new(0),
             run: Mutex::new(run),
             close_lock: Mutex::new(()),
@@ -890,9 +889,7 @@ impl ElectionBuilder {
             .cloned()
             .map(|init| Trustee::new(init).with_threads(pool.threads()))
             .collect();
-        // The in-process result channel stays empty: finalized sets
-        // arrive as Msg::Finalized envelopes on the control endpoint.
-        let (_result_tx, result_rx) = crossbeam_channel::unbounded();
+        let coordinator = backend.transport.register(COORDINATOR);
         let run = RunState {
             timings: crate::election::PhaseTimings {
                 setup: setup_elapsed,
@@ -908,8 +905,8 @@ impl ElectionBuilder {
             bb_apis,
             reader,
             trustees,
-            vc_handles: Vec::new(),
-            result_rx,
+            _vc_handles: Vec::new(),
+            coordinator: Mutex::new(Box::new(coordinator)),
             seed: self.seed,
             store: self.store,
             profile: self.profile,

@@ -4,7 +4,7 @@ use crate::builder::StoreKind;
 use crate::report::{ElectionReport, NetReport};
 use crate::tcp::TcpBackend;
 use crate::workload::{Workload, WorkloadStats};
-use crossbeam_channel::Receiver;
+use crossbeam_channel::RecvTimeoutError;
 use ddemos::auditor::{AuditReport, Auditor};
 use ddemos::voter::{VoteError, VoteRecord, Voter};
 use ddemos_bb::{BbApi, BbNode, BbSnapshot, MajorityReader};
@@ -13,6 +13,7 @@ use ddemos_net::{DynEndpoint, NetStats, SimNet};
 use ddemos_obs::{MetricsSnapshot, Recorder, TimeDomain};
 use ddemos_protocol::ballot::AuditInfo;
 use ddemos_protocol::clock::{ActorGuard, GlobalClock};
+use ddemos_protocol::messages::{Envelope, Msg};
 use ddemos_protocol::posts::ElectionResult;
 use ddemos_protocol::{NodeId, PartId, SerialNo};
 use ddemos_trustee::Trustee;
@@ -64,11 +65,17 @@ impl NetBackend {
     fn shutdown(&self) {
         match self {
             NetBackend::Sim(net) => net.shutdown(),
-            NetBackend::Tcp(backend) => backend.shutdown(),
+            NetBackend::Tcp(backend) => backend.transport.shutdown(),
         }
     }
 }
 
+/// How long, in the network's time base, [`Election::close`] waits for a
+/// collector's finalized vote set before sending it `ClosePolls` again.
+const CLOSE_RETRY: Duration = Duration::from_secs(1);
+/// How long shutting down waits for the replicas to close their ends of
+/// the coordinator's connections.
+pub(crate) const SHUTDOWN_PATIENCE: Duration = Duration::from_secs(1);
 /// How long [`Election::close`] waits for a BB majority to hold the
 /// encrypted tally challenge after the VC→BB push.
 const BB_PUBLISH_TIMEOUT: Duration = Duration::from_secs(60);
@@ -132,8 +139,8 @@ pub(crate) struct RunState {
     pub(crate) receipts: Vec<(SerialNo, u64)>,
     pub(crate) workload: Option<WorkloadStats>,
     pub(crate) timings: PhaseTimings,
-    /// Vote sets collected by a timed-out `close()`, preserved for retry
-    /// (each node releases its finalized set exactly once).
+    /// Vote sets the coordinator has collected, one a collector: a
+    /// timed-out `close()` resumes from them.
     pub(crate) drained: Vec<FinalizedVoteSet>,
     pub(crate) finalized: Option<Vec<FinalizedVoteSet>>,
     /// Whether the VC→BB publication (push + challenge) has completed.
@@ -161,8 +168,13 @@ pub struct Election {
     pub(crate) bb_apis: Vec<Arc<dyn BbApi>>,
     pub(crate) reader: MajorityReader,
     pub(crate) trustees: Vec<Trustee>,
-    pub(crate) vc_handles: Vec<VcHandle>,
-    pub(crate) result_rx: Receiver<FinalizedVoteSet>,
+    /// The in-process VC node threads (none over TCP), joined as the
+    /// election drops, after the network under them has shut down.
+    pub(crate) _vc_handles: Vec<VcHandle>,
+    /// The [`crate::COORDINATOR`] endpoint on the election's transport: it
+    /// closes the polls, collects the finalized vote sets and stops the
+    /// replicas.
+    pub(crate) coordinator: Mutex<DynEndpoint>,
     pub(crate) seed: u64,
     pub(crate) store: StoreKind,
     pub(crate) profile: ddemos_ea::SetupProfile,
@@ -172,8 +184,8 @@ pub struct Election {
     pub(crate) next_client: AtomicU32,
     pub(crate) cast_seq: AtomicU64,
     pub(crate) run: Mutex<RunState>,
-    /// Serializes [`Election::close`] (the per-node deliveries it drains
-    /// are one-shot).
+    /// Serializes [`Election::close`], so one closer collects, caches and
+    /// publishes the vote sets.
     pub(crate) close_lock: Mutex<()>,
     /// BB indices flagged by a `CrashAmnesia` fault (BB replicas have no
     /// network inbox, so the network hook records them here); serviced —
@@ -201,12 +213,20 @@ pub struct Election {
 
 impl Drop for Election {
     fn drop(&mut self) {
-        // An unjoined drop must still release every node: under a virtual
-        // clock the nodes are blocked in virtual waits and only wake when
-        // the network (and with it the clock) shuts down.
-        for handle in &self.vc_handles {
-            handle.request_stop();
+        // Every replica stops on the coordinator's Shutdown (in process the
+        // BB replicas are objects with no inbox, and theirs goes nowhere),
+        // or once the network shuts down under it: under a virtual clock
+        // that is what wakes nodes blocked in virtual waits. The VC
+        // threads are joined as `_vc_handles` drops.
+        let params = &self.setup.params;
+        let coordinator = self.coordinator.lock();
+        for i in 0..params.num_vc as u32 {
+            coordinator.send(NodeId::vc(i), Msg::Shutdown);
         }
+        for j in 0..params.num_bb as u32 {
+            coordinator.send(NodeId::bb(j), Msg::Shutdown);
+        }
+        coordinator.close(SHUTDOWN_PATIENCE);
         self.net.shutdown();
         if self.profiling {
             ddemos_obs::clear_global();
@@ -246,16 +266,20 @@ impl Election {
     /// [`FinalizedVoteSet`]s, the VC→BB upload, and (for full setups) the
     /// appearance of the encrypted tally challenge on a BB majority.
     ///
+    /// The coordinator sends every collector `ClosePolls` and collects
+    /// their `Msg::Finalized` envelopes; a collector whose set has not
+    /// arrived within a fixed retry interval is asked again, and answers
+    /// with its set once more, so a lost set is fetched again.
+    ///
     /// Idempotent: once the pipeline has completed, later calls (e.g. a
     /// `finish()` after a manual `close()`) return the cached vote sets;
     /// after a failure, retrying resumes from whatever had already been
-    /// collected (each VC node releases its finalized set exactly once).
+    /// collected.
     ///
     /// # Errors
     /// [`ElectionError::VoteSetTimeout`] or [`ElectionError::BbTimeout`].
     pub fn close(&self) -> Result<Vec<FinalizedVoteSet>, ElectionError> {
-        // Serialized: concurrent closers must not split the one-shot
-        // per-node deliveries between them.
+        // Serialized: one closer collects, caches and publishes.
         let _phase = self.close_lock.lock();
         self.service_bb_amnesia();
         let cached = self.run.lock().finalized.clone();
@@ -263,50 +287,10 @@ impl Election {
             Some(finalized) => finalized,
             None => {
                 self.close_polls();
-                let quorum = self.setup.params.vc_quorum();
-                // Drain inline (not via await_vote_sets) so a timeout
-                // preserves the partially collected sets for a retry. The
-                // channel drain is a wall-clock wait on work the nodes do
-                // in simulation time, so it runs suspended: virtual time
-                // keeps advancing underneath until the sets arrive.
-                let mut pending = std::mem::take(&mut self.run.lock().drained);
-                // lint:allow(wall-clock, operator-facing close-polls deadline over a real transport)
-                let deadline = Instant::now() + self.close_timeout;
-                while pending.len() < quorum {
-                    let received = match &self.net {
-                        NetBackend::Sim(_) => self.suspended(|| {
-                            deadline
-                                // lint:allow(wall-clock, operator-facing deadline arithmetic; cores still step on now_ms)
-                                .checked_duration_since(Instant::now())
-                                .ok_or(())
-                                .and_then(|left| self.result_rx.recv_timeout(left).map_err(|_| ()))
-                        }),
-                        // Remote VC replicas deliver their finalized sets
-                        // as Msg::Finalized envelopes on the control
-                        // endpoint.
-                        NetBackend::Tcp(backend) => {
-                            backend.recv_finalized(deadline).map_err(|_| ())
-                        }
-                    };
-                    match received {
-                        // The in-process channel delivers once per node;
-                        // a real transport can duplicate (reconnect
-                        // re-sends, a restarted volatile replica). The
-                        // quorum must count distinct nodes.
-                        Ok(finalized) => {
-                            if !pending.iter().any(|f| f.node_index == finalized.node_index) {
-                                pending.push(finalized);
-                            }
-                        }
-                        Err(()) => {
-                            self.run.lock().drained = pending;
-                            return Err(ElectionError::VoteSetTimeout);
-                        }
-                    }
-                }
+                let pending =
+                    self.drain_vote_sets(self.setup.params.vc_quorum(), self.close_timeout, true)?;
                 // Cache before the fallible BB wait below: consensus has
-                // completed, and the sets can never be re-read from the
-                // channel. Consensus timing comes from the node-stamped
+                // completed. Consensus timing comes from the node-stamped
                 // announce/finalize times — values produced inside the
                 // simulation, so they replay identically under a virtual
                 // clock (a driver-side clock sample here would race with
@@ -501,18 +485,13 @@ impl Election {
         self.threads
     }
 
-    /// Stops all node threads and the network. The network (and, in
-    /// virtual mode, the clock) shuts down before joining, so node threads
-    /// blocked in virtual waits are woken rather than joined against.
-    pub fn shutdown(mut self) {
-        let handles = std::mem::take(&mut self.vc_handles);
-        for handle in &handles {
-            handle.request_stop();
-        }
-        self.net.shutdown();
-        for handle in handles {
-            handle.stop();
-        }
+    /// Stops every replica and the network, and joins the node threads
+    /// (what dropping the election does): the coordinator sends each
+    /// replica `Shutdown`, and the network — in virtual mode the clock
+    /// too — shuts down before the join, so node threads blocked in
+    /// virtual waits are woken rather than joined against.
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     // ------------------------------------------------------------------
@@ -554,16 +533,6 @@ impl Election {
     /// at almost no wall-clock cost.
     pub fn sleep(&self, d: Duration) {
         self.clock.sleep(d);
-    }
-
-    /// Runs `f` (a wall-clock wait on something virtual actors produce)
-    /// with the driver's virtual-time registration suspended, so the
-    /// simulation keeps advancing underneath. No-op in real mode.
-    pub(crate) fn suspended<R>(&self, f: impl FnOnce() -> R) -> R {
-        match self.clock.virtual_clock() {
-            Some(vclock) => vclock.suspend(f),
-            None => f(),
-        }
     }
 
     /// The majority reader over the BB replicas.
@@ -615,41 +584,27 @@ impl Election {
     /// `Tend`) without waiting for consensus — [`Election::close`] is the
     /// usual entry point.
     ///
-    /// Over the simulated transport the close rides the network as an
-    /// authenticated `Msg::ClosePolls` control envelope, sent to every
-    /// node from a single pinned virtual instant. The alternative — the
-    /// `force_end` flag each driver polls — is a wall-clock signal: which
-    /// idle tick observes it varies with scheduler timing, staggering the
-    /// node closes nondeterministically and letting the announce-phase
-    /// straggler traffic (and so the canonical metrics snapshot) differ
-    /// between same-seed runs. As envelopes the closes are virtual-time
-    /// events with seeded latencies: the whole close cascade becomes a
-    /// pure function of the seed. The flag stays in use for TCP clusters
-    /// (already a wall-clock world) and as the driver-level fallback.
+    /// The coordinator sends each node `Msg::ClosePolls` — a control
+    /// envelope replicas accept from [`crate::COORDINATOR`] alone — from a
+    /// single pinned virtual instant: the closes are then network events
+    /// with seeded latencies, and the whole close cascade is a pure
+    /// function of the seed.
     pub fn close_polls(&self) {
-        match &self.net {
-            NetBackend::Sim(_) => {
-                let endpoint = self.net.register(NodeId::client(self.alloc_clients(1)));
-                // Pin the virtual clock so every close is stamped with
-                // the same send time; arrival order is then decided by
-                // the seeded per-link latencies alone.
-                let _actor = endpoint.actor_guard();
-                for handle in &self.vc_handles {
-                    endpoint.send(handle.id, ddemos_protocol::messages::Msg::ClosePolls);
-                }
-            }
-            NetBackend::Tcp(backend) => {
-                for handle in &self.vc_handles {
-                    handle.close_polls();
-                }
-                backend.close_polls();
-            }
+        let coordinator = self.coordinator.lock();
+        // Pin the virtual clock so every close is stamped with the same
+        // send time; arrival order is then decided by the seeded per-link
+        // latencies alone.
+        let _actor = coordinator.actor_guard();
+        for i in 0..self.setup.params.num_vc as u32 {
+            coordinator.send(NodeId::vc(i), Msg::ClosePolls);
         }
     }
 
-    /// Waits until at least `count` VC nodes deliver their finalized vote
-    /// sets (they do so after their clocks pass `Tend` or
-    /// [`Election::close_polls`]).
+    /// Waits until at least `count` VC nodes have delivered their
+    /// finalized vote sets to the coordinator (they do so after their
+    /// clocks pass `Tend` or [`Election::close_polls`]). Sets collected
+    /// by an earlier call count, and every set stays collected for
+    /// [`Election::close`].
     ///
     /// # Errors
     /// [`ElectionError::VoteSetTimeout`] on expiry.
@@ -658,27 +613,72 @@ impl Election {
         count: usize,
         timeout: Duration,
     ) -> Result<Vec<FinalizedVoteSet>, ElectionError> {
-        let mut out = Vec::new();
-        // lint:allow(wall-clock, operator-facing vote-set collection deadline over a real transport)
+        self.drain_vote_sets(count, timeout, false)
+    }
+
+    /// Reads `Msg::Finalized` envelopes off the coordinator endpoint until
+    /// `count` distinct collectors have sent theirs or `timeout` of wall
+    /// time passes, keeping what arrived in the run state either way.
+    /// With `refetch`, every [`CLOSE_RETRY`] of network time each
+    /// collector still missing is sent `ClosePolls` again.
+    fn drain_vote_sets(
+        &self,
+        count: usize,
+        timeout: Duration,
+        refetch: bool,
+    ) -> Result<Vec<FinalizedVoteSet>, ElectionError> {
+        let coordinator = self.coordinator.lock();
+        let mut sets = std::mem::take(&mut self.run.lock().drained);
+        // lint:allow(wall-clock, operator-facing vote-set collection deadline)
         let deadline = Instant::now() + timeout;
+        let retry_ns = CLOSE_RETRY.as_nanos() as u64;
+        let mut retry_at = coordinator.now_ns() + retry_ns;
         let result = loop {
-            if out.len() >= count {
+            if sets.len() >= count {
                 break Ok(());
             }
             // lint:allow(wall-clock, operator-facing deadline arithmetic; cores still step on now_ms)
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 break Err(ElectionError::VoteSetTimeout);
             };
-            match self.suspended(|| self.result_rx.recv_timeout(remaining)) {
-                Ok(finalized) => out.push(finalized),
-                Err(_) => break Err(ElectionError::VoteSetTimeout),
+            let now = coordinator.now_ns();
+            if now >= retry_at {
+                if refetch {
+                    for i in 0..self.setup.params.num_vc as u32 {
+                        if !sets.iter().any(|f| f.node_index == i) {
+                            coordinator.send(NodeId::vc(i), Msg::ClosePolls);
+                        }
+                    }
+                }
+                retry_at = now + retry_ns;
+            }
+            // A virtual clock never passes its limit, so a wait beyond it
+            // would never end: the simulation is over there.
+            let wait_ns = match self.clock.virtual_clock() {
+                Some(vclock) if now >= vclock.limit_ns() => {
+                    break Err(ElectionError::VoteSetTimeout)
+                }
+                Some(vclock) => retry_at.min(vclock.limit_ns()) - now,
+                None => (retry_at - now).min(left.as_nanos() as u64),
+            };
+            match coordinator.recv_timeout(Duration::from_nanos(wait_ns)) {
+                // `from` is the sender the transport vouches for (the
+                // router in process, the authenticated channel over TCP).
+                Ok(Envelope {
+                    from,
+                    msg: Msg::Finalized(finalized),
+                    ..
+                }) if from == NodeId::vc(finalized.node_index) => {
+                    if !sets.iter().any(|f| f.node_index == finalized.node_index) {
+                        sets.push(finalized);
+                    }
+                }
+                Ok(_) | Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break Err(ElectionError::VoteSetTimeout),
             }
         };
-        // Each node releases its finalized set exactly once; record every
-        // drained set so a later close() resumes from them instead of
-        // re-awaiting deliveries that can never come.
-        self.run.lock().drained.extend(out.iter().cloned());
-        result.map(|()| out)
+        self.run.lock().drained = sets.clone();
+        result.map(|()| sets)
     }
 
     /// Pushes finalized vote sets and msk shares to every BB node (each VC

@@ -97,7 +97,7 @@ pub use ddemos::voter::{VoteError, VoteRecord, Voter};
 pub use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 pub use ddemos_net::{DynEndpoint, NetFault, NetworkProfile, TransportEndpoint};
 pub use ddemos_obs::{Histogram, MetricsSnapshot, Recorder, TimeDomain};
-pub use ddemos_protocol::{ElectionParams, NodeId, PartId, SerialNo};
+pub use ddemos_protocol::{ElectionParams, NodeId, PartId, SerialNo, COORDINATOR};
 pub use ddemos_storage::{DiskProfile, FileDisk, SimDisk};
 pub use ddemos_vc::{Adversary, AdversaryView, StepTrace, StorageModel, Trigger, VcBehavior};
-pub use tcp::{run_bb_replica, run_vc_replica, TcpCluster, COORDINATOR};
+pub use tcp::{run_bb_replica, run_vc_replica, TcpCluster};

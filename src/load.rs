@@ -31,7 +31,7 @@ use ddemos_ea::ElectionAuthority;
 use ddemos_net::evloop::{ConnId, EvConfig, EvEvent, EvLoop, EvStats};
 use ddemos_net::sys::raise_nofile_limit;
 use ddemos_protocol::messages::{Envelope, Msg, VoteOutcome};
-use ddemos_protocol::{ElectionParams, NodeId, PartId, SerialNo};
+use ddemos_protocol::{ElectionParams, NodeId, PartId, SerialNo, COORDINATOR};
 use std::collections::HashMap;
 use std::io;
 use std::time::{Duration, Instant};
@@ -528,16 +528,15 @@ fn pump(
     Ok(())
 }
 
-/// Dials every VC replica once and sends the authenticated
+/// Dials every VC replica once as [`COORDINATOR`] and sends the
 /// [`Msg::Shutdown`] control envelope, releasing replica processes or
-/// threads after a load run (the load harness never closes the polls —
-/// there is no coordinator).
+/// threads after a load run (the load harness never closes the polls).
 ///
 /// # Errors
 /// Connection errors reaching a replica.
 pub fn shutdown_cluster(seed: u64, cluster: &TcpCluster) -> io::Result<()> {
     let auth = cluster.auth_config(seed);
-    let identity = NodeId::client(u32::MAX);
+    let identity = COORDINATOR;
     let mut ev = EvLoop::new(EvConfig::new(auth, process_nonce_seed(identity)))?;
     let mut pending = Vec::new();
     for (i, addr) in cluster.vc_addrs.iter().enumerate() {

@@ -7,15 +7,20 @@
 //! replica mains, and
 //! `ElectionBuilder::network(Network::Tcp(cluster))` builds an
 //! [`crate::Election`] whose phase handles drive the remote cluster:
-//! voters cast over sockets, `close()` collects `Msg::Finalized`
-//! envelopes and relays the vote sets to every BB replica, `tally()`
-//! and `audit()` run against a majority read of `Msg::BbReadResponse`s.
+//! voters cast over sockets, and `tally()` and `audit()` run against a
+//! majority read of `Msg::BbReadResponse`s. The coordinator speaks to the
+//! replicas exactly as it does in process — `ClosePolls`, `Finalized`,
+//! `Shutdown` from and to [`COORDINATOR`] — over its own dialed
+//! connections instead of the simulated network.
 //!
 //! Every replica serves one epoll event loop ([`EvNodeEndpoint`]) and
 //! every connection runs the seeded [`ddemos_net::auth`] handshake, so an
 //! envelope's source is the channel's authenticated identity, never what
 //! a frame claims. The coordinator has no listener: it dials out
-//! ([`AuthTransport`]) and replicas answer over its connections.
+//! ([`AuthTransport`]) and replicas answer over its connections. Every
+//! replica takes `ClosePolls`/`Shutdown` from [`COORDINATOR`] alone — but
+//! all parties share one channel secret, so anyone holding it can still
+//! handshake as the coordinator until per-node keys replace it.
 //!
 //! The replicas run the *same* sans-I/O cores (`VcCore`, `BbCore`) as the
 //! in-process simulation — only the endpoint differs — which is what
@@ -52,40 +57,27 @@
 //! except the channel-authentication stand-in
 //! ([`seeded_secret`], likewise a placeholder for distributed keys).
 
-use crate::election::ElectionError;
 use ddemos_bb::{codec as bb_codec, BbApi, BbNode, BbSnapshot, WriteError};
 use ddemos_crypto::schnorr::Signature;
 use ddemos_crypto::vss::SignedShare;
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_net::auth::{seeded_secret, AuthConfig};
-use ddemos_net::dialer::AuthEndpoint;
 use ddemos_net::evloop::EvConfig;
 use ddemos_net::{AuthTransport, DynEndpoint, EvNodeEndpoint, TransportEndpoint};
 use ddemos_protocol::clock::GlobalClock;
 use ddemos_protocol::exec::Pool;
 use ddemos_protocol::messages::{BbWriteMsg, Msg};
-use ddemos_protocol::posts::{FinalizedVoteSet, TrusteePost, VoteSet};
-use ddemos_protocol::{ElectionParams, NodeId, NodeKind};
-use ddemos_vc::{DeliverTarget, MemoryStore, VcNodeConfig};
+use ddemos_protocol::posts::{TrusteePost, VoteSet};
+use ddemos_protocol::{ElectionParams, NodeId, COORDINATOR};
+use ddemos_vc::{MemoryStore, VcNodeConfig};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The election coordinator's well-known identity (`C0`): the endpoint
-/// VC replicas deliver their [`Msg::Finalized`] sets to, and the source
-/// of the `ClosePolls`/`Shutdown` control envelopes replicas accept.
-pub const COORDINATOR: NodeId = NodeId {
-    kind: NodeKind::Client,
-    index: 0,
-};
-
 /// Per-request timeout of remote BB reads and writes.
 const BB_REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
-/// How long the coordinator's shutdown waits for the replicas to close
-/// their ends of the control connections.
-const SHUTDOWN_PATIENCE: Duration = Duration::from_secs(1);
 
 /// Listener, admission and channel-authentication configuration of a
 /// TCP deployment. Carried inside [`TcpCluster`] so every replica
@@ -293,7 +285,6 @@ pub fn run_vc_replica(
         GlobalClock::new().node_clock_keyed(me.clock_key(), 0),
         setup.consensus_beacon,
         VcNodeConfig::default(),
-        DeliverTarget::Peers(vec![COORDINATOR]),
         None,
     );
     handle.join();
@@ -330,7 +321,6 @@ pub fn run_bb_replica(
 /// coordinator says stop or the endpoint closes.
 fn serve_bb(node: &BbNode, endpoint: &dyn TransportEndpoint) {
     while let Ok(env) = endpoint.recv() {
-        let control = matches!(env.from.kind, NodeKind::Client | NodeKind::Ea);
         match env.msg {
             Msg::BbWrite { request_id, write } => {
                 let outcome = node.handle_write(write);
@@ -352,7 +342,7 @@ fn serve_bb(node: &BbNode, endpoint: &dyn TransportEndpoint) {
                     },
                 );
             }
-            Msg::Shutdown if control => return,
+            Msg::Shutdown if env.from == COORDINATOR => return,
             _ => {}
         }
     }
@@ -452,30 +442,18 @@ impl BbApi for RemoteBb {
 pub(crate) struct TcpBackend {
     pub(crate) transport: AuthTransport,
     pub(crate) cluster: TcpCluster,
-    /// The `C0` control endpoint: receives [`Msg::Finalized`], sends
-    /// `ClosePolls`/`Shutdown`.
-    control: Mutex<AuthEndpoint>,
-    /// Guards [`TcpBackend::shutdown`] (an explicit `Election::shutdown`
-    /// is followed by the `Drop` path).
-    down: std::sync::atomic::AtomicBool,
 }
 
 impl TcpBackend {
-    /// Prepares the coordinator's dial-out transport and registers the
-    /// control endpoint. Nothing is dialed until the first send.
+    /// Prepares the coordinator's dial-out transport. Nothing is dialed
+    /// until the first send.
     pub(crate) fn connect(cluster: TcpCluster, seed: u64) -> TcpBackend {
         let transport = AuthTransport::new(
             cluster.replicas(),
             cluster.auth_config(seed),
             process_nonce_seed(COORDINATOR),
         );
-        let control = Mutex::new(transport.register(COORDINATOR));
-        TcpBackend {
-            transport,
-            cluster,
-            control,
-            down: std::sync::atomic::AtomicBool::new(false),
-        }
+        TcpBackend { transport, cluster }
     }
 
     /// One [`RemoteBb`] client per BB replica, each on its own endpoint
@@ -489,58 +467,9 @@ impl TcpBackend {
             .collect()
     }
 
-    /// Client ids `0..=num_bb` are reserved (control + BB clients).
+    /// Client ids `0..=num_bb` are reserved (coordinator + BB clients).
     pub(crate) fn reserved_clients(&self) -> u32 {
         1 + self.cluster.bb_addrs.len() as u32
-    }
-
-    pub(crate) fn close_polls(&self) {
-        let control = self.control.lock();
-        for i in 0..self.cluster.vc_addrs.len() as u32 {
-            control.send(NodeId::vc(i), Msg::ClosePolls);
-        }
-    }
-
-    /// Drains one finalized vote set from the control endpoint.
-    pub(crate) fn recv_finalized(
-        &self,
-        deadline: Instant,
-    ) -> Result<FinalizedVoteSet, ElectionError> {
-        let control = self.control.lock();
-        loop {
-            let remaining = deadline
-                // lint:allow(wall-clock, client-side request timeout over a real TCP socket)
-                .checked_duration_since(Instant::now())
-                .ok_or(ElectionError::VoteSetTimeout)?;
-            let Ok(env) = control.recv_timeout(remaining) else {
-                return Err(ElectionError::VoteSetTimeout);
-            };
-            if let Msg::Finalized(finalized) = env.msg {
-                // `from` is the channel's authenticated identity, so
-                // this is a real authentication gate.
-                if env.from.kind == NodeKind::Vc {
-                    return Ok(finalized);
-                }
-            }
-        }
-    }
-
-    /// Tells every replica to exit, closes the control connections in
-    /// order — each replica reads its `Shutdown` before the FIN, and no
-    /// socket closes with unread bytes — then stops the transport.
-    pub(crate) fn shutdown(&self) {
-        if self.down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let control = self.control.lock();
-        for i in 0..self.cluster.vc_addrs.len() as u32 {
-            control.send(NodeId::vc(i), Msg::Shutdown);
-        }
-        for j in 0..self.cluster.bb_addrs.len() as u32 {
-            control.send(NodeId::bb(j), Msg::Shutdown);
-        }
-        control.close(SHUTDOWN_PATIENCE);
-        self.transport.shutdown();
     }
 }
 
@@ -630,10 +559,10 @@ mod tests {
         assert_eq!((stats.dials, stats.accepted, stats.frames_out), (0, 0, 0));
     }
 
-    /// The coordinator's shutdown closes its control connections in
-    /// order: a replica reads the `Shutdown` sent just before, every
-    /// time, even with frames to the coordinator still unread on the
-    /// connection (closing over unread bytes sends a reset, which can
+    /// The coordinator closes its connections in order when it shuts the
+    /// cluster down: a replica reads the `Shutdown` sent just before,
+    /// every time, even with frames to the coordinator still unread on
+    /// the connection (closing over unread bytes sends a reset, which can
     /// destroy the `Shutdown` before the replica reads it).
     #[test]
     fn replica_reads_the_shutdown_sent_just_before_the_close() {
@@ -667,11 +596,14 @@ mod tests {
                 false
             });
             let backend = TcpBackend::connect(cluster, SEED);
-            backend.close_polls();
+            let coordinator = backend.transport.register(COORDINATOR);
+            coordinator.send(NodeId::vc(0), Msg::ClosePolls);
             // The replica has written frames the coordinator never reads
             // before the shutdown starts.
             sent.recv_timeout(Duration::from_secs(10)).unwrap();
-            backend.shutdown();
+            coordinator.send(NodeId::vc(0), Msg::Shutdown);
+            coordinator.close(crate::election::SHUTDOWN_PATIENCE);
+            backend.transport.shutdown();
             assert!(
                 serve.join().unwrap(),
                 "round {round}: the replica never read the Shutdown"

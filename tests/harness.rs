@@ -2,9 +2,10 @@
 //! lifecycle, builder validation, store kinds, and the report type.
 
 use ddemos_harness::{
-    BuildError, ElectionBuilder, ElectionParams, NetworkProfile, NodeId, StorageModel, StoreKind,
-    VcBehavior,
+    BuildError, ElectionBuilder, ElectionParams, NetFault, NetworkProfile, NodeId, Schedule,
+    StorageModel, StoreKind, VcBehavior, COORDINATOR,
 };
+use ddemos_protocol::messages::Msg;
 use std::time::Duration;
 
 /// The headline scenario: a 4-VC / 4-BB / 3-trustee (threshold 2)
@@ -327,5 +328,77 @@ fn workload_through_facade_counts_every_vote() {
     let report = election.report();
     assert_eq!(report.workload.as_ref().unwrap().votes_cast, 40);
     assert!(report.timings.vote_collection >= stats.duration);
+    election.shutdown();
+}
+
+#[test]
+fn a_voter_can_neither_close_nor_stop_a_collector() {
+    // Only the coordinator closes the polls and stops the replicas. A
+    // voter's endpoint sends both to every collector mid-vote: each drops
+    // them and counts them, keeps taking votes, and closes when the
+    // coordinator says so.
+    let params = ElectionParams::new("harness-control", 4, 2, 4, 1, 1, 1, 0, 600_000).unwrap();
+    let election = ElectionBuilder::new(params)
+        .vc_only()
+        .virtual_time()
+        .seed(11)
+        .build()
+        .unwrap();
+    let voting = election.voting();
+    voting.cast(0, 0).expect("first vote lands");
+    let voter = election.client_endpoint();
+    assert_ne!(voter.id(), COORDINATOR);
+    let num_vc = election.params().num_vc;
+    for i in 0..num_vc as u32 {
+        voter.send(NodeId::vc(i), Msg::ClosePolls);
+        voter.send(NodeId::vc(i), Msg::Shutdown);
+    }
+    election.sleep(Duration::from_secs(1));
+    voting
+        .cast(1, 1)
+        .expect("a vote after the voter's control envelopes lands");
+    let sets = election.close().expect("the coordinator still closes");
+    assert_eq!(sets.len(), election.params().vc_quorum());
+    let rejected = election
+        .report()
+        .metrics
+        .counter("vc.control_rejected", None, None);
+    assert!(rejected >= num_vc as u64, "{rejected} rejected");
+    election.shutdown();
+}
+
+#[test]
+fn a_finalized_set_lost_on_the_way_is_fetched_again() {
+    // Nothing from collectors 0 and 1 reaches the coordinator until the
+    // cut heals, well after they finalized: only two sets of the quorum
+    // of three get through, and close() must ask again after the heal.
+    const HEAL_MS: u64 = 30_000;
+    let params = ElectionParams::new("harness-refetch", 4, 2, 4, 1, 1, 1, 0, 600_000).unwrap();
+    let cut = vec![NodeId::vc(0), NodeId::vc(1)];
+    let mut schedule = Schedule::default();
+    schedule.push(
+        0,
+        NetFault::GrayPartition {
+            from: cut.clone(),
+            to: vec![COORDINATOR],
+            loss_pct: 100,
+        },
+    );
+    schedule.push(HEAL_MS, NetFault::HealPartition(cut, vec![COORDINATOR]));
+    let election = ElectionBuilder::new(params)
+        .vc_only()
+        .virtual_time()
+        .schedule(schedule)
+        .seed(12)
+        .build()
+        .unwrap();
+    election.voting().cast(0, 1).expect("vote lands");
+    let sets = election.close().expect("close completes after the heal");
+    assert_eq!(sets.len(), election.params().vc_quorum());
+    assert!(
+        sets.iter().any(|f| f.node_index < 2),
+        "a set from behind the cut"
+    );
+    assert!(election.now_ms() >= HEAL_MS);
     election.shutdown();
 }

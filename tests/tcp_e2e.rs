@@ -13,7 +13,10 @@
 #![cfg(target_os = "linux")]
 
 use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
-use ddemos_harness::{Election, ElectionBuilder, ElectionParams, ElectionReport, Network};
+use ddemos_harness::{
+    Election, ElectionBuilder, ElectionParams, ElectionReport, Network, NodeId, PartId,
+};
+use ddemos_protocol::messages::{Msg, VoteOutcome};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -179,6 +182,47 @@ fn event_loop_cluster_survives_one_collector_down() {
     let report = run_tcp_election(params(12).num_vc as u32 - 1);
     assert_eq!(report.tally(), Some(&[1, 3, 2][..]), "unexpected tally");
     assert_eq!(report.receipts.len(), CASTS.len());
+    assert!(report.verified(), "audit failed");
+}
+
+/// Only the coordinator closes or stops a replica: a voter sends a
+/// collector `ClosePolls` and `Shutdown`, then a vote on the same
+/// connection, and the collector — still up, polls still open — answers
+/// with the printed receipt. The election then closes, tallies the vote
+/// and audits.
+#[test]
+fn a_voter_can_neither_close_nor_stop_a_collector() {
+    let _one = ONE_ELECTION.lock().unwrap_or_else(|e| e.into_inner());
+    let params = params(12);
+    let (election, replicas) = start_cluster(&params, TcpOptions::default(), params.num_vc as u32);
+    let voter = election.client_endpoint();
+    voter.send(NodeId::vc(0), Msg::ClosePolls);
+    voter.send(NodeId::vc(0), Msg::Shutdown);
+    let ballot = &election.setup.ballots[0];
+    let line = ballot.part(PartId::A).line_for_option(1).expect("option 1");
+    voter.send(
+        NodeId::vc(0),
+        Msg::Vote {
+            request_id: 1,
+            serial: ballot.serial,
+            vote_code: line.vote_code,
+        },
+    );
+    let outcome = loop {
+        let env = voter
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the collector answers the vote");
+        if let Msg::VoteReply { outcome, .. } = env.msg {
+            break outcome;
+        }
+    };
+    assert!(
+        matches!(outcome, VoteOutcome::Receipt(r) if r == line.receipt),
+        "{outcome:?}"
+    );
+    drop(voter);
+    let report = finish(election, replicas, &params);
+    assert_eq!(report.tally(), Some(&[0, 1, 0][..]), "unexpected tally");
     assert!(report.verified(), "audit failed");
 }
 
