@@ -360,7 +360,7 @@ mod tests {
             .iter()
             .any(|v| v.rule == rules::RULE_WALL_CLOCK));
         assert!(
-            !check_file(&SourceFile::parse("crates/net/src/dialer.rs", clock_src))
+            !check_file(&SourceFile::parse("crates/net/src/evnode.rs", clock_src))
                 .iter()
                 .any(|v| v.rule == rules::RULE_WALL_CLOCK)
         );

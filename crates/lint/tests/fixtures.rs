@@ -109,9 +109,9 @@ fn blocking_recv_fixtures() {
     assert_eq!(fail.len(), 2, "recv and recv_timeout should both flag");
     let pass = check_as("blocking_recv/pass.rs", "crates/net/src/evloop.rs");
     assert!(pass.is_empty(), "unexpected: {pass:?}");
-    // The blocking transport is allowed to block: the rule is scoped to
+    // An endpoint's `recv` is allowed to block: the rule is scoped to
     // the event-loop module, not the whole net crate.
-    assert!(check_as("blocking_recv/fail.rs", "crates/net/src/dialer.rs").is_empty());
+    assert!(check_as("blocking_recv/fail.rs", "crates/net/src/evnode.rs").is_empty());
 }
 
 #[test]

@@ -16,9 +16,11 @@
 //!   typed `ServerFull` reject and an immediate close;
 //! * **frame caps** — any message longer than the configured maximum
 //!   closes the channel with `FrameTooLarge`;
-//! * **slow consumers** — a connection whose write queue exceeds
-//!   [`EvConfig::write_cap`] bytes is shed with `SlowConsumer` rather
-//!   than allowed to balloon the server's memory;
+//! * **slow consumers** — a connection whose write queue already holds
+//!   more than [`EvConfig::write_cap`] bytes when another frame is queued
+//!   is shed with `SlowConsumer` rather than allowed to balloon the
+//!   server's memory (one frame of any admitted size always fits, so a
+//!   large BB snapshot crosses a fresh connection);
 //! * **authentication** — every connection must complete the seeded
 //!   handshake before any envelope is accepted, and `Envelope::from`
 //!   is thereafter derived from the channel identity.
@@ -48,8 +50,9 @@ pub struct EvConfig {
     /// Admission limit: connections beyond this are rejected with
     /// [`RejectCode::ServerFull`].
     pub max_conns: usize,
-    /// Per-connection write-queue cap in bytes; exceeding it sheds the
-    /// connection with [`RejectCode::SlowConsumer`].
+    /// Per-connection write-queue cap in bytes: queueing a frame behind
+    /// more than this sheds the connection with
+    /// [`RejectCode::SlowConsumer`].
     pub write_cap: usize,
     /// Seed for the per-connection handshake nonces.
     pub nonce_seed: [u8; 32],
@@ -140,8 +143,8 @@ pub enum EvEvent {
 pub enum EvSendError {
     /// No such connection (closed or stale handle).
     Gone,
-    /// The connection was shed because this send overflowed its write
-    /// queue; a `Down { reason: Shed }` event follows.
+    /// The connection was shed because this send found its write queue
+    /// over the cap; a `Down { reason: Shed }` event follows.
     Shed,
 }
 
@@ -155,10 +158,16 @@ pub struct EvStats {
     pub rejected_full: u64,
     /// Handshakes completed (both directions).
     pub authenticated: u64,
-    /// Handshakes failed.
+    /// Handshakes failed: connections that ended before their handshake
+    /// completed (a bad MAC, a peer's reject or close, a fault).
     pub auth_failed: u64,
-    /// Outbound dials attempted.
+    /// Outbound connects that reached the peer.
     pub dials: u64,
+    /// Outbound connects refused or failed (a peer still binding; the
+    /// endpoint retries them).
+    pub retries: u64,
+    /// Typed rejects received from peers.
+    pub rejected: u64,
     /// Envelopes delivered up.
     pub frames_in: u64,
     /// Envelopes queued out.
@@ -180,6 +189,37 @@ pub struct EvStats {
     pub from_overridden: u64,
     /// Connections closed (any reason).
     pub closed: u64,
+}
+
+impl EvStats {
+    /// Every counter with its name, in a fixed order.
+    pub fn counters(&self) -> [(&'static str, u64); 17] {
+        let mut copy = *self;
+        copy.counters_mut().map(|(name, v)| (name, *v))
+    }
+
+    /// Mutable view matching [`EvStats::counters`].
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 17] {
+        [
+            ("accepted", &mut self.accepted),
+            ("rejected_full", &mut self.rejected_full),
+            ("authenticated", &mut self.authenticated),
+            ("auth_failed", &mut self.auth_failed),
+            ("dials", &mut self.dials),
+            ("retries", &mut self.retries),
+            ("rejected", &mut self.rejected),
+            ("frames_in", &mut self.frames_in),
+            ("frames_out", &mut self.frames_out),
+            ("bytes_in", &mut self.bytes_in),
+            ("bytes_out", &mut self.bytes_out),
+            ("oversized", &mut self.oversized),
+            ("shed_slow", &mut self.shed_slow),
+            ("replays", &mut self.replays),
+            ("malformed", &mut self.malformed),
+            ("from_overridden", &mut self.from_overridden),
+            ("closed", &mut self.closed),
+        ]
+    }
 }
 
 enum Chan {
@@ -244,6 +284,8 @@ struct Conn {
     peer: Option<NodeId>,
     want_write: bool,
     closing: bool,
+    /// The write side is shut (see [`EvLoop::half_close`]).
+    write_shut: bool,
 }
 
 const LISTENER_BIT: u64 = 1 << 63;
@@ -279,6 +321,8 @@ pub struct EvLoop {
     chan_events: Vec<ChanEvent>,
     deferred: Vec<EvEvent>,
     recorder: Recorder,
+    /// Set by [`EvLoop::half_close`].
+    half_closing: bool,
 }
 
 /// What [`EvLoop::flush_conn`] observed.
@@ -312,6 +356,7 @@ impl EvLoop {
             chan_events: Vec::new(),
             deferred: Vec::new(),
             recorder: Recorder::disabled(),
+            half_closing: false,
         })
     }
 
@@ -362,6 +407,7 @@ impl EvLoop {
             peer: None,
             want_write,
             closing: false,
+            write_shut: false,
         });
         self.live += 1;
         Ok(ConnId { idx, gen })
@@ -369,7 +415,8 @@ impl EvLoop {
 
     /// Dials `addr`, authenticating as `identity` toward the node the
     /// address belongs to (`expect_peer`). The connect itself is a
-    /// plain blocking localhost/LAN connect; the handshake then runs
+    /// plain blocking localhost/LAN connect (a refused one returns at
+    /// once, counted in [`EvStats::retries`]); the handshake then runs
     /// through the loop.
     ///
     /// # Errors
@@ -380,8 +427,8 @@ impl EvLoop {
         identity: NodeId,
         expect_peer: NodeId,
     ) -> io::Result<ConnId> {
+        let stream = TcpStream::connect(addr).inspect_err(|_| self.stats.retries += 1)?;
         self.stats.dials += 1;
-        let stream = TcpStream::connect(addr)?;
         let nonce = self.next_nonce();
         let chan = ClientChannel::new(self.cfg.auth.clone(), identity, expect_peer, nonce);
         self.install(stream, Chan::Client(chan))
@@ -392,40 +439,90 @@ impl EvLoop {
         self.live
     }
 
-    /// Counter snapshot, including per-connection counters of still
-    /// live channels.
-    pub fn stats(&self) -> EvStats {
-        let mut stats = self.stats;
-        for conn in self.conns.iter().flatten() {
-            stats.from_overridden += conn.chan.overridden_from();
+    /// Whether `id` has completed its handshake: `None` once the
+    /// connection is gone.
+    pub fn handshake_done(&self, id: ConnId) -> Option<bool> {
+        if self.gens.get(id.idx as usize) != Some(&id.gen) {
+            return None;
         }
-        stats
+        let conn = self.conns.get(id.idx as usize)?.as_ref()?;
+        Some(conn.peer.is_some())
+    }
+
+    /// The handles of every live connection.
+    fn live_ids(&self) -> Vec<ConnId> {
+        self.conns
+            .iter()
+            .zip(&self.gens)
+            .enumerate()
+            .filter(|(_, (conn, _))| conn.is_some())
+            .map(|(idx, (_, &gen))| ConnId {
+                idx: idx as u32,
+                gen,
+            })
+            .collect()
+    }
+
+    /// Ends the write side of every connection, now and until
+    /// [`EvLoop::close_all`]: each is half-closed once its handshake is
+    /// done and its queue has drained, so the FIN follows the last
+    /// frame. Reading goes on until the peer closes its side too (a
+    /// `Down { reason: Eof }`). Closing a socket over unread bytes sends
+    /// a reset instead, and a reset can destroy frames the peer has not
+    /// read yet.
+    pub fn half_close(&mut self) {
+        self.half_closing = true;
+        for id in self.live_ids() {
+            if matches!(self.flush_conn(id), Flushed::Alive) {
+                self.update_interest(id);
+            }
+        }
+    }
+
+    /// Closes every connection at once (no `Down` events) and ends a
+    /// [`EvLoop::half_close`]: connections dialed afterwards live as
+    /// usual.
+    pub fn close_all(&mut self) {
+        for id in self.live_ids() {
+            self.teardown(id);
+        }
+        self.half_closing = false;
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> EvStats {
+        self.stats
     }
 
     /// Queues one envelope on a connection, with opportunistic flush
-    /// and slow-consumer shedding.
+    /// and slow-consumer shedding: a connection that still has more than
+    /// [`EvConfig::write_cap`] bytes queued is shed rather than handed
+    /// another frame.
     ///
     /// # Errors
     /// [`EvSendError::Gone`] for a dead handle, [`EvSendError::Shed`]
-    /// when this send overflowed the write queue.
+    /// when this send found the write queue over the cap.
     pub fn send(&mut self, id: ConnId, env: &Envelope) -> Result<(), EvSendError> {
         let write_cap = self.cfg.write_cap;
-        let over = {
+        let behind = {
             let Some(conn) = slot(&mut self.conns, &self.gens, id) else {
                 return Err(EvSendError::Gone);
             };
             if conn.closing {
                 return Err(EvSendError::Gone);
             }
-            let t = self.recorder.now_ns();
-            let sent = conn.chan.send_envelope(env);
-            self.recorder.observe_since("net.frame_encode_ns", "", t);
-            if sent.is_err() {
-                return Err(EvSendError::Gone);
+            let behind = conn.chan.out_pending() > write_cap;
+            if !behind {
+                let t = self.recorder.now_ns();
+                let sent = conn.chan.send_envelope(env);
+                self.recorder.observe_since("net.frame_encode_ns", "", t);
+                if sent.is_err() {
+                    return Err(EvSendError::Gone);
+                }
             }
-            conn.chan.out_pending() > write_cap
+            behind
         };
-        if over {
+        if behind {
             // Slow consumer: it is not draining its socket while we
             // keep producing. Shed it with a typed reject rather than
             // buffer without bound (the reject itself is best-effort —
@@ -476,14 +573,21 @@ impl EvLoop {
         }
     }
 
-    /// Writes as much of the pending queue as the socket accepts.
+    /// Writes as much of the pending queue as the socket accepts, and
+    /// shuts the write side of a drained, established connection once
+    /// the loop is half-closing.
     fn flush_conn(&mut self, id: ConnId) -> Flushed {
+        let half_closing = self.half_closing;
         loop {
             let Some(conn) = slot(&mut self.conns, &self.gens, id) else {
                 return Flushed::Dead;
             };
             let out = conn.chan.outgoing();
             if out.is_empty() {
+                if half_closing && !conn.write_shut && conn.peer.is_some() {
+                    conn.write_shut = true;
+                    let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+                }
                 return Flushed::Alive;
             }
             match conn.stream.write(out) {
@@ -539,7 +643,9 @@ impl EvLoop {
         let Some(conn) = self.conns[idx].take() else {
             return;
         };
-        self.stats.from_overridden += conn.chan.overridden_from();
+        if conn.peer.is_none() {
+            self.stats.auth_failed += 1;
+        }
         let _ = self.poller.delete(conn.stream.as_raw_fd());
         self.gens[idx] = self.gens[idx].wrapping_add(1) & 0x7fff_ffff;
         self.free.push(id.idx);
@@ -549,7 +655,8 @@ impl EvLoop {
 
     fn fault_counter(&mut self, fault: ChanFault) {
         match fault {
-            ChanFault::AuthFailed => self.stats.auth_failed += 1,
+            // Counted as `auth_failed` when the connection is torn down.
+            ChanFault::AuthFailed => {}
             ChanFault::Oversize => self.stats.oversized += 1,
             ChanFault::BadTag | ChanFault::Replay => self.stats.replays += 1,
             _ => self.stats.malformed += 1,
@@ -625,8 +732,10 @@ impl EvLoop {
             self.stats.bytes_in += n as u64;
             self.chan_events.clear();
             let t = self.recorder.now_ns();
+            let overridden = conn.chan.overridden_from();
             conn.chan
                 .on_bytes(&self.scratch[..n], &mut self.chan_events);
+            self.stats.from_overridden += conn.chan.overridden_from() - overridden;
             self.recorder.observe_since("net.frame_decode_ns", "", t);
             let mut down: Option<DownReason> = None;
             let mut chan_events = std::mem::take(&mut self.chan_events);
@@ -648,6 +757,7 @@ impl EvLoop {
                         events.push(EvEvent::Frame { conn: id, env });
                     }
                     ChanEvent::PeerReject(code) => {
+                        self.stats.rejected += 1;
                         down = Some(DownReason::PeerReject(code));
                     }
                     ChanEvent::Fault(fault) => {
@@ -668,6 +778,12 @@ impl EvLoop {
                     reason,
                 });
                 return;
+            }
+            if n < self.scratch.len() {
+                // A short read took all the socket held, and the poller is
+                // level-triggered: what arrives next, EOF included, is
+                // reported by the next wait.
+                break;
             }
         }
         // Handshake replies and queued envelopes may now be pending.

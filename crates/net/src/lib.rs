@@ -9,12 +9,13 @@
 //!   (LAN and netem-style WAN profiles), loss, duplication, crash and
 //!   partition injection, traffic counters, and an optional virtual-time
 //!   mode.
-//! * real sockets, one replica per OS process: each replica's
-//!   [`EvNodeEndpoint`] owns one [`evloop::EvLoop`] (a readiness loop
-//!   multiplexing every connection through the [`auth`]
+//! * real sockets, one party per OS process: every replica and every
+//!   client is an [`EvNodeEndpoint`] over its own [`evloop::EvLoop`] (a
+//!   readiness loop multiplexing every connection through the [`auth`]
 //!   authenticated-channel protocol, with connection admission,
-//!   backpressure and typed rejects — no thread per peer), and clients
-//!   dial in through an [`AuthTransport`].
+//!   backpressure and typed rejects — no thread per peer). A replica's
+//!   loop serves its listener; a client's has none and dials out, and an
+//!   [`AuthTransport`] hands client endpoints out.
 //!
 //! Envelope sources are authenticated on both: the router stamps them
 //! on `SimNet`, the channel identity on sockets.
@@ -22,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod auth;
-pub mod dialer;
 pub mod evloop;
 pub mod evnode;
 pub mod latency;
@@ -31,8 +31,7 @@ pub mod stats;
 pub mod sys;
 pub mod transport;
 
-pub use dialer::{AuthTransport, ConnSnapshot};
-pub use evnode::EvNodeEndpoint;
+pub use evnode::{AuthTransport, EvNodeEndpoint};
 pub use latency::NetworkProfile;
 pub use simnet::{AmnesiaHook, Endpoint, Envelope, NetFault, SimNet};
 pub use stats::NetStats;

@@ -8,14 +8,11 @@
 //! declared directly as `extern "C"` items. Everything else (sockets,
 //! nonblocking mode, reads and writes) goes through `std::net`.
 //!
-//! The replica's [`Poller`] is Linux only: [`Poller::new`] returns
-//! `ErrorKind::Unsupported` elsewhere, so the real-socket stack (replica
-//! mains, the load harness) surfaces that error at start-up instead of
-//! failing to compile; the in-process `SimNet` runs everywhere.
-//! A client waits on its few sockets with POSIX [`poll`] instead, which
-//! needs no kernel object.
-
-use std::time::Duration;
+//! The [`Poller`] every socket endpoint waits in is Linux only:
+//! [`Poller::new`] returns `ErrorKind::Unsupported` elsewhere, so the
+//! real-socket stack (replica mains, clients, the load harness) surfaces
+//! that error at start-up instead of failing to compile; the in-process
+//! `SimNet` runs everywhere.
 
 /// Readiness bits reported for one registered file descriptor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,6 +73,15 @@ mod imp {
         fn close(fd: i32) -> i32;
     }
 
+    /// A wait in whole milliseconds, as `epoll_wait` takes it: `None` is
+    /// −1 (forever); a fraction rounds up, so 100 µs is not 0 ms.
+    fn timeout_ms(timeout: Option<Duration>) -> i32 {
+        timeout.map_or(-1, |d| {
+            d.as_millis().min(i32::MAX as u128 - 1) as i32
+                + i32::from(d.subsec_nanos() % 1_000_000 != 0)
+        })
+    }
+
     /// An epoll instance owning its fd.
     pub struct Poller {
         epfd: RawFd,
@@ -99,7 +105,7 @@ mod imp {
             }
             Ok(Poller {
                 epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+                buf: vec![EpollEvent { events: 0, data: 0 }; 64],
             })
         }
 
@@ -169,7 +175,7 @@ mod imp {
             timeout: Option<Duration>,
             out: &mut Vec<PollEvent>,
         ) -> io::Result<usize> {
-            let timeout_ms = super::timeout_ms(timeout);
+            let timeout_ms = timeout_ms(timeout);
             let n = unsafe {
                 // Safety: `buf` is a live, properly sized allocation.
                 epoll_wait(
@@ -312,68 +318,6 @@ mod imp {
 
 pub use imp::{raise_nofile_limit, Poller};
 
-/// A wait in whole milliseconds, as `epoll_wait` and `poll` take it:
-/// `None` is −1 (forever); a fraction rounds up, so 100 µs is not 0 ms.
-fn timeout_ms(timeout: Option<Duration>) -> i32 {
-    timeout.map_or(-1, |d| {
-        d.as_millis().min(i32::MAX as u128 - 1) as i32
-            + i32::from(d.subsec_nanos() % 1_000_000 != 0)
-    })
-}
-
-/// One `struct pollfd`: an fd watched for input, and what [`poll`] last
-/// reported for it.
-#[repr(C)]
-#[derive(Clone, Copy, Debug)]
-pub struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-#[cfg(target_os = "linux")]
-type NfdsT = std::os::raw::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type NfdsT = std::os::raw::c_uint;
-
-extern "C" {
-    #[link_name = "poll"]
-    fn sys_poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
-}
-
-impl PollFd {
-    /// Watches `fd` for input (`POLLIN`).
-    pub fn readable(fd: std::os::unix::io::RawFd) -> PollFd {
-        PollFd {
-            fd,
-            events: 0x001,
-            revents: 0,
-        }
-    }
-
-    /// Whether [`poll`] reported input, a hang-up or an error: either
-    /// way one read will not block.
-    pub fn ready(&self) -> bool {
-        self.revents != 0
-    }
-}
-
-/// POSIX `poll(2)`: waits up to `timeout` for one of `fds` to be ready
-/// and returns how many are.
-///
-/// # Errors
-/// The raw `poll` failure, `Interrupted` included.
-pub fn poll(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
-    let timeout = timeout_ms(Some(timeout));
-    // SAFETY: `fds` is a live, exclusively borrowed slice of `#[repr(C)]`
-    // `struct pollfd` values, and `nfds` is its length.
-    let n = unsafe { sys_poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout) };
-    if n < 0 {
-        return Err(std::io::Error::last_os_error());
-    }
-    Ok(n as usize)
-}
-
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
@@ -424,26 +368,5 @@ mod tests {
         assert!(out
             .iter()
             .any(|e| e.token == 9 && (e.readiness.hangup || e.readiness.readable)));
-    }
-
-    #[test]
-    fn poll_reports_input_and_hangup() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (accepted, _) = listener.accept().expect("accept");
-        let mut fds = [PollFd::readable(accepted.as_raw_fd())];
-        assert_eq!(poll(&mut fds, Duration::ZERO).expect("poll"), 0);
-        assert!(!fds[0].ready());
-        client.write_all(b"hi").expect("write");
-        assert_eq!(poll(&mut fds, Duration::from_millis(500)).expect("poll"), 1);
-        assert!(fds[0].ready());
-        let mut other = [PollFd::readable(client.as_raw_fd())];
-        assert_eq!(poll(&mut other, Duration::from_millis(1)).expect("poll"), 0);
-        drop(accepted);
-        assert_eq!(
-            poll(&mut other, Duration::from_millis(500)).expect("poll"),
-            1
-        );
-        assert!(other[0].ready(), "the peer's close wakes the poll");
     }
 }

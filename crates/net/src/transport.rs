@@ -7,12 +7,12 @@
 //! non-blocking `recv`, the inbound queue depth, the transport's time
 //! base, and an optional virtual-time actor hook.
 //!
-//! Three endpoints implement it: the in-process [`crate::SimNet`]'s
-//! [`Endpoint`] (latency/fault emulation, optional virtual time), the
-//! replica-side [`crate::EvNodeEndpoint`] over one epoll loop, and the
-//! client-side [`crate::dialer::AuthEndpoint`], which reads its own
-//! sockets on its caller's thread and closes them when dropped; the
-//! last two speak the [`crate::auth`] authenticated channels. A driver
+//! Two endpoints implement it: the in-process [`crate::SimNet`]'s
+//! [`Endpoint`] (latency/fault emulation, optional virtual time) and the
+//! socket endpoint [`crate::EvNodeEndpoint`], one epoll loop per party
+//! speaking the [`crate::auth`] authenticated channels — a replica's
+//! with its listener, a client's without one, reading its own sockets
+//! on its caller's thread and closing them when dropped. A driver
 //! waits with `recv_timeout` and drains the burst behind it with
 //! `try_recv`; that is the whole poll surface.
 //!
@@ -254,25 +254,52 @@ mod tests {
         check_contract(&ep, peer, || net.shutdown());
     }
 
+    /// A replica endpoint on a loopback port, and a client transport
+    /// whose peer table names it.
     #[cfg(target_os = "linux")]
-    #[test]
-    fn evnode_endpoint_meets_the_contract() {
+    fn replica_and_clients() -> (crate::EvNodeEndpoint, crate::AuthTransport) {
         use crate::auth::{seeded_secret, AuthConfig};
-        use crate::dialer::AuthTransport;
         use crate::evloop::EvConfig;
-        use crate::EvNodeEndpoint;
 
         let auth = AuthConfig::new(seeded_secret(7));
-        let ep = EvNodeEndpoint::bind(
+        let replica = crate::EvNodeEndpoint::bind(
             NodeId::vc(0),
             "127.0.0.1:0".parse().expect("addr"),
             Vec::new(),
             EvConfig::new(auth.clone(), [1; 32]),
         )
         .expect("bind");
-        let clients = AuthTransport::new(vec![(ep.id(), ep.local_addr())], auth, [2; 32]);
-        let peer = Box::new(clients.register(NodeId::client(3)));
+        let listener = replica.local_addr().expect("listener");
+        let clients = crate::AuthTransport::new(vec![(replica.id(), listener)], auth, [2; 32]);
+        (replica, clients)
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn evnode_endpoint_meets_the_contract() {
+        let (ep, clients) = replica_and_clients();
+        let peer = Box::new(clients.register(NodeId::client(3)).expect("client"));
         check_contract(&ep, peer, || ep.kill_poller());
         clients.shutdown();
+    }
+
+    /// A client endpoint has no listener: its peer reaches it over the
+    /// connection the client dialed first.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn client_endpoint_meets_the_contract() {
+        let (server, clients) = replica_and_clients();
+        let ep = clients.register(NodeId::client(3)).expect("client");
+        assert_eq!(ep.local_addr(), None);
+        // The send completes the client's handshake, so the server
+        // receives on a thread of its own meanwhile.
+        let hello = std::thread::scope(|s| {
+            let received = s.spawn(|| server.recv_timeout(PATIENCE));
+            ep.send(server.id(), vote(100));
+            received.join().expect("server thread")
+        })
+        .expect("the client's envelope");
+        assert_eq!((hello.from, serial(&hello)), (ep.id(), 100));
+        check_contract(&ep, Box::new(server), || clients.shutdown());
     }
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Size ledger: non-test Rust lines per crate, their total, and the bytes
-# of DESIGN.md. A file's non-test lines are the lines before its first
-# `#[cfg(test)]`; files under a `tests/` directory are not counted.
+# of DESIGN.md. A file's non-test lines are the lines before its test
+# tail, which starts at the first `#[cfg(test)]` or `#[cfg(all(test, …))]`
+# in column 0 (an indented gate or one inside a string does not end the
+# code); files under a `tests/` directory are not counted.
 # The root package (`src/`) is listed as `harness`.
 #
 #   scripts/size.sh            # run from anywhere inside the repository
@@ -17,7 +19,7 @@ count() {
     find "$@" -name '*.rs' -not -path '*/tests/*' -print0 2>/dev/null |
         xargs -0 -r awk '
             FNR == 1 { in_test = 0 }
-            /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+            /^#\[cfg\((test\)|all\(test,)/ { in_test = 1 }
             !in_test { n++ }
             END { print n + 0 }' |
         awk '{ s += $1 } END { print s + 0 }'

@@ -146,6 +146,9 @@ pub enum BuildError {
     /// [`Network::Tcp`] replicas run in their own processes, outside the
     /// builder's reach.
     TcpUnsupported(&'static str),
+    /// The coordinator's socket endpoints could not be created (off
+    /// Linux, or out of file descriptors).
+    Net(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -157,6 +160,7 @@ impl std::fmt::Display for BuildError {
             BuildError::PartialSetupRequiresVcOnly => {
                 write!(f, "partial materialization requires SetupProfile::VcOnly")
             }
+            BuildError::Net(e) => write!(f, "no socket endpoint: {e}"),
             BuildError::TcpUnsupported(what) => {
                 write!(f, "{what} is not available over Network::Tcp")
             }
@@ -880,7 +884,9 @@ impl ElectionBuilder {
         let setup = ea.setup_with(SetupProfile::Full, &pool);
         let setup_elapsed = setup_started.elapsed();
         let backend = TcpBackend::connect(cluster, self.seed);
-        let bb_apis = backend.bb_clients();
+        let net = |e: std::io::Error| BuildError::Net(e.to_string());
+        let coordinator = backend.register(COORDINATOR).map_err(net)?;
+        let bb_apis = backend.bb_clients().map_err(net)?;
         let reserved_clients = backend.reserved_clients();
         let reader = MajorityReader::over(bb_apis.clone());
         let trustees: Vec<Trustee> = setup
@@ -889,7 +895,6 @@ impl ElectionBuilder {
             .cloned()
             .map(|init| Trustee::new(init).with_threads(pool.threads()))
             .collect();
-        let coordinator = backend.transport.register(COORDINATOR);
         let run = RunState {
             timings: crate::election::PhaseTimings {
                 setup: setup_elapsed,
@@ -906,7 +911,7 @@ impl ElectionBuilder {
             reader,
             trustees,
             _vc_handles: Vec::new(),
-            coordinator: Mutex::new(Box::new(coordinator)),
+            coordinator: Mutex::new(coordinator),
             seed: self.seed,
             store: self.store,
             profile: self.profile,

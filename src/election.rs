@@ -49,13 +49,15 @@ impl NetBackend {
     fn register(&self, id: NodeId) -> DynEndpoint {
         match self {
             NetBackend::Sim(net) => Box::new(net.register(id)),
-            NetBackend::Tcp(backend) => Box::new(backend.transport.register(id)),
+            NetBackend::Tcp(backend) => backend
+                .register(id)
+                .unwrap_or_else(|e| panic!("no socket endpoint for {id}: {e}")),
         }
     }
 
     /// Connection counters of the authenticated-channel transport
     /// (`None` on the simulated network).
-    fn conn_counters(&self) -> Option<ddemos_net::ConnSnapshot> {
+    fn conn_counters(&self) -> Option<ddemos_net::evloop::EvStats> {
         match self {
             NetBackend::Sim(_) => None,
             NetBackend::Tcp(backend) => Some(backend.transport.conn_counters()),

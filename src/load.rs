@@ -25,7 +25,8 @@
 //! ordering. All connections sharing a ballot cast the *same* vote
 //! code (option 0), keeping every re-cast on the idempotent path.
 
-use crate::tcp::{process_nonce_seed, TcpCluster};
+use crate::election::SHUTDOWN_PATIENCE;
+use crate::tcp::{process_nonce_seed, TcpBackend, TcpCluster};
 use ddemos_crypto::votecode::VoteCode;
 use ddemos_ea::ElectionAuthority;
 use ddemos_net::evloop::{ConnId, EvConfig, EvEvent, EvLoop, EvStats};
@@ -135,7 +136,7 @@ impl ShardReport {
             let _ = write!(s, "[{i},{n}]");
         }
         s.push_str("],\"stats\":{");
-        for (k, (name, v)) in ev_stats_fields(&self.stats).into_iter().enumerate() {
+        for (k, (name, v)) in self.stats.counters().into_iter().enumerate() {
             if k > 0 {
                 s.push(',');
             }
@@ -177,7 +178,7 @@ impl ShardReport {
         // Event-loop counters ride along since the metrics refactor;
         // lines from older shard binaries simply parse as zeros.
         let mut stats = EvStats::default();
-        for (name, v) in ev_stats_fields_mut(&mut stats) {
+        for (name, v) in stats.counters_mut() {
             *v = field(name).unwrap_or(0);
         }
         Some(ShardReport {
@@ -191,48 +192,6 @@ impl ShardReport {
             stats,
         })
     }
-}
-
-/// The [`EvStats`] counters as `(name, value)` pairs, in wire order.
-fn ev_stats_fields(s: &EvStats) -> [(&'static str, u64); 15] {
-    [
-        ("accepted", s.accepted),
-        ("rejected_full", s.rejected_full),
-        ("authenticated", s.authenticated),
-        ("auth_failed", s.auth_failed),
-        ("ev_dials", s.dials),
-        ("frames_in", s.frames_in),
-        ("frames_out", s.frames_out),
-        ("bytes_in", s.bytes_in),
-        ("bytes_out", s.bytes_out),
-        ("oversized", s.oversized),
-        ("shed_slow", s.shed_slow),
-        ("replays", s.replays),
-        ("malformed", s.malformed),
-        ("from_overridden", s.from_overridden),
-        ("ev_closed", s.closed),
-    ]
-}
-
-/// Mutable view matching [`ev_stats_fields`] (the parse side).
-fn ev_stats_fields_mut(s: &mut EvStats) -> [(&'static str, &mut u64); 15] {
-    [
-        ("accepted", &mut s.accepted),
-        ("rejected_full", &mut s.rejected_full),
-        ("authenticated", &mut s.authenticated),
-        ("auth_failed", &mut s.auth_failed),
-        ("ev_dials", &mut s.dials),
-        ("frames_in", &mut s.frames_in),
-        ("frames_out", &mut s.frames_out),
-        ("bytes_in", &mut s.bytes_in),
-        ("bytes_out", &mut s.bytes_out),
-        ("oversized", &mut s.oversized),
-        ("shed_slow", &mut s.shed_slow),
-        ("replays", &mut s.replays),
-        ("malformed", &mut s.malformed),
-        ("from_overridden", &mut s.from_overridden),
-        ("ev_closed", &mut s.closed),
-    ]
 }
 
 /// Per-connection closed-loop state.
@@ -528,35 +487,21 @@ fn pump(
     Ok(())
 }
 
-/// Dials every VC replica once as [`COORDINATOR`] and sends the
-/// [`Msg::Shutdown`] control envelope, releasing replica processes or
-/// threads after a load run (the load harness never closes the polls).
+/// Sends every VC replica the [`Msg::Shutdown`] control envelope from
+/// [`COORDINATOR`], releasing replica processes or threads after a load
+/// run (the load harness never closes the polls), and closes the
+/// coordinator's connections in order, as dropping an
+/// [`crate::Election`] does.
 ///
 /// # Errors
-/// Connection errors reaching a replica.
+/// The coordinator's endpoint could not be created (off Linux, or out
+/// of file descriptors).
 pub fn shutdown_cluster(seed: u64, cluster: &TcpCluster) -> io::Result<()> {
-    let auth = cluster.auth_config(seed);
-    let identity = COORDINATOR;
-    let mut ev = EvLoop::new(EvConfig::new(auth, process_nonce_seed(identity)))?;
-    let mut pending = Vec::new();
-    for (i, addr) in cluster.vc_addrs.iter().enumerate() {
-        let conn = ev.connect(*addr, identity, NodeId::vc(i as u32))?;
-        // Channels queue envelopes pre-handshake; this flushes as soon
-        // as the handshake completes.
-        let env = Envelope {
-            from: identity,
-            to: NodeId::vc(i as u32),
-            msg: Msg::Shutdown,
-        };
-        let _ = ev.send(conn, &env);
-        pending.push(conn);
+    let coordinator = TcpBackend::connect(cluster.clone(), seed).register(COORDINATOR)?;
+    for i in 0..cluster.vc_addrs.len() as u32 {
+        coordinator.send(NodeId::vc(i), Msg::Shutdown);
     }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut events = Vec::new();
-    while ev.live_conns() > 0 && Instant::now() < deadline {
-        ev.poll(Some(Duration::from_millis(100)), &mut events)?;
-        events.clear();
-    }
+    coordinator.close(SHUTDOWN_PATIENCE);
     Ok(())
 }
 

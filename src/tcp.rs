@@ -13,11 +13,13 @@
 //! `Shutdown` from and to [`COORDINATOR`] — over its own dialed
 //! connections instead of the simulated network.
 //!
-//! Every replica serves one epoll event loop ([`EvNodeEndpoint`]) and
-//! every connection runs the seeded [`ddemos_net::auth`] handshake, so an
-//! envelope's source is the channel's authenticated identity, never what
-//! a frame claims. The coordinator has no listener: it dials out
-//! ([`AuthTransport`]) and replicas answer over its connections. Every
+//! Every party — replica, coordinator, BB client, voter — is one
+//! [`EvNodeEndpoint`] over its own epoll event loop, and every connection
+//! runs the seeded [`ddemos_net::auth`] handshake, so an envelope's
+//! source is the channel's authenticated identity, never what a frame
+//! claims. A replica's loop serves its listener; the coordinator and the
+//! voters have none: their endpoints ([`AuthTransport`]) dial out and
+//! replicas answer over those connections. Every
 //! replica takes `ClosePolls`/`Shutdown` from [`COORDINATOR`] alone — but
 //! all parties share one channel secret, so anyone holding it can still
 //! handshake as the coordinator until per-node keys replace it.
@@ -456,13 +458,25 @@ impl TcpBackend {
         TcpBackend { transport, cluster }
     }
 
+    /// A client endpoint with its own event loop on the coordinator's
+    /// transport.
+    ///
+    /// # Errors
+    /// Loop creation (always fails off Linux).
+    pub(crate) fn register(&self, id: NodeId) -> std::io::Result<DynEndpoint> {
+        Ok(Box::new(self.transport.register(id)?))
+    }
+
     /// One [`RemoteBb`] client per BB replica, each on its own endpoint
     /// (client ids `1..=num_bb`).
-    pub(crate) fn bb_clients(&self) -> Vec<Arc<dyn BbApi>> {
+    ///
+    /// # Errors
+    /// Loop creation (always fails off Linux).
+    pub(crate) fn bb_clients(&self) -> std::io::Result<Vec<Arc<dyn BbApi>>> {
         (0..self.cluster.bb_addrs.len() as u32)
             .map(|j| {
-                let endpoint = Box::new(self.transport.register(NodeId::client(1 + j)));
-                Arc::new(RemoteBb::new(endpoint, NodeId::bb(j))) as Arc<dyn BbApi>
+                let endpoint = self.register(NodeId::client(1 + j))?;
+                Ok(Arc::new(RemoteBb::new(endpoint, NodeId::bb(j))) as Arc<dyn BbApi>)
             })
             .collect()
     }
@@ -519,7 +533,7 @@ mod tests {
     #[test]
     fn loopback_pair_preserves_send_order() {
         let sink = vc_endpoint(0, Vec::new());
-        let sender = vc_endpoint(1, vec![(NodeId::vc(0), sink.local_addr())]);
+        let sender = vc_endpoint(1, vec![(NodeId::vc(0), sink.local_addr().unwrap())]);
         let done = AtomicBool::new(false);
         let received = std::thread::scope(|s| {
             s.spawn(|| {
@@ -569,7 +583,7 @@ mod tests {
         for round in 0..10 {
             let replica = vc_endpoint(0, Vec::new());
             let cluster = TcpCluster {
-                vc_addrs: vec![replica.local_addr()],
+                vc_addrs: vec![replica.local_addr().unwrap()],
                 bb_addrs: Vec::new(),
                 options: TcpOptions::default(),
             };
@@ -596,7 +610,7 @@ mod tests {
                 false
             });
             let backend = TcpBackend::connect(cluster, SEED);
-            let coordinator = backend.transport.register(COORDINATOR);
+            let coordinator = backend.register(COORDINATOR).unwrap();
             coordinator.send(NodeId::vc(0), Msg::ClosePolls);
             // The replica has written frames the coordinator never reads
             // before the shutdown starts.
