@@ -64,6 +64,13 @@ impl HmacKey {
     }
 }
 
+/// Whether two 16-byte MAC tags are equal, in time independent of where
+/// they differ: a `!=` on arrays may stop at the first differing byte,
+/// which tells a forger how much of a guessed tag was right.
+pub fn tag_eq(a: &[u8; 16], b: &[u8; 16]) -> bool {
+    std::hint::black_box(u128::from_ne_bytes(*a) ^ u128::from_ne_bytes(*b)) == 0
+}
+
 /// A deterministic pseudorandom function keyed by a 32-byte seed.
 ///
 /// Output blocks are `HMAC(seed, label ‖ index ‖ counter)`; distinct labels
@@ -235,6 +242,19 @@ mod tests {
             hex(&out),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn tag_eq_compares_every_byte() {
+        let tag = [0x5au8; 16];
+        assert!(tag_eq(&tag, &tag));
+        for byte in 0..16 {
+            for bit in 0..8 {
+                let mut other = tag;
+                other[byte] ^= 1 << bit;
+                assert!(!tag_eq(&tag, &other), "byte {byte} bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! [`MsgVerifier`]:
 //!
 //! * **Prepared tables** — 7-bit fixed-base comb tables (148 KiB) for the
-//!   keys whose use repays the ~0.4 ms build (a collector's peers and the
-//!   EA, checked several times a cast; a board's writers are not — see
+//!   keys whose use repays the ~0.4 ms build (a collector's peers,
+//!   checked several times a cast; a board's writers are not — see
 //!   `BbCore`), built once at startup.
 //! * **Batching** — [`MsgVerifier::check_batch`] verifies each distinct
 //!   `(key, R, s, H(msg))` of a queue once — a burst of `VOTE_P`s carries
@@ -137,8 +137,8 @@ impl MsgVerifier {
         }
     }
 
-    /// Verifies a dealer-signed share (the EA-signed receipt/`msk`
-    /// shares) through the same hand-off + table path.
+    /// Verifies a dealer-signed share (the EA-signed `msk` shares a
+    /// board checks) through the same hand-off + table path.
     pub fn check_share(
         &mut self,
         dealer: &VerifyingKey,
@@ -147,20 +147,6 @@ impl MsgVerifier {
     ) -> bool {
         let message = DealerVss::share_message(context, &share.share);
         self.check(dealer, &message, &share.signature)
-    }
-
-    /// Builds the [`MsgVerifier::check_batch`] item for a dealer-signed
-    /// share, so callers can fold share verifications into a mixed batch.
-    pub fn share_item(
-        dealer: &VerifyingKey,
-        context: &[u8],
-        share: &SignedShare,
-    ) -> (VerifyingKey, Vec<u8>, Signature) {
-        (
-            *dealer,
-            DealerVss::share_message(context, &share.share),
-            share.signature,
-        )
     }
 
     /// Verifies a queue of signatures in one batch: entries handed off by

@@ -324,11 +324,14 @@ impl PreparedVerifier {
 }
 
 /// Verifies signatures against their signers' prepared tables, one
-/// verdict an entry, in order (hook-free; the callers are the batched
-/// message paths). Every `s·G − e·PK` goes into one [`CombBatch`], whose
+/// verdict an entry, in order. Timed as `crypto.verify_batch_ns`
+/// `{prepared}`, beside the MSM path's `{schnorr}`: the callers are the
+/// batched message paths, not one-at-a-time `crypto.verify_ns`. Every `s·G − e·PK` goes into one [`CombBatch`], whose
 /// outputs come out affine, so each is encoded and compared with its `R`
 /// bytes at no inversion of its own. An identity key verifies nothing.
 pub fn verify_prepared(entries: &[(&PreparedVerifier, &[u8], &Signature)]) -> Vec<bool> {
+    // Profiling hook: one atomic load when off (the default).
+    let _t = ddemos_obs::scoped_ns("crypto.verify_batch_ns", "prepared");
     let mut batch = CombBatch::new();
     for (prepared, message, sig) in entries {
         let e = challenge(&sig.r, &prepared.vk, message);

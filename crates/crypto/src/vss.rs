@@ -1,13 +1,27 @@
 //! Verifiable secret sharing with an honest dealer.
 //!
 //! [`DealerVss`] is "verifiable secret sharing with honest dealer" as the
-//! paper's prototype implements it (§V): plain Shamir shares, each signed
-//! by the Election Authority. The VC nodes' receipt shares and the `msk`
-//! shares are dealt this way, and a disclosed share is accepted only if
-//! the EA signature checks out. The trustee tally uses the same Shamir
-//! sharing ([`crate::shamir`]), its shares delivered in EA-signed bundles.
+//! paper's prototype implements it (§V): plain Shamir shares, each
+//! authenticated by the Election Authority, which deals them. It
+//! authenticates a share in one of two ways, by who must be able to
+//! check it:
+//!
+//! * **Signed** ([`SignedShare`]): an EA signature anyone holding the EA
+//!   key can verify. The `msk` shares are dealt this way, since a Bulletin
+//!   Board replica checks the ones the collectors post. The trustee tally
+//!   uses the same Shamir sharing ([`crate::shamir`]), its shares
+//!   delivered in EA-signed bundles.
+//! * **Tagged** ([`ShareTag`]): information checking in the sense of
+//!   Rabin and Ben-Or (STOC 1989). The dealer gives each verifier `j` a
+//!   tag key `K_j`, and hands the holder of a share one tag per verifier,
+//!   `HMAC(K_j, share)` truncated to 16 bytes. Only `j` can check its tag,
+//!   and nobody without `K_j` can make one. The VC nodes' receipt shares
+//!   are dealt this way: a collector's share is only ever checked by
+//!   another collector, so a tag does the signature's job at the cost of
+//!   one keyed hash instead of a curve verification.
 
 use crate::field::Scalar;
+use crate::hmac::{tag_eq, HmacKey};
 use crate::schnorr::{Signature, SigningKey, VerifyingKey};
 use crate::shamir::{self, Share, ShareError};
 
@@ -20,7 +34,13 @@ pub struct SignedShare {
     pub signature: Signature,
 }
 
-/// Trusted-dealer VSS: Shamir + per-share dealer signature.
+/// A dealer's tag on one share for one designated verifier: the first
+/// 16 bytes of `HMAC(K_j, "ddemos/receipt-share-tag/v1" ‖ len(context) ‖
+/// context ‖ index ‖ value)` under that verifier's key `K_j`.
+pub type ShareTag = [u8; 16];
+
+/// Trusted-dealer VSS: Shamir shares, each with a dealer signature or
+/// with one dealer tag per designated verifier.
 #[derive(Clone, Debug)]
 pub struct DealerVss;
 
@@ -82,6 +102,28 @@ impl DealerVss {
         )
     }
 
+    /// The tag `share`, dealt under `context`, carries for the verifier
+    /// holding `key`.
+    pub fn tag(key: &HmacKey, context: &[u8], share: &Share) -> ShareTag {
+        let mac = key.mac(&[
+            b"ddemos/receipt-share-tag/v1",
+            &(context.len() as u32).to_be_bytes(),
+            context,
+            &share.index.to_be_bytes(),
+            &share.value.to_bytes(),
+        ]);
+        let mut tag = [0u8; 16];
+        tag.copy_from_slice(&mac[..16]);
+        tag
+    }
+
+    /// Whether `tag` is the dealer's tag on `share` under `context` for
+    /// the verifier holding `key`: one keyed hash and a constant-time
+    /// compare.
+    pub fn check_tag(key: &HmacKey, context: &[u8], share: &Share, tag: &ShareTag) -> bool {
+        tag_eq(&Self::tag(key, context, share), tag)
+    }
+
     /// Reconstructs from ≥ k shares (verify each first).
     ///
     /// # Errors
@@ -119,6 +161,83 @@ mod tests {
             ));
         }
         assert_eq!(DealerVss::reconstruct(&shares[..3], 3).unwrap(), secret);
+    }
+
+    /// Collectors 0..4 each hold a tag key; `shares[k]` is collector k's.
+    fn tagged(seed: u64) -> (Vec<HmacKey>, Vec<Share>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = (0..4u8).map(|j| HmacKey::new(&[j; 32])).collect();
+        let shares = shamir::split(Scalar::from_u64(77), 3, 4, &mut rng).unwrap();
+        (keys, shares)
+    }
+
+    #[test]
+    fn a_tag_checks_only_under_its_recipients_key() {
+        let (keys, shares) = tagged(6);
+        for (k, share) in shares.iter().enumerate() {
+            for (j, key) in keys.iter().enumerate() {
+                let tag = DealerVss::tag(key, b"ctx", share);
+                for (l, other) in keys.iter().enumerate() {
+                    assert_eq!(
+                        DealerVss::check_tag(other, b"ctx", share, &tag),
+                        l == j,
+                        "share {k}, tag for {j}, checked by {l}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_flipped_bit_fails_the_tag() {
+        let (keys, shares) = tagged(7);
+        let key = &keys[2];
+        let share = shares[0];
+        let context = b"election-1/serial-9/A/0".to_vec();
+        let tag = DealerVss::tag(key, &context, &share);
+        assert!(DealerVss::check_tag(key, &context, &share, &tag));
+        for byte in 0..context.len() {
+            let mut flipped = context.clone();
+            flipped[byte] ^= 1;
+            assert!(!DealerVss::check_tag(key, &flipped, &share, &tag));
+        }
+        for bit in 0..32 {
+            let index = Share {
+                index: share.index ^ (1 << bit),
+                ..share
+            };
+            assert!(!DealerVss::check_tag(key, &context, &index, &tag));
+        }
+        let mut value = share.value.to_bytes();
+        value[31] ^= 1;
+        let value = Share {
+            value: Scalar::from_bytes(&value).unwrap(),
+            ..share
+        };
+        assert!(!DealerVss::check_tag(key, &context, &value, &tag));
+        for byte in 0..16 {
+            let mut flipped = tag;
+            flipped[byte] ^= 0x80;
+            assert!(!DealerVss::check_tag(key, &context, &share, &flipped));
+        }
+    }
+
+    /// Collector k's share with its tag for collector j is no good to
+    /// anyone else, nor under another share index.
+    #[test]
+    fn a_share_and_its_tag_do_not_transfer() {
+        let (keys, shares) = tagged(8);
+        let (k, j, l) = (0, 1, 2);
+        let tag = DealerVss::tag(&keys[j], b"ctx", &shares[k]);
+        assert!(DealerVss::check_tag(&keys[j], b"ctx", &shares[k], &tag));
+        assert!(!DealerVss::check_tag(&keys[l], b"ctx", &shares[k], &tag));
+        let renumbered = Share {
+            index: shares[l].index,
+            ..shares[k]
+        };
+        assert!(!DealerVss::check_tag(&keys[j], b"ctx", &renumbered, &tag));
+        // Nor does it vouch for another collector's share.
+        assert!(!DealerVss::check_tag(&keys[j], b"ctx", &shares[l], &tag));
     }
 
     #[test]

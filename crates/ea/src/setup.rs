@@ -10,9 +10,9 @@
 use ddemos_crypto::curve::CombBatch;
 use ddemos_crypto::elgamal::{self, Ciphertext, PreparedKey, PublicKey};
 use ddemos_crypto::field::Scalar;
-use ddemos_crypto::hmac::{Prf, PrfRng};
+use ddemos_crypto::hmac::{HmacKey, Prf, PrfRng};
 use ddemos_crypto::schnorr::{SigningKey, VerifyingKey};
-use ddemos_crypto::shamir::{self, Polynomial, Share};
+use ddemos_crypto::shamir::{self, Polynomial};
 use ddemos_crypto::votecode::{self, MskCommitment, VoteCode, VoteCodeHash};
 use ddemos_crypto::vss::{DealerVss, SignedShare};
 use ddemos_crypto::zkp::{self, CpFirstMove, OrFirstMove};
@@ -42,8 +42,8 @@ pub enum SetupProfile {
     /// Everything, including BB cryptographic payloads and trustee shares.
     Full,
     /// What VC node `index` is handed, and nothing else: its own
-    /// [`VcInit`] (its rows, its receipt and `msk` shares — the only ones
-    /// signed) in `vc_inits[0]`, and the consensus beacon. No printed
+    /// [`VcInit`] (its rows with their tagged receipt shares, its signed
+    /// `msk` share) in `vc_inits[0]`, and the consensus beacon. No printed
     /// ballot, BB payload or trustee material is derived.
     VcNode(u32),
     /// What a BB node is handed: [`BbInit`] with every ballot's payload.
@@ -59,7 +59,7 @@ pub enum SetupProfile {
 struct Slice {
     /// The printed ballot, for the voter.
     printed: bool,
-    /// The collectors whose rows and signed receipt shares to deal.
+    /// The collectors whose rows and tagged receipt shares to deal.
     vc_nodes: Range<usize>,
     /// The BB rows: commitments, first moves, encrypted vote codes.
     board: bool,
@@ -91,6 +91,9 @@ pub struct ElectionAuthority {
     master: Prf,
     ea_key: SigningKey,
     vc_keys: Vec<SigningKey>,
+    /// Each collector's tag key: the other collectors' receipt shares
+    /// are tagged for it under this key.
+    tag_keys: Vec<HmacKey>,
     trustee_keys: Vec<SigningKey>,
     elgamal_pk: PublicKey,
     /// The election key with its precomputed comb table — `commit_rows`
@@ -145,11 +148,16 @@ impl ElectionAuthority {
         key_rng.fill_bytes(&mut msk);
         let msk_salt = key_rng.next_u64();
         let beacon = key_rng.next_u64();
+        let tag_prf = master.derive(b"vc-tag-keys");
+        let tag_keys = (0..params.num_vc as u64)
+            .map(|j| HmacKey::new(&tag_prf.bytes32(b"key", j)))
+            .collect();
         ElectionAuthority {
             params,
             master,
             ea_key,
             vc_keys,
+            tag_keys,
             trustee_keys,
             prepared_pk: PreparedKey::new(&elgamal_pk),
             elgamal_pk,
@@ -177,9 +185,9 @@ impl ElectionAuthority {
     }
 
     /// Derives the rows of one ballot (shuffled, with hashed codes and
-    /// EA-signed receipt shares) for the collectors `nodes`, in node
+    /// EA-tagged receipt shares) for the collectors `nodes`, in node
     /// order. One dealing serves them all, and only their shares are
-    /// signed: `0..num_vc` for every collector, `i..i + 1` for the row a
+    /// tagged: `0..num_vc` for every collector, `i..i + 1` for the row a
     /// virtual store looks up on node `i`.
     ///
     /// # Panics
@@ -230,18 +238,26 @@ impl ElectionAuthority {
     /// The per-ballot deriver: everything `slice` needs of ballot
     /// `serial`, and nothing it does not.
     ///
-    /// Every EA signature of the ballot — a receipt share per row and
-    /// collector, an opening bundle per part and trustee — is made by one
-    /// [`SigningKey::sign_many`] at the end: the stages collect their
-    /// messages in a fixed order and are dealt the signatures back in it.
+    /// A receipt share is tagged, not signed: collector `k`'s share of
+    /// every row carries one tag for each other collector `j`, under
+    /// `j`'s tag key. Every EA signature of the ballot — an opening
+    /// bundle per part and trustee — is made by one
+    /// [`SigningKey::sign_many`] at the end: the trustee stage collects its
+    /// messages in a fixed order and is dealt the signatures back in it.
     fn derive(&self, serial: SerialNo, slice: &Slice) -> BallotBundle {
         let derived = self.derive_ballot(serial);
         let eid = &self.params.election_id;
-        let mut messages: Vec<Vec<u8>> = Vec::new();
 
         // Collector rows: hashed codes, and the receipt of every row
-        // shared (Nv−fv, Nv) — the slice keeps its own nodes' shares.
-        let mut vc_rows: [Vec<(VoteCodeHash, Vec<Share>)>; 2] = [Vec::new(), Vec::new()];
+        // shared (Nv−fv, Nv) — the slice keeps its own nodes' shares,
+        // each with its tags.
+        let mut vc: Vec<VcBallot> = slice
+            .vc_nodes
+            .clone()
+            .map(|_| VcBallot {
+                parts: [Vec::new(), Vec::new()],
+            })
+            .collect();
         if !slice.vc_nodes.is_empty() {
             let _t = ddemos_obs::scoped_ns("ea.setup_ns", "vc_rows");
             let mut salt_rng =
@@ -266,10 +282,19 @@ impl ElectionAuthority {
                         &mut share_rng,
                     )
                     .expect("valid receipt VSS parameters");
-                    let shares = shares[slice.vc_nodes.clone()].to_vec();
                     let ctx = receipt_share_context(eid, serial, part, row);
-                    messages.extend(shares.iter().map(|s| DealerVss::share_message(&ctx, s)));
-                    vc_rows[part.index()].push((code_hash, shares));
+                    for (ballot, k) in vc.iter_mut().zip(slice.vc_nodes.clone()) {
+                        let share = shares[k];
+                        let tags = (0..self.params.num_vc)
+                            .filter(|&j| j != k)
+                            .map(|j| DealerVss::tag(&self.tag_keys[j], &ctx, &share))
+                            .collect();
+                        ballot.parts[part.index()].push(VcRow {
+                            code_hash,
+                            receipt_share: share,
+                            tags,
+                        });
+                    }
                 }
             }
         }
@@ -283,6 +308,7 @@ impl ElectionAuthority {
 
         let _t = ddemos_obs::scoped_ns("ea.setup_ns", "sign");
         // Each trustee's opening bundle per part.
+        let mut messages: Vec<Vec<u8>> = Vec::new();
         for (t, parts) in trustee_rows.iter().enumerate() {
             for (part, rows) in PartId::BOTH.into_iter().zip(parts) {
                 let openings: Vec<Vec<(Scalar, Scalar)>> = rows
@@ -296,27 +322,6 @@ impl ElectionAuthority {
         }
         let mut signatures = self.ea_key.sign_many(&messages).into_iter();
         let mut next_signature = || signatures.next().expect("one signature per message");
-
-        let mut vc: Vec<VcBallot> = slice
-            .vc_nodes
-            .clone()
-            .map(|_| VcBallot {
-                parts: [Vec::new(), Vec::new()],
-            })
-            .collect();
-        for (part, rows) in vc_rows.into_iter().enumerate() {
-            for (code_hash, shares) in rows {
-                for (ballot, share) in vc.iter_mut().zip(shares) {
-                    ballot.parts[part].push(VcRow {
-                        code_hash,
-                        receipt_share: SignedShare {
-                            share,
-                            signature: next_signature(),
-                        },
-                    });
-                }
-            }
-        }
         let trustee = trustee_rows
             .into_iter()
             .map(|parts| {
@@ -494,7 +499,7 @@ impl ElectionAuthority {
                 node_index: i as u32,
                 signing_key: self.vc_keys[i],
                 vc_keys: vc_vks.clone(),
-                ea_key: self.ea_key.verifying_key(),
+                tag_key: self.tag_keys[i],
                 msk_share,
                 ballots: BTreeMap::new(),
             })
@@ -652,24 +657,39 @@ mod tests {
         let serial = SerialNo(1);
         let ballot = &out.ballots[1];
         let line = &ballot.parts[0].lines[1]; // part A, option 1
-                                              // Each node can locate the code via hashes.
         let mut shares = Vec::new();
-        let mut located = None;
-        for init in &out.vc_inits {
+        for (k, init) in out.vc_inits.iter().enumerate() {
+            // Each node can locate the code via hashes.
             let vcb = &init.ballots[&serial];
             let (part, row) = vcb.find_code(&line.vote_code).expect("code located");
             assert_eq!(part, PartId::A);
-            located = Some((part, row));
-            let share = vcb.parts[part.index()][row].receipt_share;
-            // EA signature binds (election, serial, part, row).
+            let dealt = &vcb.parts[part.index()][row];
+            // Each tag binds (election, serial, part, row) for its
+            // recipient, and only for it.
             let ctx = receipt_share_context(&p.election_id, serial, part, row);
-            assert!(DealerVss::verify(&init.ea_key, &ctx, &share));
-            shares.push(share);
+            assert_eq!(dealt.tags.len(), p.num_vc - 1);
+            for (j, other) in out.vc_inits.iter().enumerate() {
+                let tag = dealt.tag_for(k as u32, j as u32);
+                assert_eq!(tag.is_none(), j == k);
+                if let Some(tag) = tag {
+                    assert!(DealerVss::check_tag(
+                        &other.tag_key,
+                        &ctx,
+                        &dealt.receipt_share,
+                        tag
+                    ));
+                    assert!(!DealerVss::check_tag(
+                        &init.tag_key,
+                        &ctx,
+                        &dealt.receipt_share,
+                        tag
+                    ));
+                }
+            }
+            shares.push(dealt.receipt_share);
         }
-        let (_, row) = located.unwrap();
-        let _ = row;
         // Any quorum of shares reconstructs the printed receipt.
-        let rec = DealerVss::reconstruct(&shares[..p.vc_quorum()], p.vc_quorum()).unwrap();
+        let rec = shamir::reconstruct(&shares[..p.vc_quorum()], p.vc_quorum()).unwrap();
         assert_eq!(rec.to_u64(), Some(line.receipt));
     }
 
@@ -689,7 +709,7 @@ mod tests {
         let shares: Vec<_> = out.vc_inits.iter().map(|i| i.msk_share).collect();
         for s in &shares {
             assert!(DealerVss::verify(
-                &out.vc_inits[0].ea_key,
+                &ea.verifying_key(),
                 &msk_share_context(&p.election_id),
                 s
             ));

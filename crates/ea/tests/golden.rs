@@ -1,10 +1,9 @@
 //! Every value the EA deals is a function of `(params, seed)` alone: a
-//! golden digest over the whole `Full` set-up (recorded before the
-//! fixed-base/witness/`sign_many` rewrite of the set-up arithmetic, and
-//! unchanged by it), and the role slices a TCP replica derives compared
-//! with the matching slice of `Full`.
+//! golden digest over the whole `Full` set-up, and the role slices a TCP
+//! replica derives compared with the matching slice of `Full`.
 
 use ddemos_crypto::sha256::Sha256;
+use ddemos_crypto::shamir::Share;
 use ddemos_crypto::vss::SignedShare;
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_protocol::exec::Pool;
@@ -15,20 +14,25 @@ fn params(m: usize) -> ElectionParams {
     ElectionParams::new("ea-test", 3, m, 4, 3, 5, 3, 0, 60_000).unwrap()
 }
 
-fn put_share(h: &mut Sha256, share: &SignedShare) {
-    h.update(&share.share.index.to_be_bytes());
-    h.update(&share.share.value.to_bytes());
+fn put_share(h: &mut Sha256, share: &Share) {
+    h.update(&share.index.to_be_bytes());
+    h.update(&share.value.to_bytes());
+}
+
+fn put_signed_share(h: &mut Sha256, share: &SignedShare) {
+    put_share(h, &share.share);
     h.update(&share.signature.to_bytes());
 }
 
 fn put_vc_init(h: &mut Sha256, init: &VcInit) {
     h.update(&init.node_index.to_be_bytes());
     h.update(&init.signing_key.verifying_key().to_bytes());
-    h.update(&init.ea_key.to_bytes());
     for vk in &init.vc_keys {
         h.update(&vk.to_bytes());
     }
-    put_share(h, &init.msk_share);
+    // The tag key, through a MAC it makes.
+    h.update(&init.tag_key.mac(&[b"golden"]));
+    put_signed_share(h, &init.msk_share);
     for (serial, ballot) in &init.ballots {
         h.update(&serial.0.to_be_bytes());
         for part in &ballot.parts {
@@ -36,6 +40,9 @@ fn put_vc_init(h: &mut Sha256, init: &VcInit) {
                 h.update(&row.code_hash.hash);
                 h.update(&row.code_hash.salt.to_be_bytes());
                 put_share(h, &row.receipt_share);
+                for tag in &row.tags {
+                    h.update(tag);
+                }
             }
         }
     }
@@ -116,17 +123,21 @@ fn slice_digest(put: impl FnOnce(&mut Sha256)) -> [u8; 32] {
     h.finalize()
 }
 
-/// Recorded from `setup_with(Full)` at the commit before the set-up
-/// arithmetic moved to affine comb tables, witness-based OR simulation
-/// and `sign_many`: seed 7, three ballots, N_v = 4, N_t = 5, h_t = 3.
+/// `setup_with(Full)` for seed 7, three ballots, N_v = 4, N_t = 5,
+/// h_t = 3. Recorded when receipt shares moved from EA signatures to EA
+/// tags and `VcInit` dropped the EA key; the same digest without the tags
+/// and tag keys equals the one before that change without the
+/// receipt-share signatures and the collectors' EA key (the earlier
+/// record had held since before the set-up arithmetic moved to affine
+/// comb tables, witness-based OR simulation and `sign_many`).
 const RECORDED: [(usize, &str); 2] = [
     (
         2,
-        "53e136021f93e671c23ac1df2e10b7a4bc6b14cca8c2d6dd56b57ac00df8899d",
+        "764b039d7786b22a1156e0f4d37bb171ca24f8a5440d7624814ef4dd848a1217",
     ),
     (
         3,
-        "1035dd9b573a1adec1942d669732647c43e138d8ac084e0a3f44b8fd9f64cdb9",
+        "8a1513a243f88d6839a92f7c7ab1ba0c0936f4d71d3b10685ec72fee3f5226f8",
     ),
 ];
 

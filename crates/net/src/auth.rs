@@ -48,7 +48,7 @@
 //! with no sockets, which is what makes partial-read, tampering and
 //! replay behavior deterministically unit-testable.
 
-use ddemos_crypto::hmac::{hmac_sha256, hmac_sha256_parts, HmacKey};
+use ddemos_crypto::hmac::{hmac_sha256, hmac_sha256_parts, tag_eq, HmacKey};
 use ddemos_protocol::codec::{decode_envelope_frame, encode_envelope_frame};
 use ddemos_protocol::messages::Envelope;
 use ddemos_protocol::{NodeId, NodeKind};
@@ -330,8 +330,8 @@ impl SessionRecv {
     /// payload.
     ///
     /// # Errors
-    /// `Replay` on a sequence mismatch, `BadTag` on a MAC mismatch,
-    /// `Malformed` on a short body.
+    /// `Replay` on a sequence mismatch, `BadTag` on a MAC mismatch (the
+    /// tags are compared in constant time), `Malformed` on a short body.
     pub fn open<'a>(&mut self, body: &'a [u8]) -> Result<&'a [u8], ChanFault> {
         if body.len() < DATA_OVERHEAD {
             return Err(ChanFault::Malformed);
@@ -342,7 +342,7 @@ impl SessionRecv {
         if seq != self.seq {
             return Err(ChanFault::Replay);
         }
-        if data_tag(&self.key, self.dir, seq, payload) != tag {
+        if !tag_eq(&data_tag(&self.key, self.dir, seq, payload), &tag) {
             return Err(ChanFault::BadTag);
         }
         self.seq += 1;

@@ -620,11 +620,13 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             serial,
             vote_code,
             share,
+            tag,
             ucert,
         } => {
             w.put_u8(MSG_VOTE_P).put_u64(serial.0);
             put_vote_code(w, vote_code);
-            put_signed_share(w, share);
+            put_share(w, share);
+            w.put_array(tag);
             put_ucert(w, ucert);
         }
         Msg::Announce { entries } => {
@@ -715,7 +717,8 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         MSG_VOTE_P => Msg::VoteP {
             serial: SerialNo(r.get_u64()?),
             vote_code: get_vote_code(r)?,
-            share: get_signed_share(r)?,
+            share: get_share(r)?,
+            tag: r.get_array()?,
             ucert: Arc::new(get_ucert(r)?),
         },
         MSG_ANNOUNCE => {
@@ -1042,7 +1045,8 @@ mod tests {
             4 => Msg::VoteP {
                 serial: SerialNo(rng.gen()),
                 vote_code: VoteCode([rng.gen(); 20]),
-                share: sample_signed_share(rng),
+                share: sample_signed_share(rng).share,
+                tag: rng.gen(),
                 ucert: Arc::new(sample_ucert(rng)),
             },
             5 => Msg::Announce {

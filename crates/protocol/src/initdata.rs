@@ -7,9 +7,11 @@ use crate::params::ElectionParams;
 use crate::wire::Writer;
 use ddemos_crypto::elgamal::{Ciphertext, PublicKey};
 use ddemos_crypto::field::Scalar;
+use ddemos_crypto::hmac::HmacKey;
 use ddemos_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use ddemos_crypto::shamir::Share;
 use ddemos_crypto::votecode::{MskCommitment, VoteCodeHash};
-use ddemos_crypto::vss::SignedShare;
+use ddemos_crypto::vss::{ShareTag, SignedShare};
 use ddemos_crypto::zkp::{CpFirstMove, OrFirstMove};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,7 +27,8 @@ pub fn endorsement_message(eid: &ElectionId, serial: SerialNo, code_hash: &[u8; 
     w.into_bytes()
 }
 
-/// Context binding a receipt share to (election, serial, part, row).
+/// Context binding a receipt share to (election, serial, part, row): what
+/// its tags ([`ddemos_crypto::vss::DealerVss::tag`]) are made over.
 pub fn receipt_share_context(
     eid: &ElectionId,
     serial: SerialNo,
@@ -84,13 +87,30 @@ pub fn opening_bundle_message(
 // ---------------------------------------------------------------------------
 
 /// One (shuffled) row of a VC node's view of a ballot part: the hashed vote
-/// code plus this node's signed receipt share.
+/// code plus this node's receipt share and the EA's tags on it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VcRow {
     /// `(H, salt)` with `H = SHA256(vote-code ‖ salt)`.
     pub code_hash: VoteCodeHash,
-    /// This node's `(Nv−fv, Nv)` receipt share, EA-signed.
-    pub receipt_share: SignedShare,
+    /// This node's `(Nv−fv, Nv)` receipt share.
+    pub receipt_share: Share,
+    /// The EA's tag on `receipt_share` for every *other* collector, in
+    /// node order, under that collector's [`VcInit::tag_key`] (see
+    /// [`VcRow::tag_for`]).
+    pub tags: Vec<ShareTag>,
+}
+
+impl VcRow {
+    /// The tag collector `holder`'s share carries for collector `to`
+    /// (`None` for `holder` itself, which checks nothing of its own).
+    pub fn tag_for(&self, holder: u32, to: u32) -> Option<&ShareTag> {
+        let slot = match to.cmp(&holder) {
+            std::cmp::Ordering::Less => to,
+            std::cmp::Ordering::Equal => return None,
+            std::cmp::Ordering::Greater => to - 1,
+        };
+        self.tags.get(slot as usize)
+    }
 }
 
 /// A VC node's view of one ballot (rows shuffled per part).
@@ -126,9 +146,11 @@ pub struct VcInit {
     pub signing_key: SigningKey,
     /// All VC nodes' verification keys.
     pub vc_keys: Vec<VerifyingKey>,
-    /// The EA's verification key (validates dealt shares).
-    pub ea_key: VerifyingKey,
-    /// This node's share of the vote-code master key `msk`.
+    /// This node's tag key: the other collectors' receipt shares carry
+    /// EA tags under it.
+    pub tag_key: HmacKey,
+    /// This node's share of the vote-code master key `msk`, EA-signed
+    /// (BB replicas check it).
     pub msk_share: SignedShare,
     /// Per-ballot rows.
     pub ballots: BTreeMap<SerialNo, VcBallot>,

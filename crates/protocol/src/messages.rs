@@ -9,8 +9,9 @@ use crate::posts::{FinalizedVoteSet, TrusteePost, VoteSet};
 use crate::wire::Writer;
 use ddemos_crypto::schnorr::{Signature, VerifyingKey};
 use ddemos_crypto::sha256::sha256;
+use ddemos_crypto::shamir::Share;
 use ddemos_crypto::votecode::VoteCode;
-use ddemos_crypto::vss::SignedShare;
+use ddemos_crypto::vss::{ShareTag, SignedShare};
 use std::sync::Arc;
 
 /// A routed message with its source identity.
@@ -244,8 +245,10 @@ pub enum Msg {
         serial: SerialNo,
         /// Vote code.
         vote_code: VoteCode,
-        /// The sender's EA-signed receipt share for the matching row.
-        share: SignedShare,
+        /// The sender's receipt share for the matching row.
+        share: Share,
+        /// The EA's tag on `share` for the recipient.
+        tag: ShareTag,
         /// The uniqueness certificate justifying disclosure.
         ucert: Arc<UCert>,
     },

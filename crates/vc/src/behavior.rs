@@ -40,8 +40,9 @@ pub enum VcBehavior {
     /// Endorses every vote code it is asked about, ignoring the
     /// one-endorsement-per-ballot rule (attempts to enable double voting).
     EquivocalEndorser,
-    /// Discloses corrupted receipt shares in VOTE_P (the EA signature check
-    /// at honest receivers must reject them).
+    /// Discloses corrupted receipt shares in VOTE_P, each with the tag the
+    /// EA dealt for the true share (the tag check at honest receivers must
+    /// reject them).
     CorruptShares,
     /// Participates in endorsement but never discloses receipt shares.
     WithholdShares,
@@ -289,7 +290,7 @@ impl Adversary {
                     if *disclosure.get_or_insert_with(|| self.fires(Some(*serial))) =>
                 {
                     self.acts += 1;
-                    share.share.value += Scalar::ONE;
+                    share.value += Scalar::ONE;
                 }
                 (Msg::VoteP { serial, .. }, VcBehavior::WithholdShares)
                     if *disclosure.get_or_insert_with(|| self.fires(Some(*serial))) =>
@@ -400,12 +401,14 @@ impl<S> DerefMut for VcCore<S> {
 mod tests {
     use super::*;
     use crate::store::MemoryStore;
-    use ddemos_crypto::schnorr::SigningKey;
+    use ddemos_crypto::hmac::HmacKey;
+    use ddemos_crypto::schnorr::{Signature, SigningKey};
     use ddemos_crypto::sha256::sha256;
     use ddemos_crypto::shamir::Share;
     use ddemos_crypto::votecode::VoteCodeHash;
-    use ddemos_crypto::vss::{DealerVss, SignedShare};
+    use ddemos_crypto::vss::{DealerVss, ShareTag};
     use ddemos_protocol::initdata::{endorsement_message, receipt_share_context, VcBallot, VcRow};
+    use ddemos_protocol::messages::UCert;
     use ddemos_protocol::{ElectionParams, PartId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -423,11 +426,13 @@ mod tests {
         VoteCode([serial as u8 * 2 + part.index() as u8 + 1; 20])
     }
 
-    /// A hand-dealt election: every collector's signing key and the EA key
-    /// that signs collector `ME`'s receipt shares (one row a part).
+    /// A hand-dealt election: every collector's signing and tag keys, the
+    /// EA key, and one row a part, each collector holding share
+    /// `(index + 1, 1)` of it.
     struct Dealt {
         params: ElectionParams,
         keys: Vec<SigningKey>,
+        tag_keys: Vec<HmacKey>,
         ea: SigningKey,
     }
 
@@ -438,6 +443,7 @@ mod tests {
                 params: ElectionParams::new("boundary", BALLOTS, 2, 4, 1, 1, 1, 0, 3_600_000)
                     .expect("params"),
                 keys: (0..4).map(|_| SigningKey::generate(&mut rng)).collect(),
+                tag_keys: (0..4u8).map(|j| HmacKey::new(&[j; 32])).collect(),
                 ea: SigningKey::generate(&mut rng),
             }
         }
@@ -446,12 +452,20 @@ mod tests {
             receipt_share_context(&self.params.election_id, SerialNo(serial), part, 0)
         }
 
-        fn share(&self, serial: u64, part: PartId) -> SignedShare {
-            let share = Share {
-                index: ME + 1,
+        fn share(node: u32) -> Share {
+            Share {
+                index: node + 1,
                 value: Scalar::ONE,
-            };
-            DealerVss::sign(&self.ea, &self.context(serial, part), &[share])[0]
+            }
+        }
+
+        /// The EA's tag on collector `holder`'s share for collector `to`.
+        fn tag(&self, holder: u32, to: u32, serial: u64, part: PartId) -> ShareTag {
+            DealerVss::tag(
+                &self.tag_keys[to as usize],
+                &self.context(serial, part),
+                &Dealt::share(holder),
+            )
         }
 
         fn core(&self, adversary: impl Into<Option<Adversary>>) -> VcCore<MemoryStore> {
@@ -459,7 +473,11 @@ mod tests {
                 .map(|serial| {
                     let row = |part| VcRow {
                         code_hash: VoteCodeHash::commit(&code(serial, part), 7),
-                        receipt_share: self.share(serial, part),
+                        receipt_share: Dealt::share(ME),
+                        tags: (0..4)
+                            .filter(|&to| to != ME)
+                            .map(|to| self.tag(ME, to, serial, part))
+                            .collect(),
                     };
                     let parts = [vec![row(PartId::A)], vec![row(PartId::B)]];
                     (SerialNo(serial), VcBallot { parts })
@@ -470,8 +488,8 @@ mod tests {
                 node_index: ME,
                 signing_key: self.keys[ME as usize],
                 vc_keys: self.keys.iter().map(SigningKey::verifying_key).collect(),
-                ea_key: self.ea.verifying_key(),
-                msk_share: self.share(0, PartId::A),
+                tag_key: self.tag_keys[ME as usize],
+                msk_share: DealerVss::sign(&self.ea, b"msk", &[Dealt::share(ME)])[0],
                 ballots: BTreeMap::new(),
             };
             let store = MemoryStore::new(ballots, BALLOTS);
@@ -486,10 +504,13 @@ mod tests {
             )
         }
 
+        fn endorsement_signature(&self, signer: u32, serial: u64, part: PartId) -> Signature {
+            self.keys[signer as usize].sign(&self.endorsement_message(serial, part))
+        }
+
         /// Collector `signer`'s endorsement of `(serial, part)`, to `ME`.
         fn endorsement(&self, signer: u32, serial: u64, part: PartId) -> VcInput {
-            let signature =
-                self.keys[signer as usize].sign(&self.endorsement_message(serial, part));
+            let signature = self.endorsement_signature(signer, serial, part);
             to_me(
                 NodeId::vc(signer),
                 Msg::Endorsement {
@@ -558,14 +579,47 @@ mod tests {
         step(core, dealt.endorsement(2, serial, PartId::A))
     }
 
-    fn vote_p_shares(outputs: &[VcOutput]) -> Vec<SignedShare> {
+    /// The VOTE_Ps among `outputs`: recipient, share and tag.
+    fn vote_p_shares(outputs: &[VcOutput]) -> Vec<(NodeId, Share, ShareTag)> {
         sent(outputs)
             .into_iter()
-            .filter_map(|(_, msg)| match msg {
-                Msg::VoteP { share, .. } => Some(*share),
+            .filter_map(|(to, msg)| match msg {
+                Msg::VoteP { share, tag, .. } => Some((to, *share, *tag)),
                 _ => None,
             })
             .collect()
+    }
+
+    /// `vc.sig_checks` `(fresh, own)` since the last call.
+    fn sig_checks(core: &mut VcCore<MemoryStore>) -> (u64, u64) {
+        let checks = core.take_sig_checks();
+        let of = |label| {
+            checks
+                .iter()
+                .find(|(l, _)| *l == label)
+                .map_or(0, |(_, n)| *n)
+        };
+        (of("fresh"), of("own"))
+    }
+
+    /// Collector `from`'s VOTE_P for `(serial, A)` to `ME`, under a UCERT
+    /// of `sigs`.
+    fn vote_p(from: u32, serial: u64, tag: ShareTag, sigs: Vec<(u32, Signature)>) -> VcInput {
+        let vote_code = code(serial, PartId::A);
+        to_me(
+            NodeId::vc(from),
+            Msg::VoteP {
+                serial: SerialNo(serial),
+                vote_code,
+                share: Dealt::share(from),
+                tag,
+                ucert: Arc::new(UCert {
+                    serial: SerialNo(serial),
+                    vote_code,
+                    sigs,
+                }),
+            },
+        )
     }
 
     #[test]
@@ -725,7 +779,6 @@ mod tests {
     #[test]
     fn corrupted_share_fails_the_ea_share_check() {
         let dealt = Dealt::new();
-        let ea = dealt.ea.verifying_key();
         let context = dealt.context(0, PartId::A);
         let mut honest = dealt.core(VcBehavior::Honest);
         let mut corrupting = dealt.core(VcBehavior::CorruptShares);
@@ -733,15 +786,75 @@ mod tests {
         let bad = vote_p_shares(&certify(&dealt, &mut corrupting, 0));
         assert_eq!(good.len(), 3);
         assert_eq!(bad.len(), 3);
-        for (good, bad) in good.iter().zip(&bad) {
-            assert!(DealerVss::verify(&ea, &context, good));
-            assert!(!DealerVss::verify(&ea, &context, bad));
-            assert_eq!(bad.share.value, good.share.value + Scalar::ONE);
+        for ((to, good, tag), (bad_to, bad, bad_tag)) in good.iter().zip(&bad) {
+            let key = &dealt.tag_keys[to.index as usize];
+            assert_eq!((to, tag), (bad_to, bad_tag));
+            assert!(DealerVss::check_tag(key, &context, good, tag));
+            assert!(!DealerVss::check_tag(key, &context, bad, tag));
+            assert_eq!(bad.value, good.value + Scalar::ONE);
         }
         assert_eq!(
             corrupting.take_adversary_acts(),
             Some((VcBehavior::CorruptShares, 3))
         );
+    }
+
+    /// A VOTE_P whose share is right but whose tag is not is dropped
+    /// before its UCERT costs any group math.
+    #[test]
+    fn a_vote_p_with_a_wrong_tag_is_dropped_without_signature_work() {
+        let dealt = Dealt::new();
+        let mut core = dealt.core(VcBehavior::Honest);
+        let sigs: Vec<(u32, Signature)> = [0, 2, 3]
+            .map(|signer| (signer, dealt.endorsement_signature(signer, 0, PartId::A)))
+            .into();
+        let tag = dealt.tag(0, ME, 0, PartId::A);
+        let mut wrong = tag;
+        wrong[0] ^= 1;
+        // Collector 2's tag for `ME` is a genuine tag, on another share.
+        for bad in [wrong, dealt.tag(2, ME, 0, PartId::A)] {
+            assert!(step(&mut core, vote_p(0, 0, bad, sigs.clone())).is_empty());
+            assert_eq!(sig_checks(&mut core), (0, 0));
+        }
+        let accepted = step(&mut core, vote_p(0, 0, tag, sigs));
+        assert_eq!(vote_p_shares(&accepted).len(), 3, "ME discloses its own");
+        assert_eq!(sig_checks(&mut core), (3, 0));
+    }
+
+    /// A UCERT entry under `ME`'s index is taken without group math only
+    /// when it is the very signature `ME` made; a forged one, or any entry
+    /// a node that holds no signature of its own meets, is verified.
+    #[test]
+    fn a_ucert_with_a_forged_own_signature_is_rejected() {
+        let dealt = Dealt::new();
+        let mut core = dealt.core(VcBehavior::Honest);
+        let endorsed = step(&mut core, endorse(0, 0, PartId::A));
+        let [(_, Msg::Endorsement { signature: own, .. })] = sent(&endorsed)[..] else {
+            panic!("ME endorses for collector 0: {endorsed:?}");
+        };
+        let own = *own;
+        let peer = |signer| (signer, dealt.endorsement_signature(signer, 0, PartId::A));
+        let forged = dealt.keys[ME as usize].sign(&dealt.endorsement_message(1, PartId::A));
+        let tag = dealt.tag(0, ME, 0, PartId::A);
+
+        let rejected = step(
+            &mut core,
+            vote_p(0, 0, tag, vec![peer(0), (ME, forged), peer(2)]),
+        );
+        assert!(rejected.is_empty(), "{rejected:?}");
+        assert_eq!(sig_checks(&mut core), (3, 0));
+
+        let genuine = vec![peer(0), (ME, own), peer(2)];
+        let accepted = step(&mut core, vote_p(0, 0, tag, genuine.clone()));
+        assert_eq!(vote_p_shares(&accepted).len(), 3);
+        assert_eq!(sig_checks(&mut core), (2, 1));
+
+        // A node holding no signature of its own (never endorsed, or
+        // replayed from its journal) verifies the same entry.
+        let mut other = dealt.core(VcBehavior::Honest);
+        let accepted = step(&mut other, vote_p(0, 0, tag, genuine));
+        assert_eq!(vote_p_shares(&accepted).len(), 3);
+        assert_eq!(sig_checks(&mut other), (3, 0));
     }
 
     #[test]

@@ -34,9 +34,9 @@ use ddemos_crypto::field::Scalar;
 use ddemos_crypto::mverify::MsgVerifier;
 use ddemos_crypto::schnorr::{Signature, VerifyingKey};
 use ddemos_crypto::sha256::sha256;
-use ddemos_crypto::shamir::InterpolatorCache;
+use ddemos_crypto::shamir::{InterpolatorCache, Share};
 use ddemos_crypto::votecode::VoteCode;
-use ddemos_crypto::vss::SignedShare;
+use ddemos_crypto::vss::{DealerVss, ShareTag};
 use ddemos_protocol::codec;
 use ddemos_protocol::initdata::{endorsement_message, receipt_share_context, VcInit};
 use ddemos_protocol::messages::{
@@ -276,13 +276,13 @@ impl Durable for VcDurable<'_> {
 /// scalar `DealerVss::reconstruct` gives, bit for bit.
 fn reconstruct_receipt(
     weights: &mut InterpolatorCache,
-    shares: &[SignedShare],
+    shares: &[Share],
     quorum: usize,
 ) -> Option<Scalar> {
     let mut chosen: Vec<(u32, Scalar)> = shares
         .get(..quorum)?
         .iter()
-        .map(|s| (s.share.index, s.share.value))
+        .map(|s| (s.index, s.value))
         .collect();
     chosen.sort_unstable_by_key(|(index, _)| *index);
     let interp = weights
@@ -325,6 +325,9 @@ pub struct HonestCore<S> {
     /// dropped the message first (with [`MsgVerifier::take_counts`], the
     /// `vc.sig_checks` metric).
     sigs_skipped: u64,
+    /// UCERT entries accepted as this node's own endorsement, byte for
+    /// byte, without group math (`vc.sig_checks{own}`).
+    sigs_own: u64,
     /// Corrupt replayed slots met since the last
     /// [`HonestCore::take_corrupt_slots`], one entry per meeting, named by what
     /// the step did instead.
@@ -371,7 +374,6 @@ impl<S: BallotStore> HonestCore<S> {
         for vk in &init.vc_keys {
             mverify.prepare(vk);
         }
-        mverify.prepare(&init.ea_key);
         HonestCore {
             init,
             store,
@@ -386,6 +388,7 @@ impl<S: BallotStore> HonestCore<S> {
             receipt_weights: InterpolatorCache::default(),
             mverify,
             sigs_skipped: 0,
+            sigs_own: 0,
             corrupt_slots: Vec::new(),
             announce_from: BTreeSet::new(),
             buffered_announces: Vec::new(),
@@ -503,17 +506,18 @@ impl<S: BallotStore> HonestCore<S> {
 
     /// Batch-verifies a burst of queued inputs for the `step`s that
     /// follow: extracts the signatures they would otherwise verify one at
-    /// a time (ENDORSEMENT signatures, VOTE_P UCERT signatures, VOTE_P
-    /// receipt shares), verifies them in one batch and hands the valid
-    /// ones to those steps ([`MsgVerifier::check_burst`]), replacing the
-    /// previous burst's.
+    /// a time (ENDORSEMENT signatures, VOTE_P UCERT signatures), verifies
+    /// them in one batch and hands the valid ones to those steps
+    /// ([`MsgVerifier::check_burst`]), replacing the previous burst's. A
+    /// VOTE_P's receipt share carries an EA tag, not a signature: its
+    /// step checks it with one keyed hash.
     ///
     /// It queues only what the state machine can still use, by the
     /// filters the handlers apply themselves: no endorsement the
     /// responder slot would drop, no UCERT whose `(serial, code)` is
-    /// already verified, no VOTE_P that cannot change its slot, and per
-    /// serial no more endorsements or receipt shares than the quorum
-    /// still lacks.
+    /// already verified, no UCERT entry that is this node's own
+    /// endorsement, no VOTE_P that cannot change its slot, and per serial
+    /// no more endorsements than the quorum still lacks.
     ///
     /// Purely an optimization — it emits no outputs and mutates nothing
     /// but the hand-off, and a signature only enters the hand-off by
@@ -524,9 +528,8 @@ impl<S: BallotStore> HonestCore<S> {
         let eid = self.init.params.election_id;
         let quorum = self.quorum();
         let mut items: Vec<(VerifyingKey, Vec<u8>, Signature)> = Vec::new();
-        // Endorsements and share indices this burst has queued so far.
+        // Endorsements this burst has queued so far.
         let mut endorsers: BTreeMap<SerialNo, Vec<u32>> = BTreeMap::new();
-        let mut share_indices: BTreeMap<SerialNo, Vec<u32>> = BTreeMap::new();
         for input in inputs {
             let VcInput::Deliver(env) = input else {
                 continue;
@@ -563,36 +566,22 @@ impl<S: BallotStore> HonestCore<S> {
                     vote_code,
                     share,
                     ucert,
+                    ..
                 } => {
-                    let index = share.share.index;
                     if ucert.serial != *serial
                         || ucert.vote_code != *vote_code
-                        || self.vote_p_is_redundant(*serial, *vote_code, index)
+                        || self.vote_p_is_redundant(*serial, *vote_code, share.index)
+                        || self.verified_ucerts.contains(&ucert.key_digest())
                     {
                         continue;
                     }
-                    if !self.verified_ucerts.contains(&ucert.key_digest()) {
-                        let msg = endorsement_message(&eid, *serial, &sha256(&vote_code.0));
-                        for (idx, sig) in &ucert.sigs {
-                            if let Some(vk) = self.init.vc_keys.get(*idx as usize) {
-                                items.push((*vk, msg.clone(), *sig));
-                            }
+                    let msg = endorsement_message(&eid, *serial, &sha256(&vote_code.0));
+                    for (idx, sig) in &ucert.sigs {
+                        if self.is_own_endorsement(*serial, *vote_code, *idx, sig) {
+                            continue;
                         }
-                    }
-                    // Shares held, own included: the first VOTE_P to land
-                    // makes the node disclose (and store) it.
-                    let held = self.slots.get(serial).map_or(1, |slot| {
-                        slot.shares.len() + usize::from(!slot.my_share_sent)
-                    });
-                    let queued = share_indices.entry(*serial).or_default();
-                    if queued.contains(&index) || held + queued.len() >= quorum {
-                        continue;
-                    }
-                    if let Some(ballot) = self.store.get(*serial) {
-                        if let Some((part, row)) = ballot.find_code(vote_code) {
-                            queued.push(index);
-                            let ctx = receipt_share_context(&eid, *serial, part, row);
-                            items.push(MsgVerifier::share_item(&self.init.ea_key, &ctx, share));
+                        if let Some(vk) = self.init.vc_keys.get(*idx as usize) {
+                            items.push((*vk, msg.clone(), *sig));
                         }
                     }
                 }
@@ -605,15 +594,17 @@ impl<S: BallotStore> HonestCore<S> {
     /// Signature work since the last call, by outcome: `fresh` (verified
     /// with group math), `cached` (handed off by the burst's
     /// [`HonestCore::preverify`]), `deduped` (shared the verdict of an
-    /// equal item in one batch), `skipped` (a step dropped the message on
-    /// structure before verifying). Drivers export it as the
-    /// `vc.sig_checks` counter.
-    pub fn take_sig_checks(&mut self) -> [(&'static str, u64); 4] {
+    /// equal item in one batch), `own` (a UCERT entry equal to this
+    /// node's own endorsement), `skipped` (a step dropped the message
+    /// before verifying it). Drivers export it as the `vc.sig_checks`
+    /// counter.
+    pub fn take_sig_checks(&mut self) -> [(&'static str, u64); 5] {
         let counts = self.mverify.take_counts();
         [
             ("fresh", counts.fresh),
             ("cached", counts.cached),
             ("deduped", counts.deduped),
+            ("own", std::mem::take(&mut self.sigs_own)),
             ("skipped", std::mem::take(&mut self.sigs_skipped)),
         ]
     }
@@ -644,14 +635,31 @@ impl<S: BallotStore> HonestCore<S> {
     /// Whether a VOTE_P for `(serial, code)` carrying share `index` finds
     /// nothing left to change: the slot already runs on that code with
     /// its UCERT stored, and either holds that share index or has its
-    /// receipt. Nothing in such a message is worth a signature check.
+    /// receipt. Nothing in such a message is worth a check.
     fn vote_p_is_redundant(&self, serial: SerialNo, code: VoteCode, index: u32) -> bool {
         self.slots.get(&serial).is_some_and(|slot| {
             slot.used.map(|(used, ..)| used) == Some(code)
                 && slot.ucert.is_some()
-                && (slot.status == Status::Voted
-                    || slot.shares.iter().any(|s| s.share.index == index))
+                && (slot.status == Status::Voted || slot.shares.iter().any(|s| s.index == index))
         })
+    }
+
+    /// Whether UCERT entry `(idx, sig)` for `(serial, code)` is this
+    /// node's own endorsement, byte for byte as it signed it: valid
+    /// without group math. A node holds its signature only from the
+    /// `endorse` that made it until a power cycle; after a journal replay
+    /// the entry is verified like any other.
+    fn is_own_endorsement(
+        &self,
+        serial: SerialNo,
+        code: VoteCode,
+        idx: u32,
+        sig: &Signature,
+    ) -> bool {
+        idx == self.init.node_index
+            && self.slots.get(&serial).is_some_and(|slot| {
+                slot.my_endorsed == Some(code) && slot.my_signature.as_ref() == Some(sig)
+            })
     }
 
     fn check_phase_end(&mut self) {
@@ -676,8 +684,8 @@ impl<S: BallotStore> HonestCore<S> {
         }
     }
 
-    /// Sends `msg` to every *other* collector: ENDORSE and VOTE_P carry
-    /// nothing their sender does not already hold.
+    /// Sends `msg` to every *other* collector: an ENDORSE carries nothing
+    /// its sender does not already hold.
     fn multicast_others(&mut self, msg: Msg) {
         let me = self.init.node_index;
         for index in (0..self.init.params.num_vc as u32).filter(|i| *i != me) {
@@ -811,8 +819,9 @@ impl<S: BallotStore> HonestCore<S> {
                 serial,
                 vote_code,
                 share,
+                tag,
                 ucert,
-            } => self.on_vote_p(env.from, serial, vote_code, share, ucert),
+            } => self.on_vote_p(env.from, serial, vote_code, share, tag, ucert),
             Msg::Announce { entries } => self.on_announce(env.from, entries),
             Msg::RecoverRequest { serial } => self.on_recover_request(env.from, serial),
             Msg::RecoverResponse {
@@ -989,10 +998,12 @@ impl<S: BallotStore> HonestCore<S> {
         if self.endorsed(serial).is_some_and(|prev| prev != code) {
             return None;
         }
+        let signature = self.endorsement_signature(serial, code);
         let slot = self.slots.entry(serial).or_default();
         slot.my_endorsed = Some(code);
+        slot.my_signature = Some(signature);
         self.jlog(|| VcRecord::Endorsed { serial, code });
-        Some(self.endorsement_signature(serial, code))
+        Some(signature)
     }
 
     /// This node's signature endorsing `code` for `serial`; records
@@ -1102,8 +1113,9 @@ impl<S: BallotStore> HonestCore<S> {
         self.try_reconstruct(serial);
     }
 
-    /// Stores our own receipt share — EA-dealt, nothing to verify — and
-    /// discloses it (VOTE_P) to the other collectors.
+    /// Stores our own receipt share — EA-dealt, nothing to check — and
+    /// discloses it (VOTE_P) to the other collectors, each with the EA's
+    /// tag for that collector.
     fn disclose_share(
         &mut self,
         serial: SerialNo,
@@ -1115,28 +1127,35 @@ impl<S: BallotStore> HonestCore<S> {
         let Some(ballot) = self.store.get(serial) else {
             return;
         };
-        let dealt = ballot.parts[part.index()][row].receipt_share;
+        let dealt = &ballot.parts[part.index()][row];
+        let share = dealt.receipt_share;
         let slot = self.slots.entry(serial).or_default();
         if slot.my_share_sent {
             return;
         }
         slot.my_share_sent = true;
-        if slot.add_share(dealt) {
-            self.jlog(|| VcRecord::ShareStored {
-                serial,
-                share: dealt,
-            });
+        if slot.add_share(share) {
+            self.jlog(|| VcRecord::ShareStored { serial, share });
         }
         self.jlog(|| VcRecord::ShareSent { serial });
         // Barrier (durability table, `Certified` … `ShareSent`, the
         // responder's `Endorsed` riding in): a discloser keeps its UCERT.
         self.persist();
-        self.multicast_others(Msg::VoteP {
-            serial,
-            vote_code: code,
-            share: dealt,
-            ucert,
-        });
+        let me = self.init.node_index;
+        for to in 0..self.init.params.num_vc as u32 {
+            if let Some(tag) = dealt.tag_for(me, to) {
+                self.send(
+                    NodeId::vc(to),
+                    Msg::VoteP {
+                        serial,
+                        vote_code: code,
+                        share,
+                        tag: *tag,
+                        ucert: ucert.clone(),
+                    },
+                );
+            }
+        }
     }
 
     fn verify_ucert(&mut self, ucert: &UCert) -> bool {
@@ -1146,32 +1165,36 @@ impl<S: BallotStore> HonestCore<S> {
             return true;
         }
         // Batched mirror of `UCert::verify`: verify every signature from
-        // a known VC node in one MSM, then count distinct node indices
+        // a known VC node in one batch, then count distinct node indices
         // with at least one valid signature. Outcome-equivalent to the
         // scalar short-circuit loop — it reaches quorum iff that loop
-        // does — but pays one MSM instead of `Nv−fv` ladders.
+        // does — but pays one batch instead of `Nv−fv` ladders. This
+        // node's own endorsement, byte for byte, is valid as it stands.
         let msg = endorsement_message(
             &self.init.params.election_id,
             ucert.serial,
             &sha256(&ucert.vote_code.0),
         );
-        let mut idxs: Vec<usize> = Vec::with_capacity(ucert.sigs.len());
+        let mut valid: BTreeSet<u32> = BTreeSet::new();
+        let mut idxs: Vec<u32> = Vec::with_capacity(ucert.sigs.len());
         let mut items: Vec<(VerifyingKey, Vec<u8>, Signature)> =
             Vec::with_capacity(ucert.sigs.len());
         for (idx, sig) in &ucert.sigs {
-            let idx = *idx as usize;
-            if let Some(vk) = self.init.vc_keys.get(idx) {
-                idxs.push(idx);
+            if self.is_own_endorsement(ucert.serial, ucert.vote_code, *idx, sig) {
+                self.sigs_own += 1;
+                valid.insert(*idx);
+            } else if let Some(vk) = self.init.vc_keys.get(*idx as usize) {
+                idxs.push(*idx);
                 items.push((*vk, msg.clone(), *sig));
             }
         }
         let verdicts = self.mverify.check_batch(&items);
-        let valid: BTreeSet<usize> = idxs
-            .iter()
-            .zip(&verdicts)
-            .filter(|(_, &ok)| ok)
-            .map(|(&i, _)| i)
-            .collect();
+        valid.extend(
+            idxs.iter()
+                .zip(&verdicts)
+                .filter(|(_, &ok)| ok)
+                .map(|(&i, _)| i),
+        );
         if valid.len() >= self.quorum() {
             self.verified_ucerts.insert(digest);
             true
@@ -1185,7 +1208,8 @@ impl<S: BallotStore> HonestCore<S> {
         from: NodeId,
         serial: SerialNo,
         code: VoteCode,
-        share: SignedShare,
+        share: Share,
+        tag: ShareTag,
         ucert: Arc<UCert>,
     ) {
         if from.kind != NodeKind::Vc || !self.in_voting_hours() {
@@ -1196,22 +1220,22 @@ impl<S: BallotStore> HonestCore<S> {
         }
         // The common late VOTE_P — the quorum's last echo, a re-delivery —
         // is dropped before any signature work.
-        if self.vote_p_is_redundant(serial, code, share.share.index) {
-            self.sigs_skipped += ucert.sigs.len() as u64 + 1;
+        if self.vote_p_is_redundant(serial, code, share.index) {
+            self.sigs_skipped += ucert.sigs.len() as u64;
+            return;
+        }
+        // The share's EA tag for this node goes first: one keyed hash, so
+        // a message with a bad share costs no signature check.
+        let Some((part, row)) = self.store.get(serial).and_then(|b| b.find_code(&code)) else {
+            self.sigs_skipped += ucert.sigs.len() as u64;
+            return;
+        };
+        let ctx = receipt_share_context(&self.init.params.election_id, serial, part, row);
+        if !DealerVss::check_tag(&self.init.tag_key, &ctx, &share, &tag) {
+            self.sigs_skipped += ucert.sigs.len() as u64;
             return;
         }
         if !self.verify_ucert(&ucert) {
-            return;
-        }
-        let Some(ballot) = self.store.get(serial) else {
-            return;
-        };
-        let Some((part, row)) = ballot.find_code(&code) else {
-            return;
-        };
-        // Verify the EA signature over the disclosed share.
-        let ctx = receipt_share_context(&self.init.params.election_id, serial, part, row);
-        if !self.mverify.check_share(&self.init.ea_key, &ctx, &share) {
             return;
         }
         let mut became_pending = false;

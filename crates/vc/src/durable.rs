@@ -10,8 +10,8 @@
 //! * [`BallotSlot`] — the per-ballot state machine (shared with
 //!   `core.rs`), split into a durable projection (status, used code,
 //!   endorsement, UCERT, shares, receipt) and volatile scratch (waiting
-//!   clients, collected endorsement signatures) that recovery legitimately
-//!   loses;
+//!   clients, collected endorsement signatures, this node's own
+//!   endorsement signature) that recovery legitimately loses;
 //! * [`VcRecord`] — the WAL record vocabulary, one record per state
 //!   transition, with the **durability table**: which output, if any,
 //!   must wait for each record to be on disk;
@@ -24,8 +24,9 @@
 //! [`DurableView::encode_snapshot`]) to the never-crashed original — the
 //! equivalence the recovery tests assert.
 
+use ddemos_crypto::schnorr::Signature;
+use ddemos_crypto::shamir::Share;
 use ddemos_crypto::votecode::VoteCode;
-use ddemos_crypto::vss::SignedShare;
 use ddemos_protocol::codec;
 use ddemos_protocol::messages::UCert;
 use ddemos_protocol::wire::{Reader, WireError, Writer};
@@ -64,22 +65,26 @@ impl Status {
     }
 }
 
-/// Per-ballot state. The non-`Vec` fields plus `shares` form the durable
-/// projection; `endorsements` and `waiting` are volatile scratch a
-/// restart legitimately loses (peers re-drive endorsements, voters
-/// retry).
+/// Per-ballot state. The non-`Vec` fields but `my_signature`, plus
+/// `shares`, form the durable projection; `my_signature`, `endorsements`
+/// and `waiting` are volatile scratch a restart legitimately loses (peers
+/// re-drive endorsements, voters retry, a UCERT's own entry is verified).
 pub(crate) struct BallotSlot {
     pub(crate) status: Status,
     /// The unique code active for this ballot, with its located position.
     pub(crate) used: Option<(VoteCode, PartId, usize)>,
     /// The code this node has endorsed (at most one per ballot).
     pub(crate) my_endorsed: Option<VoteCode>,
+    /// The signature this node made endorsing `my_endorsed` (volatile):
+    /// a UCERT entry under this node's index with these bytes needs no
+    /// group math.
+    pub(crate) my_signature: Option<Signature>,
     /// Endorsement signatures collected while acting as responder
     /// (volatile).
-    pub(crate) endorsements: Vec<(u32, ddemos_crypto::schnorr::Signature)>,
+    pub(crate) endorsements: Vec<(u32, Signature)>,
     pub(crate) ucert: Option<Arc<UCert>>,
-    /// Verified receipt shares (distinct share indices).
-    pub(crate) shares: Vec<SignedShare>,
+    /// Checked receipt shares (distinct share indices).
+    pub(crate) shares: Vec<Share>,
     pub(crate) my_share_sent: bool,
     pub(crate) receipt: Option<u64>,
     /// Clients awaiting a receipt (volatile): (client, request id, code).
@@ -87,13 +92,10 @@ pub(crate) struct BallotSlot {
 }
 
 impl BallotSlot {
-    /// Stores a verified (or own, EA-dealt) receipt share unless its
+    /// Stores a tag-checked (or own, EA-dealt) receipt share unless its
     /// index is already held. Returns whether the share was added.
-    pub(crate) fn add_share(&mut self, share: SignedShare) -> bool {
-        let new = !self
-            .shares
-            .iter()
-            .any(|s| s.share.index == share.share.index);
+    pub(crate) fn add_share(&mut self, share: Share) -> bool {
+        let new = !self.shares.iter().any(|s| s.index == share.index);
         if new {
             self.shares.push(share);
         }
@@ -107,6 +109,7 @@ impl Default for BallotSlot {
             status: Status::NotVoted,
             used: None,
             my_endorsed: None,
+            my_signature: None,
             endorsements: Vec::new(),
             ucert: None,
             shares: Vec::new(),
@@ -133,8 +136,8 @@ impl Default for BallotSlot {
 /// | `Endorsed`, a peer's | `on_endorse` | **ENDORSEMENT** | *At most one UCERT per serial*: a node that forgot the code it signed could sign a second one. |
 /// | `Endorsed`, the responder's own | `on_vote` | — (rides to the VOTE_P barrier) | ENDORSE carries no signature; the responder's first leaves the node inside the UCERT of its VOTE_P. Lost before that, it signed nothing anyone saw. |
 /// | `Certified`, `Pending`, own `ShareStored`, `ShareSent` | `disclose_share` and its callers | **VOTE_P** | *A receipt implies the vote is tallied*: a receipt takes `N_v − f_v` disclosed shares, so `N_v − 2f_v` honest disclosers must still hold the UCERT at ANNOUNCE/RECOVER time, power cycles included. |
-/// | `ShareStored`, a peer's | `on_vote_p` | — | Re-deliverable and verified again on arrival. Lost, the slot waits as `Pending` for shares or another collector answers. |
-/// | `Voted` | `try_reconstruct` | — | The receipt is the interpolation at zero of EA-dealt, EA-signed shares: every quorum gives the same scalar, so a node that forgot it cannot issue a *different* one. Lost, recovery reconstructs it from a durable quorum or the slot waits as `Pending`. |
+/// | `ShareStored`, a peer's | `on_vote_p` | — | Re-deliverable and tag-checked again on arrival. Lost, the slot waits as `Pending` for shares or another collector answers. |
+/// | `Voted` | `try_reconstruct` | — | The receipt is the interpolation at zero of EA-dealt, EA-tagged shares: every quorum gives the same scalar, so a node that forgot it cannot issue a *different* one. Lost, recovery reconstructs it from a durable quorum or the slot waits as `Pending`. |
 /// | `Used` + `Certified`, adopted after the polls closed | `adopt_code` | — (rides to the `Finalized` barrier) | Peers hold what was adopted from them. |
 /// | `Finalized` | `try_finalize` | **the finalized set's delivery** | A recovered node must not release a second vote set. |
 /// | whatever still rides | `begin_announce` | **ANNOUNCE** (once an election) | Nothing is unsynced when the node discloses its view of the vote set. |
@@ -153,11 +156,8 @@ pub(crate) enum VcRecord {
     Certified { serial: SerialNo, ucert: UCert },
     /// The slot moved `NotVoted → Pending` (share disclosure may begin).
     Pending { serial: SerialNo },
-    /// A verified receipt share was collected.
-    ShareStored {
-        serial: SerialNo,
-        share: SignedShare,
-    },
+    /// A checked receipt share was collected.
+    ShareStored { serial: SerialNo, share: Share },
     /// This node disclosed its own receipt share (at most once).
     ShareSent { serial: SerialNo },
     /// The receipt was reconstructed.
@@ -204,7 +204,7 @@ impl VcRecord {
             }
             VcRecord::ShareStored { serial, share } => {
                 w.put_u8(TAG_SHARE_STORED).put_u64(serial.0);
-                codec::put_signed_share(&mut w, share);
+                codec::put_share(&mut w, share);
             }
             VcRecord::ShareSent { serial } => {
                 w.put_u8(TAG_SHARE_SENT).put_u64(serial.0);
@@ -246,7 +246,7 @@ impl VcRecord {
             },
             TAG_SHARE_STORED => VcRecord::ShareStored {
                 serial: SerialNo(r.get_u64()?),
-                share: codec::get_signed_share(&mut r)?,
+                share: codec::get_share(&mut r)?,
             },
             TAG_SHARE_SENT => VcRecord::ShareSent {
                 serial: SerialNo(r.get_u64()?),
@@ -359,7 +359,7 @@ impl Durable for DurableView<'_> {
             }
             w.put_u32(slot.shares.len() as u32);
             for share in &slot.shares {
-                codec::put_signed_share(w, share);
+                codec::put_share(w, share);
             }
             w.put_bool(slot.my_share_sent);
             match slot.receipt {
@@ -400,7 +400,7 @@ impl Durable for DurableView<'_> {
             }
             let n_shares = r.get_u32()?;
             for _ in 0..n_shares {
-                slot.shares.push(codec::get_signed_share(r)?);
+                slot.shares.push(codec::get_share(r)?);
             }
             slot.my_share_sent = r.get_bool()?;
             if r.get_bool()? {
@@ -421,7 +421,6 @@ impl Durable for DurableView<'_> {
 mod tests {
     use super::*;
     use ddemos_crypto::schnorr::SigningKey;
-    use ddemos_crypto::shamir::Share;
     use ddemos_protocol::clock::GlobalClock;
     use ddemos_storage::{DiskProfile, Journal, JournalConfig, SimDisk};
     use rand::rngs::StdRng;
@@ -469,12 +468,9 @@ mod tests {
                 3 => VcRecord::Pending { serial },
                 4 => VcRecord::ShareStored {
                     serial,
-                    share: SignedShare {
-                        share: Share {
-                            index: rng.gen_range(1..5),
-                            value: ddemos_crypto::field::Scalar::random(&mut rng),
-                        },
-                        signature: sig,
+                    share: Share {
+                        index: rng.gen_range(1..5),
+                        value: ddemos_crypto::field::Scalar::random(&mut rng),
                     },
                 },
                 5 => VcRecord::ShareSent { serial },

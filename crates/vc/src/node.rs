@@ -469,6 +469,7 @@ mod tests {
     use crate::durable::VcRecord;
     use crate::store::MemoryStore;
     use ddemos_crypto::field::Scalar;
+    use ddemos_crypto::hmac::HmacKey;
     use ddemos_crypto::schnorr::SigningKey;
     use ddemos_crypto::shamir::Share;
     use ddemos_crypto::votecode::{VoteCode, VoteCodeHash};
@@ -539,17 +540,14 @@ mod tests {
             ElectionParams::new("vc-driver", BALLOTS, 2, 4, 1, 1, 1, 0, 3_600_000).expect("params");
         let ea = SigningKey::generate(&mut rng);
         let keys: Vec<SigningKey> = (0..4).map(|_| SigningKey::generate(&mut rng)).collect();
-        let share = DealerVss::sign(
-            &ea,
-            b"vc-driver",
-            &[Share {
-                index: ME + 1,
-                value: Scalar::ONE,
-            }],
-        )[0];
+        let share = Share {
+            index: ME + 1,
+            value: Scalar::ONE,
+        };
         let row = |code: VoteCode| VcRow {
             code_hash: VoteCodeHash::commit(&code, 7),
             receipt_share: share,
+            tags: vec![[0; 16]; 3],
         };
         let ballots: BTreeMap<SerialNo, VcBallot> = (0..BALLOTS)
             .map(|serial| {
@@ -562,8 +560,8 @@ mod tests {
             node_index: ME,
             signing_key: keys[ME as usize],
             vc_keys: keys.iter().map(SigningKey::verifying_key).collect(),
-            ea_key: ea.verifying_key(),
-            msk_share: share,
+            tag_key: HmacKey::new(b"vc-driver"),
+            msk_share: DealerVss::sign(&ea, b"vc-driver", &[share])[0],
             ballots,
         }
     }

@@ -94,11 +94,10 @@ fn trustee_post_split(report: &ElectionReport) {
 /// Group-math signature verifications the four collectors of the profile
 /// election may spend on one cast: at the responder the two peer
 /// endorsements that complete the UCERT (2), at each other collector the
-/// UCERT's three signatures (9), at every collector the two receipt
-/// shares that complete a quorum beside its own, which it was dealt and
-/// does not verify (4·2) — 19, plus one of slack for a cast whose third
-/// endorsement arrives before its UCERT forms.
-const MAX_FRESH_SIG_CHECKS_PER_CAST: u64 = 20;
+/// UCERT's three signatures less its own endorsement among them, which it
+/// takes byte for byte (2 + 2 + 3) — 9. Receipt shares carry EA tags,
+/// checked with a keyed hash, not signatures.
+const MAX_FRESH_SIG_CHECKS_PER_CAST: u64 = 9;
 
 /// Commit barriers the four collectors may run for one cast: each of the
 /// three peers before its ENDORSEMENT leaves and before its VOTE_P

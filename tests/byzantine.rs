@@ -65,7 +65,7 @@ fn crashed_collector_does_not_block_votes_or_tally() {
 
 #[test]
 fn corrupt_share_collector_is_harmless() {
-    // Corrupted receipt shares fail the EA signature check at honest
+    // Corrupted receipt shares fail the EA tag check at honest
     // receivers; receipts still reconstruct from the honest quorum.
     let (tally, metrics) = run_with_behaviors(
         byzantine_prefix(4, VcBehavior::CorruptShares),
