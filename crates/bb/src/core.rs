@@ -54,8 +54,8 @@ pub enum WriteError {
     Inconsistent,
     /// The node is not yet in the phase this write belongs to.
     WrongPhase,
-    /// The replica could not be reached (remote replicas only — a local
-    /// node never returns this).
+    /// The replica did not answer in time (reported by a client such as
+    /// `RemoteBb`; a replica itself never returns this).
     Unavailable,
     /// The replica's journal device is full: it refuses new writes
     /// rather than acknowledge them non-durably (read-only degradation;

@@ -11,8 +11,9 @@
 //! The write-verification state machine itself is the sans-I/O
 //! [`core::BbCore`] (`step(input) -> Vec<output>`, same shape as
 //! `ddemos_vc`'s `VcCore`); [`node::BbNode`] wraps it with a lock and an
-//! optional durable journal, and [`codec`] gives snapshots a canonical
-//! wire form for remote readers.
+//! optional durable journal, [`node::serve`] runs a replica over any
+//! transport endpoint, [`RemoteBb`] is a client of one, and [`codec`]
+//! gives snapshots a canonical wire form for those clients.
 
 #![warn(missing_docs)]
 
@@ -23,4 +24,4 @@ pub mod reader;
 
 pub use core::{trustee_post_digest, BbCore, BbInput, BbOutput, BbSnapshot, WriteError};
 pub use node::BbNode;
-pub use reader::{BbApi, MajorityReader};
+pub use reader::{BbApi, MajorityReader, PendingRead, RemoteBb};

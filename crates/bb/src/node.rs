@@ -13,18 +13,20 @@
 //! All of that verification lives in the sans-I/O [`crate::core`] module;
 //! this wrapper executes the core's outputs: journal appends + commits
 //! before the reply is released, so an acknowledged write is durable.
-//! The same core also serves multi-process deployments, where
-//! `ddemos_harness::tcp` drives a `BbNode` from `Msg::BbWrite` /
-//! `Msg::BbReadRequest` envelopes ([`BbNode::handle_write`]).
+//! [`serve`] is every replica's network loop, in process on `SimNet` and
+//! in its own OS process over TCP alike: it answers `Msg::BbWrite` /
+//! `Msg::BbReadRequest` envelopes and power-cycles on `Msg::Amnesia`.
 
 use crate::core::{BbCore, BbInput, BbOutput, BbRecord, BbSnapshot, WriteError};
 use ddemos_crypto::schnorr::Signature;
 use ddemos_crypto::vss::SignedShare;
+use ddemos_net::{DynEndpoint, TransportEndpoint};
 use ddemos_obs::Recorder;
 use ddemos_protocol::initdata::BbInit;
-use ddemos_protocol::messages::{BbWriteMsg, BbWriteOutcome};
+use ddemos_protocol::messages::{BbWriteMsg, BbWriteOutcome, Msg};
 use ddemos_protocol::posts::{TrusteePost, VoteSet};
 use ddemos_protocol::wire::{Reader, WireError, Writer};
+use ddemos_protocol::COORDINATOR;
 use ddemos_storage::{Durable, DynJournal, RecoveryStats, StorageError};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -117,15 +119,23 @@ impl BbNode {
 
     /// Public read: the node's current snapshot.
     pub fn read(&self) -> BbSnapshot {
-        let snapshot = self.core.read().snapshot().clone();
-        if self.diverge_after_finalized.load(Ordering::Acquire) && snapshot.vote_set.is_some() {
+        self.with_snapshot(BbSnapshot::clone)
+    }
+
+    /// Applies `f` to what a read returns, under the core's read lock, so
+    /// readers encode the snapshot without copying it first.
+    pub(crate) fn with_snapshot<R>(&self, f: impl FnOnce(&BbSnapshot) -> R) -> R {
+        let core = self.core.read();
+        if self.diverge_after_finalized.load(Ordering::Acquire)
+            && core.snapshot().vote_set.is_some()
+        {
             // The armed divergence: deny the finalized state, serving
             // the empty pre-election snapshot. Every diverging reply is
             // identical, so the lie is as self-consistent as a Byzantine
             // replica can make it.
-            return BbSnapshot::default();
+            return f(&BbSnapshot::default());
         }
-        snapshot
+        f(core.snapshot())
     }
 
     /// Power-cycles the node: all volatile state is dropped (unsynced
@@ -247,11 +257,50 @@ impl BbNode {
         self.submit(BbInput::TrusteePost { post, sig: *sig })
     }
 
-    /// Handles one relayed write envelope (the multi-process replica
-    /// loop), returning the wire outcome code.
+    /// Handles one relayed write envelope, returning the wire outcome
+    /// code.
     pub fn handle_write(&self, write: BbWriteMsg) -> BbWriteOutcome {
         crate::core::result_to_outcome(self.submit(BbInput::from(write)))
     }
+}
+
+/// Serves `node` over `endpoint`: one reply for each `Msg::BbWrite` and
+/// `Msg::BbReadRequest`, until [`COORDINATOR`] sends `Msg::Shutdown` or
+/// the transport closes. A self-addressed `Msg::Amnesia` (the power-cycle
+/// signal; a TCP listener refuses peers claiming its id) runs
+/// [`BbNode::recover_amnesia`]. Under a virtual clock the loop is an
+/// actor, so time stands still while it verifies a write.
+pub fn serve(node: &BbNode, endpoint: &dyn TransportEndpoint) {
+    let _actor = endpoint.actor_guard();
+    let me = endpoint.id();
+    while let Ok(env) = endpoint.recv() {
+        let reply = match env.msg {
+            Msg::BbWrite { request_id, write } => Msg::BbWriteReply {
+                request_id,
+                outcome: node.handle_write(write),
+            },
+            Msg::BbReadRequest { request_id } => Msg::BbReadResponse {
+                request_id,
+                snapshot: Arc::new(node.with_snapshot(crate::codec::encode_snapshot)),
+            },
+            Msg::Amnesia if env.from == me => {
+                node.recover_amnesia();
+                continue;
+            }
+            Msg::Shutdown if env.from == COORDINATOR => return,
+            _ => continue,
+        };
+        endpoint.send(env.from, reply);
+    }
+}
+
+/// Runs [`serve`] on a thread of its own: an in-process replica. The
+/// thread ends as the loop does; join it after the network shuts down.
+pub fn spawn(node: Arc<BbNode>, endpoint: DynEndpoint) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("bb-{}", endpoint.id().index))
+        .spawn(move || serve(&node, endpoint.as_ref()))
+        .expect("spawn bb node")
 }
 
 /// [`Durable`] adapter for a [`BbNode`]: the durable state *is* the

@@ -2,7 +2,7 @@
 //! authentication against `H_msk`, and majority reads over divergent
 //! replicas.
 
-use ddemos_bb::{BbNode, MajorityReader};
+use ddemos_bb::{BbApi, BbNode, MajorityReader};
 use ddemos_crypto::schnorr::SigningKey;
 use ddemos_crypto::votecode::VoteCode;
 use ddemos_ea::{ElectionAuthority, SetupProfile};
@@ -130,7 +130,12 @@ fn majority_reader_outvotes_divergent_replica() {
     let nodes: Vec<Arc<BbNode>> = (0..3)
         .map(|_| Arc::new(BbNode::new(out.bb_init.clone())))
         .collect();
-    let reader = MajorityReader::new(nodes.clone());
+    let reader = MajorityReader::over(
+        nodes
+            .iter()
+            .map(|node| node.clone() as Arc<dyn BbApi>)
+            .collect(),
+    );
     // All empty: majority snapshot exists and is empty.
     let snap = reader.read_snapshot().expect("unanimous empty state");
     assert!(snap.vote_set.is_none());
@@ -344,10 +349,10 @@ fn byzantine_low_index_trustee_cannot_withhold_zk_evidence() {
 fn required_majority_is_a_true_majority() {
     let (out, _) = setup();
     for (replicas, needed) in [(1usize, 1usize), (2, 1), (3, 2), (4, 2), (5, 3)] {
-        let nodes: Vec<_> = (0..replicas)
-            .map(|_| std::sync::Arc::new(BbNode::new(out.bb_init.clone())))
+        let nodes: Vec<Arc<dyn BbApi>> = (0..replicas)
+            .map(|_| Arc::new(BbNode::new(out.bb_init.clone())) as Arc<dyn BbApi>)
             .collect();
-        let reader = MajorityReader::new(nodes);
+        let reader = MajorityReader::over(nodes);
         assert_eq!(
             reader.required_majority(),
             needed,

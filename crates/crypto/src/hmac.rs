@@ -64,11 +64,12 @@ impl HmacKey {
     }
 }
 
-/// Whether two 16-byte MAC tags are equal, in time independent of where
-/// they differ: a `!=` on arrays may stop at the first differing byte,
-/// which tells a forger how much of a guessed tag was right.
-pub fn tag_eq(a: &[u8; 16], b: &[u8; 16]) -> bool {
-    std::hint::black_box(u128::from_ne_bytes(*a) ^ u128::from_ne_bytes(*b)) == 0
+/// Whether two MAC tags are equal, in time independent of where they
+/// differ: a `!=` on arrays may stop at the first differing byte, which
+/// tells a forger how much of a guessed tag was right.
+pub fn tag_eq<const N: usize>(a: &[u8; N], b: &[u8; N]) -> bool {
+    let diff = a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y));
+    std::hint::black_box(diff) == 0
 }
 
 /// A deterministic pseudorandom function keyed by a 32-byte seed.
@@ -246,15 +247,19 @@ mod tests {
 
     #[test]
     fn tag_eq_compares_every_byte() {
-        let tag = [0x5au8; 16];
-        assert!(tag_eq(&tag, &tag));
-        for byte in 0..16 {
-            for bit in 0..8 {
-                let mut other = tag;
-                other[byte] ^= 1 << bit;
-                assert!(!tag_eq(&tag, &other), "byte {byte} bit {bit}");
+        fn every_bit<const N: usize>() {
+            let tag = [0x5au8; N];
+            assert!(tag_eq(&tag, &tag));
+            for byte in 0..N {
+                for bit in 0..8 {
+                    let mut other = tag;
+                    other[byte] ^= 1 << bit;
+                    assert!(!tag_eq(&tag, &other), "{N} bytes: byte {byte} bit {bit}");
+                }
             }
         }
+        every_bit::<16>();
+        every_bit::<32>();
     }
 
     #[test]

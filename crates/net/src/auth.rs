@@ -458,6 +458,8 @@ pub struct ServerChannel {
     send: Option<SessionSend>,
     recv: Option<SessionRecv>,
     peer: Option<NodeId>,
+    /// The listener's identity, which no client may claim.
+    own: Option<NodeId>,
     session: u64,
     queued: Vec<Envelope>,
     from_overridden: u64,
@@ -478,6 +480,7 @@ impl ServerChannel {
             send: None,
             recv: None,
             peer: None,
+            own: None,
             session: 0,
             queued: Vec::new(),
             from_overridden: 0,
@@ -487,6 +490,14 @@ impl ServerChannel {
         body[1..].copy_from_slice(&chan.server_nonce);
         push_msg(&mut chan.out, KIND_SERVER_HELLO, &body);
         chan
+    }
+
+    /// Refuses a HELLO claiming `own`, the listener's identity, which
+    /// carries signals only the node itself may send (`Msg::Amnesia`).
+    #[must_use]
+    pub fn serving_as(mut self, own: NodeId) -> ServerChannel {
+        self.own = Some(own);
+        self
     }
 
     fn fault(&mut self, fault: ChanFault, events: &mut Vec<ChanEvent>) {
@@ -511,10 +522,16 @@ impl ServerChannel {
         };
         let index = u32::from_be_bytes(body[2..6].try_into().expect("4 bytes"));
         let id = NodeId { kind, index };
+        if self.own == Some(id) {
+            return self.fault(ChanFault::AuthFailed, events);
+        }
         let client_nonce: [u8; 16] = body[6..22].try_into().expect("16 bytes");
         let mac: [u8; 32] = body[22..54].try_into().expect("32 bytes");
         let key = identity_key(&self.cfg.secret, id);
-        if hello_mac(&key, &self.server_nonce, &client_nonce, id) != mac {
+        if !tag_eq(
+            &hello_mac(&key, &self.server_nonce, &client_nonce, id),
+            &mac,
+        ) {
             return self.fault(ChanFault::AuthFailed, events);
         }
         let sess = session_key(&key, &self.server_nonce, &client_nonce);
@@ -759,7 +776,9 @@ impl ClientChannel {
         }
         let sid = u64::from_be_bytes(body[..8].try_into().expect("8 bytes"));
         let mac: [u8; 32] = body[8..40].try_into().expect("32 bytes");
-        if sid != session_id(&sess) || mac != accept_mac(&sess, &server_nonce, &self.client_nonce) {
+        if sid != session_id(&sess)
+            || !tag_eq(&accept_mac(&sess, &server_nonce, &self.client_nonce), &mac)
+        {
             return self.fault(ChanFault::AuthFailed, events);
         }
         self.send = Some(SessionSend {
@@ -1046,6 +1065,26 @@ mod tests {
             .iter()
             .any(|e| matches!(e, ChanEvent::PeerReject(RejectCode::AuthFailed))));
         assert!(server.is_closed());
+    }
+
+    #[test]
+    fn a_hello_claiming_the_servers_own_identity_is_rejected() {
+        let mut server = ServerChannel::new(cfg(), [1u8; 16]).serving_as(NodeId::bb(0));
+        // The MAC is valid: the client holds the cluster secret.
+        let mut client = ClientChannel::new(cfg(), NodeId::bb(0), NodeId::bb(0), [2u8; 16]);
+        let (mut se, mut ce) = (Vec::new(), Vec::new());
+        pump(&mut server, &mut client, usize::MAX, &mut se, &mut ce);
+        assert!(matches!(&se[..], [ChanEvent::Fault(ChanFault::AuthFailed)]));
+        assert!(ce
+            .iter()
+            .any(|e| matches!(e, ChanEvent::PeerReject(RejectCode::AuthFailed))));
+        assert!(server.is_closed());
+        // Any other identity still gets in.
+        let mut server = ServerChannel::new(cfg(), [1u8; 16]).serving_as(NodeId::bb(0));
+        let mut client = ClientChannel::new(cfg(), NodeId::bb(1), NodeId::bb(0), [2u8; 16]);
+        let (mut se, mut ce) = (Vec::new(), Vec::new());
+        pump(&mut server, &mut client, usize::MAX, &mut se, &mut ce);
+        assert!(matches!(&se[..], [ChanEvent::Up { peer, .. }] if *peer == NodeId::bb(1)));
     }
 
     #[test]

@@ -308,7 +308,8 @@ fn slot<'a>(conns: &'a mut [Option<Conn>], gens: &[u32], id: ConnId) -> Option<&
 pub struct EvLoop {
     cfg: EvConfig,
     poller: Poller,
-    listeners: Vec<TcpListener>,
+    /// Each listener, with the identity it serves as.
+    listeners: Vec<(TcpListener, NodeId)>,
     conns: Vec<Option<Conn>>,
     gens: Vec<u32>,
     free: Vec<u32>,
@@ -366,18 +367,18 @@ impl EvLoop {
         self.recorder = recorder;
     }
 
-    /// Binds a nonblocking listener; returns the bound address
-    /// (resolves port 0).
+    /// Binds a nonblocking listener for the node `own` (whose id no client
+    /// may claim: [`ServerChannel::serving_as`]); returns the bound address.
     ///
     /// # Errors
     /// Bind/registration failures.
-    pub fn listen(&mut self, addr: SocketAddr) -> io::Result<SocketAddr> {
+    pub fn listen(&mut self, addr: SocketAddr, own: NodeId) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let token = LISTENER_BIT | self.listeners.len() as u64;
         self.poller.add(listener.as_raw_fd(), token, true, false)?;
-        self.listeners.push(listener);
+        self.listeners.push((listener, own));
         Ok(local)
     }
 
@@ -665,7 +666,8 @@ impl EvLoop {
 
     fn accept_ready(&mut self, listener_idx: usize) {
         loop {
-            match self.listeners[listener_idx].accept() {
+            let &(ref listener, own) = &self.listeners[listener_idx];
+            match listener.accept() {
                 Ok((stream, _)) => {
                     if self.live >= self.cfg.max_conns {
                         // Admission control: typed reject, best-effort
@@ -682,7 +684,7 @@ impl EvLoop {
                     }
                     self.stats.accepted += 1;
                     let nonce = self.next_nonce();
-                    let chan = ServerChannel::new(self.cfg.auth.clone(), nonce);
+                    let chan = ServerChannel::new(self.cfg.auth.clone(), nonce).serving_as(own);
                     if let Ok(id) = self.install(stream, Chan::Server(chan)) {
                         // Push the SERVER_HELLO out now.
                         if matches!(self.flush_conn(id), Flushed::Alive) {
@@ -896,7 +898,7 @@ mod tests {
     fn end_to_end_authenticated_echo() {
         let mut server = EvLoop::new(cfg()).expect("server loop");
         let addr = server
-            .listen("127.0.0.1:0".parse().expect("addr"))
+            .listen("127.0.0.1:0".parse().expect("addr"), NodeId::vc(0))
             .expect("listen");
         let mut client = EvLoop::new(cfg()).expect("client loop");
         let conn = client
@@ -945,13 +947,41 @@ mod tests {
         assert_eq!(server.stats().authenticated, 1);
     }
 
+    /// A client holding the cluster secret still cannot handshake as the
+    /// node whose listener it dials.
+    #[test]
+    fn a_client_claiming_the_listeners_identity_is_refused() {
+        let mut server = EvLoop::new(cfg()).expect("server loop");
+        let addr = server
+            .listen("127.0.0.1:0".parse().expect("addr"), NodeId::bb(0))
+            .expect("listen");
+        let mut client = EvLoop::new(cfg()).expect("client loop");
+        client
+            .connect(addr, NodeId::bb(0), NodeId::bb(0))
+            .expect("connect");
+        let mut sink = vec![Vec::new(), Vec::new()];
+        pump_until(&mut [&mut server, &mut client], &mut sink, |s| {
+            s[1].iter().any(|e| {
+                matches!(
+                    e,
+                    EvEvent::Down {
+                        reason: DownReason::PeerReject(RejectCode::AuthFailed),
+                        ..
+                    }
+                )
+            })
+        });
+        assert!(!sink[0].iter().any(|e| matches!(e, EvEvent::Up { .. })));
+        assert_eq!(server.stats().authenticated, 0);
+    }
+
     #[test]
     fn admission_limit_rejects_with_server_full() {
         let mut evcfg = cfg();
         evcfg.max_conns = 1;
         let mut server = EvLoop::new(evcfg).expect("server loop");
         let addr = server
-            .listen("127.0.0.1:0".parse().expect("addr"))
+            .listen("127.0.0.1:0".parse().expect("addr"), NodeId::vc(0))
             .expect("listen");
         let mut client = EvLoop::new(cfg()).expect("client loop");
         let c1 = client
@@ -990,7 +1020,7 @@ mod tests {
     fn half_open_close_downs_the_connection() {
         let mut server = EvLoop::new(cfg()).expect("server loop");
         let addr = server
-            .listen("127.0.0.1:0".parse().expect("addr"))
+            .listen("127.0.0.1:0".parse().expect("addr"), NodeId::vc(0))
             .expect("listen");
         let mut client = EvLoop::new(cfg()).expect("client loop");
         let conn = client
@@ -1021,7 +1051,7 @@ mod tests {
     fn stale_conn_id_is_gone_after_slot_reuse() {
         let mut server = EvLoop::new(cfg()).expect("server loop");
         let addr = server
-            .listen("127.0.0.1:0".parse().expect("addr"))
+            .listen("127.0.0.1:0".parse().expect("addr"), NodeId::vc(0))
             .expect("listen");
         let mut client = EvLoop::new(cfg()).expect("client loop");
         let c1 = client

@@ -129,7 +129,7 @@ impl EvNodeEndpoint {
         cfg: EvConfig,
     ) -> io::Result<EvNodeEndpoint> {
         let mut lp = EvLoop::new(cfg)?;
-        let local = lp.listen(listen)?;
+        let local = lp.listen(listen, id)?;
         Ok(Self::over(id, Some(local), lp, peers, Arc::default()))
     }
 
@@ -608,7 +608,7 @@ mod tests {
         ) -> Server {
             let mut lp = EvLoop::new(EvConfig::new(auth.clone(), [9u8; 32])).expect("evloop");
             let addr = lp
-                .listen("127.0.0.1:0".parse().expect("addr"))
+                .listen("127.0.0.1:0".parse().expect("addr"), id)
                 .expect("listen");
             let stop = Arc::new(AtomicBool::new(false));
             let (tx, events) = mpsc::channel();

@@ -8,7 +8,8 @@
 //!   authenticated message-oriented channels, per-edge latency/jitter
 //!   (LAN and netem-style WAN profiles), loss, duplication, crash and
 //!   partition injection, traffic counters, and an optional virtual-time
-//!   mode.
+//!   mode. Every party is a node on it, BB replicas included: a fault
+//!   reaches a node only through its inbox and its links.
 //! * real sockets, one party per OS process: every replica and every
 //!   client is an [`EvNodeEndpoint`] over its own [`evloop::EvLoop`] (a
 //!   readiness loop multiplexing every connection through the [`auth`]
@@ -33,6 +34,6 @@ pub mod transport;
 
 pub use evnode::{AuthTransport, EvNodeEndpoint};
 pub use latency::NetworkProfile;
-pub use simnet::{AmnesiaHook, Endpoint, Envelope, NetFault, SimNet};
+pub use simnet::{Endpoint, Envelope, NetFault, SimNet};
 pub use stats::NetStats;
 pub use transport::{DynEndpoint, TransportEndpoint};

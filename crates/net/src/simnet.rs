@@ -66,9 +66,8 @@ pub enum NetFault {
     Recover(NodeId),
     /// Power-cycles the node: traffic is discarded as for
     /// [`NetFault::Crash`], and the node is told — via a self-addressed
-    /// [`Msg::Amnesia`] envelope that bypasses the crash filter (or the
-    /// amnesia hook, for nodes without an inbox) — to drop volatile state
-    /// and recover from its durable journal.
+    /// [`Msg::Amnesia`] envelope that bypasses the crash filter — to drop
+    /// volatile state and recover from its durable journal.
     CrashAmnesia(NodeId),
     /// Installs a bidirectional partition between two node groups.
     Partition(Vec<NodeId>, Vec<NodeId>),
@@ -142,12 +141,6 @@ enum TimeMode {
     Virtual { clock: VirtualClock },
 }
 
-/// Callback invoked when a [`NetFault::CrashAmnesia`] fires for a node
-/// that has no network inbox (Bulletin Board replicas are driven by
-/// direct calls): the harness registers one to mark the replica for
-/// journal recovery before its next use.
-pub type AmnesiaHook = Arc<dyn Fn(NodeId) + Send + Sync>;
-
 /// One installed gray cut (see [`NetFault::GrayPartition`]).
 struct GrayCut {
     from: HashSet<NodeId>,
@@ -169,7 +162,6 @@ struct NetInner {
     stats: NetStats,
     time: TimeMode,
     drifts: RwLock<Option<DriftRegistry>>,
-    amnesia_hook: RwLock<Option<AmnesiaHook>>,
 }
 
 impl NetInner {
@@ -276,10 +268,6 @@ impl NetInner {
                     if let Some(clock) = self.virtual_clock() {
                         clock.notify_key(id.clock_key());
                     }
-                } else if let Some(hook) = self.amnesia_hook.read().clone() {
-                    // Inbox-less replicas (the BB nodes) are power-cycled
-                    // through the harness hook instead.
-                    hook(id);
                 }
             }
             NetFault::Recover(id) => {
@@ -412,7 +400,6 @@ impl SimNet {
                 stats: NetStats::default(),
                 time,
                 drifts: RwLock::new(None),
-                amnesia_hook: RwLock::new(None),
             }),
         }
     }
@@ -475,13 +462,6 @@ impl SimNet {
     /// its journal by the time traffic returns.
     pub fn restart(&self, id: NodeId) {
         self.inner.apply_fault(NetFault::Recover(id));
-    }
-
-    /// Registers the callback a [`NetFault::CrashAmnesia`] invokes for
-    /// nodes without a network inbox (the BB replicas, which are driven
-    /// by direct calls rather than messages).
-    pub fn set_amnesia_hook(&self, hook: AmnesiaHook) {
-        *self.inner.amnesia_hook.write() = Some(hook);
     }
 
     /// Installs a bidirectional partition between two node groups.

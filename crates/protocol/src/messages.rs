@@ -154,9 +154,8 @@ pub struct ConsensusMsg {
     pub payload: Arc<ConsensusPayload>,
 }
 
-/// An authenticated write relayed to a Bulletin Board replica over the
-/// network (the direct-call path uses `ddemos_bb::BbNode`'s typed
-/// methods; this is the same vocabulary in envelope form).
+/// An authenticated write sent to a Bulletin Board replica over the
+/// network: `ddemos_bb::BbNode`'s typed write methods in envelope form.
 #[derive(Clone, Debug)]
 pub enum BbWriteMsg {
     /// A VC node's final vote set (counts toward the `fv+1` threshold).

@@ -1,15 +1,15 @@
 //! The typed entry point of the facade: [`ElectionBuilder`] and the
 //! [`StoreKind`] ballot-store selector.
 
-use crate::election::{Election, NetBackend, RunState};
+use crate::election::{reserved_clients, Election, NetBackend, RunState};
 use crate::schedule::Schedule;
-use crate::tcp::{TcpBackend, TcpCluster};
-use ddemos_bb::{BbApi, BbNode, MajorityReader};
+use crate::tcp::{coordinator_transport, TcpCluster};
+use ddemos_bb::BbNode;
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_net::{NetworkProfile, SimNet};
 use ddemos_obs::{Recorder, TimeDomain, TimeSource};
 use ddemos_protocol::ballot::Ballot;
-use ddemos_protocol::clock::{GlobalClock, VirtualClock, NS_PER_MS};
+use ddemos_protocol::clock::{ActorGuard, GlobalClock, VirtualClock, NS_PER_MS};
 use ddemos_protocol::exec::Pool;
 use ddemos_protocol::params::ParamError;
 use ddemos_protocol::{NodeId, NodeKind, SerialNo, COORDINATOR};
@@ -18,11 +18,10 @@ use ddemos_storage::{
 };
 use ddemos_trustee::Trustee;
 use ddemos_vc::{
-    Adversary, BallotStore, FnStore, LatencyStore, MemoryStore, StepTrace, StorageModel,
-    VcBehavior, VcHandle, VcNodeConfig,
+    Adversary, BallotStore, FnStore, LatencyStore, MemoryStore, StepTrace, StorageModel, VcHandle,
+    VcNodeConfig,
 };
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Arc;
 use std::time::Duration;
@@ -189,11 +188,9 @@ pub struct ElectionBuilder {
     network: Network,
     store: StoreKind,
     traces: Vec<StepTrace>,
-    behaviors: Vec<VcBehavior>,
     adversaries: Vec<(NodeId, Option<Adversary>)>,
     bb_divergent: Vec<u32>,
     disk_pool: Option<Arc<crate::campaign::DiskPool>>,
-    drifts_ms: Vec<i64>,
     node_drifts: Vec<(NodeId, i64)>,
     materialize_first: Option<u64>,
     corruptions: Vec<SetupCorruption>,
@@ -218,11 +215,9 @@ impl ElectionBuilder {
             network: Network::Sim(NetworkProfile::lan()),
             store: StoreKind::Memory,
             traces: Vec::new(),
-            behaviors: Vec::new(),
             adversaries: Vec::new(),
             bb_divergent: Vec::new(),
             disk_pool: None,
-            drifts_ms: Vec::new(),
             node_drifts: Vec::new(),
             materialize_first: None,
             corruptions: Vec::new(),
@@ -442,30 +437,11 @@ impl ElectionBuilder {
         self
     }
 
-    /// Sets VC behaviours positionally (node 0, 1, …); shorter vectors are
-    /// padded with [`VcBehavior::Honest`], longer ones are rejected at
-    /// `build()` with [`BuildError::BadNode`]. Composes with
-    /// [`ElectionBuilder::adversary`], which wins on conflict.
-    #[must_use]
-    pub fn vc_behaviors(mut self, behaviors: impl IntoIterator<Item = VcBehavior>) -> Self {
-        self.behaviors = behaviors.into_iter().collect();
-        self
-    }
-
     /// Gives one VC node's internal clock a fixed drift (Assumption II's
     /// `Δ` bound, in signed milliseconds).
     #[must_use]
     pub fn clock_drift(mut self, node: NodeId, drift_ms: i64) -> Self {
         self.node_drifts.push((node, drift_ms));
-        self
-    }
-
-    /// Sets VC clock drifts positionally (milliseconds; shorter vectors are
-    /// padded with zero, longer ones are rejected at `build()` with
-    /// [`BuildError::BadNode`]).
-    #[must_use]
-    pub fn clock_drifts(mut self, drifts_ms: impl IntoIterator<Item = i64>) -> Self {
-        self.drifts_ms = drifts_ms.into_iter().collect();
         self
     }
 
@@ -493,7 +469,7 @@ impl ElectionBuilder {
     ///
     /// # Errors
     /// See [`BuildError`].
-    pub fn build(self) -> Result<Election, BuildError> {
+    pub fn build(mut self) -> Result<Election, BuildError> {
         self.params.validate()?;
         if let Network::Tcp(cluster) = &self.network {
             let cluster = cluster.clone();
@@ -501,15 +477,8 @@ impl ElectionBuilder {
         }
         let num_vc = self.params.num_vc;
 
-        // Merge positional and per-node adversaries / drifts. Over-length
-        // positional vectors name a node that does not exist — reject them
-        // like the per-node setters do rather than silently truncating.
-        if self.behaviors.len() > num_vc {
-            return Err(BuildError::BadNode(NodeId::vc(num_vc as u32)));
-        }
-        let mut adversaries: Vec<Option<Adversary>> =
-            self.behaviors.iter().map(|&b| b.into()).collect();
-        adversaries.resize(num_vc, None);
+        // Per-node adversaries and drifts; the last setting of a node wins.
+        let mut adversaries: Vec<Option<Adversary>> = vec![None; num_vc];
         for (node, adversary) in &self.adversaries {
             if node.kind != NodeKind::Vc || node.index as usize >= num_vc {
                 return Err(BuildError::BadNode(*node));
@@ -521,11 +490,7 @@ impl ElectionBuilder {
                 return Err(BuildError::BadNode(NodeId::bb(bb)));
             }
         }
-        let mut drifts = self.drifts_ms;
-        if drifts.len() > num_vc {
-            return Err(BuildError::BadNode(NodeId::vc(num_vc as u32)));
-        }
-        drifts.resize(num_vc, 0);
+        let mut drifts = vec![0; num_vc];
         if self.traces.len() > num_vc {
             return Err(BuildError::BadNode(NodeId::vc(num_vc as u32)));
         }
@@ -592,7 +557,7 @@ impl ElectionBuilder {
             ea.setup_with(self.profile, &pool)
         };
         let setup_elapsed = setup_started.elapsed();
-        for corruption in self.corruptions {
+        for corruption in std::mem::take(&mut self.corruptions) {
             corruption(&mut setup);
         }
         // The EA is destroyed after setup (§III-B) unless a virtual store
@@ -625,19 +590,6 @@ impl ElectionBuilder {
         // Scheduled SetDrift faults write through the registry in both
         // time modes (real-time drift experiments included).
         net.set_drift_registry(clock.drift_registry());
-        // BB replicas have no network inbox, so a CrashAmnesia fault
-        // reaches them through this hook: the index is flagged here and
-        // serviced (state reset + journal replay) by the Election before
-        // its next BB interaction. Registered before any fault can fire.
-        let bb_amnesia: Arc<Mutex<BTreeSet<u32>>> = Arc::new(Mutex::new(BTreeSet::new()));
-        {
-            let flags = bb_amnesia.clone();
-            net.set_amnesia_hook(Arc::new(move |id| {
-                if id.kind == NodeKind::Bb {
-                    flags.lock().insert(id.index);
-                }
-            }));
-        }
         for (at_ms, fault) in &self.schedule.events {
             net.schedule_fault(Duration::from_millis(*at_ms), fault.clone());
         }
@@ -694,7 +646,6 @@ impl ElectionBuilder {
                 }
             }
         };
-        let coordinator = net.register(COORDINATOR);
         let n = self.params.num_ballots;
         let mut vc_handles: Vec<VcHandle> = Vec::with_capacity(num_vc);
         for init in &mut setup.vc_inits {
@@ -740,6 +691,22 @@ impl ElectionBuilder {
             vc_handles.push(handle);
         }
 
+        // Every BB replica serves envelopes on the network, as a TCP
+        // replica does on its listener.
+        let mut bb_threads = Vec::with_capacity(setup.params.num_bb);
+        for (b, recorder) in bb_recorders.iter().enumerate() {
+            let bb = Arc::new(BbNode::new(setup.bb_init.clone()));
+            bb.set_diverge_after_finalized(self.bb_divergent.contains(&(b as u32)));
+            bb.set_recorder(recorder.clone());
+            if self.durability.enabled() {
+                let mut journal = make_journal(format!("bb-{b}"))?.expect("durability enabled");
+                journal.set_recorder(recorder.clone());
+                bb.attach_journal(journal).map_err(storage_err)?;
+            }
+            let endpoint = net.register(NodeId::bb(b as u32));
+            bb_threads.push(ddemos_bb::node::spawn(bb, Box::new(endpoint)));
+        }
+
         if let Some(vclock) = clock.virtual_clock() {
             // Start barrier: every node must be registered before the
             // first advancement step, or the initial event order would
@@ -747,76 +714,81 @@ impl ElectionBuilder {
             // silently void the seed-determinism guarantee, so it is a
             // hard failure even in release builds.
             assert!(
-                vclock.wait_for_registered(num_vc + 1, Duration::from_secs(30)),
-                "vc nodes failed to register with the virtual clock within 30s"
+                vclock.wait_for_registered(num_vc + bb_threads.len() + 1, Duration::from_secs(30)),
+                "vc and bb nodes failed to register with the virtual clock within 30s"
             );
         }
 
-        let bb_nodes: Vec<Arc<BbNode>> = (0..setup.params.num_bb)
-            .map(|_| Arc::new(BbNode::new(setup.bb_init.clone())))
+        let recorders = vc_recorders
+            .into_iter()
+            .chain(bb_recorders)
+            .chain(global_recorder)
             .collect();
-        for &bb in &self.bb_divergent {
-            bb_nodes[bb as usize].set_diverge_after_finalized(true);
-        }
-        for (b, bb) in bb_nodes.iter().enumerate() {
-            bb.set_recorder(bb_recorders[b].clone());
-        }
-        if self.durability.enabled() {
-            for (b, bb) in bb_nodes.iter().enumerate() {
-                let mut journal = make_journal(format!("bb-{b}"))?.expect("durability enabled");
-                journal.set_recorder(bb_recorders[b].clone());
-                bb.attach_journal(journal).map_err(storage_err)?;
-            }
-        }
-        let bb_apis: Vec<Arc<dyn BbApi>> = bb_nodes
-            .iter()
-            .map(|node| node.clone() as Arc<dyn BbApi>)
-            .collect();
-        let reader = MajorityReader::over(bb_apis.clone()).with_clock(clock.clone());
-        let trustees: Vec<Trustee> = setup
+        self.assemble(Started {
+            setup,
+            setup_elapsed,
+            threads: pool.threads(),
+            net: NetBackend::Sim(net),
+            clock,
+            vc_handles,
+            bb_threads,
+            recorders,
+            metrics_domain,
+            driver,
+            ea,
+        })
+    }
+
+    /// Wires the phase handles to what a build path started: the
+    /// [`COORDINATOR`] endpoint and one client per BB replica on the
+    /// election's transport, the majority reader over those clients, and
+    /// the trustees-in-waiting.
+    fn assemble(&self, started: Started) -> Result<Election, BuildError> {
+        let Started {
+            setup, net, clock, ..
+        } = started;
+        let no_endpoint = |e: std::io::Error| BuildError::Net(e.to_string());
+        let coordinator = net.register(COORDINATOR).map_err(no_endpoint)?;
+        let (bb, reader) = net
+            .bb_clients(setup.params.num_bb, &clock)
+            .map_err(no_endpoint)?;
+        let trustees = setup
             .trustee_inits
             .iter()
             .cloned()
-            .map(|init| Trustee::new(init).with_threads(pool.threads()))
+            .map(|init| Trustee::new(init).with_threads(started.threads))
             .collect();
-
         let run = RunState {
             timings: crate::election::PhaseTimings {
-                setup: setup_elapsed,
+                setup: started.setup_elapsed,
                 ..Default::default()
             },
             ..Default::default()
         };
         Ok(Election {
+            next_client: AtomicU32::new(reserved_clients(setup.params.num_bb)),
             setup,
-            net: NetBackend::Sim(net),
+            net,
             clock,
-            bb_nodes,
-            bb_apis,
+            bb,
             reader,
             trustees,
-            _vc_handles: vc_handles,
-            coordinator: Mutex::new(Box::new(coordinator)),
+            _vc_handles: started.vc_handles,
+            bb_threads: started.bb_threads,
+            coordinator: Mutex::new(coordinator),
             seed: self.seed,
             store: self.store,
             profile: self.profile,
-            threads: pool.threads(),
+            threads: started.threads,
             close_timeout: self.close_timeout.unwrap_or(Duration::from_secs(120)),
-            // Client 0 is the coordinator.
-            next_client: AtomicU32::new(1),
             cast_seq: AtomicU64::new(0),
             run: Mutex::new(run),
             close_lock: Mutex::new(()),
-            bb_amnesia,
-            recorders: vc_recorders
-                .into_iter()
-                .chain(bb_recorders)
-                .chain(global_recorder)
-                .collect(),
-            metrics_domain,
+            recorders: started.recorders,
+            metrics_domain: started.metrics_domain,
             profiling: self.profiling,
-            _driver: driver,
-            _ea: ea,
+            _driver: started.driver,
+            _ea: started.ea,
         })
     }
 
@@ -846,18 +818,13 @@ impl ElectionBuilder {
             ("setup corruption", !self.corruptions.is_empty()),
             (
                 "adversarial behaviors",
-                !self.behaviors.is_empty()
-                    || !self.adversaries.is_empty()
-                    || !self.bb_divergent.is_empty(),
+                !self.adversaries.is_empty() || !self.bb_divergent.is_empty(),
             ),
             ("campaign disk pools", self.disk_pool.is_some()),
             // Replica-side recorders live in other processes; only the
             // transport's connection counters reach the coordinator.
             ("wall-clock profiling", self.profiling),
-            (
-                "clock drifts",
-                !self.drifts_ms.is_empty() || !self.node_drifts.is_empty(),
-            ),
+            ("clock drifts", !self.node_drifts.is_empty()),
             (
                 "non-memory ballot stores",
                 !matches!(self.store, StoreKind::Memory),
@@ -883,52 +850,37 @@ impl ElectionBuilder {
         let ea = ElectionAuthority::new(self.params.clone(), self.seed);
         let setup = ea.setup_with(SetupProfile::Full, &pool);
         let setup_elapsed = setup_started.elapsed();
-        let backend = TcpBackend::connect(cluster, self.seed);
-        let net = |e: std::io::Error| BuildError::Net(e.to_string());
-        let coordinator = backend.register(COORDINATOR).map_err(net)?;
-        let bb_apis = backend.bb_clients().map_err(net)?;
-        let reserved_clients = backend.reserved_clients();
-        let reader = MajorityReader::over(bb_apis.clone());
-        let trustees: Vec<Trustee> = setup
-            .trustee_inits
-            .iter()
-            .cloned()
-            .map(|init| Trustee::new(init).with_threads(pool.threads()))
-            .collect();
-        let run = RunState {
-            timings: crate::election::PhaseTimings {
-                setup: setup_elapsed,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Ok(Election {
+        self.assemble(Started {
             setup,
-            net: NetBackend::Tcp(backend),
-            clock: GlobalClock::new(),
-            bb_nodes: Vec::new(),
-            bb_apis,
-            reader,
-            trustees,
-            _vc_handles: Vec::new(),
-            coordinator: Mutex::new(coordinator),
-            seed: self.seed,
-            store: self.store,
-            profile: self.profile,
+            setup_elapsed,
             threads: pool.threads(),
-            close_timeout: self.close_timeout.unwrap_or(Duration::from_secs(120)),
-            next_client: AtomicU32::new(reserved_clients),
-            cast_seq: AtomicU64::new(0),
-            run: Mutex::new(run),
-            close_lock: Mutex::new(()),
-            bb_amnesia: Arc::new(Mutex::new(BTreeSet::new())),
+            net: NetBackend::Tcp(coordinator_transport(&cluster, self.seed)),
+            clock: GlobalClock::new(),
+            vc_handles: Vec::new(),
+            bb_threads: Vec::new(),
             recorders: Vec::new(),
             metrics_domain: TimeDomain::Wall,
-            profiling: false,
-            _driver: None,
-            _ea: None,
+            driver: None,
+            ea: None,
         })
     }
+}
+
+/// What a build path has started, for [`ElectionBuilder::assemble`].
+struct Started {
+    setup: SetupOutput,
+    setup_elapsed: Duration,
+    threads: usize,
+    net: NetBackend,
+    clock: GlobalClock,
+    vc_handles: Vec<VcHandle>,
+    bb_threads: Vec<std::thread::JoinHandle<()>>,
+    /// Per-node metrics recorders in fixed merge order (vc-0…, bb-0…,
+    /// then the profiling hook if installed).
+    recorders: Vec<Recorder>,
+    metrics_domain: TimeDomain,
+    driver: Option<ActorGuard>,
+    ea: Option<Arc<ElectionAuthority>>,
 }
 
 /// Derives voter ballots and per-node VC rows for serials `0..k` on the

@@ -341,12 +341,6 @@ impl Tick<'_> {
         self.push(ScenarioEvent::Net(NetFault::HealPartitions))
     }
 
-    /// Heals only the cuts between two specific groups.
-    #[must_use]
-    pub fn heal_between(self, a: Vec<NodeId>, b: Vec<NodeId>) -> Self {
-        self.push(ScenarioEvent::Net(NetFault::HealPartition(a, b)))
-    }
-
     /// Swaps the network latency/loss profile (degrade or restore).
     #[must_use]
     pub fn degrade(self, profile: ddemos_net::NetworkProfile) -> Self {

@@ -2,18 +2,17 @@
 
 use crate::builder::StoreKind;
 use crate::report::{ElectionReport, NetReport};
-use crate::tcp::TcpBackend;
 use crate::workload::{Workload, WorkloadStats};
 use crossbeam_channel::RecvTimeoutError;
 use ddemos::auditor::{AuditReport, Auditor};
 use ddemos::voter::{VoteError, VoteRecord, Voter};
-use ddemos_bb::{BbApi, BbNode, BbSnapshot, MajorityReader};
+use ddemos_bb::{BbApi, BbSnapshot, MajorityReader, RemoteBb};
 use ddemos_ea::{ElectionAuthority, SetupOutput};
-use ddemos_net::{DynEndpoint, NetStats, SimNet};
+use ddemos_net::{AuthTransport, DynEndpoint, NetStats, SimNet};
 use ddemos_obs::{MetricsSnapshot, Recorder, TimeDomain};
 use ddemos_protocol::ballot::AuditInfo;
 use ddemos_protocol::clock::{ActorGuard, GlobalClock};
-use ddemos_protocol::messages::{Envelope, Msg};
+use ddemos_protocol::messages::{BbWriteMsg, Envelope, Msg};
 use ddemos_protocol::posts::ElectionResult;
 use ddemos_protocol::{NodeId, PartId, SerialNo};
 use ddemos_trustee::Trustee;
@@ -35,24 +34,45 @@ pub(crate) enum NetBackend {
     /// In-process simulation (latency emulation, faults, virtual time).
     Sim(SimNet),
     /// Coordinator of remote replicas over TCP sockets.
-    Tcp(TcpBackend),
+    Tcp(AuthTransport),
 }
 
 impl NetBackend {
     fn stats(&self) -> &NetStats {
         match self {
             NetBackend::Sim(net) => net.stats(),
-            NetBackend::Tcp(backend) => backend.transport.stats(),
+            NetBackend::Tcp(transport) => transport.stats(),
         }
     }
 
-    fn register(&self, id: NodeId) -> DynEndpoint {
+    /// An endpoint for `id` (a socket endpoint's loop cannot be created
+    /// off Linux).
+    pub(crate) fn register(&self, id: NodeId) -> std::io::Result<DynEndpoint> {
         match self {
-            NetBackend::Sim(net) => Box::new(net.register(id)),
-            NetBackend::Tcp(backend) => backend
-                .register(id)
-                .unwrap_or_else(|e| panic!("no socket endpoint for {id}: {e}")),
+            NetBackend::Sim(net) => Ok(Box::new(net.register(id))),
+            NetBackend::Tcp(transport) => Ok(Box::new(transport.register(id)?)),
         }
+    }
+
+    /// The coordinator's clients of the `num_bb` BB replicas, one endpoint
+    /// each on client ids `1..=num_bb`, and the majority reader over them,
+    /// pacing its retries by `clock`.
+    pub(crate) fn bb_clients(
+        &self,
+        num_bb: usize,
+        clock: &GlobalClock,
+    ) -> std::io::Result<(Vec<Arc<RemoteBb>>, MajorityReader)> {
+        let clients = (0..num_bb as u32)
+            .map(|j| {
+                Ok(Arc::new(RemoteBb::new(
+                    self.register(NodeId::client(1 + j))?,
+                    NodeId::bb(j),
+                )))
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let apis = clients.iter().map(|bb| bb.clone() as Arc<dyn BbApi>);
+        let reader = MajorityReader::over(apis.collect()).with_clock(clock.clone());
+        Ok((clients, reader))
     }
 
     /// Connection counters of the authenticated-channel transport
@@ -60,14 +80,14 @@ impl NetBackend {
     fn conn_counters(&self) -> Option<ddemos_net::evloop::EvStats> {
         match self {
             NetBackend::Sim(_) => None,
-            NetBackend::Tcp(backend) => Some(backend.transport.conn_counters()),
+            NetBackend::Tcp(transport) => Some(transport.conn_counters()),
         }
     }
 
     fn shutdown(&self) {
         match self {
             NetBackend::Sim(net) => net.shutdown(),
-            NetBackend::Tcp(backend) => backend.transport.shutdown(),
+            NetBackend::Tcp(transport) => transport.shutdown(),
         }
     }
 }
@@ -75,6 +95,13 @@ impl NetBackend {
 /// How long, in the network's time base, [`Election::close`] waits for a
 /// collector's finalized vote set before sending it `ClosePolls` again.
 const CLOSE_RETRY: Duration = Duration::from_secs(1);
+/// Client ids below this are the election's own: [`crate::COORDINATOR`]
+/// (client 0) and its BB clients (`1..=num_bb`). Voters and load
+/// connections are numbered from here.
+pub(crate) fn reserved_clients(num_bb: usize) -> u32 {
+    1 + num_bb as u32
+}
+
 /// How long shutting down waits for the replicas to close their ends of
 /// the coordinator's connections.
 pub(crate) const SHUTDOWN_PATIENCE: Duration = Duration::from_secs(1);
@@ -163,16 +190,18 @@ pub struct Election {
     pub setup: SetupOutput,
     pub(crate) net: NetBackend,
     pub(crate) clock: GlobalClock,
-    /// Local BB replicas (empty for a TCP coordinator — the replicas
-    /// live in other processes, reachable through [`Election::bb_apis`]).
-    pub(crate) bb_nodes: Vec<Arc<BbNode>>,
-    /// Every BB replica as a write/read client, local or remote.
-    pub(crate) bb_apis: Vec<Arc<dyn BbApi>>,
+    /// One client per BB replica; the replicas serve envelopes on the
+    /// election's transport, in process or in other processes.
+    pub(crate) bb: Vec<Arc<RemoteBb>>,
+    /// The majority reader over the same clients.
     pub(crate) reader: MajorityReader,
     pub(crate) trustees: Vec<Trustee>,
     /// The in-process VC node threads (none over TCP), joined as the
     /// election drops, after the network under them has shut down.
     pub(crate) _vc_handles: Vec<VcHandle>,
+    /// The in-process BB replica threads (none over TCP), joined after
+    /// the network shuts down too.
+    pub(crate) bb_threads: Vec<std::thread::JoinHandle<()>>,
     /// The [`crate::COORDINATOR`] endpoint on the election's transport: it
     /// closes the polls, collects the finalized vote sets and stops the
     /// replicas.
@@ -189,10 +218,6 @@ pub struct Election {
     /// Serializes [`Election::close`], so one closer collects, caches and
     /// publishes the vote sets.
     pub(crate) close_lock: Mutex<()>,
-    /// BB indices flagged by a `CrashAmnesia` fault (BB replicas have no
-    /// network inbox, so the network hook records them here); serviced —
-    /// state reset + journal replay — before the next BB interaction.
-    pub(crate) bb_amnesia: Arc<parking_lot::Mutex<std::collections::BTreeSet<u32>>>,
     /// Per-node metrics recorders in fixed merge order (vc-0…, bb-0…,
     /// then the profiling hook if installed). Empty when metrics are off
     /// or the nodes live in other processes (TCP coordinator).
@@ -215,11 +240,10 @@ pub struct Election {
 
 impl Drop for Election {
     fn drop(&mut self) {
-        // Every replica stops on the coordinator's Shutdown (in process the
-        // BB replicas are objects with no inbox, and theirs goes nowhere),
-        // or once the network shuts down under it: under a virtual clock
-        // that is what wakes nodes blocked in virtual waits. The VC
-        // threads are joined as `_vc_handles` drops.
+        // Every replica stops on the coordinator's Shutdown, or once the
+        // network shuts down under it: under a virtual clock that is what
+        // wakes nodes blocked in virtual waits. The BB threads are joined
+        // here, the VC threads as `_vc_handles` drops.
         let params = &self.setup.params;
         let coordinator = self.coordinator.lock();
         for i in 0..params.num_vc as u32 {
@@ -230,6 +254,9 @@ impl Drop for Election {
         }
         coordinator.close(SHUTDOWN_PATIENCE);
         self.net.shutdown();
+        for thread in self.bb_threads.drain(..) {
+            let _ = thread.join();
+        }
         if self.profiling {
             ddemos_obs::clear_global();
         }
@@ -283,7 +310,6 @@ impl Election {
     pub fn close(&self) -> Result<Vec<FinalizedVoteSet>, ElectionError> {
         // Serialized: one closer collects, caches and publishes.
         let _phase = self.close_lock.lock();
-        self.service_bb_amnesia();
         let cached = self.run.lock().finalized.clone();
         let finalized = match cached {
             Some(finalized) => finalized,
@@ -313,10 +339,10 @@ impl Election {
         if self.is_full_setup() && !self.run.lock().published {
             // Unlike the consensus span above, this delta is safe to
             // sample driver-side even under a virtual clock: between the
-            // two samples the driver only does synchronous BB writes, and
-            // the read predicate is a pure function of those writes — so
-            // the delta is 0 (first-try read) or the whole wait errors,
-            // independent of the racy absolute base.
+            // two samples the driver only waits on BB round trips, whose
+            // virtual latencies are seeded, and the read predicate is a
+            // pure function of the writes — so the delta does not depend
+            // on the racy absolute base.
             let t1 = self.clock.now_ns();
             self.push_to_bb(&finalized);
             self.reader
@@ -341,7 +367,6 @@ impl Election {
     /// [`ElectionError::PhaseUnavailable`] before `close` or on a
     /// VC-only setup; otherwise trustee and BB failures.
     pub fn tally(&self) -> Result<ElectionResult, ElectionError> {
-        self.service_bb_amnesia();
         if !self.is_full_setup() {
             return Err(ElectionError::PhaseUnavailable(
                 "tally requires SetupProfile::Full (not a vc_only election)",
@@ -370,13 +395,14 @@ impl Election {
             .iter()
             .map(|trustee| {
                 let (post, sig) = trustee.produce_post(&snapshot)?;
-                Ok((Arc::new(post), sig))
+                Ok(BbWriteMsg::TrusteePost {
+                    post: Arc::new(post),
+                    sig,
+                })
             })
             .collect::<Result<Vec<_>, _>>()
             .map_err(ElectionError::Trustee)?;
-        self.write_to_replicas(&posts, |bb, (post, sig)| {
-            let _ = bb.submit_trustee_post(post.clone(), sig);
-        });
+        RemoteBb::write_all(&self.bb, &posts);
         let result = self
             .reader
             .read_until(RESULT_TIMEOUT, |s| s.result.is_some())
@@ -398,7 +424,6 @@ impl Election {
     /// [`ElectionError::BbTimeout`] when no BB majority agrees on a
     /// snapshot.
     pub fn audit(&self) -> Result<AuditReport, ElectionError> {
-        self.service_bb_amnesia();
         let snapshot = self
             .reader
             .read_snapshot()
@@ -542,39 +567,21 @@ impl Election {
         &self.reader
     }
 
-    /// The BB replicas.
-    pub fn bb_nodes(&self) -> &[Arc<BbNode>] {
-        &self.bb_nodes
-    }
-
     /// Majority-reads the current BB snapshot.
     pub fn snapshot(&self) -> Option<BbSnapshot> {
-        self.service_bb_amnesia();
         self.reader.read_snapshot()
-    }
-
-    /// Services pending BB power-cycles: a `CrashAmnesia` fault flagged
-    /// the replica (BB nodes have no inbox to receive the signal), and
-    /// before the next interaction its state is reset and rebuilt from
-    /// its journal — or comes back empty without one, leaving the `fb+1`
-    /// read majority to carry the subsystem. BB state only changes
-    /// through driver-synchronous writes, so servicing lazily here is
-    /// equivalent to servicing at the fault's timestamp.
-    fn service_bb_amnesia(&self) {
-        let flagged: Vec<u32> = std::mem::take(&mut *self.bb_amnesia.lock())
-            .into_iter()
-            .collect();
-        for index in flagged {
-            if let Some(bb) = self.bb_nodes.get(index as usize) {
-                bb.recover_amnesia();
-            }
-        }
     }
 
     /// Registers a fresh client (voter terminal) endpoint on whichever
     /// transport the election runs over.
+    ///
+    /// # Panics
+    /// Panics when the socket endpoint cannot be created.
     pub fn client_endpoint(&self) -> DynEndpoint {
-        self.net.register(NodeId::client(self.alloc_clients(1)))
+        let id = NodeId::client(self.alloc_clients(1));
+        self.net
+            .register(id)
+            .unwrap_or_else(|e| panic!("no socket endpoint for {id}: {e}"))
     }
 
     /// Reserves `count` fresh client ids, returning the first.
@@ -684,39 +691,24 @@ impl Election {
     }
 
     /// Pushes finalized vote sets and msk shares to every BB node (each VC
-    /// node writes to all replicas, §III-G).
+    /// node writes to all replicas, §III-G), in runs that every replica
+    /// gets before any reply is awaited, so the isolated replicas verify
+    /// in parallel ([`RemoteBb::write_all`]).
     pub fn push_to_bb(&self, finalized: &[FinalizedVoteSet]) {
-        self.service_bb_amnesia();
-        self.write_to_replicas(finalized, |bb, f| {
-            let _ = bb.submit_vote_set(f.node_index, &f.vote_set, &f.signature);
-            let _ = bb.submit_msk_share(&f.msk_share);
-        });
-    }
-
-    /// Submits `items`, in order, to every BB replica. The replicas are
-    /// isolated (§III-G) and verify every write themselves, so in real
-    /// time each gets its own thread — what a deployment with one machine
-    /// per replica does anyway — and the slowest replica, not their sum,
-    /// sets the wait. Under a virtual clock the writes stay on the driver
-    /// thread, item by item: a BB write sleeps on its journal's modelled
-    /// latency, and only a registered actor may block the virtual clock —
-    /// unregistered writers deadlock it, registered ones reorder the
-    /// actor set every seed's replay fingerprint is a function of.
-    fn write_to_replicas<T: Sync>(&self, items: &[T], write: impl Fn(&dyn BbApi, &T) + Sync) {
-        if self.clock.virtual_clock().is_some() {
-            for item in items {
-                for bb in &self.bb_apis {
-                    write(bb.as_ref(), item);
-                }
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for bb in &self.bb_apis {
-                let write = &write;
-                scope.spawn(move || items.iter().for_each(|item| write(bb.as_ref(), item)));
-            }
-        });
+        let writes: Vec<BbWriteMsg> = finalized
+            .iter()
+            .flat_map(|f| {
+                [
+                    BbWriteMsg::VoteSet {
+                        from_vc: f.node_index,
+                        set: f.vote_set.clone(),
+                        sig: f.signature,
+                    },
+                    BbWriteMsg::MskShare { share: f.msk_share },
+                ]
+            })
+            .collect();
+        RemoteBb::write_all(&self.bb, &writes);
     }
 
     fn is_full_setup(&self) -> bool {

@@ -54,8 +54,8 @@
 //! Faults and attacks are builder options: `.adversary(NodeId::vc(0),
 //! VcBehavior::Crashed)` makes a collector Byzantine,
 //! `.corrupt_setup(|setup| modification_attack(setup, …))` mounts the
-//! malicious-EA attacks of §IV-C ([`adversary`]), `.clock_drifts([...])`
-//! exercises the Δ drift bound, and [`StoreKind`] swaps the ballot store
+//! malicious-EA attacks of §IV-C ([`adversary`]), `.clock_drift(NodeId::vc(1),
+//! 15)` exercises the Δ drift bound, and [`StoreKind`] swaps the ballot store
 //! (memory / modelled-latency disk / PRF-derived virtual electorate — see
 //! `DESIGN.md`).
 

@@ -25,12 +25,13 @@
 //! ordering. All connections sharing a ballot cast the *same* vote
 //! code (option 0), keeping every re-cast on the idempotent path.
 
-use crate::election::SHUTDOWN_PATIENCE;
-use crate::tcp::{process_nonce_seed, TcpBackend, TcpCluster};
+use crate::election::{reserved_clients, SHUTDOWN_PATIENCE};
+use crate::tcp::{coordinator_transport, process_nonce_seed, TcpCluster};
 use ddemos_crypto::votecode::VoteCode;
 use ddemos_ea::ElectionAuthority;
 use ddemos_net::evloop::{ConnId, EvConfig, EvEvent, EvLoop, EvStats};
 use ddemos_net::sys::raise_nofile_limit;
+use ddemos_net::TransportEndpoint;
 use ddemos_protocol::messages::{Envelope, Msg, VoteOutcome};
 use ddemos_protocol::{ElectionParams, NodeId, PartId, SerialNo, COORDINATOR};
 use std::collections::HashMap;
@@ -44,9 +45,11 @@ pub struct ShardConfig {
     pub shard: usize,
     /// Connections this shard opens.
     pub conns: usize,
-    /// First client-identity index this shard uses; shard `s` of a
+    /// First connection index this shard uses; shard `s` of a
     /// multi-process run passes `s * conns` so identities are globally
     /// unique (the server routes replies by authenticated identity).
+    /// Identities are numbered above the client ids an election reserves
+    /// (see [`load_identity`]).
     pub client_base: u32,
     /// Ramp deadline: how long to wait for all connections to come up
     /// before measuring anyway.
@@ -210,6 +213,12 @@ struct ConnState {
     casts: u64,
 }
 
+/// The client identity of load connection `global`, above the ids an
+/// election reserves for [`COORDINATOR`] and its BB clients.
+fn load_identity(params: &ElectionParams, global: usize) -> NodeId {
+    NodeId::client(reserved_clients(params.num_bb) + global as u32)
+}
+
 /// Runs one load shard to completion: ramp, warm-up, measure.
 ///
 /// The shard derives the printed ballots it casts itself
@@ -232,7 +241,7 @@ pub fn run_load_shard(
     let per_vc = (params.num_ballots as usize / num_vc).max(1);
 
     let auth = cluster.auth_config(seed);
-    let loop_identity = NodeId::client(cfg.client_base);
+    let loop_identity = load_identity(params, cfg.client_base as usize);
     let mut ev = EvLoop::new(EvConfig {
         auth,
         max_conns: cfg.conns + 16,
@@ -255,7 +264,7 @@ pub fn run_load_shard(
             .part(PartId::A)
             .line_for_option(0)
             .expect("option 0 exists");
-        let identity = NodeId::client(global as u32);
+        let identity = load_identity(params, global);
         let conn = connect_retry(
             &mut ev,
             cluster.vc_addrs[vc_index as usize],
@@ -497,7 +506,7 @@ fn pump(
 /// The coordinator's endpoint could not be created (off Linux, or out
 /// of file descriptors).
 pub fn shutdown_cluster(seed: u64, cluster: &TcpCluster) -> io::Result<()> {
-    let coordinator = TcpBackend::connect(cluster.clone(), seed).register(COORDINATOR)?;
+    let coordinator = coordinator_transport(cluster, seed).register(COORDINATOR)?;
     for i in 0..cluster.vc_addrs.len() as u32 {
         coordinator.send(NodeId::vc(i), Msg::Shutdown);
     }
@@ -512,6 +521,17 @@ mod tests {
     // The histogram's own quantile/merge/bucket tests moved with the
     // implementation to `crates/obs`; what stays here is the shard wire
     // format built on top of it.
+
+    #[test]
+    fn no_load_identity_is_the_coordinator_or_a_bb_client() {
+        let params = ElectionParams::new("load-ids", 8, 2, 4, 3, 3, 2, 0, 1_000).unwrap();
+        let reserved: Vec<NodeId> = (0..=params.num_bb as u32).map(NodeId::client).collect();
+        assert_eq!(reserved[0], COORDINATOR);
+        for global in 0..64 {
+            let id = load_identity(&params, global);
+            assert!(!reserved.contains(&id), "connection {global} is {id}");
+        }
+    }
 
     #[test]
     fn shard_report_json_round_trips() {

@@ -526,9 +526,11 @@ pub fn run_plan(
         .virtual_time()
         .network(plan.profile.clone())
         .store(plan.store)
-        .vc_behaviors(plan.behaviors.clone())
         .schedule(schedule)
         .close_timeout(CLOSE_TIMEOUT);
+    for (i, &behavior) in plan.behaviors.iter().enumerate() {
+        builder = builder.adversary(NodeId::vc(i as u32), behavior);
+    }
     if durability {
         builder = builder
             .durability(Durability::sim())

@@ -10,8 +10,9 @@
 //! voters cast over sockets, and `tally()` and `audit()` run against a
 //! majority read of `Msg::BbReadResponse`s. The coordinator speaks to the
 //! replicas exactly as it does in process — `ClosePolls`, `Finalized`,
-//! `Shutdown` from and to [`COORDINATOR`] — over its own dialed
-//! connections instead of the simulated network.
+//! `Shutdown` from and to [`COORDINATOR`], BB writes and reads through
+//! its `ddemos_bb::RemoteBb` clients — over its own dialed connections
+//! instead of the simulated network.
 //!
 //! Every party — replica, coordinator, BB client, voter — is one
 //! [`EvNodeEndpoint`] over its own epoll event loop, and every connection
@@ -24,8 +25,10 @@
 //! all parties share one channel secret, so anyone holding it can still
 //! handshake as the coordinator until per-node keys replace it.
 //!
-//! The replicas run the *same* sans-I/O cores (`VcCore`, `BbCore`) as the
-//! in-process simulation — only the endpoint differs — which is what
+//! The replicas run the *same* drivers (`ddemos_vc::node::spawn`,
+//! `ddemos_bb::node::serve`) over the same sans-I/O cores (`VcCore`,
+//! `BbCore`) as the in-process simulation — only the endpoint differs —
+//! which is what
 //! makes the same-seed TCP and in-process runs produce identical tallies,
 //! receipts, and audit verdicts (`examples/tcp_cluster.rs` asserts
 //! exactly that across OS processes).
@@ -59,27 +62,16 @@
 //! except the channel-authentication stand-in
 //! ([`seeded_secret`], likewise a placeholder for distributed keys).
 
-use ddemos_bb::{codec as bb_codec, BbApi, BbNode, BbSnapshot, WriteError};
-use ddemos_crypto::schnorr::Signature;
-use ddemos_crypto::vss::SignedShare;
+use ddemos_bb::BbNode;
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_net::auth::{seeded_secret, AuthConfig};
 use ddemos_net::evloop::EvConfig;
-use ddemos_net::{AuthTransport, DynEndpoint, EvNodeEndpoint, TransportEndpoint};
+use ddemos_net::{AuthTransport, EvNodeEndpoint};
 use ddemos_protocol::clock::GlobalClock;
 use ddemos_protocol::exec::Pool;
-use ddemos_protocol::messages::{BbWriteMsg, Msg};
-use ddemos_protocol::posts::{TrusteePost, VoteSet};
 use ddemos_protocol::{ElectionParams, NodeId, COORDINATOR};
 use ddemos_vc::{MemoryStore, VcNodeConfig};
-use parking_lot::Mutex;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Per-request timeout of remote BB reads and writes.
-const BB_REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Listener, admission and channel-authentication configuration of a
 /// TCP deployment. Carried inside [`TcpCluster`] so every replica
@@ -203,14 +195,9 @@ impl TcpCluster {
     /// Every replica's identity and listen address: the coordinator's
     /// static peer table.
     pub(crate) fn replicas(&self) -> Vec<(NodeId, SocketAddr)> {
-        let mut peers = Vec::with_capacity(self.vc_addrs.len() + self.bb_addrs.len());
-        for (i, addr) in self.vc_addrs.iter().enumerate() {
-            peers.push((NodeId::vc(i as u32), *addr));
-        }
-        for (j, addr) in self.bb_addrs.iter().enumerate() {
-            peers.push((NodeId::bb(j as u32), *addr));
-        }
-        peers
+        let vcs = (0..).map(NodeId::vc).zip(self.vc_addrs.iter().copied());
+        vcs.chain((0..).map(NodeId::bb).zip(self.bb_addrs.iter().copied()))
+            .collect()
     }
 }
 
@@ -293,8 +280,8 @@ pub fn run_vc_replica(
     Ok(())
 }
 
-/// Runs one BB replica to completion: a request/response loop over
-/// `Msg::BbWrite` / `Msg::BbReadRequest` envelopes against a [`BbNode`],
+/// Runs one BB replica to completion: [`ddemos_bb::node::serve`], the
+/// loop every in-process replica runs too, over the replica's listener,
 /// until the coordinator sends `Msg::Shutdown`.
 ///
 /// # Errors
@@ -308,183 +295,26 @@ pub fn run_bb_replica(
     let node = BbNode::new(derive_setup(params, seed, SetupProfile::BbNode).bb_init);
     let me = NodeId::bb(index);
     // A BB replica never dials anyone: every client (the coordinator's
-    // RemoteBb clients, auditors) connects in.
+    // `RemoteBb` clients, auditors) connects in.
     let endpoint = EvNodeEndpoint::bind(
         me,
         cluster.bb_addrs[index as usize],
         Vec::new(),
         cluster.ev_config(seed, me),
     )?;
-    serve_bb(&node, &endpoint);
+    ddemos_bb::node::serve(&node, &endpoint);
     Ok(())
 }
 
-/// The BB replica serve loop: one request, one reply, until the
-/// coordinator says stop or the endpoint closes.
-fn serve_bb(node: &BbNode, endpoint: &dyn TransportEndpoint) {
-    while let Ok(env) = endpoint.recv() {
-        match env.msg {
-            Msg::BbWrite { request_id, write } => {
-                let outcome = node.handle_write(write);
-                endpoint.send(
-                    env.from,
-                    Msg::BbWriteReply {
-                        request_id,
-                        outcome,
-                    },
-                );
-            }
-            Msg::BbReadRequest { request_id } => {
-                let snapshot = Arc::new(bb_codec::encode_snapshot(&node.read()));
-                endpoint.send(
-                    env.from,
-                    Msg::BbReadResponse {
-                        request_id,
-                        snapshot,
-                    },
-                );
-            }
-            Msg::Shutdown if env.from == COORDINATOR => return,
-            _ => {}
-        }
-    }
-}
-
-/// A [`BbApi`] client for one remote BB replica: request/response
-/// envelopes with correlation ids over a dedicated coordinator endpoint.
-/// Timeouts surface as `None` / [`WriteError::Unavailable`] — the
-/// majority reader outvotes an unreachable replica like any divergent
-/// one.
-pub struct RemoteBb {
-    endpoint: Mutex<DynEndpoint>,
-    target: NodeId,
-    timeout: Duration,
-    next_request: AtomicU64,
-}
-
-impl RemoteBb {
-    /// Wraps a dedicated endpoint speaking to `target`.
-    pub fn new(endpoint: DynEndpoint, target: NodeId) -> RemoteBb {
-        RemoteBb {
-            endpoint: Mutex::new(endpoint),
-            target,
-            timeout: BB_REQUEST_TIMEOUT,
-            next_request: AtomicU64::new(1),
-        }
-    }
-
-    /// Sends one request and waits for the reply carrying the same
-    /// correlation id (stale replies from timed-out requests are
-    /// discarded).
-    fn request(&self, make: impl FnOnce(u64) -> Msg) -> Option<Msg> {
-        let request_id = self.next_request.fetch_add(1, Ordering::SeqCst);
-        let endpoint = self.endpoint.lock();
-        endpoint.send(self.target, make(request_id));
-        // lint:allow(wall-clock, client-side request timeout over a real TCP socket)
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            // lint:allow(wall-clock, client-side request timeout over a real TCP socket)
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            let env = endpoint.recv_timeout(remaining).ok()?;
-            let rid = match &env.msg {
-                Msg::BbWriteReply { request_id, .. } => *request_id,
-                Msg::BbReadResponse { request_id, .. } => *request_id,
-                _ => continue,
-            };
-            if rid == request_id {
-                return Some(env.msg);
-            }
-        }
-    }
-
-    fn write(&self, write: BbWriteMsg) -> Result<(), WriteError> {
-        match self.request(|request_id| Msg::BbWrite { request_id, write }) {
-            Some(Msg::BbWriteReply { outcome, .. }) => ddemos_bb::core::outcome_to_result(outcome),
-            _ => Err(WriteError::Unavailable),
-        }
-    }
-}
-
-impl BbApi for RemoteBb {
-    fn read(&self) -> Option<BbSnapshot> {
-        match self.request(|request_id| Msg::BbReadRequest { request_id }) {
-            Some(Msg::BbReadResponse { snapshot, .. }) => bb_codec::decode_snapshot(&snapshot).ok(),
-            _ => None,
-        }
-    }
-
-    fn submit_vote_set(
-        &self,
-        from_vc: u32,
-        set: &VoteSet,
-        sig: &Signature,
-    ) -> Result<(), WriteError> {
-        self.write(BbWriteMsg::VoteSet {
-            from_vc,
-            set: set.clone(),
-            sig: *sig,
-        })
-    }
-
-    fn submit_msk_share(&self, share: &SignedShare) -> Result<(), WriteError> {
-        self.write(BbWriteMsg::MskShare { share: *share })
-    }
-
-    fn submit_trustee_post(
-        &self,
-        post: Arc<TrusteePost>,
-        sig: &Signature,
-    ) -> Result<(), WriteError> {
-        self.write(BbWriteMsg::TrusteePost { post, sig: *sig })
-    }
-}
-
-/// The coordinator's connection to a remote cluster (held by
-/// [`crate::Election`] in TCP mode).
-pub(crate) struct TcpBackend {
-    pub(crate) transport: AuthTransport,
-    pub(crate) cluster: TcpCluster,
-}
-
-impl TcpBackend {
-    /// Prepares the coordinator's dial-out transport. Nothing is dialed
-    /// until the first send.
-    pub(crate) fn connect(cluster: TcpCluster, seed: u64) -> TcpBackend {
-        let transport = AuthTransport::new(
-            cluster.replicas(),
-            cluster.auth_config(seed),
-            process_nonce_seed(COORDINATOR),
-        );
-        TcpBackend { transport, cluster }
-    }
-
-    /// A client endpoint with its own event loop on the coordinator's
-    /// transport.
-    ///
-    /// # Errors
-    /// Loop creation (always fails off Linux).
-    pub(crate) fn register(&self, id: NodeId) -> std::io::Result<DynEndpoint> {
-        Ok(Box::new(self.transport.register(id)?))
-    }
-
-    /// One [`RemoteBb`] client per BB replica, each on its own endpoint
-    /// (client ids `1..=num_bb`).
-    ///
-    /// # Errors
-    /// Loop creation (always fails off Linux).
-    pub(crate) fn bb_clients(&self) -> std::io::Result<Vec<Arc<dyn BbApi>>> {
-        (0..self.cluster.bb_addrs.len() as u32)
-            .map(|j| {
-                let endpoint = self.register(NodeId::client(1 + j))?;
-                Ok(Arc::new(RemoteBb::new(endpoint, NodeId::bb(j))) as Arc<dyn BbApi>)
-            })
-            .collect()
-    }
-
-    /// Client ids `0..=num_bb` are reserved (coordinator + BB clients).
-    pub(crate) fn reserved_clients(&self) -> u32 {
-        1 + self.cluster.bb_addrs.len() as u32
-    }
+/// The coordinator's dial-out transport to a remote cluster (held by
+/// [`crate::Election`] in TCP mode). Nothing is dialed until the first
+/// send.
+pub(crate) fn coordinator_transport(cluster: &TcpCluster, seed: u64) -> AuthTransport {
+    AuthTransport::new(
+        cluster.replicas(),
+        cluster.auth_config(seed),
+        process_nonce_seed(COORDINATOR),
+    )
 }
 
 #[cfg(test)]
@@ -492,8 +322,11 @@ impl TcpBackend {
 mod tests {
     use super::*;
     use ddemos_crypto::votecode::VoteCode;
+    use ddemos_net::TransportEndpoint;
+    use ddemos_protocol::messages::Msg;
     use ddemos_protocol::SerialNo;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
 
     const SEED: u64 = 7;
 
@@ -609,15 +442,15 @@ mod tests {
                 }
                 false
             });
-            let backend = TcpBackend::connect(cluster, SEED);
-            let coordinator = backend.register(COORDINATOR).unwrap();
+            let transport = coordinator_transport(&cluster, SEED);
+            let coordinator = transport.register(COORDINATOR).unwrap();
             coordinator.send(NodeId::vc(0), Msg::ClosePolls);
             // The replica has written frames the coordinator never reads
             // before the shutdown starts.
             sent.recv_timeout(Duration::from_secs(10)).unwrap();
             coordinator.send(NodeId::vc(0), Msg::Shutdown);
             coordinator.close(crate::election::SHUTDOWN_PATIENCE);
-            backend.transport.shutdown();
+            transport.shutdown();
             assert!(
                 serve.join().unwrap(),
                 "round {round}: the replica never read the Shutdown"

@@ -35,11 +35,11 @@ fn run_with_behaviors(
         600_000,
     )
     .unwrap();
-    let election = ElectionBuilder::new(params)
-        .seed(0xB12)
-        .vc_behaviors(behaviors)
-        .build()
-        .expect("election builds");
+    let mut builder = ElectionBuilder::new(params).seed(0xB12);
+    for (i, behavior) in behaviors.into_iter().enumerate() {
+        builder = builder.adversary(NodeId::vc(i as u32), behavior);
+    }
+    let election = builder.build().expect("election builds");
     let voting = election.voting().patience(Duration::from_secs(10));
     for (i, &option) in votes.iter().enumerate() {
         voting
@@ -118,7 +118,7 @@ fn equivocal_endorser_cannot_enable_double_voting() {
     let params = ElectionParams::new("equiv", 2, 2, 4, 3, 5, 3, 0, 600_000).unwrap();
     let election = ElectionBuilder::new(params)
         .seed(7)
-        .vc_behaviors(byzantine_prefix(4, VcBehavior::EquivocalEndorser))
+        .adversary(NodeId::vc(0), VcBehavior::EquivocalEndorser)
         .build()
         .expect("election builds");
 
@@ -215,7 +215,7 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
                 .sign(&ddemos_bb::trustee_post_digest(&post));
         }
         let post = std::sync::Arc::new(post);
-        for bb in election.bb_nodes() {
+        for bb in election.reader().nodes() {
             bb.submit_trustee_post(post.clone(), &sig)
                 .expect("validly signed post is accepted");
         }
@@ -225,8 +225,8 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
     // so trustee 0 stays Byzantine) and the result is majority-read.
     let result = election.tally().expect("result published");
     assert_eq!(result.tally, vec![1, 2]);
-    for bb in election.bb_nodes() {
-        let snap = bb.read();
+    for bb in election.reader().nodes() {
+        let snap = bb.read().expect("replica answers");
         assert_eq!(snap.result.as_ref(), Some(&result));
         assert_eq!(snap.zk_responses.len(), 3, "one used part per vote");
     }
@@ -237,8 +237,9 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
 
 #[test]
 fn concurrent_trustee_fan_out_leaves_the_replicas_identical() {
-    // In real time `tally()` feeds each replica from its own thread; the
-    // replicas must end up exactly where one serial feeder leaves them.
+    // `tally()` sends each trustee post to every replica before it awaits
+    // their replies, so the replicas verify concurrently; they must end up
+    // exactly where one serial feeder leaves them.
     let params = ElectionParams::new("fan-out", 5, 3, 4, 3, 5, 3, 0, 600_000).unwrap();
     let election = ElectionBuilder::new(params)
         .seed(0xB14)
@@ -251,7 +252,12 @@ fn concurrent_trustee_fan_out_leaves_the_replicas_identical() {
     let report = election.finish().expect("pipeline completes");
     assert!(report.verified(), "audit failed");
     assert_eq!(report.result.expect("tally").tally, vec![1, 1, 2]);
-    let boards: Vec<_> = election.bb_nodes().iter().map(|bb| bb.read()).collect();
+    let boards: Vec<_> = election
+        .reader()
+        .nodes()
+        .iter()
+        .map(|bb| bb.read().expect("replica answers"))
+        .collect();
     for board in &boards[1..] {
         assert_eq!(board.digest(), boards[0].digest());
         assert_eq!(board.openings, boards[0].openings);

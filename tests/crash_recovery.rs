@@ -121,3 +121,89 @@ fn seeded_amnesia_scenarios_uphold_all_invariants() {
         );
     }
 }
+
+/// Casts one vote for each of options 0, 1 and 2 on ballots 0..3.
+fn cast_three(election: &ddemos_harness::Election) {
+    let voting = election.voting().patience(Duration::from_secs(5));
+    for (ballot, option) in [(0usize, 0usize), (1, 1), (2, 2)] {
+        voting.cast(ballot, option).unwrap();
+    }
+}
+
+/// A BB replica crashed from before the close to after the tally sees
+/// none of the writes: the election publishes and audits through the
+/// 2-of-3 read majority, and the recovered replica's own board holds no
+/// vote set.
+#[test]
+fn a_crashed_bb_replica_misses_the_publication() {
+    let mut schedule = Schedule::default();
+    schedule.push(1_000, NetFault::Crash(NodeId::bb(0)));
+    let election = ElectionBuilder::new(params("bb-crash"))
+        .seed(5)
+        .virtual_time()
+        .network(NetworkProfile::lan())
+        .schedule(schedule)
+        .build()
+        .unwrap();
+    election.sleep(Duration::from_millis(1_500));
+    cast_three(&election);
+    election.close().unwrap();
+    let result = election.tally().unwrap();
+    assert_eq!(result.tally, vec![1, 1, 1]);
+    election.network().restart(NodeId::bb(0));
+
+    let audit = election.audit().unwrap();
+    assert!(audit.ok(), "audit failed: {:?}", audit.failures);
+    let board = election.reader().nodes()[0]
+        .read()
+        .expect("the recovered replica answers");
+    assert!(
+        board.vote_set.is_none(),
+        "a crashed replica accepted a write"
+    );
+    election.shutdown();
+}
+
+/// A BB replica power-cycled between the close and the tally rebuilds
+/// from its journal when the fault fires, takes the trustee posts after
+/// it recovers, and ends with the same board as the other two.
+#[test]
+fn a_bb_replica_power_cycled_after_the_close_rebuilds_from_its_journal() {
+    let election = ElectionBuilder::new(params("bb-amnesia"))
+        .seed(6)
+        .virtual_time()
+        .network(NetworkProfile::lan())
+        .durability(Durability::sim())
+        .build()
+        .unwrap();
+    cast_three(&election);
+    election.close().unwrap();
+    let at = Duration::from_millis(election.now_ms());
+    let net = election.network();
+    net.schedule_fault(
+        at + Duration::from_millis(100),
+        NetFault::CrashAmnesia(NodeId::bb(0)),
+    );
+    net.schedule_fault(
+        at + Duration::from_millis(600),
+        NetFault::Recover(NodeId::bb(0)),
+    );
+    election.sleep(Duration::from_secs(1));
+    let rebuilt = election.reader().nodes()[0]
+        .read()
+        .expect("replica answers");
+    assert!(
+        rebuilt.challenge.is_some(),
+        "the journal replay lost a write"
+    );
+
+    election.tally().unwrap();
+    let boards: Vec<_> = election
+        .reader()
+        .nodes()
+        .iter()
+        .map(|bb| bb.read().expect("replica answers").digest())
+        .collect();
+    assert_eq!(boards, vec![boards[0]; 3]);
+    election.shutdown();
+}

@@ -82,18 +82,6 @@ fn builder_rejects_bad_adversary_and_drift_targets() {
         .unwrap_err();
     assert!(matches!(err, BuildError::Params(_)));
 
-    // Over-length positional vectors are rejected, not silently truncated.
-    let err = ElectionBuilder::new(params.clone())
-        .vc_behaviors(vec![VcBehavior::Crashed; 7])
-        .build()
-        .unwrap_err();
-    assert_eq!(err, BuildError::BadNode(NodeId::vc(4)));
-    let err = ElectionBuilder::new(params.clone())
-        .clock_drifts([1, 2, 3, 4, 5])
-        .build()
-        .unwrap_err();
-    assert_eq!(err, BuildError::BadNode(NodeId::vc(4)));
-
     // Partial materialization needs the VC-only profile.
     let err = ElectionBuilder::new(params)
         .materialize_first(1)

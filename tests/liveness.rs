@@ -3,7 +3,7 @@
 //! built through the `ElectionBuilder` facade.
 
 use ddemos::liveness::{table1, LivenessParams};
-use ddemos_harness::{ElectionBuilder, ElectionParams, NetworkProfile, VcBehavior};
+use ddemos_harness::{ElectionBuilder, ElectionParams, NetworkProfile, NodeId, VcBehavior};
 use std::time::Duration;
 
 #[test]
@@ -24,7 +24,10 @@ fn receipts_arrive_within_the_theorem_bound() {
         .seed(10)
         .vc_only()
         .network(NetworkProfile::wan())
-        .clock_drifts([15, -15, 10, -10])
+        .clock_drift(NodeId::vc(0), 15)
+        .clock_drift(NodeId::vc(1), -15)
+        .clock_drift(NodeId::vc(2), 10)
+        .clock_drift(NodeId::vc(3), -10)
         .build()
         .expect("election builds");
 
@@ -84,7 +87,7 @@ fn voter_blacklists_crashed_node_and_succeeds_elsewhere() {
     let election = ElectionBuilder::new(params)
         .seed(12)
         .vc_only()
-        .vc_behaviors([VcBehavior::Crashed])
+        .adversary(NodeId::vc(0), VcBehavior::Crashed)
         .build()
         .expect("election builds");
 

@@ -17,13 +17,14 @@ fn start_cluster(
 ) -> Election {
     let params =
         ElectionParams::new("vc-cluster", num_ballots, 2, num_vc, 1, 1, 1, 0, 3_600_000).unwrap();
-    ElectionBuilder::new(params)
+    let mut builder = ElectionBuilder::new(params)
         .seed(77)
         .vc_only()
-        .network(profile)
-        .vc_behaviors(behaviors.to_vec())
-        .build()
-        .expect("cluster builds")
+        .network(profile);
+    for (i, &behavior) in behaviors.iter().enumerate() {
+        builder = builder.adversary(NodeId::vc(i as u32), behavior);
+    }
+    builder.build().expect("cluster builds")
 }
 
 /// Sends one raw VOTE message to a specific node and waits for the reply —
