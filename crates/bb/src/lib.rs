@@ -24,4 +24,4 @@ pub mod reader;
 
 pub use core::{trustee_post_digest, BbCore, BbInput, BbOutput, BbSnapshot, WriteError};
 pub use node::BbNode;
-pub use reader::{BbApi, MajorityReader, PendingRead, RemoteBb};
+pub use reader::{retry_pause, BbApi, MajorityReader, PendingRead, RemoteBb};

@@ -9,27 +9,38 @@
 //! The reader is replica-location agnostic: it speaks [`BbApi`], which a
 //! [`BbNode`] implements directly and [`RemoteBb`] implements by
 //! request/response envelopes to a replica's [`crate::node::serve`] loop,
-//! on any transport. An unreachable replica answers `None`/`Unavailable`
-//! and is outvoted like any other divergent node.
+//! on any transport. A party's clients of every replica share one
+//! endpoint. An unreachable replica answers `None`/`Unavailable` and is
+//! outvoted like any other divergent node.
 
 use crate::core::WriteError;
 use crate::node::BbNode;
 use crate::BbSnapshot;
+use crossbeam_channel::RecvTimeoutError;
 use ddemos_crypto::schnorr::Signature;
 use ddemos_crypto::vss::SignedShare;
 use ddemos_net::DynEndpoint;
 use ddemos_protocol::clock::GlobalClock;
-use ddemos_protocol::messages::{BbWriteMsg, Msg};
+use ddemos_protocol::messages::{BbWriteMsg, BbWriteOutcome, Msg};
 use ddemos_protocol::posts::{TrusteePost, VoteSet};
 use ddemos_protocol::NodeId;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long [`MajorityReader::read_until`] pauses between retries.
-const RETRY_INTERVAL: std::time::Duration = std::time::Duration::from_millis(2);
+/// The shortest and longest pause between two reads of a board that does
+/// not show what the reader waits for ([`retry_pause`]).
+const RETRY_MIN: Duration = Duration::from_millis(2);
+const RETRY_MAX: Duration = Duration::from_millis(100);
+
+/// The pause before the next read of a reader that has waited `waited`
+/// so far: a sixteenth of it, within 2 to 100 ms. A reader is then at
+/// most that late to see what it waits for, and a long wait costs few
+/// reads.
+pub fn retry_pause(waited: Duration) -> Duration {
+    (waited / 16).clamp(RETRY_MIN, RETRY_MAX)
+}
 
 /// One Bulletin Board replica, wherever it lives: a [`BbNode`] in hand
 /// or a [`RemoteBb`] across a transport. Reads return `None` when the
@@ -115,23 +126,106 @@ pub type PendingRead<'a> = Box<dyn FnOnce() -> Option<Arc<Vec<u8>>> + 'a>;
 /// reply before it counts the replica unreachable.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// One party's endpoint to the board, shared by its [`RemoteBb`] clients
+/// of every replica. A wait holds the lock while it reads the endpoint,
+/// and files a reply to another outstanding request for that request's
+/// own wait.
+struct Port {
+    endpoint: DynEndpoint,
+    next_request: u64,
+    /// Requests sent and not yet answered or given up on.
+    outstanding: BTreeSet<u64>,
+    /// Replies read by a wait they did not belong to.
+    parked: BTreeMap<u64, Msg>,
+    /// The transport has shut down.
+    closed: bool,
+}
+
+impl Port {
+    fn send(&mut self, to: NodeId, make: impl FnOnce(u64) -> Msg) -> u64 {
+        let request_id = self.next_request;
+        self.next_request += 1;
+        self.outstanding.insert(request_id);
+        self.endpoint.send(to, make(request_id));
+        request_id
+    }
+
+    /// Reads one envelope within `timeout`: a reply to an outstanding
+    /// request is parked, anything else dropped. `false` on a timeout or
+    /// once the transport has shut down.
+    fn read(&mut self, timeout: Duration) -> bool {
+        let env = match self.endpoint.recv_timeout(timeout) {
+            Ok(env) => env,
+            Err(RecvTimeoutError::Timeout) => return false,
+            Err(RecvTimeoutError::Disconnected) => {
+                self.closed = true;
+                return false;
+            }
+        };
+        if let Msg::BbWriteReply { request_id, .. } | Msg::BbReadResponse { request_id, .. } =
+            env.msg
+        {
+            if self.outstanding.contains(&request_id) {
+                self.parked.insert(request_id, env.msg);
+            }
+        }
+        true
+    }
+
+    /// Collects the replies to `ids`, in whatever order they come, until
+    /// each has one or [`REQUEST_TIMEOUT`] passes without a new one; the
+    /// requests are then given up on.
+    fn replies(&mut self, ids: &[u64]) -> BTreeMap<u64, Msg> {
+        let timeout_ns = REQUEST_TIMEOUT.as_nanos() as u64;
+        let mut replies = BTreeMap::new();
+        let mut deadline = self.endpoint.now_ns() + timeout_ns;
+        loop {
+            for id in ids {
+                if let Some(reply) = self.parked.remove(id) {
+                    replies.insert(*id, reply);
+                    deadline = self.endpoint.now_ns() + timeout_ns;
+                }
+            }
+            let left = deadline.saturating_sub(self.endpoint.now_ns());
+            if replies.len() == ids.len() || !self.read(Duration::from_nanos(left)) {
+                break;
+            }
+        }
+        for id in ids {
+            self.outstanding.remove(id);
+        }
+        replies
+    }
+}
+
 /// A [`BbApi`] client for one replica: request/response envelopes with
-/// correlation ids over an endpoint of its own. Waits run on the
+/// correlation ids over an endpoint it shares with the party's clients of
+/// the other replicas ([`RemoteBb::replicas`]). Waits run on the
 /// endpoint's clock, so under virtual time a timeout costs no wall time.
 pub struct RemoteBb {
-    endpoint: Mutex<DynEndpoint>,
+    port: Arc<Mutex<Port>>,
     target: NodeId,
-    next_request: AtomicU64,
 }
 
 impl RemoteBb {
-    /// Wraps an endpoint that speaks to the replica `target`.
-    pub fn new(endpoint: DynEndpoint, target: NodeId) -> RemoteBb {
-        RemoteBb {
-            endpoint: Mutex::new(endpoint),
-            target,
-            next_request: AtomicU64::new(1),
-        }
+    /// Clients of the replicas `bb(0)…bb(num_bb − 1)`, all over
+    /// `endpoint`: one party, one endpoint to the board.
+    pub fn replicas(endpoint: DynEndpoint, num_bb: usize) -> Vec<Arc<RemoteBb>> {
+        let port = Arc::new(Mutex::new(Port {
+            endpoint,
+            next_request: 1,
+            outstanding: BTreeSet::new(),
+            parked: BTreeMap::new(),
+            closed: false,
+        }));
+        (0..num_bb as u32)
+            .map(|j| {
+                Arc::new(RemoteBb {
+                    port: port.clone(),
+                    target: NodeId::bb(j),
+                })
+            })
+            .collect()
     }
 
     /// Submits `writes`, in order, to every replica in runs costing at most
@@ -139,70 +233,77 @@ impl RemoteBb {
     /// replies. A run goes to every replica before any reply is awaited, so
     /// the replicas verify in parallel on either clock, and a replica gets
     /// the next run once it has answered (or timed out on) the last.
-    pub fn write_all(replicas: &[Arc<RemoteBb>], writes: &[BbWriteMsg]) {
-        let endpoints: Vec<_> = replicas.iter().map(|bb| bb.endpoint.lock()).collect();
-        let mut sent: Vec<Vec<u64>> = vec![Vec::new(); replicas.len()];
+    /// Returns, for each write, how many replicas accepted it.
+    pub fn write_all(replicas: &[Arc<RemoteBb>], writes: &[BbWriteMsg]) -> Vec<usize> {
+        let mut accepted = vec![0; writes.len()];
+        // Per replica, the (request id, write index) pairs of its last run.
+        let mut sent: Vec<Vec<(u64, usize)>> = vec![Vec::new(); replicas.len()];
         let mut bytes = writes.first().map_or(0, window_cost);
         let runs = writes.chunk_by(|_, next| {
             let fits = bytes + window_cost(next) <= WINDOW_BYTES;
             bytes = window_cost(next) + if fits { bytes } else { 0 };
             fits
         });
+        let mut first = 0;
         for run in runs {
-            for ((bb, endpoint), ids) in replicas.iter().zip(&endpoints).zip(&mut sent) {
-                Self::replies(endpoint, ids);
+            for (bb, ids) in replicas.iter().zip(&mut sent) {
+                bb.count_accepted(ids, &mut accepted);
+                let mut port = bb.port.lock();
                 *ids = run
                     .iter()
-                    .map(|write| {
-                        bb.send(endpoint, |request_id| Msg::BbWrite {
-                            request_id,
-                            write: write.clone(),
-                        })
+                    .zip(first..)
+                    .map(|(write, index)| {
+                        let write = write.clone();
+                        let id =
+                            port.send(bb.target, |request_id| Msg::BbWrite { request_id, write });
+                        (id, index)
                     })
                     .collect();
             }
+            first += run.len();
         }
-        for (endpoint, ids) in endpoints.iter().zip(&sent) {
-            Self::replies(endpoint, ids);
+        for (bb, ids) in replicas.iter().zip(&sent) {
+            bb.count_accepted(ids, &mut accepted);
         }
+        accepted
     }
 
-    fn send(&self, endpoint: &DynEndpoint, make: impl FnOnce(u64) -> Msg) -> u64 {
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        endpoint.send(self.target, make(request_id));
-        request_id
-    }
-
-    /// Collects the replies to `ids`, in whatever order they come, until
-    /// each has one or [`REQUEST_TIMEOUT`] passes without a new one.
-    /// Replies to other ids (requests that timed out earlier) are
-    /// discarded.
-    fn replies(endpoint: &DynEndpoint, ids: &[u64]) -> BTreeMap<u64, Msg> {
-        let timeout_ns = REQUEST_TIMEOUT.as_nanos() as u64;
-        let mut replies = BTreeMap::new();
-        let mut deadline = endpoint.now_ns() + timeout_ns;
-        while replies.len() < ids.len() {
-            let left = deadline.saturating_sub(endpoint.now_ns());
-            let Ok(env) = endpoint.recv_timeout(Duration::from_nanos(left)) else {
-                break;
-            };
-            let (Msg::BbWriteReply { request_id, .. } | Msg::BbReadResponse { request_id, .. }) =
-                env.msg
-            else {
-                continue;
-            };
-            if ids.contains(&request_id) {
-                replies.insert(request_id, env.msg);
-                deadline = endpoint.now_ns() + timeout_ns;
+    /// Waits for the replies to `ids` and counts each accepted write.
+    fn count_accepted(&self, ids: &[(u64, usize)], accepted: &mut [usize]) {
+        let request_ids: Vec<u64> = ids.iter().map(|(id, _)| *id).collect();
+        let replies = self.port.lock().replies(&request_ids);
+        for (id, index) in ids {
+            if let (
+                Some(Msg::BbWriteReply {
+                    outcome: BbWriteOutcome::Accepted,
+                    ..
+                }),
+                Some(count),
+            ) = (replies.get(id), accepted.get_mut(*index))
+            {
+                *count += 1;
             }
         }
-        replies
+    }
+
+    /// Waits `d` on the endpoint this client shares, keeping the replies
+    /// that arrive meanwhile for the requests they answer. `false` once the
+    /// transport has shut down.
+    pub fn idle(&self, d: Duration) -> bool {
+        let mut port = self.port.lock();
+        let deadline = port.endpoint.now_ns().saturating_add(d.as_nanos() as u64);
+        loop {
+            let left = deadline.saturating_sub(port.endpoint.now_ns());
+            if left == 0 || !port.read(Duration::from_nanos(left)) {
+                return !port.closed;
+            }
+        }
     }
 
     fn write(&self, write: BbWriteMsg) -> Result<(), WriteError> {
-        let endpoint = self.endpoint.lock();
-        let request_id = self.send(&endpoint, |request_id| Msg::BbWrite { request_id, write });
-        match Self::replies(&endpoint, &[request_id]).pop_first() {
+        let mut port = self.port.lock();
+        let request_id = port.send(self.target, |request_id| Msg::BbWrite { request_id, write });
+        match port.replies(&[request_id]).pop_first() {
             Some((_, Msg::BbWriteReply { outcome, .. })) => crate::core::outcome_to_result(outcome),
             _ => Err(WriteError::Unavailable),
         }
@@ -242,10 +343,12 @@ impl BbApi for RemoteBb {
     }
 
     fn start_read(&self) -> PendingRead<'_> {
-        let endpoint = self.endpoint.lock();
-        let request_id = self.send(&endpoint, |request_id| Msg::BbReadRequest { request_id });
+        let request_id = self
+            .port
+            .lock()
+            .send(self.target, |request_id| Msg::BbReadRequest { request_id });
         Box::new(
-            move || match Self::replies(&endpoint, &[request_id]).pop_first() {
+            move || match self.port.lock().replies(&[request_id]).pop_first() {
                 Some((_, Msg::BbReadResponse { snapshot, .. })) => Some(snapshot),
                 _ => None,
             },
@@ -295,6 +398,22 @@ impl MajorityReader {
         }
     }
 
+    /// A reader over [`RemoteBb::replicas`] of `endpoint`: the whole board
+    /// through one client endpoint.
+    pub fn remote(endpoint: DynEndpoint, num_bb: usize) -> MajorityReader {
+        Self::over_remote(&RemoteBb::replicas(endpoint, num_bb))
+    }
+
+    /// A reader over `replicas`.
+    pub fn over_remote(replicas: &[Arc<RemoteBb>]) -> MajorityReader {
+        MajorityReader::over(
+            replicas
+                .iter()
+                .map(|bb| bb.clone() as Arc<dyn BbApi>)
+                .collect(),
+        )
+    }
+
     /// Paces retry waits (and the retry timeout) by `clock` instead of
     /// wall time — under a virtual clock, polling costs no wall time and
     /// the timeout is measured in virtual milliseconds.
@@ -325,10 +444,10 @@ impl MajorityReader {
         crate::codec::decode_snapshot(agreed).ok()
     }
 
-    /// Reads with retries until a majority-backed snapshot satisfying
-    /// `pred` appears or `timeout` elapses (both measured on the reader's
-    /// clock: wall time by default, virtual time under
-    /// [`MajorityReader::with_clock`]).
+    /// Reads with retries, paced by [`retry_pause`], until a
+    /// majority-backed snapshot satisfying `pred` appears or `timeout`
+    /// elapses (both measured on the reader's clock: wall time by default,
+    /// virtual time under [`MajorityReader::with_clock`]).
     pub fn read_until<F>(&self, timeout: std::time::Duration, pred: F) -> Option<BbSnapshot>
     where
         F: Fn(&BbSnapshot) -> bool,
@@ -341,10 +460,12 @@ impl MajorityReader {
                     return Some(snap);
                 }
             }
-            if self.clock.now_ns().saturating_sub(start_ns) > timeout_ns {
+            let waited_ns = self.clock.now_ns().saturating_sub(start_ns);
+            if waited_ns > timeout_ns {
                 return None;
             }
-            self.clock.sleep(RETRY_INTERVAL);
+            self.clock
+                .sleep(retry_pause(Duration::from_nanos(waited_ns)));
         }
     }
 
@@ -431,6 +552,81 @@ mod tests {
                 "{} bytes cost {cost}",
                 frame.len()
             );
+        }
+    }
+
+    /// A stand-in replica on `net`: answers each request after `delay`,
+    /// reads with `[index]` and writes as `outcome(index of the writer)`.
+    fn stand_in(
+        net: &ddemos_net::SimNet,
+        index: u32,
+        delay: Duration,
+        outcome: fn(u32) -> BbWriteOutcome,
+    ) -> std::thread::JoinHandle<()> {
+        let endpoint = net.register(NodeId::bb(index));
+        std::thread::spawn(move || {
+            while let Ok(env) = endpoint.recv() {
+                std::thread::sleep(delay);
+                let reply = match env.msg {
+                    Msg::BbReadRequest { request_id } => Msg::BbReadResponse {
+                        request_id,
+                        snapshot: Arc::new(vec![index as u8]),
+                    },
+                    Msg::BbWrite {
+                        request_id,
+                        write: BbWriteMsg::VoteSet { from_vc, .. },
+                    } => Msg::BbWriteReply {
+                        request_id,
+                        outcome: outcome(from_vc),
+                    },
+                    _ => continue,
+                };
+                endpoint.send(env.from, reply);
+            }
+        })
+    }
+
+    /// Replica 1 answers first: the wait for replica 0 reads that reply,
+    /// and parks it for replica 1's read instead of dropping it.
+    #[test]
+    fn a_reply_for_another_client_of_the_endpoint_is_kept_for_it() {
+        let net = ddemos_net::SimNet::new(ddemos_net::NetworkProfile::instant(), 1);
+        let accept = |_| BbWriteOutcome::Accepted;
+        let slow = stand_in(&net, 0, Duration::from_millis(50), accept);
+        let fast = stand_in(&net, 1, Duration::ZERO, accept);
+        let clients = RemoteBb::replicas(Box::new(net.register(NodeId::client(1))), 2);
+        let reads: Vec<PendingRead<'_>> = clients.iter().map(|bb| bb.start_read()).collect();
+        let answers: Vec<_> = reads.into_iter().map(|read| read()).collect();
+        assert_eq!(answers, [Some(Arc::new(vec![0])), Some(Arc::new(vec![1]))]);
+        net.shutdown();
+        slow.join().expect("replica 0");
+        fast.join().expect("replica 1");
+    }
+
+    /// Each write reports how many replicas accepted it.
+    #[test]
+    fn write_all_counts_the_replicas_that_accept_each_write() {
+        let net = ddemos_net::SimNet::new(ddemos_net::NetworkProfile::instant(), 2);
+        let replicas = [
+            stand_in(&net, 0, Duration::ZERO, |_| BbWriteOutcome::Accepted),
+            stand_in(&net, 1, Duration::ZERO, |vc| match vc {
+                0 => BbWriteOutcome::Accepted,
+                _ => BbWriteOutcome::BadSignature,
+            }),
+        ];
+        let clients = RemoteBb::replicas(Box::new(net.register(NodeId::client(1))), 2);
+        let sig = SigningKey::generate(&mut StdRng::seed_from_u64(5)).sign(b"unchecked");
+        let writes: Vec<BbWriteMsg> = (0..3)
+            .map(|from_vc| BbWriteMsg::VoteSet {
+                from_vc,
+                set: VoteSet::default(),
+                sig,
+            })
+            .collect();
+        assert_eq!(RemoteBb::write_all(&clients, &writes), [2, 1, 1]);
+        net.shutdown();
+        for replica in replicas {
+            replica.join().expect("replica");
         }
     }
 }

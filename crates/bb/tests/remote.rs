@@ -2,7 +2,8 @@
 //! over each write: no replica holds more than one window of writes
 //! unanswered, so a run of writes larger than a connection's write cap
 //! reaches a slow replica whole instead of overflowing the client's
-//! queue.
+//! queue. The clients of every replica share one endpoint, as a party's
+//! do.
 
 use ddemos_bb::RemoteBb;
 use ddemos_crypto::schnorr::SigningKey;
@@ -14,7 +15,6 @@ use ddemos_protocol::{NodeId, SerialNo};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A vote-set write of `entries` ballots.
@@ -63,27 +63,25 @@ fn serve(replica: DynEndpoint, pause: Duration, stop: &AtomicBool) -> Seen {
     seen
 }
 
-/// Runs `write_all` from `clients` (one per replica) to replicas served
-/// by [`serve`], and returns what each replica saw.
+/// Runs `write_all` over `client`, one endpoint shared by the clients of
+/// every replica, to replicas `bb(0)…` served by [`serve`], and returns
+/// what each replica saw.
 fn write_all_to(
     replicas: Vec<DynEndpoint>,
-    clients: Vec<DynEndpoint>,
+    client: DynEndpoint,
     writes: &[BbWriteMsg],
     pause: Duration,
 ) -> Vec<Seen> {
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
-        let remote: Vec<Arc<RemoteBb>> = clients
-            .into_iter()
-            .zip(&replicas)
-            .map(|(client, replica)| Arc::new(RemoteBb::new(client, replica.id())))
-            .collect();
+        let remote = RemoteBb::replicas(client, replicas.len());
         let stop = &stop;
         let servers: Vec<_> = replicas
             .into_iter()
             .map(|replica| s.spawn(move || serve(replica, pause, stop)))
             .collect();
-        RemoteBb::write_all(&remote, writes);
+        let accepted = RemoteBb::write_all(&remote, writes);
+        assert_eq!(accepted, vec![remote.len(); writes.len()]);
         stop.store(true, Ordering::SeqCst);
         servers
             .into_iter()
@@ -100,11 +98,9 @@ fn write_all_keeps_one_window_in_flight_per_replica() {
     let replicas: Vec<DynEndpoint> = (0..3)
         .map(|j| Box::new(net.register(NodeId::bb(j))) as DynEndpoint)
         .collect();
-    let clients: Vec<DynEndpoint> = (0..3)
-        .map(|j| Box::new(net.register(NodeId::client(1 + j))) as DynEndpoint)
-        .collect();
+    let client: DynEndpoint = Box::new(net.register(NodeId::client(1)));
     let writes: Vec<_> = (0..4).map(|i| vote_set_write(i, 20_000)).collect();
-    let seen = write_all_to(replicas, clients, &writes, Duration::from_millis(20));
+    let seen = write_all_to(replicas, client, &writes, Duration::from_millis(20));
     for (j, seen) in seen.iter().enumerate() {
         assert_eq!(seen.writes, writes.len(), "replica {j} missed writes");
         assert_eq!(
@@ -123,12 +119,7 @@ fn small_writes_share_a_window() {
     let replica: DynEndpoint = Box::new(net.register(NodeId::bb(0)));
     let client: DynEndpoint = Box::new(net.register(NodeId::client(1)));
     let writes: Vec<_> = (0..4).map(|i| vote_set_write(i, 8)).collect();
-    let seen = write_all_to(
-        vec![replica],
-        vec![client],
-        &writes,
-        Duration::from_millis(20),
-    );
+    let seen = write_all_to(vec![replica], client, &writes, Duration::from_millis(20));
     assert_eq!(seen[0].writes, writes.len());
     assert!(seen[0].queued_behind > 0, "the writes went one at a time");
     net.shutdown();
@@ -162,7 +153,7 @@ fn writes_over_the_write_cap_all_reach_a_slow_replica() {
     let writes: Vec<_> = (0..5).map(|i| vote_set_write(i, 110_000)).collect();
     let seen = write_all_to(
         vec![Box::new(replica)],
-        vec![Box::new(client)],
+        Box::new(client),
         &writes,
         Duration::from_millis(300),
     );

@@ -60,6 +60,7 @@ const PANIC_CRATES: &[&str] = &[
     "crates/consensus",
     "crates/protocol",
     "crates/storage",
+    "crates/trustee",
 ];
 
 /// The one file allowed to read real time: everything else goes through

@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 
+pub mod gate;
 mod hist;
 mod recorder;
 mod snapshot;

@@ -252,6 +252,13 @@ pub struct TrusteeBallotShares {
     pub parts: [TrusteePartShares; 2],
 }
 
+impl TrusteeBallotShares {
+    /// The shares of one part.
+    pub fn part(&self, part: PartId) -> &TrusteePartShares {
+        &self.parts[part.index()]
+    }
+}
+
 /// Full initialization data for one trustee.
 #[derive(Clone, Debug)]
 pub struct TrusteeInit {

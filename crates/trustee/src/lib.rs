@@ -22,15 +22,17 @@
 
 #![warn(missing_docs)]
 
+pub mod node;
+
 use ddemos_bb::BbSnapshot;
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::schnorr::Signature;
 use ddemos_protocol::exec::Pool;
-use ddemos_protocol::initdata::TrusteeInit;
+use ddemos_protocol::initdata::{TrusteeBallotShares, TrusteeInit};
 use ddemos_protocol::posts::{PartOpeningPost, PartZkPost, TallySharePost, TrusteePost};
 use ddemos_protocol::{PartId, SerialNo};
 
-/// Errors a trustee can hit while validating BB data.
+/// Errors a trustee can hit while validating BB data or posting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrusteeError {
     /// The BB majority has not published the final vote set yet.
@@ -39,6 +41,16 @@ pub enum TrusteeError {
     CodesMissing,
     /// A cast vote code does not appear in any row of its ballot.
     CastCodeNotFound,
+    /// The board lists a cast code at a row beyond its ballot part's.
+    CastRowOutOfRange,
+    /// Only `accepted` replicas, less than a BB majority, accepted the
+    /// post: the others refused it or never answered.
+    PostRefused {
+        /// Replicas that accepted it.
+        accepted: usize,
+    },
+    /// The transport shut down before the trustee could post.
+    Disconnected,
 }
 
 impl std::fmt::Display for TrusteeError {
@@ -47,6 +59,11 @@ impl std::fmt::Display for TrusteeError {
             TrusteeError::VoteSetMissing => "final vote set not yet on the bulletin board",
             TrusteeError::CodesMissing => "decrypted vote codes not yet on the bulletin board",
             TrusteeError::CastCodeNotFound => "cast vote code not present in ballot rows",
+            TrusteeError::CastRowOutOfRange => "cast vote code listed beyond the ballot rows",
+            TrusteeError::PostRefused { accepted } => {
+                return write!(f, "post accepted by only {accepted} BB replicas");
+            }
+            TrusteeError::Disconnected => "transport shut down before the post",
         };
         write!(f, "{msg}")
     }
@@ -103,101 +120,96 @@ impl Trustee {
         let m = self.init.params.num_options;
 
         // Per-ballot share processing is independent, so it is mapped over
-        // the pool; serials are sorted first and the pool preserves input
-        // order, keeping the post byte-identical across thread counts.
-        let mut serials: Vec<SerialNo> = self.init.ballots.keys().copied().collect();
-        serials.sort();
+        // the pool; the map iterates in serial order and the pool preserves
+        // input order, keeping the post byte-identical across thread counts.
+        let ballots: Vec<(&SerialNo, &TrusteeBallotShares)> = self.init.ballots.iter().collect();
         struct BallotOut {
             openings: Vec<PartOpeningPost>,
             zk: Option<PartZkPost>,
             tally: Option<Vec<(Scalar, Scalar)>>,
         }
-        let per_ballot: Vec<Result<BallotOut, TrusteeError>> = self.pool.map(&serials, |&serial| {
-            let shares = &self.init.ballots[&serial];
-            let Some(code) = vote_set.entries.get(&serial) else {
-                // Unvoted ballot: open both parts.
-                let openings = PartId::BOTH
+        let per_ballot: Vec<Result<BallotOut, TrusteeError>> =
+            self.pool.map(&ballots, |&(&serial, shares)| {
+                let opening = |part: PartId| {
+                    let part_shares = shares.part(part);
+                    PartOpeningPost {
+                        serial,
+                        part,
+                        rows: part_shares.opening_pairs(),
+                        opening_sig: part_shares.opening_sig,
+                    }
+                };
+                let Some(code) = vote_set.entries.get(&serial) else {
+                    // Unvoted ballot: open both parts.
+                    return Ok(BallotOut {
+                        openings: PartId::BOTH.into_iter().map(opening).collect(),
+                        zk: None,
+                        tally: None,
+                    });
+                };
+                // Locate the used part and cast row via the published
+                // decrypted codes.
+                let (used_part, cast_row) = PartId::BOTH
                     .into_iter()
-                    .map(|part| {
-                        let part_shares = &shares.parts[part.index()];
-                        PartOpeningPost {
-                            serial,
-                            part,
-                            rows: part_shares.opening_pairs(),
-                            opening_sig: part_shares.opening_sig,
-                        }
+                    .find_map(|part| {
+                        let codes = snapshot
+                            .decrypted_codes
+                            .get(&(serial, part.index() as u8))?;
+                        Some((part, codes.iter().position(|c| c == code)?))
+                    })
+                    .ok_or(TrusteeError::CastCodeNotFound)?;
+                // Unused part: raw opening shares (EA-signed bundle).
+                let openings = vec![opening(used_part.other())];
+                // Used part: ZK responses at the challenge.
+                let used_shares = shares.part(used_part);
+                let rows: Vec<Vec<[Scalar; 4]>> = used_shares
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        row.cts
+                            .iter()
+                            .map(|ct| {
+                                let [a0, a1, b0, b1, c0, c1, d0, d1] = ct.or_coeffs;
+                                [
+                                    a0 * challenge + a1,
+                                    b0 * challenge + b1,
+                                    c0 * challenge + c1,
+                                    d0 * challenge + d1,
+                                ]
+                            })
+                            .collect()
                     })
                     .collect();
-                return Ok(BallotOut {
+                let sum_responses: Vec<Scalar> = used_shares
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        let [s0, s1] = row.sum_coeffs;
+                        s0 * challenge + s1
+                    })
+                    .collect();
+                // Tally contribution: the cast row's per-option opening
+                // shares join the (additively homomorphic) total. The row is
+                // a position on the board, so it is checked, not trusted.
+                let tally: Vec<(Scalar, Scalar)> = used_shares
+                    .rows
+                    .get(cast_row)
+                    .ok_or(TrusteeError::CastRowOutOfRange)?
+                    .cts
+                    .iter()
+                    .map(|ct| (ct.bit, ct.rand))
+                    .collect();
+                Ok(BallotOut {
                     openings,
-                    zk: None,
-                    tally: None,
-                });
-            };
-            // Locate the used part and cast row via the published
-            // decrypted codes.
-            let mut located = None;
-            for part in PartId::BOTH {
-                if let Some(codes) = snapshot.decrypted_codes.get(&(serial, part.index() as u8)) {
-                    if let Some(row) = codes.iter().position(|c| c == code) {
-                        located = Some((part, row));
-                        break;
-                    }
-                }
-            }
-            let (used_part, cast_row) = located.ok_or(TrusteeError::CastCodeNotFound)?;
-            let unused = used_part.other();
-            // Unused part: raw opening shares (EA-signed bundle).
-            let part_shares = &shares.parts[unused.index()];
-            let openings = vec![PartOpeningPost {
-                serial,
-                part: unused,
-                rows: part_shares.opening_pairs(),
-                opening_sig: part_shares.opening_sig,
-            }];
-            // Used part: ZK responses at the challenge.
-            let used_shares = &shares.parts[used_part.index()];
-            let rows: Vec<Vec<[Scalar; 4]>> = used_shares
-                .rows
-                .iter()
-                .map(|row| {
-                    row.cts
-                        .iter()
-                        .map(|ct| {
-                            let c = &ct.or_coeffs;
-                            [
-                                c[0] * challenge + c[1],
-                                c[2] * challenge + c[3],
-                                c[4] * challenge + c[5],
-                                c[6] * challenge + c[7],
-                            ]
-                        })
-                        .collect()
+                    zk: Some(PartZkPost {
+                        serial,
+                        part: used_part,
+                        rows,
+                        sum_responses,
+                    }),
+                    tally: Some(tally),
                 })
-                .collect();
-            let sum_responses: Vec<Scalar> = used_shares
-                .rows
-                .iter()
-                .map(|row| row.sum_coeffs[0] * challenge + row.sum_coeffs[1])
-                .collect();
-            // Tally contribution: the cast row's per-option opening
-            // shares join the (additively homomorphic) total.
-            let tally: Vec<(Scalar, Scalar)> = used_shares.rows[cast_row]
-                .cts
-                .iter()
-                .map(|ct| (ct.bit, ct.rand))
-                .collect();
-            Ok(BallotOut {
-                openings,
-                zk: Some(PartZkPost {
-                    serial,
-                    part: used_part,
-                    rows,
-                    sum_responses,
-                }),
-                tally: Some(tally),
-            })
-        });
+            });
 
         let mut openings = Vec::new();
         let mut zk = Vec::new();
@@ -206,11 +218,9 @@ impl Trustee {
             let out = out?;
             openings.extend(out.openings);
             zk.extend(out.zk);
-            if let Some(tally) = out.tally {
-                for (j, (bit, rand)) in tally.into_iter().enumerate() {
-                    tally_sums[j].0 += bit;
-                    tally_sums[j].1 += rand;
-                }
+            for ((bit, rand), sum) in out.tally.into_iter().flatten().zip(&mut tally_sums) {
+                sum.0 += bit;
+                sum.1 += rand;
             }
         }
         let post = TrusteePost {
@@ -224,5 +234,39 @@ impl Trustee {
         let digest = ddemos_bb::trustee_post_digest(&post);
         let signature = self.init.signing_key.sign(&digest);
         Ok((post, signature))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddemos_crypto::votecode::VoteCode;
+    use ddemos_ea::{ElectionAuthority, SetupProfile};
+    use ddemos_protocol::posts::VoteSet;
+    use ddemos_protocol::ElectionParams;
+
+    /// The board lists one code more for ballot 0's part A than the part
+    /// has rows, and the cast code is that extra one.
+    #[test]
+    fn a_cast_code_beyond_the_ballots_rows_is_an_error() {
+        let params = ElectionParams::new("trustee-rows", 2, 2, 4, 3, 3, 2, 0, 1000).unwrap();
+        let setup = ElectionAuthority::new(params, 5).setup(SetupProfile::Full);
+        let init = setup.trustee_inits[0].clone();
+        let rows = init.ballots[&SerialNo(0)].part(PartId::A).rows.len();
+        let cast = VoteCode([0xC5; 20]);
+        let mut codes = vec![VoteCode([0; 20]); rows];
+        codes.push(cast);
+        let mut board = BbSnapshot {
+            vote_set: Some(VoteSet {
+                entries: [(SerialNo(0), cast)].into(),
+            }),
+            challenge: Some(Scalar::ONE),
+            ..BbSnapshot::default()
+        };
+        board.decrypted_codes.insert((SerialNo(0), 0), codes);
+        assert_eq!(
+            Trustee::new(init).produce_post(&board).map(|_| ()),
+            Err(TrusteeError::CastRowOutOfRange)
+        );
     }
 }

@@ -26,10 +26,12 @@
 //! destination sees the core's order. Under a virtual clock a burst is
 //! one envelope and this is the sequential loop.
 //!
-//! The driver talks to the coordinator only in envelopes, on either
-//! transport: it sends its finalized vote set to [`COORDINATOR`] as
-//! `Msg::Finalized`, answers a repeated coordinator `ClosePolls` with the
-//! same set (a lost set is fetched again), and stops on the coordinator's
+//! The driver talks to the coordinator and the board only in envelopes,
+//! on either transport. On finalizing it writes its `msk` share and then
+//! its signed vote set to every BB replica (§III-G) and sends the set to
+//! [`COORDINATOR`] as `Msg::Finalized`; a repeated coordinator
+//! `ClosePolls` does both again (a lost write or set is sent again). The
+//! replicas' replies are not read. It stops on the coordinator's
 //! `Shutdown` or when its transport disconnects.
 //!
 //! The same core runs unchanged over the in-process `SimNet` and over
@@ -43,7 +45,7 @@ use ddemos_net::DynEndpoint;
 use ddemos_obs::Recorder;
 use ddemos_protocol::clock::NodeClock;
 use ddemos_protocol::initdata::VcInit;
-use ddemos_protocol::messages::{Envelope, Msg};
+use ddemos_protocol::messages::{BbWriteMsg, Envelope, Msg};
 use ddemos_protocol::posts::FinalizedVoteSet;
 use ddemos_protocol::{NodeId, COORDINATOR};
 use ddemos_storage::DynJournal;
@@ -108,9 +110,11 @@ struct VcDriver<S> {
     journal: Option<DynJournal>,
     trace: Option<StepTrace>,
     recorder: Recorder,
-    /// The finalized vote set once the core has produced it, sent again
-    /// for every later coordinator `ClosePolls`.
+    /// The finalized vote set once the core has produced it, published
+    /// again for every later coordinator `ClosePolls`.
     finalized: Option<FinalizedVoteSet>,
+    /// The number of BB replicas the set is written to.
+    num_bb: u32,
     timeout: Duration,
     /// A step of the current burst emitted a barrier that has yet to run.
     barrier: bool,
@@ -202,11 +206,13 @@ impl<S: BallotStore> VcDriver<S> {
 
     /// Translates one envelope into a core input. Control envelopes are a
     /// driver concern: only [`COORDINATOR`] may close or stop a replica,
-    /// and such an envelope from anyone else is dropped and counted.
+    /// and such an envelope from anyone else is dropped and counted. The
+    /// board's replies to the driver's own writes are dropped.
     fn input(&self, env: Envelope) -> Option<VcInput> {
         let control = match env.msg {
             Msg::ClosePolls => VcInput::ClosePolls,
             Msg::Shutdown => VcInput::Shutdown,
+            Msg::BbWriteReply { .. } => return None,
             _ => return Some(VcInput::Deliver(env)),
         };
         if env.from == COORDINATOR {
@@ -263,9 +269,9 @@ impl<S: BallotStore> VcDriver<S> {
         };
         let start = self.recorder.now_ns();
         if let (VcInput::ClosePolls, Some(finalized)) = (&input, &self.finalized) {
-            // The coordinator asks again: its copy was lost on the way.
-            self.endpoint
-                .send(COORDINATOR, Msg::Finalized(finalized.clone()));
+            // The coordinator asks again: its copy or a write was lost on
+            // the way.
+            self.publish(finalized);
         }
         let now_ms = self.clock.now_ms();
         let outs = match &self.trace {
@@ -377,12 +383,37 @@ impl<S: BallotStore> VcDriver<S> {
                     // rest of the burst.
                     self.release();
                     self.recorder.set_phase("push");
-                    self.endpoint
-                        .send(COORDINATOR, Msg::Finalized(finalized.clone()));
+                    self.publish(&finalized);
                     self.finalized = Some(finalized);
                 }
             }
         }
+    }
+
+    /// Writes the finalized set's `msk` share, then the set, to every BB
+    /// replica, and sends the set to [`COORDINATOR`].
+    fn publish(&self, finalized: &FinalizedVoteSet) {
+        let writes = [
+            BbWriteMsg::MskShare {
+                share: finalized.msk_share,
+            },
+            BbWriteMsg::VoteSet {
+                from_vc: finalized.node_index,
+                set: finalized.vote_set.clone(),
+                sig: finalized.signature,
+            },
+        ];
+        for write in writes {
+            for j in 0..self.num_bb {
+                let msg = Msg::BbWrite {
+                    request_id: 0,
+                    write: write.clone(),
+                };
+                self.endpoint.send(NodeId::bb(j), msg);
+            }
+        }
+        self.endpoint
+            .send(COORDINATOR, Msg::Finalized(finalized.clone()));
     }
 
     /// Ends a burst: one `journal.commit()` for all its barriers, the held
@@ -412,8 +443,9 @@ impl<S: BallotStore> VcDriver<S> {
 }
 
 /// Spawns a vote collector: a thread driving a [`VcCore`] over `store`
-/// and `endpoint`. The finalized vote set goes to [`COORDINATOR`] as a
-/// [`Msg::Finalized`] envelope, on whichever transport `endpoint` is.
+/// and `endpoint`. The finalized vote set is written to every BB replica
+/// and goes to [`COORDINATOR`] as a [`Msg::Finalized`] envelope, on
+/// whichever transport `endpoint` is.
 ///
 /// With a `journal`, ballot-slot transitions are logged (committed
 /// before every externally visible action that depends on them) and a
@@ -430,6 +462,7 @@ pub fn spawn<S: BallotStore + 'static>(
     journal: Option<DynJournal>,
 ) -> VcHandle {
     let node_index = init.node_index;
+    let num_bb = init.params.num_bb as u32;
     let poll = config.poll;
     let thread = std::thread::Builder::new()
         .name(format!("vc-{node_index}"))
@@ -450,6 +483,7 @@ pub fn spawn<S: BallotStore + 'static>(
                 trace: config.trace,
                 recorder: config.recorder,
                 finalized: None,
+                num_bb,
                 timeout: poll,
                 barrier: false,
                 held: Vec::new(),
@@ -632,6 +666,7 @@ mod tests {
             fills_disk,
         };
         let mut init = init();
+        let num_bb = init.params.num_bb as u32;
         let store = MemoryStore::new(std::mem::take(&mut init.ballots), BALLOTS);
         let poll = Duration::from_millis(1);
         let recorder = Recorder::wall();
@@ -643,6 +678,7 @@ mod tests {
             trace: None,
             recorder: recorder.clone(),
             finalized: None,
+            num_bb,
             timeout: poll,
             barrier: false,
             held: Vec::new(),
@@ -795,6 +831,20 @@ mod tests {
             })
             .collect();
         assert_eq!(sets, vec![format!("{finalized:?}"); 2]);
+        // Each time, the msk share and then the set went to the replica.
+        let writes: Vec<&'static str> = run
+            .sent
+            .iter()
+            .filter_map(|(_, to, msg)| match msg {
+                Msg::BbWrite { write, .. } if *to == NodeId::bb(0) => Some(match write {
+                    BbWriteMsg::MskShare { share } if *share == finalized.msk_share => "msk",
+                    BbWriteMsg::VoteSet { set, .. } if *set == finalized.vote_set => "set",
+                    _ => "other",
+                }),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(writes, ["msk", "set", "msk", "set"]);
     }
 
     #[test]

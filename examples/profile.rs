@@ -23,11 +23,13 @@
 //!   `bench_check.sh`-compatible JSON (`id` + `median_ns`); implies
 //!   `--wall`. `scripts/bench_record.sh` uses this for
 //!   `BENCH_profile.json`.
-//! * `--gate PCT` — overhead gate: best-of-3 wall time with metrics off
-//!   vs on must differ by less than PCT percent (with a small absolute
-//!   floor for timer noise). Exits non-zero past the gate; CI runs this
-//!   at 5%. The gate then profiles one more election and fails if any
-//!   `bb.publish_ns` stage timer (interpolate / verify / tally) or
+//! * `--gate PCT` — overhead gate: five interleaved pairs of elections,
+//!   metrics off and on, same seed within a pair; the median of the
+//!   per-pair wall-time ratios must show less than PCT percent overhead
+//!   (with a small absolute floor for timer noise), and the spread of the
+//!   pairs is printed as the noise floor. Exits non-zero past the gate;
+//!   CI runs this at 5%. The gate then profiles one more election and
+//!   fails if any `bb.publish_ns` stage timer (interpolate / verify / tally) or
 //!   `ea.setup_ns` stage timer (vc_rows / walk / multiply / assemble / sign)
 //!   recorded nothing, if `~vc.queue_depth` read zero across the vote
 //!   phase, or if the collectors spent more than
@@ -39,6 +41,7 @@
 
 use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster};
 use ddemos_harness::{Durability, ElectionBuilder, ElectionParams, ElectionReport, Network};
+use ddemos_obs::gate::overhead_verdict;
 use std::time::{Duration, Instant};
 
 /// The `bb.publish_ns` labels `BbCore::try_publish_result` times:
@@ -147,12 +150,26 @@ fn run(seed: u64, ballots: usize, metrics: bool, profiling: bool) -> (ElectionRe
     (report, elapsed)
 }
 
-/// Best-of-N wall time (the minimum is the least noisy point estimate).
-fn best_of(n: usize, seed: u64, ballots: usize, metrics: bool) -> Duration {
+/// Off/on pairs the overhead gate judges.
+const GATE_PAIRS: usize = 5;
+
+/// `(off, on)` wall times of `n` pairs of runs, one with metrics off and
+/// one with them on, on the same seed and back to back; which goes first
+/// alternates, so drift over the pairs falls on both sides alike.
+fn paired_runs(n: usize, seed: u64, ballots: usize) -> Vec<(Duration, Duration)> {
     (0..n)
-        .map(|i| run(seed.wrapping_add(i as u64), ballots, metrics, false).1)
-        .min()
-        .expect("at least one run")
+        .map(|i| {
+            let seed = seed.wrapping_add(i as u64);
+            let time = |metrics| run(seed, ballots, metrics, false).1;
+            if i % 2 == 0 {
+                let off = time(false);
+                (off, time(true))
+            } else {
+                let on = time(true);
+                (time(false), on)
+            }
+        })
+        .collect()
 }
 
 /// A small TCP election (the `tests/tcp_e2e.rs` shape):
@@ -294,16 +311,25 @@ fn main() {
     let wall = args.iter().any(|a| a == "--wall") || json.is_some();
 
     if let Some(pct) = gate {
-        // Overhead gate: the metrics plumbing must cost < pct% wall time.
-        let off = best_of(3, seed, ballots, false);
-        let on = best_of(3, seed, ballots, true);
-        let delta = on.saturating_sub(off);
-        let overhead = delta.as_secs_f64() / off.as_secs_f64() * 100.0;
-        println!("overhead gate: metrics off {off:?}, on {on:?} -> {overhead:.2}% (limit {pct}%)");
-        // Absolute floor: below 20ms the difference is timer noise, not
-        // metrics cost, regardless of the tiny baseline it divides by.
-        if overhead > pct && delta > Duration::from_millis(20) {
-            eprintln!("overhead gate FAILED: {overhead:.2}% > {pct}%");
+        // Overhead gate: the metrics plumbing must cost < pct% wall time,
+        // judged on the median of interleaved off/on pairs. Absolute
+        // floor: below 20ms the difference is timer noise, not metrics
+        // cost, regardless of the tiny baseline it divides by.
+        let pairs = paired_runs(GATE_PAIRS, seed, ballots);
+        let verdict = overhead_verdict(&pairs, pct, Duration::from_millis(20));
+        for (off, on) in &pairs {
+            println!("overhead gate pair: metrics off {off:?}, on {on:?}");
+        }
+        println!(
+            "overhead gate: median {:.2}% over {} pairs (+{:?}), noise floor {:.2} points \
+             between the pairs' quartiles (limit {pct}%)",
+            verdict.median_pct,
+            pairs.len(),
+            verdict.median_delta,
+            verdict.noise_pct
+        );
+        if !verdict.pass {
+            eprintln!("overhead gate FAILED: {:.2}% > {pct}%", verdict.median_pct);
             std::process::exit(1);
         }
         // Dead-signal check: the stage splits of result publication (the

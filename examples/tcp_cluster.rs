@@ -166,7 +166,8 @@ fn main() {
     );
 
     // The coordinator's own client connections: one control connection
-    // to each replica and one BB client connection to each BB replica.
+    // to each replica and, from its one endpoint to the board, one to
+    // each BB replica. The trustee nodes dial on a transport of their own.
     let own = (p.num_vc + 2 * p.num_bb) as u64;
     let election = ElectionBuilder::new(p)
         .seed(SEED)

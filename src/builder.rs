@@ -1,10 +1,10 @@
 //! The typed entry point of the facade: [`ElectionBuilder`] and the
 //! [`StoreKind`] ballot-store selector.
 
-use crate::election::{reserved_clients, Election, NetBackend, RunState};
+use crate::election::{Election, NetBackend, RunState, RESERVED_CLIENTS};
 use crate::schedule::Schedule;
-use crate::tcp::{coordinator_transport, TcpCluster};
-use ddemos_bb::BbNode;
+use crate::tcp::{client_transport, TcpCluster};
+use ddemos_bb::{BbNode, MajorityReader};
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_net::{NetworkProfile, SimNet};
 use ddemos_obs::{Recorder, TimeDomain, TimeSource};
@@ -16,7 +16,6 @@ use ddemos_protocol::{NodeId, NodeKind, SerialNo, COORDINATOR};
 use ddemos_storage::{
     DiskProfile, DynDisk, DynJournal, FileDisk, Journal, JournalConfig, SimDisk, StorageError,
 };
-use ddemos_trustee::Trustee;
 use ddemos_vc::{
     Adversary, BallotStore, FnStore, LatencyStore, MemoryStore, StepTrace, StorageModel, VcHandle,
     VcNodeConfig,
@@ -177,9 +176,9 @@ impl From<ParamError> for BuildError {
 /// Typed builder for a complete D-DEMOS election deployment.
 ///
 /// One `build()` call runs EA setup, stands up the simulated network, the
-/// global clock, every VC node thread, the BB replicas, and the
-/// trustees-in-waiting, and returns the [`Election`] facade whose phase
-/// handles drive voting, close, tally, and audit. See the crate docs for a
+/// global clock, every VC node thread and the BB replicas, and returns the
+/// [`Election`] facade whose phase handles drive voting, close, tally, and
+/// audit; closing the polls starts the trustee nodes. See the crate docs for a
 /// copy-pasteable example.
 pub struct ElectionBuilder {
     params: ddemos_protocol::ElectionParams,
@@ -532,10 +531,6 @@ impl ElectionBuilder {
             // electorate sizes virtual stores exist for (250M), deriving
             // every ballot eagerly would defeat the point. Callers name
             // the cast range with `materialize_first`.
-            // An absent cast range only reaches here for virtual stores
-            // (partial requires materialize_first or a virtual store), and
-            // at the electorate sizes those exist for nothing should be
-            // derived eagerly.
             let materialize = self
                 .materialize_first
                 .unwrap_or(0)
@@ -740,24 +735,18 @@ impl ElectionBuilder {
     }
 
     /// Wires the phase handles to what a build path started: the
-    /// [`COORDINATOR`] endpoint and one client per BB replica on the
-    /// election's transport, the majority reader over those clients, and
-    /// the trustees-in-waiting.
+    /// [`COORDINATOR`] endpoint and the endpoint to the board on the
+    /// election's transport, and the majority reader over the latter.
     fn assemble(&self, started: Started) -> Result<Election, BuildError> {
         let Started {
             setup, net, clock, ..
         } = started;
         let no_endpoint = |e: std::io::Error| BuildError::Net(e.to_string());
         let coordinator = net.register(COORDINATOR).map_err(no_endpoint)?;
-        let (bb, reader) = net
-            .bb_clients(setup.params.num_bb, &clock)
+        let board = net
+            .register(NodeId::client(RESERVED_CLIENTS - 1))
             .map_err(no_endpoint)?;
-        let trustees = setup
-            .trustee_inits
-            .iter()
-            .cloned()
-            .map(|init| Trustee::new(init).with_threads(started.threads))
-            .collect();
+        let reader = MajorityReader::remote(board, setup.params.num_bb).with_clock(clock.clone());
         let run = RunState {
             timings: crate::election::PhaseTimings {
                 setup: started.setup_elapsed,
@@ -766,13 +755,12 @@ impl ElectionBuilder {
             ..Default::default()
         };
         Ok(Election {
-            next_client: AtomicU32::new(reserved_clients(setup.params.num_bb)),
+            next_client: AtomicU32::new(RESERVED_CLIENTS),
             setup,
             net,
             clock,
-            bb,
             reader,
-            trustees,
+            trustee_nodes: Mutex::new(Vec::new()),
             _vc_handles: started.vc_handles,
             bb_threads: started.bb_threads,
             coordinator: Mutex::new(coordinator),
@@ -798,8 +786,8 @@ impl ElectionBuilder {
     /// [`crate::tcp::run_vc_replica`] / [`crate::tcp::run_bb_replica`]
     /// with the same `(params, seed)`; the builder derives the identical
     /// setup (ballots for voters, BB init for the auditor, trustee
-    /// inits), prepares the coordinator's dial-out transport, and wires
-    /// the phase handles to remote clients.
+    /// inits), prepares the dial-out transports of the coordinator and of
+    /// the trustee nodes, and wires the phase handles to remote clients.
     fn build_tcp(self, cluster: TcpCluster) -> Result<Election, BuildError> {
         // Options that configure in-process nodes or the simulated
         // network cannot reach replicas living in other processes.
@@ -854,7 +842,10 @@ impl ElectionBuilder {
             setup,
             setup_elapsed,
             threads: pool.threads(),
-            net: NetBackend::Tcp(coordinator_transport(&cluster, self.seed)),
+            net: NetBackend::Tcp {
+                coordinator: client_transport(&cluster, self.seed, COORDINATOR),
+                trustees: client_transport(&cluster, self.seed, NodeId::trustee(0)),
+            },
             clock: GlobalClock::new(),
             vc_handles: Vec::new(),
             bb_threads: Vec::new(),

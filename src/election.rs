@@ -6,22 +6,23 @@ use crate::workload::{Workload, WorkloadStats};
 use crossbeam_channel::RecvTimeoutError;
 use ddemos::auditor::{AuditReport, Auditor};
 use ddemos::voter::{VoteError, VoteRecord, Voter};
-use ddemos_bb::{BbApi, BbSnapshot, MajorityReader, RemoteBb};
+use ddemos_bb::{BbSnapshot, MajorityReader};
 use ddemos_ea::{ElectionAuthority, SetupOutput};
 use ddemos_net::{AuthTransport, DynEndpoint, NetStats, SimNet};
 use ddemos_obs::{MetricsSnapshot, Recorder, TimeDomain};
 use ddemos_protocol::ballot::AuditInfo;
 use ddemos_protocol::clock::{ActorGuard, GlobalClock};
-use ddemos_protocol::messages::{BbWriteMsg, Envelope, Msg};
+use ddemos_protocol::messages::{Envelope, Msg};
 use ddemos_protocol::posts::ElectionResult;
-use ddemos_protocol::{NodeId, PartId, SerialNo};
-use ddemos_trustee::Trustee;
+use ddemos_protocol::{NodeId, NodeKind, PartId, SerialNo};
+use ddemos_trustee::{Trustee, TrusteeError};
 use ddemos_vc::{FinalizedVoteSet, VcHandle};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The transport behind a running election: the in-process simulated
@@ -33,46 +34,33 @@ use std::time::{Duration, Instant};
 pub(crate) enum NetBackend {
     /// In-process simulation (latency emulation, faults, virtual time).
     Sim(SimNet),
-    /// Coordinator of remote replicas over TCP sockets.
-    Tcp(AuthTransport),
+    /// Coordinator of remote replicas over TCP sockets, and the
+    /// transport of the trustee nodes, which run in its process but are
+    /// parties of their own.
+    Tcp {
+        coordinator: AuthTransport,
+        trustees: AuthTransport,
+    },
 }
 
 impl NetBackend {
     fn stats(&self) -> &NetStats {
         match self {
             NetBackend::Sim(net) => net.stats(),
-            NetBackend::Tcp(transport) => transport.stats(),
+            NetBackend::Tcp { coordinator, .. } => coordinator.stats(),
         }
     }
 
     /// An endpoint for `id` (a socket endpoint's loop cannot be created
-    /// off Linux).
+    /// off Linux). Over TCP a trustee's is on the trustees' transport.
     pub(crate) fn register(&self, id: NodeId) -> std::io::Result<DynEndpoint> {
         match self {
             NetBackend::Sim(net) => Ok(Box::new(net.register(id))),
-            NetBackend::Tcp(transport) => Ok(Box::new(transport.register(id)?)),
+            NetBackend::Tcp { trustees, .. } if id.kind == NodeKind::Trustee => {
+                Ok(Box::new(trustees.register(id)?))
+            }
+            NetBackend::Tcp { coordinator, .. } => Ok(Box::new(coordinator.register(id)?)),
         }
-    }
-
-    /// The coordinator's clients of the `num_bb` BB replicas, one endpoint
-    /// each on client ids `1..=num_bb`, and the majority reader over them,
-    /// pacing its retries by `clock`.
-    pub(crate) fn bb_clients(
-        &self,
-        num_bb: usize,
-        clock: &GlobalClock,
-    ) -> std::io::Result<(Vec<Arc<RemoteBb>>, MajorityReader)> {
-        let clients = (0..num_bb as u32)
-            .map(|j| {
-                Ok(Arc::new(RemoteBb::new(
-                    self.register(NodeId::client(1 + j))?,
-                    NodeId::bb(j),
-                )))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        let apis = clients.iter().map(|bb| bb.clone() as Arc<dyn BbApi>);
-        let reader = MajorityReader::over(apis.collect()).with_clock(clock.clone());
-        Ok((clients, reader))
     }
 
     /// Connection counters of the authenticated-channel transport
@@ -80,36 +68,39 @@ impl NetBackend {
     fn conn_counters(&self) -> Option<ddemos_net::evloop::EvStats> {
         match self {
             NetBackend::Sim(_) => None,
-            NetBackend::Tcp(transport) => Some(transport.conn_counters()),
+            NetBackend::Tcp { coordinator, .. } => Some(coordinator.conn_counters()),
         }
     }
 
     fn shutdown(&self) {
         match self {
             NetBackend::Sim(net) => net.shutdown(),
-            NetBackend::Tcp(transport) => transport.shutdown(),
+            NetBackend::Tcp {
+                coordinator,
+                trustees,
+            } => {
+                coordinator.shutdown();
+                trustees.shutdown();
+            }
         }
     }
 }
 
 /// How long, in the network's time base, [`Election::close`] waits for a
-/// collector's finalized vote set before sending it `ClosePolls` again.
+/// collector's finalized vote set, or for the board to show the
+/// encrypted tally, before sending `ClosePolls` again.
 const CLOSE_RETRY: Duration = Duration::from_secs(1);
 /// Client ids below this are the election's own: [`crate::COORDINATOR`]
-/// (client 0) and its BB clients (`1..=num_bb`). Voters and load
+/// (client 0) and its endpoint to the board (client 1). Voters and load
 /// connections are numbered from here.
-pub(crate) fn reserved_clients(num_bb: usize) -> u32 {
-    1 + num_bb as u32
-}
+pub(crate) const RESERVED_CLIENTS: u32 = 2;
 
 /// How long shutting down waits for the replicas to close their ends of
 /// the coordinator's connections.
 pub(crate) const SHUTDOWN_PATIENCE: Duration = Duration::from_secs(1);
 /// How long [`Election::close`] waits for a BB majority to hold the
-/// encrypted tally challenge after the VC→BB push.
+/// encrypted tally challenge once the collectors have finalized.
 const BB_PUBLISH_TIMEOUT: Duration = Duration::from_secs(60);
-/// How long [`Election::tally`] waits for the trustee-input snapshot.
-const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(30);
 /// How long [`Election::tally`] waits for the published result.
 const RESULT_TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -120,8 +111,6 @@ pub enum ElectionError {
     VoteSetTimeout,
     /// The BB majority never published the expected artifact.
     BbTimeout(&'static str),
-    /// A trustee failed to produce its post.
-    Trustee(ddemos_trustee::TrusteeError),
     /// The phase needs state an earlier phase produces (e.g. `tally`
     /// before `close`), or setup data a [`crate::ElectionBuilder::vc_only`]
     /// election never materialized.
@@ -135,7 +124,6 @@ impl std::fmt::Display for ElectionError {
             ElectionError::BbTimeout(what) => {
                 write!(f, "bulletin board never published {what}")
             }
-            ElectionError::Trustee(e) => write!(f, "trustee failure: {e}"),
             ElectionError::PhaseUnavailable(why) => write!(f, "phase unavailable: {why}"),
         }
     }
@@ -155,7 +143,8 @@ pub struct PhaseTimings {
     pub vote_collection: Duration,
     /// ANNOUNCE + batched binary consensus + RECOVER.
     pub vote_set_consensus: Duration,
-    /// VC→BB uploads, msk reconstruction, code decryption, encrypted tally.
+    /// From the finalized quorum to the encrypted tally on the board: the
+    /// collectors' writes, msk reconstruction, code decryption.
     pub push_to_bb_and_tally: Duration,
     /// Trustee posts and result publication.
     pub publish_result: Duration,
@@ -172,7 +161,7 @@ pub(crate) struct RunState {
     /// timed-out `close()` resumes from them.
     pub(crate) drained: Vec<FinalizedVoteSet>,
     pub(crate) finalized: Option<Vec<FinalizedVoteSet>>,
-    /// Whether the VC→BB publication (push + challenge) has completed.
+    /// Whether the board has shown the encrypted tally's challenge.
     pub(crate) published: bool,
     pub(crate) result: Option<ElectionResult>,
     pub(crate) audit_report: Option<AuditReport>,
@@ -180,7 +169,8 @@ pub(crate) struct RunState {
 
 /// A running election: the EA's setup output plus every long-lived
 /// component — simulated network, global clock, VC cluster, BB replicas,
-/// and trustees-in-waiting. Built by [`crate::ElectionBuilder`]; driven
+/// and, once the polls close, one node per trustee. Built by
+/// [`crate::ElectionBuilder`]; driven
 /// through the typed phase handles ([`Election::voting`],
 /// [`Election::close`], [`Election::tally`], [`Election::audit`]) or all
 /// at once via [`Election::finish`].
@@ -190,12 +180,12 @@ pub struct Election {
     pub setup: SetupOutput,
     pub(crate) net: NetBackend,
     pub(crate) clock: GlobalClock,
-    /// One client per BB replica; the replicas serve envelopes on the
-    /// election's transport, in process or in other processes.
-    pub(crate) bb: Vec<Arc<RemoteBb>>,
-    /// The majority reader over the same clients.
+    /// The majority reader over one client of each BB replica, all on one
+    /// endpoint; the replicas serve envelopes on the election's
+    /// transport, in process or in other processes.
     pub(crate) reader: MajorityReader,
-    pub(crate) trustees: Vec<Trustee>,
+    /// The trustee nodes the first [`Election::close_polls`] starts.
+    pub(crate) trustee_nodes: Mutex<Vec<JoinHandle<Result<(), TrusteeError>>>>,
     /// The in-process VC node threads (none over TCP), joined as the
     /// election drops, after the network under them has shut down.
     pub(crate) _vc_handles: Vec<VcHandle>,
@@ -204,7 +194,7 @@ pub struct Election {
     pub(crate) bb_threads: Vec<std::thread::JoinHandle<()>>,
     /// The [`crate::COORDINATOR`] endpoint on the election's transport: it
     /// closes the polls, collects the finalized vote sets and stops the
-    /// replicas.
+    /// replicas. The coordinator writes nothing to the board.
     pub(crate) coordinator: Mutex<DynEndpoint>,
     pub(crate) seed: u64,
     pub(crate) store: StoreKind,
@@ -240,22 +230,24 @@ pub struct Election {
 
 impl Drop for Election {
     fn drop(&mut self) {
-        // Every replica stops on the coordinator's Shutdown, or once the
-        // network shuts down under it: under a virtual clock that is what
-        // wakes nodes blocked in virtual waits. The BB threads are joined
-        // here, the VC threads as `_vc_handles` drops.
+        // Every replica stops on the coordinator's Shutdown, and every
+        // party once the network shuts down under it: under a virtual
+        // clock that is what wakes nodes blocked in virtual waits. The BB
+        // and trustee threads are joined here, the VC threads as
+        // `_vc_handles` drops.
         let params = &self.setup.params;
         let coordinator = self.coordinator.lock();
-        for i in 0..params.num_vc as u32 {
-            coordinator.send(NodeId::vc(i), Msg::Shutdown);
-        }
-        for j in 0..params.num_bb as u32 {
-            coordinator.send(NodeId::bb(j), Msg::Shutdown);
+        let vcs = (0..params.num_vc as u32).map(NodeId::vc);
+        for replica in vcs.chain((0..params.num_bb as u32).map(NodeId::bb)) {
+            coordinator.send(replica, Msg::Shutdown);
         }
         coordinator.close(SHUTDOWN_PATIENCE);
         self.net.shutdown();
         for thread in self.bb_threads.drain(..) {
             let _ = thread.join();
+        }
+        for node in self.trustee_nodes.lock().drain(..) {
+            let _ = node.join();
         }
         if self.profiling {
             ddemos_obs::clear_global();
@@ -290,15 +282,15 @@ impl Election {
         }
     }
 
-    /// Closes the polls on every VC node and drives the post-voting
-    /// pipeline up to the Bulletin Board: vote-set consensus to a quorum of
-    /// [`FinalizedVoteSet`]s, the VC→BB upload, and (for full setups) the
-    /// appearance of the encrypted tally challenge on a BB majority.
+    /// Closes the polls on every VC node and waits for vote-set consensus
+    /// to a quorum of [`FinalizedVoteSet`]s and (for full setups) for the
+    /// encrypted tally challenge on a BB majority, which the collectors'
+    /// own writes put there.
     ///
-    /// The coordinator sends every collector `ClosePolls` and collects
-    /// their `Msg::Finalized` envelopes; a collector whose set has not
-    /// arrived within a fixed retry interval is asked again, and answers
-    /// with its set once more, so a lost set is fetched again.
+    /// The coordinator collects the collectors' `Msg::Finalized`
+    /// envelopes. Until it has a quorum of sets and the challenge shows,
+    /// it sends every collector `ClosePolls` again each [`CLOSE_RETRY`]:
+    /// each answers by sending its set and its board writes again.
     ///
     /// Idempotent: once the pipeline has completed, later calls (e.g. a
     /// `finish()` after a manual `close()`) return the cached vote sets;
@@ -344,10 +336,16 @@ impl Election {
             // pure function of the writes — so the delta does not depend
             // on the racy absolute base.
             let t1 = self.clock.now_ns();
-            self.push_to_bb(&finalized);
-            self.reader
-                .read_until(BB_PUBLISH_TIMEOUT, |s| s.challenge.is_some())
-                .ok_or(ElectionError::BbTimeout("encrypted tally"))?;
+            while self
+                .reader
+                .read_until(CLOSE_RETRY, |s| s.challenge.is_some())
+                .is_none()
+            {
+                if self.clock.now_ns().saturating_sub(t1) > BB_PUBLISH_TIMEOUT.as_nanos() as u64 {
+                    return Err(ElectionError::BbTimeout("encrypted tally"));
+                }
+                Self::send_close_polls(&self.coordinator.lock(), self.setup.params.num_vc);
+            }
             let mut state = self.run.lock();
             state.timings.push_to_bb_and_tally +=
                 Duration::from_nanos(self.clock.now_ns().saturating_sub(t1));
@@ -356,16 +354,14 @@ impl Election {
         Ok(finalized)
     }
 
-    /// Runs every trustee against the BB majority and majority-reads the
-    /// published result. Requires [`Election::close`] to have completed.
-    ///
-    /// Idempotent: once a result has been published, later calls (e.g. a
-    /// `finish()` after a manual `tally()`) return it without re-running
-    /// the trustees or double-counting the publish timing.
+    /// Majority-reads the board until the trustee nodes' posts have
+    /// published the result. Requires [`Election::close`] to have
+    /// completed. Idempotent: once a result is known, later calls return
+    /// it without reading again or double-counting the publish timing.
     ///
     /// # Errors
     /// [`ElectionError::PhaseUnavailable`] before `close` or on a
-    /// VC-only setup; otherwise trustee and BB failures.
+    /// VC-only setup; [`ElectionError::BbTimeout`] when no result shows.
     pub fn tally(&self) -> Result<ElectionResult, ElectionError> {
         if !self.is_full_setup() {
             return Err(ElectionError::PhaseUnavailable(
@@ -384,25 +380,6 @@ impl Election {
             }
         }
         let t0 = self.clock.now_ns();
-        let snapshot = self
-            .reader
-            .read_until(SNAPSHOT_TIMEOUT, |s| {
-                s.vote_set.is_some() && s.challenge.is_some()
-            })
-            .ok_or(ElectionError::BbTimeout("vote set and challenge"))?;
-        let posts = self
-            .trustees
-            .iter()
-            .map(|trustee| {
-                let (post, sig) = trustee.produce_post(&snapshot)?;
-                Ok(BbWriteMsg::TrusteePost {
-                    post: Arc::new(post),
-                    sig,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(ElectionError::Trustee)?;
-        RemoteBb::write_all(&self.bb, &posts);
         let result = self
             .reader
             .read_until(RESULT_TIMEOUT, |s| s.result.is_some())
@@ -538,7 +515,7 @@ impl Election {
     pub fn network(&self) -> &SimNet {
         match &self.net {
             NetBackend::Sim(net) => net,
-            NetBackend::Tcp(_) => {
+            NetBackend::Tcp { .. } => {
                 panic!("the simulated network is only available for Network::Sim elections")
             }
         }
@@ -591,20 +568,40 @@ impl Election {
 
     /// Closes the polls on every VC node (as if every clock passed
     /// `Tend`) without waiting for consensus — [`Election::close`] is the
-    /// usual entry point.
+    /// usual entry point — and, the first time, starts a
+    /// [`ddemos_trustee::node`] per trustee for full setups.
     ///
     /// The coordinator sends each node `Msg::ClosePolls` — a control
     /// envelope replicas accept from [`crate::COORDINATOR`] alone — from a
-    /// single pinned virtual instant: the closes are then network events
-    /// with seeded latencies, and the whole close cascade is a pure
+    /// single pinned virtual instant, so the close cascade is a pure
     /// function of the seed.
+    ///
+    /// # Panics
+    /// Panics when a trustee's endpoint or thread cannot be created.
     pub fn close_polls(&self) {
-        let coordinator = self.coordinator.lock();
+        Self::send_close_polls(&self.coordinator.lock(), self.setup.params.num_vc);
+        let mut nodes = self.trustee_nodes.lock();
+        if !nodes.is_empty() || !self.is_full_setup() {
+            return;
+        }
+        let num_bb = self.setup.params.num_bb;
+        let started = self.setup.trustee_inits.iter().map(|init| {
+            let trustee = Trustee::new(init.clone()).with_threads(self.threads);
+            let node = |ep| ddemos_trustee::node::spawn(trustee, ep, num_bb, &self.clock);
+            let id = NodeId::trustee(init.index);
+            (self.net.register(id).and_then(node))
+                .unwrap_or_else(|e| panic!("no node for {id}: {e}"))
+        });
+        *nodes = started.collect();
+    }
+
+    /// Sends all `num_vc` collectors `ClosePolls` from `coordinator`.
+    fn send_close_polls(coordinator: &DynEndpoint, num_vc: usize) {
         // Pin the virtual clock so every close is stamped with the same
         // send time; arrival order is then decided by the seeded per-link
         // latencies alone.
         let _actor = coordinator.actor_guard();
-        for i in 0..self.setup.params.num_vc as u32 {
+        for i in 0..num_vc as u32 {
             coordinator.send(NodeId::vc(i), Msg::ClosePolls);
         }
     }
@@ -628,8 +625,8 @@ impl Election {
     /// Reads `Msg::Finalized` envelopes off the coordinator endpoint until
     /// `count` distinct collectors have sent theirs or `timeout` of wall
     /// time passes, keeping what arrived in the run state either way.
-    /// With `refetch`, every [`CLOSE_RETRY`] of network time each
-    /// collector still missing is sent `ClosePolls` again.
+    /// With `refetch`, every [`CLOSE_RETRY`] of network time the
+    /// collectors are sent `ClosePolls` again.
     fn drain_vote_sets(
         &self,
         count: usize,
@@ -653,11 +650,7 @@ impl Election {
             let now = coordinator.now_ns();
             if now >= retry_at {
                 if refetch {
-                    for i in 0..self.setup.params.num_vc as u32 {
-                        if !sets.iter().any(|f| f.node_index == i) {
-                            coordinator.send(NodeId::vc(i), Msg::ClosePolls);
-                        }
-                    }
+                    Self::send_close_polls(&coordinator, self.setup.params.num_vc);
                 }
                 retry_at = now + retry_ns;
             }
@@ -688,27 +681,6 @@ impl Election {
         };
         self.run.lock().drained = sets.clone();
         result.map(|()| sets)
-    }
-
-    /// Pushes finalized vote sets and msk shares to every BB node (each VC
-    /// node writes to all replicas, §III-G), in runs that every replica
-    /// gets before any reply is awaited, so the isolated replicas verify
-    /// in parallel ([`RemoteBb::write_all`]).
-    pub fn push_to_bb(&self, finalized: &[FinalizedVoteSet]) {
-        let writes: Vec<BbWriteMsg> = finalized
-            .iter()
-            .flat_map(|f| {
-                [
-                    BbWriteMsg::VoteSet {
-                        from_vc: f.node_index,
-                        set: f.vote_set.clone(),
-                        sig: f.signature,
-                    },
-                    BbWriteMsg::MskShare { share: f.msk_share },
-                ]
-            })
-            .collect();
-        RemoteBb::write_all(&self.bb, &writes);
     }
 
     fn is_full_setup(&self) -> bool {

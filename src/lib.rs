@@ -11,9 +11,9 @@
 //! * [`Election::voting`] — cast individual votes (receipt-checked, audit
 //!   data collected) or run bulk concurrent [`Workload`]s;
 //! * [`Election::close`] — vote-set consensus to a quorum of
-//!   [`FinalizedVoteSet`](ddemos_vc::FinalizedVoteSet)s and the VC→BB
-//!   publication;
-//! * [`Election::tally`] — trustee posts and result publication;
+//!   [`FinalizedVoteSet`](ddemos_vc::FinalizedVoteSet)s, which the
+//!   collectors write to the BB themselves;
+//! * [`Election::tally`] — the result the trustee nodes' posts publish;
 //! * [`Election::audit`] — public plus delegated verification;
 //! * [`Election::report`] — one [`ElectionReport`] with tally, receipts,
 //!   audit verdict, per-phase timings, network statistics, and a merged

@@ -25,8 +25,8 @@
 //! ordering. All connections sharing a ballot cast the *same* vote
 //! code (option 0), keeping every re-cast on the idempotent path.
 
-use crate::election::{reserved_clients, SHUTDOWN_PATIENCE};
-use crate::tcp::{coordinator_transport, process_nonce_seed, TcpCluster};
+use crate::election::{RESERVED_CLIENTS, SHUTDOWN_PATIENCE};
+use crate::tcp::{client_transport, process_nonce_seed, TcpCluster};
 use ddemos_crypto::votecode::VoteCode;
 use ddemos_ea::ElectionAuthority;
 use ddemos_net::evloop::{ConnId, EvConfig, EvEvent, EvLoop, EvStats};
@@ -214,9 +214,9 @@ struct ConnState {
 }
 
 /// The client identity of load connection `global`, above the ids an
-/// election reserves for [`COORDINATOR`] and its BB clients.
-fn load_identity(params: &ElectionParams, global: usize) -> NodeId {
-    NodeId::client(reserved_clients(params.num_bb) + global as u32)
+/// election reserves for [`COORDINATOR`] and its endpoint to the board.
+fn load_identity(global: usize) -> NodeId {
+    NodeId::client(RESERVED_CLIENTS + global as u32)
 }
 
 /// Runs one load shard to completion: ramp, warm-up, measure.
@@ -241,7 +241,7 @@ pub fn run_load_shard(
     let per_vc = (params.num_ballots as usize / num_vc).max(1);
 
     let auth = cluster.auth_config(seed);
-    let loop_identity = load_identity(params, cfg.client_base as usize);
+    let loop_identity = load_identity(cfg.client_base as usize);
     let mut ev = EvLoop::new(EvConfig {
         auth,
         max_conns: cfg.conns + 16,
@@ -264,7 +264,7 @@ pub fn run_load_shard(
             .part(PartId::A)
             .line_for_option(0)
             .expect("option 0 exists");
-        let identity = load_identity(params, global);
+        let identity = load_identity(global);
         let conn = connect_retry(
             &mut ev,
             cluster.vc_addrs[vc_index as usize],
@@ -506,7 +506,7 @@ fn pump(
 /// The coordinator's endpoint could not be created (off Linux, or out
 /// of file descriptors).
 pub fn shutdown_cluster(seed: u64, cluster: &TcpCluster) -> io::Result<()> {
-    let coordinator = coordinator_transport(cluster, seed).register(COORDINATOR)?;
+    let coordinator = client_transport(cluster, seed, COORDINATOR).register(COORDINATOR)?;
     for i in 0..cluster.vc_addrs.len() as u32 {
         coordinator.send(NodeId::vc(i), Msg::Shutdown);
     }
@@ -524,11 +524,10 @@ mod tests {
 
     #[test]
     fn no_load_identity_is_the_coordinator_or_a_bb_client() {
-        let params = ElectionParams::new("load-ids", 8, 2, 4, 3, 3, 2, 0, 1_000).unwrap();
-        let reserved: Vec<NodeId> = (0..=params.num_bb as u32).map(NodeId::client).collect();
+        let reserved: Vec<NodeId> = (0..RESERVED_CLIENTS).map(NodeId::client).collect();
         assert_eq!(reserved[0], COORDINATOR);
         for global in 0..64 {
-            let id = load_identity(&params, global);
+            let id = load_identity(global);
             assert!(!reserved.contains(&id), "connection {global} is {id}");
         }
     }

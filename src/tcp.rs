@@ -1,66 +1,34 @@
 //! Multi-process elections over TCP sockets.
 //!
 //! The paper's prototype runs every VC and BB replica as its own
-//! networked process (§V). This module is that process topology for the
-//! reproduction: a [`TcpCluster`] names the listen address of every
-//! replica, [`run_vc_replica`] / [`run_bb_replica`] are the blocking
-//! replica mains, and
-//! `ElectionBuilder::network(Network::Tcp(cluster))` builds an
-//! [`crate::Election`] whose phase handles drive the remote cluster:
-//! voters cast over sockets, and `tally()` and `audit()` run against a
-//! majority read of `Msg::BbReadResponse`s. The coordinator speaks to the
-//! replicas exactly as it does in process — `ClosePolls`, `Finalized`,
-//! `Shutdown` from and to [`COORDINATOR`], BB writes and reads through
-//! its `ddemos_bb::RemoteBb` clients — over its own dialed connections
-//! instead of the simulated network.
+//! networked process (§V). A [`TcpCluster`] names every replica's listen
+//! address, [`run_vc_replica`] / [`run_bb_replica`] are the blocking
+//! replica mains, and `ElectionBuilder::network(Network::Tcp(cluster))`
+//! builds an [`crate::Election`] that drives the remote cluster. Every
+//! party speaks as it does in process: the coordinator sends `ClosePolls`
+//! and `Shutdown` from [`crate::COORDINATOR`], takes `Finalized` back and
+//! reads the board through one endpoint; each collector writes its own
+//! vote set and `msk` share to every BB replica; each trustee node reads
+//! the board and writes its own post. Trustee nodes are threads of the
+//! coordinator's process on a transport of their own, not yet processes.
 //!
-//! Every party — replica, coordinator, BB client, voter — is one
-//! [`EvNodeEndpoint`] over its own epoll event loop, and every connection
-//! runs the seeded [`ddemos_net::auth`] handshake, so an envelope's
-//! source is the channel's authenticated identity, never what a frame
-//! claims. A replica's loop serves its listener; the coordinator and the
-//! voters have none: their endpoints ([`AuthTransport`]) dial out and
-//! replicas answer over those connections. Every
-//! replica takes `ClosePolls`/`Shutdown` from [`COORDINATOR`] alone — but
-//! all parties share one channel secret, so anyone holding it can still
-//! handshake as the coordinator until per-node keys replace it.
+//! Every party is one [`EvNodeEndpoint`] over its own epoll loop, and
+//! every connection runs the seeded [`ddemos_net::auth`] handshake, so an
+//! envelope's source is the channel's authenticated identity. A replica's
+//! loop serves its listener; the other parties' endpoints
+//! ([`AuthTransport`]) dial out. The replicas run the same drivers over
+//! the same sans-I/O cores as in process, which is why a same-seed TCP
+//! run reproduces the in-process tally, receipts and audit verdict
+//! (`examples/tcp_cluster.rs`).
 //!
-//! The replicas run the *same* drivers (`ddemos_vc::node::spawn`,
-//! `ddemos_bb::node::serve`) over the same sans-I/O cores (`VcCore`,
-//! `BbCore`) as the in-process simulation — only the endpoint differs —
-//! which is what
-//! makes the same-seed TCP and in-process runs produce identical tallies,
-//! receipts, and audit verdicts (`examples/tcp_cluster.rs` asserts
-//! exactly that across OS processes).
-//!
-//! # Initialization data: what the seed stands in for
-//!
-//! In the paper the EA deals each component its initialization data over
-//! an out-of-band channel and is destroyed (§III-D). Here every process
-//! is started with the shared `(params, seed)` and derives *its own
-//! slice* of the deterministic set-up ([`SetupProfile`]): a VC replica
-//! its node's `VcInit` and the consensus beacon
-//! ([`SetupProfile::VcNode`]), a BB replica `BbInit`
-//! ([`SetupProfile::BbNode`]), the coordinator — which also plays the
-//! voters, the trustees and the auditor — the whole set-up, a load shard
-//! the printed ballots it casts. A slice equals that slice of the whole
-//! set-up byte for byte (`crates/ea/tests/golden.rs`).
-//!
-//! What this models: what each role **holds and computes** while it runs.
-//! A collector process never derives or holds a printed ballot (vote code
-//! ↔ option), a trustee's opening shares or the BB payload; a BB replica
-//! holds no collector's receipt shares, no printed ballot and no trustee
-//! share; no replica makes a signature over an object it is not handed.
-//! Memory and start-up time are a replica's own.
-//!
-//! What it does not model: the **secrecy** of the dealing. The seed is
-//! the EA's master secret, and a process that has it *could* derive any
-//! other role's data — the stand-in replaces the untappable channels of
-//! §III-D, it does not implement them. A deployment hands each process
-//! its slice (the `VcInit`/`BbInit` structures are exactly that hand-out)
-//! and never the seed; nothing downstream of `derive_setup` reads it
-//! except the channel-authentication stand-in
-//! ([`seeded_secret`], likewise a placeholder for distributed keys).
+//! Each process derives its own role's slice of the deterministic set-up
+//! ([`SetupProfile`]) from the shared `(params, seed)`, standing in for
+//! the EA's out-of-band dealing (§III-D; the per-role table is in
+//! DESIGN.md §7.3). It models what each role holds and computes, not the
+//! secrecy of the dealing: the seed is the EA's master secret, so a
+//! deployment hands each process its slice and never the seed, and the
+//! channels' one shared secret ([`seeded_secret`]) is likewise a
+//! placeholder for per-node keys.
 
 use ddemos_bb::BbNode;
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
@@ -69,7 +37,7 @@ use ddemos_net::evloop::EvConfig;
 use ddemos_net::{AuthTransport, EvNodeEndpoint};
 use ddemos_protocol::clock::GlobalClock;
 use ddemos_protocol::exec::Pool;
-use ddemos_protocol::{ElectionParams, NodeId, COORDINATOR};
+use ddemos_protocol::{ElectionParams, NodeId};
 use ddemos_vc::{MemoryStore, VcNodeConfig};
 use std::net::SocketAddr;
 
@@ -126,19 +94,6 @@ pub struct TcpCluster {
 }
 
 impl TcpCluster {
-    /// A localhost cluster on consecutive ports starting at `base_port`:
-    /// VC `i` at `base_port + i`, BB `j` after the VCs.
-    pub fn localhost(base_port: u16, num_vc: usize, num_bb: usize) -> TcpCluster {
-        let addr = |offset: u16| SocketAddr::from(([127, 0, 0, 1], base_port + offset));
-        TcpCluster {
-            vc_addrs: (0..num_vc as u16).map(addr).collect(),
-            bb_addrs: (0..num_bb as u16)
-                .map(|j| addr(num_vc as u16 + j))
-                .collect(),
-            options: TcpOptions::default(),
-        }
-    }
-
     /// A localhost cluster on OS-assigned free ports: each port is
     /// probed by binding a throwaway listener. The ports are released
     /// again before this returns, so a race with another process is
@@ -233,7 +188,8 @@ fn derive_setup(params: &ElectionParams, seed: u64, profile: SetupProfile) -> Se
 
 /// Runs one VC replica to completion: derives its initialization data,
 /// binds its listener, serves the full protocol (voting, vote-set
-/// consensus, finalized-set delivery to the coordinator), and returns
+/// consensus, its finalized set written to every BB replica and sent to
+/// the coordinator), and returns
 /// when the coordinator sends `Msg::Shutdown`.
 ///
 /// # Errors
@@ -255,10 +211,10 @@ pub fn run_vc_replica(
     let rows = std::mem::take(&mut init.ballots);
     let store = MemoryStore::new(rows, params.num_ballots);
     let me = NodeId::vc(index);
-    // Dialable peers are the *other replicas* (they have listeners).
-    // The coordinator and the voters have none: they connect in, and
-    // their authenticated channels carry the finalized sets and receipts
-    // back out.
+    // Dialable peers are the *other replicas* (they have listeners),
+    // the BB replicas among them. The coordinator and the voters have
+    // none: they connect in, and their authenticated channels carry the
+    // finalized sets and receipts back out.
     let mut peers = cluster.replicas();
     peers.retain(|(id, _)| *id != me);
     let endpoint = EvNodeEndpoint::bind(
@@ -294,8 +250,8 @@ pub fn run_bb_replica(
 ) -> std::io::Result<()> {
     let node = BbNode::new(derive_setup(params, seed, SetupProfile::BbNode).bb_init);
     let me = NodeId::bb(index);
-    // A BB replica never dials anyone: every client (the coordinator's
-    // `RemoteBb` clients, auditors) connects in.
+    // A BB replica never dials anyone: every writer and reader (the
+    // collectors, the trustees, the coordinator, auditors) connects in.
     let endpoint = EvNodeEndpoint::bind(
         me,
         cluster.bb_addrs[index as usize],
@@ -306,14 +262,15 @@ pub fn run_bb_replica(
     Ok(())
 }
 
-/// The coordinator's dial-out transport to a remote cluster (held by
-/// [`crate::Election`] in TCP mode). Nothing is dialed until the first
-/// send.
-pub(crate) fn coordinator_transport(cluster: &TcpCluster, seed: u64) -> AuthTransport {
+/// A dial-out transport to a remote cluster for client parties (held by
+/// [`crate::Election`] in TCP mode: one for the coordinator, one for the
+/// trustee nodes), its nonces seeded for `party`. Nothing is dialed until
+/// the first send.
+pub(crate) fn client_transport(cluster: &TcpCluster, seed: u64, party: NodeId) -> AuthTransport {
     AuthTransport::new(
         cluster.replicas(),
         cluster.auth_config(seed),
-        process_nonce_seed(COORDINATOR),
+        process_nonce_seed(party),
     )
 }
 
@@ -324,7 +281,7 @@ mod tests {
     use ddemos_crypto::votecode::VoteCode;
     use ddemos_net::TransportEndpoint;
     use ddemos_protocol::messages::Msg;
-    use ddemos_protocol::SerialNo;
+    use ddemos_protocol::{SerialNo, COORDINATOR};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
 
@@ -349,7 +306,11 @@ mod tests {
     /// replica of a default-options cluster is; `peers` is its dial table.
     fn vc_endpoint(index: u32, peers: Vec<(NodeId, SocketAddr)>) -> EvNodeEndpoint {
         let me = NodeId::vc(index);
-        let cluster = TcpCluster::localhost(0, 0, 0);
+        let cluster = TcpCluster {
+            vc_addrs: Vec::new(),
+            bb_addrs: Vec::new(),
+            options: TcpOptions::default(),
+        };
         EvNodeEndpoint::bind(
             me,
             SocketAddr::from(([127, 0, 0, 1], 0)),
@@ -442,7 +403,7 @@ mod tests {
                 }
                 false
             });
-            let transport = coordinator_transport(&cluster, SEED);
+            let transport = client_transport(&cluster, SEED, COORDINATOR);
             let coordinator = transport.register(COORDINATOR).unwrap();
             coordinator.send(NodeId::vc(0), Msg::ClosePolls);
             // The replica has written frames the coordinator never reads

@@ -196,8 +196,15 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
     let params = ElectionParams::new("byz-trustee", 4, 2, 4, 3, 5, 3, 0, 600_000).unwrap();
     let election = ElectionBuilder::new(params)
         .seed(0xB13)
+        .virtual_time()
         .build()
         .expect("election builds");
+    // Trustee 0's own node never reaches the board, and the honest nodes
+    // reach it only once trustee 0's post is there.
+    let net = election.network();
+    let replicas: Vec<NodeId> = (0..3).map(NodeId::bb).collect();
+    net.crash(NodeId::trustee(0));
+    net.partition((1..5).map(NodeId::trustee), replicas);
     let voting = election.voting().patience(Duration::from_secs(10));
     for (ballot, option) in [(0, 1), (1, 0), (2, 1)] {
         voting.cast(ballot, option).expect("receipt");
@@ -205,24 +212,21 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
     election.close().expect("polls close");
 
     let snapshot = election.snapshot().expect("majority snapshot");
-    for init in &election.setup.trustee_inits {
-        let trustee = ddemos_trustee::Trustee::new(init.clone());
-        let (mut post, mut sig) = trustee.produce_post(&snapshot).expect("post");
-        if init.index == 0 {
-            post.zk[1].rows[0][1][0] += ddemos_crypto::field::Scalar::ONE;
-            sig = init
-                .signing_key
-                .sign(&ddemos_bb::trustee_post_digest(&post));
-        }
-        let post = std::sync::Arc::new(post);
-        for bb in election.reader().nodes() {
-            bb.submit_trustee_post(post.clone(), &sig)
-                .expect("validly signed post is accepted");
-        }
+    let init = &election.setup.trustee_inits[0];
+    let trustee = ddemos_trustee::Trustee::new(init.clone());
+    let (mut post, _) = trustee.produce_post(&snapshot).expect("post");
+    post.zk[1].rows[0][1][0] += ddemos_crypto::field::Scalar::ONE;
+    let sig = init
+        .signing_key
+        .sign(&ddemos_bb::trustee_post_digest(&post));
+    let post = std::sync::Arc::new(post);
+    for bb in election.reader().nodes() {
+        bb.submit_trustee_post(post.clone(), &sig)
+            .expect("validly signed post is accepted");
     }
 
-    // The facade's own trustees post again (first post per trustee wins,
-    // so trustee 0 stays Byzantine) and the result is majority-read.
+    // The honest trustee nodes post now, and the result is majority-read.
+    net.heal_partitions();
     let result = election.tally().expect("result published");
     assert_eq!(result.tally, vec![1, 2]);
     for bb in election.reader().nodes() {
@@ -237,9 +241,10 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
 
 #[test]
 fn concurrent_trustee_fan_out_leaves_the_replicas_identical() {
-    // `tally()` sends each trustee post to every replica before it awaits
-    // their replies, so the replicas verify concurrently; they must end up
-    // exactly where one serial feeder leaves them.
+    // The trustee nodes post at once, and each sends its post to every
+    // replica before it awaits their replies, so the replicas verify
+    // concurrently; they must end up exactly where one serial feeder
+    // leaves them.
     let params = ElectionParams::new("fan-out", 5, 3, 4, 3, 5, 3, 0, 600_000).unwrap();
     let election = ElectionBuilder::new(params)
         .seed(0xB14)

@@ -70,8 +70,8 @@ fn start_cluster(
 /// Finishes the election, shuts the cluster down and checks the
 /// coordinator's connection accounting: once the voters are gone, the
 /// only client connections still open are the coordinator's own — one
-/// control connection to each replica and one BB client connection per
-/// BB replica — however many voters cast.
+/// control connection to each replica and, from its endpoint to the
+/// board, one per BB replica — however many voters cast.
 fn finish(
     election: Election,
     replicas: Vec<JoinHandle<()>>,
