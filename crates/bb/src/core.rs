@@ -19,15 +19,13 @@ use ddemos_crypto::batch::LinearBatch;
 use ddemos_crypto::elgamal::{self, Ciphertext, PublicKey};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::mverify::MsgVerifier;
-use ddemos_crypto::schnorr::{Signature, VerifyingKey};
+use ddemos_crypto::schnorr::Signature;
 use ddemos_crypto::shamir::{Interpolator, InterpolatorCache};
 use ddemos_crypto::votecode::{self, VoteCode};
 use ddemos_crypto::vss::{DealerVss, SignedShare};
 use ddemos_crypto::zkp;
 use ddemos_protocol::codec;
-use ddemos_protocol::initdata::{
-    msk_share_context, opening_bundle_message, voteset_message, BbBallot, BbInit, BbRow,
-};
+use ddemos_protocol::initdata::{msk_share_context, voteset_message, BbBallot, BbInit, BbRow};
 use ddemos_protocol::messages::{BbWriteMsg, BbWriteOutcome};
 use ddemos_protocol::posts::{ElectionResult, PartZkPost, TallySharePost, TrusteePost, VoteSet};
 use ddemos_protocol::wire::{Reader, WireError, Writer};
@@ -304,7 +302,6 @@ pub fn trustee_post_digest(post: &TrusteePost) -> [u8; 32] {
                 w.put_array(&b.to_bytes()).put_array(&r.to_bytes());
             }
         }
-        w.put_array(&o.opening_sig.to_bytes());
     }
     w.put_u64(post.zk.len() as u64);
     for z in &post.zk {
@@ -335,9 +332,9 @@ pub struct BbCore {
     /// tables — a table (~0.35 ms to build) repays itself after five
     /// one-at-a-time checks against its key, and a board sees fewer: one
     /// vote-set write per VC key, `N_v − f_v` `msk` shares under the EA
-    /// key, and a trustee's one post (its signature and its EA-signed
-    /// bundles) goes through the MSM. Stateless but for its counts, so
-    /// journal replay reproduces the same accept/reject outcomes.
+    /// key and one signature per trustee post. Stateless but for its
+    /// counts, so journal replay reproduces the same accept/reject
+    /// outcomes.
     mverify: MsgVerifier,
     vote_set_submissions: BTreeMap<[u8; 32], Vec<u32>>, // digest -> vc nodes
     vote_sets: BTreeMap<[u8; 32], VoteSet>,
@@ -520,24 +517,10 @@ impl BbCore {
         else {
             return (Err(WriteError::UnknownWriter), None);
         };
-        // One batch over the whole post: the trustee's signature on the
-        // post digest plus the EA signatures on every opening bundle.
-        // Any invalid entry rejects the write, exactly like the old
-        // signature-at-a-time loop — it just costs one MSM.
-        let mut items: Vec<(VerifyingKey, Vec<u8>, Signature)> =
-            Vec::with_capacity(1 + post.openings.len());
-        items.push((vk, trustee_post_digest(&post).to_vec(), *sig));
-        for opening in &post.openings {
-            let msg = opening_bundle_message(
-                &self.init.params.election_id,
-                opening.serial,
-                opening.part,
-                post.trustee_index,
-                &opening.rows,
-            );
-            items.push((self.init.ea_key, msg, opening.opening_sig));
-        }
-        if self.mverify.check_batch(&items).iter().any(|ok| !ok) {
+        // The trustee's signature on the post is the one check a post
+        // gets on arrival: its shares are checked at publication, by what
+        // `h_t` of them interpolate to.
+        if !self.mverify.check(&vk, &trustee_post_digest(&post), sig) {
             return (Err(WriteError::BadSignature), None);
         }
         if self.snapshot.vote_set.is_none() || self.msk.is_none() {
@@ -567,11 +550,11 @@ impl BbCore {
     }
 
     /// Structural admission check for a trustee post: every share vector
-    /// the tally loops later index must match the ballot geometry (rows ×
-    /// ciphertexts) and the option count. The openings are EA-signed so
-    /// their shape is authenticated, but the ZK and tally shares are the
-    /// trustee's own — without this gate a Byzantine trustee could post
-    /// short vectors and panic the replica mid-tally.
+    /// the publication loops later index — openings, ZK responses, tally
+    /// shares — must match the ballot geometry (rows × ciphertexts) and
+    /// the option count. Nothing else bounds them: without this gate a
+    /// Byzantine trustee could post short vectors and panic the replica
+    /// mid-tally.
     fn trustee_post_shape_ok(&self, post: &TrusteePost) -> bool {
         let m = self.init.params.num_options;
         if post.tally.per_option.len() != m {
@@ -688,13 +671,12 @@ impl BbCore {
         }
     }
 
-    /// Unused/unvoted part openings and used-part ZK final moves: each part
-    /// is reconstructed from the first `h_t` posts that carry it, and the
-    /// parts of both kinds are verified together, [`check_parts`] a
-    /// [`PartBatch`]. A part publishes iff all of its openings or proofs
-    /// verify. Opening shares are EA-signed, so any subset interpolates the
-    /// same values. ZK response shares are the trustees' own (nothing signs
-    /// them but the post), so a ZK part the first subset cannot prove is
+    /// Unused/unvoted part openings and used-part ZK final moves, under one
+    /// rule: each part is reconstructed from the first `h_t` posts that
+    /// carry it, and the parts of both kinds are verified together,
+    /// [`check_parts`] a [`PartBatch`]. A part publishes iff all of its
+    /// openings or proofs verify. Nothing signs a share but its trustee's
+    /// post, so a part the first subset cannot reconstruct or prove is
     /// searched over the other `h_t`-subsets: one Byzantine trustee among
     /// the lowest indices must not withhold evidence that `h_t` honest
     /// posts on the board can supply.
@@ -707,61 +689,27 @@ impl BbCore {
         let ht = self.init.params.trustee_threshold;
         let ballots = &self.init.ballots;
         let check = |parts: &[Part<'_>]| check_parts(&self.init.elgamal_pk, challenge, parts);
-        let openings = group_shares(&self.snapshot.openings, posts, |post| {
-            post.openings.iter().map(|o| (o.serial, o.part, &o.rows))
-        });
-        let zk = group_shares(&self.snapshot.zk_responses, posts, |post| {
-            post.zk.iter().map(|z| (z.serial, z.part, z))
-        });
-        // Publishes what a settled batch verified; returns the rejected ZK
+        let shares = group_shares(&self.snapshot, posts);
+        // Publishes what a settled batch verified; returns the rejected
         // parts.
         let mut settle = |batch: &mut PartBatch<_>| {
             let (verified, rejected) = batch.settle(check);
             for part in verified {
                 publish(&mut self.snapshot, part);
             }
-            let rejected = rejected.into_iter();
-            rejected.filter_map(|(key, _, e)| matches!(e, Evidence::Zk(_)).then_some(key))
+            rejected.into_iter().map(|(key, _, _)| key)
         };
         let mut batch = PartBatch::new(VERIFY_TERMS);
         let mut unproven: Vec<(SerialNo, u8)> = Vec::new();
-        for (key, shares) in &openings {
-            let Some(shares) = shares.get(..ht) else {
+        for (key, shares) in &shares {
+            let (Some(first), Some(rows)) = (shares.get(..ht), part_rows(ballots, key)) else {
                 continue;
             };
-            let Some(rows) = part_rows(ballots, key) else {
-                continue;
-            };
-            let Ok(interp) = interpolators.over(shares.iter().map(|(index, _)| *index).collect())
-            else {
-                continue;
-            };
-            let shares: Vec<&RowOpenings> = shares.iter().map(|(_, rows)| *rows).collect();
-            let Some(opened) = reconstruct_openings(interp, &shares, rows) else {
-                continue;
-            };
-            let claims: usize = rows.iter().map(|row| row.commitment.len()).sum();
-            batch.push((*key, rows, Evidence::Openings(opened)), 2 * claims);
-            if batch.is_full() {
-                unproven.extend(settle(&mut batch));
-            }
-        }
-        for (key, shares) in &zk {
-            let Some(first) = shares.get(..ht) else {
-                continue;
-            };
-            let Some(rows) = part_rows(ballots, key) else {
-                continue;
-            };
-            let Ok(interp) = interpolators.over(first.iter().map(|(index, _)| *index).collect())
-            else {
-                continue;
-            };
-            let first: Vec<&PartZkPost> = first.iter().map(|(_, z)| *z).collect();
-            match reconstruct_zk(interp, &first, rows, challenge) {
-                Some(responses) => {
-                    let terms = rows.iter().map(|row| zkp::row_terms(row.commitment.len()));
-                    batch.push((*key, rows, Evidence::Zk(responses)), terms.sum());
+            let (indices, first): (Vec<u32>, Vec<PartShare<'_>>) = first.iter().copied().unzip();
+            match reconstruct(interpolators, indices, &first, rows, challenge) {
+                Some(evidence) => {
+                    let terms = evidence.terms(rows);
+                    batch.push((*key, rows, evidence), terms);
                 }
                 None => unproven.push(*key),
             }
@@ -776,24 +724,23 @@ impl BbCore {
         // so the search costs its C(N_t, h_t) tries once, not per part.
         let mut proving: Option<Vec<u32>> = None;
         for key in unproven {
-            let (Some(shares), Some(rows)) = (zk.get(&key), part_rows(ballots, &key)) else {
+            let (Some(shares), Some(rows)) = (shares.get(&key), part_rows(ballots, &key)) else {
                 continue;
             };
             // The first subset is the one that just failed.
-            let mut subsets: Vec<(Vec<u32>, Vec<&PartZkPost>)> = subsets_of(shares, ht)
+            let mut subsets: Vec<(Vec<u32>, Vec<PartShare<'_>>)> = subsets_of(shares, ht)
                 .into_iter()
                 .skip(1)
-                .map(|subset| subset.into_iter().map(|(index, z)| (*index, *z)).unzip())
+                .map(|subset| subset.into_iter().copied().unzip())
                 .collect();
             subsets.sort_by_key(|(indices, _)| proving.as_ref() != Some(indices));
             for (indices, subset) in subsets {
-                let Ok(interp) = interpolators.over(indices.clone()) else {
+                let Some(evidence) =
+                    reconstruct(interpolators, indices.clone(), &subset, rows, challenge)
+                else {
                     continue;
                 };
-                let Some(responses) = reconstruct_zk(interp, &subset, rows, challenge) else {
-                    continue;
-                };
-                let part = (key, rows, Evidence::Zk(responses));
+                let part = (key, rows, evidence);
                 if check(std::slice::from_ref(&part)).is_ok() {
                     publish(&mut self.snapshot, part);
                     proving = Some(indices);
@@ -892,25 +839,33 @@ impl BbCore {
     }
 }
 
+/// One trustee's share of one part's evidence, as its post carries it.
+#[derive(Clone, Copy)]
+enum PartShare<'a> {
+    /// Opening shares of an unused or unvoted part.
+    Openings(&'a RowOpenings),
+    /// ZK response shares of a used part.
+    Zk(&'a PartZkPost),
+}
+
 /// Every part's shares, as `(evaluation index, share)` in trustee order,
 /// for the parts `published` does not hold yet. `posts` must be in trustee
 /// order; a post that names one part twice then shows up as a repeated
 /// last index and only its first entry stands, so a share list is a valid
 /// index set whatever a Byzantine trustee repeats.
-fn group_shares<'a, V, T: 'a, I>(
-    published: &BTreeMap<(SerialNo, u8), V>,
+fn group_shares<'a>(
+    published: &BbSnapshot,
     posts: &'a [Arc<TrusteePost>],
-    parts_of: impl Fn(&'a TrusteePost) -> I,
-) -> BTreeMap<(SerialNo, u8), Vec<(u32, &'a T)>>
-where
-    I: Iterator<Item = (SerialNo, PartId, &'a T)>,
-{
-    let mut by_key: BTreeMap<(SerialNo, u8), Vec<(u32, &'a T)>> = BTreeMap::new();
+) -> BTreeMap<(SerialNo, u8), Vec<(u32, PartShare<'a>)>> {
+    let mut by_key: BTreeMap<(SerialNo, u8), Vec<(u32, PartShare<'a>)>> = BTreeMap::new();
     for post in posts {
         let index = post.trustee_index + 1;
-        for (serial, part, share) in parts_of(post) {
+        let openings = post.openings.iter();
+        let openings = openings.map(|o| (o.serial, o.part, PartShare::Openings(&o.rows)));
+        let zk = post.zk.iter().map(|z| (z.serial, z.part, PartShare::Zk(z)));
+        for (serial, part, share) in openings.chain(zk) {
             let key = (serial, part.index() as u8);
-            if published.contains_key(&key) {
+            if published.openings.contains_key(&key) || published.zk_responses.contains_key(&key) {
                 continue;
             }
             let shares = by_key.entry(key).or_default();
@@ -922,6 +877,32 @@ where
     by_key
 }
 
+/// Interpolates one part's evidence from the shares of the trustees
+/// `indices` (one share each, in their order). `None` when the shares are
+/// not all of one kind, or when [`reconstruct_zk`] sees a proof that
+/// certainly fails.
+fn reconstruct(
+    interpolators: &mut InterpolatorCache,
+    indices: Vec<u32>,
+    shares: &[PartShare<'_>],
+    rows: &[BbRow],
+    challenge: &Scalar,
+) -> Option<Evidence> {
+    let interp = interpolators.over(indices).ok()?;
+    let openings = shares.iter().map(|share| match share {
+        PartShare::Openings(rows) => Some(*rows),
+        PartShare::Zk(_) => None,
+    });
+    if let Some(openings) = openings.collect::<Option<Vec<_>>>() {
+        return reconstruct_openings(interp, &openings, rows).map(Evidence::Openings);
+    }
+    let zk = shares.iter().map(|share| match share {
+        PartShare::Zk(z) => Some(*z),
+        PartShare::Openings(_) => None,
+    });
+    reconstruct_zk(interp, &zk.collect::<Option<Vec<_>>>()?, rows, challenge).map(Evidence::Zk)
+}
+
 /// The published rows of one ballot part.
 fn part_rows<'a>(
     ballots: &'a BTreeMap<SerialNo, BbBallot>,
@@ -931,10 +912,10 @@ fn part_rows<'a>(
     ballot.parts.get(usize::from(*part)).map(Vec::as_slice)
 }
 
-/// MSM terms per verification batch: 2 an opening claim, [`zkp::row_terms`]
-/// a proven row. One electorate-sized MSM holds `O(n·m²)` points, scalars
-/// and transcript bytes per replica at once (and the replicas of one
-/// process verify concurrently); bounding the batch bounds that transient.
+/// MSM terms per verification batch ([`Evidence::terms`]). One
+/// electorate-sized MSM holds `O(n·m²)` points, scalars and transcript
+/// bytes per replica at once (and the replicas of one process verify
+/// concurrently); bounding the batch bounds that transient.
 /// The price is the MSM's slowly falling per-term cost: an 8k-term MSM
 /// pays ~5.7 µs a term where a 64k-term one pays ~5.0 (DESIGN.md §4.2).
 const VERIFY_TERMS: usize = 8192;
@@ -946,6 +927,18 @@ enum Evidence {
     Openings(RowOpenings),
     /// The ZK final moves of a used part.
     Zk(RowZkResponses),
+}
+
+impl Evidence {
+    /// Its MSM terms in a [`check_parts`] batch: 2 an opening claim,
+    /// [`zkp::row_terms`] a proven row.
+    fn terms(&self, rows: &[BbRow]) -> usize {
+        let per_row = |row: &BbRow| match self {
+            Evidence::Openings(_) => 2 * row.commitment.len(),
+            Evidence::Zk(_) => zkp::row_terms(row.commitment.len()),
+        };
+        rows.iter().map(per_row).sum()
+    }
 }
 
 /// A ballot part, its published rows and its evidence.

@@ -5,8 +5,8 @@
 //! to each other. Reads are public; writes are authenticated and verified —
 //! vote sets against the `fv+1` identical-copy threshold, `msk` shares
 //! against the EA's signatures and `H_msk`, trustee posts against trustee
-//! keys, EA opening-bundle signatures, and reconstruct-then-verify for the
-//! distributed ZK responses and the tally opening. The robustness of the
+//! keys, and reconstruct-then-verify for the openings, the distributed ZK
+//! responses and the tally opening. The robustness of the
 //! subsystem comes entirely from this write-side verification plus
 //! read-side majority (see [`crate::reader`]).
 //!
@@ -247,8 +247,8 @@ impl BbNode {
     /// A trustee submits its post (authenticated write).
     ///
     /// # Errors
-    /// Rejects unknown trustees, bad signatures, and posts whose EA-signed
-    /// opening bundles fail verification.
+    /// Rejects unknown trustees, bad signatures, and posts whose share
+    /// vectors do not fit the ballots.
     pub fn submit_trustee_post(
         &self,
         post: Arc<TrusteePost>,

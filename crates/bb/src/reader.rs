@@ -501,7 +501,6 @@ mod tests {
             serial: SerialNo(1),
             part: PartId::A,
             rows: vec![vec![(x, x); 3], Vec::new(), vec![(x, x); 3]],
-            opening_sig: sig,
         };
         let zk = PartZkPost {
             serial: SerialNo(2),

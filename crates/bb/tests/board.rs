@@ -2,7 +2,7 @@
 //! authentication against `H_msk`, and majority reads over divergent
 //! replicas.
 
-use ddemos_bb::{BbApi, BbNode, MajorityReader};
+use ddemos_bb::{BbApi, BbNode, MajorityReader, WriteError};
 use ddemos_crypto::schnorr::SigningKey;
 use ddemos_crypto::votecode::VoteCode;
 use ddemos_ea::{ElectionAuthority, SetupProfile};
@@ -302,10 +302,16 @@ fn byzantine_low_index_trustee_cannot_withhold_zk_evidence() {
     }
     let honest = honest.read();
 
-    // Trustee 0 posts one wrong ZK response share for ballot 0, validly
-    // signed: the tally and every opening still reconstruct from 0,1,2.
+    // Trustee 0 posts one wrong ZK response share for ballot 0 and one
+    // wrong opening share for ballot 1, validly signed: the tally and every
+    // other part still reconstruct from 0,1,2.
     let mut forged = (*posts[0].0).clone();
     forged.zk[0].rows[0][0][1] += ddemos_crypto::field::Scalar::ONE;
+    forged.openings[1].rows[0][1].1 += ddemos_crypto::field::Scalar::ONE;
+    let bad_opening = (
+        forged.openings[1].serial,
+        forged.openings[1].part.index() as u8,
+    );
     // It also names a part twice in each list, which must not spoil the
     // index set of the subsets it is in.
     forged.zk.push(forged.zk[1].clone());
@@ -321,7 +327,11 @@ fn byzantine_low_index_trustee_cannot_withhold_zk_evidence() {
     }
     let snap = bb.read();
     assert_eq!(snap.result, honest.result, "the result does not wait");
-    assert_eq!(snap.openings, honest.openings);
+    assert!(
+        !snap.openings.contains_key(&bad_opening),
+        "no subset of {{0,1,2}} opens the forged part"
+    );
+    assert_eq!(snap.openings.len(), honest.openings.len() - 1);
     assert!(
         !snap.zk_responses.contains_key(&(bad_serial, bad_part)),
         "no subset of {{0,1,2}} proves the forged part"
@@ -332,17 +342,44 @@ fn byzantine_low_index_trustee_cannot_withhold_zk_evidence() {
         "the forged part does not block the other part of its batch"
     );
 
-    // The fourth post brings an honest subset {1,2,3}: the missing part
-    // is filled in although the result is already out.
+    // The fourth post brings an honest subset {1,2,3}: the missing parts
+    // are filled in although the result is already out.
     bb.submit_trustee_post(posts[3].0.clone(), &posts[3].1)
         .unwrap();
     let snap = bb.read();
     assert_eq!(snap.zk_responses, honest.zk_responses);
+    assert_eq!(snap.openings, honest.openings);
     bb.submit_trustee_post(posts[4].0.clone(), &posts[4].1)
         .unwrap();
     let snap = bb.read();
     assert_eq!(snap.zk_responses, honest.zk_responses);
     assert_eq!(snap.digest(), honest.digest());
+}
+
+#[test]
+fn trustee_post_of_the_wrong_shape_is_refused() {
+    let (out, _) = setup();
+    let bb = board_awaiting_trustees(&out);
+    let (post, sig) = trustee_posts(&out, &bb).swap_remove(0);
+    let before = bb.read().digest();
+    // Two options, so each vector ends one share short.
+    let short_opening = |p: &mut TrusteePost| p.openings[0].rows[0].truncate(1);
+    let short_zk = |p: &mut TrusteePost| p.zk[0].rows[0].truncate(1);
+    let short_tally = |p: &mut TrusteePost| p.tally.per_option.truncate(1);
+    for shorten in [short_opening, short_zk, short_tally] {
+        let mut bad = (*post).clone();
+        shorten(&mut bad);
+        let sig = out.trustee_inits[0]
+            .signing_key
+            .sign(&ddemos_bb::trustee_post_digest(&bad));
+        assert_eq!(
+            bb.submit_trustee_post(Arc::new(bad), &sig),
+            Err(WriteError::Inconsistent)
+        );
+        assert_eq!(bb.read().digest(), before);
+    }
+    // A refused post does not take its trustee's place on the board.
+    bb.submit_trustee_post(post, &sig).unwrap();
 }
 
 #[test]

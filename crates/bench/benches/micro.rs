@@ -223,8 +223,8 @@ fn bench_kernels(c: &mut Criterion) {
         4.0,
     );
     // One at a time — 64 multiplications, Jacobian out — against the
-    // same 64 in lockstep: what a regression of set-up, or of
-    // `sign_many`, to a loop over `mul` would give back. Equal first.
+    // same 64 in lockstep: what a regression of set-up to a loop over
+    // `mul` would give back. Equal first.
     let one_at_a_time = || -> Vec<Point> {
         std::hint::black_box(&ks[..64])
             .iter()

@@ -4,9 +4,9 @@
 //! * `setup/ea` — the VC-only profile of a 10k-ballot election (the
 //!   Fig 4/5 precondition: ballots and collector rows, no commitments);
 //! * `setup/full m=2`, `setup/full m=5` — the whole set-up an election
-//!   needs (commitments, first moves, trustee sharings, every EA
-//!   signature), on 1000 and 200 ballots: the per-ballot figure the
-//!   million-ballot estimate in ROADMAP.md multiplies.
+//!   needs (commitments, first moves, trustee sharings), on 1000 and
+//!   200 ballots: the per-ballot figure the million-ballot estimate in
+//!   ROADMAP.md multiplies.
 //!
 //! `--test` (as passed by `cargo bench -- --test`) smoke-runs a 50-ballot
 //! VC-only setup (5 and 1 ballots for the full ones) per thread count.

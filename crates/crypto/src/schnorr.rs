@@ -197,51 +197,23 @@ impl SigningKey {
         self.vk
     }
 
-    /// Signs a message (deterministic RFC-6979-style nonce): the
-    /// one-message form of [`SigningKey::sign_many`].
+    /// Signs a message (deterministic RFC-6979-style nonce). `k·G` comes
+    /// affine out of a one-output [`FixedBase::mul_many`]: the comb's own
+    /// mixed additions and the one inversion of signing, whose `y` the
+    /// signature keeps.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        self.sign_many(&[message])[0]
-    }
-
-    /// Signs every message of a slice, byte for byte as [`SigningKey::sign`]
-    /// signs each: all commitments `kᵢ·G` first, multiplied together and
-    /// affine out of the batched comb ([`FixedBase::mul_many`] — for one
-    /// message, the comb's own mixed additions and the one inversion of
-    /// signing), then the challenges and responses.
-    pub fn sign_many<M: AsRef<[u8]>>(&self, messages: &[M]) -> Vec<Signature> {
-        // kᵢ = HMAC(sk, msgᵢ) reduced — deterministic, never reused across
+        // k = HMAC(sk, msg) reduced — deterministic, never reused across
         // distinct messages, bias negligible.
-        let nonces: Vec<Scalar> = messages
-            .iter()
-            .map(|message| {
-                let k = Scalar::from_bytes_reduce(
-                    &self
-                        .nonce_key
-                        .mac(&[b"ddemos/schnorr/nonce", message.as_ref()]),
-                );
-                if k.is_zero() {
-                    Scalar::ONE
-                } else {
-                    k
-                }
-            })
-            .collect();
-        // Keep both forms of each normalised `R`.
-        FixedBase::generator()
-            .mul_many_affine(&nonces)
-            .into_iter()
-            .zip(messages)
-            .zip(nonces)
-            .map(|((commitment, message), k)| {
-                let r = commitment.to_bytes();
-                let e = challenge(&r, &self.vk, message.as_ref());
-                Signature {
-                    r,
-                    r_y: commitment.coords().map(|(_, y)| y),
-                    s: k + e * self.sk,
-                }
-            })
-            .collect()
+        let k = Scalar::from_bytes_reduce(&self.nonce_key.mac(&[b"ddemos/schnorr/nonce", message]));
+        let k = if k.is_zero() { Scalar::ONE } else { k };
+        let commitment = FixedBase::generator().mul_many_affine(&[k])[0];
+        let r = commitment.to_bytes();
+        let e = challenge(&r, &self.vk, message);
+        Signature {
+            r,
+            r_y: commitment.coords().map(|(_, y)| y),
+            s: k + e * self.sk,
+        }
     }
 }
 
@@ -415,23 +387,6 @@ mod tests {
         let key = SigningKey::generate(&mut rng);
         assert_eq!(key.sign(b"m"), key.sign(b"m"));
         assert_ne!(key.sign(b"m"), key.sign(b"n"));
-    }
-
-    #[test]
-    fn sign_many_matches_per_message_sign() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let key = SigningKey::generate(&mut rng);
-        let messages: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; usize::from(i) * 7]).collect();
-        let many = key.sign_many(&messages);
-        assert_eq!(many.len(), messages.len());
-        for (message, sig) in messages.iter().zip(&many) {
-            let one = key.sign(message);
-            assert_eq!(sig.to_bytes(), one.to_bytes());
-            // The in-process extras agree too, not only the wire bytes.
-            assert_eq!(sig.r_y, one.r_y);
-            assert!(key.verifying_key().verify(message, sig));
-        }
-        assert!(key.sign_many::<&[u8]>(&[]).is_empty());
     }
 
     /// Bit-flips the serialized signature (response low byte, then the

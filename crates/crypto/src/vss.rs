@@ -8,9 +8,10 @@
 //!
 //! * **Signed** ([`SignedShare`]): an EA signature anyone holding the EA
 //!   key can verify. The `msk` shares are dealt this way, since a Bulletin
-//!   Board replica checks the ones the collectors post. The trustee tally
-//!   uses the same Shamir sharing ([`crate::shamir`]), its shares
-//!   delivered in EA-signed bundles.
+//!   Board replica checks the ones the collectors post. The trustees'
+//!   shares use the same Shamir sharing ([`crate::shamir`]) unsigned: a
+//!   replica checks what `h_t` of them interpolate to against the
+//!   commitments.
 //! * **Tagged** ([`ShareTag`]): information checking in the sense of
 //!   Rabin and Ben-Or (STOC 1989). The dealer gives each verifier `j` a
 //!   tag key `K_j`, and hands the holder of a share one tag per verifier,
@@ -45,10 +46,8 @@ pub type ShareTag = [u8; 16];
 pub struct DealerVss;
 
 impl DealerVss {
-    /// The signed byte string for one share — public so a dealer with
-    /// many dealings to sign can put them all through one
-    /// [`SigningKey::sign_many`], and the batch/cache verification layer
-    /// can rebuild it.
+    /// The signed byte string for one share — public so the batch/cache
+    /// verification layer can rebuild it.
     pub fn share_message(context: &[u8], share: &Share) -> Vec<u8> {
         let mut msg = Vec::with_capacity(context.len() + 4 + 32 + 16);
         msg.extend_from_slice(b"ddemos/dealer-vss/v1");
@@ -59,16 +58,14 @@ impl DealerVss {
         msg
     }
 
-    /// Signs `shares` of one dealing (one shared inversion for the lot).
+    /// Signs `shares` of one dealing.
     pub fn sign(dealer: &SigningKey, context: &[u8], shares: &[Share]) -> Vec<SignedShare> {
-        let messages: Vec<Vec<u8>> = shares
-            .iter()
-            .map(|share| Self::share_message(context, share))
-            .collect();
         shares
             .iter()
-            .zip(dealer.sign_many(&messages))
-            .map(|(&share, signature)| SignedShare { share, signature })
+            .map(|&share| SignedShare {
+                share,
+                signature: dealer.sign(&Self::share_message(context, &share)),
+            })
             .collect()
     }
 

@@ -11,7 +11,7 @@
 //!
 //! Per ballot, the EA produces:
 //! * the voter's two-part ballot (vote codes, receipts);
-//! * per-VC-node rows: hashed vote codes plus EA-signed receipt shares
+//! * per-VC-node rows: hashed vote codes plus EA-tagged receipt shares
 //!   (`(Nv−fv, Nv)` trusted-dealer VSS);
 //! * BB rows: `msk`-encrypted vote codes, lifted-ElGamal option-encoding
 //!   commitments, and zero-knowledge first moves — shuffled per part;

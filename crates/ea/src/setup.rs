@@ -19,9 +19,8 @@ use ddemos_crypto::zkp::{self, CpFirstMove, OrFirstMove};
 use ddemos_protocol::ballot::{Ballot, BallotLine, BallotPart};
 use ddemos_protocol::exec::Pool;
 use ddemos_protocol::initdata::{
-    msk_share_context, opening_bundle_message, receipt_share_context, BbBallot, BbInit, BbRow,
-    TrusteeBallotShares, TrusteeCtShares, TrusteeInit, TrusteePartShares, TrusteeRowShares,
-    VcBallot, VcInit, VcRow,
+    msk_share_context, receipt_share_context, BbBallot, BbInit, BbRow, TrusteeBallotShares,
+    TrusteeCtShares, TrusteeInit, TrusteeRowShares, VcBallot, VcInit, VcRow,
 };
 use ddemos_protocol::params::ElectionParams;
 use ddemos_protocol::{PartId, SerialNo};
@@ -50,7 +49,7 @@ pub enum SetupProfile {
     /// The per-ballot `crypto` stream is walked in the order `Full` walks
     /// it (the commitments and first moves depend on its position), but
     /// the trustees' sharing polynomials are stepped over unhashed
-    /// ([`PrfRng::skip`]) and their opening bundles are not signed.
+    /// ([`PrfRng::skip`]).
     BbNode,
 }
 
@@ -63,8 +62,8 @@ struct Slice {
     vc_nodes: Range<usize>,
     /// The BB rows: commitments, first moves, encrypted vote codes.
     board: bool,
-    /// The trustees' share rows and signed opening bundles (needs
-    /// `board`: they are shares of its openings and proof coefficients).
+    /// The trustees' share rows (needs `board`: they are shares of its
+    /// openings and proof coefficients).
     trustees: bool,
 }
 
@@ -119,10 +118,10 @@ struct BallotBundle {
     vc: Vec<VcBallot>,
     bb: Option<BbBallot>,
     /// One entry per trustee (empty unless the slice has trustees).
-    trustee: Vec<[TrusteePartShares; 2]>,
+    trustee: Vec<[Vec<TrusteeRowShares>; 2]>,
 }
 
-/// The BB rows of one ballot and each trustee's still unsigned share rows.
+/// The BB rows of one ballot and each trustee's share rows.
 type CommittedRows = ([Vec<BbRow>; 2], Vec<[Vec<TrusteeRowShares>; 2]>);
 
 impl ElectionAuthority {
@@ -240,10 +239,7 @@ impl ElectionAuthority {
     ///
     /// A receipt share is tagged, not signed: collector `k`'s share of
     /// every row carries one tag for each other collector `j`, under
-    /// `j`'s tag key. Every EA signature of the ballot — an opening
-    /// bundle per part and trustee — is made by one
-    /// [`SigningKey::sign_many`] at the end: the trustee stage collects its
-    /// messages in a fixed order and is dealt the signatures back in it.
+    /// `j`'s tag key. The EA signs nothing per ballot.
     fn derive(&self, serial: SerialNo, slice: &Slice) -> BallotBundle {
         let derived = self.derive_ballot(serial);
         let eid = &self.params.election_id;
@@ -299,38 +295,12 @@ impl ElectionAuthority {
             }
         }
 
-        let (bb, trustee_rows) = if slice.board {
+        let (bb, trustee) = if slice.board {
             let (bb_parts, trustee_rows) = self.commit_rows(&derived, slice.trustees);
             (Some(BbBallot { parts: bb_parts }), trustee_rows)
         } else {
             (None, Vec::new())
         };
-
-        let _t = ddemos_obs::scoped_ns("ea.setup_ns", "sign");
-        // Each trustee's opening bundle per part.
-        let mut messages: Vec<Vec<u8>> = Vec::new();
-        for (t, parts) in trustee_rows.iter().enumerate() {
-            for (part, rows) in PartId::BOTH.into_iter().zip(parts) {
-                let openings: Vec<Vec<(Scalar, Scalar)>> = rows
-                    .iter()
-                    .map(|row| row.cts.iter().map(|ct| (ct.bit, ct.rand)).collect())
-                    .collect();
-                messages.push(opening_bundle_message(
-                    eid, serial, part, t as u32, &openings,
-                ));
-            }
-        }
-        let mut signatures = self.ea_key.sign_many(&messages).into_iter();
-        let mut next_signature = || signatures.next().expect("one signature per message");
-        let trustee = trustee_rows
-            .into_iter()
-            .map(|parts| {
-                parts.map(|rows| TrusteePartShares {
-                    rows,
-                    opening_sig: next_signature(),
-                })
-            })
-            .collect();
         BallotBundle {
             serial,
             ballot: slice.printed.then_some(derived.ballot),
@@ -516,7 +486,6 @@ impl ElectionAuthority {
                 params: self.params.clone(),
                 index: t as u32,
                 signing_key: *key,
-                ea_key: self.ea_key.verifying_key(),
                 elgamal_pk: self.elgamal_pk,
                 ballots: BTreeMap::new(),
             })
@@ -760,8 +729,7 @@ mod tests {
                             .iter()
                             .map(|ti| Share {
                                 index: ti.index + 1,
-                                value: ti.ballots[&ballot.serial].parts[part.index()].rows
-                                    [row_index]
+                                value: ti.ballots[&ballot.serial].parts[part.index()][row_index]
                                     .cts[j]
                                     .bit,
                             })
@@ -771,8 +739,7 @@ mod tests {
                             .iter()
                             .map(|ti| Share {
                                 index: ti.index + 1,
-                                value: ti.ballots[&ballot.serial].parts[part.index()].rows
-                                    [row_index]
+                                value: ti.ballots[&ballot.serial].parts[part.index()][row_index]
                                     .cts[j]
                                     .rand,
                             })
@@ -809,7 +776,7 @@ mod tests {
                 for (j, ct) in row.commitment.iter().enumerate() {
                     let mut resp_shares: Vec<[Share; 4]> = Vec::new();
                     for ti in &out.trustee_inits {
-                        let cs = &ti.ballots[&serial].parts[part.index()].rows[row_index].cts[j];
+                        let cs = &ti.ballots[&serial].parts[part.index()][row_index].cts[j];
                         let c = &cs.or_coeffs;
                         resp_shares.push([
                             Share {
@@ -854,8 +821,7 @@ mod tests {
                     .trustee_inits
                     .iter()
                     .map(|ti| {
-                        let sc =
-                            &ti.ballots[&serial].parts[part.index()].rows[row_index].sum_coeffs;
+                        let sc = &ti.ballots[&serial].parts[part.index()][row_index].sum_coeffs;
                         Share {
                             index: ti.index + 1,
                             value: sc[0] * challenge + sc[1],

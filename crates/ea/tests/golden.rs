@@ -97,7 +97,7 @@ fn digest(out: &SetupOutput) -> String {
         for (serial, ballot) in &init.ballots {
             h.update(&serial.0.to_be_bytes());
             for part in &ballot.parts {
-                for row in &part.rows {
+                for row in part {
                     for ct in &row.cts {
                         h.update(&ct.bit.to_bytes());
                         h.update(&ct.rand.to_bytes());
@@ -109,7 +109,6 @@ fn digest(out: &SetupOutput) -> String {
                         h.update(&c.to_bytes());
                     }
                 }
-                h.update(&part.opening_sig.to_bytes());
             }
         }
     }
@@ -124,20 +123,19 @@ fn slice_digest(put: impl FnOnce(&mut Sha256)) -> [u8; 32] {
 }
 
 /// `setup_with(Full)` for seed 7, three ballots, N_v = 4, N_t = 5,
-/// h_t = 3. Recorded when receipt shares moved from EA signatures to EA
-/// tags and `VcInit` dropped the EA key; the same digest without the tags
-/// and tag keys equals the one before that change without the
-/// receipt-share signatures and the collectors' EA key (the earlier
-/// record had held since before the set-up arithmetic moved to affine
-/// comb tables, witness-based OR simulation and `sign_many`).
+/// h_t = 3. Recorded when the EA stopped signing opening bundles: it
+/// equals the previous record's digest without the bundle signatures
+/// (that record held since receipt shares moved to EA tags, and the one
+/// before it since before the set-up arithmetic moved to affine comb
+/// tables and witness-based OR simulation).
 const RECORDED: [(usize, &str); 2] = [
     (
         2,
-        "764b039d7786b22a1156e0f4d37bb171ca24f8a5440d7624814ef4dd848a1217",
+        "82b0bbb4b0ce0277f51ba1541d027633b8c56de7704c15dea892a86d0b49b4d3",
     ),
     (
         3,
-        "8a1513a243f88d6839a92f7c7ab1ba0c0936f4d71d3b10685ec72fee3f5226f8",
+        "db0cc9315beb86f7b7ed476bcdf9638b1b5d43f091e4d0c9ff148c2adeadd0c3",
     ),
 ];
 

@@ -241,7 +241,6 @@ pub fn put_trustee_post(w: &mut Writer, post: &TrusteePost) {
         w.put_u64(o.serial.0);
         put_part(w, o.part);
         put_scalar_pairs(w, &o.rows);
-        put_signature(w, &o.opening_sig);
     }
     w.put_u32(post.zk.len() as u32);
     for z in &post.zk {
@@ -280,13 +279,7 @@ pub fn get_trustee_post(r: &mut Reader<'_>) -> Result<TrusteePost, WireError> {
         let serial = SerialNo(r.get_u64()?);
         let part = get_part(r)?;
         let rows = get_scalar_pairs(r)?;
-        let opening_sig = get_signature(r)?;
-        openings.push(PartOpeningPost {
-            serial,
-            part,
-            rows,
-            opening_sig,
-        });
+        openings.push(PartOpeningPost { serial, part, rows });
     }
     let n_zk = get_len(r)?;
     let mut zk = Vec::with_capacity(n_zk);
@@ -887,7 +880,6 @@ mod tests {
                 serial: SerialNo(1),
                 part: PartId::B,
                 rows: vec![vec![(Scalar::random(&mut rng), Scalar::random(&mut rng))]],
-                opening_sig: sig(&mut rng),
             }],
             zk: vec![PartZkPost {
                 serial: SerialNo(1),
@@ -980,7 +972,6 @@ mod tests {
                 serial: SerialNo(rng.gen()),
                 part: PartId::B,
                 rows: vec![vec![(Scalar::random(rng), Scalar::random(rng))]],
-                opening_sig: sig(rng),
             }],
             zk: vec![PartZkPost {
                 serial: SerialNo(rng.gen()),

@@ -8,7 +8,7 @@ use crate::wire::Writer;
 use ddemos_crypto::elgamal::{Ciphertext, PublicKey};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::hmac::HmacKey;
-use ddemos_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use ddemos_crypto::schnorr::{SigningKey, VerifyingKey};
 use ddemos_crypto::shamir::Share;
 use ddemos_crypto::votecode::{MskCommitment, VoteCodeHash};
 use ddemos_crypto::vss::{ShareTag, SignedShare};
@@ -54,31 +54,6 @@ pub fn msk_share_context(eid: &ElectionId) -> Vec<u8> {
 pub fn voteset_message(eid: &ElectionId, digest: &[u8; 32]) -> Vec<u8> {
     let mut w = Writer::tagged("ddemos/vote-set/v1");
     w.put_array(&eid.0).put_array(digest);
-    w.into_bytes()
-}
-
-/// Canonical message for a trustee's opening bundle for one ballot part
-/// (signed by the EA at setup; lets BB nodes verify unused-part openings).
-pub fn opening_bundle_message(
-    eid: &ElectionId,
-    serial: SerialNo,
-    part: PartId,
-    trustee_index: u32,
-    openings: &[Vec<(Scalar, Scalar)>],
-) -> Vec<u8> {
-    let mut w = Writer::tagged("ddemos/opening-bundle/v1");
-    w.put_array(&eid.0)
-        .put_u64(serial.0)
-        .put_u8(part.index() as u8)
-        .put_u32(trustee_index);
-    w.put_u32(openings.len() as u32);
-    for row in openings {
-        w.put_u32(row.len() as u32);
-        for (bit, rand) in row {
-            w.put_array(&bit.to_bytes());
-            w.put_array(&rand.to_bytes());
-        }
-    }
     w.into_bytes()
 }
 
@@ -225,37 +200,26 @@ pub struct TrusteeRowShares {
     pub sum_coeffs: [Scalar; 2],
 }
 
-/// A trustee's shares for one ballot part, with the EA's signature over the
-/// opening scalars (used to verify unused-part opening posts).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TrusteePartShares {
-    /// Per-row shares.
-    pub rows: Vec<TrusteeRowShares>,
-    /// EA signature over [`opening_bundle_message`] for this part.
-    pub opening_sig: Signature,
-}
-
-impl TrusteePartShares {
-    /// Extracts the `(bit, rand)` opening pairs in bundle order.
-    pub fn opening_pairs(&self) -> Vec<Vec<(Scalar, Scalar)>> {
-        self.rows
-            .iter()
-            .map(|row| row.cts.iter().map(|ct| (ct.bit, ct.rand)).collect())
-            .collect()
-    }
-}
-
-/// A trustee's shares for one ballot.
+/// A trustee's shares for one ballot: the rows of parts A and B.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrusteeBallotShares {
     /// Parts A and B.
-    pub parts: [TrusteePartShares; 2],
+    pub parts: [Vec<TrusteeRowShares>; 2],
 }
 
 impl TrusteeBallotShares {
-    /// The shares of one part.
-    pub fn part(&self, part: PartId) -> &TrusteePartShares {
+    /// The per-row shares of one part.
+    pub fn part(&self, part: PartId) -> &[TrusteeRowShares] {
         &self.parts[part.index()]
+    }
+
+    /// The `(bit, rand)` opening shares of one part, per row and
+    /// ciphertext.
+    pub fn opening_pairs(&self, part: PartId) -> Vec<Vec<(Scalar, Scalar)>> {
+        self.part(part)
+            .iter()
+            .map(|row| row.cts.iter().map(|ct| (ct.bit, ct.rand)).collect())
+            .collect()
     }
 }
 
@@ -268,8 +232,6 @@ pub struct TrusteeInit {
     pub index: u32,
     /// Signing key for authenticated BB writes.
     pub signing_key: SigningKey,
-    /// The EA's verification key.
-    pub ea_key: VerifyingKey,
     /// ElGamal public key of the option-encoding commitments.
     pub elgamal_pk: PublicKey,
     /// Per-ballot shares.
@@ -299,17 +261,5 @@ mod tests {
         let m2 = endorsement_message(&e, SerialNo(6), &[1; 32]);
         let m3 = endorsement_message(&e, SerialNo(5), &[2; 32]);
         assert!(m1 != m2 && m1 != m3);
-    }
-
-    #[test]
-    fn opening_bundle_binds_scalars() {
-        let e = ElectionId::from_label("x");
-        let rows = vec![vec![(Scalar::from_u64(1), Scalar::from_u64(2))]];
-        let m1 = opening_bundle_message(&e, SerialNo(1), PartId::A, 0, &rows);
-        let rows2 = vec![vec![(Scalar::from_u64(1), Scalar::from_u64(3))]];
-        let m2 = opening_bundle_message(&e, SerialNo(1), PartId::A, 0, &rows2);
-        assert_ne!(m1, m2);
-        let m3 = opening_bundle_message(&e, SerialNo(1), PartId::A, 1, &rows);
-        assert_ne!(m1, m3);
     }
 }

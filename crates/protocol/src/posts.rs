@@ -66,6 +66,8 @@ pub struct FinalizedVoteSet {
 
 /// A trustee's opening shares for every ciphertext of one ballot part
 /// (posted for unused parts and for both parts of unvoted ballots).
+/// Nothing signs them but the post: the BB interpolates `h_t` trustees'
+/// shares and checks the result against the part's commitments.
 #[derive(Clone, Debug)]
 pub struct PartOpeningPost {
     /// Ballot serial.
@@ -75,8 +77,6 @@ pub struct PartOpeningPost {
     /// `rows[r][j] = (bit share, randomness share)` for ciphertext `j` of
     /// row `r`.
     pub rows: Vec<Vec<(Scalar, Scalar)>>,
-    /// The EA's signature over the opening bundle (authenticity).
-    pub opening_sig: ddemos_crypto::schnorr::Signature,
 }
 
 /// A trustee's ZK final-move shares for one ballot part (posted for the

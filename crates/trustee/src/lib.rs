@@ -10,7 +10,7 @@
 //! posts back:
 //!
 //! * **openings** of every commitment in *unused* ballot parts and in both
-//!   parts of unvoted ballots (its EA-signed raw shares);
+//!   parts of unvoted ballots (its raw shares);
 //! * **ZK final-move shares** for every commitment in *used* parts — its
 //!   affine-coefficient shares evaluated at the voter-coin challenge, which
 //!   is a valid Shamir share of the exact prover response;
@@ -130,14 +130,10 @@ impl Trustee {
         }
         let per_ballot: Vec<Result<BallotOut, TrusteeError>> =
             self.pool.map(&ballots, |&(&serial, shares)| {
-                let opening = |part: PartId| {
-                    let part_shares = shares.part(part);
-                    PartOpeningPost {
-                        serial,
-                        part,
-                        rows: part_shares.opening_pairs(),
-                        opening_sig: part_shares.opening_sig,
-                    }
+                let opening = |part: PartId| PartOpeningPost {
+                    serial,
+                    part,
+                    rows: shares.opening_pairs(part),
                 };
                 let Some(code) = vote_set.entries.get(&serial) else {
                     // Unvoted ballot: open both parts.
@@ -158,12 +154,11 @@ impl Trustee {
                         Some((part, codes.iter().position(|c| c == code)?))
                     })
                     .ok_or(TrusteeError::CastCodeNotFound)?;
-                // Unused part: raw opening shares (EA-signed bundle).
+                // Unused part: raw opening shares.
                 let openings = vec![opening(used_part.other())];
                 // Used part: ZK responses at the challenge.
                 let used_shares = shares.part(used_part);
                 let rows: Vec<Vec<[Scalar; 4]>> = used_shares
-                    .rows
                     .iter()
                     .map(|row| {
                         row.cts
@@ -181,7 +176,6 @@ impl Trustee {
                     })
                     .collect();
                 let sum_responses: Vec<Scalar> = used_shares
-                    .rows
                     .iter()
                     .map(|row| {
                         let [s0, s1] = row.sum_coeffs;
@@ -192,7 +186,6 @@ impl Trustee {
                 // shares join the (additively homomorphic) total. The row is
                 // a position on the board, so it is checked, not trusted.
                 let tally: Vec<(Scalar, Scalar)> = used_shares
-                    .rows
                     .get(cast_row)
                     .ok_or(TrusteeError::CastRowOutOfRange)?
                     .cts
@@ -252,7 +245,7 @@ mod tests {
         let params = ElectionParams::new("trustee-rows", 2, 2, 4, 3, 3, 2, 0, 1000).unwrap();
         let setup = ElectionAuthority::new(params, 5).setup(SetupProfile::Full);
         let init = setup.trustee_inits[0].clone();
-        let rows = init.ballots[&SerialNo(0)].part(PartId::A).rows.len();
+        let rows = init.ballots[&SerialNo(0)].part(PartId::A).len();
         let cast = VoteCode([0xC5; 20]);
         let mut codes = vec![VoteCode([0; 20]); rows];
         codes.push(cast);

@@ -30,7 +30,7 @@
 //!   pairs is printed as the noise floor. Exits non-zero past the gate;
 //!   CI runs this at 5%. The gate then profiles one more election and
 //!   fails if any `bb.publish_ns` stage timer (interpolate / verify / tally) or
-//!   `ea.setup_ns` stage timer (vc_rows / walk / multiply / assemble / sign)
+//!   `ea.setup_ns` stage timer (vc_rows / walk / multiply / assemble)
 //!   recorded nothing, if `~vc.queue_depth` read zero across the vote
 //!   phase, or if the collectors spent more than
 //!   [`MAX_FRESH_SIG_CHECKS_PER_CAST`] group-math signature
@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 const PUBLISH_STAGES: [&str; 3] = ["interpolate", "verify", "tally"];
 
 /// The `ea.setup_ns` labels the EA's per-ballot deriver times.
-const SETUP_STAGES: [&str; 5] = ["vc_rows", "walk", "multiply", "assemble", "sign"];
+const SETUP_STAGES: [&str; 4] = ["vc_rows", "walk", "multiply", "assemble"];
 
 /// Prints the stage split of one scoped-timer family and reports whether
 /// every stage recorded something (a stage that reads zero in a profiled
@@ -76,15 +76,14 @@ fn stage_ledger(report: &ElectionReport, name: &str, stages: &[&str]) -> bool {
 /// Prints the spread of the `bb.step_ns` trustee-post samples. Each of
 /// the profile election's three replicas publishes the result on its
 /// `h_t`-th post (3 of the 15 samples, the heaviest); its other four
-/// posts verify the post's signatures (the trustee's over the post, the
-/// EA's over each opening-share bundle) and, past `h_t`, scan for parts
-/// still unpublished — the 12 samples to p80.
+/// posts verify the trustee's signature over the post and, past `h_t`,
+/// scan for parts still unpublished — the 12 samples to p80.
 fn trustee_post_split(report: &ElectionReport) {
     let key = ddemos_obs::metric_key("bb.step_ns", "", "TrusteePost");
     if let Some(h) = report.metrics.hists.get(&key) {
         let ms = |ns: u64| ns as f64 / 1e6;
         println!(
-            "bb.step TrusteePost: {} posts; signatures only: min {:.2} ms, p50 {:.2} ms, p80 {:.2} ms; publishing: max {:.2} ms",
+            "bb.step TrusteePost: {} posts; signature only: min {:.2} ms, p50 {:.2} ms, p80 {:.2} ms; publishing: max {:.2} ms",
             h.count(),
             ms(h.min_ns()),
             ms(h.quantile_ns(0.5)),

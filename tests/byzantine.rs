@@ -190,9 +190,10 @@ fn message_loss_is_survived_by_retransmission_free_quorums() {
 #[test]
 fn byzantine_trustee_zero_cannot_block_the_audit() {
     // Trustee 0 — always inside the first `h_t` posts a replica looks at —
-    // posts one wrong ZK response share, validly signed. With the four
-    // honest posts also on the board, every replica must still publish
-    // the result *and* the ZK responses of every used part.
+    // posts one wrong ZK response share and one wrong opening share,
+    // validly signed. With the four honest posts also on the board, every
+    // replica must still publish the result, the ZK responses of every
+    // used part and the openings of every other part.
     let params = ElectionParams::new("byz-trustee", 4, 2, 4, 3, 5, 3, 0, 600_000).unwrap();
     let election = ElectionBuilder::new(params)
         .seed(0xB13)
@@ -216,6 +217,7 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
     let trustee = ddemos_trustee::Trustee::new(init.clone());
     let (mut post, _) = trustee.produce_post(&snapshot).expect("post");
     post.zk[1].rows[0][1][0] += ddemos_crypto::field::Scalar::ONE;
+    post.openings[2].rows[1][0].1 += ddemos_crypto::field::Scalar::ONE;
     let sig = init
         .signing_key
         .sign(&ddemos_bb::trustee_post_digest(&post));
@@ -233,6 +235,11 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
         let snap = bb.read().expect("replica answers");
         assert_eq!(snap.result.as_ref(), Some(&result));
         assert_eq!(snap.zk_responses.len(), 3, "one used part per vote");
+        assert_eq!(
+            snap.openings.len(),
+            5,
+            "the unused parts, the unvoted ballot"
+        );
     }
     let audit = election.audit().expect("audit runs");
     assert!(audit.ok(), "audit failed: {:?}", audit.failures);
