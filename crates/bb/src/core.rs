@@ -207,8 +207,8 @@ impl From<BbWriteMsg> for BbInput {
 /// commit barrier precede the reply, so an acknowledged write is durable.
 #[derive(Clone, Debug)]
 pub enum BbOutput {
-    /// Append one encoded [`BbRecord`] to the node's journal.
-    Journal(Vec<u8>),
+    /// Append one accepted write to the node's journal, if it has one.
+    Journal(JournalEntry),
     /// Force the journal commit before the reply below is released.
     Commit,
     /// The write outcome to report to the submitter.
@@ -231,6 +231,25 @@ pub(crate) enum BbRecord {
         post: Arc<TrusteePost>,
         sig: Signature,
     },
+}
+
+/// An accepted write as the journal records it. It is encoded only when
+/// written ([`JournalEntry::encode`]): a node without a journal never
+/// pays for the bytes, which for a trustee post run to megabytes.
+#[derive(Clone)]
+pub struct JournalEntry(BbRecord);
+
+impl JournalEntry {
+    /// The record's journal bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        self.0.encode()
+    }
+}
+
+impl std::fmt::Debug for JournalEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("JournalEntry")
+    }
 }
 
 const TAG_VOTE_SET: u8 = 1;
@@ -385,7 +404,7 @@ impl BbCore {
         let (outcome, record) = self.apply(input);
         let mut outputs = Vec::with_capacity(3);
         if let Some(record) = record {
-            outputs.push(BbOutput::Journal(record.encode()));
+            outputs.push(BbOutput::Journal(JournalEntry(record)));
             outputs.push(BbOutput::Commit);
         }
         outputs.push(BbOutput::Reply(outcome));
@@ -520,13 +539,25 @@ impl BbCore {
         // The trustee's signature on the post is the one check a post
         // gets on arrival: its shares are checked at publication, by what
         // `h_t` of them interpolate to.
-        if !self.mverify.check(&vk, &trustee_post_digest(&post), sig) {
+        let digest = {
+            let _t = ddemos_obs::scoped_ns("bb.step_ns", "TrusteePost/digest");
+            trustee_post_digest(&post)
+        };
+        let signed = {
+            let _t = ddemos_obs::scoped_ns("bb.step_ns", "TrusteePost/signature");
+            self.mverify.check(&vk, &digest, sig)
+        };
+        if !signed {
             return (Err(WriteError::BadSignature), None);
         }
         if self.snapshot.vote_set.is_none() || self.msk.is_none() {
             return (Err(WriteError::WrongPhase), None);
         }
-        if !self.trustee_post_shape_ok(&post) {
+        let shaped = {
+            let _t = ddemos_obs::scoped_ns("bb.step_ns", "TrusteePost/shape");
+            self.trustee_post_shape_ok(&post)
+        };
+        if !shaped {
             return (Err(WriteError::Inconsistent), None);
         }
         // First post per trustee wins: the accepted history must match
@@ -689,7 +720,10 @@ impl BbCore {
         let ht = self.init.params.trustee_threshold;
         let ballots = &self.init.ballots;
         let check = |parts: &[Part<'_>]| check_parts(&self.init.elgamal_pk, challenge, parts);
-        let shares = group_shares(&self.snapshot, posts);
+        let shares = {
+            let _t = ddemos_obs::scoped_ns("bb.step_ns", "TrusteePost/rescan");
+            group_shares(&self.snapshot, posts)
+        };
         // Publishes what a settled batch verified; returns the rejected
         // parts.
         let mut settle = |batch: &mut PartBatch<_>| {

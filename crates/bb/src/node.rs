@@ -181,12 +181,19 @@ impl BbNode {
         let mut outcome = Ok(());
         for output in outputs {
             match output {
-                BbOutput::Journal(bytes) => {
+                BbOutput::Journal(entry) => {
                     let mut guard = self.journal.lock();
                     if let Some(journal) = guard.as_mut() {
+                        let at = recorder.now_ns();
+                        let bytes = entry.encode();
+                        recorder.observe_since("bb.step_ns", &format!("{kind}/encode"), at);
+                        let at = recorder.now_ns();
                         let append = journal.append(&bytes).and_then(|()| {
                             journal.commit()?;
+                            recorder.observe_since("bb.step_ns", &format!("{kind}/journal"), at);
+                            let at = recorder.now_ns();
                             journal.maybe_compact(&BbReplica(self))?;
+                            recorder.observe_since("bb.step_ns", &format!("{kind}/compact"), at);
                             Ok(())
                         });
                         if let Err(e) = append {

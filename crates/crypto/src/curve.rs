@@ -344,6 +344,36 @@ impl Point {
         out
     }
 
+    /// The 65-byte uncompressed encoding of affine coordinates as
+    /// [`Point::batch_to_affine`] returns them: SEC1 `0x04 ‖ x ‖ y`, and
+    /// `0x00 ‖ 0…` for the identity. Bulk data goes this way: a slice
+    /// normalised with one shared inversion encodes at no further field
+    /// operation, and [`Point::from_uncompressed`] parses without the
+    /// square root a compressed point costs.
+    pub fn uncompressed(affine: Option<(Fp, Fp)>) -> [u8; 65] {
+        let mut out = [0u8; 65];
+        if let Some((x, y)) = affine {
+            out[0] = 0x04;
+            out[1..33].copy_from_slice(&x.to_bytes());
+            out[33..].copy_from_slice(&y.to_bytes());
+        }
+        out
+    }
+
+    /// Parses the encoding produced by [`Point::uncompressed`]: canonical
+    /// coordinates on the curve, checked by the curve equation alone.
+    pub fn from_uncompressed(bytes: &[u8; 65]) -> Option<Point> {
+        let mut x = [0u8; 32];
+        let mut y = [0u8; 32];
+        x.copy_from_slice(&bytes[1..33]);
+        y.copy_from_slice(&bytes[33..]);
+        match bytes[0] {
+            0x00 if bytes[1..].iter().all(|&b| b == 0) => Some(Point::IDENTITY),
+            0x04 => Point::from_affine(Fp::from_bytes(&x)?, Fp::from_bytes(&y)?),
+            _ => None,
+        }
+    }
+
     /// Parses the 33-byte encoding produced by [`Point::to_bytes`].
     pub fn from_bytes(bytes: &[u8; 33]) -> Option<Point> {
         match bytes[0] {
@@ -1716,6 +1746,35 @@ mod tests {
         assert_eq!(sum(&p, &id), p);
         assert_eq!(sum(&id, &id), id);
         assert!(sum(&p, &q).is_on_curve());
+    }
+
+    #[test]
+    fn uncompressed_encoding_roundtrips_and_refuses_off_curve_points() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let points = [
+            Point::mul_generator(&Scalar::random(&mut rng)),
+            Point::IDENTITY,
+            rescaled(&Point::generator(), 5),
+        ];
+        for (point, affine) in points.iter().zip(Point::batch_to_affine(&points)) {
+            let bytes = Point::uncompressed(affine);
+            let parsed = Point::from_uncompressed(&bytes).expect("own encoding");
+            assert_eq!(parsed, *point);
+            assert_eq!(parsed.to_bytes(), point.to_bytes());
+        }
+        let mut off_curve = Point::uncompressed(points[0].to_affine());
+        off_curve[64] ^= 1;
+        assert!(Point::from_uncompressed(&off_curve).is_none());
+        let mut bad_tag = Point::uncompressed(points[0].to_affine());
+        bad_tag[0] = 0x02;
+        assert!(Point::from_uncompressed(&bad_tag).is_none());
+        let mut bad_identity = [0u8; 65];
+        bad_identity[64] = 1;
+        assert!(Point::from_uncompressed(&bad_identity).is_none());
+        // A coordinate at or above the field modulus is not canonical.
+        let mut wide = Point::uncompressed(points[0].to_affine());
+        wide[1..33].copy_from_slice(&[0xFF; 32]);
+        assert!(Point::from_uncompressed(&wide).is_none());
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl Prf {
 /// [`rand::RngCore`], for protocol components that need an RNG seeded from
 /// PRF material. Counter mode: byte `p` of the stream is byte `p mod 32`
 /// of block `⌊p / 32⌋`, and a block is hashed when a byte of it is first
-/// read — so [`PrfRng::skip`] costs nothing.
+/// read.
 #[derive(Clone, Debug)]
 pub struct PrfRng {
     prf: Prf,
@@ -159,13 +159,6 @@ impl PrfRng {
             buffered: None,
             buffer: [0; 32],
         }
-    }
-
-    /// Advances the stream past `bytes` bytes nobody reads — exactly as
-    /// reading and discarding them would leave it, without hashing the
-    /// blocks they lie in.
-    pub fn skip(&mut self, bytes: usize) {
-        self.position += bytes as u64;
     }
 }
 
@@ -300,29 +293,6 @@ mod tests {
             hex(&key.mac(&[b"what do ya want ", b"for nothing?"])),
             expected
         );
-    }
-
-    #[test]
-    fn skip_equals_reading_and_discarding() {
-        let prf = Prf::new([3u8; 32]);
-        // Every offset into a block (a 16-byte IV draw leaves the stream
-        // half a block off), every length up to three blocks.
-        for offset in 0..32usize {
-            for n in 0..=96usize {
-                let mut read = PrfRng::new(&prf, b"skip");
-                let mut skipped = read.clone();
-                read.fill_bytes(&mut vec![0u8; offset]);
-                skipped.fill_bytes(&mut vec![0u8; offset]);
-                read.fill_bytes(&mut vec![0u8; n]);
-                skipped.skip(n);
-                // The streams agree from here on, across a block edge.
-                let (mut a, mut b) = ([0u8; 80], [0u8; 80]);
-                read.fill_bytes(&mut a);
-                skipped.fill_bytes(&mut b);
-                assert_eq!(a, b, "offset {offset}, skip {n}");
-                assert_eq!(read.next_u64(), skipped.next_u64());
-            }
-        }
     }
 
     #[test]

@@ -53,7 +53,8 @@ impl std::hash::Hash for VerifyingKey {
 }
 
 impl VerifyingKey {
-    pub(crate) fn from_point(point: Point) -> VerifyingKey {
+    /// The key with point `point` (an identity key verifies nothing).
+    pub fn from_point(point: Point) -> VerifyingKey {
         // Held normalised: the encoding needs the affine coordinates
         // anyway, and a batch verification then adds the key without
         // inverting for it again.
@@ -237,6 +238,11 @@ impl VerifyingKey {
         // multiplication for e·PK; comparing compressed bytes sidesteps
         // decompressing a wire R.
         (Point::mul_generator(&sig.s) + self.point.mul(&-e)).to_bytes() == sig.r
+    }
+
+    /// The key's point, normalised.
+    pub fn point(&self) -> Point {
+        self.point
     }
 
     /// Serializes as 33 bytes (a copy of the cached canonical encoding).

@@ -45,12 +45,6 @@ pub enum SetupProfile {
     /// `msk` share) in `vc_inits[0]`, and the consensus beacon. No printed
     /// ballot, BB payload or trustee material is derived.
     VcNode(u32),
-    /// What a BB node is handed: [`BbInit`] with every ballot's payload.
-    /// The per-ballot `crypto` stream is walked in the order `Full` walks
-    /// it (the commitments and first moves depend on its position), but
-    /// the trustees' sharing polynomials are stepped over unhashed
-    /// ([`PrfRng::skip`]).
-    BbNode,
 }
 
 /// What a profile needs of each ballot.
@@ -60,11 +54,9 @@ struct Slice {
     printed: bool,
     /// The collectors whose rows and tagged receipt shares to deal.
     vc_nodes: Range<usize>,
-    /// The BB rows: commitments, first moves, encrypted vote codes.
+    /// The BB rows (commitments, first moves, encrypted vote codes) and
+    /// the trustees' share rows of their openings and proof coefficients.
     board: bool,
-    /// The trustees' share rows (needs `board`: they are shares of its
-    /// openings and proof coefficients).
-    trustees: bool,
 }
 
 /// Everything the EA hands out before being destroyed.
@@ -117,7 +109,7 @@ struct BallotBundle {
     /// One entry per collector of the slice, in node order.
     vc: Vec<VcBallot>,
     bb: Option<BbBallot>,
-    /// One entry per trustee (empty unless the slice has trustees).
+    /// One entry per trustee (empty unless the slice has the board).
     trustee: Vec<[Vec<TrusteeRowShares>; 2]>,
 }
 
@@ -196,7 +188,6 @@ impl ElectionAuthority {
             printed: false,
             vc_nodes: nodes,
             board: false,
-            trustees: false,
         };
         self.derive(serial, &slice).vc
     }
@@ -296,7 +287,7 @@ impl ElectionAuthority {
         }
 
         let (bb, trustee) = if slice.board {
-            let (bb_parts, trustee_rows) = self.commit_rows(&derived, slice.trustees);
+            let (bb_parts, trustee_rows) = self.commit_rows(&derived);
             (Some(BbBallot { parts: bb_parts }), trustee_rows)
         } else {
             (None, Vec::new())
@@ -311,15 +302,9 @@ impl ElectionAuthority {
     }
 
     /// One `(h_t, N_t)` sharing drawn from `rng`: the trustees' values in
-    /// index order, or — when nobody is handed them — nothing, the stream
-    /// stepping over the polynomial's draws unhashed.
-    fn trustee_shares(&self, secret: Scalar, keep: bool, rng: &mut PrfRng) -> Vec<Scalar> {
-        let threshold = self.params.trustee_threshold;
-        if !keep {
-            rng.skip(Polynomial::random_bytes(threshold));
-            return Vec::new();
-        }
-        Polynomial::random(secret, threshold, rng)
+    /// index order.
+    fn trustee_shares(&self, secret: Scalar, rng: &mut PrfRng) -> Vec<Scalar> {
+        Polynomial::random(secret, self.params.trustee_threshold, rng)
             .expect("trustee sharing parameters")
             .shares(self.params.num_trustees)
             .into_iter()
@@ -329,8 +314,8 @@ impl ElectionAuthority {
 
     /// The BB rows of one ballot — per shuffled row the commitment to the
     /// unit vector `e_opt`, its OR and sum first moves, the encrypted vote
-    /// code — and, when `trustees` is set, every trustee's shares of the
-    /// openings and of the proofs' affine response coefficients.
+    /// code — and every trustee's shares of the openings and of the
+    /// proofs' affine response coefficients.
     ///
     /// Three passes. The *walk* reads the ballot's `crypto` stream in its
     /// one order and does everything that is scalars — openings, proof
@@ -339,13 +324,9 @@ impl ElectionAuthority {
     /// *multiply* evaluates the batch, the ballot's whole group
     /// arithmetic (`2m(7m + 2)` fixed-base multiplications) in lockstep;
     /// *assemble* deals the normalised points back into rows.
-    fn commit_rows(&self, derived: &DerivedBallot, trustees: bool) -> CommittedRows {
+    fn commit_rows(&self, derived: &DerivedBallot) -> CommittedRows {
         let m = self.params.num_options;
-        let nt = if trustees {
-            self.params.num_trustees
-        } else {
-            0
-        };
+        let nt = self.params.num_trustees;
         let pk = &self.prepared_pk;
         let serial = derived.ballot.serial;
         let mut rng = PrfRng::new(&self.master.derive_indexed(b"crypto", serial.0), b"zk");
@@ -375,7 +356,7 @@ impl ElectionAuthority {
                     let shared: Vec<Vec<Scalar>> = [bit_scalar, r]
                         .into_iter()
                         .chain(secrets.coefficients())
-                        .map(|secret| self.trustee_shares(secret, trustees, &mut rng))
+                        .map(|secret| self.trustee_shares(secret, &mut rng))
                         .collect();
                     for (t, acc) in trustee_cts.iter_mut().enumerate() {
                         acc.push(TrusteeCtShares {
@@ -388,7 +369,7 @@ impl ElectionAuthority {
                 let sum_secrets = zkp::sum_prove_into(pk, &r_sum, &mut rng, &mut batch);
                 let [gamma, delta] = sum_secrets
                     .coefficients()
-                    .map(|secret| self.trustee_shares(secret, trustees, &mut rng));
+                    .map(|secret| self.trustee_shares(secret, &mut rng));
                 for (t, acc) in trustee_cts.into_iter().enumerate() {
                     trustee_rows[t][part.index()].push(TrusteeRowShares {
                         cts: acc,
@@ -543,10 +524,8 @@ impl ElectionAuthority {
                     assert!((index as usize) < nv, "no VC node {index} in this election");
                     index as usize..index as usize + 1
                 }
-                SetupProfile::BbNode => 0..0,
             },
-            board: matches!(profile, SetupProfile::Full | SetupProfile::BbNode),
-            trustees: profile == SetupProfile::Full,
+            board: profile == SetupProfile::Full,
         };
         let serials: Vec<SerialNo> = (0..self.params.num_ballots).map(SerialNo).collect();
         let bundles: Vec<BallotBundle> = pool.map(&serials, |&serial| self.derive(serial, &slice));

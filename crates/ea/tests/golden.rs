@@ -1,11 +1,13 @@
 //! Every value the EA deals is a function of `(params, seed)` alone: a
-//! golden digest over the whole `Full` set-up, and the role slices a TCP
-//! replica derives compared with the matching slice of `Full`.
+//! golden digest over the whole `Full` set-up, the slice a TCP collector
+//! derives compared with its slice of `Full`, and the board a TCP BB
+//! replica is dealt compared with `Full`'s.
 
 use ddemos_crypto::sha256::Sha256;
 use ddemos_crypto::shamir::Share;
 use ddemos_crypto::vss::SignedShare;
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
+use ddemos_protocol::deal::{deal_chunks, BbInitAssembler};
 use ddemos_protocol::exec::Pool;
 use ddemos_protocol::initdata::{BbInit, VcInit};
 use ddemos_protocol::ElectionParams;
@@ -174,16 +176,37 @@ fn role_slices_equal_their_slice_of_the_full_setup() {
                 assert!(slice.trustee_inits.is_empty());
                 assert!(slice.bb_init.ballots.is_empty());
             }
-            let slice = ea.setup_with(SetupProfile::BbNode, &pool);
-            assert_eq!(slice.bb_init.ballots, full.bb_init.ballots);
+        }
+    }
+}
+
+/// A BB replica is dealt the `Full` set-up's board: the chunks of its
+/// deal, assembled, are the EA's `BbInit` value for value, whether one
+/// chunk carries every ballot or each carries one.
+#[test]
+fn the_dealt_board_is_the_full_setups_board() {
+    for m in [2, 3] {
+        let full =
+            ElectionAuthority::new(params(m), 7).setup_with(SetupProfile::Full, &Pool::new(1));
+        let expected = slice_digest(|h| put_bb_init(h, &full.bb_init));
+        let whole = deal_chunks(&full.bb_init, usize::MAX).unwrap();
+        // Half of three ballots holds one.
+        let one_ballot = deal_chunks(&full.bb_init, whole[1].len() / 2).unwrap();
+        assert_eq!((whole.len(), one_ballot.len()), (2, 4), "m = {m}");
+        for chunks in [whole, one_ballot] {
+            let mut assembler = BbInitAssembler::new(params(m));
+            for chunk in &chunks {
+                assert!(!assembler.is_complete());
+                assembler.take(chunk).unwrap();
+            }
+            let dealt = assembler.into_init().expect("every chunk taken");
+            assert_eq!(dealt.params, full.bb_init.params);
+            assert_eq!(dealt.ballots, full.bb_init.ballots);
             assert_eq!(
-                slice_digest(|h| put_bb_init(h, &slice.bb_init)),
-                slice_digest(|h| put_bb_init(h, &full.bb_init)),
-                "m = {m}, threads = {threads}"
+                slice_digest(|h| put_bb_init(h, &dealt)),
+                expected,
+                "m = {m}"
             );
-            assert!(slice.ballots.is_empty());
-            assert!(slice.vc_inits.is_empty());
-            assert!(slice.trustee_inits.is_empty());
         }
     }
 }

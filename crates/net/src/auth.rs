@@ -463,6 +463,8 @@ pub struct ServerChannel {
     session: u64,
     queued: Vec<Envelope>,
     from_overridden: u64,
+    /// The largest DATA payloads opened and framed so far.
+    largest: (usize, usize),
 }
 
 impl ServerChannel {
@@ -484,6 +486,7 @@ impl ServerChannel {
             session: 0,
             queued: Vec::new(),
             from_overridden: 0,
+            largest: (0, 0),
         };
         let mut body = [0u8; 17];
         body[0] = PROTO_VERSION;
@@ -569,6 +572,7 @@ impl ServerChannel {
             Ok(p) => p,
             Err(f) => return self.fault(f, events),
         };
+        self.largest.0 = self.largest.0.max(payload.len());
         let mut env = match decode_envelope_frame(payload) {
             Ok(env) => env,
             Err(_) => return self.fault(ChanFault::BadEnvelope, events),
@@ -633,6 +637,7 @@ impl ServerChannel {
             }
             ServerState::Established => {
                 let payload = encode_envelope_frame(env);
+                self.largest.1 = self.largest.1.max(payload.len());
                 let send = self.send.as_mut().expect("established");
                 send.frame(&payload, &mut self.out.buf);
                 Ok(())
@@ -678,6 +683,12 @@ impl ServerChannel {
     pub fn from_overridden(&self) -> u64 {
         self.from_overridden
     }
+
+    /// The largest envelope frames (DATA payload bytes, what
+    /// [`AuthConfig::max_frame`] bounds) read and written so far.
+    pub fn largest_frames(&self) -> (usize, usize) {
+        self.largest
+    }
 }
 
 enum ClientState {
@@ -710,6 +721,8 @@ pub struct ClientChannel {
     recv: Option<SessionRecv>,
     queued: Vec<Envelope>,
     from_overridden: u64,
+    /// The largest DATA payloads opened and framed so far.
+    largest: (usize, usize),
 }
 
 impl ClientChannel {
@@ -735,6 +748,7 @@ impl ClientChannel {
             recv: None,
             queued: Vec::new(),
             from_overridden: 0,
+            largest: (0, 0),
         }
     }
 
@@ -809,6 +823,7 @@ impl ClientChannel {
             Ok(p) => p,
             Err(f) => return self.fault(f, events),
         };
+        self.largest.0 = self.largest.0.max(payload.len());
         let mut env = match decode_envelope_frame(payload) {
             Ok(env) => env,
             Err(_) => return self.fault(ChanFault::BadEnvelope, events),
@@ -876,6 +891,7 @@ impl ClientChannel {
             }
             ClientState::Established => {
                 let payload = encode_envelope_frame(env);
+                self.largest.1 = self.largest.1.max(payload.len());
                 let send = self.send.as_mut().expect("established");
                 send.frame(&payload, &mut self.out.buf);
                 Ok(())
@@ -936,6 +952,12 @@ impl ClientChannel {
     /// dialed identity.
     pub fn from_overridden(&self) -> u64 {
         self.from_overridden
+    }
+
+    /// The largest envelope frames (DATA payload bytes, what
+    /// [`AuthConfig::max_frame`] bounds) read and written so far.
+    pub fn largest_frames(&self) -> (usize, usize) {
+        self.largest
     }
 }
 

@@ -189,9 +189,22 @@ pub struct EvStats {
     pub from_overridden: u64,
     /// Connections closed (any reason).
     pub closed: u64,
+    /// The largest envelope frame read (DATA payload bytes, what
+    /// [`AuthConfig::max_frame`] bounds): a high-water mark, not a
+    /// counter, so it stays out of [`EvStats::counters`] and merges by
+    /// maximum.
+    pub largest_frame_in: u64,
+    /// The largest envelope frame written, likewise.
+    pub largest_frame_out: u64,
 }
 
 impl EvStats {
+    /// Raises the largest-frame gauges to `(read, written)`.
+    pub(crate) fn note_frames(&mut self, (read, written): (usize, usize)) {
+        self.largest_frame_in = self.largest_frame_in.max(read as u64);
+        self.largest_frame_out = self.largest_frame_out.max(written as u64);
+    }
+
     /// Every counter with its name, in a fixed order.
     pub fn counters(&self) -> [(&'static str, u64); 17] {
         let mut copy = *self;
@@ -274,6 +287,13 @@ impl Chan {
         match self {
             Chan::Server(c) => c.from_overridden(),
             Chan::Client(c) => c.from_overridden(),
+        }
+    }
+
+    fn largest_frames(&self) -> (usize, usize) {
+        match self {
+            Chan::Server(c) => c.largest_frames(),
+            Chan::Client(c) => c.largest_frames(),
         }
     }
 }
@@ -517,6 +537,7 @@ impl EvLoop {
                 let t = self.recorder.now_ns();
                 let sent = conn.chan.send_envelope(env);
                 self.recorder.observe_since("net.frame_encode_ns", "", t);
+                self.stats.note_frames(conn.chan.largest_frames());
                 if sent.is_err() {
                     return Err(EvSendError::Gone);
                 }
@@ -738,6 +759,7 @@ impl EvLoop {
             conn.chan
                 .on_bytes(&self.scratch[..n], &mut self.chan_events);
             self.stats.from_overridden += conn.chan.overridden_from() - overridden;
+            self.stats.note_frames(conn.chan.largest_frames());
             self.recorder.observe_since("net.frame_decode_ns", "", t);
             let mut down: Option<DownReason> = None;
             let mut chan_events = std::mem::take(&mut self.chan_events);

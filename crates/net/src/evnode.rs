@@ -350,6 +350,10 @@ impl Inner {
         for ((_, sum), ((_, n), (_, seen))) in total.counters_mut().into_iter().zip(deltas) {
             *sum += n - seen;
         }
+        total.note_frames((
+            now.largest_frame_in as usize,
+            now.largest_frame_out as usize,
+        ));
         self.reported = now;
     }
 

@@ -18,11 +18,12 @@
 //! [`WireError`], never a panic — this is the path attacker-controlled
 //! socket bytes take.
 
-use crate::ids::{NodeId, NodeKind, PartId, SerialNo};
+use crate::ids::{ElectionId, NodeId, NodeKind, PartId, SerialNo};
 use crate::messages::{
-    AnnounceEntry, BbWriteMsg, BbWriteOutcome, ConsensusMsg, ConsensusPayload, Envelope, Msg,
-    RejectReason, UCert, VoteOutcome,
+    AnnounceEntry, BbDealOutcome, BbWriteMsg, BbWriteOutcome, ConsensusMsg, ConsensusPayload,
+    Envelope, Msg, RejectReason, UCert, VoteOutcome,
 };
+use crate::params::ElectionParams;
 use crate::posts::{
     FinalizedVoteSet, PartOpeningPost, PartZkPost, TallySharePost, TrusteePost, VoteSet,
 };
@@ -150,6 +151,49 @@ pub fn get_part(r: &mut Reader<'_>) -> Result<PartId, WireError> {
 // ---------------------------------------------------------------------------
 // Compounds
 // ---------------------------------------------------------------------------
+
+/// Encodes election parameters.
+pub fn put_params(w: &mut Writer, p: &ElectionParams) {
+    w.put_array(&p.election_id.0)
+        .put_u64(p.num_ballots)
+        .put_u32(p.num_options as u32)
+        .put_u32(p.num_vc as u32)
+        .put_u32(p.num_bb as u32)
+        .put_u32(p.num_trustees as u32)
+        .put_u32(p.trustee_threshold as u32)
+        .put_u64(p.start_ms)
+        .put_u64(p.end_ms)
+        .put_u32(p.option_labels.len() as u32);
+    for label in &p.option_labels {
+        w.put_bytes(label.as_bytes());
+    }
+}
+
+/// Decodes election parameters.
+///
+/// # Errors
+/// [`WireError::BadValue`] for labels that are not UTF-8 and for
+/// parameters [`ElectionParams::validate`] refuses.
+pub fn get_params(r: &mut Reader<'_>) -> Result<ElectionParams, WireError> {
+    let mut params = ElectionParams {
+        election_id: ElectionId(r.get_array()?),
+        num_ballots: r.get_u64()?,
+        num_options: r.get_u32()? as usize,
+        num_vc: r.get_u32()? as usize,
+        num_bb: r.get_u32()? as usize,
+        num_trustees: r.get_u32()? as usize,
+        trustee_threshold: r.get_u32()? as usize,
+        start_ms: r.get_u64()?,
+        end_ms: r.get_u64()?,
+        option_labels: Vec::new(),
+    };
+    let labels = get_len(r)?;
+    params.option_labels = (0..labels)
+        .map(|_| String::from_utf8(r.get_bytes()?.to_vec()).map_err(|_| WireError::BadValue))
+        .collect::<Result<_, _>>()?;
+    params.validate().map_err(|_| WireError::BadValue)?;
+    Ok(params)
+}
 
 /// Encodes a uniqueness certificate.
 pub fn put_ucert(w: &mut Writer, ucert: &UCert) {
@@ -554,6 +598,23 @@ fn get_bb_write_outcome(r: &mut Reader<'_>) -> Result<BbWriteOutcome, WireError>
     })
 }
 
+fn put_bb_deal_outcome(w: &mut Writer, outcome: BbDealOutcome) {
+    w.put_u8(match outcome {
+        BbDealOutcome::Taken => 0,
+        BbDealOutcome::Dealt => 1,
+        BbDealOutcome::Refused => 2,
+    });
+}
+
+fn get_bb_deal_outcome(r: &mut Reader<'_>) -> Result<BbDealOutcome, WireError> {
+    Ok(match r.get_u8()? {
+        0 => BbDealOutcome::Taken,
+        1 => BbDealOutcome::Dealt,
+        2 => BbDealOutcome::Refused,
+        _ => return Err(WireError::BadValue),
+    })
+}
+
 const MSG_VOTE: u8 = 1;
 const MSG_VOTE_REPLY: u8 = 2;
 const MSG_ENDORSE: u8 = 3;
@@ -574,6 +635,14 @@ const MSG_BB_WRITE: u8 = 15;
 const MSG_BB_WRITE_REPLY: u8 = 16;
 const MSG_BB_READ_REQUEST: u8 = 17;
 const MSG_BB_READ_RESPONSE: u8 = 18;
+const MSG_BB_DEAL: u8 = 19;
+const MSG_BB_DEAL_REPLY: u8 = 20;
+
+/// What an envelope frame ([`encode_envelope_frame`]) carrying a
+/// [`Msg::BbDeal`] adds to its chunk: checksum 4, identities 5 + 5, tag 1,
+/// correlation id 8, chunk length 4. A dealer whose chunks are this much
+/// under a frame cap sends no frame over it.
+pub const BB_DEAL_FRAME_OVERHEAD: usize = 27;
 
 /// Encodes any protocol message (the transport payload codec).
 pub fn put_msg(w: &mut Writer, msg: &Msg) {
@@ -678,6 +747,17 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             w.put_u8(MSG_BB_READ_RESPONSE).put_u64(*request_id);
             w.put_bytes(snapshot);
         }
+        Msg::BbDeal { request_id, chunk } => {
+            w.put_u8(MSG_BB_DEAL).put_u64(*request_id);
+            w.put_bytes(chunk);
+        }
+        Msg::BbDealReply {
+            request_id,
+            outcome,
+        } => {
+            w.put_u8(MSG_BB_DEAL_REPLY).put_u64(*request_id);
+            put_bb_deal_outcome(w, *outcome);
+        }
     }
 }
 
@@ -753,6 +833,14 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         MSG_BB_READ_RESPONSE => Msg::BbReadResponse {
             request_id: r.get_u64()?,
             snapshot: Arc::new(r.get_bytes()?.to_vec()),
+        },
+        MSG_BB_DEAL => Msg::BbDeal {
+            request_id: r.get_u64()?,
+            chunk: Arc::new(r.get_bytes()?.to_vec()),
+        },
+        MSG_BB_DEAL_REPLY => Msg::BbDealReply {
+            request_id: r.get_u64()?,
+            outcome: get_bb_deal_outcome(r)?,
         },
         _ => return Err(WireError::BadValue),
     })
@@ -1001,7 +1089,7 @@ mod tests {
 
     /// The number of `Msg` variants [`sample_msg`] can produce (keep in
     /// sync with the enum).
-    const MSG_VARIANTS: u32 = 17;
+    const MSG_VARIANTS: u32 = 19;
 
     /// One deterministic sample of each variant family, seeded.
     fn sample_msg(variant: u32, seed: u64) -> Msg {
@@ -1107,9 +1195,21 @@ mod tests {
             15 => Msg::BbReadRequest {
                 request_id: rng.gen(),
             },
-            _ => Msg::BbReadResponse {
+            16 => Msg::BbReadResponse {
                 request_id: rng.gen(),
                 snapshot: Arc::new((0..rng.gen_range(0..64u32)).map(|i| i as u8).collect()),
+            },
+            17 => Msg::BbDeal {
+                request_id: rng.gen(),
+                chunk: Arc::new((0..rng.gen_range(0..64u32)).map(|i| i as u8).collect()),
+            },
+            _ => Msg::BbDealReply {
+                request_id: rng.gen(),
+                outcome: match rng.gen_range(0..3u32) {
+                    0 => BbDealOutcome::Taken,
+                    1 => BbDealOutcome::Dealt,
+                    _ => BbDealOutcome::Refused,
+                },
             },
         }
     }
@@ -1165,6 +1265,44 @@ mod tests {
         frame.put_u32(crc32(&body)).put_array(&body);
         assert_eq!(
             decode_envelope_frame(&frame.into_bytes()).unwrap_err(),
+            WireError::BadValue
+        );
+    }
+
+    /// A deal's frame is its chunk plus exactly [`BB_DEAL_FRAME_OVERHEAD`]
+    /// bytes, whatever the identities and the correlation id.
+    #[test]
+    fn a_deal_frame_adds_the_declared_overhead() {
+        for len in [0, 1, 1000] {
+            let frame = encode_envelope_frame(&Envelope {
+                from: NodeId::client(u32::MAX),
+                to: NodeId::bb(u32::MAX),
+                msg: Msg::BbDeal {
+                    request_id: u64::MAX,
+                    chunk: Arc::new(vec![7; len]),
+                },
+            });
+            assert_eq!(frame.len(), len + BB_DEAL_FRAME_OVERHEAD);
+        }
+    }
+
+    #[test]
+    fn params_roundtrip_and_invalid_params_are_refused() {
+        let params = ElectionParams::new("codec", 9, 3, 4, 3, 5, 3, 10, 20).unwrap();
+        let encode = |p: &ElectionParams| {
+            let mut w = Writer::new();
+            put_params(&mut w, p);
+            w.into_bytes()
+        };
+        let bytes = encode(&params);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(get_params(&mut r).unwrap(), params);
+        assert_eq!(r.remaining(), 0);
+        let mut invalid = params.clone();
+        invalid.num_options = 1;
+        let bytes = encode(&invalid);
+        assert_eq!(
+            get_params(&mut Reader::new(&bytes)).unwrap_err(),
             WireError::BadValue
         );
     }

@@ -200,6 +200,18 @@ pub enum BbWriteOutcome {
     ReadOnly,
 }
 
+/// What a BB replica made of one chunk of its deal ([`Msg::BbDeal`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BbDealOutcome {
+    /// The chunk was taken; the deal is not complete yet.
+    Taken,
+    /// The chunk completed the deal: the replica now serves its board.
+    Dealt,
+    /// The chunk was refused (malformed, out of order, for another
+    /// election, or not from the dealer) and changed nothing.
+    Refused,
+}
+
 /// All messages exchanged on the simulated network.
 #[derive(Clone, Debug)]
 pub enum Msg {
@@ -309,6 +321,23 @@ pub enum Msg {
         /// Client-chosen correlation id.
         request_id: u64,
     },
+    /// Dealer → BB replica: one chunk of the replica's public
+    /// initialization data ([`crate::deal`]). The dealer is the EA's
+    /// stand-in, [`crate::COORDINATOR`]; a replica refuses chunks from
+    /// anyone else.
+    BbDeal {
+        /// Correlation id.
+        request_id: u64,
+        /// The encoded chunk (shared: every replica gets the same bytes).
+        chunk: Arc<Vec<u8>>,
+    },
+    /// BB replica → dealer: what became of a [`Msg::BbDeal`] chunk.
+    BbDealReply {
+        /// Correlation id from the request.
+        request_id: u64,
+        /// The chunk's fate.
+        outcome: BbDealOutcome,
+    },
     /// BB replica → reader: the snapshot, encoded with
     /// `ddemos_bb`'s canonical snapshot codec (opaque at this layer).
     BbReadResponse {
@@ -342,6 +371,8 @@ impl Msg {
             Msg::BbWriteReply { .. } => "BbWriteReply",
             Msg::BbReadRequest { .. } => "BbReadRequest",
             Msg::BbReadResponse { .. } => "BbReadResponse",
+            Msg::BbDeal { .. } => "BbDeal",
+            Msg::BbDealReply { .. } => "BbDealReply",
         }
     }
 }

@@ -841,7 +841,9 @@ impl<S: BallotStore> HonestCore<S> {
             | Msg::BbWrite { .. }
             | Msg::BbWriteReply { .. }
             | Msg::BbReadRequest { .. }
-            | Msg::BbReadResponse { .. } => {}
+            | Msg::BbReadResponse { .. }
+            | Msg::BbDeal { .. }
+            | Msg::BbDealReply { .. } => {}
         }
     }
 

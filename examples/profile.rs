@@ -73,11 +73,15 @@ fn stage_ledger(report: &ElectionReport, name: &str, stages: &[&str]) -> bool {
     live
 }
 
-/// Prints the spread of the `bb.step_ns` trustee-post samples. Each of
-/// the profile election's three replicas publishes the result on its
-/// `h_t`-th post (3 of the 15 samples, the heaviest); its other four
-/// posts verify the trustee's signature over the post and, past `h_t`,
-/// scan for parts still unpublished — the 12 samples to p80.
+/// Prints the spread of the `bb.step_ns` trustee-post samples, then
+/// their stages. Each of the profile election's three replicas publishes
+/// the result on its `h_t`-th post (3 of the 15 samples, the heaviest);
+/// its other four posts verify the trustee's signature over the post
+/// and, past `h_t`, scan for parts still unpublished — the 12 samples to
+/// p80. Every post is then journaled: `journal` is the SimDisk append
+/// and commit, whose modelled charge a virtual election pays as a wait
+/// on the virtual clock, so under `--wall` it reads as long as the other
+/// parties keep that clock from advancing.
 fn trustee_post_split(report: &ElectionReport) {
     let key = ddemos_obs::metric_key("bb.step_ns", "", "TrusteePost");
     if let Some(h) = report.metrics.hists.get(&key) {
@@ -91,7 +95,32 @@ fn trustee_post_split(report: &ElectionReport) {
             ms(h.max_ns()),
         );
     }
+    // Where a post's step goes, stage by stage.
+    for stage in TRUSTEE_POST_STAGES {
+        let key = ddemos_obs::metric_key("bb.step_ns", "", stage);
+        if let Some(h) = report.metrics.hists.get(&key) {
+            let ms = |ns: u64| ns as f64 / 1e6;
+            println!(
+                "bb.step {stage}: {} samples, min {:.2} ms, p50 {:.2} ms, max {:.2} ms",
+                h.count(),
+                ms(h.min_ns()),
+                ms(h.quantile_ns(0.5)),
+                ms(h.max_ns()),
+            );
+        }
+    }
 }
+
+/// The `bb.step_ns` sub-labels of a trustee post's step, in step order.
+const TRUSTEE_POST_STAGES: [&str; 7] = [
+    "TrusteePost/digest",
+    "TrusteePost/signature",
+    "TrusteePost/shape",
+    "TrusteePost/rescan",
+    "TrusteePost/encode",
+    "TrusteePost/journal",
+    "TrusteePost/compact",
+];
 
 /// Group-math signature verifications the four collectors of the profile
 /// election may spend on one cast: at the responder the two peer

@@ -10,8 +10,13 @@
 //! deployments produce identical tallies, receipts, and audit verdicts.
 //!
 //! ```text
-//! cargo run --release --example tcp_cluster
+//! cargo run --release --example tcp_cluster [-- --ballots N --options M]
 //! ```
+//!
+//! `--ballots` (default 16) and `--options` (default 3) size the election;
+//! `--ballots 80 --options 5` makes a board of about 1.6 MB, which the
+//! coordinator deals to each BB replica in chunks under the 1 MiB write
+//! cap. The coordinator prints the largest frames it read and wrote.
 
 use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
 use ddemos_harness::{ElectionBuilder, ElectionParams, ElectionReport, Network};
@@ -31,8 +36,26 @@ const CASTS: &[(usize, usize)] = &[
     (7, 1),
 ];
 
-fn params() -> ElectionParams {
-    ElectionParams::new("tcp-cluster", 16, 3, 4, 4, 3, 2, 0, 600_000).expect("valid params")
+/// The election `--ballots` and `--options` size.
+fn params(args: &[String]) -> ElectionParams {
+    let size = |flag: &str, default: &str| -> String {
+        flag_value(args, flag).unwrap_or_else(|| default.to_string())
+    };
+    let ballots = size("--ballots", "16")
+        .parse()
+        .expect("--ballots: a number");
+    let options = size("--options", "3").parse().expect("--options: a number");
+    ElectionParams::new("tcp-cluster", ballots, options, 4, 4, 3, 2, 0, 600_000)
+        .expect("valid params")
+}
+
+/// The flags every process of the run shares: the election's size.
+fn size_args(args: &[String]) -> Vec<String> {
+    ["--ballots", "--options"]
+        .into_iter()
+        .filter_map(|flag| Some([flag.to_string(), flag_value(args, flag)?]))
+        .flatten()
+        .collect()
 }
 
 fn cluster_to_args(cluster: &TcpCluster) -> Vec<String> {
@@ -85,8 +108,8 @@ fn replica_main(args: &[String]) {
         .expect("index");
     let cluster = cluster_from_args(args);
     let outcome = match role.as_str() {
-        "vc" => run_vc_replica(&params(), SEED, index, &cluster),
-        "bb" => run_bb_replica(&params(), SEED, index, &cluster),
+        "vc" => run_vc_replica(&params(args), SEED, index, &cluster),
+        "bb" => run_bb_replica(&params(args), SEED, index, &cluster),
         other => panic!("unknown role {other}"),
     };
     if let Err(e) = outcome {
@@ -118,14 +141,16 @@ impl Drop for Replicas {
     }
 }
 
-fn run_in_process_reference() -> ElectionReport {
-    let election = ElectionBuilder::new(params())
+fn run_in_process_reference(p: ElectionParams) -> ElectionReport {
+    let election = ElectionBuilder::new(p.clone())
         .seed(SEED)
         .build()
         .expect("in-process election builds");
     let voting = election.voting();
     for &(ballot, option) in CASTS {
-        voting.cast(ballot, option).expect("in-process cast");
+        voting
+            .cast(ballot, option % p.num_options)
+            .expect("in-process cast");
     }
     let report = election.finish().expect("in-process election finishes");
     election.shutdown();
@@ -139,7 +164,7 @@ fn main() {
         return;
     }
 
-    let p = params();
+    let p = params(&args);
     let cluster = TcpCluster::localhost_free(p.num_vc, p.num_bb).expect("free ports");
     let exe = std::env::current_exe().expect("current exe");
     let mut children = Replicas(Vec::new());
@@ -151,6 +176,7 @@ fn main() {
                 .arg("--index")
                 .arg(index.to_string())
                 .args(cluster_to_args(&cluster))
+                .args(size_args(&args))
                 .stdin(Stdio::null());
             children.0.push((
                 format!("{role}-{index}"),
@@ -169,7 +195,7 @@ fn main() {
     // to each replica and, from its one endpoint to the board, one to
     // each BB replica. The trustee nodes dial on a transport of their own.
     let own = (p.num_vc + 2 * p.num_bb) as u64;
-    let election = ElectionBuilder::new(p)
+    let election = ElectionBuilder::new(p.clone())
         .seed(SEED)
         .network(Network::Tcp(cluster))
         .close_timeout(Duration::from_secs(120))
@@ -177,7 +203,9 @@ fn main() {
         .expect("coordinator builds");
     let voting = election.voting();
     for &(ballot, option) in CASTS {
-        let record = voting.cast(ballot, option).expect("vote over tcp");
+        let record = voting
+            .cast(ballot, option % p.num_options)
+            .expect("vote over tcp");
         println!(
             "ballot {ballot}: receipt {:x} over {} attempt(s)",
             record.audit.receipt, record.attempts
@@ -201,6 +229,19 @@ fn main() {
     assert!(dials > 0, "the coordinator never dialed");
     assert_eq!(authenticated, dials, "a dial did not authenticate");
     assert_eq!(conn("net.conn.auth_failed"), 0, "a handshake failed");
+    // The coordinator's largest frames: what it dealt the BB replicas
+    // (each chunk of their board in one frame) and what it read back.
+    let largest = |name: &str| {
+        let key = ddemos_obs::metric_key(name, "", "");
+        tcp_report.metrics.gauges.get(&key).map_or(0, |g| g.get())
+    };
+    let cap = TcpOptions::default().write_cap as u64;
+    let written = largest("net.conn.largest_frame_out");
+    println!(
+        "coordinator: largest frame read {} bytes, written {written} bytes (write cap {cap})",
+        largest("net.conn.largest_frame_in"),
+    );
+    assert!(written <= cap, "a {written}-byte frame over the write cap");
     // Each voter's connection ends with its cast: what is still open is
     // the coordinator's own.
     let open = dials - conn("net.conn.closed");
@@ -211,7 +252,7 @@ fn main() {
     );
 
     println!("re-running the same seed in-process for comparison...");
-    let sim_report = run_in_process_reference();
+    let sim_report = run_in_process_reference(p);
 
     assert_eq!(
         tcp_report.tally(),

@@ -3,7 +3,7 @@
 
 use crate::election::{Election, NetBackend, RunState, RESERVED_CLIENTS};
 use crate::schedule::Schedule;
-use crate::tcp::{client_transport, TcpCluster};
+use crate::tcp::{client_transport, deal_board, TcpCluster};
 use ddemos_bb::{BbNode, MajorityReader};
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_net::{NetworkProfile, SimNet};
@@ -147,6 +147,15 @@ pub enum BuildError {
     /// The coordinator's socket endpoints could not be created (off
     /// Linux, or out of file descriptors).
     Net(String),
+    /// Over [`Network::Tcp`], fewer than a majority of the BB replicas
+    /// took the EA's deal of their board (each was refused, or silent,
+    /// or the frame cap is smaller than one ballot's board data).
+    Undealt {
+        /// Replicas that hold their board.
+        dealt: usize,
+        /// The majority a reader needs.
+        needed: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -162,6 +171,10 @@ impl std::fmt::Display for BuildError {
             BuildError::TcpUnsupported(what) => {
                 write!(f, "{what} is not available over Network::Tcp")
             }
+            BuildError::Undealt { dealt, needed } => write!(
+                f,
+                "{dealt} BB replicas took the EA's deal of their board, {needed} needed"
+            ),
         }
     }
 }
@@ -784,10 +797,12 @@ impl ElectionBuilder {
     /// multi-process cluster. No node is spawned here — VC and BB
     /// replicas are separate OS processes running
     /// [`crate::tcp::run_vc_replica`] / [`crate::tcp::run_bb_replica`]
-    /// with the same `(params, seed)`; the builder derives the identical
-    /// setup (ballots for voters, BB init for the auditor, trustee
-    /// inits), prepares the dial-out transports of the coordinator and of
-    /// the trustee nodes, and wires the phase handles to remote clients.
+    /// with the same `(params, seed)`; the builder runs the EA's set-up
+    /// (ballots for voters, BB init for the auditor, trustee inits),
+    /// prepares the dial-out transports of the coordinator and of the
+    /// trustee nodes, wires the phase handles to remote clients, and
+    /// deals every BB replica its board ([`crate::tcp`]), returning once
+    /// a BB majority holds it ([`BuildError::Undealt`] otherwise).
     fn build_tcp(self, cluster: TcpCluster) -> Result<Election, BuildError> {
         // Options that configure in-process nodes or the simulated
         // network cannot reach replicas living in other processes.
@@ -838,7 +853,7 @@ impl ElectionBuilder {
         let ea = ElectionAuthority::new(self.params.clone(), self.seed);
         let setup = ea.setup_with(SetupProfile::Full, &pool);
         let setup_elapsed = setup_started.elapsed();
-        self.assemble(Started {
+        let election = self.assemble(Started {
             setup,
             setup_elapsed,
             threads: pool.threads(),
@@ -853,7 +868,21 @@ impl ElectionBuilder {
             metrics_domain: TimeDomain::Wall,
             driver: None,
             ea: None,
-        })
+        })?;
+        // The coordinator deals every BB replica its board as the EA's
+        // stand-in. Failing here drops the election, which stops every
+        // replica.
+        let dealt = deal_board(
+            &**election.coordinator.lock(),
+            &election.setup.bb_init,
+            &cluster.options,
+        )
+        .unwrap_or(0);
+        let needed = self.params.bb_majority();
+        if dealt < needed {
+            return Err(BuildError::Undealt { dealt, needed });
+        }
+        Ok(election)
     }
 }
 

@@ -461,7 +461,8 @@ impl Election {
     }
 
     /// Merges every node recorder (fixed vc-0…, bb-0…, hook order) and
-    /// folds the transport's connection counters in as `net.conn.*`.
+    /// folds the transport's connection counters in as `net.conn.*`
+    /// (with the largest frames read and written as gauges).
     /// The merge is exact — counters add, histograms add per bucket — so
     /// the result is independent of how the per-node snapshots group.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -479,6 +480,13 @@ impl Election {
             metrics.add("net.conn.rejected", "", "", conns.rejected);
             metrics.add("net.conn.retries", "", "", conns.retries);
             metrics.add("net.conn.closed", "", "", conns.closed);
+            metrics.gauge("net.conn.largest_frame_in", "", "", conns.largest_frame_in);
+            metrics.gauge(
+                "net.conn.largest_frame_out",
+                "",
+                "",
+                conns.largest_frame_out,
+            );
         }
         metrics
     }

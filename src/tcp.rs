@@ -21,25 +21,41 @@
 //! run reproduces the in-process tally, receipts and audit verdict
 //! (`examples/tcp_cluster.rs`).
 //!
-//! Each process derives its own role's slice of the deterministic set-up
-//! ([`SetupProfile`]) from the shared `(params, seed)`, standing in for
-//! the EA's out-of-band dealing (§III-D; the per-role table is in
-//! DESIGN.md §7.3). It models what each role holds and computes, not the
-//! secrecy of the dealing: the seed is the EA's master secret, so a
-//! deployment hands each process its slice and never the seed, and the
-//! channels' one shared secret ([`seeded_secret`]) is likewise a
-//! placeholder for per-node keys.
+//! The EA's set-up runs once, in the coordinator, and the coordinator
+//! deals each BB replica its public initialization data ([`BbInit`],
+//! §III-D) over its authenticated channel as the EA's stand-in: a header
+//! chunk, then the ballots by serial range ([`ddemos_protocol::deal`]),
+//! every chunk in one frame of at most `min(write_cap, max_frame)` bytes
+//! and one chunk in flight per replica. [`run_bb_replica`] binds its
+//! listener, assembles its board from the chunks and only then serves it;
+//! `ElectionBuilder::build` returns once a BB majority holds its board. A
+//! collector, whose slice holds signing keys and secret shares, still
+//! derives its own slice of the deterministic set-up ([`SetupProfile`])
+//! from the shared `(params, seed)`: the channels authenticate but do not
+//! encrypt, so they cannot carry it (the per-role table is in DESIGN.md
+//! §7.3). The seed is the EA's master secret, so a deployment would hand
+//! each collector its slice and never the seed; the channels' one shared
+//! secret ([`seeded_secret`], which is all a BB replica still takes the
+//! seed for) is likewise a placeholder for per-node keys.
 
+use crossbeam_channel::RecvTimeoutError;
 use ddemos_bb::BbNode;
 use ddemos_ea::{ElectionAuthority, SetupOutput, SetupProfile};
 use ddemos_net::auth::{seeded_secret, AuthConfig};
 use ddemos_net::evloop::EvConfig;
-use ddemos_net::{AuthTransport, EvNodeEndpoint};
+use ddemos_net::{AuthTransport, EvNodeEndpoint, TransportEndpoint};
 use ddemos_protocol::clock::GlobalClock;
+use ddemos_protocol::codec::BB_DEAL_FRAME_OVERHEAD;
+use ddemos_protocol::deal::{deal_chunks, BbInitAssembler};
 use ddemos_protocol::exec::Pool;
-use ddemos_protocol::{ElectionParams, NodeId};
+use ddemos_protocol::initdata::BbInit;
+use ddemos_protocol::messages::{BbDealOutcome, BbWriteOutcome, Msg};
+use ddemos_protocol::wire::WireError;
+use ddemos_protocol::{ElectionParams, NodeId, NodeKind, COORDINATOR};
 use ddemos_vc::{MemoryStore, VcNodeConfig};
 use std::net::SocketAddr;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Listener, admission and channel-authentication configuration of a
 /// TCP deployment. Carried inside [`TcpCluster`] so every replica
@@ -176,10 +192,10 @@ pub(crate) fn process_nonce_seed(me: NodeId) -> [u8; 32] {
     )
 }
 
-/// Derives one process's slice of the deterministic setup. EA setup is a
+/// Derives a collector's slice of the deterministic setup. EA setup is a
 /// pure function of `(params, seed)` and independent of the worker count,
-/// and a role's slice equals that slice of the whole set-up
-/// (`crates/ea/tests/golden.rs`), so each process deriving its *own*
+/// and the slice equals that slice of the whole set-up
+/// (`crates/ea/tests/golden.rs`), so a collector deriving its *own*
 /// initialization data is equivalent to the paper's out-of-band
 /// distribution of it.
 fn derive_setup(params: &ElectionParams, seed: u64, profile: SetupProfile) -> SetupOutput {
@@ -236,9 +252,11 @@ pub fn run_vc_replica(
     Ok(())
 }
 
-/// Runs one BB replica to completion: [`ddemos_bb::node::serve`], the
-/// loop every in-process replica runs too, over the replica's listener,
-/// until the coordinator sends `Msg::Shutdown`.
+/// Runs one BB replica to completion: binds its listener, assembles its
+/// board from the chunks [`COORDINATOR`] deals it ([`await_deal`]), then
+/// runs [`ddemos_bb::node::serve`], the loop every in-process replica runs
+/// too, until the coordinator sends `Msg::Shutdown`. The seed keys only
+/// the channels.
 ///
 /// # Errors
 /// I/O errors binding the replica's listen address.
@@ -248,7 +266,6 @@ pub fn run_bb_replica(
     index: u32,
     cluster: &TcpCluster,
 ) -> std::io::Result<()> {
-    let node = BbNode::new(derive_setup(params, seed, SetupProfile::BbNode).bb_init);
     let me = NodeId::bb(index);
     // A BB replica never dials anyone: every writer and reader (the
     // collectors, the trustees, the coordinator, auditors) connects in.
@@ -258,8 +275,147 @@ pub fn run_bb_replica(
         Vec::new(),
         cluster.ev_config(seed, me),
     )?;
-    ddemos_bb::node::serve(&node, &endpoint);
+    if let Some(init) = await_deal(params, &endpoint) {
+        ddemos_bb::node::serve(&BbNode::new(init), &endpoint);
+    }
     Ok(())
+}
+
+/// Reads a BB replica's deal off `endpoint`: chunks from [`COORDINATOR`]
+/// are taken in turn and each answered `Taken`, `Dealt` or `Refused`
+/// (a chunk from anyone else is refused). Until the board is whole the
+/// replica refuses the rest, typed and at once: a write is answered
+/// `WrongPhase`, and a read with an empty snapshot, which no dealt board
+/// encodes to, so a reader counts the replica out as it would an
+/// unreachable one. `None` when the coordinator stops the replica, or
+/// the transport closes, first.
+fn await_deal(params: &ElectionParams, endpoint: &dyn TransportEndpoint) -> Option<BbInit> {
+    let mut assembler = BbInitAssembler::new(params.clone());
+    while let Ok(env) = endpoint.recv() {
+        let reply = match env.msg {
+            Msg::BbDeal { request_id, chunk } => {
+                let taken = env.from == COORDINATOR && assembler.take(&chunk).is_ok();
+                let outcome = match (taken, assembler.is_complete()) {
+                    (false, _) => BbDealOutcome::Refused,
+                    (true, false) => BbDealOutcome::Taken,
+                    (true, true) => BbDealOutcome::Dealt,
+                };
+                Msg::BbDealReply {
+                    request_id,
+                    outcome,
+                }
+            }
+            Msg::BbWrite { request_id, .. } => Msg::BbWriteReply {
+                request_id,
+                outcome: BbWriteOutcome::WrongPhase,
+            },
+            Msg::BbReadRequest { request_id } => Msg::BbReadResponse {
+                request_id,
+                snapshot: Arc::default(),
+            },
+            Msg::Shutdown if env.from == COORDINATOR => return None,
+            _ => continue,
+        };
+        endpoint.send(env.from, reply);
+        if assembler.is_complete() {
+            return assembler.into_init();
+        }
+    }
+    None
+}
+
+/// How long the dealer waits for a BB replica to answer one chunk before
+/// it gives the replica up: as long as a dial retries a replica that is
+/// still binding.
+const DEAL_PATIENCE: Duration = Duration::from_secs(10);
+
+/// The most board data one chunk of a deal carries. A connection's
+/// buffers keep the capacity of the largest frame they carried, so chunks
+/// as large as a frame may be (1 MiB by default) would leave two such
+/// buffers per BB replica, one at each end, for the rest of the election;
+/// a replica decodes a chunk of this size in about a millisecond.
+const DEAL_CHUNK_BYTES: usize = 64 << 10;
+
+/// Deals `init` to the `num_bb` BB replicas from `dealer`, the EA's
+/// stand-in ([`COORDINATOR`]): the header, then the ballots by serial
+/// range, each chunk in one frame of at most `min(write_cap, max_frame)`
+/// bytes and at most [`DEAL_CHUNK_BYTES`] of board data. A replica has at
+/// most one chunk in flight and gets the next once it has taken the last,
+/// every replica at its own pace; one that refuses a chunk, or does not
+/// answer one within [`DEAL_PATIENCE`], is given up on. Returns how many
+/// replicas were dealt.
+///
+/// # Errors
+/// [`WireError`] from [`deal_chunks`]: a frame cap that one ballot's
+/// board data does not fit.
+pub(crate) fn deal_board(
+    dealer: &dyn TransportEndpoint,
+    init: &BbInit,
+    options: &TcpOptions,
+) -> Result<usize, WireError> {
+    let frame = options.write_cap.min(options.max_frame as usize);
+    let max_chunk = frame
+        .saturating_sub(BB_DEAL_FRAME_OVERHEAD)
+        .min(DEAL_CHUNK_BYTES);
+    let chunks: Vec<Arc<Vec<u8>>> = deal_chunks(init, max_chunk)?
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let send = |replica: usize, k: usize| {
+        let chunk = chunks.get(k)?.clone();
+        let request_id = k as u64;
+        dealer.send(
+            NodeId::bb(replica as u32),
+            Msg::BbDeal { request_id, chunk },
+        );
+        Some((k, dealer.now_ns()))
+    };
+    // Per replica: the chunk it holds unanswered and when it was sent;
+    // `None` once the replica is dealt or given up on.
+    let mut pending: Vec<Option<(usize, u64)>> =
+        (0..init.params.num_bb).map(|j| send(j, 0)).collect();
+    let patience = DEAL_PATIENCE.as_nanos() as u64;
+    let mut dealt = 0;
+    while let Some(deadline) = pending.iter().flatten().map(|(_, at)| at + patience).min() {
+        let left = deadline.saturating_sub(dealer.now_ns());
+        let env = match dealer.recv_timeout(Duration::from_nanos(left)) {
+            Ok(env) => env,
+            Err(RecvTimeoutError::Timeout) => {
+                let now = dealer.now_ns();
+                for slot in &mut pending {
+                    if slot.is_some_and(|(_, at)| now >= at + patience) {
+                        *slot = None;
+                    }
+                }
+                continue;
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        let Msg::BbDealReply {
+            request_id,
+            outcome,
+        } = env.msg
+        else {
+            continue;
+        };
+        let replica = env.from.index as usize;
+        let slot = match pending.get_mut(replica) {
+            Some(slot) if env.from.kind == NodeKind::Bb => slot,
+            _ => continue,
+        };
+        if slot.map(|(k, _)| k as u64) != Some(request_id) {
+            continue;
+        }
+        *slot = match outcome {
+            BbDealOutcome::Taken => send(replica, request_id as usize + 1),
+            BbDealOutcome::Dealt => {
+                dealt += 1;
+                None
+            }
+            BbDealOutcome::Refused => None,
+        };
+    }
+    Ok(dealt)
 }
 
 /// A dial-out transport to a remote cluster for client parties (held by
@@ -278,12 +434,16 @@ pub(crate) fn client_transport(cluster: &TcpCluster, seed: u64, party: NodeId) -
 #[cfg(target_os = "linux")]
 mod tests {
     use super::*;
+    use ddemos_crypto::field::Scalar;
+    use ddemos_crypto::schnorr::SigningKey;
+    use ddemos_crypto::shamir::Share;
     use ddemos_crypto::votecode::VoteCode;
-    use ddemos_net::TransportEndpoint;
-    use ddemos_protocol::messages::Msg;
-    use ddemos_protocol::{SerialNo, COORDINATOR};
+    use ddemos_crypto::vss::SignedShare;
+    use ddemos_protocol::messages::BbWriteMsg;
+    use ddemos_protocol::SerialNo;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::{Duration, Instant};
+    use std::thread::JoinHandle;
+    use std::time::Instant;
 
     const SEED: u64 = 7;
 
@@ -417,5 +577,151 @@ mod tests {
                 "round {round}: the replica never read the Shutdown"
             );
         }
+    }
+
+    /// A one-replica board: a `Full` set-up's board for it, the cluster,
+    /// and the replica's main on a thread of its own.
+    struct LoneBoard {
+        init: BbInit,
+        cluster: TcpCluster,
+        replica: JoinHandle<std::io::Result<()>>,
+    }
+
+    impl LoneBoard {
+        fn start() -> LoneBoard {
+            let params = ElectionParams::new("lone-bb", 3, 2, 4, 1, 3, 2, 0, 60_000).unwrap();
+            let init = ElectionAuthority::new(params.clone(), SEED)
+                .setup(SetupProfile::Full)
+                .bb_init;
+            let cluster = TcpCluster::localhost_free(0, 1).unwrap();
+            let replica = {
+                let (params, cluster) = (params.clone(), cluster.clone());
+                std::thread::spawn(move || run_bb_replica(&params, SEED, 0, &cluster))
+            };
+            LoneBoard {
+                init,
+                cluster,
+                replica,
+            }
+        }
+
+        /// A dial-out endpoint to the replica speaking as `party`.
+        fn party(&self, party: NodeId) -> (AuthTransport, EvNodeEndpoint) {
+            let transport = client_transport(&self.cluster, SEED, party);
+            let endpoint = transport.register(party).unwrap();
+            (transport, endpoint)
+        }
+
+        /// Stops the replica from `coordinator` and waits for its main to
+        /// return.
+        fn stop(self, coordinator: &EvNodeEndpoint) {
+            coordinator.send(NodeId::bb(0), Msg::Shutdown);
+            self.replica.join().unwrap().unwrap();
+        }
+    }
+
+    /// Sends `msg` to the replica and returns its answer.
+    fn ask(endpoint: &EvNodeEndpoint, msg: Msg) -> Msg {
+        endpoint.send(NodeId::bb(0), msg);
+        endpoint
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the replica answers")
+            .msg
+    }
+
+    fn deal(endpoint: &EvNodeEndpoint, chunk: &[u8]) -> BbDealOutcome {
+        let chunk = Arc::new(chunk.to_vec());
+        match ask(
+            endpoint,
+            Msg::BbDeal {
+                request_id: 1,
+                chunk,
+            },
+        ) {
+            Msg::BbDealReply { outcome, .. } => outcome,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The bytes a read of the replica returns.
+    fn read(endpoint: &EvNodeEndpoint) -> Arc<Vec<u8>> {
+        match ask(endpoint, Msg::BbReadRequest { request_id: 2 }) {
+            Msg::BbReadResponse { snapshot, .. } => snapshot,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Only the coordinator deals, and only this election's board: a
+    /// header from a voter, or from the coordinator for other parameters,
+    /// is refused and leaves the replica undealt — its reads stay empty —
+    /// until the coordinator deals the right one.
+    #[test]
+    fn a_deal_from_a_voter_or_for_another_election_leaves_the_replica_undealt() {
+        let board = LoneBoard::start();
+        let chunks = deal_chunks(&board.init, usize::MAX).unwrap();
+        let (_voters, voter) = board.party(NodeId::client(7));
+        assert_eq!(deal(&voter, &chunks[0]), BbDealOutcome::Refused);
+        let (_coordinators, coordinator) = board.party(COORDINATOR);
+        let mut other = board.init.clone();
+        other.params = ElectionParams::new("other", 3, 2, 4, 1, 3, 2, 0, 60_000).unwrap();
+        let foreign = deal_chunks(&other, usize::MAX).unwrap();
+        assert_eq!(deal(&coordinator, &foreign[0]), BbDealOutcome::Refused);
+        // Nothing was taken: the ballots still need a header first.
+        assert_eq!(deal(&coordinator, &chunks[1]), BbDealOutcome::Refused);
+        assert!(
+            read(&voter).is_empty(),
+            "an undealt replica serves no board"
+        );
+        assert_eq!(deal(&coordinator, &chunks[0]), BbDealOutcome::Taken);
+        assert_eq!(deal(&voter, &chunks[1]), BbDealOutcome::Refused);
+        assert!(read(&voter).is_empty());
+        assert_eq!(deal(&coordinator, &chunks[1]), BbDealOutcome::Dealt);
+        assert!(!read(&voter).is_empty());
+        board.stop(&coordinator);
+    }
+
+    /// Before its deal completes a replica refuses writes as `WrongPhase`
+    /// and answers reads with an empty snapshot, at once and without
+    /// keeping them; once dealt it verifies and serves as any replica does.
+    /// A `Shutdown` from the coordinator ends an undealt replica too.
+    #[test]
+    fn early_traffic_is_refused_until_the_board_is_dealt() {
+        let board = LoneBoard::start();
+        let (_writers, writer) = board.party(NodeId::vc(0));
+        let share = SignedShare {
+            share: Share {
+                index: 1,
+                value: Scalar::ONE,
+            },
+            signature: SigningKey::from_scalar(Scalar::ONE).sign(b"not the EA"),
+        };
+        let write = |request_id| Msg::BbWrite {
+            request_id,
+            write: BbWriteMsg::MskShare { share },
+        };
+        let outcome = |msg| match msg {
+            Msg::BbWriteReply { outcome, .. } => outcome,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(outcome(ask(&writer, write(1))), BbWriteOutcome::WrongPhase);
+        assert!(read(&writer).is_empty());
+        let (_coordinators, coordinator) = board.party(COORDINATOR);
+        assert_eq!(
+            deal_board(&coordinator, &board.init, &board.cluster.options),
+            Ok(1)
+        );
+        // Now the forged share meets the EA key.
+        assert_eq!(
+            outcome(ask(&writer, write(2))),
+            BbWriteOutcome::BadSignature
+        );
+        let snapshot = ddemos_bb::codec::decode_snapshot(&read(&writer)).unwrap();
+        assert!(snapshot.vote_set.is_none());
+        board.stop(&coordinator);
+
+        let undealt = LoneBoard::start();
+        let (_coordinators, coordinator) = undealt.party(COORDINATOR);
+        assert!(read(&coordinator).is_empty());
+        undealt.stop(&coordinator);
     }
 }

@@ -16,6 +16,7 @@ use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions
 use ddemos_harness::{
     Election, ElectionBuilder, ElectionParams, ElectionReport, Network, NodeId, PartId,
 };
+use ddemos_protocol::deal::deal_chunks;
 use ddemos_protocol::messages::{Msg, VoteOutcome};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
@@ -113,7 +114,12 @@ fn run_tcp_election(vcs_up: u32) -> ElectionReport {
 }
 
 fn run_sim_election() -> ElectionReport {
-    let election = ElectionBuilder::new(params(12))
+    run_sim(params(12))
+}
+
+/// The same-seed in-process run of `params` casting [`CASTS`].
+fn run_sim(params: ElectionParams) -> ElectionReport {
+    let election = ElectionBuilder::new(params)
         .seed(SEED)
         .build()
         .expect("sim election builds");
@@ -170,6 +176,56 @@ fn tcp_cluster_matches_in_process_run() {
     // Real sockets carried the whole election: the coordinator's
     // transport alone shows traffic.
     assert!(tcp.net.sent > 0, "no traffic recorded");
+}
+
+/// A board larger than a connection's write cap is dealt in chunks: at
+/// m = 5 and 80 ballots the `BbInit` encodes to about 1.6 MB against the
+/// 1 MiB default cap. No frame the coordinator writes (the deal's chunks
+/// are the only large ones) exceeds the cap, the largest is smaller than
+/// the board, so the deal took more than one, and the election still
+/// matches the same-seed in-process run.
+#[test]
+fn a_board_larger_than_the_write_cap_is_dealt_in_chunks() {
+    let _one = ONE_ELECTION.lock().unwrap_or_else(|e| e.into_inner());
+    let params = ElectionParams::new("tcp-e2e-wide", 80, 5, 4, 3, 3, 2, 0, 600_000).unwrap();
+    let options = TcpOptions::default();
+    let (election, replicas) = start_cluster(&params, options, params.num_vc as u32);
+    let board: usize = deal_chunks(&election.setup.bb_init, usize::MAX)
+        .unwrap()
+        .iter()
+        .map(Vec::len)
+        .sum();
+    assert!(
+        board > options.write_cap,
+        "a {board}-byte board fits the cap"
+    );
+    let voting = election.voting().patience(Duration::from_secs(1));
+    for &(ballot, option) in CASTS {
+        voting
+            .cast(ballot, option)
+            .unwrap_or_else(|e| panic!("tcp cast {ballot} failed: {e}"));
+    }
+    let tcp = finish(election, replicas, &params);
+    let key = ddemos_obs::metric_key("net.conn.largest_frame_out", "", "");
+    let largest = tcp.metrics.gauges.get(&key).map_or(0, |g| g.get()) as usize;
+    let cap = options.write_cap.min(options.max_frame as usize);
+    assert!(
+        largest <= cap,
+        "a {largest}-byte frame over the {cap}-byte cap"
+    );
+    assert!(largest < board, "the {board}-byte board went in one frame");
+    let sim = run_sim(params);
+    assert_eq!(
+        tcp.tally(),
+        sim.tally(),
+        "tally diverged between transports"
+    );
+    assert_eq!(tcp.receipts, sim.receipts);
+    assert!(tcp.verified(), "tcp audit failed");
+    assert_eq!(
+        tcp.audit.as_ref().map(|a| &a.failures),
+        sim.audit.as_ref().map(|a| &a.failures)
+    );
 }
 
 /// Liveness inside the fault bound: with one of four collectors down
