@@ -2,18 +2,20 @@
 //!
 //! [`BbCore`] mirrors the shape of `ddemos_vc`'s `VcCore`: the whole
 //! write-verification state machine of §III-G as
-//! `step(input) -> Vec<output>`, owning no lock, no journal, and no
-//! socket. Inputs are the three authenticated write kinds; outputs are
-//! the reply plus (for novel accepted writes) a journal append and its
-//! commit barrier — the reply always comes *after* the commit, so a
-//! driver that executes outputs in order never acknowledges a write it
-//! could forget.
+//! `step(write) -> (outcome, record)`, owning no lock, no journal, and no
+//! socket. A write is a [`BbWriteMsg`] (a vote set, an `msk` share or a
+//! trustee post) as it crossed the wire; the outcome is the wire
+//! [`BbWriteOutcome`]; the record, for a write that joins the accepted
+//! history, is the write's [`codec::put_bb_write`] bytes. A driver makes
+//! the record durable before it releases the outcome, so it never
+//! acknowledges a write it could forget. A trustee signs its post's wire
+//! encoding, so one encoding of a post serves the signature check and the
+//! journal.
 //!
 //! The node wrapper (`crate::node::BbNode`) adds the lock and the
-//! journal; the multi-process replica loop (`ddemos_harness::tcp`) adds
-//! the socket. Both drive this same core, as does journal replay — which
-//! re-applies the accepted-write history through the same verified write
-//! path, so a rebuilt node is byte-identical to one that never crashed.
+//! journal, and `crate::node::serve` the transport. Journal replay
+//! decodes the same records and re-applies them through `step`, so a
+//! rebuilt node is byte-identical to one that never crashed.
 
 use ddemos_crypto::batch::LinearBatch;
 use ddemos_crypto::elgamal::{self, Ciphertext, PublicKey};
@@ -28,7 +30,7 @@ use ddemos_protocol::codec;
 use ddemos_protocol::initdata::{msk_share_context, voteset_message, BbBallot, BbInit, BbRow};
 use ddemos_protocol::messages::{BbWriteMsg, BbWriteOutcome};
 use ddemos_protocol::posts::{ElectionResult, PartZkPost, TallySharePost, TrusteePost, VoteSet};
-use ddemos_protocol::wire::{Reader, WireError, Writer};
+use ddemos_protocol::wire::Writer;
 use ddemos_protocol::{PartId, SerialNo};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -76,20 +78,6 @@ impl std::fmt::Display for WriteError {
 }
 impl std::error::Error for WriteError {}
 
-/// Maps a write result to its wire outcome code.
-pub fn result_to_outcome(result: Result<(), WriteError>) -> BbWriteOutcome {
-    match result {
-        Ok(()) => BbWriteOutcome::Accepted,
-        Err(WriteError::BadSignature) => BbWriteOutcome::BadSignature,
-        Err(WriteError::UnknownWriter) => BbWriteOutcome::UnknownWriter,
-        Err(WriteError::Inconsistent) => BbWriteOutcome::Inconsistent,
-        // `Unavailable` never originates replica-side; collapse it to
-        // the closest wire code defensively.
-        Err(WriteError::WrongPhase) | Err(WriteError::Unavailable) => BbWriteOutcome::WrongPhase,
-        Err(WriteError::ReadOnly) => BbWriteOutcome::ReadOnly,
-    }
-}
-
 /// The wire outcome mapped back to the typed error (remote client side).
 pub fn outcome_to_result(outcome: BbWriteOutcome) -> Result<(), WriteError> {
     match outcome {
@@ -128,218 +116,11 @@ pub struct BbSnapshot {
     pub result: Option<ElectionResult>,
 }
 
-impl BbSnapshot {
-    /// A digest readers can majority-compare.
-    pub fn digest(&self) -> [u8; 32] {
-        let mut w = Writer::tagged("ddemos/bb-snapshot/v1");
-        match &self.vote_set {
-            Some(vs) => w.put_u8(1).put_array(&vs.digest()),
-            None => w.put_u8(0),
-        };
-        w.put_u64(self.decrypted_codes.len() as u64);
-        for ((serial, part), codes) in &self.decrypted_codes {
-            w.put_u64(serial.0).put_u8(*part);
-            for code in codes {
-                w.put_array(&code.0);
-            }
-        }
-        w.put_u64(self.openings.len() as u64);
-        for ((serial, part), rows) in &self.openings {
-            w.put_u64(serial.0).put_u8(*part).put_u32(rows.len() as u32);
-        }
-        match &self.result {
-            Some(r) => w.put_u8(1).put_array(&r.digest()),
-            None => w.put_u8(0),
-        };
-        w.digest()
-    }
-}
-
-/// One input: an authenticated write. The three kinds mirror
-/// [`BbWriteMsg`] (its typed, unpacked form).
-#[derive(Clone, Debug)]
-pub enum BbInput {
-    /// A VC node's final vote set.
-    VoteSet {
-        /// Submitting VC node index.
-        from_vc: u32,
-        /// The submitted set.
-        set: VoteSet,
-        /// The VC node's signature over the set digest.
-        sig: Signature,
-    },
-    /// A VC node's `msk` share.
-    MskShare {
-        /// The EA-signed share.
-        share: SignedShare,
-    },
-    /// A trustee's post.
-    TrusteePost {
-        /// The post.
-        post: Arc<TrusteePost>,
-        /// The trustee's signature over the post digest.
-        sig: Signature,
-    },
-}
-
-impl BbInput {
-    /// A static label naming the input variant (metrics coordinates).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            BbInput::VoteSet { .. } => "VoteSet",
-            BbInput::MskShare { .. } => "MskShare",
-            BbInput::TrusteePost { .. } => "TrusteePost",
-        }
-    }
-}
-
-impl From<BbWriteMsg> for BbInput {
-    fn from(write: BbWriteMsg) -> BbInput {
-        match write {
-            BbWriteMsg::VoteSet { from_vc, set, sig } => BbInput::VoteSet { from_vc, set, sig },
-            BbWriteMsg::MskShare { share } => BbInput::MskShare { share },
-            BbWriteMsg::TrusteePost { post, sig } => BbInput::TrusteePost { post, sig },
-        }
-    }
-}
-
-/// One effect of a step, in execution order: journal appends and their
-/// commit barrier precede the reply, so an acknowledged write is durable.
-#[derive(Clone, Debug)]
-pub enum BbOutput {
-    /// Append one accepted write to the node's journal, if it has one.
-    Journal(JournalEntry),
-    /// Force the journal commit before the reply below is released.
-    Commit,
-    /// The write outcome to report to the submitter.
-    Reply(Result<(), WriteError>),
-}
-
-/// One accepted (verified) BB write, as journaled and replayed. Cheap to
-/// clone (the trustee post — the heavy payload — is shared by `Arc`).
-#[derive(Clone)]
-pub(crate) enum BbRecord {
-    VoteSet {
-        from_vc: u32,
-        set: VoteSet,
-        sig: Signature,
-    },
-    MskShare {
-        share: SignedShare,
-    },
-    TrusteePost {
-        post: Arc<TrusteePost>,
-        sig: Signature,
-    },
-}
-
-/// An accepted write as the journal records it. It is encoded only when
-/// written ([`JournalEntry::encode`]): a node without a journal never
-/// pays for the bytes, which for a trustee post run to megabytes.
-#[derive(Clone)]
-pub struct JournalEntry(BbRecord);
-
-impl JournalEntry {
-    /// The record's journal bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        self.0.encode()
-    }
-}
-
-impl std::fmt::Debug for JournalEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JournalEntry")
-    }
-}
-
-const TAG_VOTE_SET: u8 = 1;
-const TAG_MSK_SHARE: u8 = 2;
-const TAG_TRUSTEE_POST: u8 = 3;
-
-impl BbRecord {
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        match self {
-            BbRecord::VoteSet { from_vc, set, sig } => {
-                w.put_u8(TAG_VOTE_SET).put_u32(*from_vc);
-                codec::put_vote_set(w, set);
-                codec::put_signature(w, sig);
-            }
-            BbRecord::MskShare { share } => {
-                w.put_u8(TAG_MSK_SHARE);
-                codec::put_signed_share(w, share);
-            }
-            BbRecord::TrusteePost { post, sig } => {
-                w.put_u8(TAG_TRUSTEE_POST);
-                codec::put_trustee_post(w, post);
-                codec::put_signature(w, sig);
-            }
-        }
-    }
-
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<BbRecord, WireError> {
-        Ok(match r.get_u8()? {
-            TAG_VOTE_SET => BbRecord::VoteSet {
-                from_vc: r.get_u32()?,
-                set: codec::get_vote_set(r)?,
-                sig: codec::get_signature(r)?,
-            },
-            TAG_MSK_SHARE => BbRecord::MskShare {
-                share: codec::get_signed_share(r)?,
-            },
-            TAG_TRUSTEE_POST => BbRecord::TrusteePost {
-                post: Arc::new(codec::get_trustee_post(r)?),
-                sig: codec::get_signature(r)?,
-            },
-            _ => return Err(WireError::BadValue),
-        })
-    }
-
-    fn into_input(self) -> BbInput {
-        match self {
-            BbRecord::VoteSet { from_vc, set, sig } => BbInput::VoteSet { from_vc, set, sig },
-            BbRecord::MskShare { share } => BbInput::MskShare { share },
-            BbRecord::TrusteePost { post, sig } => BbInput::TrusteePost { post, sig },
-        }
-    }
-}
-
-/// Digest of a trustee post, for write authentication.
-pub fn trustee_post_digest(post: &TrusteePost) -> [u8; 32] {
-    let mut w = Writer::tagged("ddemos/trustee-post/v1");
-    w.put_u32(post.trustee_index);
-    w.put_u64(post.openings.len() as u64);
-    for o in &post.openings {
-        w.put_u64(o.serial.0).put_u8(o.part.index() as u8);
-        for row in &o.rows {
-            for (b, r) in row {
-                w.put_array(&b.to_bytes()).put_array(&r.to_bytes());
-            }
-        }
-    }
-    w.put_u64(post.zk.len() as u64);
-    for z in &post.zk {
-        w.put_u64(z.serial.0).put_u8(z.part.index() as u8);
-        for row in &z.rows {
-            for ct in row {
-                for s in ct {
-                    w.put_array(&s.to_bytes());
-                }
-            }
-        }
-        for s in &z.sum_responses {
-            w.put_array(&s.to_bytes());
-        }
-    }
-    for (m, r) in &post.tally.per_option {
-        w.put_array(&m.to_bytes()).put_array(&r.to_bytes());
-    }
-    w.digest()
+/// A write's record: its [`codec::put_bb_write`] bytes.
+fn record_of(write: &BbWriteMsg) -> Vec<u8> {
+    let mut w = Writer::new();
+    codec::put_bb_write(&mut w, write);
+    w.into_bytes()
 }
 
 /// The sans-I/O Bulletin Board state machine. See the module docs.
@@ -366,7 +147,7 @@ pub struct BbCore {
     /// (quorum thresholds cross for the same digest, phase gates open at
     /// the same points) and the rebuilt node is byte-identical to the
     /// never-crashed one.
-    accepted: Vec<BbRecord>,
+    accepted: Vec<BbWriteMsg>,
     snapshot: BbSnapshot,
 }
 
@@ -397,56 +178,68 @@ impl BbCore {
         &self.snapshot
     }
 
-    /// Advances the state machine by one write. Outputs are in execution
-    /// order: journal append + commit (novel accepted writes only), then
-    /// the reply.
-    pub fn step(&mut self, input: BbInput) -> Vec<BbOutput> {
-        let (outcome, record) = self.apply(input);
-        let mut outputs = Vec::with_capacity(3);
-        if let Some(record) = record {
-            outputs.push(BbOutput::Journal(JournalEntry(record)));
-            outputs.push(BbOutput::Commit);
+    /// Advances the state machine by one write. Returns the outcome to
+    /// report and, when the write joins the accepted history, its record:
+    /// the write's [`codec::put_bb_write`] bytes, which a journaled
+    /// replica must make durable before it releases the outcome.
+    pub fn step(&mut self, write: BbWriteMsg) -> (BbWriteOutcome, Option<Vec<u8>>) {
+        let (outcome, record) = match &write {
+            BbWriteMsg::VoteSet { from_vc, set, sig } => {
+                let (outcome, novel) = self.on_vote_set(*from_vc, set, sig);
+                (outcome, novel.then(|| record_of(&write)))
+            }
+            BbWriteMsg::MskShare { share } => {
+                let (outcome, novel) = self.on_msk_share(share);
+                (outcome, novel.then(|| record_of(&write)))
+            }
+            BbWriteMsg::TrusteePost { post, sig } => {
+                // One encoding of the post: its signature is checked over
+                // these bytes, and they are the record.
+                let bytes = {
+                    let _t = ddemos_obs::scoped_ns("bb.step_ns", "TrusteePost/encode");
+                    record_of(&write)
+                };
+                let (outcome, novel) = self.on_trustee_post(post, sig, &bytes);
+                (outcome, novel.then_some(bytes))
+            }
+        };
+        if record.is_some() {
+            self.accepted.push(write);
         }
-        outputs.push(BbOutput::Reply(outcome));
-        outputs
+        (outcome, record)
     }
 
-    /// Replays one journaled record through the same verified write path
-    /// (no journal outputs — the record is already on disk). False when
-    /// the record no longer verifies: tampered storage. The record is
-    /// skipped — write-side verification must hold even against our own
-    /// disk. `Inconsistent` from the msk path replays the original
+    /// Replays one journaled write through the same verified write path.
+    /// False when the write no longer verifies: tampered storage. The
+    /// write is skipped — write-side verification must hold even against
+    /// our own disk. `Inconsistent` from the msk path replays the original
     /// mismatched-commitment outcome (shares accepted, then cleared) and
     /// is not storage damage.
-    pub(crate) fn replay(&mut self, record: BbRecord) -> bool {
-        let (outcome, _) = self.apply(record.into_input());
-        matches!(outcome, Ok(()) | Err(WriteError::Inconsistent))
+    pub(crate) fn replay(&mut self, write: BbWriteMsg) -> bool {
+        let (outcome, _) = self.step(write);
+        matches!(
+            outcome,
+            BbWriteOutcome::Accepted | BbWriteOutcome::Inconsistent
+        )
     }
 
     /// Encodes the accepted-write history (the durable snapshot body).
     pub(crate) fn encode_history(&self, w: &mut Writer) {
         w.put_u64(self.accepted.len() as u64);
-        for record in &self.accepted {
-            record.encode_into(w);
+        for write in &self.accepted {
+            codec::put_bb_write(w, write);
         }
     }
 
-    fn apply(&mut self, input: BbInput) -> (Result<(), WriteError>, Option<BbRecord>) {
-        match input {
-            BbInput::VoteSet { from_vc, set, sig } => self.on_vote_set(from_vc, &set, &sig),
-            BbInput::MskShare { share } => self.on_msk_share(&share),
-            BbInput::TrusteePost { post, sig } => self.on_trustee_post(post, &sig),
-        }
-    }
-
+    /// A vote-set write's outcome, and whether it joins the history.
     fn on_vote_set(
         &mut self,
         from_vc: u32,
         set: &VoteSet,
         sig: &Signature,
-    ) -> (Result<(), WriteError>, Option<BbRecord>) {
+    ) -> (BbWriteOutcome, bool) {
         let Some(vk) = self.init.vc_keys.get(from_vc as usize).copied() else {
-            return (Err(WriteError::UnknownWriter), None);
+            return (BbWriteOutcome::UnknownWriter, false);
         };
         let digest = set.digest();
         if !self.mverify.check(
@@ -454,7 +247,7 @@ impl BbCore {
             &voteset_message(&self.init.params.election_id, &digest),
             sig,
         ) {
-            return (Err(WriteError::BadSignature), None);
+            return (BbWriteOutcome::BadSignature, false);
         }
         let submitters = self.vote_set_submissions.entry(digest).or_default();
         let novel = !submitters.contains(&from_vc);
@@ -467,43 +260,32 @@ impl BbCore {
             self.snapshot.vote_set = Some(set.clone());
             self.after_phase_change();
         }
-        if !novel {
-            return (Ok(()), None);
-        }
-        let record = BbRecord::VoteSet {
-            from_vc,
-            set: set.clone(),
-            sig: *sig,
-        };
-        self.accepted.push(record.clone());
-        (Ok(()), Some(record))
+        (BbWriteOutcome::Accepted, novel)
     }
 
-    fn on_msk_share(&mut self, share: &SignedShare) -> (Result<(), WriteError>, Option<BbRecord>) {
+    /// An `msk`-share write's outcome, and whether it joins the history.
+    fn on_msk_share(&mut self, share: &SignedShare) -> (BbWriteOutcome, bool) {
         let ctx = msk_share_context(&self.init.params.election_id);
         let ea_key = self.init.ea_key;
         if !self.mverify.check_share(&ea_key, &ctx, share) {
-            return (Err(WriteError::BadSignature), None);
+            return (BbWriteOutcome::BadSignature, false);
         }
         if self.msk.is_some() {
-            return (Ok(()), None);
+            return (BbWriteOutcome::Accepted, false);
         }
         let novel = !self
             .msk_shares
             .iter()
             .any(|s| s.share.index == share.share.index);
         if !novel {
-            return (Ok(()), None);
+            return (BbWriteOutcome::Accepted, false);
         }
         self.msk_shares.push(*share);
-        // The share is accepted (EA-verified and novel) regardless of how
-        // the reconstruction attempt below ends — record it first so the
-        // journal history matches the in-memory share list even on the
-        // mismatched-commitment path, where the shares are cleared (the
-        // replay re-runs the same clear deterministically).
-        let record = BbRecord::MskShare { share: *share };
-        self.accepted.push(record.clone());
-        let mut outcome = Ok(());
+        // The share is accepted (EA-verified and novel) however the
+        // reconstruction attempt below ends, so the history matches the
+        // in-memory share list even on the mismatched-commitment path,
+        // where the shares are cleared (the replay re-runs the same clear
+        // deterministically).
         let k = self.init.params.vc_quorum();
         if self.msk_shares.len() >= k {
             if let Ok(secret) = DealerVss::reconstruct(&self.msk_shares, k) {
@@ -516,56 +298,56 @@ impl BbCore {
                     self.after_phase_change();
                 } else {
                     self.msk_shares.clear();
-                    outcome = Err(WriteError::Inconsistent);
+                    return (BbWriteOutcome::Inconsistent, true);
                 }
             }
         }
-        (outcome, Some(record))
+        (BbWriteOutcome::Accepted, true)
     }
 
+    /// A trustee-post write's outcome, and whether it joins the history;
+    /// `written` is the write's [`codec::put_bb_write`] bytes.
     fn on_trustee_post(
         &mut self,
-        post: Arc<TrusteePost>,
+        post: &Arc<TrusteePost>,
         sig: &Signature,
-    ) -> (Result<(), WriteError>, Option<BbRecord>) {
+        written: &[u8],
+    ) -> (BbWriteOutcome, bool) {
         let Some(vk) = self
             .init
             .trustee_keys
             .get(post.trustee_index as usize)
             .copied()
         else {
-            return (Err(WriteError::UnknownWriter), None);
+            return (BbWriteOutcome::UnknownWriter, false);
         };
-        // The trustee's signature on the post is the one check a post
-        // gets on arrival: its shares are checked at publication, by what
-        // `h_t` of them interpolate to.
-        let digest = {
-            let _t = ddemos_obs::scoped_ns("bb.step_ns", "TrusteePost/digest");
-            trustee_post_digest(&post)
-        };
+        // The trustee's signature over the post's wire bytes is the one
+        // check a post gets on arrival: its shares are checked at
+        // publication, by what `h_t` of them interpolate to.
         let signed = {
             let _t = ddemos_obs::scoped_ns("bb.step_ns", "TrusteePost/signature");
-            self.mverify.check(&vk, &digest, sig)
+            codec::written_post_digest(written)
+                .is_some_and(|digest| self.mverify.check(&vk, &digest, sig))
         };
         if !signed {
-            return (Err(WriteError::BadSignature), None);
+            return (BbWriteOutcome::BadSignature, false);
         }
         if self.snapshot.vote_set.is_none() || self.msk.is_none() {
-            return (Err(WriteError::WrongPhase), None);
+            return (BbWriteOutcome::WrongPhase, false);
         }
         let shaped = {
             let _t = ddemos_obs::scoped_ns("bb.step_ns", "TrusteePost/shape");
-            self.trustee_post_shape_ok(&post)
+            self.trustee_post_shape_ok(post)
         };
         if !shaped {
-            return (Err(WriteError::Inconsistent), None);
+            return (BbWriteOutcome::Inconsistent, false);
         }
         // First post per trustee wins: the accepted history must match
         // the retained state exactly, so a resubmission (same or
         // different content) is ignored rather than overwriting a post
         // the journal already committed to.
         if self.trustee_posts.contains_key(&post.trustee_index) {
-            return (Ok(()), None);
+            return (BbWriteOutcome::Accepted, false);
         }
         self.trustee_posts.insert(post.trustee_index, post.clone());
         // Every post from the threshold on gets a pass, also once the
@@ -575,9 +357,7 @@ impl BbCore {
         if self.trustee_posts.len() >= self.init.params.trustee_threshold {
             self.try_publish_result();
         }
-        let record = BbRecord::TrusteePost { post, sig: *sig };
-        self.accepted.push(record.clone());
-        (Ok(()), Some(record))
+        (BbWriteOutcome::Accepted, true)
     }
 
     /// Structural admission check for a trustee post: every share vector

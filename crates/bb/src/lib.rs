@@ -9,7 +9,7 @@
 //! majority-comparing browser extension (§V).
 //!
 //! The write-verification state machine itself is the sans-I/O
-//! [`core::BbCore`] (`step(input) -> Vec<output>`, same shape as
+//! [`core::BbCore`] (`step(write) -> (outcome, record)`, the shape of
 //! `ddemos_vc`'s `VcCore`); [`node::BbNode`] wraps it with a lock and an
 //! optional durable journal, [`node::serve`] runs a replica over any
 //! transport endpoint, [`RemoteBb`] is a client of one, and [`codec`]
@@ -22,6 +22,6 @@ pub mod core;
 pub mod node;
 pub mod reader;
 
-pub use core::{trustee_post_digest, BbCore, BbInput, BbOutput, BbSnapshot, WriteError};
+pub use core::{BbCore, BbSnapshot, WriteError};
 pub use node::BbNode;
 pub use reader::{retry_pause, BbApi, MajorityReader, PendingRead, RemoteBb};

@@ -11,17 +11,18 @@
 //! read-side majority (see [`crate::reader`]).
 //!
 //! All of that verification lives in the sans-I/O [`crate::core`] module;
-//! this wrapper executes the core's outputs: journal appends + commits
-//! before the reply is released, so an acknowledged write is durable.
+//! this wrapper appends and commits the record a step returns before it
+//! releases the outcome, so an acknowledged write is durable.
 //! [`serve`] is every replica's network loop, in process on `SimNet` and
 //! in its own OS process over TCP alike: it answers `Msg::BbWrite` /
 //! `Msg::BbReadRequest` envelopes and power-cycles on `Msg::Amnesia`.
 
-use crate::core::{BbCore, BbInput, BbOutput, BbRecord, BbSnapshot, WriteError};
+use crate::core::{outcome_to_result, BbCore, BbSnapshot, WriteError};
 use ddemos_crypto::schnorr::Signature;
 use ddemos_crypto::vss::SignedShare;
 use ddemos_net::{DynEndpoint, TransportEndpoint};
 use ddemos_obs::Recorder;
+use ddemos_protocol::codec;
 use ddemos_protocol::initdata::BbInit;
 use ddemos_protocol::messages::{BbWriteMsg, BbWriteOutcome, Msg};
 use ddemos_protocol::posts::{TrusteePost, VoteSet};
@@ -168,57 +169,46 @@ impl BbNode {
         self.recorder.lock().add("bb.journal_faults", kind, 1);
     }
 
-    /// Runs one write through the core and executes its outputs: journal
-    /// append + commit (+ snapshot cadence) before the reply is released.
-    fn submit(&self, input: BbInput) -> Result<(), WriteError> {
+    /// Runs one write through the core, appending and committing its
+    /// record (+ snapshot cadence) before the outcome is released.
+    pub fn handle_write(&self, write: BbWriteMsg) -> BbWriteOutcome {
         if self.degraded.load(Ordering::Acquire) {
-            return Err(WriteError::ReadOnly);
+            return BbWriteOutcome::ReadOnly;
         }
         let recorder = self.recorder.lock().clone();
-        let kind = input.kind();
+        let kind = match &write {
+            BbWriteMsg::VoteSet { .. } => "VoteSet",
+            BbWriteMsg::MskShare { .. } => "MskShare",
+            BbWriteMsg::TrusteePost { .. } => "TrusteePost",
+        };
         let start = recorder.now_ns();
-        let outputs = self.core.write().step(input);
-        let mut outcome = Ok(());
-        for output in outputs {
-            match output {
-                BbOutput::Journal(entry) => {
-                    let mut guard = self.journal.lock();
-                    if let Some(journal) = guard.as_mut() {
-                        let at = recorder.now_ns();
-                        let bytes = entry.encode();
-                        recorder.observe_since("bb.step_ns", &format!("{kind}/encode"), at);
-                        let at = recorder.now_ns();
-                        let append = journal.append(&bytes).and_then(|()| {
-                            journal.commit()?;
-                            recorder.observe_since("bb.step_ns", &format!("{kind}/journal"), at);
-                            let at = recorder.now_ns();
-                            journal.maybe_compact(&BbReplica(self))?;
-                            recorder.observe_since("bb.step_ns", &format!("{kind}/compact"), at);
-                            Ok(())
-                        });
-                        if let Err(e) = append {
-                            if e.is_disk_full() {
-                                // Nothing was written (the WAL frame
-                                // counter did not advance). Refuse the
-                                // write instead of acknowledging it
-                                // non-durably, and stay read-only: the
-                                // journal on disk is intact for replay.
-                                self.journal_fault("disk_full");
-                                self.degraded.store(true, Ordering::Release);
-                                return Err(WriteError::ReadOnly);
-                            }
-                            // Any other failure: the write stands, held
-                            // volatile.
-                            self.journal_fault("write");
-                        }
-                    }
+        let (outcome, record) = self.core.write().step(write);
+        let mut guard = self.journal.lock();
+        if let (Some(record), Some(journal)) = (record, guard.as_mut()) {
+            let at = recorder.now_ns();
+            let append = journal.append(&record).and_then(|()| {
+                journal.commit()?;
+                recorder.observe_since("bb.step_ns", &format!("{kind}/journal"), at);
+                let at = recorder.now_ns();
+                journal.maybe_compact(&BbReplica(self))?;
+                recorder.observe_since("bb.step_ns", &format!("{kind}/compact"), at);
+                Ok(())
+            });
+            if let Err(e) = append {
+                if e.is_disk_full() {
+                    // Nothing was written (the WAL frame counter did not
+                    // advance). Refuse the write instead of acknowledging
+                    // it non-durably, and stay read-only: the journal on
+                    // disk is intact for replay.
+                    self.journal_fault("disk_full");
+                    self.degraded.store(true, Ordering::Release);
+                    return BbWriteOutcome::ReadOnly;
                 }
-                // Commits are folded into the append above (BB writes are
-                // rare and each one is an externally visible acceptance).
-                BbOutput::Commit => {}
-                BbOutput::Reply(result) => outcome = result,
+                // Any other failure: the write stands, held volatile.
+                self.journal_fault("write");
             }
         }
+        drop(guard);
         recorder.add("bb.step_writes", kind, 1);
         recorder.observe_since("bb.step_ns", kind, start);
         outcome
@@ -235,11 +225,11 @@ impl BbNode {
         set: &VoteSet,
         sig: &Signature,
     ) -> Result<(), WriteError> {
-        self.submit(BbInput::VoteSet {
+        outcome_to_result(self.handle_write(BbWriteMsg::VoteSet {
             from_vc,
             set: set.clone(),
             sig: *sig,
-        })
+        }))
     }
 
     /// A VC node submits its `msk` share (authenticated by the EA's
@@ -248,7 +238,7 @@ impl BbNode {
     /// # Errors
     /// Rejects shares whose EA signature fails.
     pub fn submit_msk_share(&self, share: &SignedShare) -> Result<(), WriteError> {
-        self.submit(BbInput::MskShare { share: *share })
+        outcome_to_result(self.handle_write(BbWriteMsg::MskShare { share: *share }))
     }
 
     /// A trustee submits its post (authenticated write).
@@ -261,13 +251,7 @@ impl BbNode {
         post: Arc<TrusteePost>,
         sig: &Signature,
     ) -> Result<(), WriteError> {
-        self.submit(BbInput::TrusteePost { post, sig: *sig })
-    }
-
-    /// Handles one relayed write envelope, returning the wire outcome
-    /// code.
-    pub fn handle_write(&self, write: BbWriteMsg) -> BbWriteOutcome {
-        crate::core::result_to_outcome(self.submit(BbInput::from(write)))
+        outcome_to_result(self.handle_write(BbWriteMsg::TrusteePost { post, sig: *sig }))
     }
 }
 
@@ -328,8 +312,7 @@ impl Durable for BbReplica<'_> {
         let n = r.get_u64()?;
         let mut core = self.0.core.write();
         for _ in 0..n {
-            let record = BbRecord::decode(r)?;
-            if !core.replay(record) {
+            if !core.replay(codec::get_bb_write(r)?) {
                 self.0.journal_fault("replay_rejected");
             }
         }
@@ -337,8 +320,8 @@ impl Durable for BbReplica<'_> {
     }
 
     fn apply_record(&mut self, record: &[u8]) -> Result<(), WireError> {
-        let record = BbRecord::decode(&mut Reader::new(record))?;
-        if !self.0.core.write().replay(record) {
+        let write = codec::get_bb_write(&mut Reader::new(record))?;
+        if !self.0.core.write().replay(write) {
             self.0.journal_fault("replay_rejected");
         }
         Ok(())

@@ -2,6 +2,7 @@
 //! authentication against `H_msk`, and majority reads over divergent
 //! replicas.
 
+use ddemos_bb::codec::encode_snapshot;
 use ddemos_bb::{BbApi, BbNode, MajorityReader, WriteError};
 use ddemos_crypto::schnorr::SigningKey;
 use ddemos_crypto::votecode::VoteCode;
@@ -216,7 +217,11 @@ fn journaled_node_recovers_byte_identical_state_after_amnesia() {
     // by replaying the accepted writes through the verified write path.
     bb.recover_amnesia();
     let after = bb.read();
-    assert_eq!(before.digest(), after.digest(), "recovered state diverged");
+    assert_eq!(
+        encode_snapshot(&before),
+        encode_snapshot(&after),
+        "recovered state diverged"
+    );
     assert_eq!(before.result, after.result);
     assert_eq!(before.decrypted_codes, after.decrypted_codes);
 
@@ -282,7 +287,7 @@ fn any_honest_trustee_subset_publishes_the_same_board() {
     // polynomial either way, so the same values, not just the same keys.
     let (a, d) = (ascending.read(), descending.read());
     assert_eq!(a.result.as_ref().unwrap().tally, vec![1, 1]);
-    assert_eq!(a.digest(), d.digest());
+    assert_eq!(encode_snapshot(&a), encode_snapshot(&d));
     assert_eq!(a.result, d.result);
     assert_eq!(a.openings, d.openings);
     assert_eq!(a.zk_responses, d.zk_responses);
@@ -318,7 +323,7 @@ fn byzantine_low_index_trustee_cannot_withhold_zk_evidence() {
     forged.openings.push(forged.openings[0].clone());
     let sig = out.trustee_inits[0]
         .signing_key
-        .sign(&ddemos_bb::trustee_post_digest(&forged));
+        .sign(&ddemos_protocol::codec::trustee_post_digest(&forged));
     let (bad_serial, bad_part) = (forged.zk[0].serial, forged.zk[0].part.index() as u8);
     posts[0] = (Arc::new(forged), sig);
 
@@ -353,7 +358,7 @@ fn byzantine_low_index_trustee_cannot_withhold_zk_evidence() {
         .unwrap();
     let snap = bb.read();
     assert_eq!(snap.zk_responses, honest.zk_responses);
-    assert_eq!(snap.digest(), honest.digest());
+    assert_eq!(encode_snapshot(&snap), encode_snapshot(&honest));
 }
 
 #[test]
@@ -361,7 +366,7 @@ fn trustee_post_of_the_wrong_shape_is_refused() {
     let (out, _) = setup();
     let bb = board_awaiting_trustees(&out);
     let (post, sig) = trustee_posts(&out, &bb).swap_remove(0);
-    let before = bb.read().digest();
+    let before = encode_snapshot(&bb.read());
     // Two options, so each vector ends one share short.
     let short_opening = |p: &mut TrusteePost| p.openings[0].rows[0].truncate(1);
     let short_zk = |p: &mut TrusteePost| p.zk[0].rows[0].truncate(1);
@@ -371,14 +376,48 @@ fn trustee_post_of_the_wrong_shape_is_refused() {
         shorten(&mut bad);
         let sig = out.trustee_inits[0]
             .signing_key
-            .sign(&ddemos_bb::trustee_post_digest(&bad));
+            .sign(&ddemos_protocol::codec::trustee_post_digest(&bad));
         assert_eq!(
             bb.submit_trustee_post(Arc::new(bad), &sig),
             Err(WriteError::Inconsistent)
         );
-        assert_eq!(bb.read().digest(), before);
+        assert_eq!(encode_snapshot(&bb.read()), before);
     }
     // A refused post does not take its trustee's place on the board.
+    bb.submit_trustee_post(post, &sig).unwrap();
+}
+
+/// A trustee's signature covers its post's wire bytes, row lengths
+/// included: moving the first share of row 1 to the end of row 0 keeps
+/// every scalar where it was in the post's order, yet the honest
+/// signature no longer verifies, in an opening as in a ZK part.
+#[test]
+fn a_signature_binds_the_rows_of_a_post() {
+    let (out, _) = setup();
+    let bb = board_awaiting_trustees(&out);
+    let (post, sig) = trustee_posts(&out, &bb).swap_remove(0);
+    let before = encode_snapshot(&bb.read());
+    let regroup_opening = |p: &mut TrusteePost| {
+        let rows = &mut p.openings[0].rows;
+        assert!(rows.len() >= 2 && rows[1].len() >= 2);
+        let share = rows[1].remove(0);
+        rows[0].push(share);
+    };
+    let regroup_zk = |p: &mut TrusteePost| {
+        let rows = &mut p.zk[0].rows;
+        assert!(rows.len() >= 2 && rows[1].len() >= 2);
+        let share = rows[1].remove(0);
+        rows[0].push(share);
+    };
+    for regroup in [regroup_opening, regroup_zk] {
+        let mut moved = (*post).clone();
+        regroup(&mut moved);
+        assert_eq!(
+            bb.submit_trustee_post(Arc::new(moved), &sig),
+            Err(WriteError::BadSignature)
+        );
+        assert_eq!(encode_snapshot(&bb.read()), before);
+    }
     bb.submit_trustee_post(post, &sig).unwrap();
 }
 

@@ -30,6 +30,7 @@ use crate::posts::{
 use crate::wire::{crc32, Reader, WireError, Writer};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::schnorr::Signature;
+use ddemos_crypto::sha256::Sha256;
 use ddemos_crypto::shamir::Share;
 use ddemos_crypto::votecode::VoteCode;
 use ddemos_crypto::vss::SignedShare;
@@ -64,7 +65,10 @@ pub fn get_scalar(r: &mut Reader<'_>) -> Result<Scalar, WireError> {
     Scalar::from_bytes(&r.get_array::<32>()?).ok_or(WireError::BadValue)
 }
 
-/// Encodes a Schnorr signature (65 bytes).
+/// The bytes of an encoded Schnorr signature.
+const SIGNATURE_LEN: usize = 65;
+
+/// Encodes a Schnorr signature ([`SIGNATURE_LEN`] bytes).
 pub fn put_signature(w: &mut Writer, sig: &Signature) {
     w.put_array(&sig.to_bytes());
 }
@@ -81,7 +85,7 @@ pub fn put_signature(w: &mut Writer, sig: &Signature) {
 /// [`WireError::BadValue`] for malformed prefixes or non-canonical
 /// scalars.
 pub fn get_signature(r: &mut Reader<'_>) -> Result<Signature, WireError> {
-    Signature::from_bytes(&r.get_array::<65>()?).ok_or(WireError::BadValue)
+    Signature::from_bytes(&r.get_array::<SIGNATURE_LEN>()?).ok_or(WireError::BadValue)
 }
 
 /// Encodes a vote code (20 bytes).
@@ -311,6 +315,37 @@ pub fn put_trustee_post(w: &mut Writer, post: &TrusteePost) {
     }
 }
 
+/// The domain tag of [`trustee_post_digest`].
+const TRUSTEE_POST_TAG: &[u8] = b"ddemos/trustee-post/v2";
+
+/// The digest a trustee signs its post under: SHA-256 over a domain tag
+/// and the post's [`put_trustee_post`] bytes, so the signature binds the
+/// row and ciphertext counts as well as the scalars.
+pub fn trustee_post_digest(post: &TrusteePost) -> [u8; 32] {
+    let mut w = Writer::new();
+    put_trustee_post(&mut w, post);
+    encoded_post_digest(w.bytes())
+}
+
+/// The [`trustee_post_digest`] of the post inside a trustee post's
+/// [`put_bb_write`] bytes, hashed where it lies; `None` for the bytes of
+/// any other write.
+pub fn written_post_digest(write: &[u8]) -> Option<[u8; 32]> {
+    let Some((&BBW_TRUSTEE_POST, post)) = write.split_first() else {
+        return None;
+    };
+    let post = post.get(..post.len().checked_sub(SIGNATURE_LEN)?)?;
+    Some(encoded_post_digest(post))
+}
+
+fn encoded_post_digest(post: &[u8]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(&(TRUSTEE_POST_TAG.len() as u32).to_be_bytes());
+    h.update(TRUSTEE_POST_TAG);
+    h.update(post);
+    h.finalize()
+}
+
 /// Decodes a trustee post.
 ///
 /// # Errors
@@ -538,7 +573,9 @@ const BBW_VOTE_SET: u8 = 1;
 const BBW_MSK_SHARE: u8 = 2;
 const BBW_TRUSTEE_POST: u8 = 3;
 
-fn put_bb_write(w: &mut Writer, write: &BbWriteMsg) {
+/// Encodes a BB write: the one form of its bytes, which crosses the wire
+/// and is what a replica journals.
+pub fn put_bb_write(w: &mut Writer, write: &BbWriteMsg) {
     match write {
         BbWriteMsg::VoteSet { from_vc, set, sig } => {
             w.put_u8(BBW_VOTE_SET).put_u32(*from_vc);
@@ -557,7 +594,12 @@ fn put_bb_write(w: &mut Writer, write: &BbWriteMsg) {
     }
 }
 
-fn get_bb_write(r: &mut Reader<'_>) -> Result<BbWriteMsg, WireError> {
+/// Decodes a BB write.
+///
+/// # Errors
+/// Propagates primitive decode failures; an unknown kind tag is
+/// [`WireError::BadValue`].
+pub fn get_bb_write(r: &mut Reader<'_>) -> Result<BbWriteMsg, WireError> {
     Ok(match r.get_u8()? {
         BBW_VOTE_SET => BbWriteMsg::VoteSet {
             from_vc: r.get_u32()?,

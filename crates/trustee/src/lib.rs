@@ -224,7 +224,7 @@ impl Trustee {
                 per_option: tally_sums,
             },
         };
-        let digest = ddemos_bb::trustee_post_digest(&post);
+        let digest = ddemos_protocol::codec::trustee_post_digest(&post);
         let signature = self.init.signing_key.sign(&digest);
         Ok((post, signature))
     }

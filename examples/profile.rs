@@ -18,7 +18,9 @@
 //! * `--wall` — wall-clock profiling (`ElectionBuilder::profiling`):
 //!   every duration is real elapsed time and the global crypto hook
 //!   captures `crypto.schnorr.verify` / `crypto.msm` scoped timers, so
-//!   the table shows where the CPU actually goes.
+//!   the table shows where the CPU actually goes. It also prints the
+//!   stages of a BB trustee-post step and exits non-zero when one of
+//!   them recorded no sample.
 //! * `--json PATH` — additionally record the top rows as
 //!   `bench_check.sh`-compatible JSON (`id` + `median_ns`); implies
 //!   `--wall`. `scripts/bench_record.sh` uses this for
@@ -74,20 +76,26 @@ fn stage_ledger(report: &ElectionReport, name: &str, stages: &[&str]) -> bool {
 }
 
 /// Prints the spread of the `bb.step_ns` trustee-post samples, then
-/// their stages. Each of the profile election's three replicas publishes
-/// the result on its `h_t`-th post (3 of the 15 samples, the heaviest);
-/// its other four posts verify the trustee's signature over the post
-/// and, past `h_t`, scan for parts still unpublished — the 12 samples to
-/// p80. Every post is then journaled: `journal` is the SimDisk append
-/// and commit, whose modelled charge a virtual election pays as a wait
-/// on the virtual clock, so under `--wall` it reads as long as the other
-/// parties keep that clock from advancing.
-fn trustee_post_split(report: &ElectionReport) {
-    let key = ddemos_obs::metric_key("bb.step_ns", "", "TrusteePost");
-    if let Some(h) = report.metrics.hists.get(&key) {
-        let ms = |ns: u64| ns as f64 / 1e6;
+/// their stages, and reports whether every stage recorded a sample (a
+/// stage without one in a profiled election is a dead signal). Each of
+/// the profile election's three replicas publishes the result on its
+/// `h_t`-th post (3 of the 15 samples, the heaviest); its other four
+/// posts are encoded once, have the trustee's signature checked over
+/// those bytes and, past `h_t`, scan for parts still unpublished. Every
+/// post is then journaled: `journal` is the SimDisk append and commit,
+/// whose modelled charge a virtual election pays as a wait on the
+/// virtual clock, so under `--wall` it reads as long as the other
+/// parties keep that clock from advancing — their concurrency, not the
+/// board's work. The CPU row sums the p50s of the other stages.
+fn trustee_post_split(report: &ElectionReport) -> bool {
+    let hist = |label: &str| {
+        let key = ddemos_obs::metric_key("bb.step_ns", "", label);
+        report.metrics.hists.get(&key)
+    };
+    let ms = |ns: u64| ns as f64 / 1e6;
+    if let Some(h) = hist("TrusteePost") {
         println!(
-            "bb.step TrusteePost: {} posts; signature only: min {:.2} ms, p50 {:.2} ms, p80 {:.2} ms; publishing: max {:.2} ms",
+            "bb.step TrusteePost: {} posts, the journal wait included; not publishing: min {:.2} ms, p50 {:.2} ms, p80 {:.2} ms; publishing: max {:.2} ms",
             h.count(),
             ms(h.min_ns()),
             ms(h.quantile_ns(0.5)),
@@ -96,28 +104,38 @@ fn trustee_post_split(report: &ElectionReport) {
         );
     }
     // Where a post's step goes, stage by stage.
+    let mut live = true;
+    let mut cpu_ns = 0;
     for stage in TRUSTEE_POST_STAGES {
-        let key = ddemos_obs::metric_key("bb.step_ns", "", stage);
-        if let Some(h) = report.metrics.hists.get(&key) {
-            let ms = |ns: u64| ns as f64 / 1e6;
-            println!(
-                "bb.step {stage}: {} samples, min {:.2} ms, p50 {:.2} ms, max {:.2} ms",
-                h.count(),
-                ms(h.min_ns()),
-                ms(h.quantile_ns(0.5)),
-                ms(h.max_ns()),
-            );
+        let Some(h) = hist(stage).filter(|h| h.count() > 0) else {
+            eprintln!("dead signal: bb.step_ns {stage} recorded no sample in a profiled election");
+            live = false;
+            continue;
+        };
+        println!(
+            "bb.step {stage}: {} samples, min {:.2} ms, p50 {:.2} ms, max {:.2} ms",
+            h.count(),
+            ms(h.min_ns()),
+            ms(h.quantile_ns(0.5)),
+            ms(h.max_ns()),
+        );
+        if stage != "TrusteePost/journal" {
+            cpu_ns += h.quantile_ns(0.5);
         }
     }
+    println!(
+        "bb.step TrusteePost CPU, every stage but the journal wait: p50s sum to {:.2} ms",
+        ms(cpu_ns)
+    );
+    live
 }
 
 /// The `bb.step_ns` sub-labels of a trustee post's step, in step order.
-const TRUSTEE_POST_STAGES: [&str; 7] = [
-    "TrusteePost/digest",
+const TRUSTEE_POST_STAGES: [&str; 6] = [
+    "TrusteePost/encode",
     "TrusteePost/signature",
     "TrusteePost/shape",
     "TrusteePost/rescan",
-    "TrusteePost/encode",
     "TrusteePost/journal",
     "TrusteePost/compact",
 ];
@@ -429,7 +447,9 @@ fn main() {
     if wall {
         println!();
         stage_ledger(&report, "ea.setup_ns", &SETUP_STAGES);
-        trustee_post_split(&report);
+        if !trustee_post_split(&report) {
+            std::process::exit(1);
+        }
     }
 
     if let Some(path) = json {

@@ -111,6 +111,9 @@ pub enum ElectionError {
     VoteSetTimeout,
     /// The BB majority never published the expected artifact.
     BbTimeout(&'static str),
+    /// More than `N_t − h_t` trustee nodes ended in an error, so the
+    /// result cannot be published; the first of their errors.
+    TrusteesFailed(TrusteeError),
     /// The phase needs state an earlier phase produces (e.g. `tally`
     /// before `close`), or setup data a [`crate::ElectionBuilder::vc_only`]
     /// election never materialized.
@@ -125,6 +128,7 @@ impl std::fmt::Display for ElectionError {
                 write!(f, "bulletin board never published {what}")
             }
             ElectionError::PhaseUnavailable(why) => write!(f, "phase unavailable: {why}"),
+            ElectionError::TrusteesFailed(e) => write!(f, "too many trustees failed, first: {e}"),
         }
     }
 }
@@ -164,8 +168,13 @@ pub(crate) struct RunState {
     /// Whether the board has shown the encrypted tally's challenge.
     pub(crate) published: bool,
     pub(crate) result: Option<ElectionResult>,
+    /// The errors of the trustee nodes [`Election::tally`] has joined.
+    pub(crate) trustee_errors: Vec<TrusteeError>,
     pub(crate) audit_report: Option<AuditReport>,
 }
+
+/// A trustee node's thread, ending in what its post came to.
+type TrusteeNode = JoinHandle<Result<(), TrusteeError>>;
 
 /// A running election: the EA's setup output plus every long-lived
 /// component — simulated network, global clock, VC cluster, BB replicas,
@@ -184,8 +193,9 @@ pub struct Election {
     /// endpoint; the replicas serve envelopes on the election's
     /// transport, in process or in other processes.
     pub(crate) reader: MajorityReader,
-    /// The trustee nodes the first [`Election::close_polls`] starts.
-    pub(crate) trustee_nodes: Mutex<Vec<JoinHandle<Result<(), TrusteeError>>>>,
+    /// The trustee nodes the first [`Election::close_polls`] starts;
+    /// `None` once [`Election::tally`] has joined one that ended.
+    pub(crate) trustee_nodes: Mutex<Vec<Option<TrusteeNode>>>,
     /// The in-process VC node threads (none over TCP), joined as the
     /// election drops, after the network under them has shut down.
     pub(crate) _vc_handles: Vec<VcHandle>,
@@ -246,7 +256,7 @@ impl Drop for Election {
         for thread in self.bb_threads.drain(..) {
             let _ = thread.join();
         }
-        for node in self.trustee_nodes.lock().drain(..) {
+        for node in self.trustee_nodes.lock().drain(..).flatten() {
             let _ = node.join();
         }
         if self.profiling {
@@ -361,7 +371,9 @@ impl Election {
     ///
     /// # Errors
     /// [`ElectionError::PhaseUnavailable`] before `close` or on a
-    /// VC-only setup; [`ElectionError::BbTimeout`] when no result shows.
+    /// VC-only setup; [`ElectionError::TrusteesFailed`] as soon as more
+    /// than `N_t − h_t` trustee nodes have ended in an error;
+    /// [`ElectionError::BbTimeout`] when no result shows otherwise.
     pub fn tally(&self) -> Result<ElectionResult, ElectionError> {
         if !self.is_full_setup() {
             return Err(ElectionError::PhaseUnavailable(
@@ -382,14 +394,40 @@ impl Election {
         let t0 = self.clock.now_ns();
         let result = self
             .reader
-            .read_until(RESULT_TIMEOUT, |s| s.result.is_some())
+            .read_until(RESULT_TIMEOUT, |s| {
+                s.result.is_some() || self.trustees_failed().is_some()
+            })
             .and_then(|s| s.result)
-            .ok_or(ElectionError::BbTimeout("result"))?;
+            .ok_or_else(|| {
+                self.trustees_failed().map_or(
+                    ElectionError::BbTimeout("result"),
+                    ElectionError::TrusteesFailed,
+                )
+            })?;
         let mut state = self.run.lock();
         state.timings.publish_result +=
             Duration::from_nanos(self.clock.now_ns().saturating_sub(t0));
         state.result = Some(result.clone());
         Ok(result)
+    }
+
+    /// The first error a trustee node ended in, once more than
+    /// `N_t − h_t` have ended in one: fewer than `h_t` posts can reach the
+    /// board then. Joins the nodes that have ended.
+    fn trustees_failed(&self) -> Option<TrusteeError> {
+        let mut nodes = self.trustee_nodes.lock();
+        let mut run = self.run.lock();
+        for slot in nodes.iter_mut() {
+            if slot.as_ref().is_some_and(JoinHandle::is_finished) {
+                if let Some(Ok(Err(e))) = slot.take().map(JoinHandle::join) {
+                    run.trustee_errors.push(e);
+                }
+            }
+        }
+        let params = &self.setup.params;
+        let tolerated = params.num_trustees.saturating_sub(params.trustee_threshold);
+        let failed = run.trustee_errors.len() > tolerated;
+        run.trustee_errors.first().copied().filter(|_| failed)
     }
 
     /// Runs the audit: a majority read of the Bulletin Board, the public
@@ -600,7 +638,7 @@ impl Election {
             (self.net.register(id).and_then(node))
                 .unwrap_or_else(|e| panic!("no node for {id}: {e}"))
         });
-        *nodes = started.collect();
+        *nodes = started.map(Some).collect();
     }
 
     /// Sends all `num_vc` collectors `ClosePolls` from `coordinator`.

@@ -3,6 +3,7 @@
 //! (§III-C threat model, §IV-A/B liveness and safety), all built through
 //! the `ElectionBuilder` facade.
 
+use ddemos_bb::codec::encode_snapshot;
 use ddemos_harness::adversary::byzantine_prefix;
 use ddemos_harness::{
     ElectionBuilder, ElectionParams, MetricsSnapshot, NetworkProfile, NodeId, PartId, VcBehavior,
@@ -220,7 +221,7 @@ fn byzantine_trustee_zero_cannot_block_the_audit() {
     post.openings[2].rows[1][0].1 += ddemos_crypto::field::Scalar::ONE;
     let sig = init
         .signing_key
-        .sign(&ddemos_bb::trustee_post_digest(&post));
+        .sign(&ddemos_protocol::codec::trustee_post_digest(&post));
     let post = std::sync::Arc::new(post);
     for bb in election.reader().nodes() {
         bb.submit_trustee_post(post.clone(), &sig)
@@ -271,7 +272,7 @@ fn concurrent_trustee_fan_out_leaves_the_replicas_identical() {
         .map(|bb| bb.read().expect("replica answers"))
         .collect();
     for board in &boards[1..] {
-        assert_eq!(board.digest(), boards[0].digest());
+        assert_eq!(encode_snapshot(board), encode_snapshot(&boards[0]));
         assert_eq!(board.openings, boards[0].openings);
         assert_eq!(board.zk_responses, boards[0].zk_responses);
         assert_eq!(board.tally_opening, boards[0].tally_opening);

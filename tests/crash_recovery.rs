@@ -3,6 +3,7 @@
 //! durable obligations — one receipt per ballot, forever; no un-accepted
 //! BB writes — survive the restart.
 
+use ddemos_bb::codec::encode_snapshot;
 use ddemos_harness::{
     run_scenario_with, Durability, ElectionBuilder, ElectionParams, FaultMix, NetFault,
     NetworkProfile, NodeId, ScenarioOptions, Schedule,
@@ -202,8 +203,8 @@ fn a_bb_replica_power_cycled_after_the_close_rebuilds_from_its_journal() {
         .reader()
         .nodes()
         .iter()
-        .map(|bb| bb.read().expect("replica answers").digest())
+        .map(|bb| encode_snapshot(&bb.read().expect("replica answers")))
         .collect();
-    assert_eq!(boards, vec![boards[0]; 3]);
+    assert_eq!(boards, vec![boards[0].clone(); 3]);
     election.shutdown();
 }

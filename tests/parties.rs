@@ -2,14 +2,19 @@
 //! sets and `msk` shares, trustee nodes their posts. So the result is
 //! published without the coordinator, with up to `N_t − h_t` trustees
 //! down, and with a collector cut off from every replica; with one more
-//! trustee down nothing is published and `tally()` times out cleanly;
-//! and trustees still waiting for the board never hold up a shutdown.
+//! trustee down nothing is published and `tally()` times out cleanly,
+//! while one more trustee whose post the board refuses makes `tally()`
+//! name that refusal at once; and trustees still waiting for the board
+//! never hold up a shutdown.
 
 use ddemos_bb::MajorityReader;
+use ddemos_crypto::field::Scalar;
+use ddemos_crypto::schnorr::SigningKey;
 use ddemos_harness::{
     Auditor, Election, ElectionBuilder, ElectionError, ElectionParams, NodeId, COORDINATOR,
 };
 use ddemos_protocol::ballot::AuditInfo;
+use ddemos_trustee::TrusteeError;
 use std::time::{Duration, Instant};
 
 const NUM_BB: usize = 3;
@@ -18,7 +23,7 @@ const THRESHOLD: u32 = 3;
 const CASTS: &[(usize, usize)] = &[(0, 1), (1, 0), (2, 1), (3, 1)];
 const TALLY: [u64; 2] = [1, 3];
 
-fn election(label: &str, seed: u64, virtual_time: bool) -> Election {
+fn builder(label: &str, seed: u64) -> ElectionBuilder {
     let params = ElectionParams::new(
         label,
         6,
@@ -31,7 +36,11 @@ fn election(label: &str, seed: u64, virtual_time: bool) -> Election {
         60_000,
     )
     .unwrap();
-    let builder = ElectionBuilder::new(params).seed(seed);
+    ElectionBuilder::new(params).seed(seed)
+}
+
+fn election(label: &str, seed: u64, virtual_time: bool) -> Election {
+    let builder = builder(label, seed);
     let builder = if virtual_time {
         builder.virtual_time()
     } else {
@@ -105,6 +114,33 @@ fn one_more_trustee_down_publishes_nothing_and_tally_times_out() {
         election.tally(),
         Err(ElectionError::BbTimeout("result"))
     ));
+    assert!(election.snapshot().expect("board").result.is_none());
+    election.shutdown();
+}
+
+#[test]
+fn one_more_trustee_refused_fails_the_tally_at_once() {
+    // Trustees 0..=N_t − h_t sign with keys the board does not know.
+    let election = builder("refused-trustees", 26)
+        .virtual_time()
+        .corrupt_setup(|setup| {
+            for init in &mut setup.trustee_inits[..=(NUM_TRUSTEES - THRESHOLD) as usize] {
+                init.signing_key = SigningKey::from_scalar(Scalar::from_u64(7 + init.index as u64));
+            }
+        })
+        .build()
+        .expect("election builds");
+    cast(&election);
+    election.close().expect("polls close");
+    let started = election.clock().now_ns();
+    assert!(matches!(
+        election.tally(),
+        Err(ElectionError::TrusteesFailed(TrusteeError::PostRefused {
+            accepted: 0
+        }))
+    ));
+    let waited = Duration::from_nanos(election.clock().now_ns() - started);
+    assert!(waited < Duration::from_secs(60), "tally waited {waited:?}");
     assert!(election.snapshot().expect("board").result.is_none());
     election.shutdown();
 }
