@@ -49,14 +49,14 @@ pub trait BbApi: Send + Sync {
     /// Public read of the replica's snapshot.
     fn read(&self) -> Option<BbSnapshot>;
 
-    /// Starts a read and returns the wait for the snapshot's canonical
-    /// encoding ([`crate::codec`]), so a reader can have a read in flight at
-    /// every replica and compare the answers byte for byte.
+    /// Starts a read of the snapshot's canonical encoding
+    /// ([`crate::codec`]), so a reader can have a read in flight at every
+    /// replica and compare the answers byte for byte.
     fn start_read(&self) -> PendingRead<'_> {
-        let encoded = self
-            .read()
-            .map(|snapshot| Arc::new(crate::codec::encode_snapshot(&snapshot)));
-        Box::new(move || encoded)
+        PendingRead(Pending::Answered(
+            self.read()
+                .map(|snapshot| Arc::new(crate::codec::encode_snapshot(&snapshot))),
+        ))
     }
 
     /// Submits a VC node's final vote set.
@@ -94,7 +94,7 @@ impl BbApi for BbNode {
 
     fn start_read(&self) -> PendingRead<'_> {
         let encoded = Arc::new(self.with_snapshot(crate::codec::encode_snapshot));
-        Box::new(move || Some(encoded))
+        PendingRead(Pending::Answered(Some(encoded)))
     }
 
     fn submit_vote_set(
@@ -119,8 +119,45 @@ impl BbApi for BbNode {
     }
 }
 
-/// The rest of a read begun with [`BbApi::start_read`].
-pub type PendingRead<'a> = Box<dyn FnOnce() -> Option<Arc<Vec<u8>>> + 'a>;
+/// A read begun with [`BbApi::start_read`]: the answer in hand, or a
+/// request awaiting its reply on an endpoint a party's clients share.
+pub struct PendingRead<'a>(Pending<'a>);
+
+enum Pending<'a> {
+    Answered(Option<Arc<Vec<u8>>>),
+    Requested {
+        port: &'a Mutex<Port>,
+        request_id: u64,
+    },
+}
+
+impl PendingRead<'_> {
+    /// The answer: `None` when the replica is unreachable, or (for a
+    /// remote one) has not replied within [`REQUEST_TIMEOUT`].
+    pub fn wait(self) -> Option<Arc<Vec<u8>>> {
+        match self.0 {
+            Pending::Answered(answer) => answer,
+            Pending::Requested { port, request_id } => {
+                snapshot_of(port.lock().replies(&[request_id], |_| false).pop_first()?.1)
+            }
+        }
+    }
+}
+
+fn snapshot_of(reply: Msg) -> Option<Arc<Vec<u8>>> {
+    match reply {
+        Msg::BbReadResponse { snapshot, .. } => Some(snapshot),
+        _ => None,
+    }
+}
+
+/// The encoding at least `need` of `answers` are, byte for byte.
+fn agreed<'a>(answers: &[&'a Arc<Vec<u8>>], need: usize) -> Option<&'a Arc<Vec<u8>>> {
+    answers
+        .iter()
+        .find(|answer| answers.iter().filter(|other| other == answer).count() >= need)
+        .copied()
+}
 
 /// How long a [`RemoteBb`] waits, in its endpoint's time base, for a
 /// reply before it counts the replica unreachable.
@@ -173,9 +210,14 @@ impl Port {
     }
 
     /// Collects the replies to `ids`, in whatever order they come, until
-    /// each has one or [`REQUEST_TIMEOUT`] passes without a new one; the
-    /// requests are then given up on.
-    fn replies(&mut self, ids: &[u64]) -> BTreeMap<u64, Msg> {
+    /// each has one, `enough` says the ones in are, or [`REQUEST_TIMEOUT`]
+    /// passes without a new one; the requests are then given up on, and a
+    /// late reply is dropped.
+    fn replies(
+        &mut self,
+        ids: &[u64],
+        enough: impl Fn(&BTreeMap<u64, Msg>) -> bool,
+    ) -> BTreeMap<u64, Msg> {
         let timeout_ns = REQUEST_TIMEOUT.as_nanos() as u64;
         let mut replies = BTreeMap::new();
         let mut deadline = self.endpoint.now_ns() + timeout_ns;
@@ -187,7 +229,10 @@ impl Port {
                 }
             }
             let left = deadline.saturating_sub(self.endpoint.now_ns());
-            if replies.len() == ids.len() || !self.read(Duration::from_nanos(left)) {
+            if replies.len() == ids.len()
+                || enough(&replies)
+                || !self.read(Duration::from_nanos(left))
+            {
                 break;
             }
         }
@@ -271,7 +316,7 @@ impl RemoteBb {
     /// Waits for the replies to `ids` and counts each accepted write.
     fn count_accepted(&self, ids: &[(u64, usize)], accepted: &mut [usize]) {
         let request_ids: Vec<u64> = ids.iter().map(|(id, _)| *id).collect();
-        let replies = self.port.lock().replies(&request_ids);
+        let replies = self.port.lock().replies(&request_ids, |_| false);
         for (id, index) in ids {
             if let (
                 Some(Msg::BbWriteReply {
@@ -303,7 +348,7 @@ impl RemoteBb {
     fn write(&self, write: BbWriteMsg) -> Result<(), WriteError> {
         let mut port = self.port.lock();
         let request_id = port.send(self.target, |request_id| Msg::BbWrite { request_id, write });
-        match port.replies(&[request_id]).pop_first() {
+        match port.replies(&[request_id], |_| false).pop_first() {
             Some((_, Msg::BbWriteReply { outcome, .. })) => crate::core::outcome_to_result(outcome),
             _ => Err(WriteError::Unavailable),
         }
@@ -339,7 +384,7 @@ fn window_cost(write: &BbWriteMsg) -> usize {
 
 impl BbApi for RemoteBb {
     fn read(&self) -> Option<BbSnapshot> {
-        crate::codec::decode_snapshot(&self.start_read()()?).ok()
+        crate::codec::decode_snapshot(&self.start_read().wait()?).ok()
     }
 
     fn start_read(&self) -> PendingRead<'_> {
@@ -347,12 +392,10 @@ impl BbApi for RemoteBb {
             .port
             .lock()
             .send(self.target, |request_id| Msg::BbReadRequest { request_id });
-        Box::new(
-            move || match self.port.lock().replies(&[request_id]).pop_first() {
-                Some((_, Msg::BbReadResponse { snapshot, .. })) => Some(snapshot),
-                _ => None,
-            },
-        )
+        PendingRead(Pending::Requested {
+            port: &self.port,
+            request_id,
+        })
     }
 
     fn submit_vote_set(
@@ -433,15 +476,38 @@ impl MajorityReader {
     /// answers in binary form, as the paper's reader does: returns the
     /// snapshot a majority encoded byte for byte, if one exists (readers
     /// retry on transient divergence, per §III-G). Unreachable replicas
-    /// count as divergent.
+    /// count as divergent. The read ends as soon as a majority agrees:
+    /// the replies still outstanding are given up on, so a silent replica
+    /// within `fb` costs no wait.
     pub fn read_snapshot(&self) -> Option<BbSnapshot> {
-        let pending: Vec<PendingRead<'_>> =
-            self.nodes.iter().map(|node| node.start_read()).collect();
-        let replies: Vec<Arc<Vec<u8>>> = pending.into_iter().filter_map(|read| read()).collect();
-        let agreed = replies.iter().find(|reply| {
-            replies.iter().filter(|other| other == reply).count() >= self.required_majority()
-        })?;
-        crate::codec::decode_snapshot(agreed).ok()
+        let need = self.required_majority();
+        let mut answers: Vec<Arc<Vec<u8>>> = Vec::new();
+        let mut requested: Vec<(&Mutex<Port>, u64)> = Vec::new();
+        for read in self.nodes.iter().map(|node| node.start_read()) {
+            match read.0 {
+                Pending::Answered(answer) => answers.extend(answer),
+                Pending::Requested { port, request_id } => requested.push((port, request_id)),
+            }
+        }
+        // The requests on one endpoint are awaited together.
+        while let Some(&(port, _)) = requested.first() {
+            let (shared, rest): (Vec<_>, Vec<_>) = requested
+                .into_iter()
+                .partition(|(other, _)| std::ptr::eq(*other, port));
+            requested = rest;
+            let ids: Vec<u64> = shared.iter().map(|(_, id)| *id).collect();
+            let replies = port.lock().replies(&ids, |replies| {
+                let mut all: Vec<&Arc<Vec<u8>>> = answers.iter().collect();
+                all.extend(replies.values().filter_map(|reply| match reply {
+                    Msg::BbReadResponse { snapshot, .. } => Some(snapshot),
+                    _ => None,
+                }));
+                agreed(&all, need).is_some()
+            });
+            answers.extend(replies.into_values().filter_map(snapshot_of));
+        }
+        let all: Vec<&Arc<Vec<u8>>> = answers.iter().collect();
+        crate::codec::decode_snapshot(agreed(&all, need)?).ok()
     }
 
     /// Reads with retries, paced by [`retry_pause`], until a
@@ -595,11 +661,60 @@ mod tests {
         let fast = stand_in(&net, 1, Duration::ZERO, accept);
         let clients = RemoteBb::replicas(Box::new(net.register(NodeId::client(1))), 2);
         let reads: Vec<PendingRead<'_>> = clients.iter().map(|bb| bb.start_read()).collect();
-        let answers: Vec<_> = reads.into_iter().map(|read| read()).collect();
+        let answers: Vec<_> = reads.into_iter().map(PendingRead::wait).collect();
         assert_eq!(answers, [Some(Arc::new(vec![0])), Some(Arc::new(vec![1]))]);
         net.shutdown();
         slow.join().expect("replica 0");
         fast.join().expect("replica 1");
+    }
+
+    /// A stand-in replica on `net` that answers every read with
+    /// `snapshot`, or, given none, never answers.
+    fn read_stand_in(
+        net: &ddemos_net::SimNet,
+        index: u32,
+        snapshot: Option<Arc<Vec<u8>>>,
+    ) -> std::thread::JoinHandle<()> {
+        let endpoint = net.register(NodeId::bb(index));
+        std::thread::spawn(move || {
+            while let Ok(env) = endpoint.recv() {
+                if let (Msg::BbReadRequest { request_id }, Some(snapshot)) = (env.msg, &snapshot) {
+                    let reply = Msg::BbReadResponse {
+                        request_id,
+                        snapshot: snapshot.clone(),
+                    };
+                    endpoint.send(env.from, reply);
+                }
+            }
+        })
+    }
+
+    /// One replica of three is silent, which `fb = 1` allows: a read ends
+    /// once the other two agree, not when the silent one's request times
+    /// out, and the reply it gave up on is not kept.
+    #[test]
+    fn a_majority_read_does_not_wait_for_a_silent_replica() {
+        let net = ddemos_net::SimNet::new(ddemos_net::NetworkProfile::instant(), 3);
+        let snapshot = Arc::new(crate::codec::encode_snapshot(&BbSnapshot::default()));
+        let replicas = [
+            read_stand_in(&net, 0, None),
+            read_stand_in(&net, 1, Some(snapshot.clone())),
+            read_stand_in(&net, 2, Some(snapshot.clone())),
+        ];
+        let clients = RemoteBb::replicas(Box::new(net.register(NodeId::client(1))), 3);
+        let reader = MajorityReader::over_remote(&clients);
+        let started = std::time::Instant::now();
+        let read = reader.read_snapshot().expect("two of three agree");
+        let took = started.elapsed();
+        assert_eq!(crate::codec::encode_snapshot(&read), *snapshot);
+        assert!(took < Duration::from_secs(1), "the read took {took:?}");
+        let port = clients[0].port.lock();
+        assert!(port.outstanding.is_empty() && port.parked.is_empty());
+        drop(port);
+        net.shutdown();
+        for replica in replicas {
+            replica.join().expect("replica");
+        }
     }
 
     /// Each write reports how many replicas accepted it.

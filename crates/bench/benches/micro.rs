@@ -4,7 +4,7 @@
 //! round's worth of crypto.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ddemos_crypto::curve::{FixedBase, Point};
+use ddemos_crypto::curve::{self, FixedBase, Point};
 use ddemos_crypto::elgamal;
 use ddemos_crypto::field::{Fp, Scalar};
 use ddemos_crypto::hmac::{Prf, PrfRng};
@@ -161,6 +161,50 @@ fn bench_kernels(c: &mut Criterion) {
         || Point::msm(std::hint::black_box(&short), &normalised),
         1.4,
     );
+    // What a publication batch hands the kernel: about 22 % of its terms
+    // carry a full-width coefficient (a base shared by many equations,
+    // its weights folded), the rest a bare 128-bit weight.
+    let publication: Vec<Scalar> = scalars
+        .iter()
+        .zip(&short)
+        .enumerate()
+        .map(|(i, (full, weight))| if i % 9 < 2 { *full } else { *weight })
+        .collect();
+    c.bench_function("kernel/msm 8192 (publication mix)", |b| {
+        b.iter(|| Point::msm(std::hint::black_box(&publication), &normalised))
+    });
+    // The batch-affine reducer alone, 4096 points in slots of 8 (a
+    // bucket's load), on either field arithmetic; the dispatched one is
+    // `curve::backend()`'s, the portable one on a CPU without AVX-512
+    // IFMA.
+    println!("reducer backend: {}", curve::backend());
+    let head = &normalised[..4096];
+    let reduce =
+        |portable: bool| move || curve::reduce_slots(std::hint::black_box(head), 8, portable);
+    for (path, portable) in [("portable", true), ("dispatched", false)] {
+        c.bench_function(
+            &format!("kernel/reducer 4096 in slots of 8 ({path})"),
+            |b| b.iter(reduce(portable)),
+        );
+    }
+    // Where the vector backend runs it must not lose to the portable
+    // path (the two are the same code, and the gate is skipped, on a CPU
+    // without it).
+    if curve::backend() == "portable" {
+        println!("ratio gate: reducer portable / dispatched: skipped (no AVX-512 IFMA)");
+    } else {
+        assert_eq!(
+            reduce(true)(),
+            reduce(false)(),
+            "the reducer's backends disagree"
+        );
+        ratio_gate(
+            "reducer portable / dispatched",
+            reduce(true),
+            reduce(false),
+            1.0,
+        );
+    }
     // Affine normalization: 256 points, shared inversion vs per-point
     // Fermat.
     let pts256: Vec<Point> = (0..256)

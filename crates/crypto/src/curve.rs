@@ -12,9 +12,13 @@
 //! key, read on every cast, set-up and publication; 7-bit (148 KiB) for a
 //! peer's signature key, one a peer per replica; 5-bit (52 KiB) for any
 //! other base. Both kernels halve their slots with one reducer
-//! (`SlotReducer`), all the pairs of a round sharing one inversion.
+//! (`SlotReducer`), all the pairs of a round sharing one inversion, on
+//! the field arithmetic [`backend`] names.
 
 use crate::field::{Fp, Scalar};
+
+#[cfg(target_arch = "x86_64")]
+mod ifma;
 
 /// Curve coefficient `b` in `y² = x³ + b`.
 fn curve_b() -> Fp {
@@ -419,8 +423,10 @@ fn window_table(p: &Point) -> [Point; 16] {
 
 /// A curve point in affine coordinates: what [`FixedBase`] stores (64
 /// bytes against 96 in Jacobian form) and what the multi-scalar kernel
-/// adds. `(0, 0)` is not on the curve and stands for the identity.
+/// adds. `(0, 0)` is not on the curve and stands for the identity. Laid
+/// out as `x` then `y`, which the vector reducer loads a point at a time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C)]
 pub(crate) struct Affine {
     x: Fp,
     y: Fp,
@@ -534,22 +540,15 @@ const GROUP_POINTS: usize = 1 << 12;
 
 /// Field multiplications (a squaring counts as one) of the operations
 /// [`msm_plan`] weighs: the formulas of [`Point::double`], [`Point::add`],
-/// [`Point::add_affine`], [`Affine::add_with_inverse`] with its share of
-/// a batch inversion, [`Fp::invert`]'s addition chain (255 S + 15 M),
+/// [`Point::add_affine`], [`Fp::invert`]'s addition chain (255 S + 15 M),
 /// and one point's part of [`Point::batch_normalize`] (share of the
-/// inversion included).
+/// inversion included). The reducer's own addition is its backend's
+/// ([`Backend::cost_affine`]).
 const COST_DOUBLE: usize = 7;
 const COST_ADD: usize = 16;
 const COST_MIXED: usize = 11;
-const COST_AFFINE: usize = 6;
 const COST_INVERT: usize = 270;
 const COST_NORMALIZE: usize = 7;
-
-/// A reduction round pays for its inversion only while it halves enough
-/// buckets: each pair costs an affine addition here instead of a mixed
-/// one in the running-sum chain. Below this many pairs the chain takes
-/// the buckets as they stand.
-const ROUND_MIN_PAIRS: usize = COST_INVERT / (COST_MIXED - COST_AFFINE);
 
 /// Windows of the signed `w`-bit recoding of a 256-bit scalar: the top
 /// one must reach a zero bit, so that its digit is not negative.
@@ -567,6 +566,7 @@ const fn signed_windows(w: usize) -> usize {
 fn msm_plan(n: usize) -> MsmPlan {
     // 4-bit fixed window: its table, 252 doublings, ~60 additions.
     const LADDER: usize = 14 * COST_ADD + 252 * COST_DOUBLE + 60 * COST_ADD;
+    let affine = Backend::detected().cost_affine();
     let mut best = (n * LADDER, MsmPlan::Ladders);
     for w in 2..=14usize {
         let windows = signed_windows(w);
@@ -576,7 +576,7 @@ fn msm_plan(n: usize) -> MsmPlan {
         // Halvings that empty the fullest bucket: mean load plus spread.
         let load = n.div_ceil(buckets);
         let rounds = (load + load / 2 + 2).ilog2() as usize + 1;
-        let window = (n - filled) * COST_AFFINE
+        let window = (n - filled) * affine
             + filled.saturating_sub(1) * COST_MIXED
             + (buckets - 1) * COST_ADD;
         let cost =
@@ -625,17 +625,87 @@ fn booth_digit(k: &[u64; 4], win: usize, w: usize) -> i16 {
     }
 }
 
+/// The field arithmetic under [`SlotReducer`]'s pair additions, picked
+/// once per process from the CPU's features. Both give the same points.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Backend {
+    /// [`Fp`], a pair at a time: every CPU, and the other's oracle.
+    Portable,
+    /// Eight pairs at a time in radix 2⁵² on AVX-512 IFMA (`ifma`).
+    #[cfg(target_arch = "x86_64")]
+    Ifma,
+}
+
+impl Backend {
+    fn detected() -> Backend {
+        static DETECTED: std::sync::OnceLock<Backend> = std::sync::OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if ifma::detected() {
+                return Backend::Ifma;
+            }
+            Backend::Portable
+        })
+    }
+
+    /// [`Affine::add_with_inverse`] with its share of a batch inversion:
+    /// 2M + 1S + 3M on [`Fp`]. Eight lanes at a time a pair costs about a
+    /// quarter of that, denominator included; 2 is the price under which
+    /// [`msm_plan`]'s window is within 3 % of the fastest at every size
+    /// measured (DESIGN.md §4.2).
+    fn cost_affine(self) -> usize {
+        match self {
+            Backend::Portable => 6,
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ifma => 2,
+        }
+    }
+
+    /// A bucket reduction round pays for its inversion only while it
+    /// halves enough buckets: each pair costs an affine addition there
+    /// instead of a mixed one in the running-sum chain. Below this many
+    /// pairs the chain takes the buckets as they stand.
+    fn round_min_pairs(self) -> usize {
+        COST_INVERT / (COST_MIXED - self.cost_affine())
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Backend::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ifma => "avx512ifma",
+        }
+    }
+}
+
+/// The field arithmetic the batch-affine reducer under [`Point::msm`],
+/// every batch verifier and [`CombBatch`] runs on this CPU: `avx512ifma`
+/// or `portable`. Timings taken on one are not comparable with the
+/// other's.
+pub fn backend() -> &'static str {
+    Backend::detected().name()
+}
+
 /// The pairwise batch-affine reduction under both kernels — the buckets
 /// of [`bucket_sum`] and the outputs of [`CombBatch`] — with the scratch
-/// of a round (its slope denominators and their prefix products), kept
-/// so that a caller reducing buffer after buffer allocates once.
-#[derive(Default)]
+/// of a round (its slope denominators and their prefix products, or on
+/// the vector backend each lane's suffix products), kept so that a
+/// caller reducing buffer after buffer allocates once.
 struct SlotReducer {
+    backend: Backend,
     denominators: Vec<Fp>,
     prefix: Vec<Fp>,
 }
 
 impl SlotReducer {
+    fn new(backend: Backend) -> SlotReducer {
+        SlotReducer {
+            backend,
+            denominators: Vec::new(),
+            prefix: Vec::new(),
+        }
+    }
+
     /// Halves every slot round by round, slot `i` being
     /// `points[starts[i]..][..lens[i]]`: its points are added in pairs by
     /// the affine chord or tangent ([`Affine::add_with_inverse`]; identity
@@ -656,30 +726,79 @@ impl SlotReducer {
             if lens.iter().all(|&len| len < 2) || !round_pays(lens) {
                 return;
             }
-            self.denominators.clear();
-            for (&start, &len) in starts.iter().zip(lens.iter()) {
-                let slot = &points[start as usize..][..len as usize];
-                self.denominators.extend(
-                    slot.chunks_exact(2)
-                        .map(|pair| pair[0].slope_denominator(&pair[1])),
-                );
+            match self.backend {
+                #[cfg(target_arch = "x86_64")]
+                Backend::Ifma => ifma::halve_round(
+                    points,
+                    starts,
+                    lens,
+                    &mut self.denominators,
+                    &mut self.prefix,
+                ),
+                Backend::Portable => self.add_pairs(points, starts, lens),
             }
-            Fp::batch_invert_with(&mut self.denominators, &mut self.prefix);
-            let mut inverses = self.denominators.iter();
             for (&start, len) in starts.iter().zip(lens.iter_mut()) {
                 let slot = &mut points[start as usize..][..*len as usize];
-                let pairs = slot.len() / 2;
-                for j in 0..pairs {
-                    let inverse = *inverses.next().expect("one denominator per pair");
-                    slot[j] = slot[2 * j].add_with_inverse(&slot[2 * j + 1], inverse);
-                }
                 if slot.len() % 2 == 1 {
-                    slot[pairs] = slot[slot.len() - 1];
+                    slot[slot.len() / 2] = slot[slot.len() - 1];
                 }
                 *len = len.div_ceil(2);
             }
         }
     }
+
+    /// A round's pair additions on [`Fp`]: slot position `j` becomes the
+    /// sum of the slot's points `2j` and `2j + 1` (the odd point is the
+    /// caller's to move).
+    fn add_pairs(&mut self, points: &mut [Affine], starts: &[u32], lens: &[u32]) {
+        self.denominators.clear();
+        for (&start, &len) in starts.iter().zip(lens) {
+            let slot = &points[start as usize..][..len as usize];
+            self.denominators.extend(
+                slot.chunks_exact(2)
+                    .map(|pair| pair[0].slope_denominator(&pair[1])),
+            );
+        }
+        Fp::batch_invert_with(&mut self.denominators, &mut self.prefix);
+        let mut inverses = self.denominators.iter();
+        for (&start, &len) in starts.iter().zip(lens) {
+            let slot = &mut points[start as usize..][..len as usize];
+            for j in 0..slot.len() / 2 {
+                let inverse = *inverses.next().expect("one denominator per pair");
+                slot[j] = slot[2 * j].add_with_inverse(&slot[2 * j + 1], inverse);
+            }
+        }
+    }
+}
+
+/// Sums each run of `slot` consecutive points of `points` (the last run
+/// may be shorter) by the batch-affine reducer alone, every round run, on
+/// the dispatched field arithmetic ([`backend`]) or, with `portable`, on
+/// [`Fp`]. Public for the micro benchmark's reducer rows; the points
+/// should be normalised (`z = 1`), as the kernels' are.
+#[doc(hidden)]
+pub fn reduce_slots(points: &[Point], slot: usize, portable: bool) -> Vec<Point> {
+    let mut affine = Point::batch_normalize(points);
+    let starts: Vec<u32> = (0..affine.len()).step_by(slot).map(|s| s as u32).collect();
+    let mut lens: Vec<u32> = starts
+        .iter()
+        .map(|&s| slot.min(affine.len() - s as usize) as u32)
+        .collect();
+    let backend = if portable {
+        Backend::Portable
+    } else {
+        Backend::detected()
+    };
+    SlotReducer::new(backend).halve(&mut affine, &starts, &mut lens, |_| true);
+    starts
+        .iter()
+        .zip(&lens)
+        .map(|(&s, &len)| {
+            affine[s as usize..][..len as usize]
+                .first()
+                .map_or(Point::IDENTITY, |p| p.to_point())
+        })
+        .collect()
 }
 
 /// Canonical limbs of the scalars for the recoding; a term that
@@ -729,7 +848,8 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
     let mut starts = vec![0u32; group * buckets];
     let mut lens = vec![0u32; group * buckets];
     let mut sorted = vec![Affine::IDENTITY; group * live];
-    let mut reducer = SlotReducer::default();
+    let mut reducer = SlotReducer::new(Backend::detected());
+    let min_pairs = reducer.backend.round_min_pairs();
     let mut acc = Point::IDENTITY;
     let mut hi = signed_windows(w);
     while hi > 0 {
@@ -765,7 +885,7 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
             }
         }
         reducer.halve(&mut sorted, &starts, &mut lens, |lens| {
-            lens.iter().map(|&len| len as usize / 2).sum::<usize>() >= ROUND_MIN_PAIRS
+            lens.iter().map(|&len| len as usize / 2).sum::<usize>() >= min_pairs
         });
         // Chain, most significant window first: `acc·2^w + Σ d·bucket[d]`,
         // with `running` collecting the buckets from the highest filled
@@ -836,6 +956,7 @@ fn chain_cost(lens: &[u32]) -> usize {
 /// batch of one signature check (two terms, ~70 entries) stops at once
 /// and is added as [`FixedBase::mul`] adds; one of two runs one round.
 fn comb_round_pays(lens: &[u32]) -> bool {
+    let affine = Backend::detected().cost_affine();
     let stop = chain_cost(lens);
     let mut lens = lens.to_vec();
     let mut rounds = 0;
@@ -844,7 +965,7 @@ fn comb_round_pays(lens: &[u32]) -> bool {
         if pairs == 0 {
             return false;
         }
-        rounds += COST_INVERT + pairs * COST_AFFINE;
+        rounds += COST_INVERT + pairs * affine;
         for len in &mut lens {
             *len = len.div_ceil(2);
         }
@@ -1054,7 +1175,7 @@ impl<'a> CombBatch<'a> {
         // `gathered[starts[i]..][..lens[i]]`.
         let mut starts: Vec<u32> = Vec::new();
         let mut lens: Vec<u32> = Vec::new();
-        let mut reducer = SlotReducer::default();
+        let mut reducer = SlotReducer::new(Backend::detected());
         let mut sums: Vec<Point> = Vec::new();
         let mut ends = self.ends.iter().peekable();
         let mut term = 0;
@@ -1813,6 +1934,93 @@ mod tests {
     fn affine(p: &Point) -> Affine {
         p.to_affine()
             .map_or(Affine::IDENTITY, |(x, y)| Affine { x, y })
+    }
+
+    /// A random slot layout over `pool` and fresh points: empty, single,
+    /// odd and long slots; identities, repeats (`P + P`), negations
+    /// (`P + (−P)`, and equal `x`) and fresh points mixed in each.
+    fn slot_layout(rng: &mut StdRng, pool: &[Affine]) -> (Vec<Affine>, Vec<u32>, Vec<u32>) {
+        let slots = 1 + rng.next_u32() as usize % 24;
+        let lens: Vec<u32> = (0..slots)
+            .map(|_| match rng.next_u32() % 8 {
+                0 => 0,
+                1 => 1,
+                2 => 2,
+                3 => 3,
+                4 => 40 + rng.next_u32() % 90,
+                _ => rng.next_u32() % 17,
+            })
+            .collect();
+        let mut starts = Vec::with_capacity(slots);
+        let mut total = 0;
+        for len in &lens {
+            starts.push(total);
+            total += len;
+        }
+        let points = (0..total)
+            .map(|_| {
+                let pick = rng.next_u32();
+                let p = pool[(pick >> 8) as usize % pool.len()];
+                match pick % 8 {
+                    0 => Affine::IDENTITY,
+                    1 => p.negate(),
+                    2 | 3 => p,
+                    _ => affine(&Point::mul_generator(&Scalar::from_u64(u64::from(pick)))),
+                }
+            })
+            .collect();
+        (points, starts, lens)
+    }
+
+    /// The dispatched reducer leaves every slot as the portable one does,
+    /// point for point, after one round and after all of them, and the
+    /// sums are the slots' sums. On a CPU without AVX-512 IFMA the two are
+    /// the same code, and the test says so.
+    #[test]
+    fn reducer_backends_agree_on_random_slot_layouts() {
+        let dispatched = Backend::detected();
+        println!("reducer backend: {}", dispatched.name());
+        if dispatched == Backend::Portable {
+            println!("no AVX-512 IFMA on this CPU: the dispatched half of this test did not run");
+        }
+        let mut rng = StdRng::seed_from_u64(47);
+        let pool: Vec<Affine> = (0..3)
+            .map(|_| affine(&Point::mul_generator(&Scalar::random(&mut rng))))
+            .collect();
+        for layout in 0..300 {
+            let (points, starts, lens) = slot_layout(&mut rng, &pool);
+            for rounds in [1, usize::MAX] {
+                let run = |backend: Backend| {
+                    let (mut points, mut lens) = (points.clone(), lens.clone());
+                    let ran = std::cell::Cell::new(0);
+                    SlotReducer::new(backend).halve(&mut points, &starts, &mut lens, |_| {
+                        ran.set(ran.get() + 1);
+                        ran.get() <= rounds
+                    });
+                    (points, lens)
+                };
+                let portable = run(Backend::Portable);
+                assert_eq!(
+                    run(dispatched),
+                    portable,
+                    "layout {layout}, {rounds} round(s)"
+                );
+                if rounds == usize::MAX {
+                    let (reduced, left) = portable;
+                    for ((&start, &len), &was) in starts.iter().zip(&left).zip(&lens) {
+                        let sum: Point = points[start as usize..][..was as usize]
+                            .iter()
+                            .map(|p| p.to_point())
+                            .sum();
+                        assert!(len <= 1, "layout {layout}: a slot still holds a pair");
+                        let got = reduced[start as usize..][..len as usize]
+                            .first()
+                            .map_or(Point::IDENTITY, |p| p.to_point());
+                        assert_eq!(got, sum, "layout {layout}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -428,8 +428,10 @@ const P: [u64; 4] = [
 const C: u64 = 0x1_0000_03D1;
 
 /// Element of the secp256k1 base field (`p = 2²⁵⁶ − 2³² − 977`), held as
-/// its canonical value.
+/// its canonical value. Laid out as its limbs, which the vector backend of
+/// the curve's reducer loads eight elements at a time.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(transparent)]
 pub struct Fp {
     /// Little-endian limbs of the value, always `< p`.
     limbs: [u64; 4],

@@ -7,9 +7,10 @@
 //! `std::arch` kernel that runs two rounds an instruction and keeps the
 //! state in registers across a run of whole blocks; everywhere else, the
 //! portable integer compression, which is also the oracle the kernel is
-//! tested against. The kernel is the crate's one `unsafe fn` (DESIGN.md
-//! §8). Both give the same chaining value, so every digest, MAC, PRF
-//! stream and weight is the same on either.
+//! tested against. The kernel is one of the crate's two `unsafe`
+//! vector modules, with `curve::ifma` (DESIGN.md §8). Both give the same
+//! chaining value, so every digest, MAC, PRF stream and weight is the
+//! same on either.
 
 use crate::field::Scalar;
 

@@ -434,8 +434,9 @@ fn main() {
 
     let (report, elapsed) = run(seed, ballots, true, wall);
     println!(
-        "profile: {ballots} ballots, seed {seed}, domain {:?}, wall {elapsed:?}",
-        report.metrics.domain
+        "profile: {ballots} ballots, seed {seed}, domain {:?}, field arithmetic {}, wall {elapsed:?}",
+        report.metrics.domain,
+        ddemos_crypto::curve::backend()
     );
     println!(
         "phases: consensus {:?}, push+tally {:?}, publish {:?}\n",
