@@ -138,13 +138,14 @@ impl PendingRead<'_> {
         match self.0 {
             Pending::Answered(answer) => answer,
             Pending::Requested { port, request_id } => {
-                snapshot_of(port.lock().replies(&[request_id], |_| false).pop_first()?.1)
+                let reply = port.lock().replies(&[request_id]).pop_first()?.1;
+                snapshot_of(&reply).cloned()
             }
         }
     }
 }
 
-fn snapshot_of(reply: Msg) -> Option<Arc<Vec<u8>>> {
+fn snapshot_of(reply: &Msg) -> Option<&Arc<Vec<u8>>> {
     match reply {
         Msg::BbReadResponse { snapshot, .. } => Some(snapshot),
         _ => None,
@@ -152,11 +153,13 @@ fn snapshot_of(reply: Msg) -> Option<Arc<Vec<u8>>> {
 }
 
 /// The encoding at least `need` of `answers` are, byte for byte.
-fn agreed<'a>(answers: &[&'a Arc<Vec<u8>>], need: usize) -> Option<&'a Arc<Vec<u8>>> {
+fn agreed<'a>(
+    answers: impl Iterator<Item = &'a Arc<Vec<u8>>> + Clone,
+    need: usize,
+) -> Option<&'a Arc<Vec<u8>>> {
     answers
-        .iter()
-        .find(|answer| answers.iter().filter(|other| other == answer).count() >= need)
-        .copied()
+        .clone()
+        .find(|answer| answers.clone().filter(|other| other == answer).count() >= need)
 }
 
 /// How long a [`RemoteBb`] waits, in its endpoint's time base, for a
@@ -210,10 +213,15 @@ impl Port {
     }
 
     /// Collects the replies to `ids`, in whatever order they come, until
-    /// each has one, `enough` says the ones in are, or [`REQUEST_TIMEOUT`]
-    /// passes without a new one; the requests are then given up on, and a
-    /// late reply is dropped.
-    fn replies(
+    /// each has one or [`REQUEST_TIMEOUT`] passes without a new one; the
+    /// requests are then given up on, and a late reply is dropped.
+    fn replies(&mut self, ids: &[u64]) -> BTreeMap<u64, Msg> {
+        self.replies_until(ids, |_| false)
+    }
+
+    /// [`Port::replies`], ending also once `enough` says the replies in
+    /// are.
+    fn replies_until(
         &mut self,
         ids: &[u64],
         enough: impl Fn(&BTreeMap<u64, Msg>) -> bool,
@@ -316,7 +324,7 @@ impl RemoteBb {
     /// Waits for the replies to `ids` and counts each accepted write.
     fn count_accepted(&self, ids: &[(u64, usize)], accepted: &mut [usize]) {
         let request_ids: Vec<u64> = ids.iter().map(|(id, _)| *id).collect();
-        let replies = self.port.lock().replies(&request_ids, |_| false);
+        let replies = self.port.lock().replies(&request_ids);
         for (id, index) in ids {
             if let (
                 Some(Msg::BbWriteReply {
@@ -348,7 +356,7 @@ impl RemoteBb {
     fn write(&self, write: BbWriteMsg) -> Result<(), WriteError> {
         let mut port = self.port.lock();
         let request_id = port.send(self.target, |request_id| Msg::BbWrite { request_id, write });
-        match port.replies(&[request_id], |_| false).pop_first() {
+        match port.replies(&[request_id]).pop_first() {
             Some((_, Msg::BbWriteReply { outcome, .. })) => crate::core::outcome_to_result(outcome),
             _ => Err(WriteError::Unavailable),
         }
@@ -496,18 +504,15 @@ impl MajorityReader {
                 .partition(|(other, _)| std::ptr::eq(*other, port));
             requested = rest;
             let ids: Vec<u64> = shared.iter().map(|(_, id)| *id).collect();
-            let replies = port.lock().replies(&ids, |replies| {
-                let mut all: Vec<&Arc<Vec<u8>>> = answers.iter().collect();
-                all.extend(replies.values().filter_map(|reply| match reply {
-                    Msg::BbReadResponse { snapshot, .. } => Some(snapshot),
-                    _ => None,
-                }));
-                agreed(&all, need).is_some()
+            let replies = port.lock().replies_until(&ids, |replies| {
+                let all = answers
+                    .iter()
+                    .chain(replies.values().filter_map(snapshot_of));
+                agreed(all, need).is_some()
             });
-            answers.extend(replies.into_values().filter_map(snapshot_of));
+            answers.extend(replies.values().filter_map(snapshot_of).cloned());
         }
-        let all: Vec<&Arc<Vec<u8>>> = answers.iter().collect();
-        crate::codec::decode_snapshot(agreed(&all, need)?).ok()
+        crate::codec::decode_snapshot(agreed(answers.iter(), need)?).ok()
     }
 
     /// Reads with retries, paced by [`retry_pause`], until a

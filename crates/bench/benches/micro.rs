@@ -59,6 +59,14 @@ fn ratio_gate<A, B>(
     );
 }
 
+/// `id` for a row whose kernel runs through the batch-affine reducer,
+/// tagged with the field arithmetic it ran on (`curve::backend()`), so
+/// that `scripts/bench_check.sh` compares it only with a baseline taken on
+/// the same one: on the other it is a new row (the two differ 2–3×).
+fn on_backend(id: &str) -> String {
+    format!("{id} [{}]", curve::backend())
+}
+
 /// Whether this CPU has the features the SHA-256 extension kernel needs.
 fn sha_extensions() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -117,12 +125,12 @@ fn bench_kernels(c: &mut Criterion) {
             .zip(&points[..n])
             .fold(Point::IDENTITY, |acc, (k, p)| acc.add(&p.mul(k)))
     };
-    c.bench_function("kernel/msm 64 (pippenger)", |b| {
+    c.bench_function(&on_backend("kernel/msm 64 (pippenger)"), |b| {
         b.iter(|| Point::msm(std::hint::black_box(&scalars[..64]), &points[..64]))
     });
     c.bench_function("kernel/msm 64 (naive loop)", |b| b.iter(|| naive(64)));
     for n in [512, 8192] {
-        c.bench_function(&format!("kernel/msm {n} (pippenger)"), |b| {
+        c.bench_function(&on_backend(&format!("kernel/msm {n} (pippenger)")), |b| {
             b.iter(|| Point::msm(std::hint::black_box(&scalars[..n]), &normalised[..n]))
         });
         c.bench_function(&format!("kernel/msm {n} (naive loop)"), |b| {
@@ -152,7 +160,7 @@ fn bench_kernels(c: &mut Criterion) {
     let short: Vec<Scalar> = (0..8192)
         .map(|_| Scalar::from_u128(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())))
         .collect();
-    c.bench_function("kernel/msm 8192 (128-bit scalars)", |b| {
+    c.bench_function(&on_backend("kernel/msm 8192 (128-bit scalars)"), |b| {
         b.iter(|| Point::msm(std::hint::black_box(&short), &normalised))
     });
     ratio_gate(
@@ -170,7 +178,7 @@ fn bench_kernels(c: &mut Criterion) {
         .enumerate()
         .map(|(i, (full, weight))| if i % 9 < 2 { *full } else { *weight })
         .collect();
-    c.bench_function("kernel/msm 8192 (publication mix)", |b| {
+    c.bench_function(&on_backend("kernel/msm 8192 (publication mix)"), |b| {
         b.iter(|| Point::msm(std::hint::black_box(&publication), &normalised))
     });
     // The batch-affine reducer alone, 4096 points in slots of 8 (a
@@ -181,12 +189,13 @@ fn bench_kernels(c: &mut Criterion) {
     let head = &normalised[..4096];
     let reduce =
         |portable: bool| move || curve::reduce_slots(std::hint::black_box(head), 8, portable);
-    for (path, portable) in [("portable", true), ("dispatched", false)] {
-        c.bench_function(
-            &format!("kernel/reducer 4096 in slots of 8 ({path})"),
-            |b| b.iter(reduce(portable)),
-        );
-    }
+    c.bench_function("kernel/reducer 4096 in slots of 8 (portable)", |b| {
+        b.iter(reduce(true))
+    });
+    c.bench_function(
+        &on_backend("kernel/reducer 4096 in slots of 8 (dispatched)"),
+        |b| b.iter(reduce(false)),
+    );
     // Where the vector backend runs it must not lose to the portable
     // path (the two are the same code, and the gate is skipped, on a CPU
     // without it).
@@ -250,9 +259,10 @@ fn bench_kernels(c: &mut Criterion) {
     });
     // The batched comb: the same multiplications in lockstep, affine out.
     for n in [64, 512] {
-        c.bench_function(&format!("kernel/fixed_base mul_many {n}"), |b| {
-            b.iter(|| table.mul_many(std::hint::black_box(&ks[..n])))
-        });
+        c.bench_function(
+            &on_backend(&format!("kernel/fixed_base mul_many {n}")),
+            |b| b.iter(|| table.mul_many(std::hint::black_box(&ks[..n]))),
+        );
     }
     c.bench_function("kernel/fixed_base build", |b| {
         b.iter(|| FixedBase::new(std::hint::black_box(&base)))
@@ -398,7 +408,7 @@ fn bench_schnorr(c: &mut Criterion) {
             (sk.verifying_key(), m.as_slice(), sk.sign(m))
         })
         .collect();
-    c.bench_function("kernel/schnorr_verify_batch 64", |b| {
+    c.bench_function(&on_backend("kernel/schnorr_verify_batch 64"), |b| {
         b.iter(|| ddemos_crypto::schnorr::verify_batch(std::hint::black_box(&entries)))
     });
     c.bench_function("kernel/schnorr_verify_scalar 64", |b| {
@@ -430,7 +440,7 @@ fn bench_schnorr(c: &mut Criterion) {
         .collect();
     assert_eq!(mv.check_batch(&burst), vec![true; 16]);
     c.bench_function(
-        "kernel/mverify burst 4×VOTE_P (3 UCERT sigs shared)",
+        &on_backend("kernel/mverify burst 4×VOTE_P (3 UCERT sigs shared)"),
         |b| b.iter(|| mv.check_batch(std::hint::black_box(&burst))),
     );
     // Bursts of distinct fresh signatures from the four prepared keys,
@@ -449,9 +459,10 @@ fn bench_schnorr(c: &mut Criterion) {
             })
             .collect();
         assert_eq!(mv.check_batch(&fresh), vec![true; n]);
-        c.bench_function(&format!("kernel/mverify burst {n} fresh"), |b| {
-            b.iter(|| mv.check_batch(std::hint::black_box(&fresh)))
-        });
+        c.bench_function(
+            &on_backend(&format!("kernel/mverify burst {n} fresh")),
+            |b| b.iter(|| mv.check_batch(std::hint::black_box(&fresh))),
+        );
     }
 }
 
@@ -536,9 +547,10 @@ fn bench_zkp(c: &mut Criterion) {
         })
         .collect();
     assert!(elgamal::batch_verify_openings(&pk, &claims));
-    c.bench_function("kernel/batch_verify_openings 2048 claims", |b| {
-        b.iter(|| elgamal::batch_verify_openings(&pk, std::hint::black_box(&claims)))
-    });
+    c.bench_function(
+        &on_backend("kernel/batch_verify_openings 2048 claims"),
+        |b| b.iter(|| elgamal::batch_verify_openings(&pk, std::hint::black_box(&claims))),
+    );
 }
 
 /// A proven row of `m` ciphertexts as the board holds it: ciphertexts, OR
@@ -598,7 +610,7 @@ fn bench_rows(
         })
     };
     assert!(zkp::verify_rows(pk, &proofs) && per_proof(&proofs));
-    c.bench_function("kernel/verify_rows_batch m=5 186 rows", |b| {
+    c.bench_function(&on_backend("kernel/verify_rows_batch m=5 186 rows"), |b| {
         b.iter(|| zkp::verify_rows(pk, std::hint::black_box(&proofs)))
     });
     // Over the first 48 rows, to keep the smoke run short: one MSM a batch

@@ -17,8 +17,9 @@
 //! the same length, which here holds each lane chain's suffix products.
 //!
 //! The arithmetic is safe Rust on `std::arch` under `#[target_feature]`;
-//! the `unsafe` is the entry call, which [`detected`] makes sound, and the
-//! unaligned loads and stores of `Fp` and `Affine` memory.
+//! the `unsafe` is the entry call, which a [`detected`] check before it
+//! makes sound, and the unaligned loads and stores of `Fp` and `Affine`
+//! memory.
 
 use super::Affine;
 use crate::field::Fp;
@@ -439,10 +440,12 @@ pub(super) fn halve_round(
     denominators: &mut Vec<Fp>,
     suffix: &mut Vec<Fp>,
 ) {
-    debug_assert!(detected());
-    // SAFETY: the reducer takes this path only once `detected()` has found
-    // `avx512f` and `avx512ifma` on this CPU, so every instruction
-    // `halve_round_ifma` is compiled with exists here.
+    // A cached feature read a round: this safe function must not reach
+    // the IFMA code on a CPU without it, whoever calls it.
+    assert!(detected(), "the IFMA backend on a CPU without AVX-512 IFMA");
+    // SAFETY: `detected()` has just found `avx512f` and `avx512ifma` on
+    // this CPU, so every instruction `halve_round_ifma` is compiled with
+    // exists here.
     unsafe { halve_round_ifma(points, starts, lens, denominators, suffix) }
 }
 
