@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ddemos_crypto::curve::{self, FixedBase, Point};
 use ddemos_crypto::elgamal;
 use ddemos_crypto::field::{Fp, Scalar};
-use ddemos_crypto::hmac::{Prf, PrfRng};
+use ddemos_crypto::hmac::{HmacKey, Prf, PrfRng};
 use ddemos_crypto::schnorr::{Signature, SigningKey};
 use ddemos_crypto::sha256::{self, sha256};
 use ddemos_crypto::shamir;
@@ -67,16 +67,11 @@ fn on_backend(id: &str) -> String {
     format!("{id} [{}]", curve::backend())
 }
 
-/// Whether this CPU has the features the SHA-256 extension kernel needs.
-fn sha_extensions() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("sha")
-            && is_x86_feature_detected!("ssse3")
-            && is_x86_feature_detected!("sse4.1")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    false
+/// `id` for a row whose kernel runs on the SHA-256 compression, tagged
+/// with the paths this CPU dispatches to (`sha256::backend()`, e.g.
+/// `sha-ni+avx512` or `portable`), for the same reason as [`on_backend`].
+fn on_sha(id: &str) -> String {
+    format!("{id} [{}]", sha256::backend())
 }
 
 /// Hands out the scalars of a slice in turn. A comb multiplication is
@@ -346,7 +341,7 @@ fn bench_hash_aes(c: &mut Criterion) {
     sha256::compress(&mut a, std::slice::from_ref(&block));
     sha256::compress_portable(&mut b, std::slice::from_ref(&block));
     assert_eq!(a, b);
-    if sha_extensions() {
+    if sha256::backend().starts_with("sha-ni") {
         ratio_gate(
             "sha256 compress portable / dispatched",
             || {
@@ -365,10 +360,60 @@ fn bench_hash_aes(c: &mut Criterion) {
     } else {
         println!("ratio gate: sha256 compress portable / dispatched: skipped (no SHA extensions)");
     }
-    // One 32-byte block of a `PrfRng` stream — an HMAC under a held key:
-    // two compressions (four while each draw re-hashed the key pads).
+    // Where the lanes run on AVX-512 they must beat the same blocks one
+    // by one on the dispatched compression (a detection that stops
+    // finding the features falls back to exactly that); elsewhere the
+    // two are the same code. The gate's rounds also keep the first calls'
+    // cold start (on AVX-512, the vector units' power-up) out of the
+    // row's one timed run under `--test`.
+    let mut states = [[0x6a09_e667u32; 8]; sha256::LANES];
+    let blocks = [block; sha256::LANES];
+    sha256::compress_lanes(&mut states, &blocks);
+    if sha256::backend().ends_with("avx512") {
+        let mut one_by_one = states;
+        ratio_gate(
+            &format!("sha256 {} compressions one by one / lanes", sha256::LANES),
+            || {
+                for (state, block) in one_by_one.iter_mut().zip(std::hint::black_box(&blocks)) {
+                    sha256::compress(state, std::slice::from_ref(block));
+                }
+                one_by_one[0][0]
+            },
+            || {
+                sha256::compress_lanes(&mut states, std::hint::black_box(&blocks));
+                states[0][0]
+            },
+            1.2,
+        );
+    }
+    // One block into each of the lanes' chaining values in one pass (on
+    // AVX-512 one word-sliced compression of sixteen chains): what a
+    // `PrfRng` past its second block computes a refill at a time.
+    c.bench_function(
+        &on_sha(&format!("sha256/compress x{} (lanes)", sha256::LANES)),
+        |b| {
+            b.iter(|| {
+                sha256::compress_lanes(&mut states, std::hint::black_box(&blocks));
+                states[0][0]
+            })
+        },
+    );
+    // An HMAC of a message of at most 55 bytes under a held key: two
+    // compressions from the pads' midstates, no buffering hasher.
+    let key = HmacKey::new(&[3u8; 32]);
+    for _ in 0..64 {
+        std::hint::black_box(key.mac(&[b"warm"]));
+    }
+    c.bench_function(&on_sha("hmac/mac one block"), |b| {
+        b.iter(|| key.mac(&[b"stream", b"rng", std::hint::black_box(&[7u8; 12])]))
+    });
+    // One 32-byte block of a `PrfRng` stream — an HMAC under a held key,
+    // past block 1 sixteen blocks a refill. The stream starts past its
+    // two singly hashed blocks, so `--test`'s one timed draw is a draw of
+    // the long stream the row stands for.
     let mut stream = PrfRng::new(&Prf::new([3u8; 32]), b"bench");
-    c.bench_function("hmac/prf draw", |b| {
+    stream.fill_bytes(&mut [0u8; 96]);
+    c.bench_function(&on_sha("hmac/prf draw"), |b| {
         b.iter(|| {
             let mut block = [0u8; 32];
             stream.fill_bytes(&mut block);
@@ -469,12 +514,32 @@ fn bench_schnorr(c: &mut Criterion) {
 fn bench_sharing(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let secret = Scalar::random(&mut rng);
+    // The first call's cold start stays out of `--test`'s one timed run.
+    shamir::split(secret, 3, 4, &mut StdRng::seed_from_u64(4)).unwrap();
     c.bench_function("shamir/split 3-of-4", |b| {
         b.iter_batched(
             || StdRng::seed_from_u64(4),
             |mut r| shamir::split(secret, 3, 4, &mut r).unwrap(),
             criterion::BatchSize::SmallInput,
         )
+    });
+    // One trustee sharing of EA set-up: two coefficients drawn from a
+    // `PrfRng` stream, five shares by forward differences into a flat
+    // buffer.
+    let mut stream = PrfRng::new(&Prf::new([4u8; 32]), b"bench");
+    // Past the singly hashed blocks and one refill, as for `hmac/prf draw`:
+    // `--test`'s one timed sharing reads inside the refilled window.
+    stream.fill_bytes(&mut [0u8; 96]);
+    let (mut coeffs, mut values) = ([Scalar::ZERO; 3], [Scalar::ZERO; 5]);
+    c.bench_function(&on_sha("shamir/share 3-of-5 (PrfRng draws)"), |b| {
+        b.iter(|| {
+            coeffs[0] = secret;
+            for c in &mut coeffs[1..] {
+                *c = Scalar::random(&mut stream);
+            }
+            shamir::share_values(&mut coeffs, &mut values);
+            values[4]
+        })
     });
     let shares = shamir::split(secret, 3, 4, &mut rng).unwrap();
     c.bench_function("shamir/reconstruct 3-of-4", |b| {

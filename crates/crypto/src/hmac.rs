@@ -7,9 +7,13 @@
 //!   (Fig 5a), where ballots for 250 M voters are derived on demand instead
 //!   of being materialized.
 
-use crate::sha256::Sha256;
+use crate::sha256::{self, Sha256, LANES};
 
 const BLOCK: usize = 64;
+
+/// The longest message whose padding still fits its one block behind the
+/// key pad: 64 bytes less the `0x80` marker and the 8-byte length.
+const ONE_BLOCK: usize = BLOCK - 9;
 
 /// Computes `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
@@ -52,8 +56,27 @@ impl HmacKey {
         }
     }
 
-    /// `HMAC-SHA256(key, m₁‖m₂‖…)`.
+    /// `HMAC-SHA256(key, m₁‖m₂‖…)`. A message of at most 55 bytes is
+    /// one padded block behind each pad, so two raw compressions from the
+    /// held midstates ([`HmacKey::mac_block`]); a longer one goes through
+    /// the buffering hasher.
     pub fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        if len <= ONE_BLOCK {
+            let mut block = [0u8; BLOCK];
+            let mut at = 0;
+            for part in parts {
+                block[at..at + part.len()].copy_from_slice(part);
+                at += part.len();
+            }
+            sha256::pad_last(&mut block, len, 1);
+            return self.mac_block(&block);
+        }
+        self.mac_buffered(parts)
+    }
+
+    /// [`HmacKey::mac`] through the buffering hasher, for any length.
+    fn mac_buffered(&self, parts: &[&[u8]]) -> [u8; 32] {
         let mut inner = Sha256::resume(self.inner, 1);
         for part in parts {
             inner.update(part);
@@ -62,6 +85,32 @@ impl HmacKey {
         outer.update(&inner.finalize());
         outer.finalize()
     }
+
+    /// The MAC of the message that `block` holds padded as the one block
+    /// after the inner pad ([`sha256::last_block`]`(message, 1)`).
+    fn mac_block(&self, block: &[u8; 64]) -> [u8; 32] {
+        let mut inner = self.inner;
+        sha256::compress(&mut inner, std::slice::from_ref(block));
+        let mut outer = self.outer;
+        sha256::compress(&mut outer, std::slice::from_ref(&outer_block(&inner)));
+        sha256::digest_bytes(&outer)
+    }
+
+    /// [`HmacKey::mac_block`] of [`LANES`] blocks at once, each pass of
+    /// compressions one [`sha256::compress_lanes`].
+    fn mac_blocks(&self, blocks: &[[u8; 64]; LANES]) -> [[u8; 32]; LANES] {
+        let mut inner = [self.inner; LANES];
+        sha256::compress_lanes(&mut inner, blocks);
+        let mut outer = [self.outer; LANES];
+        sha256::compress_lanes(&mut outer, &inner.map(|state| outer_block(&state)));
+        outer.map(|state| sha256::digest_bytes(&state))
+    }
+}
+
+/// The outer hash's one block behind the outer pad: the inner digest,
+/// padded.
+fn outer_block(inner: &[u32; 8]) -> [u8; 64] {
+    sha256::last_block(&sha256::digest_bytes(inner), 1)
 }
 
 /// Whether two MAC tags are equal, in time independent of where they
@@ -138,27 +187,65 @@ impl Prf {
 /// An infinite deterministic random byte stream implementing
 /// [`rand::RngCore`], for protocol components that need an RNG seeded from
 /// PRF material. Counter mode: byte `p` of the stream is byte `p mod 32`
-/// of block `⌊p / 32⌋`, and a block is hashed when a byte of it is first
-/// read.
+/// of block `b = ⌊p / 32⌋`, which is `bytes32(b"rng", b)` of the stream's
+/// PRF.
+///
+/// Blocks are hashed when a byte of them is first read: blocks 0 and 1
+/// one at a time, every later one with the next [`LANES`] − 1 blocks in
+/// one pass of [`sha256::compress_lanes`]. A stream of one or two blocks
+/// pays for no block it does not read; a longer one waits on each
+/// block's compressions only once per pass.
 #[derive(Clone, Debug)]
 pub struct PrfRng {
-    prf: Prf,
+    key: HmacKey,
     /// Offset of the next byte of the stream.
     position: u64,
-    /// The block `buffer` holds, once one has been read.
-    buffered: Option<u64>,
-    buffer: [u8; 32],
+    /// The stream bytes `buffer` holds: `window.start..window.end`.
+    window: std::ops::Range<u64>,
+    buffer: [u8; 32 * LANES],
 }
 
 impl PrfRng {
     /// Creates a deterministic RNG from a PRF domain.
     pub fn new(prf: &Prf, label: &[u8]) -> PrfRng {
         PrfRng {
-            prf: prf.derive(label),
+            key: prf.derive(label).key,
             position: 0,
-            buffered: None,
-            buffer: [0; 32],
+            window: 0..0,
+            buffer: [0; 32 * LANES],
         }
+    }
+
+    /// Block `index`'s message, `Prf::fill`'s for (`b"rng"`, `index`),
+    /// padded.
+    fn block_message(index: u64) -> [u8; 64] {
+        let mut message = [0u8; 21];
+        message[..9].copy_from_slice(b"streamrng");
+        message[9..17].copy_from_slice(&index.to_be_bytes());
+        // Bytes 17..21: the block counter of `Prf::fill`, always 0 here.
+        sha256::last_block(&message, 1)
+    }
+
+    /// Hashes the block holding byte `position` (and, past block 1, the
+    /// [`LANES`] − 1 after it) into `buffer`.
+    fn refill(&mut self) {
+        let first = self.position / 32;
+        let held = if first < 2 {
+            let block = self.key.mac_block(&Self::block_message(first));
+            self.buffer[..32].copy_from_slice(&block);
+            1
+        } else {
+            let messages = std::array::from_fn(|l| Self::block_message(first + l as u64));
+            for (chunk, block) in self
+                .buffer
+                .chunks_exact_mut(32)
+                .zip(self.key.mac_blocks(&messages))
+            {
+                chunk.copy_from_slice(&block);
+            }
+            LANES as u64
+        };
+        self.window = first * 32..(first + held) * 32;
     }
 }
 
@@ -178,13 +265,13 @@ impl rand::RngCore for PrfRng {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut filled = 0;
         while filled < dest.len() {
-            let (block, used) = (self.position / 32, (self.position % 32) as usize);
-            if self.buffered != Some(block) {
-                self.buffer = self.prf.bytes32(b"rng", block);
-                self.buffered = Some(block);
+            if !self.window.contains(&self.position) {
+                self.refill();
             }
-            let take = (32 - used).min(dest.len() - filled);
-            dest[filled..filled + take].copy_from_slice(&self.buffer[used..used + take]);
+            let at = (self.position - self.window.start) as usize;
+            let held = (self.window.end - self.window.start) as usize;
+            let take = (held - at).min(dest.len() - filled);
+            dest[filled..filled + take].copy_from_slice(&self.buffer[at..at + take]);
             self.position += take as u64;
             filled += take;
         }
@@ -293,6 +380,137 @@ mod tests {
             hex(&key.mac(&[b"what do ya want ", b"for nothing?"])),
             expected
         );
+    }
+
+    /// RFC 4231 cases 1, 2, 3 (one-block messages) and 7 (a 131-byte key
+    /// and a 152-byte message) through `mac` and the buffering path, on
+    /// the dispatched compression and on the portable one.
+    #[test]
+    fn rfc4231_vectors_on_every_path() {
+        let cases: [(&[u8], &[u8], &str); 4] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for portable in [false, true] {
+            crate::sha256::tests::PORTABLE.set(portable);
+            for (key, message, expected) in cases {
+                let key = HmacKey::new(key);
+                assert_eq!(hex(&key.mac(&[message])), expected, "portable {portable}");
+                assert_eq!(hex(&key.mac_buffered(&[message])), expected);
+            }
+            crate::sha256::tests::PORTABLE.set(false);
+        }
+    }
+
+    /// The one-block path equals the buffering one for every total length
+    /// 0..=130 (the one-block path takes 0..=55), however the message is
+    /// split into parts.
+    #[test]
+    fn one_block_mac_equals_the_buffered_mac() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(4231);
+        let key = HmacKey::new(b"one-block");
+        for len in 0..=130usize {
+            let mut message = vec![0u8; len];
+            rng.fill_bytes(&mut message);
+            let expected = key.mac_buffered(&[&message]);
+            assert_eq!(key.mac(&[&message]), expected, "{len} bytes");
+            assert_eq!(hmac_sha256(b"one-block", &message), expected);
+            for _ in 0..8 {
+                let mut cuts: Vec<usize> = (0..rng.gen_range(0..4usize))
+                    .map(|_| rng.gen_range(0..=len))
+                    .collect();
+                cuts.push(0);
+                cuts.push(len);
+                cuts.sort_unstable();
+                let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &message[w[0]..w[1]]).collect();
+                assert_eq!(key.mac(&parts), expected, "{len} bytes cut at {cuts:?}");
+            }
+        }
+    }
+
+    /// The lanes' one-block MACs in one pass are the MACs one by one.
+    #[test]
+    fn mac_blocks_is_mac_block_lane_by_lane() {
+        let key = HmacKey::new(b"lanes");
+        let bytes = [0xa5u8; ONE_BLOCK];
+        let message = |l: usize| &bytes[..l * ONE_BLOCK / LANES];
+        let blocks: [[u8; 64]; LANES] = std::array::from_fn(|l| sha256::last_block(message(l), 1));
+        let macs = key.mac_blocks(&blocks);
+        for (l, block) in blocks.iter().enumerate() {
+            assert_eq!(macs[l], key.mac_block(block), "lane {l}");
+            assert_eq!(macs[l], key.mac(&[message(l)]), "lane {l}");
+        }
+    }
+
+    /// The stream read block by block through `Prf::fill`, the reference
+    /// the lookahead must reproduce.
+    fn reference_stream(prf: &Prf, label: &[u8], len: usize) -> Vec<u8> {
+        let stream = prf.derive(label);
+        let mut out = Vec::with_capacity(len);
+        for block in 0..len.div_ceil(32) as u64 {
+            out.extend_from_slice(&stream.bytes32(b"rng", block));
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// Reads of every shape — odd sizes, streams that stop inside block 0
+    /// or 1, reads that cross the lookahead's window — return the
+    /// reference stream's bytes, on the dispatched compression and on the
+    /// portable one.
+    #[test]
+    fn prf_rng_lookahead_equals_the_block_at_a_time_stream() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let prf = Prf::new([5u8; 32]);
+        let expected = reference_stream(&prf, b"lookahead", 2048);
+        let mut rng = StdRng::seed_from_u64(7);
+        for portable in [false, true] {
+            crate::sha256::tests::PORTABLE.set(portable);
+            for run in 0..300 {
+                let mut stream = PrfRng::new(&prf, b"lookahead");
+                // Short streams first, then longer ones.
+                let total = match run % 3 {
+                    0 => rng.gen_range(0..=64),
+                    _ => rng.gen_range(0..=2048),
+                };
+                let mut read = Vec::with_capacity(total);
+                while read.len() < total {
+                    let size = match rng.gen_range(0..4u32) {
+                        0 => rng.gen_range(1..=3),
+                        1 => rng.gen_range(1..=40),
+                        2 => 32,
+                        _ => rng.gen_range(1..=300),
+                    }
+                    .min(total - read.len());
+                    let mut chunk = vec![0u8; size];
+                    stream.fill_bytes(&mut chunk);
+                    read.extend_from_slice(&chunk);
+                }
+                assert_eq!(read, expected[..total], "portable {portable}, run {run}");
+            }
+            crate::sha256::tests::PORTABLE.set(false);
+        }
     }
 
     #[test]

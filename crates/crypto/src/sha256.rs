@@ -7,10 +7,12 @@
 //! `std::arch` kernel that runs two rounds an instruction and keeps the
 //! state in registers across a run of whole blocks; everywhere else, the
 //! portable integer compression, which is also the oracle the kernel is
-//! tested against. The kernel is one of the crate's two `unsafe`
-//! vector modules, with `curve::ifma` (DESIGN.md §8). Both give the same
-//! chaining value, so every digest, MAC, PRF stream and weight is the
-//! same on either.
+//! tested against. Independent one-block compressions — a PRF stream's
+//! next blocks — also run [`LANES`] at a time ([`compress_lanes`]), on
+//! AVX-512 word-sliced where the CPU has `avx512f` and `avx512bw`. The
+//! kernels are one of the crate's two `unsafe` vector modules, with
+//! `curve::ifma` (DESIGN.md §8). Every path gives the same chaining
+//! value, so every digest, MAC, PRF stream and weight is the same on any.
 
 use crate::field::Scalar;
 
@@ -117,11 +119,7 @@ impl Sha256 {
         }
         block[56..].copy_from_slice(&self.length_bits.to_be_bytes());
         self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        digest_bytes(&self.state)
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -129,8 +127,102 @@ impl Sha256 {
     }
 }
 
-/// A compression of a run of whole blocks into a chaining value.
-type Compress = fn(&mut [u32; 8], &[[u8; 64]]);
+/// The big-endian bytes of a chaining value: the digest, once the
+/// padding block has been compressed into it.
+pub(crate) fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// `data` (at most 55 bytes) as the last block of a hash that has already
+/// absorbed `blocks` whole blocks ([`pad_last`]).
+pub(crate) fn last_block(data: &[u8], blocks: u64) -> [u8; 64] {
+    let mut block = [0u8; 64];
+    block[..data.len()].copy_from_slice(data);
+    pad_last(&mut block, data.len(), blocks);
+    block
+}
+
+/// Pads `block`, whose first `len` bytes (at most 55) end the input and
+/// whose other bytes are zero, as the last block of a hash that has
+/// already absorbed `blocks` whole blocks: the `0x80` marker after the
+/// bytes and the 64-bit big-endian bit length of the whole input.
+///
+/// # Panics
+/// Panics if `len` is over 55 (the length would not fit).
+pub(crate) fn pad_last(block: &mut [u8; 64], len: usize, blocks: u64) {
+    block[len] = 0x80;
+    let bits = (blocks * 64 + len as u64) * 8;
+    block[56..].copy_from_slice(&bits.to_be_bytes());
+}
+
+/// How many independent one-block compressions [`compress_lanes`] runs in
+/// one pass.
+pub const LANES: usize = 16;
+
+/// The compression paths of one CPU: a run of blocks into one chaining
+/// value, and one block into each of [`LANES`] chaining values.
+struct Path {
+    name: &'static str,
+    compress: fn(&mut [u32; 8], &[[u8; 64]]),
+    lanes: fn(&mut [[u32; 8]; LANES], &[[u8; 64]; LANES]),
+}
+
+const PORTABLE_PATH: Path = Path {
+    name: "portable",
+    compress: compress_portable,
+    lanes: compress_lanes_each,
+};
+
+/// The paths this process picked on its first call: the SHA extensions
+/// for a run of blocks and AVX-512 for the lanes, where the CPU has them,
+/// else the portable compression (lane by lane for the lanes).
+fn path() -> &'static Path {
+    #[cfg(test)]
+    if tests::PORTABLE.get() {
+        return &PORTABLE_PATH;
+    }
+    static PATH: std::sync::OnceLock<Path> = std::sync::OnceLock::new();
+    PATH.get_or_init(detect)
+}
+
+fn detect() -> Path {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let (sha, lanes) = (sha_ext::detected(), sha_ext::lanes_detected());
+        if sha || lanes {
+            return Path {
+                name: match (sha, lanes) {
+                    (true, true) => "sha-ni+avx512",
+                    (true, false) => "sha-ni",
+                    _ => "avx512",
+                },
+                compress: if sha {
+                    sha_ext::compress
+                } else {
+                    compress_portable
+                },
+                lanes: if lanes {
+                    sha_ext::compress_lanes
+                } else {
+                    compress_lanes_each
+                },
+            };
+        }
+    }
+    PORTABLE_PATH
+}
+
+/// The compression paths this CPU runs: `sha-ni+avx512`, `sha-ni`,
+/// `avx512` or `portable` ([`compress`] on the SHA extensions,
+/// [`compress_lanes`] on AVX-512). Every digest is the same on each;
+/// timings taken on one are not comparable with another's.
+pub fn backend() -> &'static str {
+    path().name
+}
 
 /// Compresses a run of whole blocks into the chaining value `state` by
 /// the path this process picked on its first call: the SHA extensions
@@ -138,18 +230,23 @@ type Compress = fn(&mut [u32; 8], &[[u8; 64]]);
 /// chaining value. (Public for the micro benchmark; hashing goes through
 /// [`Sha256`].)
 pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
-    #[cfg(test)]
-    if tests::PORTABLE.get() {
-        return compress_portable(state, blocks);
+    (path().compress)(state, blocks)
+}
+
+/// Compresses `blocks[l]` into `states[l]` for every lane `l`: [`LANES`]
+/// independent one-block compressions, each equal to
+/// [`compress_portable`] of its lane. With AVX-512 they run as one
+/// word-sliced compression, sixteen chains a vector (counter-mode PRF
+/// blocks are independent of each other); without it, one by one on
+/// [`compress`].
+pub fn compress_lanes(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
+    (path().lanes)(states, blocks)
+}
+
+fn compress_lanes_each(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
+    for (state, block) in states.iter_mut().zip(blocks) {
+        compress(state, std::slice::from_ref(block));
     }
-    static PATH: std::sync::OnceLock<Compress> = std::sync::OnceLock::new();
-    PATH.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if sha_ext::detected() {
-            return sha_ext::compress;
-        }
-        compress_portable
-    })(state, blocks)
 }
 
 /// FIPS 180-4's compression, one block at a time in plain integer
@@ -197,10 +294,11 @@ pub fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
 }
 
 /// The compression on x86-64's SHA extensions (`sha256rnds2`, two rounds
-/// an instruction, and `sha256msg1`/`msg2` for the message schedule).
+/// an instruction, and `sha256msg1`/`msg2` for the message schedule), and
+/// [`LANES`] compressions at once on AVX-512.
 #[cfg(target_arch = "x86_64")]
 mod sha_ext {
-    use super::K;
+    use super::{K, LANES};
     use std::arch::x86_64::*;
 
     /// Whether this CPU has every feature [`compress_blocks`] is built
@@ -271,6 +369,109 @@ mod sha_ext {
             _mm_alignr_epi8::<8>(dchg, feba),
         );
     }
+
+    /// Whether this CPU has every feature [`lanes_block`] is built with.
+    pub(super) fn lanes_detected() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+    }
+
+    /// [`super::compress_lanes`] on AVX-512; only ever chosen once
+    /// [`lanes_detected`] has said yes.
+    pub(super) fn compress_lanes(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
+        assert!(lanes_detected(), "AVX-512 lanes on a CPU without them");
+        // SAFETY: `lanes_detected()` (a cached feature read) found
+        // `avx512f` and `avx512bw` on this CPU.
+        // `lanes_block` reads and writes memory only inside `states` and
+        // `blocks`: every gather and scatter offset is a word of lane
+        // `l < 16` at word `j < 8` of its state or `i < 16` of its block.
+        unsafe { lanes_block(states, blocks) }
+    }
+
+    /// One block into each of 16 chaining values, word-sliced: lane `l`
+    /// of each of the eight state vectors and sixteen schedule vectors
+    /// belongs to chain `l`, so every round is FIPS 180-4's, sixteen
+    /// chains at a time (`vprord` for the rotations, one `vpternlogd`
+    /// each for the three-input XORs, `Ch` and `Maj`). The words go in
+    /// by gathers and out by scatters.
+    ///
+    /// # Safety
+    /// The CPU running it must have `avx512f` and `avx512bw`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn lanes_block(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
+        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        // Word offsets of lane `l`'s block and state: 16·l and 8·l.
+        let block_words = _mm512_slli_epi32::<4>(lane);
+        let state_words = _mm512_slli_epi32::<3>(lane);
+        // Byte order within each 32-bit word: the block is big-endian.
+        let bswap = _mm512_broadcast_i32x4(_mm_set_epi8(
+            12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3,
+        ));
+        let block_base = blocks.as_ptr().cast::<i32>();
+        let mut w = [_mm512_setzero_si512(); 16];
+        for (i, w) in w.iter_mut().enumerate() {
+            let at = _mm512_add_epi32(block_words, _mm512_set1_epi32(i as i32));
+            *w = _mm512_shuffle_epi8(_mm512_i32gather_epi32::<4>(at, block_base), bswap);
+        }
+        let state_base = states.as_mut_ptr().cast::<i32>();
+        let mut start = [_mm512_setzero_si512(); 8];
+        for (j, v) in start.iter_mut().enumerate() {
+            let at = _mm512_add_epi32(state_words, _mm512_set1_epi32(j as i32));
+            *v = _mm512_i32gather_epi32::<4>(at, state_base);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = start;
+        for sixteen in 0..4 {
+            for i in 0..16 {
+                if sixteen > 0 {
+                    // W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16],
+                    // in place of W[t−16].
+                    let (w2, w15) = (w[(i + 14) % 16], w[(i + 1) % 16]);
+                    let sigma0 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<7>(w15),
+                        _mm512_ror_epi32::<18>(w15),
+                        _mm512_srli_epi32::<3>(w15),
+                    );
+                    let sigma1 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<17>(w2),
+                        _mm512_ror_epi32::<19>(w2),
+                        _mm512_srli_epi32::<10>(w2),
+                    );
+                    w[i] = _mm512_add_epi32(
+                        _mm512_add_epi32(w[i], sigma0),
+                        _mm512_add_epi32(w[(i + 9) % 16], sigma1),
+                    );
+                }
+                let kw = _mm512_add_epi32(w[i], _mm512_set1_epi32(K[16 * sixteen + i] as i32));
+                let big_sigma1 = _mm512_ternarylogic_epi32::<0x96>(
+                    _mm512_ror_epi32::<6>(e),
+                    _mm512_ror_epi32::<11>(e),
+                    _mm512_ror_epi32::<25>(e),
+                );
+                // Ch(e, f, g) = e ? f : g; Maj(a, b, c) = the majority bit.
+                let ch = _mm512_ternarylogic_epi32::<0xca>(e, f, g);
+                let t1 =
+                    _mm512_add_epi32(_mm512_add_epi32(h, big_sigma1), _mm512_add_epi32(ch, kw));
+                let big_sigma0 = _mm512_ternarylogic_epi32::<0x96>(
+                    _mm512_ror_epi32::<2>(a),
+                    _mm512_ror_epi32::<13>(a),
+                    _mm512_ror_epi32::<22>(a),
+                );
+                let maj = _mm512_ternarylogic_epi32::<0xe8>(a, b, c);
+                h = g;
+                g = f;
+                f = e;
+                e = _mm512_add_epi32(d, t1);
+                d = c;
+                c = b;
+                b = a;
+                a = _mm512_add_epi32(t1, _mm512_add_epi32(big_sigma0, maj));
+            }
+        }
+        let end = [a, b, c, d, e, f, g, h];
+        for (j, (v, s)) in end.into_iter().zip(start).enumerate() {
+            let at = _mm512_add_epi32(state_words, _mm512_set1_epi32(j as i32));
+            _mm512_i32scatter_epi32::<4>(state_base, at, _mm512_add_epi32(v, s));
+        }
+    }
 }
 
 /// Domain tag of [`WeightStream`], padded so that tag ‖ seed is one block.
@@ -338,13 +539,14 @@ pub fn sha256_parts(parts: &[&[u8]]) -> [u8; 32] {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
     thread_local! {
-        /// Set while a test forces this thread onto [`compress_portable`].
-        pub(super) static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        /// Set while a test forces this thread onto the portable
+        /// compression.
+        pub(crate) static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
     fn hex(digest: &[u8; 32]) -> String {
@@ -535,7 +737,45 @@ mod tests {
         }
     }
 
+    /// The lanes' path this CPU dispatches to, and the portable one it
+    /// falls back to, are the portable compression lane by lane.
+    fn lanes_match(states: [[u32; 8]; LANES], blocks: [[u8; 64]; LANES]) {
+        for portable in [false, true] {
+            PORTABLE.set(portable);
+            let mut lanes = states;
+            compress_lanes(&mut lanes, &blocks);
+            PORTABLE.set(false);
+            for l in 0..LANES {
+                let mut oracle = states[l];
+                compress_portable(&mut oracle, &blocks[l..=l]);
+                assert_eq!(lanes[l], oracle, "lane {l}, portable {portable}");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_of_equal_states_and_blocks() {
+        let block = last_block(b"abc", 0);
+        lanes_match([H0; LANES], [block; LANES]);
+        let mut state = H0;
+        compress(&mut state, &[block]);
+        assert_eq!(
+            hex(&digest_bytes(&state)),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+    }
+
     proptest! {
+        #[test]
+        fn prop_lanes_equal_portable(
+            words in proptest::collection::vec(any::<u32>(), 8 * LANES..8 * LANES + 1),
+            bytes in proptest::collection::vec(any::<u8>(), 64 * LANES..64 * LANES + 1),
+        ) {
+            let states = std::array::from_fn(|l| std::array::from_fn(|i| words[8 * l + i]));
+            let blocks = std::array::from_fn(|l| std::array::from_fn(|i| bytes[64 * l + i]));
+            lanes_match(states, blocks);
+        }
+
         #[test]
         fn prop_incremental(data in proptest::collection::vec(any::<u8>(), 0..512),
                             split in 0usize..512) {

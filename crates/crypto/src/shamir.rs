@@ -82,15 +82,70 @@ impl Polynomial {
         &self.coeffs
     }
 
-    /// Produces shares for parties `1..=n`.
+    /// Produces shares for parties `1..=n` ([`share_values`]).
     pub fn shares(&self, n: usize) -> Vec<Share> {
-        (1..=n as u32)
-            .map(|i| Share {
-                index: i,
-                value: self.eval(Scalar::from_u64(u64::from(i))),
-            })
+        let mut values = vec![Scalar::ZERO; n];
+        share_values(&mut self.coeffs.clone(), &mut values);
+        (1..)
+            .zip(values)
+            .map(|(index, value)| Share { index, value })
             .collect()
     }
+}
+
+/// Writes `f(1), …, f(out.len())` into `out`, where `f` is the polynomial
+/// whose coefficients `coeffs` holds (constant term first, so of degree
+/// `d = coeffs.len() − 1`), and leaves `coeffs` overwritten: it is the
+/// difference table. Empty `coeffs` is the zero polynomial.
+///
+/// No field multiplication: `f(1..=d+1)` by Horner's rule, each step's
+/// multiplication by the small integer `x` a few doublings and additions,
+/// then every further value by `d` additions, stepping the backward
+/// differences `∇ʲf(x)` (constant at `j = d`) from `x` to `x + 1`. The
+/// values are `eval`'s exactly: field arithmetic has no rounding.
+pub fn share_values(coeffs: &mut [Scalar], out: &mut [Scalar]) {
+    let Some((&top, lower)) = coeffs.split_last() else {
+        out.fill(Scalar::ZERO);
+        return;
+    };
+    let k = coeffs.len();
+    for (x, slot) in (1..).zip(out.iter_mut().take(k)) {
+        *slot = lower
+            .iter()
+            .rev()
+            .fold(top, |acc, &c| times_small(acc, x) + c);
+    }
+    if out.len() <= k {
+        return;
+    }
+    // From f(1..=k), in place: after level l, entry k−1−l holds ∇ˡf(k)
+    // and later levels leave it alone.
+    let table = coeffs;
+    table.copy_from_slice(&out[..k]);
+    for level in 1..k {
+        for i in 0..k - level {
+            table[i] = table[i + 1] - table[i];
+        }
+    }
+    // ∇ʲf(x + 1) = ∇ʲf(x) + ∇ʲ⁺¹f(x + 1), from the top difference down.
+    for slot in &mut out[k..] {
+        for i in 1..k {
+            table[i] += table[i - 1];
+        }
+        *slot = table[k - 1];
+    }
+}
+
+/// `s · x` for an integer `x ≥ 1` by doubling and adding, bit by bit.
+fn times_small(s: Scalar, x: u32) -> Scalar {
+    let mut acc = s;
+    for bit in (0..31 - x.leading_zeros()).rev() {
+        acc = acc.double();
+        if (x >> bit) & 1 == 1 {
+            acc += s;
+        }
+    }
+    acc
 }
 
 /// Splits `secret` into `n` shares with reconstruction threshold `k`.
@@ -386,6 +441,43 @@ mod tests {
             })
             .collect();
         assert_eq!(reconstruct(&combined[..2], 2).unwrap(), alpha * c + beta);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Forward-difference shares are Horner's at every point, for
+        /// every degree up to 7 and up to 40 parties (fewer parties than
+        /// coefficients too).
+        #[test]
+        fn prop_share_values_equal_eval(seed in any::<u64>(), k in 1usize..9, n in 0usize..41) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let poly = Polynomial::random(Scalar::random(&mut rng), k, &mut rng).unwrap();
+            let mut scratch = poly.coeffs().to_vec();
+            let mut values = vec![Scalar::ONE; n];
+            share_values(&mut scratch, &mut values);
+            for (x, value) in (1..).zip(&values) {
+                prop_assert_eq!(*value, poly.eval(Scalar::from_u64(x)), "k {} n {} x {}", k, n, x);
+            }
+            let shares = poly.shares(n);
+            prop_assert!(shares.iter().zip(1..).all(|(s, i)| s.index == i));
+            prop_assert!(shares.iter().map(|s| s.value).eq(values));
+        }
+    }
+
+    #[test]
+    fn share_values_of_the_zero_polynomial_and_small_multiples() {
+        let mut values = [Scalar::ONE; 3];
+        share_values(&mut [], &mut values);
+        assert_eq!(values, [Scalar::ZERO; 3]);
+        let s = Scalar::from_u64(0x1234_5678_9abc);
+        for x in [1u32, 2, 3, 7, 8, 40, 1 << 20, u32::MAX] {
+            assert_eq!(
+                times_small(s, x),
+                s * Scalar::from_u64(u64::from(x)),
+                "x {x}"
+            );
+        }
     }
 
     proptest! {

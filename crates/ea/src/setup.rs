@@ -12,7 +12,7 @@ use ddemos_crypto::elgamal::{self, Ciphertext, PreparedKey, PublicKey};
 use ddemos_crypto::field::Scalar;
 use ddemos_crypto::hmac::{HmacKey, Prf, PrfRng};
 use ddemos_crypto::schnorr::{SigningKey, VerifyingKey};
-use ddemos_crypto::shamir::{self, Polynomial};
+use ddemos_crypto::shamir;
 use ddemos_crypto::votecode::{self, MskCommitment, VoteCode, VoteCodeHash};
 use ddemos_crypto::vss::{DealerVss, SignedShare};
 use ddemos_crypto::zkp::{self, CpFirstMove, OrFirstMove};
@@ -249,19 +249,17 @@ impl ElectionAuthority {
             let _t = ddemos_obs::scoped_ns("ea.setup_ns", "vc_rows");
             let mut salt_rng =
                 PrfRng::new(&self.master.derive_indexed(b"vc-salts", serial.0), b"salts");
+            // Each row's share stream is its own domain under the part's.
+            let receipt_prf = self.master.derive_indexed(b"receipt-share", serial.0);
+            let part_prfs =
+                PartId::BOTH.map(|part| receipt_prf.derive_indexed(b"part", part.index() as u64));
             for part in PartId::BOTH {
                 let perm = &derived.perms[part.index()];
                 for (row, &opt) in perm.iter().enumerate() {
                     let line = &derived.ballot.parts[part.index()].lines[opt];
                     let salt = salt_rng.next_u64();
                     let code_hash = VoteCodeHash::commit(&line.vote_code, salt);
-                    let mut share_rng = PrfRng::new(
-                        &self
-                            .master
-                            .derive_indexed(b"receipt-share", serial.0)
-                            .derive_indexed(b"part", part.index() as u64),
-                        &row.to_be_bytes(),
-                    );
+                    let mut share_rng = PrfRng::new(&part_prfs[part.index()], &row.to_be_bytes());
                     let shares = shamir::split(
                         Scalar::from_u64(line.receipt),
                         self.params.vc_quorum(),
@@ -301,15 +299,15 @@ impl ElectionAuthority {
         }
     }
 
-    /// One `(h_t, N_t)` sharing drawn from `rng`: the trustees' values in
-    /// index order.
-    fn trustee_shares(&self, secret: Scalar, rng: &mut PrfRng) -> Vec<Scalar> {
-        Polynomial::random(secret, self.params.trustee_threshold, rng)
-            .expect("trustee sharing parameters")
-            .shares(self.params.num_trustees)
-            .into_iter()
-            .map(|share| share.value)
-            .collect()
+    /// One `(h_t, N_t)` sharing of `secret` drawn from `rng` into `out`,
+    /// the trustees' values in index order; `coeffs` (`h_t` long) holds
+    /// the polynomial while it is evaluated ([`shamir::share_values`]).
+    fn share_into(secret: Scalar, rng: &mut PrfRng, coeffs: &mut [Scalar], out: &mut [Scalar]) {
+        coeffs[0] = secret;
+        for c in &mut coeffs[1..] {
+            *c = Scalar::random(rng);
+        }
+        shamir::share_values(coeffs, out);
     }
 
     /// The BB rows of one ballot — per shuffled row the commitment to the
@@ -323,7 +321,8 @@ impl ElectionAuthority {
     /// leaving every group element as a pending sum in one [`CombBatch`];
     /// *multiply* evaluates the batch, the ballot's whole group
     /// arithmetic (`2m(7m + 2)` fixed-base multiplications) in lockstep;
-    /// *assemble* deals the normalised points back into rows.
+    /// *assemble* deals the normalised points back into rows. A cell's
+    /// ten sharings fill one flat buffer, reused cell after cell.
     fn commit_rows(&self, derived: &DerivedBallot) -> CommittedRows {
         let m = self.params.num_options;
         let nt = self.params.num_trustees;
@@ -335,6 +334,10 @@ impl ElectionAuthority {
         // trustee_rows[t][part] accumulates rows for trustee t.
         let mut trustee_rows: Vec<[Vec<TrusteeRowShares>; 2]> =
             (0..nt).map(|_| [Vec::new(), Vec::new()]).collect();
+        // Sharing `s` of a cell is `shared[s * nt..][..nt]`: the opening
+        // (bit, r), then the 8 affine ZK coefficients.
+        let mut shared = vec![Scalar::ZERO; 10 * nt];
+        let mut coeffs = vec![Scalar::ZERO; self.params.trustee_threshold];
         let walk = ddemos_obs::scoped_ns("ea.setup_ns", "walk");
         for part in PartId::BOTH {
             let perm = &derived.perms[part.index()];
@@ -351,29 +354,30 @@ impl ElectionAuthority {
                     r_sum += r;
                     pk.encrypt_into(&bit_scalar, &r, &mut batch);
                     let secrets = zkp::or_prove_into(pk, bit, &r, &mut rng, &mut batch);
-                    // Share the opening (bit, r) and the 8 affine ZK
-                    // coefficients (h_t, N_t), in that order.
-                    let shared: Vec<Vec<Scalar>> = [bit_scalar, r]
-                        .into_iter()
-                        .chain(secrets.coefficients())
-                        .map(|secret| self.trustee_shares(secret, &mut rng))
-                        .collect();
+                    let cell = [bit_scalar, r].into_iter().chain(secrets.coefficients());
+                    for (secret, out) in cell.zip(shared.chunks_exact_mut(nt)) {
+                        Self::share_into(secret, &mut rng, &mut coeffs, out);
+                    }
                     for (t, acc) in trustee_cts.iter_mut().enumerate() {
                         acc.push(TrusteeCtShares {
-                            bit: shared[0][t],
-                            rand: shared[1][t],
-                            or_coeffs: std::array::from_fn(|c| shared[2 + c][t]),
+                            bit: shared[t],
+                            rand: shared[nt + t],
+                            or_coeffs: std::array::from_fn(|c| shared[(2 + c) * nt + t]),
                         });
                     }
                 }
                 let sum_secrets = zkp::sum_prove_into(pk, &r_sum, &mut rng, &mut batch);
-                let [gamma, delta] = sum_secrets
+                for (secret, out) in sum_secrets
                     .coefficients()
-                    .map(|secret| self.trustee_shares(secret, &mut rng));
+                    .into_iter()
+                    .zip(shared.chunks_exact_mut(nt))
+                {
+                    Self::share_into(secret, &mut rng, &mut coeffs, out);
+                }
                 for (t, acc) in trustee_cts.into_iter().enumerate() {
                     trustee_rows[t][part.index()].push(TrusteeRowShares {
                         cts: acc,
-                        sum_coeffs: [gamma[t], delta[t]],
+                        sum_coeffs: [shared[t], shared[nt + t]],
                     });
                 }
                 // Encrypted vote code for the BB.

@@ -13,7 +13,12 @@ use ddemos_protocol::initdata::{BbInit, VcInit};
 use ddemos_protocol::ElectionParams;
 
 fn params(m: usize) -> ElectionParams {
-    ElectionParams::new("ea-test", 3, m, 4, 3, 5, 3, 0, 60_000).unwrap()
+    trustee_params(m, 5, 3)
+}
+
+/// `params(m)` with `n_t` trustees of whom `h_t` open.
+fn trustee_params(m: usize, n_t: usize, h_t: usize) -> ElectionParams {
+    ElectionParams::new("ea-test", 3, m, 4, 3, n_t, h_t, 0, 60_000).unwrap()
 }
 
 fn put_share(h: &mut Sha256, share: &Share) {
@@ -124,30 +129,54 @@ fn slice_digest(put: impl FnOnce(&mut Sha256)) -> [u8; 32] {
     h.finalize()
 }
 
-/// `setup_with(Full)` for seed 7, three ballots, N_v = 4, N_t = 5,
-/// h_t = 3. Recorded when the EA stopped signing opening bundles: it
-/// equals the previous record's digest without the bundle signatures
-/// (that record held since receipt shares moved to EA tags, and the one
-/// before it since before the set-up arithmetic moved to affine comb
-/// tables and witness-based OR simulation).
-const RECORDED: [(usize, &str); 2] = [
+/// `setup_with(Full)` for seed 7, three ballots, N_v = 4, with
+/// `(m, N_t, h_t)` as listed. The two N_t = 5, h_t = 3 digests were
+/// recorded when the EA stopped signing opening bundles: they equal the
+/// previous record's digests without the bundle signatures (that record
+/// held since receipt shares moved to EA tags, and the one before it
+/// since before the set-up arithmetic moved to affine comb tables and
+/// witness-based OR simulation). The N_t = 7, h_t = 4 and N_t = 1,
+/// h_t = 1 digests were recorded with Horner-evaluated trustee sharings,
+/// before the walk moved to forward differences; they pin sharing
+/// polynomials of degree 3 and 0.
+const RECORDED: [(usize, usize, usize, &str); 4] = [
     (
         2,
+        5,
+        3,
         "82b0bbb4b0ce0277f51ba1541d027633b8c56de7704c15dea892a86d0b49b4d3",
     ),
     (
         3,
+        5,
+        3,
         "db0cc9315beb86f7b7ed476bcdf9638b1b5d43f091e4d0c9ff148c2adeadd0c3",
+    ),
+    (
+        3,
+        7,
+        4,
+        "7155a7bfb239deb2779306fa7790ceefd775c7b972a6120b077a490429a774c5",
+    ),
+    (
+        2,
+        1,
+        1,
+        "73db9a45fe82fe8aa38834349610fe789b78a4fbd3bf284c110fd826eeceac43",
     ),
 ];
 
 #[test]
 fn full_setup_matches_the_recorded_digest() {
-    for (m, expected) in RECORDED {
+    for (m, n_t, h_t, expected) in RECORDED {
         for threads in [1, 8] {
-            let out = ElectionAuthority::new(params(m), 7)
+            let out = ElectionAuthority::new(trustee_params(m, n_t, h_t), 7)
                 .setup_with(SetupProfile::Full, &Pool::new(threads));
-            assert_eq!(digest(&out), expected, "m = {m}, threads = {threads}");
+            assert_eq!(
+                digest(&out),
+                expected,
+                "m = {m}, N_t = {n_t}, h_t = {h_t}, threads = {threads}"
+            );
         }
     }
 }

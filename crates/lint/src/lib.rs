@@ -22,7 +22,7 @@
 //! | `metrics-clock`   | everything except `crates/obs` (no `Instant`/`elapsed` readings fed into recorder metrics) |
 //! | `panic`           | core/message-path crates (vc, bb, consensus, protocol, storage) |
 //! | `codec-exhaustive`| `Msg` enum vs `put_msg`/`get_msg`/`sample_msg` |
-//! | `commit-order`    | `vc/src/core.rs`, `bb/src/core.rs`             |
+//! | `commit-order`    | `vc/src/core.rs` (a scoped file without a journal, commit or send site fails) |
 //! | `blocking-recv`   | `net/src/evloop.rs` (the readiness loop must never block on a channel) |
 //! | `scalar-verify`   | `crates/vc`, `crates/bb` (message paths verify through the batch/cache layer, never one signature at a time) |
 //! | `honest-core`     | `vc/src/core.rs` (no adversary type: Byzantine collectors wrap the honest core at its step boundary) |
@@ -87,8 +87,10 @@ const CLOCK_EXEMPT_FILES: &[&str] = &["src/load.rs"];
 const MSG_ENUM_FILE: &str = "crates/protocol/src/messages.rs";
 const MSG_CODEC_FILE: &str = "crates/protocol/src/codec.rs";
 
-/// Files checked by the durable-before-visible rule.
-const CORE_FILES: &[&str] = &["crates/vc/src/core.rs", "crates/bb/src/core.rs"];
+/// Files checked by the durable-before-visible rule: the cores that
+/// journal, commit and send. (The BB core does none of the three: its
+/// driver journals each accepted write and commits before replying.)
+const CORE_FILES: &[&str] = &["crates/vc/src/core.rs"];
 
 /// The readiness-driven event loop: one blocking channel receive here
 /// stalls every connection the loop owns, so `.recv`/`.recv_timeout`

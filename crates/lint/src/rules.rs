@@ -525,8 +525,14 @@ pub fn check_codec(
 /// `…::Send/Reply/Deliver`) may follow until a commit (`self.persist(…)`
 /// or `…::Commit`). The barrier-free outputs of the VC durability table
 /// carry an inline `lint:allow` naming their row.
+///
+/// A scoped file must hold at least one journal push, one commit and one
+/// visible output outside its tests; one that lacks a kind fails at its
+/// first line, because the rule would pass there while inspecting
+/// nothing.
 pub fn check_commit_order(sf: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
+    let mut sites = [false; 3];
     let toks = &sf.toks;
     let mut i = 0usize;
     while i < toks.len() {
@@ -543,7 +549,7 @@ pub fn check_commit_order(sf: &SourceFile) -> Vec<Violation> {
                 }
             } {
                 if !sf.test_mask[i] {
-                    scan_commit_order(sf, i + 1, start, end, &mut out);
+                    scan_commit_order(sf, i + 1, start, end, &mut sites, &mut out);
                 }
                 i = end + 1;
                 continue;
@@ -551,14 +557,34 @@ pub fn check_commit_order(sf: &SourceFile) -> Vec<Violation> {
         }
         i += 1;
     }
+    let missing: Vec<&str> = ["journal", "commit", "visible-output"]
+        .into_iter()
+        .zip(sites)
+        .filter_map(|(kind, seen)| (!seen).then_some(kind))
+        .collect();
+    if !missing.is_empty() && !sf.allowed(RULE_COMMIT_ORDER, 1) {
+        out.push(violation(
+            sf,
+            1,
+            RULE_COMMIT_ORDER,
+            format!(
+                "`commit-order` is scoped to this file, which holds no {} site outside its \
+                 tests: the rule inspects nothing here — take the file out of the scope",
+                missing.join(", no ")
+            ),
+        ));
+    }
     out
 }
 
+/// Scans one function body; `sites` records which of the three kinds
+/// (journal, commit, visible output) it met.
 fn scan_commit_order(
     sf: &SourceFile,
     fn_name_idx: usize,
     start: usize,
     end: usize,
+    sites: &mut [bool; 3],
     out: &mut Vec<Violation>,
 ) {
     let fn_name = sf.ident(fn_name_idx).unwrap_or("?").to_string();
@@ -567,19 +593,34 @@ fn scan_commit_order(
         let Some(id) = sf.ident(i) else { continue };
         let after_path = i >= 2 && sf.punct(i - 1, ':') && sf.punct(i - 2, ':');
         let method_call = i >= 1 && sf.punct(i - 1, '.') && sf.punct(i + 1, '(');
-        match id {
-            "jlog" if method_call => pending = Some(sf.toks[i].line),
-            "Journal" if after_path => pending = Some(sf.toks[i].line),
-            "persist" if method_call => pending = None,
-            "Commit" if after_path => pending = None,
+        let kind = match id {
+            "jlog" if method_call => {
+                pending = Some(sf.toks[i].line);
+                0
+            }
+            "Journal" if after_path => {
+                pending = Some(sf.toks[i].line);
+                0
+            }
+            "persist" if method_call => {
+                pending = None;
+                1
+            }
+            "Commit" if after_path => {
+                pending = None;
+                1
+            }
             "send" | "multicast" | "multicast_others" | "reply" if method_call => {
                 emit_commit_violation(sf, i, &fn_name, &mut pending, out, id);
+                2
             }
             "Send" | "Reply" | "Deliver" if after_path => {
                 emit_commit_violation(sf, i, &fn_name, &mut pending, out, id);
+                2
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        sites[kind] = true;
     }
 }
 

@@ -98,8 +98,22 @@ fn commit_order_fixtures() {
         2,
         "one violation per un-committed journal: {fail:?}"
     );
-    let pass = check_as("commit_order/pass.rs", "crates/bb/src/core.rs");
+    let pass = check_as("commit_order/pass.rs", "crates/vc/src/core.rs");
     assert!(pass.is_empty(), "unexpected: {pass:?}");
+    // A scoped file with nothing for the rule to inspect fails once, at
+    // its first line; out of scope it is not looked at.
+    let empty = check_as("commit_order/empty.rs", "crates/vc/src/core.rs");
+    assert_eq!(rules_hit(&empty), vec![rules::RULE_COMMIT_ORDER]);
+    assert_eq!(empty.len(), 1, "{empty:?}");
+    assert_eq!(empty[0].line, 1);
+    assert!(
+        empty[0]
+            .msg
+            .contains("no journal, no commit, no visible-output site"),
+        "{}",
+        empty[0].msg
+    );
+    assert!(check_as("commit_order/empty.rs", "crates/bb/src/core.rs").is_empty());
 }
 
 #[test]
@@ -132,6 +146,15 @@ fn scalar_verify_fixtures() {
 
 #[test]
 fn honest_core_fixtures() {
+    // Lexed as the VC core, a fixture without a journal, commit or send
+    // site also fails `commit-order` (see `commit_order_fixtures`); only
+    // the honest-core findings are this test's.
+    let check_as = |rel: &str, as_path: &str| -> Vec<rules::Violation> {
+        check_as(rel, as_path)
+            .into_iter()
+            .filter(|v| v.rule != rules::RULE_COMMIT_ORDER)
+            .collect()
+    };
     let fail = check_as("honest_core/fail.rs", "crates/vc/src/core.rs");
     assert_eq!(rules_hit(&fail), vec![rules::RULE_HONEST_CORE]);
     assert_eq!(

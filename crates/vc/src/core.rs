@@ -343,6 +343,9 @@ pub struct HonestCore<S> {
     consensus: Option<BatchConsensus>,
     buffered_consensus: Vec<(u32, ConsensusMsg)>,
     decision: Option<Vec<bool>>,
+    /// How many rounds vote-set consensus took to decide, until
+    /// [`HonestCore::take_decided_round`] takes it.
+    decided_round: Option<u32>,
     /// Polls closed (by `Tend` on the node clock or a ClosePolls input).
     closed: bool,
     /// Set while a [`VcOutput::Recover`] is outstanding: suppresses the
@@ -395,6 +398,7 @@ impl<S: BallotStore> HonestCore<S> {
             consensus: None,
             buffered_consensus: Vec::new(),
             decision: None,
+            decided_round: None,
             closed: false,
             awaiting_recovery: false,
             now_ms: 0,
@@ -614,6 +618,15 @@ impl<S: BallotStore> HonestCore<S> {
     /// them as the `vc.corrupt_slots` counter.
     pub fn take_corrupt_slots(&mut self) -> Vec<&'static str> {
         std::mem::take(&mut self.corrupt_slots)
+    }
+
+    /// How many rounds this node's vote-set consensus took — the round it
+    /// decided in, counted from one — once, on the step that decided it.
+    /// Drivers export it as the `vc.consensus.rounds` histogram: with one
+    /// coin per (round, slot), a batch of `n` slots takes about
+    /// `log₂ n + 1` rounds.
+    pub fn take_decided_round(&mut self) -> Option<u32> {
+        self.decided_round.take()
     }
 
     /// The slot an ENDORSEMENT of `code` from VC node `sender` would add
@@ -1438,7 +1451,12 @@ impl<S: BallotStore> HonestCore<S> {
             self.multicast(Msg::Consensus(m));
         }
         if self.decision.is_none() {
-            if let Some(decision) = self.consensus.as_ref().and_then(|b| b.decision()) {
+            let decided = self
+                .consensus
+                .as_ref()
+                .and_then(|b| Some((b.decision()?, b.round())));
+            if let Some((decision, rounds)) = decided {
+                self.decided_round = Some(rounds);
                 self.decision = Some(decision);
                 self.begin_recover();
             }

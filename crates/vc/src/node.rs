@@ -293,6 +293,10 @@ impl<S: BallotStore> VcDriver<S> {
         for what in self.core.take_corrupt_slots() {
             self.recorder.add("vc.corrupt_slots", what, 1);
         }
+        if let Some(round) = self.core.take_decided_round() {
+            self.recorder
+                .observe("vc.consensus.rounds", "", u64::from(round));
+        }
         if let Some((preset, acts)) = self.core.take_adversary_acts() {
             self.recorder.add(acts_name, &format!("{preset:?}"), acts);
         }

@@ -75,6 +75,22 @@ fn stage_ledger(report: &ElectionReport, name: &str, stages: &[&str]) -> bool {
     live
 }
 
+/// Prints how many rounds vote-set consensus took on the collectors
+/// (`vc.consensus.rounds`, one sample per collector that decided): a
+/// batch of `n` slots takes about `log₂ n + 1` rounds.
+fn consensus_rounds(report: &ElectionReport) {
+    let key = ddemos_obs::metric_key("vc.consensus.rounds", "consensus", "");
+    match report.metrics.hists.get(&key) {
+        Some(h) => println!(
+            "vc.consensus.rounds: {} collectors decided after {}–{} rounds",
+            h.count(),
+            h.min_ns(),
+            h.max_ns()
+        ),
+        None => println!("vc.consensus.rounds: no collector decided"),
+    }
+}
+
 /// Prints the spread of the `bb.step_ns` trustee-post samples, then
 /// their stages, and reports whether every stage recorded a sample (a
 /// stage without one in a profiled election is a dead signal). Each of
@@ -439,11 +455,13 @@ fn main() {
         ddemos_crypto::curve::backend()
     );
     println!(
-        "phases: consensus {:?}, push+tally {:?}, publish {:?}\n",
+        "phases: consensus {:?}, push+tally {:?}, publish {:?}",
         report.timings.vote_set_consensus,
         report.timings.push_to_bb_and_tally,
         report.timings.publish_result
     );
+    consensus_rounds(&report);
+    println!();
     print!("{}", report.metrics.profile_table("vc.step_ns", top));
     if wall {
         println!();
