@@ -369,7 +369,7 @@ fn bench_hash_aes(c: &mut Criterion) {
     let mut states = [[0x6a09_e667u32; 8]; sha256::LANES];
     let blocks = [block; sha256::LANES];
     sha256::compress_lanes(&mut states, &blocks);
-    if sha256::backend().ends_with("avx512") {
+    if sha256::lanes_vectorized() {
         let mut one_by_one = states;
         ratio_gate(
             &format!("sha256 {} compressions one by one / lanes", sha256::LANES),
@@ -407,17 +407,21 @@ fn bench_hash_aes(c: &mut Criterion) {
     c.bench_function(&on_sha("hmac/mac one block"), |b| {
         b.iter(|| key.mac(&[b"stream", b"rng", std::hint::black_box(&[7u8; 12])]))
     });
-    // One 32-byte block of a `PrfRng` stream — an HMAC under a held key,
-    // past block 1 sixteen blocks a refill. The stream starts past its
-    // two singly hashed blocks, so `--test`'s one timed draw is a draw of
-    // the long stream the row stands for.
+    // A refill's worth of a `PrfRng` stream: its next LANES 32-byte
+    // blocks, each an HMAC under a held key. The stream starts past its
+    // singly hashed blocks, and every call reads exactly one refill (on
+    // vector lanes one `mac_blocks` pass, else LANES single MACs), so
+    // `--test`'s one timed call and a measured run's average time the
+    // same work.
+    let single = 32 * PrfRng::LOOKAHEAD_FROM as usize;
     let mut stream = PrfRng::new(&Prf::new([3u8; 32]), b"bench");
-    stream.fill_bytes(&mut [0u8; 96]);
-    c.bench_function(&on_sha("hmac/prf draw"), |b| {
+    let mut refill = [0u8; 32 * sha256::LANES];
+    stream.fill_bytes(&mut vec![0u8; single]);
+    stream.fill_bytes(&mut refill);
+    c.bench_function(&on_sha(&format!("hmac/prf draw x{}", sha256::LANES)), |b| {
         b.iter(|| {
-            let mut block = [0u8; 32];
-            stream.fill_bytes(&mut block);
-            block
+            stream.fill_bytes(&mut refill);
+            refill[0]
         })
     });
     let key = [1u8; 16];
@@ -523,24 +527,27 @@ fn bench_sharing(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
-    // One trustee sharing of EA set-up: two coefficients drawn from a
-    // `PrfRng` stream, five shares by forward differences into a flat
-    // buffer.
+    // Trustee sharings of EA set-up (`shamir::share_into`, as the walk
+    // calls it): two coefficients drawn from a `PrfRng` stream, five
+    // shares by forward differences into a flat buffer. A call is the
+    // LANES / 2 sharings one refill of the stream feeds, past the singly
+    // hashed blocks as for `hmac/prf draw`, so `--test`'s one timed call
+    // hashes too.
+    let per_refill = sha256::LANES / 2;
     let mut stream = PrfRng::new(&Prf::new([4u8; 32]), b"bench");
-    // Past the singly hashed blocks and one refill, as for `hmac/prf draw`:
-    // `--test`'s one timed sharing reads inside the refilled window.
-    stream.fill_bytes(&mut [0u8; 96]);
+    stream.fill_bytes(&mut vec![0u8; 32 * PrfRng::LOOKAHEAD_FROM as usize]);
     let (mut coeffs, mut values) = ([Scalar::ZERO; 3], [Scalar::ZERO; 5]);
-    c.bench_function(&on_sha("shamir/share 3-of-5 (PrfRng draws)"), |b| {
-        b.iter(|| {
-            coeffs[0] = secret;
-            for c in &mut coeffs[1..] {
-                *c = Scalar::random(&mut stream);
-            }
-            shamir::share_values(&mut coeffs, &mut values);
-            values[4]
-        })
-    });
+    let mut sharings = || {
+        for _ in 0..per_refill {
+            shamir::share_into(secret, &mut stream, &mut coeffs, &mut values);
+        }
+        values[4]
+    };
+    sharings();
+    c.bench_function(
+        &on_sha(&format!("shamir/share 3-of-5 x{per_refill} (PrfRng draws)")),
+        |b| b.iter(&mut sharings),
+    );
     let shares = shamir::split(secret, 3, 4, &mut rng).unwrap();
     c.bench_function("shamir/reconstruct 3-of-4", |b| {
         b.iter(|| shamir::reconstruct(std::hint::black_box(&shares[..3]), 3).unwrap())

@@ -169,12 +169,16 @@ struct Path {
     name: &'static str,
     compress: fn(&mut [u32; 8], &[[u8; 64]]),
     lanes: fn(&mut [[u32; 8]; LANES], &[[u8; 64]; LANES]),
+    /// Whether `lanes` is one vector pass rather than the lanes one by
+    /// one.
+    vector_lanes: bool,
 }
 
 const PORTABLE_PATH: Path = Path {
     name: "portable",
     compress: compress_portable,
     lanes: compress_lanes_each,
+    vector_lanes: false,
 };
 
 /// The paths this process picked on its first call: the SHA extensions
@@ -210,6 +214,7 @@ fn detect() -> Path {
                 } else {
                     compress_lanes_each
                 },
+                vector_lanes: lanes,
             };
         }
     }
@@ -241,6 +246,13 @@ pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
 /// [`compress`].
 pub fn compress_lanes(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
     (path().lanes)(states, blocks)
+}
+
+/// Whether [`compress_lanes`] runs its lanes as one vector pass. Where it
+/// does not, a pass costs [`LANES`] single compressions, so hashing
+/// blocks ahead of need saves nothing.
+pub fn lanes_vectorized() -> bool {
+    path().vector_lanes
 }
 
 fn compress_lanes_each(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {

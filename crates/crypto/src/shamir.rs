@@ -60,11 +60,8 @@ impl Polynomial {
         if k == 0 {
             return Err(ShareError::BadThreshold);
         }
-        let mut coeffs = Vec::with_capacity(k);
-        coeffs.push(secret);
-        for _ in 1..k {
-            coeffs.push(Scalar::random(rng));
-        }
+        let mut coeffs = vec![Scalar::ZERO; k];
+        draw_coeffs(secret, rng, &mut coeffs);
         Ok(Polynomial { coeffs })
     }
 
@@ -91,6 +88,33 @@ impl Polynomial {
             .map(|(index, value)| Share { index, value })
             .collect()
     }
+}
+
+/// Fills `coeffs` with a random polynomial of degree `coeffs.len() − 1`
+/// whose constant term is `secret`: `secret`, then one [`Scalar::random`]
+/// draw from `rng` a further coefficient, in order.
+fn draw_coeffs<R: rand::RngCore + ?Sized>(secret: Scalar, rng: &mut R, coeffs: &mut [Scalar]) {
+    if let Some((constant, rest)) = coeffs.split_first_mut() {
+        *constant = secret;
+        for c in rest {
+            *c = Scalar::random(rng);
+        }
+    }
+}
+
+/// One sharing of `secret` with threshold `coeffs.len()` into `out`, the
+/// values of parties `1..=out.len()` in order, allocating nothing: the
+/// coefficients are drawn as [`Polynomial::random`] draws them, into
+/// `coeffs`, which then holds the polynomial while it is evaluated
+/// ([`share_values`]). Empty `coeffs` draws nothing and shares zero.
+pub fn share_into<R: rand::RngCore + ?Sized>(
+    secret: Scalar,
+    rng: &mut R,
+    coeffs: &mut [Scalar],
+    out: &mut [Scalar],
+) {
+    draw_coeffs(secret, rng, coeffs);
+    share_values(coeffs, out);
 }
 
 /// Writes `f(1), …, f(out.len())` into `out`, where `f` is the polynomial
@@ -448,7 +472,7 @@ mod tests {
 
         /// Forward-difference shares are Horner's at every point, for
         /// every degree up to 7 and up to 40 parties (fewer parties than
-        /// coefficients too).
+        /// coefficients too); `shares` and `share_into` give the same values.
         #[test]
         fn prop_share_values_equal_eval(seed in any::<u64>(), k in 1usize..9, n in 0usize..41) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -461,7 +485,13 @@ mod tests {
             }
             let shares = poly.shares(n);
             prop_assert!(shares.iter().zip(1..).all(|(s, i)| s.index == i));
-            prop_assert!(shares.iter().map(|s| s.value).eq(values));
+            prop_assert!(shares.iter().map(|s| s.value).eq(values.iter().copied()));
+            // `share_into` draws the same polynomial from the same stream.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let secret = Scalar::random(&mut rng);
+            let (mut coeffs, mut into) = (vec![Scalar::ZERO; k], vec![Scalar::ONE; n]);
+            share_into(secret, &mut rng, &mut coeffs, &mut into);
+            prop_assert_eq!(into, values);
         }
     }
 

@@ -299,17 +299,6 @@ impl ElectionAuthority {
         }
     }
 
-    /// One `(h_t, N_t)` sharing of `secret` drawn from `rng` into `out`,
-    /// the trustees' values in index order; `coeffs` (`h_t` long) holds
-    /// the polynomial while it is evaluated ([`shamir::share_values`]).
-    fn share_into(secret: Scalar, rng: &mut PrfRng, coeffs: &mut [Scalar], out: &mut [Scalar]) {
-        coeffs[0] = secret;
-        for c in &mut coeffs[1..] {
-            *c = Scalar::random(rng);
-        }
-        shamir::share_values(coeffs, out);
-    }
-
     /// The BB rows of one ballot — per shuffled row the commitment to the
     /// unit vector `e_opt`, its OR and sum first moves, the encrypted vote
     /// code — and every trustee's shares of the openings and of the
@@ -356,7 +345,7 @@ impl ElectionAuthority {
                     let secrets = zkp::or_prove_into(pk, bit, &r, &mut rng, &mut batch);
                     let cell = [bit_scalar, r].into_iter().chain(secrets.coefficients());
                     for (secret, out) in cell.zip(shared.chunks_exact_mut(nt)) {
-                        Self::share_into(secret, &mut rng, &mut coeffs, out);
+                        shamir::share_into(secret, &mut rng, &mut coeffs, out);
                     }
                     for (t, acc) in trustee_cts.iter_mut().enumerate() {
                         acc.push(TrusteeCtShares {
@@ -372,7 +361,7 @@ impl ElectionAuthority {
                     .into_iter()
                     .zip(shared.chunks_exact_mut(nt))
                 {
-                    Self::share_into(secret, &mut rng, &mut coeffs, out);
+                    shamir::share_into(secret, &mut rng, &mut coeffs, out);
                 }
                 for (t, acc) in trustee_cts.into_iter().enumerate() {
                     trustee_rows[t][part.index()].push(TrusteeRowShares {
