@@ -4,6 +4,7 @@
 //! round's worth of crypto.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use ddemos_crypto::cpu;
 use ddemos_crypto::curve::{self, FixedBase, Point};
 use ddemos_crypto::elgamal;
 use ddemos_crypto::field::{Fp, Scalar};
@@ -20,16 +21,18 @@ use rand::{RngCore, SeedableRng};
 /// `denom`, both timed here, back to back, on this machine — so the bound
 /// can be tight where an absolute baseline from another machine cannot.
 /// ("A at most 3× B" is B over A with a floor of 1/3.) Runs under
-/// `--test` too (CI's smoke mode); best of nine rounds a side, each
-/// round about five milliseconds of calls (one call, for a routine that
-/// takes longer), the two sides taking turns so that a busy spell on a
-/// shared host slows both or neither.
+/// `--test` too (CI's smoke mode). It decides on the median ratio of nine
+/// A/B pairs, each side about five milliseconds of calls (one call, for a
+/// routine that takes longer): the two sides of a pair run back to back,
+/// so that a busy spell on a shared host slows both or neither, and one
+/// disturbed pair cannot decide.
 fn ratio_gate<A, B>(
     what: &str,
     mut numer: impl FnMut() -> A,
     mut denom: impl FnMut() -> B,
     min_ratio: f64,
 ) {
+    const PAIRS: usize = 9;
     fn calibrate<O>(routine: &mut impl FnMut() -> O) -> u32 {
         let t0 = std::time::Instant::now();
         std::hint::black_box(routine());
@@ -43,15 +46,28 @@ fn ratio_gate<A, B>(
         }
         t0.elapsed().as_nanos() as f64 / f64::from(iters)
     }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
     let (numer_iters, denom_iters) = (calibrate(&mut numer), calibrate(&mut denom));
-    let (mut numer_ns, mut denom_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..9 {
-        numer_ns = numer_ns.min(round_ns(&mut numer, numer_iters));
-        denom_ns = denom_ns.min(round_ns(&mut denom, denom_iters));
-    }
-    let ratio = numer_ns / denom_ns.max(f64::MIN_POSITIVE);
+    let pairs: Vec<(f64, f64)> = (0..PAIRS)
+        .map(|_| {
+            let numer_ns = round_ns(&mut numer, numer_iters);
+            (numer_ns, round_ns(&mut denom, denom_iters))
+        })
+        .collect();
+    let mut ratios: Vec<f64> = pairs
+        .iter()
+        .map(|(n, d)| n / d.max(f64::MIN_POSITIVE))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let (lo, ratio, hi) = (ratios[0], ratios[PAIRS / 2], ratios[PAIRS - 1]);
     println!(
-        "ratio gate: {what}: {numer_ns:.0} ns / {denom_ns:.0} ns = {ratio:.2}x (floor {min_ratio:.2}x)"
+        "ratio gate: {what}: {:.0} ns / {:.0} ns, median of {PAIRS} pairs {ratio:.2}x \
+         (range {lo:.2}x–{hi:.2}x, floor {min_ratio:.2}x)",
+        median(pairs.iter().map(|p| p.0).collect()),
+        median(pairs.iter().map(|p| p.1).collect()),
     );
     assert!(
         ratio >= min_ratio,
@@ -59,19 +75,14 @@ fn ratio_gate<A, B>(
     );
 }
 
-/// `id` for a row whose kernel runs through the batch-affine reducer,
-/// tagged with the field arithmetic it ran on (`curve::backend()`), so
-/// that `scripts/bench_check.sh` compares it only with a baseline taken on
-/// the same one: on the other it is a new row (the two differ 2–3×).
-fn on_backend(id: &str) -> String {
-    format!("{id} [{}]", curve::backend())
-}
-
-/// `id` for a row whose kernel runs on the SHA-256 compression, tagged
-/// with the paths this CPU dispatches to (`sha256::backend()`, e.g.
-/// `sha-ni+avx512` or `portable`), for the same reason as [`on_backend`].
-fn on_sha(id: &str) -> String {
-    format!("{id} [{}]", sha256::backend())
+/// `id` for a row whose kernel runs on a dispatched kernel (the
+/// batch-affine reducer, the SHA-256 compression), tagged with the
+/// kernels this process runs (`cpu::backend()`, e.g.
+/// `sha-ni+avx512bw+avx512ifma` or `portable`), so that
+/// `scripts/bench_check.sh` compares it only with a baseline taken on the
+/// same ones: on others it is a new row (they differ 2–5×).
+fn tagged(id: &str) -> String {
+    format!("{id} [{}]", cpu::backend())
 }
 
 /// Hands out the scalars of a slice in turn. A comb multiplication is
@@ -120,12 +131,12 @@ fn bench_kernels(c: &mut Criterion) {
             .zip(&points[..n])
             .fold(Point::IDENTITY, |acc, (k, p)| acc.add(&p.mul(k)))
     };
-    c.bench_function(&on_backend("kernel/msm 64 (pippenger)"), |b| {
+    c.bench_function(&tagged("kernel/msm 64 (pippenger)"), |b| {
         b.iter(|| Point::msm(std::hint::black_box(&scalars[..64]), &points[..64]))
     });
     c.bench_function("kernel/msm 64 (naive loop)", |b| b.iter(|| naive(64)));
     for n in [512, 8192] {
-        c.bench_function(&on_backend(&format!("kernel/msm {n} (pippenger)")), |b| {
+        c.bench_function(&tagged(&format!("kernel/msm {n} (pippenger)")), |b| {
             b.iter(|| Point::msm(std::hint::black_box(&scalars[..n]), &normalised[..n]))
         });
         c.bench_function(&format!("kernel/msm {n} (naive loop)"), |b| {
@@ -155,7 +166,7 @@ fn bench_kernels(c: &mut Criterion) {
     let short: Vec<Scalar> = (0..8192)
         .map(|_| Scalar::from_u128(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())))
         .collect();
-    c.bench_function(&on_backend("kernel/msm 8192 (128-bit scalars)"), |b| {
+    c.bench_function(&tagged("kernel/msm 8192 (128-bit scalars)"), |b| {
         b.iter(|| Point::msm(std::hint::black_box(&short), &normalised))
     });
     ratio_gate(
@@ -173,14 +184,13 @@ fn bench_kernels(c: &mut Criterion) {
         .enumerate()
         .map(|(i, (full, weight))| if i % 9 < 2 { *full } else { *weight })
         .collect();
-    c.bench_function(&on_backend("kernel/msm 8192 (publication mix)"), |b| {
+    c.bench_function(&tagged("kernel/msm 8192 (publication mix)"), |b| {
         b.iter(|| Point::msm(std::hint::black_box(&publication), &normalised))
     });
     // The batch-affine reducer alone, 4096 points in slots of 8 (a
     // bucket's load), on either field arithmetic; the dispatched one is
-    // `curve::backend()`'s, the portable one on a CPU without AVX-512
-    // IFMA.
-    println!("reducer backend: {}", curve::backend());
+    // the portable one without AVX-512 IFMA.
+    println!("kernels: {}", cpu::backend());
     let head = &normalised[..4096];
     let reduce =
         |portable: bool| move || curve::reduce_slots(std::hint::black_box(head), 8, portable);
@@ -188,13 +198,13 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(reduce(true))
     });
     c.bench_function(
-        &on_backend("kernel/reducer 4096 in slots of 8 (dispatched)"),
+        &tagged("kernel/reducer 4096 in slots of 8 (dispatched)"),
         |b| b.iter(reduce(false)),
     );
     // Where the vector backend runs it must not lose to the portable
     // path (the two are the same code, and the gate is skipped, on a CPU
     // without it).
-    if curve::backend() == "portable" {
+    if !cpu::runs("avx512ifma") {
         println!("ratio gate: reducer portable / dispatched: skipped (no AVX-512 IFMA)");
     } else {
         assert_eq!(
@@ -254,10 +264,9 @@ fn bench_kernels(c: &mut Criterion) {
     });
     // The batched comb: the same multiplications in lockstep, affine out.
     for n in [64, 512] {
-        c.bench_function(
-            &on_backend(&format!("kernel/fixed_base mul_many {n}")),
-            |b| b.iter(|| table.mul_many(std::hint::black_box(&ks[..n]))),
-        );
+        c.bench_function(&tagged(&format!("kernel/fixed_base mul_many {n}")), |b| {
+            b.iter(|| table.mul_many(std::hint::black_box(&ks[..n])))
+        });
     }
     c.bench_function("kernel/fixed_base build", |b| {
         b.iter(|| FixedBase::new(std::hint::black_box(&base)))
@@ -315,9 +324,6 @@ fn bench_field(c: &mut Criterion) {
 
 fn bench_hash_aes(c: &mut Criterion) {
     let data = vec![7u8; 1024];
-    // The compression picks its path on the first call of the process;
-    // make that call here, not inside `--test`'s single timed run.
-    sha256(&data);
     c.bench_function("sha256/1KiB", |b| {
         b.iter(|| sha256(std::hint::black_box(&data)))
     });
@@ -341,7 +347,7 @@ fn bench_hash_aes(c: &mut Criterion) {
     sha256::compress(&mut a, std::slice::from_ref(&block));
     sha256::compress_portable(&mut b, std::slice::from_ref(&block));
     assert_eq!(a, b);
-    if sha256::backend().starts_with("sha-ni") {
+    if cpu::runs("sha-ni") {
         ratio_gate(
             "sha256 compress portable / dispatched",
             || {
@@ -363,13 +369,11 @@ fn bench_hash_aes(c: &mut Criterion) {
     // Where the lanes run on AVX-512 they must beat the same blocks one
     // by one on the dispatched compression (a detection that stops
     // finding the features falls back to exactly that); elsewhere the
-    // two are the same code. The gate's rounds also keep the first calls'
-    // cold start (on AVX-512, the vector units' power-up) out of the
-    // row's one timed run under `--test`.
+    // two are the same code.
     let mut states = [[0x6a09_e667u32; 8]; sha256::LANES];
     let blocks = [block; sha256::LANES];
     sha256::compress_lanes(&mut states, &blocks);
-    if sha256::lanes_vectorized() {
+    if cpu::runs("avx512bw") {
         let mut one_by_one = states;
         ratio_gate(
             &format!("sha256 {} compressions one by one / lanes", sha256::LANES),
@@ -390,7 +394,7 @@ fn bench_hash_aes(c: &mut Criterion) {
     // AVX-512 one word-sliced compression of sixteen chains): what a
     // `PrfRng` past its second block computes a refill at a time.
     c.bench_function(
-        &on_sha(&format!("sha256/compress x{} (lanes)", sha256::LANES)),
+        &tagged(&format!("sha256/compress x{} (lanes)", sha256::LANES)),
         |b| {
             b.iter(|| {
                 sha256::compress_lanes(&mut states, std::hint::black_box(&blocks));
@@ -401,24 +405,20 @@ fn bench_hash_aes(c: &mut Criterion) {
     // An HMAC of a message of at most 55 bytes under a held key: two
     // compressions from the pads' midstates, no buffering hasher.
     let key = HmacKey::new(&[3u8; 32]);
-    for _ in 0..64 {
-        std::hint::black_box(key.mac(&[b"warm"]));
-    }
-    c.bench_function(&on_sha("hmac/mac one block"), |b| {
+    c.bench_function(&tagged("hmac/mac one block"), |b| {
         b.iter(|| key.mac(&[b"stream", b"rng", std::hint::black_box(&[7u8; 12])]))
     });
     // A refill's worth of a `PrfRng` stream: its next LANES 32-byte
     // blocks, each an HMAC under a held key. The stream starts past its
     // singly hashed blocks, and every call reads exactly one refill (on
     // vector lanes one `mac_blocks` pass, else LANES single MACs), so
-    // `--test`'s one timed call and a measured run's average time the
-    // same work.
+    // every call times the same work.
     let single = 32 * PrfRng::LOOKAHEAD_FROM as usize;
     let mut stream = PrfRng::new(&Prf::new([3u8; 32]), b"bench");
     let mut refill = [0u8; 32 * sha256::LANES];
     stream.fill_bytes(&mut vec![0u8; single]);
     stream.fill_bytes(&mut refill);
-    c.bench_function(&on_sha(&format!("hmac/prf draw x{}", sha256::LANES)), |b| {
+    c.bench_function(&tagged(&format!("hmac/prf draw x{}", sha256::LANES)), |b| {
         b.iter(|| {
             stream.fill_bytes(&mut refill);
             refill[0]
@@ -457,7 +457,7 @@ fn bench_schnorr(c: &mut Criterion) {
             (sk.verifying_key(), m.as_slice(), sk.sign(m))
         })
         .collect();
-    c.bench_function(&on_backend("kernel/schnorr_verify_batch 64"), |b| {
+    c.bench_function(&tagged("kernel/schnorr_verify_batch 64"), |b| {
         b.iter(|| ddemos_crypto::schnorr::verify_batch(std::hint::black_box(&entries)))
     });
     c.bench_function("kernel/schnorr_verify_scalar 64", |b| {
@@ -489,7 +489,7 @@ fn bench_schnorr(c: &mut Criterion) {
         .collect();
     assert_eq!(mv.check_batch(&burst), vec![true; 16]);
     c.bench_function(
-        &on_backend("kernel/mverify burst 4×VOTE_P (3 UCERT sigs shared)"),
+        &tagged("kernel/mverify burst 4×VOTE_P (3 UCERT sigs shared)"),
         |b| b.iter(|| mv.check_batch(std::hint::black_box(&burst))),
     );
     // Bursts of distinct fresh signatures from the four prepared keys,
@@ -508,18 +508,15 @@ fn bench_schnorr(c: &mut Criterion) {
             })
             .collect();
         assert_eq!(mv.check_batch(&fresh), vec![true; n]);
-        c.bench_function(
-            &on_backend(&format!("kernel/mverify burst {n} fresh")),
-            |b| b.iter(|| mv.check_batch(std::hint::black_box(&fresh))),
-        );
+        c.bench_function(&tagged(&format!("kernel/mverify burst {n} fresh")), |b| {
+            b.iter(|| mv.check_batch(std::hint::black_box(&fresh)))
+        });
     }
 }
 
 fn bench_sharing(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let secret = Scalar::random(&mut rng);
-    // The first call's cold start stays out of `--test`'s one timed run.
-    shamir::split(secret, 3, 4, &mut StdRng::seed_from_u64(4)).unwrap();
     c.bench_function("shamir/split 3-of-4", |b| {
         b.iter_batched(
             || StdRng::seed_from_u64(4),
@@ -531,8 +528,8 @@ fn bench_sharing(c: &mut Criterion) {
     // calls it): two coefficients drawn from a `PrfRng` stream, five
     // shares by forward differences into a flat buffer. A call is the
     // LANES / 2 sharings one refill of the stream feeds, past the singly
-    // hashed blocks as for `hmac/prf draw`, so `--test`'s one timed call
-    // hashes too.
+    // hashed blocks as for `hmac/prf draw`, so every call hashes one
+    // refill.
     let per_refill = sha256::LANES / 2;
     let mut stream = PrfRng::new(&Prf::new([4u8; 32]), b"bench");
     stream.fill_bytes(&mut vec![0u8; 32 * PrfRng::LOOKAHEAD_FROM as usize]);
@@ -543,9 +540,8 @@ fn bench_sharing(c: &mut Criterion) {
         }
         values[4]
     };
-    sharings();
     c.bench_function(
-        &on_sha(&format!("shamir/share 3-of-5 x{per_refill} (PrfRng draws)")),
+        &tagged(&format!("shamir/share 3-of-5 x{per_refill} (PrfRng draws)")),
         |b| b.iter(&mut sharings),
     );
     let shares = shamir::split(secret, 3, 4, &mut rng).unwrap();
@@ -619,10 +615,9 @@ fn bench_zkp(c: &mut Criterion) {
         })
         .collect();
     assert!(elgamal::batch_verify_openings(&pk, &claims));
-    c.bench_function(
-        &on_backend("kernel/batch_verify_openings 2048 claims"),
-        |b| b.iter(|| elgamal::batch_verify_openings(&pk, std::hint::black_box(&claims))),
-    );
+    c.bench_function(&tagged("kernel/batch_verify_openings 2048 claims"), |b| {
+        b.iter(|| elgamal::batch_verify_openings(&pk, std::hint::black_box(&claims)))
+    });
 }
 
 /// A proven row of `m` ciphertexts as the board holds it: ciphertexts, OR
@@ -682,7 +677,7 @@ fn bench_rows(
         })
     };
     assert!(zkp::verify_rows(pk, &proofs) && per_proof(&proofs));
-    c.bench_function(&on_backend("kernel/verify_rows_batch m=5 186 rows"), |b| {
+    c.bench_function(&tagged("kernel/verify_rows_batch m=5 186 rows"), |b| {
         b.iter(|| zkp::verify_rows(pk, std::hint::black_box(&proofs)))
     });
     // Over the first 48 rows, to keep the smoke run short: one MSM a batch

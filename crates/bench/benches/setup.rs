@@ -13,7 +13,7 @@
 //! both; the quartiles are printed beside it. One more single-thread run
 //! of each full case, with the profiling hook on, prints EA set-up's
 //! stage split (`ea.setup_ns`: `vc_rows` / `walk` / `multiply` /
-//! `assemble`), tagged with the SHA-256 and field backends the walk and
+//! `assemble`), tagged with the kernels (`cpu::backend()`) the walk and
 //! the multiplications ran on.
 //!
 //! `--test` (as passed by `cargo bench -- --test`) smoke-runs a 50-ballot
@@ -79,9 +79,8 @@ fn main() {
         thread_counts.push(hw_threads);
     }
     println!(
-        "EA setup, Nv=4, Nt=3, ht=2 (hardware threads: {hw_threads}; sha256 {}, field arithmetic {})",
-        ddemos_crypto::sha256::backend(),
-        ddemos_crypto::curve::backend()
+        "EA setup, Nv=4, Nt=3, ht=2 (hardware threads: {hw_threads}; kernels {})",
+        ddemos_crypto::cpu::backend()
     );
     let cases = [
         ("setup/ea", SetupProfile::VcOnly, 2, ballots),

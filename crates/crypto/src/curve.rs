@@ -13,12 +13,14 @@
 //! peer's signature key, one a peer per replica; 5-bit (52 KiB) for any
 //! other base. Both kernels halve their slots with one reducer
 //! (`SlotReducer`), all the pairs of a round sharing one inversion, on
-//! the field arithmetic [`backend`] names.
+//! the field arithmetic [`crate::cpu`] picked for this process.
 
+use crate::cpu;
 use crate::field::{Fp, Scalar};
 
-#[cfg(target_arch = "x86_64")]
-mod ifma;
+cpu::vector! {
+    pub(crate) mod ifma;
+}
 
 /// Curve coefficient `b` in `y² = x³ + b`.
 fn curve_b() -> Fp {
@@ -542,8 +544,8 @@ const GROUP_POINTS: usize = 1 << 12;
 /// [`msm_plan`] weighs: the formulas of [`Point::double`], [`Point::add`],
 /// [`Point::add_affine`], [`Fp::invert`]'s addition chain (255 S + 15 M),
 /// and one point's part of [`Point::batch_normalize`] (share of the
-/// inversion included). The reducer's own addition is its backend's
-/// ([`Backend::cost_affine`]).
+/// inversion included). The reducer's own addition is its field
+/// arithmetic's (`cpu::Kernels::cost_affine`).
 const COST_DOUBLE: usize = 7;
 const COST_ADD: usize = 16;
 const COST_MIXED: usize = 11;
@@ -566,7 +568,7 @@ const fn signed_windows(w: usize) -> usize {
 fn msm_plan(n: usize) -> MsmPlan {
     // 4-bit fixed window: its table, 252 doublings, ~60 additions.
     const LADDER: usize = 14 * COST_ADD + 252 * COST_DOUBLE + 60 * COST_ADD;
-    let affine = Backend::detected().cost_affine();
+    let affine = cpu::kernels().cost_affine;
     let mut best = (n * LADDER, MsmPlan::Ladders);
     for w in 2..=14usize {
         let windows = signed_windows(w);
@@ -625,82 +627,35 @@ fn booth_digit(k: &[u64; 4], win: usize, w: usize) -> i16 {
     }
 }
 
-/// The field arithmetic under [`SlotReducer`]'s pair additions, picked
-/// once per process from the CPU's features. Both give the same points.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Backend {
-    /// [`Fp`], a pair at a time: every CPU, and the other's oracle.
-    Portable,
-    /// Eight pairs at a time in radix 2⁵² on AVX-512 IFMA (`ifma`).
-    #[cfg(target_arch = "x86_64")]
-    Ifma,
-}
-
-impl Backend {
-    fn detected() -> Backend {
-        static DETECTED: std::sync::OnceLock<Backend> = std::sync::OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            #[cfg(target_arch = "x86_64")]
-            if ifma::detected() {
-                return Backend::Ifma;
-            }
-            Backend::Portable
-        })
-    }
-
-    /// [`Affine::add_with_inverse`] with its share of a batch inversion:
-    /// 2M + 1S + 3M on [`Fp`]. Eight lanes at a time a pair costs about a
-    /// quarter of that, denominator included; 2 is the price under which
-    /// [`msm_plan`]'s window is within 3 % of the fastest at every size
-    /// measured (DESIGN.md §4.2).
-    fn cost_affine(self) -> usize {
-        match self {
-            Backend::Portable => 6,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Ifma => 2,
-        }
-    }
-
-    /// A bucket reduction round pays for its inversion only while it
-    /// halves enough buckets: each pair costs an affine addition there
-    /// instead of a mixed one in the running-sum chain. Below this many
-    /// pairs the chain takes the buckets as they stand.
-    fn round_min_pairs(self) -> usize {
-        COST_INVERT / (COST_MIXED - self.cost_affine())
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Portable => "portable",
-            #[cfg(target_arch = "x86_64")]
-            Backend::Ifma => "avx512ifma",
-        }
-    }
-}
-
-/// The field arithmetic the batch-affine reducer under [`Point::msm`],
-/// every batch verifier and [`CombBatch`] runs on this CPU: `avx512ifma`
-/// or `portable`. Timings taken on one are not comparable with the
-/// other's.
-pub fn backend() -> &'static str {
-    Backend::detected().name()
+/// A bucket reduction round pays for its inversion only while it halves
+/// enough buckets: each pair costs an affine addition there instead of a
+/// mixed one in the running-sum chain. Below this many pairs the chain
+/// takes the buckets as they stand.
+fn round_min_pairs() -> usize {
+    COST_INVERT / (COST_MIXED - cpu::kernels().cost_affine)
 }
 
 /// The pairwise batch-affine reduction under both kernels — the buckets
 /// of [`bucket_sum`] and the outputs of [`CombBatch`] — with the scratch
 /// of a round (its slope denominators and their prefix products, or on
-/// the vector backend each lane's suffix products), kept so that a
-/// caller reducing buffer after buffer allocates once.
+/// the vector field arithmetic each lane's suffix products), kept so that
+/// a caller reducing buffer after buffer allocates once.
 struct SlotReducer {
-    backend: Backend,
+    round: HalveRound,
     denominators: Vec<Fp>,
     prefix: Vec<Fp>,
 }
 
+/// One round of [`SlotReducer::halve`]'s pair additions, `points`,
+/// `starts` and `lens` as there, the last two arguments scratch:
+/// [`add_pairs`] on [`Fp`], or the vector kernel this process runs
+/// (`cpu::Kernels::halve_round`).
+pub(crate) type HalveRound = fn(&mut [Affine], &[u32], &[u32], &mut Vec<Fp>, &mut Vec<Fp>);
+
 impl SlotReducer {
-    fn new(backend: Backend) -> SlotReducer {
+    fn new(round: HalveRound) -> SlotReducer {
         SlotReducer {
-            backend,
+            round,
             denominators: Vec::new(),
             prefix: Vec::new(),
         }
@@ -726,17 +681,13 @@ impl SlotReducer {
             if lens.iter().all(|&len| len < 2) || !round_pays(lens) {
                 return;
             }
-            match self.backend {
-                #[cfg(target_arch = "x86_64")]
-                Backend::Ifma => ifma::halve_round(
-                    points,
-                    starts,
-                    lens,
-                    &mut self.denominators,
-                    &mut self.prefix,
-                ),
-                Backend::Portable => self.add_pairs(points, starts, lens),
-            }
+            (self.round)(
+                points,
+                starts,
+                lens,
+                &mut self.denominators,
+                &mut self.prefix,
+            );
             for (&start, len) in starts.iter().zip(lens.iter_mut()) {
                 let slot = &mut points[start as usize..][..*len as usize];
                 if slot.len() % 2 == 1 {
@@ -746,36 +697,44 @@ impl SlotReducer {
             }
         }
     }
+}
 
-    /// A round's pair additions on [`Fp`]: slot position `j` becomes the
-    /// sum of the slot's points `2j` and `2j + 1` (the odd point is the
-    /// caller's to move).
-    fn add_pairs(&mut self, points: &mut [Affine], starts: &[u32], lens: &[u32]) {
-        self.denominators.clear();
-        for (&start, &len) in starts.iter().zip(lens) {
-            let slot = &points[start as usize..][..len as usize];
-            self.denominators.extend(
-                slot.chunks_exact(2)
-                    .map(|pair| pair[0].slope_denominator(&pair[1])),
-            );
-        }
-        Fp::batch_invert_with(&mut self.denominators, &mut self.prefix);
-        let mut inverses = self.denominators.iter();
-        for (&start, &len) in starts.iter().zip(lens) {
-            let slot = &mut points[start as usize..][..len as usize];
-            for j in 0..slot.len() / 2 {
-                let inverse = *inverses.next().expect("one denominator per pair");
-                slot[j] = slot[2 * j].add_with_inverse(&slot[2 * j + 1], inverse);
-            }
+/// A round's pair additions on [`Fp`], the portable field arithmetic of
+/// [`SlotReducer`]: slot position `j` becomes the sum of the slot's points
+/// `2j` and `2j + 1` (the odd point is the caller's to move), every
+/// denominator inverted by one batch inversion over `denominators` and
+/// `prefix`.
+pub(crate) fn add_pairs(
+    points: &mut [Affine],
+    starts: &[u32],
+    lens: &[u32],
+    denominators: &mut Vec<Fp>,
+    prefix: &mut Vec<Fp>,
+) {
+    denominators.clear();
+    for (&start, &len) in starts.iter().zip(lens) {
+        let slot = &points[start as usize..][..len as usize];
+        denominators.extend(
+            slot.chunks_exact(2)
+                .map(|pair| pair[0].slope_denominator(&pair[1])),
+        );
+    }
+    Fp::batch_invert_with(denominators, prefix);
+    let mut inverses = denominators.iter();
+    for (&start, &len) in starts.iter().zip(lens) {
+        let slot = &mut points[start as usize..][..len as usize];
+        for j in 0..slot.len() / 2 {
+            let inverse = *inverses.next().expect("one denominator per pair");
+            slot[j] = slot[2 * j].add_with_inverse(&slot[2 * j + 1], inverse);
         }
     }
 }
 
 /// Sums each run of `slot` consecutive points of `points` (the last run
 /// may be shorter) by the batch-affine reducer alone, every round run, on
-/// the dispatched field arithmetic ([`backend`]) or, with `portable`, on
-/// [`Fp`]. Public for the micro benchmark's reducer rows; the points
-/// should be normalised (`z = 1`), as the kernels' are.
+/// the field arithmetic this process runs ([`crate::cpu::backend`]) or,
+/// with `portable`, on [`Fp`]. Public for the micro benchmark's reducer
+/// rows; the points should be normalised (`z = 1`), as the kernels' are.
 #[doc(hidden)]
 pub fn reduce_slots(points: &[Point], slot: usize, portable: bool) -> Vec<Point> {
     let mut affine = Point::batch_normalize(points);
@@ -784,12 +743,12 @@ pub fn reduce_slots(points: &[Point], slot: usize, portable: bool) -> Vec<Point>
         .iter()
         .map(|&s| slot.min(affine.len() - s as usize) as u32)
         .collect();
-    let backend = if portable {
-        Backend::Portable
+    let round = if portable {
+        add_pairs
     } else {
-        Backend::detected()
+        cpu::kernels().halve_round
     };
-    SlotReducer::new(backend).halve(&mut affine, &starts, &mut lens, |_| true);
+    SlotReducer::new(round).halve(&mut affine, &starts, &mut lens, |_| true);
     starts
         .iter()
         .zip(&lens)
@@ -848,8 +807,8 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
     let mut starts = vec![0u32; group * buckets];
     let mut lens = vec![0u32; group * buckets];
     let mut sorted = vec![Affine::IDENTITY; group * live];
-    let mut reducer = SlotReducer::new(Backend::detected());
-    let min_pairs = reducer.backend.round_min_pairs();
+    let mut reducer = SlotReducer::new(cpu::kernels().halve_round);
+    let min_pairs = round_min_pairs();
     let mut acc = Point::IDENTITY;
     let mut hi = signed_windows(w);
     while hi > 0 {
@@ -956,7 +915,7 @@ fn chain_cost(lens: &[u32]) -> usize {
 /// batch of one signature check (two terms, ~70 entries) stops at once
 /// and is added as [`FixedBase::mul`] adds; one of two runs one round.
 fn comb_round_pays(lens: &[u32]) -> bool {
-    let affine = Backend::detected().cost_affine();
+    let affine = cpu::kernels().cost_affine;
     let stop = chain_cost(lens);
     let mut lens = lens.to_vec();
     let mut rounds = 0;
@@ -1175,7 +1134,7 @@ impl<'a> CombBatch<'a> {
         // `gathered[starts[i]..][..lens[i]]`.
         let mut starts: Vec<u32> = Vec::new();
         let mut lens: Vec<u32> = Vec::new();
-        let mut reducer = SlotReducer::new(Backend::detected());
+        let mut reducer = SlotReducer::new(cpu::kernels().halve_round);
         let mut sums: Vec<Point> = Vec::new();
         let mut ends = self.ends.iter().peekable();
         let mut term = 0;
@@ -1974,14 +1933,13 @@ mod tests {
 
     /// The dispatched reducer leaves every slot as the portable one does,
     /// point for point, after one round and after all of them, and the
-    /// sums are the slots' sums. On a CPU without AVX-512 IFMA the two are
-    /// the same code, and the test says so.
+    /// sums are the slots' sums. Without AVX-512 IFMA the two are the same
+    /// code, and the test says so.
     #[test]
     fn reducer_backends_agree_on_random_slot_layouts() {
-        let dispatched = Backend::detected();
-        println!("reducer backend: {}", dispatched.name());
-        if dispatched == Backend::Portable {
-            println!("no AVX-512 IFMA on this CPU: the dispatched half of this test did not run");
+        println!("kernels: {}", cpu::backend());
+        if !cpu::runs("avx512ifma") {
+            println!("no AVX-512 IFMA kernel: the dispatched half of this test did not run");
         }
         let mut rng = StdRng::seed_from_u64(47);
         let pool: Vec<Affine> = (0..3)
@@ -1990,18 +1948,18 @@ mod tests {
         for layout in 0..300 {
             let (points, starts, lens) = slot_layout(&mut rng, &pool);
             for rounds in [1, usize::MAX] {
-                let run = |backend: Backend| {
+                let run = |mut reducer: SlotReducer| {
                     let (mut points, mut lens) = (points.clone(), lens.clone());
                     let ran = std::cell::Cell::new(0);
-                    SlotReducer::new(backend).halve(&mut points, &starts, &mut lens, |_| {
+                    reducer.halve(&mut points, &starts, &mut lens, |_| {
                         ran.set(ran.get() + 1);
                         ran.get() <= rounds
                     });
                     (points, lens)
                 };
-                let portable = run(Backend::Portable);
+                let portable = run(SlotReducer::new(add_pairs));
                 assert_eq!(
-                    run(dispatched),
+                    run(SlotReducer::new(cpu::kernels().halve_round)),
                     portable,
                     "layout {layout}, {rounds} round(s)"
                 );

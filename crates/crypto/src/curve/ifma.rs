@@ -17,18 +17,13 @@
 //! the same length, which here holds each lane chain's suffix products.
 //!
 //! The arithmetic is safe Rust on `std::arch` under `#[target_feature]`;
-//! the `unsafe` is the entry call, which a [`detected`] check before it
-//! makes sound, and the unaligned loads and stores of `Fp` and `Affine`
-//! memory.
+//! the `unsafe` is the entry [`halve_round`], which `cpu` calls only
+//! once its probe has found the features, and the unaligned loads and
+//! stores of `Fp` and `Affine` memory.
 
 use super::Affine;
 use crate::field::Fp;
 use std::arch::x86_64::*;
-
-/// Whether this CPU has every feature the backend is built with.
-pub(super) fn detected() -> bool {
-    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
-}
 
 const MASK52: u64 = (1 << 52) - 1;
 const MASK48: u64 = (1 << 48) - 1;
@@ -432,25 +427,12 @@ fn invert_lanes(lanes: [Fp; 8]) -> [Fp; 8] {
 /// One reduction round: for every slot (`points[starts[i]..][..lens[i]]`)
 /// position `j` becomes the sum of the slot's points `2j` and `2j + 1`,
 /// as [`super::SlotReducer::halve`] defines it; the odd point is the
-/// caller's to move. `denominators` and `suffix` are scratch.
-pub(super) fn halve_round(
-    points: &mut [Affine],
-    starts: &[u32],
-    lens: &[u32],
-    denominators: &mut Vec<Fp>,
-    suffix: &mut Vec<Fp>,
-) {
-    // A cached feature read a round: this safe function must not reach
-    // the IFMA code on a CPU without it, whoever calls it.
-    assert!(detected(), "the IFMA backend on a CPU without AVX-512 IFMA");
-    // SAFETY: `detected()` has just found `avx512f` and `avx512ifma` on
-    // this CPU, so every instruction `halve_round_ifma` is compiled with
-    // exists here.
-    unsafe { halve_round_ifma(points, starts, lens, denominators, suffix) }
-}
-
-/// [`halve_round`] proper. Lane `l` of chunk `c` is pair `8c + l`, and
-/// each lane is one batch-inversion chain. A first pass, from the last
+/// caller's to move. `denominators` and `suffix` are scratch. The CPU
+/// running it must have `avx512f` and `avx512ifma` (`cpu` hands it out
+/// only where its probe found them).
+///
+/// Lane `l` of chunk `c` is pair `8c + l`, and each lane is one
+/// batch-inversion chain. A first pass, from the last
 /// chunk down, takes each chunk's slope denominators (`x₂ − x₁`; a lane
 /// with an identity operand or equal `x` by [`Affine::slope_denominator`])
 /// and keeps every lane's product of the denominators after it; one
@@ -461,7 +443,7 @@ pub(super) fn halve_round(
 /// the chains, and its lane is added by [`Affine::add_with_inverse`], as
 /// is a lane with equal `x`.
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn halve_round_ifma(
+pub(crate) fn halve_round(
     points: &mut [Affine],
     starts: &[u32],
     lens: &[u32],
@@ -590,10 +572,10 @@ mod tests {
     /// `op` on eight lanes against [`Fp`] lane by lane; false (checking
     /// nothing) on a CPU without the backend's features.
     fn check(op: Op, a: [Fp; 8], b: [Fp; 8]) -> bool {
-        if !detected() {
+        if !crate::cpu::runs("avx512ifma") {
             return false;
         }
-        // SAFETY: `detected()` found `avx512f` and `avx512ifma`.
+        // SAFETY: the probe found `avx512f` and `avx512ifma`.
         let got = unsafe { apply(op, &a, &b) };
         for l in 0..8 {
             assert_eq!(
@@ -639,7 +621,7 @@ mod tests {
 
     #[test]
     fn every_pair_of_edge_operands_matches_fp() {
-        println!("AVX-512 IFMA detected: {}", detected());
+        println!("kernels: {}", crate::cpu::backend());
         let edges = edges();
         for a in &edges {
             for chunk in edges.chunks(8) {
@@ -661,7 +643,7 @@ mod tests {
     #[test]
     #[allow(clippy::needless_range_loop)]
     fn a_long_chain_of_loose_products_matches_fp() {
-        if !detected() {
+        if !crate::cpu::runs("avx512ifma") {
             println!("no AVX-512 IFMA on this CPU: the 8-lane chain was not checked");
             return;
         }
@@ -678,7 +660,7 @@ mod tests {
         let a: [Fp; 8] =
             std::array::from_fn(|l| Fp::from_u64(3 + l as u64) - Fp::from_u64(1 << 40));
         let b: [Fp; 8] = std::array::from_fn(|l| -Fp::from_u64(7 * l as u64 + 1));
-        // SAFETY: `detected()` found `avx512f` and `avx512ifma`.
+        // SAFETY: the probe found `avx512f` and `avx512ifma`.
         let got = unsafe { chain(&a, &b, 10_000) };
         for l in 0..8 {
             let want = (0..10_000).fold(a[l], |x, _| (x * b[l]).square());

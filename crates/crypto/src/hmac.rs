@@ -193,7 +193,7 @@ impl Prf {
 /// Blocks are hashed when a byte of them is first read: the first
 /// [`PrfRng::LOOKAHEAD_FROM`] one at a time and, where
 /// [`sha256::compress_lanes`] is one vector pass
-/// ([`sha256::lanes_vectorized`]), every later one with the next
+/// (`cpu::Kernels::vector_lanes`), every later one with the next
 /// [`LANES`] − 1 blocks in one pass. A short stream pays for no block it
 /// does not read; a long one waits on each block's compressions only
 /// once per pass. Without vector lanes every block is hashed alone, since
@@ -224,7 +224,7 @@ impl PrfRng {
     pub fn new(prf: &Prf, label: &[u8]) -> PrfRng {
         PrfRng {
             key: prf.derive(label).key,
-            lookahead: sha256::lanes_vectorized(),
+            lookahead: crate::cpu::kernels().vector_lanes,
             position: 0,
             window: 0..0,
             buffer: [0; 32 * LANES],
@@ -400,7 +400,8 @@ mod tests {
 
     /// RFC 4231 cases 1, 2, 3 (one-block messages) and 7 (a 131-byte key
     /// and a 152-byte message) through `mac` and the buffering path, on
-    /// the dispatched compression and on the portable one.
+    /// the compression this build runs (the `portable` build's test run
+    /// covers the portable one).
     #[test]
     fn rfc4231_vectors_on_every_path() {
         let cases: [(&[u8], &[u8], &str); 4] = [
@@ -425,14 +426,10 @@ mod tests {
                 "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
             ),
         ];
-        for portable in [false, true] {
-            crate::sha256::tests::PORTABLE.set(portable);
-            for (key, message, expected) in cases {
-                let key = HmacKey::new(key);
-                assert_eq!(hex(&key.mac(&[message])), expected, "portable {portable}");
-                assert_eq!(hex(&key.mac_buffered(&[message])), expected);
-            }
-            crate::sha256::tests::PORTABLE.set(false);
+        for (key, message, expected) in cases {
+            let key = HmacKey::new(key);
+            assert_eq!(hex(&key.mac(&[message])), expected);
+            assert_eq!(hex(&key.mac_buffered(&[message])), expected);
         }
     }
 
@@ -493,8 +490,7 @@ mod tests {
     /// Reads of every shape — odd sizes, streams that stop inside the
     /// singly hashed blocks or just past them, reads that cross the
     /// lookahead's window — return the
-    /// reference stream's bytes, with the lookahead on and off, on the
-    /// dispatched compression and on the portable one.
+    /// reference stream's bytes, with the lookahead on and off.
     #[test]
     fn prf_rng_lookahead_equals_the_block_at_a_time_stream() {
         use rand::rngs::StdRng;
@@ -502,8 +498,7 @@ mod tests {
         let prf = Prf::new([5u8; 32]);
         let expected = reference_stream(&prf, b"lookahead", 2048);
         let mut rng = StdRng::seed_from_u64(7);
-        for (portable, lookahead) in [(false, false), (false, true), (true, false), (true, true)] {
-            crate::sha256::tests::PORTABLE.set(portable);
+        for lookahead in [false, true] {
             for run in 0..300 {
                 let mut stream = PrfRng::new(&prf, b"lookahead");
                 stream.lookahead = lookahead;
@@ -525,13 +520,8 @@ mod tests {
                     stream.fill_bytes(&mut chunk);
                     read.extend_from_slice(&chunk);
                 }
-                assert_eq!(
-                    read,
-                    expected[..total],
-                    "portable {portable}, lookahead {lookahead}, run {run}"
-                );
+                assert_eq!(read, expected[..total], "lookahead {lookahead}, run {run}");
             }
-            crate::sha256::tests::PORTABLE.set(false);
         }
     }
 
@@ -540,11 +530,8 @@ mod tests {
     #[test]
     fn prf_rng_looks_ahead_only_on_vector_lanes() {
         let prf = Prf::new([6u8; 32]);
-        let lookahead = || PrfRng::new(&prf, b"policy").lookahead;
-        assert_eq!(lookahead(), sha256::lanes_vectorized());
-        crate::sha256::tests::PORTABLE.set(true);
-        assert!(!lookahead());
-        crate::sha256::tests::PORTABLE.set(false);
+        let lookahead = PrfRng::new(&prf, b"policy").lookahead;
+        assert_eq!(lookahead, crate::cpu::runs("avx512bw"));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   BB writes.
 //! * [`zkp`] — Chaum–Pedersen Sigma-OR ballot-correctness proofs with the
 //!   voter-coin challenge and the trustee-distributed final move.
+//! * [`cpu`] — the one CPU probe, and the vector kernels it picks for the
+//!   hashing and the MSMs (the `portable` feature compiles them out).
 //!
 //! Everything is deterministic under caller-provided RNGs, making elections
 //! reproducible from a single master seed.
@@ -38,6 +40,7 @@
 
 pub mod aes;
 pub mod batch;
+pub mod cpu;
 pub mod curve;
 pub mod elgamal;
 pub mod field;

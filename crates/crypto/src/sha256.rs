@@ -2,17 +2,16 @@
 //! NIST test vectors — and, on top of its midstates, the stream of
 //! 128-bit weights the batch verifiers draw (`WeightStream`).
 //!
-//! The compression has two paths, picked once per process: on an x86-64
-//! CPU with the SHA extensions (`sha`, with `ssse3` and `sse4.1`), a
-//! `std::arch` kernel that runs two rounds an instruction and keeps the
-//! state in registers across a run of whole blocks; everywhere else, the
-//! portable integer compression, which is also the oracle the kernel is
-//! tested against. Independent one-block compressions — a PRF stream's
-//! next blocks — also run [`LANES`] at a time ([`compress_lanes`]), on
-//! AVX-512 word-sliced where the CPU has `avx512f` and `avx512bw`. The
-//! kernels are one of the crate's two `unsafe` vector modules, with
-//! `curve::ifma` (DESIGN.md §8). Every path gives the same chaining
-//! value, so every digest, MAC, PRF stream and weight is the same on any.
+//! The compression runs on the kernel [`crate::cpu`] picked for this
+//! process: on an x86-64 CPU with the SHA extensions, `sha_ext`'s, which
+//! runs two rounds an instruction and keeps the state in registers across
+//! a run of whole blocks; everywhere else, the portable integer
+//! compression, which is also the oracle the kernel is tested against.
+//! Independent one-block compressions — a PRF stream's next blocks —
+//! also run [`LANES`] at a time ([`compress_lanes`]), word-sliced on
+//! AVX-512 where the CPU has `avx512f` and `avx512bw`. Every path gives
+//! the same chaining value, so every digest, MAC, PRF stream and weight
+//! is the same on any.
 
 use crate::field::Scalar;
 
@@ -163,79 +162,16 @@ pub(crate) fn pad_last(block: &mut [u8; 64], len: usize, blocks: u64) {
 /// one pass.
 pub const LANES: usize = 16;
 
-/// The compression paths of one CPU: a run of blocks into one chaining
-/// value, and one block into each of [`LANES`] chaining values.
-struct Path {
-    name: &'static str,
-    compress: fn(&mut [u32; 8], &[[u8; 64]]),
-    lanes: fn(&mut [[u32; 8]; LANES], &[[u8; 64]; LANES]),
-    /// Whether `lanes` is one vector pass rather than the lanes one by
-    /// one.
-    vector_lanes: bool,
+crate::cpu::vector! {
+    pub(crate) mod sha_ext;
 }
 
-const PORTABLE_PATH: Path = Path {
-    name: "portable",
-    compress: compress_portable,
-    lanes: compress_lanes_each,
-    vector_lanes: false,
-};
-
-/// The paths this process picked on its first call: the SHA extensions
-/// for a run of blocks and AVX-512 for the lanes, where the CPU has them,
-/// else the portable compression (lane by lane for the lanes).
-fn path() -> &'static Path {
-    #[cfg(test)]
-    if tests::PORTABLE.get() {
-        return &PORTABLE_PATH;
-    }
-    static PATH: std::sync::OnceLock<Path> = std::sync::OnceLock::new();
-    PATH.get_or_init(detect)
-}
-
-fn detect() -> Path {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let (sha, lanes) = (sha_ext::detected(), sha_ext::lanes_detected());
-        if sha || lanes {
-            return Path {
-                name: match (sha, lanes) {
-                    (true, true) => "sha-ni+avx512",
-                    (true, false) => "sha-ni",
-                    _ => "avx512",
-                },
-                compress: if sha {
-                    sha_ext::compress
-                } else {
-                    compress_portable
-                },
-                lanes: if lanes {
-                    sha_ext::compress_lanes
-                } else {
-                    compress_lanes_each
-                },
-                vector_lanes: lanes,
-            };
-        }
-    }
-    PORTABLE_PATH
-}
-
-/// The compression paths this CPU runs: `sha-ni+avx512`, `sha-ni`,
-/// `avx512` or `portable` ([`compress`] on the SHA extensions,
-/// [`compress_lanes`] on AVX-512). Every digest is the same on each;
-/// timings taken on one are not comparable with another's.
-pub fn backend() -> &'static str {
-    path().name
-}
-
-/// Compresses a run of whole blocks into the chaining value `state` by
-/// the path this process picked on its first call: the SHA extensions
-/// when the CPU has them, else [`compress_portable`]. Both give the same
-/// chaining value. (Public for the micro benchmark; hashing goes through
-/// [`Sha256`].)
+/// Compresses a run of whole blocks into the chaining value `state` on
+/// the kernel this process runs: the SHA extensions when the CPU has
+/// them, else [`compress_portable`]. Both give the same chaining value.
+/// (Public for the micro benchmark; hashing goes through [`Sha256`].)
 pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
-    (path().compress)(state, blocks)
+    (crate::cpu::kernels().compress)(state, blocks)
 }
 
 /// Compresses `blocks[l]` into `states[l]` for every lane `l`: [`LANES`]
@@ -245,17 +181,12 @@ pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
 /// blocks are independent of each other); without it, one by one on
 /// [`compress`].
 pub fn compress_lanes(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
-    (path().lanes)(states, blocks)
+    (crate::cpu::kernels().compress_lanes)(states, blocks)
 }
 
-/// Whether [`compress_lanes`] runs its lanes as one vector pass. Where it
-/// does not, a pass costs [`LANES`] single compressions, so hashing
-/// blocks ahead of need saves nothing.
-pub fn lanes_vectorized() -> bool {
-    path().vector_lanes
-}
-
-fn compress_lanes_each(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
+/// [`compress_lanes`] without vector lanes: the lanes one by one on
+/// [`compress`].
+pub(crate) fn compress_lanes_each(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
     for (state, block) in states.iter_mut().zip(blocks) {
         compress(state, std::slice::from_ref(block));
     }
@@ -301,187 +232,6 @@ pub fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
         }
         for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *word = word.wrapping_add(add);
-        }
-    }
-}
-
-/// The compression on x86-64's SHA extensions (`sha256rnds2`, two rounds
-/// an instruction, and `sha256msg1`/`msg2` for the message schedule), and
-/// [`LANES`] compressions at once on AVX-512.
-#[cfg(target_arch = "x86_64")]
-mod sha_ext {
-    use super::{K, LANES};
-    use std::arch::x86_64::*;
-
-    /// Whether this CPU has every feature [`compress_blocks`] is built
-    /// with (SSE2 is part of x86-64 itself).
-    pub(super) fn detected() -> bool {
-        is_x86_feature_detected!("sha")
-            && is_x86_feature_detected!("ssse3")
-            && is_x86_feature_detected!("sse4.1")
-    }
-
-    /// [`super::compress_portable`] on the SHA extensions; only ever
-    /// chosen once [`detected`] has said yes.
-    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
-        debug_assert!(detected());
-        // SAFETY: `super::compress` hands out this function only after
-        // `detected()` found `sha`, `ssse3` and `sse4.1` on this CPU, and
-        // `sse2` is in every x86-64 baseline, so every instruction
-        // `compress_blocks` is compiled with exists here. It reads and
-        // writes memory only through the references it is given.
-        unsafe { compress_blocks(state, blocks) }
-    }
-
-    /// The rounds keep the state as the two halves `sha256rnds2` wants,
-    /// `ABEF` and `CDGH`, from the first block to the last; the schedule
-    /// keeps the last sixteen message words as four vectors of four.
-    ///
-    /// # Safety
-    /// The CPU running it must have `sha`, `sse2`, `ssse3` and `sse4.1`.
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
-        // Byte order within each 32-bit word: the block is big-endian.
-        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        let dcba = _mm_loadu_si128(state.as_ptr().cast());
-        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
-        let cdab = _mm_shuffle_epi32::<0xb1>(dcba);
-        let efgh = _mm_shuffle_epi32::<0x1b>(hgfe);
-        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
-        let mut cdgh = _mm_blend_epi16::<0xf0>(efgh, cdab);
-        for block in blocks {
-            let (abef_in, cdgh_in) = (abef, cdgh);
-            let mut w: [__m128i; 4] = std::array::from_fn(|i| {
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * i).cast()), bswap)
-            });
-            for quad in 0..16 {
-                let slot = quad % 4;
-                if quad >= 4 {
-                    // W[t..t+4] from W[t−16..t]: σ0 terms, the W[t−7]
-                    // terms, then σ1 terms.
-                    let sigma0 = _mm_sha256msg1_epu32(w[slot], w[(slot + 1) % 4]);
-                    let w7 = _mm_alignr_epi8::<4>(w[(slot + 3) % 4], w[(slot + 2) % 4]);
-                    w[slot] = _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w[(slot + 3) % 4]);
-                }
-                let wk = _mm_add_epi32(w[slot], _mm_loadu_si128(K.as_ptr().add(4 * quad).cast()));
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
-            }
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
-        }
-        let feba = _mm_shuffle_epi32::<0x1b>(abef);
-        let dchg = _mm_shuffle_epi32::<0xb1>(cdgh);
-        _mm_storeu_si128(
-            state.as_mut_ptr().cast(),
-            _mm_blend_epi16::<0xf0>(feba, dchg),
-        );
-        _mm_storeu_si128(
-            state.as_mut_ptr().add(4).cast(),
-            _mm_alignr_epi8::<8>(dchg, feba),
-        );
-    }
-
-    /// Whether this CPU has every feature [`lanes_block`] is built with.
-    pub(super) fn lanes_detected() -> bool {
-        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
-    }
-
-    /// [`super::compress_lanes`] on AVX-512; only ever chosen once
-    /// [`lanes_detected`] has said yes.
-    pub(super) fn compress_lanes(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
-        assert!(lanes_detected(), "AVX-512 lanes on a CPU without them");
-        // SAFETY: `lanes_detected()` (a cached feature read) found
-        // `avx512f` and `avx512bw` on this CPU.
-        // `lanes_block` reads and writes memory only inside `states` and
-        // `blocks`: every gather and scatter offset is a word of lane
-        // `l < 16` at word `j < 8` of its state or `i < 16` of its block.
-        unsafe { lanes_block(states, blocks) }
-    }
-
-    /// One block into each of 16 chaining values, word-sliced: lane `l`
-    /// of each of the eight state vectors and sixteen schedule vectors
-    /// belongs to chain `l`, so every round is FIPS 180-4's, sixteen
-    /// chains at a time (`vprord` for the rotations, one `vpternlogd`
-    /// each for the three-input XORs, `Ch` and `Maj`). The words go in
-    /// by gathers and out by scatters.
-    ///
-    /// # Safety
-    /// The CPU running it must have `avx512f` and `avx512bw`.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn lanes_block(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
-        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        // Word offsets of lane `l`'s block and state: 16·l and 8·l.
-        let block_words = _mm512_slli_epi32::<4>(lane);
-        let state_words = _mm512_slli_epi32::<3>(lane);
-        // Byte order within each 32-bit word: the block is big-endian.
-        let bswap = _mm512_broadcast_i32x4(_mm_set_epi8(
-            12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3,
-        ));
-        let block_base = blocks.as_ptr().cast::<i32>();
-        let mut w = [_mm512_setzero_si512(); 16];
-        for (i, w) in w.iter_mut().enumerate() {
-            let at = _mm512_add_epi32(block_words, _mm512_set1_epi32(i as i32));
-            *w = _mm512_shuffle_epi8(_mm512_i32gather_epi32::<4>(at, block_base), bswap);
-        }
-        let state_base = states.as_mut_ptr().cast::<i32>();
-        let mut start = [_mm512_setzero_si512(); 8];
-        for (j, v) in start.iter_mut().enumerate() {
-            let at = _mm512_add_epi32(state_words, _mm512_set1_epi32(j as i32));
-            *v = _mm512_i32gather_epi32::<4>(at, state_base);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = start;
-        for sixteen in 0..4 {
-            for i in 0..16 {
-                if sixteen > 0 {
-                    // W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16],
-                    // in place of W[t−16].
-                    let (w2, w15) = (w[(i + 14) % 16], w[(i + 1) % 16]);
-                    let sigma0 = _mm512_ternarylogic_epi32::<0x96>(
-                        _mm512_ror_epi32::<7>(w15),
-                        _mm512_ror_epi32::<18>(w15),
-                        _mm512_srli_epi32::<3>(w15),
-                    );
-                    let sigma1 = _mm512_ternarylogic_epi32::<0x96>(
-                        _mm512_ror_epi32::<17>(w2),
-                        _mm512_ror_epi32::<19>(w2),
-                        _mm512_srli_epi32::<10>(w2),
-                    );
-                    w[i] = _mm512_add_epi32(
-                        _mm512_add_epi32(w[i], sigma0),
-                        _mm512_add_epi32(w[(i + 9) % 16], sigma1),
-                    );
-                }
-                let kw = _mm512_add_epi32(w[i], _mm512_set1_epi32(K[16 * sixteen + i] as i32));
-                let big_sigma1 = _mm512_ternarylogic_epi32::<0x96>(
-                    _mm512_ror_epi32::<6>(e),
-                    _mm512_ror_epi32::<11>(e),
-                    _mm512_ror_epi32::<25>(e),
-                );
-                // Ch(e, f, g) = e ? f : g; Maj(a, b, c) = the majority bit.
-                let ch = _mm512_ternarylogic_epi32::<0xca>(e, f, g);
-                let t1 =
-                    _mm512_add_epi32(_mm512_add_epi32(h, big_sigma1), _mm512_add_epi32(ch, kw));
-                let big_sigma0 = _mm512_ternarylogic_epi32::<0x96>(
-                    _mm512_ror_epi32::<2>(a),
-                    _mm512_ror_epi32::<13>(a),
-                    _mm512_ror_epi32::<22>(a),
-                );
-                let maj = _mm512_ternarylogic_epi32::<0xe8>(a, b, c);
-                h = g;
-                g = f;
-                f = e;
-                e = _mm512_add_epi32(d, t1);
-                d = c;
-                c = b;
-                b = a;
-                a = _mm512_add_epi32(t1, _mm512_add_epi32(big_sigma0, maj));
-            }
-        }
-        let end = [a, b, c, d, e, f, g, h];
-        for (j, (v, s)) in end.into_iter().zip(start).enumerate() {
-            let at = _mm512_add_epi32(state_words, _mm512_set1_epi32(j as i32));
-            _mm512_i32scatter_epi32::<4>(state_base, at, _mm512_add_epi32(v, s));
         }
     }
 }
@@ -551,15 +301,9 @@ pub fn sha256_parts(parts: &[&[u8]]) -> [u8; 32] {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    thread_local! {
-        /// Set while a test forces this thread onto the portable
-        /// compression.
-        pub(crate) static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    }
 
     fn hex(digest: &[u8; 32]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -572,8 +316,7 @@ pub(crate) mod tests {
     fn dispatched_compression_equals_portable() {
         use rand::rngs::StdRng;
         use rand::{Rng, RngCore, SeedableRng};
-        #[cfg(target_arch = "x86_64")]
-        println!("SHA extensions detected: {}", sha_ext::detected());
+        println!("kernels: {}", crate::cpu::backend());
         let mut rng = StdRng::seed_from_u64(32);
         for run in 0..512 {
             let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
@@ -608,22 +351,6 @@ pub(crate) mod tests {
             resumed.update(&data[64 * blocks..]);
             assert_eq!(resumed.finalize(), sha256(&data), "{blocks} blocks");
         }
-    }
-
-    /// The vector, padding and midstate tests run on the path this CPU
-    /// dispatches to; here they run again on the portable one (the same
-    /// path twice on a CPU without the SHA extensions).
-    #[test]
-    fn vectors_on_the_portable_path() {
-        PORTABLE.set(true);
-        nist_empty();
-        nist_abc();
-        nist_448_bits();
-        padding_at_every_block_edge();
-        million_a();
-        incremental_matches_oneshot();
-        midstate_and_resume_continue_the_hash();
-        PORTABLE.set(false);
     }
 
     #[test]
@@ -749,18 +476,19 @@ pub(crate) mod tests {
         }
     }
 
-    /// The lanes' path this CPU dispatches to, and the portable one it
+    /// The lanes' kernel this process runs, and the lane-by-lane path it
     /// falls back to, are the portable compression lane by lane.
     fn lanes_match(states: [[u32; 8]; LANES], blocks: [[u8; 64]; LANES]) {
-        for portable in [false, true] {
-            PORTABLE.set(portable);
+        for (path, lanes_of) in [
+            ("dispatched", compress_lanes as fn(&mut _, &_)),
+            ("one by one", compress_lanes_each),
+        ] {
             let mut lanes = states;
-            compress_lanes(&mut lanes, &blocks);
-            PORTABLE.set(false);
+            lanes_of(&mut lanes, &blocks);
             for l in 0..LANES {
                 let mut oracle = states[l];
                 compress_portable(&mut oracle, &blocks[l..=l]);
-                assert_eq!(lanes[l], oracle, "lane {l}, portable {portable}");
+                assert_eq!(lanes[l], oracle, "lane {l}, {path}");
             }
         }
     }

@@ -450,9 +450,9 @@ fn main() {
 
     let (report, elapsed) = run(seed, ballots, true, wall);
     println!(
-        "profile: {ballots} ballots, seed {seed}, domain {:?}, field arithmetic {}, wall {elapsed:?}",
+        "profile: {ballots} ballots, seed {seed}, domain {:?}, kernels {}, wall {elapsed:?}",
         report.metrics.domain,
-        ddemos_crypto::curve::backend()
+        ddemos_crypto::cpu::backend()
     );
     println!(
         "phases: consensus {:?}, push+tally {:?}, publish {:?}",

@@ -9,16 +9,30 @@
 //! Two extras the workspace relies on:
 //!
 //! * `--test` (criterion's compile-and-smoke flag, as passed by
-//!   `cargo bench -- --test`): each benchmark routine runs exactly once,
-//!   unmeasured — CI uses this to keep benches compiling and panic-free.
+//!   `cargo bench -- --test`): each benchmark is a short measurement — a
+//!   warm-up, then a few timed batches of calls, each batch at least
+//!   50 µs long — recorded as the per-call median, so that a
+//!   smoke run reads what the baseline's warm samples read. CI uses this
+//!   to keep benches compiling and panic-free, and to gate regressions.
 //! * `DDEMOS_BENCH_JSON=<path>`: every measurement is appended to `<path>`
 //!   as one JSON object per line (`scripts/bench_record.sh` assembles the
-//!   checked-in `BENCH_*.json` baselines from these).
+//!   checked-in `BENCH_*.json` baselines from these). A path that cannot
+//!   be written panics the run.
 
 #![warn(missing_docs)]
 
 use std::io::Write as _;
+use std::path::Path;
 use std::time::{Duration, Instant};
+
+/// Under `--test`, the least time one timed batch of calls takes: long
+/// enough that the clock's resolution and one cold call do not show.
+const SMOKE_BATCH: Duration = Duration::from_micros(50);
+/// Under `--test`, the time a benchmark's timed batches may take
+/// together: it takes five where they fit, else three, else one — an odd
+/// count, so that the median is one batch's time and one slow batch
+/// cannot be it.
+const SMOKE_BUDGET: Duration = Duration::from_millis(300);
 
 /// True when the binary was invoked with criterion's `--test` smoke flag.
 pub fn is_test_mode() -> bool {
@@ -27,19 +41,34 @@ pub fn is_test_mode() -> bool {
 
 /// Appends one benchmark measurement to the file named by
 /// `DDEMOS_BENCH_JSON` (one JSON object per line), if set.
+///
+/// # Panics
+/// Panics, naming the path and the error, if the variable is set and the
+/// file cannot be opened or written: a recording that silently goes
+/// missing would fail its gate later with less to go on.
 pub fn record_json(id: &str, median_ns: u64, mean_ns: u64, min_ns: u64, samples: usize) {
-    let Ok(path) = std::env::var("DDEMOS_BENCH_JSON") else {
+    let Some(path) = std::env::var_os("DDEMOS_BENCH_JSON") else {
         return;
     };
-    if let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let _ = writeln!(
-            file,
+    append_line(
+        Path::new(&path),
+        &format!(
             "{{\"id\":\"{id}\",\"median_ns\":{median_ns},\"mean_ns\":{mean_ns},\
              \"min_ns\":{min_ns},\"samples\":{samples}}}"
+        ),
+    );
+}
+
+fn append_line(path: &Path, line: &str) {
+    let written = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut file| writeln!(file, "{line}"));
+    if let Err(e) = written {
+        panic!(
+            "DDEMOS_BENCH_JSON={}: cannot record a measurement: {e}",
+            path.display()
         );
     }
 }
@@ -62,21 +91,48 @@ pub struct Bencher {
     samples: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
-    /// `--test` smoke mode: run the routine once, skip measurement.
+    /// `--test` smoke mode: a short measurement ([`SMOKE_BATCH`]).
     smoke: bool,
     /// Collected per-iteration durations, in nanoseconds.
     recorded_ns: Vec<u64>,
 }
 
 impl Bencher {
+    /// `--test`'s measurement: calls until [`SMOKE_BATCH`] has passed (at
+    /// least one) to warm up and to size a batch, then timed batches of
+    /// that many calls, each at least [`SMOKE_BATCH`] long, five, three or
+    /// one of them ([`SMOKE_BUDGET`]); records each batch's time a call.
+    /// `batch(n)` makes `n` calls and returns the time they took.
+    fn smoke_samples(&mut self, mut batch: impl FnMut(u64) -> Duration) {
+        let (mut warm, mut calls) = (Duration::ZERO, 0u64);
+        while warm < SMOKE_BATCH {
+            warm += batch(1);
+            calls += 1;
+        }
+        let per_call = (warm.as_nanos() / u128::from(calls)).max(1);
+        let size = SMOKE_BATCH.as_nanos().div_ceil(per_call).min(100_000) as u64;
+        let batch_ns = per_call * u128::from(size);
+        let samples = [5, 3]
+            .into_iter()
+            .find(|&n| n * batch_ns <= SMOKE_BUDGET.as_nanos())
+            .unwrap_or(1);
+        for _ in 0..samples {
+            let took = batch(size);
+            self.recorded_ns
+                .push((took.as_nanos() / u128::from(size)) as u64);
+        }
+    }
+
     /// Times `routine`, repeatedly.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         if self.smoke {
-            // One timed pass: enough for the CI regression gate to compare
-            // a smoke run's order of magnitude against the baseline.
-            let t0 = Instant::now();
-            std::hint::black_box(routine());
-            self.recorded_ns.push(t0.elapsed().as_nanos() as u64);
+            self.smoke_samples(|n| {
+                let t0 = Instant::now();
+                for _ in 0..n {
+                    std::hint::black_box(routine());
+                }
+                t0.elapsed()
+            });
             return;
         }
         // Warm-up, and calibrate iterations per sample.
@@ -109,10 +165,14 @@ impl Bencher {
         _size: BatchSize,
     ) {
         if self.smoke {
-            let input = setup();
-            let t0 = Instant::now();
-            std::hint::black_box(routine(input));
-            self.recorded_ns.push(t0.elapsed().as_nanos() as u64);
+            self.smoke_samples(|n| {
+                let inputs: Vec<I> = (0..n).map(|_| setup()).collect();
+                let t0 = Instant::now();
+                for input in inputs {
+                    std::hint::black_box(routine(input));
+                }
+                t0.elapsed()
+            });
             return;
         }
         let warm_deadline = Instant::now() + self.warm_up_time;
@@ -168,7 +228,7 @@ impl Criterion {
         self
     }
 
-    /// Runs one named benchmark (or smoke-runs it once under `--test`).
+    /// Runs one named benchmark (a short measurement under `--test`).
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
         let smoke = is_test_mode();
         let mut bencher = Bencher {
@@ -179,15 +239,6 @@ impl Criterion {
             recorded_ns: Vec::new(),
         };
         f(&mut bencher);
-        if smoke {
-            // Record the single smoke sample when a recording is requested
-            // (the CI bench gate compares it against the baseline).
-            if let Some(&ns) = bencher.recorded_ns.first() {
-                record_json(id, ns, ns, ns, 1);
-            }
-            println!("Testing {id} ... ok");
-            return self;
-        }
         let mut ns = bencher.recorded_ns;
         if ns.is_empty() {
             println!("{id:<40} (no samples recorded)");
@@ -196,13 +247,17 @@ impl Criterion {
         ns.sort_unstable();
         let median = ns[ns.len() / 2];
         let mean = ns.iter().sum::<u64>() / ns.len() as u64;
-        println!(
-            "{id:<40} median {:>12} mean {:>12} min {:>12} ({} samples)",
-            format_ns(median),
-            format_ns(mean),
-            format_ns(ns[0]),
-            ns.len(),
-        );
+        if smoke {
+            println!("Testing {id} ... ok");
+        } else {
+            println!(
+                "{id:<40} median {:>12} mean {:>12} min {:>12} ({} samples)",
+                format_ns(median),
+                format_ns(mean),
+                format_ns(ns[0]),
+                ns.len(),
+            );
+        }
         record_json(id, median, mean, ns[0], ns.len());
         self
     }
@@ -266,6 +321,23 @@ mod tests {
         });
     }
 
+    /// Under `--test` a row is a warm-up and five timed batches (of a
+    /// routine this short), each recorded as its time a call.
+    #[test]
+    fn smoke_mode_times_batches_of_calls() {
+        let mut bencher = Bencher {
+            samples: 1,
+            measurement_time: Duration::ZERO,
+            warm_up_time: Duration::ZERO,
+            smoke: true,
+            recorded_ns: Vec::new(),
+        };
+        let mut calls = 0u64;
+        bencher.iter(|| calls += 1);
+        assert_eq!(bencher.recorded_ns.len(), 5);
+        assert!(calls > 5, "{calls} calls in five batches");
+    }
+
     #[test]
     fn record_json_appends_when_env_set() {
         // No env var: a silent no-op.
@@ -280,6 +352,17 @@ mod tests {
         assert!(contents.contains(
             "{\"id\":\"smoke/json\",\"median_ns\":3,\"mean_ns\":2,\"min_ns\":1,\"samples\":4}"
         ));
+    }
+
+    /// A recording that cannot be written stops the run, naming the path
+    /// and the error.
+    #[test]
+    #[should_panic(expected = "cannot record a measurement")]
+    fn an_unwritable_recording_panics() {
+        let missing = std::env::temp_dir()
+            .join(format!("ddemos-bench-missing-{}", std::process::id()))
+            .join("smoke.jsonl");
+        append_line(&missing, "{}");
     }
 
     #[test]

@@ -310,3 +310,23 @@ fn vc_core_step_sequences_are_byte_identical_across_drivers() {
     // Silence the unused-field warning: vc_inits was partially consumed.
     setup.vc_inits.clear();
 }
+
+/// 4. Both arithmetics compute the same election: the digest of
+///    `scenario_fuzz --seed 0`'s fingerprint is pinned, so the default
+///    build (the vector kernels this CPU offers) and the `portable` build
+///    (`cargo test --features ddemos-crypto/portable`) must each reproduce
+///    it byte for byte.
+#[test]
+fn scenario_seed_0_matches_the_pinned_fingerprint() {
+    let outcome = run_scenario(0);
+    assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+    let digest = ddemos_crypto::sha256::sha256(outcome.fingerprint.as_bytes());
+    let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "ece3513a14d1710676b2a6894e70fc7d333fbf893e7257001984e325c5b23bb3",
+        "fingerprint of seed 0 (kernels {}):\n{}",
+        ddemos_crypto::cpu::backend(),
+        outcome.fingerprint
+    );
+}
