@@ -731,7 +731,7 @@ fn part_rows<'a>(
 /// bytes per replica at once (and the replicas of one process verify
 /// concurrently); bounding the batch bounds that transient.
 /// The price is the MSM's slowly falling per-term cost: an 8k-term MSM
-/// pays ~5.7 µs a term where a 64k-term one pays ~5.0 (DESIGN.md §4.2).
+/// pays ~5.7 µs a term where a 64k-term one pays ~5.0 (DESIGN.md §12.4).
 const VERIFY_TERMS: usize = 8192;
 
 /// What the trustees' posts prove of one ballot part, reconstructed and

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ddemos_crypto::cpu;
-use ddemos_crypto::curve::{self, FixedBase, Point};
+use ddemos_crypto::curve::{self, CombBatch, FixedBase, Point, PEER_COMB_WINDOW};
 use ddemos_crypto::elgamal;
 use ddemos_crypto::field::{Fp, Scalar};
 use ddemos_crypto::hmac::{HmacKey, Prf, PrfRng};
@@ -86,7 +86,7 @@ fn tagged(id: &str) -> String {
 }
 
 /// Hands out the scalars of a slice in turn. A comb multiplication is
-/// ~50 reads out of a 52 KiB table, and one scalar read over and over
+/// ~37 reads out of a 148 KiB table, and one scalar read over and over
 /// keeps its own entries in L1 — which no caller does; over a few hundred
 /// distinct scalars the table sits in L2, as it does under set-up.
 fn cycle<'a>(scalars: &'a [Scalar]) -> impl FnMut() -> &'a Scalar {
@@ -219,21 +219,12 @@ fn bench_kernels(c: &mut Criterion) {
             1.0,
         );
     }
-    // Affine normalization: 256 points, shared inversion vs per-point
-    // Fermat.
+    // Normalisation: 256 points, one shared inversion.
     let pts256: Vec<Point> = (0..256)
         .map(|_| Point::mul_generator(&Scalar::random(&mut rng)))
         .collect();
-    c.bench_function("kernel/batch_to_affine 256", |b| {
-        b.iter(|| Point::batch_to_affine(std::hint::black_box(&pts256)))
-    });
-    c.bench_function("kernel/to_affine 256 (per-point)", |b| {
-        b.iter(|| {
-            std::hint::black_box(&pts256)
-                .iter()
-                .map(Point::to_affine)
-                .collect::<Vec<_>>()
-        })
+    c.bench_function("kernel/batch_normalize 256", |b| {
+        b.iter(|| Point::batch_normalize(std::hint::black_box(&pts256)))
     });
     // Batch inversion: 256 field elements, Montgomery trick vs one
     // inversion each.
@@ -254,25 +245,36 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     // Fixed-base table vs the generic ladder for a repeated base, over
-    // distinct scalars (see `cycle`).
+    // distinct scalars (see `cycle`): the table a replica builds for each
+    // of its peers.
     let base = Point::mul_generator(&Scalar::random(&mut rng));
-    let table = FixedBase::new(&base);
+    let table = FixedBase::with_window(&base, PEER_COMB_WINDOW);
     let ks = &scalars[..512];
     let mut next = cycle(ks);
-    c.bench_function("kernel/fixed_base mul", |b| {
+    c.bench_function("kernel/fixed_base mul (peer width)", |b| {
         b.iter(|| table.mul(std::hint::black_box(next())))
     });
-    // The batched comb: the same multiplications in lockstep, affine out.
+    // The batched comb: one-term outputs on the generator's table, in
+    // lockstep, affine out — what the signer (one output) and the EA's
+    // set-up evaluate.
+    let g = FixedBase::generator();
+    let comb_batch = |n: usize| {
+        move || {
+            let mut batch = CombBatch::new();
+            for k in std::hint::black_box(&ks[..n]) {
+                batch.push(&[(g, *k)]);
+            }
+            batch.evaluate()
+        }
+    };
     for n in [64, 512] {
-        c.bench_function(&tagged(&format!("kernel/fixed_base mul_many {n}")), |b| {
-            b.iter(|| table.mul_many(std::hint::black_box(&ks[..n])))
-        });
+        let id = tagged(&format!("kernel/comb_batch {n} one-term outputs"));
+        c.bench_function(&id, |b| b.iter(comb_batch(n)));
     }
-    c.bench_function("kernel/fixed_base build", |b| {
-        b.iter(|| FixedBase::new(std::hint::black_box(&base)))
+    c.bench_function("kernel/fixed_base build (peer width)", |b| {
+        b.iter(|| FixedBase::with_window(std::hint::black_box(&base), PEER_COMB_WINDOW))
     });
-    // Mixed additions on affine entries against the generic ladder
-    // (3.6× while the entries were Jacobian).
+    // Mixed additions on affine entries against the generic ladder.
     let k = ks[0];
     ratio_gate(
         "variable-base mul / comb fixed_base mul",
@@ -286,14 +288,15 @@ fn bench_kernels(c: &mut Criterion) {
     let one_at_a_time = || -> Vec<Point> {
         std::hint::black_box(&ks[..64])
             .iter()
-            .map(|k| table.mul(k))
+            .map(|k| g.mul(k))
             .collect()
     };
-    assert_eq!(table.mul_many(&ks[..64]), one_at_a_time());
+    let batched: Vec<Point> = comb_batch(64)().into_iter().map(|a| a.to_point()).collect();
+    assert_eq!(batched, one_at_a_time());
     ratio_gate(
-        "fixed_base mul × 64 / mul_many 64",
+        "fixed_base mul × 64 / CombBatch 64",
         one_at_a_time,
-        || table.mul_many(std::hint::black_box(&ks[..64])),
+        comb_batch(64),
         1.3,
     );
 }

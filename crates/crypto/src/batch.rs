@@ -12,7 +12,7 @@
 //! Bellare–Garay–Rabin's small-exponent test a false equation survives
 //! with probability at most 2⁻¹²⁸, and grinding the Fiat–Shamir weights
 //! costs ~2¹²⁸ hashes, the curve's own bound. On failure, the failing
-//! labels are named (DESIGN.md §4.2).
+//! labels are named (DESIGN.md §12.4).
 
 use crate::curve::{Affine, Point};
 use crate::field::Scalar;

@@ -43,7 +43,7 @@ pub(crate) struct Kernels {
     /// [`Fp`](crate::field::Fp); eight
     /// lanes at a time about a quarter of that, where 2 is the price
     /// under which the MSM's window is within 3 % of the fastest at every
-    /// size measured (DESIGN.md §4.2).
+    /// size measured (DESIGN.md §12.1).
     pub(crate) cost_affine: usize,
     /// A run of whole blocks into one chaining value.
     pub(crate) compress: fn(&mut [u32; 8], &[[u8; 64]]),

@@ -2,16 +2,19 @@
 //!
 //! Points are held in Jacobian coordinates internally; the public API exposes
 //! an opaque [`Point`] with group operations, scalar multiplication and
-//! 33-byte compressed serialization.
+//! 33-byte compressed serialization, and one normalised form, [`Affine`],
+//! which [`Point::batch_normalize`] and [`CombBatch::evaluate`] return.
 //!
-//! Two kernels carry the batch work: [`Point::msm`] (Pippenger over
-//! batch-affine buckets) and the fixed-base comb — [`FixedBase`] tables of
-//! affine multiples, read one scalar at a time by [`FixedBase::mul`] or
-//! many in lockstep by [`CombBatch`]. A table's digit width is fixed by its
-//! role: signed 8-bit digits (264 KiB) for the generator and the election
-//! key, read on every cast, set-up and publication; 7-bit (148 KiB) for a
-//! peer's signature key, one a peer per replica; 5-bit (52 KiB) for any
-//! other base. Both kernels halve their slots with one reducer
+//! A multiplication goes one of four ways, each the cheapest for its
+//! callers (DESIGN.md §12.1): [`Point::mul`], a windowed ladder for a
+//! base used once; [`Point::msm`] (independent ladders for one or two
+//! terms, else Pippenger over batch-affine buckets); and the fixed-base
+//! comb — [`FixedBase`] tables of affine multiples, read one scalar at a
+//! time by [`FixedBase::mul`] or many in lockstep by [`CombBatch`]. A
+//! table's digit width is fixed by its role: signed 8-bit digits (264 KiB)
+//! for the generator and the election key, read on every cast, set-up and
+//! publication; 7-bit (148 KiB) for a peer's signature key, one a peer per
+//! replica. Both batch kernels halve their slots with one reducer
 //! (`SlotReducer`), all the pairs of a round sharing one inversion, on
 //! the field arithmetic [`crate::cpu`] picked for this process.
 
@@ -64,11 +67,7 @@ impl Point {
     /// equation.
     pub fn from_affine(x: Fp, y: Fp) -> Option<Point> {
         let p = Point { x, y, z: Fp::ONE };
-        if p.is_on_curve() {
-            Some(p)
-        } else {
-            None
-        }
+        p.is_on_curve().then_some(p)
     }
 
     /// True iff this is the identity element.
@@ -86,36 +85,12 @@ impl Point {
         self.y.square() == self.x.square() * self.x + curve_b() * z6
     }
 
-    /// Returns affine coordinates, or `None` for the identity.
-    ///
-    /// Costs one field inversion; callers normalizing **several** points
-    /// should use [`Point::batch_to_affine`], which amortizes that
-    /// inversion across the whole slice via the Montgomery trick.
-    pub fn to_affine(&self) -> Option<(Fp, Fp)> {
-        if self.is_identity() {
-            return None;
-        }
-        let zinv = self.z.invert().expect("nonzero z");
-        let zinv2 = zinv.square();
-        Some((self.x * zinv2, self.y * zinv2 * zinv))
-    }
-
-    /// Normalizes a slice of points to affine coordinates with **one**
-    /// shared inversion ([`Fp::batch_invert`]) instead of one inversion
-    /// per point. `None` entries are identities.
-    pub fn batch_to_affine(points: &[Point]) -> Vec<Option<(Fp, Fp)>> {
-        Point::batch_normalize(points)
-            .iter()
-            .map(Affine::coords)
-            .collect()
-    }
-
-    /// [`Point::batch_to_affine`] in the form the multi-scalar kernel
-    /// takes ([`Point::msm_affine`]). Points that are already normalised
-    /// (`z = 1`: decoded from bytes, or an earlier normalisation's
-    /// output) are copied and stay out of the shared inversion; a slice
-    /// of nothing else pays no inversion at all.
-    pub(crate) fn batch_normalize(points: &[Point]) -> Vec<Affine> {
+    /// Normalises a slice of points with **one** shared inversion
+    /// ([`Fp::batch_invert`]) instead of one a point. Points that are
+    /// already normalised (`z = 1`: decoded from bytes, or an earlier
+    /// normalisation's output) are copied and stay out of the shared
+    /// inversion; a slice of nothing else pays no inversion at all.
+    pub fn batch_normalize(points: &[Point]) -> Vec<Affine> {
         // Zero marks "nothing to invert", which `batch_invert` skips.
         let mut zs: Vec<Fp> = points
             .iter()
@@ -273,28 +248,18 @@ impl Point {
         acc
     }
 
-    /// `k·G` for the standard generator, via the process-wide comb table
-    /// [`FixedBase::generator`]. Roughly 5× faster than the generic
-    /// ladder; signing and lifted-ElGamal encryption are dominated by
-    /// this operation.
+    /// `k·G` for the standard generator, Jacobian out, via the
+    /// process-wide comb table [`FixedBase::generator`].
     pub fn mul_generator(k: &Scalar) -> Point {
         FixedBase::generator().mul(k)
     }
 
-    /// Sum of `aᵢ·Pᵢ` over parallel slices — Pippenger multi-scalar
-    /// multiplication. Proof batch verification, signature batch
-    /// verification and tally aggregation are built on this kernel.
-    ///
-    /// The points are normalised once (one shared inversion, none for
-    /// points that already are) and the scalars recoded into signed
-    /// `w`-bit digits, so a window has `2^(w−1)` buckets. A window's
-    /// points are sorted by bucket and every bucket reduced pairwise by
-    /// affine additions that share one field inversion a round — 6
-    /// multiplications an addition against Jacobian 16 — and as many
-    /// windows as fit a fixed buffer are sorted together, so that small
-    /// sums pay for few inversions too. `w`, and whether a term or two
-    /// are better off on independent ladders, is [`msm_plan`]'s choice
-    /// from the number of terms alone.
+    /// Sum of `aᵢ·Pᵢ` over parallel slices: one or two terms on
+    /// independent ladders, more by Pippenger over signed `w`-bit digits,
+    /// the points normalised once and every bucket reduced by affine
+    /// additions that share one inversion a round, as many windows at a
+    /// time as fit a fixed buffer ([`msm_plan`] picks from the number of
+    /// terms alone).
     ///
     /// # Panics
     /// Panics if the slices have different lengths.
@@ -326,47 +291,19 @@ impl Point {
     /// makes hashing many projective points (batch-verification
     /// transcripts) cheap.
     pub fn batch_to_bytes(points: &[Point]) -> Vec<[u8; 33]> {
-        Point::batch_to_affine(points)
+        Point::batch_normalize(points)
             .into_iter()
-            .map(Point::compress)
+            .map(Affine::to_bytes)
             .collect()
     }
 
     /// Serializes to 33 bytes: `0x00 ‖ 0…` for the identity, else SEC1
-    /// compressed (`0x02/0x03 ‖ x`).
+    /// compressed (`0x02/0x03 ‖ x`). Costs one inversion (none at `z = 1`).
     pub fn to_bytes(&self) -> [u8; 33] {
-        Point::compress(self.to_affine())
+        Point::batch_normalize(std::slice::from_ref(self))[0].to_bytes()
     }
 
-    /// The 33-byte encoding of affine coordinates as [`Point::to_affine`]
-    /// returns them (`None` is the identity) — for callers that want the
-    /// coordinates *and* the encoding from one inversion.
-    pub fn compress(affine: Option<(Fp, Fp)>) -> [u8; 33] {
-        let mut out = [0u8; 33];
-        if let Some((x, y)) = affine {
-            out[0] = 0x02 | (y.to_bytes()[31] & 1);
-            out[1..].copy_from_slice(&x.to_bytes());
-        }
-        out
-    }
-
-    /// The 65-byte uncompressed encoding of affine coordinates as
-    /// [`Point::batch_to_affine`] returns them: SEC1 `0x04 ‖ x ‖ y`, and
-    /// `0x00 ‖ 0…` for the identity. Bulk data goes this way: a slice
-    /// normalised with one shared inversion encodes at no further field
-    /// operation, and [`Point::from_uncompressed`] parses without the
-    /// square root a compressed point costs.
-    pub fn uncompressed(affine: Option<(Fp, Fp)>) -> [u8; 65] {
-        let mut out = [0u8; 65];
-        if let Some((x, y)) = affine {
-            out[0] = 0x04;
-            out[1..33].copy_from_slice(&x.to_bytes());
-            out[33..].copy_from_slice(&y.to_bytes());
-        }
-        out
-    }
-
-    /// Parses the encoding produced by [`Point::uncompressed`]: canonical
+    /// Parses the encoding produced by [`Affine::uncompressed`]: canonical
     /// coordinates on the curve, checked by the curve equation alone.
     pub fn from_uncompressed(bytes: &[u8; 65]) -> Option<Point> {
         let mut x = [0u8; 32];
@@ -383,13 +320,7 @@ impl Point {
     /// Parses the 33-byte encoding produced by [`Point::to_bytes`].
     pub fn from_bytes(bytes: &[u8; 33]) -> Option<Point> {
         match bytes[0] {
-            0x00 => {
-                if bytes[1..].iter().all(|&b| b == 0) {
-                    Some(Point::IDENTITY)
-                } else {
-                    None
-                }
-            }
+            0x00 if bytes[1..].iter().all(|&b| b == 0) => Some(Point::IDENTITY),
             tag @ (0x02 | 0x03) => {
                 let mut xb = [0u8; 32];
                 xb.copy_from_slice(&bytes[1..]);
@@ -423,33 +354,33 @@ fn window_table(p: &Point) -> [Point; 16] {
     table
 }
 
-/// A curve point in affine coordinates: what [`FixedBase`] stores (64
-/// bytes against 96 in Jacobian form) and what the multi-scalar kernel
-/// adds. `(0, 0)` is not on the curve and stands for the identity. Laid
-/// out as `x` then `y`, which the vector reducer loads a point at a time.
+/// A normalised curve point, `(x, y)` with `z = 1`: what
+/// [`Point::batch_normalize`] and [`CombBatch::evaluate`] return, what
+/// [`FixedBase`] stores (64 bytes against 96 in Jacobian form) and what
+/// the multi-scalar kernel adds. It encodes at no field operation.
+/// `(0, 0)` is not on the curve and stands for the identity. Laid out as
+/// `x` then `y`, which the vector reducer loads a point at a time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(C)]
-pub(crate) struct Affine {
+pub struct Affine {
     x: Fp,
-    y: Fp,
+    pub(crate) y: Fp,
 }
 
 impl Affine {
-    const IDENTITY: Affine = Affine {
+    /// The identity element.
+    pub const IDENTITY: Affine = Affine {
         x: Fp::ZERO,
         y: Fp::ZERO,
     };
 
-    fn is_identity(&self) -> bool {
+    /// True iff this is the identity element.
+    pub fn is_identity(&self) -> bool {
         self.x.is_zero() && self.y.is_zero()
     }
 
-    /// The coordinates as [`Point::to_affine`] returns them.
-    pub(crate) fn coords(&self) -> Option<(Fp, Fp)> {
-        (!self.is_identity()).then_some((self.x, self.y))
-    }
-
-    pub(crate) fn to_point(self) -> Point {
+    /// The same point in Jacobian form, at no field operation.
+    pub fn to_point(self) -> Point {
         if self.is_identity() {
             return Point::IDENTITY;
         }
@@ -468,9 +399,29 @@ impl Affine {
     }
 
     /// The 33-byte encoding [`Point::to_bytes`] produces, at no
-    /// inversion.
-    pub(crate) fn to_bytes(self) -> [u8; 33] {
-        Point::compress(self.coords())
+    /// inversion: `0x00 ‖ 0…` for the identity, else SEC1 compressed.
+    pub fn to_bytes(self) -> [u8; 33] {
+        let mut out = [0u8; 33];
+        if !self.is_identity() {
+            out[0] = 0x02 | (self.y.to_bytes()[31] & 1);
+            out[1..].copy_from_slice(&self.x.to_bytes());
+        }
+        out
+    }
+
+    /// The 65-byte uncompressed encoding: SEC1 `0x04 ‖ x ‖ y`, and
+    /// `0x00 ‖ 0…` for the identity. Bulk data goes this way: a slice
+    /// normalised with one shared inversion encodes at no further field
+    /// operation, and [`Point::from_uncompressed`] parses without the
+    /// square root a compressed point costs.
+    pub fn uncompressed(self) -> [u8; 65] {
+        let mut out = [0u8; 65];
+        if !self.is_identity() {
+            out[0] = 0x04;
+            out[1..33].copy_from_slice(&self.x.to_bytes());
+            out[33..].copy_from_slice(&self.y.to_bytes());
+        }
+        out
     }
 
     /// The denominator of the slope of the line through `self` and `q`
@@ -532,12 +483,9 @@ enum MsmPlan {
 }
 
 /// Most points a group of windows sorts at once when one window has
-/// fewer, so that several windows share each round's inversion — every
-/// window of a sum under sixty terms, two of a 2k-term one. 256 KiB of
-/// sort buffer: within a few percent of the speed of four times as much
-/// (DESIGN.md §4.2), and every thread that ever verifies a burst keeps
-/// its largest buffer in its allocator arena, which at 1 MiB showed as
-/// +11 MiB of `peak_rss_mb` on the seven-replica TCP workload.
+/// fewer, so that several windows share each round's inversion. 256 KiB,
+/// which every thread that verifies a burst keeps in its allocator arena
+/// (DESIGN.md §12.1).
 const GROUP_POINTS: usize = 1 << 12;
 
 /// Field multiplications (a squaring counts as one) of the operations
@@ -564,7 +512,7 @@ const fn signed_windows(w: usize) -> usize {
 /// mixed and a full addition; the first of either meets the identity and
 /// is free), and its group an inversion a round. Nothing here is fitted:
 /// the choice lands within 5 % of the fastest window at every size
-/// measured (DESIGN.md §4.2).
+/// measured (DESIGN.md §12.1).
 fn msm_plan(n: usize) -> MsmPlan {
     // 4-bit fixed window: its table, 252 doublings, ~60 additions.
     const LADDER: usize = 14 * COST_ADD + 252 * COST_DOUBLE + 60 * COST_ADD;
@@ -877,22 +825,17 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
 // The fixed-base comb and its batched kernel
 // ---------------------------------------------------------------------
 
-/// Digit width of a table [`FixedBase::new`] builds — one a caller makes
-/// for a base of its own and uses a few thousand times at most: 52
-/// positions × 16 multiples, 52 KiB.
-const COMB_WINDOW: usize = 5;
-
 /// Digit width of the tables read on every cast, set-up and
 /// publication: the process-wide generator table and the election key's
 /// ([`crate::elgamal::PreparedKey`]). 33 positions × 128 multiples,
-/// 264 KiB: ~33 additions a scalar where 5-bit digits take ~50.
-pub(crate) const WIDE_COMB_WINDOW: usize = 8;
+/// 264 KiB: ~33 additions a scalar.
+pub const WIDE_COMB_WINDOW: usize = 8;
 
 /// Digit width of a per-peer signature table
 /// ([`crate::schnorr::PreparedVerifier`]): 37 positions × 64 multiples,
 /// 148 KiB, ~37 additions a scalar. A replica holds one for each of its
 /// peers, so it is one step narrower than the shared tables.
-pub(crate) const PEER_COMB_WINDOW: usize = 7;
+pub const PEER_COMB_WINDOW: usize = 7;
 
 /// Field multiplications to finish the slots `lens` of a [`CombBatch`]
 /// without another reduction round: what each holds beyond one point is
@@ -938,11 +881,11 @@ fn comb_round_pays(lens: &[u32]) -> bool {
 /// against one base point: `⌈257/w⌉` positions of signed `w`-bit digits ×
 /// `2^(w−1)` multiples, held affine, so a multiplication is one addition
 /// a nonzero digit and no doubling. The width is the table's role's:
-/// `WIDE_COMB_WINDOW` for `G` and the election key,
-/// `PEER_COMB_WINDOW` for a peer's signature key, `COMB_WINDOW` for
-/// any other base. [`FixedBase::mul`] adds the entries one scalar at a
-/// time by mixed addition; [`CombBatch`] adds those of many scalars in
-/// lockstep by batch-affine addition, at about 60 % of that a scalar.
+/// [`WIDE_COMB_WINDOW`] for `G` and the election key,
+/// [`PEER_COMB_WINDOW`] for a peer's signature key. [`FixedBase::mul`]
+/// adds the entries one scalar at a time by mixed addition; [`CombBatch`]
+/// adds those of many scalars in lockstep by batch-affine addition, at
+/// about 60 % of that a scalar.
 ///
 /// [`FixedBase::generator`] is this structure instantiated once for `G`;
 /// callers with their own hot base — the election ElGamal key, a peer's
@@ -957,22 +900,22 @@ pub struct FixedBase {
 }
 
 impl FixedBase {
-    /// Precomputes the comb table for `base` at `COMB_WINDOW`.
-    pub fn new(base: &Point) -> FixedBase {
-        FixedBase::with_window(base, COMB_WINDOW)
-    }
-
-    /// Precomputes the comb table for `base` at digit width `window`.
+    /// Precomputes the comb table for `base` at digit width `window`, its
+    /// role's: [`WIDE_COMB_WINDOW`] or [`PEER_COMB_WINDOW`].
     ///
-    /// The `⌈257/w⌉` position bases `2^(w·pos) · base` come from one
-    /// Jacobian doubling chain and are normalised together; their
-    /// multiples are then filled level by level (2; 3–4; 5–8; …) as
-    /// *affine* sums `level·B + j·B`, with the slope denominators of a
-    /// level inverted together across all positions. `w` shared
-    /// inversions and ~6 multiplications an entry, where building the
-    /// rows in Jacobian form and normalising every entry afterwards costs
-    /// ~23 an entry.
-    pub(crate) fn with_window(base: &Point, window: usize) -> FixedBase {
+    /// The position bases `2^(w·pos) · base` come from one doubling chain,
+    /// normalised together; their multiples are filled level by level
+    /// (2; 3–4; 5–8; …) as affine sums `level·B + j·B`, the slope
+    /// denominators of a level inverted together: ~6 multiplications an
+    /// entry.
+    ///
+    /// # Panics
+    /// Panics if `window` is not in `2..=8`.
+    pub fn with_window(base: &Point, window: usize) -> FixedBase {
+        assert!(
+            (2..=WIDE_COMB_WINDOW).contains(&window),
+            "comb width {window} outside 2..=8"
+        );
         let (positions, multiples) = (signed_windows(window), 1usize << (window - 1));
         let mut bases = Vec::with_capacity(positions);
         let mut b = *base;
@@ -1054,44 +997,23 @@ impl FixedBase {
             })
     }
 
-    /// `k · base` with no doublings: one mixed addition per nonzero digit.
+    /// `k · base` with no doublings: one mixed addition per nonzero digit,
+    /// Jacobian out — for a caller that adds more to it before its one
+    /// normalisation.
     pub fn mul(&self, k: &Scalar) -> Point {
         self.entries(&k.to_u256().limbs())
             .fold(Point::IDENTITY, |acc, entry| acc.add_affine(&entry))
-    }
-
-    /// `kᵢ · base` for every scalar of a slice, normalised (`z = 1`, or
-    /// the identity): one [`CombBatch`] of one-term outputs.
-    pub fn mul_many(&self, scalars: &[Scalar]) -> Vec<Point> {
-        let points = self.mul_many_affine(scalars);
-        points.into_iter().map(Affine::to_point).collect()
-    }
-
-    /// [`FixedBase::mul_many`] in the form the signer wants.
-    pub(crate) fn mul_many_affine(&self, scalars: &[Scalar]) -> Vec<Affine> {
-        let mut batch = CombBatch::new();
-        for k in scalars {
-            batch.push(&[(self, *k)]);
-        }
-        batch.evaluate_affine()
     }
 }
 
 /// A batch of short sums of fixed-base multiples — `r·pk + bit·G`,
 /// `(z̃ − u)·pk − c̃·G`, `k·G`, a signature's `s·G − e·PK` — evaluated
-/// together: the comb entries of every term are gathered into one slot
-/// an output, and all slots are halved in lockstep by the batch-affine
-/// reducer the multi-scalar kernel's buckets use ([`SlotReducer`]): 6
-/// field multiplications an addition against the 11 of
-/// [`FixedBase::mul`]'s mixed one, and the sums come out affine, so
-/// nothing is normalised afterwards. Outputs are taken as many at a time
-/// as fit [`GROUP_POINTS`] gathered entries (each term reads at most its
-/// own table's positions), whatever the size of the batch.
-///
-/// A round runs only while it pays (`comb_round_pays`): a batch too
-/// small for a round's inversion — one signature's `k·G`, one signature
-/// check — falls through the reducer untouched and is summed by the same
-/// mixed additions as [`FixedBase::mul`].
+/// together: the comb entries of every output are gathered into one slot,
+/// and all slots are halved in lockstep by the batch-affine reducer
+/// ([`SlotReducer`]) while a round pays (`comb_round_pays`), as many
+/// outputs at a time as fit [`GROUP_POINTS`] entries. What a round leaves
+/// is summed by mixed additions and normalised with one inversion; a
+/// batch too small to repay a round's inversion runs none.
 #[derive(Default)]
 pub struct CombBatch<'a> {
     /// Every output's terms, scalars as canonical limbs.
@@ -1115,15 +1037,8 @@ impl<'a> CombBatch<'a> {
         self.ends.push(self.terms.len());
     }
 
-    /// Every output in push order, normalised (`z = 1`, or the
-    /// identity).
-    pub fn evaluate(&self) -> Vec<Point> {
-        let points = self.evaluate_affine();
-        points.into_iter().map(Affine::to_point).collect()
-    }
-
-    /// [`CombBatch::evaluate`], affine.
-    pub(crate) fn evaluate_affine(&self) -> Vec<Affine> {
+    /// Every output in push order, normalised.
+    pub fn evaluate(&self) -> Vec<Affine> {
         let mut out = Vec::with_capacity(self.ends.len());
         let entries = |terms: &[(&FixedBase, [u64; 4])]| -> usize {
             terms.iter().map(|(table, _)| table.positions()).sum()
@@ -1257,7 +1172,7 @@ mod tests {
         // 2G from the standard secp256k1 test vectors: the compressed
         // public key for secret key 2 is 02‖c6047f94…9ee5 (even y).
         let two_g = Point::generator().double();
-        let (x, y) = two_g.to_affine().unwrap();
+        let Affine { x, y } = affine(&two_g);
         assert_eq!(
             x,
             Fp::from_hex("C6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5")
@@ -1512,9 +1427,8 @@ mod tests {
         }
     }
 
-    /// The digit widths of the tables in use (`COMB_WINDOW`,
-    /// `PEER_COMB_WINDOW`, `WIDE_COMB_WINDOW`).
-    const COMB_WIDTHS: [usize; 3] = [COMB_WINDOW, PEER_COMB_WINDOW, WIDE_COMB_WINDOW];
+    /// The digit widths of the tables in use.
+    const COMB_WIDTHS: [usize; 2] = [PEER_COMB_WINDOW, WIDE_COMB_WINDOW];
 
     /// Scalars whose recoding at window `w` is all edges, over the whole
     /// windows below bit 250: every digit of the largest magnitude, signs
@@ -1565,8 +1479,7 @@ mod tests {
 
     /// Each role's table has its own width and size: the generator's and
     /// the election key's 8-bit digits (33 × 128 entries, 264 KiB), a
-    /// peer key's 7-bit ones (37 × 64, 148 KiB), 5-bit for any other base
-    /// (52 × 16, 52 KiB).
+    /// peer key's 7-bit ones (37 × 64, 148 KiB).
     #[test]
     fn comb_widths_are_fixed_per_role() {
         let mut rng = StdRng::seed_from_u64(40);
@@ -1574,13 +1487,10 @@ mod tests {
         let (_, pk) = crate::elgamal::keygen(&mut rng);
         let election = crate::elgamal::PreparedKey::new(&pk);
         let peer = crate::schnorr::PreparedVerifier::new(&key);
-        let base = Point::mul_generator(&Scalar::random(&mut rng));
-        let other = FixedBase::new(&base);
         let roles = [
             ("generator", FixedBase::generator(), 8, 33, 264),
             ("election key", election.table(), 8, 33, 264),
             ("peer key", peer.table(), 7, 37, 148),
-            ("any other base", &other, 5, 52, 52),
         ];
         for (role, table, window, positions, kib) in roles {
             assert_eq!(table.window, window, "{role}");
@@ -1657,19 +1567,19 @@ mod tests {
                 batch.push(&[(table, *k)]);
                 expected.push(want);
             }
-            // 5 + 7 − 8 bits of the same base, and a peer-width check's
+            // 7 + 8 − 7 bits of the same base, and a peer-width check's
             // shape against the generator's table.
-            batch.push(&[(&tables[0], *k), (&tables[1], *k), (&tables[2], -*k)]);
+            batch.push(&[(&tables[0], *k), (&tables[1], *k), (&tables[0], -*k)]);
             expected.push(want);
-            batch.push(&[(g, *k), (&tables[1], -*k)]);
+            batch.push(&[(g, *k), (&tables[0], -*k)]);
             expected.push(Point::generator().mul(k).add(&want.negate()));
         }
-        assert_eq!(batch.evaluate(), expected);
+        assert_eq!(points(&batch), expected);
         // One output at a time: no reduction round, the chain alone.
-        for (k, want) in scalars.iter().zip(expected.chunks_exact(5)).take(8) {
+        for (k, want) in scalars.iter().zip(expected.chunks_exact(4)).take(8) {
             let mut one = CombBatch::new();
-            one.push(&[(g, *k), (&tables[1], -*k)]);
-            assert_eq!(one.evaluate(), [want[4]], "k = {k}");
+            one.push(&[(g, *k), (&tables[0], -*k)]);
+            assert_eq!(points(&one), [want[3]], "k = {k}");
         }
     }
 
@@ -1702,16 +1612,23 @@ mod tests {
             .fold(Point::IDENTITY, |acc, (table, k)| acc.add(&table.mul(k)))
     }
 
+    fn points(batch: &CombBatch<'_>) -> Vec<Point> {
+        batch.evaluate().into_iter().map(Affine::to_point).collect()
+    }
+
     fn evaluate(sums: &[Sum<'_>]) -> Vec<Point> {
         let mut batch = CombBatch::new();
         for sum in sums {
             batch.push(sum);
         }
-        let points = batch.evaluate();
+        let points = points(&batch);
         assert_eq!(points.len(), sums.len());
-        // Normalised, whichever of the reducer and the chain finished them.
-        assert!(points.iter().all(|p| p.is_identity() || p.z == Fp::ONE));
         points
+    }
+
+    /// A table of `base` at a peer key's width.
+    fn peer_table(base: &Point) -> FixedBase {
+        FixedBase::with_window(base, PEER_COMB_WINDOW)
     }
 
     #[test]
@@ -1719,16 +1636,16 @@ mod tests {
         // Through one signature's worth (no round), the sizes where the
         // last rounds drop out, a full chunk (~78 terms) and past it.
         let mut rng = StdRng::seed_from_u64(35);
-        let pk = FixedBase::new(&Point::mul_generator(&Scalar::random(&mut rng)));
+        let pk = peer_table(&Point::mul_generator(&Scalar::random(&mut rng)));
         let (sums, expected) = random_sums([FixedBase::generator(), &pk], 130, 36);
         for n in 0..=130 {
             assert_eq!(evaluate(&sums[..n]), expected[..n], "{n} outputs");
         }
-        // One table, one term an output: the signer's entry.
-        let scalars: Vec<Scalar> = sums.iter().map(|sum| sum[0].1).collect();
+        // One table, one term an output: the signer's shape.
+        let scalars: Vec<Sum<'_>> = sums.iter().map(|sum| vec![(&pk, sum[0].1)]).collect();
         for n in [0, 1, 2, 79, 130] {
-            let expected: Vec<Point> = scalars[..n].iter().map(|k| pk.mul(k)).collect();
-            assert_eq!(pk.mul_many(&scalars[..n]), expected, "{n} scalars");
+            let expected: Vec<Point> = scalars[..n].iter().map(|k| pk.mul(&k[0].1)).collect();
+            assert_eq!(evaluate(&scalars[..n]), expected, "{n} scalars");
         }
     }
 
@@ -1736,10 +1653,10 @@ mod tests {
     fn comb_batch_edge_scalars_bases_and_sums() {
         let mut rng = StdRng::seed_from_u64(37);
         let base = Point::mul_generator(&Scalar::random(&mut rng));
-        let (table, g) = (FixedBase::new(&base), FixedBase::generator());
-        let identity = FixedBase::new(&Point::IDENTITY);
+        let (table, g) = (peer_table(&base), FixedBase::generator());
+        let identity = peer_table(&Point::IDENTITY);
         let k = Scalar::random(&mut rng);
-        let [extremes, ones] = comb_digit_patterns(COMB_WINDOW);
+        let [extremes, ones] = comb_digit_patterns(PEER_COMB_WINDOW);
         // Each sum with its value by the generic ladder.
         let mut sums: Vec<Sum<'_>> = Vec::new();
         let mut expected: Vec<Point> = Vec::new();
@@ -1777,7 +1694,7 @@ mod tests {
     #[test]
     fn comb_batch_takes_a_sum_wider_than_its_buffer() {
         let mut rng = StdRng::seed_from_u64(39);
-        let table = FixedBase::new(&Point::mul_generator(&Scalar::random(&mut rng)));
+        let table = peer_table(&Point::mul_generator(&Scalar::random(&mut rng)));
         let terms = GROUP_POINTS / table.positions() + 20;
         let wide: Sum<'_> = (0..terms)
             .map(|_| (&table, Scalar::random(&mut rng)))
@@ -1796,10 +1713,10 @@ mod tests {
         let p = Point::mul_generator(&Scalar::random(&mut rng));
         let off_the_wire = Point::from_bytes(&p.to_bytes()).expect("own encoding");
         let mixed = [off_the_wire, Point::IDENTITY, p, rescaled(&p, 9)];
-        for (point, affine) in mixed.iter().zip(Point::batch_normalize(&mixed)) {
-            assert_eq!(affine.coords(), point.to_affine());
-            assert_eq!(affine.to_bytes(), point.to_bytes());
-            assert_eq!(affine.to_point(), *point);
+        for (point, normal) in mixed.iter().zip(Point::batch_normalize(&mixed)) {
+            assert_eq!(normal, affine(point));
+            assert_eq!(normal.to_bytes(), point.to_bytes());
+            assert_eq!(normal.to_point(), *point);
         }
         // Nothing to invert: coordinates are copied bit for bit.
         let copied = Point::batch_normalize(&[off_the_wire, Point::IDENTITY]);
@@ -1836,51 +1753,52 @@ mod tests {
             Point::IDENTITY,
             rescaled(&Point::generator(), 5),
         ];
-        for (point, affine) in points.iter().zip(Point::batch_to_affine(&points)) {
-            let bytes = Point::uncompressed(affine);
+        for (point, normal) in points.iter().zip(Point::batch_normalize(&points)) {
+            let bytes = normal.uncompressed();
             let parsed = Point::from_uncompressed(&bytes).expect("own encoding");
             assert_eq!(parsed, *point);
             assert_eq!(parsed.to_bytes(), point.to_bytes());
         }
-        let mut off_curve = Point::uncompressed(points[0].to_affine());
+        let first = affine(&points[0]).uncompressed();
+        let mut off_curve = first;
         off_curve[64] ^= 1;
         assert!(Point::from_uncompressed(&off_curve).is_none());
-        let mut bad_tag = Point::uncompressed(points[0].to_affine());
+        let mut bad_tag = first;
         bad_tag[0] = 0x02;
         assert!(Point::from_uncompressed(&bad_tag).is_none());
         let mut bad_identity = [0u8; 65];
         bad_identity[64] = 1;
         assert!(Point::from_uncompressed(&bad_identity).is_none());
         // A coordinate at or above the field modulus is not canonical.
-        let mut wide = Point::uncompressed(points[0].to_affine());
+        let mut wide = first;
         wide[1..33].copy_from_slice(&[0xFF; 32]);
         assert!(Point::from_uncompressed(&wide).is_none());
     }
 
     #[test]
-    fn batch_to_affine_matches_per_point() {
+    fn batch_normalize_matches_per_point() {
         let mut rng = StdRng::seed_from_u64(23);
         let mut points: Vec<Point> = (0..13)
             .map(|_| Point::mul_generator(&Scalar::random(&mut rng)))
             .collect();
         points[4] = Point::IDENTITY;
         points[9] = Point::IDENTITY;
-        let batch = Point::batch_to_affine(&points);
-        for (p, affine) in points.iter().zip(&batch) {
-            assert_eq!(p.to_affine(), *affine);
+        let batch = Point::batch_normalize(&points);
+        for (p, normal) in points.iter().zip(&batch) {
+            assert_eq!(affine(p), *normal);
         }
         let many = Point::batch_to_bytes(&points);
         for (p, bytes) in points.iter().zip(&many) {
             assert_eq!(p.to_bytes(), *bytes);
         }
-        assert!(Point::batch_to_affine(&[]).is_empty());
+        assert!(Point::batch_normalize(&[]).is_empty());
     }
 
     #[test]
     fn fixed_base_matches_generic_mul() {
         let mut rng = StdRng::seed_from_u64(24);
         let base = Point::mul_generator(&Scalar::random(&mut rng));
-        let table = FixedBase::new(&base);
+        let table = peer_table(&base);
         assert_eq!(table.base(), base);
         for _ in 0..8 {
             let k = Scalar::random(&mut rng);
@@ -1890,9 +1808,12 @@ mod tests {
         assert_eq!(table.mul(&Scalar::ONE), base);
     }
 
+    /// `p` normalised on its own, by the definition: `(x/z², y/z³)`.
     fn affine(p: &Point) -> Affine {
-        p.to_affine()
-            .map_or(Affine::IDENTITY, |(x, y)| Affine { x, y })
+        p.z.invert().map_or(Affine::IDENTITY, |zinv| Affine {
+            x: p.x * zinv.square(),
+            y: p.y * zinv.square() * zinv,
+        })
     }
 
     /// A random slot layout over `pool` and fresh points: empty, single,
@@ -2024,7 +1945,7 @@ mod tests {
         ];
         let random = Point::mul_generator(&Scalar::random(&mut rng));
         for base in [random, Point::generator(), Point::IDENTITY] {
-            let table = FixedBase::new(&base);
+            let table = peer_table(&base);
             assert_eq!(table.base(), base);
             for k in &edge {
                 assert_eq!(table.mul(k), base.mul(k), "k = {k}");
@@ -2104,24 +2025,46 @@ mod tests {
             }
             let sparse = Scalar::from_bytes_reduce(&bytes);
             let base = Point::mul_generator(&b);
-            let table = FixedBase::new(&base);
+            let table = peer_table(&base);
             for k in [k, sparse] {
                 prop_assert_eq!(table.mul(&k), base.mul(&k));
                 prop_assert_eq!(Point::mul_generator(&k), Point::generator().mul(&k));
-                prop_assert_eq!(FixedBase::new(&Point::IDENTITY).mul(&k), Point::IDENTITY);
+                prop_assert_eq!(peer_table(&Point::IDENTITY).mul(&k), Point::IDENTITY);
+            }
+        }
+
+        /// At every role's width — the generator's table, an election
+        /// key's, a peer key's — a one-output `CombBatch` (what the signer
+        /// and the EA evaluate), `FixedBase::mul` (what a verifier adds
+        /// to) and the ladder encode to the same bytes.
+        #[test]
+        fn prop_one_output_batch_comb_and_ladder_agree_at_every_role_width(
+            b in arb_scalar(),
+            k in arb_scalar(),
+        ) {
+            let base = Point::mul_generator(&b);
+            let election = crate::elgamal::PreparedKey::new(&crate::elgamal::PublicKey(base));
+            let peer = crate::schnorr::VerifyingKey::from_point(base);
+            let peer = crate::schnorr::PreparedVerifier::new(&peer);
+            for table in [FixedBase::generator(), election.table(), peer.table()] {
+                let want = table.base().mul(&k).to_bytes();
+                let mut batch = CombBatch::new();
+                batch.push(&[(table, k)]);
+                prop_assert_eq!(batch.evaluate()[0].to_bytes(), want);
+                prop_assert_eq!(table.mul(&k).to_bytes(), want);
             }
         }
 
         #[test]
-        fn prop_batch_to_affine_matches(a in arb_scalar(), b in arb_scalar()) {
+        fn prop_batch_normalize_matches(a in arb_scalar(), b in arb_scalar()) {
             let points = [
                 Point::mul_generator(&a),
                 Point::IDENTITY,
                 Point::mul_generator(&b).double(),
             ];
-            let batch = Point::batch_to_affine(&points);
-            for (p, affine) in points.iter().zip(&batch) {
-                prop_assert_eq!(p.to_affine(), *affine);
+            let batch = Point::batch_normalize(&points);
+            for (p, normal) in points.iter().zip(&batch) {
+                prop_assert_eq!(affine(p), *normal);
             }
         }
     }

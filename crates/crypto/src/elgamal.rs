@@ -13,7 +13,7 @@
 //! to cross-check homomorphic tallies in tests.
 
 use crate::batch::LinearBatch;
-use crate::curve::{CombBatch, FixedBase, Point, WIDE_COMB_WINDOW};
+use crate::curve::{Affine, CombBatch, FixedBase, Point, WIDE_COMB_WINDOW};
 use crate::field::Scalar;
 use std::collections::HashMap;
 
@@ -118,8 +118,8 @@ impl Ciphertext {
     ///
     /// # Panics
     /// Panics if `points` runs out.
-    pub fn next_from(points: &mut impl Iterator<Item = Point>) -> Ciphertext {
-        let mut next = || points.next().expect("two points a ciphertext");
+    pub fn next_from(points: &mut impl Iterator<Item = Affine>) -> Ciphertext {
+        let mut next = || points.next().expect("two points a ciphertext").to_point();
         Ciphertext {
             a: next(),
             b: next(),

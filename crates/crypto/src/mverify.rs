@@ -52,7 +52,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// this process, at ~128 for signatures off the wire, which owe it a
 /// square root each. 64 sits between the two: either kind is within
 /// ~4 µs a signature of its better path on both sides of it (DESIGN.md
-/// §12.1 has the table).
+/// §12.3).
 const PREPARED_BATCH_MAX: usize = 64;
 
 /// What a [`MsgVerifier`] did with the signatures handed to it: a pure

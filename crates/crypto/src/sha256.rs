@@ -248,7 +248,7 @@ const WEIGHT_TAG: [u8; 32] = *b"ddemos/batch-weight/v2\0\0\0\0\0\0\0\0\0\0";
 /// compression, read as two big-endian 128-bit halves. A weight below
 /// 2¹²⁸ halves the bucket work of its MSM term ([`crate::curve::Point::msm`]
 /// skips zero digits), and 128 bits is all the soundness a batch over
-/// secp256k1 can use (DESIGN.md §4.2).
+/// secp256k1 can use (DESIGN.md §12.4).
 #[derive(Clone, Debug)]
 pub(crate) struct WeightStream {
     midstate: [u32; 8],

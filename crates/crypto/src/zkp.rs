@@ -30,7 +30,7 @@
 //! publication and of the audit; [`verify_rows`] checks many rows so.
 
 use crate::batch::LinearBatch;
-use crate::curve::{CombBatch, FixedBase, Point};
+use crate::curve::{Affine, CombBatch, FixedBase, Point};
 use crate::elgamal::{Ciphertext, PreparedKey, PublicKey};
 use crate::field::Scalar;
 use crate::sha256::Sha256;
@@ -51,8 +51,8 @@ impl CpFirstMove {
     ///
     /// # Panics
     /// Panics if `points` runs out.
-    pub fn next_from(points: &mut impl Iterator<Item = Point>) -> CpFirstMove {
-        let mut next = || points.next().expect("two points a first move");
+    pub fn next_from(points: &mut impl Iterator<Item = Affine>) -> CpFirstMove {
+        let mut next = || points.next().expect("two points a first move").to_point();
         CpFirstMove {
             t1: next(),
             t2: next(),
@@ -116,7 +116,7 @@ impl OrFirstMove {
     ///
     /// # Panics
     /// Panics if `points` runs out.
-    pub fn next_from(points: &mut impl Iterator<Item = Point>) -> OrFirstMove {
+    pub fn next_from(points: &mut impl Iterator<Item = Affine>) -> OrFirstMove {
         OrFirstMove {
             branch0: CpFirstMove::next_from(points),
             branch1: CpFirstMove::next_from(points),

@@ -22,7 +22,7 @@
 //! | `metrics-clock`   | everything except `crates/obs` (no `Instant`/`elapsed` readings fed into recorder metrics) |
 //! | `panic`           | core/message-path crates (vc, bb, consensus, protocol, storage) |
 //! | `codec-exhaustive`| `Msg` enum vs `put_msg`/`get_msg`/`sample_msg` |
-//! | `commit-order`    | `vc/src/core.rs` (a scoped file without a journal, commit or send site fails) |
+//! | `commit-order`    | `vc/src/core.rs`, and `handle_write` in `bb/src/node.rs` (a scope without a journal, commit or visible-output site fails) |
 //! | `blocking-recv`   | `net/src/evloop.rs` (the readiness loop must never block on a channel) |
 //! | `scalar-verify`   | `crates/vc`, `crates/bb` (message paths verify through the batch/cache layer, never one signature at a time) |
 //! | `honest-core`     | `vc/src/core.rs` (no adversary type: Byzantine collectors wrap the honest core at its step boundary) |
@@ -87,10 +87,14 @@ const CLOCK_EXEMPT_FILES: &[&str] = &["src/load.rs"];
 const MSG_ENUM_FILE: &str = "crates/protocol/src/messages.rs";
 const MSG_CODEC_FILE: &str = "crates/protocol/src/codec.rs";
 
-/// Files checked by the durable-before-visible rule: the cores that
-/// journal, commit and send. (The BB core does none of the three: its
-/// driver journals each accepted write and commits before replying.)
-const CORE_FILES: &[&str] = &["crates/vc/src/core.rs"];
+/// Scopes of the durable-before-visible rule: the VC core, which journals,
+/// commits and sends, and the BB replica's write path, which appends each
+/// accepted write and commits it before handing the outcome back (the BB
+/// core itself does none of the three).
+const COMMIT_ORDER_SCOPES: &[(&str, Option<&str>)] = &[
+    ("crates/vc/src/core.rs", None),
+    ("crates/bb/src/node.rs", Some("handle_write")),
+];
 
 /// The readiness-driven event loop: one blocking channel receive here
 /// stalls every connection the loop owns, so `.recv`/`.recv_timeout`
@@ -233,8 +237,10 @@ pub fn check_file(sf: &SourceFile) -> Vec<Violation> {
     if has_prefix(path, PANIC_CRATES) {
         out.extend(rules::check_panic(sf));
     }
-    if CORE_FILES.contains(&path) {
-        out.extend(rules::check_commit_order(sf));
+    for (file, scope) in COMMIT_ORDER_SCOPES {
+        if path == *file {
+            out.extend(rules::check_commit_order(sf, *scope));
+        }
     }
     if path == EVLOOP_FILE || path.starts_with(EVLOOP_DIR) {
         out.extend(rules::check_blocking_recv(sf));

@@ -519,24 +519,30 @@ pub fn check_codec(
 // Rule 5: durable-before-visible.
 // ---------------------------------------------------------------------
 
-/// Within each function body: once a `Journal` output has been pushed
-/// (`self.jlog(…)` or a literal `…::Journal(…)`), no visible output
-/// (`self.send/multicast/multicast_others/reply(…)` or
-/// `…::Send/Reply/Deliver`) may follow until a commit (`self.persist(…)`
-/// or `…::Commit`). The barrier-free outputs of the VC durability table
-/// carry an inline `lint:allow` naming their row.
+/// Within each function body in scope: once a journal push has happened,
+/// no visible output may follow until a commit. In a sans-I/O core
+/// (`write_path` `None`: every function) those are `self.jlog(…)` or a
+/// literal `…::Journal(…)`; `self.persist(…)` or `…::Commit`;
+/// `self.send/multicast/multicast_others/reply(…)` or
+/// `…::Send/Reply/Deliver`. In a driver's write path (the function
+/// `write_path` names) they are `.append(…)`, `.commit(…)`, and a
+/// `return` or the body's tail value handing the outcome back. The
+/// barrier-free outputs of the VC durability table carry an inline
+/// `lint:allow` naming their row.
 ///
-/// A scoped file must hold at least one journal push, one commit and one
+/// A scope must hold at least one journal push, one commit and one
 /// visible output outside its tests; one that lacks a kind fails at its
-/// first line, because the rule would pass there while inspecting
+/// file's first line, because the rule would pass there while inspecting
 /// nothing.
-pub fn check_commit_order(sf: &SourceFile) -> Vec<Violation> {
+pub fn check_commit_order(sf: &SourceFile, write_path: Option<&str>) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut sites = [false; 3];
     let toks = &sf.toks;
     let mut i = 0usize;
     while i < toks.len() {
-        if sf.ident(i) == Some("fn") && sf.ident(i + 1).is_some() {
+        let name = sf.ident(i + 1);
+        if sf.ident(i) == Some("fn") && name.is_some() && write_path.is_none_or(|w| name == Some(w))
+        {
             if let Some((start, end)) = {
                 let mut j = i + 2;
                 while j < toks.len() && !sf.punct(j, '{') && !sf.punct(j, ';') {
@@ -549,7 +555,8 @@ pub fn check_commit_order(sf: &SourceFile) -> Vec<Violation> {
                 }
             } {
                 if !sf.test_mask[i] {
-                    scan_commit_order(sf, i + 1, start, end, &mut sites, &mut out);
+                    let path = write_path.is_some();
+                    scan_commit_order(sf, path, i + 1, start, end, &mut sites, &mut out);
                 }
                 i = end + 1;
                 continue;
@@ -563,13 +570,14 @@ pub fn check_commit_order(sf: &SourceFile) -> Vec<Violation> {
         .filter_map(|(kind, seen)| (!seen).then_some(kind))
         .collect();
     if !missing.is_empty() && !sf.allowed(RULE_COMMIT_ORDER, 1) {
+        let scoped = write_path.map_or("this file".into(), |w| format!("`fn {w}` in this file"));
         out.push(violation(
             sf,
             1,
             RULE_COMMIT_ORDER,
             format!(
-                "`commit-order` is scoped to this file, which holds no {} site outside its \
-                 tests: the rule inspects nothing here — take the file out of the scope",
+                "`commit-order` is scoped to {scoped}, which holds no {} site outside its \
+                 tests: the rule inspects nothing here — take it out of the scope",
                 missing.join(", no ")
             ),
         ));
@@ -581,6 +589,7 @@ pub fn check_commit_order(sf: &SourceFile) -> Vec<Violation> {
 /// (journal, commit, visible output) it met.
 fn scan_commit_order(
     sf: &SourceFile,
+    write_path: bool,
     fn_name_idx: usize,
     start: usize,
     end: usize,
@@ -589,11 +598,30 @@ fn scan_commit_order(
 ) {
     let fn_name = sf.ident(fn_name_idx).unwrap_or("?").to_string();
     let mut pending: Option<u32> = None; // line of the un-committed Journal
+                                         // A write path's tail value: a body that does not end in `;` or `}`.
+    let tail = (write_path && end > start && !sf.punct(end - 1, ';') && !sf.punct(end - 1, '}'))
+        .then_some(end - 1);
     for i in start..end {
-        let Some(id) = sf.ident(i) else { continue };
         let after_path = i >= 2 && sf.punct(i - 1, ':') && sf.punct(i - 2, ':');
         let method_call = i >= 1 && sf.punct(i - 1, '.') && sf.punct(i + 1, '(');
+        let id = sf.ident(i).unwrap_or_default();
         let kind = match id {
+            _ if Some(i) == tail => {
+                emit_commit_violation(sf, i, &fn_name, &mut pending, out, "its tail value");
+                2
+            }
+            "append" if write_path && method_call => {
+                pending = Some(sf.toks[i].line);
+                0
+            }
+            "commit" if write_path && method_call => {
+                pending = None;
+                1
+            }
+            "return" if write_path => {
+                emit_commit_violation(sf, i, &fn_name, &mut pending, out, "return");
+                2
+            }
             "jlog" if method_call => {
                 pending = Some(sf.toks[i].line);
                 0

@@ -117,6 +117,28 @@ fn commit_order_fixtures() {
 }
 
 #[test]
+fn commit_order_reads_the_boards_write_path() {
+    const NODE: &str = "crates/bb/src/node.rs";
+    // As it stands: appended, committed, then handed back; other
+    // functions of the file are not the rule's.
+    let pass = check_as("commit_order/write_path_pass.rs", NODE);
+    assert!(pass.is_empty(), "unexpected: {pass:?}");
+    // The outcome returned between the append and the commit, and a tail
+    // value after an append with no commit.
+    let fail = check_as("commit_order/write_path_fail.rs", NODE);
+    assert_eq!(rules_hit(&fail), vec![rules::RULE_COMMIT_ORDER]);
+    let flagged: Vec<&str> = fail.iter().map(|v| v.line_text.trim()).collect();
+    assert_eq!(flagged, ["return outcome;", "outcome"], "{fail:?}");
+    assert!(fail[1].msg.contains("tail value"), "{}", fail[1].msg);
+    // A node file without `handle_write` inspects nothing, and says so.
+    let gone = check_as("commit_order/pass.rs", NODE);
+    assert_eq!(rules_hit(&gone), vec![rules::RULE_COMMIT_ORDER]);
+    assert!(gone[0].msg.contains("`fn handle_write`"), "{gone:?}");
+    // The same reorder anywhere else in the BB crate is not looked at.
+    assert!(check_as("commit_order/write_path_fail.rs", "crates/bb/src/core.rs").is_empty());
+}
+
+#[test]
 fn blocking_recv_fixtures() {
     let fail = check_as("blocking_recv/fail.rs", "crates/net/src/evloop.rs");
     assert_eq!(rules_hit(&fail), vec![rules::RULE_BLOCKING_RECV]);
@@ -263,6 +285,11 @@ fn binary_fails_on_each_seeded_violation() {
             "crates/vc/src/core.rs",
             "honest_core/fail.rs",
         ),
+        (
+            "commit-order",
+            "crates/bb/src/node.rs",
+            "commit_order/write_path_fail.rs",
+        ),
     ];
     for (rule, rel, fix) in cases {
         let root = scratch_workspace(rule, rel, fix);
@@ -287,6 +314,28 @@ fn binary_fails_on_each_seeded_violation() {
         "missing tag:\n{stdout}"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `scripts/design_refs.sh` passes on this repository, where every cited
+/// `DESIGN.md` section exists, and its own test plants a missing one.
+#[test]
+fn design_refs_resolve_here_and_a_planted_one_fails() {
+    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("crates/lint has a workspace root");
+    for script in ["scripts/design_refs.sh", "scripts/design_refs_test.sh"] {
+        let out = Command::new("sh")
+            .arg(repo_root.join(script))
+            .output()
+            .expect("run sh");
+        assert!(
+            out.status.success(),
+            "{script}:\n{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]

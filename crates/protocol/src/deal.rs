@@ -12,7 +12,7 @@
 //! disjoint and cover `0..num_ballots` exactly, and refuses anything else
 //! with a [`WireError`], never a panic.
 //!
-//! Points travel uncompressed ([`Point::uncompressed`]): a chunk's points
+//! Points travel uncompressed ([`Affine::uncompressed`]): a chunk's points
 //! are normalised with one shared inversion (the EA's are affine already,
 //! so it costs none), and the replica checks each against the curve
 //! equation with no square root: under a millisecond for the 6,048
@@ -28,7 +28,7 @@ use crate::ids::SerialNo;
 use crate::initdata::{BbBallot, BbInit, BbRow};
 use crate::params::ElectionParams;
 use crate::wire::{Reader, WireError, Writer};
-use ddemos_crypto::curve::Point;
+use ddemos_crypto::curve::{Affine, Point};
 use ddemos_crypto::elgamal::{Ciphertext, PublicKey};
 use ddemos_crypto::schnorr::VerifyingKey;
 use ddemos_crypto::votecode::MskCommitment;
@@ -70,8 +70,8 @@ fn ballot_len(ballot: &BbBallot, m: usize) -> usize {
 
 /// Writes `points` uncompressed, normalised with one shared inversion.
 fn put_points(w: &mut Writer, points: &[Point]) {
-    for affine in Point::batch_to_affine(points) {
-        w.put_array(&Point::uncompressed(affine));
+    for affine in Point::batch_normalize(points) {
+        w.put_array(&affine.uncompressed());
     }
 }
 
@@ -122,9 +122,9 @@ fn header_chunk(init: &BbInit) -> Vec<u8> {
 fn ballots_chunk(first: u64, ballots: &[&BbBallot]) -> Vec<u8> {
     let rows = || ballots.iter().flat_map(|b| b.parts.iter().flatten());
     let points: Vec<Point> = rows().flat_map(points_of).collect();
-    let mut encoded = Point::batch_to_affine(&points)
+    let mut encoded = Point::batch_normalize(&points)
         .into_iter()
-        .map(Point::uncompressed);
+        .map(Affine::uncompressed);
     let mut w = Writer::new();
     w.put_u8(CHUNK_BALLOTS)
         .put_u64(first)
@@ -412,6 +412,37 @@ mod tests {
         let mut chunk = chunk.to_vec();
         chunk[1..9].copy_from_slice(&first.to_be_bytes());
         chunk
+    }
+
+    /// The SHA-256 of every chunk of `board()`, with an identity point in
+    /// it, dealt one ballot a chunk: the wire bytes of a deal must not
+    /// move.
+    #[test]
+    fn chunk_bytes_are_pinned() {
+        let mut init = board();
+        let mut ballots = (*init.ballots).clone();
+        if let Some(ballot) = ballots.get_mut(&SerialNo(1)) {
+            ballot.parts[1][0].sum_first.t2 = Point::IDENTITY;
+        }
+        init.ballots = Arc::new(ballots);
+        let whole = deal_chunks(&init, usize::MAX).unwrap();
+        let chunks = deal_chunks(&init, whole[1].len() / 2).unwrap();
+        let digests: Vec<String> = chunks
+            .iter()
+            .map(|chunk| {
+                let digest = ddemos_crypto::sha256::sha256(chunk);
+                digest.iter().map(|b| format!("{b:02x}")).collect()
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                "72c23c772d453a4dedd697081e61f8b8ab459c2c8f9cce6e3bd3e1f9862204a9",
+                "cda757048a115ea535ee7e8cbea33b482d2a4eea2bb45f562eb4ffdd1c004bf1",
+                "1b938dab1f914a3c8e0f6fce346143da3fb7819bb48ecd4072ea1c583f2867e7",
+                "b2b0208b8fb8b9c725383a5c56ca31886d97edc313d48d8eef70c041c753b8b2",
+            ]
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct JournalConfig {
     pub compact_every: Option<u64>,
     /// No effect. It used to let the VC driver skip a commit barrier no
     /// send followed; the core no longer emits such barriers (DESIGN.md
-    /// §12.6). Kept because the frozen `ddbench/` sets and reads it; the
+    /// §6.5). Kept because the frozen `ddbench/` sets and reads it; the
     /// next `benchmark` PR removes it.
     pub adaptive_commit: bool,
 }

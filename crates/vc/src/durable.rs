@@ -128,7 +128,7 @@ impl Default for BallotSlot {
 /// *barrier* — the journal synced before an output leaves the node — is
 /// paid only where something another party sees depends on the record
 /// surviving a power cycle; the others ride to the next barrier (the log
-/// is synced as a whole, in order). DESIGN.md §12.6 gives the arguments.
+/// is synced as a whole, in order). DESIGN.md §6.5 gives the arguments.
 ///
 /// | Record | Appended in | Barrier before | What rests on it; what losing it costs |
 /// |---|---|---|---|

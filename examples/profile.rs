@@ -168,7 +168,7 @@ const MAX_FRESH_SIG_CHECKS_PER_CAST: u64 = 9;
 /// three peers before its ENDORSEMENT leaves and before its VOTE_P
 /// leaves, the responder before its VOTE_P leaves — `2·(N_v − 1) + 1`.
 /// Everything else the cast journals rides to the next barrier
-/// (DESIGN.md §12.6).
+/// (DESIGN.md §6.5).
 const MAX_FSYNCS_PER_CAST: u64 = 7;
 
 fn flag(args: &[String], name: &str) -> Option<String> {

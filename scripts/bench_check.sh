@@ -52,17 +52,17 @@ BEGIN {
 {
     id = $1; median = $2
     if (!(id in base)) {
-        printf "  new   %-45s %12d ns (no baseline)\n", id, median
+        printf "  new   %-45s %12.0f ns (no baseline)\n", id, median
         next
     }
     compared++
     ratio = median / base[id]
     if (ratio > tol) {
-        printf "  SLOW  %-45s %12d ns vs %12d ns baseline (%.2fx > %.1fx)\n", \
+        printf "  SLOW  %-45s %12.0f ns vs %12.0f ns baseline (%.2fx > %.1fx)\n", \
             id, median, base[id], ratio, tol
         regressions++
     } else {
-        printf "  ok    %-45s %12d ns vs %12d ns baseline (%.2fx)\n", \
+        printf "  ok    %-45s %12.0f ns vs %12.0f ns baseline (%.2fx)\n", \
             id, median, base[id], ratio
     }
 }

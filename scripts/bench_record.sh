@@ -2,7 +2,7 @@
 # Regenerates the checked-in BENCH_*.json perf baselines:
 #
 #   BENCH_micro.json — crypto kernel baselines (msm vs naive loop,
-#                      batch_to_affine vs per-point, batch_invert vs
+#                      batch_normalize, batch_invert vs
 #                      Fermat, fixed-base tables) plus the pre-existing
 #                      micro benches.
 #   BENCH_setup.json — EA setup of a 10k-ballot election at 1 vs 8 worker

@@ -284,7 +284,7 @@ impl ElectionBuilder {
 
     /// No effect. It used to let VC drivers skip a commit barrier no
     /// send followed; collectors no longer emit such barriers (DESIGN.md
-    /// §12.6). Kept because the frozen `ddbench/` calls it; the next
+    /// §6.5). Kept because the frozen `ddbench/` calls it; the next
     /// `benchmark` PR removes it.
     #[must_use]
     pub fn adaptive_commit(mut self, enabled: bool) -> Self {
