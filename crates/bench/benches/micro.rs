@@ -5,11 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ddemos_crypto::cpu;
-use ddemos_crypto::curve::{self, CombBatch, FixedBase, Point, PEER_COMB_WINDOW};
+use ddemos_crypto::curve::{self, CombBatch, FixedBase, Point};
 use ddemos_crypto::elgamal;
 use ddemos_crypto::field::{Fp, Scalar};
 use ddemos_crypto::hmac::{HmacKey, Prf, PrfRng};
-use ddemos_crypto::schnorr::{Signature, SigningKey};
+use ddemos_crypto::schnorr::{PreparedVerifier, Signature, SigningKey, VerifyingKey};
 use ddemos_crypto::sha256::{self, sha256};
 use ddemos_crypto::shamir;
 use ddemos_crypto::zkp;
@@ -248,7 +248,9 @@ fn bench_kernels(c: &mut Criterion) {
     // distinct scalars (see `cycle`): the table a replica builds for each
     // of its peers.
     let base = Point::mul_generator(&Scalar::random(&mut rng));
-    let table = FixedBase::with_window(&base, PEER_COMB_WINDOW);
+    let peer = VerifyingKey::from_point(base);
+    let prepared = PreparedVerifier::new(&peer);
+    let table = prepared.table();
     let ks = &scalars[..512];
     let mut next = cycle(ks);
     c.bench_function("kernel/fixed_base mul (peer width)", |b| {
@@ -272,15 +274,16 @@ fn bench_kernels(c: &mut Criterion) {
         c.bench_function(&id, |b| b.iter(comb_batch(n)));
     }
     c.bench_function("kernel/fixed_base build (peer width)", |b| {
-        b.iter(|| FixedBase::with_window(std::hint::black_box(&base), PEER_COMB_WINDOW))
+        b.iter(|| PreparedVerifier::new(std::hint::black_box(&peer)))
     });
-    // Mixed additions on affine entries against the generic ladder.
+    // Mixed additions on affine entries against the generic ladder: ~37
+    // additions a scalar on the peer table (6.5–7.1× measured).
     let k = ks[0];
     ratio_gate(
         "variable-base mul / comb fixed_base mul",
         || base.mul(std::hint::black_box(&k)),
         || table.mul(std::hint::black_box(&k)),
-        4.0,
+        5.2,
     );
     // One at a time — 64 multiplications, Jacobian out — against the
     // same 64 in lockstep: what a regression of set-up to a loop over
@@ -452,7 +455,7 @@ fn bench_schnorr(c: &mut Criterion) {
     let msgs: Vec<Vec<u8>> = (0..64u64)
         .map(|i| format!("endorsement/{i}").into_bytes())
         .collect();
-    let entries: Vec<(ddemos_crypto::schnorr::VerifyingKey, &[u8], Signature)> = msgs
+    let entries: Vec<(VerifyingKey, &[u8], Signature)> = msgs
         .iter()
         .enumerate()
         .map(|(i, m)| {

@@ -369,13 +369,13 @@ pub struct Affine {
 
 impl Affine {
     /// The identity element.
-    pub const IDENTITY: Affine = Affine {
+    pub(crate) const IDENTITY: Affine = Affine {
         x: Fp::ZERO,
         y: Fp::ZERO,
     };
 
     /// True iff this is the identity element.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.x.is_zero() && self.y.is_zero()
     }
 
@@ -829,13 +829,13 @@ fn bucket_sum(ks: &[[u64; 4]], points: &[Affine], live: usize, w: usize, group: 
 /// publication: the process-wide generator table and the election key's
 /// ([`crate::elgamal::PreparedKey`]). 33 positions × 128 multiples,
 /// 264 KiB: ~33 additions a scalar.
-pub const WIDE_COMB_WINDOW: usize = 8;
+pub(crate) const WIDE_COMB_WINDOW: usize = 8;
 
 /// Digit width of a per-peer signature table
 /// ([`crate::schnorr::PreparedVerifier`]): 37 positions × 64 multiples,
 /// 148 KiB, ~37 additions a scalar. A replica holds one for each of its
 /// peers, so it is one step narrower than the shared tables.
-pub const PEER_COMB_WINDOW: usize = 7;
+pub(crate) const PEER_COMB_WINDOW: usize = 7;
 
 /// Field multiplications to finish the slots `lens` of a [`CombBatch`]
 /// without another reduction round: what each holds beyond one point is
@@ -881,8 +881,8 @@ fn comb_round_pays(lens: &[u32]) -> bool {
 /// against one base point: `⌈257/w⌉` positions of signed `w`-bit digits ×
 /// `2^(w−1)` multiples, held affine, so a multiplication is one addition
 /// a nonzero digit and no doubling. The width is the table's role's:
-/// [`WIDE_COMB_WINDOW`] for `G` and the election key,
-/// [`PEER_COMB_WINDOW`] for a peer's signature key. [`FixedBase::mul`]
+/// `WIDE_COMB_WINDOW` for `G` and the election key,
+/// `PEER_COMB_WINDOW` for a peer's signature key. [`FixedBase::mul`]
 /// adds the entries one scalar at a time by mixed addition; [`CombBatch`]
 /// adds those of many scalars in lockstep by batch-affine addition, at
 /// about 60 % of that a scalar.
@@ -908,14 +908,7 @@ impl FixedBase {
     /// (2; 3–4; 5–8; …) as affine sums `level·B + j·B`, the slope
     /// denominators of a level inverted together: ~6 multiplications an
     /// entry.
-    ///
-    /// # Panics
-    /// Panics if `window` is not in `2..=8`.
-    pub fn with_window(base: &Point, window: usize) -> FixedBase {
-        assert!(
-            (2..=WIDE_COMB_WINDOW).contains(&window),
-            "comb width {window} outside 2..=8"
-        );
+    pub(crate) fn with_window(base: &Point, window: usize) -> FixedBase {
         let (positions, multiples) = (signed_windows(window), 1usize << (window - 1));
         let mut bases = Vec::with_capacity(positions);
         let mut b = *base;
@@ -1634,7 +1627,8 @@ mod tests {
     #[test]
     fn comb_batch_matches_one_at_a_time_at_every_size() {
         // Through one signature's worth (no round), the sizes where the
-        // last rounds drop out, a full chunk (~78 terms) and past it.
+        // last rounds drop out, a full chunk of `GROUP_POINTS` entries
+        // and past it.
         let mut rng = StdRng::seed_from_u64(35);
         let pk = peer_table(&Point::mul_generator(&Scalar::random(&mut rng)));
         let (sums, expected) = random_sums([FixedBase::generator(), &pk], 130, 36);
@@ -1643,7 +1637,10 @@ mod tests {
         }
         // One table, one term an output: the signer's shape.
         let scalars: Vec<Sum<'_>> = sums.iter().map(|sum| vec![(&pk, sum[0].1)]).collect();
-        for n in [0, 1, 2, 79, 130] {
+        // The first output count past a full chunk.
+        let past_chunk = GROUP_POINTS / pk.positions() + 1;
+        assert!(past_chunk < 130);
+        for n in [0, 1, 2, past_chunk, 130] {
             let expected: Vec<Point> = scalars[..n].iter().map(|k| pk.mul(&k[0].1)).collect();
             assert_eq!(evaluate(&scalars[..n]), expected, "{n} scalars");
         }

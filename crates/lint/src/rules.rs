@@ -597,8 +597,9 @@ fn scan_commit_order(
     out: &mut Vec<Violation>,
 ) {
     let fn_name = sf.ident(fn_name_idx).unwrap_or("?").to_string();
-    let mut pending: Option<u32> = None; // line of the un-committed Journal
-                                         // A write path's tail value: a body that does not end in `;` or `}`.
+    // Line of the un-committed Journal.
+    let mut pending: Option<u32> = None;
+    // A write path's tail value: a body that does not end in `;` or `}`.
     let tail = (write_path && end > start && !sf.punct(end - 1, ';') && !sf.punct(end - 1, '}'))
         .then_some(end - 1);
     for i in start..end {

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Fails when a `DESIGN.md §N` or `§N.M` cited in crates/, src/,
-# examples/, scripts/ or README.md names no numbered heading of
+# examples/, scripts/, tests/ or README.md names no numbered heading of
 # DESIGN.md (`## N. Title`, `### N.M Title`). A citation may wrap: a
 # line ending in `DESIGN.md` continues on the next one, after that
 # line's comment marker (`//!`, `///`, `//`, `#`). Build output and the
@@ -17,7 +17,7 @@ LC_ALL=C sed -n 's/^##* \([0-9][0-9]*\(\.[0-9][0-9]*\)\{0,1\}\)\.\{0,1\} .*/\1/p
     DESIGN.md > "$sections" 2>/dev/null || true
 
 {
-    find crates src examples scripts -type f \
+    find crates src examples scripts tests -type f \
         \( -name '*.rs' -o -name '*.sh' -o -name '*.md' \) \
         -not -path '*/target/*' -not -path 'crates/lint/fixtures/*' 2>/dev/null
     [ -f README.md ] && echo README.md

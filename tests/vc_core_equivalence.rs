@@ -11,7 +11,7 @@
 //! burst.
 //!
 //! The same cluster carries the proof the durability budget rests on
-//! (DESIGN.md §12.6): it models each node's journal as "records behind an
+//! (DESIGN.md §6.5): it models each node's journal as "records behind an
 //! executed barrier survive, the rest do not" and power-cycles a node at
 //! every output boundary of a run.
 
