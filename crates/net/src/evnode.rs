@@ -25,9 +25,9 @@
 //! addressed to the node itself never touches a socket: it goes straight
 //! to the node's own inbox. A peer without a listener (the coordinator,
 //! voters) is reachable exactly while its own connection is up — which
-//! is the shape the protocol needs: finalized vote sets travel back over
-//! the coordinator's authenticated control connection, and receipts over
-//! the voter's own channel.
+//! is the shape the protocol needs: replies to a party without a listener
+//! (a voter's receipt, a board read's snapshot) travel back over that
+//! party's own channel.
 //!
 //! A client endpoint ([`AuthTransport::register`]) has no listener, so
 //! nothing reaches it unless it dials; its caller may send and then wait

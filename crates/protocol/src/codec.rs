@@ -545,28 +545,13 @@ fn get_announce_entry(r: &mut Reader<'_>) -> Result<AnnounceEntry, WireError> {
     Ok(AnnounceEntry { serial, vote })
 }
 
-/// Encodes a finalized vote set (the VC → coordinator delivery).
+/// Encodes a finalized vote set (a collector's `Deliver` output in a
+/// step trace).
 pub fn put_finalized_vote_set(w: &mut Writer, f: &FinalizedVoteSet) {
     w.put_u32(f.node_index);
     put_vote_set(w, &f.vote_set);
     put_signature(w, &f.signature);
     put_signed_share(w, &f.msk_share);
-    w.put_u64(f.announce_at_ms).put_u64(f.finalized_at_ms);
-}
-
-/// Decodes a finalized vote set.
-///
-/// # Errors
-/// Propagates primitive decode failures.
-pub fn get_finalized_vote_set(r: &mut Reader<'_>) -> Result<FinalizedVoteSet, WireError> {
-    Ok(FinalizedVoteSet {
-        node_index: r.get_u32()?,
-        vote_set: get_vote_set(r)?,
-        signature: get_signature(r)?,
-        msk_share: get_signed_share(r)?,
-        announce_at_ms: r.get_u64()?,
-        finalized_at_ms: r.get_u64()?,
-    })
 }
 
 const BBW_VOTE_SET: u8 = 1;
@@ -667,12 +652,13 @@ const MSG_RECOVER_REQUEST: u8 = 7;
 const MSG_RECOVER_RESPONSE: u8 = 8;
 const MSG_CONSENSUS: u8 = 9;
 const MSG_AMNESIA: u8 = 10;
-// Tag 11 carried the retired reliable-broadcast message. It stays
-// unassigned, so every other message keeps its bytes on the wire and in
-// the journal, and a frame carrying it is rejected.
+// Tag 11 carried the retired reliable-broadcast message, tag 14 a
+// collector's finalized vote set to the coordinator (the board is where a
+// vote set goes). Both stay unassigned, so every other message keeps its
+// bytes on the wire and in the journal, and a frame carrying either is
+// rejected.
 const MSG_CLOSE_POLLS: u8 = 12;
 const MSG_SHUTDOWN: u8 = 13;
-const MSG_FINALIZED: u8 = 14;
 const MSG_BB_WRITE: u8 = 15;
 const MSG_BB_WRITE_REPLY: u8 = 16;
 const MSG_BB_READ_REQUEST: u8 = 17;
@@ -763,10 +749,6 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
         }
         Msg::Shutdown => {
             w.put_u8(MSG_SHUTDOWN);
-        }
-        Msg::Finalized(f) => {
-            w.put_u8(MSG_FINALIZED);
-            put_finalized_vote_set(w, f);
         }
         Msg::BbWrite { request_id, write } => {
             w.put_u8(MSG_BB_WRITE).put_u64(*request_id);
@@ -860,7 +842,6 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         MSG_AMNESIA => Msg::Amnesia,
         MSG_CLOSE_POLLS => Msg::ClosePolls,
         MSG_SHUTDOWN => Msg::Shutdown,
-        MSG_FINALIZED => Msg::Finalized(get_finalized_vote_set(r)?),
         MSG_BB_WRITE => Msg::BbWrite {
             request_id: r.get_u64()?,
             write: get_bb_write(r)?,
@@ -1131,7 +1112,7 @@ mod tests {
 
     /// The number of `Msg` variants [`sample_msg`] can produce (keep in
     /// sync with the enum).
-    const MSG_VARIANTS: u32 = 19;
+    const MSG_VARIANTS: u32 = 18;
 
     /// One deterministic sample of each variant family, seeded.
     fn sample_msg(variant: u32, seed: u64) -> Msg {
@@ -1198,15 +1179,7 @@ mod tests {
             9 => Msg::Amnesia,
             10 => Msg::ClosePolls,
             11 => Msg::Shutdown,
-            12 => Msg::Finalized(FinalizedVoteSet {
-                node_index: rng.gen_range(0..7),
-                vote_set: sample_vote_set(rng),
-                signature: sig(rng),
-                msk_share: sample_signed_share(rng),
-                announce_at_ms: rng.gen(),
-                finalized_at_ms: rng.gen(),
-            }),
-            13 => Msg::BbWrite {
+            12 => Msg::BbWrite {
                 request_id: rng.gen(),
                 write: match rng.gen_range(0..3u32) {
                     0 => BbWriteMsg::VoteSet {
@@ -1223,7 +1196,7 @@ mod tests {
                     },
                 },
             },
-            14 => Msg::BbWriteReply {
+            13 => Msg::BbWriteReply {
                 request_id: rng.gen(),
                 outcome: match rng.gen_range(0..6u32) {
                     0 => BbWriteOutcome::Accepted,
@@ -1234,14 +1207,14 @@ mod tests {
                     _ => BbWriteOutcome::ReadOnly,
                 },
             },
-            15 => Msg::BbReadRequest {
+            14 => Msg::BbReadRequest {
                 request_id: rng.gen(),
             },
-            16 => Msg::BbReadResponse {
+            15 => Msg::BbReadResponse {
                 request_id: rng.gen(),
                 snapshot: Arc::new((0..rng.gen_range(0..64u32)).map(|i| i as u8).collect()),
             },
-            17 => Msg::BbDeal {
+            16 => Msg::BbDeal {
                 request_id: rng.gen(),
                 chunk: Arc::new((0..rng.gen_range(0..64u32)).map(|i| i as u8).collect()),
             },
@@ -1290,18 +1263,14 @@ mod tests {
         }
     }
 
-    /// A frame carrying the retired tag 11, with the body the
-    /// reliable-broadcast message had (origin, consensus payload, phase)
-    /// and a valid checksum, is refused as a bad value.
-    #[test]
-    fn retired_tag_11_is_rejected() {
+    /// Frames `tag` from `from` to `to`, with the body `put` writes and a
+    /// valid checksum, and asserts the frame is refused as a bad value.
+    fn assert_tag_rejected(tag: u8, from: NodeId, to: NodeId, put: impl FnOnce(&mut Writer)) {
         let mut body = Writer::new();
-        put_node_id(&mut body, NodeId::vc(1));
-        put_node_id(&mut body, NodeId::vc(2));
-        body.put_u8(11);
-        put_node_id(&mut body, NodeId::vc(1));
-        put_consensus_payload(&mut body, &sample_payload(&mut rng()));
-        body.put_u8(0);
+        put_node_id(&mut body, from);
+        put_node_id(&mut body, to);
+        body.put_u8(tag);
+        put(&mut body);
         let body = body.into_bytes();
         let mut frame = Writer::new();
         frame.put_u32(crc32(&body)).put_array(&body);
@@ -1309,6 +1278,36 @@ mod tests {
             decode_envelope_frame(&frame.into_bytes()).unwrap_err(),
             WireError::BadValue
         );
+    }
+
+    /// A frame carrying the retired tag 11, with the body the
+    /// reliable-broadcast message had (origin, consensus payload, phase),
+    /// is refused.
+    #[test]
+    fn retired_tag_11_is_rejected() {
+        assert_tag_rejected(11, NodeId::vc(1), NodeId::vc(2), |w| {
+            put_node_id(w, NodeId::vc(1));
+            put_consensus_payload(w, &sample_payload(&mut rng()));
+            w.put_u8(0);
+        });
+    }
+
+    /// A frame carrying the retired tag 14, with the body a collector's
+    /// finalized vote set to the coordinator had, is refused: no peer
+    /// built before its retirement can inject one.
+    #[test]
+    fn retired_tag_14_is_rejected() {
+        let mut rng = rng();
+        let finalized = FinalizedVoteSet {
+            node_index: 1,
+            vote_set: sample_vote_set(&mut rng),
+            signature: sig(&mut rng),
+            msk_share: sample_signed_share(&mut rng),
+        };
+        assert_tag_rejected(14, NodeId::vc(1), NodeId::client(0), |w| {
+            put_finalized_vote_set(w, &finalized);
+            w.put_u64(3).put_u64(5);
+        });
     }
 
     /// A deal's frame is its chunk plus exactly [`BB_DEAL_FRAME_OVERHEAD`]

@@ -103,8 +103,8 @@ impl NodeId {
 
 /// The election coordinator (`C0`): the operator identity that closes the
 /// polls and stops the replicas — replicas take `ClosePolls`/`Shutdown`
-/// from it alone — and the endpoint every collector sends its finalized
-/// vote set to.
+/// from it alone. Nothing is sent back to it: it learns the vote set, like
+/// everyone else, from the board.
 pub const COORDINATOR: NodeId = NodeId {
     kind: NodeKind::Client,
     index: 0,

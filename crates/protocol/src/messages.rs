@@ -5,7 +5,7 @@
 use crate::ids::{ElectionId, NodeId, SerialNo};
 use crate::initdata::endorsement_message;
 use crate::params::ElectionParams;
-use crate::posts::{FinalizedVoteSet, TrusteePost, VoteSet};
+use crate::posts::{TrusteePost, VoteSet};
 use crate::wire::Writer;
 use ddemos_crypto::schnorr::{Signature, VerifyingKey};
 use ddemos_crypto::sha256::sha256;
@@ -299,9 +299,6 @@ pub enum Msg {
     /// multi-process teardown). Same acceptance rule as
     /// [`Msg::ClosePolls`].
     Shutdown,
-    /// VC → coordinator: the node's finalized vote set (the envelope form
-    /// of the in-process result channel).
-    Finalized(FinalizedVoteSet),
     /// Writer → BB replica: an authenticated write.
     BbWrite {
         /// Client-chosen correlation id.
@@ -366,7 +363,6 @@ impl Msg {
             Msg::Amnesia => "Amnesia",
             Msg::ClosePolls => "ClosePolls",
             Msg::Shutdown => "Shutdown",
-            Msg::Finalized(_) => "Finalized",
             Msg::BbWrite { .. } => "BbWrite",
             Msg::BbWriteReply { .. } => "BbWriteReply",
             Msg::BbReadRequest { .. } => "BbReadRequest",

@@ -41,10 +41,9 @@ impl VoteSet {
 /// The signed vote set a VC node submits to the Bulletin Board subsystem
 /// when vote-set consensus completes (§III-E step 6).
 ///
-/// Defined here (rather than in `ddemos-vc`) because it crosses the node
-/// boundary twice: VC → harness on the in-process channel, and VC →
-/// coordinator as a [`crate::messages::Msg::Finalized`] envelope on a real
-/// transport.
+/// Defined here (rather than in `ddemos-vc`) because the codec encodes it:
+/// a collector's `Deliver` output in a step trace. What crosses the node
+/// boundary is its parts, as the collector's writes to the board.
 #[derive(Clone, Debug)]
 pub struct FinalizedVoteSet {
     /// The submitting node's index.
@@ -55,13 +54,6 @@ pub struct FinalizedVoteSet {
     pub signature: Signature,
     /// This node's `msk` share (EA-signed), released to BB nodes at end.
     pub msk_share: SignedShare,
-    /// Node-clock time (simulation ms) when this node entered the
-    /// ANNOUNCE phase. Stamped inside the simulation so vote-set-consensus
-    /// timing is deterministic under a virtual clock (a driver-side
-    /// wall-clock sample would race with still-running nodes).
-    pub announce_at_ms: u64,
-    /// Node-clock time (simulation ms) when this node finalized.
-    pub finalized_at_ms: u64,
 }
 
 /// A trustee's opening shares for every ciphertext of one ballot part

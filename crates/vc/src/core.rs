@@ -139,8 +139,8 @@ pub enum VcOutput {
     /// the state appended so far must be durable before the following
     /// `Send`s become externally visible.
     Commit,
-    /// Deliver the finalized vote set to the harness (in-process channel
-    /// or a `Msg::Finalized` envelope to the coordinator).
+    /// The finalized vote set: the driver writes it, with the node's
+    /// `msk` share, to every BB replica.
     Deliver(FinalizedVoteSet),
     /// The node power-cycled ([`Msg::Amnesia`]): volatile state is
     /// already gone; the driver must crash-simulate its journal, replay
@@ -304,7 +304,6 @@ pub struct HonestCore<S> {
     durable: bool,
     slots: BTreeMap<SerialNo, BallotSlot>,
     phase: Phase,
-    announce_at_ms: u64,
     /// Whether this node has delivered its finalized vote set (journaled,
     /// so an amnesia recovery cannot deliver a second one).
     finalized: bool,
@@ -385,7 +384,6 @@ impl<S: BallotStore> HonestCore<S> {
             durable,
             slots: BTreeMap::new(),
             phase: Phase::Voting,
-            announce_at_ms: 0,
             finalized: false,
             verified_ucerts: BTreeSet::new(),
             receipt_weights: InterpolatorCache::default(),
@@ -850,7 +848,6 @@ impl<S: BallotStore> HonestCore<S> {
             | Msg::Amnesia
             | Msg::ClosePolls
             | Msg::Shutdown
-            | Msg::Finalized(_)
             | Msg::BbWrite { .. }
             | Msg::BbWriteReply { .. }
             | Msg::BbReadRequest { .. }
@@ -1318,7 +1315,6 @@ impl<S: BallotStore> HonestCore<S> {
 
     fn begin_announce(&mut self) {
         self.phase = Phase::Announce;
-        self.announce_at_ms = self.now_ms;
         let entries: Vec<AnnounceEntry> = (0..self.store.num_ballots())
             .map(|s| {
                 let serial = SerialNo(s);
@@ -1556,8 +1552,6 @@ impl<S: BallotStore> HonestCore<S> {
             vote_set: set,
             signature,
             msk_share: self.init.msk_share,
-            announce_at_ms: self.announce_at_ms,
-            finalized_at_ms: self.now_ms,
         }));
         self.phase = Phase::Done;
     }

@@ -28,11 +28,10 @@
 //!
 //! The driver talks to the coordinator and the board only in envelopes,
 //! on either transport. On finalizing it writes its `msk` share and then
-//! its signed vote set to every BB replica (§III-G) and sends the set to
-//! [`COORDINATOR`] as `Msg::Finalized`; a repeated coordinator
-//! `ClosePolls` does both again (a lost write or set is sent again). The
-//! replicas' replies are not read. It stops on the coordinator's
-//! `Shutdown` or when its transport disconnects.
+//! its signed vote set to every BB replica (§III-G), the one place the
+//! set goes, and again for every later coordinator `ClosePolls` (a lost
+//! write is sent again); its [`VcHandle`] reads the set too. It stops on
+//! the coordinator's `Shutdown` or when its transport disconnects.
 //!
 //! The same core runs unchanged over the in-process `SimNet` and over
 //! real sockets with one replica per OS process (`ddemos_harness::tcp`).
@@ -49,6 +48,8 @@ use ddemos_protocol::messages::{BbWriteMsg, Envelope, Msg};
 use ddemos_protocol::posts::FinalizedVoteSet;
 use ddemos_protocol::{NodeId, COORDINATOR};
 use ddemos_storage::DynJournal;
+use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Runtime configuration of a node.
@@ -85,12 +86,18 @@ impl Default for VcNodeConfig {
 /// handle waits for that, as [`VcHandle::join`] does.
 pub struct VcHandle {
     thread: Option<std::thread::JoinHandle<()>>,
+    finalized: Arc<Mutex<Option<FinalizedVoteSet>>>,
 }
 
 impl VcHandle {
     /// Waits for the node to exit.
     pub fn join(self) {
         drop(self);
+    }
+
+    /// The vote set the node writes to the board, once it has one.
+    pub fn finalized(&self) -> Option<FinalizedVoteSet> {
+        self.finalized.lock().clone()
     }
 }
 
@@ -110,9 +117,9 @@ struct VcDriver<S> {
     journal: Option<DynJournal>,
     trace: Option<StepTrace>,
     recorder: Recorder,
-    /// The finalized vote set once the core has produced it, published
-    /// again for every later coordinator `ClosePolls`.
-    finalized: Option<FinalizedVoteSet>,
+    /// The finalized vote set once the core has produced it (an amnesia
+    /// power cycle takes it), published again for every later `ClosePolls`.
+    finalized: Arc<Mutex<Option<FinalizedVoteSet>>>,
     /// The number of BB replicas the set is written to.
     num_bb: u32,
     timeout: Duration,
@@ -268,9 +275,8 @@ impl<S: BallotStore> VcDriver<S> {
             ("~vc.step_outputs", "~vc.step_ns", "~vc.sig_checks")
         };
         let start = self.recorder.now_ns();
-        if let (VcInput::ClosePolls, Some(finalized)) = (&input, &self.finalized) {
-            // The coordinator asks again: its copy or a write was lost on
-            // the way.
+        if let (VcInput::ClosePolls, Some(finalized)) = (&input, &*self.finalized.lock()) {
+            // The coordinator asks again: a write was lost on the way.
             self.publish(finalized);
         }
         let now_ms = self.clock.now_ms();
@@ -358,7 +364,7 @@ impl<S: BallotStore> VcDriver<S> {
                     // cut: their barrier and what it holds come first.
                     self.release();
                     // The cached set is volatile: the power cut takes it.
-                    self.finalized = None;
+                    *self.finalized.lock() = None;
                     if let Some(journal) = self.journal.as_mut() {
                         if journal.crash(0).is_err() {
                             self.journal_fault("crash");
@@ -387,37 +393,31 @@ impl<S: BallotStore> VcDriver<S> {
                     // rest of the burst.
                     self.release();
                     self.recorder.set_phase("push");
-                    self.publish(&finalized);
-                    self.finalized = Some(finalized);
+                    // Kept first: a set on the board is in its writers' slots.
+                    self.publish(self.finalized.lock().insert(finalized));
                 }
             }
         }
     }
 
     /// Writes the finalized set's `msk` share, then the set, to every BB
-    /// replica, and sends the set to [`COORDINATOR`].
-    fn publish(&self, finalized: &FinalizedVoteSet) {
-        let writes = [
-            BbWriteMsg::MskShare {
-                share: finalized.msk_share,
-            },
-            BbWriteMsg::VoteSet {
-                from_vc: finalized.node_index,
-                set: finalized.vote_set.clone(),
-                sig: finalized.signature,
-            },
-        ];
-        for write in writes {
+    /// replica.
+    fn publish(&self, f: &FinalizedVoteSet) {
+        let share = BbWriteMsg::MskShare { share: f.msk_share };
+        let set = BbWriteMsg::VoteSet {
+            from_vc: f.node_index,
+            set: f.vote_set.clone(),
+            sig: f.signature,
+        };
+        for write in [share, set] {
+            let msg = Msg::BbWrite {
+                request_id: 0,
+                write,
+            };
             for j in 0..self.num_bb {
-                let msg = Msg::BbWrite {
-                    request_id: 0,
-                    write: write.clone(),
-                };
-                self.endpoint.send(NodeId::bb(j), msg);
+                self.endpoint.send(NodeId::bb(j), msg.clone());
             }
         }
-        self.endpoint
-            .send(COORDINATOR, Msg::Finalized(finalized.clone()));
     }
 
     /// Ends a burst: one `journal.commit()` for all its barriers, the held
@@ -447,9 +447,9 @@ impl<S: BallotStore> VcDriver<S> {
 }
 
 /// Spawns a vote collector: a thread driving a [`VcCore`] over `store`
-/// and `endpoint`. The finalized vote set is written to every BB replica
-/// and goes to [`COORDINATOR`] as a [`Msg::Finalized`] envelope, on
-/// whichever transport `endpoint` is.
+/// and `endpoint`. The finalized vote set is written to every BB replica,
+/// on whichever transport `endpoint` is, and kept for
+/// [`VcHandle::finalized`].
 ///
 /// With a `journal`, ballot-slot transitions are logged (committed
 /// before every externally visible action that depends on them) and a
@@ -468,6 +468,8 @@ pub fn spawn<S: BallotStore + 'static>(
     let node_index = init.node_index;
     let num_bb = init.params.num_bb as u32;
     let poll = config.poll;
+    let finalized = Arc::default();
+    let slot = Arc::clone(&finalized);
     let thread = std::thread::Builder::new()
         .name(format!("vc-{node_index}"))
         .spawn(move || {
@@ -486,7 +488,7 @@ pub fn spawn<S: BallotStore + 'static>(
                 journal,
                 trace: config.trace,
                 recorder: config.recorder,
-                finalized: None,
+                finalized: slot,
                 num_bb,
                 timeout: poll,
                 barrier: false,
@@ -497,6 +499,7 @@ pub fn spawn<S: BallotStore + 'static>(
         .expect("spawn vc node");
     VcHandle {
         thread: Some(thread),
+        finalized,
     }
 }
 
@@ -681,7 +684,7 @@ mod tests {
             journal: Some(Journal::new(disk.clone(), JournalConfig::default())),
             trace: None,
             recorder: recorder.clone(),
-            finalized: None,
+            finalized: Arc::default(),
             num_bb,
             timeout: poll,
             barrier: false,
@@ -807,6 +810,7 @@ mod tests {
 
     #[test]
     fn a_repeated_coordinator_close_polls_resends_the_identical_set() {
+        const REPLICAS: u32 = 3;
         let init = init();
         let finalized = FinalizedVoteSet {
             node_index: ME,
@@ -815,40 +819,46 @@ mod tests {
             },
             signature: init.signing_key.sign(b"vote set"),
             msk_share: init.msk_share,
-            announce_at_ms: 3,
-            finalized_at_ms: 5,
         };
         let set = finalized.clone();
         let run = run_driver(
             &[],
             vec![control(COORDINATOR, Msg::ClosePolls)],
             None,
-            // The core finalizes: the driver sends the set and keeps it.
-            |driver| driver.execute(vec![VcOutput::Deliver(set)]),
+            // The core finalizes: the driver writes the set and keeps it.
+            |driver| {
+                driver.num_bb = REPLICAS;
+                driver.execute(vec![VcOutput::Deliver(set)]);
+            },
         );
-        let sets: Vec<String> = run
+        // Each time, every replica got the msk share and then the set, and
+        // nothing went to the coordinator.
+        let msk = Msg::BbWrite {
+            request_id: 0,
+            write: BbWriteMsg::MskShare {
+                share: finalized.msk_share,
+            },
+        };
+        let vote_set = Msg::BbWrite {
+            request_id: 0,
+            write: BbWriteMsg::VoteSet {
+                from_vc: ME,
+                set: finalized.vote_set.clone(),
+                sig: finalized.signature,
+            },
+        };
+        let once = [&msk, &vote_set]
+            .into_iter()
+            .flat_map(|msg| (0..REPLICAS).map(move |j| format!("{:?}", (NodeId::bb(j), msg))));
+        let expected: Vec<String> = once.clone().chain(once).collect();
+        let writes: Vec<String> = run
             .sent
             .iter()
-            .filter_map(|(_, to, msg)| match msg {
-                Msg::Finalized(f) if *to == COORDINATOR => Some(format!("{f:?}")),
-                _ => None,
-            })
+            .filter(|(_, _, msg)| matches!(msg, Msg::BbWrite { .. }))
+            .map(|(_, to, msg)| format!("{:?}", (to, msg)))
             .collect();
-        assert_eq!(sets, vec![format!("{finalized:?}"); 2]);
-        // Each time, the msk share and then the set went to the replica.
-        let writes: Vec<&'static str> = run
-            .sent
-            .iter()
-            .filter_map(|(_, to, msg)| match msg {
-                Msg::BbWrite { write, .. } if *to == NodeId::bb(0) => Some(match write {
-                    BbWriteMsg::MskShare { share } if *share == finalized.msk_share => "msk",
-                    BbWriteMsg::VoteSet { set, .. } if *set == finalized.vote_set => "set",
-                    _ => "other",
-                }),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(writes, ["msk", "set", "msk", "set"]);
+        assert_eq!(writes, expected);
+        assert!(run.sent.iter().all(|(_, to, _)| *to != COORDINATOR));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! it casts votes over the sockets, closes the polls, tallies, audits,
 //! checks that every dial it made completed the channel handshake — and
 //! finally re-runs the *same seed* in-process to prove the two
-//! deployments produce identical tallies, receipts, and audit verdicts.
+//! deployments publish the same vote set and produce identical tallies,
+//! receipts, and audit verdicts.
 //!
 //! ```text
 //! cargo run --release --example tcp_cluster [-- --ballots N --options M]
@@ -19,7 +20,7 @@
 //! cap. The coordinator prints the largest frames it read and wrote.
 
 use ddemos_harness::tcp::{run_bb_replica, run_vc_replica, TcpCluster, TcpOptions};
-use ddemos_harness::{ElectionBuilder, ElectionParams, ElectionReport, Network};
+use ddemos_harness::{Election, ElectionBuilder, ElectionParams, ElectionReport, Network};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -141,7 +142,20 @@ impl Drop for Replicas {
     }
 }
 
-fn run_in_process_reference(p: ElectionParams) -> ElectionReport {
+/// Closes the polls, then finishes: the digest of the vote set the board
+/// published, and the report.
+fn close_and_finish(election: Election, what: &str) -> ([u8; 32], ElectionReport) {
+    let published = election
+        .close()
+        .unwrap_or_else(|e| panic!("{what} close: {e}"));
+    let report = election
+        .finish()
+        .unwrap_or_else(|e| panic!("{what} election finishes: {e}"));
+    election.shutdown();
+    (published.digest(), report)
+}
+
+fn run_in_process_reference(p: ElectionParams) -> ([u8; 32], ElectionReport) {
     let election = ElectionBuilder::new(p.clone())
         .seed(SEED)
         .build()
@@ -152,9 +166,7 @@ fn run_in_process_reference(p: ElectionParams) -> ElectionReport {
             .cast(ballot, option % p.num_options)
             .expect("in-process cast");
     }
-    let report = election.finish().expect("in-process election finishes");
-    election.shutdown();
-    report
+    close_and_finish(election, "in-process")
 }
 
 fn main() {
@@ -211,8 +223,7 @@ fn main() {
             record.audit.receipt, record.attempts
         );
     }
-    let tcp_report = election.finish().expect("tcp election finishes");
-    election.shutdown();
+    let (tcp_set, tcp_report) = close_and_finish(election, "tcp");
 
     children.wait_all();
     println!(
@@ -252,8 +263,12 @@ fn main() {
     );
 
     println!("re-running the same seed in-process for comparison...");
-    let sim_report = run_in_process_reference(p);
+    let (sim_set, sim_report) = run_in_process_reference(p);
 
+    assert_eq!(
+        tcp_set, sim_set,
+        "published vote set diverged between deployments"
+    );
     assert_eq!(
         tcp_report.tally(),
         sim_report.tally(),
@@ -270,7 +285,7 @@ fn main() {
     );
     assert!(tcp_report.verified(), "audit failed");
     println!(
-        "OK: multi-process and in-process runs agree (tally {:?}, audit verified)",
+        "OK: multi-process and in-process runs agree (vote set, tally {:?}, audit verified)",
         tcp_report.tally()
     );
 }

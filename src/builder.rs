@@ -316,8 +316,8 @@ impl ElectionBuilder {
     }
 
     /// Overrides how long [`Election::close`] waits (in wall time) for the
-    /// VC quorum's finalized vote sets (default 120 s; fuzz harnesses use
-    /// a short value so stalled scenarios fail fast).
+    /// vote set on a BB majority (default 120 s; fuzz harnesses use a
+    /// short value so stalled scenarios fail fast).
     #[must_use]
     pub fn close_timeout(mut self, timeout: Duration) -> Self {
         self.close_timeout = Some(timeout);
@@ -774,7 +774,7 @@ impl ElectionBuilder {
             clock,
             reader,
             trustee_nodes: Mutex::new(Vec::new()),
-            _vc_handles: started.vc_handles,
+            vc_handles: started.vc_handles,
             bb_threads: started.bb_threads,
             coordinator: Mutex::new(coordinator),
             seed: self.seed,

@@ -3,7 +3,6 @@
 use crate::builder::StoreKind;
 use crate::report::{ElectionReport, NetReport};
 use crate::workload::{Workload, WorkloadStats};
-use crossbeam_channel::RecvTimeoutError;
 use ddemos::auditor::{AuditReport, Auditor};
 use ddemos::voter::{VoteError, VoteRecord, Voter};
 use ddemos_bb::{BbSnapshot, MajorityReader};
@@ -12,8 +11,8 @@ use ddemos_net::{AuthTransport, DynEndpoint, NetStats, SimNet};
 use ddemos_obs::{MetricsSnapshot, Recorder, TimeDomain};
 use ddemos_protocol::ballot::AuditInfo;
 use ddemos_protocol::clock::{ActorGuard, GlobalClock};
-use ddemos_protocol::messages::{Envelope, Msg};
-use ddemos_protocol::posts::ElectionResult;
+use ddemos_protocol::messages::Msg;
+use ddemos_protocol::posts::{ElectionResult, VoteSet};
 use ddemos_protocol::{NodeId, NodeKind, PartId, SerialNo};
 use ddemos_trustee::{Trustee, TrusteeError};
 use ddemos_vc::{FinalizedVoteSet, VcHandle};
@@ -86,10 +85,15 @@ impl NetBackend {
     }
 }
 
-/// How long, in the network's time base, [`Election::close`] waits for a
-/// collector's finalized vote set, or for the board to show the
-/// encrypted tally, before sending `ClosePolls` again.
+/// How long, in the network's time base, [`Election::close`] waits for the
+/// board to show the vote set, or the encrypted tally, before sending
+/// `ClosePolls` again.
 const CLOSE_RETRY: Duration = Duration::from_secs(1);
+/// How far short of a virtual clock's advancement limit
+/// [`Election::close`] gives up: a wait past the limit never ends, and
+/// one retry round (its pauses, and a read whose replies time out) must
+/// fit before it.
+const LIMIT_MARGIN: Duration = Duration::from_secs(10);
 /// Client ids below this are the election's own: [`crate::COORDINATOR`]
 /// (client 0) and its endpoint to the board (client 1). Voters and load
 /// connections are numbered from here.
@@ -99,7 +103,7 @@ pub(crate) const RESERVED_CLIENTS: u32 = 2;
 /// the coordinator's connections.
 pub(crate) const SHUTDOWN_PATIENCE: Duration = Duration::from_secs(1);
 /// How long [`Election::close`] waits for a BB majority to hold the
-/// encrypted tally challenge once the collectors have finalized.
+/// encrypted tally challenge once it shows the vote set.
 const BB_PUBLISH_TIMEOUT: Duration = Duration::from_secs(60);
 /// How long [`Election::tally`] waits for the published result.
 const RESULT_TIMEOUT: Duration = Duration::from_secs(120);
@@ -107,7 +111,7 @@ const RESULT_TIMEOUT: Duration = Duration::from_secs(120);
 /// Orchestration errors surfaced by the phase handles.
 #[derive(Debug)]
 pub enum ElectionError {
-    /// Not enough VC nodes finalized a vote set in time.
+    /// No vote set showed on a BB majority in time.
     VoteSetTimeout,
     /// The BB majority never published the expected artifact.
     BbTimeout(&'static str),
@@ -145,10 +149,11 @@ pub struct PhaseTimings {
     pub setup: Duration,
     /// Casting votes (accumulated over every [`VotingPhase`] call).
     pub vote_collection: Duration,
-    /// ANNOUNCE + batched binary consensus + RECOVER.
+    /// From the close request to the vote set on a BB majority: ANNOUNCE,
+    /// batched binary consensus, RECOVER and the collectors' writes.
     pub vote_set_consensus: Duration,
-    /// From the finalized quorum to the encrypted tally on the board: the
-    /// collectors' writes, msk reconstruction, code decryption.
+    /// From the vote set to the encrypted tally's challenge on a BB
+    /// majority: msk reconstruction and code decryption.
     pub push_to_bb_and_tally: Duration,
     /// Trustee posts and result publication.
     pub publish_result: Duration,
@@ -161,10 +166,8 @@ pub(crate) struct RunState {
     pub(crate) receipts: Vec<(SerialNo, u64)>,
     pub(crate) workload: Option<WorkloadStats>,
     pub(crate) timings: PhaseTimings,
-    /// Vote sets the coordinator has collected, one a collector: a
-    /// timed-out `close()` resumes from them.
-    pub(crate) drained: Vec<FinalizedVoteSet>,
-    pub(crate) finalized: Option<Vec<FinalizedVoteSet>>,
+    /// The vote set a BB majority has shown [`Election::close`].
+    pub(crate) vote_set: Option<VoteSet>,
     /// Whether the board has shown the encrypted tally's challenge.
     pub(crate) published: bool,
     pub(crate) result: Option<ElectionResult>,
@@ -198,25 +201,25 @@ pub struct Election {
     pub(crate) trustee_nodes: Mutex<Vec<Option<TrusteeNode>>>,
     /// The in-process VC node threads (none over TCP), joined as the
     /// election drops, after the network under them has shut down.
-    pub(crate) _vc_handles: Vec<VcHandle>,
+    pub(crate) vc_handles: Vec<VcHandle>,
     /// The in-process BB replica threads (none over TCP), joined after
     /// the network shuts down too.
     pub(crate) bb_threads: Vec<std::thread::JoinHandle<()>>,
     /// The [`crate::COORDINATOR`] endpoint on the election's transport: it
-    /// closes the polls, collects the finalized vote sets and stops the
-    /// replicas. The coordinator writes nothing to the board.
+    /// closes the polls and stops the replicas. Nothing is sent to it, and
+    /// the coordinator writes nothing to the board.
     pub(crate) coordinator: Mutex<DynEndpoint>,
     pub(crate) seed: u64,
     pub(crate) store: StoreKind,
     pub(crate) profile: ddemos_ea::SetupProfile,
     pub(crate) threads: usize,
-    /// Wall-clock bound on the [`Election::close`] vote-set drain.
+    /// Wall-clock bound on [`Election::close`]'s wait for the vote set.
     pub(crate) close_timeout: Duration,
     pub(crate) next_client: AtomicU32,
     pub(crate) cast_seq: AtomicU64,
     pub(crate) run: Mutex<RunState>,
-    /// Serializes [`Election::close`], so one closer collects, caches and
-    /// publishes the vote sets.
+    /// Serializes [`Election::close`], so one closer waits for the board
+    /// and caches what it shows.
     pub(crate) close_lock: Mutex<()>,
     /// Per-node metrics recorders in fixed merge order (vc-0…, bb-0…,
     /// then the profiling hook if installed). Empty when metrics are off
@@ -244,7 +247,7 @@ impl Drop for Election {
         // party once the network shuts down under it: under a virtual
         // clock that is what wakes nodes blocked in virtual waits. The BB
         // and trustee threads are joined here, the VC threads as
-        // `_vc_handles` drops.
+        // `vc_handles` drops.
         let params = &self.setup.params;
         let coordinator = self.coordinator.lock();
         let vcs = (0..params.num_vc as u32).map(NodeId::vc);
@@ -292,76 +295,89 @@ impl Election {
         }
     }
 
-    /// Closes the polls on every VC node and waits for vote-set consensus
-    /// to a quorum of [`FinalizedVoteSet`]s and (for full setups) for the
-    /// encrypted tally challenge on a BB majority, which the collectors'
-    /// own writes put there.
+    /// Closes the polls on every VC node and waits for a BB majority to
+    /// show the vote set the collectors agreed on and, for full set-ups,
+    /// the encrypted tally's challenge: the collectors' own writes put
+    /// both there. Returns the published vote set.
     ///
-    /// The coordinator collects the collectors' `Msg::Finalized`
-    /// envelopes. Until it has a quorum of sets and the challenge shows,
-    /// it sends every collector `ClosePolls` again each [`CLOSE_RETRY`]:
-    /// each answers by sending its set and its board writes again.
+    /// Until the board shows them, the coordinator sends every collector
+    /// `ClosePolls` again each [`CLOSE_RETRY`]: a finalized one answers by
+    /// writing its `msk` share and its set to the board again.
     ///
     /// Idempotent: once the pipeline has completed, later calls (e.g. a
-    /// `finish()` after a manual `close()`) return the cached vote sets;
-    /// after a failure, retrying resumes from whatever had already been
-    /// collected.
+    /// `finish()` after a manual `close()`) return the cached set; after a
+    /// failure, retrying resumes from what the board had shown.
     ///
     /// # Errors
-    /// [`ElectionError::VoteSetTimeout`] or [`ElectionError::BbTimeout`].
-    pub fn close(&self) -> Result<Vec<FinalizedVoteSet>, ElectionError> {
-        // Serialized: one closer collects, caches and publishes.
+    /// [`ElectionError::VoteSetTimeout`] when no vote set shows within
+    /// the close timeout (or short of a virtual clock's limit);
+    /// [`ElectionError::BbTimeout`] when the challenge does not follow it.
+    pub fn close(&self) -> Result<VoteSet, ElectionError> {
+        // Serialized: one closer reads and caches.
         let _phase = self.close_lock.lock();
-        let cached = self.run.lock().finalized.clone();
-        let finalized = match cached {
-            Some(finalized) => finalized,
-            None => {
-                self.close_polls();
-                let pending =
-                    self.drain_vote_sets(self.setup.params.vc_quorum(), self.close_timeout, true)?;
-                // Cache before the fallible BB wait below: consensus has
-                // completed. Consensus timing comes from the node-stamped
-                // announce/finalize times — values produced inside the
-                // simulation, so they replay identically under a virtual
-                // clock (a driver-side clock sample here would race with
-                // nodes still draining their last events).
-                let announce = pending.iter().map(|f| f.announce_at_ms).min().unwrap_or(0);
-                let finalized_at = pending
-                    .iter()
-                    .map(|f| f.finalized_at_ms)
-                    .max()
-                    .unwrap_or(announce);
-                let mut state = self.run.lock();
-                state.timings.vote_set_consensus +=
-                    Duration::from_millis(finalized_at.saturating_sub(announce));
-                state.finalized = Some(pending.clone());
-                pending
-            }
-        };
-        if self.is_full_setup() && !self.run.lock().published {
-            // Unlike the consensus span above, this delta is safe to
-            // sample driver-side even under a virtual clock: between the
-            // two samples the driver only waits on BB round trips, whose
-            // virtual latencies are seeded, and the read predicate is a
-            // pure function of the writes — so the delta does not depend
-            // on the racy absolute base.
-            let t1 = self.clock.now_ns();
-            while self
-                .reader
-                .read_until(CLOSE_RETRY, |s| s.challenge.is_some())
-                .is_none()
-            {
-                if self.clock.now_ns().saturating_sub(t1) > BB_PUBLISH_TIMEOUT.as_nanos() as u64 {
-                    return Err(ElectionError::BbTimeout("encrypted tally"));
-                }
-                Self::send_close_polls(&self.coordinator.lock(), self.setup.params.num_vc);
-            }
-            let mut state = self.run.lock();
-            state.timings.push_to_bb_and_tally +=
-                Duration::from_nanos(self.clock.now_ns().saturating_sub(t1));
-            state.published = true;
+        let full = self.is_full_setup();
+        let done = |state: &RunState| state.vote_set.clone().filter(|_| state.published || !full);
+        if let Some(set) = done(&self.run.lock()) {
+            return Ok(set);
         }
-        Ok(finalized)
+        self.close_polls();
+        // Both spans are sampled here, on the board. Between two samples
+        // the driver only waits on board round trips, whose virtual
+        // latencies are seeded, and on its own pauses; what a read shows
+        // is a pure function of the writes.
+        // lint:allow(wall-clock, operator-facing vote-set deadline)
+        let deadline = Instant::now() + self.close_timeout;
+        // A virtual clock never passes its limit, so a wait beyond it
+        // would never end: the simulation is over short of it.
+        let stop_ns = self.clock.virtual_clock().map_or(u64::MAX, |vclock| {
+            (vclock.limit_ns()).saturating_sub(LIMIT_MARGIN.as_nanos() as u64)
+        });
+        let mut since = self.clock.now_ns();
+        let mut have_set = self.run.lock().vote_set.is_some();
+        while self.clock.now_ns() < stop_ns {
+            let shown = self.reader.read_until(CLOSE_RETRY, |s| {
+                if have_set {
+                    s.challenge.is_some()
+                } else {
+                    s.vote_set.is_some()
+                }
+            });
+            let now = self.clock.now_ns();
+            let span = |from: u64| Duration::from_nanos(now.saturating_sub(from));
+            if let Some(board) = shown {
+                let mut state = self.run.lock();
+                if !have_set {
+                    state.timings.vote_set_consensus += span(since);
+                    state.vote_set = board.vote_set;
+                    have_set = true;
+                    since = now;
+                }
+                // The read that shows the set may show the challenge too.
+                if board.challenge.is_some() {
+                    state.timings.push_to_bb_and_tally += span(since);
+                    state.published = true;
+                }
+                if let Some(set) = done(&state) {
+                    return Ok(set);
+                }
+                continue;
+            }
+            let expired = if have_set {
+                span(since) > BB_PUBLISH_TIMEOUT
+            } else {
+                // lint:allow(wall-clock, operator-facing deadline check; cores still step on now_ms)
+                Instant::now() >= deadline
+            };
+            if expired {
+                break;
+            }
+            Self::send_close_polls(&self.coordinator.lock(), self.setup.params.num_vc);
+        }
+        Err(if have_set {
+            ElectionError::BbTimeout("encrypted tally")
+        } else {
+            ElectionError::VoteSetTimeout
+        })
     }
 
     /// Majority-reads the board until the trustee nodes' posts have
@@ -385,7 +401,7 @@ impl Election {
             if let Some(result) = state.result.clone() {
                 return Ok(result);
             }
-            if state.finalized.is_none() {
+            if state.vote_set.is_none() {
                 return Err(ElectionError::PhaseUnavailable(
                     "tally requires close() first",
                 ));
@@ -652,81 +668,20 @@ impl Election {
         }
     }
 
-    /// Waits until at least `count` VC nodes have delivered their
-    /// finalized vote sets to the coordinator (they do so after their
-    /// clocks pass `Tend` or [`Election::close_polls`]). Sets collected
-    /// by an earlier call count, and every set stays collected for
-    /// [`Election::close`].
-    ///
-    /// # Errors
-    /// [`ElectionError::VoteSetTimeout`] on expiry.
-    pub fn await_vote_sets(
-        &self,
-        count: usize,
-        timeout: Duration,
-    ) -> Result<Vec<FinalizedVoteSet>, ElectionError> {
-        self.drain_vote_sets(count, timeout, false)
-    }
-
-    /// Reads `Msg::Finalized` envelopes off the coordinator endpoint until
-    /// `count` distinct collectors have sent theirs or `timeout` of wall
-    /// time passes, keeping what arrived in the run state either way.
-    /// With `refetch`, every [`CLOSE_RETRY`] of network time the
-    /// collectors are sent `ClosePolls` again.
-    fn drain_vote_sets(
-        &self,
-        count: usize,
-        timeout: Duration,
-        refetch: bool,
-    ) -> Result<Vec<FinalizedVoteSet>, ElectionError> {
-        let coordinator = self.coordinator.lock();
-        let mut sets = std::mem::take(&mut self.run.lock().drained);
-        // lint:allow(wall-clock, operator-facing vote-set collection deadline)
-        let deadline = Instant::now() + timeout;
-        let retry_ns = CLOSE_RETRY.as_nanos() as u64;
-        let mut retry_at = coordinator.now_ns() + retry_ns;
-        let result = loop {
-            if sets.len() >= count {
-                break Ok(());
-            }
-            // lint:allow(wall-clock, operator-facing deadline arithmetic; cores still step on now_ms)
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break Err(ElectionError::VoteSetTimeout);
-            };
-            let now = coordinator.now_ns();
-            if now >= retry_at {
-                if refetch {
-                    Self::send_close_polls(&coordinator, self.setup.params.num_vc);
-                }
-                retry_at = now + retry_ns;
-            }
-            // A virtual clock never passes its limit, so a wait beyond it
-            // would never end: the simulation is over there.
-            let wait_ns = match self.clock.virtual_clock() {
-                Some(vclock) if now >= vclock.limit_ns() => {
-                    break Err(ElectionError::VoteSetTimeout)
-                }
-                Some(vclock) => retry_at.min(vclock.limit_ns()) - now,
-                None => (retry_at - now).min(left.as_nanos() as u64),
-            };
-            match coordinator.recv_timeout(Duration::from_nanos(wait_ns)) {
-                // `from` is the sender the transport vouches for (the
-                // router in process, the authenticated channel over TCP).
-                Ok(Envelope {
-                    from,
-                    msg: Msg::Finalized(finalized),
-                    ..
-                }) if from == NodeId::vc(finalized.node_index) => {
-                    if !sets.iter().any(|f| f.node_index == finalized.node_index) {
-                        sets.push(finalized);
-                    }
-                }
-                Ok(_) | Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break Err(ElectionError::VoteSetTimeout),
-            }
-        };
-        self.run.lock().drained = sets.clone();
-        result.map(|()| sets)
+    /// The vote sets the in-process collectors have finalized, in node
+    /// order: what each writes to the board. A collector that has not
+    /// finalized, or whose copy an amnesia power cycle took, is absent.
+    /// Under a virtual clock the sets are read once every other party has
+    /// parked. Over TCP the collectors are other processes, and this is
+    /// empty.
+    pub fn finalized_sets(&self) -> Vec<FinalizedVoteSet> {
+        if let Some(vclock) = self.clock.virtual_clock() {
+            vclock.quiesce(Duration::from_secs(5));
+        }
+        self.vc_handles
+            .iter()
+            .filter_map(VcHandle::finalized)
+            .collect()
     }
 
     fn is_full_setup(&self) -> bool {

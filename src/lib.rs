@@ -10,9 +10,8 @@
 //!
 //! * [`Election::voting`] — cast individual votes (receipt-checked, audit
 //!   data collected) or run bulk concurrent [`Workload`]s;
-//! * [`Election::close`] — vote-set consensus to a quorum of
-//!   [`FinalizedVoteSet`](ddemos_vc::FinalizedVoteSet)s, which the
-//!   collectors write to the BB themselves;
+//! * [`Election::close`] — vote-set consensus, read off a BB majority:
+//!   the collectors write their agreed vote set to the board themselves;
 //! * [`Election::tally`] — the result the trustee nodes' posts publish;
 //! * [`Election::audit`] — public plus delegated verification;
 //! * [`Election::report`] — one [`ElectionReport`] with tally, receipts,

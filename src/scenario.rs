@@ -129,8 +129,8 @@ const RECHECK_AT_MS: u64 = 33_000;
 /// The driver closes the election here (after every node's drifted clock
 /// has passed `T_end`).
 const CLOSE_AT_MS: u64 = 44_000;
-/// Wall-clock bound on the close drain: a scenario that cannot reach
-/// consensus fails fast instead of hanging the sweep.
+/// Wall-clock bound on `close()`'s wait for the vote set: a scenario
+/// that cannot reach consensus fails fast instead of hanging the sweep.
 const CLOSE_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Everything derived from the seed before the election runs.
@@ -643,7 +643,7 @@ pub fn run_plan(
         &mut violations,
     );
     // Events scheduled past the close point (mutated plans shift them
-    // there) fire now: the close drain blocks this thread in virtual
+    // there) fire now: close()'s board reads block this thread in virtual
     // time, so "just before close" is the last moment the runner can
     // act. The coverage corpus works at plan level, so the pair is
     // still attributed to its shifted phase.
@@ -718,9 +718,18 @@ pub fn run_plan(
             ));
         }
     }
-    // Safety: every collector the plan leaves honest finalizes the same
-    // vote set, and a receipt implies the vote is in it.
-    if let Ok(sets) = &closed {
+    // Safety: a receipt implies the vote is in the published vote set,
+    // and every in-process collector the plan leaves honest finalized
+    // that set.
+    if let Ok(published) = &closed {
+        for &(ballot, _) in &receipted {
+            let serial = election.setup.ballots[ballot].serial;
+            if !published.entries.contains_key(&serial) {
+                violations.push(format!(
+                    "safety: ballot {ballot} was receipted but the published vote set omits it"
+                ));
+            }
+        }
         let byzantine = |node: u32| {
             plan.behaviors
                 .get(node as usize)
@@ -731,30 +740,24 @@ pub fn run_plan(
                     .iter()
                     .any(|(n, _)| *n == NodeId::vc(node))
         };
-        let honest: Vec<_> = sets.iter().filter(|f| !byzantine(f.node_index)).collect();
-        if let Some((first, rest)) = honest.split_first() {
-            let digest = first.vote_set.digest();
-            for other in rest {
-                if other.vote_set.digest() != digest {
-                    violations.push(format!(
-                        "safety: honest vote sets disagree: vc-{} and vc-{}",
-                        first.node_index, other.node_index
-                    ));
-                }
+        let digest = published.digest();
+        for set in election.finalized_sets() {
+            if !byzantine(set.node_index) && set.vote_set.digest() != digest {
+                violations.push(format!(
+                    "safety: honest vc-{}'s finalized vote set differs from the published one",
+                    set.node_index
+                ));
             }
         }
-        for set in &honest {
-            for &(ballot, _) in &receipted {
-                let serial = election.setup.ballots[ballot].serial;
-                if !set.vote_set.entries.contains_key(&serial) {
-                    violations.push(format!(
-                        "safety: ballot {ballot} was receipted but vc-{}'s finalized \
-                         vote set omits it",
-                        set.node_index
-                    ));
-                }
-            }
-        }
+    }
+    // Nothing flows back to the coordinator: it reads the vote set off
+    // the board like every other party.
+    if let Some(env) = election.coordinator.lock().try_recv() {
+        violations.push(format!(
+            "the coordinator was sent {} by {}",
+            env.msg.kind(),
+            env.from
+        ));
     }
     // Liveness: within the fault model, every voter gets a receipt and
     // the result is published.

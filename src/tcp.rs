@@ -6,10 +6,10 @@
 //! replica mains, and `ElectionBuilder::network(Network::Tcp(cluster))`
 //! builds an [`crate::Election`] that drives the remote cluster. Every
 //! party speaks as it does in process: the coordinator sends `ClosePolls`
-//! and `Shutdown` from [`crate::COORDINATOR`], takes `Finalized` back and
-//! reads the board through one endpoint; each collector writes its own
-//! vote set and `msk` share to every BB replica; each trustee node reads
-//! the board and writes its own post. Trustee nodes are threads of the
+//! and `Shutdown` from [`crate::COORDINATOR`] and reads the board through
+//! one endpoint, and nothing is sent back to it; each collector writes its
+//! own vote set and `msk` share to every BB replica; each trustee node
+//! reads the board and writes its own post. Trustee nodes are threads of the
 //! coordinator's process on a transport of their own, not yet processes.
 //!
 //! Every party is one [`EvNodeEndpoint`] over its own epoll loop, and
@@ -204,8 +204,7 @@ fn derive_setup(params: &ElectionParams, seed: u64, profile: SetupProfile) -> Se
 
 /// Runs one VC replica to completion: derives its initialization data,
 /// binds its listener, serves the full protocol (voting, vote-set
-/// consensus, its finalized set written to every BB replica and sent to
-/// the coordinator), and returns
+/// consensus, its finalized set written to every BB replica), and returns
 /// when the coordinator sends `Msg::Shutdown`.
 ///
 /// # Errors
@@ -230,7 +229,7 @@ pub fn run_vc_replica(
     // Dialable peers are the *other replicas* (they have listeners),
     // the BB replicas among them. The coordinator and the voters have
     // none: they connect in, and their authenticated channels carry the
-    // finalized sets and receipts back out.
+    // receipts back out.
     let mut peers = cluster.replicas();
     peers.retain(|(id, _)| *id != me);
     let endpoint = EvNodeEndpoint::bind(

@@ -324,7 +324,7 @@ fn scenario_seed_0_matches_the_pinned_fingerprint() {
     let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(
         hex,
-        "ece3513a14d1710676b2a6894e70fc7d333fbf893e7257001984e325c5b23bb3",
+        "7a9f85e8f67574bf24ddd5d481e718dd0af2d5ecb438d869d5e69437a1eb9787",
         "fingerprint of seed 0 (kernels {}):\n{}",
         ddemos_crypto::cpu::backend(),
         outcome.fingerprint

@@ -32,8 +32,8 @@ fn full_lifecycle_with_byzantine_collector() {
             .expect("voter obtains a receipt");
     }
 
-    let finalized = election.close().expect("vote-set consensus completes");
-    assert!(finalized.len() >= election.params().vc_quorum());
+    let published = election.close().expect("vote-set consensus completes");
+    assert_eq!(published.len(), votes.len());
 
     let result = election.tally().expect("tally publishes");
     assert_eq!(result.tally, vec![1, 3, 1]);
@@ -50,6 +50,12 @@ fn full_lifecycle_with_byzantine_collector() {
     assert!(report.timings.vote_collection > Duration::ZERO);
     assert!(report.timings.vote_set_consensus > Duration::ZERO);
     assert!(report.timings.publish_result > Duration::ZERO);
+    // The honest collectors that have finalized hold the published set.
+    let honest: Vec<_> = (election.finalized_sets().into_iter())
+        .filter(|f| f.node_index != 2)
+        .collect();
+    assert!(!honest.is_empty());
+    assert!(honest.iter().all(|f| f.vote_set == published));
 
     election.shutdown();
 }
@@ -190,19 +196,21 @@ fn finish_on_vc_only_election_skips_tally_and_audit() {
 fn close_is_idempotent_and_finish_after_manual_close_succeeds() {
     // The fraud_detection pattern (manual close/tally/audit) composed with
     // the quickstart pattern (finish() for the report): the second close()
-    // inside finish() must return the cached vote sets immediately instead
-    // of re-awaiting a quorum that can never arrive.
+    // inside finish() must return the cached vote set immediately instead
+    // of reading the board again.
     let params = ElectionParams::new("harness-reclose", 3, 2, 4, 3, 5, 3, 0, 600_000).unwrap();
     let election = ElectionBuilder::new(params).seed(8).build().unwrap();
     election.voting().cast(0, 0).expect("vote lands");
     let first = election.close().expect("close completes");
     let t0 = std::time::Instant::now();
-    let again = election.close().expect("second close returns cached sets");
+    let again = election
+        .close()
+        .expect("second close returns the cached set");
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "second close must not re-await"
     );
-    assert_eq!(first.len(), again.len());
+    assert_eq!(first, again);
     // Manual tally, then finish(): the tally must not re-run the trustees
     // or double-count the publish timing.
     election.tally().expect("manual tally");
@@ -230,32 +238,6 @@ fn tally_after_close_on_vc_only_election_is_phase_unavailable() {
         election.tally(),
         Err(ddemos_harness::ElectionError::PhaseUnavailable(_))
     ));
-    election.shutdown();
-}
-
-#[test]
-fn close_resumes_from_sets_drained_by_await_vote_sets() {
-    // The low-level helper and the phase handle share the one-shot
-    // channel; close() must resume from sets await_vote_sets drained.
-    let params = ElectionParams::new("harness-drain", 2, 2, 4, 1, 1, 1, 0, 600_000).unwrap();
-    let election = ElectionBuilder::new(params)
-        .vc_only()
-        .seed(7)
-        .build()
-        .unwrap();
-    election.close_polls();
-    let quorum = election.params().vc_quorum();
-    let drained = election
-        .await_vote_sets(quorum, Duration::from_secs(30))
-        .expect("quorum arrives");
-    assert_eq!(drained.len(), quorum);
-    let t0 = std::time::Instant::now();
-    let sets = election.close().expect("close resumes from drained sets");
-    assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "close must not re-await the quorum"
-    );
-    assert_eq!(sets.len(), quorum);
     election.shutdown();
 }
 
@@ -290,9 +272,14 @@ fn vc_only_election_reports_phase_unavailable_for_tally() {
         election.tally(),
         Err(ddemos_harness::ElectionError::PhaseUnavailable(_))
     ));
-    // close() on a VC-only election still drives vote-set consensus.
-    let sets = election.close().expect("consensus completes");
-    assert_eq!(sets.len(), election.params().vc_quorum());
+    // close() on a VC-only election still drives vote-set consensus, and
+    // the collectors still write the set to the board.
+    let published = election.close().expect("consensus completes");
+    assert!(published.is_empty(), "no vote was cast");
+    assert_eq!(
+        election.snapshot().expect("board").vote_set,
+        Some(published)
+    );
     election.shutdown();
 }
 
@@ -345,8 +332,8 @@ fn a_voter_can_neither_close_nor_stop_a_collector() {
     voting
         .cast(1, 1)
         .expect("a vote after the voter's control envelopes lands");
-    let sets = election.close().expect("the coordinator still closes");
-    assert_eq!(sets.len(), election.params().vc_quorum());
+    let published = election.close().expect("the coordinator still closes");
+    assert_eq!(published.len(), 2);
     let rejected = election
         .report()
         .metrics
@@ -357,22 +344,24 @@ fn a_voter_can_neither_close_nor_stop_a_collector() {
 
 #[test]
 fn a_finalized_set_lost_on_the_way_is_fetched_again() {
-    // Nothing from collectors 0 and 1 reaches the coordinator until the
-    // cut heals, well after they finalized: only two sets of the quorum
-    // of three get through, and close() must ask again after the heal.
+    // Nothing from collectors 0–2 reaches the board until the cut heals,
+    // well after they finalized: collector 3's set alone is short of the
+    // f_v + 1 = 2 copies the board publishes on, so close() must ask
+    // again after the heal.
     const HEAL_MS: u64 = 30_000;
-    let params = ElectionParams::new("harness-refetch", 4, 2, 4, 1, 1, 1, 0, 600_000).unwrap();
-    let cut = vec![NodeId::vc(0), NodeId::vc(1)];
+    let params = ElectionParams::new("harness-refetch", 4, 2, 4, 3, 1, 1, 0, 600_000).unwrap();
+    let cut: Vec<NodeId> = (0..3).map(NodeId::vc).collect();
+    let board: Vec<NodeId> = (0..3).map(NodeId::bb).collect();
     let mut schedule = Schedule::default();
     schedule.push(
         0,
         NetFault::GrayPartition {
             from: cut.clone(),
-            to: vec![COORDINATOR],
+            to: board.clone(),
             loss_pct: 100,
         },
     );
-    schedule.push(HEAL_MS, NetFault::HealPartition(cut, vec![COORDINATOR]));
+    schedule.push(HEAL_MS, NetFault::HealPartition(cut, board));
     let election = ElectionBuilder::new(params)
         .vc_only()
         .virtual_time()
@@ -381,12 +370,12 @@ fn a_finalized_set_lost_on_the_way_is_fetched_again() {
         .build()
         .unwrap();
     election.voting().cast(0, 1).expect("vote lands");
-    let sets = election.close().expect("close completes after the heal");
-    assert_eq!(sets.len(), election.params().vc_quorum());
-    assert!(
-        sets.iter().any(|f| f.node_index < 2),
-        "a set from behind the cut"
-    );
+    let published = election.close().expect("close completes after the heal");
     assert!(election.now_ms() >= HEAL_MS);
+    assert_eq!(published.len(), 1);
+    assert_eq!(
+        election.snapshot().expect("board").vote_set,
+        Some(published)
+    );
     election.shutdown();
 }

