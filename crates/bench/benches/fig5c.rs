@@ -5,6 +5,11 @@
 //! Paper setting: 4 VC nodes, n = 200 000, m = 4, casting 50k…200k
 //! ballots. Expected shape: vote collection dominates; consensus next;
 //! the two BB phases grow linearly but stay comparatively small.
+//!
+//! The two middle columns end at board-visible milestones (the vote set,
+//! then the challenge, each on a BB majority); code decryption usually
+//! falls in the first, so they are comparable neither with the paper's
+//! split nor with runs that took the first from the collectors' stamps.
 
 use ddemos_bench::votes_per_point;
 use ddemos_harness::{ElectionBuilder, NetworkProfile, Workload};

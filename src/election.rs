@@ -149,11 +149,14 @@ pub struct PhaseTimings {
     pub setup: Duration,
     /// Casting votes (accumulated over every [`VotingPhase`] call).
     pub vote_collection: Duration,
-    /// From the close request to the vote set on a BB majority: ANNOUNCE,
-    /// batched binary consensus, RECOVER and the collectors' writes.
+    /// From the close request to the first majority read that shows the
+    /// vote set: `ClosePolls` delivery, consensus, the collectors' board
+    /// writes and the reads' pacing. A replica decrypts the codes inside
+    /// the write that lands the set or the last `msk` share it needs, so
+    /// that work usually falls here too.
     pub vote_set_consensus: Duration,
-    /// From the vote set to the encrypted tally's challenge on a BB
-    /// majority: msk reconstruction and code decryption.
+    /// From that read to the first majority read that shows the encrypted
+    /// tally's challenge; 0 when one read shows both, as it usually does.
     pub push_to_bb_and_tally: Duration,
     /// Trustee posts and result publication.
     pub publish_result: Duration,

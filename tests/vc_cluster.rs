@@ -9,6 +9,8 @@ use ddemos_protocol::messages::{Msg, RejectReason, VoteOutcome};
 use ddemos_protocol::{NodeId, SerialNo};
 use std::time::Duration;
 
+mod common;
+
 fn start_cluster(
     num_vc: usize,
     num_ballots: u64,
@@ -88,10 +90,12 @@ fn racing_codes_on_one_ballot_yield_at_most_one_recorded_code() {
         "two different codes must never both be recorded"
     );
     // Finish: close polls, check the vote set has at most one entry and
-    // every collector that finalized agrees with the board.
+    // all four collectors finalize the set the board published.
     let published = election.close().expect("vote sets finalize");
     assert!(published.len() <= 1);
-    for f in election.finalized_sets() {
+    let finalized = common::finalized_at_least(&election, 4);
+    assert_eq!(finalized.len(), 4, "every collector finalizes");
+    for f in &finalized {
         assert_eq!(f.vote_set, published, "agreement");
     }
     election.shutdown();
@@ -111,11 +115,12 @@ fn vote_set_consensus_agrees_with_a_crashed_node() {
         );
     }
     // close() waits for the set on the board, which publishes it on
-    // f_v + 1 = 2 identical copies.
+    // f_v + 1 = 2 identical copies; each of the three live collectors
+    // finalizes that set.
     let published = election.close().expect("vote sets finalize");
     assert_eq!(published.len(), 2, "both receipts honoured");
-    let finalized = election.finalized_sets();
-    assert!(finalized.len() >= 2);
+    let finalized = common::finalized_at_least(&election, 3);
+    assert_eq!(finalized.len(), 3, "every live collector finalizes");
     for f in &finalized {
         assert_ne!(f.node_index, 0, "the crashed collector finalized");
         assert_eq!(f.vote_set, published);

@@ -6,6 +6,8 @@
 use ddemos_harness::{ElectionBuilder, ElectionParams, NetworkProfile, StoreKind};
 use std::time::{Duration, Instant};
 
+mod common;
+
 fn params(label: &str, ballots: u64, end_ms: u64) -> ElectionParams {
     ElectionParams::new(label, ballots, 3, 4, 4, 3, 2, 0, end_ms).unwrap()
 }
@@ -150,6 +152,11 @@ fn wan_10k_voter_election_completes_fast() {
     let published = election.close().unwrap();
     let elapsed = wall.elapsed();
     assert_eq!(published.len(), CAST as usize);
+    let finalized = common::finalized_at_least(&election, 3);
+    assert!(finalized.len() >= 3, "quorum of finalized vote sets");
+    for f in &finalized {
+        assert_eq!(f.vote_set, published);
+    }
     // The paper-shaped WAN latencies ran entirely in virtual time.
     assert!(
         election.now_ms() >= 100,
